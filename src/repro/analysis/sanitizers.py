@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -212,6 +213,13 @@ class SanitizingBufferPool(BufferPool):
         if frames:
             frames[-1].wrote.add(block_id)
         super().put(block_id, data)
+
+    def put_many(self, block_ids: Sequence[int],
+                 pages: np.ndarray) -> None:
+        frames = self._kernel_frames()
+        if frames:
+            frames[-1].wrote.update(block_ids)
+        super().put_many(block_ids, pages)
 
     def get(self, block_id: int, *, for_write: bool = False
             ) -> np.ndarray:

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Container, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class ReplacementPolicy:
     def on_remove(self, key: int) -> None:
         raise NotImplementedError
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         """Return the key of the frame to evict (never a pinned one)."""
         raise NotImplementedError
 
@@ -85,7 +85,7 @@ class LRUPolicy(ReplacementPolicy):
     def on_remove(self, key: int) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         for key in self._order:
             if key not in pinned:
                 return key
@@ -119,7 +119,7 @@ class ClockPolicy(ReplacementPolicy):
             else:
                 self._hand = 0
 
-    def choose_victim(self, pinned: set[int]) -> int:
+    def choose_victim(self, pinned: Container[int]) -> int:
         if not self._keys:
             raise RuntimeError("buffer pool exhausted: no frames")
         spins = 0
@@ -313,10 +313,8 @@ class BufferPool:
         block stayed resident; callers treat them as read-only.
         """
         with self.lock:
-            missing: list[int] = []
-            for bid in block_ids:
-                if bid not in self._frames and bid not in missing:
-                    missing.append(bid)
+            missing = list(dict.fromkeys(
+                bid for bid in block_ids if bid not in self._frames))
             fetched = self.scheduler.fetch(missing) if missing else {}
             out: list[np.ndarray] = []
             for bid in block_ids:
@@ -355,11 +353,7 @@ class BufferPool:
         with self.lock:
             if not self.scheduler.enabled:
                 return 0
-            want: list[int] = []
-            for bid in block_ids:
-                if bid not in self._frames and bid not in want:
-                    want.append(bid)
-            want = self._clip_speculation(want)
+            want = self._clip_speculation(list(dict.fromkeys(block_ids)))
             if not want:
                 return 0
             fetched = self.scheduler.fetch(want, n_speculative=len(want))
@@ -424,20 +418,47 @@ class BufferPool:
             padded[:buf.size] = buf
             buf = padded
         with self.lock:
-            if block_id in self._frames:
-                with self.latched(block_id):
-                    self._frames[block_id][:] = buf
-                self.policy.on_access(block_id)
-                self.stats.hits += 1
-                # A full overwrite is not a use of the prefetched
-                # contents.
-                self._prefetched.discard(block_id)
-            else:
-                self.stats.misses += 1
-                self._ensure_room()
-                self._frames[block_id] = buf.copy()
-                self.policy.on_insert(block_id)
-            self._dirty.add(block_id)
+            self._put_locked(block_id, buf)
+
+    def put_many(self, block_ids: Sequence[int],
+                 pages: np.ndarray) -> None:
+        """Install whole pages for several blocks under one lock hold.
+
+        ``pages`` is a ``(len(block_ids), block_size)`` uint8 array, one
+        row per block.  Per block this is exactly :meth:`put` — same
+        hit/miss accounting, same in-place overwrite under the frame's
+        latch, same eviction order — so a batch and the same blocks sent
+        one by one leave the pool and its counters in the same state.
+        """
+        buf = np.asarray(pages, dtype=np.uint8)
+        if buf.shape != (len(block_ids), self.device.block_size):
+            raise ValueError(
+                f"put_many expects {len(block_ids)} page(s) of "
+                f"{self.device.block_size} bytes, got an array of shape "
+                f"{buf.shape}")
+        with self.lock:
+            for block_id, page in zip(block_ids, buf):
+                self._put_locked(block_id, page)
+
+    def _put_locked(self, block_id: int, buf: np.ndarray) -> None:
+        # Caller holds self.lock; ``buf`` is exactly one block wide.
+        if block_id in self._frames:
+            with self.latched(block_id):
+                self._frames[block_id][:] = buf
+            self.policy.on_access(block_id)
+            self.stats.hits += 1
+            # A full overwrite is not a use of the prefetched
+            # contents.
+            self._prefetched.discard(block_id)
+        else:
+            self.stats.misses += 1
+            self._ensure_room()
+            # A copy, so each frame owns its memory: a view of the
+            # caller's batch would keep the whole batch alive for as
+            # long as any one of its frames stays resident.
+            self._frames[block_id] = buf.copy()
+            self.policy.on_insert(block_id)
+        self._dirty.add(block_id)
 
     def mark_dirty(self, block_id: int) -> None:
         with self.lock:
@@ -528,7 +549,7 @@ class BufferPool:
         # latch taken around the device write so an in-place mutator
         # (pool.latched) can never race the writeback copy.
         while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim(set(self._pinned))
+            victim = self.policy.choose_victim(self._pinned)
             if victim in self._dirty:
                 with self.latched(victim):
                     self.device.write_block(victim, self._frames[victim])

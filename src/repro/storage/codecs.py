@@ -46,6 +46,10 @@ try:  # pragma: no cover - environment-dependent
 except ImportError:  # pragma: no cover - the stdlib fallback path
     _zstd = None
 
+#: What ``decode_tile`` is handed: the tile store passes a one-page
+#: payload as a view of its pool frame, not as a ``bytes`` copy.
+Payload = bytes | memoryview
+
 #: Backend tags of the ``delta+zstd`` wire format (first payload byte).
 _TAG_ZLIB = 0
 _TAG_ZSTD = 1
@@ -69,7 +73,7 @@ class TileCodec:
         """Compress one full (edge-padded) tile into a payload."""
         raise NotImplementedError
 
-    def decode_tile(self, payload: bytes, dtype: np.dtype,
+    def decode_tile(self, payload: Payload, dtype: np.dtype,
                     count: int) -> np.ndarray:
         """Recover ``count`` scalars of ``dtype`` from a payload."""
         raise NotImplementedError
@@ -85,7 +89,7 @@ class RawCodec(TileCodec):
     def encode_tile(self, tile: np.ndarray) -> bytes:
         return np.ascontiguousarray(tile).tobytes()
 
-    def decode_tile(self, payload: bytes, dtype: np.dtype,
+    def decode_tile(self, payload: Payload, dtype: np.dtype,
                     count: int) -> np.ndarray:
         return np.frombuffer(payload, dtype=dtype)[:count].copy()
 
@@ -115,17 +119,19 @@ class DeltaZstdCodec(TileCodec):
     def encode_tile(self, tile: np.ndarray) -> bytes:
         flat = np.ascontiguousarray(tile).reshape(-1)
         ints = flat.view(self._int_dtype(flat.dtype))
+        delta = np.empty_like(ints)
+        delta[:1] = ints[:1]
         with np.errstate(over="ignore"):
-            delta = np.diff(ints, prepend=ints.dtype.type(0))
-        raw = delta.tobytes()
+            np.subtract(ints[1:], ints[:-1], out=delta[1:])
+        raw = delta.view(np.uint8)
         if _zstd is not None:
             body = _zstd.ZstdCompressor(level=self.level).compress(raw)
             return bytes([_TAG_ZSTD]) + body
         return bytes([_TAG_ZLIB]) + zlib.compress(raw, 6)
 
-    def decode_tile(self, payload: bytes, dtype: np.dtype,
+    def decode_tile(self, payload: Payload, dtype: np.dtype,
                     count: int) -> np.ndarray:
-        tag, body = payload[0], payload[1:]
+        tag, body = payload[0], memoryview(payload)[1:]
         if tag == _TAG_ZSTD:
             if _zstd is None:
                 raise RuntimeError(
@@ -143,7 +149,7 @@ class DeltaZstdCodec(TileCodec):
         delta = np.frombuffer(raw, dtype=idt)
         with np.errstate(over="ignore"):
             ints = np.cumsum(delta, dtype=idt)
-        return ints.view(np.dtype(dtype))[:count].copy()
+        return ints.view(np.dtype(dtype))[:count]
 
 
 class Float32Codec(TileCodec):
@@ -162,7 +168,7 @@ class Float32Codec(TileCodec):
     def encode_tile(self, tile: np.ndarray) -> bytes:
         return np.ascontiguousarray(tile, dtype=np.float32).tobytes()
 
-    def decode_tile(self, payload: bytes, dtype: np.dtype,
+    def decode_tile(self, payload: Payload, dtype: np.dtype,
                     count: int) -> np.ndarray:
         return np.frombuffer(payload, dtype=np.float32)[:count] \
             .astype(np.dtype(dtype))

@@ -32,6 +32,7 @@ from ..obs.tracer import Tracer
 from .block_device import BlockDevice, DEFAULT_BLOCK_SIZE, IOStats
 from .buffer_pool import BufferPool
 from .codecs import TileCodec, get_codec
+from .io_scheduler import SchedulerStats
 from .linearization import Linearization, make_linearization
 from .pagefile import PageFile
 
@@ -296,6 +297,7 @@ class TiledMatrix:
         self.file = PageFile(store.device, name=name)
         self.file.allocate_pages(
             self.grid[0] * self.grid[1] * self.pages_per_tile)
+        self._blocks = self._block_table()
 
     @classmethod
     def _attach(cls, store: "ArrayStore", name: str,
@@ -318,9 +320,27 @@ class TiledMatrix:
         mat.pages_per_tile = -(-th * tw * mat.dtype.itemsize
                                // store.device.block_size)
         mat.file = PageFile.attach(store.device, name, entry["pages"])
+        mat._blocks = mat._block_table()
         return mat
 
     # ------------------------------------------------------------------
+    def _block_table(self) -> np.ndarray:
+        """Device block ids of every tile: a read-only int64 table of
+        shape ``grid + (pages_per_tile,)``, from the linearization
+        arithmetic and the page map.  A tile's blocks, a rectangle's
+        blocks and the zero-copy adjacency guard are slices of it."""
+        g0, g1 = self.grid
+        pos = np.fromiter(
+            (self.linearization.index(ti, tj)
+             for ti in range(g0) for tj in range(g1)),
+            dtype=np.int64, count=g0 * g1)
+        pages = (pos[:, None] * self.pages_per_tile
+                 + np.arange(self.pages_per_tile))
+        table = np.asarray(self.file.page_map, dtype=np.int64)[pages]
+        table.shape = (g0, g1, self.pages_per_tile)
+        table.flags.writeable = False
+        return table
+
     def tile_bounds(self, ti: int, tj: int) -> tuple[int, int, int, int]:
         """Return (row_lo, row_hi, col_lo, col_hi) of tile (ti, tj)."""
         self._check_tile(ti, tj)
@@ -330,10 +350,19 @@ class TiledMatrix:
         return (r0, min(r0 + th, self.shape[0]),
                 c0, min(c0 + tw, self.shape[1]))
 
-    def _tile_pages(self, ti: int, tj: int) -> range:
-        pos = self.linearization.index(ti, tj)
-        first = pos * self.pages_per_tile
-        return range(first, first + self.pages_per_tile)
+    def _tile_span(self, r0: int, r1: int, c0: int, c1: int
+                   ) -> tuple[int, int, int, int]:
+        """Grid range ``(ti0, ti1, tj0, tj1)`` of the tiles covering a
+        rectangle."""
+        th, tw = self.tile_shape
+        ti0, ti1 = r0 // th, -(-r1 // th)
+        tj0, tj1 = c0 // tw, -(-c1 // tw)
+        if not (0 <= ti0 and ti1 <= self.grid[0]
+                and 0 <= tj0 and tj1 <= self.grid[1]):
+            raise IndexError(
+                f"rectangle ({r0}:{r1}, {c0}:{c1}) outside grid "
+                f"{self.grid} of {self.name}")
+        return ti0, ti1, tj0, tj1
 
     def tile_blocks(self, ti: int, tj: int) -> list[int]:
         """Device block keys backing tile (ti, tj) — the prefetch unit.
@@ -342,31 +371,25 @@ class TiledMatrix:
         payload occupies, and a never-written compressed tile reports
         none (its read is pure zeros, no I/O).
         """
-        pages = self._tile_pages(ti, tj)
+        self._check_tile(ti, tj)
+        blocks = self._blocks[ti, tj]
         if self.codec.name != "raw":
             comp = self.tile_dir.get(self.linearization.index(ti, tj))
             if comp is None:
                 return []
             if comp > 0:
-                nb = -(-comp // self.store.device.block_size)
-                pages = pages[:nb]
-        return self.file.blocks_of(pages)
+                blocks = blocks[: -(-comp // self.store.device.block_size)]
+        return blocks.tolist()
 
     def submatrix_blocks(self, r0: int, r1: int, c0: int, c1: int
                          ) -> list[int]:
-        """Device block keys for every tile covering the rectangle."""
-        th, tw = self.tile_shape
-        blocks: list[int] = []
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                blocks.extend(self.tile_blocks(ti, tj))
-        return blocks
-
-    def read_tile(self, ti: int, tj: int) -> np.ndarray:
-        """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
-        r0, r1, c0, c1 = self.tile_bounds(ti, tj)
-        full = self._read_full_tile(ti, tj)
-        return full[: r1 - r0, : c1 - c0].copy()
+        """Device block keys for every tile covering the rectangle, in
+        row-major tile order (the order the rectangle is read in)."""
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
+        if self.codec.name == "raw":
+            return self._blocks[ti0:ti1, tj0:tj1].ravel().tolist()
+        return [bid for ti in range(ti0, ti1) for tj in range(tj0, tj1)
+                for bid in self.tile_blocks(ti, tj)]
 
     def _charge_codec(self, logical: int, compressed: int) -> None:
         """Record codec traffic on the v3 byte axis (under the pool
@@ -376,45 +399,138 @@ class TiledMatrix:
             stats.bytes_logical += logical
             stats.bytes_compressed += compressed
 
-    def _read_raw_tile(self, ti: int, tj: int) -> np.ndarray:
-        """Assemble the zero-padded (th, tw) tile from its full page
-        span (the codec-unaware path)."""
+    # ------------------------------------------------------------------
+    # The dense data path: one assemble and one scatter routine serve
+    # tiles and rectangles, raw and codec alike.
+    # ------------------------------------------------------------------
+    def _assemble(self, ti0: int, ti1: int, tj0: int, tj1: int
+                  ) -> np.ndarray:
+        """Tiles ``[ti0, ti1) x [tj0, tj1)`` as one fresh, writable,
+        zero-padded ``((ti1 - ti0) * th, (tj1 - tj0) * tw)`` array.
+
+        Raw tiles come through a single ``get_many`` over the
+        rectangle's blocks in row-major tile order and are gathered a
+        tile row at a time, so the staging copy is one band, never a
+        second rectangle; codec tiles decode one by one (same order)
+        straight into place.
+        """
+        th, tw = self.tile_shape
+        nti, ntj = ti1 - ti0, tj1 - tj0
+        out = np.empty((nti * th, ntj * tw), dtype=self.dtype)
+        cells = out.reshape(nti, th, ntj, tw)  # cells[i, :, j]: a tile
+        if self.codec.name == "raw":
+            frames = self.store.pool.get_many(
+                self._blocks[ti0:ti1, tj0:tj1].ravel().tolist())
+            band = ntj * self.pages_per_tile
+            for i in range(nti):
+                cells[i] = self._tiles_of(
+                    frames[i * band: (i + 1) * band]
+                ).reshape(ntj, th, tw).transpose(1, 0, 2)
+        else:
+            for i in range(nti):
+                for j in range(ntj):
+                    cells[i, :, j] = self._decoded_tile(
+                        ti0 + i, tj0 + j).reshape(th, tw)
+        return out
+
+    def _tiles_of(self, frames: list[np.ndarray]) -> np.ndarray:
+        """The page frames of whole raw tiles as a fresh
+        ``(n_tiles, th * tw)`` array (page slack dropped)."""
+        flat = np.concatenate(frames).view(self.dtype)
         th, tw = self.tile_shape
         per_page = self.store.device.block_size // self.dtype.itemsize
-        flat = np.empty(self.pages_per_tile * per_page, dtype=self.dtype)
-        frames = self.store.pool.get_many(
-            self.file.blocks_of(self._tile_pages(ti, tj)))
-        for k, frame in enumerate(frames):
-            flat[k * per_page: (k + 1) * per_page] = \
-                frame.view(self.dtype)
-        return flat[: th * tw].reshape(th, tw)
+        return flat.reshape(-1, self.pages_per_tile * per_page)[
+            :, : th * tw]
 
-    def _read_full_tile(self, ti: int, tj: int) -> np.ndarray:
-        """The decoded zero-padded (th, tw) tile.  May return a cached
-        (read-only) array — callers must copy before mutating."""
+    def _decoded_tile(self, ti: int, tj: int) -> np.ndarray:
+        """One codec tile, flat and zero-padded (``th * tw`` scalars).
+        May return a cached (read-only) array — callers copy."""
         th, tw = self.tile_shape
-        if self.codec.name == "raw":
-            return self._read_raw_tile(ti, tj)
         logical = th * tw * self.dtype.itemsize
         comp = self.tile_dir.get(self.linearization.index(ti, tj))
         if comp is None:
             # Never written: sparse-file semantics without the I/O.
-            return np.zeros((th, tw), dtype=self.dtype)
+            return np.zeros(th * tw, dtype=self.dtype)
         if comp == 0:
             # Raw-fallback tile (incompressible at write time).
-            tile = self._read_raw_tile(ti, tj)
+            tile = self._tiles_of(self.store.pool.get_many(
+                self._blocks[ti, tj].tolist()))[0]
             self._charge_codec(logical, logical)
             return tile
         cached = self.store.tile_cache.get((self.name, ti, tj))
         if cached is not None:
             return cached
         frames = self.store.pool.get_many(self.tile_blocks(ti, tj))
-        payload = b"".join(f.tobytes() for f in frames)[:comp]
-        tile = self.codec.decode_tile(payload, self.dtype,
-                                      th * tw).reshape(th, tw)
+        # A one-page payload decodes straight out of its frame.
+        staged = frames[0] if len(frames) == 1 else np.concatenate(frames)
+        tile = self.codec.decode_tile(memoryview(staged)[:comp],
+                                      self.dtype, th * tw)
         self._charge_codec(logical, comp)
+        # Frozen, so the cache keeps this array instead of a copy.
+        tile.flags.writeable = False
         self.store.tile_cache.put((self.name, ti, tj), tile)
         return tile
+
+    def _scatter(self, tis: list[int], tjs: list[int],
+                 tiles: np.ndarray) -> None:
+        """Write zero-padded tiles — row ``k`` of the C-contiguous
+        ``(n, th * tw)`` array goes to grid cell ``(tis[k], tjs[k])``
+        — in the given order: raw tiles as one tile-major page batch,
+        codec tiles encoded one by one."""
+        if self.codec.name == "raw":
+            # One tile (write_tile, so every from_numpy) is a plain
+            # index: the fancy one costs more than the copy it feeds.
+            self._put_raw(self._blocks[tis[0], tjs[0]] if len(tis) == 1
+                          else self._blocks[tis, tjs], tiles)
+        else:
+            for ti, tj, tile in zip(tis, tjs, tiles):
+                self._write_encoded_tile(ti, tj, tile)
+
+    def _put_raw(self, blocks: np.ndarray, tiles: np.ndarray) -> None:
+        bs = self.store.device.block_size
+        pages = tiles.view(np.uint8)
+        span = self.pages_per_tile * bs
+        if pages.shape[1] != span:
+            # Tiles that do not fill their last page: zero the slack.
+            padded = np.zeros((len(tiles), span), dtype=np.uint8)
+            padded[:, : pages.shape[1]] = pages
+            pages = padded
+        self.store.pool.put_many(blocks.ravel().tolist(),
+                                 pages.reshape(-1, bs))
+
+    def _write_encoded_tile(self, ti: int, tj: int,
+                            tile: np.ndarray) -> None:
+        bs = self.store.device.block_size
+        logical = tile.nbytes
+        pos = self.linearization.index(ti, tj)
+        payload = self.codec.encode_tile(tile.reshape(self.tile_shape))
+        blocks = self._blocks[ti, tj]
+        if len(payload) > len(blocks) * bs:
+            # The payload outgrew the tile's page span: store raw
+            # (tile_dir length 0 is the fallback sentinel).
+            self.tile_dir[pos] = 0
+            self.store.tile_cache.invalidate((self.name, ti, tj))
+            self._put_raw(blocks, tile[None])
+            self._charge_codec(logical, logical)
+            return
+        nb = -(-len(payload) // bs)
+        buf = np.zeros(nb * bs, dtype=np.uint8)
+        buf[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        self.store.pool.put_many(blocks[:nb].tolist(),
+                                 buf.reshape(nb, bs))
+        # A shrinking payload strands stale higher pages in the pool;
+        # drop them so they are neither flushed nor read back.
+        for bid in blocks[nb:].tolist():
+            self.store.pool.invalidate(bid)
+        self.tile_dir[pos] = len(payload)
+        self.store.tile_cache.put((self.name, ti, tj), tile)
+        self._charge_codec(logical, len(payload))
+
+    def read_tile(self, ti: int, tj: int) -> np.ndarray:
+        """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
+        r0, r1, c0, c1 = self.tile_bounds(ti, tj)
+        full = self._assemble(ti, ti + 1, tj, tj + 1)
+        return np.ascontiguousarray(full[: r1 - r0, : c1 - c0])
 
     def write_tile(self, ti: int, tj: int, values: np.ndarray) -> None:
         r0, r1, c0, c1 = self.tile_bounds(ti, tj)
@@ -423,51 +539,9 @@ class TiledMatrix:
             raise ValueError(
                 f"tile ({ti},{tj}) expects shape {(r1 - r0, c1 - c0)}, "
                 f"got {vals.shape}")
-        th, tw = self.tile_shape
-        full = np.zeros((th, tw), dtype=self.dtype)
+        full = np.zeros(self.tile_shape, dtype=self.dtype)
         full[: r1 - r0, : c1 - c0] = vals
-        if self.codec.name == "raw":
-            self._write_raw_tile(ti, tj, full)
-        else:
-            self._write_encoded_tile(ti, tj, full)
-
-    def _write_raw_tile(self, ti: int, tj: int,
-                        full: np.ndarray) -> None:
-        flat = full.reshape(-1).view(np.uint8)
-        per_page = self.store.device.block_size
-        for k, page in enumerate(self._tile_pages(ti, tj)):
-            chunk = flat[k * per_page: (k + 1) * per_page]
-            self.store.pool.put(self.file.block_of(page), chunk)
-
-    def _write_encoded_tile(self, ti: int, tj: int,
-                            full: np.ndarray) -> None:
-        bs = self.store.device.block_size
-        th, tw = self.tile_shape
-        logical = th * tw * self.dtype.itemsize
-        pos = self.linearization.index(ti, tj)
-        payload = self.codec.encode_tile(full)
-        pages = self._tile_pages(ti, tj)
-        if len(payload) > len(pages) * bs:
-            # The payload outgrew the tile's page span: store raw
-            # (tile_dir length 0 is the fallback sentinel).
-            self.tile_dir[pos] = 0
-            self.store.tile_cache.invalidate((self.name, ti, tj))
-            self._write_raw_tile(ti, tj, full)
-            self._charge_codec(logical, logical)
-            return
-        nb = -(-len(payload) // bs)
-        buf = np.frombuffer(payload, dtype=np.uint8)
-        for k in range(nb):
-            self.store.pool.put(self.file.block_of(pages[k]),
-                                buf[k * bs: (k + 1) * bs])
-        # A shrinking payload strands stale higher pages in the pool;
-        # drop them so they are neither flushed nor read back.
-        for page in pages[nb:]:
-            self.store.pool.invalidate(self.file.block_of(page))
-        self.tile_dir[pos] = len(payload)
-        full.flags.writeable = False
-        self.store.tile_cache.put((self.name, ti, tj), full)
-        self._charge_codec(logical, len(payload))
+        self._scatter([ti], [tj], full.reshape(1, -1))
 
     def tiles(self) -> Iterator[tuple[int, int]]:
         """Yield tile coordinates in on-disk (linearized) order."""
@@ -476,28 +550,26 @@ class TiledMatrix:
             yield self.linearization.coords(pos)
 
     # ------------------------------------------------------------------
-    def read_submatrix(self, r0: int, r1: int, c0: int, c1: int
-                       ) -> np.ndarray:
-        """Read an arbitrary aligned-or-not rectangle (touches its tiles)."""
+    def _check_rect(self, r0: int, r1: int, c0: int, c1: int) -> None:
         if not (0 <= r0 <= r1 <= self.shape[0]
                 and 0 <= c0 <= c1 <= self.shape[1]):
             raise IndexError(f"rectangle ({r0}:{r1}, {c0}:{c1}) out of range")
+
+    def read_submatrix(self, r0: int, r1: int, c0: int, c1: int
+                       ) -> np.ndarray:
+        """Read an arbitrary aligned-or-not rectangle (touches its tiles)."""
+        self._check_rect(r0, r1, c0, c1)
         # The rectangle's tile footprint is exact and about to be read in
         # full — announce it so the misses coalesce into large I/Os.
         self.store.pool.prefetch(self.submatrix_blocks(r0, r1, c0, c1))
-        out = np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
+        if r0 == r1 or c0 == c1:
+            return np.empty((r1 - r0, c1 - c0), dtype=self.dtype)
         th, tw = self.tile_shape
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                tile = self.read_tile(ti, tj)
-                out[ir0 - r0: ir1 - r0, ic0 - c0: ic1 - c0] = \
-                    tile[ir0 - tr0: ir1 - tr0, ic0 - tc0: ic1 - tc0]
-        return out
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
+        full = self._assemble(ti0, ti1, tj0, tj1)
+        return np.ascontiguousarray(
+            full[r0 - ti0 * th: r1 - ti0 * th,
+                 c0 - tj0 * tw: c1 - tj0 * tw])
 
     def read_submatrix_view(self, r0: int, r1: int, c0: int, c1: int
                             ) -> np.ndarray:
@@ -524,12 +596,11 @@ class TiledMatrix:
                     and c0 // tw < self.grid[1]):
                 ti, tj = r0 // th, c0 // tw
                 if (r0, r1, c0, c1) == self.tile_bounds(ti, tj):
-                    blocks = self.tile_blocks(ti, tj)
-                    consecutive = all(
-                        blocks[k] == blocks[0] + k
-                        for k in range(1, len(blocks)))
-                    if consecutive and not store.pool.has_dirty(blocks):
-                        raw = store.device.block_view(blocks[0],
+                    blocks = self._blocks[ti, tj]
+                    consecutive = bool((np.diff(blocks) == 1).all())
+                    if consecutive and not store.pool.has_dirty(
+                            blocks.tolist()):
+                        raw = store.device.block_view(int(blocks[0]),
                                                       len(blocks))
                         flat = raw.view(self.dtype)[: th * tw]
                         return flat.reshape(th, tw)[: r1 - r0,
@@ -540,42 +611,62 @@ class TiledMatrix:
         vals = np.ascontiguousarray(values, dtype=self.dtype)
         r1 = r0 + vals.shape[0]
         c1 = c0 + vals.shape[1]
-        if not (0 <= r0 <= r1 <= self.shape[0]
-                and 0 <= c0 <= c1 <= self.shape[1]):
-            raise IndexError(f"rectangle ({r0}:{r1}, {c0}:{c1}) out of range")
+        self._check_rect(r0, r1, c0, c1)
+        if vals.size == 0:
+            return
         th, tw = self.tile_shape
-        # Tiles the rectangle only partially covers are read-modify-
-        # written; announce that read footprint up front so the misses
-        # coalesce (and so a kernel span's sanitizer sees the reads as
-        # part of the declared footprint, not stray demand misses).
-        rmw_blocks: list[int] = []
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                if not (ir0 == tr0 and ir1 == tr1
-                        and ic0 == tc0 and ic1 == tc1):
-                    rmw_blocks.extend(self.tile_blocks(ti, tj))
-        if rmw_blocks:
-            self.store.pool.prefetch(rmw_blocks)
-        for ti in range(r0 // th, -(-r1 // th) if r1 else 0):
-            for tj in range(c0 // tw, -(-c1 // tw) if c1 else 0):
-                tr0, tr1, tc0, tc1 = self.tile_bounds(ti, tj)
-                ir0, ir1 = max(tr0, r0), min(tr1, r1)
-                ic0, ic1 = max(tc0, c0), min(tc1, c1)
-                if ir0 >= ir1 or ic0 >= ic1:
-                    continue
-                if ir0 == tr0 and ir1 == tr1 and ic0 == tc0 and ic1 == tc1:
-                    tile = np.empty((tr1 - tr0, tc1 - tc0),
-                                    dtype=self.dtype)
-                else:
-                    tile = self.read_tile(ti, tj)
+        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
+        nti, ntj = ti1 - ti0, tj1 - tj0
+        # A tile row (column) is covered whole when the rectangle spans
+        # it up to the matrix edge; a tile is whole when both are.
+        rows = np.arange(ti0, ti1)
+        cols = np.arange(tj0, tj1)
+        rows_whole = ((rows * th >= r0)
+                      & (np.minimum((rows + 1) * th, self.shape[0]) <= r1))
+        cols_whole = ((cols * tw >= c0)
+                      & (np.minimum((cols + 1) * tw, self.shape[1]) <= c1))
+        whole = (rows_whole[:, None] & cols_whole).ravel()
+        tis = np.repeat(rows, ntj).tolist()
+        tjs = np.tile(cols, nti).tolist()
+        partial = np.flatnonzero(~whole).tolist()
+        if partial:
+            # Tiles the rectangle only partially covers are read-
+            # modify-written; announce that read footprint up front so
+            # the misses coalesce (and so a kernel span's sanitizer
+            # sees the reads as part of the declared footprint, not
+            # stray demand misses).
+            self.store.pool.prefetch(
+                [bid for k in partial
+                 for bid in self.tile_blocks(tis[k], tjs[k])])
+        # The rectangle, zero-padded out to tile boundaries and cut
+        # into tile-major rows.  Whole tiles go to the pool in runs of
+        # row-major tile order; a partial tile in between is merged
+        # over its current contents first, at its own place in that
+        # order, so the pool sees one tile after another as if each
+        # had been written on its own.
+        padded = vals
+        if vals.shape != (nti * th, ntj * tw):
+            padded = np.zeros((nti * th, ntj * tw), dtype=self.dtype)
+            padded[r0 - ti0 * th: r1 - ti0 * th,
+                   c0 - tj0 * tw: c1 - tj0 * tw] = vals
+        tiles = np.ascontiguousarray(
+            padded.reshape(nti, th, ntj, tw).transpose(0, 2, 1, 3)
+            .reshape(nti * ntj, th * tw))
+        start = 0
+        for k in partial + [whole.size]:
+            if start < k:
+                self._scatter(tis[start:k], tjs[start:k], tiles[start:k])
+            if k < whole.size:
+                tr0, tc0 = tis[k] * th, tjs[k] * tw
+                tile = self._assemble(tis[k], tis[k] + 1,
+                                      tjs[k], tjs[k] + 1)
+                ir0, ir1 = max(tr0, r0), min(tr0 + th, r1)
+                ic0, ic1 = max(tc0, c0), min(tc0 + tw, c1)
                 tile[ir0 - tr0: ir1 - tr0, ic0 - tc0: ic1 - tc0] = \
                     vals[ir0 - r0: ir1 - r0, ic0 - c0: ic1 - c0]
-                self.write_tile(ti, tj, tile)
+                self._scatter(tis[k: k + 1], tjs[k: k + 1],
+                              tile.reshape(1, -1))
+            start = k + 1
 
     # ------------------------------------------------------------------
     def to_numpy(self) -> np.ndarray:
@@ -596,11 +687,12 @@ class TiledMatrix:
         return self
 
     def drop(self) -> None:
-        for page in range(self.file.num_pages):
-            self.store.pool.invalidate(self.file.block_of(page))
+        for bid in self._blocks.ravel().tolist():
+            self.store.pool.invalidate(bid)
         self.store.tile_cache.invalidate_matrix(self.name)
         self.tile_dir.clear()
         self.file.drop()
+        self._blocks = self._blocks[:0]
 
     def _check_tile(self, ti: int, tj: int) -> None:
         if not (0 <= ti < self.grid[0] and 0 <= tj < self.grid[1]):
@@ -678,6 +770,11 @@ class DecodedTileCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+
+    def reset_stats(self) -> None:
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
 
 
 class ArrayStore:
@@ -903,8 +1000,13 @@ class ArrayStore:
         return self.device.stats
 
     def reset_stats(self) -> None:
+        """Zero every counter the store owns: device, pool, scheduler
+        and decoded-tile cache together, so a measured interval starts
+        from 0 on all of them."""
         self.device.reset_stats()
         self.pool.stats.__init__()
+        self.pool.scheduler.stats = SchedulerStats()
+        self.tile_cache.reset_stats()
 
     def flush(self) -> None:
         self.pool.flush_all()

@@ -140,6 +140,17 @@ class TestUnannouncedRead:
             pool.invalidate(block)
             pool.get(block)  # re-miss of a block this span wrote
 
+    def test_put_many_blocks_count_as_covered(self, sess):
+        pool, tracer = sess.store.pool, sess.store.tracer
+        blocks = [fresh_block(pool), fresh_block(pool)]
+        pages = np.zeros((2, pool.device.block_size), dtype=np.uint8)
+        with tracer.span("kern", cat="kernel"):
+            pool.prefetch([fresh_block(pool)])  # span announces
+            pool.put_many(blocks, pages)
+            for block in blocks:
+                pool.invalidate(block)
+                pool.get(block)  # re-miss of a block this span wrote
+
     def test_unhinted_kernels_are_exempt(self, sess):
         # Kernels that stream foreign stores skip hinting entirely
         # (hinting=False); a span with zero announcements makes no

@@ -1,8 +1,11 @@
 """Unit tests for the buffer pool and replacement policies."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis import SanitizingBufferPool
 from repro.storage import BlockDevice, BufferPool, make_policy
 
 
@@ -338,3 +341,98 @@ class TestGetManyEvictionRace:
         frames = pool.get_many(blocks[1:] + [blocks[0]])
         values = [f.view(np.float64)[0] for f in frames]
         assert values == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
+
+
+class TestPutMany:
+    """``put_many`` is ``put`` per block under one lock hold — checked
+    on the sanitizing pool, whose override must not change any of it."""
+
+    @staticmethod
+    def _pages(device, n, fill):
+        return np.full((n, device.block_size), fill, dtype=np.uint8)
+
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    def test_counts_equal_put_one_by_one(self, policy):
+        pools = []
+        for batched in (True, False):
+            device = BlockDevice(block_size=8192)
+            blocks = _fill_device(device, 12)
+            pool = SanitizingBufferPool(device, 5, policy=policy)
+            # Residents to hit, a dirty frame to write back, a
+            # prefetched frame to overwrite, then more than a poolful.
+            pool.get(blocks[0])
+            pool.get(blocks[1], for_write=True)
+            pool.prefetch([blocks[2]])
+            batch = blocks[1:3] + blocks[4:12] + blocks[:1]
+            pages = np.arange(len(batch), dtype=np.uint8)[:, None] \
+                * np.ones(device.block_size, dtype=np.uint8)
+            if batched:
+                pool.put_many(batch, pages)
+            else:
+                for bid, page in zip(batch, pages):
+                    pool.put(bid, page)
+            pools.append(pool)
+        one, other = pools
+        assert one.stats == other.stats
+        assert one.stats.evictions and one.stats.dirty_writebacks
+        assert one.stats.hits and one.stats.misses
+        for field in ("reads", "writes", "write_calls"):
+            assert getattr(one.device.stats, field) == \
+                getattr(other.device.stats, field)
+        assert list(one._frames) == list(other._frames)
+        assert one._dirty == other._dirty
+        for bid, frame in one._frames.items():
+            assert np.array_equal(frame, other._frames[bid])
+
+    def test_pinned_frame_overwritten_in_place_under_its_latch(
+            self, device):
+        blocks = _fill_device(device, 2)
+        pool = SanitizingBufferPool(device, 4)
+        frame = pool.get(blocks[0])
+        pool.pin(blocks[0])
+        held, release, done = (threading.Event() for _ in range(3))
+
+        def mutator():
+            with pool.latched(blocks[0]):
+                held.set()
+                release.wait(timeout=10)
+
+        def writer():
+            pool.put_many(blocks, self._pages(device, 2, 9))
+            done.set()
+
+        threads = [threading.Thread(target=mutator)]
+        threads[0].start()
+        assert held.wait(timeout=10)
+        threads.append(threading.Thread(target=writer))
+        threads[1].start()
+        # The overwrite waits for the latch, it does not race it.
+        assert not done.wait(timeout=0.2)
+        assert frame[0] != 9
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert done.is_set()
+        assert pool._frames[blocks[0]] is frame and (frame == 9).all()
+        assert pool._frames[blocks[1]].base is None  # owns its memory
+        pool.unpin(blocks[0])
+
+    def test_full_overwrite_clears_prefetched_mark(self, device):
+        blocks = _fill_device(device, 2)
+        pool = SanitizingBufferPool(device, 4)
+        pool.prefetch(blocks)
+        pool.put_many(blocks, self._pages(device, 2, 1))
+        pool.get_many(blocks)
+        assert pool.stats.readahead_hits == 0
+        assert device.stats.readahead_hits == 0
+
+    def test_wrong_width_pages_rejected(self, device):
+        blocks = _fill_device(device, 2)
+        pool = SanitizingBufferPool(device, 4)
+        narrow = np.zeros((2, device.block_size - 1), dtype=np.uint8)
+        with pytest.raises(ValueError, match="put_many expects 2"):
+            pool.put_many(blocks, narrow)
+        with pytest.raises(ValueError, match="put_many expects 2"):
+            pool.put_many(blocks, self._pages(device, 1, 0))
+        assert pool.resident == 0 and pool.stats.accesses == 0

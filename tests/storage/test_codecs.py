@@ -59,6 +59,30 @@ class TestCodecRoundtrip:
         assert np.array_equal(back.view(np.uint32),
                               sample.view(np.uint32))
 
+    def test_delta_zstd_wire_format_is_pinned(self, monkeypatch):
+        """Tag byte, then the compressed little-endian wrapping deltas
+        of the scalars' bit patterns, first delta taken against 0.  The
+        deltas are spelled out so the format cannot drift unnoticed;
+        the deflate bytes are whatever this zlib makes of them at
+        level 6."""
+        import zlib
+
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        tile = np.array([[1.0, 2.0], [-0.0, 0.5]])
+        deltas = np.array(
+            [0x3FF0000000000000, 0x0010000000000000,
+             0x4000000000000000, -0x4020000000000000], dtype="<i8")
+        payload = get_codec("delta+zstd").encode_tile(tile)
+        assert isinstance(payload, bytes) and payload[0] == 0
+        assert zlib.decompress(payload[1:]) == deltas.tobytes()
+        assert payload == b"\x00" + zlib.compress(deltas.tobytes(), 6)
+        for form in (payload, memoryview(payload),
+                     memoryview(np.frombuffer(payload, dtype=np.uint8))):
+            back = get_codec("delta+zstd").decode_tile(
+                form, tile.dtype, tile.size)
+            assert back.tobytes() == tile.tobytes()
+
     def test_delta_zstd_compresses_smooth_data(self):
         codec = get_codec("delta+zstd")
         smooth = np.arange(4096, dtype=np.float64)

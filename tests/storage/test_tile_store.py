@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import ArrayStore, tile_shape_for_layout
+from repro.core import RiotSession
+from repro.storage import (ArrayStore, IOStats, PoolStats, SchedulerStats,
+                           StorageConfig, tile_shape_for_layout)
 
 
 class TestTiledVector:
@@ -218,3 +220,25 @@ class TestArrayStore:
         vec.to_numpy()
         expected_blocks = vec.num_chunks
         assert tiny_store.device.stats.reads == expected_blocks
+
+    def test_reset_stats_zeroes_every_counter(self, rng):
+        """Device, pool, scheduler and decoded-tile cache reset as one:
+        a measured interval must not inherit the ingest's hints or
+        cache probes."""
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=16 * 8192, codec="zstd")) as session:
+            store = session.store
+            mat = store.matrix_from_numpy(
+                np.round(rng.standard_normal((96, 96)), 1))
+            store.pool.clear()
+            store.tile_cache.clear()
+            mat.read_submatrix(0, 96, 0, 96)   # hinted, decoded, cached
+            mat.read_submatrix(0, 96, 0, 96)   # cache hits
+            assert store.device.stats.reads and store.pool.stats.misses
+            assert store.pool.scheduler.stats.hint_batches
+            assert store.tile_cache.hits and store.tile_cache.misses
+            session.reset_stats()
+            assert store.device.stats == IOStats()
+            assert store.pool.stats == PoolStats()
+            assert store.pool.scheduler.stats == SchedulerStats()
+            assert (store.tile_cache.hits, store.tile_cache.misses) == (0, 0)
