@@ -3,11 +3,12 @@
 Execution strategy, following §5:
 
 - **Fused elementwise regions.**  A maximal subtree of Map /
-  logical-mask-SubscriptAssign nodes is evaluated chunk by chunk in one
-  pass: for every chunk the operand chunks are read, the whole scalar
-  expression tree is applied, and one result chunk is written.  No
-  intermediate vector ever exists — the loop-fusion / array-contraction
-  behaviour the paper says a hand-coder would write.
+  logical-mask-SubscriptAssign nodes is evaluated one prefetch window
+  at a time in one pass: for every window the operands are announced
+  and read as one run each, the expression DAG is walked once, and one
+  result run is written.  No intermediate vector ever exists — the
+  loop-fusion / array-contraction behaviour the paper says a
+  hand-coder would write.
 - **Gather for subscripts.**  After the rewriter has pushed subscripts to
   the leaves, ``x[s]`` touches only the chunks containing the selected
   elements (selective evaluation).  If rewriting is disabled, the source is
@@ -28,6 +29,7 @@ Execution strategy, following §5:
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,10 +38,9 @@ from repro.linalg.matmul import (bnlj_matmul, crossprod_matmul,
                                  square_tile_matmul)
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
-from .expr import (ArrayInput, BINARY_OPS, Crossprod, Inverse, Map,
+from .expr import (ArrayInput, Crossprod, ELEMENTWISE_OPS, Inverse, Map,
                    MatMul, Node, Range, Reduce, Scalar, Solve, Subscript,
-                   SubscriptAssign, TERNARY_OPS, Transpose, UNARY_OPS,
-                   walk)
+                   SubscriptAssign, Transpose, walk)
 from .parallel import resolve_parallelism
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, PhysOp,
                    PhysicalPlan, SparseSpGEMMOp, SparseSpMMOp,
@@ -398,13 +399,6 @@ class Evaluator:
             return node.value
         if isinstance(node, ArrayInput):
             return node.data
-        if isinstance(node, Range):
-            out = self.store.create_vector(node.shape[0])
-            for ci in range(out.num_chunks):
-                lo, hi = out.chunk_bounds(ci)
-                out.write_chunk(ci, np.arange(node.lo + lo, node.lo + hi,
-                                              dtype=np.float64))
-            return out
         if isinstance(node, Reduce):
             return self._force_reduce(node, memo)
         if isinstance(node, Subscript):
@@ -440,8 +434,7 @@ class Evaluator:
             # Scalar-valued Map over reductions/constants.
             values = [self._force(c, memo) for c in node.children]
             if isinstance(node, Map):
-                fns = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
-                return float(fns[node.op](*values))
+                return float(ELEMENTWISE_OPS[node.op](*values))
         raise NotImplementedError(
             f"cannot evaluate node {type(node).__name__}")
 
@@ -587,9 +580,9 @@ class Evaluator:
     # ------------------------------------------------------------------
     def _stream_sources(self, node: Node,
                         memo: dict[int, object]) -> list[TiledVector]:
-        """Tiled vectors ``_eval_chunk`` will read one chunk of per pass.
+        """Tiled vectors ``_eval_span`` will read one run of per window.
 
-        Mirrors ``_eval_chunk``'s dispatch exactly — in particular a
+        Mirrors ``_eval_span``'s dispatch exactly — in particular a
         memoized (barrier) result shadows its subtree — so the returned
         footprint is precise: every listed vector is read chunk-aligned,
         and nothing else is.  Only vectors on this evaluator's store with
@@ -621,11 +614,11 @@ class Evaluator:
         return sources
 
     def _stream_window(self, n_sources: int) -> int:
-        """Prefetch lookahead (in chunks) that the pool can actually hold.
+        """Chunks per streamed window that the pool can actually hold.
 
         Each streamed chunk touches ``n_sources`` input blocks plus one
         output block; the window is sized so a full window of prefetched
-        inputs plus the outputs written while consuming it fit in the
+        inputs plus the outputs written after consuming it fit in the
         pool together.  An oversized window would evict its own
         prefetched frames before they are read — re-reading them later
         and silently inflating the block totals the cost models rely on.
@@ -645,62 +638,91 @@ class Evaluator:
         if keys:
             self.store.pool.prefetch(keys)
 
-    def _stream_vector(self, node: Node,
-                       memo: dict[int, object]) -> TiledVector:
-        # Materialize barrier subtrees first (gathers, matmuls, ...).
+    def _force_barriers(self, roots: tuple[Node, ...],
+                        memo: dict[int, object]) -> None:
+        """Materialize the maximal non-streamable subtrees (gathers,
+        matmuls, ...) under ``roots`` into ``memo``."""
         barriers: list[Node] = []
         seen: set[int] = set()
-        for child in node.children:
-            self._collect_barriers(child, barriers, seen)
+        for root in roots:
+            self._collect_barriers(root, barriers, seen)
         for barrier in barriers:
             self._force(barrier, memo)
+
+    def _stream_spans(self, node: Node, memo: dict[int, object]
+                      ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(first_chunk, values)`` of 1-D ``node``, one prefetch
+        window of the store's standard chunk grid at a time.
+
+        Per window: announce the sources' chunks, walk the expression
+        once over the window's element range, hand the values on.  The
+        caller has forced the barriers (``_force_barriers``).
+        """
         n = node.shape[0]
-        out = self.store.create_vector(n)
+        chunk = self.store.scalars_per_block
+        num_chunks = -(-n // chunk)
         sources = self._stream_sources(node, memo)
         window = self._stream_window(len(sources))
-        for ci in range(out.num_chunks):
-            if ci % window == 0:
-                self._prefetch_stream_window(sources, ci, ci + window)
-            lo, hi = out.chunk_bounds(ci)
-            chunk = self._eval_chunk(node, lo, hi, ci, memo)
-            if np.ndim(chunk) == 0:
-                chunk = np.full(hi - lo, float(chunk))
-            out.write_chunk(ci, np.asarray(chunk, dtype=np.float64))
+        for c0 in range(0, num_chunks, window):
+            c1 = min(c0 + window, num_chunks)
+            self._prefetch_stream_window(sources, c0, c1)
+            lo, hi = c0 * chunk, min(c1 * chunk, n)
+            values = self._eval_span(node, lo, hi, memo, {})
+            if np.ndim(values) == 0:
+                values = np.full(hi - lo, float(values))
+            yield c0, np.asarray(values)
+
+    def _stream_vector(self, node: Node,
+                       memo: dict[int, object]) -> TiledVector:
+        self._force_barriers(node.children, memo)
+        out = self.store.create_vector(node.shape[0])
+        for c0, values in self._stream_spans(node, memo):
+            out.write_chunk(c0, values)
         return out
 
-    def _eval_chunk(self, node: Node, lo: int, hi: int, ci: int,
-                    memo: dict[int, object]):
-        """Value of ``node[lo:hi)`` (0-based), reading one chunk per leaf."""
+    def _eval_span(self, node: Node, lo: int, hi: int,
+                   memo: dict[int, object], span: dict[int, object]):
+        """Value of ``node[lo:hi)`` (0-based).
+
+        ``span`` memoizes this window's values by node id, so a shared
+        leaf is read once and a shared subexpression computed once per
+        window.  Stored vectors are read by element range, whatever
+        their own chunk size.
+        """
+        key = id(node)
+        if key in span:
+            return span[key]
+        span[key] = value = self._span_value(node, lo, hi, memo, span)
+        return value
+
+    def _span_value(self, node: Node, lo: int, hi: int,
+                    memo: dict[int, object], span: dict[int, object]):
         if isinstance(node, Scalar):
             return node.value
         if isinstance(node, Range):
             return np.arange(node.lo + lo, node.lo + hi, dtype=np.float64)
-        if id(node) in memo:
-            data = memo[id(node)]
-            if isinstance(data, TiledVector):
-                return data.read_chunk(ci)
-            if isinstance(data, float):
-                return data
-        if isinstance(node, ArrayInput):
+        data = memo.get(id(node))
+        if data is None and isinstance(node, ArrayInput):
             data = node.data
-            if isinstance(data, TiledVector):
-                return data.read_chunk(ci)
+        if isinstance(data, TiledVector):
+            return data.read_range(lo, hi)
+        if isinstance(data, float):
+            return data
+        if isinstance(node, ArrayInput):
             return np.asarray(data)[lo:hi]
         if isinstance(node, Map):
-            fns = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
-            args = [self._eval_chunk(c, lo, hi, ci, memo)
-                    for c in node.children]
-            return fns[node.op](*args)
+            return ELEMENTWISE_OPS[node.op](
+                *[self._eval_span(c, lo, hi, memo, span)
+                  for c in node.children])
         if isinstance(node, SubscriptAssign) and node.logical_mask:
-            mask = self._eval_chunk(node.index, lo, hi, ci, memo)
-            base = self._eval_chunk(node.base, lo, hi, ci, memo)
-            value = (node.value.value if isinstance(node.value, Scalar)
-                     else self._eval_chunk(node.value, lo, hi, ci, memo))
+            mask = self._eval_span(node.index, lo, hi, memo, span)
+            base = self._eval_span(node.base, lo, hi, memo, span)
+            value = self._eval_span(node.value, lo, hi, memo, span)
             return np.where(np.asarray(mask, dtype=bool), value, base)
         # Barrier node that was pre-forced into memo.
         forced = self._force(node, memo)
         if isinstance(forced, TiledVector):
-            return forced.read_chunk(ci)
+            return forced.read_range(lo, hi)
         return forced
 
     # ------------------------------------------------------------------
@@ -721,11 +743,7 @@ class Evaluator:
                 gathered = forced.gather(index - 1)
             else:
                 gathered = np.asarray(forced)[index - 1]
-        out = self.store.create_vector(gathered.size)
-        for ci in range(out.num_chunks):
-            lo, hi = out.chunk_bounds(ci)
-            out.write_chunk(ci, gathered[lo:hi])
-        return out
+        return self.store.vector_from_numpy(gathered)
 
     def _index_values(self, node: Node,
                       memo: dict[int, object]) -> np.ndarray:
@@ -752,8 +770,11 @@ class Evaluator:
         else:
             values = np.asarray(value, dtype=np.float64)
         out = self.store.create_vector(base.length)
-        for ci in range(base.num_chunks):
-            out.write_chunk(ci, base.read_chunk(ci))
+        step = self._stream_window(1) * out.chunk
+        for lo in range(0, base.length, step):
+            out.write_chunk(lo // out.chunk,
+                            base.read_range(lo, min(lo + step,
+                                                    base.length)))
         out.scatter(index - 1, values)
         return out
 
@@ -772,28 +793,18 @@ class Evaluator:
                 acc_max = max(acc_max, float(tile.max()))
                 count += tile.size
         else:
-            barriers: list[Node] = []
-            self._collect_barriers(child, barriers, set())
-            for barrier in barriers:
-                self._force(barrier, memo)
-            n = child.shape[0]
-            tmp = self.store.create_vector(n)  # chunk grid template
-            sources = self._stream_sources(child, memo)
-            window = self._stream_window(len(sources))
+            self._force_barriers((child,), memo)
+            # Partials fold per chunk of the store's grid, in chunk
+            # order, so the result's bits do not depend on the window.
+            chunk_len = self.store.scalars_per_block
             acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
-            for ci in range(tmp.num_chunks):
-                if ci % window == 0:
-                    self._prefetch_stream_window(sources, ci, ci + window)
-                lo, hi = tmp.chunk_bounds(ci)
-                chunk = np.asarray(
-                    self._eval_chunk(child, lo, hi, ci, memo))
-                if chunk.ndim == 0:
-                    chunk = np.full(hi - lo, float(chunk))
-                acc_sum += float(chunk.sum())
-                acc_min = min(acc_min, float(chunk.min()))
-                acc_max = max(acc_max, float(chunk.max()))
-                count += chunk.size
-            tmp.drop()
+            for _, values in self._stream_spans(child, memo):
+                for at in range(0, values.size, chunk_len):
+                    chunk = values[at: at + chunk_len]
+                    acc_sum += float(chunk.sum())
+                    acc_min = min(acc_min, float(chunk.min()))
+                    acc_max = max(acc_max, float(chunk.max()))
+                    count += chunk.size
         if node.op == "sum":
             return acc_sum
         if node.op == "mean":
@@ -822,7 +833,7 @@ class Evaluator:
         out = self.store.create_matrix(
             node.shape, tile_shape=template.tile_shape,
             linearization=template.linearization.name)
-        fns = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
+        fn = ELEMENTWISE_OPS[node.op]
         for ti, tj in out.tiles():
             r0, r1, c0, c1 = out.tile_bounds(ti, tj)
             args = []
@@ -831,7 +842,7 @@ class Evaluator:
                     args.append(inp.read_submatrix(r0, r1, c0, c1))
                 else:
                     args.append(inp)
-            out.write_tile(ti, tj, np.asarray(fns[node.op](*args),
+            out.write_tile(ti, tj, np.asarray(fn(*args),
                                               dtype=np.float64))
         return out
 
@@ -910,7 +921,6 @@ class Evaluator:
             for n in matrix_nodes}
         values = {id(n): float(self._force(n, memo))
                   for n in scalar_nodes}
-        fns = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
 
         def epilogue(r0: int, c0: int, block: np.ndarray) -> np.ndarray:
             r1 = r0 + block.shape[0]
@@ -924,7 +934,7 @@ class Evaluator:
                 sub = inputs.get(id(n))
                 if sub is not None:
                     return sub.read_submatrix(r0, r1, c0, c1)
-                return fns[n.op](*[ev(c) for c in n.children])
+                return ELEMENTWISE_OPS[n.op](*[ev(c) for c in n.children])
 
             return np.asarray(ev(node), dtype=np.float64)
 

@@ -35,6 +35,9 @@ TERNARY_OPS = {
     "ifelse": np.where,
 }
 
+#: Every Map op by name, whatever its arity — the table evaluators index.
+ELEMENTWISE_OPS = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
+
 COMPARISON_OPS = frozenset(["==", "!=", "<", ">", "<=", ">=",
                             "and", "or", "not"])
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ..expr import (BINARY_OPS, Map, Node, Scalar, TERNARY_OPS,
-                    UNARY_OPS)
+from ..expr import ELEMENTWISE_OPS, Map, Node, Scalar
 from .base import Pass, PassContext
 
 
@@ -15,8 +14,8 @@ class FoldPass(Pass):
     def rewrite(self, node: Node, ctx: PassContext) -> Node:
         if isinstance(node, Map) and all(
                 isinstance(c, Scalar) for c in node.children):
-            fns = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
-            value = fns[node.op](*(c.value for c in node.children))
+            value = ELEMENTWISE_OPS[node.op](
+                *(c.value for c in node.children))
             ctx.record("constant-fold")
             return Scalar(float(value))
         return node

@@ -37,16 +37,6 @@ def _check_conformable(a: SparseTiledMatrix, b) -> None:
             f"non-conformable operands: {a.shape} x {(b_rows,)}")
 
 
-def _vector_slice(x: TiledVector, lo: int, hi: int) -> np.ndarray:
-    """Values ``x[lo:hi)`` read through the chunk grid."""
-    parts = []
-    for ci in range(lo // x.chunk, -(-hi // x.chunk)):
-        c_lo, c_hi = x.chunk_bounds(ci)
-        data = x.read_chunk(ci)
-        parts.append(data[max(lo, c_lo) - c_lo: min(hi, c_hi) - c_lo])
-    return np.concatenate(parts) if parts else np.empty(0, dtype=_FLOAT)
-
-
 class _BatchedHints:
     """Announce per-tile footprints in batches the pool can hold.
 
@@ -151,7 +141,7 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
                 indptr, indices, data = a.read_tile_csr(ti, tj)
                 _, _, c0, c1 = a.tile_bounds(ti, tj)
                 csr_matvec(indptr, indices, data,
-                           _vector_slice(x, c0, c1), acc)
+                           x.read_range(c0, c1), acc)
             writer.emit(acc)
     writer.close()
     return out

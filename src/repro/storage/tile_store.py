@@ -124,46 +124,102 @@ class TiledVector:
         return index // self.chunk
 
     # ------------------------------------------------------------------
-    def read_chunk(self, ci: int) -> np.ndarray:
-        """Read chunk ``ci``; returns a fresh float64 array."""
-        lo, hi = self.chunk_bounds(ci)
-        frame = self.store.pool.get(self.file.block_of(ci))
-        return frame.view(_FLOAT)[: hi - lo].copy()
+    def _run_bounds(self, ci: int, count: int) -> tuple[int, int]:
+        """Element range ``[lo, hi)`` of chunks ``[ci, ci + count)``."""
+        if count < 1:
+            raise ValueError(f"a run needs at least one chunk, got {count}")
+        self._check_chunk(ci)
+        if ci + count > self.num_chunks:
+            raise IndexError(
+                f"chunks [{ci}, {ci + count}) cross the end of {self.name} "
+                f"({self.num_chunks} chunks)")
+        lo = ci * self.chunk
+        return lo, min(lo + count * self.chunk, self.length)
+
+    def read_chunk(self, ci: int, count: int = 1) -> np.ndarray:
+        """Read chunks ``[ci, ci + count)`` as one fresh float64 array."""
+        lo, hi = self._run_bounds(ci, count)
+        pool = self.store.pool
+        blocks = self.blocks_for_chunks(range(ci, ci + count))
+        # A single chunk goes through get(): that is the call the
+        # scheduler's sequential-run detector watches.
+        frames = ([pool.get(blocks[0])] if count == 1
+                  else pool.get_many(blocks))
+        width = self.chunk * _FLOAT_BYTES
+        parts = [frame[:width] for frame in frames]
+        parts[-1] = parts[-1][:(hi - lo) * _FLOAT_BYTES
+                              - (count - 1) * width]
+        out = np.empty(hi - lo, dtype=_FLOAT)
+        np.concatenate(parts, out=out.view(np.uint8))
+        return out
 
     def write_chunk(self, ci: int, values: np.ndarray) -> None:
-        lo, hi = self.chunk_bounds(ci)
+        """Write a run of whole chunks starting at chunk ``ci``.
+
+        ``values`` covers one or more whole chunks; only a run that
+        ends at the vector's end may stop short of a chunk boundary.
+        """
         vals = np.ascontiguousarray(values, dtype=_FLOAT)
+        count = max(1, -(-vals.size // self.chunk))
+        lo, hi = self._run_bounds(ci, count)
         if vals.size != hi - lo:
             raise ValueError(
                 f"chunk {ci} expects {hi - lo} values, got {vals.size}")
-        buf = np.zeros(self.store.device.block_size, dtype=np.uint8)
-        buf[: vals.size * _FLOAT_BYTES] = vals.view(np.uint8)
-        self.store.pool.put(self.file.block_of(ci), buf)
+        raw = vals.view(np.uint8)
+        width = self.chunk * _FLOAT_BYTES
+        full = vals.size // self.chunk
+        pages = np.zeros((count, self.store.device.block_size),
+                         dtype=np.uint8)
+        pages[:full, :width] = raw[:full * width].reshape(full, width)
+        if full < count:
+            pages[full, :raw.size - full * width] = raw[full * width:]
+        blocks = self.blocks_for_chunks(range(ci, ci + count))
+        if count == 1:
+            self.store.pool.put(blocks[0], pages[0])
+        else:
+            self.store.pool.put_many(blocks, pages)
+
+    def read_range(self, lo: int, hi: int) -> np.ndarray:
+        """Elements ``[lo, hi)`` as a fresh array, read as one run of
+        the covering chunks."""
+        if not 0 <= lo <= hi <= self.length:
+            raise IndexError(
+                f"range [{lo}, {hi}) outside [0, {self.length}) of "
+                f"{self.name}")
+        if lo == hi:
+            return np.empty(0, dtype=_FLOAT)
+        c0 = lo // self.chunk
+        run = self.read_chunk(c0, -(-hi // self.chunk) - c0)
+        return run[lo - c0 * self.chunk: hi - c0 * self.chunk]
 
     def blocks_for_chunks(self, chunk_ids) -> list[int]:
         """Device block keys backing the given chunks (prefetch hints)."""
         return [self.file.block_of(ci) for ci in chunk_ids]
 
-    def scan(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(start_index, values)`` for every chunk, in order.
+    def _scan_window(self) -> int:
+        """Chunks per run of a whole-vector pass (``scan``, ``from_numpy``).
 
-        The scan announces its own footprint: every
-        ``SCAN_PREFETCH_CHUNKS`` chunks it hints the next window to the
-        buffer pool, so a cold scan issues a few large coalesced reads
-        instead of one device call per chunk.
+        Halved against pool capacity so a consumer that interleaves
+        writes (copy loops) cannot evict prefetched chunks before they
+        are read, which would inflate block totals.
         """
-        # Halve the lookahead against pool capacity so a consumer that
-        # interleaves writes (copy loops) cannot evict prefetched chunks
-        # before they are read, which would inflate block totals.
-        window = min(SCAN_PREFETCH_CHUNKS,
-                     max(1, (self.store.pool.capacity - 2) // 2))
-        for ci in range(self.num_chunks):
-            if ci % window == 0:
-                hi = min(ci + window, self.num_chunks)
-                self.store.pool.prefetch(
-                    self.blocks_for_chunks(range(ci, hi)))
-            lo, _ = self.chunk_bounds(ci)
-            yield lo, self.read_chunk(ci)
+        return min(SCAN_PREFETCH_CHUNKS,
+                   max(1, (self.store.pool.capacity - 2) // 2))
+
+    def scan(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(start_index, values)`` runs covering the vector in order.
+
+        The scan announces its own footprint: each run of up to
+        ``SCAN_PREFETCH_CHUNKS`` chunks is hinted to the buffer pool and
+        then read as one run, so a cold scan issues a few large
+        coalesced reads instead of one device call per chunk.
+        """
+        window = self._scan_window()
+        for ci in range(0, self.num_chunks, window):
+            count = min(window, self.num_chunks - ci)
+            self.store.pool.prefetch(
+                self.blocks_for_chunks(range(ci, ci + count)))
+            yield ci * self.chunk, self.read_chunk(ci, count)
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Fetch arbitrary elements, touching only the containing chunks.
@@ -231,9 +287,9 @@ class TiledVector:
         if vals.size != self.length:
             raise ValueError(
                 f"expected {self.length} values, got {vals.size}")
-        for ci in range(self.num_chunks):
-            lo, hi = self.chunk_bounds(ci)
-            self.write_chunk(ci, vals[lo:hi])
+        step = self._scan_window() * self.chunk
+        for lo in range(0, self.length, step):
+            self.write_chunk(lo // self.chunk, vals[lo: lo + step])
         return self
 
     def drop(self) -> None:
