@@ -15,7 +15,10 @@ grows, CSR's index overhead (~2x per stored value) hands the win back
 to dense tiling.  The sweep prints the measured crossover and asserts
 both regimes exist.  A second workload locks in the chain-order win:
 ``(A %*% B) %*% v`` with sparse A, B evaluates right-deep after the
-nnz-aware rewrite and must beat the left-deep program order.
+nnz-aware rewrite and must beat the left-deep program order.  A third
+is the evidence for ``SPGEMM_DENSE_CROSSOVER``: ``spgemm`` wall-clock
+over operand density, the kernel's per-pair choice against densifying
+every pair, on both sides of the crossover.
 
 Set ``RIOT_BENCH_FAST=1`` (the CI smoke job does) to shrink sizes.
 """
@@ -23,6 +26,8 @@ Set ``RIOT_BENCH_FAST=1`` (the CI smoke job does) to shrink sizes.
 from __future__ import annotations
 
 import os
+import time
+from unittest import mock
 
 import numpy as np
 from conftest import record_io_stats
@@ -30,7 +35,7 @@ from conftest import record_io_stats
 from repro.core import RiotSession
 from repro.core.costs import spmv_io
 from repro.linalg import square_tile_matmul
-from repro.sparse import SparseTiledMatrix, spmv
+from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmv
 from repro.storage import ArrayStore, StorageConfig
 
 FAST = bool(os.environ.get("RIOT_BENCH_FAST"))
@@ -179,3 +184,113 @@ def test_sparse_chain_order(benchmark):
           f"({raw_stats.total / max(opt_stats.total, 1):.2f}x saving)")
     assert np.allclose(opt_values, raw_values)
     assert opt_stats.total < raw_stats.total
+
+
+#: Operand densities of the spgemm sweep.  With uniformly scattered
+#: nonzeros a tile pair's product count is about density^2 of the dense
+#: tile product, so the 1/256 crossover sits at 1/16 = 6.25 %: four
+#: points below it, two above.
+SPGEMM_DENSITIES = [0.001, 0.005, 0.02, 0.05, 0.2, 0.5]
+SPGEMM_REPS = 3
+#: Adaptive may trail all-dense by this factor before the sweep fails:
+#: where both take the same path the two runs differ by sandbox noise.
+SPGEMM_NOISE = 1.25
+
+
+def _counts(io) -> dict:
+    """Every IOStats counter except the measured times."""
+    return {k: v for k, v in io.as_dict().items()
+            if k not in ("read_ns", "write_ns", "seconds")}
+
+
+def _spgemm_run(density: float, all_dense: bool):
+    """One cold ``A %*% B`` on pread: (seconds, io, pool, paths, C)."""
+    a_coo = _random_coo(SIDE, density, seed=13)
+    b_coo = _random_coo(SIDE, density, seed=14)
+    store = ArrayStore(storage=StorageConfig(
+        backend="pread", memory_bytes=128 * 8192))
+    a = SparseTiledMatrix.from_coo(store, *a_coo, (SIDE, SIDE))
+    b = SparseTiledMatrix.from_coo(store, *b_coo, (SIDE, SIDE))
+    store.flush()
+    store.pool.clear()
+    store.reset_stats()
+    paths = {"csr": 0, "dense": 0}
+    expand, densify = kernels._expand_pair, kernels.csr_to_dense
+
+    def counting_expand(*args):
+        paths["csr"] += 1
+        return expand(*args)
+
+    def counting_densify(*args):
+        paths["dense"] += 1       # two densified tiles per dense pair
+        return densify(*args)
+
+    # A negative crossover sends every pair, even one with no products,
+    # down the densify-and-GEMM path: the kernel as it was.
+    crossover = -1.0 if all_dense else kernels.SPGEMM_DENSE_CROSSOVER
+    with mock.patch.object(kernels, "SPGEMM_DENSE_CROSSOVER", crossover), \
+            mock.patch.object(kernels, "_expand_pair", counting_expand), \
+            mock.patch.object(kernels, "csr_to_dense", counting_densify):
+        start = time.perf_counter()
+        c = spgemm(store, a, b)
+        store.flush()
+        seconds = time.perf_counter() - start
+    paths["dense"] //= 2
+    io = store.device.stats.snapshot()
+    pool = store.pool.stats.snapshot()
+    values = c.to_numpy()
+    store.close()
+    return seconds, io, pool, paths, values
+
+
+def test_spgemm_density_sweep(benchmark):
+    """Per-pair path choice vs densify-every-pair, density 0.1 %..50 %."""
+    def sweep():
+        rows = {}
+        for d in SPGEMM_DENSITIES:
+            runs = {False: [], True: []}
+            for _ in range(SPGEMM_REPS):       # alternate the two sides
+                for all_dense in (False, True):
+                    runs[all_dense].append(_spgemm_run(d, all_dense))
+            rows[d] = {side: min(reps, key=lambda r: r[0])
+                       for side, reps in runs.items()}
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print(f"\nspgemm n={SIDE}, 128-side tiles, pread, 1 MiB pool "
+          f"(min of {SPGEMM_REPS}):")
+    print(f"  {'density':>8s} {'csr':>6s} {'dense':>6s} "
+          f"{'adaptive_s':>11s} {'all_dense_s':>12s} {'ratio':>6s} "
+          f"{'reads':>7s} {'writes':>7s}")
+    report = {}
+    for d, sides in rows.items():
+        t_new, io_new, pool_new, paths, c_new = sides[False]
+        t_old, io_old, pool_old, old_paths, c_old = sides[True]
+        print(f"  {d:8.3f} {paths['csr']:6d} {paths['dense']:6d} "
+              f"{t_new:11.4f} {t_old:12.4f} {t_new / t_old:6.2f} "
+              f"{io_new.reads:7d} {io_new.writes:7d}")
+        report[str(d)] = {"csr_pairs": paths["csr"],
+                          "dense_pairs": paths["dense"],
+                          "adaptive_s": t_new, "all_dense_s": t_old}
+        # Only the arithmetic differs: same blocks, same calls, same
+        # pool traffic, same stored pattern.
+        assert _counts(io_new) == _counts(io_old)
+        assert pool_new == pool_old
+        assert old_paths["csr"] == 0
+        assert np.allclose(c_new, c_old)
+        assert t_new <= SPGEMM_NOISE * t_old, \
+            f"adaptive spgemm slower than all-dense at density {d}"
+    benchmark.extra_info["spgemm_by_density"] = report
+    benchmark.extra_info["crossover"] = kernels.SPGEMM_DENSE_CROSSOVER
+    low = rows[SPGEMM_DENSITIES[0]][False]
+    record_io_stats(benchmark, low[1], backend="pread", pool=low[2])
+
+    # Both sides of the crossover are in the sweep, and each density
+    # sits wholly on one side of it.
+    edge = kernels.SPGEMM_DENSE_CROSSOVER ** 0.5
+    for d in SPGEMM_DENSITIES:
+        paths = rows[d][False][3]
+        assert (paths["dense"] == 0) == (d < edge), (d, paths)
+        assert (paths["csr"] == 0) == (d > edge), (d, paths)
+    # Where the kernel stays compressed it must win outright.
+    assert rows[0.005][False][0] < rows[0.005][True][0]

@@ -25,9 +25,27 @@ import numpy as np
 from repro.core.costs import spmm_panel_width
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
-from .sparse_matrix import SparseTiledMatrix, csr_matvec
+from .sparse_matrix import SparseTiledMatrix, csr_matvec, csr_to_dense
 
 _FLOAT = np.float64
+_INT = np.int64
+
+#: ``spgemm`` multiplies a tile pair in compressed form while the pair's
+#: exact product count ``P`` is at most this fraction of the dense tile
+#: product's ``th * tk * tw`` multiply-adds, and densifies both tiles for
+#: one BLAS GEMM above it.  Measured per pair on this repo's 2-vCPU
+#: container, BLAS pinned to one thread, 128-side tiles (CSR vs dense,
+#: us): 10 vs 94 at 0.5 % tile density (``P`` ~ 50), 19 vs 98 at 2 %
+#: (840), 46 vs 98 at 5 % (5.6 k), 65 vs 101 at 7 % (9.5 k), 314 vs 107
+#: at 10 % (21.5 k), 8 017 vs 167 at 50 % (523 k).  The compressed step
+#: is ~10 us + ~5 ns per product until its temporaries pass 128 KiB at
+#: ``P`` = 16 384 and then ~15 ns per product, so at side 128 the paths
+#: meet near ``P`` = 16 k, 1/128 of the 2 097 152; the same sweep gives
+#: ~1/100 at side 64 and ~1/250 at side 256, and 1/256 keeps the
+#: compressed path on its winning side at all three.
+#: ``benchmarks/bench_sparse.py::test_spgemm_density_sweep`` repeats the
+#: comparison end to end on both sides of it.
+SPGEMM_DENSE_CROSSOVER = 1 / 256
 
 
 def _check_conformable(a: SparseTiledMatrix, b) -> None:
@@ -214,6 +232,53 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
     return out
 
 
+def _multiply_pair(acc: np.ndarray, a_csr, b_csr) -> None:
+    """``acc += A_tile @ B_tile`` for two CSR tiles, by the cheaper path.
+
+    The sparse product is a join on the inner index followed by a keyed
+    sum: nonzero ``a[i, p]`` meets every stored entry of B's row ``p``.
+    The size of that join, ``P``, costs O(nnz) to count and decides the
+    path before anything is expanded (see ``SPGEMM_DENSE_CROSSOVER``).
+    Either way the summation order depends only on the two tiles, never
+    on the pool or the schedule that delivered them.
+    """
+    a_indptr, a_indices, a_data = a_csr
+    b_indptr, b_indices, b_data = b_csr
+    starts = b_indptr[a_indices]
+    counts = b_indptr[a_indices + 1] - starts
+    total = int(counts.sum())
+    th, tw = acc.shape
+    tk = b_indptr.size - 1
+    if total > SPGEMM_DENSE_CROSSOVER * th * tk * tw:
+        acc += (csr_to_dense(a_indptr, a_indices, a_data, (th, tk))
+                @ csr_to_dense(b_indptr, b_indices, b_data, (tk, tw)))
+    elif total:
+        _expand_pair(acc, a_indptr, a_data, b_indices, b_data,
+                     starts, counts, total)
+
+
+def _expand_pair(acc, a_indptr, a_data, b_indices, b_data,
+                 starts, counts, total) -> None:
+    """Form a pair's ``total`` products and scatter-add them into ``acc``.
+
+    A's nonzero ``q`` contributes ``counts[q]`` products with B's stored
+    entries ``starts[q] : starts[q] + counts[q]``; they are laid out in
+    A's CSR order and added in that order.
+    """
+    th, tw = acc.shape
+    # Flat offset in ``acc`` of the output row of every A nonzero.
+    row_base = np.arange(0, th * tw, tw, dtype=_INT).repeat(
+        a_indptr[1:] - a_indptr[:-1])
+    # Position in B's arrays of every product's right factor: a ramp
+    # 0..total-1 shifted, per A nonzero, from its offset in the product
+    # list to its row's offset in B.
+    first = counts.cumsum() - counts
+    b_pos = np.arange(total, dtype=_INT) + (starts - first).repeat(counts)
+    flat = row_base.repeat(counts) + b_indices[b_pos]
+    np.add.at(acc.reshape(-1), flat,
+              a_data.repeat(counts) * b_data[b_pos])
+
+
 def spgemm(store: ArrayStore, a: SparseTiledMatrix,
            b: SparseTiledMatrix,
            name: str | None = None) -> SparseTiledMatrix:
@@ -223,6 +288,8 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
     height).  Each output tile multiplies only the k-tiles where both
     operands are nonempty — the tile directories make that intersection
     free of I/O — and an all-zero result tile is never written at all.
+    Tile pairs are multiplied from their CSR triples (k ascending) into
+    one dense accumulator per output tile; see :func:`_multiply_pair`.
     """
     _check_conformable(a, b)
     if a.tile_shape[1] != b.tile_shape[0]:
@@ -248,6 +315,7 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
             acc = np.zeros((r1 - r0, c1 - c0), dtype=_FLOAT)
             for idx, k in enumerate(ks):
                 hints.before(idx)
-                acc += a.read_tile(ti, k) @ b.read_tile(k, tj)
+                _multiply_pair(acc, a.read_tile_csr(ti, k),
+                               b.read_tile_csr(k, tj))
             out.append_tile_dense(ti, tj, acc)
     return out

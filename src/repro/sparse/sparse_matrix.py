@@ -61,10 +61,14 @@ def csr_from_dense(tile: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR triple (indptr, indices, data) of a 2-D tile, scipy-free."""
     rows, cols = np.nonzero(tile)
-    indptr = np.zeros(tile.shape[0] + 1, dtype=_INT)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols.astype(_INT), tile[rows, cols].astype(_FLOAT)
+    return (_indptr_of(rows, tile.shape[0]), cols.astype(_INT),
+            tile[rows, cols].astype(_FLOAT))
+
+
+def _indptr_of(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row pointer of ``n_rows`` rows from each nonzero's row id."""
+    return np.cumsum(np.bincount(rows + 1, minlength=n_rows + 1),
+                     dtype=_INT)
 
 
 def csr_to_dense(indptr: np.ndarray, indices: np.ndarray,
@@ -128,6 +132,9 @@ class SparseTiledMatrix:
         self.file = new_pagefile(store.device, name=name)
         #: (ti, tj) -> (first_page, n_pages, nnz) for nonempty tiles only.
         self.directory: dict[tuple[int, int], tuple[int, int, int]] = {}
+        #: (ti, tj) -> device blocks of the tile's pages, fixed at append
+        #: (tiles are write-once), so reads and hints never re-derive it.
+        self._blocks: dict[tuple[int, int], list[int]] = {}
         self._row_index: dict[int, list[int]] = {}
         self._col_index: dict[int, list[int]] = {}
         self.nnz = 0
@@ -190,21 +197,18 @@ class SparseTiledMatrix:
             tile_pos = np.empty(0, dtype=_INT)
         order = np.argsort(tile_pos, kind="stable")
         i, j, x, tile_pos = i[order], j[order], x[order], tile_pos[order]
-        pos = 0
-        while pos < i.size:
-            end = pos
-            while end < i.size and tile_pos[end] == tile_pos[pos]:
-                end += 1
+        # One run of equal positions per nonempty tile (positions are
+        # >= 0, so the -1 sentinels open the first run and close the last).
+        bounds = np.flatnonzero(
+            np.diff(tile_pos, prepend=-1, append=-1)).tolist()
+        for pos, end in zip(bounds, bounds[1:]):
             ti, tj = mat.linearization.coords(int(tile_pos[pos]))
             r0, r1, c0, c1 = mat.tile_bounds(ti, tj)
             li, lj = i[pos:end] - r0, j[pos:end] - c0
             sub = np.argsort(li * (c1 - c0) + lj, kind="stable")
             li, lj, lx = li[sub], lj[sub], x[pos:end][sub]
-            indptr = np.zeros(r1 - r0 + 1, dtype=_INT)
-            np.add.at(indptr, li + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            mat.append_tile(ti, tj, indptr, lj.astype(_INT), lx)
-            pos = end
+            mat.append_tile(ti, tj, _indptr_of(li, r1 - r0),
+                            lj.astype(_INT), lx)
         return mat
 
     @classmethod
@@ -224,19 +228,33 @@ class SparseTiledMatrix:
         """Serialize one CSR tile onto fresh pages and index it.
 
         Empty tiles (``data.size == 0``) are skipped entirely — no
-        directory entry, no pages, no I/O.
+        directory entry, no pages, no I/O.  A triple that is not the CSR
+        form of a tile of this shape is rejected before any page is
+        allocated: read back, it would densify into wrong numbers.
         """
         self._check_tile(ti, tj)
         if (ti, tj) in self.directory:
             raise ValueError(f"tile ({ti},{tj}) already written")
         nnz = int(data.size)
+        if indices.size != nnz:
+            raise ValueError(
+                f"{self.name} tile ({ti},{tj}): {indices.size} column "
+                f"indices for {nnz} values")
         if nnz == 0:
             return
-        r0, r1, _, c1 = self.tile_bounds(ti, tj)
-        if indptr.size != r1 - r0 + 1 or int(indptr[-1]) != nnz:
+        r0, r1, c0, c1 = self.tile_bounds(ti, tj)
+        if (indptr.size != r1 - r0 + 1 or int(indptr[0]) != 0
+                or int(indptr[-1]) != nnz):
             raise ValueError(
-                f"tile ({ti},{tj}) CSR indptr does not describe its "
-                f"{r1 - r0} rows / {nnz} nonzeros")
+                f"{self.name} tile ({ti},{tj}) CSR indptr does not "
+                f"describe its {r1 - r0} rows / {nnz} nonzeros")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(
+                f"{self.name} tile ({ti},{tj}) CSR indptr decreases")
+        if indices.min() < 0 or indices.max() >= c1 - c0:
+            raise ValueError(
+                f"{self.name} tile ({ti},{tj}) has a column index "
+                f"outside [0, {c1 - c0})")
         payload = np.concatenate([
             np.asarray([nnz], dtype=_INT).view(np.uint8),
             np.ascontiguousarray(indptr, dtype=_INT).view(np.uint8),
@@ -246,10 +264,13 @@ class SparseTiledMatrix:
         page_size = self.store.device.block_size
         n_pages = -(-payload.size // page_size)
         first_page = self.file.allocate_pages(n_pages)[0]
-        for k in range(n_pages):
+        blocks = self.file.blocks_of(range(first_page,
+                                           first_page + n_pages))
+        for k, block in enumerate(blocks):
             chunk = payload[k * page_size: (k + 1) * page_size]
-            self.store.pool.put(self.file.block_of(first_page + k), chunk)
+            self.store.pool.put(block, chunk)
         self.directory[(ti, tj)] = (first_page, n_pages, nnz)
+        self._blocks[(ti, tj)] = blocks
         self._row_index.setdefault(ti, []).append(tj)
         self._col_index.setdefault(tj, []).append(ti)
         self.nnz += nnz
@@ -303,13 +324,11 @@ class SparseTiledMatrix:
 
     def tile_blocks(self, ti: int, tj: int) -> list[int]:
         """Device blocks backing tile (ti, tj) — empty list if empty."""
-        entry = self.directory.get((ti, tj))
-        if entry is None:
+        blocks = self._blocks.get((ti, tj))
+        if blocks is None:
             self._check_tile(ti, tj)
             return []
-        first_page, n_pages, _ = entry
-        return self.file.blocks_of(range(first_page,
-                                         first_page + n_pages))
+        return list(blocks)
 
     @property
     def density(self) -> float:
@@ -330,17 +349,18 @@ class SparseTiledMatrix:
         if entry is None:
             self._check_tile(ti, tj)
             return None
-        r0, r1, _, _ = self.tile_bounds(ti, tj)
-        frames = self.store.pool.get_many(self.tile_blocks(ti, tj))
-        payload = np.concatenate([f for f in frames])
-        words = payload.view(_INT)
+        frames = self.store.pool.get_many(self._blocks[(ti, tj)])
+        # The one private copy; the triple is three views of it.
+        words = np.concatenate(frames).view(_INT)
         nnz = int(words[0])
-        rows = r1 - r0
-        indptr = words[1: rows + 2].copy()
-        indices = words[rows + 2: rows + 2 + nnz].copy()
-        data = payload.view(_FLOAT)[rows + 2 + nnz:
-                                    rows + 2 + 2 * nnz].copy()
-        return indptr, indices, data
+        if nnz != entry[2]:
+            raise ValueError(
+                f"{self.name} tile ({ti},{tj}): page header says {nnz} "
+                f"nonzeros, directory says {entry[2]}")
+        th = self.tile_shape[0]
+        body = 2 + min(th, self.shape[0] - ti * th)   # header + indptr
+        return (words[1:body], words[body: body + nnz],
+                words[body + nnz: body + 2 * nnz].view(_FLOAT))
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) densified (zeros for an empty tile)."""
@@ -381,6 +401,7 @@ class SparseTiledMatrix:
             self.store.pool.invalidate(self.file.block_of(page))
         self.file.drop()
         self.directory.clear()
+        self._blocks.clear()
         self._row_index.clear()
         self._col_index.clear()
         self.nnz = 0

@@ -7,6 +7,7 @@ from repro.sparse import (SparseTiledMatrix, csr_from_dense, csr_to_dense,
                           tile_words)
 from repro.sparse.sparse_matrix import default_sparse_tile_shape
 from repro.storage import ArrayStore
+from repro.storage.linearization import linearization_names
 
 
 def _random_sparse(rng, m, n, density):
@@ -73,6 +74,70 @@ class TestConstruction:
         assert sp.tile_shape == (128, 128)
 
 
+def _append_tiles_old_loop(mat, i, j, x):
+    """``from_coo``'s tile grouping as it was: a per-nonzero scan for
+    each run's end and ``np.add.at`` row counts.  ``i, j, x`` are the
+    coalesced triplets in row-major order."""
+    th, tw = mat.tile_shape
+    tile_pos = np.array([mat.linearization.index(int(r // th), int(c // tw))
+                         for r, c in zip(i, j)], dtype=np.int64)
+    order = np.argsort(tile_pos, kind="stable")
+    i, j, x, tile_pos = i[order], j[order], x[order], tile_pos[order]
+    pos = 0
+    while pos < i.size:
+        end = pos
+        while end < i.size and tile_pos[end] == tile_pos[pos]:
+            end += 1
+        ti, tj = mat.linearization.coords(int(tile_pos[pos]))
+        r0, r1, c0, c1 = mat.tile_bounds(ti, tj)
+        li, lj = i[pos:end] - r0, j[pos:end] - c0
+        sub = np.argsort(li * (c1 - c0) + lj, kind="stable")
+        li, lj, lx = li[sub], lj[sub], x[pos:end][sub]
+        indptr = np.zeros(r1 - r0 + 1, dtype=np.int64)
+        np.add.at(indptr, li + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        mat.append_tile(ti, tj, indptr, lj.astype(np.int64), lx)
+        pos = end
+
+
+def _raw_pages(mat) -> list[bytes]:
+    return [bytes(mat.store.pool.get(mat.file.block_of(page)))
+            for page in range(mat.file.num_pages)]
+
+
+class TestFromCooGrouping:
+    """Run boundaries from ``np.diff`` and row counts from
+    ``np.bincount`` lay down the bytes the per-nonzero scan did."""
+
+    @pytest.mark.parametrize("linearization", linearization_names())
+    @pytest.mark.parametrize("shape,tile,density", [
+        ((1, 1), (1, 1), 1.0),
+        ((37, 53), (8, 5), 0.2),         # ragged on both axes
+        ((64, 64), (16, 16), 0.03),      # aligned, many empty tiles
+        ((50, 9), (7, 9), 1.0),          # every tile full, one column
+        ((300, 200), (128, 128), 0.01),  # the default side, clipped
+    ])
+    def test_same_directory_and_pages_as_the_old_loop(
+            self, rng, linearization, shape, tile, density):
+        dense = _random_sparse(rng, *shape, density)
+        new_store = ArrayStore(memory_bytes=4 * 1024 * 1024)
+        new = SparseTiledMatrix.from_dense(
+            new_store, dense, tile_shape=tile, linearization=linearization)
+        old = SparseTiledMatrix(ArrayStore(memory_bytes=4 * 1024 * 1024),
+                                new.name, shape, tile, linearization)
+        rows, cols = np.nonzero(dense)
+        _append_tiles_old_loop(old, rows, cols, dense[rows, cols])
+        assert new.directory == old.directory
+        assert list(new.directory) == list(old.directory)   # append order
+        assert new.file.page_map == old.file.page_map
+        assert _raw_pages(new) == _raw_pages(old)
+        assert np.array_equal(new.to_numpy(), dense)
+
+    def test_no_triplets_no_tiles(self, store):
+        sp = SparseTiledMatrix.from_coo(store, [], [], [], (5, 5))
+        assert sp.nnz == 0 and not sp.directory and sp.data_pages == 0
+
+
 class TestTileDirectory:
     def test_empty_tiles_occupy_zero_pages(self, store):
         # One nonzero in one corner of a 512x512 matrix: exactly one
@@ -123,6 +188,60 @@ class TestTileDirectory:
         with pytest.raises(ValueError):
             sp.append_tile_dense(0, 0, np.ones((64, 64)))
 
+    @pytest.mark.parametrize("indptr,indices,data,complaint", [
+        ([0, 1, 2], [0, 3], [1.0, 2.0], "column index"),
+        ([0, 1, 2], [-1, 0], [1.0, 2.0], "column index"),
+        ([0, 3, 2], [0, 1], [1.0, 2.0], "indptr decreases"),
+        ([0, 1, 2], [0, 1, 2], [1.0, 2.0], "3 column indices for 2"),
+        ([0, 0, 0], [0], [], "1 column indices for 0"),
+        ([1, 1, 2], [0, 1], [1.0, 2.0], "indptr does not describe"),
+    ])
+    def test_malformed_csr_triple_rejected(self, store, indptr, indices,
+                                           data, complaint):
+        # A negative index used to wrap inside csr_to_dense, a wide one
+        # to spill into the next row: wrong numbers, no complaint.
+        sp = SparseTiledMatrix(store, "bad", (2, 3), (2, 3))
+        with pytest.raises(ValueError, match=complaint) as err:
+            sp.append_tile(0, 0, np.array(indptr, dtype=np.int64),
+                           np.array(indices, dtype=np.int64),
+                           np.array(data, dtype=np.float64))
+        assert "bad tile (0,0)" in str(err.value)
+        # Rejected before anything was allocated or indexed.
+        assert sp.data_pages == 0 and not sp.directory and sp.nnz == 0
+        assert sp.tile_blocks(0, 0) == [] and sp.nonempty_in_row(0) == []
+
+    def test_tile_blocks_are_the_pages_blocks(self, store, rng):
+        dense = _random_sparse(rng, 300, 200, 0.2)   # multi-page tiles
+        sp = SparseTiledMatrix.from_dense(store, dense)
+        assert max(e[1] for e in sp.directory.values()) > 1
+        for (ti, tj), (first, n_pages, _) in sp.directory.items():
+            blocks = sp.tile_blocks(ti, tj)
+            assert blocks == sp.file.blocks_of(range(first,
+                                                     first + n_pages))
+            blocks.append(-1)            # the caller's list, not ours
+            assert sp.tile_blocks(ti, tj) == blocks[:-1]
+
+    def test_read_tile_csr_returns_private_arrays(self, store, rng):
+        dense = _random_sparse(rng, 40, 30, 0.3)
+        sp = SparseTiledMatrix.from_dense(store, dense)
+        indptr, indices, data = sp.read_tile_csr(0, 0)
+        assert (indptr.dtype, indices.dtype, data.dtype) == \
+            (np.int64, np.int64, np.float64)
+        assert np.array_equal(csr_to_dense(indptr, indices, data,
+                                           dense.shape), dense)
+        for part in (indptr, indices, data):
+            part.fill(0)                 # scribbling changes nothing
+        assert np.array_equal(sp.read_tile(0, 0), dense)
+
+    def test_header_disagreeing_with_directory_is_named(self, store):
+        sp = SparseTiledMatrix.from_coo(store, [0, 1], [0, 1], [1.0, 2.0],
+                                        (4, 4), name="torn")
+        page = store.pool.get(sp.tile_blocks(0, 0)[0]).copy()
+        page[:8] = np.asarray([5], dtype=np.int64).view(np.uint8)
+        store.pool.put(sp.tile_blocks(0, 0)[0], page)
+        with pytest.raises(ValueError, match=r"torn tile \(0,0\).*5.*2"):
+            sp.read_tile_csr(0, 0)
+
 
 class TestIOAccounting:
     def test_cold_read_costs_directory_pages(self, rng):
@@ -152,3 +271,4 @@ class TestIOAccounting:
         sp.drop()
         assert sp.nnz == 0 and not sp.directory
         assert sp.file.num_pages == 0
+        assert sp.tile_blocks(0, 0) == [] and sp.read_tile_csr(0, 0) is None
