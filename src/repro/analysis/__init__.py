@@ -23,15 +23,15 @@ heading toward:
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
 from .planlint import PlanVerificationError, verify_plan
-from .sanitizers import (CrossThreadUnpinError, PinLeakError,
-                         PinnedDiscardError, SanitizerError,
+from .sanitizers import (CrossThreadUnpinError, LatchLeakError,
+                         PinLeakError, PinnedDiscardError, SanitizerError,
                          SanitizingBufferPool, UnannouncedReadError,
-                         UseAfterUnpinError)
+                         UseAfterUnpinError, WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
     "PlanVerificationError", "verify_plan",
     "SanitizerError", "SanitizingBufferPool", "PinLeakError",
     "UseAfterUnpinError", "PinnedDiscardError", "UnannouncedReadError",
-    "CrossThreadUnpinError",
+    "CrossThreadUnpinError", "LatchLeakError", "WritebackLeakError",
 ]

@@ -34,6 +34,15 @@ Detected hazards:
   for kernels that participate in the hint protocol (made at least one
   announcement in the span): kernels reading operands from a foreign
   store legitimately skip hinting altogether.
+- **Latch leak** (:class:`LatchLeakError`): a span closes with frame
+  latches held that were not held when it opened.  Every latch the
+  sanitizing pool hands out is tracked per thread, so the check sees
+  external ``pool.latched()`` holds and the pool's own — ``put``'s
+  in-place overwrite, ``flush``, and the batched write-back of evicted
+  victims, whose latches are parked at eviction and taken at the drain.
+- **Write-back leak** (:class:`WritebackLeakError`): a span closes
+  while the pool still parks an evicted dirty frame that never reached
+  the device — some pool entry point made room without draining.
 - **Cross-thread unpin** (:class:`CrossThreadUnpinError`): a worker
   releases a pin some *other* thread took.  Pins are ownership — the
   pinning thread is the one relying on the frame staying resident, so
@@ -81,6 +90,54 @@ class CrossThreadUnpinError(SanitizerError):
     """A thread released a pin that a different thread took."""
 
 
+class LatchLeakError(SanitizerError):
+    """Frame latches held at span close differ from span open."""
+
+
+class WritebackLeakError(SanitizerError):
+    """An evicted dirty frame was left parked, never written back."""
+
+
+class _ThreadState(threading.local):
+    """Per-thread sanitizer state; ``__init__`` runs once in each
+    thread that touches it, so no table here needs a lock."""
+
+    def __init__(self) -> None:
+        self.stack: list[_SpanFrame] = []
+        self.latches: dict[int, int] = {}  # block id -> hold depth
+
+
+class _TrackedLatch:
+    """A frame latch that records in its holder's thread state that it
+    is held."""
+
+    __slots__ = ("_block_id", "_tls", "_lock")
+
+    def __init__(self, block_id: int, tls: _ThreadState) -> None:
+        self._block_id = block_id
+        self._tls = tls
+        self._lock = threading.RLock()
+
+    def acquire(self) -> None:
+        self._lock.acquire()
+        held = self._tls.latches
+        held[self._block_id] = held.get(self._block_id, 0) + 1
+
+    def release(self) -> None:
+        held = self._tls.latches
+        if held[self._block_id] == 1:
+            del held[self._block_id]
+        else:
+            held[self._block_id] -= 1
+        self._lock.release()
+
+    def __enter__(self) -> None:
+        self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
 class _SpanSentry:
     """Tracer observer forwarding span boundaries to the pool."""
 
@@ -99,14 +156,15 @@ class _SpanSentry:
 class _SpanFrame:
     """Per-open-span sanitizer state."""
 
-    __slots__ = ("name", "cat", "pins_before", "announced", "wrote",
-                 "announcements")
+    __slots__ = ("name", "cat", "pins_before", "latches_before",
+                 "announced", "wrote", "announcements")
 
-    def __init__(self, name: str, cat: str,
-                 pins_before: dict[int, int]) -> None:
+    def __init__(self, name: str, cat: str, pins_before: dict[int, int],
+                 latches_before: dict[int, int]) -> None:
         self.name = name
         self.cat = cat
         self.pins_before = pins_before
+        self.latches_before = latches_before
         self.announced: set[int] = set()
         self.wrote: set[int] = set()
         self.announcements = 0
@@ -125,17 +183,14 @@ class SanitizingBufferPool(BufferPool):
         # Span stacks are per thread (a worker's spans nest on its own
         # stack); pin ownership is tracked per thread so leaks are
         # attributed to the worker span that took them.
-        self._tls = threading.local()
+        self._tls = _ThreadState()
         self._pins_by_thread: dict[int, dict[int, int]] = {}
         self._views: dict[int, list[weakref.ref]] = {}
         self._sentry: _SpanSentry | None = None
 
     @property
     def _span_stack(self) -> list[_SpanFrame]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
+        return self._tls.stack
 
     def _my_pins(self) -> dict[int, int]:
         """The calling thread's pin table (caller holds self.lock)."""
@@ -144,6 +199,9 @@ class SanitizingBufferPool(BufferPool):
         if table is None:
             table = self._pins_by_thread[tid] = {}
         return table
+
+    def _new_latch(self, block_id: int) -> _TrackedLatch:
+        return _TrackedLatch(block_id, self._tls)
 
     # ------------------------------------------------------------------
     # Tracer wiring
@@ -157,7 +215,8 @@ class SanitizingBufferPool(BufferPool):
     def _on_span_open(self, name: str, cat: str) -> None:
         with self.lock:
             self._span_stack.append(
-                _SpanFrame(name, cat, dict(self._my_pins())))
+                _SpanFrame(name, cat, dict(self._my_pins()),
+                           dict(self._tls.latches)))
 
     def _on_span_close(self, name: str, cat: str, exc_type) -> None:
         if not self._span_stack:
@@ -165,7 +224,20 @@ class SanitizingBufferPool(BufferPool):
         frame = self._span_stack.pop()
         if exc_type is not None:
             return  # don't mask the in-flight failure
+        held = self._tls.latches
+        if frame.latches_before != held:
+            raise LatchLeakError(
+                f"span {cat}:{name} closed holding frame latches "
+                f"(block: depth) {held}, opened with "
+                f"{frame.latches_before}; every latch taken inside a "
+                f"span must be released before it closes")
         with self.lock:
+            if self._pending:
+                raise WritebackLeakError(
+                    f"span {cat}:{name} closed with evicted dirty "
+                    f"block(s) {sorted(self._pending)} still parked; "
+                    f"every pool call that makes room must drain its "
+                    f"write-backs before it returns")
             pins = self._my_pins()
             if frame.pins_before != pins:
                 leaked = {bid: pins.get(bid, 0)

@@ -424,8 +424,9 @@ class BlockDevice:
         return block.copy()
 
     def _coerce(self, data: np.ndarray) -> np.ndarray:
-        """Validate and zero-pad write payloads to one full block."""
-        buf = np.asarray(data, dtype=np.uint8)
+        """Validate and zero-pad write payloads to one full,
+        contiguous block (what a vectored write can gather from)."""
+        buf = np.ascontiguousarray(data, dtype=np.uint8)
         if buf.size > self.block_size:
             raise ValueError(
                 f"data of {buf.size} bytes exceeds block size "

@@ -12,31 +12,57 @@ a pool so that:
 Two classic policies are provided — LRU and CLOCK — and ablated in
 ``benchmarks/bench_ablation_buffer.py``.
 
+Deferred write-back
+-------------------
+
+Eviction *decides* one victim at a time, in policy order, and charges
+``evictions`` / ``dirty_writebacks`` as it goes; what it defers is the
+dirty victim's *device write*.  The evicted frame is parked in a
+per-call pending set that the pool drains with one
+:meth:`IOScheduler.write_back` — sorted by block id, so adjacent
+victims share a device call — before the public call returns (in a
+``finally``: an "all frames pinned" error still persists what was
+already evicted), before any later device read in the same call (a
+block evicted and re-read inside one call never comes back stale),
+before a block would be parked twice, and whenever the set reaches
+:data:`MAX_PENDING_WRITEBACKS` (the bound on memory held above
+``capacity``).  The set is empty between public calls.  Victims are
+what they always were, so every ``PoolStats`` field and every device
+block total is independent of the batching; only ``write_calls``
+shrinks.
+
 Concurrency contract (parallel plan execution)
 ----------------------------------------------
 
 The pool is safe to share between the worker threads of a parallel
 plan.  One re-entrant lock (``pool.lock``) serializes every public
-method — lookups, the CLOCK/LRU sweep, eviction, pin accounting, and
-all ``PoolStats``/``IOStats``/scheduler-state increments happen inside
-it, so counter updates are atomic and the replacement policy's internal
-structures are never observed mid-sweep.  The :class:`~repro.storage.
-io_scheduler.IOScheduler` and the device transfer paths are only ever
-invoked from within these locked methods, which is what keeps
-*simulated block counts deterministic*: for any fixed sequence of pool
-calls, the counts are identical at every parallelism level, and the
-tile kernels additionally keep their pool calls on one thread in serial
-order so the sequence itself never changes.
+method — lookups, the CLOCK/LRU sweep, eviction, the drain of deferred
+write-backs, pin accounting, and all ``PoolStats``/``IOStats``/
+scheduler-state increments happen inside it, so counter updates are
+atomic, the replacement policy's internal structures are never
+observed mid-sweep, and no other thread ever sees a parked victim.
+The :class:`~repro.storage.io_scheduler.IOScheduler` and the device
+transfer paths are only ever invoked from within these locked methods,
+which is what keeps *simulated block counts deterministic*: for any
+fixed sequence of pool calls, the counts are identical at every
+parallelism level, and the tile kernels additionally keep their pool
+calls on one thread in serial order so the sequence itself never
+changes.
 
 Per-frame **latches** (:meth:`BufferPool.latched`) layer on top of the
 pin counts for the one hazard the big lock cannot see: a caller
 mutating a frame's *contents* in place while an eviction or flush is
 writing that frame back.  Internal writers (``put``'s in-place
-overwrite, dirty writeback in ``flush``/eviction) take the frame's
-latch; external mutators should wrap their writes in
-``with pool.latched(bid): ...``.  Lock ordering is strictly
-``pool.lock → latch``; latch holders must not call pool methods from
-other threads' perspective — the latch is the innermost lock.
+overwrite, dirty writeback in ``flush`` and the drain) take the
+frame's latch; external mutators should wrap their writes in
+``with pool.latched(bid): ...``.  An evicted victim's latch is parked
+with its frame and taken at drain time, not at eviction time: every
+batch of write-backs acquires its latches in ascending block-id order,
+holds them across the one device transfer and releases them, so a
+thread inside ``pool.latched(bid)`` delays the drain of ``bid`` rather
+than racing it.  Lock ordering is strictly ``pool.lock → latch``;
+latch holders must not call pool methods from other threads'
+perspective — the latch is the innermost lock.
 """
 
 from __future__ import annotations
@@ -51,6 +77,13 @@ import numpy as np
 
 from .block_device import BlockDevice
 from .io_scheduler import IOScheduler
+
+#: Most dirty victims one pool call parks before it drains them.  Parked
+#: frames are memory held above ``capacity``, so this bounds the
+#: overshoot (64 blocks = 512 KiB at the default block size) while
+#: leaving runs long enough that the per-call cost of a device write is
+#: amortised; a call that evicts fewer victims drains once, at its end.
+MAX_PENDING_WRITEBACKS = 64
 
 
 class ReplacementPolicy:
@@ -236,6 +269,11 @@ class BufferPool:
         self._pinned: dict[int, int] = {}
         self._prefetched: set[int] = set()
         self._latches: dict[int, threading.RLock] = {}
+        # Dirty victims evicted by the public call in progress, not yet
+        # on the device: block id -> (frame, latch or None).  Empty
+        # whenever no public call is running.
+        self._pending: dict[
+            int, tuple[np.ndarray, threading.RLock | None]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -246,8 +284,11 @@ class BufferPool:
         with self.lock:
             latch = self._latches.get(block_id)
             if latch is None:
-                latch = self._latches[block_id] = threading.RLock()
+                latch = self._latches[block_id] = self._new_latch(block_id)
             return latch
+
+    def _new_latch(self, block_id: int) -> threading.RLock:
+        return threading.RLock()
 
     @contextmanager
     def latched(self, block_id: int) -> Iterator[None]:
@@ -283,22 +324,29 @@ class BufferPool:
                         self._speculate(ahead)
                     finally:
                         self.unpin(block_id)
+                        self._drain_pending()
             else:
                 self.stats.misses += 1
                 ahead = self.scheduler.on_demand(block_id, miss=True)
                 extras = self._clip_speculation(ahead)
-                self._ensure_room()
-                fetched = self.scheduler.fetch([block_id] + extras,
-                                               n_speculative=len(extras))
-                frame = fetched.pop(block_id)
-                self._frames[block_id] = frame
-                self.policy.on_insert(block_id)
-                if fetched:
-                    self.pin(block_id)
-                    try:
-                        self._install_prefetched(fetched)
-                    finally:
-                        self.unpin(block_id)
+                try:
+                    self._ensure_room()
+                    # The victim goes out before the read comes in, as
+                    # it always has.
+                    self._drain_pending()
+                    fetched = self.scheduler.fetch(
+                        [block_id] + extras, n_speculative=len(extras))
+                    frame = fetched.pop(block_id)
+                    self._frames[block_id] = frame
+                    self.policy.on_insert(block_id)
+                    if fetched:
+                        self.pin(block_id)
+                        try:
+                            self._install_prefetched(fetched)
+                        finally:
+                            self.unpin(block_id)
+                finally:
+                    self._drain_pending()
             if for_write:
                 self._dirty.add(block_id)
             return frame
@@ -307,35 +355,44 @@ class BufferPool:
         """Return frames for several blocks, coalescing the misses.
 
         Semantically equivalent to ``[pool.get(b) for b in block_ids]``
-        minus speculation: hit/miss accounting is per block, but all
-        missing blocks are faulted in with one scheduler fetch so adjacent
-        ids share device calls.  Returned arrays alias frames where the
-        block stayed resident; callers treat them as read-only.
+        minus speculation: hit/miss accounting, eviction order, every
+        ``PoolStats`` field and the device's block and byte totals are
+        exactly those of the loop.  What may only shrink is the number
+        of device *calls*: all missing blocks are faulted in with one
+        scheduler fetch so adjacent ids share reads, and the dirty
+        victims their installs evict go out in one sorted write-back
+        instead of one write each.  Returned arrays alias frames where
+        the block stayed resident; callers treat them as read-only.
         """
         with self.lock:
             missing = list(dict.fromkeys(
                 bid for bid in block_ids if bid not in self._frames))
             fetched = self.scheduler.fetch(missing) if missing else {}
             out: list[np.ndarray] = []
-            for bid in block_ids:
-                frame = self._frames.get(bid)
-                if frame is not None:
-                    self.stats.hits += 1
-                    self.policy.on_access(bid)
-                    self._note_prefetch_hit(bid)
+            try:
+                for bid in block_ids:
+                    frame = self._frames.get(bid)
+                    if frame is not None:
+                        self.stats.hits += 1
+                        self.policy.on_access(bid)
+                        self._note_prefetch_hit(bid)
+                        out.append(frame)
+                        continue
+                    self.stats.misses += 1
+                    frame = fetched.get(bid)
+                    if frame is None:
+                        # The block was resident when the misses were
+                        # collected but got evicted while installing
+                        # them — fault it in, after its parked copy (if
+                        # it left dirty) has reached the device.
+                        self._drain_pending()
+                        frame = self.scheduler.fetch([bid])[bid]
+                    self._ensure_room()
+                    self._frames[bid] = frame
+                    self.policy.on_insert(bid)
                     out.append(frame)
-                    continue
-                self.stats.misses += 1
-                frame = fetched.get(bid)
-                if frame is None:
-                    # The block was resident when the misses were
-                    # collected but got evicted while installing them —
-                    # fault it in.
-                    frame = self.scheduler.fetch([bid])[bid]
-                self._ensure_room()
-                self._frames[bid] = frame
-                self.policy.on_insert(bid)
-                out.append(frame)
+            finally:
+                self._drain_pending()
             return out
 
     def prefetch(self, block_ids: list[int]) -> int:
@@ -357,7 +414,10 @@ class BufferPool:
             if not want:
                 return 0
             fetched = self.scheduler.fetch(want, n_speculative=len(want))
-            self._install_prefetched(fetched)
+            try:
+                self._install_prefetched(fetched)
+            finally:
+                self._drain_pending()
             return len(fetched)
 
     # ------------------------------------------------------------------
@@ -418,7 +478,10 @@ class BufferPool:
             padded[:buf.size] = buf
             buf = padded
         with self.lock:
-            self._put_locked(block_id, buf)
+            try:
+                self._put_locked(block_id, buf)
+            finally:
+                self._drain_pending()
 
     def put_many(self, block_ids: Sequence[int],
                  pages: np.ndarray) -> None:
@@ -428,7 +491,12 @@ class BufferPool:
         row per block.  Per block this is exactly :meth:`put` — same
         hit/miss accounting, same in-place overwrite under the frame's
         latch, same eviction order — so a batch and the same blocks sent
-        one by one leave the pool and its counters in the same state.
+        one by one leave the pool, every ``PoolStats`` field, the
+        device's block and byte totals and its contents in the same
+        state.  Only the device's ``write_calls`` may differ, and only
+        downwards: the dirty victims of the whole batch are written
+        back together, sorted by block id, so adjacent ones share a
+        call.
         """
         buf = np.asarray(pages, dtype=np.uint8)
         if buf.shape != (len(block_ids), self.device.block_size):
@@ -437,8 +505,11 @@ class BufferPool:
                 f"{self.device.block_size} bytes, got an array of shape "
                 f"{buf.shape}")
         with self.lock:
-            for block_id, page in zip(block_ids, buf):
-                self._put_locked(block_id, page)
+            try:
+                for block_id, page in zip(block_ids, buf):
+                    self._put_locked(block_id, page)
+            finally:
+                self._drain_pending()
 
     def _put_locked(self, block_id: int, buf: np.ndarray) -> None:
         # Caller holds self.lock; ``buf`` is exactly one block wide.
@@ -508,18 +579,12 @@ class BufferPool:
                     self.stats.dirty_writebacks += 1
                     self._dirty.discard(block_id)
                 return
-            dirty = sorted(self._dirty)
-            for bid in dirty:
-                self._latch(bid).acquire()
-            try:
-                items = [(bid, self._frames[bid]) for bid in dirty]
-                if items:
-                    self.scheduler.write_back(items)
-                    self.stats.dirty_writebacks += len(items)
-                    self._dirty.clear()
-            finally:
-                for bid in dirty:
-                    self._latch(bid).release()
+            if self._dirty:
+                self._write_back(
+                    {bid: (self._frames[bid], self._latches.get(bid))
+                     for bid in self._dirty})
+                self.stats.dirty_writebacks += len(self._dirty)
+                self._dirty.clear()
 
     def flush_all(self) -> None:
         self.flush(None)
@@ -544,24 +609,58 @@ class BufferPool:
 
     # ------------------------------------------------------------------
     def _ensure_room(self) -> None:
-        # Caller holds self.lock; the CLOCK/LRU sweep and the victim's
-        # dirty writeback run entirely inside it, with the victim's
-        # latch taken around the device write so an in-place mutator
-        # (pool.latched) can never race the writeback copy.
+        # Caller holds self.lock and drains before it returns.  The
+        # CLOCK/LRU sweep picks and accounts each victim here, one at a
+        # time; a dirty victim's frame and latch are parked for the
+        # drain, which is where the device write happens.
         while len(self._frames) >= self.capacity:
             victim = self.policy.choose_victim(self._pinned)
+            frame = self._frames.pop(victim)
+            latch = self._latches.pop(victim, None)
             if victim in self._dirty:
-                with self.latched(victim):
-                    self.device.write_block(victim, self._frames[victim])
+                if victim in self._pending:
+                    # Two writes of one block keep their order.
+                    self._drain_pending()
+                self._pending[victim] = (frame, latch)
                 self.stats.dirty_writebacks += 1
                 self._dirty.discard(victim)
+                if len(self._pending) >= MAX_PENDING_WRITEBACKS:
+                    self._drain_pending()
             if victim in self._prefetched:
                 self._prefetched.discard(victim)
                 self.stats.prefetch_wasted += 1
-            del self._frames[victim]
             self.policy.on_remove(victim)
-            self._latches.pop(victim, None)
             self.stats.evictions += 1
+
+    def _drain_pending(self) -> None:
+        """Write every parked victim to the device (caller holds
+        ``self.lock``)."""
+        if self._pending:
+            self._write_back(self._pending)
+            self._pending.clear()
+
+    def _write_back(self, victims: dict[
+            int, tuple[np.ndarray, threading.RLock | None]]) -> None:
+        """One coalesced device write of ``victims`` (block id ->
+        frame and latch), in block-id order, under their latches.
+
+        A block without a latch has had no in-place mutator since it
+        was last installed, and none can appear while the caller holds
+        ``self.lock`` (:meth:`latched` looks the latch up under it), so
+        there is nothing to exclude.  Latches are always taken in
+        ascending block-id order.
+        """
+        order = sorted(victims)
+        held = [latch for bid in order
+                if (latch := victims[bid][1]) is not None]
+        for latch in held:
+            latch.acquire()
+        try:
+            self.scheduler.write_back(
+                [(bid, victims[bid][0]) for bid in order])
+        finally:
+            for latch in held:
+                latch.release()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BufferPool(capacity={self.capacity}, "

@@ -20,11 +20,13 @@ Two transfer modes:
     the page cache.  :meth:`block_view` additionally exposes zero-copy
     read-only views straight into the mapping.
 ``pread``
-    Positional ``os.pread``/``os.pwrite`` per coalesced run — one
-    syscall moves a whole run of adjacent blocks, which is exactly the
-    shape the scheduler optimizes for.  With ``direct=True`` the file
-    is opened ``O_DIRECT`` where available (transfers staged through a
-    page-aligned buffer, bypassing the OS page cache).
+    Positional vectored ``os.preadv``/``os.pwritev`` per coalesced run
+    — one syscall moves a whole run of adjacent blocks, which is
+    exactly the shape the scheduler optimizes for, scattering into (or
+    gathering from) the per-block frames with no staging copy.  With
+    ``direct=True`` the file is opened ``O_DIRECT`` where available
+    (transfers staged through a page-aligned buffer, bypassing the OS
+    page cache).
 
 Durability: ``sync()`` issues ``msync``/``fsync``; the ``fsync``
 constructor flag makes every :meth:`sync` a real fsync barrier.
@@ -58,6 +60,12 @@ META_SUFFIX = ".meta"
 
 #: Alignment O_DIRECT transfers are staged at.
 _DIRECT_ALIGN = 4096
+
+#: Most buffers one ``preadv``/``pwritev`` accepts; longer runs split.
+#: ``sysconf`` answers -1 when the system sets no limit.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+if _IOV_MAX <= 0:
+    _IOV_MAX = 1024
 
 
 class FileBlockDevice(BlockDevice):
@@ -224,11 +232,7 @@ class FileBlockDevice(BlockDevice):
                 raw = raw.copy()
                 raw[got:] = 0
         else:
-            data = os.pread(self._fd, nbytes, first * bs)
-            self.stats.syscalls += 1
-            if len(data) < nbytes:
-                data = data + b"\0" * (nbytes - len(data))
-            raw = np.frombuffer(data, dtype=np.uint8)
+            return self._preadv_run(first, length)
         # Each block becomes a fresh writable array: buffer-pool frames
         # are mutated in place and written back explicitly, so handing
         # out live views of the backing store would leak unaccounted
@@ -256,12 +260,42 @@ class FileBlockDevice(BlockDevice):
                        first * bs)
             self.stats.syscalls += 1
         else:
-            payload = (bufs[0] if length == 1
-                       else np.concatenate(bufs)).tobytes()
-            os.pwrite(self._fd, payload, first * bs)
-            self.stats.syscalls += 1
+            self._pwritev_run(first, bufs)
         if self.fsync:
             self._sync_backend()
+
+    def _preadv_run(self, first: int, length: int) -> list[np.ndarray]:
+        """Scatter one run straight into fresh frames, one per block.
+
+        Each frame owns its memory, so a single frame staying resident
+        in the pool never keeps a whole run's buffer alive.  Bytes the
+        file does not have (a block allocated but never written, a run
+        reaching past EOF) read as zeros, like a sparse file.
+        """
+        bs = self.block_size
+        frames = [np.empty(bs, dtype=np.uint8) for _ in range(length)]
+        for k in range(0, length, _IOV_MAX):
+            chunk = frames[k:k + _IOV_MAX]
+            got = os.preadv(self._fd, chunk, (first + k) * bs)
+            self.stats.syscalls += 1
+            if got < len(chunk) * bs:
+                full, part = divmod(got, bs)
+                chunk[full][part:] = 0
+                for frame in chunk[full + 1:]:
+                    frame[:] = 0
+        return frames
+
+    def _pwritev_run(self, first: int, bufs: list[np.ndarray]) -> None:
+        """Gather one run from its frames in place (no staging copy)."""
+        bs = self.block_size
+        for k in range(0, len(bufs), _IOV_MAX):
+            chunk = bufs[k:k + _IOV_MAX]
+            done = os.pwritev(self._fd, chunk, (first + k) * bs)
+            self.stats.syscalls += 1
+            if done != len(chunk) * bs:
+                raise OSError(
+                    f"short write to {self.path!r}: {done} of "
+                    f"{len(chunk) * bs} bytes at block {first + k}")
 
     def _discard_run(self, first: int, length: int) -> None:
         """Freeing blocks needs no physical work on a page file."""

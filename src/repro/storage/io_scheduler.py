@@ -1,9 +1,13 @@
 """Prefetching I/O scheduler between :class:`BlockDevice` and the pool.
 
 The paper's thesis is that I/O pattern — not CPU — decides out-of-core
-performance.  The buffer pool alone can only react: every miss becomes one
-synchronous single-block device call.  This module adds the three classic
-mechanisms a storage stack uses to exploit *predictable* access patterns:
+performance.  A buffer pool on its own can only react, one block at a
+time: a miss is one single-block device read and a dirty eviction one
+single-block device write.  This module adds the three classic mechanisms
+a storage stack uses to exploit *predictable* access patterns, and the
+pool routes both directions through it — misses through :meth:`fetch`,
+and the dirty victims of a whole pool call, parked until the call drains
+them, through :meth:`write_back`:
 
 1. **Sequential readahead.**  The scheduler watches demand accesses; once
    ``min_run`` consecutive block ids have been demanded, it speculatively
@@ -14,7 +18,8 @@ mechanisms a storage stack uses to exploit *predictable* access patterns:
    or hinted — is sorted and split into maximal runs of adjacent ids; each
    run moves in a single device call via
    :meth:`~repro.storage.block_device.BlockDevice.read_blocks` /
-   ``write_blocks``.
+   ``write_blocks``.  On the write side the batches are ``flush`` and
+   the pool's per-call drain of evicted dirty frames.
 3. **Hint-driven prefetch.**  Operators that know their footprint
    (the streaming evaluator, ``square_tile_matmul``, tile scans) announce
    upcoming block keys through :meth:`BufferPool.prefetch` before reading
@@ -194,11 +199,13 @@ class IOScheduler:
         items = sorted(items, key=lambda kv: kv[0])
         if len(items) > 1:
             self.stats.coalesced_batches += 1
-        if self.enabled:
-            self.device.write_blocks(items)
-        else:
-            for bid, data in items:
-                self.device.write_block(bid, data)
+            if self.enabled:
+                self.device.write_blocks(items)
+                return
+        # A lone block is one call either way, and write_block is the
+        # cheaper way to issue it.
+        for bid, data in items:
+            self.device.write_block(bid, data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IOScheduler(window={self.readahead_window}, "

@@ -19,9 +19,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import (PinLeakError, PinnedDiscardError,
-                            SanitizerError, SanitizingBufferPool,
-                            UnannouncedReadError, UseAfterUnpinError)
+from repro.analysis import (LatchLeakError, PinLeakError,
+                            PinnedDiscardError, SanitizerError,
+                            SanitizingBufferPool, UnannouncedReadError,
+                            UseAfterUnpinError, WritebackLeakError)
 from repro.core import RiotSession
 from repro.storage import StorageConfig
 
@@ -73,7 +74,8 @@ class TestWiring:
 
     def test_errors_are_one_family(self):
         for err in (PinLeakError, UseAfterUnpinError,
-                    PinnedDiscardError, UnannouncedReadError):
+                    PinnedDiscardError, UnannouncedReadError,
+                    LatchLeakError, WritebackLeakError):
             assert issubclass(err, SanitizerError)
             assert issubclass(err, RuntimeError)
 
@@ -110,6 +112,43 @@ class TestPinLeak:
                 pool.pin(block)
                 raise KeyError("kernel bug")
         pool.unpin(block)
+
+
+class TestLatchAndWritebackLeaks:
+    def test_latch_held_at_span_close_detected(self, sess):
+        pool, tracer = sess.store.pool, sess.store.tracer
+        block = fresh_block(pool)
+        pool.put(block, np.zeros(8, dtype=np.uint8))
+        latch = pool._latch(block)
+        with pytest.raises(LatchLeakError, match=f"{{{block}: 1}}"):
+            with tracer.span("leaky", cat="kernel"):
+                latch.acquire()
+        latch.release()
+
+    def test_latches_released_inside_the_span_are_silent(self, sess):
+        pool, tracer = sess.store.pool, sess.store.tracer
+        block = fresh_block(pool)
+        with pool.latched(block):  # held across the span, not leaked by it
+            with tracer.span("balanced", cat="kernel"):
+                pool.put(block, np.zeros(8, dtype=np.uint8))
+                with pool.latched(block):
+                    pool.get(block, for_write=True)[:] = 1
+                pool.flush()
+
+    def test_room_made_without_a_drain_detected(self, sess):
+        # A pool entry point that evicts must drain before it returns;
+        # calling the eviction loop bare is exactly that bug.
+        pool, tracer = sess.store.pool, sess.store.tracer
+        first = pool.device.allocate(pool.capacity)
+        for bid in range(first, first + pool.capacity):
+            pool.put(bid, np.zeros(8, dtype=np.uint8))
+        written = pool.device.stats.writes
+        with pytest.raises(WritebackLeakError, match="still parked"):
+            with tracer.span("leaky", cat="kernel"):
+                pool._ensure_room()
+        assert pool.device.stats.writes == written
+        pool._drain_pending()
+        assert pool.device.stats.writes == written + 1
 
 
 class TestUnannouncedRead:

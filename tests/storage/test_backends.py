@@ -194,6 +194,80 @@ class TestFileDeviceExtras:
         dev.close()
 
 
+class TestVectoredPread:
+    """The buffered ``pread`` backend moves a run with one
+    ``preadv``/``pwritev`` over the per-block frames themselves."""
+
+    BS = 512  # small blocks keep a run longer than IOV_MAX cheap
+
+    def _device(self, tmp_path):
+        return FileBlockDevice(tmp_path / "pages.db", mode="pread",
+                               block_size=self.BS)
+
+    def test_run_longer_than_iov_max_roundtrips(self, tmp_path):
+        iov_max = os.sysconf("SC_IOV_MAX")
+        n = 2 * iov_max + 7
+        dev = self._device(tmp_path)
+        first = dev.allocate(n)
+        data = _payload(n, block_size=self.BS)
+        dev.write_blocks((first + i, data[i]) for i in range(n))
+        assert dev.stats.write_calls == 1 and dev.stats.syscalls == 3
+        out = dev.read_blocks(range(first, first + n))
+        assert dev.stats.read_calls == 1 and dev.stats.syscalls == 6
+        assert np.array_equal(np.stack(out), data)
+        dev.close()
+
+    def test_syscalls_equal_device_calls_under_the_iovec_limit(
+            self, tmp_path):
+        dev = self._device(tmp_path)
+        first = dev.allocate(40)
+        data = _payload(40, block_size=self.BS)
+        runs = [range(0, 16), range(20, 21), range(24, 40)]
+        for run in runs:
+            dev.write_blocks((first + i, data[i]) for i in run)
+        for run in runs:
+            out = dev.read_blocks([first + i for i in run])
+            assert np.array_equal(np.stack(out), data[list(run)])
+        assert dev.stats.calls == 6 == dev.stats.syscalls
+        dev.close()
+
+    def test_read_past_eof_is_zeros(self, tmp_path):
+        dev = self._device(tmp_path)
+        first = dev.allocate(6)
+        dev.write_blocks((first + i, np.full(self.BS, 9, dtype=np.uint8))
+                         for i in range(2))
+        # Cut the file mid-block: block 1 is half there, 2.. are not.
+        os.truncate(dev.path, self.BS + self.BS // 2)
+        out = dev.read_blocks(range(first, first + 6))
+        assert (out[0] == 9).all()
+        assert (out[1][:self.BS // 2] == 9).all()
+        assert not out[1][self.BS // 2:].any()
+        assert not np.stack(out[2:]).any()
+        assert dev.stats.syscalls == 2  # one write, one read
+        dev.close()
+
+    def test_frames_own_their_memory(self, tmp_path):
+        """A view into one run-sized buffer would keep the whole run
+        alive for as long as any one frame stays resident."""
+        dev = self._device(tmp_path)
+        first = dev.allocate(8)
+        dev.write_blocks((first + i, _payload(1, self.BS)[0])
+                         for i in range(8))
+        for frame in dev.read_blocks(range(first, first + 8)):
+            assert frame.base is None and frame.flags.writeable
+            assert frame.nbytes == self.BS
+        dev.close()
+
+    def test_non_contiguous_payload_is_written_whole(self, tmp_path):
+        dev = self._device(tmp_path)
+        first = dev.allocate(2)
+        wide = _payload(2, block_size=2 * self.BS)
+        dev.write_blocks((first + i, wide[i, ::2]) for i in range(2))
+        out = dev.read_blocks([first, first + 1])
+        assert np.array_equal(np.stack(out), wide[:, ::2])
+        dev.close()
+
+
 # ----------------------------------------------------------------------
 # StorageConfig / parse_memory / URL form / factory
 # ----------------------------------------------------------------------

@@ -344,8 +344,9 @@ class TestGetManyEvictionRace:
 
 
 class TestPutMany:
-    """``put_many`` is ``put`` per block under one lock hold — checked
-    on the sanitizing pool, whose override must not change any of it."""
+    """``put_many`` is ``put`` per block under one lock hold, with the
+    victims' write-backs batched — checked on the sanitizing pool,
+    whose override must not change any of it."""
 
     @staticmethod
     def _pages(device, n, fill):
@@ -376,9 +377,13 @@ class TestPutMany:
         assert one.stats == other.stats
         assert one.stats.evictions and one.stats.dirty_writebacks
         assert one.stats.hits and one.stats.misses
-        for field in ("reads", "writes", "write_calls"):
+        for field in ("reads", "writes", "read_calls", "bytes_read",
+                      "bytes_written"):
             assert getattr(one.device.stats, field) == \
                 getattr(other.device.stats, field)
+        # The batch writes its dirty victims back together: the blocks
+        # written are the same, the calls that carry them only fewer.
+        assert one.device.stats.write_calls < other.device.stats.write_calls
         assert list(one._frames) == list(other._frames)
         assert one._dirty == other._dirty
         for bid, frame in one._frames.items():
