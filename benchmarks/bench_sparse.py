@@ -232,7 +232,8 @@ def _spgemm_run(density: float, all_dense: bool):
             mock.patch.object(kernels, "_expand_pair", counting_expand), \
             mock.patch.object(kernels, "csr_to_dense", counting_densify):
         start = time.perf_counter()
-        c = spgemm(store, a, b)
+        # Working memory the size of the pool, as a session sets it.
+        c = spgemm(store, a, b, 128 * 1024)
         store.flush()
         seconds = time.perf_counter() - start
     paths["dense"] //= 2

@@ -200,25 +200,32 @@ def sparse_tile_pages(tile_rows: float, tile_nnz: float,
 
 
 def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
-                          tile_side: float = DEFAULT_TILE_SIDE) -> dict:
+                          tile_rows: float = DEFAULT_TILE_SIDE,
+                          tile_cols: float | None = None) -> dict:
     """Expected tile-directory statistics of an m x l matrix with ``nnz``
-    uniformly placed nonzeros on a ``tile_side``-square grid.
+    uniformly placed nonzeros on a ``tile_rows x tile_cols`` grid
+    (square when ``tile_cols`` is omitted).
 
     Returns grid dimensions, the probability that a tile is nonempty,
-    the expected nonempty-tile count, and the expected total pages —
-    the quantities every sparse cost model below is built from.
+    the expected nonempty-tile count, the expected nnz, words and pages
+    of a nonempty tile and the expected total pages — the quantities
+    every sparse cost model below is built from.
     """
-    area = tile_side * tile_side
+    if tile_cols is None:
+        tile_cols = tile_rows
+    area = tile_rows * tile_cols
     density = min(1.0, nnz / (m * l)) if m and l else 0.0
-    grid_rows = math.ceil(m / tile_side)
-    grid_cols = math.ceil(l / tile_side)
+    grid_rows = math.ceil(m / tile_rows)
+    grid_cols = math.ceil(l / tile_cols)
     p_nonempty = 1.0 - (1.0 - density) ** area
     n_nonempty = grid_rows * grid_cols * p_nonempty
     avg_nnz = (density * area / p_nonempty) if p_nonempty > 0 else 0.0
-    pages = n_nonempty * sparse_tile_pages(tile_side, avg_nnz, block)
+    tile_pages = sparse_tile_pages(tile_rows, avg_nnz, block)
     return {"grid_rows": grid_rows, "grid_cols": grid_cols,
             "p_nonempty": p_nonempty, "n_nonempty": n_nonempty,
-            "avg_nnz": avg_nnz, "pages": pages}
+            "avg_nnz": avg_nnz,
+            "tile_words": tile_rows + 2.0 + 2.0 * avg_nnz,
+            "tile_pages": tile_pages, "pages": n_nonempty * tile_pages}
 
 
 def spmv_io(m: float, l: float, nnz: float, block: float,
@@ -239,61 +246,164 @@ def spmv_io(m: float, l: float, nnz: float, block: float,
     return prof["pages"] + x_reads + y_writes
 
 
-def spmm_panel_width(memory: float, tile_rows: float, tile_cols: float,
-                     n: float) -> int:
-    """Column-panel width of the SpMM schedule, shared by kernel and model.
+def _panels_touching(p_nonempty: float, grid_rows: int, r: int) -> float:
+    """Expected number of row panels (``r`` block rows each, the last
+    one whatever remains of ``grid_rows``) in which one block column of
+    A holds a nonempty tile — how often the schedules below read the B
+    tile or strip it multiplies."""
+    full, rest = divmod(grid_rows, r)
+    p_empty = 1.0 - p_nonempty
+    return full * (1.0 - p_empty ** r) + (1.0 - p_empty ** rest)
 
-    Memory holds one accumulator panel (tile_rows x pw), one dense B
-    strip (tile_cols x pw) and one CSR tile; the width is rounded down
-    to whole tiles so B reads and C writes stay tile-aligned.
+
+def spmm_panels(memory: float, n: float, tile_rows: float,
+                tile_cols: float, grid_rows: int, a_pages: float,
+                b_blocks: float, a_tile_words: float) -> tuple[int, int]:
+    """Geometry ``(pw, r)`` of the SpMM schedule, shared by kernel and
+    model: column panels ``pw`` wide, row panels of ``r`` block rows.
+
+    Memory holds ``r`` accumulator strips (tile_rows x pw each), one
+    dense B strip (tile_cols x pw) and the A tile being multiplied
+    (``a_tile_words``).  A is re-read once per column panel and B once
+    per row panel, so among the widths that are whole output tiles the
+    pair minimising ``ceil(n / pw) * a_pages + ceil(grid_rows / r) *
+    b_blocks`` wins (the wider panel on a tie); a budget too small for
+    one tile-wide strip per operand still gets ``r = 1`` at one tile.
+    The height is then evened out over the row panels it implies,
+    which costs no I/O and holds less.  The search stops at the first
+    width no accumulator strip fits beside, so its length is set by
+    ``memory / (tile area)``, not by ``n``.
     """
-    pw = (memory - tile_rows * tile_cols) / (tile_rows + tile_cols)
-    pw = max(tile_cols, (pw // tile_cols) * tile_cols)
-    return int(min(n, pw)) if n >= tile_cols else int(n)
+    n = int(n)
+    tile_w = int(min(tile_cols, n))
+    best = None
+    for pw in range(tile_w, n + tile_w, tile_w):
+        pw = min(pw, n)
+        room = memory - tile_cols * pw - a_tile_words
+        if best is not None and room < tile_rows * pw:
+            break               # no row fits, here or any wider
+        r = int(max(1, min(grid_rows, room // (tile_rows * pw))))
+        cost = (math.ceil(n / pw) * a_pages
+                + math.ceil(grid_rows / r) * b_blocks)
+        if best is None or cost <= best[0]:
+            best = (cost, pw, r)
+    _, pw, r = best
+    return pw, math.ceil(grid_rows / math.ceil(grid_rows / r))
+
+
+def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
+               block: float, tile_side: float = DEFAULT_TILE_SIDE
+               ) -> tuple[float, dict]:
+    """``(blocks, geometry)`` of ``C = A B`` with sparse tiled A and
+    dense tiled B: :func:`spmm_io` and the panel shape it counted over.
+
+    A count over :func:`spmm_panels` on the expected tile directory:
+    every nonempty A tile is read once per column panel; per row panel
+    the ``tile_side``-row strip of B under block column ``tj`` is read
+    once iff some held block row has a tile there; C is written once,
+    tile-aligned.
+    """
+    prof = sparse_matrix_profile(m, l, nnz, block, tile_side)
+    b_blocks = l * n / block
+    pw, r = spmm_panels(memory, n, tile_side, tile_side,
+                        prof["grid_rows"], prof["pages"], b_blocks,
+                        tile_side * tile_side)
+    a_reads = math.ceil(n / pw) * prof["pages"]
+    b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
+                                          prof["grid_rows"], r)
+    c_writes = m * n / block
+    return (a_reads + b_reads + c_writes,
+            {"panel_width": pw, "panel_rows": r})
 
 
 def spmm_io(m: float, l: float, n: float, nnz: float, memory: float,
             block: float, tile_side: float = DEFAULT_TILE_SIDE) -> float:
-    """I/O of ``C = A B`` with sparse tiled A and dense tiled B.
+    """I/O of ``C = A B`` with sparse tiled A and dense tiled B (the
+    block count of :func:`spmm_model`)."""
+    return spmm_model(m, l, n, nnz, memory, block, tile_side)[0]
 
-    The schedule sweeps column panels of B: per panel every nonempty A
-    tile is read (A is re-read once per panel) and the matching
-    ``tile_side x pw`` strip of B is read per nonempty A tile; C is
-    written once, tile-aligned.
+
+def spgemm_row_panels(memory: float, acc_words: float,
+                      row_csr_words: list[float], b_tile_words: float
+                      ) -> list[tuple[int, int]]:
+    """Block-row panels ``[lo, hi)`` of the SpGEMM schedule on a real
+    tile directory.
+
+    A panel holds, per block row, one output-tile accumulator
+    (``acc_words``) and the row's A tiles in CSR form
+    (``row_csr_words[ti]``), beside the one B tile being multiplied
+    (``b_tile_words``).  Rows are taken greedily while that fits
+    ``memory`` — never fewer than one, so a budget below a single
+    row's needs degrades to one-row panels instead of failing.
     """
-    prof = sparse_matrix_profile(m, l, nnz, block, tile_side)
-    pw = spmm_panel_width(memory, tile_side, tile_side, n)
-    panels = math.ceil(n / pw)
-    a_reads = panels * prof["pages"]
-    b_reads = prof["n_nonempty"] * tile_side * n / block
-    c_writes = m * n / block
-    return a_reads + b_reads + c_writes
+    panels = []
+    lo, held = 0, b_tile_words
+    for ti, csr_words in enumerate(row_csr_words):
+        need = acc_words + csr_words
+        if ti > lo and held + need > memory:
+            panels.append((lo, ti))
+            lo, held = ti, b_tile_words
+        held += need
+    if row_csr_words:
+        panels.append((lo, len(row_csr_words)))
+    return panels
 
 
-def spgemm_io(m: float, l: float, n: float, nnz_a: float, nnz_b: float,
-              block: float,
-              tile_side: float = DEFAULT_TILE_SIDE) -> float:
-    """I/O of ``C = A B`` with both operands sparse tiled.
+def spgemm_panel_rows(memory: float, acc_words: float,
+                      row_csr_words: float, b_tile_words: float,
+                      grid_rows: int) -> int:
+    """Height of the panels :func:`spgemm_row_panels` cuts when every
+    one of ``grid_rows`` block rows holds the same ``row_csr_words`` —
+    the model's directory — without walking the rows: as many as fit
+    beside the B tile, at least one, at most all."""
+    fit = (memory - b_tile_words) // (acc_words + row_csr_words)
+    return int(max(1, min(grid_rows, fit)))
 
-    For every output tile, each k where A(i,k) and B(k,j) are both
-    nonempty costs one read of each tile; C's nonempty tiles are
+
+def spgemm_model(m: float, l: float, n: float, nnz_a: float,
+                 nnz_b: float, memory: float, block: float,
+                 tiles: tuple[float, float, float] = (DEFAULT_TILE_SIDE,) * 3
+                 ) -> tuple[float, dict]:
+    """``(blocks, geometry)`` of ``C = A B`` with both operands sparse
+    tiled: :func:`spgemm_io` and the panel shape it counted over;
+    ``tiles`` is ``(A tile rows, shared inner side, B tile columns)``.
+
+    A count over the SpGEMM schedule on the expected tile directories
+    (every block row alike, so :func:`spgemm_panel_rows` gives the
+    panels): ``A(i, k)`` is read once iff B's block row ``k`` has a
+    tile at all, ``B(k, j)`` once per row panel in which some held row
+    has a tile in block column ``k``, and C's nonempty tiles are
     written once.  Result density follows the standard independence
     estimate ``1 - (1 - dA dB)^l`` per element.
     """
-    prof_a = sparse_matrix_profile(m, l, nnz_a, block, tile_side)
-    prof_b = sparse_matrix_profile(l, n, nnz_b, block, tile_side)
-    pages_tile_a = sparse_tile_pages(tile_side, prof_a["avg_nnz"], block)
-    pages_tile_b = sparse_tile_pages(tile_side, prof_b["avg_nnz"], block)
-    k_tiles = math.ceil(l / tile_side)
-    out_tiles = math.ceil(m / tile_side) * math.ceil(n / tile_side)
-    pair_p = prof_a["p_nonempty"] * prof_b["p_nonempty"]
-    reads = out_tiles * k_tiles * pair_p * (pages_tile_a + pages_tile_b)
+    th, tk, tw = tiles
+    prof_a = sparse_matrix_profile(m, l, nnz_a, block, th, tk)
+    prof_b = sparse_matrix_profile(l, n, nnz_b, block, tk, tw)
+    grid_rows = prof_a["grid_rows"]
+    r = spgemm_panel_rows(
+        memory, th * tw,
+        prof_a["grid_cols"] * prof_a["p_nonempty"] * prof_a["tile_words"],
+        prof_b["tile_pages"] * block, grid_rows)
+    a_reads = prof_a["pages"] * (
+        1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"])
+    b_reads = prof_b["pages"] * _panels_touching(prof_a["p_nonempty"],
+                                                 grid_rows, r)
     d_a = min(1.0, nnz_a / (m * l))
     d_b = min(1.0, nnz_b / (l * n))
     d_c = 1.0 - (1.0 - d_a * d_b) ** l
     writes = sparse_matrix_profile(m, n, d_c * m * n, block,
-                                   tile_side)["pages"]
-    return reads + writes
+                                   th, tw)["pages"]
+    return (a_reads + b_reads + writes,
+            {"row_panels": math.ceil(grid_rows / r)})
+
+
+def spgemm_io(m: float, l: float, n: float, nnz_a: float, nnz_b: float,
+              memory: float, block: float,
+              tiles: tuple[float, float, float] = (DEFAULT_TILE_SIDE,) * 3
+              ) -> float:
+    """I/O of ``C = A B`` with both operands sparse tiled (the block
+    count of :func:`spgemm_model`)."""
+    return spgemm_model(m, l, n, nnz_a, nnz_b, memory, block, tiles)[0]
 
 
 def matmul_result_density(d_a: float, d_b: float, inner: float) -> float:

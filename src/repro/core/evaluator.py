@@ -370,7 +370,8 @@ class Evaluator:
         if isinstance(op, SparseSpGEMMOp):
             from repro.sparse import spgemm
             return spgemm(self.store, memo[id(node.children[0])],
-                          memo[id(node.children[1])])
+                          memo[id(node.children[1])],
+                          self.memory_scalars)
         if isinstance(op, CrossprodOp):
             a = self._as_tiled_matrix(memo[id(node.children[0])])
             return crossprod_matmul(self.store, a,
@@ -466,7 +467,7 @@ class Evaluator:
             b = self._densified(b)
         if isinstance(a, SparseTiledMatrix):
             if isinstance(b, SparseTiledMatrix):
-                return spgemm(self.store, a, b)
+                return spgemm(self.store, a, b, self.memory_scalars)
             return spmm(self.store, a, b, self.memory_scalars,
                         parallel=self._kernel_parallel())
         b = self._densified(b)

@@ -19,12 +19,12 @@ from .chain_reorder import (ChainReorderPass, build_order,
 from .cse import CSEPass
 from .fold import FoldPass
 from .kernel_select import (KernelSelectPass, clamped_dense_io,
-                            matmul_kernel_costs)
+                            matmul_kernel_costs, sparse_product_cost)
 from .pushdown import PushdownPass
 from .signatures import canon_key, dag_signature, node_attrs
 from .solve import SolveRewritePass
 from .sparsity import (DENSE_THRESHOLD, sparse_stored,
-                       sparse_tile_side, storage_map)
+                       sparse_tile_shape, storage_map)
 from .transpose import TransposePass
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "bottom_up", "build_order", "build_pipeline", "canon_key",
     "chosen_order", "clamped_dense_io", "collect_chain",
     "current_order", "dag_signature", "matmul_kernel_costs",
-    "node_attrs", "sparse_stored", "sparse_tile_side", "storage_map",
+    "node_attrs", "sparse_product_cost", "sparse_stored",
+    "sparse_tile_shape", "storage_map",
 ]
 
 

@@ -11,11 +11,11 @@ operands and writing the result once.
 
 from __future__ import annotations
 
-from ..costs import (DEFAULT_TILE_SIDE, spgemm_io, spmm_io,
+from ..costs import (DEFAULT_TILE_SIDE, spgemm_model, spmm_model,
                      square_tile_matmul_io)
 from ..expr import MatMul, Node
 from .base import Pass, PassContext
-from .sparsity import sparse_stored, sparse_tile_side
+from .sparsity import sparse_stored, sparse_tile_shape
 
 
 def clamped_dense_io(m: float, k: float, n: float, memory: float,
@@ -30,6 +30,38 @@ def clamped_dense_io(m: float, k: float, n: float, memory: float,
     """
     return max(square_tile_matmul_io(m, k, n, memory, block, ratio),
                ratio * (m * k + k * n + m * n) / block)
+
+
+def sparse_product_cost(a: Node, b: Node, dims: tuple[int, int, int],
+                        memory: float, block: float) -> tuple[float, dict]:
+    """Price the ``m x k x n`` product ``a %*% b`` (``a`` sparse-stored)
+    on the sparse kernel its operands select; returns ``(blocks,
+    cost_inputs)``.
+
+    ``dims`` is the caller's own ``(m, k, n)``, so what is priced and
+    recorded is what the caller lowers (the planner's are adjusted for
+    operand flags, which the operand shapes do not show).  This is the
+    one place that reads tile geometry off the operands: A's tile
+    shape gives the row and inner sides, and for sparse x sparse B's
+    own tile width gives the output column side (the two need not be
+    stored on the same grid).  The inputs carry the memory budget and
+    the panel geometry the model's schedule chose from it.
+    """
+    m, k, n = dims
+    th, tk = sparse_tile_shape(a) or (DEFAULT_TILE_SIDE,) * 2
+    inputs: dict = {"m": m, "k": k, "n": n, "nnz_a": a.estimated_nnz,
+                    "memory": memory}
+    if sparse_stored(b):
+        tw = (sparse_tile_shape(b) or (tk, DEFAULT_TILE_SIDE))[1]
+        inputs.update(nnz_b=b.estimated_nnz, tiles=(th, tk, tw))
+        cost, geometry = spgemm_model(
+            m, k, n, a.estimated_nnz, b.estimated_nnz, memory, block,
+            tiles=(th, tk, tw))
+    else:
+        inputs["tile_side"] = th
+        cost, geometry = spmm_model(m, k, n, a.estimated_nnz, memory,
+                                    block, tile_side=th)
+    return cost, {**inputs, **geometry}
 
 
 def matmul_kernel_costs(node: MatMul, memory: float,
@@ -49,17 +81,10 @@ def matmul_kernel_costs(node: MatMul, memory: float,
         return None
     m, k = a.shape
     n = b.shape[1]
-    tile_side = sparse_tile_side(a) or DEFAULT_TILE_SIDE
-    if sparse_stored(b):
-        sparse_cost = spgemm_io(m, k, n, a.estimated_nnz,
-                                b.estimated_nnz, block,
-                                tile_side=tile_side)
-    else:
-        sparse_cost = spmm_io(m, k, n, a.estimated_nnz, memory, block,
-                              tile_side=tile_side)
     # Sparse tiles are not codec-compressed, so only the dense side
     # scales with the storage ratio.
-    return {"sparse": sparse_cost,
+    return {"sparse": sparse_product_cost(a, b, (m, k, n), memory,
+                                          block)[0],
             "dense": clamped_dense_io(m, k, n, memory, block, ratio)}
 
 

@@ -27,17 +27,20 @@ def sparse_stored(node: Node) -> bool:
     return False
 
 
-def sparse_tile_side(node: Node) -> int | None:
-    """Tile side the forced sparse matrix will actually have.
+def sparse_tile_shape(node: Node) -> tuple[int, int] | None:
+    """Tile shape the forced sparse matrix will actually have.
 
-    A SpGEMM result inherits its row-tile side from the left factor,
-    so recursing left reaches the stored leaf.
+    A SpGEMM result takes its tile rows from the left factor and its
+    tile columns from the right one, so recursing down both edges
+    reaches the stored leaves.
     """
     if isinstance(node, ArrayInput):
         tile_shape = getattr(node.data, "tile_shape", None)
-        return tile_shape[0] if tile_shape else None
+        return tuple(tile_shape) if tile_shape else None
     if isinstance(node, MatMul):
-        return sparse_tile_side(node.children[0])
+        left = sparse_tile_shape(node.children[0])
+        right = sparse_tile_shape(node.children[1])
+        return (left[0], right[1]) if left and right else None
     return None
 
 

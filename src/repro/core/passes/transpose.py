@@ -7,8 +7,9 @@ identity; ``t(A %*% B)`` swaps the operands and flips their flags
 transposing tiles in memory); and the symmetric patterns
 ``t(A) %*% A`` / ``A %*% t(A)`` become :class:`Crossprod`, whose kernel
 computes only the upper-triangular output blocks.  Sparse-stored
-operands keep their Transpose — the sparse kernels have no flagged
-variants, so densify-then-transpose stays the fallback.
+operands keep their Transpose, and so does every operand of a product
+pinned to the sparse kernels — they have no flagged variants, so
+materialising the transpose stays the fallback.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class TransposePass(Pass):
 
     # -- t(...) as a product operand -----------------------------------
     def _absorb(self, node: MatMul, ctx: PassContext) -> Node:
+        if node.kernel == "sparse":
+            return node
         a, b = node.children
         ta, tb = node.trans_a, node.trans_b
         changed = False

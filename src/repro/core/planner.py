@@ -18,18 +18,17 @@ the evaluator's expression-tree dispatch is the un-optimized fallback.
 from __future__ import annotations
 
 from .config import OptimizerConfig
-from .costs import (DEFAULT_TILE_SIDE, bnlj_matmul_io,
-                    crossprod_epilogue_io, crossprod_io, gather_io,
-                    inverse_io, matmul_epilogue_io, scatter_io,
-                    solve_op_io, spgemm_io, spmm_io, stream_io,
-                    transpose_materialize_io)
+from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
+                    crossprod_io, gather_io, inverse_io,
+                    matmul_epilogue_io, scatter_io, solve_op_io,
+                    stream_io, transpose_materialize_io)
 from .evaluator import collect_barriers, streamable
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
 from .passes import (build_order, chosen_order, clamped_dense_io,
                      collect_chain, current_order, matmul_kernel_costs,
-                     sparse_stored, sparse_tile_side)
+                     sparse_product_cost, sparse_stored)
 from .passes.base import bottom_up
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
@@ -347,34 +346,19 @@ class Planner:
         sa = a.shape[::-1] if node.trans_a else a.shape
         sb = b.shape[::-1] if node.trans_b else b.shape
         m, k, n = sa[0], sa[1], sb[1]
-        tile_side = sparse_tile_side(a) or DEFAULT_TILE_SIDE
         both_sparse = sparse_stored(a) and sparse_stored(b)
 
         def sparse_op(alternatives=()):
-            # nnz and tile geometry go on the op: sparse predictions
-            # are nnz-driven, so a drifted estimate must be visible in
-            # the explain transcript, not just the final number.
-            if both_sparse:
-                op = SparseSpGEMMOp(
-                    node, (a_op, b_op),
-                    predicted_io=spgemm_io(m, k, n, a.estimated_nnz,
-                                           b.estimated_nnz, blk,
-                                           tile_side=tile_side),
-                    alternatives=list(alternatives))
-                op.cost_inputs = {
-                    "m": m, "k": k, "n": n,
-                    "nnz_a": a.estimated_nnz,
-                    "nnz_b": b.estimated_nnz,
-                    "tile_side": tile_side}
-                return op
-            op = SparseSpMMOp(
-                node, (a_op, b_op),
-                predicted_io=spmm_io(m, k, n, a.estimated_nnz, mem,
-                                     blk, tile_side=tile_side),
+            # nnz, budget and tile geometry go on the op: sparse
+            # predictions are nnz-driven, so a drifted estimate must be
+            # visible in the explain transcript, not just the final
+            # number.
+            predicted, inputs = sparse_product_cost(a, b, (m, k, n),
+                                                    mem, blk)
+            op = (SparseSpGEMMOp if both_sparse else SparseSpMMOp)(
+                node, (a_op, b_op), predicted_io=predicted,
                 alternatives=list(alternatives))
-            op.cost_inputs = {
-                "m": m, "k": k, "n": n,
-                "nnz_a": a.estimated_nnz, "tile_side": tile_side}
+            op.cost_inputs = inputs
             return op
 
         if node.kernel == "sparse" and sparse_stored(a):

@@ -5,9 +5,24 @@ footprint through ``pool.prefetch()`` before reading it, exactly like the
 dense ``square_tile_matmul`` — so the PR-1 scheduler turns the misses into
 a few coalesced device calls without changing block totals.
 
-The analytic twins live in :mod:`repro.core.costs` (``spmv_io``,
-``spmm_io``, ``spgemm_io``); ``tests/sparse`` checks measured-vs-model
-agreement the same way ``tests/linalg`` does for the dense algorithms.
+``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
+memory convention: what a schedule holds between uses — accumulators,
+the held operand, the one streamed tile or strip — stays within the
+``memory_scalars`` it is handed, *beside* the buffer pool (a pair's
+arithmetic temporaries are not counted, as a GEMM's are not).  Both hold
+a panel of A's block rows and stream B past it, so a B tile is read once
+per panel instead of once per block row.  The panel geometry is one pure
+function per kernel in :mod:`repro.core.costs` (``spmm_panels``,
+``spgemm_row_panels``): the kernel calls it with the exact tile
+directory (:func:`spmm_schedule`, :func:`spgemm_schedule`), the
+analytic twin (``spmm_io``, ``spgemm_io``) with the expected one —
+where every block row is alike, so ``spgemm_panel_rows`` gives the
+greedy cut's height without walking them — and ``tests/sparse`` checks
+both: a cold pool's block count equals a count over the schedule, and
+the model lands within 0.8x-1.25x of the measurement.  Every output
+tile still receives its contributions in ascending inner-tile order,
+so results do not depend on the budget, the pool or the panel height.
+``spmv`` keeps one block row at a time (``spmv_io``).
 
 Accounting note: hints are announced in pool-sized batches (see
 :class:`_BatchedHints`), which keeps hinted block totals within a few
@@ -20,12 +35,15 @@ bitwise identical and call counts strictly drop.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.core.costs import spmm_panel_width
+from repro.core.costs import spgemm_row_panels, spmm_panels
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
-from .sparse_matrix import SparseTiledMatrix, csr_matvec, csr_to_dense
+from .sparse_matrix import (SparseTiledMatrix, csr_matvec, csr_to_dense,
+                            tile_words)
 
 _FLOAT = np.float64
 _INT = np.int64
@@ -181,53 +199,109 @@ def _accumulate(parallel, acc, thunks):
     return parallel.accumulate(acc, thunks)
 
 
+class _RowFold:
+    """Fold target that hands each step's product to its own block row.
+
+    :func:`_accumulate` folds ``target += fn()``; here ``fn()`` returns
+    ``(rows, product)`` and the product is added into ``acc[rows]``, so
+    one ordered stream feeds every accumulator of a row panel and each
+    still sums its products in stream order.
+    """
+
+    def __init__(self, acc: np.ndarray) -> None:
+        self.acc = acc
+
+    def __iadd__(self, step) -> "_RowFold":
+        rows, product = step
+        self.acc[rows] += product
+        return self
+
+
+def _row_product(rows: slice, a_tile: np.ndarray, b_strip: np.ndarray):
+    """One :class:`_RowFold` step: ``A(ti, tj) @ strip`` for the block
+    row at ``rows`` of the panel's accumulator."""
+    return lambda: (rows, a_tile @ b_strip)
+
+
+def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
+                  memory_scalars: int) -> tuple[int, int]:
+    """``(pw, r)`` of :func:`spmm` on these operands:
+    :func:`repro.core.costs.spmm_panels` on the exact directory."""
+    th, tk = a.tile_shape
+    return spmm_panels(memory_scalars, b.shape[1], th, tk, a.grid[0],
+                       a.data_pages, b.file.num_pages, th * tk)
+
+
 def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
          memory_scalars: int, name: str | None = None,
          parallel=None) -> TiledMatrix:
-    """``C = A B`` with sparse A and dense tiled B, by column panels.
+    """``C = A B`` with sparse A and dense tiled B, by row panels inside
+    column panels.
 
-    The panel width comes from :func:`repro.core.costs.spmm_panel_width`
-    so the measured schedule and the analytic model stay in lockstep.
-    Within a panel, each block row reads only the nonempty A tiles and
-    the B strips they touch; block rows with no nonzeros write their
-    zero panel without reading anything.  ``parallel`` offloads the
-    per-tile multiplies to worker threads exactly as in the dense
-    kernels (reads stay serial; in-order accumulation).
+    :func:`repro.core.costs.spmm_panels` sizes both from
+    ``memory_scalars``: ``r`` accumulator strips (one per held block
+    row, ``pw`` columns wide), the B strip being multiplied and one
+    densified A tile.  Within a column panel, a row panel walks A's
+    block columns ``tj`` in ascending order; each B strip is read once
+    and multiplied by ``A(ti, tj)`` for every held row that has that
+    tile, so A is read once per column panel and B once per row panel.
+    Each accumulator sums its products in ascending ``tj`` whatever
+    ``r`` is.  Block columns where no held row has a tile read nothing,
+    and a row panel with no nonzeros writes its zeros without reading.
+    ``parallel`` offloads the per-tile multiplies to worker threads
+    exactly as in the dense kernels (reads stay serial; in-order
+    accumulation).
     """
     _check_conformable(a, b)
-    m, l = a.shape
+    m = a.shape[0]
     n = b.shape[1]
-    th, tw = a.tile_shape
-    pw = spmm_panel_width(memory_scalars, th, tw, n)
+    th = a.tile_shape[0]
+    pw, r = spmm_schedule(a, b, memory_scalars)
     out = store.create_matrix((m, n), tile_shape=a.tile_shape,
                               linearization=a.linearization.name,
                               name=name)
     hinting = a.store is store and b.store is store
     for j0 in range(0, n, pw):
         j1 = min(j0 + pw, n)
-        for ti in range(a.grid[0]):
-            with store.tracer.span("spmm:tile_batch", cat="kernel",
-                                   j0=j0, ti=ti):
-                r0 = ti * th
-                r1 = min(r0 + th, m)
-                acc = np.zeros((r1 - r0, j1 - j0), dtype=_FLOAT)
-                tjs = a.nonempty_in_row(ti)
+        for lo in range(0, a.grid[0], r):
+            hi = min(lo + r, a.grid[0])
+            with store.tracer.span("spmm:row_panel", cat="kernel",
+                                   j0=j0, lo=lo, hi=hi):
+                r0 = lo * th
+                acc = np.zeros((min(hi * th, m) - r0, j1 - j0),
+                               dtype=_FLOAT)
+                # Block column -> the held rows with a tile in it.
+                rows_at: dict[int, list[int]] = {}
+                for ti in range(lo, hi):
+                    for tj in a.nonempty_in_row(ti):
+                        rows_at.setdefault(tj, []).append(ti)
+                # The B strip under each of those columns, tj ascending.
+                strips = [(tj, *a.tile_bounds(lo, tj)[2:], j0, j1)
+                          for tj in sorted(rows_at)]
+                # One hint group per read, in read order: a strip of
+                # B, then the held rows' A tiles it multiplies.
                 groups = []
-                for tj in tjs:
-                    _, _, c0, c1 = a.tile_bounds(ti, tj)
-                    groups.append(a.tile_blocks(ti, tj)
-                                  + b.submatrix_blocks(c0, c1, j0, j1))
+                for tj, *strip in strips:
+                    groups.append(b.submatrix_blocks(*strip))
+                    groups.extend(a.tile_blocks(ti, tj)
+                                  for ti in rows_at[tj])
                 hints = _BatchedHints(store.pool, groups, hinting)
 
-                def steps(ti=ti, tjs=tjs, hints=hints, j0=j0, j1=j1):
-                    for idx, tj in enumerate(tjs):
-                        hints.before(idx)
-                        _, _, c0, c1 = a.tile_bounds(ti, tj)
-                        a_tile = a.read_tile(ti, tj)
-                        b_strip = b.read_submatrix(c0, c1, j0, j1)
-                        yield lambda a_t=a_tile, b_s=b_strip: a_t @ b_s
+                def steps(lo=lo, rows_at=rows_at, strips=strips,
+                          hints=hints):
+                    read = itertools.count()
+                    for tj, *strip in strips:
+                        hints.before(next(read))
+                        b_strip = b.read_submatrix(*strip)
+                        for ti in rows_at[tj]:
+                            hints.before(next(read))
+                            a_tile = a.read_tile(ti, tj)
+                            top = (ti - lo) * th
+                            yield _row_product(
+                                slice(top, top + a_tile.shape[0]),
+                                a_tile, b_strip)
 
-                acc = _accumulate(parallel, acc, steps())
+                _accumulate(parallel, _RowFold(acc), steps())
                 out.write_submatrix(r0, j0, acc)
     return out
 
@@ -279,17 +353,48 @@ def _expand_pair(acc, a_indptr, a_data, b_indices, b_data,
               a_data.repeat(counts) * b_data[b_pos])
 
 
+def spgemm_schedule(a: SparseTiledMatrix, b: SparseTiledMatrix,
+                    memory_scalars: int
+                    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """``(needed, panels)`` of :func:`spgemm` on these operands: per
+    block row of A the inner tiles it reads (those that meet a B tile
+    at all), and the row panels ``[lo, hi)``
+    :func:`repro.core.costs.spgemm_row_panels` cuts from the exact
+    directories."""
+    th, tw = a.tile_shape[0], b.tile_shape[1]
+    b_rows = {k for k, _ in b.directory}
+    needed = [[k for k in a.nonempty_in_row(ti) if k in b_rows]
+              for ti in range(a.grid[0])]
+    panels = spgemm_row_panels(
+        memory_scalars, th * tw,
+        [sum(tile_words(th, a.tile_nnz(ti, k)) for k in ks)
+         for ti, ks in enumerate(needed)],
+        max((pages for _, pages, _ in b.directory.values()), default=0)
+        * b.store.scalars_per_block)
+    return needed, panels
+
+
 def spgemm(store: ArrayStore, a: SparseTiledMatrix,
-           b: SparseTiledMatrix,
+           b: SparseTiledMatrix, memory_scalars: int,
            name: str | None = None) -> SparseTiledMatrix:
     """``C = A B`` with both operands sparse; C is built sparse too.
 
     Requires the k-grids to line up (``a`` tile width == ``b`` tile
-    height).  Each output tile multiplies only the k-tiles where both
-    operands are nonempty — the tile directories make that intersection
-    free of I/O — and an all-zero result tile is never written at all.
-    Tile pairs are multiplied from their CSR triples (k ascending) into
-    one dense accumulator per output tile; see :func:`_multiply_pair`.
+    height).  :func:`repro.core.costs.spgemm_row_panels` cuts A's block
+    rows into panels that fit ``memory_scalars``: per held row one
+    dense output-tile accumulator and the row's A tiles as CSR triples,
+    beside the B tile being multiplied.  A panel reads its A tiles once
+    and keeps them; then, one output column ``tj`` at a time, it reads
+    each needed ``B(k, tj)`` once (k ascending) and multiplies it into
+    the accumulator of every held row that has ``A(ti, k)`` — see
+    :func:`_multiply_pair` — and appends the column's finished tiles.
+    So A is read once and B once per panel, and every output tile sums
+    its pairs in ascending k whatever the panel height.  The tile
+    directories decide what is needed without I/O: ``A(ti, k)`` is
+    skipped when B's block row ``k`` is empty, ``B(k, tj)`` when no
+    held row has a tile in block column ``k``, and an all-zero result
+    tile is never written.  Output tiles are appended panel by panel,
+    column by column, rows ascending.
     """
     _check_conformable(a, b)
     if a.tile_shape[1] != b.tile_shape[0]:
@@ -301,21 +406,39 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
         store, name or store._fresh_name("spgemm"), (m, n),
         (a.tile_shape[0], b.tile_shape[1]), a.linearization.name)
     hinting = a.store is store and b.store is store
-    for ti, tj in out.tiles():
-        ks = sorted(set(a.nonempty_in_row(ti))
-                    & set(b.nonempty_in_col(tj)))
-        if not ks:
-            continue
-        with store.tracer.span("spgemm:tile", cat="kernel",
-                               ti=ti, tj=tj, k_tiles=len(ks)):
-            groups = [a.tile_blocks(ti, k) + b.tile_blocks(k, tj)
-                      for k in ks]
-            hints = _BatchedHints(store.pool, groups, hinting)
-            r0, r1, c0, c1 = out.tile_bounds(ti, tj)
-            acc = np.zeros((r1 - r0, c1 - c0), dtype=_FLOAT)
-            for idx, k in enumerate(ks):
+    needed, panels = spgemm_schedule(a, b, memory_scalars)
+    for lo, hi in panels:
+        with store.tracer.span("spgemm:row_panel", cat="kernel",
+                               lo=lo, hi=hi):
+            coords = [(ti, k) for ti in range(lo, hi) for k in needed[ti]]
+            hints = _BatchedHints(
+                store.pool, [a.tile_blocks(ti, k) for ti, k in coords],
+                hinting)
+            held = {}
+            # Inner tile -> the held rows with a tile in it.
+            rows_at: dict[int, list[int]] = {}
+            for idx, (ti, k) in enumerate(coords):
                 hints.before(idx)
-                _multiply_pair(acc, a.read_tile_csr(ti, k),
-                               b.read_tile_csr(k, tj))
-            out.append_tile_dense(ti, tj, acc)
+                # Own, exactly-sized copies: what a read returns is
+                # backed by whole pages, which the budget does not cover.
+                held[ti, k] = tuple(
+                    part.copy() for part in a.read_tile_csr(ti, k))
+                rows_at.setdefault(k, []).append(ti)
+            for tj in range(out.grid[1]):
+                ks = [k for k in b.nonempty_in_col(tj) if k in rows_at]
+                hints = _BatchedHints(
+                    store.pool, [b.tile_blocks(k, tj) for k in ks],
+                    hinting)
+                accs: dict[int, np.ndarray] = {}
+                for idx, k in enumerate(ks):
+                    hints.before(idx)
+                    b_csr = b.read_tile_csr(k, tj)
+                    for ti in rows_at[k]:
+                        if ti not in accs:
+                            r0, r1, c0, c1 = out.tile_bounds(ti, tj)
+                            accs[ti] = np.zeros((r1 - r0, c1 - c0),
+                                                dtype=_FLOAT)
+                        _multiply_pair(accs[ti], held[ti, k], b_csr)
+                for ti in sorted(accs):
+                    out.append_tile_dense(ti, tj, accs[ti])
     return out

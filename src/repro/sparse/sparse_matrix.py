@@ -14,9 +14,9 @@ compressed sparse row (CSR) form:
 - each nonempty tile is serialized as ``[nnz][indptr][indices][data]``
   (all 8-byte words) into whole pages of the matrix's
   :class:`~repro.storage.pagefile.PageFile`,
-- tiles are appended in linearization order, so a scan of the nonempty
-  tiles in grid order produces sequential device I/O exactly like the
-  dense store.
+- :meth:`~SparseTiledMatrix.from_coo` / ``from_dense`` append tiles in
+  linearization order, so a scan of the nonempty tiles in grid order
+  produces sequential device I/O exactly like the dense store.
 
 All reads and writes go through the shared
 :class:`~repro.storage.buffer_pool.BufferPool`, so every block is counted
@@ -104,9 +104,11 @@ class SparseTiledMatrix:
     The tile grid mirrors :class:`TiledMatrix` (same ``tile_shape`` /
     ``grid`` / ``tile_bounds`` geometry), but only nonempty tiles are
     backed by pages.  Instances are write-once: build them with
-    :meth:`from_coo` / :meth:`from_dense` (or stream tiles through
-    :meth:`append_tile`, in linearization order, during construction by
-    a kernel such as ``spgemm``).
+    :meth:`from_coo` / :meth:`from_dense`, which append tiles in
+    linearization order, or stream tiles through :meth:`append_tile`
+    during construction by a kernel — in whatever order its schedule
+    finishes them (``spgemm``: panel by panel, column by column); every
+    reader finds a tile through the directory, never by position.
     """
 
     def __init__(self, store: ArrayStore, name: str,

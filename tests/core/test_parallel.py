@@ -6,14 +6,18 @@ for dependency chains are identical at every worker count, and
 ``explain(analyze=True)`` renders the measured schedule.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OptimizerConfig, RiotSession
+from repro.core.costs import spmm_panels
 from repro.core.parallel import (MAX_WORKERS, PARALLELISM_ENV,
                                  TileParallelism, resolve_parallelism)
+from repro.sparse import kernels
 from repro.storage import StorageConfig
 
 
@@ -61,17 +65,31 @@ class TestBitwiseIdentity:
             assert _values_at(workers, build).tobytes() == ref.tobytes()
 
     def test_sparse_spmm(self, rng):
-        n, nnz = 256, 900
-        flat = rng.choice(n * n, size=nnz, replace=False)
-        dense = rng.standard_normal((n, 32))
+        """Tall enough for two row panels of four block rows: the
+        products of several accumulators share one worker stream, and
+        each accumulator must still fold its own in ascending tj."""
+        m, l, nnz = 1024, 512, 6000
+        flat = rng.choice(m * l, size=nnz, replace=False)
+        dense = rng.standard_normal((l, 128))
+        geometries = []
+
+        def spying_panels(*args):
+            geometries.append(spmm_panels(*args))
+            return geometries[-1]
 
         def build(s):
-            A = s.sparse_matrix(flat // n, flat % n,
-                                np.arange(1.0, nnz + 1.0), (n, n))
+            A = s.sparse_matrix(flat // l, flat % l,
+                                np.arange(1.0, nnz + 1.0), (m, l))
             return A @ s.matrix(dense)
 
-        ref = _values_at(1, build)
-        assert _values_at(4, build).tobytes() == ref.tobytes()
+        with mock.patch.object(kernels, "spmm_panels", spying_panels):
+            ref = _values_at(1, build)
+            for workers in (2, 4):
+                assert _values_at(workers, build).tobytes() == ref.tobytes()
+        assert geometries == [(128, 4)] * 3
+        product = np.zeros((m, l))
+        product[flat // l, flat % l] = np.arange(1.0, nnz + 1.0)
+        assert np.allclose(ref, product @ dense)
 
 
 @settings(max_examples=10, deadline=None)

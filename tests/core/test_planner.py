@@ -104,6 +104,23 @@ class TestKernelChoice:
         plan = s.plan(MatMul(A.node, B.node, kernel="sparse"))
         assert isinstance(plan.root, SparseSpGEMMOp)
 
+    def test_pinned_sparse_keeps_a_transposed_dense_operand(self):
+        """``A %*% t(D)`` pinned sparse, D not square: the sparse
+        kernels take no operand flags, so the transpose is not absorbed
+        (absorbing it used to raise inside the pass) and the product is
+        priced and run at ``n = D.shape[0]``."""
+        s = session()
+        A = s.random_sparse_matrix(512, 256, 0.01, seed=1)
+        D = s.matrix(np.random.default_rng(0)
+                     .standard_normal((64, 256)))
+        node = MatMul(A.node, Transpose(D.node), kernel="sparse")
+        plan = s.plan(node)
+        assert isinstance(plan.root, SparseSpMMOp)
+        assert not plan.root.node.trans_b
+        inputs = plan.root.cost_inputs
+        assert (inputs["m"], inputs["k"], inputs["n"]) == (512, 256, 64)
+        assert np.allclose(s.values(node), A.values() @ D.values().T)
+
     def test_level1_keeps_type_dispatch(self):
         """Heuristic level: a sparse-stored left operand runs the
         sparse kernel, no cost comparison, no alternatives."""
@@ -114,6 +131,42 @@ class TestKernelChoice:
         plan = s.plan((A @ v).node)
         assert isinstance(plan.root, SparseSpMMOp)
         assert not plan.root.alternatives
+
+
+class TestSparseTileGeometry:
+    def test_spgemm_priced_on_both_operands_grids(self):
+        """B stored on 128x64 tiles under an A on 128x128: the output
+        grid and B's pages per tile come from B's own tile width.  Read
+        off A's side alone (square 128s for both) the prediction was
+        1280 blocks against 2302 measured under the old output-tile
+        loop; priced on both grids it lands on the measurement."""
+        from repro.core import ArrayInput, RiotMatrix
+        from repro.sparse import SparseTiledMatrix
+        s = session(mem=16 * 8192)
+        rng = np.random.default_rng(5)
+
+        def stored(shape, tile, name):
+            nnz = int(0.01 * shape[0] * shape[1])
+            flat = rng.choice(shape[0] * shape[1], size=nnz,
+                              replace=False)
+            data = SparseTiledMatrix.from_coo(
+                s.store, flat // shape[1], flat % shape[1],
+                rng.standard_normal(nnz), shape, tile_shape=tile,
+                name=name)
+            return ArrayInput(data, name=name)
+
+        node = MatMul(stored((1024, 1024), (128, 128), "A"),
+                      stored((1024, 1024), (128, 64), "B"))
+        plan = s.plan(node)
+        assert isinstance(plan.root, SparseSpGEMMOp)
+        assert plan.root.cost_inputs["tiles"] == (128, 128, 64)
+        s.store.flush()
+        s.store.pool.clear()
+        s.reset_stats()
+        c = RiotMatrix(s, node).force()
+        s.store.flush()
+        assert c.tile_shape == (128, 64)
+        assert 0.8 <= s.io_stats.total / plan.root.predicted_io <= 1.25
 
 
 class TestChainOrder:

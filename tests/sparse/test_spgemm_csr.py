@@ -1,15 +1,21 @@
-"""CSR-native ``spgemm`` against the densify-and-GEMM loop it replaced.
+"""Row-panel, CSR-native ``spgemm`` against the output-tile loop it
+replaced.
 
 ``spgemm`` multiplies each tile pair from its CSR triples — a join on
 the inner index, then a keyed sum into the output tile's accumulator —
 unless the pair's exact product count says one BLAS GEMM on the
-densified tiles is cheaper.  The contract is that only the arithmetic
-moved: the result is NumPy's, the device and the pool see exactly what
-the old loop showed them, and the bits depend on the operands and the
-tile grid alone.  ``ref_spgemm`` below is the old loop (densify both
-tiles, GEMM every pair), kept as the I/O reference; ``model_spgemm`` is
-the summation order written out one product at a time, kept as the
-bitwise reference.
+densified tiles is cheaper, and it holds a panel of A's block rows so a
+B tile is read once per panel.  The contract is that the numbers did
+not move: the result is NumPy's, every stored tile is the one the old
+loop stored, the bits depend on the operands and the tile grid alone —
+never on the budget that sets the panel height — and the reads are the
+schedule's own count, which is never more than the old loop's one read
+per pair (what a pool big enough to hold B saved the old loop on top of
+that, a panel's A reads can take away: the last fixed case pins it).
+``ref_spgemm`` below is that old loop (one output tile at a time,
+densify both tiles, GEMM every pair), kept as the reference for numbers
+and writes; ``model_spgemm`` is the summation order written out one
+product at a time, kept as the bitwise reference.
 """
 
 from __future__ import annotations
@@ -27,16 +33,20 @@ from repro.sparse import SparseTiledMatrix, kernels, spgemm
 from repro.sparse.sparse_matrix import default_sparse_tile_shape
 from repro.storage import ArrayStore, StorageConfig
 from repro.storage.linearization import linearization_names
+from schedule_counts import (biggest_tile, hints_fit, spgemm_pair_reads,
+                             spgemm_schedule_reads)
 
 BLOCK = 512                  # 64 words per page: the default tile is 32x32
 DEFAULT_SIDE = default_sparse_tile_shape((1 << 20, 1 << 20), BLOCK // 8)[0]
+MEMORY = 4096                # the fixed cases' budget: a few default tiles
 
 
 # ----------------------------------------------------------------------
 # References
 # ----------------------------------------------------------------------
 def ref_spgemm(store, a, b):
-    """The loop ``spgemm`` ran before: same schedule, dense arithmetic."""
+    """The loop ``spgemm`` ran before: one output tile at a time, both
+    tiles of every pair read and densified."""
     out = SparseTiledMatrix(
         store, store._fresh_name("spgemm"), (a.shape[0], b.shape[1]),
         (a.tile_shape[0], b.tile_shape[1]), a.linearization.name)
@@ -151,6 +161,9 @@ def products(draw):
         th=draw(side), tk=draw(side), tw=draw(side),
         linearization=draw(st.sampled_from(linearization_names())),
         capacity=draw(st.integers(4, 64)),   # 4: the store's floor
+        # From "one row per panel" to "the whole of A in one".
+        memory=draw(st.one_of(st.integers(1, 2048),
+                              st.integers(1, 1 << 15))),
         scheduler=draw(st.booleans()),
         seed=draw(st.integers(0, 2 ** 16)))
 
@@ -180,12 +193,6 @@ def _load(store, a_np, b_np, tiles, linearization="row"):
     return a, b
 
 
-def _counters(store: ArrayStore) -> tuple:
-    io = store.device.stats
-    return (io.reads, io.writes, io.bytes_read, io.bytes_written,
-            store.pool.stats.snapshot())
-
-
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
@@ -193,12 +200,20 @@ def _bits(a: np.ndarray) -> bytes:
 # ----------------------------------------------------------------------
 # Properties
 # ----------------------------------------------------------------------
+def _stored(c) -> dict:
+    """Everything a product stores, by tile: pages, nnz and the triple."""
+    return {t: (pages, nnz, [part.tolist() for part in c.read_tile_csr(*t)])
+            for t, (_, pages, nnz) in c.directory.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=products())
 def test_same_numbers_and_same_io_as_the_densify_loop(p):
     """Integer-valued operands make every sum exact, so both loops must
-    store the same tiles on the same pages — and nothing else about the
-    run may differ either."""
+    store the same tiles on as many pages — and the panel schedule's
+    reads are its own count: at most the old loop's one-read-per-pair,
+    and exactly the count when nothing can survive in the pool from one
+    panel to the next."""
     rng = np.random.default_rng(p["seed"])
     tiles = _tiles(p)
     a_np = _operand(rng, (p["m"], p["l"]), tiles[:2], integers=True)
@@ -208,14 +223,40 @@ def test_same_numbers_and_same_io_as_the_densify_loop(p):
     store = _store(p["capacity"], p["scheduler"])
     a, b = _load(store, a_np, b_np, tiles, p["linearization"])
     with counted_paths() as paths:
-        c = spgemm(store, a, b)
-    got_counters = _counters(store)
+        c = spgemm(store, a, b, p["memory"])
+    store.flush()
+    io = store.device.stats.snapshot()
 
     ref_store = _store(p["capacity"], p["scheduler"])
     ref_c = ref_spgemm(ref_store, *_load(ref_store, a_np, b_np, tiles,
                                          p["linearization"]))
-    assert got_counters == _counters(ref_store)
-    assert c.directory == ref_c.directory
+    ref_store.flush()
+    ref_io = ref_store.device.stats.snapshot()
+    assert (io.writes, io.bytes_written) \
+        == (ref_io.writes, ref_io.bytes_written)
+    assert _stored(c) == _stored(ref_c)
+
+    # The old loop read both tiles of every pair; a pool could only
+    # save it some.  The panel schedule never plans more than that and
+    # never reads more than it planned — so wherever the pool saved the
+    # old loop nothing, the new one reads no more than it did.  (Where
+    # it saved the old loop a lot, see the fixed case below.)  ``fit``
+    # is always true with the scheduler off; with it on, a tile over
+    # half the pool has its hint clipped, and a page of it can then be
+    # fetched by the hint and again by the read — twice, never more.
+    planned = spgemm_schedule_reads(a, b, p["memory"])
+    pair_reads = sum(spgemm_pair_reads(a, b))
+    assert planned <= pair_reads
+    needed, panels = kernels.spgemm_schedule(a, b, p["memory"])
+    fit = hints_fit(store, max(biggest_tile(a), biggest_tile(b)))
+    assert fit or p["scheduler"]
+    assert io.reads <= (planned if fit else 2 * planned)
+    if fit and ref_io.reads >= pair_reads:
+        assert io.reads <= ref_io.reads
+    exact = fit and _cold_between_panels(b, needed, panels, p["capacity"])
+    if exact:
+        assert io.reads == planned
+    event(f"panels: {min(len(panels), 3)}, exact: {exact}")
 
     assert paths == expected_paths(a_np, b_np, tiles)
     event(f"csr pairs: {paths['csr'] > 0}, dense pairs: {paths['dense'] > 0}")
@@ -225,14 +266,30 @@ def test_same_numbers_and_same_io_as_the_densify_loop(p):
     assert c.nnz == sum(e[2] for e in c.directory.values())
 
 
+def _cold_between_panels(b, needed, panels, capacity: int) -> bool:
+    """Can no B page be found in the pool by a later panel?  Trivially
+    with one panel; otherwise when every panel streams the same B tiles
+    in the same order and they outnumber the pool twice over (the
+    margin covers a hint batch of half the pool)."""
+    if len(panels) <= 1:
+        return True
+    streamed = [{k for ks in needed[lo:hi] for k in ks} for lo, hi in panels]
+    pages = sum(e[1] for (k, _), e in b.directory.items()
+                if k in streamed[0])
+    return (all(ks == streamed[0] for ks in streamed)
+            and pages - biggest_tile(b) >= 2 * capacity)
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=products(), capacity=st.integers(4, 64),
-       scheduler=st.booleans(), foreign=st.booleans())
+       scheduler=st.booleans(), foreign=st.booleans(),
+       memory=st.integers(1, 1 << 15))
 def test_bits_depend_on_operands_and_grid_only(p, capacity, scheduler,
-                                               foreign):
+                                               foreign, memory):
     """Real-valued operands: the result is bitwise the written-out
     summation order, whatever pool, scheduler or hinting delivered the
-    tiles (operands of a foreign store switch hinting off)."""
+    tiles (operands of a foreign store switch hinting off) and whatever
+    budget set the panel height."""
     rng = np.random.default_rng(p["seed"])
     tiles = _tiles(p)
     a_np = _operand(rng, (p["m"], p["l"]), tiles[:2], integers=False)
@@ -241,12 +298,14 @@ def test_bits_depend_on_operands_and_grid_only(p, capacity, scheduler,
     assert np.allclose(model_spgemm(a_np, b_np, tiles), a_np @ b_np)
 
     store = _store(p["capacity"], p["scheduler"])
-    c = spgemm(store, *_load(store, a_np, b_np, tiles, p["linearization"]))
+    c = spgemm(store, *_load(store, a_np, b_np, tiles, p["linearization"]),
+               p["memory"])
     assert _bits(c.to_numpy()) == want
 
     other = _store(capacity, scheduler)
     home = _store(p["capacity"], p["scheduler"]) if foreign else other
-    c2 = spgemm(other, *_load(home, a_np, b_np, tiles, p["linearization"]))
+    c2 = spgemm(other, *_load(home, a_np, b_np, tiles, p["linearization"]),
+                memory)
     assert _bits(c2.to_numpy()) == want
     if foreign:
         assert other.pool.scheduler.stats.hinted_blocks == 0
@@ -263,7 +322,7 @@ def test_k_is_summed_in_ascending_order():
     b_np = rng.standard_normal((16, 8))
     tiles = (4, 4, 4)
     store = _store(32, True)
-    c = spgemm(store, *_load(store, a_np, b_np, tiles))
+    c = spgemm(store, *_load(store, a_np, b_np, tiles), MEMORY)
     assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
     flipped = model_spgemm(a_np[:, ::-1], b_np[::-1], tiles)
     assert _bits(flipped) != _bits(c.to_numpy())   # the order matters
@@ -284,7 +343,7 @@ def test_one_product_uses_both_paths():
     tiles = (32, 32, 32)
     store = _store(16, True)
     with counted_paths() as paths:
-        c = spgemm(store, *_load(store, a_np, b_np, tiles))
+        c = spgemm(store, *_load(store, a_np, b_np, tiles), MEMORY)
     assert paths == {"csr": 1, "dense": 1} \
         == expected_paths(a_np, b_np, tiles)
     assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
@@ -305,10 +364,48 @@ def test_exact_cancellation_stores_nothing(pad, tk, path, pairs):
     b_np[:2, 0] = [1.0, -1.0]
     store = _store(8, True)
     with counted_paths() as paths:
-        c = spgemm(store, *_load(store, a_np, b_np, (pad, tk, pad)))
+        c = spgemm(store, *_load(store, a_np, b_np, (pad, tk, pad)),
+                   MEMORY)
     assert paths[path] == pairs and sum(paths.values()) == pairs
     assert c.nnz == 0 and not c.directory and c.data_pages == 0
     assert not c.to_numpy().any()
+
+
+@pytest.mark.parametrize("scheduler", [False, True])
+def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
+    """The one regime where row panels read more than the output-tile
+    loop did.  A is tall (8 block rows, 48 pages), B small (12 pages),
+    every tile full, and the 32-frame pool holds B beside one block
+    row of A and the output tile being written: the old loop found B
+    in the pool after the first block row and read everything once.
+    A panel's A reads go through the same pool, so a panel of four
+    rows (24 pages) flushes B and the next panel reads it again:
+    ``pages(A) + panels * pages(B)``, the schedule's own count and the
+    bound in general.  At either end of the budget the loss is gone —
+    one-row panels leave B in the pool as the old loop did, one panel
+    reads it once by construction."""
+    a_np = np.arange(64 * 16, dtype=float).reshape(64, 16) % 7 + 1
+    b_np = np.arange(16 * 16, dtype=float).reshape(16, 16) % 5 + 1
+    tiles = (8, 8, 8)
+
+    def reads_of(product, *budget):
+        store = _store(32, scheduler)
+        a, b = _load(store, a_np, b_np, tiles)
+        assert (a.data_pages, b.data_pages) == (48, 12)
+        c = product(store, a, b, *budget)
+        store.flush()
+        reads = store.device.stats.reads
+        assert np.array_equal(c.to_numpy(), a_np @ b_np)
+        if not budget:
+            return reads
+        return (reads, spgemm_schedule_reads(a, b, *budget),
+                len(kernels.spgemm_schedule(a, b, *budget)[1]))
+
+    assert reads_of(ref_spgemm) == 48 + 12
+    # Room for four rows' accumulators and CSR triples beside a B tile.
+    assert reads_of(spgemm, 1600) == (48 + 2 * 12, 48 + 2 * 12, 2)
+    assert reads_of(spgemm, 1) == (48 + 12, 48 + 8 * 12, 8)
+    assert reads_of(spgemm, 1 << 15) == (48 + 12, 48 + 12, 1)
 
 
 def test_default_tiles_ragged_shape(store):
@@ -323,7 +420,7 @@ def test_default_tiles_ragged_shape(store):
     tiles = (*a.tile_shape, b.tile_shape[1])
     assert tiles == (128, 128, 128)
     with counted_paths() as paths:
-        c = spgemm(store, a, b)
+        c = spgemm(store, a, b, 1 << 17)
     assert paths == expected_paths(a_np, b_np, tiles)
     assert paths["csr"] and paths["dense"]
     assert np.allclose(c.to_numpy(), a_np @ b_np)
