@@ -188,9 +188,7 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                 _fail(op, f"epilogue matrix input shape {mat.shape} "
                           f"!= region shape {node.shape}")
         if isinstance(node, Map):
-            region = classify_epilogue_region(
-                node,
-                lambda n: not isinstance(n, (Map, MatMul, Crossprod)))
+            region = classify_epilogue_region(node)
             if region is None:
                 _fail(op, "region contains nodes the per-submatrix "
                           "epilogue evaluator cannot stream")

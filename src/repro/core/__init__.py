@@ -22,14 +22,13 @@ from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    to_dot, walk)
 from .plan import PhysicalPlan
 from .planner import Planner
-from .rewrite import Rewriter, optimize
 from .session import RiotSession
 
 __all__ = [
     "ArrayInput", "Crossprod", "Evaluator", "Inverse", "Map", "MatMul",
     "Node", "OptimizerConfig", "PhysicalPlan", "Planner", "Range",
     "Reduce", "RiotMatrix", "RiotSession", "RiotVector",
-    "Rewriter", "Scalar", "Solve", "Subscript", "SubscriptAssign",
-    "Transpose", "chain", "costs", "count_nodes", "optimize", "passes",
+    "Scalar", "Solve", "Subscript", "SubscriptAssign",
+    "Transpose", "chain", "costs", "count_nodes", "passes",
     "render", "to_dot", "walk",
 ]

@@ -1,12 +1,14 @@
-"""Optimizer configuration: one dataclass instead of seven flags.
+"""Optimizer configuration: one level, three overrides, two run modes.
 
-``OptimizerConfig`` replaces the ``Rewriter(enable_*)`` flag soup.  The
-``level`` sets the overall posture; every individual decision can still
-be overridden per pass:
+Every level evaluates the same way — the DAG is lowered to a
+:class:`~repro.core.plan.PhysicalPlan` and the evaluator executes it —
+so ``explain`` and ``explain(analyze=True)`` work at each of them.  The
+``level`` sets how much the optimizer may change on the way:
 
-- **level 0** — no optimization at all.  DAGs are executed by the
-  evaluator's expression-tree dispatch exactly as written (the ablation
-  baseline of every benchmark).
+- **level 0** — nothing.  No logical pass runs and the planner lowers
+  each node as written to its default operator (program order,
+  type-driven kernel, no fusion).  The ablation baseline of every
+  benchmark: same executor, no optimizer.
 - **level 1** — logical rewriting only: constant folding, CSE,
   subscript pushdown, transpose absorption and the inv-to-solve
   rewrite run to fixpoint, but physical choices stay heuristic
@@ -17,23 +19,20 @@ be overridden per pass:
   and fuse-vs-materialize per node and picks by the Appendix-A /
   nnz-parameterized I/O models.
 
-``None`` for a per-pass override means "whatever the level implies".
+``pushdown``, ``chain_reorder`` and ``fuse_epilogues`` override what
+the level implies for that one decision (the ablations the benchmarks
+and the README run); ``None`` means "whatever the level implies".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-#: Logical passes (run at level >= 1 unless individually disabled).
-LOGICAL_PASSES = ("fold", "pushdown", "solve_rewrite", "transpose",
-                  "cse")
-#: Cost-based physical decisions (made at level 2 unless disabled).
-PHYSICAL_CHOICES = ("chain_reorder", "kernel_select")
+from dataclasses import dataclass
 
 
 @dataclass
 class OptimizerConfig:
-    """Optimization level plus per-pass overrides (``None`` = default).
+    """Optimization level plus per-decision overrides (``None`` =
+    what the level implies).
 
     ``fuse_epilogues`` is special: at level 1 fusion fires whenever it
     is legal (the old heuristic); at level 2 the planner additionally
@@ -58,16 +57,10 @@ class OptimizerConfig:
     """
 
     level: int = 2
-    fold: bool | None = None
-    cse: bool | None = None
     pushdown: bool | None = None
-    transpose: bool | None = None
-    solve_rewrite: bool | None = None
     chain_reorder: bool | None = None
-    kernel_select: bool | None = None
     fuse_epilogues: bool | None = None
     strict: bool = False
-    max_passes: int = 10
     parallelism: int | None = None
 
     def __post_init__(self) -> None:
@@ -79,54 +72,30 @@ class OptimizerConfig:
                 f"parallelism must be >= 1, got {self.parallelism}")
 
     # -- resolution ----------------------------------------------------
-    def pass_enabled(self, name: str) -> bool:
-        """Is a *logical* pass on under this config?"""
-        override = getattr(self, name)
-        if override is not None:
-            return bool(override)
+    @property
+    def rewrites(self) -> bool:
+        """Do the logical passes run?"""
         return self.level >= 1
 
-    def choice_enabled(self, name: str) -> bool:
-        """Is a *cost-based physical* choice on under this config?"""
-        override = getattr(self, name)
-        if override is not None:
-            return bool(override)
+    @property
+    def costed(self) -> bool:
+        """Are physical choices made by the cost models?"""
         return self.level >= 2
+
+    @property
+    def pushdown_enabled(self) -> bool:
+        if self.pushdown is not None:
+            return bool(self.pushdown)
+        return self.rewrites
+
+    @property
+    def chain_reorder_enabled(self) -> bool:
+        if self.chain_reorder is not None:
+            return bool(self.chain_reorder)
+        return self.costed
 
     @property
     def fusion_enabled(self) -> bool:
         if self.fuse_epilogues is not None:
             return bool(self.fuse_epilogues)
-        return self.level >= 1
-
-    @property
-    def plans(self) -> bool:
-        """Does this config route execution through a PhysicalPlan?
-
-        Level 0 keeps the evaluator's expression-tree dispatch — the
-        un-optimized fallback.
-        """
-        return self.level >= 1
-
-    def with_level(self, level: int) -> "OptimizerConfig":
-        return replace(self, level=level)
-
-    @classmethod
-    def from_legacy_flags(cls, enable_pushdown: bool = True,
-                          enable_chain_reorder: bool = True,
-                          enable_cse: bool = True,
-                          enable_fold: bool = True,
-                          enable_kernel_select: bool = True,
-                          enable_solve_rewrite: bool = True,
-                          enable_transpose_rewrite: bool = True,
-                          max_passes: int = 10) -> "OptimizerConfig":
-        """Map the old ``Rewriter(enable_*)`` kwargs onto a config."""
-        return cls(level=2,
-                   pushdown=enable_pushdown,
-                   chain_reorder=enable_chain_reorder,
-                   cse=enable_cse,
-                   fold=enable_fold,
-                   kernel_select=enable_kernel_select,
-                   solve_rewrite=enable_solve_rewrite,
-                   transpose=enable_transpose_rewrite,
-                   max_passes=max_passes)
+        return self.rewrites

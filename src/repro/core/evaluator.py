@@ -1,6 +1,17 @@
-"""Streaming evaluator: executes optimized DAGs over the tile store.
+"""Plan executor: runs a :class:`PhysicalPlan` over the tile store.
 
-Execution strategy, following §5:
+Every evaluation is a plan.  :meth:`Evaluator.execute` walks the
+plan's operators children first, so by the time an operator runs each
+of its inputs is a lookup in the execution's memo (results keyed by
+logical node) — no operator evaluates a node it was not handed.
+:data:`Evaluator.OP_RUNNERS` is the one table from each
+:class:`~repro.core.plan.PhysOp` subclass to the method that runs it;
+which operator a node becomes (kernel, chain order, fuse or
+materialize) was decided by the planner.  :meth:`Evaluator.force`
+lowers a DAG at optimizer level 0 — as written, no choice enabled —
+and executes that.
+
+What the operators do, following §5:
 
 - **Fused elementwise regions.**  A maximal subtree of Map /
   logical-mask-SubscriptAssign nodes is evaluated one prefetch window
@@ -9,14 +20,14 @@ Execution strategy, following §5:
   result run is written.  No intermediate vector ever exists — the
   loop-fusion / array-contraction behaviour the paper says a
   hand-coder would write.
-- **Gather for subscripts.**  After the rewriter has pushed subscripts to
-  the leaves, ``x[s]`` touches only the chunks containing the selected
-  elements (selective evaluation).  If rewriting is disabled, the source is
-  forced to a temporary first — the exact cost difference the Figure-2
-  ablation bench measures.
-- **Out-of-core matmul.**  MatMul nodes call the Appendix-A square-tile
-  algorithm; chains have already been reordered by the DP.  Transposed
-  operand flags stream the stored tiles and transpose them in memory;
+- **Gather for subscripts.**  After the pushdown pass has moved
+  subscripts to the leaves, ``x[s]`` touches only the chunks containing
+  the selected elements (selective evaluation).  Without it the source
+  is its own operator and is stored first — the exact cost difference
+  the Figure-2 ablation bench measures.
+- **Out-of-core matmul.**  Products run the Appendix-A square-tile
+  algorithm, BNLJ or a sparse kernel, as planned.  Transposed operand
+  flags stream the stored tiles and transpose them in memory;
   ``Crossprod`` runs the symmetric half-the-blocks schedule.
 - **Fused matmul epilogues.**  A matrix Map region fed by exactly one
   MatMul/Crossprod (``alpha * (A %*% B) + C``) is pushed *into* the
@@ -38,40 +49,23 @@ from repro.linalg.matmul import (bnlj_matmul, crossprod_matmul,
                                  square_tile_matmul)
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
-from .expr import (ArrayInput, Crossprod, ELEMENTWISE_OPS, Inverse, Map,
-                   MatMul, Node, Range, Reduce, Scalar, Solve, Subscript,
-                   SubscriptAssign, Transpose, walk)
+from .config import OptimizerConfig
+from .expr import (ArrayInput, Crossprod, ELEMENTWISE_OPS, Map, Node,
+                   Range, Scalar, SubscriptAssign)
 from .parallel import resolve_parallelism
-from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, PhysOp,
-                   PhysicalPlan, SparseSpGEMMOp, SparseSpMMOp,
-                   TileMatMulOp)
+from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
+                   InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
+                   PhysicalPlan, RangeOp, ReduceOp, ScalarOp, ScatterOp,
+                   SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
+                   TransposeOp)
+from .planner import Planner
 
 #: Chunks of lookahead announced to the buffer pool during streaming.
 STREAM_PREFETCH_CHUNKS = 16
 
 
-def streamable(node: Node) -> bool:
-    """Can this node be computed chunk-aligned from its children?"""
-    if isinstance(node, (Scalar, Range, ArrayInput)):
-        return True
-    if isinstance(node, Map):
-        return all(streamable(c) for c in node.children)
-    if isinstance(node, SubscriptAssign) and node.logical_mask:
-        return all(streamable(c) for c in node.children)
-    return False
-
-
-def collect_barriers(node: Node, barriers: list[Node],
-                     seen: set[int]) -> None:
-    """Find maximal non-streamable subtrees under a streaming region."""
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    if streamable(node):
-        for c in node.children:
-            collect_barriers(c, barriers, seen)
-    else:
-        barriers.append(node)
+class MissingInputError(RuntimeError):
+    """An operator ran before one of its inputs was computed."""
 
 
 class Evaluator:
@@ -79,13 +73,11 @@ class Evaluator:
 
     def __init__(self, store: ArrayStore,
                  memory_scalars: int | None = None,
-                 fuse_epilogues: bool = True,
                  strict: bool = False,
                  parallelism: int | None = None) -> None:
         self.store = store
         self.memory_scalars = memory_scalars or (
             store.pool.capacity * store.scalars_per_block)
-        self.fuse_epilogues = fuse_epilogues
         #: Run repro.analysis.planlint.verify_plan before every
         #: execute() (OptimizerConfig(strict=True) sets this).
         self.strict = strict
@@ -98,11 +90,6 @@ class Evaluator:
         self._op_executors: dict[int, object] = {}
         self._tile_parallel = None
         self._serial_kernels = False
-        #: True while executing a PhysicalPlan: fuse-vs-materialize was
-        #: decided by the planner, so the runtime fusion heuristic of
-        #: the tree-dispatch fallback must stay out of the way.
-        self._executing_plan = False
-        self._parent_edges: dict[int, int] = {}
         # Sparse matrix -> its dense twin, so a sparse object consumed
         # by several dense-only contexts is converted (read fully +
         # written as dense tiles) once, not once per consumer.
@@ -162,43 +149,28 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def force(self, node: Node, memo: dict[int, object] | None = None):
-        """Evaluate ``node``; returns TiledVector/TiledMatrix or float.
+    def force(self, node: Node):
+        """Evaluate ``node`` as written; returns TiledVector/TiledMatrix
+        or float.
 
-        The densified-twin cache only needs to live for one evaluation
-        (its job is de-duplicating conversions *within* a DAG): it is
-        cleared on entry and drained again on exit, so a long session
-        never pins the sparse operands it densified — not even the
-        last evaluation's.
+        The DAG is lowered at optimizer level 0 — program order,
+        type-driven kernels, no fusion, nothing rewritten — and the
+        plan executed like any other.
         """
-        self._densified_cache.clear()
-        # Parent-edge counts over the whole root DAG: epilogue fusion
-        # evaluates a region's products and interior Maps without
-        # memoizing them, so it must only fire when *every* consumer of
-        # those nodes sits inside the fused region — otherwise the
-        # multiply would silently run twice.
-        self._parent_edges = {}
-        if self.fuse_epilogues:
-            for n in walk(node):
-                for c in n.children:
-                    self._parent_edges[id(c)] = \
-                        self._parent_edges.get(id(c), 0) + 1
-        memo = memo if memo is not None else {}
-        try:
-            return self._force(node, memo)
-        finally:
-            self._densified_cache.clear()
+        planner = Planner(OptimizerConfig(level=0),
+                          memory_scalars=self.memory_scalars,
+                          block_scalars=self.store.scalars_per_block)
+        return self.execute(planner.plan(node))
 
     # ------------------------------------------------------------------
     # Physical-plan execution
     # ------------------------------------------------------------------
-    def execute(self, plan: PhysicalPlan,
-                memo: dict[int, object] | None = None, *,
-                cold: bool = False):
+    def execute(self, plan: PhysicalPlan, *, cold: bool = False):
         """Execute a :class:`PhysicalPlan` operator by operator.
 
         Children run before their parents; results are memoized by
-        logical node, so shared subplans run once.  Around each
+        logical node in a memo this execution owns, so shared
+        subplans run once per execution.  Around each
         operator's own work the device and pool counters are sampled
         and the full deltas recorded — ``op.measured`` (IOStats:
         blocks, bytes, syscalls, read/write ns), ``op.pool_measured``
@@ -230,30 +202,34 @@ class Evaluator:
         a parallel schedule for a cold run.
         """
         self._verify_strict(plan)
-        memo = memo if memo is not None else {}
         for op in plan.ops():
             op.measured_io = None
             op.measured = None
             op.pool_measured = None
             op.wall_ns = None
+        # The densified-twin cache de-duplicates conversions *within*
+        # one execution: cleared on entry and drained again on exit, so
+        # a long session never pins the sparse operands it densified —
+        # not even the last evaluation's.
         self._densified_cache.clear()
-        self._executing_plan = True
         if cold:
             self.store.pool.clear()
         try:
             with self.store.tracer.span(
                     f"execute:level{plan.level}", cat="session"):
                 if cold or self.parallelism <= 1:
-                    result = self._exec_op(plan.root, memo, set())
+                    memo: dict[int, object] = {}
+                    for op in plan.ops():
+                        self._exec_op(op, memo)
+                    result = memo[id(plan.root.node)]
                 else:
                     result = self._plan_executor(
-                        self.parallelism).execute(plan, memo)
+                        self.parallelism).execute(plan)
                 if cold:
                     self._flush_into_root(plan.root)
             plan.executed = True
             return result
         finally:
-            self._executing_plan = False
             self._densified_cache.clear()
 
     def _verify_strict(self, plan: PhysicalPlan) -> None:
@@ -265,8 +241,7 @@ class Evaluator:
         verify_plan(plan, memory_scalars=self.memory_scalars,
                     block_scalars=self.store.scalars_per_block)
 
-    def execute_parallel(self, plan: PhysicalPlan,
-                         memo: dict[int, object] | None = None, *,
+    def execute_parallel(self, plan: PhysicalPlan, *,
                          cold: bool = False,
                          workers: int | None = None):
         """Execute a plan on the worker pool, recording its schedule.
@@ -281,22 +256,19 @@ class Evaluator:
         ``explain(analyze=True)``'s dual run.
         """
         self._verify_strict(plan)
-        memo = memo if memo is not None else {}
         w = (self.parallelism if workers is None
              else resolve_parallelism(workers))
         self._densified_cache.clear()
-        self._executing_plan = True
         if cold:
             self.store.pool.clear()
         try:
             with self.store.tracer.span(
                     f"execute:level{plan.level}", cat="session"):
-                result = self._plan_executor(w).execute(plan, memo)
+                result = self._plan_executor(w).execute(plan)
                 if cold:
                     self.store.pool.flush_all()
             return result
         finally:
-            self._executing_plan = False
             self._densified_cache.clear()
 
     def _flush_into_root(self, root: PhysOp) -> None:
@@ -322,12 +294,7 @@ class Evaluator:
         if root.wall_ns is not None:
             root.wall_ns += time.perf_counter_ns() - start_ns
 
-    def _exec_op(self, op: PhysOp, memo: dict[int, object],
-                 done: set[int]):
-        if id(op) in done:
-            return memo[id(op.node)]
-        for c in op.children:
-            self._exec_op(c, memo, done)
+    def _exec_op(self, op: PhysOp, memo: dict[int, object]) -> None:
         # Each operator's own work runs sequentially between these
         # snapshots (children already done), so per-op deltas sum
         # exactly to the session totals — the invariant the obs
@@ -341,138 +308,80 @@ class Evaluator:
         op.measured = self.store.device.stats.delta(io_before)
         op.pool_measured = self.store.pool.stats.delta(pool_before)
         op.measured_io = op.measured.total
-        done.add(id(op))
         memo[id(op.node)] = result
-        return result
 
     def _dispatch_op(self, op: PhysOp, memo: dict[int, object]):
-        """Run one operator's own work (children already in memo)."""
-        node = op.node
-        if isinstance(op, (TileMatMulOp, BnljOp)):
-            a = self._as_tiled_matrix(memo[id(node.children[0])])
-            b = self._as_tiled_matrix(memo[id(node.children[1])])
-            if isinstance(op, BnljOp):
-                return bnlj_matmul(self.store, a, b,
-                                   self.memory_scalars,
-                                   trans_a=node.trans_a,
-                                   trans_b=node.trans_b)
-            return square_tile_matmul(self.store, a, b,
-                                      self.memory_scalars,
-                                      trans_a=node.trans_a,
-                                      trans_b=node.trans_b,
-                                      parallel=self._kernel_parallel())
-        if isinstance(op, SparseSpMMOp):
-            from repro.sparse import spmm
-            a = memo[id(node.children[0])]
-            b = self._densified(memo[id(node.children[1])])
-            return spmm(self.store, a, b, self.memory_scalars,
-                        parallel=self._kernel_parallel())
-        if isinstance(op, SparseSpGEMMOp):
-            from repro.sparse import spgemm
-            return spgemm(self.store, memo[id(node.children[0])],
-                          memo[id(node.children[1])],
-                          self.memory_scalars)
-        if isinstance(op, CrossprodOp):
-            a = self._as_tiled_matrix(memo[id(node.children[0])])
-            return crossprod_matmul(self.store, a,
-                                    self.memory_scalars,
-                                    t_first=node.t_first,
-                                    parallel=self._kernel_parallel())
-        if isinstance(op, FusedEpilogueOp):
-            return self._run_epilogue(node, op.barrier,
-                                      op.matrix_nodes,
-                                      op.scalar_nodes, memo)
-        # Everything else (leaves, streams, gathers, scatters,
-        # reductions, solves, inverses, transposes) executes through
-        # the tree machinery; its barriers are already memoized, so
-        # only this operator's own work happens here.
-        return self._force(node, memo)
+        """Run one operator's own work (inputs already in ``memo``)."""
+        return self.OP_RUNNERS[type(op)](self, op, memo)
 
-    def _force(self, node: Node, memo: dict[int, object]):
-        if id(node) in memo:
+    @staticmethod
+    def _input(node: Node, memo: dict[int, object]):
+        """The computed value of an operator's input node."""
+        try:
             return memo[id(node)]
-        result = self._force_inner(node, memo)
-        memo[id(node)] = result
-        return result
+        except KeyError:
+            raise MissingInputError(
+                f"input {node.label()} has not been computed: "
+                "operators run children first and never evaluate a "
+                "node themselves") from None
 
-    def _force_inner(self, node: Node, memo: dict[int, object]):
-        if isinstance(node, Scalar):
-            return node.value
-        if isinstance(node, ArrayInput):
-            return node.data
-        if isinstance(node, Reduce):
-            return self._force_reduce(node, memo)
-        if isinstance(node, Subscript):
-            return self._force_subscript(node, memo)
-        if isinstance(node, MatMul):
-            a = self._force(node.children[0], memo)
-            b = self._force(node.children[1], memo)
-            return self._dispatch_matmul(node, a, b)
-        if isinstance(node, Crossprod):
-            a = self._as_tiled_matrix(self._force(node.children[0],
-                                                  memo))
-            return crossprod_matmul(self.store, a, self.memory_scalars,
-                                    t_first=node.t_first,
-                                    parallel=self._kernel_parallel())
-        if isinstance(node, Solve):
-            return self._force_solve(node, memo)
-        if isinstance(node, Inverse):
-            return self._force_inverse(node, memo)
-        if isinstance(node, Transpose):
-            return self._force_transpose(node, memo)
-        if isinstance(node, SubscriptAssign) and not node.logical_mask:
-            return self._force_scatter(node, memo)
+    def _run_leaf(self, op: LeafOp, memo: dict[int, object]):
+        return op.node.data
+
+    def _run_scalar(self, op: ScalarOp, memo: dict[int, object]):
+        return op.node.value
+
+    def _run_map(self, op: MapOp, memo: dict[int, object]):
+        node = op.node
         if node.ndim == 1:
-            return self._stream_vector(node, memo)
+            return self._stream_vector(op, memo)
         if node.ndim == 2:
-            if self.fuse_epilogues and not self._executing_plan \
-                    and isinstance(node, Map):
-                fused = self._try_fused_epilogue(node, memo)
-                if fused is not None:
-                    return fused
-            return self._stream_matrix(node, memo)
-        if node.ndim == 0:
-            # Scalar-valued Map over reductions/constants.
-            values = [self._force(c, memo) for c in node.children]
-            if isinstance(node, Map):
-                return float(ELEMENTWISE_OPS[node.op](*values))
-        raise NotImplementedError(
-            f"cannot evaluate node {type(node).__name__}")
+            return self._stream_matrix(op, memo)
+        # Scalar-valued Map over reductions/constants.
+        return float(ELEMENTWISE_OPS[node.op](
+            *[self._input(c, memo) for c in node.children]))
 
     # ------------------------------------------------------------------
-    # Matrix multiplication dispatch (dense and sparse kernels)
+    # Matrix multiplication (dense and sparse kernels)
     # ------------------------------------------------------------------
-    def _dispatch_matmul(self, node: MatMul, a, b):
-        """Route a forced ``%*%`` to the right kernel.
-
-        The rewriter's cost-model verdict (``node.kernel``) wins;
-        ``auto`` falls back to type-driven dispatch: sparse x sparse
-        runs SpGEMM, sparse x dense runs SpMM, and a sparse *right*
-        operand under a dense left one is densified (no dense x sparse
-        kernel exists — the cost models treat that case as dense).
-        Transposed operand flags force the dense flagged kernel (tiles
-        are transposed in memory as they stream, so no transposed copy
-        — dense or sparse — ever exists on disk).
-        """
-        from repro.sparse import SparseTiledMatrix, spgemm, spmm
-        if node.trans_a or node.trans_b:
-            return square_tile_matmul(
-                self.store, self._as_tiled_matrix(a),
-                self._as_tiled_matrix(b), self.memory_scalars,
-                trans_a=node.trans_a, trans_b=node.trans_b,
-                parallel=self._kernel_parallel())
-        kernel = getattr(node, "kernel", "auto")
-        if kernel == "dense":
-            a = self._densified(a)
-            b = self._densified(b)
-        if isinstance(a, SparseTiledMatrix):
-            if isinstance(b, SparseTiledMatrix):
-                return spgemm(self.store, a, b, self.memory_scalars)
-            return spmm(self.store, a, b, self.memory_scalars,
-                        parallel=self._kernel_parallel())
-        b = self._densified(b)
+    def _run_matmul(self, op: TileMatMulOp | BnljOp,
+                    memo: dict[int, object]):
+        """Dense product.  Transposed operand flags are honoured by
+        both kernels (tiles are transposed in memory as they stream,
+        so no transposed copy ever exists on disk); a sparse operand
+        is densified first — no dense x sparse kernel exists."""
+        node = op.node
+        a = self._as_tiled_matrix(self._input(node.children[0], memo))
+        b = self._as_tiled_matrix(self._input(node.children[1], memo))
+        if isinstance(op, BnljOp):
+            return bnlj_matmul(self.store, a, b, self.memory_scalars,
+                               trans_a=node.trans_a,
+                               trans_b=node.trans_b)
         return square_tile_matmul(self.store, a, b, self.memory_scalars,
+                                  trans_a=node.trans_a,
+                                  trans_b=node.trans_b,
                                   parallel=self._kernel_parallel())
+
+    def _run_spmm(self, op: SparseSpMMOp, memo: dict[int, object]):
+        from repro.sparse import spmm
+        a, b = op.node.children
+        return spmm(self.store, self._input(a, memo),
+                    self._densified(self._input(b, memo)),
+                    self.memory_scalars,
+                    parallel=self._kernel_parallel())
+
+    def _run_spgemm(self, op: SparseSpGEMMOp, memo: dict[int, object]):
+        from repro.sparse import spgemm
+        a, b = op.node.children
+        return spgemm(self.store, self._input(a, memo),
+                      self._input(b, memo), self.memory_scalars)
+
+    def _run_crossprod(self, op: CrossprodOp, memo: dict[int, object]):
+        node = op.node
+        a = self._as_tiled_matrix(self._input(node.children[0], memo))
+        return crossprod_matmul(self.store, a, self.memory_scalars,
+                                t_first=node.t_first,
+                                parallel=self._kernel_parallel())
 
     def _densified(self, data):
         """Dense view of a forced matrix for tile-streaming consumers.
@@ -501,7 +410,7 @@ class Evaluator:
         return self.store.matrix_from_numpy(
             np.asarray(data, dtype=np.float64), layout="square")
 
-    def _force_solve(self, node: Solve, memo: dict[int, object]):
+    def _run_solve(self, op: LUSolveOp, memo: dict[int, object]):
         """``solve(A, B)``: pivoted out-of-core LU + blocked substitution.
 
         The factor streams from the tile store; the right-hand side is
@@ -512,8 +421,9 @@ class Evaluator:
         from repro.core.costs import lu_panel_width
         from repro.linalg.lu import lu_decompose
         from repro.linalg.solve import lu_solve_factored
-        a = self._as_tiled_matrix(self._force(node.children[0], memo))
-        b = self._densified(self._force(node.children[1], memo))
+        node = op.node
+        a = self._as_tiled_matrix(self._input(node.children[0], memo))
+        b = self._densified(self._input(node.children[1], memo))
         factors = lu_decompose(self.store, a, self.memory_scalars)
         try:
             if node.ndim == 1:
@@ -538,8 +448,8 @@ class Evaluator:
         finally:
             factors.drop()
 
-    def _force_inverse(self, node: Inverse,
-                       memo: dict[int, object]) -> TiledMatrix:
+    def _run_inverse(self, op: InverseOp,
+                     memo: dict[int, object]) -> TiledMatrix:
         """Materialize ``inv(A)``: factor once, then substitute one
         memory-sized column panel of the identity at a time.
 
@@ -549,7 +459,8 @@ class Evaluator:
         from repro.core.costs import lu_panel_width
         from repro.linalg.lu import lu_decompose
         from repro.linalg.solve import lu_solve_factored
-        a = self._as_tiled_matrix(self._force(node.children[0], memo))
+        node = op.node
+        a = self._as_tiled_matrix(self._input(node.children[0], memo))
         n = node.shape[0]
         factors = lu_decompose(self.store, a, self.memory_scalars)
         out = self.store.create_matrix((n, n), layout="square")
@@ -567,14 +478,6 @@ class Evaluator:
         finally:
             factors.drop()
         return out
-
-    # ------------------------------------------------------------------
-    # Streamability analysis lives in the module-level streamable() /
-    # collect_barriers() functions, shared with the planner.
-    # ------------------------------------------------------------------
-    def _collect_barriers(self, node: Node, barriers: list[Node],
-                          seen: set[int]) -> None:
-        collect_barriers(node, barriers, seen)
 
     # ------------------------------------------------------------------
     # Fused elementwise streaming
@@ -639,17 +542,6 @@ class Evaluator:
         if keys:
             self.store.pool.prefetch(keys)
 
-    def _force_barriers(self, roots: tuple[Node, ...],
-                        memo: dict[int, object]) -> None:
-        """Materialize the maximal non-streamable subtrees (gathers,
-        matmuls, ...) under ``roots`` into ``memo``."""
-        barriers: list[Node] = []
-        seen: set[int] = set()
-        for root in roots:
-            self._collect_barriers(root, barriers, seen)
-        for barrier in barriers:
-            self._force(barrier, memo)
-
     def _stream_spans(self, node: Node, memo: dict[int, object]
                       ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(first_chunk, values)`` of 1-D ``node``, one prefetch
@@ -657,7 +549,8 @@ class Evaluator:
 
         Per window: announce the sources' chunks, walk the expression
         once over the window's element range, hand the values on.  The
-        caller has forced the barriers (``_force_barriers``).
+        region's barriers (gathers, matmuls, ...) are child operators:
+        their results are in ``memo``.
         """
         n = node.shape[0]
         chunk = self.store.scalars_per_block
@@ -673,9 +566,9 @@ class Evaluator:
                 values = np.full(hi - lo, float(values))
             yield c0, np.asarray(values)
 
-    def _stream_vector(self, node: Node,
+    def _stream_vector(self, op: MapOp | RangeOp,
                        memo: dict[int, object]) -> TiledVector:
-        self._force_barriers(node.children, memo)
+        node = op.node
         out = self.store.create_vector(node.shape[0])
         for c0, values in self._stream_spans(node, memo):
             out.write_chunk(c0, values)
@@ -720,30 +613,25 @@ class Evaluator:
             base = self._eval_span(node.base, lo, hi, memo, span)
             value = self._eval_span(node.value, lo, hi, memo, span)
             return np.where(np.asarray(mask, dtype=bool), value, base)
-        # Barrier node that was pre-forced into memo.
-        forced = self._force(node, memo)
-        if isinstance(forced, TiledVector):
-            return forced.read_range(lo, hi)
-        return forced
+        # A barrier: computed by its own operator, or not at all.
+        return self._input(node, memo)
 
     # ------------------------------------------------------------------
     # Subscript (gather) — selective evaluation
     # ------------------------------------------------------------------
-    def _force_subscript(self, node: Subscript,
-                         memo: dict[int, object]) -> TiledVector:
+    def _run_gather(self, op: GatherOp,
+                    memo: dict[int, object]) -> TiledVector:
+        node = op.node
         index = self._index_values(node.index, memo)
         src = node.src
-        if isinstance(src, ArrayInput) and isinstance(src.data,
-                                                      TiledVector):
-            gathered = src.data.gather(index - 1)
-        elif isinstance(src, Range):
+        if isinstance(src, Range):
             gathered = (index - 1 + src.lo).astype(np.float64)
         else:
-            forced = self._force(src, memo)
-            if isinstance(forced, TiledVector):
-                gathered = forced.gather(index - 1)
+            stored = self._input(src, memo)
+            if isinstance(stored, TiledVector):
+                gathered = stored.gather(index - 1)
             else:
-                gathered = np.asarray(forced)[index - 1]
+                gathered = np.asarray(stored)[index - 1]
         return self.store.vector_from_numpy(gathered)
 
     def _index_values(self, node: Node,
@@ -751,19 +639,20 @@ class Evaluator:
         """1-based integer index values of an index expression."""
         if isinstance(node, Range):
             return np.arange(node.lo, node.hi + 1, dtype=np.int64)
-        forced = self._force(node, memo)
-        if isinstance(forced, TiledVector):
-            return forced.to_numpy().astype(np.int64)
-        return np.asarray(forced).astype(np.int64)
+        stored = self._input(node, memo)
+        if isinstance(stored, TiledVector):
+            return stored.to_numpy().astype(np.int64)
+        return np.asarray(stored).astype(np.int64)
 
-    def _force_scatter(self, node: SubscriptAssign,
-                       memo: dict[int, object]) -> TiledVector:
+    def _run_scatter(self, op: ScatterOp,
+                     memo: dict[int, object]) -> TiledVector:
         """Positional ``b[s] <- v``: copy-on-write then random scatter."""
-        base = self._force(node.base, memo)
+        node = op.node
+        base = self._input(node.base, memo)
         if not isinstance(base, TiledVector):
             raise NotImplementedError("scatter base must be a vector")
         index = self._index_values(node.index, memo)
-        value = self._force(node.value, memo)
+        value = self._input(node.value, memo)
         if isinstance(value, TiledVector):
             values = value.to_numpy()
         elif np.ndim(value) == 0:
@@ -782,10 +671,14 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Reductions / matrices
     # ------------------------------------------------------------------
-    def _force_reduce(self, node: Reduce, memo: dict[int, object]):
+    def _run_reduce(self, op: ReduceOp, memo: dict[int, object]):
+        node = op.node
         child = node.children[0]
+        if child.ndim == 0:
+            # sum / mean / min / max of one value is that value.
+            return float(self._input(child, memo))
         if child.ndim == 2:
-            data = self._force(child, memo)
+            data = self._input(child, memo)
             acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
             for ti, tj in data.tiles():
                 tile = data.read_tile(ti, tj)
@@ -794,7 +687,6 @@ class Evaluator:
                 acc_max = max(acc_max, float(tile.max()))
                 count += tile.size
         else:
-            self._force_barriers((child,), memo)
             # Partials fold per chunk of the store's grid, in chunk
             # order, so the result's bits do not depend on the window.
             chunk_len = self.store.scalars_per_block
@@ -814,22 +706,23 @@ class Evaluator:
             return acc_min
         return acc_max
 
-    def _stream_matrix(self, node: Node,
+    def _stream_matrix(self, op: MapOp,
                        memo: dict[int, object]) -> TiledMatrix:
         """Tile-aligned elementwise evaluation for matrix Maps."""
+        node = op.node
         if not isinstance(node, Map):
             raise NotImplementedError(
                 f"cannot stream matrix node {type(node).__name__}")
         inputs = []
         for c in node.children:
             if c.shape == ():
-                inputs.append(self._force(c, memo))
+                inputs.append(self._input(c, memo))
             else:
-                forced = self._densified(self._force(c, memo))
-                if not isinstance(forced, TiledMatrix):
+                stored = self._densified(self._input(c, memo))
+                if not isinstance(stored, TiledMatrix):
                     raise NotImplementedError(
                         "matrix operands must be stored matrices")
-                inputs.append(forced)
+                inputs.append(stored)
         template = next(i for i in inputs if isinstance(i, TiledMatrix))
         out = self.store.create_matrix(
             node.shape, tile_shape=template.tile_shape,
@@ -850,78 +743,21 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Fused matmul epilogues
     # ------------------------------------------------------------------
-    def _try_fused_epilogue(self, node: Map, memo: dict[int, object]):
-        """Runtime fuse-or-not for the tree-dispatch fallback.
-
-        When the Map region is fed by exactly one MatMul/Crossprod that
-        will run a dense kernel, the whole scalar expression tree is
-        applied to each output submatrix while it is memory-resident
-        and written once: the raw product never exists on disk.
-        Returns the result matrix, or ``None`` to fall back to the
-        materialize-then-stream path (sparse plans, multiple barriers,
-        non-conforming shapes).  Plans built by the
-        :class:`~repro.core.planner.Planner` make this decision at
-        plan time instead, with both alternatives costed.
-        """
-        from .planner import classify_epilogue_region
-        region = classify_epilogue_region(
-            node, lambda n: isinstance(n, ArrayInput),
-            memo_ids=set(memo))
-        if region is None:
-            return None
-        barriers, matrix_nodes, scalar_nodes, region_edges = region
-        if len(barriers) != 1:
-            return None
-        barrier = barriers[0]
-        if barrier.shape != node.shape:
-            return None
-        for nid, edges in region_edges.items():
-            if edges < self._parent_edges.get(nid, 0):
-                # The product — or an interior Map on the way to it —
-                # has consumers outside this region; fusing (which
-                # memoizes neither) would make them recompute the
-                # multiply.
-                return None
-        if isinstance(barrier, MatMul):
-            if barrier.kernel == "sparse":
-                return None
-            a = self._force(barrier.children[0], memo)
-            from repro.sparse import SparseTiledMatrix
-            if (barrier.kernel == "auto"
-                    and not (barrier.trans_a or barrier.trans_b)
-                    and isinstance(a, SparseTiledMatrix)):
-                return None  # SpMM/SpGEMM dispatch wins; no dense fusion
-        for n in matrix_nodes:
-            forced = self._as_tiled_matrix(self._force(n, memo))
-            if forced.shape != node.shape:
-                return None
-        return self._run_epilogue(node, barrier, matrix_nodes,
-                                  scalar_nodes, memo)
-
-    def _run_epilogue(self, node: Map, barrier: Node,
-                      matrix_nodes: list[Node],
-                      scalar_nodes: list[Node],
+    def _run_epilogue(self, op: FusedEpilogueOp,
                       memo: dict[int, object]) -> TiledMatrix:
-        """Run a fused epilogue region (legality already established).
-
-        Shared by the runtime heuristic above and by
-        :class:`~repro.core.plan.FusedEpilogueOp` execution; operand
-        and input forcing hits the memo when a plan pre-executed them.
-        """
-        if isinstance(barrier, MatMul):
-            operands = (
-                self._as_tiled_matrix(
-                    self._force(barrier.children[0], memo)),
-                self._as_tiled_matrix(
-                    self._force(barrier.children[1], memo)))
-        else:
-            operands = (self._as_tiled_matrix(
-                self._force(barrier.children[0], memo)),)
+        """Run a fused epilogue region: the whole scalar expression
+        tree is applied to each output submatrix of the product while
+        it is memory-resident and written once.  Legality (one dense
+        barrier, conforming shapes, no outside consumer of the
+        product) was established by the planner."""
+        node, barrier = op.node, op.barrier
+        operands = [self._as_tiled_matrix(self._input(c, memo))
+                    for c in barrier.children]
         inputs: dict[int, TiledMatrix] = {
-            id(n): self._as_tiled_matrix(self._force(n, memo))
-            for n in matrix_nodes}
-        values = {id(n): float(self._force(n, memo))
-                  for n in scalar_nodes}
+            id(n): self._as_tiled_matrix(self._input(n, memo))
+            for n in op.matrix_nodes}
+        values = {id(n): float(self._input(n, memo))
+                  for n in op.scalar_nodes}
 
         def epilogue(r0: int, c0: int, block: np.ndarray) -> np.ndarray:
             r1 = r0 + block.shape[0]
@@ -954,17 +790,18 @@ class Evaluator:
                                   epilogue_inputs=len(inputs),
                                   parallel=self._kernel_parallel())
 
-    def _force_transpose(self, node: Transpose,
-                         memo: dict[int, object]) -> TiledMatrix:
-        """Materialize a *bare* transpose (one read + one write pass).
+    def _run_transpose(self, op: TransposeOp,
+                       memo: dict[int, object]) -> TiledMatrix:
+        """Materialize a transpose (one read + one write pass).
 
-        The rewriter eliminates transposes that feed products, so this
-        fallback only runs for explicitly forced ``t(A)``.  The output
+        The transpose pass absorbs transposes that feed products, so
+        above level 0 this only runs for a bare ``t(A)``.  The output
         keeps the source's linearization and carries its name, so a
         stored transpose is as recognizable — and its scans as
         sequential — as the array it came from.
         """
-        src = self._densified(self._force(node.children[0], memo))
+        node = op.node
+        src = self._densified(self._input(node.children[0], memo))
         out = self.store.create_matrix(
             node.shape, tile_shape=src.tile_shape[::-1],
             linearization=src.linearization.name,
@@ -974,3 +811,23 @@ class Evaluator:
             out.write_submatrix(c0, r0,
                                 src.read_submatrix(r0, r1, c0, c1).T)
         return out
+
+    #: The one place that maps an operator to the code that runs it.
+    OP_RUNNERS = {
+        LeafOp: _run_leaf,
+        ScalarOp: _run_scalar,
+        RangeOp: _stream_vector,
+        MapOp: _run_map,
+        GatherOp: _run_gather,
+        ScatterOp: _run_scatter,
+        ReduceOp: _run_reduce,
+        TileMatMulOp: _run_matmul,
+        BnljOp: _run_matmul,
+        CrossprodOp: _run_crossprod,
+        SparseSpMMOp: _run_spmm,
+        SparseSpGEMMOp: _run_spgemm,
+        LUSolveOp: _run_solve,
+        InverseOp: _run_inverse,
+        TransposeOp: _run_transpose,
+        FusedEpilogueOp: _run_epilogue,
+    }

@@ -164,9 +164,9 @@ class ParallelExecutor:
     admission control from ``op.footprint_blocks`` vs the pool
     capacity.  An op with no footprint estimate is treated as needing
     the whole budget (it runs alone); at least one op is always
-    admitted so the schedule can't stall.  Results go into the shared
-    ``memo`` exactly as in serial execution — an op only reads memo
-    entries its finished dependencies wrote.
+    admitted so the schedule can't stall.  Results go into one
+    ``memo`` per execution exactly as in serial execution — an op only
+    reads memo entries its finished dependencies wrote.
     """
 
     def __init__(self, evaluator: "Evaluator", workers: int) -> None:
@@ -178,8 +178,9 @@ class ParallelExecutor:
     def shutdown(self) -> None:
         self._executor.shutdown(wait=True)
 
-    def execute(self, plan: "PhysicalPlan", memo: dict[int, object]):
+    def execute(self, plan: "PhysicalPlan"):
         ev = self.evaluator
+        memo: dict[int, object] = {}
         ops: list[PhysOp] = list(plan.ops())
         remaining = {id(op): {id(c) for c in op.children} for op in ops}
         dependents: dict[int, list[int]] = {id(op): [] for op in ops}

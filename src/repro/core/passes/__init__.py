@@ -3,23 +3,22 @@
 Stage 1 of the optimizer (:mod:`repro.core.planner` is stage 2): a
 sequence of independent, ordered, individually-testable rewrites over
 expression DAGs, iterated to fixpoint.  :func:`build_pipeline` derives
-the pass list from an :class:`~repro.core.config.OptimizerConfig`;
-``legacy=True`` additionally appends the chain-reorder and
-kernel-select passes so the deprecated :class:`~repro.core.rewrite.
-Rewriter` shim reproduces the old monolith's behaviour on the logical
-DAG.
+the pass list from an :class:`~repro.core.config.OptimizerConfig` —
+empty at level 0.  Chain order and kernel choice are not passes: the
+planner makes them while lowering, with the helpers in
+:mod:`.chain_reorder` and :mod:`.kernel_select`.
 """
 
 from __future__ import annotations
 
 from ..config import OptimizerConfig
 from .base import Pass, PassContext, Pipeline, bottom_up
-from .chain_reorder import (ChainReorderPass, build_order,
-                            chosen_order, collect_chain, current_order)
+from .chain_reorder import (build_order, chosen_order, collect_chain,
+                            current_order)
 from .cse import CSEPass
 from .fold import FoldPass
-from .kernel_select import (KernelSelectPass, clamped_dense_io,
-                            matmul_kernel_costs, sparse_product_cost)
+from .kernel_select import (clamped_dense_io, matmul_kernel_costs,
+                            sparse_product_cost)
 from .pushdown import PushdownPass
 from .signatures import canon_key, dag_signature, node_attrs
 from .solve import SolveRewritePass
@@ -28,9 +27,8 @@ from .sparsity import (DENSE_THRESHOLD, sparse_stored,
 from .transpose import TransposePass
 
 __all__ = [
-    "CSEPass", "ChainReorderPass", "DENSE_THRESHOLD", "FoldPass",
-    "KernelSelectPass", "Pass", "PassContext", "Pipeline",
-    "PushdownPass", "SolveRewritePass", "TransposePass",
+    "CSEPass", "DENSE_THRESHOLD", "FoldPass", "Pass", "PassContext",
+    "Pipeline", "PushdownPass", "SolveRewritePass", "TransposePass",
     "bottom_up", "build_order", "build_pipeline", "canon_key",
     "chosen_order", "clamped_dense_io", "collect_chain",
     "current_order", "dag_signature", "matmul_kernel_costs",
@@ -39,29 +37,18 @@ __all__ = [
 ]
 
 
-def build_pipeline(config: OptimizerConfig,
-                   legacy: bool = False) -> Pipeline:
+def build_pipeline(config: OptimizerConfig) -> Pipeline:
     """Pass list implied by a config.
 
-    Order mirrors the old monolithic rule loop: fold, pushdown,
-    inv-to-solve, transpose absorption, (legacy: chain reorder and
-    kernel select), CSE.  The pipeline's fixpoint loop re-runs the
-    whole sequence until the DAG signature stabilizes.
+    Order: fold, pushdown, inv-to-solve, transpose absorption, CSE.
+    The pipeline's fixpoint loop re-runs the whole sequence until the
+    DAG signature stabilizes.
     """
     passes: list[Pass] = []
-    if config.pass_enabled("fold"):
+    if config.rewrites:
         passes.append(FoldPass())
-    if config.pass_enabled("pushdown"):
+    if config.pushdown_enabled:
         passes.append(PushdownPass())
-    if config.pass_enabled("solve_rewrite"):
-        passes.append(SolveRewritePass())
-    if config.pass_enabled("transpose"):
-        passes.append(TransposePass())
-    if legacy:
-        if config.choice_enabled("chain_reorder"):
-            passes.append(ChainReorderPass())
-        if config.choice_enabled("kernel_select"):
-            passes.append(KernelSelectPass())
-    if config.pass_enabled("cse"):
-        passes.append(CSEPass())
-    return Pipeline(passes, max_passes=config.max_passes)
+    if config.rewrites:
+        passes += [SolveRewritePass(), TransposePass(), CSEPass()]
+    return Pipeline(passes)

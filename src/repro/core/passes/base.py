@@ -7,8 +7,7 @@ absorption, ...) expressed as a bottom-up local rewrite.  The
 sequence to fixpoint, detected with the shared
 :func:`~repro.core.passes.signatures.dag_signature` — so a pass firing
 late in the sequence re-enables every earlier pass on the next sweep,
-exactly like the old monolithic rewriter's rule loop, but with each
-family testable (and disableable) on its own.
+with each family testable on its own.
 """
 
 from __future__ import annotations
@@ -16,23 +15,21 @@ from __future__ import annotations
 from ..expr import Node
 from .signatures import dag_signature
 
+#: Bound on whole-pipeline sweeps; real DAGs stabilize in two or three.
+MAX_SWEEPS = 10
+
 
 class PassContext:
     """Shared state threaded through a pipeline run.
 
-    ``applied`` collects human-readable rule names in firing order (the
-    old ``Rewriter.applied`` contract); ``memory_scalars`` and
-    ``block_scalars`` parameterize any cost-model-consulting pass so
-    its verdicts match the store the plan will run on.  ``tracer``
-    (optional, defaults to a shared disabled one) lets the pipeline
-    attribute optimizer wall-clock per pass.
+    ``applied`` collects human-readable rule names in firing order.
+    ``tracer`` (optional, defaults to a shared disabled one) lets the
+    pipeline attribute optimizer wall-clock per pass.  No pass consults
+    a cost model — every priced choice is the planner's.
     """
 
-    def __init__(self, memory_scalars: int = 8 * 1024 * 1024,
-                 block_scalars: int = 1024, tracer=None) -> None:
+    def __init__(self, tracer=None) -> None:
         from repro.obs.tracer import NULL_TRACER
-        self.memory_scalars = memory_scalars
-        self.block_scalars = block_scalars
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.applied: list[str] = []
 
@@ -99,14 +96,13 @@ def _locally_stable(node: Node, rule, visit) -> Node:
 class Pipeline:
     """An ordered list of passes iterated to fixpoint."""
 
-    def __init__(self, passes: list[Pass], max_passes: int = 10) -> None:
+    def __init__(self, passes: list[Pass]) -> None:
         self.passes = list(passes)
-        self.max_passes = max_passes
 
     def run(self, root: Node, ctx: PassContext) -> Node:
         node = root
         with ctx.tracer.span("pipeline", cat="optimizer"):
-            for sweep in range(self.max_passes):
+            for sweep in range(MAX_SWEEPS):
                 before = dag_signature(node)
                 for p in self.passes:
                     n_before = len(ctx.applied)

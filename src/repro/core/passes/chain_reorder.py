@@ -1,9 +1,8 @@
 """Matrix-chain collection and reordering (§5 rule 7, Appendix B).
 
-The chain helpers here are shared by the legacy :class:`Rewriter` shim
-(which reorders on the logical DAG, as the old monolith did) and by the
-physical planner (which treats the order as one of the enumerated,
-costed alternatives).  When any factor carries an estimated density
+Helpers for the physical planner, which reorders whole chains on the
+logical DAG before lowering and records the rejected program order as
+a costed alternative.  When any factor carries an estimated density
 below :data:`~repro.core.passes.sparsity.DENSE_THRESHOLD`, the
 nnz-weighted DP replaces the dense flop count, so e.g. a
 sparse-sparse-vector chain collapses the cheap sparse product first.
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from .. import chain as chain_mod
 from ..expr import MatMul, Node
-from .base import Pass, PassContext
 from .sparsity import DENSE_THRESHOLD
 
 
@@ -58,27 +56,3 @@ def build_order(factors: list[Node], order) -> Node:
         return factors[order]
     return MatMul(build_order(factors, order[0]),
                   build_order(factors, order[1]))
-
-
-class ChainReorderPass(Pass):
-    """Logical-DAG chain reordering (legacy Rewriter behaviour).
-
-    The cost-based planner performs the same search during lowering;
-    this pass exists for the deprecated ``Rewriter`` API and for
-    pipelines that want the reorder visible in the logical DAG.
-    """
-
-    name = "chain-reorder"
-
-    def rewrite(self, node: Node, ctx: PassContext) -> Node:
-        if not isinstance(node, MatMul) or node.trans_a or node.trans_b:
-            return node
-        factors: list[Node] = []
-        collect_chain(node, factors)
-        if len(factors) < 3:
-            return node
-        order, rule = chosen_order(factors)
-        if order == current_order(node, factors):
-            return node
-        ctx.record(rule)
-        return build_order(factors, order)

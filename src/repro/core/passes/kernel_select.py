@@ -1,12 +1,12 @@
 """Sparse/dense kernel choice by the nnz-parameterized cost models
 (§5 rule 8).
 
-:func:`matmul_kernel_costs` is the single comparison both the legacy
-:class:`Rewriter` shim and the physical planner use: the matching
-sparse model (``spgemm_io`` for sparse x sparse, ``spmm_io`` for
-sparse x dense, each fed the operands' estimated nnz) against the
-dense Appendix-A model clamped at the trivial floor of reading both
-operands and writing the result once.
+:func:`matmul_kernel_costs` is the comparison the physical planner
+makes when it lowers a product at level 2: the matching sparse model
+(``spgemm_io`` for sparse x sparse, ``spmm_io`` for sparse x dense,
+each fed the operands' estimated nnz) against the dense Appendix-A
+model clamped at the trivial floor of reading both operands and
+writing the result once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from ..costs import (DEFAULT_TILE_SIDE, spgemm_model, spmm_model,
                      square_tile_matmul_io)
 from ..expr import MatMul, Node
-from .base import Pass, PassContext
 from .sparsity import sparse_stored, sparse_tile_shape
 
 
@@ -86,27 +85,3 @@ def matmul_kernel_costs(node: MatMul, memory: float,
     return {"sparse": sparse_product_cost(a, b, (m, k, n), memory,
                                           block)[0],
             "dense": clamped_dense_io(m, k, n, memory, block, ratio)}
-
-
-class KernelSelectPass(Pass):
-    """Annotate eligible ``%*%`` nodes with the cheaper kernel.
-
-    Legacy-Rewriter behaviour: the verdict is recorded on the logical
-    node for the evaluator's type dispatch.  The planner makes the
-    same comparison (plus BNLJ and flagged alternatives) at lowering
-    time instead.
-    """
-
-    name = "kernel-select"
-
-    def rewrite(self, node: Node, ctx: PassContext) -> Node:
-        if not isinstance(node, MatMul) or node.kernel != "auto":
-            return node
-        costs = matmul_kernel_costs(node, ctx.memory_scalars,
-                                    ctx.block_scalars)
-        if costs is None:
-            return node
-        kernel = ("sparse" if costs["sparse"] < costs["dense"]
-                  else "dense")
-        ctx.record(f"kernel-select:{kernel}")
-        return MatMul(node.children[0], node.children[1], kernel=kernel)

@@ -1,13 +1,10 @@
 """One source of truth for node identity.
 
-The old ``Rewriter`` kept two hand-maintained copies of "what makes a
-node itself": ``_signature`` (fixpoint detection, built from
-``getattr`` probes) and ``_canon_key`` (CSE hashing, a type switch).
-They disagreed — ``_signature`` probed ``kernel``/``trans_a``/
-``trans_b`` on *every* node but knew nothing about ``Crossprod.t_first``
-or ``SubscriptAssign.logical_mask``, so a pass flipping only those
-attributes was invisible to fixpoint detection, while CSE treated them
-correctly.  Both are now derived from one helper:
+Fixpoint detection and CSE hashing must agree on "what makes a node
+itself": a signature blind to ``Crossprod.t_first`` or
+``SubscriptAssign.logical_mask`` makes a pass flipping only those
+attributes invisible to the fixpoint loop, while CSE tells the nodes
+apart.  Both are derived from one helper:
 
 - :func:`node_attrs` — the node's local attributes (no children),
 - :func:`canon_key` — attrs + children identities, for CSE hashing,

@@ -9,10 +9,14 @@ elementwise epilogues — then picks by the I/O models of
 :mod:`repro.core.costs`.  Rejected alternatives stay on the chosen
 operator for ``session.explain()``.
 
-At optimizer level 1 the same lowering runs but with the old heuristic
-choices (program order, type-driven kernels, fuse-when-legal); at
-level 2 every choice is costed.  Level 0 never reaches the planner —
-the evaluator's expression-tree dispatch is the un-optimized fallback.
+Every optimizer level lowers here; the level decides which choices are
+open.  At level 2 every choice is costed.  At level 1 the same lowering
+runs with the heuristic choices (program order, type-driven kernels,
+fuse-when-legal).  At level 0 nothing is chosen at all: each node of
+the DAG as written becomes its default operator (program order,
+type-driven kernel, no fusion), still priced so ``explain`` can put a
+prediction next to the measurement — the ablation baseline runs on the
+same executor as the optimized arm.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
                     crossprod_io, gather_io, inverse_io,
                     matmul_epilogue_io, scatter_io, solve_op_io,
                     stream_io, transpose_materialize_io)
-from .evaluator import collect_barriers, streamable
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
@@ -43,8 +46,31 @@ from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
 BNLJ_MARGIN = 0.9
 
 
-def classify_epilogue_region(node: Map, is_matrix_input,
-                             memo_ids: frozenset | set = frozenset()):
+def streamable(node: Node) -> bool:
+    """Can this node be computed chunk-aligned from its children?"""
+    if isinstance(node, (Scalar, Range, ArrayInput)):
+        return True
+    if isinstance(node, Map):
+        return all(streamable(c) for c in node.children)
+    if isinstance(node, SubscriptAssign) and node.logical_mask:
+        return all(streamable(c) for c in node.children)
+    return False
+
+
+def collect_barriers(node: Node, barriers: list[Node],
+                     seen: set[int]) -> None:
+    """Find maximal non-streamable subtrees under a streaming region."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if streamable(node):
+        for c in node.children:
+            collect_barriers(c, barriers, seen)
+    else:
+        barriers.append(node)
+
+
+def classify_epilogue_region(node: Map):
     """Classify a matrix Map region for epilogue fusion.
 
     Returns ``(barriers, matrices, scalars, region_edges)`` — the
@@ -54,11 +80,9 @@ def classify_epilogue_region(node: Map, is_matrix_input,
     and interior Maps) — or ``None`` when the region contains anything
     the per-submatrix epilogue evaluator cannot handle.
 
-    ``is_matrix_input(n)`` decides whether an ndim-2 node counts as a
-    stored-matrix input: the evaluator passes "already memoized or an
-    ArrayInput" (runtime view); the planner passes "anything that is
-    not itself Map/MatMul/Crossprod" (it will schedule those nodes as
-    materialized child operators).
+    Any ndim-2 node that is not itself Map/MatMul/Crossprod counts as
+    a stored-matrix input: the planner schedules it as a materialized
+    child operator.
     """
     barriers: list[Node] = []
     matrices: list[Node] = []
@@ -67,8 +91,7 @@ def classify_epilogue_region(node: Map, is_matrix_input,
     seen: set[int] = set()
 
     def visit(n: Node) -> bool:
-        if (isinstance(n, (MatMul, Crossprod, Map)) and n.ndim == 2
-                and id(n) not in memo_ids):
+        if isinstance(n, (MatMul, Crossprod, Map)) and n.ndim == 2:
             region_edges[id(n)] = region_edges.get(id(n), 0) + 1
         if id(n) in seen:
             return True
@@ -78,15 +101,13 @@ def classify_epilogue_region(node: Map, is_matrix_input,
             return True
         if n.ndim != 2:
             return False
-        if id(n) in memo_ids or is_matrix_input(n):
-            matrices.append(n)
-            return True
         if isinstance(n, (MatMul, Crossprod)):
             barriers.append(n)
             return True
         if isinstance(n, Map):
             return all(visit(c) for c in n.children)
-        return False
+        matrices.append(n)
+        return True
 
     if not all(visit(c) for c in node.children):
         return None
@@ -134,7 +155,7 @@ class Planner:
         self._memo = {}
         self._edges = {}
         self._reordered = {}
-        if self.config.choice_enabled("chain_reorder"):
+        if self.config.chain_reorder_enabled:
             # Reorder whole chains on the logical DAG *before* any
             # lowering: epilogue fusion then sees the DP-chosen top
             # product (as the old monolith's rule order guaranteed),
@@ -366,9 +387,8 @@ class Planner:
             op.detail = "pinned"
             return op
         # A "sparse" pin on operands that will not be sparse-stored
-        # falls through to dense lowering — the same graceful
-        # type-driven behaviour the evaluator's dispatch always had
-        # (there is no sparse kernel to run without a sparse operand).
+        # falls through to dense lowering (there is no sparse kernel
+        # to run without a sparse operand).
 
         dense_square = clamped_dense_io(m, k, n, mem, blk,
                                         self.io_ratio)
@@ -386,7 +406,7 @@ class Planner:
 
         def dense_op():
             alternatives = []
-            if self.config.choice_enabled("kernel_select"):
+            if self.config.costed:
                 bnlj = bnlj_matmul_io(m, k, n, mem, blk,
                                       self.io_ratio)
                 if bnlj < BNLJ_MARGIN * dense_square:
@@ -413,8 +433,7 @@ class Planner:
         # kernel == "auto"
         costs = matmul_kernel_costs(node, mem, blk,
                                     ratio=self.io_ratio)
-        if costs is not None and \
-                self.config.choice_enabled("kernel_select"):
+        if costs is not None and self.config.costed:
             if costs["sparse"] < costs["dense"]:
                 return sparse_op(
                     alternatives=[("dense square-tile",
@@ -427,8 +446,8 @@ class Planner:
                 "densified"
             return op
         if costs is not None:
-            # Heuristic levels keep the evaluator's type dispatch:
-            # a sparse-stored left operand runs the sparse kernel.
+            # Below level 2 the kernel follows the operand types: a
+            # sparse-stored left operand runs the sparse kernel.
             return sparse_op()
         return dense_op()
 
@@ -481,9 +500,7 @@ class Planner:
                      detail="tile")
 
     def _try_fused(self, node: Map) -> FusedEpilogueOp | None:
-        region = classify_epilogue_region(
-            node,
-            lambda n: not isinstance(n, (Map, MatMul, Crossprod)))
+        region = classify_epilogue_region(node)
         if region is None:
             return None
         barriers, matrices, scalars, region_edges = region
@@ -534,7 +551,7 @@ class Planner:
                 {"m": m, "k": l, "n": n, "extra": extra,
                  "trans_a": barrier.trans_a,
                  "trans_b": barrier.trans_b})
-        if self.config.level >= 2 and fused_io >= unfused_io:
+        if self.config.costed and fused_io >= unfused_io:
             return None  # enumerated, and materializing won
         children = (operand_ops
                     + tuple(self._lower(mat) for mat in matrices)

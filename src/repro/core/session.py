@@ -8,18 +8,17 @@ materialization "otherwise RIOT may have to repeat the same computation
 across multiple complex expression DAGs").
 
 ``force()`` runs the pipeline, lowers the logical DAG to a
-:class:`~repro.core.plan.PhysicalPlan` and executes it; at optimizer
-level 0 the evaluator's expression-tree dispatch runs the DAG as
-written instead (the un-optimized fallback every ablation benchmark
-measures against).  ``explain()`` renders the chosen plan with each
-operator's predicted block I/O — and, once forced, the measured blocks
-next to it.
+:class:`~repro.core.plan.PhysicalPlan` and executes it, at every
+optimizer level: at level 0 the pipeline is empty and the planner
+lowers the DAG as written, so the un-optimized baseline every ablation
+benchmark measures against runs on the same executor.  ``explain()``
+renders the plan with each operator's predicted block I/O — and, once
+forced, the measured blocks next to it.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -34,9 +33,6 @@ from .expr import ArrayInput, Crossprod, Inverse, MatMul, Node, Range, \
 from .passes import PassContext, build_pipeline
 from .plan import PhysicalPlan
 from .planner import Planner
-from .rewrite import Rewriter
-
-_UNSET = object()
 
 
 class RiotSession:
@@ -51,33 +47,16 @@ class RiotSession:
                                           path="/tmp/riot.db",
                                           memory_bytes=64 << 20))
 
-    or through the URL convenience ``repro.open_session(...)``.  The
-    pre-PR-6 keyword soup (``memory_bytes``/``block_size``/``policy``)
-    still works but is deprecated.  Sessions on a file backend should
-    be closed (or used as a context manager) so dirty frames reach the
-    page file and temporary files are removed.
+    or through the URL convenience ``repro.open_session(...)``.
+    Sessions on a file backend should be closed (or used as a context
+    manager) so dirty frames reach the page file and temporary files
+    are removed.
     """
 
-    def __init__(self, memory_bytes=_UNSET, block_size=_UNSET,
-                 optimize: bool = True,
-                 policy=_UNSET,
+    def __init__(self, optimize: bool = True,
                  config: OptimizerConfig | None = None,
                  storage: StorageConfig | None = None) -> None:
-        legacy = {name: value for name, value in (
-            ("memory_bytes", memory_bytes), ("block_size", block_size),
-            ("policy", policy)) if value is not _UNSET}
-        if legacy:
-            if storage is not None:
-                raise TypeError(
-                    "pass storage=StorageConfig(...) or the legacy "
-                    f"keyword(s) {sorted(legacy)}, not both")
-            warnings.warn(
-                f"RiotSession({', '.join(sorted(legacy))}) is "
-                "deprecated: pass storage=StorageConfig(...) or use "
-                "repro.open_session(url, memory=...)",
-                DeprecationWarning, stacklevel=2)
-            storage = StorageConfig(**legacy)
-        elif storage is None:
+        if storage is None:
             storage = StorageConfig()
         self.storage = storage
         self.store = ArrayStore(storage=storage)
@@ -88,11 +67,6 @@ class RiotSession:
         # many per block, and every cost model counts blocks.
         self._memory_scalars = storage.memory_bytes // storage.itemsize
         self._block_scalars = storage.block_size // storage.itemsize
-        # Legacy facade for session.optimize(); force() goes through
-        # the pass pipeline + planner instead.
-        self.rewriter = Rewriter._from_config(
-            self.config, memory_scalars=self._memory_scalars,
-            block_scalars=self._block_scalars)
         self.pipeline = build_pipeline(self.config)
         self.planner = Planner(self.config,
                                memory_scalars=self._memory_scalars,
@@ -101,7 +75,6 @@ class RiotSession:
         self.evaluator = Evaluator(
             self.store,
             memory_scalars=self._memory_scalars,
-            fuse_epilogues=self.config.fusion_enabled,
             strict=self.config.strict,
             parallelism=self.config.parallelism)
         # Observability: the store's tracer plus a registry of live
@@ -221,17 +194,6 @@ class RiotSession:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def optimize(self, node: Node) -> Node:
-        """Legacy logical rewrite (deprecated Rewriter view).
-
-        Chain order and kernel hints show up on the returned DAG, as
-        the old monolithic rewriter produced them.  ``force()`` no
-        longer consumes this: it runs the pass pipeline and makes the
-        physical choices in the cost-based planner — use ``plan()`` /
-        ``explain()`` to see those.
-        """
-        return self.rewriter.optimize(node)
-
     def plan(self, obj) -> PhysicalPlan:
         """The physical plan ``force()`` will (or did) execute.
 
@@ -243,10 +205,7 @@ class RiotSession:
         cached = self._plans.get(id(node))
         if cached is not None and cached[0] is node:
             return cached[1]
-        ctx = PassContext(memory_scalars=self._memory_scalars,
-                          block_scalars=self._block_scalars,
-                          tracer=self.tracer)
-        logical = self.pipeline.run(node, ctx)
+        logical = self.pipeline.run(node, PassContext(self.tracer))
         with self.tracer.span("planner", cat="optimizer"):
             plan = self.planner.plan(logical)
         self._plans[id(node)] = (node, plan)
@@ -263,10 +222,7 @@ class RiotSession:
         cached = self._materialized.get(id(node))
         if cached is not None and cached[0] is node:
             return cached[1]
-        if self.config.plans:
-            result = self.evaluator.execute(self.plan(node))
-        else:
-            result = self.evaluator.force(node, {})
+        result = self.evaluator.execute(self.plan(node))
         self._materialized[id(node)] = (node, result)
         return result
 
@@ -337,10 +293,10 @@ class RiotSession:
         """Render the optimizer's view of a DAG (Figure 2, upgraded).
 
         Three sections: the DAG as written, the logically rewritten
-        DAG, and — at optimizer level >= 1 — the chosen physical plan
-        with per-operator predicted block I/O (plus measured blocks
-        once the handle has been forced) and the enumerated
-        alternatives each choice beat.
+        DAG (the same one at level 0), and the physical plan with
+        per-operator predicted block I/O (plus measured blocks once
+        the handle has been forced) and the enumerated alternatives
+        each choice beat.
 
         ``analyze=True`` executes the plan under the tracer first
         (EXPLAIN ANALYZE): every operator then also shows its measured
@@ -357,16 +313,6 @@ class RiotSession:
         """
         from .expr import render
         node = obj.node if hasattr(obj, "node") else obj
-        if not self.config.plans:
-            text = ("-- original --\n" + render(node)
-                    + "\n-- optimized --\n" + render(node)
-                    + "\n-- physical plan --\n"
-                    + "(optimizer level 0: expression-tree dispatch, "
-                    "no plan)")
-            if analyze:
-                text += ("\n(analyze requires optimizer level >= 1: "
-                         "there is no plan to measure)")
-            return text
         if analyze:
             # Plan inside the recording window too, so the trace shows
             # the optimizer passes next to the execution spans (a

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RiotSession
+from repro.core import (Map, OptimizerConfig, Reduce, RiotSession,
+                        Scalar)
+from repro.core import plan as plan_module
+from repro.core.evaluator import Evaluator, MissingInputError
 from repro.storage import StorageConfig
 
 
@@ -204,6 +207,38 @@ class TestMatrices:
     def test_matrix_reduction(self, session, rng):
         a = rng.standard_normal((40, 40))
         assert session.matrix(a).sum() == pytest.approx(a.sum())
+
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_reduce_of_a_scalar_is_the_scalar(self, level):
+        """``sum(sum(x) + 1)`` is legal R: a reduction over one value
+        is that value, for every reduction."""
+        s = RiotSession(storage=StorageConfig(memory_bytes=1 << 20),
+                        config=OptimizerConfig(level=level))
+        x = s.vector(np.arange(10.0))
+        inner = Map("+", Reduce("sum", x.node), Scalar(1.0))
+        for op in ("sum", "mean", "min", "max"):
+            assert s.force(Reduce(op, inner)) == 46.0
+
+
+class TestOneDispatch:
+    def test_every_operator_class_has_exactly_one_runner(self):
+        """The table is the only map from operator to code: a new
+        PhysOp subclass without an entry fails here, not mid-plan."""
+        subclasses = {cls for cls in vars(plan_module).values()
+                      if isinstance(cls, type)
+                      and issubclass(cls, plan_module.PhysOp)
+                      and cls is not plan_module.PhysOp}
+        assert set(Evaluator.OP_RUNNERS) == subclasses
+
+    def test_operator_with_missing_input_is_an_error(self, session):
+        """Operators look their inputs up; none evaluates a child."""
+        a = session.matrix(np.eye(64))
+        plan = session.plan(a @ (a + 1.0))
+        session.reset_stats()
+        with pytest.raises(MissingInputError, match="input"):
+            session.evaluator._dispatch_op(plan.root, {})
+        assert session.io_stats.total == 0
 
 
 class TestCaching:

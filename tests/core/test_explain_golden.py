@@ -38,6 +38,19 @@ class TestGoldenOLS:
             "crossprod(input:X), "
             "matmul.square[t(a)](input:X, input:y))")
 
+    def test_level0_ols_plan_is_the_program_as_written(self):
+        """Same program, optimizer off: both transposes are stored,
+        both products run the default kernel, nothing is shared."""
+        s = session(level=0)
+        X = s.matrix(rng().standard_normal((512, 128)), name="X")
+        y = s.matrix(rng().standard_normal((512, 1)), name="y")
+        node = Solve(MatMul(Transpose(X.node), X.node),
+                     MatMul(Transpose(X.node), y.node))
+        assert s.plan(node).signature() == (
+            "solve.lu[nrhs=1]("
+            "matmul.square(transpose.materialize(input:X), input:X), "
+            "matmul.square(transpose.materialize(input:X), input:y))")
+
 
 class TestGoldenSparseChain:
     def test_sparse_chain_plan_signature(self):

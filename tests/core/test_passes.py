@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (ArrayInput, Crossprod, Inverse, Map, MatMul,
-                        OptimizerConfig, Range, Scalar, Solve,
+                        OptimizerConfig, Planner, Range, Scalar, Solve,
                         Subscript, Transpose, walk)
-from repro.core.passes import (CSEPass, ChainReorderPass, FoldPass,
-                               KernelSelectPass, PassContext, Pipeline,
+from repro.core.passes import (CSEPass, FoldPass, PassContext, Pipeline,
                                PushdownPass, SolveRewritePass,
                                TransposePass, build_pipeline)
+from repro.core.plan import TileMatMulOp
 
 
 def vec(n, name="v"):
@@ -20,8 +20,8 @@ def mat(r, c):
     return ArrayInput(np.zeros((r, c)))
 
 
-def run_pass(p, node, **ctx_kwargs):
-    ctx = PassContext(**ctx_kwargs)
+def run_pass(p, node):
+    ctx = PassContext()
     return p.run(node, ctx), ctx
 
 
@@ -107,18 +107,23 @@ class TestCSEPass:
 
 
 class TestChainAndKernelPasses:
+    """Chain order and kernel choice are made by the planner while it
+    lowers, not by passes: the plan is where they show."""
+
     def test_chain_reorder_pass(self):
         a, b, c = mat(100, 10), mat(10, 100), mat(100, 100)
-        out, ctx = run_pass(ChainReorderPass(),
-                            MatMul(MatMul(a, b), c))
-        assert "chain-reorder" in ctx.applied
-        assert out.children[0] is a
+        plan = Planner(OptimizerConfig()).plan(MatMul(MatMul(a, b), c))
+        assert "order=" in plan.root.detail
+        assert plan.logical_root.children[0] is a
 
     def test_kernel_select_needs_sparse_storage(self):
         a, b = mat(64, 64), mat(64, 64)
         node = MatMul(a, b)
-        out, ctx = run_pass(KernelSelectPass(), node)
-        assert out is node and ctx.applied == []
+        plan = Planner(OptimizerConfig()).plan(node)
+        assert plan.logical_root is node
+        assert isinstance(plan.root, TileMatMulOp)
+        assert not any(label.startswith("sparse")
+                       for label, _io in plan.root.alternatives)
 
 
 class TestPipeline:
@@ -168,14 +173,6 @@ class TestBuildPipeline:
         names = [p.name for p in pipe.passes]
         assert "pushdown" not in names
         assert "fold" in names and "cse" in names
-
-    def test_legacy_appends_physical_passes(self):
-        names = [p.name for p in
-                 build_pipeline(OptimizerConfig(), legacy=True).passes]
-        assert "chain-reorder" in names and "kernel-select" in names
-        names = [p.name for p in
-                 build_pipeline(OptimizerConfig(), legacy=False).passes]
-        assert "chain-reorder" not in names
 
     def test_level_validation(self):
         with pytest.raises(ValueError):

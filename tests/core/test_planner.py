@@ -261,10 +261,16 @@ class TestExecution:
         assert "| measured" in after
 
     def test_level0_explains_fallback(self, rng):
+        """Level 0 is a plan like any other: the DAG as written,
+        lowered, predicted and — once forced — measured."""
         s = session(level=0)
         a = s.matrix(rng.standard_normal((16, 16)))
-        text = s.explain((a @ a).node)
-        assert "expression-tree dispatch" in text
+        handle = a @ a
+        text = s.explain(handle)
+        assert "-- physical plan (level 0) --" in text
+        assert "matmul.square" in text and "predicted ~" in text
+        handle.force()
+        assert "| measured" in s.explain(handle)
 
 
 class TestAcceptanceOLS:
@@ -304,43 +310,38 @@ class TestAcceptanceOLS:
 class TestAcceptanceSparseChain:
     def test_planner_matches_nnz_aware_chain_within_10pct(self):
         """(A B) v with sparse A, B and no hints: right-deep sparse
-        plan, block total within 10% of the legacy rewriter path
-        (PR 2)."""
+        plan, block total inside the plan's own prediction band and
+        within 10% of the hand-ordered A (B v) run as written."""
         n, density = 512, 0.005
 
-        def build(s):
+        def run(level, build):
+            s = RiotSession(
+                storage=StorageConfig(memory_bytes=24 * 8192),
+                config=OptimizerConfig(level=level))
             A = s.random_sparse_matrix(n, n, density, seed=1)
             B = s.random_sparse_matrix(n, n, density, seed=2)
             v = s.matrix(np.random.default_rng(3)
                          .standard_normal((n, 1)))
-            return ((A @ B) @ v).node
+            node = build(A, B, v).node
+            plan = s.plan(node)
+            s.store.pool.clear()
+            s.reset_stats()
+            got = s.force(node).to_numpy()
+            s.store.flush()
+            return plan, got, s.io_stats.total
 
-        s = RiotSession(
-            storage=StorageConfig(memory_bytes=24 * 8192))
-        node = build(s)
-        plan = s.plan(node)
+        plan, got, measured = run(2, lambda A, B, v: (A @ B) @ v)
         assert isinstance(plan.root, SparseSpMMOp)
         assert "order=" in plan.root.detail  # right-deep via the DP
         assert ops_of(plan, SparseSpMMOp)
-        s.store.pool.clear()
-        s.reset_stats()
-        got = s.force(node)
-        s.store.flush()
-        planned = s.io_stats.total
+        assert 0.5 <= measured / plan.total_predicted <= 2.0, \
+            f"measured {measured} vs predicted " \
+            f"{plan.total_predicted:.0f} blocks"
 
-        legacy = RiotSession(
-            storage=StorageConfig(memory_bytes=24 * 8192))
-        legacy_node = build(legacy)
-        optimized = legacy.optimize(legacy_node)  # PR-2 rewriter path
-        legacy.store.pool.clear()
-        legacy.reset_stats()
-        ref = legacy.evaluator.force(optimized, {})
-        legacy.store.flush()
-        baseline = legacy.io_stats.total
-
-        assert np.allclose(got.to_numpy(), ref.to_numpy())
-        assert abs(planned - baseline) <= 0.10 * baseline, \
-            f"planner {planned} vs legacy {baseline} blocks"
+        _, ref, by_hand = run(0, lambda A, B, v: A @ (B @ v))
+        assert np.array_equal(got, ref)
+        assert abs(measured - by_hand) <= 0.10 * by_hand, \
+            f"planner {measured} vs hand-ordered {by_hand} blocks"
 
 
 class TestLevels:

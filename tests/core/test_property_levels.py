@@ -27,6 +27,10 @@ engine contract, pinned here):
   n = 33 with stock OpenBLAS.  Everything that leaves the BLAS calls
   untouched — pushdown, CSE, folding, epilogue fusion, plain products
   — must be exactly identical.
+
+Level 0 is the same executor with the optimizer off: its session runs
+``strict`` (every level-0 plan passes ``verify_plan``) and its plans
+must show that nothing was chosen.
 """
 
 import numpy as np
@@ -34,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Map, MatMul, OptimizerConfig, RiotSession
+from repro.core.plan import BnljOp, FusedEpilogueOp
 from repro.storage import StorageConfig
 
 LEVELS = (0, 1, 2)
@@ -43,12 +48,22 @@ MEM = 4 * 1024 * 1024
 def make_session(level):
     return RiotSession(
         storage=StorageConfig(memory_bytes=MEM, block_size=8192),
-        config=OptimizerConfig(level=level))
+        config=OptimizerConfig(level=level, strict=level == 0))
+
+
+def planned(s, root):
+    """``root``, after checking what its plan may contain at level 0:
+    program order, type-driven kernels, no fusion."""
+    if s.config.level == 0:
+        for op in s.plan(root).ops():
+            assert not isinstance(op, (FusedEpilogueOp, BnljOp))
+            assert "order=" not in op.detail
+    return root
 
 
 def values_at_level(build, level):
     s = make_session(level)
-    return np.asarray(s.values(build(s)))
+    return np.asarray(s.values(planned(s, build(s))))
 
 
 def assert_levels_bitwise(build, exact=True):
@@ -223,7 +238,7 @@ def test_sparse_dags_bitwise_across_levels(density, n, seed,
 
     def values(level):
         s = make_session(level)
-        forced = s.force(build(s))
+        forced = s.force(planned(s, build(s)))
         return forced.to_numpy()
 
     v0 = values(0)

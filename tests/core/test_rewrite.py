@@ -1,10 +1,25 @@
-"""Tests for the DAG rewriter — the Figure-2 optimization and friends."""
+"""Tests for DAG rewriting — the Figure-2 optimization and friends.
+
+No session here: the logical rewrites are read off the pass pipeline's
+output, chain order off the plan (it is the planner's decision).
+"""
 
 import numpy as np
 
-from repro.core import (ArrayInput, Map, MatMul, Range, Rewriter, Scalar,
-                        Subscript, SubscriptAssign, count_nodes, optimize,
-                        walk)
+from repro.core import (ArrayInput, Map, MatMul, OptimizerConfig,
+                        Planner, Range, Scalar, Subscript,
+                        SubscriptAssign, count_nodes, walk)
+from repro.core.passes import PassContext, build_pipeline, dag_signature
+
+
+def optimize(expr, config=None):
+    config = config or OptimizerConfig()
+    return build_pipeline(config).run(expr, PassContext())
+
+
+def planned(expr, **overrides):
+    config = OptimizerConfig(**overrides)
+    return Planner(config).plan(optimize(expr, config))
 
 
 def vec(n, name="v"):
@@ -100,7 +115,7 @@ class TestSubscriptPushdown:
     def test_pushdown_disabled_leaves_dag_alone(self):
         x = vec(100)
         expr = Subscript(Map("+", x, Scalar(1.0)), Range(1, 5))
-        out = Rewriter(enable_pushdown=False).optimize(expr)
+        out = optimize(expr, OptimizerConfig(pushdown=False))
         assert isinstance(out, Subscript)
 
 
@@ -148,50 +163,42 @@ class TestChainReorder:
     def test_skewed_chain_reordered(self):
         """A(BC) beats (AB)C when A is wide (the Figure-3 skew)."""
         a, b, c = mat(100, 10), mat(10, 100), mat(100, 100)
-        expr = MatMul(MatMul(a, b), c)
-        rewriter = Rewriter()
-        out = rewriter.optimize(expr)
-        assert "chain-reorder" in rewriter.applied
+        plan = planned(MatMul(MatMul(a, b), c))
+        assert "order=" in plan.root.detail
         # New shape: A (BC)
-        assert out.children[0] is a
+        assert plan.logical_root.children[0] is a
 
     def test_already_optimal_untouched(self):
         a, b, c = mat(10, 100), mat(100, 10), mat(10, 10)
-        expr = MatMul(MatMul(a, b), c)
-        rewriter = Rewriter()
-        out = rewriter.optimize(expr)
-        assert "chain-reorder" not in rewriter.applied
+        plan = planned(MatMul(MatMul(a, b), c))
+        assert "order=" not in plan.root.detail
+        assert plan.logical_root.children[1] is c
 
     def test_two_factor_chain_untouched(self):
         a, b = mat(5, 6), mat(6, 7)
-        rewriter = Rewriter()
-        rewriter.optimize(MatMul(a, b))
-        assert "chain-reorder" not in rewriter.applied
+        assert "order=" not in planned(MatMul(a, b)).root.detail
 
     def test_four_factor_chain(self):
         dims = [(50, 5), (5, 50), (50, 5), (5, 50)]
         mats = [mat(r, c) for r, c in dims]
         expr = MatMul(MatMul(MatMul(mats[0], mats[1]), mats[2]),
                       mats[3])
-        out = Rewriter().optimize(expr)
-        assert out.shape == (50, 50)
+        assert planned(expr).logical_root.shape == (50, 50)
 
     def test_reorder_disabled(self):
         a, b, c = mat(100, 10), mat(10, 100), mat(100, 100)
-        expr = MatMul(MatMul(a, b), c)
-        rewriter = Rewriter(enable_chain_reorder=False)
-        out = rewriter.optimize(expr)
-        assert out.children[1] is c
+        plan = planned(MatMul(MatMul(a, b), c), chain_reorder=False)
+        assert "order=" not in plan.root.detail
+        assert plan.logical_root.children[1] is c
 
 
 class TestFixpoint:
     def test_idempotent(self):
         x = vec(100, "x")
         expr = Subscript(Map("+", x, Scalar(1.0)), Range(1, 5))
-        rewriter = Rewriter()
-        once = rewriter.optimize(expr)
-        twice = rewriter.optimize(once)
-        assert rewriter._signature(once) == rewriter._signature(twice)
+        once = optimize(expr)
+        twice = optimize(once)
+        assert dag_signature(once) == dag_signature(twice)
 
 
 def _eval_numpy(node):

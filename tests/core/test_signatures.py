@@ -1,19 +1,25 @@
 """Unified node identity: CSE keys and fixpoint signatures agree.
 
-Regression tests for the old split-brain bug where ``Rewriter._signature``
-probed ``kernel``/``trans_a``/``trans_b`` via getattr on every node but
-knew nothing about ``Crossprod.t_first`` or
-``SubscriptAssign.logical_mask``, while ``_canon_key`` special-cased a
+Regression tests for the old split-brain bug where the fixpoint
+signature probed ``kernel``/``trans_a``/``trans_b`` via getattr on every
+node but knew nothing about ``Crossprod.t_first`` or
+``SubscriptAssign.logical_mask``, while the CSE key special-cased a
 different set of attributes.  Both now derive from
 ``repro.core.passes.signatures``.
 """
 
 import numpy as np
 
-from repro.core import (ArrayInput, Crossprod, Map, MatMul, Range,
-                        Scalar, SubscriptAssign, optimize, walk)
+from repro.core import (ArrayInput, Crossprod, Map, MatMul,
+                        OptimizerConfig, Range, Scalar, SubscriptAssign,
+                        walk)
+from repro.core.passes import PassContext, build_pipeline
 from repro.core.passes.signatures import (canon_key, dag_signature,
                                           node_attrs)
+
+
+def optimize(expr):
+    return build_pipeline(OptimizerConfig()).run(expr, PassContext())
 
 
 def mat(r, c, data=None):

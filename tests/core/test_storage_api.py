@@ -1,10 +1,9 @@
-"""The injected storage API: sessions, URL opening, the legacy shim.
+"""The injected storage API: sessions and URL opening.
 
-PR-6 acceptance: ``RiotSession(storage=StorageConfig(...))`` is the
-one way to configure storage; ``RiotSession(memory_bytes=...)`` still
-works but emits ``DeprecationWarning``; ``repro.open_session(url)``
-covers the URL form; no module outside ``repro.storage`` constructs a
-``BlockDevice`` directly.
+``RiotSession(storage=StorageConfig(...))`` is the one way to configure
+storage (the pre-PR-6 ``RiotSession(memory_bytes=...)`` keywords are
+gone); ``repro.open_session(url)`` covers the URL form; no module
+outside ``repro.storage`` constructs a ``BlockDevice`` directly.
 """
 
 from __future__ import annotations
@@ -47,20 +46,13 @@ class TestSessionConfigInjection:
             assert isinstance(s.store.device, FileBlockDevice)
         assert (tmp_path / "s.db").exists()
 
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="StorageConfig"):
-            s = RiotSession(memory_bytes=2 << 20, block_size=4096)
-        assert s.store.pool.capacity == (2 << 20) // 4096
-        assert s.store.device.block_size == 4096
-
-    def test_legacy_policy_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning):
-            RiotSession(policy="clock")
-
     def test_storage_plus_legacy_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            RiotSession(memory_bytes=1 << 20,
-                        storage=StorageConfig())
+        for legacy in ({"memory_bytes": 1 << 20}, {"block_size": 4096},
+                       {"policy": "clock"},
+                       {"memory_bytes": 1 << 20,
+                        "storage": StorageConfig()}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                RiotSession(**legacy)
 
 
 class TestOpenSession:

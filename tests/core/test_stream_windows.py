@@ -36,10 +36,10 @@ COMPARE = ("<", ">", "<=", ">=", "==", "!=")
 # ----------------------------------------------------------------------
 # DAG specs: a list of instructions, each naming earlier slots, so
 # leaves and interior nodes are shared freely.  Slots 0..5 are fixed:
-# three stored vectors, a plain ndarray, a Range, a gather barrier.
-# The barrier joins at the root only: a Map *above* a barrier is itself
-# materialized first (collect_barriers takes maximal non-streamable
-# subtrees), which would add intermediate vectors to the block counts.
+# three stored vectors, a plain ndarray, a Range, a gathered vector.
+# The gather is evaluated first and joins the DAG as a stored input (an
+# execution owns its memo, so that is how a result is handed on), at
+# the root only, so it is read once.
 # ----------------------------------------------------------------------
 N_LEAVES = N_STORED + 3
 NDARRAY, RANGE, GATHER = N_STORED, N_STORED + 1, N_STORED + 2
@@ -140,7 +140,7 @@ def build_dag(steps, leaf_nodes: list):
 
 
 def _reachable_sources(steps) -> int:
-    """Stored vectors + barrier the root's stream reads."""
+    """Stored vectors, the gathered one included, the root streams."""
     live = {N_LEAVES + len(steps) - 1}
     for slot in range(N_LEAVES + len(steps) - 1, N_LEAVES - 1, -1):
         if slot in live:
@@ -165,12 +165,14 @@ class _Run:
             scheduler=scheduler))
         stored = [ArrayInput(s.store.vector_from_numpy(d))
                   for d in data[:N_STORED]]
+        ev = s.evaluator
+        gathered = ev.force(Subscript(stored[1],
+                                      ArrayInput(perm + 1.0)))
         leaves = stored + [
             ArrayInput(data[N_STORED]),
             Range(lo, lo + data[0].size - 1),
-            Subscript(stored[1], ArrayInput(perm + 1.0))]
+            ArrayInput(gathered)]
         root = build_dag(steps, leaves)
-        ev = s.evaluator
         seen_windows: list[int] = []
         real = ev._stream_window
 
@@ -178,14 +180,10 @@ class _Run:
             seen_windows.append(real(n_sources))
             return seen_windows[-1]
         ev._stream_window = spy
-        # The gather is forced first and handed over memoized; the
-        # stream itself then starts from a cold pool.
-        memo: dict[int, object] = {}
-        ev.force(leaves[GATHER], memo)
-        barrier = dict(memo)
+        # The stream starts from a cold pool.
         s.store.pool.clear()
         s.store.reset_stats()
-        out = ev.force(root, memo)
+        out = ev.force(root)
         s.store.flush()
         self.window = seen_windows[-1]
         self.n_src = n_src
@@ -193,11 +191,14 @@ class _Run:
         self.pool = s.store.pool.stats.snapshot()
         self.out_chunks = out.num_chunks
         self.values = out.to_numpy()
-        self.reduced = {op: ev.force(Reduce(op, root), dict(barrier))
+        self.reduced = {op: ev.force(Reduce(op, root))
                         for op in ("sum", "mean", "min", "max")}
         s.close()
 
 
+# errstate is per thread: under REPRO_PARALLELISM > 1 the stream runs on
+# a plan worker, where only the warning filter reaches.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(steps=dag_specs(), n=st.integers(1, 40 * CHUNK),
        lo=st.integers(-5, 5), seed=st.integers(0, 2 ** 16))

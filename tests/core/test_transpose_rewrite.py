@@ -29,13 +29,13 @@ class TestIdentities:
     def test_double_transpose_cancels(self, rng):
         s = make_session()
         a = s.matrix(rng.standard_normal((20, 30)))
-        out = s.optimize(Transpose(Transpose(a.node)))
+        out = s.plan(Transpose(Transpose(a.node))).logical_root
         assert out is a.node
 
     def test_transpose_of_crossprod_is_identity(self, rng):
         s = make_session()
         a = s.matrix(rng.standard_normal((20, 30)))
-        out = s.optimize(Transpose(Crossprod(a.node)))
+        out = s.plan(Transpose(Crossprod(a.node))).logical_root
         assert isinstance(out, Crossprod)
 
     def test_transpose_absorbed_into_flags(self, rng):
@@ -44,7 +44,7 @@ class TestIdentities:
         b_np = rng.standard_normal((50, 20))
         a, b = s.matrix(a_np), s.matrix(b_np)
         plan = a.T @ b
-        out = s.optimize(plan.node)
+        out = s.plan(plan.node).logical_root
         assert isinstance(out, MatMul) and out.trans_a \
             and not out.trans_b
         assert no_transpose(out)
@@ -55,7 +55,7 @@ class TestIdentities:
         a_np = rng.standard_normal((40, 25))
         b_np = rng.standard_normal((25, 35))
         plan = (s.matrix(a_np) @ s.matrix(b_np)).T
-        out = s.optimize(plan.node)
+        out = s.plan(plan.node).logical_root
         assert isinstance(out, MatMul) and out.trans_a and out.trans_b
         assert no_transpose(out)
         assert np.allclose(plan.values(), (a_np @ b_np).T)
@@ -64,7 +64,7 @@ class TestIdentities:
         s = make_session()
         a_np = rng.standard_normal((60, 25))
         a = s.matrix(a_np)
-        out = s.optimize((a.T @ a).node)
+        out = s.plan((a.T @ a).node).logical_root
         assert isinstance(out, Crossprod) and out.t_first
         assert np.allclose((a.T @ a).values(), a_np.T @ a_np)
 
@@ -72,7 +72,7 @@ class TestIdentities:
         s = make_session()
         a_np = rng.standard_normal((25, 60))
         a = s.matrix(a_np)
-        out = s.optimize((a @ a.T).node)
+        out = s.plan((a @ a.T).node).logical_root
         assert isinstance(out, Crossprod) and not out.t_first
         assert np.allclose((a @ a.T).values(), a_np @ a_np.T)
 
@@ -82,7 +82,7 @@ class TestIdentities:
         s = make_session()
         sp = s.random_sparse_matrix(64, 48, density=0.05, seed=1)
         d = s.matrix(np.ones((64, 32)))
-        out = s.optimize((sp.T @ d).node)
+        out = s.plan((sp.T @ d).node).logical_root
         assert any(isinstance(n, Transpose) for n in walk(out))
 
     @given(m=st.integers(1, 30), l=st.integers(1, 30),

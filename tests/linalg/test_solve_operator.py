@@ -11,8 +11,9 @@ next-generation engine.
 import numpy as np
 import pytest
 
-from repro.core import (Inverse, MatMul, RiotSession, Rewriter, Solve,
+from repro.core import (Inverse, OptimizerConfig, RiotSession, Solve,
                         walk)
+from repro.core.plan import InverseOp
 from repro.core.engine import RiotNGEngine
 from repro.rlang import Interpreter, NumpyEngine, RError
 from repro.storage import StorageConfig
@@ -54,10 +55,9 @@ class TestRewrite:
         a = session.matrix(rng.standard_normal((16, 16)))
         b = session.matrix(rng.standard_normal((16, 1)))
         plan = a.inv() @ b
-        opt = session.optimize(plan.node)
+        opt = session.plan(plan.node).logical_root
         assert "Solve" in node_types(opt)
         assert "Inverse" not in node_types(opt)
-        assert "inv-to-solve" in session.rewriter.applied
 
     def test_rewrite_fires_inside_chains(self, session, rng):
         """inv(A) %*% B %*% C: the left-deep inner multiply collapses."""
@@ -65,23 +65,26 @@ class TestRewrite:
         b = session.matrix(rng.standard_normal((16, 16)))
         c = session.matrix(rng.standard_normal((16, 2)))
         plan = (a.inv() @ b) @ c
-        opt = session.optimize(plan.node)
+        opt = session.plan(plan.node).logical_root
         assert "Inverse" not in node_types(opt)
 
     def test_rewrite_can_be_disabled(self, rng):
-        rewriter = Rewriter(enable_solve_rewrite=False)
-        store_session = RiotSession(
-            storage=StorageConfig(memory_bytes=2 << 20))
-        a = store_session.matrix(rng.standard_normal((8, 8)))
-        b = store_session.matrix(rng.standard_normal((8, 1)))
-        opt = rewriter.optimize(MatMul(Inverse(a.node), b.node))
-        assert "Inverse" in node_types(opt)
+        """Level 0 runs ``inv(A) %*% B`` as written: the inverse is an
+        operator of the plan."""
+        as_written = RiotSession(
+            storage=StorageConfig(memory_bytes=2 << 20),
+            config=OptimizerConfig(level=0))
+        a = as_written.matrix(rng.standard_normal((8, 8)))
+        b = as_written.matrix(rng.standard_normal((8, 1)))
+        plan = as_written.plan(a.inv() @ b)
+        assert "Inverse" in node_types(plan.logical_root)
+        assert any(isinstance(op, InverseOp) for op in plan.ops())
 
     def test_right_inverse_left_alone(self, session, rng):
         """Only a *left* inverse is rewritten (B %*% inv(A) keeps inv)."""
         a = session.matrix(rng.standard_normal((8, 8)))
         b = session.matrix(rng.standard_normal((8, 8)))
-        opt = session.optimize((b @ a.inv()).node)
+        opt = session.plan((b @ a.inv()).node).logical_root
         assert "Inverse" in node_types(opt)
 
 
@@ -158,7 +161,7 @@ class TestEvaluation:
         a_np = rng_local.standard_normal((n, n))
         b_np = rng_local.standard_normal((n, n))
         plan = s.matrix(a_np).inv() @ s.matrix(b_np)
-        opt = s.optimize(plan.node)
+        opt = s.plan(plan.node).logical_root
         assert "Solve" in node_types(opt)
         assert np.allclose(plan.values(), np.linalg.solve(a_np, b_np),
                            atol=1e-7)

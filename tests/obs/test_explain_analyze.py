@@ -130,7 +130,10 @@ class TestAnalyzeSurfaces:
         s = make_session(level=0)
         x = s.vector(np.arange(1024, dtype=np.float64))
         text = s.explain((x + 1.0).node, analyze=True)
-        assert "analyze requires optimizer level >= 1" in text
+        assert "-- physical plan (level 0) --" in text
+        assert "map:+[stream]" in text and "| measured " in text
+        assert "-- analyze (backend=memory) --" in text
+        assert "calibration: stream_io:" in text
 
     def test_rlang_explain_analyze(self):
         from repro.core.engine import RiotNGEngine

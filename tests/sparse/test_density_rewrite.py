@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
 from repro.core.chain import optimal_order, optimal_order_sparse
 from repro.core.expr import (ArrayInput, Map, MatMul, Scalar, Subscript,
                              SubscriptAssign, Range, Transpose)
-from repro.core.rewrite import Rewriter
+from repro.core.plan import SparseSpMMOp, TileMatMulOp
 from repro.sparse import SparseTiledMatrix
 from repro.storage import StorageConfig
 
@@ -119,6 +119,9 @@ class TestSparseChainOrder:
 
 
 class TestRewriter:
+    """Chain order and sparse-vs-dense kernel choice, read off the
+    plan: the reordered ``logical_root`` and the operator classes."""
+
     def test_chain_rewrite_picks_nnz_cheap_order(self, session):
         n = 256
         A = session.random_sparse_matrix(n, n, 0.005, seed=1)
@@ -126,9 +129,10 @@ class TestRewriter:
         v = session.matrix(np.random.default_rng(3)
                            .standard_normal((n, 1)))
         root = (A @ B) @ v
-        optimized = session.optimize(root.node)
-        assert "chain-reorder-sparse" in session.rewriter.applied
+        plan = session.plan(root.node)
+        assert "order=" in plan.root.detail
         # Right-deep: the top multiply's left child is the A input.
+        optimized = plan.logical_root
         assert isinstance(optimized, MatMul)
         assert optimized.children[0] is A.node
         assert isinstance(optimized.children[1], MatMul)
@@ -137,40 +141,50 @@ class TestRewriter:
         A = session.random_sparse_matrix(512, 512, 0.005, seed=1)
         B = session.matrix(np.random.default_rng(2)
                            .standard_normal((512, 64)))
-        optimized = session.optimize((A @ B).node)
-        assert optimized.kernel == "sparse"
-        assert "kernel-select:sparse" in session.rewriter.applied
+        op = session.plan((A @ B).node).root
+        assert isinstance(op, SparseSpMMOp)
+        assert [label for label, _io in op.alternatives] == \
+            ["dense square-tile"]
 
     def test_kernel_select_dense_for_near_dense_operand(self, session):
         A = session.random_sparse_matrix(256, 256, 0.6, seed=1)
         B = session.matrix(np.random.default_rng(2)
                            .standard_normal((256, 256)))
-        optimized = session.optimize((A @ B).node)
-        assert optimized.kernel == "dense"
+        op = session.plan((A @ B).node).root
+        assert isinstance(op, TileMatMulOp)
+        assert op.label() == "matmul.square[densified]"
 
     def test_dense_matmul_untouched(self, session):
         A = session.matrix(np.eye(64))
         B = session.matrix(np.eye(64))
-        optimized = session.optimize((A @ B).node)
-        assert optimized.kernel == "auto"
-        assert not any(r.startswith("kernel-select")
-                       for r in session.rewriter.applied)
+        plan = session.plan((A @ B).node)
+        assert plan.logical_root.kernel == "auto"
+        assert plan.root.label() == "matmul.square"
+        assert not any(label.startswith("sparse")
+                       for label, _io in plan.root.alternatives)
 
     def test_kernel_select_respects_explicit_hint(self, session):
         A = session.random_sparse_matrix(512, 512, 0.005, seed=1)
         B = session.matrix(np.random.default_rng(2)
                            .standard_normal((512, 64)))
         pinned = MatMul(A.node, B.node, kernel="dense")
-        optimized = Rewriter().optimize(pinned)
-        assert optimized.kernel == "dense"
+        plan = session.plan(pinned)
+        assert plan.logical_root.kernel == "dense"
+        assert plan.root.label() == "matmul.square[pinned]"
 
-    def test_disabled_kernel_select(self, session):
-        session.rewriter.enable_kernel_select = False
-        A = session.random_sparse_matrix(512, 512, 0.005, seed=1)
+    def test_disabled_kernel_select(self):
+        """Below level 2 nothing is priced against the dense kernel:
+        even a near-dense sparse-stored operand keeps the type-driven
+        SpMM that level 2 rejects (see the near-dense test above)."""
+        session = RiotSession(
+            storage=StorageConfig(memory_bytes=8 * 1024 * 1024),
+            config=OptimizerConfig(level=1))
+        A = session.random_sparse_matrix(256, 256, 0.6, seed=1)
         B = session.matrix(np.random.default_rng(2)
-                           .standard_normal((512, 64)))
-        optimized = session.optimize((A @ B).node)
-        assert optimized.kernel == "auto"
+                           .standard_normal((256, 256)))
+        op = session.plan((A @ B).node).root
+        assert isinstance(op, SparseSpMMOp)
+        assert op.alternatives == []
 
 
 class TestEndToEnd:
