@@ -1,4 +1,4 @@
-"""Deferred array handles: the user-facing API of next-generation RIOT.
+"""Deferred array handles: the one place a user operation becomes DAG nodes.
 
 ``RiotVector`` and ``RiotMatrix`` wrap DAG nodes and overload Python
 operators, so user code reads like the R programs in the paper::
@@ -10,18 +10,29 @@ operators, so user code reads like the R programs in the paper::
 Modification is pure: ``b.assign(b > 100, 100)`` returns the *new state*
 (the ``[]<-`` operator of Figure 2) and leaves ``b`` untouched — matching R
 value semantics and enabling the subscript-pushdown rewrite.
+
+Every front end lowers through these handles: the R generics table of
+:mod:`repro.core.engine` registers ``RiotVector`` / ``RiotMatrix``
+themselves and dispatches each R operator to the Python operator or
+method below, and ``RiotSession.solve`` / ``crossprod`` / ``tcrossprod``
+delegate here.  So scalar lifting (:func:`_scalarize`), the subscript
+forms (:meth:`RiotVector._index_node`) and the logical-mask rule
+(:func:`repro.core.expr.is_logical`) are each stated once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import (Crossprod, Inverse, Map, MatMul, Node, Range, Reduce,
-                   Scalar, Solve, Subscript, SubscriptAssign, Transpose)
+from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
+                   Range, Reduce, Scalar, Solve, Subscript,
+                   SubscriptAssign, Transpose, is_logical)
 
 
 def _scalarize(value) -> Node:
-    if isinstance(value, (RiotVector, RiotMatrix)):
+    """The DAG node behind any operand: a handle's node, a node itself,
+    or a number lifted to a :class:`Scalar`."""
+    if isinstance(value, _Deferred):
         return value.node
     if isinstance(value, Node):
         return value
@@ -69,8 +80,14 @@ class _Deferred:
     def __pow__(self, other):
         return self._binary("pow", other)
 
+    def __rpow__(self, other):
+        return self._binary("pow", other, swap=True)
+
     def __mod__(self, other):
         return self._binary("mod", other)
+
+    def __rmod__(self, other):
+        return self._binary("mod", other, swap=True)
 
     def __neg__(self):
         return self._wrap(Map("neg", self.node))
@@ -96,6 +113,22 @@ class _Deferred:
 
     __hash__ = None  # handles are not hashable (== is elementwise)
 
+    # -- logical connectives (R's & | !) -----------------------------------
+    def __and__(self, other):
+        return self._binary("and", other)
+
+    def __rand__(self, other):
+        return self._binary("and", other, swap=True)
+
+    def __or__(self, other):
+        return self._binary("or", other)
+
+    def __ror__(self, other):
+        return self._binary("or", other, swap=True)
+
+    def __invert__(self):
+        return self._wrap(Map("not", self.node))
+
     # -- elementwise functions ----------------------------------------------
     def sqrt(self):
         return self._wrap(Map("sqrt", self.node))
@@ -108,6 +141,12 @@ class _Deferred:
 
     def log(self):
         return self._wrap(Map("log", self.node))
+
+    def floor(self):
+        return self._wrap(Map("floor", self.node))
+
+    def ceil(self):
+        return self._wrap(Map("ceil", self.node))
 
     def ifelse(self, then_value, else_value):
         """Elementwise conditional with self as the (logical) condition."""
@@ -152,18 +191,15 @@ class _Deferred:
         return self.session.explain(self.node, analyze=analyze)
 
     def _wrap(self, node: Node):
-        raise NotImplementedError
-
-
-class RiotVector(_Deferred):
-    """A deferred 1-D array."""
-
-    def _wrap(self, node: Node):
         if node.ndim == 1:
             return RiotVector(self.session, node)
         if node.ndim == 2:
             return RiotMatrix(self.session, node)
         return node
+
+
+class RiotVector(_Deferred):
+    """A deferred 1-D array."""
 
     @property
     def length(self) -> int:
@@ -174,22 +210,26 @@ class RiotVector(_Deferred):
 
     # -- subscripts -----------------------------------------------------------
     def _index_node(self, index) -> Node:
+        """The 1-based position vector a subscript denotes."""
         if isinstance(index, RiotVector):
-            return index.node
-        if isinstance(index, slice):
+            if not is_logical(index.node):
+                return index.node
+            # A logical mask selects data-dependent positions, so it is
+            # forced here and the positions stored (R's which()).
+            index = np.flatnonzero(index.values()) + 1
+        elif isinstance(index, slice):
             lo = 1 if index.start is None else int(index.start)
             hi = self.length if index.stop is None else int(index.stop)
             if index.step not in (None, 1):
                 raise ValueError("only unit-step slices are supported")
             return Range(lo, hi)
-        if isinstance(index, (int, np.integer)):
+        elif isinstance(index, (int, np.integer)):
             return Range(int(index), int(index))
         arr = np.asarray(index)
         if arr.dtype == bool:
             raise TypeError(
                 "boolean gather is not deferred; use .assign for masked "
                 "updates or which() semantics via numpy first")
-        from .expr import ArrayInput
         stored = self.session.store.vector_from_numpy(
             arr.astype(np.float64))
         return ArrayInput(stored, name="idx")
@@ -205,16 +245,13 @@ class RiotVector(_Deferred):
         ``index`` may be a logical RiotVector mask (``b > 100``) or a
         positional index vector/slice.
         """
-        value_node = _scalarize(value)
-        if isinstance(index, RiotVector) and _is_logical(index.node):
-            return RiotVector(self.session, SubscriptAssign(
-                self.node, index.node, value_node, logical_mask=True))
+        mask = isinstance(index, RiotVector) and is_logical(index.node)
         return RiotVector(self.session, SubscriptAssign(
-            self.node, self._index_node(index), value_node,
-            logical_mask=False))
+            self.node, index.node if mask else self._index_node(index),
+            _scalarize(value), logical_mask=mask))
 
     def head(self, n: int = 6) -> "RiotVector":
-        return self[1:n]
+        return self[1:min(n, self.length)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RiotVector(n={self.length}, deferred)"
@@ -235,13 +272,6 @@ class RiotMatrix(_Deferred):
         """
         return session.sparse_matrix(rows, cols, values, shape,
                                      name=name)
-
-    def _wrap(self, node: Node):
-        if node.ndim == 2:
-            return RiotMatrix(self.session, node)
-        if node.ndim == 1:
-            return RiotVector(self.session, node)
-        return node
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -264,23 +294,25 @@ class RiotMatrix(_Deferred):
     def crossprod(self, other=None) -> "RiotMatrix":
         """``t(self) %*% other`` without materializing the transpose.
 
-        With no argument the product is ``t(self) %*% self``: the
-        symmetric :class:`Crossprod` node, whose kernel computes only
-        the upper-triangular output blocks and mirrors them on write.
+        With no argument (or with ``self`` again, which is how R's
+        one-argument ``crossprod(a)`` arrives) the product is
+        ``t(self) %*% self``: the symmetric :class:`Crossprod` node,
+        whose kernel computes only the upper-triangular output blocks
+        and mirrors them on write.
         """
-        if other is None:
+        other = self.node if other is None else _scalarize(other)
+        if other is self.node:
             return RiotMatrix(self.session, Crossprod(self.node))
-        return RiotMatrix(self.session, MatMul(
-            self.node, _scalarize(other), trans_a=True))
+        return RiotMatrix(self.session, MatMul(self.node, other, trans_a=True))
 
     def tcrossprod(self, other=None) -> "RiotMatrix":
         """``self %*% t(other)`` (``other`` defaults to self),
         transpose-free like :meth:`crossprod`."""
-        if other is None:
+        other = self.node if other is None else _scalarize(other)
+        if other is self.node:
             return RiotMatrix(self.session,
                               Crossprod(self.node, t_first=False))
-        return RiotMatrix(self.session, MatMul(
-            self.node, _scalarize(other), trans_b=True))
+        return RiotMatrix(self.session, MatMul(self.node, other, trans_b=True))
 
     def inv(self) -> "RiotMatrix":
         """Deferred explicit inverse.
@@ -297,13 +329,3 @@ class RiotMatrix(_Deferred):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RiotMatrix(shape={self.shape}, deferred)"
-
-
-def _is_logical(node: Node) -> bool:
-    """Heuristic: does this node produce 0/1 logical values?"""
-    from .expr import COMPARISON_OPS
-    if isinstance(node, Map) and node.op in COMPARISON_OPS:
-        return True
-    if isinstance(node, Map) and node.op == "ifelse":
-        return all(_is_logical(c) for c in node.children[1:])
-    return False

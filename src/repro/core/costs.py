@@ -292,22 +292,25 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
 
 
 def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
-               block: float, tile_side: float = DEFAULT_TILE_SIDE
+               block: float,
+               tiles: tuple[float, float] = (DEFAULT_TILE_SIDE,) * 2
                ) -> tuple[float, dict]:
     """``(blocks, geometry)`` of ``C = A B`` with sparse tiled A and
-    dense tiled B: :func:`spmm_io` and the panel shape it counted over.
+    dense tiled B: :func:`spmm_io` and the panel shape it counted over;
+    ``tiles`` is A's ``(tile rows, tile columns)`` — the grid the
+    kernel cuts its panels from, square or not.
 
     A count over :func:`spmm_panels` on the expected tile directory:
     every nonempty A tile is read once per column panel; per row panel
-    the ``tile_side``-row strip of B under block column ``tj`` is read
-    once iff some held block row has a tile there; C is written once,
-    tile-aligned.
+    the strip of B under block column ``tj`` (one A tile column high)
+    is read once iff some held block row has a tile there; C is
+    written once, tile-aligned.
     """
-    prof = sparse_matrix_profile(m, l, nnz, block, tile_side)
+    th, tk = tiles
+    prof = sparse_matrix_profile(m, l, nnz, block, th, tk)
     b_blocks = l * n / block
-    pw, r = spmm_panels(memory, n, tile_side, tile_side,
-                        prof["grid_rows"], prof["pages"], b_blocks,
-                        tile_side * tile_side)
+    pw, r = spmm_panels(memory, n, th, tk, prof["grid_rows"],
+                        prof["pages"], b_blocks, th * tk)
     a_reads = math.ceil(n / pw) * prof["pages"]
     b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
                                           prof["grid_rows"], r)
@@ -317,10 +320,12 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
 
 
 def spmm_io(m: float, l: float, n: float, nnz: float, memory: float,
-            block: float, tile_side: float = DEFAULT_TILE_SIDE) -> float:
+            block: float,
+            tiles: tuple[float, float] = (DEFAULT_TILE_SIDE,) * 2
+            ) -> float:
     """I/O of ``C = A B`` with sparse tiled A and dense tiled B (the
     block count of :func:`spmm_model`)."""
-    return spmm_model(m, l, n, nnz, memory, block, tile_side)[0]
+    return spmm_model(m, l, n, nnz, memory, block, tiles)[0]
 
 
 def spgemm_row_panels(memory: float, acc_words: float,

@@ -1,10 +1,16 @@
 """Next-generation RIOT as an R-language engine.
 
 The same transparency mechanism that plugged RIOT-DB into R (§4) plugs the
-§5 expression-DAG engine in as well: ``riotvector``/``riotmatrix`` classes
-register methods on the generics table, every R operation builds DAG nodes,
-and evaluation happens only at ``print``/reductions — now executed by the
-streaming evaluator over the tile store instead of a relational backend.
+§5 expression-DAG engine in as well, with no second deferred type: the
+session's own :class:`~repro.core.arrays.RiotVector` /
+:class:`~repro.core.arrays.RiotMatrix` handles are the classes on the
+generics table, and each R operator dispatches to the Python operator or
+method the handle already overloads (``+`` to ``operator.add``, ``%*%``
+to ``operator.matmul``, ``solve`` to ``RiotMatrix.solve``, ...).  One
+statement, typed in R or through the host API, is one DAG, built by
+:mod:`repro.core.arrays` alone.  What stays here is R-specific:
+``RScalar`` / ``MissingIndex`` conversion, ``c()``, ``matrix()``
+reshaping, ``which``, ``print`` formatting and the ``Engine`` metrics.
 
 This is the engine the paper's conclusion promises: *"With a specialized
 storage engine, algorithms, and database-style optimization strategies
@@ -14,6 +20,8 @@ to make significant further gain in I/O-efficiency."*
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.engines.base import Engine
@@ -22,55 +30,42 @@ from repro.rlang.reference import format_vector
 from repro.rlang.values import MissingIndex, RError, RScalar
 from repro.storage import IOStats, SimClock, StorageConfig
 
-from .expr import (ArrayInput, COMPARISON_OPS, Crossprod, Inverse, Map,
-                   MatMul, Node, Range, Reduce, Scalar, Solve, Subscript,
-                   SubscriptAssign, Transpose)
+from .arrays import RiotMatrix, RiotVector
+from .expr import is_logical
 from .session import RiotSession
 
-
-class NGVec:
-    """A deferred vector: a DAG node plus logical-ness metadata."""
-
-    def __init__(self, session: RiotSession, node: Node,
-                 logical: bool = False) -> None:
-        self.session = session
-        self.node = node
-        self.logical = logical
-
-    @property
-    def length(self) -> int:
-        return self.node.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"NGVec(n={self.length}, deferred)"
-
-
-class NGMat:
-    """A deferred matrix handle."""
-
-    def __init__(self, session: RiotSession, node: Node) -> None:
-        self.session = session
-        self.node = node
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.node.shape
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"NGMat(shape={self.shape}, deferred)"
-
-
-#: R operator name -> DAG Map op.
-_OP_MAP = {
-    "+": "+", "-": "-", "*": "*", "/": "/", "^": "pow", "%%": "mod",
-    "==": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">=",
-    "&": "and", "|": "or",
+#: R binary operator -> the Python operator the handles overload.
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": operator.pow, "%%": operator.mod,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+    "&": operator.and_, "|": operator.or_,
 }
 
-_UNARY_MAP = {
+#: R elementwise function -> handle method.
+_UNARY = {
     "sqrt": "sqrt", "abs": "abs", "exp": "exp", "log": "log",
     "floor": "floor", "ceiling": "ceil",
 }
+
+
+def _lifted(fn):
+    """``fn`` with each ``RScalar`` argument passed as its float; the
+    handles' own scalar lifting makes the DAG constant from it."""
+    def call(*args):
+        return fn(*(a.as_float() if isinstance(a, RScalar) else a
+                    for a in args))
+    return call
+
+
+def _position(idx):
+    """An R subscript in the form the handles' ``[]`` takes."""
+    if isinstance(idx, RScalar):
+        return idx.as_int()
+    if isinstance(idx, RiotVector):
+        return idx
+    raise RError("unsupported subscript")
 
 
 class RiotNGEngine(Engine):
@@ -99,249 +94,112 @@ class RiotNGEngine(Engine):
         self._register_all()
 
     # -- constructors -----------------------------------------------------
-    def make_vector(self, data: np.ndarray) -> NGVec:
-        stored = self.session.store.vector_from_numpy(
-            np.asarray(data, dtype=np.float64))
-        return NGVec(self.session, ArrayInput(stored))
+    def make_vector(self, data: np.ndarray) -> RiotVector:
+        return self.session.vector(data)
 
-    def make_matrix(self, data: np.ndarray) -> NGMat:
-        stored = self.session.store.matrix_from_numpy(
-            np.asarray(data, dtype=np.float64), layout="square")
-        return NGMat(self.session, ArrayInput(stored))
+    def make_matrix(self, data: np.ndarray) -> RiotMatrix:
+        return self.session.matrix(data)
 
     def make_sparse_matrix(self, rows, cols, values,
-                           shape: tuple[int, int]) -> NGMat:
+                           shape: tuple[int, int]) -> RiotMatrix:
         """Store 0-based COO triplets as CSR tiles (``sparseMatrix``)."""
-        from repro.sparse import SparseTiledMatrix
-        stored = SparseTiledMatrix.from_coo(
-            self.session.store, rows, cols, values, shape)
-        return NGMat(self.session, ArrayInput(stored))
+        return self.session.sparse_matrix(rows, cols, values, shape)
 
     # -- registration ------------------------------------------------------
     def _register_all(self) -> None:
         g = self.generics
-        for op in _OP_MAP:
-            g.set_method(op, (NGVec, NGVec), self._vv(op))
-            g.set_method(op, (NGVec, RScalar), self._vs(op, False))
-            g.set_method(op, (RScalar, NGVec), self._vs(op, True))
-            g.set_method(op, (NGMat, NGMat), self._mm(op))
-            g.set_method(op, (NGMat, RScalar), self._ms(op, False))
-            g.set_method(op, (RScalar, NGMat), self._ms(op, True))
-        for rname, dag in _UNARY_MAP.items():
-            g.set_method(rname, (NGVec,), self._unary_vec(dag))
-            g.set_method(rname, (NGMat,), self._unary_mat(dag))
-        g.set_method("unary-", (NGVec,), self._unary_vec("neg"))
-        g.set_method("unary-", (NGMat,), self._unary_mat("neg"))
-        g.set_method("unary!", (NGVec,), self._not)
-        for red in ("sum", "mean", "min", "max"):
-            g.set_method(red, (NGVec,), self._reduction(red))
-            g.set_method(red, (NGMat,), self._reduction(red))
-        g.set_method("all", (NGVec,), lambda v: RScalar(
-            bool(self._force_reduce("min", v) != 0)))
-        g.set_method("any", (NGVec,), lambda v: RScalar(
-            bool(self._force_reduce("max", v) != 0)))
-        g.set_method("length", (NGVec,), lambda v: RScalar(v.length))
-        g.set_method("length", (NGMat,), lambda m: RScalar(
+        vec, mat = RiotVector, RiotMatrix
+        for h in (vec, mat):
+            for op, fn in _BINARY.items():
+                lifted = _lifted(fn)
+                g.set_method(op, (h, h), fn)
+                g.set_method(op, (h, RScalar), lifted)
+                g.set_method(op, (RScalar, h), lifted)
+            for rname, method in _UNARY.items():
+                g.set_method(rname, (h,), getattr(h, method))
+            g.set_method("unary-", (h,), operator.neg)
+            for red in ("sum", "mean", "min", "max"):
+                g.set_method(red, (h,), lambda x, red=red: RScalar(
+                    getattr(x, red)()))
+            g.set_method("explain", (h,), h.explain)
+            g.set_method("explain_analyze", (h,),
+                         lambda x: x.explain(analyze=True))
+        g.set_method("unary!", (vec,), operator.invert)
+        g.set_method("all", (vec,), lambda v: RScalar(v.min() != 0))
+        g.set_method("any", (vec,), lambda v: RScalar(v.max() != 0))
+        g.set_method("length", (vec,), lambda v: RScalar(v.length))
+        g.set_method("length", (mat,), lambda m: RScalar(
             m.shape[0] * m.shape[1]))
-        g.set_method("dim", (NGMat,), lambda m: self.make_vector(
-            np.asarray(m.shape, dtype=np.float64)))
-        g.set_method("range", (RScalar, RScalar), self._range)
-        g.set_method("concat", (object,), self._concat)
-        g.set_method("concat", (object, object), self._concat)
-        g.set_method("concat", (object, object, object), self._concat)
-        g.set_method("[", (NGVec, object), self._index)
-        g.set_method("[<-", (NGVec, object, object), self._assign)
-        g.set_method("%*%", (NGMat, NGMat), self._matmul)
-        g.set_method("solve", (NGMat,), self._inverse)
-        g.set_method("solve", (NGMat, NGMat), self._solve)
-        g.set_method("solve", (NGMat, NGVec), self._solve)
-        g.set_method("t", (NGMat,), self._transpose)
-        g.set_method("crossprod", (NGMat, NGMat), self._crossprod)
-        g.set_method("tcrossprod", (NGMat, NGMat), self._tcrossprod)
-        g.set_method("reshape", (NGVec, RScalar, RScalar), self._reshape)
-        g.set_method("explain", (NGVec,),
-                     lambda v: self.session.explain(v.node))
-        g.set_method("explain", (NGMat,),
-                     lambda m: self.session.explain(m.node))
-        g.set_method("explain_analyze", (NGVec,),
-                     lambda v: self.session.explain(v.node,
-                                                    analyze=True))
-        g.set_method("explain_analyze", (NGMat,),
-                     lambda m: self.session.explain(m.node,
-                                                    analyze=True))
-        g.set_method("print", (NGVec,), self._print_vector)
-        g.set_method("print", (NGMat,), self._print_matrix)
-        g.set_method("iterate", (NGVec,),
-                     lambda v: self._values(v).tolist())
-        g.set_method("first", (NGVec,), self._first)
-        g.set_method("which", (NGVec,), self._which)
-        g.set_method("head", (NGVec, RScalar), self._head)
+        g.set_method("dim", (mat,), lambda m: self.make_vector(m.shape))
+        g.set_method("range", (RScalar, RScalar), lambda lo, hi:
+                     self.session.arange(lo.as_int(), hi.as_int()))
+        for arity in (1, 2, 3):
+            g.set_method("concat", (object,) * arity, self._concat)
+        g.set_method("[", (vec, object), self._index)
+        g.set_method("[<-", (vec, object, object), self._assign)
+        g.set_method("%*%", (mat, mat), operator.matmul)
+        g.set_method("solve", (mat,), mat.inv)
+        g.set_method("solve", (mat, mat), mat.solve)
+        g.set_method("solve", (mat, vec), mat.solve)
+        g.set_method("t", (mat,), lambda m: m.T)
+        # crossprod(a) arrives as crossprod(a, a): the handles turn the
+        # repeated operand into the symmetric Crossprod node.
+        g.set_method("crossprod", (mat, mat), mat.crossprod)
+        g.set_method("tcrossprod", (mat, mat), mat.tcrossprod)
+        g.set_method("reshape", (vec, RScalar, RScalar), self._reshape)
+        g.set_method("print", (vec,), self._print_vector)
+        g.set_method("print", (mat,), self._print_matrix)
+        g.set_method("iterate", (vec,), lambda v: v.values().tolist())
+        g.set_method("first", (vec,),
+                     lambda v: self._index(v, RScalar(1)))
+        g.set_method("which", (vec,), self._which)
+        g.set_method("head", (vec, RScalar),
+                     lambda v, n: v.head(n.as_int()))
 
-    # -- helpers -------------------------------------------------------------
-    def _values(self, v) -> np.ndarray:
-        result = self.session.values(v.node)
-        return np.asarray(result)
-
-    def _force_reduce(self, op: str, v: NGVec) -> float:
-        return float(self.session.force(Reduce(op, v.node)))
-
-    def _logical_op(self, op: str) -> bool:
-        return op in COMPARISON_OPS
-
-    # -- operator factories ------------------------------------------------
-    def _vv(self, op: str):
-        def call(a: NGVec, b: NGVec) -> NGVec:
-            dag = _OP_MAP[op]
-            return NGVec(self.session, Map(dag, a.node, b.node),
-                         logical=self._logical_op(dag))
-        return call
-
-    def _vs(self, op: str, swap: bool):
-        def call(x, y) -> NGVec:
-            vec, scalar = (y, x) if swap else (x, y)
-            const = Scalar(scalar.as_float())
-            args = (const, vec.node) if swap else (vec.node, const)
-            dag = _OP_MAP[op]
-            return NGVec(self.session, Map(dag, *args),
-                         logical=self._logical_op(dag))
-        return call
-
-    def _mm(self, op: str):
-        def call(a: NGMat, b: NGMat) -> NGMat:
-            return NGMat(self.session, Map(_OP_MAP[op], a.node, b.node))
-        return call
-
-    def _ms(self, op: str, swap: bool):
-        def call(x, y) -> NGMat:
-            mat, scalar = (y, x) if swap else (x, y)
-            const = Scalar(scalar.as_float())
-            args = (const, mat.node) if swap else (mat.node, const)
-            return NGMat(self.session, Map(_OP_MAP[op], *args))
-        return call
-
-    def _unary_vec(self, dag: str):
-        def call(v: NGVec) -> NGVec:
-            return NGVec(self.session, Map(dag, v.node))
-        return call
-
-    def _unary_mat(self, dag: str):
-        def call(m: NGMat) -> NGMat:
-            return NGMat(self.session, Map(dag, m.node))
-        return call
-
-    def _not(self, v: NGVec) -> NGVec:
-        return NGVec(self.session, Map("not", v.node), logical=True)
-
-    def _reduction(self, red: str):
-        def call(obj) -> RScalar:
-            return RScalar(float(self.session.force(
-                Reduce(red, obj.node))))
-        return call
-
-    def _range(self, lo: RScalar, hi: RScalar) -> NGVec:
-        return NGVec(self.session, Range(lo.as_int(), hi.as_int()))
-
-    def _concat(self, *parts) -> NGVec:
+    # -- R-specific operations ----------------------------------------------
+    def _concat(self, *parts) -> RiotVector:
         arrays = []
         for p in parts:
             if isinstance(p, RScalar):
                 arrays.append(np.asarray([p.as_float()]))
-            elif isinstance(p, NGVec):
-                arrays.append(self._values(p))
+            elif isinstance(p, RiotVector):
+                arrays.append(p.values())
             else:
                 raise RError(f"cannot concatenate {type(p).__name__}")
         return self.make_vector(np.concatenate(arrays))
 
-    # -- subscripts -----------------------------------------------------------
-    def _index(self, x: NGVec, idx):
+    def _index(self, x: RiotVector, idx):
+        """``x[idx]``: a scalar subscript is forced to an ``RScalar``,
+        anything else stays deferred."""
         if isinstance(idx, MissingIndex):
             return x
+        picked = x[_position(idx)]
         if isinstance(idx, RScalar):
-            node = Subscript(x.node, Range(idx.as_int(), idx.as_int()))
-            values = self.session.values(node)
-            return RScalar(float(np.asarray(values)[0]))
-        if idx.logical:
-            # Forces the mask (positions are data-dependent).
-            mask = self._values(idx).astype(bool)
-            positions = np.flatnonzero(mask) + 1
-            stored = self.session.store.vector_from_numpy(
-                positions.astype(np.float64))
-            return NGVec(self.session,
-                         Subscript(x.node, ArrayInput(stored)),
-                         logical=x.logical)
-        return NGVec(self.session, Subscript(x.node, idx.node),
-                     logical=x.logical)
+            return RScalar(float(picked.values()[0]))
+        return picked
 
-    def _assign(self, x: NGVec, idx, value) -> NGVec:
-        value_node = (Scalar(value.as_float())
-                      if isinstance(value, RScalar) else value.node)
-        if isinstance(idx, NGVec) and idx.logical:
-            return NGVec(self.session, SubscriptAssign(
-                x.node, idx.node, value_node, logical_mask=True),
-                logical=x.logical)
-        if isinstance(idx, RScalar):
-            index_node: Node = Range(idx.as_int(), idx.as_int())
-        elif isinstance(idx, NGVec):
-            index_node = idx.node
-        else:
-            raise RError("unsupported subscript in assignment")
-        return NGVec(self.session, SubscriptAssign(
-            x.node, index_node, value_node, logical_mask=False),
-            logical=x.logical)
+    def _assign(self, x: RiotVector, idx, value) -> RiotVector:
+        return _lifted(x.assign)(_position(idx), value)
 
-    # -- linear algebra -----------------------------------------------------
-    def _matmul(self, a: NGMat, b: NGMat) -> NGMat:
-        return NGMat(self.session, MatMul(a.node, b.node))
-
-    def _inverse(self, a: NGMat) -> NGMat:
-        """``solve(a)``: the deferred explicit inverse.
-
-        Deferred like everything else, so ``solve(a) %*% b`` is
-        rewritten into a single Solve node before evaluation.
-        """
-        return NGMat(self.session, Inverse(a.node))
-
-    def _solve(self, a: NGMat, b):
-        """``solve(a, b)``: defer the linear system ``a %*% x == b``."""
-        node = Solve(a.node, b.node)
-        if node.ndim == 1:
-            return NGVec(self.session, node)
-        return NGMat(self.session, node)
-
-    def _transpose(self, m: NGMat) -> NGMat:
-        return NGMat(self.session, Transpose(m.node))
-
-    def _crossprod(self, a: NGMat, b: NGMat) -> NGMat:
-        """``crossprod(a[, b])``: t(a) %*% b with an operand flag — the
-        transpose never exists on disk.  With one argument (b is a) the
-        node is the symmetric :class:`Crossprod`."""
-        if a.node is b.node:
-            return NGMat(self.session, Crossprod(a.node))
-        return NGMat(self.session, MatMul(a.node, b.node, trans_a=True))
-
-    def _tcrossprod(self, a: NGMat, b: NGMat) -> NGMat:
-        """``tcrossprod(a[, b])``: a %*% t(b), transpose-free."""
-        if a.node is b.node:
-            return NGMat(self.session, Crossprod(a.node, t_first=False))
-        return NGMat(self.session, MatMul(a.node, b.node, trans_b=True))
-
-    def _reshape(self, v: NGVec, nrow: RScalar, ncol: RScalar) -> NGMat:
+    def _reshape(self, v: RiotVector, nrow: RScalar,
+                 ncol: RScalar) -> RiotMatrix:
         n1, n2 = nrow.as_int(), ncol.as_int()
         if n1 * n2 != v.length:
             raise RError("reshape size mismatch")
-        data = self._values(v).reshape((n1, n2), order="F")
-        return self.make_matrix(data)
+        return self.make_matrix(v.values().reshape((n1, n2), order="F"))
+
+    def _which(self, x: RiotVector) -> RiotVector:
+        return self.make_vector(np.flatnonzero(x.values()) + 1)
 
     # -- inspection --------------------------------------------------------
-    def _print_vector(self, x: NGVec) -> str:
-        values = self._values(x)
-        if x.logical:
+    def _print_vector(self, x: RiotVector) -> str:
+        values = x.values()
+        if is_logical(x.node):
             values = values.astype(bool)
         return format_vector(values)
 
-    def _print_matrix(self, m: NGMat) -> str:
-        data = self.session.force(m.node)
-        arr = data.to_numpy() if hasattr(data, "to_numpy") else data
+    def _print_matrix(self, m: RiotMatrix) -> str:
+        arr = m.values()
         rows, cols = arr.shape
         lines = [f"matrix {rows}x{cols}"]
         for r in range(min(rows, 6)):
@@ -350,21 +208,6 @@ class RiotNGEngine(Engine):
         if rows > 6:
             lines.append("...")
         return "\n".join(lines)
-
-    def _first(self, x: NGVec) -> RScalar:
-        node = Subscript(x.node, Range(1, 1))
-        return RScalar(float(np.asarray(self.session.values(node))[0]))
-
-    def _which(self, x: NGVec) -> NGVec:
-        mask = self._values(x).astype(bool)
-        return self.make_vector((np.flatnonzero(mask) + 1
-                                 ).astype(np.float64))
-
-    def _head(self, x: NGVec, n: RScalar) -> NGVec:
-        return NGVec(self.session,
-                     Subscript(x.node, Range(1, min(n.as_int(),
-                                                    x.length))),
-                     logical=x.logical)
 
     # -- metrics -------------------------------------------------------------
     def io_stats(self) -> IOStats:

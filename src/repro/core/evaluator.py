@@ -201,45 +201,51 @@ class Evaluator:
         stays active either way.  Use :meth:`execute_parallel` to get
         a parallel schedule for a cold run.
         """
-        self._verify_strict(plan)
-        for op in plan.ops():
-            op.measured_io = None
-            op.measured = None
-            op.pool_measured = None
-            op.wall_ns = None
-        # The densified-twin cache de-duplicates conversions *within*
-        # one execution: cleared on entry and drained again on exit, so
-        # a long session never pins the sparse operands it densified —
-        # not even the last evaluation's.
+        with self._execution(plan, cold):
+            for op in plan.ops():
+                op.measured_io = None
+                op.measured = None
+                op.pool_measured = None
+                op.wall_ns = None
+            if cold or self.parallelism <= 1:
+                memo: dict[int, object] = {}
+                for op in plan.ops():
+                    memo[id(op.node)] = self._measured_op(op, memo)[0]
+                result = memo[id(plan.root.node)]
+            else:
+                result = self._plan_executor(
+                    self.parallelism).execute(plan)
+            if cold:
+                self._flush_into_root(plan.root)
+        plan.executed = True
+        return result
+
+    @contextmanager
+    def _execution(self, plan: PhysicalPlan, cold: bool):
+        """The window every plan execution runs in: verify the plan
+        when strict, start from an empty densified-twin cache (and an
+        empty pool when ``cold``), run inside the ``execute:level<n>``
+        span, and drain the cache again on the way out.
+
+        The cache de-duplicates conversions *within* one execution, so
+        a long session never pins the sparse operands it densified —
+        not even the last evaluation's.
+        """
+        if self.strict:
+            # Imported lazily: repro.analysis depends on repro.core,
+            # not the other way around.
+            from repro.analysis.planlint import verify_plan
+            verify_plan(plan, memory_scalars=self.memory_scalars,
+                        block_scalars=self.store.scalars_per_block)
         self._densified_cache.clear()
         if cold:
             self.store.pool.clear()
         try:
             with self.store.tracer.span(
                     f"execute:level{plan.level}", cat="session"):
-                if cold or self.parallelism <= 1:
-                    memo: dict[int, object] = {}
-                    for op in plan.ops():
-                        self._exec_op(op, memo)
-                    result = memo[id(plan.root.node)]
-                else:
-                    result = self._plan_executor(
-                        self.parallelism).execute(plan)
-                if cold:
-                    self._flush_into_root(plan.root)
-            plan.executed = True
-            return result
+                yield
         finally:
             self._densified_cache.clear()
-
-    def _verify_strict(self, plan: PhysicalPlan) -> None:
-        if not self.strict:
-            return
-        # Imported lazily: repro.analysis depends on repro.core,
-        # not the other way around.
-        from repro.analysis.planlint import verify_plan
-        verify_plan(plan, memory_scalars=self.memory_scalars,
-                    block_scalars=self.store.scalars_per_block)
 
     def execute_parallel(self, plan: PhysicalPlan, *,
                          cold: bool = False,
@@ -255,21 +261,13 @@ class Evaluator:
         comparable to a cold serial run's.  This is the first half of
         ``explain(analyze=True)``'s dual run.
         """
-        self._verify_strict(plan)
         w = (self.parallelism if workers is None
              else resolve_parallelism(workers))
-        self._densified_cache.clear()
-        if cold:
-            self.store.pool.clear()
-        try:
-            with self.store.tracer.span(
-                    f"execute:level{plan.level}", cat="session"):
-                result = self._plan_executor(w).execute(plan)
-                if cold:
-                    self.store.pool.flush_all()
-            return result
-        finally:
-            self._densified_cache.clear()
+        with self._execution(plan, cold):
+            result = self._plan_executor(w).execute(plan)
+            if cold:
+                self.store.pool.flush_all()
+        return result
 
     def _flush_into_root(self, root: PhysOp) -> None:
         """Flush dirty frames, charging the write-back to the root op.
@@ -280,35 +278,46 @@ class Evaluator:
         delta keeps per-op sums equal to the session totals over the
         whole (cold) execution window.
         """
-        io_before = self.store.device.stats.snapshot()
-        pool_before = self.store.pool.stats.snapshot()
-        start_ns = time.perf_counter_ns()
-        self.store.pool.flush_all()
+        _, io, pool, _, wall_ns = self._measured(self.store.pool.flush_all)
         if root.measured is not None:
-            root.measured = root.measured.merged(
-                self.store.device.stats.delta(io_before))
+            root.measured = root.measured.merged(io)
             root.measured_io = root.measured.total
         if root.pool_measured is not None:
-            root.pool_measured = root.pool_measured.merged(
-                self.store.pool.stats.delta(pool_before))
+            root.pool_measured = root.pool_measured.merged(pool)
         if root.wall_ns is not None:
-            root.wall_ns += time.perf_counter_ns() - start_ns
+            root.wall_ns += wall_ns
 
-    def _exec_op(self, op: PhysOp, memo: dict[int, object]) -> None:
-        # Each operator's own work runs sequentially between these
-        # snapshots (children already done), so per-op deltas sum
-        # exactly to the session totals — the invariant the obs
-        # hypothesis test asserts on random DAGs.
+    def _measured(self, work):
+        """Run ``work()`` between samples of the device counters, the
+        pool counters and the clock; returns ``(result, I/O delta, pool
+        delta, start ns, wall ns)``."""
         io_before = self.store.device.stats.snapshot()
         pool_before = self.store.pool.stats.snapshot()
         start_ns = time.perf_counter_ns()
-        with self.store.tracer.span(op.label(), cat="op"):
-            result = self._dispatch_op(op, memo)
-        op.wall_ns = time.perf_counter_ns() - start_ns
-        op.measured = self.store.device.stats.delta(io_before)
-        op.pool_measured = self.store.pool.stats.delta(pool_before)
+        result = work()
+        wall_ns = time.perf_counter_ns() - start_ns
+        return (result, self.store.device.stats.delta(io_before),
+                self.store.pool.stats.delta(pool_before), start_ns,
+                wall_ns)
+
+    def _measured_op(self, op: PhysOp, memo: dict[int, object]):
+        """Run one operator's own work (children already done) inside
+        its span and record its I/O / pool / wall deltas on it; returns
+        ``(result, start ns)``.
+
+        One operator at a time (serial execution) makes the deltas sum
+        exactly to the session totals — the invariant the obs hypothesis
+        test asserts on random DAGs; on the worker pool they are window
+        deltas (see :class:`~repro.core.parallel.ParallelExecutor`).
+        """
+        def work():
+            with self.store.tracer.span(op.label(), cat="op"):
+                return self._dispatch_op(op, memo)
+
+        (result, op.measured, op.pool_measured, start_ns,
+         op.wall_ns) = self._measured(work)
         op.measured_io = op.measured.total
-        memo[id(op.node)] = result
+        return result, start_ns
 
     def _dispatch_op(self, op: PhysOp, memo: dict[int, object]):
         """Run one operator's own work (inputs already in ``memo``)."""
@@ -418,33 +427,24 @@ class Evaluator:
         a time, so a wide B (e.g. a rewritten ``inv(A) %*% B`` with
         matrix B) respects the same budget the factorization does.
         """
-        from repro.core.costs import lu_panel_width
         from repro.linalg.lu import lu_decompose
-        from repro.linalg.solve import lu_solve_factored
+        from repro.linalg.solve import lu_solve_factored, lu_solve_panels
         node = op.node
         a = self._as_tiled_matrix(self._input(node.children[0], memo))
         b = self._densified(self._input(node.children[1], memo))
+        if node.ndim == 2:
+            n = node.shape[0]
+            b_mat = self._as_tiled_matrix(b)
+            return lu_solve_panels(
+                self.store, a, node.shape[1], self.memory_scalars,
+                lambda j0, j1: b_mat.read_submatrix(0, n, j0, j1))
+        # A vector RHS is read after the factorization, as one piece.
         factors = lu_decompose(self.store, a, self.memory_scalars)
         try:
-            if node.ndim == 1:
-                rhs = (b.to_numpy() if hasattr(b, "to_numpy")
-                       else np.asarray(b, dtype=np.float64))
-                x = lu_solve_factored(factors, rhs.ravel(),
-                                      self.memory_scalars)
-                return self.store.vector_from_numpy(x)
-            n, k = node.shape
-            b_mat = self._as_tiled_matrix(b)
-            out = self.store.create_matrix(node.shape, layout="square")
-            pw = lu_panel_width(n, self.memory_scalars,
-                                out.tile_shape[1])
-            for j0 in range(0, k, pw):
-                j1 = min(j0 + pw, k)
-                rhs = b_mat.read_submatrix(0, n, j0, j1)
-                out.write_submatrix(
-                    0, j0,
-                    lu_solve_factored(factors, rhs,
-                                      self.memory_scalars))
-            return out
+            rhs = (b.to_numpy() if hasattr(b, "to_numpy")
+                   else np.asarray(b, dtype=np.float64))
+            return self.store.vector_from_numpy(lu_solve_factored(
+                factors, rhs.ravel(), self.memory_scalars))
         finally:
             factors.drop()
 
@@ -456,28 +456,12 @@ class Evaluator:
         This is the plan the ``inv(A) %*% B -> solve(A, B)`` rewrite
         avoids; it exists for programs that genuinely need the inverse.
         """
-        from repro.core.costs import lu_panel_width
-        from repro.linalg.lu import lu_decompose
-        from repro.linalg.solve import lu_solve_factored
-        node = op.node
-        a = self._as_tiled_matrix(self._input(node.children[0], memo))
-        n = node.shape[0]
-        factors = lu_decompose(self.store, a, self.memory_scalars)
-        out = self.store.create_matrix((n, n), layout="square")
-        pw = lu_panel_width(n, self.memory_scalars,
-                            out.tile_shape[1])
-        try:
-            for j0 in range(0, n, pw):
-                j1 = min(j0 + pw, n)
-                rhs = np.zeros((n, j1 - j0))
-                rhs[np.arange(j0, j1), np.arange(j1 - j0)] = 1.0
-                out.write_submatrix(
-                    0, j0,
-                    lu_solve_factored(factors, rhs,
-                                      self.memory_scalars))
-        finally:
-            factors.drop()
-        return out
+        from repro.linalg.solve import lu_solve_panels
+        n = op.node.shape[0]
+        a = self._as_tiled_matrix(self._input(op.node.children[0], memo))
+        return lu_solve_panels(
+            self.store, a, n, self.memory_scalars,
+            lambda j0, j1: np.eye(n, j1 - j0, k=-j0))
 
     # ------------------------------------------------------------------
     # Fused elementwise streaming

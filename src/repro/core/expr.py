@@ -41,6 +41,25 @@ ELEMENTWISE_OPS = {**UNARY_OPS, **BINARY_OPS, **TERNARY_OPS}
 COMPARISON_OPS = frozenset(["==", "!=", "<", ">", "<=", ">=",
                             "and", "or", "not"])
 
+
+def is_logical(node: "Node") -> bool:
+    """Does ``node`` hold R logical (TRUE/FALSE as 1/0) values?
+
+    The one statement of the rule every front end consults — for
+    ``x[mask]``, ``x[mask] <- v`` and ``print``: comparisons and
+    ``& | !`` produce logicals, ``ifelse`` does when both branches do,
+    and ``[`` / ``head`` / ``[<-`` keep the logical-ness of the vector
+    they select from or update.
+    """
+    while isinstance(node, (Subscript, SubscriptAssign)):
+        node = node.children[0]
+    if not isinstance(node, Map):
+        return False
+    if node.op == "ifelse":
+        return all(is_logical(c) for c in node.children[1:])
+    return node.op in COMPARISON_OPS
+
+
 #: Unary ops with f(0) == 0: they preserve the operand's zero pattern,
 #: so the estimated density passes through unchanged.
 ZERO_PRESERVING_UNARY = frozenset(["sqrt", "abs", "neg", "floor", "ceil"])

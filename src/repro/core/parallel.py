@@ -203,31 +203,18 @@ class ParallelExecutor:
             return min(float(fp), capacity)
 
         def run_op(op: "PhysOp", slot: int, fp: float) -> None:
-            io_before = ev.store.device.stats.snapshot()
-            pool_before = ev.store.pool.stats.snapshot()
-            start = time.perf_counter_ns()
             err: BaseException | None = None
-            result = None
             try:
-                with ev.store.tracer.span(op.label(), cat="op"):
-                    result = ev._dispatch_op(op, memo)
+                # Window deltas; serial (cold) runs re-measure them
+                # exactly.  See Evaluator._measured_op.
+                result, start = ev._measured_op(op, memo)
             except BaseException as exc:
                 err = exc
-            end = time.perf_counter_ns()
             with cond:
-                op.worker = slot
-                op.sched_start_ns = start - t0
-                op.sched_end_ns = end - t0
                 if err is None:
-                    # Window deltas: exact when nothing overlapped the
-                    # op (chains), inclusive of concurrent ops' traffic
-                    # otherwise.  Serial (cold) runs re-measure these
-                    # exactly; see Evaluator.execute.
-                    op.measured = ev.store.device.stats.delta(io_before)
-                    op.pool_measured = \
-                        ev.store.pool.stats.delta(pool_before)
-                    op.measured_io = op.measured.total
-                    op.wall_ns = end - start
+                    op.worker = slot
+                    op.sched_start_ns = start - t0
+                    op.sched_end_ns = op.sched_start_ns + op.wall_ns
                     memo[id(op.node)] = result
                     finished.add(id(op))
                     for dep in dependents[id(op)]:

@@ -57,9 +57,9 @@ def sparse_product_cost(a: Node, b: Node, dims: tuple[int, int, int],
             m, k, n, a.estimated_nnz, b.estimated_nnz, memory, block,
             tiles=(th, tk, tw))
     else:
-        inputs["tile_side"] = th
+        inputs["tiles"] = (th, tk)
         cost, geometry = spmm_model(m, k, n, a.estimated_nnz, memory,
-                                    block, tile_side=th)
+                                    block, tiles=(th, tk))
     return cost, {**inputs, **geometry}
 
 

@@ -14,6 +14,12 @@ lowers the DAG as written, so the un-optimized baseline every ablation
 benchmark measures against runs on the same executor.  ``explain()``
 renders the plan with each operator's predicted block I/O — and, once
 forced, the measured blocks next to it.
+
+The session stores arrays and hands out their handles; it builds no
+operator nodes itself.  ``solve`` / ``crossprod`` / ``tcrossprod``
+delegate to the :mod:`~repro.core.arrays` handle methods, and whatever
+``plan`` / ``force`` / ``explain`` are given — a handle, a node, a
+number — is unwrapped by the handles' one rule (``_scalarize``).
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ import numpy as np
 from repro.obs import CalibrationReport, MetricsRegistry
 from repro.storage import ArrayStore, IOStats, StorageConfig
 
-from .arrays import RiotMatrix, RiotVector
+from .arrays import RiotMatrix, RiotVector, _scalarize
 from .config import OptimizerConfig
 from .evaluator import Evaluator
-from .expr import ArrayInput, Crossprod, Inverse, MatMul, Node, Range, \
-    Solve
+from .expr import ArrayInput, Node, Range, render
 from .passes import PassContext, build_pipeline
 from .plan import PhysicalPlan
 from .planner import Planner
@@ -62,7 +67,6 @@ class RiotSession:
         self.store = ArrayStore(storage=storage)
         self.config = config if config is not None else \
             OptimizerConfig(level=2 if optimize else 0)
-        self.optimize_enabled = self.config.level > 0
         # Budgets in *stored scalars*: a float32 store fits twice as
         # many per block, and every cost model counts blocks.
         self._memory_scalars = storage.memory_bytes // storage.itemsize
@@ -165,31 +169,18 @@ class RiotSession:
         ``session.solve(a) @ b`` plan is rewritten back into a single
         Solve before anything is materialized.
         """
-        a_node = a.node if hasattr(a, "node") else a
-        if b is None:
-            return RiotMatrix(self, Inverse(a_node))
-        b_node = b.node if hasattr(b, "node") else b
-        node = Solve(a_node, b_node)
-        wrapper = RiotVector if node.ndim == 1 else RiotMatrix
-        return wrapper(self, node)
+        return a.inv() if b is None else a.solve(b)
 
     def crossprod(self, a: RiotMatrix, b=None) -> RiotMatrix:
         """R's ``crossprod``: ``t(a) %*% b`` without materializing the
         transpose; ``crossprod(a)`` defers the symmetric
-        :class:`Crossprod` node (half the reads and FLOPs)."""
-        a_node = a.node if hasattr(a, "node") else a
-        if b is None:
-            return RiotMatrix(self, Crossprod(a_node))
-        b_node = b.node if hasattr(b, "node") else b
-        return RiotMatrix(self, MatMul(a_node, b_node, trans_a=True))
+        :class:`~repro.core.expr.Crossprod` node (half the reads and
+        FLOPs)."""
+        return a.crossprod(b)
 
     def tcrossprod(self, a: RiotMatrix, b=None) -> RiotMatrix:
         """R's ``tcrossprod``: ``a %*% t(b)``, transpose-free."""
-        a_node = a.node if hasattr(a, "node") else a
-        if b is None:
-            return RiotMatrix(self, Crossprod(a_node, t_first=False))
-        b_node = b.node if hasattr(b, "node") else b
-        return RiotMatrix(self, MatMul(a_node, b_node, trans_b=True))
+        return a.tcrossprod(b)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -201,7 +192,7 @@ class RiotSession:
         and after a ``force`` shows the same operator tree — first
         with predictions only, then with measured blocks next to them.
         """
-        node = obj.node if hasattr(obj, "node") else obj
+        node = _scalarize(obj)
         cached = self._plans.get(id(node))
         if cached is not None and cached[0] is node:
             return cached[1]
@@ -218,7 +209,7 @@ class RiotSession:
         object twice does not repeat its computation (the materialization
         policy of §5's Discussion).
         """
-        node = obj.node if hasattr(obj, "node") else obj
+        node = _scalarize(obj)
         cached = self._materialized.get(id(node))
         if cached is not None and cached[0] is node:
             return cached[1]
@@ -311,8 +302,7 @@ class RiotSession:
         assignment, critical path vs sum of op time, measured speedup)
         is appended.
         """
-        from .expr import render
-        node = obj.node if hasattr(obj, "node") else obj
+        node = _scalarize(obj)
         if analyze:
             # Plan inside the recording window too, so the trace shows
             # the optimizer passes next to the execution spans (a
@@ -403,8 +393,7 @@ class RiotSession:
         """
         report = CalibrationReport()
         if obj is not None:
-            node = obj.node if hasattr(obj, "node") else obj
-            plan = self.plan(node)
+            plan = self.plan(obj)
             if plan.executed:
                 report.add_plan(plan)
             return report

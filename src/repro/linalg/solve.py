@@ -6,6 +6,9 @@ producing a pivoted packed factor out of core, :func:`lu_solve` answers
 blocked substitution sweeps that stream one block row of the factor at
 a time.  The right-hand side may be a vector or a (narrow) matrix of
 columns; it rides along in memory while the factor streams from disk.
+A right-hand side too wide for that — a stored matrix B, or the
+identity behind ``inv(A)`` — goes through :func:`lu_solve_panels`, one
+memory-sized column panel at a time against one factorization.
 
 Block-row size is derived from the store's pool budget through the same
 :func:`repro.core.costs.lu_panel_width` formula the factorization uses
@@ -99,6 +102,33 @@ def lu_solve_factored(factors: PackedLU, b: np.ndarray,
                            memory_scalars=memory_scalars)
     return backward_substitute(factors.packed, y,
                                memory_scalars=memory_scalars)
+
+
+def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
+                    memory_scalars: int, rhs_panel) -> TiledMatrix:
+    """Solve ``A X = B`` for an ``n x k`` right-hand side that is never
+    whole in memory: factor ``a`` once, then substitute one
+    memory-sized column panel at a time into a stored result.
+
+    ``rhs_panel(j0, j1)`` supplies columns ``[j0, j1)`` of B as an
+    ``(n, j1 - j0)`` array — a rectangle read off a stored B for
+    ``solve(A, B)``, a slice of the identity for ``inv(A)``.  The
+    panel width is :func:`repro.core.costs.lu_panel_width` on the
+    result's tile width, the same budget the factorization honours.
+    """
+    from .lu import lu_decompose
+
+    n = a.shape[0]
+    factors = lu_decompose(store, a, memory_scalars)
+    try:
+        out = store.create_matrix((n, k), layout="square")
+        pw = lu_panel_width(n, memory_scalars, out.tile_shape[1])
+        for j0 in range(0, k, pw):
+            out.write_submatrix(0, j0, lu_solve_factored(
+                factors, rhs_panel(j0, min(j0 + pw, k)), memory_scalars))
+        return out
+    finally:
+        factors.drop()
 
 
 def lu_solve(store: ArrayStore, a: TiledMatrix, b: np.ndarray,

@@ -124,7 +124,6 @@ class StorageConfig:
     codec: str = "raw"
     dtype: str = "float64"
     zero_copy: bool = False
-    extra: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.memory_bytes = parse_memory(self.memory_bytes)

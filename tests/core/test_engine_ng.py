@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import NGVec, RiotNGEngine
+from repro.core import RiotVector
+from repro.core.engine import RiotNGEngine
 from repro.rlang import Interpreter
 
 
@@ -33,7 +34,7 @@ class TestSemantics:
         engine.reset_stats()
         interp.run("d <- (x - 1)^2 + (x - 2)^2\nz <- d[1:5]")
         assert engine.io_stats().total == 0
-        assert isinstance(interp.env["z"], NGVec)
+        assert isinstance(interp.env["z"], RiotVector)
 
     def test_print_forces_selectively(self, engine, interp, rng):
         x = rng.standard_normal(500_000)

@@ -78,7 +78,7 @@ class TestOpenSession:
 
     def test_kwargs_forwarded(self):
         with repro.open_session(None, optimize=False) as s:
-            assert not s.optimize_enabled
+            assert s.config.level == 0
 
     def test_temp_file_cleanup_on_close(self):
         s = repro.open_session("file:///?mode=pread", memory="1MiB")

@@ -178,4 +178,5 @@ class TestCostInputsInExplain:
         text = s.explain(((a @ b) @ v).node)
         assert "(cost: spgemm_io" in text or "(cost: spmm_io" in text
         assert "nnz_a=" in text
-        assert "tile_side=" in text
+        assert "tiles=" in text
+        assert "tile_side=" not in text

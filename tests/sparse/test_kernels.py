@@ -145,9 +145,33 @@ class TestIOAgreement:
         store.flush()
         measured = store.device.stats.total
         assert kernels.spmm_schedule(a, b, mem) == (128, 1)
-        model = spmm_io(m, l, n, a.nnz, mem, 1024,
-                        tile_side=a.tile_shape[0])
+        model = spmm_io(m, l, n, a.nnz, mem, 1024, tiles=a.tile_shape)
         assert 0.8 <= measured / model <= 1.25
+
+    def test_spmm_io_agreement_on_rectangular_tiles(self):
+        """A stored ``spgemm`` result takes its tile rows from one
+        factor and its tile columns from the other, so A's grid need
+        not be square: the model prices the ``(th, tk)`` grid the
+        kernel cuts its panels from, not a ``th x th`` one."""
+        m, l, n = 512, 1024, 256
+        mem = 24 * 1024
+        store = ArrayStore(memory_bytes=8 * 8192)
+        dense = _random_sparse(m, l, 0.02, seed=12)
+        a = SparseTiledMatrix.from_dense(store, dense,
+                                         tile_shape=(64, 256))
+        b = store.matrix_from_numpy(
+            np.random.default_rng(13).standard_normal((l, n)))
+        store.pool.clear()
+        store.reset_stats()
+        c = spmm(store, a, b, mem)
+        store.flush()
+        measured = store.device.stats.total
+        assert np.allclose(c.to_numpy(), dense @ b.to_numpy())
+        model = spmm_io(m, l, n, a.nnz, mem, 1024, tiles=a.tile_shape)
+        assert 0.8 <= measured / model <= 1.25
+        # The square grid the old spelling priced is a different plan.
+        square = spmm_io(m, l, n, a.nnz, mem, 1024, tiles=(64, 64))
+        assert not 0.8 <= measured / square <= 1.25
 
     def test_spgemm_io_agreement(self):
         # 48K scalars hold two block rows (accumulator + CSR row each):
