@@ -25,6 +25,7 @@ from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
                              InverseOp, LUSolveOp, MapOp, PhysOp,
                              PhysicalPlan, SparseSpGEMMOp,
                              SparseSpMMOp, TileMatMulOp, TransposeOp)
+from repro.storage import default_tile_side
 
 
 class PlanVerificationError(ValueError):
@@ -156,7 +157,9 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                 _fail(op, f"right-hand side has {b.shape[0]} rows for "
                           f"a {a.shape[0]} x {a.shape[1]} system")
         n = a.shape[0]
-        tile_w = min(n, max(1, math.isqrt(max(1, block_scalars))))
+        # The kernel's refusal: its working factor steps down to the
+        # one-page tile before it gives up (costs.lu_tile_side).
+        tile_w = min(n, default_tile_side(max(1, block_scalars)))
         need = 3 * n * tile_w
         if memory_scalars < need:
             _fail(op, f"memory budget of {memory_scalars} scalars "

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+from repro.storage.tile_store import default_tile_side
+
 #: Figure 3 parameters: block size B = 1024 scalars (8 KB).
 FIG3_BLOCK = 1024
 #: 2 GB and 4 GB of memory expressed in scalars.
@@ -436,13 +438,39 @@ def lu_panel_width(n: float, memory: float, tile_side: float) -> int:
     return int(min(p, max(n, 1.0)))
 
 
-def _dense_tile_side(block: float) -> int:
-    """Side of a square dense tile of area <= ``block`` scalars."""
-    return max(1, int(math.isqrt(int(block))))
+def _default_tile_side(memory: float, block: float,
+                       shape: tuple[float, float]) -> int:
+    """The store's default dense tile side (``default_tile_side``) for
+    a matrix of ``shape`` in a pool of ``memory`` scalars, blocks of
+    ``block``."""
+    return default_tile_side(int(block), int(memory // block),
+                             (int(shape[0]), int(shape[1])))
+
+
+def lu_tile_side(n: float, memory: float, block: float,
+                 pool_blocks: int | None = None) -> int:
+    """Tile side of the working factor of the out-of-core pivoted LU,
+    shared by kernel and model.
+
+    A tall pivot panel is at least one tile wide and three of them
+    must fit the budget (see :func:`lu_panel_width`), so the factor —
+    a copy LU lays out itself — takes the store's default for an
+    n x n matrix, halved down to the one-page side until
+    ``3 n side <= memory``.  The one-page side is returned even when it
+    does not fit: that is the budget the kernel refuses.  ``memory``
+    bounds the pool when ``pool_blocks`` does not say otherwise.
+    """
+    budget = int(memory // block)
+    pool = budget if pool_blocks is None else min(pool_blocks, budget)
+    side = default_tile_side(int(block), pool, (int(n), int(n)))
+    floor = default_tile_side(int(block))
+    while side > floor and 3 * n * min(n, side) > memory:
+        side //= 2
+    return side
 
 
 def lu_io(n: float, memory: float, block: float,
-          tile_side: float | None = None) -> float:
+          tile_side: float | None = None, ratio: float = 1.0) -> float:
     """I/O (blocks) of the blocked partial-pivoting LU of an n x n matrix.
 
     Mirrors the schedule of :func:`repro.linalg.lu.lu_decompose` term by
@@ -457,8 +485,11 @@ def lu_io(n: float, memory: float, block: float,
 
     Plus the initial copy of the input into the working factor
     (RIOT's pure-operator discipline: read once, write once).
+    ``ratio`` scales all of it by the storage codec's stored-page
+    ratio, as in the product models: input, factor and strips are
+    codec tiles like any other.
     """
-    tile = tile_side or _dense_tile_side(block)
+    tile = tile_side or lu_tile_side(n, memory, block)
     p = lu_panel_width(n, memory, tile)
     total = 2.0 * n * n / block          # copy input -> working factor
     k0 = 0.0
@@ -475,11 +506,11 @@ def lu_io(n: float, memory: float, block: float,
             total += nb * t * w / block  # U row panel, re-read per block row
             total += 2.0 * t * t / block  # trailing blocks read + written
         k0 = k1
-    return total
+    return ratio * total
 
 
 def solve_io(n: float, nrhs: float, memory: float, block: float,
-             tile_side: float | None = None) -> float:
+             tile_side: float | None = None, ratio: float = 1.0) -> float:
     """I/O (blocks) of the two blocked substitution sweeps of ``A x = b``
     given a packed L\\U factor (the RHS rides along in memory).
 
@@ -488,7 +519,7 @@ def solve_io(n: float, nrhs: float, memory: float, block: float,
     the upper triangle — together one pass over the packed factor with
     the diagonal blocks touched twice.
     """
-    tile = tile_side or _dense_tile_side(block)
+    tile = tile_side or lu_tile_side(n, memory, block)
     b = lu_panel_width(n, memory, tile)
     total = 0.0
     i0 = 0.0
@@ -497,37 +528,41 @@ def solve_io(n: float, nrhs: float, memory: float, block: float,
         total += (i1 - i0) * i1 / block        # forward: row strip to diag
         total += (i1 - i0) * (n - i0) / block  # backward: diag to row end
         i0 = i1
-    return total
+    return ratio * total
 
 
 def inverse_io(n: float, memory: float, block: float,
-               tile_side: float | None = None) -> float:
+               tile_side: float | None = None,
+               ratio: float = 1.0) -> float:
     """I/O of materializing ``inv(A)``: one pivoted factorization, one
     substitution sweep per resident column panel of the identity RHS,
-    and one write of the n x n result."""
-    tile = tile_side or _dense_tile_side(block)
-    pw = lu_panel_width(n, memory, tile)
+    and one write of the n x n result; ``ratio`` scales it by the
+    storage codec's stored-page ratio."""
+    out_tile = tile_side or _default_tile_side(memory, block, (n, n))
+    pw = lu_panel_width(n, memory, min(out_tile, n))
     panels = math.ceil(n / pw)
-    return (lu_io(n, memory, block, tile)
-            + panels * solve_io(n, pw, memory, block, tile)
-            + n * n / block)
+    return ratio * (lu_io(n, memory, block, tile_side)
+                    + panels * solve_io(n, pw, memory, block, tile_side)
+                    + n * n / block)
 
 
 def solve_op_io(n: float, nrhs: float, memory: float, block: float,
-                tile_side: float | None = None) -> float:
+                tile_side: float | None = None,
+                ratio: float = 1.0) -> float:
     """I/O of the full ``solve(A, B)`` operator: one pivoted
     factorization, one substitution sweep per memory-sized column
-    panel of the RHS, plus reading B and writing X once."""
-    tile = tile_side or _dense_tile_side(block)
+    panel of the RHS, plus reading B and writing X once; ``ratio``
+    scales it by the storage codec's stored-page ratio."""
     if nrhs <= 1:
-        return (lu_io(n, memory, block, tile)
-                + solve_io(n, 1, memory, block, tile)
-                + 2.0 * n / block)
-    pw = lu_panel_width(n, memory, tile)
+        return ratio * (lu_io(n, memory, block, tile_side)
+                        + solve_io(n, 1, memory, block, tile_side)
+                        + 2.0 * n / block)
+    out_tile = tile_side or _default_tile_side(memory, block, (n, nrhs))
+    pw = lu_panel_width(n, memory, min(out_tile, nrhs))
     panels = math.ceil(nrhs / pw)
-    return (lu_io(n, memory, block, tile)
-            + panels * solve_io(n, pw, memory, block, tile)
-            + 2.0 * n * nrhs / block)
+    return ratio * (lu_io(n, memory, block, tile_side)
+                    + panels * solve_io(n, pw, memory, block, tile_side)
+                    + 2.0 * n * nrhs / block)
 
 
 def crossprod_epilogue_io(m: float, k: float, extra_inputs: float,

@@ -159,7 +159,7 @@ class Evaluator:
         """
         planner = Planner(OptimizerConfig(level=0),
                           memory_scalars=self.memory_scalars,
-                          block_scalars=self.store.scalars_per_block)
+                          block_scalars=self.store.matrix_scalars_per_block)
         return self.execute(planner.plan(node))
 
     # ------------------------------------------------------------------
@@ -236,7 +236,7 @@ class Evaluator:
             # not the other way around.
             from repro.analysis.planlint import verify_plan
             verify_plan(plan, memory_scalars=self.memory_scalars,
-                        block_scalars=self.store.scalars_per_block)
+                        block_scalars=self.store.matrix_scalars_per_block)
         self._densified_cache.clear()
         if cold:
             self.store.pool.clear()

@@ -237,8 +237,9 @@ class Planner:
             n = node.shape[0]
             op = InverseOp(
                 node, (self._lower(node.children[0]),),
-                predicted_io=inverse_io(n, self.memory_scalars, blk))
-            op.cost_inputs = {"n": n}
+                predicted_io=inverse_io(n, self.memory_scalars, blk,
+                                        ratio=self.io_ratio))
+            op.cost_inputs = self._ratio_inputs({"n": n})
             return op
         if isinstance(node, Transpose):
             rows, cols = node.children[0].shape
@@ -479,9 +480,10 @@ class Planner:
         op = LUSolveOp(
             node, (self._lower(a), self._lower(b)),
             predicted_io=solve_op_io(n, nrhs, self.memory_scalars,
-                                     self.block_scalars),
+                                     self.block_scalars,
+                                     ratio=self.io_ratio),
             detail=f"nrhs={nrhs}")
-        op.cost_inputs = {"n": n, "nrhs": nrhs}
+        op.cost_inputs = self._ratio_inputs({"n": n, "nrhs": nrhs})
         return op
 
     # ------------------------------------------------------------------

@@ -74,8 +74,7 @@ class RiotSession:
         self.pipeline = build_pipeline(self.config)
         self.planner = Planner(self.config,
                                memory_scalars=self._memory_scalars,
-                               block_scalars=self._block_scalars,
-                               io_ratio=self.store.io_ratio_estimate())
+                               block_scalars=self._block_scalars)
         self.evaluator = Evaluator(
             self.store,
             memory_scalars=self._memory_scalars,
@@ -198,6 +197,9 @@ class RiotSession:
             return cached[1]
         logical = self.pipeline.run(node, PassContext(self.tracer))
         with self.tracer.span("planner", cat="optimizer"):
+            # Price what is stored now, not what the codec promised
+            # before anything was ingested.
+            self.planner.io_ratio = self.store.io_ratio_estimate()
             plan = self.planner.plan(logical)
         self._plans[id(node)] = (node, plan)
         return plan

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.costs import lu_panel_width
-from repro.storage import (ArrayStore, TiledMatrix, TiledVector,
-                           tile_shape_for_layout)
+from repro.core.costs import lu_panel_width, lu_tile_side
+from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 
 class SingularMatrixError(ArithmeticError):
@@ -112,9 +111,12 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
     """Factor a square matrix into packed L\\U with partial pivoting.
 
     The input is copied (RIOT's pure-operator discipline: the old state
-    of the array remains valid); the permutation is stored alongside the
-    factor.  Raises :class:`ValueError` when the memory budget cannot
-    hold even the minimum tall panel (one tile column of full height,
+    of the array remains valid) into a working factor whose tile side
+    is :func:`repro.core.costs.lu_tile_side` — the store's default when
+    three tall panels of that width fit the budget, smaller when not —
+    and the permutation is stored alongside the factor.  Raises
+    :class:`ValueError` when the memory budget cannot hold even the
+    minimum tall panel (one one-page tile column of full height,
     ``3 * n * tile_side`` scalars) — the budget is honored, never
     silently exceeded — and :class:`SingularMatrixError` on an exactly
     singular input.
@@ -125,20 +127,29 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
     n = n1
     memory = memory_scalars or (store.pool.capacity
                                 * store.scalars_per_block)
-    tile_w = tile_shape_for_layout("square", (n, n),
-                                   store.scalars_per_block)[1]
-    if memory < 3 * n * tile_w:
+    side = min(n, lu_tile_side(
+        n, memory, store.device.block_size // a.dtype.itemsize,
+        store.pool.capacity))
+    if memory < 3 * n * side:
         raise ValueError(
             f"memory budget of {memory} scalars cannot hold a tall "
             f"pivot panel for n={n}: partial pivoting needs at least "
-            f"3 * n * tile_side = {3 * n * tile_w} scalars "
+            f"3 * n * tile_side = {3 * n * side} scalars "
             f"(panel + strip + working frames)")
-    out = store.create_matrix((n, n), layout="square", name=name,
-                              dtype=a.dtype)
-    p = lu_panel_width(n, memory, tile_w)
-    for ti, tj in a.tiles():
-        r0, r1, c0, c1 = a.tile_bounds(ti, tj)
-        out.write_submatrix(r0, c0, a.read_submatrix(r0, r1, c0, c1))
+    out = store.create_matrix((n, n), tile_shape=(side, side),
+                              name=name, dtype=a.dtype)
+    # Panels are cut in multiples of the factor's own tile width, so
+    # every panel and strip covers whole tiles.
+    p = lu_panel_width(n, memory, out.tile_shape[1])
+    # Copy in rectangles that are whole tiles of both matrices when
+    # one side divides the other (any two default sides do).
+    step_r = max(a.tile_shape[0], side)
+    step_c = max(a.tile_shape[1], side)
+    for r0 in range(0, n, step_r):
+        r1 = min(r0 + step_r, n)
+        for c0 in range(0, n, step_c):
+            out.write_submatrix(r0, c0, a.read_submatrix(
+                r0, r1, c0, min(c0 + step_c, n)))
     perm = np.arange(n, dtype=np.int64)
     try:
         for k0 in range(0, n, p):
@@ -195,9 +206,10 @@ def split_lu(store: ArrayStore, packed: PackedLU | TiledMatrix
     """Unpack L (unit diagonal) and U from a packed factorization."""
     mat = packed.packed if isinstance(packed, PackedLU) else packed
     n = mat.shape[0]
-    l_mat = store.create_matrix((n, n), layout="square",
+    # On the factor's own grid: the loop below writes tile by tile.
+    l_mat = store.create_matrix((n, n), tile_shape=mat.tile_shape,
                                 dtype=mat.dtype)
-    u_mat = store.create_matrix((n, n), layout="square",
+    u_mat = store.create_matrix((n, n), tile_shape=mat.tile_shape,
                                 dtype=mat.dtype)
     for ti, tj in mat.tiles():
         r0, r1, c0, c1 = mat.tile_bounds(ti, tj)

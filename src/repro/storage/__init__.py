@@ -22,7 +22,8 @@ from .linearization import (ColMajor, Hilbert, Linearization, RowMajor,
                             ZOrder, linearization_names, make_linearization)
 from .pagefile import PageFile, new_pagefile
 from .tile_store import (ArrayStore, DecodedTileCache, TiledMatrix,
-                         TiledVector, tile_shape_for_layout)
+                         TiledVector, default_tile_side,
+                         tile_shape_for_layout)
 
 __all__ = [
     "ArrayStore",
@@ -59,6 +60,7 @@ __all__ = [
     "ZOrder",
     "coalesce_runs",
     "create_device",
+    "default_tile_side",
     "get_codec",
     "linearization_names",
     "make_linearization",

@@ -1,10 +1,13 @@
 """Tiled (chunked) array storage — the ChunkyStore analogue of RIOT §5.
 
 Arrays are partitioned into rectangular tiles; each tile occupies whole pages
-of a :class:`~repro.storage.pagefile.PageFile`, and the order of tiles on disk
-is controlled by a :class:`~repro.storage.linearization.Linearization`.  Array
-indexes are never stored explicitly (unlike the relational representation the
-paper criticizes): a tile's grid coordinate determines its disk position
+of a :class:`~repro.storage.pagefile.PageFile` — one page for the row and
+column layouts, and for the default square layout one or sixteen, as
+:func:`default_tile_side` decides from the store's buffer pool and the
+matrix shape — and the order of tiles on disk is controlled by a
+:class:`~repro.storage.linearization.Linearization`.  Array indexes are never
+stored explicitly (unlike the relational representation the paper
+criticizes): a tile's grid coordinate determines its disk position
 arithmetically.
 
 Design points taken straight from the paper:
@@ -16,7 +19,12 @@ Design points taken straight from the paper:
 - *"For matrices, row and column layouts correspond to tiling strategies
   where tiles are long and skinny."*
 - Square tiles of area B make each p x p submatrix cost O(p^2/B) I/Os, which
-  is what the Appendix-A optimal matrix multiply needs.
+  is what the Appendix-A optimal matrix multiply needs.  A square tile of
+  16 pages keeps that bound (its pages are consecutive, a p x p
+  submatrix still covers whole tiles) and gives a tile codec something to
+  save: a payload occupies the first ``ceil(length / B)`` pages of its
+  tile's span and only those are read, which a one-page tile can never
+  improve on.
 """
 
 from __future__ import annotations
@@ -43,13 +51,72 @@ _FLOAT_BYTES = 8
 SCAN_PREFETCH_CHUNKS = 16
 
 
+#: The default square tile is the one-page side or ``LARGE_TILE_SCALE``
+#: times it (16 pages; 128 at B = 1024) — where the committed sweep
+#: (``bench_tile_sweep.py``; README, "Default tile side") goes flat:
+#: 256 saves under 2 % more blocks on the OLS workloads and none on the
+#: chain, and leaves the panel schedules only multiples of 256 to pick
+#: p from; the side in between costs a codec store *more* device calls
+#: than either.
+LARGE_TILE_SCALE = 4
+#: The large tile leaves at least this many tiles' worth of frames in
+#: the pool: the Appendix-A schedules hold three p x p submatrices
+#: (more under a fused epilogue) and p must stay a whole number of
+#: tiles, LU a tall panel one tile wide.
+MIN_RESIDENT_TILES = 16
+#: ... and may add at most this share of edge padding to a shape, in
+#: pages spanned against the one-page layout: a raw tile is read and
+#: written whole, padding included (a 129 x 129 matrix would span 64
+#: pages in 128-side tiles, 25 in 32-side ones).
+MAX_PADDING_SHARE = 1 / 8
+
+
+def _pages_spanned(shape: tuple[int, int], side: int,
+                   scalars_per_block: int) -> int:
+    """Pages an array of ``shape`` occupies in square tiles of
+    ``side`` (clipped to the shape, as ``TiledMatrix`` clips them)."""
+    th, tw = max(1, min(shape[0], side)), max(1, min(shape[1], side))
+    return (-(-shape[0] // th) * -(-shape[1] // tw)
+            * -(-th * tw // scalars_per_block))
+
+
+def default_tile_side(scalars_per_block: int,
+                      pool_blocks: int | None = None,
+                      shape: tuple[int, int] | None = None) -> int:
+    """Side of the default square dense tile: the one statement of it.
+
+    ``LARGE_TILE_SCALE * isqrt(B)`` — a square of 16 consecutive pages
+    — in a pool of ``pool_blocks`` frames that keeps
+    ``MIN_RESIDENT_TILES`` such tiles resident (256 blocks), for a
+    ``shape`` (when one is named) it pads by no more than
+    ``MAX_PADDING_SHARE``; otherwise, and for callers that name no
+    pool, the one-page side ``isqrt(B)`` (area <= B, the Appendix-A
+    layout as the paper states it).
+    """
+    one_page = max(1, math.isqrt(scalars_per_block))
+    side = LARGE_TILE_SCALE * one_page
+    if (pool_blocks is None or pool_blocks < MIN_RESIDENT_TILES
+            * -(-side * side // scalars_per_block)):
+        return one_page
+    if shape is not None and (
+            _pages_spanned(shape, side, scalars_per_block)
+            > (1 + MAX_PADDING_SHARE)
+            * _pages_spanned(shape, one_page, scalars_per_block)):
+        return one_page
+    return side
+
+
 def tile_shape_for_layout(layout: str, shape: tuple[int, int],
-                          scalars_per_block: int) -> tuple[int, int]:
+                          scalars_per_block: int,
+                          pool_blocks: int | None = None
+                          ) -> tuple[int, int]:
     """Translate a named layout into a tile shape for a matrix.
 
     ``row``    long skinny horizontal tiles (1 x B), row-major order.
     ``col``    long skinny vertical tiles (B x 1) — R's default column order.
-    ``square`` square tiles of area <= B (the Appendix-A layout).
+    ``square`` square tiles of side :func:`default_tile_side` (the
+               Appendix-A layout): area <= B without ``pool_blocks``,
+               16 pages in a pool that can afford them.
     """
     n1, n2 = shape
     if n1 <= 0 or n2 <= 0:
@@ -71,7 +138,7 @@ def tile_shape_for_layout(layout: str, shape: tuple[int, int],
             return (scalars_per_block, 1)
         return (n1, min(n2, max(1, scalars_per_block // n1)))
     if layout == "square":
-        side = max(1, int(math.isqrt(scalars_per_block)))
+        side = default_tile_side(scalars_per_block, pool_blocks, shape)
         return (min(n1, side), min(n2, side))
     raise ValueError(f"unknown layout {layout!r}; use row|col|square")
 
@@ -339,6 +406,7 @@ class TiledMatrix:
         self.codec = (get_codec(codec) if codec is not None
                       else store.codec)
         self.tile_dir: dict[int, int] = {}
+        self._pages_stored = 0
         self.tile_shape = (min(th, n1), min(tw, n2))
         self.grid = (-(-n1 // self.tile_shape[0]),
                      -(-n2 // self.tile_shape[1]))
@@ -377,6 +445,8 @@ class TiledMatrix:
                                // store.device.block_size)
         mat.file = PageFile.attach(store.device, name, entry["pages"])
         mat._blocks = mat._block_table()
+        mat._pages_stored = sum(mat._pages_of(comp)
+                                for comp in mat.tile_dir.values())
         return mat
 
     # ------------------------------------------------------------------
@@ -447,9 +517,36 @@ class TiledMatrix:
         return [bid for ti in range(ti0, ti1) for tj in range(tj0, tj1)
                 for bid in self.tile_blocks(ti, tj)]
 
+    def _pages_of(self, comp: int) -> int:
+        """Pages of its span a written codec tile keeps data in: its
+        payload's, or all of them for a raw-fallback tile (0)."""
+        return -(-comp // self.store.device.block_size) \
+            or self.pages_per_tile
+
+    def stored_pages(self) -> tuple[int, int]:
+        """``(pages holding data, pages spanned)`` over the codec
+        tiles written so far — both 0 for a ``raw`` matrix.  Running
+        counts, kept by :meth:`_record_tile`."""
+        with self.store.pool.lock:
+            return (self._pages_stored,
+                    len(self.tile_dir) * self.pages_per_tile)
+
+    def _record_tile(self, pos: int, comp: int, logical: int) -> None:
+        """Enter a written codec tile in the directory (``comp`` 0: it
+        was stored raw) and record the traffic on the v3 byte axis —
+        under the pool lock, the serializer of every other stats
+        mutation."""
+        with self.store.pool.lock:
+            old = self.tile_dir.get(pos)
+            if old is not None:
+                self._pages_stored -= self._pages_of(old)
+            self.tile_dir[pos] = comp
+            self._pages_stored += self._pages_of(comp)
+        self._charge_codec(logical, comp or logical)
+
     def _charge_codec(self, logical: int, compressed: int) -> None:
         """Record codec traffic on the v3 byte axis (under the pool
-        lock, the serializer of every other stats mutation)."""
+        lock, as above)."""
         with self.store.pool.lock:
             stats = self.store.device.stats
             stats.bytes_logical += logical
@@ -467,26 +564,80 @@ class TiledMatrix:
         Raw tiles come through a single ``get_many`` over the
         rectangle's blocks in row-major tile order and are gathered a
         tile row at a time, so the staging copy is one band, never a
-        second rectangle; codec tiles decode one by one (same order)
-        straight into place.
+        second rectangle.  Codec tiles are looked up in the decoded-
+        tile cache, decoded straight into their cell and inserted one
+        by one in that order, as a tile-by-tile walk would; only the
+        payload pages of those the cache does not hold come ahead of
+        the walk, through one ``get_many``.
         """
         th, tw = self.tile_shape
         nti, ntj = ti1 - ti0, tj1 - tj0
         out = np.empty((nti * th, ntj * tw), dtype=self.dtype)
         cells = out.reshape(nti, th, ntj, tw)  # cells[i, :, j]: a tile
+        pool = self.store.pool
         if self.codec.name == "raw":
-            frames = self.store.pool.get_many(
+            frames = pool.get_many(
                 self._blocks[ti0:ti1, tj0:tj1].ravel().tolist())
             band = ntj * self.pages_per_tile
             for i in range(nti):
                 cells[i] = self._tiles_of(
                     frames[i * band: (i + 1) * band]
                 ).reshape(ntj, th, tw).transpose(1, 0, 2)
-        else:
-            for i in range(nti):
-                for j in range(ntj):
-                    cells[i, :, j] = self._decoded_tile(
-                        ti0 + i, tj0 + j).reshape(th, tw)
+            return out
+        cache = self.store.tile_cache
+        bs = self.store.device.block_size
+        # Written tiles in walk order: cell and payload length (0:
+        # stored raw, never cached, every page holds data).
+        tiles: list[tuple[int, int, int]] = []
+        for i in range(nti):
+            for j in range(ntj):
+                comp = self.tile_dir.get(
+                    self.linearization.index(ti0 + i, tj0 + j))
+                if comp is None:
+                    # Never written: sparse-file semantics, no I/O.
+                    cells[i, :, j] = 0
+                else:
+                    tiles.append((i, j, comp))
+        logical = th * tw * self.dtype.itemsize
+        missing = iter(cache.would_miss(
+            [(self.name, ti0 + i, tj0 + j) for i, j, comp in tiles
+             if comp], logical))
+        # Where each tile's pages are in ``blocks`` — nowhere for a
+        # tile the walk will find in the cache.
+        where: list[slice | None] = []
+        blocks: list[int] = []
+        for i, j, comp in tiles:
+            if comp and not next(missing):
+                where.append(None)
+                continue
+            pages = -(-comp // bs) or self.pages_per_tile
+            where.append(slice(len(blocks), len(blocks) + pages))
+            blocks += self._blocks[ti0 + i, tj0 + j, :pages].tolist()
+        frames = pool.get_many(blocks) if blocks else []
+        for (i, j, comp), span in zip(tiles, where):
+            ti, tj = ti0 + i, tj0 + j
+            if comp == 0:
+                cells[i, :, j] = self._tiles_of(
+                    frames[span])[0].reshape(th, tw)
+                self._charge_codec(logical, logical)
+                continue
+            cached = cache.get((self.name, ti, tj))
+            if cached is not None:
+                cells[i, :, j] = cached.reshape(th, tw)
+                continue
+            # Foreseen in the cache, gone now: another thread's
+            # inserts evicted it.  Fetched on its own.
+            held = (frames[span] if span is not None
+                    else pool.get_many(self.tile_blocks(ti, tj)))
+            # A one-page payload decodes straight out of its frame.
+            staged = held[0] if len(held) == 1 else np.concatenate(held)
+            tile = self.codec.decode_tile(memoryview(staged)[:comp],
+                                          self.dtype, th * tw)
+            cells[i, :, j] = tile.reshape(th, tw)
+            self._charge_codec(logical, comp)
+            # Frozen, so the cache keeps this array instead of a copy.
+            tile.flags.writeable = False
+            cache.put((self.name, ti, tj), tile)
         return out
 
     def _tiles_of(self, frames: list[np.ndarray]) -> np.ndarray:
@@ -497,35 +648,6 @@ class TiledMatrix:
         per_page = self.store.device.block_size // self.dtype.itemsize
         return flat.reshape(-1, self.pages_per_tile * per_page)[
             :, : th * tw]
-
-    def _decoded_tile(self, ti: int, tj: int) -> np.ndarray:
-        """One codec tile, flat and zero-padded (``th * tw`` scalars).
-        May return a cached (read-only) array — callers copy."""
-        th, tw = self.tile_shape
-        logical = th * tw * self.dtype.itemsize
-        comp = self.tile_dir.get(self.linearization.index(ti, tj))
-        if comp is None:
-            # Never written: sparse-file semantics without the I/O.
-            return np.zeros(th * tw, dtype=self.dtype)
-        if comp == 0:
-            # Raw-fallback tile (incompressible at write time).
-            tile = self._tiles_of(self.store.pool.get_many(
-                self._blocks[ti, tj].tolist()))[0]
-            self._charge_codec(logical, logical)
-            return tile
-        cached = self.store.tile_cache.get((self.name, ti, tj))
-        if cached is not None:
-            return cached
-        frames = self.store.pool.get_many(self.tile_blocks(ti, tj))
-        # A one-page payload decodes straight out of its frame.
-        staged = frames[0] if len(frames) == 1 else np.concatenate(frames)
-        tile = self.codec.decode_tile(memoryview(staged)[:comp],
-                                      self.dtype, th * tw)
-        self._charge_codec(logical, comp)
-        # Frozen, so the cache keeps this array instead of a copy.
-        tile.flags.writeable = False
-        self.store.tile_cache.put((self.name, ti, tj), tile)
-        return tile
 
     def _scatter(self, tis: list[int], tjs: list[int],
                  tiles: np.ndarray) -> None:
@@ -564,10 +686,9 @@ class TiledMatrix:
         if len(payload) > len(blocks) * bs:
             # The payload outgrew the tile's page span: store raw
             # (tile_dir length 0 is the fallback sentinel).
-            self.tile_dir[pos] = 0
             self.store.tile_cache.invalidate((self.name, ti, tj))
             self._put_raw(blocks, tile[None])
-            self._charge_codec(logical, logical)
+            self._record_tile(pos, 0, logical)
             return
         nb = -(-len(payload) // bs)
         buf = np.zeros(nb * bs, dtype=np.uint8)
@@ -578,9 +699,8 @@ class TiledMatrix:
         # drop them so they are neither flushed nor read back.
         for bid in blocks[nb:].tolist():
             self.store.pool.invalidate(bid)
-        self.tile_dir[pos] = len(payload)
         self.store.tile_cache.put((self.name, ti, tj), tile)
-        self._charge_codec(logical, len(payload))
+        self._record_tile(pos, len(payload), logical)
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
@@ -746,7 +866,9 @@ class TiledMatrix:
         for bid in self._blocks.ravel().tolist():
             self.store.pool.invalidate(bid)
         self.store.tile_cache.invalidate_matrix(self.name)
-        self.tile_dir.clear()
+        with self.store.pool.lock:
+            self.tile_dir.clear()
+            self._pages_stored = 0
         self.file.drop()
         self._blocks = self._blocks[:0]
 
@@ -785,6 +907,37 @@ class DecodedTileCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def would_miss(self, keys: list[tuple], nbytes: int) -> list[bool]:
+        """For each key in turn: would :meth:`get` miss it, were every
+        miss followed by a :meth:`put` of ``nbytes``?  The walk a
+        rectangle read is about to make, foreseen — inserts evict from
+        the old end, hits move out of their way — so that it can fetch
+        what it will decode in one pool call.  Counts nothing, moves
+        nothing."""
+        with self._lock:
+            fits = nbytes <= self.capacity_bytes
+            used = self._bytes
+            oldest = iter(self._entries.items())
+            evicted: set[tuple] = set()
+            hit: set[tuple] = set()
+            out = []
+            for key in keys:
+                held = key in self._entries and key not in evicted
+                out.append(not held)
+                if held:
+                    hit.add(key)
+                elif fits:
+                    used += nbytes
+                    while used > self.capacity_bytes:
+                        victim = next(oldest, None)
+                        if victim is None:
+                            # Only this walk's own tiles are left.
+                            break
+                        if victim[0] not in hit:
+                            evicted.add(victim[0])
+                            used -= victim[1].nbytes
+            return out
 
     def get(self, key: tuple) -> np.ndarray | None:
         with self._lock:
@@ -917,17 +1070,27 @@ class ArrayStore:
         return self.device.block_size // self.dtype.itemsize
 
     def io_ratio_estimate(self) -> float:
-        """Compressed/logical device-byte ratio for planner costs.
+        """Stored/logical *page* ratio of codec tiles, for planner
+        costs: what the cost models multiply device traffic by.
 
-        Prefers the measured ratio of codec traffic seen so far (via
-        ``explain(analyze=True)``-style feedback); before any codec
-        I/O happened, the configured codec's static estimate.  Clamped
-        to 1.0 — compression never makes the plan look worse than the
-        uncompressed cost model.
+        Counted over the tiles the store's codec matrices hold right
+        now, in the unit the device moves: a payload occupies — and a
+        read fetches — ``ceil(length / block_size)`` of its tile's
+        pages, a raw-fallback tile all of them, so a one-page tile
+        prices at 1.0 however well its bytes compress.  Before any
+        codec tile is stored, the configured codec's static estimate.
+        Clamped to 1.0 — compression never makes the plan look worse
+        than the uncompressed cost model.
         """
-        stats = self.device.stats
-        if stats.bytes_logical > 0:
-            return min(1.0, stats.compression_ratio)
+        with self._names_lock:
+            arrays = list(self._arrays.values())
+        stored = span = 0
+        for arr in arrays:
+            if isinstance(arr, TiledMatrix):
+                used, pages = arr.stored_pages()
+                stored, span = stored + used, span + pages
+        if span:
+            return stored / span
         return min(1.0, self.codec.ratio_estimate)
 
     def _fresh_name(self, prefix: str) -> str:
@@ -964,11 +1127,13 @@ class ArrayStore:
                       ) -> TiledMatrix:
         dt = np.dtype(dtype) if dtype is not None else self.dtype
         if tile_shape is None:
-            # Tile layout follows the matrix dtype: float32 tiles pack
-            # twice the scalars into the same page span.
+            # Tile layout follows the matrix dtype (float32 tiles pack
+            # twice the scalars into the same page span) and, for
+            # square tiles, the pool they will be read into.
             tile_shape = tile_shape_for_layout(
                 layout or "square", shape,
-                self.device.block_size // dt.itemsize)
+                self.device.block_size // dt.itemsize,
+                self.pool.capacity)
         return self._register(
             TiledMatrix(self, name or self._fresh_name("mat"),
                         shape, tile_shape, linearization,

@@ -201,6 +201,33 @@ class TestLU:
                            match="solve.*tall LU panel"):
             verify_plan(plan, memory_scalars=128, block_scalars=8 * 8)
 
+    @pytest.mark.parametrize("dtype,width", [("float64", 32),
+                                             ("float32", 45)])
+    def test_verifier_and_kernel_refuse_the_same_budgets(self, dtype,
+                                                         width):
+        """In a pool whose default tile is 128 (180) wide the kernel
+        steps its working factor down to the one-page tile before it
+        refuses, so kernel and verifier draw the line at the same
+        ``3 n w``, w the one-page width of the matrix dtype."""
+        from repro.linalg import lu_decompose
+        n = 360
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=256 * 8192, dtype=dtype)) as s:
+            A = s.matrix(rng().standard_normal((n, n)), name="A")
+            y = s.matrix(rng().standard_normal((n, 1)), name="y")
+            assert s.force(A).tile_shape[1] == 4 * width
+            plan = s.plan(Solve(A.node, y.node))
+            block = s.store.matrix_scalars_per_block
+            edge = 3 * n * width
+            verify_plan(plan, memory_scalars=edge, block_scalars=block)
+            lu_decompose(s.store, s.force(A), edge).drop()
+            with pytest.raises(PlanVerificationError,
+                               match="tall LU panel"):
+                verify_plan(plan, memory_scalars=edge - 1,
+                            block_scalars=block)
+            with pytest.raises(ValueError, match="tall pivot panel"):
+                lu_decompose(s.store, s.force(A), edge - 1)
+
 
 class TestFusedEpilogue:
     def make(self):

@@ -107,6 +107,45 @@ class TestLUAgreement:
         assert 0.5 * model <= measured <= 2.0 * model
 
 
+@pytest.mark.parametrize("n,mem_blocks", [
+    (257, 24),
+    (384, 32),
+    (512, 48),
+])
+def test_float32_lu_measured_within_model(rng, n, mem_blocks):
+    """On a float32 store a page holds 2048 scalars and tiles are 45
+    wide: the factorization cuts its panels in multiples of *that*
+    (it used to take 32 from the float64 block, so every panel read
+    and write-back straddled tiles), and the model prices the same
+    geometry from the same block size."""
+    block = 8192 // 4
+    mem = mem_blocks * block
+    a = rng.standard_normal((n, n)).astype(np.float32)
+    store = ArrayStore(storage=StorageConfig(
+        memory_bytes=mem_blocks * 8192, block_size=8192,
+        dtype="float32"))
+    mat = store.matrix_from_numpy(a, layout="square")
+    store.pool.clear()
+    store.reset_stats()
+    with store.tracer.recording():
+        factors = lu_decompose(store, mat, mem)
+    store.flush()
+    measured = store.device.stats.total
+    width = factors.packed.tile_shape[1]
+    assert width == mat.tile_shape[1] == 45
+    panels = [span.args for span in store.tracer.spans()
+              if span.name == "lu:panel"]
+    assert panels and all(
+        args["p"] % width == 0 and args["k0"] % width == 0
+        for args in panels)
+    model = lu_io(n, mem, block)
+    assert 0.5 * model <= measured <= 2.0 * model
+    packed = factors.packed.to_numpy().astype(np.float64)
+    lower = np.tril(packed, -1) + np.eye(n)
+    assert np.allclose(lower @ np.triu(packed),
+                       a[factors.perm_array()], atol=1e-2)
+
+
 class TestLUPanelWidth:
     def test_tile_aligned_and_budgeted(self):
         p = lu_panel_width(512, 48 * 1024, 32)

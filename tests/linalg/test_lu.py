@@ -10,6 +10,7 @@ exceeded.
 import numpy as np
 import pytest
 
+from repro.core.costs import lu_tile_side
 from repro.linalg import (PackedLU, SingularMatrixError,
                           backward_substitute, forward_substitute,
                           lu_decompose, lu_solve, lu_solve_factored,
@@ -148,6 +149,76 @@ class TestLUDecompose:
         too_small = 3 * n * mat.tile_shape[1] - 1
         with pytest.raises(ValueError, match="memory budget"):
             lu_decompose(store, mat, too_small)
+
+    @pytest.mark.parametrize("pool_blocks", [48, 255, 256, 1024])
+    @pytest.mark.parametrize("n", [40, 200, 384])
+    def test_accepts_every_budget_the_one_page_tile_accepted(
+            self, rng, n, pool_blocks):
+        """In a pool whose default tile spans 16 pages the working
+        factor steps its own tile down — 128, 64, 32 — until three tall
+        panels fit, so the refusal threshold stays where the one-page
+        tile put it: ``3 * n * min(n, 32)`` scalars."""
+        a = rng.standard_normal((n, n))
+        store = ArrayStore(memory_bytes=pool_blocks * 8192,
+                           block_size=8192)
+        mat = store.matrix_from_numpy(a, layout="square")
+        floor = 3 * n * min(n, 32)
+        budgets = {floor, floor + 1, 3 * n * 64 - 1, 3 * n * 64,
+                   3 * n * 128, pool_blocks * 1024}
+        sides = set()
+        for memory in sorted(m for m in budgets if m >= floor):
+            factors = lu_decompose(store, mat, memory)
+            side = factors.packed.tile_shape[1]
+            assert side == min(n, lu_tile_side(n, memory, 1024,
+                                               pool_blocks))
+            assert 3 * n * side <= memory
+            assert reconstruction_error(store, a, factors) < 1e-10
+            sides.add(side)
+            factors.drop()
+        if pool_blocks >= 256 and n == 384:
+            assert sides == {32, 128}
+        elif n == 200:
+            # 128-side tiles would pad a 200 x 200 factor by a third.
+            assert sides == {32}
+        with pytest.raises(ValueError, match="memory budget"):
+            lu_decompose(store, mat, floor - 1)
+
+    def test_working_factor_steps_down_through_the_half_side(self, rng):
+        """Three 128-wide panels of height 768 do not fit 2 MiB, three
+        64-wide ones do; 2730 is the largest n a 32-wide one fits."""
+        mem = 256 * 1024
+        assert [lu_tile_side(n, mem, 1024, 256)
+                for n in (512, 640, 768, 1280, 1408, 2730, 2731)] \
+            == [128, 128, 64, 64, 32, 32, 32]
+        # A factor the large tile would pad by a fifth starts at 32.
+        assert lu_tile_side(682, mem, 1024, 256) == 32
+        assert lu_tile_side(540, 2 * mem, 2048, 256) == 180  # float32
+        a = rng.standard_normal((768, 768))
+        store = ArrayStore(memory_bytes=256 * 8192, block_size=8192)
+        mat = store.matrix_from_numpy(a)
+        factors = lu_decompose(store, mat, mem)
+        assert mat.tile_shape == (128, 128)
+        assert factors.packed.tile_shape == (64, 64)
+        assert reconstruction_error(store, a, factors) < 1e-10
+
+    def test_factor_of_small_tiles_in_a_pool_of_large_ones(self, rng):
+        """An input stored with one-page tiles (an older page file, an
+        explicit ``tile_shape``) is copied into 128-side factor tiles
+        in whole tiles of both: no read-modify-write."""
+        n = 256
+        a = rng.standard_normal((n, n))
+        store = ArrayStore(memory_bytes=256 * 8192, block_size=8192)
+        mat = store.create_matrix((n, n), tile_shape=(32, 32)) \
+            .from_numpy(a)
+        store.flush()
+        store.pool.clear()
+        store.reset_stats()
+        factors = lu_decompose(store, mat, 256 * 1024)
+        assert factors.packed.tile_shape == (128, 128)
+        # The matrix fits the pool: one read of the input, nothing
+        # else — a partial-tile write would read the factor back.
+        assert store.device.stats.reads == n * n // 1024
+        assert reconstruction_error(store, a, factors) < 1e-10
 
     def test_matches_scipy(self, rng):
         """Factor-by-factor agreement with scipy's pivoted LU."""

@@ -10,9 +10,15 @@ its guards hold.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core import RiotSession
 from repro.storage import (ArrayStore, CODECS, DeltaZstdCodec,
                            Float32Codec, IOSTATS_SCHEMA_KEYS, RawCodec,
                            StorageConfig, TileCodec, get_codec,
@@ -60,33 +66,164 @@ class TestCodecRoundtrip:
                               sample.view(np.uint32))
 
     def test_delta_zstd_wire_format_is_pinned(self, monkeypatch):
-        """Tag byte, then the compressed little-endian wrapping deltas
-        of the scalars' bit patterns, first delta taken against 0.  The
-        deltas are spelled out so the format cannot drift unnoticed;
-        the deflate bytes are whatever this zlib makes of them at
-        level 6."""
-        import zlib
-
+        """Tag byte, then the compressed byte planes of the scalars'
+        little-endian bit patterns, no delta taken.  Plane ``k`` is
+        byte ``k`` of every scalar in element order; planes go least
+        significant first.  Tag bits: 1 = zstandard (clear: zlib),
+        2 = byte planes (clear: the interleaved wrapping deltas older
+        versions wrote).  The body is spelled out so the format cannot
+        drift unnoticed; the deflate bytes are whatever this zlib makes
+        of it at level 1 with one deflate block per plane (a sync
+        flush after each), which any inflate reads as one stream."""
         from repro.storage import codecs as codecs_mod
         monkeypatch.setattr(codecs_mod, "_zstd", None)
+        codec = get_codec("delta+zstd")
+        # Bit patterns 3FF0.., 4000.., 8000.., 3FE0..
         tile = np.array([[1.0, 2.0], [-0.0, 0.5]])
-        deltas = np.array(
-            [0x3FF0000000000000, 0x0010000000000000,
-             0x4000000000000000, -0x4020000000000000], dtype="<i8")
-        payload = get_codec("delta+zstd").encode_tile(tile)
-        assert isinstance(payload, bytes) and payload[0] == 0
-        assert zlib.decompress(payload[1:]) == deltas.tobytes()
-        assert payload == b"\x00" + zlib.compress(deltas.tobytes(), 6)
+        planes = bytes(6 * 4) + bytes(
+            [0xF0, 0x00, 0x00, 0xE0,      # plane 6
+             0x3F, 0x40, 0x80, 0x3F])     # plane 7
+        payload = codec.encode_tile(tile)
+        assert isinstance(payload, bytes) and payload[0] == 2
+        assert zlib.decompress(payload[1:]) == planes
+        deflate = zlib.compressobj(1)
+        assert payload == b"\x02" + b"".join(
+            deflate.compress(planes[k:k + 4])
+            + deflate.flush(zlib.Z_SYNC_FLUSH)
+            for k in range(0, len(planes), 4)) + deflate.flush()
+        for form in (payload, memoryview(payload), memoryview(
+                np.frombuffer(payload, dtype=np.uint8))):
+            back = codec.decode_tile(form, tile.dtype, tile.size)
+            assert back.tobytes() == tile.tobytes()
+        # float32: four planes, same rule (3FC0 8000 7F80 0000).
+        tile32 = np.array([1.5, -0.0, np.inf, 1e-45], dtype=np.float32)
+        payload = codec.encode_tile(tile32)
+        assert payload[0] == 2
+        assert zlib.decompress(payload[1:]) == bytes(
+            [0x00, 0x00, 0x00, 0x01,
+             0x00, 0x00, 0x00, 0x00,
+             0xC0, 0x00, 0x80, 0x00,
+             0x3F, 0x80, 0x7F, 0x00])
+
+    #: What the interleaved-delta encoder of earlier versions wrote
+    #: (tag 0: zlib level 6 over little-endian wrapping deltas) for the
+    #: scalars whose bytes follow — including a NaN with payload bits,
+    #: -0.0 and the smallest subnormals.
+    LEGACY_PAYLOADS = [
+        ("float64",
+         "00789c636000810ff6608a4180010a1c20d483fdeff7adbdc7c020e120e4"
+         "18a4f8ff3f7b030094e309fa",
+         "000000000000f03f00000000000000400000000000000080000000000000"
+         "e03fefbeadde0000f87f0100000000000000"),
+        ("float32",
+         "00789c63603860cfc0e0e0c0c0d0f09f91a1a101001c020400",
+         "0000c03f000000800000807f01000000"),
+    ]
+
+    @pytest.mark.parametrize("dtype,payload,scalars", LEGACY_PAYLOADS)
+    def test_payloads_written_before_byte_planes_still_decode(
+            self, dtype, payload, scalars):
+        payload, scalars = bytes.fromhex(payload), bytes.fromhex(scalars)
+        dt = np.dtype(dtype)
+        back = get_codec("delta+zstd").decode_tile(
+            payload, dt, len(scalars) // dt.itemsize)
+        assert back.dtype == dt and back.tobytes() == scalars
+
+    def test_unknown_tag_rejected(self):
+        payload = bytearray(get_codec("delta+zstd").encode_tile(
+            np.arange(8.0)))
+        for tag in (4, 8, 255):
+            payload[0] = tag
+            with pytest.raises(ValueError, match="unknown delta\\+zstd"):
+                get_codec("delta+zstd").decode_tile(
+                    bytes(payload), np.dtype(np.float64), 8)
+
+    def test_zstandard_backend(self):
+        """With ``zstandard`` importable the codec writes tag 3 (same
+        planes, zstd frame) and still reads every zlib tag."""
+        zstd = pytest.importorskip("zstandard")
+        codec = get_codec("delta+zstd")
+        tile = np.array([[1.0, 2.0], [-0.0, 0.5]])
+        payload = codec.encode_tile(tile)
+        assert payload[0] == 3
+        planes = zstd.ZstdDecompressor().decompress(payload[1:])
+        assert codec.decode_tile(payload, tile.dtype, tile.size) \
+            .tobytes() == tile.tobytes()
+        # The same planes under the zlib tag, and the interleaved
+        # deltas of earlier versions under tag 1.
+        twin = b"\x02" + zlib.compress(planes, 1)
+        assert codec.decode_tile(twin, tile.dtype, tile.size) \
+            .tobytes() == tile.tobytes()
+        deltas = np.diff(tile.reshape(-1).view("<i8"), prepend=0)
+        legacy = b"\x01" + zstd.ZstdCompressor(level=3).compress(
+            deltas.tobytes())
+        assert codec.decode_tile(legacy, tile.dtype, tile.size) \
+            .tobytes() == tile.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           dtype=st.sampled_from(["float64", "float32"]),
+           shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=12))
+    def test_delta_zstd_roundtrip_property(self, data, dtype, shape):
+        """Any bit patterns, any tile shape, every payload form the
+        tile store hands over: bytes, a memoryview of them, and a
+        view of a zero-padded pool frame cut to the payload length."""
+        dt = np.dtype(dtype)
+        uint = np.dtype(f"<u{dt.itemsize}")
+        special = [np.array(v, dtype=dt).view(uint).item() for v in (
+            0.0, -0.0, np.inf, -np.inf, np.nan, np.finfo(dt).tiny,
+            np.finfo(dt).smallest_subnormal,
+            -np.finfo(dt).smallest_subnormal, np.finfo(dt).max)]
+        nan_payload = np.array(np.nan, dtype=dt).view(uint).item() | 0xBEEF
+        bits = st.one_of(st.integers(0, np.iinfo(uint).max),
+                         st.sampled_from(special + [nan_payload]))
+        if data.draw(st.booleans(), label="smooth"):
+            # Neighbours that share their top bits: long plane runs.
+            start = data.draw(st.integers(0, np.iinfo(uint).max >> 1))
+            steps = data.draw(hnp.arrays(uint, shape,
+                                         elements=st.integers(0, 255)))
+            tile = (start + np.cumsum(steps.reshape(-1), dtype=uint)) \
+                .reshape(shape).view(dt)
+        else:
+            tile = data.draw(hnp.arrays(uint, shape, elements=bits)) \
+                .view(dt)
+        codec = get_codec("delta+zstd")
+        payload = codec.encode_tile(tile)
+        assert payload[0] in (2, 3)
+        frame = np.zeros(-(-len(payload) // 512) * 512, dtype=np.uint8)
+        frame[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
         for form in (payload, memoryview(payload),
-                     memoryview(np.frombuffer(payload, dtype=np.uint8))):
-            back = get_codec("delta+zstd").decode_tile(
-                form, tile.dtype, tile.size)
+                     memoryview(frame)[: len(payload)]):
+            back = codec.decode_tile(form, dt, tile.size)
+            assert back.dtype == dt
             assert back.tobytes() == tile.tobytes()
 
     def test_delta_zstd_compresses_smooth_data(self):
         codec = get_codec("delta+zstd")
         smooth = np.arange(4096, dtype=np.float64)
         assert len(codec.encode_tile(smooth)) < smooth.nbytes / 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cross_product_tiles_stay_clear_of_a_page_mark(
+            self, seed, monkeypatch):
+        """Payloads land on whole pages, so a block count is a step
+        function of payload length and a tile that deflates to just
+        about k pages makes counts depend on the data.  The macro
+        ``ols_zstd`` workload's tiles — integers in [-8, 8] and their
+        cross product over 4096 rows — must sit well inside a step
+        (one Huffman table for the whole tile put the cross product
+        at 3.95-4.004 pages; a table per plane, 3.74-3.80)."""
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        codec = get_codec("delta+zstd")
+        x = np.random.default_rng(seed).integers(
+            -8, 9, size=(4096, 256)).astype(np.float64)
+        gram = x.T @ x
+        for tile, lo, hi in ((x[:128, :128], 1.5, 1.85),
+                             (gram[:128, :128], 3.5, 3.9),
+                             (gram[:128, 128:], 3.5, 3.9)):
+            pages = len(codec.encode_tile(tile)) / 8192
+            assert lo < pages < hi
 
     def test_float32_downcast_lossy_tolerance(self):
         codec = get_codec("float32-downcast")
@@ -229,20 +366,64 @@ class TestCompressedStore:
 
     def test_io_ratio_estimate_sources(self):
         with _store(codec="delta+zstd") as store:
-            # No traffic yet: the codec's static estimate.
+            # Nothing stored yet: the codec's static estimate.
             assert store.io_ratio_estimate() \
                 == get_codec("delta+zstd").ratio_estimate
-            data = np.arange(120 * 120, dtype=np.float64) \
-                .reshape(120, 120)
-            mat = store.matrix_from_numpy(data)
+            data = np.arange(128 * 128, dtype=np.float64) \
+                .reshape(128, 128)
+            # One-page tiles: however small the payload, a read moves
+            # the page.
+            store.matrix_from_numpy(data, name="one_page")
+            assert store.io_ratio_estimate() == 1.0
+            # Four-page tiles whose payloads fit one page each.
+            big = store.create_matrix(data.shape, tile_shape=(64, 64)) \
+                .from_numpy(data)
+            assert set(big.tile_dir.values()) <= set(range(1, 8193))
+            assert big.stored_pages() == (4, 16)
+            assert store.io_ratio_estimate() == (16 + 4) / (16 + 16)
+            # A tile that took the raw fallback counts its whole span,
+            # and what is dropped no longer counts.
+            rng = np.random.default_rng(5)
+            big.write_tile(0, 0, rng.integers(
+                0, 1 << 64, (64, 64), dtype=np.uint64).view(np.float64))
+            assert big.stored_pages() == (7, 16)
+            big.drop()
+            assert store.io_ratio_estimate() == 1.0
+
+    def test_planner_prices_what_is_stored(self):
+        """The ratio is read when a plan is made, after ingest — not
+        frozen at the static estimate when the session was built."""
+        data = np.arange(256 * 256, dtype=np.float64).reshape(256, 256)
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=256 * 8192, codec="zstd")) as s:
+            x = s.matrix(data)
+            stored = s.store.io_ratio_estimate()
+            assert stored == 1 / 16    # 128-side tiles, one page each
+            op = s.plan(x.crossprod()).root
+            assert op.cost_inputs["ratio"] == stored
+            raw = RiotSession(storage=StorageConfig(
+                memory_bytes=256 * 8192))
+            with raw:
+                unscaled = raw.plan(raw.matrix(data).crossprod()).root
+            assert op.predicted_io == pytest.approx(
+                stored * unscaled.predicted_io)
+
+    def test_random_bits_fall_back_to_raw_and_cost_their_span(self):
+        """A multi-page tile the codec cannot shrink is stored raw
+        (``tile_dir`` 0) and reads exactly its span, never more."""
+        rng = np.random.default_rng(4)
+        data = rng.integers(0, 1 << 64, (64, 64), dtype=np.uint64) \
+            .view(np.float64)
+        with _store(codec="delta+zstd") as store:
+            mat = store.create_matrix(data.shape, tile_shape=(64, 64)) \
+                .from_numpy(data)
+            assert mat.tile_dir == {0: 0} and mat.pages_per_tile == 4
+            assert mat.tile_blocks(0, 0) == mat._blocks[0, 0].tolist()
             store.pool.clear()
             store.tile_cache.clear()
             store.reset_stats()
-            mat.to_numpy()
-            # Measured traffic exists: the estimate tracks it.
-            measured = store.device.stats.compression_ratio
-            assert store.io_ratio_estimate() == pytest.approx(
-                min(1.0, measured))
+            assert mat.to_numpy().tobytes() == data.tobytes()
+            assert store.device.stats.reads == 4
 
     def test_tile_cache_counts_hits(self):
         data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
@@ -262,6 +443,59 @@ class TestCompressedStore:
             d = store.device.stats.as_dict()
             assert d["schema_version"] == 3
             assert d["compression_ratio"] == 1.0
+
+
+# ----------------------------------------------------------------------
+# Multi-page compressed tiles on a real file: device calls per tile
+# ----------------------------------------------------------------------
+class TestCompressedTileCalls:
+    """A payload sits in the first pages of its tile's span and the
+    rest of the span is a gap, so a compressed tile is read in one
+    device call and coalescing stops at every tile boundary: calls
+    scale with tiles, not with bytes.  That is why the default tile
+    side is chosen from ``io_calls`` as well as from bytes (a 64-side
+    default moves a quarter of the bytes of a 32-side one in *more*
+    calls)."""
+
+    def _ingest(self, codec):
+        store = ArrayStore(storage=StorageConfig(
+            backend="pread", memory_bytes=256 * 8192, codec=codec))
+        rng = np.random.default_rng(6)
+        data = rng.integers(-8, 9, (256, 512)).astype(np.float64)
+        mat = store.matrix_from_numpy(data)
+        assert mat.tile_shape == (128, 128) and mat.pages_per_tile == 16
+        store.flush()
+        store.pool.clear()
+        store.tile_cache.clear()
+        store.reset_stats()
+        return store, mat, data
+
+    def test_one_call_per_compressed_tile(self):
+        store, mat, data = self._ingest("delta+zstd")
+        with store:
+            pages = [len(mat.tile_blocks(0, tj)) for tj in range(4)]
+            assert all(1 <= n < 16 for n in pages)
+            blocks = mat.tile_blocks(0, 0)
+            assert blocks == list(range(blocks[0], blocks[0] + pages[0]))
+            assert np.array_equal(mat.read_tile(0, 0), data[:128, :128])
+            stats = store.device.stats
+            assert (stats.read_calls, stats.reads) == (1, pages[0])
+            # A row of four tiles: four payloads, four gaps, four calls.
+            store.pool.clear()
+            store.tile_cache.clear()
+            store.reset_stats()
+            assert np.array_equal(mat.read_submatrix(0, 128, 0, 512),
+                                  data[:128])
+            stats = store.device.stats
+            assert (stats.read_calls, stats.reads) == (4, sum(pages))
+
+    def test_raw_tiles_of_the_same_rectangle_share_one_call(self):
+        store, mat, data = self._ingest("raw")
+        with store:
+            assert np.array_equal(mat.read_submatrix(0, 128, 0, 512),
+                                  data[:128])
+            stats = store.device.stats
+            assert (stats.read_calls, stats.reads) == (1, 4 * 16)
 
 
 # ----------------------------------------------------------------------

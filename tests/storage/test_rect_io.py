@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import ArrayStore, StorageConfig, linearization_names
-from repro.storage.tile_store import TiledMatrix
+from repro.storage.tile_store import DecodedTileCache, TiledMatrix
 
 BLOCK = 512          # 64 float64 / 128 float32 scalars per page
 POOL_BLOCKS = 6      # small enough that most rectangles evict
@@ -180,6 +180,73 @@ def test_rectangles_match_the_per_tile_walk(data, layout, seed):
     assert _bits(again.read_submatrix(0, mirror.shape[0],
                                       0, mirror.shape[1])) == _bits(mirror)
     assert _bits(again.to_numpy()) == _bits(mirror)
+
+
+def _count_get_many(pool) -> list[int]:
+    """Wrap ``pool.get_many``; the returned list grows by the number
+    of blocks each call asks for."""
+    calls: list[int] = []
+    get_many = pool.get_many
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return get_many(blocks)
+
+    pool.get_many = counted
+    return calls
+
+
+def test_a_compressed_rectangle_is_one_pool_read():
+    """Six compressed tiles through a decoded-tile cache that holds
+    four: the rectangle read fetches the pages of every tile the walk
+    will decode in one ``get_many`` — all six, the walk evicts each
+    tile just before it asks for it again — where the walk makes one
+    call per tile; blocks, bytes and decodes are the walk's."""
+    layout = dict(shape=(11, 17), tile_shape=(5, 16),
+                  linearization="col", dtype="float64",
+                  codec="delta+zstd")
+    data = np.arange(11 * 17, dtype=np.float64).reshape(11, 17)
+    seen = {}
+    for name, read in (("rect", TiledMatrix.read_submatrix),
+                       ("walk", ref_read_submatrix)):
+        store, mat = _make(layout)
+        store.tile_cache.capacity_bytes = 4 * 640
+        mat.write_submatrix(0, 0, data)
+        store.reset_stats()
+        calls = _count_get_many(store.pool)
+        assert _bits(read(mat, 0, 11, 0, 17)) == _bits(data)
+        stats = store.device.stats
+        seen[name] = (calls, stats.bytes_logical // 640, stats.reads,
+                      stats.bytes_read, stats.bytes_compressed,
+                      store.pool.stats)
+    assert seen["rect"][0] == [6] and seen["walk"][0] == [1] * 6
+    assert seen["rect"][1:] == seen["walk"][1:]
+    assert seen["rect"][1] == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(0, 12),
+       held=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)),
+                     max_size=10),
+       keys=st.lists(st.integers(0, 9), unique=True),
+       size=st.integers(1, 4))
+def test_the_cache_foresees_its_own_walk(capacity, held, keys, size):
+    """``would_miss`` answers for a whole walk what ``get`` — each miss
+    followed by ``put`` — then answers key by key, and disturbs
+    nothing on the way."""
+    cache = DecodedTileCache(capacity * 8)
+    for key, n in held:
+        cache.put((key,), np.zeros(n))
+    order = list(cache._entries)
+    foreseen = cache.would_miss([(k,) for k in keys], size * 8)
+    assert list(cache._entries) == order
+    assert (cache.hits, cache.misses) == (0, 0)
+    actual = []
+    for k in keys:
+        actual.append(cache.get((k,)) is None)
+        if actual[-1]:
+            cache.put((k,), np.zeros(size))
+    assert foreseen == actual
 
 
 def test_dropped_matrix_has_no_blocks():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core import RiotSession
 from repro.storage import (ArrayStore, IOStats, PoolStats, SchedulerStats,
-                           StorageConfig, tile_shape_for_layout)
+                           StorageConfig, default_tile_side,
+                           tile_shape_for_layout)
 
 
 class TestTiledVector:
@@ -181,6 +182,39 @@ class TestTileShapeForLayout:
         assert tile_shape_for_layout("square", (5000, 5000), 1024) == \
             (32, 32)
 
+    def test_square_layout_in_a_pool(self):
+        """Naming a pool lets the square tile span 16 pages."""
+        shape = (5000, 5000)
+        assert tile_shape_for_layout("square", shape, 1024, 255) == \
+            (32, 32)
+        assert tile_shape_for_layout("square", shape, 1024, 256) == \
+            (128, 128)
+        assert tile_shape_for_layout("square", (100, 5000), 1024,
+                                     8192) == (100, 128)
+        # Row and column tiles stay one page whatever the pool.
+        assert tile_shape_for_layout("row", shape, 1024, 8192) == \
+            (1, 1024)
+
+    @pytest.mark.parametrize("shape,pages", [
+        ((129, 129), 25),      # 64 in 128-side tiles
+        ((160, 96), 15),       # 24
+        ((200, 200), 49),      # 64
+        ((333, 500), 192),     # 3 x 4 x 16, against 11 x 16 = 176
+        ((512, 1), 4),         # 16 one-page tiles of 32 scalars each
+    ])
+    def test_large_tiles_only_where_the_shape_fits_them(self, shape,
+                                                        pages):
+        """A raw tile moves whole, padding included, so a shape the
+        16-page tile would pad by more than an eighth (in pages, against
+        the one-page layout) keeps the one-page tile."""
+        store = ArrayStore(memory_bytes=256 * 8192)
+        mat = store.create_matrix(shape)
+        assert mat.grid[0] * mat.grid[1] * mat.pages_per_tile == pages
+        one_page = ArrayStore(memory_bytes=255 * 8192).create_matrix(shape)
+        assert one_page.tile_shape == (min(shape[0], 32),
+                                       min(shape[1], 32))
+        assert 8 * pages <= 9 * (one_page.grid[0] * one_page.grid[1])
+
     def test_unknown_layout(self):
         with pytest.raises(ValueError):
             tile_shape_for_layout("diagonal", (10, 10), 1024)
@@ -204,6 +238,83 @@ class TestTileShapeForLayout:
         store = ArrayStore(memory_bytes=8 * 8192)
         with pytest.raises(ValueError):
             store.create_matrix((0, 5))
+
+
+class TestDefaultTileSide:
+    """``default_tile_side``: the one statement of the dense default."""
+
+    @given(block=st.integers(1, 1 << 16), pool=st.integers(1, 1 << 20),
+           more=st.integers(0, 1 << 20),
+           shape=st.tuples(st.integers(1, 5000), st.integers(1, 5000)))
+    @settings(max_examples=200, deadline=None)
+    def test_properties(self, block, pool, more, shape):
+        base = default_tile_side(block)
+        side = default_tile_side(block, pool)
+        assert base * base <= block < (base + 1) ** 2
+        # The one-page side, or four times it ...
+        assert side in (base, 4 * base)
+        # ... never taking more than 1/16 of the pool ...
+        pages = -(-side * side // block)
+        assert side == base or 16 * pages <= pool
+        # ... so small pools keep the geometry they always had ...
+        if pool < 64:
+            assert side == base
+        # ... a bigger pool never gets a smaller tile ...
+        assert default_tile_side(block, pool + more) >= side
+        # ... and a shape only ever turns the large tile down.
+        assert default_tile_side(block, pool, shape) in (base, side)
+        assert default_tile_side(block, None, shape) == base
+
+    def test_fixed_points_at_the_default_block(self):
+        assert [default_tile_side(1024, pool)
+                for pool in (4, 63, 64, 255, 256, 8192)] \
+            == [32, 32, 32, 32, 128, 128]
+
+    @pytest.mark.parametrize("dtype,sides", [
+        ("float64", (32, 128)), ("float32", (45, 180))])
+    def test_create_matrix_follows_pool_and_dtype(self, dtype, sides):
+        for pool_blocks, side in zip((255, 256), sides):
+            store = ArrayStore(storage=StorageConfig(
+                memory_bytes=pool_blocks * 8192, dtype=dtype))
+            for kwargs in ({}, {"layout": "square"}):
+                mat = store.create_matrix((720, 720), **kwargs)
+                assert mat.tile_shape == (side, side)
+                assert mat.pages_per_tile in (1, 16)
+                assert 16 * mat.pages_per_tile <= max(pool_blocks, 16)
+            # Explicit shapes and the skinny layouts are untouched.
+            assert store.create_matrix(
+                (400, 400), tile_shape=(8, 8)).tile_shape == (8, 8)
+            assert store.create_matrix(
+                (400, 400), layout="row").pages_per_tile == 1
+
+    @pytest.mark.parametrize("backend", ["mmap", "pread"])
+    def test_one_page_tiles_reopen_under_a_larger_default(
+            self, tmp_path, backend, rng):
+        """A page file written with 32-side tiles (a small pool, or a
+        version whose default was one page) reads back under a pool
+        whose default is 128: geometry comes from the manifest."""
+        path = tmp_path / "riot.db"
+        data = rng.standard_normal((200, 256))
+        small = StorageConfig(backend=backend, path=path,
+                              memory_bytes=48 * 8192)
+        with ArrayStore(storage=small) as store:
+            assert store.matrix_from_numpy(
+                data, name="X").tile_shape == (32, 32)
+        large = small.with_options(memory_bytes=256 * 8192)
+        with RiotSession(storage=large) as session:
+            x = session.open_matrix("X")
+            stored = session.force(x)
+            assert stored.tile_shape == (32, 32)
+            assert stored.pages_per_tile == 1
+            assert np.array_equal(stored.to_numpy(), data)
+            assert np.array_equal(
+                stored.read_submatrix(31, 130, 7, 150),
+                data[31:130, 7:150])
+            # New arrays beside it take the new default, and kernels
+            # run across the two geometries.
+            gram = session.force(x.T @ x)
+            assert gram.tile_shape == (128, 128)
+            assert np.allclose(gram.to_numpy(), data.T @ data)
 
 
 class TestArrayStore:
