@@ -18,7 +18,8 @@ both regimes exist.  A second workload locks in the chain-order win:
 nnz-aware rewrite and must beat the left-deep program order.  A third
 is the evidence for ``SPGEMM_DENSE_CROSSOVER``: ``spgemm`` wall-clock
 over operand density, the kernel's per-pair choice against densifying
-every pair, on both sides of the crossover.
+every pair, on both sides of the crossover, with the tile pairs each
+path took and the panel steps that covered them.
 
 Set ``RIOT_BENCH_FAST=1`` (the CI smoke job does) to shrink sizes.
 """
@@ -214,29 +215,24 @@ def _spgemm_run(density: float, all_dense: bool):
     store.flush()
     store.pool.clear()
     store.reset_stats()
-    paths = {"csr": 0, "dense": 0}
-    expand, densify = kernels._expand_pair, kernels.csr_to_dense
-
-    def counting_expand(*args):
-        paths["csr"] += 1
-        return expand(*args)
-
-    def counting_densify(*args):
-        paths["dense"] += 1       # two densified tiles per dense pair
-        return densify(*args)
-
     # A negative crossover sends every pair, even one with no products,
     # down the densify-and-GEMM path: the kernel as it was.
     crossover = -1.0 if all_dense else kernels.SPGEMM_DENSE_CROSSOVER
+    # The kernel reports its steps and the tile pairs they covered, by
+    # path, on its row-panel spans (one span a panel: both sides pay
+    # the same tracing).
     with mock.patch.object(kernels, "SPGEMM_DENSE_CROSSOVER", crossover), \
-            mock.patch.object(kernels, "_expand_pair", counting_expand), \
-            mock.patch.object(kernels, "csr_to_dense", counting_densify):
+            store.tracer.recording():
         start = time.perf_counter()
         # Working memory the size of the pool, as a session sets it.
         c = spgemm(store, a, b, 128 * 1024)
         store.flush()
         seconds = time.perf_counter() - start
-    paths["dense"] //= 2
+    panels = [span.args for span in store.tracer.spans()
+              if span.name == "spgemm:row_panel"]
+    paths = {key: sum(panel[f"{key}_pairs"] for panel in panels)
+             for key in ("csr", "dense")}
+    paths["steps"] = sum(panel["steps"] for panel in panels)
     io = store.device.stats.snapshot()
     pool = store.pool.stats.snapshot()
     values = c.to_numpy()
@@ -260,7 +256,7 @@ def test_spgemm_density_sweep(benchmark):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(f"\nspgemm n={SIDE}, 128-side tiles, pread, 1 MiB pool "
           f"(min of {SPGEMM_REPS}):")
-    print(f"  {'density':>8s} {'csr':>6s} {'dense':>6s} "
+    print(f"  {'density':>8s} {'csr':>6s} {'dense':>6s} {'steps':>6s} "
           f"{'adaptive_s':>11s} {'all_dense_s':>12s} {'ratio':>6s} "
           f"{'reads':>7s} {'writes':>7s}")
     report = {}
@@ -268,16 +264,21 @@ def test_spgemm_density_sweep(benchmark):
         t_new, io_new, pool_new, paths, c_new = sides[False]
         t_old, io_old, pool_old, old_paths, c_old = sides[True]
         print(f"  {d:8.3f} {paths['csr']:6d} {paths['dense']:6d} "
-              f"{t_new:11.4f} {t_old:12.4f} {t_new / t_old:6.2f} "
-              f"{io_new.reads:7d} {io_new.writes:7d}")
+              f"{paths['steps']:6d} {t_new:11.4f} {t_old:12.4f} "
+              f"{t_new / t_old:6.2f} {io_new.reads:7d} {io_new.writes:7d}")
         report[str(d)] = {"csr_pairs": paths["csr"],
                           "dense_pairs": paths["dense"],
+                          "steps": paths["steps"],
                           "adaptive_s": t_new, "all_dense_s": t_old}
         # Only the arithmetic differs: same blocks, same calls, same
         # pool traffic, same stored pattern.
         assert _counts(io_new) == _counts(io_old)
         assert pool_new == pool_old
         assert old_paths["csr"] == 0
+        # A step serves every held row at once: never more steps than
+        # pairs, on either side.
+        for counted in (paths, old_paths):
+            assert counted["steps"] <= counted["csr"] + counted["dense"]
         assert np.allclose(c_new, c_old)
         assert t_new <= SPGEMM_NOISE * t_old, \
             f"adaptive spgemm slower than all-dense at density {d}"

@@ -8,7 +8,7 @@ a few coalesced device calls without changing block totals.
 ``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
 memory convention: what a schedule holds between uses — accumulators,
 the held operand, the one streamed tile or strip — stays within the
-``memory_scalars`` it is handed, *beside* the buffer pool (a pair's
+``memory_scalars`` it is handed, *beside* the buffer pool (a step's
 arithmetic temporaries are not counted, as a GEMM's are not).  Both hold
 a panel of A's block rows and stream B past it, so a B tile is read once
 per panel instead of once per block row.  The panel geometry is one pure
@@ -23,6 +23,25 @@ the model lands within 0.8x-1.25x of the measurement.  Every output
 tile still receives its contributions in ascending inner-tile order,
 so results do not depend on the budget, the pool or the panel height.
 ``spmv`` keeps one block row at a time (``spmv_io``).
+
+``spgemm`` also does its arithmetic per panel, not per tile.  The held
+form is one stacked CSR block per inner index ``k``
+(:class:`_HeldColumn`: the panel's tiles ``A(ti, k)`` laid end to end,
+``ti`` ascending, in no more words than the schedule budgets for them),
+built once per panel.  A *step* multiplies one streamed ``B(k, tj)``
+into the panel's stacked accumulator for every held row at once
+(:func:`_multiply_step`): one count of the join, one expansion, one
+scatter-add — where a pair-at-a-time loop paid that fixed cost per
+``(ti, k, tj)``.  The compressed-or-dense choice stays per tile pair,
+from the pair's own product count (``SPGEMM_DENSE_CROSSOVER``); a pair
+above it is multiplied by BLAS alone and masked out of the step's join.
+Held tiles write disjoint accumulator rows and steps run ``k``
+ascending, so each output element receives the same additions in the
+same order whatever is stacked: results are bitwise those of the
+pair-at-a-time loop (``model_spgemm`` in ``tests/sparse``).  What a
+step allocates and drops: per held nonzero three words (row offset,
+B-row start, count — the size of the held column), per product some 70
+bytes, at most about ``JOIN_PRODUCTS`` products at a time.
 
 Accounting note: hints are announced in pool-sized batches (see
 :class:`_BatchedHints`), which keeps hinted block totals within a few
@@ -51,19 +70,42 @@ _INT = np.int64
 #: ``spgemm`` multiplies a tile pair in compressed form while the pair's
 #: exact product count ``P`` is at most this fraction of the dense tile
 #: product's ``th * tk * tw`` multiply-adds, and densifies both tiles for
-#: one BLAS GEMM above it.  Measured per pair on this repo's 2-vCPU
-#: container, BLAS pinned to one thread, 128-side tiles (CSR vs dense,
-#: us): 10 vs 94 at 0.5 % tile density (``P`` ~ 50), 19 vs 98 at 2 %
-#: (840), 46 vs 98 at 5 % (5.6 k), 65 vs 101 at 7 % (9.5 k), 314 vs 107
-#: at 10 % (21.5 k), 8 017 vs 167 at 50 % (523 k).  The compressed step
-#: is ~10 us + ~5 ns per product until its temporaries pass 128 KiB at
-#: ``P`` = 16 384 and then ~15 ns per product, so at side 128 the paths
-#: meet near ``P`` = 16 k, 1/128 of the 2 097 152; the same sweep gives
-#: ~1/100 at side 64 and ~1/250 at side 256, and 1/256 keeps the
-#: compressed path on its winning side at all three.
+#: one BLAS GEMM above it.  The rule is per pair, but the compressed
+#: path's fixed cost is paid per *step* — one ``(k, tj)`` multiply for
+#: every held tile ``A(ti, k)`` at once — about 12 us a step plus 1.5 us
+#: a held tile, then 7-10 ns a product.  Measured per pair on this
+#: repo's 2-vCPU container, BLAS pinned to one thread, 128-side tiles,
+#: a tile alone in its step and six stacked (CSR vs dense, us): 12 vs
+#: 145 and 3.3 vs 130 at 0.5 % tile density (``P`` ~ 56), 20 vs 145 and
+#: 13 vs 131 at 2 % (850), 49 vs 146 and 63 vs 135 at 5 % (4.9 k), 74 vs
+#: 147 and 97 vs 131 at 7 % (10.3 k), 106 vs 165 and 134 vs 137 at
+#: 8.5 % (15.1 k), 151 vs 151 and 179 vs 137 at 10 % (21.4 k), 8 472 vs
+#: 206 and 7 940 vs 177 at 50 % (523 k).  (The dense path is cheaper in
+#: a stack because B is densified once a step; the same container ran
+#: it in 94-107 us when the constant was first set, so read ratios, not
+#: microseconds.)  At side 128 the paths meet near ``P`` = 21 k alone
+#: and 15 k in a stack of six, 1/100 and 1/140 of the 2 097 152; the
+#: same sweep gives 1/50 and 1/130 at side 64, 1/165 and 1/160 at side
+#: 256, so 1/256 keeps the compressed path on its winning side at all
+#: three with a factor of 1.6 to spare — moving it toward 1/160 is a
+#: change of bits (other pairs densify) for a later PR to weigh.
 #: ``benchmarks/bench_sparse.py::test_spgemm_density_sweep`` repeats the
-#: comparison end to end on both sides of it.
+#: comparison end to end on both sides of it (n = 1024, adaptive vs
+#: densify-every-pair seconds, csr / dense pairs in steps): 0.018 vs
+#: 0.084 at operand density 0.1 % (430 / 0 in 116), 0.014 vs 0.093 at
+#: 0.5 % (512 / 0 in 128), 0.036 vs 0.095 at 2 %, 0.076 vs 0.107 at
+#: 5 %, then 0.189 vs 0.199 at 20 % (0 / 512 in 512 one-row steps) and
+#: 0.274 vs 0.280 at 50 %.
 SPGEMM_DENSE_CROSSOVER = 1 / 256
+
+#: A step expands about this many products at a time — whole tiles, cut
+#: where the running count passes a multiple of it; one pair is never
+#: split — so the expansion's temporaries (some 70 bytes a product)
+#: stay the size of one large pair's whatever the panel height, as the
+#: memory convention above assumes.  16 384 is also where a product's
+#: cost doubles once the temporaries outgrow the cache (six stacked 7 %
+#: tiles, 62 k products: 195 us a pair in one expansion, 97 cut here).
+JOIN_PRODUCTS = 16384
 
 
 def _check_conformable(a: SparseTiledMatrix, b) -> None:
@@ -306,50 +348,179 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
     return out
 
 
-def _multiply_pair(acc: np.ndarray, a_csr, b_csr) -> None:
-    """``acc += A_tile @ B_tile`` for two CSR tiles, by the cheaper path.
+class _HeldColumn:
+    """The held tiles ``A(ti, k)`` of one inner index ``k``, stacked.
+
+    One CSR block over the tiles' rows laid end to end, ``ti``
+    ascending: ``indices`` / ``data`` are the tiles' arrays
+    concatenated, ``lens`` the stored entries of every stacked row,
+    ``seg`` each tile's first entry and ``heights`` its row count —
+    ``2 nnz + rows + 2`` words a tile, the ``tile_words`` the schedule
+    budgets for it.  The arrays are sized from the directory and filled
+    as the tiles are read, so nothing page-backed outlives a read.
+    ``spans`` lists the accumulator rows ``(top, rows)`` the stacked
+    rows stand for, consecutive tiles merged: one span unless a held
+    row between two others has no tile at ``k``.
+    """
+
+    __slots__ = ("tis", "tops", "row_bounds", "entry_bounds", "indices",
+                 "data", "lens", "seg", "heights", "shortest", "spans",
+                 "_filled")
+
+    def __init__(self, tis: list[int], tops: list[int],
+                 heights: list[int], nnzs: list[int]) -> None:
+        self.tis = tis
+        self.tops = tops
+        self.row_bounds = [0, *itertools.accumulate(heights)]
+        self.entry_bounds = [0, *itertools.accumulate(nnzs)]
+        self.indices = np.empty(self.entry_bounds[-1], dtype=_INT)
+        self.data = np.empty(self.entry_bounds[-1], dtype=_FLOAT)
+        self.lens = np.empty(self.row_bounds[-1], dtype=_INT)
+        self.seg = np.array(self.entry_bounds[:-1], dtype=_INT)
+        self.heights = np.array(heights, dtype=_INT)
+        self.shortest = min(heights)
+        self.spans: list[tuple[int, int]] = []
+        for top, rows in zip(tops, heights):
+            if self.spans and sum(self.spans[-1]) == top:
+                top, above = self.spans.pop()
+                rows += above
+            self.spans.append((top, rows))
+        self._filled = 0
+
+    def append(self, indptr: np.ndarray, indices: np.ndarray,
+               data: np.ndarray) -> None:
+        """Copy the next tile (``ti`` ascending) into its segment."""
+        t = self._filled
+        np.subtract(
+            indptr[1:], indptr[:-1],
+            out=self.lens[self.row_bounds[t]: self.row_bounds[t + 1]])
+        entries = slice(self.entry_bounds[t], self.entry_bounds[t + 1])
+        self.indices[entries] = indices
+        self.data[entries] = data
+        self._filled = t + 1
+
+    def tile_csr(self, t: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``t``-th held tile as a CSR triple again."""
+        lens = self.lens[self.row_bounds[t]: self.row_bounds[t + 1]]
+        indptr = np.zeros(lens.size + 1, dtype=_INT)
+        np.cumsum(lens, out=indptr[1:])
+        entries = slice(self.entry_bounds[t], self.entry_bounds[t + 1])
+        return indptr, self.indices[entries], self.data[entries]
+
+    def row_offsets(self, ramp: np.ndarray) -> np.ndarray:
+        """``ramp`` (one value per accumulator row) at every stacked row."""
+        if len(self.spans) == 1:
+            top, rows = self.spans[0]
+            return ramp[top: top + rows]
+        return np.concatenate([ramp[top: top + rows]
+                               for top, rows in self.spans])
+
+
+def _hold_panel(pool, a: SparseTiledMatrix, lo: int, hi: int,
+                needed: list[list[int]], hinting: bool
+                ) -> dict[int, _HeldColumn]:
+    """Read the needed A tiles of block rows ``[lo, hi)`` once, in
+    ``(ti, k)`` order, into one :class:`_HeldColumn` per inner index."""
+    th = a.tile_shape[0]
+    coords = [(ti, k) for ti in range(lo, hi) for k in needed[ti]]
+    # Inner tile -> the held rows with a tile in it.
+    rows_at: dict[int, list[int]] = {}
+    for ti, k in coords:
+        rows_at.setdefault(k, []).append(ti)
+    held = {k: _HeldColumn(tis, [(ti - lo) * th for ti in tis],
+                           [min(th, a.shape[0] - ti * th) for ti in tis],
+                           [a.tile_nnz(ti, k) for ti in tis])
+            for k, tis in rows_at.items()}
+    hints = _BatchedHints(
+        pool, [a.tile_blocks(ti, k) for ti, k in coords], hinting)
+    for idx, (ti, k) in enumerate(coords):
+        hints.before(idx)
+        held[k].append(*a.read_tile_csr(ti, k))
+    return held
+
+
+def _multiply_step(acc: np.ndarray, ramp: np.ndarray, col: _HeldColumn,
+                   b_csr) -> tuple[int, int]:
+    """``acc[rows of ti] += A(ti, k) @ B(k, tj)`` for every held ``ti``
+    in one pass; returns how many of those tile pairs took the
+    compressed and the dense path.
 
     The sparse product is a join on the inner index followed by a keyed
     sum: nonzero ``a[i, p]`` meets every stored entry of B's row ``p``.
-    The size of that join, ``P``, costs O(nnz) to count and decides the
-    path before anything is expanded (see ``SPGEMM_DENSE_CROSSOVER``).
-    Either way the summation order depends only on the two tiles, never
-    on the pool or the schedule that delivered them.
+    The size of that join costs O(nnz) to count for the whole stack, and
+    one ``reduceat`` over the tiles' segments (never empty: only
+    nonempty tiles are held) gives each pair's exact product count
+    ``P``, which decides that pair's path before anything is expanded
+    (see ``SPGEMM_DENSE_CROSSOVER``).  A pair above the crossover is
+    densified and multiplied by one GEMM on its own and masked out of
+    the join; the rest are expanded together, their products laid out
+    in ``(ti, A's CSR order, B's row order)`` and scatter-added in that
+    order.  Tiles of one step write disjoint rows, so every output
+    element receives the additions the pair-at-a-time loop gave it, in
+    the same order: the bits depend on the two tiles alone, never on
+    what was stacked beside them or on the schedule that delivered them.
+
+    ``acc`` is the panel's stacked accumulator for output column ``tj``
+    and ``ramp[r]`` the flat offset of its row ``r``.
     """
-    a_indptr, a_indices, a_data = a_csr
     b_indptr, b_indices, b_data = b_csr
-    starts = b_indptr[a_indices]
-    counts = b_indptr[a_indices + 1] - starts
-    total = int(counts.sum())
-    th, tw = acc.shape
-    tk = b_indptr.size - 1
-    if total > SPGEMM_DENSE_CROSSOVER * th * tk * tw:
-        acc += (csr_to_dense(a_indptr, a_indices, a_data, (th, tk))
-                @ csr_to_dense(b_indptr, b_indices, b_data, (tk, tw)))
-    elif total:
-        _expand_pair(acc, a_indptr, a_data, b_indices, b_data,
-                     starts, counts, total)
+    tk, tw = b_indptr.size - 1, acc.shape[1]
+    counts = (b_indptr[1:] - b_indptr[:-1])[col.indices]
+    per_tile = np.add.reduceat(counts, col.seg)
+    total = int(per_tile.sum())
+    dense_pairs = 0
+    # No pair is above its crossover unless the whole step is above the
+    # lowest one (the shortest tile's); most steps stop at this test.
+    if total > SPGEMM_DENSE_CROSSOVER * col.shortest * tk * tw:
+        dense = np.flatnonzero(
+            per_tile > SPGEMM_DENSE_CROSSOVER * col.heights * tk * tw)
+        if dense.size:
+            b_dense = csr_to_dense(b_indptr, b_indices, b_data, (tk, tw))
+            for t in dense.tolist():
+                rows = col.row_bounds[t + 1] - col.row_bounds[t]
+                acc[col.tops[t]: col.tops[t] + rows] += csr_to_dense(
+                    *col.tile_csr(t), (rows, tk)) @ b_dense
+                counts[col.entry_bounds[t]: col.entry_bounds[t + 1]] = 0
+            per_tile[dense] = 0
+            dense_pairs = dense.size
+            total = int(per_tile.sum())
+    if total:
+        # Flat offset in ``acc`` of every A nonzero's output row, and
+        # where its B row starts.
+        row_base = col.row_offsets(ramp).repeat(col.lens)
+        starts = b_indptr[col.indices]
+        cuts = [0, per_tile.size]
+        if total > JOIN_PRODUCTS:
+            # Whole tiles, cut wherever the running product count
+            # passes another multiple of the limit.
+            ends = per_tile.cumsum()
+            cuts[1:1] = (np.flatnonzero(np.diff((ends - 1) // JOIN_PRODUCTS))
+                         + 1).tolist()
+        for t0, t1 in zip(cuts, cuts[1:]):
+            part = slice(col.entry_bounds[t0], col.entry_bounds[t1])
+            _join_expand(acc.reshape(-1), row_base[part], col.data[part],
+                         starts[part], counts[part], b_indices, b_data)
+    return int(np.count_nonzero(per_tile)), dense_pairs
 
 
-def _expand_pair(acc, a_indptr, a_data, b_indices, b_data,
-                 starts, counts, total) -> None:
-    """Form a pair's ``total`` products and scatter-add them into ``acc``.
+def _join_expand(acc_flat, row_base, a_data, starts, counts,
+                 b_indices, b_data) -> None:
+    """Form the products of a run of A nonzeros and scatter-add them.
 
-    A's nonzero ``q`` contributes ``counts[q]`` products with B's stored
-    entries ``starts[q] : starts[q] + counts[q]``; they are laid out in
-    A's CSR order and added in that order.
+    Nonzero ``q`` (output row at flat offset ``row_base[q]``) meets B's
+    stored entries ``starts[q] : starts[q] + counts[q]``; the products
+    are laid out, and added, in the nonzeros' order.
     """
-    th, tw = acc.shape
-    # Flat offset in ``acc`` of the output row of every A nonzero.
-    row_base = np.arange(0, th * tw, tw, dtype=_INT).repeat(
-        a_indptr[1:] - a_indptr[:-1])
+    ends = counts.cumsum()
+    if not ends[-1]:
+        return
     # Position in B's arrays of every product's right factor: a ramp
     # 0..total-1 shifted, per A nonzero, from its offset in the product
     # list to its row's offset in B.
-    first = counts.cumsum() - counts
-    b_pos = np.arange(total, dtype=_INT) + (starts - first).repeat(counts)
-    flat = row_base.repeat(counts) + b_indices[b_pos]
-    np.add.at(acc.reshape(-1), flat,
+    b_pos = np.arange(ends[-1], dtype=_INT) \
+        + (starts - ends + counts).repeat(counts)
+    np.add.at(acc_flat, row_base.repeat(counts) + b_indices[b_pos],
               a_data.repeat(counts) * b_data[b_pos])
 
 
@@ -382,19 +553,28 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
     Requires the k-grids to line up (``a`` tile width == ``b`` tile
     height).  :func:`repro.core.costs.spgemm_row_panels` cuts A's block
     rows into panels that fit ``memory_scalars``: per held row one
-    dense output-tile accumulator and the row's A tiles as CSR triples,
-    beside the B tile being multiplied.  A panel reads its A tiles once
-    and keeps them; then, one output column ``tj`` at a time, it reads
-    each needed ``B(k, tj)`` once (k ascending) and multiplies it into
-    the accumulator of every held row that has ``A(ti, k)`` — see
-    :func:`_multiply_pair` — and appends the column's finished tiles.
-    So A is read once and B once per panel, and every output tile sums
-    its pairs in ascending k whatever the panel height.  The tile
-    directories decide what is needed without I/O: ``A(ti, k)`` is
+    dense output-tile accumulator and the row's A tiles in compressed
+    form, beside the B tile being multiplied.  A panel reads its A
+    tiles once and keeps them stacked by inner index — one
+    :class:`_HeldColumn` per ``k``, built once per panel; then, one
+    output column ``tj`` at a time, it reads each needed ``B(k, tj)``
+    once (k ascending) and multiplies it into the panel's stacked
+    ``(panel rows x tw)`` accumulator in one step for every held row
+    that has ``A(ti, k)`` — see :func:`_multiply_step`, which still
+    picks the compressed or the dense path per tile pair — and appends
+    the column's finished tiles, each cut from the accumulator with one
+    mask pass.  So A is read once and B once per panel, and every output
+    tile sums its pairs in ascending k whatever the panel height.  The
+    tile directories decide what is needed without I/O: ``A(ti, k)`` is
     skipped when B's block row ``k`` is empty, ``B(k, tj)`` when no
     held row has a tile in block column ``k``, and an all-zero result
     tile is never written.  Output tiles are appended panel by panel,
     column by column, rows ascending.
+
+    With the tracer enabled each ``spgemm:row_panel`` span carries the
+    panel's ``steps`` (``(k, tj)`` multiplies that did any arithmetic)
+    and the tile pairs they covered by path, ``csr_pairs`` (only pairs
+    with a product count) and ``dense_pairs``.
     """
     _check_conformable(a, b)
     if a.tile_shape[1] != b.tile_shape[0]:
@@ -402,43 +582,39 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
             f"k-grids must align: A tiles {a.tile_shape} vs "
             f"B tiles {b.tile_shape}")
     m, n = a.shape[0], b.shape[1]
+    th = a.tile_shape[0]
     out = SparseTiledMatrix(
         store, name or store._fresh_name("spgemm"), (m, n),
-        (a.tile_shape[0], b.tile_shape[1]), a.linearization.name)
+        (th, b.tile_shape[1]), a.linearization.name)
     hinting = a.store is store and b.store is store
     needed, panels = spgemm_schedule(a, b, memory_scalars)
     for lo, hi in panels:
         with store.tracer.span("spgemm:row_panel", cat="kernel",
-                               lo=lo, hi=hi):
-            coords = [(ti, k) for ti in range(lo, hi) for k in needed[ti]]
-            hints = _BatchedHints(
-                store.pool, [a.tile_blocks(ti, k) for ti, k in coords],
-                hinting)
-            held = {}
-            # Inner tile -> the held rows with a tile in it.
-            rows_at: dict[int, list[int]] = {}
-            for idx, (ti, k) in enumerate(coords):
-                hints.before(idx)
-                # Own, exactly-sized copies: what a read returns is
-                # backed by whole pages, which the budget does not cover.
-                held[ti, k] = tuple(
-                    part.copy() for part in a.read_tile_csr(ti, k))
-                rows_at.setdefault(k, []).append(ti)
+                               lo=lo, hi=hi) as span:
+            held = _hold_panel(store.pool, a, lo, hi, needed, hinting)
+            panel_rows = min(hi * th, m) - lo * th
+            csr_pairs = dense_pairs = steps = 0
             for tj in range(out.grid[1]):
-                ks = [k for k in b.nonempty_in_col(tj) if k in rows_at]
+                ks = [k for k in b.nonempty_in_col(tj) if k in held]
+                if not ks:
+                    continue
                 hints = _BatchedHints(
                     store.pool, [b.tile_blocks(k, tj) for k in ks],
                     hinting)
-                accs: dict[int, np.ndarray] = {}
+                tw = min(out.tile_shape[1], n - tj * out.tile_shape[1])
+                acc = np.zeros((panel_rows, tw), dtype=_FLOAT)
+                ramp = np.arange(0, acc.size, tw, dtype=_INT)
                 for idx, k in enumerate(ks):
                     hints.before(idx)
-                    b_csr = b.read_tile_csr(k, tj)
-                    for ti in rows_at[k]:
-                        if ti not in accs:
-                            r0, r1, c0, c1 = out.tile_bounds(ti, tj)
-                            accs[ti] = np.zeros((r1 - r0, c1 - c0),
-                                                dtype=_FLOAT)
-                        _multiply_pair(accs[ti], held[ti, k], b_csr)
-                for ti in sorted(accs):
-                    out.append_tile_dense(ti, tj, accs[ti])
+                    csr, dense = _multiply_step(acc, ramp, held[k],
+                                                b.read_tile_csr(k, tj))
+                    csr_pairs += csr
+                    dense_pairs += dense
+                    steps += bool(csr or dense)
+                for ti in sorted({ti for k in ks for ti in held[k].tis}):
+                    top = (ti - lo) * th
+                    out.append_tile_dense(ti, tj, acc[top: top + th])
+            if span is not None:
+                span.args.update(csr_pairs=csr_pairs,
+                                 dense_pairs=dense_pairs, steps=steps)
     return out

@@ -59,10 +59,17 @@ def default_sparse_tile_shape(shape: tuple[int, int],
 
 def csr_from_dense(tile: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triple (indptr, indices, data) of a 2-D tile, scipy-free."""
-    rows, cols = np.nonzero(tile)
-    return (_indptr_of(rows, tile.shape[0]), cols.astype(_INT),
-            tile[rows, cols].astype(_FLOAT))
+    """CSR triple (indptr, indices, data) of a 2-D tile, scipy-free.
+
+    One boolean-mask pass over the flattened tile; row and column come
+    from the flat position, which is what ``np.nonzero`` computes per
+    axis at four to five times the cost.
+    """
+    flat = tile.reshape(-1)
+    pos = np.flatnonzero(flat != 0)
+    rows, cols = np.divmod(pos, tile.shape[1])
+    return (_indptr_of(rows, tile.shape[0]), cols.astype(_INT, copy=False),
+            flat[pos].astype(_FLOAT, copy=False))
 
 
 def _indptr_of(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -75,8 +82,9 @@ def csr_to_dense(indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Densify a CSR triple into a fresh 2-D float64 array."""
     out = np.zeros(shape, dtype=_FLOAT)
-    rows = np.repeat(np.arange(shape[0], dtype=_INT), np.diff(indptr))
-    out[rows, indices] = data
+    row_base = np.arange(0, shape[0] * shape[1], shape[1],
+                         dtype=_INT).repeat(indptr[1:] - indptr[:-1])
+    out.reshape(-1)[row_base + indices] = data
     return out
 
 
@@ -257,20 +265,22 @@ class SparseTiledMatrix:
             raise ValueError(
                 f"{self.name} tile ({ti},{tj}) has a column index "
                 f"outside [0, {c1 - c0})")
-        payload = np.concatenate([
-            np.asarray([nnz], dtype=_INT).view(np.uint8),
-            np.ascontiguousarray(indptr, dtype=_INT).view(np.uint8),
-            np.ascontiguousarray(indices, dtype=_INT).view(np.uint8),
-            np.ascontiguousarray(data, dtype=_FLOAT).view(np.uint8),
-        ])
+        # The page image, built once: ``[nnz][indptr][indices][data]``
+        # as 8-byte words, zero-padded to whole pages.
+        body = 2 + r1 - r0                          # header + indptr
+        n_bytes = tile_words(r1 - r0, nnz) * _WORD_BYTES
         page_size = self.store.device.block_size
-        n_pages = -(-payload.size // page_size)
+        n_pages = -(-n_bytes // page_size)
+        image = np.zeros(n_pages * page_size, dtype=np.uint8)
+        words = image[:n_bytes].view(_INT)
+        words[0] = nnz
+        words[1:body] = indptr
+        words[body: body + nnz] = indices
+        words[body + nnz:].view(_FLOAT)[:] = data
         first_page = self.file.allocate_pages(n_pages)[0]
         blocks = self.file.blocks_of(range(first_page,
                                            first_page + n_pages))
-        for k, block in enumerate(blocks):
-            chunk = payload[k * page_size: (k + 1) * page_size]
-            self.store.pool.put(block, chunk)
+        self.store.pool.put_many(blocks, image.reshape(n_pages, page_size))
         self.directory[(ti, tj)] = (first_page, n_pages, nnz)
         self._blocks[(ti, tj)] = blocks
         self._row_index.setdefault(ti, []).append(tj)

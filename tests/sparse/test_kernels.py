@@ -22,6 +22,7 @@ from repro.core.costs import (spgemm_io, spgemm_panel_rows,
                               spgemm_row_panels, spmm_io, spmv_io)
 from repro.core.parallel import TileParallelism
 from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmm, spmv
+from repro.sparse.sparse_matrix import tile_words
 from repro.storage import ArrayStore, StorageConfig
 from schedule_counts import (biggest_tile, hints_fit, spgemm_pair_reads,
                              spgemm_schedule_reads, spmm_schedule_reads)
@@ -240,25 +241,38 @@ class TestSanitizedChain:
         b = SparseTiledMatrix.from_dense(store, b_np)
         v = store.matrix_from_numpy(v_np)
         mem = 64 * 1024
-        _, panels = kernels.spgemm_schedule(a, b, mem)
+        needed, panels = kernels.spgemm_schedule(a, b, mem)
         assert [hi - lo for lo, hi in panels] == [3, 3]
-        held = []
+        held_words, held_tiles = [], []
 
-        def checked_pair(acc, a_csr, b_csr):
-            for part in a_csr:
+        def checked_hold(*args):
+            held = hold_panel(*args)
+            arrays = [value for col in held.values()
+                      for value in (getattr(col, slot)
+                                    for slot in col.__slots__)
+                      if isinstance(value, np.ndarray)]
+            assert len(arrays) >= 4 * len(held)
+            for part in arrays:
                 assert part.flags.owndata
                 assert not any(np.shares_memory(part, frame)
                                for frame in pool._frames.values())
-            held.append(a_csr)
-            multiply_pair(acc, a_csr, b_csr)
+            held_words.append(sum(part.nbytes for part in arrays) // 8)
+            held_tiles.extend(ti for col in held.values() for ti in col.tis)
+            return held
 
-        multiply_pair = kernels._multiply_pair
-        with mock.patch.object(kernels, "_multiply_pair", checked_pair):
+        hold_panel = kernels._hold_panel
+        with mock.patch.object(kernels, "_hold_panel", checked_hold):
             g = spgemm(store, a, b, mem)
-        # Held across the column loop: one triple serves every B tile
-        # of its inner index, it is not re-read per pair.
-        assert len({id(csr) for csr in held}) == len(a.directory) \
-            < len(held)
+        # Built once per panel and held across its column loop: every A
+        # tile is stacked once, not re-read per pair — in no more words
+        # than the schedule budgeted for the panel's CSR rows.
+        assert len(held_words) == len(panels)
+        assert len(held_tiles) == len(a.directory)
+        th = a.tile_shape[0]
+        assert all(
+            words <= sum(tile_words(th, a.tile_nnz(ti, k))
+                         for ti in range(lo, hi) for k in needed[ti])
+            for words, (lo, hi) in zip(held_words, panels))
         assert kernels.spmm_schedule(g, v, mem)[1] == 3
         workers = TileParallelism(4)
         try:

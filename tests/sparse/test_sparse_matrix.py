@@ -1,7 +1,12 @@
 """Tests for the CSR-tiled sparse matrix store."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.sparse import (SparseTiledMatrix, csr_from_dense, csr_to_dense,
                           tile_words)
@@ -26,6 +31,31 @@ class TestCSRCodec:
         indptr, indices, data = csr_from_dense(np.zeros((4, 4)))
         assert data.size == 0
         assert np.array_equal(indptr, np.zeros(5, dtype=np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tile=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, np.nan, 5e-324, -2.2e-308, 1.0]),
+            st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True))))
+    def test_mask_pass_is_the_nonzero_triple(self, tile):
+        """``csr_from_dense`` finds nonzeros with one mask over the flat
+        tile; the triple is the one ``np.nonzero`` gives, bit for bit
+        and dtype for dtype: ``-0.0`` is a zero, NaN and subnormals are
+        not.  ``csr_to_dense`` scatters by flat position; same array as
+        the two-index scatter."""
+        rows, cols = np.nonzero(tile)
+        want = (np.cumsum(np.bincount(rows + 1,
+                                      minlength=tile.shape[0] + 1)),
+                cols, tile[rows, cols])
+        got = csr_from_dense(tile)
+        for part, ref in zip(got, want):
+            assert part.dtype == ref.dtype
+            assert part.tobytes() == ref.tobytes()
+        dense = np.zeros(tile.shape)
+        dense[rows, cols] = tile[rows, cols]
+        assert csr_to_dense(*got, tile.shape).tobytes() == dense.tobytes()
 
     def test_tile_words_exact(self):
         # 1 header + (rows+1) indptr + nnz indices + nnz data words.
@@ -209,6 +239,28 @@ class TestTileDirectory:
         # Rejected before anything was allocated or indexed.
         assert sp.data_pages == 0 and not sp.directory and sp.nnz == 0
         assert sp.tile_blocks(0, 0) == [] and sp.nonempty_in_row(0) == []
+
+    def test_append_installs_one_page_image(self, store, rng):
+        """A tile goes to the pool as one ``put_many`` of its whole
+        zero-padded page image ``[nnz][indptr][indices][data]``."""
+        dense = _random_sparse(rng, 128, 128, 0.2)   # 7 pages
+        indptr, indices, data = csr_from_dense(dense)
+        sp = SparseTiledMatrix(store, "img", (128, 128), (128, 128))
+        with mock.patch.object(store.pool, "put_many",
+                               wraps=store.pool.put_many) as put_many, \
+                mock.patch.object(store.pool, "put",
+                                  wraps=store.pool.put) as put:
+            sp.append_tile(0, 0, indptr, indices, data)
+        assert put_many.call_count == 1 and put.call_count == 0
+        blocks = sp.tile_blocks(0, 0)
+        assert len(blocks) == sp.directory[0, 0][1] == 7
+        image = np.concatenate(store.pool.get_many(blocks))
+        payload = np.concatenate([
+            np.array([data.size]).view(np.uint8), indptr.view(np.uint8),
+            indices.view(np.uint8), data.view(np.uint8)])
+        assert payload.size == 8 * tile_words(128, data.size)
+        assert image[:payload.size].tobytes() == payload.tobytes()
+        assert not image[payload.size:].any()
 
     def test_tile_blocks_are_the_pages_blocks(self, store, rng):
         dense = _random_sparse(rng, 300, 200, 0.2)   # multi-page tiles

@@ -5,8 +5,10 @@ replaced.
 the inner index, then a keyed sum into the output tile's accumulator —
 unless the pair's exact product count says one BLAS GEMM on the
 densified tiles is cheaper, and it holds a panel of A's block rows so a
-B tile is read once per panel.  The contract is that the numbers did
-not move: the result is NumPy's, every stored tile is the one the old
+B tile is read once per panel and multiplied into every held row in
+one step (the held tiles of an inner index stacked into one CSR block,
+one join for the stack).  The contract is that the numbers did not
+move: the result is NumPy's, every stored tile is the one the old
 loop stored, the bits depend on the operands and the tile grid alone —
 never on the budget that sets the panel height — and the reads are the
 schedule's own count, which is never more than the old loop's one read
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.sanitizers import SanitizingBufferPool
 from repro.sparse import SparseTiledMatrix, kernels, spgemm
-from repro.sparse.sparse_matrix import default_sparse_tile_shape
+from repro.sparse.sparse_matrix import (default_sparse_tile_shape,
+                                        tile_words)
 from repro.storage import ArrayStore, StorageConfig
 from repro.storage.linearization import linearization_names
 from schedule_counts import (biggest_tile, hints_fit, spgemm_pair_reads,
@@ -69,7 +72,7 @@ def ref_spgemm(store, a, b):
 
 def _pairs(a_np, b_np, tiles):
     """Every tile pair with a nonempty tile on both sides, in schedule
-    order per output tile: ``(rows, cols, A block, B block, P)``."""
+    order per output tile: ``(rows, cols, k, A block, B block, P)``."""
     th, tk, tw = tiles
     m, l = a_np.shape
     n = b_np.shape[1]
@@ -82,7 +85,7 @@ def _pairs(a_np, b_np, tiles):
                     products = int((a_blk != 0).sum(axis=0)
                                    @ (b_blk != 0).sum(axis=1))
                     yield (slice(r0, r0 + th), slice(c0, c0 + tw),
-                           a_blk, b_blk, products)
+                           k0 // tk, a_blk, b_blk, products)
 
 
 def _is_dense_pair(a_blk, b_blk, products) -> bool:
@@ -90,14 +93,24 @@ def _is_dense_pair(a_blk, b_blk, products) -> bool:
     return products > kernels.SPGEMM_DENSE_CROSSOVER * volume
 
 
-def expected_paths(a_np, b_np, tiles) -> dict:
+def expected_paths(a_np, b_np, tiles, panels) -> dict:
+    """Tile pairs by path, and the ``(panel, k, tj)`` steps that serve
+    them: a step multiplies one B tile into every held row at once, so
+    it counts once however many of the panel's pairs it covers."""
+    th, tk, tw = tiles
     paths = {"csr": 0, "dense": 0}
-    for _, _, a_blk, b_blk, products in _pairs(a_np, b_np, tiles):
+    steps = set()
+    for rows, cols, k, a_blk, b_blk, products in _pairs(a_np, b_np, tiles):
         if _is_dense_pair(a_blk, b_blk, products):
             paths["dense"] += 1
         elif products:
             paths["csr"] += 1
-    return paths
+        else:
+            continue
+        ti = rows.start // th
+        panel = next(i for i, (lo, hi) in enumerate(panels) if lo <= ti < hi)
+        steps.add((panel, k, cols.start // tw))
+    return {**paths, "steps": len(steps)}
 
 
 def model_spgemm(a_np, b_np, tiles) -> np.ndarray:
@@ -105,7 +118,7 @@ def model_spgemm(a_np, b_np, tiles) -> np.ndarray:
     crossover adds its products one at a time in A's CSR order (B's row
     in column order inside each), a pair above it adds one GEMM."""
     out = np.zeros((a_np.shape[0], b_np.shape[1]))
-    for rows, cols, a_blk, b_blk, products in _pairs(a_np, b_np, tiles):
+    for rows, cols, _, a_blk, b_blk, products in _pairs(a_np, b_np, tiles):
         acc = out[rows, cols]
         if _is_dense_pair(a_blk, b_blk, products):
             acc += a_blk @ b_blk
@@ -117,16 +130,18 @@ def model_spgemm(a_np, b_np, tiles) -> np.ndarray:
 
 
 @contextmanager
-def counted_paths():
-    """Count the tile pairs ``spgemm`` sends down each path."""
+def counted_paths(store):
+    """What ``spgemm`` reports on its row-panel spans, summed over the
+    panels: tile pairs by path and the steps that multiplied them."""
     paths = {}
-    with mock.patch.object(kernels, "_expand_pair",
-                           wraps=kernels._expand_pair) as expand, \
-            mock.patch.object(kernels, "csr_to_dense",
-                              wraps=kernels.csr_to_dense) as densify:
+    seen = len(store.tracer.spans())
+    with store.tracer.recording():
         yield paths
-    # A dense pair densifies two tiles.
-    paths.update(csr=expand.call_count, dense=densify.call_count // 2)
+    panels = [span.args for span in store.tracer.spans()[seen:]
+              if span.name == "spgemm:row_panel"]
+    paths.update(csr=sum(p["csr_pairs"] for p in panels),
+                 dense=sum(p["dense_pairs"] for p in panels),
+                 steps=sum(p["steps"] for p in panels))
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +237,7 @@ def test_same_numbers_and_same_io_as_the_densify_loop(p):
 
     store = _store(p["capacity"], p["scheduler"])
     a, b = _load(store, a_np, b_np, tiles, p["linearization"])
-    with counted_paths() as paths:
+    with counted_paths(store) as paths:
         c = spgemm(store, a, b, p["memory"])
     store.flush()
     io = store.device.stats.snapshot()
@@ -258,7 +273,7 @@ def test_same_numbers_and_same_io_as_the_densify_loop(p):
         assert io.reads == planned
     event(f"panels: {min(len(panels), 3)}, exact: {exact}")
 
-    assert paths == expected_paths(a_np, b_np, tiles)
+    assert paths == expected_paths(a_np, b_np, tiles, panels)
     event(f"csr pairs: {paths['csr'] > 0}, dense pairs: {paths['dense'] > 0}")
     assert np.array_equal(c.to_numpy(), want)
     # Explicit zeros (exact cancellations are common here) are not stored.
@@ -283,13 +298,14 @@ def _cold_between_panels(b, needed, panels, capacity: int) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(p=products(), capacity=st.integers(4, 64),
        scheduler=st.booleans(), foreign=st.booleans(),
-       memory=st.integers(1, 1 << 15))
+       memory=st.integers(1, 1 << 15),
+       join=st.sampled_from([1, 3, 50, kernels.JOIN_PRODUCTS]))
 def test_bits_depend_on_operands_and_grid_only(p, capacity, scheduler,
-                                               foreign, memory):
+                                               foreign, memory, join):
     """Real-valued operands: the result is bitwise the written-out
     summation order, whatever pool, scheduler or hinting delivered the
-    tiles (operands of a foreign store switch hinting off) and whatever
-    budget set the panel height."""
+    tiles (operands of a foreign store switch hinting off), whatever
+    budget set the panel height and wherever a step's join was cut."""
     rng = np.random.default_rng(p["seed"])
     tiles = _tiles(p)
     a_np = _operand(rng, (p["m"], p["l"]), tiles[:2], integers=False)
@@ -304,11 +320,32 @@ def test_bits_depend_on_operands_and_grid_only(p, capacity, scheduler,
 
     other = _store(capacity, scheduler)
     home = _store(p["capacity"], p["scheduler"]) if foreign else other
-    c2 = spgemm(other, *_load(home, a_np, b_np, tiles, p["linearization"]),
-                memory)
-    assert _bits(c2.to_numpy()) == want
+    a, b = _load(home, a_np, b_np, tiles, p["linearization"])
+    # Whatever was drawn, one-row panels, a two-row panel (tiles stacked
+    # at all) and one panel of every row (the tallest stack) also run.
+    with mock.patch.object(kernels, "JOIN_PRODUCTS", join):
+        for budget in (memory, *_budgets_by_height(a, b)):
+            c2 = spgemm(other, a, b, budget)
+            assert _bits(c2.to_numpy()) == want
     if foreign:
         assert other.pool.scheduler.stats.hinted_blocks == 0
+
+
+def _budgets_by_height(a, b) -> tuple[int, int, int]:
+    """Budgets that cut A into one-row panels, into a first panel of two
+    rows, and into one panel."""
+    th, tw = a.tile_shape[0], b.tile_shape[1]
+    needed, ones = kernels.spgemm_schedule(a, b, 1)
+    # What the schedule holds for two rows: the largest B tile, two
+    # accumulators, the rows' A tiles.
+    two = (biggest_tile(b) * b.store.scalars_per_block + 2 * th * tw
+           + sum(tile_words(th, a.tile_nnz(ti, k))
+                 for ti, ks in enumerate(needed[:2]) for k in ks))
+    rows = a.grid[0]
+    assert ones == [(ti, ti + 1) for ti in range(rows)]
+    assert kernels.spgemm_schedule(a, b, two)[1][0] == (0, min(2, rows))
+    assert kernels.spgemm_schedule(a, b, 1 << 40)[1] == [(0, rows)]
+    return 1, two, 1 << 40
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +379,42 @@ def test_one_product_uses_both_paths():
     b_np[71, 0] = 1.0
     tiles = (32, 32, 32)
     store = _store(16, True)
-    with counted_paths() as paths:
+    with counted_paths(store) as paths:
         c = spgemm(store, *_load(store, a_np, b_np, tiles), MEMORY)
-    assert paths == {"csr": 1, "dense": 1} \
-        == expected_paths(a_np, b_np, tiles)
+    assert paths == {"csr": 1, "dense": 1, "steps": 2} \
+        == expected_paths(a_np, b_np, tiles, [(0, 1)])
     assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
     assert np.allclose(c.to_numpy(), a_np @ b_np)
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_counts_ride_on_the_panel_spans(sanitize):
+    """One ``spgemm:row_panel`` span per panel carries that panel's
+    pairs by path and its steps; with the tracer off (a null span, or
+    the sanitizer's observer span) nothing is recorded."""
+    rng = np.random.default_rng(19)
+    a_np = (rng.random((32, 16)) < 0.1) * rng.standard_normal((32, 16))
+    b_np = (rng.random((16, 24)) < 0.1) * rng.standard_normal((16, 24))
+    tiles = (8, 8, 8)
+    store = ArrayStore(storage=StorageConfig(
+        block_size=BLOCK, memory_bytes=16 * BLOCK, sanitize=sanitize))
+    a, b = _load(store, a_np, b_np, tiles)
+    panels = kernels.spgemm_schedule(a, b, 400)[1]
+    assert len(panels) == 2
+    quiet = spgemm(store, a, b, 400)
+    assert len(store.tracer) == 0
+    with store.tracer.recording():
+        c = spgemm(store, a, b, 400)
+    spans = [span for span in store.tracer.spans()
+             if span.name == "spgemm:row_panel"]
+    assert [(s.args["lo"], s.args["hi"]) for s in spans] == panels
+    for span, panel in zip(spans, panels):
+        lo, hi = (edge * 8 for edge in panel)
+        want = expected_paths(a_np[lo:hi], b_np, tiles, [(0, 99)])
+        assert {key: span.args[arg] for key, arg in (
+            ("csr", "csr_pairs"), ("dense", "dense_pairs"),
+            ("steps", "steps"))} == want
+    assert _bits(c.to_numpy()) == _bits(quiet.to_numpy())
 
 
 @pytest.mark.parametrize("pad,tk,path,pairs", [
@@ -357,18 +424,110 @@ def test_one_product_uses_both_paths():
     (24, 1, "csr", 2),
 ])
 def test_exact_cancellation_stores_nothing(pad, tk, path, pairs):
-    """``[[1, 1]] . [[1], [-1]]`` is a zero nobody stored."""
-    a_np = np.zeros((pad, 2 * pad))
-    b_np = np.zeros((2 * pad, pad))
-    a_np[0, :2] = 1.0
-    b_np[:2, 0] = [1.0, -1.0]
-    store = _store(8, True)
-    with counted_paths() as paths:
-        c = spgemm(store, *_load(store, a_np, b_np, (pad, tk, pad)),
-                   MEMORY)
-    assert paths[path] == pairs and sum(paths.values()) == pairs
-    assert c.nnz == 0 and not c.directory and c.data_pages == 0
-    assert not c.to_numpy().any()
+    """``[[1, 1]] . [[1], [-1]]`` is a zero nobody stored — alone in
+    its accumulator, or stacked above a block row whose sum survives."""
+    for stack in (1, 2):
+        a_np = np.zeros((stack * pad, 2 * pad))
+        b_np = np.zeros((2 * pad, pad))
+        a_np[0, :2] = 1.0
+        b_np[:2, 0] = [1.0, -1.0]
+        if stack == 2:
+            a_np[pad, :2] = [1.0, 3.0]
+        store = _store(8, True)
+        a, b = _load(store, a_np, b_np, (pad, tk, pad))
+        assert kernels.spgemm_schedule(a, b, MEMORY)[1] == [(0, stack)]
+        with counted_paths(store) as paths:
+            c = spgemm(store, a, b, MEMORY)
+        # One step per k-tile however many rows are stacked under it.
+        assert paths == {"csr": 0, "dense": 0, "steps": pairs,
+                         path: stack * pairs}
+        assert set(c.directory) == ({(1, 0)} if stack == 2 else set())
+        assert c.nnz == stack - 1 and c.data_pages == stack - 1
+        assert np.array_equal(c.to_numpy(), a_np @ b_np)
+
+
+def test_one_step_uses_both_paths():
+    """Three held tiles meet one B tile in one step: the middle pair is
+    above the crossover and goes to BLAS alone, its neighbours stay in
+    the stacked join — a step that chose one path for the whole stack,
+    or masked the wrong segment, would move counts and bits."""
+    rng = np.random.default_rng(13)
+    a_np = np.zeros((48, 16))
+    a_np[16:32] = rng.standard_normal((16, 16))          # ti = 1: full
+    a_np[[2, 9, 40, 47], [3, 3, 0, 15]] = rng.standard_normal(4)
+    b_np = (rng.random((16, 16)) < 0.25) * rng.standard_normal((16, 16))
+    tiles = (16, 16, 16)
+    store = _store(16, True)
+    a, b = _load(store, a_np, b_np, tiles)
+    assert kernels.spgemm_schedule(a, b, MEMORY)[1] == [(0, 3)]
+    with counted_paths(store) as paths:
+        c = spgemm(store, a, b, MEMORY)
+    assert paths == {"csr": 2, "dense": 1, "steps": 1} \
+        == expected_paths(a_np, b_np, tiles, [(0, 3)])
+    assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
+    assert np.allclose(c.to_numpy(), a_np @ b_np)
+
+
+@pytest.mark.parametrize("memory,panels", [
+    (1, [(0, 1), (1, 2), (2, 3)]), (3000, [(0, 2), (2, 3)]),
+    (MEMORY, [(0, 3)])])
+def test_ragged_last_row_and_rectangular_tiles(memory, panels):
+    """``th != tk != tw`` over a shape none of them divides, so the last
+    block row (10 of 24 rows) is stacked under full ones — and its
+    crossover is its own: at inner tile 1 its 42 products are above
+    1/256 of a 10x16x40 tile, the 29 and 32 of the rows above it below
+    1/256 of a 24x16x40 one, in the same step."""
+    rng = np.random.default_rng(17)
+    a_np = (rng.random((58, 37)) < 0.05) * rng.standard_normal((58, 37))
+    b_np = (rng.random((37, 53)) < 0.05) * rng.standard_normal((37, 53))
+    a_np[48:, 16:32] = ((rng.random((10, 16)) < 0.15)
+                        * rng.standard_normal((10, 16)))
+    tiles = (24, 16, 40)
+    step = {rows.start // 24: (products, _is_dense_pair(a_blk, b_blk,
+                                                         products))
+            for rows, cols, k, a_blk, b_blk, products
+            in _pairs(a_np, b_np, tiles) if (k, cols.start) == (1, 0)}
+    assert step == {0: (29, False), 1: (32, False), 2: (42, True)}
+    store = _store(16, True)
+    a, b = _load(store, a_np, b_np, tiles)
+    assert kernels.spgemm_schedule(a, b, memory)[1] == panels
+    with counted_paths(store) as paths:
+        c = spgemm(store, a, b, memory)
+    assert paths == expected_paths(a_np, b_np, tiles, panels)
+    assert paths["steps"] == 6 * len(panels)
+    assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
+    assert np.allclose(c.to_numpy(), a_np @ b_np)
+
+
+def test_empty_rows_and_unmatched_tiles_in_a_stack():
+    """The ``reduceat`` edge cases: held tiles whose first and last rows
+    store nothing, and held tiles — in the middle of the stack and at
+    its end — none of whose nonzeros meets a stored row of the B tile,
+    so their segments of the join are all zero counts.  A segment is
+    never empty, because an empty tile is never held."""
+    a_np = np.zeros((64, 16))
+    a_np[[1, 8, 14], [0, 3, 2]] = [0.7, -1.1, 1.3]    # rows 0, 15 empty
+    a_np[16:32, 6] = 0.3                  # ti = 1: meets only B's row 6
+    a_np[[33, 46], [2, 0]] = -1.25        # ti = 2: rows 32, 47 empty
+    a_np[48:, 7] = 2.0                    # ti = 3: meets only B's row 7
+    b_np = np.zeros((16, 16))
+    b_np[:4, ::4] = np.arange(16.0).reshape(4, 4) / 3 - 2
+    tiles = (16, 16, 16)
+    store = _store(16, True)
+    a, b = _load(store, a_np, b_np, tiles)
+    needed, panels = kernels.spgemm_schedule(a, b, MEMORY)
+    assert panels == [(0, 4)]
+    held = kernels._hold_panel(store.pool, a, 0, 4, needed, False)
+    assert [col.tis for col in held.values()] == [[0, 1, 2, 3]]
+    for col in held.values():
+        assert np.all(np.diff(col.seg, append=col.indices.size) > 0)
+        assert col.lens[[0, 15, 32, 47]].tolist() == [0, 0, 0, 0]
+    with counted_paths(store) as paths:
+        c = spgemm(store, a, b, MEMORY)
+    assert paths == {"csr": 2, "dense": 0, "steps": 1} \
+        == expected_paths(a_np, b_np, tiles, panels)
+    assert set(c.directory) == {(0, 0), (2, 0)}
+    assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
 
 
 @pytest.mark.parametrize("scheduler", [False, True])
@@ -419,9 +578,11 @@ def test_default_tiles_ragged_shape(store):
     b = SparseTiledMatrix.from_dense(store, b_np)
     tiles = (*a.tile_shape, b.tile_shape[1])
     assert tiles == (128, 128, 128)
-    with counted_paths() as paths:
+    with counted_paths(store) as paths:
         c = spgemm(store, a, b, 1 << 17)
-    assert paths == expected_paths(a_np, b_np, tiles)
+    assert paths == expected_paths(a_np, b_np, tiles,
+                                   kernels.spgemm_schedule(a, b, 1 << 17)[1])
+    assert paths["steps"] < paths["csr"] + paths["dense"]
     assert paths["csr"] and paths["dense"]
     assert np.allclose(c.to_numpy(), a_np @ b_np)
     assert _bits(c.to_numpy()) == _bits(model_spgemm(a_np, b_np, tiles))
