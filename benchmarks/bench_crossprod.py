@@ -14,9 +14,12 @@ measured on the counted tile store:
   output blocks and mirrors them on write — about half the flagged
   plan's reads on top of deleting the transpose pass.
 
-A fourth measurement checks epilogue fusion: the ridge normal matrix
-``t(X) X + lambda R`` writes *only* its output blocks — zero blocks for
-the intermediate product.
+A fourth measurement shares the scan: the whole normal equations, X'X
+and X'y, in one pass over X (the planner's shared ``crossprod``
+operator) against crossprod plus a separate flagged multiply.  A fifth
+checks epilogue fusion: the ridge normal matrix ``t(X) X + lambda R``
+writes *only* its output blocks — zero blocks for the intermediate
+product.
 
 Set ``RIOT_BENCH_FAST=1`` (the CI smoke job does) to shrink sizes.
 """
@@ -113,6 +116,49 @@ def test_crossprod_beats_materialized_transpose(benchmark):
     assert flag_stats.total < mat_stats.total
     assert 0.5 * model_cp <= cp_stats.total <= 2.0 * model_cp
     assert 0.5 * model_flag <= flag_stats.total <= 2.0 * model_flag
+
+
+def test_normal_equations_in_one_scan(benchmark):
+    """Both products of the normal equations from one scan of X:
+    ``crossprod_matmul(..., side=[(y, Xty)])`` reads every X block the
+    separate plan reads minus one whole copy of X (the flagged
+    ``t(X) %*% y`` scan), writes the same blocks and gives the same
+    bits.  The budget is one block above the suite's, so y fits beside
+    the p = sqrt(M/3) panels (at exactly 3 p^2 = M it would not)."""
+    mem = MEMORY_SCALARS + BLOCK_SCALARS
+    y_np = np.random.default_rng(37).standard_normal((N_OBS, 1))
+
+    def run(shared):
+        store, x = _fresh_store()
+        y = store.matrix_from_numpy(y_np, layout="square", name="y")
+        store.pool.clear()
+        store.reset_stats()
+        if shared:
+            xty = store.create_matrix((N_FEAT, 1), layout="square")
+            xtx = crossprod_matmul(store, x, mem, side=[(y, xty)])
+        else:
+            xtx = crossprod_matmul(store, x, mem)
+            xty = square_tile_matmul(store, x, y, mem, trans_a=True)
+        store.flush()
+        x_pages = x.grid[0] * x.grid[1] * x.pages_per_tile
+        return (store.device.stats.snapshot(), x_pages,
+                xtx.to_numpy(), xty.to_numpy())
+
+    shared, x_pages, s_xtx, s_xty = benchmark.pedantic(
+        run, args=(True,), rounds=1, iterations=1)
+    separate, _, p_xtx, p_xty = run(False)
+    record_io_stats(benchmark, shared)
+    benchmark.extra_info["io_separate"] = separate.as_dict()
+    print(f"\nX'X and X'y on X {N_OBS}x{N_FEAT}, M={mem} "
+          f"(X = {x_pages} blocks):")
+    print(f"  {'plan':<34}{'read':>7}{'written':>9}{'calls':>7}")
+    for label, st in (("crossprod + flagged t(X) %*% y", separate),
+                      ("crossprod carrying t(X) %*% y", shared)):
+        print(f"  {label:<34}{st.reads:>7}{st.writes:>9}"
+              f"{st.read_calls + st.write_calls:>7}")
+    assert np.array_equal(s_xtx, p_xtx) and np.array_equal(s_xty, p_xty)
+    assert separate.reads - shared.reads == x_pages
+    assert shared.writes == separate.writes
 
 
 def test_fused_epilogue_writes_no_intermediate(benchmark):

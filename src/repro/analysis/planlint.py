@@ -6,7 +6,8 @@ submatrices, ``lu_decompose`` when a tall panel does not fit, ``spgemm``
 when k-grids misalign...).  Those guards fire mid-plan, after earlier
 operators have already burned I/O.  :func:`verify_plan` lifts them —
 plus shape conformability, kernel-pin legality, epilogue-fusion
-legality and prediction sanity — into one pre-execution walk over the
+legality, shared-scan legality (a crossprod's side products) and
+prediction sanity — into one pre-execution walk over the
 :class:`~repro.core.plan.PhysicalPlan`, with every error naming the
 offending operator.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.costs import COST_MODELS
+from repro.core.costs import COST_MODELS, crossprod_side_fits
 from repro.core.expr import (Crossprod, Map, MatMul, Node, Solve)
 from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
                              InverseOp, LUSolveOp, MapOp, PhysOp,
@@ -58,6 +59,35 @@ def _check_square_budget(op: PhysOp, operand: Node, panels: int,
         _fail(op, f"memory budget of {memory_scalars} scalars cannot "
                   f"hold {panels} 1 x 1 submatrices for {what} "
                   f"(needs >= {panels} scalars)")
+
+
+def _check_side_products(op: CrossprodOp, memory_scalars: int) -> None:
+    """A crossprod carrying side products: each is ``t(A) %*% B`` over
+    the crossprod's own operand with B as tall as A, and together they
+    fit beside its panel — the rule the planner shared them by and the
+    kernel would refuse them on."""
+    from repro.core.planner import operand_tile_side
+    a = op.node.children[0]
+    if not op.node.t_first:
+        _fail(op, "side products ride on t(A) %*% A only, not on a "
+                  "tcrossprod")
+    for side in op.side_nodes:
+        if not (isinstance(side, MatMul) and side.trans_a
+                and not side.trans_b):
+            _fail(op, f"side product {side.label()} is not a "
+                      f"t(a) %*% b MatMul (trans_a=True, trans_b=False)")
+        if side.children[0] is not a:
+            _fail(op, f"side product {side.label()} reads another "
+                      f"operand than the crossprod's own")
+        rows = side.children[1].shape[0]
+        if rows != a.shape[0]:
+            _fail(op, f"side operand has {rows} rows, the crossprod's "
+                      f"operand {a.shape[0]}")
+    cols = sum(side.shape[1] for side in op.side_nodes)
+    if not crossprod_side_fits(memory_scalars, operand_tile_side(a), cols):
+        _fail(op, f"side products of {cols} columns do not fit beside "
+                  f"the crossprod panel in {memory_scalars} scalars "
+                  f"(3p^2 + 2p*cols > M)")
 
 
 def _sparse_stored(node: Node) -> bool:
@@ -118,6 +148,8 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                       f"by its operand")
         _check_square_budget(op, a, 3, memory_scalars, block_scalars,
                              "crossprod_matmul")
+        if op.side_nodes:
+            _check_side_products(op, memory_scalars)
         return
 
     # -- sparse products (kernel-pin legality) -------------------------

@@ -13,7 +13,7 @@ so ``explain`` and ``explain(analyze=True)`` work at each of them.  The
   subscript pushdown, transpose absorption and the inv-to-solve
   rewrite run to fixpoint, but physical choices stay heuristic
   (program-order chains, type-driven kernel dispatch, fuse epilogues
-  whenever legal).
+  and share crossprod scans whenever legal).
 - **level 2** (default) — logical rewriting plus cost-based physical
   planning: the planner enumerates kernel alternatives, chain orders
   and fuse-vs-materialize per node and picks by the Appendix-A /
@@ -38,7 +38,12 @@ class OptimizerConfig:
     is legal (the old heuristic); at level 2 the planner additionally
     checks that the fused plan is model-cheaper than materializing the
     product (it always is under the current models, but the
-    alternative is enumerated and shown by ``explain``).
+    alternative is enumerated and shown by ``explain``).  It also
+    gates the other way operators share work: a ``t(X) %*% B`` that
+    rides on ``crossprod(X)``'s scan of X (one operator computes
+    both).  Sharing needs level >= 1 — level 0 never shares, whatever
+    the override — and ``fuse_epilogues=False`` turns it off with
+    fusion.
 
     ``strict`` runs the static plan verifier
     (:func:`repro.analysis.planlint.verify_plan`) over every plan

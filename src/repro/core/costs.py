@@ -72,8 +72,46 @@ def transpose_materialize_io(rows: float, cols: float,
     return 2.0 * rows * cols / block
 
 
+def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
+    """The Appendix-A submatrix side ``p = sqrt(M / panels)``,
+    tile-aligned — the panel of ``square_tile_matmul`` and
+    ``crossprod_matmul``, stated once for kernel, planner and verifier.
+
+    ``panels`` is the number of p x p submatrices resident at once.
+    When the budget cannot hold ``panels`` whole storage tiles the
+    panel goes *ragged*: p drops below the tile side (never below 1;
+    the kernels refuse a budget under ``panels`` scalars themselves).
+    ``tile_side = 1`` gives ``floor(sqrt(M / panels))``, the largest
+    panel any tile side can give.
+    """
+    p = int(math.sqrt(memory / float(panels)))
+    if p < tile_side:
+        return max(1, p)
+    return max(tile_side, (p // tile_side) * tile_side)
+
+
+def crossprod_side_fits(memory: float, tile_side: int,
+                        side_cols: float) -> bool:
+    """Can ``crossprod_matmul`` carry side products ``t(A) %*% B_i``
+    with ``side_cols = sum(n_i)`` columns on its diagonal passes?
+
+    The crossprod keeps its own panel ``p = square_panel(M, tile, 3)``
+    — shrinking it would change the bits of ``t(A) %*% A`` — so the
+    side products fit when ``3 p^2 + 2 p sum(n_i) <= M``: the three
+    p x p submatrices plus each B's p-row rectangle and its p-row
+    result.  The one statement of the rule: the kernel refuses what it
+    rejects, the planner shares only what it accepts and the verifier
+    re-checks it.  ``tile_side = 1`` asks about the largest panel any
+    tile gives, a safe answer for an operand whose tiles are not known
+    yet (the predicate grows with p).
+    """
+    p = square_panel(memory, tile_side, 3)
+    return 3 * p * p + 2 * p * side_cols <= memory
+
+
 def crossprod_io(m: float, k: float, memory: float,
-                 block: float, ratio: float = 1.0) -> float:
+                 block: float, ratio: float = 1.0,
+                 side_cols: float = 0, tile_side: int = 1) -> float:
     """I/O of the symmetric ``t(A) %*% A`` schedule for an m x k A.
 
     Per inner panel the kernel reads one p x p operand block for each
@@ -84,9 +122,19 @@ def crossprod_io(m: float, k: float, memory: float,
 
     ``sqrt(3) * m k^2 / (B sqrt(M)) + k^2 / B``.  ``ratio`` scales the
     device traffic by the storage codec's compressed-byte ratio.
+
+    ``side_cols`` prices side products ``t(A) %*% B_i`` (``sum(n_i)``
+    columns) computed on the diagonal passes: each m x n_i B is read
+    once per diagonal pass — ``ceil(k / p)`` of them, p the kernel's
+    ``square_panel(M, tile_side, 3)`` — and each k x n_i result is
+    written once.  A is not read again for them.
     """
-    return ratio * ((math.sqrt(3.0) * m * k * k
-                     / (block * math.sqrt(memory))) + (k * k) / block)
+    io = (math.sqrt(3.0) * m * k * k / (block * math.sqrt(memory))
+          + (k * k) / block)
+    if side_cols:
+        passes = math.ceil(k / square_panel(memory, tile_side, 3))
+        io += (passes * m + k) * side_cols / block
+    return ratio * io
 
 
 def matmul_epilogue_io(m: float, l: float, n: float,

@@ -28,7 +28,9 @@ What the operators do, following §5:
 - **Out-of-core matmul.**  Products run the Appendix-A square-tile
   algorithm, BNLJ or a sparse kernel, as planned.  Transposed operand
   flags stream the stored tiles and transpose them in memory;
-  ``Crossprod`` runs the symmetric half-the-blocks schedule.
+  ``Crossprod`` runs the symmetric half-the-blocks schedule, and
+  computes any ``t(X) %*% B`` the planner paired with it on the same
+  scan of X — one operator, one memo entry per node it computes.
 - **Fused matmul epilogues.**  A matrix Map region fed by exactly one
   MatMul/Crossprod (``alpha * (A %*% B) + C``) is pushed *into* the
   multiply as an epilogue callback: the elementwise expression is applied
@@ -210,7 +212,7 @@ class Evaluator:
             if cold or self.parallelism <= 1:
                 memo: dict[int, object] = {}
                 for op in plan.ops():
-                    memo[id(op.node)] = self._measured_op(op, memo)[0]
+                    self._keep(op, self._measured_op(op, memo)[0], memo)
                 result = memo[id(plan.root.node)]
             else:
                 result = self._plan_executor(
@@ -324,6 +326,16 @@ class Evaluator:
         return self.OP_RUNNERS[type(op)](self, op, memo)
 
     @staticmethod
+    def _keep(op: PhysOp, result, memo: dict[int, object]) -> None:
+        """Memoize an operator's result under every logical node it
+        computes: one value, or one per entry of ``op.nodes`` when the
+        operator computes several (a crossprod with side products)."""
+        nodes = op.nodes
+        for node, value in zip(nodes,
+                               result if len(nodes) > 1 else (result,)):
+            memo[id(node)] = value
+
+    @staticmethod
     def _input(node: Node, memo: dict[int, object]):
         """The computed value of an operator's input node."""
         try:
@@ -386,11 +398,24 @@ class Evaluator:
                       self._input(b, memo), self.memory_scalars)
 
     def _run_crossprod(self, op: CrossprodOp, memo: dict[int, object]):
+        """``t(A) %*% A``; with side products, also each ``t(A) %*% B``
+        computed on the same scan of A — returned after it, one value
+        per entry of ``op.nodes``."""
         node = op.node
         a = self._as_tiled_matrix(self._input(node.children[0], memo))
-        return crossprod_matmul(self.store, a, self.memory_scalars,
-                                t_first=node.t_first,
-                                parallel=self._kernel_parallel())
+        side = []
+        for s in op.side_nodes:
+            b = self._as_tiled_matrix(self._input(s.children[1], memo))
+            side.append((b, self.store.create_matrix(
+                s.shape, layout="square",
+                dtype=np.result_type(a.dtype, b.dtype))))
+        out = crossprod_matmul(self.store, a, self.memory_scalars,
+                               t_first=node.t_first,
+                               parallel=self._kernel_parallel(),
+                               side=side)
+        if not side:
+            return out
+        return (out, *(out_b for _, out_b in side))
 
     def _densified(self, data):
         """Dense view of a forced matrix for tile-streaming consumers.

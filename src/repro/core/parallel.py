@@ -215,7 +215,7 @@ class ParallelExecutor:
                     op.worker = slot
                     op.sched_start_ns = start - t0
                     op.sched_end_ns = op.sched_start_ns + op.wall_ns
-                    memo[id(op.node)] = result
+                    ev._keep(op, result, memo)
                     finished.add(id(op))
                     for dep in dependents[id(op)]:
                         remaining[dep].discard(id(op))

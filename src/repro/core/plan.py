@@ -74,6 +74,13 @@ class PhysOp:
         self.sched_start_ns: int | None = None
         self.sched_end_ns: int | None = None
 
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """Every logical node this operator computes — its own, plus
+        any it shares a scan with (a crossprod's side products).  The
+        evaluator memoizes one value per entry."""
+        return (self.node,)
+
     def label(self) -> str:
         return self.kind + (f"[{self.detail}]" if self.detail else "")
 
@@ -151,10 +158,25 @@ class BnljOp(PhysOp):
 
 
 class CrossprodOp(PhysOp):
-    """Symmetric ``t(A) %*% A`` — upper-triangular blocks only."""
+    """Symmetric ``t(A) %*% A`` — upper-triangular blocks only.
+
+    ``side_nodes`` are ``MatMul(A, B_i, trans_a=True)`` nodes computed
+    on the same scan of A (the planner's shared-scan rule): their B
+    operands follow A among ``children``, and the op yields one value
+    per entry of :attr:`nodes`.
+    """
 
     kind = "crossprod"
     cost_model = "crossprod_io"
+
+    def __init__(self, node: Node, children: tuple[PhysOp, ...] = (),
+                 side_nodes: tuple[Node, ...] = (), **kwargs) -> None:
+        super().__init__(node, children, **kwargs)
+        self.side_nodes = tuple(side_nodes)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return (self.node, *self.side_nodes)
 
 
 class SparseSpMMOp(PhysOp):

@@ -9,6 +9,14 @@ elementwise epilogues — then picks by the I/O models of
 :mod:`repro.core.costs`.  Rejected alternatives stay on the chosen
 operator for ``session.explain()``.
 
+One choice spans operators: a prepass pairs every product
+``t(X) %*% B`` with the ``crossprod(X)`` of the same X when B fits
+beside the crossprod's panel
+(:func:`~repro.core.costs.crossprod_side_fits`), so one
+:class:`~repro.core.plan.CrossprodOp` computes both from one scan of
+X — the shared-scan rule, on whenever epilogue fusion is (level >= 1,
+``fuse_epilogues`` not False).
+
 Every optimizer level lowers here; the level decides which choices are
 open.  At level 2 every choice is costed.  At level 1 the same lowering
 runs with the heuristic choices (program order, type-driven kernels,
@@ -23,9 +31,9 @@ from __future__ import annotations
 
 from .config import OptimizerConfig
 from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
-                    crossprod_io, gather_io, inverse_io,
-                    matmul_epilogue_io, scatter_io, solve_op_io,
-                    stream_io, transpose_materialize_io)
+                    crossprod_io, crossprod_side_fits, gather_io,
+                    inverse_io, matmul_epilogue_io, scatter_io,
+                    solve_op_io, stream_io, transpose_materialize_io)
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
@@ -114,6 +122,35 @@ def classify_epilogue_region(node: Map):
     return barriers, matrices, scalars, region_edges
 
 
+def operand_tile_side(node: Node) -> int:
+    """Tile side the dense kernels will cut ``node``'s panels from.
+
+    A stored dense matrix knows its own; anything computed answers 1,
+    which gives the largest panel any tile side can
+    (:func:`repro.core.costs.square_panel`), so a fit decided on it
+    still holds for the tiles the operand turns out to have.
+    """
+    tiles = getattr(getattr(node, "data", None), "tile_shape", None)
+    if isinstance(node, ArrayInput) and tiles:
+        return max(tiles)
+    return 1
+
+
+def _is_side_product(host: Crossprod, node: Node) -> bool:
+    """Is ``node`` a product ``t(A) %*% B`` that can ride on the scan
+    of A made by ``host = crossprod(A)``?  The shape half of the
+    shared-scan rule — flags, operand identity, dense operands, row
+    counts; :meth:`Planner._pair_side_products` adds room and DAG
+    position, :mod:`repro.analysis.planlint` re-checks this half."""
+    if not (isinstance(node, MatMul) and host.t_first
+            and node.trans_a and not node.trans_b
+            and node.kernel != "sparse"):
+        return False
+    a, b = node.children
+    return (a is host.children[0] and b.shape[0] == a.shape[0]
+            and not sparse_stored(a) and not sparse_stored(b))
+
+
 def _barrier_fusable(barrier: Node) -> bool:
     """Can this product run a dense kernel with an epilogue callback?"""
     if isinstance(barrier, Crossprod):
@@ -148,6 +185,11 @@ class Planner:
         #: the prepass reordered; consulted during lowering to
         #: annotate the head operator with the decision.
         self._reordered: dict[int, dict] = {}
+        #: id(crossprod) -> the side products it computes, and
+        #: id(side product) -> its crossprod; decided by the prepass
+        #: :meth:`_pair_side_products` before anything is lowered.
+        self._sides: dict[int, list[MatMul]] = {}
+        self._side_of: dict[int, Crossprod] = {}
 
     # ------------------------------------------------------------------
     def plan(self, root: Node) -> PhysicalPlan:
@@ -155,6 +197,8 @@ class Planner:
         self._memo = {}
         self._edges = {}
         self._reordered = {}
+        self._sides = {}
+        self._side_of = {}
         if self.config.chain_reorder_enabled:
             # Reorder whole chains on the logical DAG *before* any
             # lowering: epilogue fusion then sees the DP-chosen top
@@ -166,7 +210,51 @@ class Planner:
         for n in walk(root):
             for c in n.children:
                 self._edges[id(c)] = self._edges.get(id(c), 0) + 1
+        if self.config.rewrites and self.config.fusion_enabled:
+            self._pair_side_products(root)
         return PhysicalPlan(root, self._lower(root), self.config.level)
+
+    def _pair_side_products(self, root: Node) -> None:
+        """Decide, for the whole DAG at once, which ``t(A) %*% B``
+        products ride on the scan of A that ``crossprod(A)`` makes.
+
+        A product is adopted when :func:`_is_side_product` holds, when
+        neither it nor the crossprod could be a fused epilogue's
+        barrier (both must get operators of their own), when B depends
+        on no crossprod and no candidate product (so the shared
+        operator can run after B without a cycle), and when it fits
+        beside the crossprod's panel together with the products taken
+        before it in DAG walk order
+        (:func:`repro.core.costs.crossprod_side_fits`).
+        """
+        nodes = list(walk(root))
+        barriers = set()
+        for n in nodes:
+            if isinstance(n, Map) and n.ndim == 2:
+                region = self._epilogue_region(n)
+                if region is not None:
+                    barriers.add(id(region[0]))
+        hosts = {id(n.children[0]): n for n in nodes
+                 if isinstance(n, Crossprod) and n.t_first
+                 and id(n) not in barriers}
+        candidates = [n for n in nodes if isinstance(n, MatMul)
+                      and id(n.children[0]) in hosts
+                      and _is_side_product(hosts[id(n.children[0])], n)
+                      and id(n) not in barriers]
+        shared = ({id(h) for h in hosts.values()}
+                  | {id(n) for n in candidates})
+        for n in candidates:
+            a, b = n.children
+            if any(id(d) in shared for d in walk(b)):
+                continue
+            host = hosts[id(a)]
+            sides = self._sides.setdefault(id(host), [])
+            cols = sum(s.shape[1] for s in sides) + n.shape[1]
+            if not crossprod_side_fits(self.memory_scalars,
+                                       operand_tile_side(a), cols):
+                continue
+            sides.append(n)
+            self._side_of[id(n)] = host
 
     def _reorder_rule(self, node: Node) -> Node:
         if not isinstance(node, MatMul) or node.trans_a or node.trans_b:
@@ -190,6 +278,11 @@ class Planner:
     def _lower(self, node: Node) -> PhysOp:
         if id(node) in self._memo:
             return self._memo[id(node)]
+        host = self._side_of.get(id(node))
+        if host is not None:
+            # A side product is computed by its crossprod's operator.
+            op = self._memo[id(node)] = self._lower(host)
+            return op
         op = self._lower_inner(node)
         op.footprint_blocks = self._footprint(op)
         self._memo[id(node)] = op
@@ -463,14 +556,30 @@ class Planner:
     def _lower_crossprod(self, node: Crossprod) -> CrossprodOp:
         a = node.children[0]
         inner, k = a.shape if node.t_first else a.shape[::-1]
+        mem, blk = self.memory_scalars, self.block_scalars
+        sides = self._sides.get(id(node), [])
+        cols = sum(s.shape[1] for s in sides)
+        tile = operand_tile_side(a)
+        detail = "" if node.t_first else "tcrossprod"
         op = CrossprodOp(
-            node, (self._lower(a),),
-            predicted_io=crossprod_io(inner, k, self.memory_scalars,
-                                      self.block_scalars,
-                                      self.io_ratio),
-            detail="" if node.t_first else "tcrossprod")
+            node,
+            (self._lower(a),) + tuple(self._lower(s.children[1])
+                                      for s in sides),
+            side_nodes=sides,
+            predicted_io=crossprod_io(inner, k, mem, blk, self.io_ratio,
+                                      side_cols=cols, tile_side=tile),
+            detail=f"sides={len(sides)}" if sides else detail)
         op.cost_inputs = self._ratio_inputs(
             {"inner": inner, "k": k, "t_first": node.t_first})
+        if sides:
+            op.cost_inputs.update(side_cols=cols, tile=tile)
+            # The rejected alternative: the same crossprod plus each
+            # product lowered on its own, as it would have been.
+            op.alternatives.append((
+                "crossprod + separate t(a) %*% b",
+                crossprod_io(inner, k, mem, blk, self.io_ratio)
+                + sum(self._lower_product(s).predicted_io
+                      for s in sides)))
         return op
 
     def _lower_solve(self, node: Solve) -> LUSolveOp:
@@ -501,7 +610,10 @@ class Planner:
                                             self.block_scalars),
                      detail="tile")
 
-    def _try_fused(self, node: Map) -> FusedEpilogueOp | None:
+    def _epilogue_region(self, node: Map):
+        """``(barrier, matrices, scalars)`` when fusing the region
+        rooted at ``node`` into its product is legal, else ``None`` —
+        legality only; :meth:`_try_fused` then prices it."""
         region = classify_epilogue_region(node)
         if region is None:
             return None
@@ -521,6 +633,13 @@ class Planner:
                 # has consumers outside this region; fusing (which
                 # memoizes neither) would make them recompute it.
                 return None
+        return barrier, matrices, scalars
+
+    def _try_fused(self, node: Map) -> FusedEpilogueOp | None:
+        region = self._epilogue_region(node)
+        if region is None:
+            return None
+        barrier, matrices, scalars = region
         mem, blk = self.memory_scalars, self.block_scalars
         ratio = self.io_ratio
         extra = len(matrices)

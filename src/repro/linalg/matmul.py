@@ -11,7 +11,11 @@ Real algorithms from the paper, all running against
   submatrices with ``p = sqrt(M/3)``, cost ``Theta(lmn/(B*sqrt(M)))``.
 - :func:`crossprod_matmul` — the symmetric ``t(A) %*% A`` schedule: only
   upper-triangular output blocks are computed (mirrored on write), so it
-  moves about half the operand blocks of the general algorithm.
+  moves about half the operand blocks of the general algorithm.  It can
+  also compute *side products* ``t(A) %*% B_i`` on its diagonal passes
+  from the A panel already in memory — the normal equations' X'X and
+  X'y from one scan of X, with X'y bitwise what the flagged square-tile
+  multiply gives.
 
 The dense kernels take ``trans_a``/``trans_b`` *operand flags*: a flagged
 operand is multiplied as its transpose but **read in its stored layout**,
@@ -28,10 +32,9 @@ for I/O agreement with the analytic models of :mod:`repro.core.costs`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from repro.core.costs import crossprod_side_fits, square_panel
 from repro.storage import ArrayStore, TiledMatrix
 
 
@@ -51,7 +54,8 @@ def _check_conformable(a: TiledMatrix, b: TiledMatrix,
 
 def _square_panel(memory_scalars: int, tile_side: int, what: str,
                   panels: int = 3) -> int:
-    """The Appendix-A submatrix side p = sqrt(M/panels), tile-aligned.
+    """The Appendix-A submatrix side p = sqrt(M/panels), tile-aligned
+    (:func:`repro.core.costs.square_panel`).
 
     ``panels`` is the number of p x p submatrices resident at once —
     3 for the plain schedule (A, B and C blocks), plus one more per
@@ -67,13 +71,7 @@ def _square_panel(memory_scalars: int, tile_side: int, what: str,
             f"memory budget of {memory_scalars} scalars cannot hold "
             f"{panels} 1 x 1 submatrices for {what}: the square-tile "
             f"schedule needs at least {panels} scalars")
-    p = int(math.sqrt(memory_scalars / float(panels)))
-    if p < tile_side:
-        # Ragged fallback: the budget is smaller than the minimum
-        # tile-aligned working set, so honor it with an unaligned
-        # panel instead of refusing the multiply outright.
-        return max(1, p)
-    return max(tile_side, (p // tile_side) * tile_side)
+    return square_panel(memory_scalars, tile_side, panels)
 
 
 def _read_operand(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
@@ -199,13 +197,38 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     return out
 
 
+class _SideFold:
+    """Fold target of a diagonal pass that carries side products.
+
+    :func:`_accumulate` folds ``target += fn()``; on such a pass
+    ``fn()`` returns the ``t(A) A`` product and one ``t(A) B`` product
+    per column panel of every side, which go into ``acc`` and into
+    their side's accumulator.  Each array sums its products in stream
+    (inner-panel) order, so the worker count never changes a bit.
+    """
+
+    def __init__(self, acc: np.ndarray, sides: list[np.ndarray],
+                 cuts: list[tuple[int, int, int]]) -> None:
+        self.acc = acc
+        self.sides = sides
+        self.cuts = cuts
+
+    def __iadd__(self, step) -> "_SideFold":
+        product, side_products = step
+        self.acc += product
+        for (s, j0, j1), part in zip(self.cuts, side_products):
+            self.sides[s][:, j0:j1] += part
+        return self
+
+
 def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                      memory_scalars: int,
                      name: str | None = None,
                      t_first: bool = True,
                      epilogue=None,
                      epilogue_inputs: int = 0,
-                     parallel=None) -> TiledMatrix:
+                     parallel=None,
+                     side=()) -> TiledMatrix:
     """Symmetric product ``t(A) %*% A`` (or ``A %*% t(A)``) in one pass.
 
     Exploits symmetry two ways the general schedule cannot: only the
@@ -222,12 +245,33 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
     shrinks the panel like in :func:`square_tile_matmul`, and
     ``parallel`` offloads the per-step GEMMs exactly as there (reads
     stay serial on this thread; in-order fold keeps results bitwise).
+
+    ``side`` lists ``(b, out_b)`` pairs: products ``t(A) %*% b`` that
+    ride along on the scan of A (``t_first`` only, no epilogue).  On
+    each diagonal pass the kernel announces b's p-row rectangle in the
+    same prefetch hint as the A panel, multiplies the resident A panel
+    into it and, when the pass ends, writes the p x n result rectangle
+    into ``out_b`` (created by the caller, ``k x n``).  The GEMMs are
+    the ones ``square_tile_matmul(a, b, trans_a=True)`` issues — same
+    operand arrays, same column panels, same inner order — so each
+    ``out_b`` holds that kernel's bits, and A is never read for them.
+    The panel stays the crossprod's own; the products must fit beside
+    it (:func:`repro.core.costs.crossprod_side_fits`) or this raises
+    :class:`ValueError`.  Returns the ``t(A) %*% A`` matrix either way.
     """
     inner, k = a.shape if t_first else a.shape[::-1]
     tile_side = max(a.tile_shape[0], a.tile_shape[1])
     panels = 3 + (epilogue_inputs if epilogue is not None else 0)
     p = _square_panel(memory_scalars, tile_side, "crossprod_matmul",
                       panels)
+    side = list(side)
+    if side:
+        _check_side(a, side, memory_scalars, tile_side, p, t_first,
+                    epilogue)
+    # One (side, j0, j1) entry per column panel of every side product.
+    cuts = [(s, j0, min(j0 + p, b.shape[1]))
+            for s, (b, _) in enumerate(side)
+            for j0 in range(0, b.shape[1], p)]
     out = store.create_matrix((k, k), layout="square", name=name,
                               dtype=a.dtype)
     hinting = a.store is store
@@ -235,10 +279,11 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
         i1 = min(i0 + p, k)
         for j0 in range(i0, k, p):
             j1 = min(j0 + p, k)
+            riders = side if j0 == i0 else []
             with store.tracer.span("crossprod:panel", cat="kernel",
                                    i0=i0, j0=j0, p=p):
 
-                def steps(i0=i0, i1=i1, j0=j0, j1=j1):
+                def steps(i0=i0, i1=i1, j0=j0, j1=j1, riders=riders):
                     for r0 in range(0, inner, p):
                         r1 = min(r0 + p, inner)
                         if hinting:
@@ -247,18 +292,38 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                             if j0 != i0:
                                 blocks = blocks + _operand_blocks(
                                     a, r0, r1, j0, j1, not t_first)
+                            for b, _ in riders:
+                                if b.store is store:
+                                    blocks = blocks + _operand_blocks(
+                                        b, r0, r1, 0, b.shape[1], False)
                             store.pool.prefetch(blocks)
                         left = _read_operand(a, r0, r1, i0, i1,
                                              not t_first)
                         right = (left if j0 == i0 else
                                  _read_operand(a, r0, r1, j0, j1,
                                                not t_first))
-                        yield lambda l_=left, r_=right: l_.T @ r_
+                        if not riders:
+                            yield lambda l_=left, r_=right: l_.T @ r_
+                            continue
+                        subs = [_read_operand(b, r0, r1, 0, b.shape[1],
+                                              False) for b, _ in riders]
+                        yield lambda l_=left, r_=right, s_=subs: (
+                            l_.T @ r_,
+                            [l_.T @ s_[s][:, c0:c1]
+                             for s, c0, c1 in cuts])
 
-                acc = _accumulate(parallel,
-                                  np.zeros((i1 - i0, j1 - j0),
-                                           dtype=a.dtype),
-                                  steps())
+                acc = np.zeros((i1 - i0, j1 - j0), dtype=a.dtype)
+                if riders:
+                    sums = [np.zeros((i1 - i0, b.shape[1]),
+                                     dtype=np.result_type(a.dtype,
+                                                          b.dtype))
+                            for b, _ in riders]
+                    _accumulate(parallel, _SideFold(acc, sums, cuts),
+                                steps())
+                    for (_, out_b), total in zip(riders, sums):
+                        out_b.write_submatrix(i0, 0, total)
+                else:
+                    acc = _accumulate(parallel, acc, steps())
                 block = acc if epilogue is None else epilogue(i0, j0, acc)
                 out.write_submatrix(i0, j0, block)
                 if j0 != i0:
@@ -266,6 +331,27 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                               else epilogue(j0, i0, acc.T))
                     out.write_submatrix(j0, i0, mirror)
     return out
+
+
+def _check_side(a: TiledMatrix, side: list, memory_scalars: int,
+                tile_side: int, p: int, t_first: bool, epilogue) -> None:
+    """Refuse side products :func:`crossprod_matmul` cannot carry."""
+    if not t_first or epilogue is not None:
+        raise ValueError("side products ride on a plain t(A) %*% A: "
+                         "no tcrossprod, no epilogue")
+    for b, out_b in side:
+        if b.shape[0] != a.shape[0]:
+            raise ValueError(f"side operand has {b.shape[0]} rows, "
+                             f"A has {a.shape[0]}")
+        if out_b.shape != (a.shape[1], b.shape[1]):
+            raise ValueError(f"side output is {out_b.shape}, expected "
+                             f"{(a.shape[1], b.shape[1])}")
+    cols = sum(b.shape[1] for b, _ in side)
+    if not crossprod_side_fits(memory_scalars, tile_side, cols):
+        raise ValueError(
+            f"side products of {cols} columns do not fit beside the "
+            f"crossprod's {p} x {p} panels: 3p^2 + 2p*{cols} > "
+            f"{memory_scalars} scalars")
 
 
 def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,

@@ -6,11 +6,11 @@ module solves the normal equations entirely on the tile store:
 
     beta = (X'X)^{-1} X'y
 
-using the symmetric transpose-free crossprod kernel for X'X, a
-transposed-operand-flagged square-tile multiply for X'y, and the blocked
+using the symmetric transpose-free crossprod kernel for X'X — with X'y
+computed on the same scan of X as its side product — and the blocked
 out-of-core *partial-pivoting* LU solver for the final system.  ``t(X)``
-is never stored: both multiplies read X's tiles in their stored layout
-and transpose each tile in memory, deleting the full extra disk pass
+is never stored: the kernel reads X's tiles in their stored layout
+and transposes each tile in memory, deleting the full extra disk pass
 (read X + write t(X)) earlier versions paid before the first multiply
 even started.  Pivoting means the solve is correct for any nonsingular
 normal-equation matrix — ill-conditioned or nearly collinear designs
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.costs import crossprod_side_fits
 from repro.linalg import crossprod_matmul, lu_solve, square_tile_matmul
 from repro.storage import ArrayStore
 
@@ -66,11 +67,16 @@ def ols_out_of_core(problem: RegressionProblem,
 
     Returns ``(beta_hat, io_stats)``.  X'X runs the symmetric
     :func:`repro.linalg.crossprod_matmul` (upper-triangular blocks only,
-    mirrored on write) and X'y a ``trans_a``-flagged square-tile
-    multiply — both read X in its stored layout, so no transposed copy
-    of the design matrix ever touches the disk.  The final system goes
-    through the pivoted :func:`repro.linalg.lu_solve`, so the design
-    needs no conditioning tricks.
+    mirrored on write) and X'y rides on the same scan of X as its side
+    product — ``crossprod_matmul(..., side=[(y, xty)])``, the call the
+    planner's shared ``crossprod`` operator makes — so X is read once
+    for both, in its stored layout: no transposed copy of the design
+    matrix ever touches the disk.  When y does not fit beside the
+    crossprod's panel (:func:`repro.core.costs.crossprod_side_fits`),
+    X'y is a separate ``trans_a``-flagged square-tile multiply, as the
+    planner would lower it.  The final system goes through the pivoted
+    :func:`repro.linalg.lu_solve`, so the design needs no conditioning
+    tricks.
 
     ``storage`` (a :class:`~repro.storage.StorageConfig`) selects the
     backing device — a file backend makes the same block traffic cost
@@ -88,9 +94,15 @@ def ols_out_of_core(problem: RegressionProblem,
                                 layout="square", name="y")
     store.pool.clear()
     store.reset_stats()
-    xtx = crossprod_matmul(store, x, memory_scalars, name="XtX")
-    xty = square_tile_matmul(store, x, y, memory_scalars, name="Xty",
-                             trans_a=True)
+    if crossprod_side_fits(memory_scalars, max(x.tile_shape), 1):
+        xty = store.create_matrix((x.shape[1], 1), layout="square",
+                                  name="Xty")
+        xtx = crossprod_matmul(store, x, memory_scalars, name="XtX",
+                               side=[(y, xty)])
+    else:
+        xtx = crossprod_matmul(store, x, memory_scalars, name="XtX")
+        xty = square_tile_matmul(store, x, y, memory_scalars,
+                                 name="Xty", trans_a=True)
     beta = lu_solve(store, xtx, xty.to_numpy().ravel(), memory_scalars)
     store.flush()
     return beta, store.device.stats

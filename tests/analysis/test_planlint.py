@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import PlanVerificationError, verify_plan
-from repro.core import MatMul, OptimizerConfig, RiotSession, Solve
+from repro.core import (Crossprod, MatMul, OptimizerConfig, RiotSession,
+                        Solve)
+from repro.core.plan import CrossprodOp
 from repro.storage import StorageConfig
 
 
@@ -253,6 +255,63 @@ class TestFusedEpilogue:
                            match="fused epilogue"):
             verify_plan(plan, memory_scalars=panels - 1,
                         block_scalars=1024)
+
+
+class TestSharedCrossprod:
+    """A crossprod carrying side products ``t(X) %*% B``: each check of
+    ``_check_side_products`` rejects its hand-broken plan."""
+
+    def make(self, rows=512):
+        s = session()
+        X = s.matrix(rng().standard_normal((rows, 128)), name="X")
+        y = s.matrix(rng().standard_normal((rows, 1)), name="y")
+        plan = s.plan(Solve(Crossprod(X.node),
+                            MatMul(X.node, y.node, trans_a=True)))
+        [op] = [op for op in plan.ops() if isinstance(op, CrossprodOp)]
+        [side] = op.side_nodes
+        verify_plan(plan, s.storage)
+        return s, plan, op, side
+
+    def test_side_must_be_a_flagged_product(self):
+        s, plan, _, side = self.make()
+        for flag, value in (("trans_a", False), ("trans_b", True)):
+            with patched(side, flag, value):
+                with pytest.raises(PlanVerificationError,
+                                   match="crossprod.*not a t\\(a\\)"):
+                    verify_plan(plan, s.storage)
+
+    def test_side_must_read_the_crossprods_operand(self):
+        s, plan, _, side = self.make()
+        other = s.matrix(rng().standard_normal((512, 128)), name="Z")
+        with patched(side, "children", (other.node, side.children[1])):
+            with pytest.raises(PlanVerificationError,
+                               match="reads another operand"):
+                verify_plan(plan, s.storage)
+
+    def test_side_rows_must_match(self):
+        s, plan, _, side = self.make()
+        short = s.matrix(np.ones((511, 1)), name="short")
+        with patched(side, "children", (side.children[0], short.node)):
+            with pytest.raises(PlanVerificationError,
+                               match="511 rows"):
+                verify_plan(plan, s.storage)
+
+    def test_sides_must_fit_beside_the_panel(self):
+        s, plan, _, _ = self.make()
+        # 48 blocks: p = 128 and 3 p^2 is the whole budget — the same
+        # line crossprod_matmul refuses at.
+        verify_plan(plan, memory_scalars=48 * 1024 + 256,
+                    block_scalars=1024)
+        with pytest.raises(PlanVerificationError, match="do not fit"):
+            verify_plan(plan, memory_scalars=48 * 1024,
+                        block_scalars=1024)
+
+    def test_sides_ride_on_crossprod_not_tcrossprod(self):
+        s, plan, op, _ = self.make(rows=128)  # square: shapes agree
+        with patched(op.node, "t_first", False):
+            with pytest.raises(PlanVerificationError,
+                               match="not on a tcrossprod"):
+                verify_plan(plan, s.storage)
 
 
 class TestBudgetSources:

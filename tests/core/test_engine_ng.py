@@ -193,16 +193,18 @@ class TestExplainBuiltin:
         assert "predicted ~" in text
 
     def test_rlang_explain_transpose_free_ols(self, engine, interp):
-        """The acceptance view from R: crossprod and the operand flag
-        appear in the plan without any user hints."""
+        """The acceptance view from R: crossprod, the operand flag and
+        the shared scan of x appear in the plan without any user
+        hints — t(x) %*% y rides on the crossprod's operator."""
         interp.run("x <- matrix(rnorm(96 * 24), 96, 24)\n"
                    "y <- matrix(rnorm(96 * 1), 96, 1)\n"
                    "beta <- solve(t(x) %*% x, t(x) %*% y)\n"
                    "explain(beta)")
         text = interp.output[-1]
         assert "solve.lu" in text
-        assert "crossprod" in text
-        assert "matmul.square[t(a)]" in text
+        assert "%*%[t(a),b]" in text
+        assert "crossprod[sides=1]" in text
+        assert "matmul.square" not in text
 
     def test_reference_engine_has_no_plan(self):
         from repro.engines.plain_r import PlainREngine

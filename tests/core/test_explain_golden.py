@@ -28,6 +28,8 @@ def rng():
 
 class TestGoldenOLS:
     def test_ols_plan_signature(self):
+        """X'y rides on the crossprod's scan of X: one operator feeds
+        both of the solve's inputs."""
         s = session()
         X = s.matrix(rng().standard_normal((512, 128)), name="X")
         y = s.matrix(rng().standard_normal((512, 1)), name="y")
@@ -35,8 +37,8 @@ class TestGoldenOLS:
                      MatMul(Transpose(X.node), y.node))
         assert s.plan(node).signature() == (
             "solve.lu[nrhs=1]("
-            "crossprod(input:X), "
-            "matmul.square[t(a)](input:X, input:y))")
+            "crossprod[sides=1](input:X, input:y), "
+            "crossprod[sides=1](shared))")
 
     def test_level0_ols_plan_is_the_program_as_written(self):
         """Same program, optimizer off: both transposes are stored,

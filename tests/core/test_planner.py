@@ -276,8 +276,9 @@ class TestExecution:
 class TestAcceptanceOLS:
     def test_planner_matches_hand_tuned_ols_within_10pct(self):
         """solve(t(X) X, t(X) y) with no kernel hints: the planner must
-        pick crossprod + flagged multiply + LU and land within 10% of
-        the hand-coded ``ols_out_of_core`` block total (PR 4)."""
+        pick crossprod carrying X'y on the same scan of X + LU and land
+        within 10% of the hand-coded ``ols_out_of_core`` block total
+        (PR 4), which makes the same shared call."""
         from repro.workloads.regression import (generate_problem,
                                                 ols_out_of_core)
         prob = generate_problem(512, 128, seed=3)
@@ -292,10 +293,11 @@ class TestAcceptanceOLS:
                      MatMul(Transpose(X.node), y.node))
         plan = s.plan(node)
         assert isinstance(plan.root, LUSolveOp)
-        assert ops_of(plan, CrossprodOp), "X'X must run crossprod"
-        flagged = ops_of(plan, TileMatMulOp)
-        assert flagged and flagged[0].node.trans_a, \
-            "X'y must run the flagged multiply"
+        [cross] = ops_of(plan, CrossprodOp)
+        [side] = cross.side_nodes
+        assert side.trans_a and side is plan.logical_root.children[1], \
+            "one crossprod operator must carry X'y"
+        assert not ops_of(plan, TileMatMulOp)
         s.store.pool.clear()
         s.reset_stats()
         out = s.force(node)

@@ -183,6 +183,41 @@ class TestCrossprodAgreement:
         assert 0.5 * model <= measured <= 2.0 * model
 
 
+@pytest.mark.parametrize("dims,width,mem", [
+    ((2048, 256), 1, 64 * 1024),
+    ((768, 320), 3, 64 * 1024),
+])
+class TestSharedCrossprodAgreement:
+    """The crossprod carrying ``t(A) %*% B`` on its diagonal passes vs
+    ``crossprod_io(..., side_cols=n)``: measured / predicted 1.28 on
+    A 2048 x 256 with one column, 1.44 on 768 x 320 with three (1.14
+    and 1.31 for the crossprod alone): B's one-page 32 x n tiles read
+    more pages than the ``m n / B`` of the side term says."""
+
+    def test_measured_within_model(self, rng, dims, width, mem):
+        m, k = dims
+        a_np = rng.standard_normal((m, k))
+        b_np = rng.standard_normal((m, width))
+        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        a = store.matrix_from_numpy(a_np, layout="square")
+        b = store.matrix_from_numpy(b_np, layout="square")
+        out_b = store.create_matrix((k, width), layout="square")
+        store.pool.clear()
+        store.reset_stats()
+        out = crossprod_matmul(store, a, mem, side=[(b, out_b)])
+        store.flush()
+        assert np.allclose(out.to_numpy(), a_np.T @ a_np)
+        assert np.allclose(out_b.to_numpy(), a_np.T @ b_np)
+        measured = store.device.stats.total
+        model = crossprod_io(m, k, mem, BLOCK_SCALARS, side_cols=width,
+                             tile_side=32)
+        assert 0.5 * model <= measured <= 2.0 * model
+        # The side term is B once per diagonal pass plus the result.
+        passes = -(-k // 128)  # p = 128 at 64 blocks, 32-wide tiles
+        assert model - crossprod_io(m, k, mem, BLOCK_SCALARS) == \
+            pytest.approx((passes * m + k) * width / BLOCK_SCALARS)
+
+
 @pytest.mark.parametrize("dims,mem", [
     ((512, 512, 512), 96 * 1024),
     ((2048, 256, 256), 48 * 1024),

@@ -173,6 +173,121 @@ class TestCrossprod:
         assert cp_stats.reads < 0.7 * mm_stats.reads
 
 
+class TestSideProducts:
+    """``crossprod_matmul(..., side=[(b, out_b)])`` computes each
+    ``t(A) %*% b`` on the diagonal passes of the crossprod's own scan
+    of A: the same GEMMs ``square_tile_matmul(trans_a=True)`` issues,
+    so the bits are that kernel's, and A is read once for all."""
+
+    def _run(self, a_np, b_nps, mem, block_size=8192, parallel=None):
+        store = make_store(block_size=block_size, mem=max(mem, 4096))
+        a = store.matrix_from_numpy(a_np)
+        side = [(store.matrix_from_numpy(b_np),
+                 store.create_matrix((a_np.shape[1], b_np.shape[1]),
+                                     layout="square"))
+                for b_np in b_nps]
+        store.pool.clear()
+        store.reset_stats()
+        out = crossprod_matmul(store, a, mem, side=side,
+                               parallel=parallel)
+        store.flush()
+        return (store.device.stats.snapshot(), out.to_numpy(),
+                [o.to_numpy() for _, o in side])
+
+    # (A's shape, block size -> tile side, budget in scalars, side
+    # widths): one p-aligned panel, several i-panels, a side wider than
+    # the panel (16-wide tiles, p = 32), and a ragged 1 x 1 panel.
+    @pytest.mark.parametrize("shape,block_size,mem,widths", [
+        ((131, 77), 8192, 96 * 1024, [1]),
+        ((131, 77), 8192, 24 * 1024, [1, 7]),
+        ((131, 77), 2048, 3 * 47 * 47, [50, 3]),
+        ((9, 5), 2048, 11, [4]),
+    ])
+    def test_bits_are_the_flagged_square_kernels(self, rng, shape,
+                                                 block_size, mem, widths):
+        a_np = rng.standard_normal(shape)
+        b_nps = [rng.standard_normal((shape[0], w)) for w in widths]
+        _, xtx, sides = self._run(a_np, b_nps, mem, block_size)
+        store = make_store(block_size=block_size, mem=max(mem, 4096))
+        a = store.matrix_from_numpy(a_np)
+        assert np.array_equal(
+            xtx, crossprod_matmul(store, a, mem).to_numpy())
+        for b_np, got in zip(b_nps, sides):
+            ref = square_tile_matmul(store, a,
+                                     store.matrix_from_numpy(b_np), mem,
+                                     trans_a=True).to_numpy()
+            assert np.array_equal(got, ref)
+            assert np.allclose(got, a_np.T @ b_np)
+
+    def test_no_side_moves_the_parents_blocks(self, rng):
+        """``side=[]`` is the plain schedule: counts pinned from the
+        kernel before side products existed."""
+        x_np = np.random.default_rng(5).standard_normal((517, 101))
+        for mem, counts in ((24 * 1024, (136, 16, 43, 8)),
+                            (96 * 1024, (68, 16, 4, 1))):
+            stats, xtx, _ = self._run(x_np, [], mem)
+            assert (stats.reads, stats.writes, stats.read_calls,
+                    stats.write_calls) == counts
+            assert np.allclose(xtx, x_np.T @ x_np)
+
+    def test_x_is_read_once_for_both_products(self, rng):
+        """Shared: the crossprod's reads plus B once per diagonal pass.
+        Separate: the flagged multiply re-reads all of A."""
+        a_np = rng.standard_normal((512, 128))
+        b_np = rng.standard_normal((512, 1))
+        mem = 24 * 1024
+        shared, _, _ = self._run(a_np, [b_np], mem)
+        alone, _, _ = self._run(a_np, [], mem)
+        store = make_store(mem=mem)
+        a = store.matrix_from_numpy(a_np)
+        b = store.matrix_from_numpy(b_np)
+        store.pool.clear()
+        store.reset_stats()
+        square_tile_matmul(store, a, b, mem, trans_a=True)
+        store.flush()
+        separate = store.device.stats
+        a_pages = a.grid[0] * a.grid[1] * a.pages_per_tile
+        assert shared.reads - alone.reads == separate.reads - a_pages
+        assert shared.writes == alone.writes + separate.writes
+
+    def test_parallel_fold_is_bitwise_serial(self, rng):
+        from repro.core.parallel import TileParallelism
+        a_np = rng.standard_normal((300, 70))
+        b_nps = [rng.standard_normal((300, w)) for w in (1, 40, 9)]
+        _, xtx, sides = self._run(a_np, b_nps, 24 * 1024)
+        for workers in (2, 4):
+            pool = TileParallelism(workers)
+            try:
+                _, px, ps = self._run(a_np, b_nps, 24 * 1024,
+                                      parallel=pool)
+            finally:
+                pool.shutdown()
+            assert np.array_equal(px, xtx)
+            assert all(np.array_equal(p, s) for p, s in zip(ps, sides))
+
+    def test_refuses_what_does_not_fit(self, rng):
+        from repro.core.costs import crossprod_side_fits
+        store = make_store(mem=48 * 1024)
+        a = store.matrix_from_numpy(rng.standard_normal((256, 128)))
+        b = store.matrix_from_numpy(rng.standard_normal((256, 1)))
+        out_b = store.create_matrix((128, 1), layout="square")
+        # 48 blocks: p = 128 and 3 p^2 is the whole budget.
+        assert not crossprod_side_fits(48 * 1024, 32, 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            crossprod_matmul(store, a, 48 * 1024, side=[(b, out_b)])
+        crossprod_matmul(store, a, 48 * 1024 + 256, side=[(b, out_b)])
+
+    @pytest.mark.parametrize("kw", [{"t_first": False},
+                                    {"epilogue": lambda r, c, x: x}])
+    def test_side_rides_on_plain_crossprod_only(self, rng, kw):
+        store = make_store()
+        a = store.matrix_from_numpy(rng.standard_normal((64, 32)))
+        b = store.matrix_from_numpy(rng.standard_normal((64, 2)))
+        out_b = store.create_matrix((32, 2), layout="square")
+        with pytest.raises(ValueError, match="plain t\\(A\\)"):
+            crossprod_matmul(store, a, MEM, side=[(b, out_b)], **kw)
+
+
 class TestBudgetGuard:
     """The square-tile schedule honors its budget: below the
     tile-aligned working set the panel goes *ragged* (sub-tile, extra

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizerConfig, RiotSession
+from repro.core.costs import crossprod_side_fits, square_panel
 from repro.core.expr import MatMul, Solve, Transpose
+from repro.core.plan import CrossprodOp
 from repro.rlang import Interpreter
 from repro.storage import StorageConfig
 
@@ -98,11 +100,47 @@ class TestExplainAnalyzeMemory:
         assert {"session", "op", "optimizer", "kernel"} <= cats
         assert not s.tracer.enabled  # analyze restores the off state
 
+    def test_x_prime_y_keeps_its_own_operator(self, analyzed):
+        """Why ``matmul_io`` is exercised here: at 48 blocks with
+        32-wide tiles the crossprod panel is p = 128 and 3 p^2 is the
+        whole budget, so ``t(X) %*% y`` has no room to ride on the
+        crossprod's scan of X (``costs.crossprod_side_fits``)."""
+        s, node, _ = analyzed
+        assert square_panel(POOL_SCALARS, 32) == 128
+        assert 3 * 128 ** 2 == POOL_SCALARS
+        assert not crossprod_side_fits(POOL_SCALARS, 32, 1)
+        cross = [op for op in s.plan(node).ops()
+                 if isinstance(op, CrossprodOp)]
+        assert cross and not cross[0].side_nodes
+
     def test_unexecuted_report_is_empty(self):
         s = make_session()
         node = ols_node(s)
         s.plan(node)  # planned but never run
         assert s.calibration_report(node).models == {}
+
+
+class TestExplainAnalyzeSharedScan:
+    """A 64-block pool leaves room beside p = 128: X'y rides on the
+    crossprod's scan of X, so ``matmul_io`` leaves the plan and the
+    shared operator's ``crossprod_io`` (with its side term) must sit
+    in the band on its own — 1.18 here, 1.06 for the crossprod alone
+    in the unshared plan.  (``solve_io`` reads 0.31-0.33 at this pool
+    with or without sharing: the 256 x 256 factor fits the pool, the
+    known gap of the dense band.)"""
+
+    def test_shared_operator_in_band(self):
+        s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192),
+                        config=OptimizerConfig(level=2))
+        node = ols_node(s)
+        text = s.explain(node, analyze=True)
+        assert "crossprod[sides=1]" in text
+        assert "(rejected: crossprod + separate t(a) %*% b" in text
+        assert "side_cols=1" in text
+        assert "matmul_io" not in text
+        report = s.calibration_report(node)
+        assert set(report.models) == {"crossprod_io", "solve_io"}
+        assert 0.5 <= report.models["crossprod_io"].median_ratio <= 2.0
 
 
 class TestExplainAnalyzePread:
