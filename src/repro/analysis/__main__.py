@@ -18,7 +18,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description="RIOT repo lint: storage/plan/span/determinism/"
                     "codec conventions checked on the AST "
-                    "(rules RPR001-5).")
+                    "(rules RPR001-6).")
     parser.add_argument(
         "paths", nargs="+",
         help="files or directories to lint (directories recurse)")

@@ -42,6 +42,11 @@ Rules:
     kernel or pass calling a codec directly would move bytes that the
     I/O accounting never sees, breaking the compression-ratio
     calibration loop.
+``RPR006``
+    ``ELEMENTWISE_OPS`` is indexed only where a region's tape is
+    compiled (``core/plan.py``) and by constant folding
+    (``core/passes/fold.py``): any other lookup is one more expression
+    walker, free to drift from the one tape every driver runs.
 
 Use :func:`run_lint` programmatically or ``python -m repro.analysis``
 from the command line.
@@ -54,7 +59,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005")
+ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006")
 
 #: Constructors only ``repro/storage`` may call (RPR001).
 DEVICE_CONSTRUCTORS = frozenset(
@@ -62,6 +67,11 @@ DEVICE_CONSTRUCTORS = frozenset(
 
 #: Codec protocol methods only ``repro/storage`` may call (RPR005).
 CODEC_METHODS = frozenset({"encode_tile", "decode_tile"})
+
+#: The files that may index ``ELEMENTWISE_OPS`` (RPR006), as
+#: ``(parent directory, file name)``.
+ELEMENTWISE_INDEXERS = frozenset({("core", "plan.py"),
+                                  ("passes", "fold.py")})
 
 #: Modules whose call results depend on wall clock or RNG state
 #: (RPR004).  Matched against the root name of attribute chains.
@@ -154,6 +164,33 @@ def _check_codec_discipline(path: Path, tree: ast.AST) -> list[Finding]:
                     f"{name}() called outside repro/storage; tile "
                     f"codecs are applied by the tile store so the "
                     f"compressed bytes are charged to IOStats"))
+    return findings
+
+
+# ----------------------------------------------------------------------
+# RPR006 — only the region runner and folding index ELEMENTWISE_OPS
+# ----------------------------------------------------------------------
+def _check_elementwise_lookup(path: Path, tree: ast.AST
+                              ) -> list[Finding]:
+    if (path.parent.name, path.name) in ELEMENTWISE_INDEXERS:
+        return []
+
+    def is_table(node: ast.expr) -> bool:   # name or module.name
+        return getattr(node, "id", getattr(node, "attr", None)) \
+            == "ELEMENTWISE_OPS"
+
+    findings = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Subscript) and is_table(node.value))
+                or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and is_table(node.func.value))):
+            findings.append(Finding(
+                str(path), node.lineno, node.col_offset, "RPR006",
+                "ELEMENTWISE_OPS indexed outside the region runner "
+                "(core/plan.py) and folding (core/passes/fold.py); "
+                "build a Region and run its tape instead"))
     return findings
 
 
@@ -350,6 +387,7 @@ _RULES = {
     "RPR003": _check_span_discipline,
     "RPR004": _check_determinism,
     "RPR005": _check_codec_discipline,
+    "RPR006": _check_elementwise_lookup,
 }
 
 

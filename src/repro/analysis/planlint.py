@@ -6,8 +6,9 @@ submatrices, ``lu_decompose`` when a tall panel does not fit, ``spgemm``
 when k-grids misalign...).  Those guards fire mid-plan, after earlier
 operators have already burned I/O.  :func:`verify_plan` lifts them —
 plus shape conformability, kernel-pin legality, epilogue-fusion
-legality, shared-scan legality (a crossprod's side products) and
-prediction sanity — into one pre-execution walk over the
+legality, shared-scan legality (a crossprod's side products), the
+tape of every elementwise region and prediction sanity — into one
+pre-execution walk over the
 :class:`~repro.core.plan.PhysicalPlan`, with every error naming the
 offending operator.
 
@@ -21,11 +22,12 @@ from __future__ import annotations
 import math
 
 from repro.core.costs import COST_MODELS, crossprod_side_fits
-from repro.core.expr import (Crossprod, Map, MatMul, Node, Solve)
+from repro.core.expr import (Crossprod, MatMul, Node, Range, Scalar,
+                             Solve)
 from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
-                             InverseOp, LUSolveOp, MapOp, PhysOp,
-                             PhysicalPlan, SparseSpGEMMOp,
-                             SparseSpMMOp, TileMatMulOp, TransposeOp)
+                             InverseOp, LUSolveOp, PhysOp, PhysicalPlan,
+                             SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
+                             TransposeOp)
 from repro.storage import default_tile_side
 
 
@@ -207,41 +209,45 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                       f"operand shape {child.shape}")
         return
 
-    # -- fused epilogues -----------------------------------------------
+    # -- elementwise regions (maps, reductions, fused epilogues) -------
+    if op.region is not None:
+        _check_region(op)
     if isinstance(op, FusedEpilogueOp):
-        from repro.core.planner import (_barrier_fusable,
-                                        classify_epilogue_region)
-        barrier = op.barrier
-        if not _barrier_fusable(barrier):
+        from repro.core.planner import _barrier_fusable
+        if not _barrier_fusable(op.barrier):
             _fail(op, "barrier is not fusable with a dense epilogue "
                       "(sparse-pinned or sparse-dispatched product)")
-        if barrier.shape != node.shape:
-            _fail(op, f"barrier shape {barrier.shape} != fused region "
-                      f"shape {node.shape}")
-        for mat in op.matrix_nodes:
-            if mat.shape != node.shape:
-                _fail(op, f"epilogue matrix input shape {mat.shape} "
-                          f"!= region shape {node.shape}")
-        if isinstance(node, Map):
-            region = classify_epilogue_region(node)
-            if region is None:
-                _fail(op, "region contains nodes the per-submatrix "
-                          "epilogue evaluator cannot stream")
-        panels = 3 + len(op.matrix_nodes)
-        operand = (barrier.children[0]
-                   if isinstance(barrier, (Crossprod, MatMul))
-                   else node)
-        _check_square_budget(op, operand, panels, memory_scalars,
-                             block_scalars, "the fused epilogue")
-        return
+        panels = 2 + len(op.region.sources)
+        _check_square_budget(op, op.barrier.children[0], panels,
+                             memory_scalars, block_scalars,
+                             "the fused epilogue")
 
-    # -- elementwise matrix regions ------------------------------------
-    if isinstance(op, MapOp) and node.ndim == 2:
-        for child in node.children:
-            if child.ndim == 2 and child.shape != node.shape:
-                _fail(op, f"elementwise input shape {child.shape} != "
-                          f"region shape {node.shape}")
-        return
+
+def _check_region(op: PhysOp) -> None:
+    """A region's tape reads only slots already defined; every input
+    but a fused epilogue's product is a child operator's node; every
+    array input of a matrix region has the region's shape."""
+    region = op.region
+    defined = len(region.inputs)
+    for step, (_, args) in enumerate(region.tape):
+        if any(not 0 <= a < defined + step for a in args):
+            _fail(op, f"tape step {step} reads slot {max(args)} before "
+                      f"it is defined")
+    computed = {id(n) for child in op.children for n in child.nodes}
+    free = [n for n in region.inputs
+            if not isinstance(n, (Range, Scalar))
+            and id(n) not in computed]
+    product = [op.barrier] if isinstance(op, FusedEpilogueOp) else []
+    if free != product:
+        names = ", ".join(n.label() for n in free) or "none"
+        _fail(op, f"region inputs computed by no child operator: "
+                  f"{names}" + (" (an epilogue has exactly one: its "
+                                "product)" if product else ""))
+    if region.root.ndim == 2:
+        for n in region.sources:
+            if n.shape != region.root.shape:
+                _fail(op, f"elementwise input shape {n.shape} != "
+                          f"region shape {region.root.shape}")
 
 
 def verify_plan(plan: PhysicalPlan, config=None, *,

@@ -13,13 +13,12 @@ and executes that.
 
 What the operators do, following §5:
 
-- **Fused elementwise regions.**  A maximal subtree of Map /
-  logical-mask-SubscriptAssign nodes is evaluated one prefetch window
-  at a time in one pass: for every window the operands are announced
-  and read as one run each, the expression DAG is walked once, and one
-  result run is written.  No intermediate vector ever exists — the
-  loop-fusion / array-contraction behaviour the paper says a
-  hand-coder would write.
+- **Fused elementwise regions.**  Every elementwise expression is a
+  :class:`~repro.core.plan.Region` tape the planner built once;
+  :meth:`Region.run` evaluates it per prefetch window of vectors, per
+  matrix tile, or per resident product block.  No intermediate array
+  is ever stored — the loop fusion the paper says a hand-coder would
+  write — and a shared leaf or subexpression is read or computed once.
 - **Gather for subscripts.**  After the pushdown pass has moved
   subscripts to the leaves, ``x[s]`` touches only the chunks containing
   the selected elements (selective evaluation).  Without it the source
@@ -31,12 +30,13 @@ What the operators do, following §5:
   ``Crossprod`` runs the symmetric half-the-blocks schedule, and
   computes any ``t(X) %*% B`` the planner paired with it on the same
   scan of X — one operator, one memo entry per node it computes.
-- **Fused matmul epilogues.**  A matrix Map region fed by exactly one
-  MatMul/Crossprod (``alpha * (A %*% B) + C``) is pushed *into* the
-  multiply as an epilogue callback: the elementwise expression is applied
-  to each output submatrix while it is still memory-resident and written
-  once — the raw product never reaches disk.
-- **Streaming reductions** accumulate across chunks without materializing.
+- **Fused matmul epilogues.**  A matrix region fed by exactly one
+  MatMul/Crossprod (``alpha * (A %*% B) + C``) runs *inside* the
+  multiply as an epilogue callback on each output submatrix while it
+  is still memory-resident, written once — the raw product never
+  reaches disk.
+- **Streaming reductions** fold a region's windows or tiles without
+  materializing it.
 """
 
 from __future__ import annotations
@@ -52,18 +52,39 @@ from repro.linalg.matmul import (bnlj_matmul, crossprod_matmul,
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 from .config import OptimizerConfig
-from .expr import (ArrayInput, Crossprod, ELEMENTWISE_OPS, Map, Node,
-                   Range, Scalar, SubscriptAssign)
+from .costs import stream_window
+from .expr import Crossprod, Node, Range, Scalar
 from .parallel import resolve_parallelism
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
-                   PhysicalPlan, RangeOp, ReduceOp, ScalarOp, ScatterOp,
-                   SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
+                   PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
+                   ScatterOp, SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
                    TransposeOp)
 from .planner import Planner
 
-#: Chunks of lookahead announced to the buffer pool during streaming.
-STREAM_PREFETCH_CHUNKS = 16
+
+def _cut(value, window: tuple[int, ...]):
+    """``value`` over ``window`` — an element range ``(lo, hi)`` of a
+    vector or a rectangle ``(r0, r1, c0, c1)`` of a matrix, read from
+    storage or sliced; a number passes through."""
+    if isinstance(value, Range):
+        lo, hi = window
+        return np.arange(value.lo + lo, value.lo + hi, dtype=np.float64)
+    if isinstance(value, TiledVector):
+        return value.read_range(*window)
+    if isinstance(value, TiledMatrix):
+        return value.read_submatrix(*window)
+    if hasattr(value, "read_tile_csr"):    # sparse, on the region's grid
+        th, tw = value.tile_shape
+        return value.read_tile(window[0] // th, window[2] // tw)
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value[tuple(map(slice, window[::2], window[1::2]))]
+    return value
+
+
+def _reader(values: dict[int, object], window: tuple[int, ...]):
+    """``read`` for :meth:`Region.run`: every input over ``window``."""
+    return lambda n: _cut(values[id(n)], window)
 
 
 class MissingInputError(RuntimeError):
@@ -352,15 +373,25 @@ class Evaluator:
     def _run_scalar(self, op: ScalarOp, memo: dict[int, object]):
         return op.node.value
 
-    def _run_map(self, op: MapOp, memo: dict[int, object]):
-        node = op.node
-        if node.ndim == 1:
-            return self._stream_vector(op, memo)
-        if node.ndim == 2:
-            return self._stream_matrix(op, memo)
-        # Scalar-valued Map over reductions/constants.
-        return float(ELEMENTWISE_OPS[node.op](
-            *[self._input(c, memo) for c in node.children]))
+    def _run_map(self, op: MapOp | RangeOp, memo: dict[int, object]):
+        """A region's values: streamed into a new vector window by
+        window, into a new matrix tile by tile, or one number."""
+        region = op.region
+        values = self._region_values(region, memo)
+        if region.root.ndim == 0:
+            return float(region.run(lambda n: values[id(n)]))
+        if region.root.ndim == 1:
+            out = self.store.create_vector(region.root.shape[0])
+            for c0, window in self._windows(region, values):
+                out.write_chunk(c0, window)
+            return out
+        grid = self._grid(region, values)
+        out = self.store.create_matrix(
+            region.root.shape, tile_shape=grid.tile_shape,
+            linearization=grid.linearization.name)
+        for ti, tj, tile in self._tiles(region, values, grid):
+            out.write_tile(ti, tj, np.asarray(tile, dtype=np.float64))
+        return out
 
     # ------------------------------------------------------------------
     # Matrix multiplication (dense and sparse kernels)
@@ -489,141 +520,65 @@ class Evaluator:
             lambda j0, j1: np.eye(n, j1 - j0, k=-j0))
 
     # ------------------------------------------------------------------
-    # Fused elementwise streaming
+    # Elementwise regions: one tape, three drivers
     # ------------------------------------------------------------------
-    def _stream_sources(self, node: Node,
-                        memo: dict[int, object]) -> list[TiledVector]:
-        """Tiled vectors ``_eval_span`` will read one run of per window.
+    def _region_values(self, region: Region, memo: dict[int, object],
+                       computed: Node | None = None) -> dict[int, object]:
+        """Each region input's whole value by node id — a constant's
+        number, the range node itself, or what its operator computed —
+        but ``computed``'s, the product block an epilogue is handed."""
+        return {id(n): n.value if isinstance(n, Scalar)
+                else n if isinstance(n, Range) else self._input(n, memo)
+                for n in region.inputs if n is not computed}
 
-        Mirrors ``_eval_span``'s dispatch exactly — in particular a
-        memoized (barrier) result shadows its subtree — so the returned
-        footprint is precise: every listed vector is read chunk-aligned,
-        and nothing else is.  Only vectors on this evaluator's store with
-        the store's standard chunk grid qualify as prefetch targets.
-        """
-        sources: list[TiledVector] = []
-        seen: set[int] = set()
-
-        def visit(n: Node) -> None:
-            if id(n) in seen or isinstance(n, (Scalar, Range)):
-                return
-            seen.add(id(n))
-            data = memo.get(id(n))
-            if data is None and isinstance(n, ArrayInput):
-                data = n.data
-            if isinstance(data, TiledVector):
-                if (data.store is self.store
-                        and data.chunk == self.store.scalars_per_block):
-                    sources.append(data)
-                return
-            if data is not None:
-                return
-            if isinstance(n, Map) or (isinstance(n, SubscriptAssign)
-                                      and n.logical_mask):
-                for c in n.children:
-                    visit(c)
-
-        visit(node)
-        return sources
-
-    def _stream_window(self, n_sources: int) -> int:
-        """Chunks per streamed window that the pool can actually hold.
-
-        Each streamed chunk touches ``n_sources`` input blocks plus one
-        output block; the window is sized so a full window of prefetched
-        inputs plus the outputs written after consuming it fit in the
-        pool together.  An oversized window would evict its own
-        prefetched frames before they are read — re-reading them later
-        and silently inflating the block totals the cost models rely on.
-        """
-        per_chunk = n_sources + 1
-        fits = max(1, (self.store.pool.capacity - 2) // per_chunk)
-        return min(STREAM_PREFETCH_CHUNKS, fits)
-
-    def _prefetch_stream_window(self, sources: list[TiledVector],
-                                lo_ci: int, hi_ci: int) -> None:
-        """Announce chunks [lo_ci, hi_ci) of every streamed input."""
-        keys: list[int] = []
-        for vec in sources:
-            hi = min(hi_ci, vec.num_chunks)
-            if lo_ci < hi:
-                keys.extend(vec.blocks_for_chunks(range(lo_ci, hi)))
-        if keys:
-            self.store.pool.prefetch(keys)
-
-    def _stream_spans(self, node: Node, memo: dict[int, object]
-                      ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(first_chunk, values)`` of 1-D ``node``, one prefetch
-        window of the store's standard chunk grid at a time.
-
-        Per window: announce the sources' chunks, walk the expression
-        once over the window's element range, hand the values on.  The
-        region's barriers (gathers, matmuls, ...) are child operators:
-        their results are in ``memo``.
-        """
-        n = node.shape[0]
+    def _windows(self, region: Region, values: dict[int, object]
+                 ) -> Iterator[tuple[int, np.ndarray]]:
+        """The 1-D driver: yield ``(first_chunk, values)`` of a vector
+        region one prefetch window of the store's chunk grid at a time:
+        announce the window's chunks of every source on that grid, run
+        the tape once over the window's element range."""
+        n = region.root.shape[0]
         chunk = self.store.scalars_per_block
         num_chunks = -(-n // chunk)
-        sources = self._stream_sources(node, memo)
-        window = self._stream_window(len(sources))
+        sources = [v for v in values.values()
+                   if isinstance(v, TiledVector)
+                   and v.store is self.store and v.chunk == chunk]
+        window = stream_window(self.store.pool.capacity, len(sources))
         for c0 in range(0, num_chunks, window):
             c1 = min(c0 + window, num_chunks)
-            self._prefetch_stream_window(sources, c0, c1)
+            keys = [key for vec in sources for key in
+                    vec.blocks_for_chunks(range(c0, min(c1,
+                                                        vec.num_chunks)))]
+            if keys:
+                self.store.pool.prefetch(keys)
             lo, hi = c0 * chunk, min(c1 * chunk, n)
-            values = self._eval_span(node, lo, hi, memo, {})
-            if np.ndim(values) == 0:
-                values = np.full(hi - lo, float(values))
-            yield c0, np.asarray(values)
+            out = region.run(_reader(values, (lo, hi)))
+            if np.ndim(out) == 0:
+                out = np.full(hi - lo, float(out))
+            yield c0, np.asarray(out)
 
-    def _stream_vector(self, op: MapOp | RangeOp,
-                       memo: dict[int, object]) -> TiledVector:
-        node = op.node
-        out = self.store.create_vector(node.shape[0])
-        for c0, values in self._stream_spans(node, memo):
-            out.write_chunk(c0, values)
-        return out
+    def _grid(self, region: Region, values: dict[int, object]):
+        """The tile grid a matrix region runs on — its first matrix
+        input's — with every matrix input made readable by rectangle
+        (a sparse one off that grid is densified first)."""
+        grid = None
+        for n in region.sources:
+            value = values[id(n)]
+            if not (hasattr(value, "read_tile_csr")
+                    and (grid is None
+                         or value.tile_shape == grid.tile_shape)):
+                value = values[id(n)] = self._as_tiled_matrix(value)
+            if grid is None:
+                grid = value
+        return grid
 
-    def _eval_span(self, node: Node, lo: int, hi: int,
-                   memo: dict[int, object], span: dict[int, object]):
-        """Value of ``node[lo:hi)`` (0-based).
-
-        ``span`` memoizes this window's values by node id, so a shared
-        leaf is read once and a shared subexpression computed once per
-        window.  Stored vectors are read by element range, whatever
-        their own chunk size.
-        """
-        key = id(node)
-        if key in span:
-            return span[key]
-        span[key] = value = self._span_value(node, lo, hi, memo, span)
-        return value
-
-    def _span_value(self, node: Node, lo: int, hi: int,
-                    memo: dict[int, object], span: dict[int, object]):
-        if isinstance(node, Scalar):
-            return node.value
-        if isinstance(node, Range):
-            return np.arange(node.lo + lo, node.lo + hi, dtype=np.float64)
-        data = memo.get(id(node))
-        if data is None and isinstance(node, ArrayInput):
-            data = node.data
-        if isinstance(data, TiledVector):
-            return data.read_range(lo, hi)
-        if isinstance(data, float):
-            return data
-        if isinstance(node, ArrayInput):
-            return np.asarray(data)[lo:hi]
-        if isinstance(node, Map):
-            return ELEMENTWISE_OPS[node.op](
-                *[self._eval_span(c, lo, hi, memo, span)
-                  for c in node.children])
-        if isinstance(node, SubscriptAssign) and node.logical_mask:
-            mask = self._eval_span(node.index, lo, hi, memo, span)
-            base = self._eval_span(node.base, lo, hi, memo, span)
-            value = self._eval_span(node.value, lo, hi, memo, span)
-            return np.where(np.asarray(mask, dtype=bool), value, base)
-        # A barrier: computed by its own operator, or not at all.
-        return self._input(node, memo)
+    def _tiles(self, region: Region, values: dict[int, object], grid
+               ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The 2-D driver: yield ``(ti, tj, values)`` of a matrix region
+        tile by tile over ``grid``, in its on-disk order."""
+        for ti, tj in grid.tiles():
+            yield ti, tj, region.run(
+                _reader(values, grid.tile_bounds(ti, tj)))
 
     # ------------------------------------------------------------------
     # Subscript (gather) — selective evaluation
@@ -669,7 +624,7 @@ class Evaluator:
         else:
             values = np.asarray(value, dtype=np.float64)
         out = self.store.create_vector(base.length)
-        step = self._stream_window(1) * out.chunk
+        step = stream_window(self.store.pool.capacity, 1) * out.chunk
         for lo in range(0, base.length, step):
             out.write_chunk(lo // out.chunk,
                             base.read_range(lo, min(lo + step,
@@ -678,126 +633,70 @@ class Evaluator:
         return out
 
     # ------------------------------------------------------------------
-    # Reductions / matrices
+    # Reductions
     # ------------------------------------------------------------------
     def _run_reduce(self, op: ReduceOp, memo: dict[int, object]):
-        node = op.node
-        child = node.children[0]
-        if child.ndim == 0:
+        """Fold the reduced region without storing it.  Partials fold
+        per chunk of the store's grid in chunk order, or per tile in
+        on-disk order, so the bits do not depend on the window."""
+        region = op.region
+        values = self._region_values(region, memo)
+        if region.root.ndim == 0:
             # sum / mean / min / max of one value is that value.
-            return float(self._input(child, memo))
-        if child.ndim == 2:
-            data = self._input(child, memo)
-            acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
-            for ti, tj in data.tiles():
-                tile = data.read_tile(ti, tj)
-                acc_sum += float(tile.sum())
-                acc_min = min(acc_min, float(tile.min()))
-                acc_max = max(acc_max, float(tile.max()))
-                count += tile.size
+            return float(region.run(lambda n: values[id(n)]))
+        if region.root.ndim == 2:
+            parts = (tile for _, _, tile in self._tiles(
+                region, values, self._grid(region, values)))
         else:
-            # Partials fold per chunk of the store's grid, in chunk
-            # order, so the result's bits do not depend on the window.
-            chunk_len = self.store.scalars_per_block
-            acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
-            for _, values in self._stream_spans(child, memo):
-                for at in range(0, values.size, chunk_len):
-                    chunk = values[at: at + chunk_len]
-                    acc_sum += float(chunk.sum())
-                    acc_min = min(acc_min, float(chunk.min()))
-                    acc_max = max(acc_max, float(chunk.max()))
-                    count += chunk.size
-        if node.op == "sum":
-            return acc_sum
-        if node.op == "mean":
-            return acc_sum / max(count, 1)
-        if node.op == "min":
-            return acc_min
-        return acc_max
-
-    def _stream_matrix(self, op: MapOp,
-                       memo: dict[int, object]) -> TiledMatrix:
-        """Tile-aligned elementwise evaluation for matrix Maps."""
-        node = op.node
-        if not isinstance(node, Map):
-            raise NotImplementedError(
-                f"cannot stream matrix node {type(node).__name__}")
-        inputs = []
-        for c in node.children:
-            if c.shape == ():
-                inputs.append(self._input(c, memo))
-            else:
-                stored = self._densified(self._input(c, memo))
-                if not isinstance(stored, TiledMatrix):
-                    raise NotImplementedError(
-                        "matrix operands must be stored matrices")
-                inputs.append(stored)
-        template = next(i for i in inputs if isinstance(i, TiledMatrix))
-        out = self.store.create_matrix(
-            node.shape, tile_shape=template.tile_shape,
-            linearization=template.linearization.name)
-        fn = ELEMENTWISE_OPS[node.op]
-        for ti, tj in out.tiles():
-            r0, r1, c0, c1 = out.tile_bounds(ti, tj)
-            args = []
-            for inp in inputs:
-                if isinstance(inp, TiledMatrix):
-                    args.append(inp.read_submatrix(r0, r1, c0, c1))
-                else:
-                    args.append(inp)
-            out.write_tile(ti, tj, np.asarray(fn(*args),
-                                              dtype=np.float64))
-        return out
+            chunk = self.store.scalars_per_block
+            parts = (window[at: at + chunk]
+                     for _, window in self._windows(region, values)
+                     for at in range(0, window.size, chunk))
+        acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
+        for part in parts:
+            acc_sum += float(part.sum())
+            acc_min = min(acc_min, float(part.min()))
+            acc_max = max(acc_max, float(part.max()))
+            count += part.size
+        return {"sum": acc_sum, "mean": acc_sum / max(count, 1),
+                "min": acc_min, "max": acc_max}[op.node.op]
 
     # ------------------------------------------------------------------
     # Fused matmul epilogues
     # ------------------------------------------------------------------
     def _run_epilogue(self, op: FusedEpilogueOp,
                       memo: dict[int, object]) -> TiledMatrix:
-        """Run a fused epilogue region: the whole scalar expression
-        tree is applied to each output submatrix of the product while
-        it is memory-resident and written once.  Legality (one dense
-        barrier, conforming shapes, no outside consumer of the
-        product) was established by the planner."""
-        node, barrier = op.node, op.barrier
+        """The 3rd driver: the kernel hands each output submatrix of
+        the product to the region while it is memory-resident, and the
+        region's value is written once.  Legality (one dense product,
+        conforming shapes, no outside consumer of the product) was
+        established by the planner."""
+        region, barrier = op.region, op.barrier
         operands = [self._as_tiled_matrix(self._input(c, memo))
                     for c in barrier.children]
-        inputs: dict[int, TiledMatrix] = {
-            id(n): self._as_tiled_matrix(self._input(n, memo))
-            for n in op.matrix_nodes}
-        values = {id(n): float(self._input(n, memo))
-                  for n in op.scalar_nodes}
+        values = self._region_values(region, memo, computed=barrier)
+        for n in region.sources:
+            if n is not barrier:
+                values[id(n)] = self._as_tiled_matrix(values[id(n)])
 
         def epilogue(r0: int, c0: int, block: np.ndarray) -> np.ndarray:
-            r1 = r0 + block.shape[0]
-            c1 = c0 + block.shape[1]
+            read = _reader(values, (r0, r0 + block.shape[0],
+                                    c0, c0 + block.shape[1]))
+            return np.asarray(region.run(
+                lambda n: block if n is barrier else read(n)),
+                dtype=np.float64)
 
-            def ev(n: Node):
-                if n is barrier:
-                    return block
-                if id(n) in values:
-                    return values[id(n)]
-                sub = inputs.get(id(n))
-                if sub is not None:
-                    return sub.read_submatrix(r0, r1, c0, c1)
-                return ELEMENTWISE_OPS[n.op](*[ev(c) for c in n.children])
-
-            return np.asarray(ev(node), dtype=np.float64)
-
+        kernel = dict(epilogue=epilogue,
+                      epilogue_inputs=len(region.sources) - 1,
+                      parallel=self._kernel_parallel())
         if isinstance(barrier, Crossprod):
             return crossprod_matmul(self.store, operands[0],
                                     self.memory_scalars,
-                                    t_first=barrier.t_first,
-                                    epilogue=epilogue,
-                                    epilogue_inputs=len(inputs),
-                                    parallel=self._kernel_parallel())
-        return square_tile_matmul(self.store, operands[0], operands[1],
+                                    t_first=barrier.t_first, **kernel)
+        return square_tile_matmul(self.store, *operands,
                                   self.memory_scalars,
                                   trans_a=barrier.trans_a,
-                                  trans_b=barrier.trans_b,
-                                  epilogue=epilogue,
-                                  epilogue_inputs=len(inputs),
-                                  parallel=self._kernel_parallel())
+                                  trans_b=barrier.trans_b, **kernel)
 
     def _run_transpose(self, op: TransposeOp,
                        memo: dict[int, object]) -> TiledMatrix:
@@ -825,7 +724,7 @@ class Evaluator:
     OP_RUNNERS = {
         LeafOp: _run_leaf,
         ScalarOp: _run_scalar,
-        RangeOp: _stream_vector,
+        RangeOp: _run_map,
         MapOp: _run_map,
         GatherOp: _run_gather,
         ScatterOp: _run_scatter,

@@ -39,13 +39,17 @@ def chosen_order(factors: list[Node]) -> tuple:
 
 
 def current_order(node: Node, factors: list[Node]):
-    """The parenthesization ``node`` already has, over ``factors``."""
-    index_of = {id(f): i for i, f in enumerate(factors)}
+    """The parenthesization ``node`` already has, over ``factors``.
+
+    Leaves are numbered in :func:`collect_chain`'s walk order, not by
+    identity: a matrix used twice (``A %*% A %*% A``) is two factors.
+    """
+    position = iter(range(len(factors)))
 
     def build(n: Node):
-        if isinstance(n, MatMul) and id(n) not in index_of:
+        if isinstance(n, MatMul) and not (n.trans_a or n.trans_b):
             return (build(n.children[0]), build(n.children[1]))
-        return index_of[id(n)]
+        return next(position)
 
     return build(node)
 

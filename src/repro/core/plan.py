@@ -17,7 +17,70 @@ run once.
 
 from __future__ import annotations
 
-from .expr import Node
+from collections.abc import Callable
+
+import numpy as np
+
+from .expr import COMPARISON_OPS, ELEMENTWISE_OPS, Map, Node, Range, Scalar
+
+
+def _masked_assign(base, mask, value):
+    """``base[mask] <- value`` elementwise: the logical-mask
+    :class:`~repro.core.expr.SubscriptAssign`."""
+    return np.where(np.asarray(mask, dtype=bool), value, base)
+
+
+def _as_double(fn: Callable) -> Callable:
+    """``fn`` with its logical result as R's 0/1 doubles."""
+    return lambda *args: fn(*args).astype(np.float64)
+
+
+class Region:
+    """An elementwise region compiled to a tape, built once by
+    :func:`repro.core.planner.build_region`.
+
+    Slots ``0 .. len(inputs) - 1`` hold the inputs, one per distinct
+    node; tape step ``i`` is ``(ufunc, arg slots)`` and fills slot
+    ``len(inputs) + i``, so an interior node is computed once per run
+    however often it is used, and the last slot is the root's value.
+    A run drops each slot after its last use, as a recursive walk
+    would: a product epilogue's blocks are large.
+    A comparison or logical step yields R's 0/1 doubles, as a stored
+    logical would, so arithmetic may read it (``-(A > B)``).
+    The inputs are barriers (computed by another operator — or, in a
+    fused epilogue, the product whose resident block the kernel hands
+    in), stored and generated leaves, and constants; ``sources`` are
+    the array-valued barriers and stored leaves, what a run reads from
+    storage.
+    """
+
+    def __init__(self, root: Node, inputs: list[Node],
+                 interior: list[Node]) -> None:
+        self.root = root
+        self.inputs = tuple(inputs)
+        self.nodes = self.inputs + tuple(interior)   # one per slot
+        slot = {id(n): i for i, n in enumerate(self.nodes)}
+        self.tape: tuple[tuple[Callable, tuple[int, ...]], ...] = tuple(
+            (_masked_assign if not isinstance(n, Map)
+             else _as_double(ELEMENTWISE_OPS[n.op])
+             if n.op in COMPARISON_OPS else ELEMENTWISE_OPS[n.op],
+             tuple(slot[id(c)] for c in n.children))
+            for n in interior)
+        last = {a: i for i, (_, args) in enumerate(self.tape)
+                for a in args}
+        self._dead = [[a for a, i in last.items() if i == step]
+                      for step in range(len(self.tape))]
+        self.sources = tuple(n for n in inputs if n.ndim
+                             and not isinstance(n, (Range, Scalar)))
+
+    def run(self, read: Callable[[Node], object]):
+        """The root's value, ``read(node)`` supplying each input's."""
+        values = [read(n) for n in self.inputs]
+        for (fn, args), dead in zip(self.tape, self._dead):
+            values.append(fn(*[values[a] for a in args]))
+            for a in dead:
+                values[a] = None
+        return values[-1]
 
 
 class PhysOp:
@@ -52,10 +115,14 @@ class PhysOp:
 
     def __init__(self, node: Node, children: tuple["PhysOp", ...] = (),
                  predicted_io: float = 0.0, detail: str = "",
-                 alternatives: list[tuple[str, float]] | None = None
-                 ) -> None:
+                 alternatives: list[tuple[str, float]] | None = None,
+                 region: Region | None = None) -> None:
         self.node = node
         self.children = tuple(children)
+        #: The elementwise region this operator runs (streams, maps,
+        #: reductions, fused epilogues), else None.  Its barriers and
+        #: stored leaves are computed or held by ``children``.
+        self.region = region
         self.predicted_io = float(predicted_io)
         self.detail = detail
         self.alternatives = list(alternatives or [])
@@ -111,10 +178,8 @@ class RangeOp(PhysOp):
 
 
 class MapOp(PhysOp):
-    """A fused elementwise streaming region (vector, scalar or
-    tile-aligned matrix).  Children are the region's barriers and
-    stored inputs; the interior applies the whole scalar expression
-    tree per chunk/tile."""
+    """A fused elementwise region (vector, scalar or tile-aligned
+    matrix), run once per window, per tile, or once."""
 
     kind = "map"
     cost_model = "stream_io"
@@ -135,6 +200,9 @@ class ScatterOp(PhysOp):
 
 
 class ReduceOp(PhysOp):
+    """``sum`` / ``mean`` / ``min`` / ``max`` folded over the region of
+    the reduced node, which is never stored."""
+
     kind = "reduce"
     cost_model = "stream_io"
 
@@ -210,25 +278,20 @@ class TransposeOp(PhysOp):
 
 
 class FusedEpilogueOp(PhysOp):
-    """A product with its elementwise consumers fused in: the epilogue
-    is applied to each output submatrix while memory-resident, so the
-    raw product never reaches disk.
+    """A product with its elementwise consumers fused in: the region is
+    applied to each output submatrix while memory-resident, so the raw
+    product never reaches disk.
 
-    ``barrier`` is the MatMul/Crossprod logical node; ``matrix_nodes``
-    and ``scalar_nodes`` are the region's extra inputs (their ops are
-    among ``children``).
+    ``barrier`` is the MatMul/Crossprod logical node — the region's one
+    barrier no child computes; its operands lead ``children``.
     """
 
     kind = "matmul+epilogue"
     cost_model = "matmul_epilogue_io"  # planner overrides per instance
 
-    def __init__(self, node: Node, barrier: Node,
-                 matrix_nodes: list[Node], scalar_nodes: list[Node],
-                 **kwargs) -> None:
+    def __init__(self, node: Node, barrier: Node, **kwargs) -> None:
         super().__init__(node, **kwargs)
         self.barrier = barrier
-        self.matrix_nodes = list(matrix_nodes)
-        self.scalar_nodes = list(scalar_nodes)
 
 
 class PhysicalPlan:

@@ -17,6 +17,10 @@ beside the crossprod's panel
 X — the shared-scan rule, on whenever epilogue fusion is (level >= 1,
 ``fuse_epilogues`` not False).
 
+:func:`build_region` is the one statement of what a fused
+elementwise pass computes, for streams, maps, reductions and product
+epilogues alike.
+
 Every optimizer level lowers here; the level decides which choices are
 open.  At level 2 every choice is costed.  At level 1 the same lowering
 runs with the heuristic choices (program order, type-driven kernels,
@@ -29,11 +33,15 @@ same executor as the optimized arm.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
+
 from .config import OptimizerConfig
 from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
                     crossprod_io, crossprod_side_fits, gather_io,
                     inverse_io, matmul_epilogue_io, scatter_io,
-                    solve_op_io, stream_io, transpose_materialize_io)
+                    solve_op_io, stream_io, stream_window,
+                    transpose_materialize_io)
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
@@ -43,7 +51,7 @@ from .passes import (build_order, chosen_order, clamped_dense_io,
 from .passes.base import bottom_up
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
-                   PhysicalPlan, RangeOp, ReduceOp, ScalarOp,
+                   PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
                    ScatterOp, SparseSpGEMMOp, SparseSpMMOp,
                    TileMatMulOp, TransposeOp)
 
@@ -54,72 +62,43 @@ from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
 BNLJ_MARGIN = 0.9
 
 
-def streamable(node: Node) -> bool:
-    """Can this node be computed chunk-aligned from its children?"""
-    if isinstance(node, (Scalar, Range, ArrayInput)):
-        return True
-    if isinstance(node, Map):
-        return all(streamable(c) for c in node.children)
-    if isinstance(node, SubscriptAssign) and node.logical_mask:
-        return all(streamable(c) for c in node.children)
-    return False
+def is_elementwise(node: Node) -> bool:
+    """Is ``node`` computed element by element from aligned operands —
+    something a region can absorb?"""
+    return isinstance(node, Map) or (isinstance(node, SubscriptAssign)
+                                     and node.logical_mask)
 
 
-def collect_barriers(node: Node, barriers: list[Node],
-                     seen: set[int]) -> None:
-    """Find maximal non-streamable subtrees under a streaming region."""
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    if streamable(node):
-        for c in node.children:
-            collect_barriers(c, barriers, seen)
-    else:
-        barriers.append(node)
+def build_region(root: Node,
+                 absorb: Callable[[Node], bool] = is_elementwise
+                 ) -> Region:
+    """The elementwise region rooted at ``root``: the one statement of
+    what a fused pass computes, for vector streams, matrix maps,
+    reductions and product epilogues alike.
 
-
-def classify_epilogue_region(node: Map):
-    """Classify a matrix Map region for epilogue fusion.
-
-    Returns ``(barriers, matrices, scalars, region_edges)`` — the
-    distinct MatMul/Crossprod barriers, the materialized-matrix leaves,
-    the scalar-valued subtrees, and region-internal parent-edge counts
-    for every node a fused evaluation would *not* memoize (the barriers
-    and interior Maps) — or ``None`` when the region contains anything
-    the per-submatrix epilogue evaluator cannot handle.
-
-    Any ndim-2 node that is not itself Map/MatMul/Crossprod counts as
-    a stored-matrix input: the planner schedules it as a materialized
-    child operator.
+    Walking down from ``root``, every elementwise node ``absorb``
+    accepts joins the interior (children before parents — the tape's
+    order); anything else reached is an input: a barrier another
+    operator computes, a stored or generated leaf, or a constant.  By
+    default the region is maximal; ``absorb`` narrows it.
     """
-    barriers: list[Node] = []
-    matrices: list[Node] = []
-    scalars: list[Node] = []
-    region_edges: dict[int, int] = {}
+    inputs: list[Node] = []
+    interior: list[Node] = []
     seen: set[int] = set()
 
-    def visit(n: Node) -> bool:
-        if isinstance(n, (MatMul, Crossprod, Map)) and n.ndim == 2:
-            region_edges[id(n)] = region_edges.get(id(n), 0) + 1
+    def visit(n: Node) -> None:
         if id(n) in seen:
-            return True
+            return
         seen.add(id(n))
-        if n.ndim == 0:
-            scalars.append(n)
-            return True
-        if n.ndim != 2:
-            return False
-        if isinstance(n, (MatMul, Crossprod)):
-            barriers.append(n)
-            return True
-        if isinstance(n, Map):
-            return all(visit(c) for c in n.children)
-        matrices.append(n)
-        return True
+        if is_elementwise(n) and absorb(n):
+            for c in n.children:
+                visit(c)
+            interior.append(n)
+        else:
+            inputs.append(n)
 
-    if not all(visit(c) for c in node.children):
-        return None
-    return barriers, matrices, scalars, region_edges
+    visit(root)
+    return Region(root, inputs, interior)
 
 
 def operand_tile_side(node: Node) -> int:
@@ -231,9 +210,9 @@ class Planner:
         barriers = set()
         for n in nodes:
             if isinstance(n, Map) and n.ndim == 2:
-                region = self._epilogue_region(n)
-                if region is not None:
-                    barriers.add(id(region[0]))
+                fusable = self._epilogue_region(n)
+                if fusable is not None:
+                    barriers.add(id(fusable[0]))
         hosts = {id(n.children[0]): n for n in nodes
                  if isinstance(n, Crossprod) and n.t_first
                  and id(n) not in barriers}
@@ -288,10 +267,6 @@ class Planner:
         self._memo[id(node)] = op
         return op
 
-    #: Pool blocks a streaming operator keeps resident: its prefetch
-    #: window plus the output block it is filling.
-    STREAM_FOOTPRINT_BLOCKS = 18.0
-
     def _footprint(self, op: PhysOp) -> float:
         """Predicted peak pool residency (blocks) — admission control.
 
@@ -300,17 +275,22 @@ class Planner:
         the full working-memory budget (that is the point of the
         Appendix-A schedules), so they claim it all and effectively run
         alone at plan level — tile-level parallelism covers them
-        internally.  Streaming operators touch a prefetch window at a
-        time; leaves and scalars pin nothing themselves.
+        internally.  A region, a gather or a scatter holds one window
+        of each source and of its output
+        (:func:`repro.core.costs.stream_window`); leaves and scalars pin
+        nothing themselves.
         """
         budget = self.memory_scalars / self.block_scalars
-        if isinstance(op, (TileMatMulOp, BnljOp, CrossprodOp,
-                           SparseSpMMOp, SparseSpGEMMOp, LUSolveOp,
-                           InverseOp, FusedEpilogueOp, TransposeOp)):
-            return budget
         if isinstance(op, (LeafOp, ScalarOp)):
             return 0.0
-        return min(budget, self.STREAM_FOOTPRINT_BLOCKS)
+        if isinstance(op, (GatherOp, ScatterOp)):
+            sources = 1
+        elif op.region is not None and not isinstance(op,
+                                                      FusedEpilogueOp):
+            sources = len(op.region.sources)
+        else:
+            return budget
+        return min(budget, stream_window(budget, sources) * (sources + 1))
 
     def _lower_inner(self, node: Node) -> PhysOp:
         blk = self.block_scalars
@@ -318,8 +298,6 @@ class Planner:
             return LeafOp(node)
         if isinstance(node, Scalar):
             return ScalarOp(node)
-        if isinstance(node, Range):
-            return RangeOp(node, predicted_io=node.size / blk)
         if isinstance(node, MatMul):
             return self._lower_matmul(node)
         if isinstance(node, Crossprod):
@@ -350,68 +328,75 @@ class Planner:
                                         node.index.size, blk))
         if isinstance(node, Reduce):
             return self._lower_reduce(node)
-        if node.ndim == 2 and isinstance(node, Map):
-            return self._lower_matrix_map(node)
-        if node.ndim == 1:
-            return self._lower_stream(node)
-        if node.ndim == 0 and isinstance(node, Map):
-            return MapOp(node,
-                         tuple(self._lower(c) for c in node.children),
-                         detail="scalar")
+        if is_elementwise(node) or isinstance(node, Range):
+            return self._lower_elementwise(node)
         raise NotImplementedError(
             f"cannot lower node {type(node).__name__}")
 
     # ------------------------------------------------------------------
-    # Streaming regions (vectors) and reductions
+    # Elementwise regions: streams, maps, reductions
     # ------------------------------------------------------------------
-    def _region_inputs(self, roots: list[Node]
-                       ) -> tuple[list[Node], list[Node], float]:
-        """(barriers, stored leaves, input scalars) of a stream region."""
-        barriers: list[Node] = []
-        seen: set[int] = set()
-        for r in roots:
-            collect_barriers(r, barriers, seen)
-        leaves: list[Node] = []
-        lseen: set[int] = set()
+    def _region(self, root: Node, under_reduce: bool = False) -> Region:
+        """The region a pass over ``root`` computes.  Vector and scalar
+        regions are maximal at every level; a matrix region is maximal
+        where fusion is enabled and otherwise keeps one node per
+        operator — ``root`` alone, or nothing when a reduction reads
+        it.  A maximal matrix region stops at an interior matrix that
+        another operator also reads: that one is stored for its other
+        consumer, and the region reads it instead of recomputing it."""
+        if root.ndim < 2:
+            return build_region(root)
+        if not self.config.fusion_enabled:
+            return build_region(root,
+                                lambda n: n is root and not under_reduce)
+        shared: set[int] = set()
+        while True:
+            region = build_region(root, lambda n: id(n) not in shared)
+            more = {id(region.nodes[i]) for i in self._read_outside(region)
+                    if i >= len(region.inputs)}
+            if not more:
+                return region
+            shared |= more
 
-        def gather_leaves(n: Node) -> None:
-            if id(n) in lseen or not streamable(n):
-                return
-            lseen.add(id(n))
-            if isinstance(n, ArrayInput):
-                if hasattr(n.data, "length"):  # TiledVector
-                    leaves.append(n)
-                return
-            for c in n.children:
-                gather_leaves(c)
+    def _read_outside(self, region: Region) -> list[int]:
+        """Slots of ``region``'s matrices, its root aside, that an
+        operator outside the region also reads."""
+        uses = Counter(a for _, args in region.tape for a in args)
+        return [i for i, n in enumerate(region.nodes)
+                if n.ndim == 2 and n is not region.root
+                and uses[i] < self._edges.get(id(n), 0)]
 
-        for r in roots:
-            gather_leaves(r)
-        input_scalars = (sum(b.size for b in barriers)
-                         + sum(leaf.size for leaf in leaves))
-        return barriers, leaves, input_scalars
+    def _region_children(self, region: Region,
+                         computed: Node | None = None
+                         ) -> tuple[PhysOp, ...]:
+        """Operators for a region's barriers and stored leaves, in slot
+        order — all but ``computed``, the product a fused epilogue
+        computes itself."""
+        return tuple(self._lower(n) for n in region.inputs
+                     if n is not computed
+                     and not isinstance(n, (Scalar, Range)))
 
-    def _lower_stream(self, node: Node) -> MapOp:
-        barriers, leaves, input_scalars = self._region_inputs(
-            list(node.children))
-        children = tuple(self._lower(n) for n in barriers + leaves)
-        return MapOp(node, children,
-                     predicted_io=stream_io(input_scalars, node.size,
-                                            self.block_scalars),
-                     detail="stream")
+    def _lower_elementwise(self, node: Node) -> PhysOp:
+        if node.ndim == 2 and self.config.fusion_enabled:
+            fused = self._try_fused(node)
+            if fused is not None:
+                return fused
+        region = self._region(node)
+        predicted = stream_io(sum(n.size for n in region.sources),
+                              node.size if node.ndim else 0,
+                              self.block_scalars)
+        if isinstance(node, Range):
+            return RangeOp(node, region=region, predicted_io=predicted)
+        return MapOp(node, self._region_children(region), region=region,
+                     predicted_io=predicted,
+                     detail=("scalar", "stream", "tile")[node.ndim])
 
     def _lower_reduce(self, node: Reduce) -> ReduceOp:
-        child = node.children[0]
-        blk = self.block_scalars
-        if child.ndim == 2:
-            return ReduceOp(node, (self._lower(child),),
-                            predicted_io=child.size / blk)
-        if child.ndim == 0:
-            return ReduceOp(node, (self._lower(child),))
-        barriers, leaves, input_scalars = self._region_inputs([child])
-        children = tuple(self._lower(n) for n in barriers + leaves)
-        return ReduceOp(node, children,
-                        predicted_io=input_scalars / blk)
+        region = self._region(node.children[0], under_reduce=True)
+        read = sum(n.size for n in region.sources)
+        return ReduceOp(node, self._region_children(region),
+                        region=region,
+                        predicted_io=stream_io(read, 0, self.block_scalars))
 
     def _lower_subscript(self, node: Subscript) -> GatherOp:
         children: list[PhysOp] = []
@@ -598,51 +583,38 @@ class Planner:
     # ------------------------------------------------------------------
     # Matrix elementwise regions: fuse-vs-materialize
     # ------------------------------------------------------------------
-    def _lower_matrix_map(self, node: Map) -> PhysOp:
-        if self.config.fusion_enabled:
-            fused = self._try_fused(node)
-            if fused is not None:
-                return fused
-        children = tuple(self._lower(c) for c in node.children)
-        inputs = sum(c.size for c in node.children if c.ndim == 2)
-        return MapOp(node, children,
-                     predicted_io=stream_io(inputs, node.size,
-                                            self.block_scalars),
-                     detail="tile")
-
-    def _epilogue_region(self, node: Map):
-        """``(barrier, matrices, scalars)`` when fusing the region
-        rooted at ``node`` into its product is legal, else ``None`` —
+    def _epilogue_region(self, node: Node
+                         ) -> tuple[Node, Region] | None:
+        """``(product, region)`` when fusing the region rooted at
+        ``node`` into its one product is legal, else ``None`` —
         legality only; :meth:`_try_fused` then prices it."""
-        region = classify_epilogue_region(node)
-        if region is None:
+        region = build_region(node)
+        products = [b for b in region.inputs
+                    if isinstance(b, (MatMul, Crossprod))]
+        if len(products) != 1:
             return None
-        barriers, matrices, scalars, region_edges = region
-        if len(barriers) != 1:
-            return None
-        barrier = barriers[0]
-        if barrier.shape != node.shape:
-            return None
+        barrier = products[0]
         if not _barrier_fusable(barrier):
             return None
-        if any(mat.shape != node.shape for mat in matrices):
+        if any(s.shape != node.shape for s in region.sources):
             return None
-        for nid, edges in region_edges.items():
-            if edges < self._edges.get(nid, 0):
-                # The product — or an interior Map on the way to it —
-                # has consumers outside this region; fusing (which
-                # memoizes neither) would make them recompute it.
-                return None
-        return barrier, matrices, scalars
+        # The product and the interior matrices on the way to it are
+        # never memoized by a fused run; a consumer outside the region
+        # would have to recompute them.
+        first = len(region.inputs)
+        if any(i >= first or region.nodes[i] is barrier
+               for i in self._read_outside(region)):
+            return None
+        return barrier, region
 
-    def _try_fused(self, node: Map) -> FusedEpilogueOp | None:
-        region = self._epilogue_region(node)
-        if region is None:
+    def _try_fused(self, node: Node) -> FusedEpilogueOp | None:
+        fusable = self._epilogue_region(node)
+        if fusable is None:
             return None
-        barrier, matrices, scalars = region
+        barrier, region = fusable
         mem, blk = self.memory_scalars, self.block_scalars
         ratio = self.io_ratio
-        extra = len(matrices)
+        extra = len(region.sources) - 1
         if isinstance(barrier, Crossprod):
             a = barrier.children[0]
             inner, k = (a.shape if barrier.t_first
@@ -674,11 +646,10 @@ class Planner:
                  "trans_b": barrier.trans_b})
         if self.config.costed and fused_io >= unfused_io:
             return None  # enumerated, and materializing won
-        children = (operand_ops
-                    + tuple(self._lower(mat) for mat in matrices)
-                    + tuple(self._lower(s) for s in scalars))
         op = FusedEpilogueOp(
-            node, barrier, matrices, scalars, children=children,
+            node, barrier, region=region,
+            children=operand_ops + self._region_children(region,
+                                                         barrier),
             predicted_io=fused_io,
             detail=barrier.label(),
             alternatives=[("materialize+map", unfused_io)])

@@ -219,6 +219,43 @@ class TestRPR005CodecDiscipline:
         assert found == []
 
 
+class TestRPR006ElementwiseLookup:
+    def test_table_lookup_in_evaluator_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "from repro.core.expr import ELEMENTWISE_OPS\n"
+            "def ev(n, args):\n"
+            "    return ELEMENTWISE_OPS[n.op](*args)\n",
+            name="core/evaluator.py")
+        assert codes(found) == ["RPR006"]
+        assert "region runner" in found[0].message
+
+    def test_attribute_and_get_lookups_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "f = expr.ELEMENTWISE_OPS['+']\n"
+            "g = ELEMENTWISE_OPS.get(op)\n",
+            name="linalg/matmul.py")
+        assert [f.code for f in found] == ["RPR006", "RPR006"]
+
+    def test_region_runner_and_folding_exempt(self, tmp_path):
+        source = "fn = ELEMENTWISE_OPS[node.op]\n"
+        assert lint_source(tmp_path, source, name="core/plan.py") == []
+        assert lint_source(tmp_path, source,
+                           name="core/passes/fold.py") == []
+        # ...by place, not by file name alone
+        found = lint_source(tmp_path, source, name="sparse/plan.py")
+        assert codes(found) == ["RPR006"]
+
+    def test_import_and_membership_are_clean(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "from repro.core.expr import ELEMENTWISE_OPS\n"
+            "ok = op in ELEMENTWISE_OPS\n"
+            "names = sorted(ELEMENTWISE_OPS)\n")
+        assert found == []
+
+
 class TestSelectAndErrors:
     def test_select_filters_rules(self, tmp_path):
         source = ("dev = BlockDevice()\n"
@@ -247,7 +284,7 @@ class TestSelfHosting:
 
     def test_all_rules_constant_matches_docs(self):
         assert ALL_RULES == ("RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005")
+                             "RPR005", "RPR006")
 
 
 class TestCLI:
@@ -270,6 +307,13 @@ class TestCLI:
         proc = self.run_cli(str(bad))
         assert proc.returncode == 1
         assert "RPR001" in proc.stdout
+
+    def test_seeded_fifth_walker_exits_one(self, tmp_path):
+        bad = tmp_path / "walker.py"
+        bad.write_text("value = ELEMENTWISE_OPS[node.op](*args)\n")
+        proc = self.run_cli("--select", "RPR006", str(bad))
+        assert proc.returncode == 1
+        assert "RPR006" in proc.stdout
 
     def test_unknown_rule_rejected(self, tmp_path):
         bad = tmp_path / "f.py"

@@ -249,12 +249,72 @@ class TestFusedEpilogue:
         # The fused kernel holds 3 + (#matrix epilogue inputs) panels
         # at once; below a tile-aligned working set it goes ragged, so
         # the only rejected budget cannot hold that many 1 x 1 panels.
-        panels = 3 + len(plan.root.matrix_nodes)
+        # The region's sources are the product plus those inputs.
+        panels = 2 + len(plan.root.region.sources)
+        assert panels == 4
         verify_plan(plan, memory_scalars=panels, block_scalars=1024)
         with pytest.raises(PlanVerificationError,
                            match="fused epilogue"):
             verify_plan(plan, memory_scalars=panels - 1,
                         block_scalars=1024)
+
+
+class TestRegion:
+    """The tape an elementwise operator runs is checked as planned:
+    slots defined before they are read, every input an operator's
+    node, every matrix input the region's shape."""
+
+    def make(self):
+        s = session()
+        g = rng()
+        A, B, C, D = (s.matrix(g.standard_normal((64, 48)), name=n)
+                      for n in "ABCD")
+        plan = s.plan(((A + B) * C - D).node)
+        assert plan.signature() == (
+            "map:-[tile](input:A, input:B, input:C, input:D)")
+        verify_plan(plan, s.storage)
+        return s, plan, (A, B, C, D)
+
+    def test_tape_reads_a_slot_before_it_is_defined(self):
+        s, plan, _ = self.make()
+        region = plan.root.region
+        (fn, args), *rest = region.tape
+        with patched(region, "tape", ((fn, (0, len(region.nodes) - 1)),
+                                      *rest)):
+            with pytest.raises(PlanVerificationError,
+                               match="map.*tape step 0 reads slot"):
+                verify_plan(plan, s.storage)
+
+    def test_fused_leaf_of_another_shape_rejected(self):
+        """A leaf two maps deep — no direct child of the root ``Map``
+        — is checked like a direct one."""
+        s, plan, (A, *_) = self.make()
+        with patched(A.node, "shape", (64, 47)):
+            with pytest.raises(PlanVerificationError,
+                               match="input shape \\(64, 47\\)"):
+                verify_plan(plan, s.storage)
+
+    def test_input_without_an_operator_rejected(self):
+        s, plan, _ = self.make()
+        with patched(plan.root, "children", plan.root.children[1:]):
+            with pytest.raises(PlanVerificationError,
+                               match="computed by no child operator: "
+                                     "input:A"):
+                verify_plan(plan, s.storage)
+
+    def test_epilogue_has_exactly_one_product_slot(self):
+        s = session()
+        X = s.matrix(rng().standard_normal((512, 128)), name="X")
+        lam = s.matrix(0.1 * np.eye(128), name="lamI")
+        plan = s.plan((X.crossprod() + lam).node)
+        op = plan.root
+        verify_plan(plan, s.storage)
+        # The product's operand computes the product in no other op:
+        # dropping lamI's operator leaves two slots nobody fills.
+        with patched(op, "children", op.children[:1]):
+            with pytest.raises(PlanVerificationError,
+                               match="exactly one: its product"):
+                verify_plan(plan, s.storage)
 
 
 class TestSharedCrossprod:

@@ -408,6 +408,20 @@ class TestChainReorderInteractions:
         ref = a.values() @ b.values() @ c.values() + d.values()
         assert np.allclose(out.to_numpy(), ref)
 
+    @pytest.mark.parametrize("right_deep", [False, True])
+    def test_chain_of_one_repeated_matrix_converges(self, rng,
+                                                    right_deep):
+        """A matrix used as several factors is several factors: the
+        rewrite reaches a fixed point in either program order."""
+        s = session()
+        a_np = rng.standard_normal((12, 12))
+        a = s.matrix(a_np, name="A").node
+        node = a
+        for _ in range(3):
+            node = MatMul(a, node) if right_deep else MatMul(node, a)
+        out = s.force(node)
+        assert np.allclose(out.to_numpy(), np.linalg.matrix_power(a_np, 4))
+
 
 class TestMispinnedKernel:
     def test_sparse_pin_on_dense_operands_runs_dense(self, rng):

@@ -21,6 +21,8 @@ pin what that may and may not change:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from repro.analysis import verify_plan
 from repro.core import (Crossprod, Map, MatMul, OptimizerConfig,
                         RiotSession, Scalar, Solve)
 from repro.core.costs import crossprod_side_fits
-from repro.core.plan import (CrossprodOp, FusedEpilogueOp,
+from repro.core.plan import (CrossprodOp, FusedEpilogueOp, MapOp,
                              TileMatMulOp)
 from repro.storage import StorageConfig
 
@@ -49,17 +51,35 @@ def integers(rng, shape):
     return rng.integers(-8, 9, size=shape).astype(np.float64)
 
 
-def normal_equations(s, x_np, b_nps):
-    """``solve(crossprod(X) + sum_i tcrossprod(S_i), S_0)`` with
-    ``S_i = t(X) %*% B_i`` — every side product feeds a non-``Map``
-    consumer or a multi-barrier ``Map``, so none is an epilogue."""
+def normal_equations(s, x_np, b_nps, nested=False):
+    """``solve(crossprod(X) + tcrossprod(S_1), S_0 + S_2 %*% 1)`` with
+    ``S_i = t(X) %*% B_i`` (terms present as far as there are B's) —
+    every side product feeds a non-``Map`` consumer or a multi-barrier
+    ``Map``, so none is an epilogue, and each ``Map`` is a region of
+    its own with fusion on or off.
+
+    ``nested`` builds ``solve(crossprod(X) + sum_i tcrossprod(S_i),
+    S_0)`` instead: a chain of ``Map(+)`` that fusion runs as one
+    region and the unfused plan as one operator per ``+``, storing
+    each inner sum."""
     x = s.matrix(x_np, name="X")
     sides = [MatMul(x.node, s.matrix(b, name=f"B{i}").node, trans_a=True)
              for i, b in enumerate(b_nps)]
-    coef = Crossprod(x.node)
-    for side in sides[1:]:
-        coef = Map("+", coef, Crossprod(side, t_first=False))
-    return x, Solve(coef, sides[0])
+    coef, rhs = Crossprod(x.node), sides[0]
+    if nested:
+        for side in sides[1:]:
+            coef = Map("+", coef, Crossprod(side, t_first=False))
+        return x, Solve(coef, rhs)
+    if len(sides) > 1:
+        coef = Map("+", coef, Crossprod(sides[1], t_first=False))
+    if len(sides) > 2:
+        ones = s.matrix(np.ones((sides[2].shape[1], rhs.shape[1])))
+        rhs = Map("+", rhs, MatMul(sides[2], ones.node))
+    return x, Solve(coef, rhs)
+
+
+def map_ops(plan):
+    return sum(isinstance(op, MapOp) for op in plan.ops())
 
 
 def shared_sides(plan):
@@ -99,22 +119,32 @@ def run_cold(s, root, x):
             x_in_products[0])
 
 
-def oracle(x_np, b_nps):
-    xt = x_np.T
-    coef = xt @ x_np + sum((xt @ b) @ (xt @ b).T for b in b_nps[1:])
-    return np.linalg.solve(coef, xt @ b_nps[0])
+def oracle(x_np, b_nps, nested=False):
+    s = [x_np.T @ b for b in b_nps]
+    if nested:
+        coef = x_np.T @ x_np + sum(t @ t.T for t in s[1:])
+        return np.linalg.solve(coef, s[0])
+    coef = x_np.T @ x_np + sum(t @ t.T for t in s[1:2])
+    rhs = s[0] + sum(t @ np.ones((t.shape[1], s[0].shape[1]))
+                     for t in s[2:])
+    return np.linalg.solve(coef, rhs)
 
 
 @given(cols=st.integers(10, 90), extra=st.integers(30, 250),
        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
        mem_blocks=st.integers(10, 60),
-       seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16), nested=st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
-                                             mem_blocks, seed):
+                                             mem_blocks, seed, nested):
     """Tall X ragged against the 32-wide tile, one to three side
     products, budgets on both sides of the fit threshold; levels
-    0 / 1 / 2 at parallelism 1 and 2 against the unshared plan."""
+    0 / 1 / 2 at parallelism 1 and 2 against the unshared plan.
+
+    The unfused plan also stores each inner sum of a nested ``Map(+)``
+    chain, which the fused region never writes: the writes compared
+    are net of those ``cols x cols`` matrices (one page per 32x32
+    tile)."""
     rows = cols + extra
     g = np.random.default_rng(seed)
     x_np = integers(g, (rows, cols))
@@ -126,13 +156,13 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
                              (0, None, 1), (0, None, 2),
                              (1, None, 2), (2, None, 1), (2, None, 2)):
         s = session(mem_blocks, level, fuse, par)
-        x, root = normal_equations(s, x_np, b_nps)
+        x, root = normal_equations(s, x_np, b_nps, nested)
         runs[level, fuse, par] = run_cold(s, root, s.force(x))
         verify_plan(runs[level, fuse, par][1], s.storage)
 
     ref, unshared, reads, writes, _ = runs[1, False, 1]
     assert not shared_sides(unshared)
-    assert np.allclose(ref, oracle(x_np, b_nps))
+    assert np.allclose(ref, oracle(x_np, b_nps, nested))
     for key, (values, plan, *_) in runs.items():
         assert np.array_equal(values, ref), key
         if key[0] == 0:
@@ -147,10 +177,12 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
     for n in shared_sides(plan):
         left.remove(n.shape[1])
     assert not any(crossprod_side_fits(mem, 32, taken + w) for w in left)
-    assert s_writes == writes
+    inner_sums = map_ops(unshared) - map_ops(plan)
+    assert inner_sums == (max(len(widths) - 2, 0) if nested else 0)
+    assert s_writes == writes - inner_sums * math.ceil(cols / 32) ** 2
     if not left:
         assert s_x == 0  # no flagged multiply left to scan X
-    if not taken:
+    if not taken and not inner_sums:
         assert (s_reads, s_x) == (reads, runs[1, False, 1][4])
 
 
@@ -295,21 +327,20 @@ class TestNeverShared:
 
 def test_every_side_value_under_repro_parallelism_4(monkeypatch):
     """The parallel executor stores each side product a shared
-    operator computes (three sides, all consumed)."""
+    operator computes (three sides, all consumed), flat or nested."""
     monkeypatch.setenv("REPRO_PARALLELISM", "4")
     g = np.random.default_rng(9)
     x_np = integers(g, (200, 48))
     b_nps = [integers(g, (200, w)) for w in (1, 5, 3)]
-    s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192,
-                                          block_size=8192),
-                    config=OptimizerConfig(parallelism=None))
-    assert s.evaluator.parallelism == 4
-    _, root = normal_equations(s, x_np, b_nps)
-    assert len(shared_sides(s.plan(root))) == 3
-    got = s.values(root)
-    xt = x_np.T
-    coef = xt @ x_np + sum((xt @ b) @ (xt @ b).T for b in b_nps[1:])
-    ref = session(64, fuse=False)
-    _, ref_root = normal_equations(ref, x_np, b_nps)
-    assert np.array_equal(got, ref.values(ref_root))
-    assert np.allclose(got, np.linalg.solve(coef, xt @ b_nps[0]))
+    for nested in (False, True):
+        s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192,
+                                              block_size=8192),
+                        config=OptimizerConfig(parallelism=None))
+        assert s.evaluator.parallelism == 4
+        _, root = normal_equations(s, x_np, b_nps, nested)
+        assert len(shared_sides(s.plan(root))) == 3
+        got = s.values(root)
+        ref = session(64, fuse=False)
+        _, ref_root = normal_equations(ref, x_np, b_nps, nested)
+        assert np.array_equal(got, ref.values(ref_root))
+        assert np.allclose(got, oracle(x_np, b_nps, nested))

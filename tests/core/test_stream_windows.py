@@ -1,25 +1,32 @@
 """Window-granular vector streaming against NumPy and against itself.
 
-The streaming evaluator walks a fused elementwise region once per
-prefetch window: one run read per stored source, one walk of the
-expression DAG with a per-window memo, one run write.  Nobody may be
-able to tell how wide the window was: results are bitwise NumPy's on the
-logical DAG, every source chunk is fetched once and every output chunk
-written once whatever the pool size, and reductions keep the bits of
-the one-chunk-per-window run.
+The evaluator runs a fused elementwise region's tape once per prefetch
+window: one run read per stored source, one pass over the tape, one
+run write.  Nobody may be able to tell how wide the window was: results
+are bitwise NumPy's on the logical DAG, every source chunk is fetched
+once and every output chunk written once whatever the pool size, and
+reductions keep the bits of the one-chunk-per-window run.
+
+The same random DAGs then run as matrix regions — over tiles, as the
+epilogue of a product, and under a reduction — at every optimizer
+level, bitwise against NumPy.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RiotSession
-from repro.core.evaluator import STREAM_PREFETCH_CHUNKS
-from repro.core.expr import (ArrayInput, ELEMENTWISE_OPS, Map, Range,
-                             Reduce, Scalar, Subscript, SubscriptAssign)
+from repro.core import OptimizerConfig, RiotSession
+from repro.core import evaluator as evaluator_module
+from repro.core.costs import STREAM_PREFETCH_CHUNKS, stream_window
+from repro.core.expr import (ArrayInput, ELEMENTWISE_OPS, Map, MatMul,
+                             Range, Reduce, Scalar, Subscript,
+                             SubscriptAssign)
 from repro.core.session import RiotVector
 from repro.storage import StorageConfig
 
@@ -55,7 +62,7 @@ def dag_specs(draw):
         slot = N_LEAVES + len(steps)
         kind = draw(st.sampled_from(
             ["scalar", "scalar_map", "unary", "binary", "binary",
-             "compare", "ifelse", "assign"]))
+             "compare", "ifelse", "assign", "mask_arith", "mask_arith"]))
         if kind == "scalar" or (kind == "scalar_map" and not scalars):
             steps.append(("scalar", draw(st.floats(-3.0, 3.0))))
             scalars.append(slot)
@@ -78,6 +85,16 @@ def dag_specs(draw):
                           draw(st.sampled_from(vectors)),
                           draw(st.sampled_from(vectors + scalars))))
             masks.append(slot)
+        elif kind == "mask_arith":       # -(x > y), (x > y) - (x > z)
+            if draw(st.booleans()):
+                steps.append(("unary", draw(st.sampled_from(("neg", "floor"))),
+                              draw(st.sampled_from(masks))))
+            else:
+                steps.append(("binary", draw(st.sampled_from(("-", "+"))),
+                              draw(st.sampled_from(masks)),
+                              draw(st.sampled_from(masks + vectors
+                                                   + scalars))))
+            vectors.append(slot)
         elif kind == "ifelse":
             steps.append(("ifelse", draw(st.sampled_from(masks)),
                           draw(st.sampled_from(vectors + scalars)),
@@ -111,6 +128,16 @@ def _apply(step: tuple, slots: list, fn) -> object:
     raise AssertionError(kind)
 
 
+def _arith(op: str, *args):
+    """``ELEMENTWISE_OPS[op]``, reading a logical as R's 0/1 doubles
+    wherever the op is arithmetic (``-(x > y)``)."""
+    if op != "ifelse":
+        args = tuple(a.astype(np.float64)
+                     if getattr(a, "dtype", None) == np.bool_ else a
+                     for a in args)
+    return ELEMENTWISE_OPS[op](*args)
+
+
 def numpy_oracle(steps, leaves: list[np.ndarray]) -> np.ndarray:
     slots: list = list(leaves)
     for step in steps:
@@ -120,8 +147,7 @@ def numpy_oracle(steps, leaves: list[np.ndarray]) -> np.ndarray:
             base, mask, value = (slots[i] for i in step[1:])
             slots.append(np.where(mask, value, base))
         else:
-            slots.append(_apply(
-                step, slots, lambda op, *a: ELEMENTWISE_OPS[op](*a)))
+            slots.append(_apply(step, slots, _arith))
     return np.asarray(slots[-1], dtype=np.float64)
 
 
@@ -174,16 +200,15 @@ class _Run:
             ArrayInput(gathered)]
         root = build_dag(steps, leaves)
         seen_windows: list[int] = []
-        real = ev._stream_window
 
-        def spy(n_sources: int) -> int:
-            seen_windows.append(real(n_sources))
+        def spy(pool_blocks: int, n_sources: int) -> int:
+            seen_windows.append(stream_window(pool_blocks, n_sources))
             return seen_windows[-1]
-        ev._stream_window = spy
         # The stream starts from a cold pool.
         s.store.pool.clear()
         s.store.reset_stats()
-        out = ev.force(root)
+        with mock.patch.object(evaluator_module, "stream_window", spy):
+            out = ev.force(root)
         s.store.flush()
         self.window = seen_windows[-1]
         self.n_src = n_src
@@ -316,3 +341,78 @@ def test_reduce_leaves_no_vector_behind():
         product.sum()
     assert s.stored_names() == names
     assert s.store.device.allocated_blocks == blocks
+
+
+# ----------------------------------------------------------------------
+# The same DAGs as matrix regions: over tiles, on a product's resident
+# block, and under a Reduce — levels 0 / 1 / 2 against NumPy
+# ----------------------------------------------------------------------
+MATRIX_FORMS = ("tiles", "product", "reduce")
+
+
+def _matrix_leaves(s, data, factors):
+    """The six leaf slots as matrix nodes: stored matrices, the plain
+    ndarray as is, the range slot as one more stored matrix, and in
+    the product form slot 0 the product of two stored factors."""
+    leaves = [ArrayInput(d) if i == NDARRAY else s.matrix(d).node
+              for i, d in enumerate(data)]
+    if factors is not None:
+        a, b = (s.matrix(f).node for f in factors)
+        leaves[0] = MatMul(a, b)
+    return leaves
+
+
+def _tile_fold(values: np.ndarray, th: int, tw: int) -> dict[str, float]:
+    """The reductions as the engine folds them: one partial per tile,
+    in row-major tile order."""
+    total, low, high = 0.0, np.inf, -np.inf
+    for r in range(0, values.shape[0], th):
+        for c in range(0, values.shape[1], tw):
+            tile = np.ascontiguousarray(values[r:r + th, c:c + tw])
+            total += float(tile.sum())
+            low = min(low, float(tile.min()))
+            high = max(high, float(tile.max()))
+    return {"sum": total, "mean": total / values.size, "min": low,
+            "max": high}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(steps=dag_specs(), form=st.sampled_from(MATRIX_FORMS),
+       rows=st.integers(1, 20), cols=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 16))
+def test_matrix_regions_match_numpy(steps, form, rows, cols, seed):
+    with np.errstate(all="ignore"):
+        _check_matrix_regions(steps, form, rows, cols, seed)
+
+
+def _check_matrix_regions(steps, form, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    data = [np.round(rng.standard_normal(shape) * 2) if i % 2
+            else rng.standard_normal(shape) for i in range(N_LEAVES)]
+    data[RANGE] = np.arange(rows * cols, dtype=np.float64).reshape(shape)
+    factors = None
+    if form == "product":
+        # Integer-valued factors: every tiled summation order is exact,
+        # so the engine's product is NumPy's, bit for bit.
+        factors = (rng.integers(-4, 5, (rows, 5)).astype(np.float64),
+                   rng.integers(-4, 5, (5, cols)).astype(np.float64))
+        data[0] = factors[0] @ factors[1]
+    want = np.broadcast_to(numpy_oracle(steps, data), shape)
+    for level in (0, 1, 2):
+        s = RiotSession(
+            storage=StorageConfig(block_size=BLOCK,
+                                  memory_bytes=64 * BLOCK),
+            config=OptimizerConfig(level=level, strict=True))
+        leaves = _matrix_leaves(s, data, factors)
+        root = build_dag(steps, leaves)
+        if form == "reduce":
+            # Every matrix of this shape is cut on the same grid.
+            oracle = _tile_fold(want, *leaves[1].data.tile_shape)
+            for op, value in oracle.items():
+                got = s.values(Reduce(op, root))
+                assert _bits(got) == _bits(value), (op, level)
+        else:
+            assert _bits(s.values(root)) == _bits(want), level
+        s.close()
