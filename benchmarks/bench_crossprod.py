@@ -17,9 +17,10 @@ measured on the counted tile store:
 A fourth measurement shares the scan: the whole normal equations, X'X
 and X'y, in one pass over X (the planner's shared ``crossprod``
 operator) against crossprod plus a separate flagged multiply.  A fifth
-checks epilogue fusion: the ridge normal matrix ``t(X) X + lambda R``
-writes *only* its output blocks — zero blocks for the intermediate
-product.
+checks epilogue fusion: fused, the ridge normal matrix ``t(X) X +
+lambda R`` writes *only* its output blocks — zero blocks for the
+intermediate product — and the cost-based plan moves no more blocks
+than the fused one.
 
 Set ``RIOT_BENCH_FAST=1`` (the CI smoke job does) to shrink sizes.
 """
@@ -31,7 +32,7 @@ import os
 import numpy as np
 from conftest import record_io_stats
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import (crossprod_io, transpose_materialize_io,
                               transposed_matmul_io)
 from repro.linalg import crossprod_matmul, square_tile_matmul
@@ -162,13 +163,18 @@ def test_normal_equations_in_one_scan(benchmark):
 
 
 def test_fused_epilogue_writes_no_intermediate(benchmark):
-    """Ridge normal matrix ``t(X) X + lambda R``: the fused plan's only
-    writes are the final output blocks — zero for the raw product."""
+    """Ridge normal matrix ``t(X) X + lambda R``: the fused plan
+    (level 1 fuses whenever legal) writes only the final output blocks
+    — zero for the raw product.  Level 2 may instead materialize the
+    product and map over it, but only when that moves no more blocks:
+    at full size the fused crossprod's ``sqrt(M/4)`` panel re-reads X
+    more than skipping the product's write and re-read saves."""
 
-    def run():
+    def run(level):
         session = RiotSession(
             storage=StorageConfig(memory_bytes=MEMORY_SCALARS * 8,
-                                  block_size=8192))
+                                  block_size=8192),
+            config=OptimizerConfig(level=level))
         rng = np.random.default_rng(31)
         x = session.matrix(rng.standard_normal((N_OBS, N_FEAT)))
         r = session.matrix(np.eye(N_FEAT))
@@ -179,12 +185,18 @@ def test_fused_epilogue_writes_no_intermediate(benchmark):
         session.store.flush()
         return session.io_stats.snapshot(), values
 
-    stats, values = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_io_stats(benchmark, stats)
+    fused, fused_values = benchmark.pedantic(run, args=(1,), rounds=1,
+                                             iterations=1)
+    costed, costed_values = run(2)
+    record_io_stats(benchmark, fused)
+    benchmark.extra_info["io_level2"] = costed.as_dict()
 
     tile = 32  # 8 KB blocks -> 32x32 tiles, one page each
     out_blocks = ((N_FEAT + tile - 1) // tile) ** 2
-    print(f"\nfused t(X)X + 0.1R: writes={stats.writes} blocks "
-          f"(output occupies {out_blocks}; intermediate product: "
-          f"{stats.writes - out_blocks})")
-    assert stats.writes == out_blocks
+    print(f"\nt(X)X + 0.1R (output occupies {out_blocks} blocks):")
+    print(f"  {'plan':<10}{'read':>7}{'written':>9}{'total':>7}")
+    for label, st in (("level 1", fused), ("level 2", costed)):
+        print(f"  {label:<10}{st.reads:>7}{st.writes:>9}{st.total:>7}")
+    assert np.allclose(fused_values, costed_values)
+    assert fused.writes == out_blocks
+    assert costed.total <= fused.total

@@ -7,11 +7,12 @@ heading toward:
 - :mod:`repro.analysis.lint` — repo-specific AST lint rules
   (``python -m repro.analysis src/``): device construction stays in
   the storage factory, planner operators name registered cost models,
-  spans always close, plan costing is deterministic.
+  spans always close, plan costing is deterministic, one module
+  builds thread pools.
 - :mod:`repro.analysis.planlint` — :func:`verify_plan`, a static
   walk of a :class:`~repro.core.plan.PhysicalPlan` before execution:
-  shape conformability, per-op footprint vs the pool budget, kernel
-  pins, epilogue-fusion legality, sane predictions.  Wired into
+  shape conformability, kernel budgets and pins, epilogue-fusion
+  legality, sane predictions.  Wired into
   ``Evaluator.execute`` / ``session.explain`` under
   ``OptimizerConfig(strict=True)``.
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,

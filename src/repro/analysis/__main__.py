@@ -17,8 +17,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="RIOT repo lint: storage/plan/span/determinism/"
-                    "codec conventions checked on the AST "
-                    "(rules RPR001-6).")
+                    "codec/thread-pool conventions checked on the AST "
+                    "(rules RPR001-7).")
     parser.add_argument(
         "paths", nargs="+",
         help="files or directories to lint (directories recurse)")

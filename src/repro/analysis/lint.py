@@ -47,6 +47,11 @@ Rules:
     compiled (``core/plan.py``) and by constant folding
     (``core/passes/fold.py``): any other lookup is one more expression
     walker, free to drift from the one tape every driver runs.
+``RPR007``
+    ``ThreadPoolExecutor`` is constructed only in ``core/parallel.py``,
+    the kernels' tile-level worker pool.  The evaluator runs operators
+    one at a time so that per-op measurements are exclusive; an
+    executor anywhere else could overlap operators again.
 
 Use :func:`run_lint` programmatically or ``python -m repro.analysis``
 from the command line.
@@ -59,7 +64,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006")
+ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
+             "RPR007")
 
 #: Constructors only ``repro/storage`` may call (RPR001).
 DEVICE_CONSTRUCTORS = frozenset(
@@ -72,6 +78,9 @@ CODEC_METHODS = frozenset({"encode_tile", "decode_tile"})
 #: ``(parent directory, file name)``.
 ELEMENTWISE_INDEXERS = frozenset({("core", "plan.py"),
                                   ("passes", "fold.py")})
+
+#: The one file that may build a ``ThreadPoolExecutor`` (RPR007).
+EXECUTOR_HOME = ("core", "parallel.py")
 
 #: Modules whose call results depend on wall clock or RNG state
 #: (RPR004).  Matched against the root name of attribute chains.
@@ -192,6 +201,21 @@ def _check_elementwise_lookup(path: Path, tree: ast.AST
                 "(core/plan.py) and folding (core/passes/fold.py); "
                 "build a Region and run its tape instead"))
     return findings
+
+
+# ----------------------------------------------------------------------
+# RPR007 — one thread pool, in core/parallel.py
+# ----------------------------------------------------------------------
+def _check_executor_home(path: Path, tree: ast.AST) -> list[Finding]:
+    if (path.parent.name, path.name) == EXECUTOR_HOME:
+        return []
+    return [Finding(str(path), node.lineno, node.col_offset, "RPR007",
+                    "ThreadPoolExecutor constructed outside "
+                    "core/parallel.py; hand kernel work to "
+                    "TileParallelism instead")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _call_name(node.func) == "ThreadPoolExecutor"]
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +412,7 @@ _RULES = {
     "RPR004": _check_determinism,
     "RPR005": _check_codec_discipline,
     "RPR006": _check_elementwise_lookup,
+    "RPR007": _check_executor_home,
 }
 
 

@@ -50,8 +50,8 @@ Detected hazards:
   hazard pinning exists to prevent.
 
 The sanitizer is thread-aware like the pool it wraps: span stacks and
-pin ownership are tracked per thread (parallel plan workers each get
-their own), and all bookkeeping runs under the pool's re-entrant lock,
+pin ownership are tracked per thread (worker threads each get their
+own), and all bookkeeping runs under the pool's re-entrant lock,
 so pin-leak accounting stays exact per worker span.
 """
 

@@ -37,8 +37,10 @@ class OptimizerConfig:
     ``fuse_epilogues`` is special: at level 1 fusion fires whenever it
     is legal (the old heuristic); at level 2 the planner additionally
     checks that the fused plan is model-cheaper than materializing the
-    product (it always is under the current models, but the
-    alternative is enumerated and shown by ``explain``).  It also
+    product, and materializes when it is not (a fused crossprod's
+    smaller panel can re-read its operand more than the product's
+    write and re-read cost); ``explain`` shows the alternative either
+    way.  It also
     gates the other way operators share work: a ``t(X) %*% B`` that
     rides on ``crossprod(X)``'s scan of X (one operator computes
     both).  Sharing needs level >= 1 — level 0 never shares, whatever
@@ -48,17 +50,17 @@ class OptimizerConfig:
     ``strict`` runs the static plan verifier
     (:func:`repro.analysis.planlint.verify_plan`) over every plan
     before it executes (and before ``explain`` renders it): shape
-    conformability, per-op footprint vs the pool budget, kernel pins,
-    epilogue legality and prediction sanity are checked up front, with
-    errors naming the offending operator instead of a kernel failing
-    mid-plan.
+    conformability, kernel budgets and pins, epilogue legality and
+    prediction sanity are checked up front, with errors naming the
+    offending operator instead of a kernel failing mid-plan.
 
-    ``parallelism`` sets the worker count for parallel plan execution
-    (independent ``PhysOp`` subtrees on a thread pool, plus tile-level
-    parallelism inside the dense/sparse kernels).  ``None`` defers to
-    the ``REPRO_PARALLELISM`` environment variable, defaulting to 1
-    (serial).  Results are bitwise-identical at every parallelism
-    level; see :mod:`repro.core.parallel` for the determinism contract.
+    ``parallelism`` sets the worker count inside the tile kernels
+    (``square_tile_matmul``, ``crossprod_matmul`` and ``spmm`` hand
+    their GEMMs to a thread pool); operators themselves always run one
+    at a time.  ``None`` defers to the ``REPRO_PARALLELISM`` environment
+    variable, defaulting to 1 (serial).  Results are bitwise-identical
+    at every parallelism level; see :mod:`repro.core.parallel` for the
+    determinism contract.
     """
 
     level: int = 2

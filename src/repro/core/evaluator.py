@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from repro.storage import ArrayStore, TiledMatrix, TiledVector
 from .config import OptimizerConfig
 from .costs import stream_window
 from .expr import Crossprod, Node, Range, Scalar
-from .parallel import resolve_parallelism
+from .parallel import TileParallelism, resolve_parallelism
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
                    PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
@@ -104,15 +103,13 @@ class Evaluator:
         #: Run repro.analysis.planlint.verify_plan before every
         #: execute() (OptimizerConfig(strict=True) sets this).
         self.strict = strict
-        #: Worker count for plan- and tile-level parallelism.  ``None``
-        #: defers to $REPRO_PARALLELISM (default 1 = serial), so a CI
-        #: run can parallelize every evaluator without code changes.
+        #: Worker count inside the tile kernels.  ``None`` defers to
+        #: $REPRO_PARALLELISM (default 1 = serial), so a CI run can
+        #: parallelize every evaluator without code changes.
         self.parallelism = resolve_parallelism(parallelism)
-        # Worker pools are created lazily (first parallel execution)
-        # and live for the evaluator's lifetime; see shutdown().
-        self._op_executors: dict[int, object] = {}
-        self._tile_parallel = None
-        self._serial_kernels = False
+        # The worker pool is created lazily (first parallel kernel) and
+        # lives for the evaluator's lifetime; see shutdown().
+        self._tile_parallel: TileParallelism | None = None
         # Sparse matrix -> its dense twin, so a sparse object consumed
         # by several dense-only contexts is converted (read fully +
         # written as dense tiles) once, not once per consumer.
@@ -122,52 +119,23 @@ class Evaluator:
     # Parallelism plumbing
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Join this evaluator's worker pools (idempotent)."""
-        for ex in self._op_executors.values():
-            ex.shutdown()
-        self._op_executors.clear()
+        """Join this evaluator's kernel worker pool (idempotent)."""
         if self._tile_parallel is not None:
             self._tile_parallel.shutdown()
             self._tile_parallel = None
-
-    def _plan_executor(self, workers: int):
-        ex = self._op_executors.get(workers)
-        if ex is None:
-            from .parallel import ParallelExecutor
-            ex = self._op_executors[workers] = \
-                ParallelExecutor(self, workers)
-        return ex
 
     def _kernel_parallel(self):
         """The shared TileParallelism, or None when running serial.
 
         Tile-level parallelism is measurement-safe (all pool/device
         traffic stays on the calling thread in serial order), so it is
-        active even on cold measured runs — except under
-        :meth:`serial_kernels`, which forces an honest workers=1
-        baseline.
+        active on cold measured runs too.
         """
-        if self.parallelism <= 1 or self._serial_kernels:
+        if self.parallelism <= 1:
             return None
         if self._tile_parallel is None:
-            from .parallel import TileParallelism
             self._tile_parallel = TileParallelism(self.parallelism)
         return self._tile_parallel
-
-    @contextmanager
-    def serial_kernels(self):
-        """Disable tile-level kernel parallelism inside the block.
-
-        Used by ``explain(analyze=True)``'s baseline run: the serial
-        wall time it compares the parallel schedule against must not
-        get tile-parallel help.
-        """
-        prev = self._serial_kernels
-        self._serial_kernels = True
-        try:
-            yield
-        finally:
-            self._serial_kernels = prev
 
     # ------------------------------------------------------------------
     # Entry point
@@ -214,45 +182,13 @@ class Evaluator:
         a dirty block evicted during a later operator counts there.
         Totals are exact, per-op splits approximate.)
 
-        With ``parallelism > 1``, *warm* runs schedule independent
-        operators onto the worker pool (see
-        :class:`repro.core.parallel.ParallelExecutor`); results stay
-        bitwise-identical.  ``cold=True`` runs always schedule ops
-        serially — exclusive per-op deltas only sum exactly to the
-        session totals when one op runs at a time — while tile-level
-        kernel parallelism (which keeps all I/O on the calling thread)
-        stays active either way.  Use :meth:`execute_parallel` to get
-        a parallel schedule for a cold run.
-        """
-        with self._execution(plan, cold):
-            for op in plan.ops():
-                op.measured_io = None
-                op.measured = None
-                op.pool_measured = None
-                op.wall_ns = None
-            if cold or self.parallelism <= 1:
-                memo: dict[int, object] = {}
-                for op in plan.ops():
-                    self._keep(op, self._measured_op(op, memo)[0], memo)
-                result = memo[id(plan.root.node)]
-            else:
-                result = self._plan_executor(
-                    self.parallelism).execute(plan)
-            if cold:
-                self._flush_into_root(plan.root)
-        plan.executed = True
-        return result
-
-    @contextmanager
-    def _execution(self, plan: PhysicalPlan, cold: bool):
-        """The window every plan execution runs in: verify the plan
-        when strict, start from an empty densified-twin cache (and an
-        empty pool when ``cold``), run inside the ``execute:level<n>``
-        span, and drain the cache again on the way out.
-
-        The cache de-duplicates conversions *within* one execution, so
-        a long session never pins the sparse operands it densified —
-        not even the last evaluation's.
+        Operators run one at a time at every worker count, warm or
+        cold, so the per-op deltas are exclusive and sum field for
+        field to the session totals.  ``parallelism > 1`` only hands
+        the GEMMs inside the tile kernels to worker threads
+        (:class:`repro.core.parallel.TileParallelism`), which keeps all
+        I/O on this thread in serial order: results and block counts,
+        in total and per op, are the same at any worker count.
         """
         if self.strict:
             # Imported lazily: repro.analysis depends on repro.core,
@@ -260,37 +196,29 @@ class Evaluator:
             from repro.analysis.planlint import verify_plan
             verify_plan(plan, memory_scalars=self.memory_scalars,
                         block_scalars=self.store.matrix_scalars_per_block)
+        for op in plan.ops():
+            op.measured_io = None
+            op.measured = None
+            op.pool_measured = None
+            op.wall_ns = None
+        # The densified-twin cache de-duplicates conversions *within*
+        # one execution, so a long session never pins the sparse
+        # operands it densified — not even the last evaluation's.
         self._densified_cache.clear()
         if cold:
             self.store.pool.clear()
+        memo: dict[int, object] = {}
         try:
             with self.store.tracer.span(
                     f"execute:level{plan.level}", cat="session"):
-                yield
+                for op in plan.ops():
+                    self._keep(op, self._measured_op(op, memo), memo)
+                if cold:
+                    self._flush_into_root(plan.root)
         finally:
             self._densified_cache.clear()
-
-    def execute_parallel(self, plan: PhysicalPlan, *,
-                         cold: bool = False,
-                         workers: int | None = None):
-        """Execute a plan on the worker pool, recording its schedule.
-
-        Unlike :meth:`execute` this never takes exclusive per-op
-        deltas (``op.measured`` stays whatever it was — exactness
-        needs serial op scheduling); instead it fills
-        ``plan.parallel_schedule`` with per-op worker assignments and
-        start/end times.  ``cold=True`` still empties the pool first
-        and flushes dirty frames after, so the recorded wall time is
-        comparable to a cold serial run's.  This is the first half of
-        ``explain(analyze=True)``'s dual run.
-        """
-        w = (self.parallelism if workers is None
-             else resolve_parallelism(workers))
-        with self._execution(plan, cold):
-            result = self._plan_executor(w).execute(plan)
-            if cold:
-                self.store.pool.flush_all()
-        return result
+        plan.executed = True
+        return memo[id(plan.root.node)]
 
     def _flush_into_root(self, root: PhysOp) -> None:
         """Flush dirty frames, charging the write-back to the root op.
@@ -301,7 +229,7 @@ class Evaluator:
         delta keeps per-op sums equal to the session totals over the
         whole (cold) execution window.
         """
-        _, io, pool, _, wall_ns = self._measured(self.store.pool.flush_all)
+        _, io, pool, wall_ns = self._measured(self.store.pool.flush_all)
         if root.measured is not None:
             root.measured = root.measured.merged(io)
             root.measured_io = root.measured.total
@@ -313,34 +241,32 @@ class Evaluator:
     def _measured(self, work):
         """Run ``work()`` between samples of the device counters, the
         pool counters and the clock; returns ``(result, I/O delta, pool
-        delta, start ns, wall ns)``."""
+        delta, wall ns)``."""
         io_before = self.store.device.stats.snapshot()
         pool_before = self.store.pool.stats.snapshot()
         start_ns = time.perf_counter_ns()
         result = work()
         wall_ns = time.perf_counter_ns() - start_ns
         return (result, self.store.device.stats.delta(io_before),
-                self.store.pool.stats.delta(pool_before), start_ns,
-                wall_ns)
+                self.store.pool.stats.delta(pool_before), wall_ns)
 
     def _measured_op(self, op: PhysOp, memo: dict[int, object]):
         """Run one operator's own work (children already done) inside
-        its span and record its I/O / pool / wall deltas on it; returns
-        ``(result, start ns)``.
+        its span, record its I/O / pool / wall deltas on it and return
+        its result.
 
-        One operator at a time (serial execution) makes the deltas sum
-        exactly to the session totals — the invariant the obs hypothesis
-        test asserts on random DAGs; on the worker pool they are window
-        deltas (see :class:`~repro.core.parallel.ParallelExecutor`).
+        One operator at a time makes the deltas sum exactly to the
+        session totals — the invariant the obs hypothesis test asserts
+        on random DAGs.
         """
         def work():
             with self.store.tracer.span(op.label(), cat="op"):
                 return self._dispatch_op(op, memo)
 
-        (result, op.measured, op.pool_measured, start_ns,
-         op.wall_ns) = self._measured(work)
+        result, op.measured, op.pool_measured, op.wall_ns = \
+            self._measured(work)
         op.measured_io = op.measured.total
-        return result, start_ns
+        return result
 
     def _dispatch_op(self, op: PhysOp, memo: dict[int, object]):
         """Run one operator's own work (inputs already in ``memo``)."""

@@ -106,7 +106,9 @@ class PhysOp:
     trio: ``measured`` (an ``IOStats`` delta: blocks split seq/rand,
     bytes, syscalls, read/write ns), ``pool_measured`` (a ``PoolStats``
     delta) and ``wall_ns``; ``measured_io`` stays the plain block total
-    for backward compatibility.
+    for backward compatibility.  Operators run one at a time at every
+    worker count, so each measurement is exclusive of every other
+    operator's and the same at any ``parallelism``.
     """
 
     kind = "op"
@@ -131,15 +133,6 @@ class PhysOp:
         self.measured = None       # IOStats delta once executed
         self.pool_measured = None  # PoolStats delta once executed
         self.wall_ns: int | None = None
-        #: Predicted peak buffer-pool frames this op needs while running
-        #: (attached by the planner) — the parallel executor's admission
-        #: currency.  None means "assume the whole budget".
-        self.footprint_blocks: float | None = None
-        # Filled by the parallel executor: which worker slot ran the op
-        # and when (ns relative to the schedule's start).
-        self.worker: int | None = None
-        self.sched_start_ns: int | None = None
-        self.sched_end_ns: int | None = None
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -303,10 +296,6 @@ class PhysicalPlan:
         self.root = root
         self.level = level
         self.executed = False
-        #: Filled by the parallel executor: workers, wall_ns,
-        #: critical_path_ns, sum_op_ns and the per-op schedule; the
-        #: session adds baseline_wall_ns after the serial analyze run.
-        self.parallel_schedule: dict | None = None
 
     # -- traversal -----------------------------------------------------
     def ops(self):
@@ -332,63 +321,6 @@ class PhysicalPlan:
         if not self.executed:
             return None
         return sum(op.measured_io or 0 for op in self.ops())
-
-    # -- parallel schedule ---------------------------------------------
-    @staticmethod
-    def _op_duration_ns(op: PhysOp) -> int:
-        if op.sched_start_ns is not None and op.sched_end_ns is not None:
-            return op.sched_end_ns - op.sched_start_ns
-        return op.wall_ns or 0
-
-    def sum_op_ns(self) -> int:
-        """Total op work (ns): what one worker would take back-to-back."""
-        return sum(self._op_duration_ns(op) for op in self.ops())
-
-    def critical_path_ns(self) -> int:
-        """Length (ns) of the longest dependency chain through the plan
-        — the lower bound no worker count can beat."""
-        memo: dict[int, int] = {}
-
-        def visit(op: PhysOp) -> int:
-            cached = memo.get(id(op))
-            if cached is not None:
-                return cached
-            below = max((visit(c) for c in op.children), default=0)
-            memo[id(op)] = total = self._op_duration_ns(op) + below
-            return total
-
-        return visit(self.root)
-
-    def render_schedule(self) -> str:
-        """Render the parallel executor's schedule: per-op worker
-        assignment and timeline, critical path vs sum-of-op time, and
-        (when the session ran the serial baseline) measured speedup."""
-        sched = self.parallel_schedule
-        if not sched:
-            return "(no parallel schedule recorded)"
-        lines = [f"-- parallel schedule (workers={sched['workers']}) --"]
-        for entry in sched["ops"]:
-            start = (entry["start_ns"] or 0) / 1e6
-            end = (entry["end_ns"] or 0) / 1e6
-            lines.append(f"w{entry['worker']}  "
-                         f"{start:9.3f} -{end:9.3f} ms  "
-                         f"{entry['label']}")
-        crit = sched["critical_path_ns"] / 1e6
-        total = sched["sum_op_ns"] / 1e6
-        bound = total / crit if crit > 0 else 1.0
-        lines.append(f"critical path {crit:.3f} ms | sum of op time "
-                     f"{total:.3f} ms | parallelizable up to "
-                     f"{bound:.2f}x")
-        wall = sched["wall_ns"] / 1e6
-        base_ns = sched.get("baseline_wall_ns")
-        if base_ns:
-            speedup = base_ns / sched["wall_ns"]
-            lines.append(f"measured: {wall:.3f} ms at workers="
-                         f"{sched['workers']} vs {base_ns / 1e6:.3f} ms "
-                         f"serial | speedup {speedup:.2f}x")
-        else:
-            lines.append(f"measured: {wall:.3f} ms wall")
-        return "\n".join(lines)
 
     # -- rendering -----------------------------------------------------
     def signature(self) -> str:

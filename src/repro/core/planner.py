@@ -40,8 +40,7 @@ from .config import OptimizerConfig
 from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
                     crossprod_io, crossprod_side_fits, gather_io,
                     inverse_io, matmul_epilogue_io, scatter_io,
-                    solve_op_io, stream_io, stream_window,
-                    transpose_materialize_io)
+                    solve_op_io, stream_io, transpose_materialize_io)
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
@@ -262,35 +261,8 @@ class Planner:
             # A side product is computed by its crossprod's operator.
             op = self._memo[id(node)] = self._lower(host)
             return op
-        op = self._lower_inner(node)
-        op.footprint_blocks = self._footprint(op)
-        self._memo[id(node)] = op
+        op = self._memo[id(node)] = self._lower_inner(node)
         return op
-
-    def _footprint(self, op: PhysOp) -> float:
-        """Predicted peak pool residency (blocks) — admission control.
-
-        The parallel executor only co-schedules operators whose summed
-        footprints fit the pool capacity.  Tiled kernels are sized to
-        the full working-memory budget (that is the point of the
-        Appendix-A schedules), so they claim it all and effectively run
-        alone at plan level — tile-level parallelism covers them
-        internally.  A region, a gather or a scatter holds one window
-        of each source and of its output
-        (:func:`repro.core.costs.stream_window`); leaves and scalars pin
-        nothing themselves.
-        """
-        budget = self.memory_scalars / self.block_scalars
-        if isinstance(op, (LeafOp, ScalarOp)):
-            return 0.0
-        if isinstance(op, (GatherOp, ScatterOp)):
-            sources = 1
-        elif op.region is not None and not isinstance(op,
-                                                      FusedEpilogueOp):
-            sources = len(op.region.sources)
-        else:
-            return budget
-        return min(budget, stream_window(budget, sources) * (sources + 1))
 
     def _lower_inner(self, node: Node) -> PhysOp:
         blk = self.block_scalars

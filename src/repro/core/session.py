@@ -24,8 +24,6 @@ number — is unwrapped by the handles' one rule (``_scalarize``).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.obs import CalibrationReport, MetricsRegistry
@@ -296,13 +294,10 @@ class RiotSession:
         I/O delta (blocks, bytes, syscalls, device time), buffer-pool
         behavior, wall-clock, and the measured/predicted ratio —
         flagged when it leaves the validated 0.5–2.0x band — followed
-        by a per-cost-model calibration summary.  With
-        ``OptimizerConfig(parallelism=N)`` (N > 1) the plan is run
-        twice — once on the worker pool to capture the parallel
-        schedule, once serially for the exact per-op measurements and
-        the baseline wall time — and a schedule section (per-op worker
-        assignment, critical path vs sum of op time, measured speedup)
-        is appended.
+        by a per-cost-model calibration summary.  The plan runs once,
+        cold, at any ``parallelism``: operators run one at a time and
+        kernel workers keep all I/O on the calling thread, so the
+        per-op measurements are exclusive whatever the worker count.
         """
         node = _scalarize(obj)
         if analyze:
@@ -312,21 +307,7 @@ class RiotSession:
             # run again).
             with self.tracer.recording():
                 plan = self.plan(node)
-                if self.evaluator.parallelism > 1:
-                    # Parallel run first: captures the schedule
-                    # (worker assignments, per-op start/end).  The
-                    # serial run below neither clears it nor records
-                    # one of its own.
-                    self.evaluator.execute_parallel(plan, cold=True)
-                # Serial cold run: exact exclusive per-op deltas, and
-                # — with tile parallelism off too — an honest
-                # workers=1 baseline for the schedule's speedup line.
-                t0 = time.perf_counter_ns()
-                with self.evaluator.serial_kernels():
-                    self.evaluator.execute(plan, cold=True)
-                if plan.parallel_schedule is not None:
-                    plan.parallel_schedule["baseline_wall_ns"] = \
-                        time.perf_counter_ns() - t0
+                self.evaluator.execute(plan, cold=True)
         else:
             plan = self.plan(node)
             if self.config.strict:
@@ -341,8 +322,6 @@ class RiotSession:
                 + plan.render(analyze=analyze))
         if analyze:
             text += "\n" + self._render_analyze_summary(plan)
-            if plan.parallel_schedule is not None:
-                text += "\n" + plan.render_schedule()
         return text
 
     def _render_analyze_summary(self, plan: PhysicalPlan) -> str:

@@ -59,7 +59,7 @@ class Span:
     the *same thread*, or ``-1`` at top level.  ``args`` carries caller
     annotations (panel coordinates, op labels, ...).  ``tid`` is the
     tracer's compact thread index (1 = the first thread that opened a
-    span; parallel workers get 2, 3, ...), so the Chrome exporter lays
+    span; worker threads get 2, 3, ...), so the Chrome exporter lays
     concurrent spans on separate tracks.
     """
 
@@ -224,14 +224,15 @@ class Tracer:
 
     ``device``/``pool`` are optional stat sources snapshotted at span
     boundaries (duck-typed: ``.stats.snapshot()``/``.stats.delta()``).
-    One tracer belongs to one store/session, and since the parallel
-    executor it is thread-aware: each thread nests spans on its own
-    stack (``threading.local``), the sequence counter and the ring
-    buffer are lock-protected, and every span records a compact thread
-    id for the Chrome exporter.  Note that a span's io/pool deltas are
-    taken from the *shared* store counters — exclusive attribution
-    therefore holds on serial (e.g. ``cold=True`` measurement) runs,
-    while concurrent spans see overlapping deltas.
+    One tracer belongs to one store/session, and it is thread-aware
+    for worker threads: each thread nests spans on its own stack
+    (``threading.local``), the sequence counter and the ring buffer are
+    lock-protected, and every span records a compact thread id for the
+    Chrome exporter.  Note that a span's io/pool deltas are taken from
+    the *shared* store counters — exclusive attribution therefore holds
+    as long as one thread at a time does I/O, as the evaluator's
+    operator loop and tile kernels do; concurrent spans that do I/O see
+    overlapping deltas.
     """
 
     def __init__(self, device=None, pool=None,
@@ -364,7 +365,7 @@ class Tracer:
         events with microsecond ``ts``/``dur``, one process with one
         track per recorded thread (the span's ``tid``), and the span's
         I/O + pool deltas under ``args`` so block counts are visible in
-        the trace viewer's detail pane — parallel workers show up as
+        the trace viewer's detail pane — worker threads show up as
         overlapping tracks in Perfetto.
         """
         spans = self.spans()

@@ -31,11 +31,10 @@ what they always were, so every ``PoolStats`` field and every device
 block total is independent of the batching; only ``write_calls``
 shrinks.
 
-Concurrency contract (parallel plan execution)
-----------------------------------------------
+Concurrency contract (worker threads)
+------------------------------------
 
-The pool is safe to share between the worker threads of a parallel
-plan.  One re-entrant lock (``pool.lock``) serializes every public
+The pool is safe to share between worker threads.  One re-entrant lock (``pool.lock``) serializes every public
 method — lookups, the CLOCK/LRU sweep, eviction, the drain of deferred
 write-backs, pin accounting, and all ``PoolStats``/``IOStats``/
 scheduler-state increments happen inside it, so counter updates are

@@ -1050,9 +1050,9 @@ class ArrayStore:
             # at span boundaries; observers fire even with tracing off.
             self.pool.attach_tracer(self.tracer)
         self._counter = 0
-        # Parallel plan workers create temporaries concurrently; the
-        # name counter and registry are the store's only mutable state
-        # not already serialized by the pool's lock.
+        # Worker threads may create temporaries concurrently; the name
+        # counter and registry are the store's only mutable state not
+        # already serialized by the pool's lock.
         self._names_lock = threading.Lock()
         self._arrays: dict[str, TiledVector | TiledMatrix] = {}
         self._closed = False

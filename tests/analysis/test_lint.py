@@ -256,6 +256,39 @@ class TestRPR006ElementwiseLookup:
         assert found == []
 
 
+class TestRPR007ExecutorHome:
+    def test_executor_outside_parallel_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "pool = ThreadPoolExecutor(max_workers=4)\n",
+            name="core/evaluator.py")
+        assert codes(found) == ["RPR007"]
+        assert "core/parallel.py" in found[0].message
+
+    def test_module_qualified_call_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "import concurrent.futures as cf\n"
+            "pool = cf.ThreadPoolExecutor(2)\n",
+            name="linalg/matmul.py")
+        assert codes(found) == ["RPR007"]
+
+    def test_parallel_module_exempt_by_place(self, tmp_path):
+        source = "pool = ThreadPoolExecutor(max_workers=2)\n"
+        assert lint_source(tmp_path, source,
+                           name="core/parallel.py") == []
+        found = lint_source(tmp_path, source, name="sparse/parallel.py")
+        assert codes(found) == ["RPR007"]
+
+    def test_import_alone_is_clean(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "kind = ThreadPoolExecutor\n")
+        assert found == []
+
+
 class TestSelectAndErrors:
     def test_select_filters_rules(self, tmp_path):
         source = ("dev = BlockDevice()\n"
@@ -284,7 +317,7 @@ class TestSelfHosting:
 
     def test_all_rules_constant_matches_docs(self):
         assert ALL_RULES == ("RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005", "RPR006")
+                             "RPR005", "RPR006", "RPR007")
 
 
 class TestCLI:
@@ -314,6 +347,14 @@ class TestCLI:
         proc = self.run_cli("--select", "RPR006", str(bad))
         assert proc.returncode == 1
         assert "RPR006" in proc.stdout
+
+    def test_seeded_second_executor_exits_one(self, tmp_path):
+        bad = tmp_path / "core" / "evaluator.py"
+        bad.parent.mkdir()
+        bad.write_text("pool = ThreadPoolExecutor(max_workers=4)\n")
+        proc = self.run_cli("--select", "RPR007", str(tmp_path))
+        assert proc.returncode == 1
+        assert "RPR007" in proc.stdout
 
     def test_unknown_rule_rejected(self, tmp_path):
         bad = tmp_path / "f.py"

@@ -1,9 +1,10 @@
-"""Parallel plan execution: determinism, scheduling, and knobs.
+"""Tile-level parallelism: determinism, one executor, and knobs.
 
 The contract under test (see ``repro.core.parallel``): results are
 bitwise-identical at every parallelism level, simulated block counts
-for dependency chains are identical at every worker count, and
-``explain(analyze=True)`` renders the measured schedule.
+are identical at every worker count, operators run one at a time so
+every op's measurement is too, and ``explain(analyze=True)`` runs the
+plan once.
 """
 
 from unittest import mock
@@ -144,66 +145,78 @@ class TestDeterministicCounts:
         assert counts[8] == counts[1]
 
 
+_IO_FIELDS = ("reads", "writes", "read_calls", "write_calls",
+              "bytes_read", "bytes_written")
+
+
+def _per_op_counts(workers: int, build, cold: bool):
+    """Each executed op's label, block total and simulated counters."""
+    s = make_session(workers, mem_scalars=24 * 1024)
+    try:
+        plan = s.plan(build(s).node)
+        s.evaluator.execute(plan, cold=cold)
+        return [(op.label(), op.measured_io,
+                 {f: getattr(op.measured, f) for f in _COUNT_FIELDS})
+                for op in plan.ops()]
+    finally:
+        s.close()
+
+
 class TestScheduleAndExplain:
-    def test_explain_analyze_renders_schedule(self, rng):
-        s = make_session(2)
+    """Operators run one at a time at every worker count, so what each
+    one measures does not depend on ``parallelism``."""
+
+    def test_per_op_measurements_identical(self, rng):
+        a, b, c, d = (rng.standard_normal(shape) for shape in
+                      ((96, 64), (64, 80), (96, 48), (48, 80)))
+        e = rng.standard_normal((80, 56))
+
+        def products_sum(s):
+            return (s.matrix(a) @ s.matrix(b)
+                    + s.matrix(c) @ s.matrix(d))
+
+        def chain(s):
+            return s.matrix(a) @ s.matrix(b) @ s.matrix(e)
+
+        for build in (products_sum, chain):
+            for cold in (False, True):
+                ref = _per_op_counts(1, build, cold)
+                assert all(io is not None for _, io, _ in ref)
+                for workers in (2, 4):
+                    assert _per_op_counts(workers, build, cold) == ref
+
+    def test_serial_explain_has_no_schedule(self, rng):
+        for workers in (1, 2, 4):
+            s = make_session(workers)
+            try:
+                a = s.matrix(rng.standard_normal((64, 64)))
+                text = s.explain(a @ a, analyze=True)
+            finally:
+                s.close()
+            assert "-- analyze" in text
+            assert "schedule" not in text
+
+    def test_parallel_explain_analyze_executes_once(self, rng):
+        s = make_session(2, mem_scalars=24 * 1024)
         try:
             a = s.matrix(rng.standard_normal((96, 64)), name="A")
             b = s.matrix(rng.standard_normal((64, 80)), name="B")
-            text = s.explain(a @ b, analyze=True)
+            expr = a @ b
+            plan = s.plan(expr.node)
+
+            def delta(run):
+                s.store.pool.clear()
+                before = s.io_stats.snapshot()
+                run()
+                after = s.io_stats.delta(before)
+                return {f: getattr(after, f) for f in _IO_FIELDS}
+
+            explained = delta(lambda: s.explain(expr, analyze=True))
+            executed = delta(lambda: s.evaluator.execute(plan, cold=True))
         finally:
             s.close()
-        assert "-- parallel schedule (workers=2) --" in text
-        assert "critical path" in text
-        assert "sum of op time" in text
-        assert "measured:" in text  # parallel vs serial baseline
-
-    def test_serial_explain_has_no_schedule(self, rng):
-        s = make_session(1)
-        try:
-            a = s.matrix(rng.standard_normal((64, 64)))
-            text = s.explain(a @ a, analyze=True)
-        finally:
-            s.close()
-        assert "parallel schedule" not in text
-
-    def test_warm_parallel_run_records_schedule(self, rng):
-        s = make_session(4)
-        try:
-            a = s.matrix(rng.standard_normal((96, 48)))
-            b = s.matrix(rng.standard_normal((48, 96)))
-            plan = s.plan((a @ b).node)
-            s.evaluator.execute(plan)
-            sched = plan.parallel_schedule
-            assert sched is not None
-            assert sched["workers"] == 4
-            assert len(sched["ops"]) == len(list(plan.ops()))
-            for entry in sched["ops"]:
-                assert 0 <= entry["worker"] < 4
-                assert entry["end_ns"] >= entry["start_ns"]
-            assert sched["critical_path_ns"] <= sched["sum_op_ns"]
-        finally:
-            s.close()
-
-    def test_parallel_error_propagates(self, rng):
-        s = make_session(2, mem_scalars=24 * 1024)
-        try:
-            a = s.matrix(rng.standard_normal((32, 32)))
-            plan = s.plan((a @ a).node)
-            ev = s.evaluator
-            orig = ev._dispatch_op
-
-            def boom(op, memo):
-                raise RuntimeError("kernel exploded")
-
-            ev._dispatch_op = boom
-            try:
-                with pytest.raises(RuntimeError, match="exploded"):
-                    ev.execute_parallel(plan)
-            finally:
-                ev._dispatch_op = orig
-        finally:
-            s.close()
+        assert executed["reads"] > 0
+        assert explained == executed
 
 
 class TestTileParallelism:

@@ -221,9 +221,6 @@ class _Run:
         s.close()
 
 
-# errstate is per thread: under REPRO_PARALLELISM > 1 the stream runs on
-# a plan worker, where only the warning filter reaches.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(steps=dag_specs(), n=st.integers(1, 40 * CHUNK),
        lo=st.integers(-5, 5), seed=st.integers(0, 2 ** 16))
@@ -376,7 +373,6 @@ def _tile_fold(values: np.ndarray, th: int, tw: int) -> dict[str, float]:
             "max": high}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(steps=dag_specs(), form=st.sampled_from(MATRIX_FORMS),
        rows=st.integers(1, 20), cols=st.integers(1, 20),

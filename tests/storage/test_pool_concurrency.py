@@ -1,7 +1,7 @@
 """Concurrency stress tests for the thread-safe buffer pool.
 
 N threads hammer pin/unpin/prefetch/get/eviction on one pool and the
-invariants that the parallel plan executor depends on must hold: pin
+invariants that concurrent pool users depend on must hold: pin
 counts drain to zero, residency never exceeds capacity, no IOStats or
 PoolStats increment is lost, and data read back is what was written.
 The suite also runs under ``REPRO_SANITIZE=1`` in the CI parallel job.
