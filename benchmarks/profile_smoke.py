@@ -23,7 +23,10 @@ when any exercised model's median ratio leaves the validated
 The workload regime matters: X is 512 x 256 against a 48 K-scalar
 (48-block) pool, so every operator genuinely runs out of core.  With a
 pool that holds the operands, measured I/O collapses and the ratios
-say nothing about the models.
+say nothing about the models.  The models it exercises are
+``crossprod_io`` with its side term — X'X's packed triangle and a
+32-row slab of X leave room for y, so ``t(X) %*% y`` rides on the one
+scan of X — and ``solve_io``.
 """
 
 from __future__ import annotations

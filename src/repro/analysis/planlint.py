@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.costs import COST_MODELS, crossprod_side_fits
+from repro.core.costs import COST_MODELS, crossprod_schedule
 from repro.core.expr import (Crossprod, MatMul, Node, Range, Scalar,
                              Solve)
 from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
@@ -63,12 +63,42 @@ def _check_square_budget(op: PhysOp, operand: Node, panels: int,
                   f"(needs >= {panels} scalars)")
 
 
-def _check_side_products(op: CrossprodOp, memory_scalars: int) -> None:
-    """A crossprod carrying side products: each is ``t(A) %*% B`` over
-    the crossprod's own operand with B as tall as A, and together they
-    fit beside its panel — the rule the planner shared them by and the
-    kernel would refuse them on."""
+def _check_crossprod(op: CrossprodOp, memory_scalars: int,
+                     block_scalars: int) -> None:
+    """A crossprod's schedule exists in the budget and its largest pass
+    — side products included — fits it
+    (:func:`repro.core.costs.crossprod_schedule`).  Side products need
+    an operand whose tiles are known at plan time, and the fit is the
+    rule the planner shared them by and the kernel would refuse them
+    on (:func:`repro.core.costs.crossprod_side_fits`)."""
     from repro.core.planner import operand_tile_side
+    a = op.node.children[0]
+    inner, k = a.shape if op.node.t_first else a.shape[::-1]
+    tile = operand_tile_side(a)
+    if op.side_nodes:
+        _check_side_products(op)
+        if tile is None:
+            _fail(op, "side products ride on a stored operand only: "
+                      "the schedule needs its tiles at plan time")
+    elif tile is None:
+        tile = default_tile_side(max(1, block_scalars),
+                                 memory_scalars // max(1, block_scalars),
+                                 a.shape)
+    try:
+        schedule = crossprod_schedule(inner, k, tile, memory_scalars)
+    except ValueError as exc:
+        _fail(op, str(exc))
+    cols = sum(side.shape[1] for side in op.side_nodes)
+    peak = schedule.peak(cols)
+    if peak > memory_scalars:
+        _fail(op, f"side products of {cols} columns do not fit beside "
+                  f"the crossprod schedule: its largest pass would hold "
+                  f"{peak} scalars of a budget of {memory_scalars}")
+
+
+def _check_side_products(op: CrossprodOp) -> None:
+    """Each side product is ``t(A) %*% B`` over the crossprod's own
+    operand, with B as tall as A."""
     a = op.node.children[0]
     if not op.node.t_first:
         _fail(op, "side products ride on t(A) %*% A only, not on a "
@@ -85,11 +115,6 @@ def _check_side_products(op: CrossprodOp, memory_scalars: int) -> None:
         if rows != a.shape[0]:
             _fail(op, f"side operand has {rows} rows, the crossprod's "
                       f"operand {a.shape[0]}")
-    cols = sum(side.shape[1] for side in op.side_nodes)
-    if not crossprod_side_fits(memory_scalars, operand_tile_side(a), cols):
-        _fail(op, f"side products of {cols} columns do not fit beside "
-                  f"the crossprod panel in {memory_scalars} scalars "
-                  f"(3p^2 + 2p*cols > M)")
 
 
 def _sparse_stored(node: Node) -> bool:
@@ -148,10 +173,7 @@ def _verify_op(op: PhysOp, memory_scalars: int,
         if node.shape != (k, k):
             _fail(op, f"output shape {node.shape} != {(k, k)} implied "
                       f"by its operand")
-        _check_square_budget(op, a, 3, memory_scalars, block_scalars,
-                             "crossprod_matmul")
-        if op.side_nodes:
-            _check_side_products(op, memory_scalars)
+        _check_crossprod(op, memory_scalars, block_scalars)
         return
 
     # -- sparse products (kernel-pin legality) -------------------------

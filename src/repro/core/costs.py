@@ -13,6 +13,7 @@ a validation the paper itself did not show.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from repro.storage.tile_store import default_tile_side
 
@@ -74,8 +75,9 @@ def transpose_materialize_io(rows: float, cols: float,
 
 def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
     """The Appendix-A submatrix side ``p = sqrt(M / panels)``,
-    tile-aligned — the panel of ``square_tile_matmul`` and
-    ``crossprod_matmul``, stated once for kernel, planner and verifier.
+    tile-aligned — the panel of ``square_tile_matmul`` and the
+    Appendix-A candidate of :func:`crossprod_schedule`, stated once for
+    kernels, planner and verifier.
 
     ``panels`` is the number of p x p submatrices resident at once.
     When the budget cannot hold ``panels`` whole storage tiles the
@@ -90,50 +92,182 @@ def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
     return max(tile_side, (p // tile_side) * tile_side)
 
 
-def crossprod_side_fits(memory: float, tile_side: int,
+def _packed_triangle(w: int, rows: int) -> int:
+    """Scalars of the upper triangle of a w x w block kept as tile
+    rows ``rows`` high, each from its diagonal tile to the block's
+    right edge: ``sum_r height_r * (w - r * rows)``."""
+    n = -(-w // rows)
+    last = w - (n - 1) * rows
+    return rows * ((n - 1) * w - rows * (n - 1) * (n - 2) // 2) \
+        + last * last
+
+
+@dataclass(frozen=True)
+class CrossprodSchedule:
+    """The output-stationary schedule of ``crossprod_matmul``, stated
+    once for kernel, cost model and verifier.
+
+    The upper triangle of the k x k result is cut into ``regions``
+    ``(i0, i1, j0, j1)`` of ``side`` (a) columns, each held in memory
+    for one pass while A streams through it in slabs of ``slab`` (h)
+    rows.  A diagonal region (``i0 == j0``) keeps its upper triangle
+    packed in tile rows ``rows`` high and reads its own a columns of
+    every slab; an off-diagonal region keeps its whole rectangle and
+    reads both column ranges.  With one region (``side == k``) A is
+    read exactly once.
+
+    A pass over a region holds the region, one slab of every column
+    range it reads and, with a fused epilogue, one ``rows``-sided tile
+    of each of the ``epilogue_inputs`` extra operands; a diagonal
+    region carrying side products ``t(A) %*% B_i`` also holds each B's
+    slab and the region's rows of each result, ``(a + h) sum(n_i)``.
+    The product a GEMM folds in is a transient the schedule does not
+    count, as Appendix A never counted it.
+    """
+
+    m: int
+    k: int
+    side: int
+    slab: int
+    rows: int
+    epilogue_inputs: int
+    regions: tuple[tuple[int, int, int, int], ...]
+
+    def working_set(self, region: tuple[int, int, int, int],
+                    side_cols: float = 0) -> float:
+        """Scalars resident during the pass over ``region``."""
+        i0, i1, j0, j1 = region
+        held, cols = _pass(i1 - i0, j1 - j0, i0 == j0, self.rows,
+                           self.epilogue_inputs)
+        sides = (i1 - i0 + self.slab) * side_cols if i0 == j0 else 0
+        return held + self.slab * cols + sides
+
+    def peak(self, side_cols: float = 0) -> float:
+        """The largest working set of any pass."""
+        return max(self.working_set(r, side_cols) for r in self.regions)
+
+    def reads(self) -> int:
+        """Scalars of A the passes read: every region reads all m rows
+        of its column ranges, which sums to ``m k`` per diagonal
+        region."""
+        return self.m * self.k * self.diagonal_regions()
+
+    def diagonal_regions(self) -> int:
+        return -(-self.k // self.side)
+
+
+def _pass(wi: int, wj: int, diag: bool, rows: int,
+          extra: int) -> tuple[int, int]:
+    """``(scalars held, columns of A read per slab row)`` of a pass over
+    a wi x wj region: its packed triangle or rectangle plus one tile
+    per epilogue input, and the columns of its one or two ranges."""
+    held = _packed_triangle(wi, rows) if diag else wi * wj
+    return held + extra * rows * rows, wi if diag else wi + wj
+
+
+def _slab_room(k: int, a: int, rows: int, extra: int,
+               memory: float) -> int:
+    """The tallest slab every pass of side ``a`` fits in ``memory``:
+    the minimum over the distinct region shapes."""
+    full, last = divmod(k, a)
+    shapes = [(a, a, True)] + ([(last, last, True)] if last else [])
+    if full >= 2:
+        shapes.append((a, a, False))
+    if full and last:
+        shapes.append((a, last, False))
+    return int(min((memory - held) // cols for held, cols in
+                   (_pass(*shape, rows, extra) for shape in shapes)))
+
+
+def crossprod_schedule(m: int, k: int, tile_side: int, memory: float,
+                       epilogue_inputs: int = 0) -> CrossprodSchedule:
+    """The :class:`CrossprodSchedule` of ``t(A) %*% A`` for an m x k A
+    with ``tile_side``-sided tiles in ``memory`` scalars, with
+    ``epilogue_inputs`` extra operands read by a fused epilogue.
+
+    Every region side a that is a whole number of tiles is a candidate,
+    paired with the tallest whole-tile slab h its passes fit — capped
+    at ``max(a, p)``, where ``p = square_panel(M, t, 3 + e)``: taller
+    slabs save no read, and the slack is room for side products.  So is
+    ``a = h = p``, Appendix A's three p x p submatrices, which also
+    covers budgets too small for whole tiles (ragged p).  The schedule
+    takes the candidate that reads A the fewest times (``ceil(k / a)``
+    passes over each column), then the tallest slab, then the smaller
+    side — so it never reads more than the Appendix-A schedule, and
+    reads A once whenever the packed triangle and one slab fit.  Rows
+    enter only the counts, never the choice.  Raises
+    :class:`ValueError` when ``memory`` cannot hold ``3 + e`` scalars.
+    """
+    k, extra = int(k), int(epilogue_inputs)
+    if memory < 3 + extra:
+        raise ValueError(
+            f"memory budget of {memory} scalars cannot hold {3 + extra} "
+            f"1 x 1 submatrices for crossprod_matmul: the crossprod "
+            f"schedule needs at least {3 + extra} scalars")
+    t = max(int(tile_side), 1)
+    p = square_panel(memory, t, 3 + extra)
+    # (passes over each column of A, -slab, side, slab)
+    best = (-(-k // p), -p, min(p, k), p)
+    for a in range(t, k + t, t):
+        a = min(a, k)
+        h = min(_slab_room(k, a, min(t, a), extra, memory), max(a, p))
+        h -= h % t
+        if h >= t:
+            best = min(best, (-(-k // a), -h, a, h))
+    _, _, a, h = best
+    bounds = [(lo, min(lo + a, k)) for lo in range(0, k, a)]
+    regions = tuple((i0, i1, j0, j1)
+                    for n, (i0, i1) in enumerate(bounds)
+                    for j0, j1 in bounds[n:])
+    return CrossprodSchedule(int(m), k, a, h, min(t, a), extra, regions)
+
+
+def crossprod_side_fits(memory: float, k: int, tile_side: int,
                         side_cols: float) -> bool:
     """Can ``crossprod_matmul`` carry side products ``t(A) %*% B_i``
-    with ``side_cols = sum(n_i)`` columns on its diagonal passes?
+    with ``side_cols = sum(n_i)`` columns on its diagonal passes, for
+    an A of k columns with ``tile_side``-sided tiles?
 
-    The crossprod keeps its own panel ``p = square_panel(M, tile, 3)``
-    — shrinking it would change the bits of ``t(A) %*% A`` — so the
-    side products fit when ``3 p^2 + 2 p sum(n_i) <= M``: the three
-    p x p submatrices plus each B's p-row rectangle and its p-row
-    result.  The one statement of the rule: the kernel refuses what it
-    rejects, the planner shares only what it accepts and the verifier
-    re-checks it.  ``tile_side = 1`` asks about the largest panel any
-    tile gives, a safe answer for an operand whose tiles are not known
-    yet (the predicate grows with p).
+    The schedule is :func:`crossprod_schedule`'s without the sides —
+    so the bits of ``t(A) %*% A`` never depend on sharing — and the
+    sides fit when its largest pass plus each B's slab and result rows,
+    ``(a + h) sum(n_i)`` on a diagonal region, stays within ``memory``.
+    The one statement of the rule: the kernel refuses what it rejects,
+    the planner shares only what it accepts and the verifier re-checks
+    it.
     """
-    p = square_panel(memory, tile_side, 3)
-    return 3 * p * p + 2 * p * side_cols <= memory
+    if memory < 3:
+        return False
+    schedule = crossprod_schedule(0, k, tile_side, memory)
+    return schedule.peak(side_cols) <= memory
 
 
 def crossprod_io(m: float, k: float, memory: float,
                  block: float, ratio: float = 1.0,
-                 side_cols: float = 0, tile_side: int = 1) -> float:
-    """I/O of the symmetric ``t(A) %*% A`` schedule for an m x k A.
+                 side_cols: float = 0,
+                 tile_side: int | None = None) -> float:
+    """I/O of ``t(A) %*% A`` for an m x k A: a count over
+    :func:`crossprod_schedule`.
 
-    Per inner panel the kernel reads one p x p operand block for each
-    diagonal output block (g of them) and two for each strictly-upper
-    pair (g(g-1)/2), totalling g^2 block reads per panel — half the
-    2 g^2 the general schedule pays — and every output block is written
-    once (mirrors are writes of already-resident data):
-
-    ``sqrt(3) * m k^2 / (B sqrt(M)) + k^2 / B``.  ``ratio`` scales the
-    device traffic by the storage codec's compressed-byte ratio.
+    Each diagonal region reads all m rows of its a columns of A, each
+    off-diagonal region both of its column ranges, which totals
+    ``m k ceil(k / a)`` scalars; every output block is written once
+    (mirrors are writes of already-resident data), ``k^2``.  One region
+    reads A once.  ``tile_side`` is A's; ``None`` takes the store's
+    default tile for an m x k matrix.  ``ratio`` scales the device
+    traffic by the storage codec's compressed-byte ratio.
 
     ``side_cols`` prices side products ``t(A) %*% B_i`` (``sum(n_i)``
     columns) computed on the diagonal passes: each m x n_i B is read
-    once per diagonal pass — ``ceil(k / p)`` of them, p the kernel's
-    ``square_panel(M, tile_side, 3)`` — and each k x n_i result is
-    written once.  A is not read again for them.
+    once per diagonal region and each k x n_i result is written once.
+    A is not read again for them.
     """
-    io = (math.sqrt(3.0) * m * k * k / (block * math.sqrt(memory))
-          + (k * k) / block)
+    if tile_side is None:
+        tile_side = _default_tile_side(memory, block, (m, k))
+    schedule = crossprod_schedule(int(m), int(k), tile_side, memory)
+    io = (schedule.reads() + k * k) / block
     if side_cols:
-        passes = math.ceil(k / square_panel(memory, tile_side, 3))
-        io += (passes * m + k) * side_cols / block
+        io += (schedule.diagonal_regions() * m + k) * side_cols / block
     return ratio * io
 
 
@@ -616,23 +750,28 @@ def solve_op_io(n: float, nrhs: float, memory: float, block: float,
 def crossprod_epilogue_io(m: float, k: float, extra_inputs: float,
                           memory: float, block: float,
                           fused: bool = True,
-                          ratio: float = 1.0) -> float:
+                          ratio: float = 1.0,
+                          tile_side: int | None = None) -> float:
     """I/O of ``map(crossprod(A), C1..Ce)`` — an elementwise epilogue
     over the symmetric product.
 
-    Fused, the panel shrinks to ``p = sqrt(M / (3 + e))`` (scaling the
-    operand-read term of :func:`crossprod_io` by ``sqrt(3 + e) /
-    sqrt(3)``), each extra operand is read once, and the kernel's
-    single write remains the only write.  Unfused, the raw product is
-    materialized and the elementwise pass re-reads it and writes the
-    final result.  ``ratio`` scales all device traffic by the storage
-    codec's compressed-byte ratio.
+    Fused, a count over :func:`crossprod_schedule` with ``e`` epilogue
+    inputs — each pass also holds one tile of every extra operand — plus
+    one read of each extra operand, and the kernel's single write
+    remains the only write.  Unfused, the raw product is materialized
+    by :func:`crossprod_io` and the elementwise pass re-reads it and
+    writes the final result.  ``tile_side`` is as there; ``ratio``
+    scales all device traffic by the storage codec's compressed-byte
+    ratio.
     """
+    if tile_side is None:
+        tile_side = _default_tile_side(memory, block, (m, k))
     if fused:
-        return ratio * (math.sqrt(3.0 + extra_inputs) * m * k * k
-                        / (block * math.sqrt(memory))
-                        + (1.0 + extra_inputs) * k * k / block)
-    return (crossprod_io(m, k, memory, block, ratio)
+        schedule = crossprod_schedule(int(m), int(k), tile_side, memory,
+                                      int(extra_inputs))
+        return ratio * (schedule.reads()
+                        + (1.0 + extra_inputs) * k * k) / block
+    return (crossprod_io(m, k, memory, block, ratio, tile_side=tile_side)
             + ratio * (2.0 + extra_inputs) * k * k / block)
 
 

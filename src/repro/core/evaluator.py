@@ -27,7 +27,7 @@ What the operators do, following §5:
 - **Out-of-core matmul.**  Products run the Appendix-A square-tile
   algorithm, BNLJ or a sparse kernel, as planned.  Transposed operand
   flags stream the stored tiles and transpose them in memory;
-  ``Crossprod`` runs the symmetric half-the-blocks schedule, and
+  ``Crossprod`` runs the symmetric output-stationary schedule, and
   computes any ``t(X) %*% B`` the planner paired with it on the same
   scan of X — one operator, one memo entry per node it computes.
 - **Fused matmul epilogues.**  A matrix region fed by exactly one

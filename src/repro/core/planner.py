@@ -10,12 +10,13 @@ elementwise epilogues — then picks by the I/O models of
 operator for ``session.explain()``.
 
 One choice spans operators: a prepass pairs every product
-``t(X) %*% B`` with the ``crossprod(X)`` of the same X when B fits
-beside the crossprod's panel
+``t(X) %*% B`` with the ``crossprod(X)`` of the same stored X when B
+fits beside the crossprod's schedule
 (:func:`~repro.core.costs.crossprod_side_fits`), so one
-:class:`~repro.core.plan.CrossprodOp` computes both from one scan of
-X — the shared-scan rule, on whenever epilogue fusion is (level >= 1,
-``fuse_epilogues`` not False).
+:class:`~repro.core.plan.CrossprodOp` computes both on the scan of X
+its schedule makes — the shared-scan rule, on whenever epilogue fusion
+is (level >= 1, ``fuse_epilogues`` not False).  When the schedule holds
+the whole upper triangle of X'X that is one scan of X for both.
 
 :func:`build_region` is the one statement of what a fused
 elementwise pass computes, for streams, maps, reductions and product
@@ -100,18 +101,15 @@ def build_region(root: Node,
     return Region(root, inputs, interior)
 
 
-def operand_tile_side(node: Node) -> int:
-    """Tile side the dense kernels will cut ``node``'s panels from.
-
-    A stored dense matrix knows its own; anything computed answers 1,
-    which gives the largest panel any tile side can
-    (:func:`repro.core.costs.square_panel`), so a fit decided on it
-    still holds for the tiles the operand turns out to have.
-    """
+def operand_tile_side(node: Node) -> int | None:
+    """Tile side the dense kernels will cut ``node``'s schedule from,
+    when it is known at plan time: a stored dense matrix knows its own;
+    anything computed answers ``None`` (the cost models then take the
+    store's default tile for its shape)."""
     tiles = getattr(getattr(node, "data", None), "tile_shape", None)
     if isinstance(node, ArrayInput) and tiles:
         return max(tiles)
-    return 1
+    return None
 
 
 def _is_side_product(host: Crossprod, node: Node) -> bool:
@@ -201,9 +199,10 @@ class Planner:
         barrier (both must get operators of their own), when B depends
         on no crossprod and no candidate product (so the shared
         operator can run after B without a cycle), and when it fits
-        beside the crossprod's panel together with the products taken
-        before it in DAG walk order
-        (:func:`repro.core.costs.crossprod_side_fits`).
+        beside the crossprod's schedule together with the products
+        taken before it in DAG walk order
+        (:func:`repro.core.costs.crossprod_side_fits`) — which needs
+        A's tiles, so only a stored A carries side products.
         """
         nodes = list(walk(root))
         barriers = set()
@@ -228,8 +227,9 @@ class Planner:
             host = hosts[id(a)]
             sides = self._sides.setdefault(id(host), [])
             cols = sum(s.shape[1] for s in sides) + n.shape[1]
-            if not crossprod_side_fits(self.memory_scalars,
-                                       operand_tile_side(a), cols):
+            tile = operand_tile_side(a)
+            if tile is None or not crossprod_side_fits(
+                    self.memory_scalars, a.shape[1], tile, cols):
                 continue
             sides.append(n)
             self._side_of[id(n)] = host
@@ -528,13 +528,16 @@ class Planner:
             detail=f"sides={len(sides)}" if sides else detail)
         op.cost_inputs = self._ratio_inputs(
             {"inner": inner, "k": k, "t_first": node.t_first})
+        if tile is not None:
+            op.cost_inputs["tile"] = tile
         if sides:
-            op.cost_inputs.update(side_cols=cols, tile=tile)
+            op.cost_inputs["side_cols"] = cols
             # The rejected alternative: the same crossprod plus each
             # product lowered on its own, as it would have been.
             op.alternatives.append((
                 "crossprod + separate t(a) %*% b",
-                crossprod_io(inner, k, mem, blk, self.io_ratio)
+                crossprod_io(inner, k, mem, blk, self.io_ratio,
+                             tile_side=tile)
                 + sum(self._lower_product(s).predicted_io
                       for s in sides)))
         return op
@@ -591,12 +594,14 @@ class Planner:
             a = barrier.children[0]
             inner, k = (a.shape if barrier.t_first
                         else a.shape[::-1])
+            tile = operand_tile_side(a)
             fused_io = crossprod_epilogue_io(inner, k, extra, mem,
                                              blk, fused=True,
-                                             ratio=ratio)
+                                             ratio=ratio, tile_side=tile)
             unfused_io = crossprod_epilogue_io(inner, k, extra, mem,
                                                blk, fused=False,
-                                               ratio=ratio)
+                                               ratio=ratio,
+                                               tile_side=tile)
             operand_ops = (self._lower(a),)
             model = "crossprod_epilogue_io"
             cost_inputs = self._ratio_inputs(

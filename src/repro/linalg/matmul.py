@@ -9,13 +9,15 @@ Real algorithms from the paper, all running against
   ``Theta(n1*n2*n3*(n2+n3)/(B*M))``.
 - :func:`square_tile_matmul` — the Appendix-A optimal schedule: p x p
   submatrices with ``p = sqrt(M/3)``, cost ``Theta(lmn/(B*sqrt(M)))``.
-- :func:`crossprod_matmul` — the symmetric ``t(A) %*% A`` schedule: only
-  upper-triangular output blocks are computed (mirrored on write), so it
-  moves about half the operand blocks of the general algorithm.  It can
-  also compute *side products* ``t(A) %*% B_i`` on its diagonal passes
-  from the A panel already in memory — the normal equations' X'X and
-  X'y from one scan of X, with X'y bitwise what the flagged square-tile
-  multiply gives.
+- :func:`crossprod_matmul` — the symmetric ``t(A) %*% A``, output-
+  stationary: :func:`repro.core.costs.crossprod_schedule` holds a
+  region of the upper triangle (the whole packed triangle when it fits
+  beside one slab of A) while A streams through it in slabs of whole
+  tile rows, so A is read once per region column range — once in all
+  when one region fits, and never more often than Appendix A's p x p
+  panels read it.  It can also compute *side products*
+  ``t(A) %*% B_i`` on its diagonal regions from the A slab already in
+  memory — the normal equations' X'X and X'y from one scan of X.
 
 The dense kernels take ``trans_a``/``trans_b`` *operand flags*: a flagged
 operand is multiplied as its transpose but **read in its stored layout**,
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costs import crossprod_side_fits, square_panel
+from repro.core.costs import (crossprod_schedule, crossprod_side_fits,
+                              square_panel)
 from repro.storage import ArrayStore, TiledMatrix
 
 
@@ -197,28 +200,138 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     return out
 
 
-class _SideFold:
-    """Fold target of a diagonal pass that carries side products.
+class _Fold:
+    """Fold target of a crossprod pass.
 
-    :func:`_accumulate` folds ``target += fn()``; on such a pass
-    ``fn()`` returns the ``t(A) A`` product and one ``t(A) B`` product
-    per column panel of every side, which go into ``acc`` and into
-    their side's accumulator.  Each array sums its products in stream
-    (inner-panel) order, so the worker count never changes a bit.
+    :func:`_accumulate` folds ``target += fn()``; ``fn()`` returns one
+    slab's products — the packed tile rows of the region, then one
+    ``t(A) B`` block per side product — and each goes into its own
+    accumulator.  Every accumulator sums its slabs in stream order, so
+    the worker count never changes a bit.
     """
 
-    def __init__(self, acc: np.ndarray, sides: list[np.ndarray],
-                 cuts: list[tuple[int, int, int]]) -> None:
-        self.acc = acc
-        self.sides = sides
-        self.cuts = cuts
+    def __init__(self, accs: list[np.ndarray]) -> None:
+        self.accs = accs
 
-    def __iadd__(self, step) -> "_SideFold":
-        product, side_products = step
-        self.acc += product
-        for (s, j0, j1), part in zip(self.cuts, side_products):
-            self.sides[s][:, j0:j1] += part
+    def __iadd__(self, parts: list[np.ndarray]) -> "_Fold":
+        for acc, part in zip(self.accs, parts):
+            acc += part
         return self
+
+
+def _packed_rows(region: tuple[int, int, int, int],
+                 rows: int) -> tuple[list[tuple[int, int, int, int]], int]:
+    """``(offset, r0, r1, c0)`` of every tile row of a region as the
+    pass packs it — rows ``r0:r1`` of the region from column ``c0``
+    (the diagonal tile's on a diagonal region) to its right edge — and
+    the packed size."""
+    i0, i1, j0, j1 = region
+    layout, size = [], 0
+    for r0 in range(0, i1 - i0, rows):
+        r1 = min(r0 + rows, i1 - i0)
+        c0 = r0 if i0 == j0 else 0
+        layout.append((size, r0, r1, c0))
+        size += (r1 - r0) * (j1 - j0 - c0)
+    return layout, size
+
+
+def _slab_products(left: np.ndarray, right: np.ndarray,
+                   subs: list[np.ndarray], layout: list, out: list
+                   ) -> list[np.ndarray]:
+    """One slab's products into the reused buffers ``out``: a GEMM per
+    packed tile row of the region (its rows of ``left`` against
+    ``right`` from the row's first column on), then ``t(left) %*% b``
+    per side slab."""
+    packed, *sides = out
+    width = right.shape[1]
+    for off, r0, r1, c0 in layout:
+        np.matmul(left[:, r0:r1].T, right[:, c0:],
+                  out=packed[off: off + (r1 - r0) * (width - c0)]
+                  .reshape(r1 - r0, width - c0))
+    for sub, dst in zip(subs, sides):
+        np.matmul(left.T, sub, out=dst)
+    return out
+
+
+def _region_pass(store: ArrayStore, a: TiledMatrix, schedule,
+                 region: tuple[int, int, int, int], t_first: bool,
+                 riders: list, parallel
+                 ) -> tuple[list, list[np.ndarray]]:
+    """Stream every slab of A through one region: returns the packed
+    layout, then the packed region and the region's rows of each side
+    product."""
+    i0, i1, j0, j1 = region
+    diag = i0 == j0
+    inner = a.shape[0] if t_first else a.shape[1]
+    layout, size = _packed_rows(region, schedule.rows)
+    shapes = [((size,), a.dtype)] + [
+        ((i1 - i0, b.shape[1]), np.result_type(a.dtype, b.dtype))
+        for b, _ in riders]
+    # TileParallelism keeps at most ``window`` slabs in flight, so
+    # that many buffers are never overwritten before their fold.
+    ring = [[np.empty(s, dtype=d) for s, d in shapes]
+            for _ in range(getattr(parallel, "window", 1))]
+    hinting = a.store is store
+
+    def steps():
+        for n, r0 in enumerate(range(0, inner, schedule.slab)):
+            r1 = min(r0 + schedule.slab, inner)
+            if hinting:
+                blocks = _operand_blocks(a, r0, r1, i0, i1, not t_first)
+                if not diag:
+                    blocks = blocks + _operand_blocks(a, r0, r1, j0, j1,
+                                                      not t_first)
+                for b, _ in riders:
+                    if b.store is store:
+                        blocks = blocks + _operand_blocks(
+                            b, r0, r1, 0, b.shape[1], False)
+                store.pool.prefetch(blocks)
+            left = _read_operand(a, r0, r1, i0, i1, not t_first)
+            right = (left if diag else
+                     _read_operand(a, r0, r1, j0, j1, not t_first))
+            subs = [_read_operand(b, r0, r1, 0, b.shape[1], False)
+                    for b, _ in riders]
+            yield (lambda l_=left, r_=right, s_=subs,
+                   o_=ring[n % len(ring)]:
+                   _slab_products(l_, r_, s_, layout, o_))
+
+    accs = [np.zeros(s, dtype=d) for s, d in shapes]
+    _accumulate(parallel, _Fold(accs), steps())
+    return layout, accs
+
+
+def _region_block(region: tuple[int, int, int, int], layout: list,
+                  packed: np.ndarray) -> np.ndarray:
+    """The finished region as a rectangle.  A diagonal region is made
+    exactly symmetric from its upper triangle: each diagonal tile's
+    upper half is mirrored onto its lower, each tile row onto the
+    column below it."""
+    i0, i1, j0, j1 = region
+    width = j1 - j0
+    block = np.empty((i1 - i0, width), dtype=packed.dtype)
+    for off, r0, r1, c0 in layout:
+        block[r0:r1, c0:] = packed[
+            off: off + (r1 - r0) * (width - c0)].reshape(r1 - r0,
+                                                         width - c0)
+        if i0 == j0:
+            tile = block[r0:r1, r0:r1]
+            tile[...] = np.triu(tile) + np.triu(tile, 1).T
+            block[r1:, r0:r1] = block[r0:r1, r1:].T
+    return block
+
+
+def _finished(epilogue, r0: int, c0: int, block: np.ndarray,
+              rows: int) -> np.ndarray:
+    """``block`` (at output position ``(r0, c0)``) with ``epilogue``
+    applied to every ``rows``-sided tile at that tile's coordinates."""
+    if epilogue is None:
+        return block
+    done = np.empty_like(block)
+    for br in range(0, block.shape[0], rows):
+        for bc in range(0, block.shape[1], rows):
+            done[br: br + rows, bc: bc + rows] = epilogue(
+                r0 + br, c0 + bc, block[br: br + rows, bc: bc + rows])
+    return done
 
 
 def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
@@ -229,112 +342,71 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                      epilogue_inputs: int = 0,
                      parallel=None,
                      side=()) -> TiledMatrix:
-    """Symmetric product ``t(A) %*% A`` (or ``A %*% t(A)``) in one pass.
+    """Symmetric product ``t(A) %*% A`` (or ``A %*% t(A)``), output-
+    stationary.
 
-    Exploits symmetry two ways the general schedule cannot: only the
-    upper-triangular p x p output blocks are computed (off-diagonal
-    blocks are mirrored to their transposed position on write), and the
-    diagonal blocks read their single operand panel once instead of
-    twice.  Roughly half the operand reads and half the multiply FLOPs
-    of running ``square_tile_matmul`` with a transposed flag — and the
-    transpose itself never exists on disk either way.
+    Runs :func:`repro.core.costs.crossprod_schedule`: each region of
+    the upper triangle is held in memory for one pass while A streams
+    through it in slabs of h rows, each slab announced in one prefetch
+    hint.  Per slab, one GEMM per packed tile row of the region folds
+    into it through reused buffers.  When the packed triangle and one
+    slab fit, there is one region and A is read once.  Only the upper
+    triangle is computed; each finished region is written once, with
+    its mirror, and the diagonal regions are made exactly symmetric.
+    The transpose never exists on disk.
 
-    ``epilogue`` is applied independently to each output block *and* to
-    its mirror (with the mirrored block coordinates), so fused
-    elementwise consumers need not be symmetric; ``epilogue_inputs``
-    shrinks the panel like in :func:`square_tile_matmul`, and
-    ``parallel`` offloads the per-step GEMMs exactly as there (reads
-    stay serial on this thread; in-order fold keeps results bitwise).
+    ``epilogue`` is applied when a region finishes, to each of its
+    tiles *and* to each mirrored tile (with the mirrored coordinates),
+    so fused elementwise consumers need not be symmetric;
+    ``epilogue_inputs`` reserves one tile per extra operand in the
+    schedule's budget.  ``parallel`` offloads each slab's GEMMs (reads
+    stay serial on this thread; the in-order fold keeps results
+    bitwise).
 
     ``side`` lists ``(b, out_b)`` pairs: products ``t(A) %*% b`` that
     ride along on the scan of A (``t_first`` only, no epilogue).  On
-    each diagonal pass the kernel announces b's p-row rectangle in the
-    same prefetch hint as the A panel, multiplies the resident A panel
-    into it and, when the pass ends, writes the p x n result rectangle
-    into ``out_b`` (created by the caller, ``k x n``).  The GEMMs are
-    the ones ``square_tile_matmul(a, b, trans_a=True)`` issues — same
-    operand arrays, same column panels, same inner order — so each
-    ``out_b`` holds that kernel's bits, and A is never read for them.
-    The panel stays the crossprod's own; the products must fit beside
-    it (:func:`repro.core.costs.crossprod_side_fits`) or this raises
-    :class:`ValueError`.  Returns the ``t(A) %*% A`` matrix either way.
+    each diagonal region's pass the kernel announces b's slab in the
+    same hint as A's, multiplies the resident A slab into it and, when
+    the pass ends, writes the region's rows of the result into
+    ``out_b`` (created by the caller, ``k x n``).  A is never read for
+    them, and the schedule is the one without them, so the bits of
+    ``t(A) %*% A`` do not depend on sharing.  The products must fit
+    beside it (:func:`repro.core.costs.crossprod_side_fits`) or this
+    raises :class:`ValueError`.  Returns the ``t(A) %*% A`` matrix
+    either way.
     """
     inner, k = a.shape if t_first else a.shape[::-1]
     tile_side = max(a.tile_shape[0], a.tile_shape[1])
-    panels = 3 + (epilogue_inputs if epilogue is not None else 0)
-    p = _square_panel(memory_scalars, tile_side, "crossprod_matmul",
-                      panels)
+    schedule = crossprod_schedule(
+        inner, k, tile_side, memory_scalars,
+        epilogue_inputs if epilogue is not None else 0)
     side = list(side)
     if side:
-        _check_side(a, side, memory_scalars, tile_side, p, t_first,
+        _check_side(a, side, memory_scalars, k, tile_side, t_first,
                     epilogue)
-    # One (side, j0, j1) entry per column panel of every side product.
-    cuts = [(s, j0, min(j0 + p, b.shape[1]))
-            for s, (b, _) in enumerate(side)
-            for j0 in range(0, b.shape[1], p)]
     out = store.create_matrix((k, k), layout="square", name=name,
                               dtype=a.dtype)
-    hinting = a.store is store
-    for i0 in range(0, k, p):
-        i1 = min(i0 + p, k)
-        for j0 in range(i0, k, p):
-            j1 = min(j0 + p, k)
-            riders = side if j0 == i0 else []
-            with store.tracer.span("crossprod:panel", cat="kernel",
-                                   i0=i0, j0=j0, p=p):
-
-                def steps(i0=i0, i1=i1, j0=j0, j1=j1, riders=riders):
-                    for r0 in range(0, inner, p):
-                        r1 = min(r0 + p, inner)
-                        if hinting:
-                            blocks = _operand_blocks(a, r0, r1, i0, i1,
-                                                     not t_first)
-                            if j0 != i0:
-                                blocks = blocks + _operand_blocks(
-                                    a, r0, r1, j0, j1, not t_first)
-                            for b, _ in riders:
-                                if b.store is store:
-                                    blocks = blocks + _operand_blocks(
-                                        b, r0, r1, 0, b.shape[1], False)
-                            store.pool.prefetch(blocks)
-                        left = _read_operand(a, r0, r1, i0, i1,
-                                             not t_first)
-                        right = (left if j0 == i0 else
-                                 _read_operand(a, r0, r1, j0, j1,
-                                               not t_first))
-                        if not riders:
-                            yield lambda l_=left, r_=right: l_.T @ r_
-                            continue
-                        subs = [_read_operand(b, r0, r1, 0, b.shape[1],
-                                              False) for b, _ in riders]
-                        yield lambda l_=left, r_=right, s_=subs: (
-                            l_.T @ r_,
-                            [l_.T @ s_[s][:, c0:c1]
-                             for s, c0, c1 in cuts])
-
-                acc = np.zeros((i1 - i0, j1 - j0), dtype=a.dtype)
-                if riders:
-                    sums = [np.zeros((i1 - i0, b.shape[1]),
-                                     dtype=np.result_type(a.dtype,
-                                                          b.dtype))
-                            for b, _ in riders]
-                    _accumulate(parallel, _SideFold(acc, sums, cuts),
-                                steps())
-                    for (_, out_b), total in zip(riders, sums):
-                        out_b.write_submatrix(i0, 0, total)
-                else:
-                    acc = _accumulate(parallel, acc, steps())
-                block = acc if epilogue is None else epilogue(i0, j0, acc)
-                out.write_submatrix(i0, j0, block)
-                if j0 != i0:
-                    mirror = (acc.T if epilogue is None
-                              else epilogue(j0, i0, acc.T))
-                    out.write_submatrix(j0, i0, mirror)
+    for region in schedule.regions:
+        i0, i1, j0, j1 = region
+        riders = side if i0 == j0 else []
+        with store.tracer.span("crossprod:panel", cat="kernel",
+                               i0=i0, j0=j0, a=schedule.side,
+                               h=schedule.slab):
+            layout, (packed, *sums) = _region_pass(
+                store, a, schedule, region, t_first, riders, parallel)
+            for (_, out_b), total in zip(riders, sums):
+                out_b.write_submatrix(i0, 0, total)
+            block = _region_block(region, layout, packed)
+            out.write_submatrix(i0, j0, _finished(epilogue, i0, j0, block,
+                                                  schedule.rows))
+            if j0 != i0:
+                out.write_submatrix(j0, i0, _finished(
+                    epilogue, j0, i0, block.T, schedule.rows))
     return out
 
 
-def _check_side(a: TiledMatrix, side: list, memory_scalars: int,
-                tile_side: int, p: int, t_first: bool, epilogue) -> None:
+def _check_side(a: TiledMatrix, side: list, memory_scalars: int, k: int,
+                tile_side: int, t_first: bool, epilogue) -> None:
     """Refuse side products :func:`crossprod_matmul` cannot carry."""
     if not t_first or epilogue is not None:
         raise ValueError("side products ride on a plain t(A) %*% A: "
@@ -347,11 +419,11 @@ def _check_side(a: TiledMatrix, side: list, memory_scalars: int,
             raise ValueError(f"side output is {out_b.shape}, expected "
                              f"{(a.shape[1], b.shape[1])}")
     cols = sum(b.shape[1] for b, _ in side)
-    if not crossprod_side_fits(memory_scalars, tile_side, cols):
+    if not crossprod_side_fits(memory_scalars, k, tile_side, cols):
         raise ValueError(
             f"side products of {cols} columns do not fit beside the "
-            f"crossprod's {p} x {p} panels: 3p^2 + 2p*{cols} > "
-            f"{memory_scalars} scalars")
+            f"crossprod schedule in {memory_scalars} scalars: its "
+            f"largest pass plus (a + h) * {cols} exceeds the budget")
 
 
 def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,

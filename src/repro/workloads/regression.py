@@ -66,13 +66,14 @@ def ols_out_of_core(problem: RegressionProblem,
     """Solve the normal equations on a memory-capped tile store.
 
     Returns ``(beta_hat, io_stats)``.  X'X runs the symmetric
-    :func:`repro.linalg.crossprod_matmul` (upper-triangular blocks only,
-    mirrored on write) and X'y rides on the same scan of X as its side
+    :func:`repro.linalg.crossprod_matmul` (upper triangle only,
+    mirrored on write; one scan of X when its packed triangle fits
+    beside a slab) and X'y rides on the same scan of X as its side
     product — ``crossprod_matmul(..., side=[(y, xty)])``, the call the
-    planner's shared ``crossprod`` operator makes — so X is read once
-    for both, in its stored layout: no transposed copy of the design
-    matrix ever touches the disk.  When y does not fit beside the
-    crossprod's panel (:func:`repro.core.costs.crossprod_side_fits`),
+    planner's shared ``crossprod`` operator makes — so X is read for
+    both at once, in its stored layout: no transposed copy of the
+    design matrix ever touches the disk.  When y does not fit beside the
+    crossprod's schedule (:func:`repro.core.costs.crossprod_side_fits`),
     X'y is a separate ``trans_a``-flagged square-tile multiply, as the
     planner would lower it.  The final system goes through the pivoted
     :func:`repro.linalg.lu_solve`, so the design needs no conditioning
@@ -94,7 +95,8 @@ def ols_out_of_core(problem: RegressionProblem,
                                 layout="square", name="y")
     store.pool.clear()
     store.reset_stats()
-    if crossprod_side_fits(memory_scalars, max(x.tile_shape), 1):
+    if crossprod_side_fits(memory_scalars, x.shape[1], max(x.tile_shape),
+                           1):
         xty = store.create_matrix((x.shape[1], 1), layout="square",
                                   name="Xty")
         xtx = crossprod_matmul(store, x, memory_scalars, name="XtX",

@@ -358,13 +358,42 @@ class TestSharedCrossprod:
 
     def test_sides_must_fit_beside_the_panel(self):
         s, plan, _, _ = self.make()
-        # 48 blocks: p = 128 and 3 p^2 is the whole budget — the same
-        # line crossprod_matmul refuses at.
-        verify_plan(plan, memory_scalars=48 * 1024 + 256,
+        # 14 blocks: one region, whose packed 128-wide triangle (10 240
+        # scalars) and 32-row slab (4 096) fill the budget — the same
+        # line crossprod_matmul refuses at; (a + h) = 160 more scalars
+        # hold y's column.
+        verify_plan(plan, memory_scalars=14 * 1024 + 160,
                     block_scalars=1024)
         with pytest.raises(PlanVerificationError, match="do not fit"):
-            verify_plan(plan, memory_scalars=48 * 1024,
+            verify_plan(plan, memory_scalars=14 * 1024,
                         block_scalars=1024)
+
+    def test_the_fit_is_the_schedules_not_appendix_as(self):
+        """Seeded both ways: at 14 blocks Appendix A's p = 64 panels
+        left room for y (3 p^2 + 2p <= M) and the schedule does not;
+        at 48 blocks its p = 128 panels filled the budget (3 p^2 = M)
+        and the schedule's 128-row slab leaves room."""
+        from repro.core.costs import square_panel
+        s, plan, _, _ = self.make()
+
+        def appendix_a_fits(mem):
+            p = square_panel(mem, 32, 3)
+            return 3 * p * p + 2 * p <= mem
+
+        assert appendix_a_fits(14 * 1024)
+        with pytest.raises(PlanVerificationError,
+                           match="crossprod.*do not fit.*largest pass"):
+            verify_plan(plan, memory_scalars=14 * 1024,
+                        block_scalars=1024)
+        assert not appendix_a_fits(48 * 1024)
+        verify_plan(plan, memory_scalars=48 * 1024, block_scalars=1024)
+
+    def test_sides_need_an_operand_with_known_tiles(self):
+        s, plan, op, _ = self.make()
+        with patched(op.node.children[0], "data", None):
+            with pytest.raises(PlanVerificationError,
+                               match="stored operand only"):
+                verify_plan(plan, s.storage)
 
     def test_sides_ride_on_crossprod_not_tcrossprod(self):
         s, plan, op, _ = self.make(rows=128)  # square: shapes agree

@@ -18,13 +18,13 @@ engine contract, pinned here):
   switch to a dense kernel with a different accumulation order.
 - Matrix operands stay small enough to fit one Appendix-A panel, so
   fused and unfused epilogues split the k-loop identically.
-- Patterns whose rewrite changes the *BLAS transpose mode* — operand
-  flags (``t(A) %*% B``) and the symmetric Crossprod forms (where
-  numpy dispatches SYRK for the same-buffer product) — are held to
-  last-ulp *closeness* instead: gemm's 'T' and 'N' paths use different
-  remainder kernels at odd sizes, so e.g. ``A.T @ B`` and
-  ``ascontiguousarray(A.T) @ B`` already differ in the final ulp at
-  n = 33 with stock OpenBLAS.  Everything that leaves the BLAS calls
+- Patterns whose rewrite changes the BLAS calls — operand flags
+  (``t(A) %*% B``, another *transpose mode*) and the symmetric
+  Crossprod forms (whose schedule sums its own row slabs) — are held
+  to ``rtol = 1e-12`` *closeness* instead: gemm's 'T' and 'N' paths
+  use different remainder kernels at odd sizes, so e.g. ``A.T @ B``
+  and ``ascontiguousarray(A.T) @ B`` already differ in the final ulp
+  at n = 33 with stock OpenBLAS.  Everything that leaves the BLAS calls
   untouched — pushdown, CSE, folding, epilogue fusion, plain products
   — must be exactly identical.
 

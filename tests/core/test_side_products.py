@@ -10,11 +10,11 @@ pin what that may and may not change:
   False``) and of level 0, at parallelism 1 and 2 — inputs are
   integer-valued, so every path that computes the same products gets
   the same bits — and a cold run writes the same blocks;
-- with X far larger than the pool a cold run reads exactly the blocks
-  of the unshared plan minus the X blocks its separate flagged
-  multiply read.  Not in general: where the pool holds much of X the
-  separate scan partly hits the cache, and every later operator sees
-  another residue, so reads move a few blocks either way;
+- with X far larger than the pool the shared operator reads exactly
+  the crossprod's blocks plus B once per diagonal region, and the run
+  saves at least the X scan of the separate flagged multiply.  Not
+  exactly: every later operator sees another pool residue, so its
+  reads move a few blocks either way;
 - the rule fires exactly when ``costs.crossprod_side_fits`` says so,
   and never in the cases listed in ``TestNeverShared``.
 """
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.analysis import verify_plan
 from repro.core import (Crossprod, Map, MatMul, OptimizerConfig,
                         RiotSession, Scalar, Solve)
-from repro.core.costs import crossprod_side_fits
+from repro.core.costs import crossprod_schedule, crossprod_side_fits
 from repro.core.plan import (CrossprodOp, FusedEpilogueOp, MapOp,
                              TileMatMulOp)
 from repro.storage import StorageConfig
@@ -171,12 +171,13 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
     # differ by the shared scan alone.
     _, plan, s_reads, s_writes, s_x = runs[1, None, 1]
     taken = sum(n.shape[1] for n in shared_sides(plan))
-    assert crossprod_side_fits(mem, 32, taken)
+    assert crossprod_side_fits(mem, cols, 32, taken)
     # Greedy in walk order: whatever was left out does not fit on top.
     left = list(widths)
     for n in shared_sides(plan):
         left.remove(n.shape[1])
-    assert not any(crossprod_side_fits(mem, 32, taken + w) for w in left)
+    assert not any(crossprod_side_fits(mem, cols, 32, taken + w)
+                   for w in left)
     inner_sums = map_ops(unshared) - map_ops(plan)
     assert inner_sums == (max(len(widths) - 2, 0) if nested else 0)
     assert s_writes == writes - inner_sums * math.ceil(cols / 32) ** 2
@@ -193,12 +194,15 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
 ])
 def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
                                                       mem_blocks):
-    """With X far larger than the pool the shared plan reads exactly
-    the unshared plan's blocks minus the X blocks its separate flagged
-    multiply read, and writes the same (6 724 -> 4 676 on the
-    ``ols_pread`` geometry).  In pools that hold much of X the split
-    moves by a few blocks either way — the separate scan partly hits
-    the cache, and downstream operators see a different residue."""
+    """With X far larger than the pool the separate flagged multiply
+    reads all of X, and the shared operator reads exactly what the
+    crossprod alone reads plus B once per diagonal region of the
+    schedule — one on these geometries, where the packed triangle of
+    X'X fits beside a slab.  The whole run saves at least the X scan
+    and writes the same (4 676 -> 2 580 on the ``ols_pread``
+    geometry: X's 2 048 pages, B's 32 read once instead of twice, and
+    16 the solve finds still in the pool).  The solve's reads move by
+    a few blocks either way, because it sees another residue."""
     g = np.random.default_rng(0)
     x_np = integers(g, (rows, cols))
     b_nps = [integers(g, (rows, 1))]
@@ -206,20 +210,35 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     for fuse in (False, None):
         s = session(mem_blocks, 2, fuse)
         x, root = normal_equations(s, x_np, b_nps)
-        runs[fuse] = run_cold(s, root, s.force(x))
-    ref, _, reads, writes, x_reads = runs[False]
-    values, plan, s_reads, s_writes, s_x = runs[None]
-    assert len(shared_sides(plan)) == 1 and s_x == 0 < x_reads
-    assert (s_reads, s_writes) == (reads - x_reads, writes)
+        x = s.force(x)
+        runs[fuse] = run_cold(s, root, x)
+    ref, plan, reads, writes, x_reads = runs[False]
+    values, s_plan, s_reads, s_writes, s_x = runs[None]
+    b = shared_sides(s_plan)[0].children[1].data
+    x_pages = x.grid[0] * x.grid[1] * x.pages_per_tile
+    b_pages = b.grid[0] * b.grid[1] * b.pages_per_tile
+    schedule = crossprod_schedule(rows, cols, max(x.tile_shape),
+                                  mem_blocks * BLOCK)
+
+    def op_reads(p, kind):
+        [op] = [op for op in p.ops() if isinstance(op, kind)]
+        return op.measured.reads
+
+    assert len(shared_sides(s_plan)) == 1 and s_x == 0
+    assert x_reads == x_pages == schedule.reads() // BLOCK
+    assert op_reads(s_plan, CrossprodOp) == (
+        op_reads(plan, CrossprodOp)
+        + schedule.diagonal_regions() * b_pages)
+    assert s_reads <= reads - x_reads and s_writes == writes
     assert np.array_equal(values, ref)
     if rows == 4096:
-        assert (reads, s_reads, writes) == (6724, 4676, 525)
+        assert (reads, s_reads, writes) == (4676, 2580, 525)
 
 
 class TestNeverShared:
     """Each of these plans keeps ``t(X) %*% B`` as its own operator."""
 
-    MEM = 64  # blocks: room for a few side columns beside p = 128
+    MEM = 64  # blocks: room for 282 side columns beside X'X
 
     def sides_of(self, build, **cfg):
         s = session(cfg.pop("mem_blocks", self.MEM), **cfg)
@@ -276,12 +295,17 @@ class TestNeverShared:
         assert self.sides_of(build)[0] == []
 
     def test_no_room(self):
-        # 48 blocks: p = 128 and 3 p^2 is the whole budget.
-        assert not crossprod_side_fits(48 * BLOCK, 32, 2)
-        sides, plan = self.sides_of(
-            lambda s, x, y: Solve(Crossprod(x.node),
-                                  MatMul(x.node, y.node, trans_a=True)),
-            mem_blocks=48)
+        # 64 blocks: X'X's packed 64-wide triangle (3 072 scalars) and
+        # a 128-row slab (8 192) leave room for (a + h) n = 192 n,
+        # 282 columns.
+        assert crossprod_side_fits(self.MEM * BLOCK, 64, 32, 282)
+        assert not crossprod_side_fits(self.MEM * BLOCK, 64, 32, 283)
+
+        def build(s, x, y):
+            wide = s.matrix(np.ones((256, 283)), name="wide")
+            return Solve(Crossprod(x.node),
+                         MatMul(x.node, wide.node, trans_a=True))
+        sides, plan = self.sides_of(build)
         assert sides == []
         assert any(isinstance(op, TileMatMulOp) for op in plan.ops())
 

@@ -9,7 +9,8 @@ slack caused by rounding p down to whole tiles and edge effects).
 import numpy as np
 import pytest
 
-from repro.core.costs import (bnlj_matmul_io, crossprod_io, lu_io,
+from repro.core.costs import (bnlj_matmul_io, crossprod_io,
+                              crossprod_schedule, lu_io,
                               lu_panel_width, matmul_epilogue_io,
                               matmul_io_lower_bound, solve_io,
                               square_tile_matmul_io,
@@ -188,10 +189,11 @@ class TestCrossprodAgreement:
     ((768, 320), 3, 64 * 1024),
 ])
 class TestSharedCrossprodAgreement:
-    """The crossprod carrying ``t(A) %*% B`` on its diagonal passes vs
-    ``crossprod_io(..., side_cols=n)``: measured / predicted 1.28 on
-    A 2048 x 256 with one column, 1.44 on 768 x 320 with three (1.14
-    and 1.31 for the crossprod alone): B's one-page 32 x n tiles read
+    """The crossprod carrying ``t(A) %*% B`` on its diagonal regions vs
+    ``crossprod_io(..., side_cols=n)``: measured / predicted 1.12 on
+    A 2048 x 256 with one column (one region), 1.09 on 768 x 320 with
+    three (two diagonal regions of 192 and 128 columns); the crossprod
+    alone is exactly its count, 1.00.  B's one-page 32 x n tiles read
     more pages than the ``m n / B`` of the side term says."""
 
     def test_measured_within_model(self, rng, dims, width, mem):
@@ -212,8 +214,9 @@ class TestSharedCrossprodAgreement:
         model = crossprod_io(m, k, mem, BLOCK_SCALARS, side_cols=width,
                              tile_side=32)
         assert 0.5 * model <= measured <= 2.0 * model
-        # The side term is B once per diagonal pass plus the result.
-        passes = -(-k // 128)  # p = 128 at 64 blocks, 32-wide tiles
+        # The side term is B once per diagonal region plus the result.
+        passes = crossprod_schedule(m, k, 32, mem).diagonal_regions()
+        assert passes == -(-k // 256)
         assert model - crossprod_io(m, k, mem, BLOCK_SCALARS) == \
             pytest.approx((passes * m + k) * width / BLOCK_SCALARS)
 

@@ -10,9 +10,11 @@ row/col linearizations.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.costs import (crossprod_io, crossprod_schedule,
+                              crossprod_side_fits, square_panel)
 from repro.linalg import (bnlj_matmul, crossprod_matmul,
                           square_tile_matmul)
 from repro.storage import ArrayStore
@@ -175,9 +177,9 @@ class TestCrossprod:
 
 class TestSideProducts:
     """``crossprod_matmul(..., side=[(b, out_b)])`` computes each
-    ``t(A) %*% b`` on the diagonal passes of the crossprod's own scan
-    of A: the same GEMMs ``square_tile_matmul(trans_a=True)`` issues,
-    so the bits are that kernel's, and A is read once for all."""
+    ``t(A) %*% b`` on the diagonal regions of the crossprod's own scan
+    of A, and A is read once for all of them.  The schedule is the one
+    without sides, so ``t(A) %*% A`` keeps its bits either way."""
 
     def _run(self, a_np, b_nps, mem, block_size=8192, parallel=None):
         store = make_store(block_size=block_size, mem=max(mem, 4096))
@@ -195,35 +197,63 @@ class TestSideProducts:
                 [o.to_numpy() for _, o in side])
 
     # (A's shape, block size -> tile side, budget in scalars, side
-    # widths): one p-aligned panel, several i-panels, a side wider than
-    # the panel (16-wide tiles, p = 32), and a ragged 1 x 1 panel.
+    # widths): one region, one region carrying two sides, three
+    # regions on 16-wide tiles (a = 48, sides on each diagonal one),
+    # and Appendix A's ragged 1 x 1 schedule.
     @pytest.mark.parametrize("shape,block_size,mem,widths", [
         ((131, 77), 8192, 96 * 1024, [1]),
         ((131, 77), 8192, 24 * 1024, [1, 7]),
-        ((131, 77), 2048, 3 * 47 * 47, [50, 3]),
+        ((131, 137), 2048, 3 * 47 * 47, [40, 3]),
         ((9, 5), 2048, 11, [4]),
     ])
     def test_bits_are_the_flagged_square_kernels(self, rng, shape,
                                                  block_size, mem, widths):
+        """Integer-valued data: X'X and every side are bitwise NumPy's
+        and the flagged square-tile kernel's, since every summation
+        order is exact.  Floats: within ``rtol = 1e-12`` — the schedule
+        sums slabs of h rows where the square kernel sums its own
+        panels, so the bits differ — with X'X bitwise the same with and
+        without sides, and everything bitwise across workers."""
+        from repro.core.parallel import TileParallelism
+        ints = rng.integers(-8, 9, size=shape).astype(np.float64)
+        b_ints = [rng.integers(-8, 9, size=(shape[0], w))
+                  .astype(np.float64) for w in widths]
+        _, xtx, sides = self._run(ints, b_ints, mem, block_size)
+        assert np.array_equal(xtx, ints.T @ ints)
+        store = make_store(block_size=block_size, mem=max(mem, 4096))
+        a = store.matrix_from_numpy(ints)
+        for b_np, got in zip(b_ints, sides):
+            assert np.array_equal(got, ints.T @ b_np)
+            assert np.array_equal(got, square_tile_matmul(
+                store, a, store.matrix_from_numpy(b_np), mem,
+                trans_a=True).to_numpy())
+
         a_np = rng.standard_normal(shape)
         b_nps = [rng.standard_normal((shape[0], w)) for w in widths]
         _, xtx, sides = self._run(a_np, b_nps, mem, block_size)
-        store = make_store(block_size=block_size, mem=max(mem, 4096))
-        a = store.matrix_from_numpy(a_np)
-        assert np.array_equal(
-            xtx, crossprod_matmul(store, a, mem).to_numpy())
-        for b_np, got in zip(b_nps, sides):
-            ref = square_tile_matmul(store, a,
-                                     store.matrix_from_numpy(b_np), mem,
-                                     trans_a=True).to_numpy()
-            assert np.array_equal(got, ref)
-            assert np.allclose(got, a_np.T @ b_np)
+        _, alone, _ = self._run(a_np, [], mem, block_size)
+        assert np.array_equal(xtx, alone)
+        for got, ref in [(xtx, a_np.T @ a_np)] + [
+                (got, a_np.T @ b_np) for b_np, got in zip(b_nps, sides)]:
+            assert np.allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+        for workers in (2, 4):
+            pool = TileParallelism(workers)
+            try:
+                _, px, ps = self._run(a_np, b_nps, mem, block_size,
+                                      parallel=pool)
+            finally:
+                pool.shutdown()
+            assert np.array_equal(px, xtx)
+            assert all(np.array_equal(p, s) for p, s in zip(ps, sides))
 
     def test_no_side_moves_the_parents_blocks(self, rng):
-        """``side=[]`` is the plain schedule: counts pinned from the
-        kernel before side products existed."""
+        """``side=[]`` is the plain schedule.  X (68 one-page tiles)
+        is read once at both budgets: the packed 101-wide triangle and
+        a 96-row slab fit in 24 K scalars, where Appendix A's p = 64
+        panels read it twice (136 blocks in 43 calls)."""
         x_np = np.random.default_rng(5).standard_normal((517, 101))
-        for mem, counts in ((24 * 1024, (136, 16, 43, 8)),
+        for mem, counts in ((24 * 1024, (68, 16, 6, 1)),
                             (96 * 1024, (68, 16, 4, 1))):
             stats, xtx, _ = self._run(x_np, [], mem)
             assert (stats.reads, stats.writes, stats.read_calls,
@@ -231,8 +261,9 @@ class TestSideProducts:
             assert np.allclose(xtx, x_np.T @ x_np)
 
     def test_x_is_read_once_for_both_products(self, rng):
-        """Shared: the crossprod's reads plus B once per diagonal pass.
-        Separate: the flagged multiply re-reads all of A."""
+        """Shared: the crossprod's reads plus B once per diagonal
+        region — one here.  Separate: the flagged multiply re-reads all
+        of A, and B once per panel row of its own."""
         a_np = rng.standard_normal((512, 128))
         b_np = rng.standard_normal((512, 1))
         mem = 24 * 1024
@@ -247,7 +278,12 @@ class TestSideProducts:
         store.flush()
         separate = store.device.stats
         a_pages = a.grid[0] * a.grid[1] * a.pages_per_tile
-        assert shared.reads - alone.reads == separate.reads - a_pages
+        b_pages = b.grid[0] * b.grid[1] * b.pages_per_tile
+        assert crossprod_schedule(512, 128, 32, mem).regions == (
+            (0, 128, 0, 128),)
+        assert alone.reads == a_pages
+        assert shared.reads - alone.reads == b_pages
+        assert separate.reads - a_pages == 2 * b_pages
         assert shared.writes == alone.writes + separate.writes
 
     def test_parallel_fold_is_bitwise_serial(self, rng):
@@ -265,17 +301,46 @@ class TestSideProducts:
             assert np.array_equal(px, xtx)
             assert all(np.array_equal(p, s) for p, s in zip(ps, sides))
 
+    def test_reused_buffers_survive_more_workers_than_cores(self, rng):
+        """Each slab's products go into one of ``window`` reused
+        buffers; a buffer overwritten before its fold would move a bit.
+        Eight workers with a short switch interval, on six regions of
+        24 slabs each (16-wide tiles, a = 48, h = 32)."""
+        import sys
+
+        from repro.core.parallel import TileParallelism
+        a_np = rng.standard_normal((768, 137))
+        b_nps = [rng.standard_normal((768, 3))]
+        mem = 3 * 47 * 47
+        _, xtx, sides = self._run(a_np, b_nps, mem, block_size=2048)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = TileParallelism(8)
+        try:
+            _, px, ps = self._run(a_np, b_nps, mem, block_size=2048,
+                                  parallel=pool)
+        finally:
+            pool.shutdown()
+            sys.setswitchinterval(interval)
+        assert np.array_equal(px, xtx)
+        assert np.array_equal(ps[0], sides[0])
+
     def test_refuses_what_does_not_fit(self, rng):
-        from repro.core.costs import crossprod_side_fits
+        """At 48 blocks a 256-wide A holds one region: its packed
+        triangle (36 864 scalars) and a 32-row slab (8 192) leave
+        room for ``(a + h) n = 288 n``, 14 columns.  Appendix A's
+        p = 128 panels (3 p^2 = M) had room for none."""
         store = make_store(mem=48 * 1024)
-        a = store.matrix_from_numpy(rng.standard_normal((256, 128)))
-        b = store.matrix_from_numpy(rng.standard_normal((256, 1)))
-        out_b = store.create_matrix((128, 1), layout="square")
-        # 48 blocks: p = 128 and 3 p^2 is the whole budget.
-        assert not crossprod_side_fits(48 * 1024, 32, 1)
-        with pytest.raises(ValueError, match="do not fit"):
-            crossprod_matmul(store, a, 48 * 1024, side=[(b, out_b)])
-        crossprod_matmul(store, a, 48 * 1024 + 256, side=[(b, out_b)])
+        a = store.matrix_from_numpy(rng.standard_normal((256, 256)))
+        for cols, fits in ((14, True), (15, False)):
+            b = store.matrix_from_numpy(rng.standard_normal((256, cols)))
+            out_b = store.create_matrix((256, cols), layout="square")
+            assert crossprod_side_fits(48 * 1024, 256, 32, cols) is fits
+            if fits:
+                crossprod_matmul(store, a, 48 * 1024, side=[(b, out_b)])
+                continue
+            with pytest.raises(ValueError, match="do not fit"):
+                crossprod_matmul(store, a, 48 * 1024, side=[(b, out_b)])
 
     @pytest.mark.parametrize("kw", [{"t_first": False},
                                     {"epilogue": lambda r, c, x: x}])
@@ -286,6 +351,125 @@ class TestSideProducts:
         out_b = store.create_matrix((32, 2), layout="square")
         with pytest.raises(ValueError, match="plain t\\(A\\)"):
             crossprod_matmul(store, a, MEM, side=[(b, out_b)], **kw)
+
+
+def appendix_a_reads(m, k, tile, memory, extra=0):
+    """Scalars of A the Appendix-A crossprod read: p x p panels with
+    ``p = square_panel(M, t, 3 + e)``; a diagonal panel's pass reads
+    its p columns of every row, an off-diagonal one both ranges."""
+    p = square_panel(memory, tile, 3 + extra)
+    reads = 0
+    for i0 in range(0, k, p):
+        for j0 in range(i0, k, p):
+            wi, wj = min(p, k - i0), min(p, k - j0)
+            reads += m * (wi if i0 == j0 else wi + wj)
+    return reads
+
+
+def integer_valued(rng, shape):
+    return rng.integers(-8, 9, size=shape).astype(np.float64)
+
+
+class TestSchedule:
+    """``costs.crossprod_schedule``, the one statement of the kernel's
+    schedule, against what it promises and what the kernel does."""
+
+    @given(m=st.integers(1, 5000), k=st.integers(1, 260),
+           tile=st.sampled_from([1, 7, 16, 32, 128]),
+           memory=st.integers(3, 300_000), extra=st.integers(0, 3),
+           side_cols=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_covers_fits_and_never_reads_more(self, m, k, tile, memory,
+                                              extra, side_cols):
+        """Every upper element is in exactly one region's triangle or
+        rectangle, the largest pass fits the budget, and A is read no
+        more than Appendix A reads it; sides fit exactly when
+        ``crossprod_side_fits`` says so."""
+        assume(memory >= 3 + extra)
+        s = crossprod_schedule(m, k, tile, memory, extra)
+        cover = np.zeros((k, k), dtype=int)
+        for i0, i1, j0, j1 in s.regions:
+            assert i0 < i1 and j0 < j1 and i0 <= j0
+            if i0 == j0:
+                cover[i0:i1, j0:j1] += np.triu(
+                    np.ones((i1 - i0, j1 - j0), dtype=int))
+            else:
+                cover[i0:i1, j0:j1] += 1
+        assert np.array_equal(cover, np.triu(np.ones((k, k), dtype=int)))
+        assert s.peak() <= memory
+        assert s.reads() <= appendix_a_reads(m, k, tile, memory, extra)
+        plain = crossprod_schedule(m, k, tile, memory)
+        assert crossprod_side_fits(memory, k, tile, side_cols) is (
+            plain.peak(side_cols) <= memory)
+
+    @given(g=st.integers(1, 6), blocks=st.integers(3, 40),
+           side=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=12, deadline=None)
+    def test_cold_counts_are_the_models(self, g, blocks, side, seed):
+        """Tile-aligned shapes (32-wide one-page tiles), a cold pool
+        that holds one slab — so no pass finds the previous one's
+        pages — and A tall enough for several slabs per pass: the
+        kernel reads and writes exactly what ``crossprod_io`` counts."""
+        k, mem = 32 * g, blocks * 1024
+        s = crossprod_schedule(0, k, 32, mem)
+        side_cols = 32 if side else 0
+        assume(crossprod_side_fits(mem, k, 32, side_cols))
+        m = s.slab * (2 * -(-2 * s.side // 32) + 3)
+        slab_pages = s.slab * (2 * s.side + side_cols) // 1024
+        store = make_store(mem=max(slab_pages + 1, 4) * 1024)
+        rng = np.random.default_rng(seed)
+        a = store.matrix_from_numpy(integer_valued(rng, (m, k)))
+        sides = []
+        if side:
+            sides = [(store.matrix_from_numpy(
+                integer_valued(rng, (m, side_cols))),
+                store.create_matrix((k, side_cols), layout="square"))]
+        store.flush()
+        store.pool.clear()
+        store.reset_stats()
+        crossprod_matmul(store, a, mem, side=sides)
+        store.flush()
+        stats = store.device.stats
+        model = crossprod_io(m, k, mem, 1024, side_cols=side_cols,
+                             tile_side=32)
+        assert stats.reads + stats.writes == model
+        assert stats.writes == (k * k + k * side_cols) // 1024
+
+    @given(m=st.integers(1, 90), k=st.integers(1, 70),
+           widths=st.lists(st.integers(1, 9), max_size=2),
+           mem=st.integers(3, 12_000), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=8, deadline=None)
+    def test_bits_across_workers_and_backends(self, m, k, widths, mem,
+                                              seed):
+        """Integer-valued data on 16-wide tiles: X'X and the sides are
+        bitwise NumPy's, at parallelism 1 / 2 / 4 on the memory, mmap
+        and pread backends."""
+        from repro.core.parallel import TileParallelism
+        from repro.storage import StorageConfig
+        assume(crossprod_side_fits(mem, k, 16, sum(widths)))
+        rng = np.random.default_rng(seed)
+        a_np = integer_valued(rng, (m, k))
+        b_nps = [integer_valued(rng, (m, w)) for w in widths]
+        for backend in ("memory", "mmap", "pread"):
+            for workers in (1, 2, 4):
+                pool = TileParallelism(workers)
+                cfg = StorageConfig(backend=backend, block_size=2048,
+                                    memory_bytes=64 * 2048)
+                try:
+                    with ArrayStore(storage=cfg) as store:
+                        a = store.matrix_from_numpy(a_np)
+                        side = [(store.matrix_from_numpy(b),
+                                 store.create_matrix((k, b.shape[1])))
+                                for b in b_nps]
+                        out = crossprod_matmul(store, a, mem, side=side,
+                                               parallel=pool)
+                        assert np.array_equal(out.to_numpy(),
+                                              a_np.T @ a_np)
+                        for b, (_, got) in zip(b_nps, side):
+                            assert np.array_equal(got.to_numpy(),
+                                                  a_np.T @ b)
+                finally:
+                    pool.shutdown()
 
 
 class TestBudgetGuard:

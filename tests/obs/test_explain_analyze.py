@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizerConfig, RiotSession
-from repro.core.costs import crossprod_side_fits, square_panel
+from repro.core.costs import crossprod_schedule, crossprod_side_fits
 from repro.core.expr import MatMul, Solve, Transpose
 from repro.core.plan import CrossprodOp
 from repro.rlang import Interpreter
@@ -20,7 +20,7 @@ from repro.storage import StorageConfig
 N_OBS, N_FEAT = 512, 256
 POOL_SCALARS = 48 * 1024  # 48 blocks: out-of-core for this X
 
-OLS_MODELS = ("crossprod_io", "matmul_io", "solve_io")
+OLS_MODELS = ("crossprod_io", "solve_io")
 
 
 def make_session(backend="memory", level=2):
@@ -100,18 +100,21 @@ class TestExplainAnalyzeMemory:
         assert {"session", "op", "optimizer", "kernel"} <= cats
         assert not s.tracer.enabled  # analyze restores the off state
 
-    def test_x_prime_y_keeps_its_own_operator(self, analyzed):
-        """Why ``matmul_io`` is exercised here: at 48 blocks with
-        32-wide tiles the crossprod panel is p = 128 and 3 p^2 is the
-        whole budget, so ``t(X) %*% y`` has no room to ride on the
-        crossprod's scan of X (``costs.crossprod_side_fits``)."""
+    def test_x_prime_y_rides_on_the_crossprod(self, analyzed):
+        """Why ``matmul_io`` is not exercised here: at 48 blocks with
+        32-wide tiles the crossprod holds X'X's whole packed triangle
+        (36 864 scalars) beside a 32-row slab of X (8 192), and y's
+        slab and result rows, (a + h) = 288 scalars, still fit —
+        45 344 of 49 152 — so ``t(X) %*% y`` rides on the one scan of X
+        (``costs.crossprod_side_fits``)."""
         s, node, _ = analyzed
-        assert square_panel(POOL_SCALARS, 32) == 128
-        assert 3 * 128 ** 2 == POOL_SCALARS
-        assert not crossprod_side_fits(POOL_SCALARS, 32, 1)
+        schedule = crossprod_schedule(N_OBS, N_FEAT, 32, POOL_SCALARS)
+        assert (schedule.side, schedule.slab) == (N_FEAT, 32)
+        assert schedule.peak(1) == 36864 + 8192 + 288 <= POOL_SCALARS
+        assert crossprod_side_fits(POOL_SCALARS, N_FEAT, 32, 1)
         cross = [op for op in s.plan(node).ops()
                  if isinstance(op, CrossprodOp)]
-        assert cross and not cross[0].side_nodes
+        assert len(cross) == 1 and len(cross[0].side_nodes) == 1
 
     def test_unexecuted_report_is_empty(self):
         s = make_session()
@@ -121,13 +124,15 @@ class TestExplainAnalyzeMemory:
 
 
 class TestExplainAnalyzeSharedScan:
-    """A 64-block pool leaves room beside p = 128: X'y rides on the
-    crossprod's scan of X, so ``matmul_io`` leaves the plan and the
-    shared operator's ``crossprod_io`` (with its side term) must sit
-    in the band on its own — 1.18 here, 1.06 for the crossprod alone
-    in the unshared plan.  (``solve_io`` reads 0.31-0.33 at this pool
-    with or without sharing: the 256 x 256 factor fits the pool, the
-    known gap of the dense band.)"""
+    """A 64-block pool: X'y rides on the crossprod's one scan of X, so
+    ``matmul_io`` leaves the plan and the shared operator's
+    ``crossprod_io`` (with its side term) must sit in the band on its
+    own — 0.79 here, 0.67 for the crossprod alone in the unshared
+    plan: X'X is written when the one pass ends and is still dirty in
+    the pool then, so the solve that evicts it is charged the writes.
+    (``solve_io`` reads 0.31-0.39 at this pool with or without
+    sharing: the 256 x 256 factor fits the pool, the known gap of the
+    dense band.)"""
 
     def test_shared_operator_in_band(self):
         s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192),
@@ -203,7 +208,7 @@ class TestCostInputsInExplain:
         s = make_session()
         text = s.explain(ols_node(s))  # plain EXPLAIN, no analyze
         assert "(cost: crossprod_io inner=512 k=256" in text
-        assert "trans_a=True" in text
+        assert "side_cols=1" in text and "tile=32" in text
         assert "(cost: solve_io n=256 nrhs=1)" in text
 
     def test_sparse_ops_show_nnz_and_tile_inputs(self):
