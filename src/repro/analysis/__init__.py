@@ -12,14 +12,15 @@ heading toward:
 - :mod:`repro.analysis.planlint` — :func:`verify_plan`, a static
   walk of a :class:`~repro.core.plan.PhysicalPlan` before execution:
   shape conformability, kernel budgets and pins, epilogue-fusion
-  legality, sane predictions.  Wired into
+  legality, release points and in-place operands, sane predictions.
+  Wired into
   ``Evaluator.execute`` / ``session.explain`` under
   ``OptimizerConfig(strict=True)``.
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
   ``REPRO_SANITIZE=1``) catching pin leaks, use-after-unpin of
-  zero-copy views, discards of pinned blocks and unannounced reads
-  inside kernel spans.
+  zero-copy views, discards of pinned blocks, unannounced reads
+  inside kernel spans and accesses to blocks of dropped arrays.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
@@ -27,7 +28,8 @@ from .planlint import PlanVerificationError, verify_plan
 from .sanitizers import (CrossThreadUnpinError, LatchLeakError,
                          PinLeakError, PinnedDiscardError, SanitizerError,
                          SanitizingBufferPool, UnannouncedReadError,
-                         UseAfterUnpinError, WritebackLeakError)
+                         UseAfterDropError, UseAfterUnpinError,
+                         WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
@@ -35,4 +37,5 @@ __all__ = [
     "SanitizerError", "SanitizingBufferPool", "PinLeakError",
     "UseAfterUnpinError", "PinnedDiscardError", "UnannouncedReadError",
     "CrossThreadUnpinError", "LatchLeakError", "WritebackLeakError",
+    "UseAfterDropError",
 ]

@@ -7,7 +7,8 @@ when k-grids misalign...).  Those guards fire mid-plan, after earlier
 operators have already burned I/O.  :func:`verify_plan` lifts them —
 plus shape conformability, kernel-pin legality, epilogue-fusion
 legality, shared-scan legality (a crossprod's side products), the
-tape of every elementwise region and prediction sanity — into one
+tape of every elementwise region, release points and in-place
+operands (lifetimes) and prediction sanity — into one
 pre-execution walk over the
 :class:`~repro.core.plan.PhysicalPlan`, with every error naming the
 offending operator.
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 
 from repro.core.costs import COST_MODELS, crossprod_schedule
-from repro.core.expr import (Crossprod, MatMul, Node, Range, Scalar,
-                             Solve)
+from repro.core.expr import (ArrayInput, Crossprod, MatMul, Node, Range,
+                             Scalar, Solve, walk)
 from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
                              InverseOp, LUSolveOp, PhysOp, PhysicalPlan,
                              SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
@@ -294,3 +295,42 @@ def verify_plan(plan: PhysicalPlan, config=None, *,
                          if config is not None else 1024)
     for op in plan.ops():
         _verify_op(op, memory_scalars, block_scalars)
+    _check_lifetimes(plan)
+
+
+def _check_lifetimes(plan: PhysicalPlan) -> None:
+    """Release points and in-place operands, in execution order: no
+    operator reads a node its release point has passed, stored inputs
+    and the plan's result are never released, and the operand an LU
+    factors in place is computed by another operator and read by
+    nothing else."""
+    released: dict[int, PhysOp] = {}
+    for op in plan.ops():
+        for child in op.children:
+            for n in child.nodes:
+                if id(n) in released:
+                    _fail(op, f"reads {n.label()} after its release "
+                              f"point, {released[id(n)].label()}")
+        for n in op.releases:
+            if isinstance(n, ArrayInput) or n is plan.logical_root:
+                _fail(op, f"releases {n.label()}, which outlives the "
+                          f"plan (a stored input or the result)")
+            released[id(n)] = op
+        if getattr(op, "in_place", False):
+            _check_in_place(plan, op)
+
+
+def _check_in_place(plan: PhysicalPlan, op: PhysOp) -> None:
+    from repro.core.planner import SQUARE_RESULTS
+    a = op.node.children[0]
+    readers = sum(c is a for n in walk(plan.logical_root)
+                  for c in n.children)
+    if readers != 1:
+        _fail(op, f"factors {a.label()} in place, but {readers} "
+                  f"operand slots read it")
+    producer = next(c for c in op.children
+                    if any(n is a for n in c.nodes))
+    if not isinstance(producer, SQUARE_RESULTS):
+        _fail(op, f"factors {a.label()} in place, but it is not a "
+                  f"square-tiled result of another operator "
+                  f"({producer.label()})")

@@ -48,6 +48,13 @@ Detected hazards:
   pinning thread is the one relying on the frame staying resident, so
   another thread releasing it re-creates exactly the dangling-frame
   hazard pinning exists to prevent.
+- **Use after drop** (:class:`UseAfterDropError`): any access —
+  ``get``, ``get_many``, ``put``, ``put_many``, ``prefetch``, ``pin``
+  — to a block whose array was dropped (``pool.discard``, then
+  ``PageFile.drop`` frees it).  Device block ids are never reused, so
+  such an access can only be a stale reference: the evaluator dropping
+  an intermediate before its last reader, or a kernel reading an
+  operand it factored in place and freed.
 
 The sanitizer is thread-aware like the pool it wraps: span stacks and
 pin ownership are tracked per thread (worker threads each get their
@@ -96,6 +103,10 @@ class LatchLeakError(SanitizerError):
 
 class WritebackLeakError(SanitizerError):
     """An evicted dirty frame was left parked, never written back."""
+
+
+class UseAfterDropError(SanitizerError):
+    """A pool access to a block freed by dropping its array."""
 
 
 class _ThreadState(threading.local):
@@ -187,6 +198,7 @@ class SanitizingBufferPool(BufferPool):
         self._pins_by_thread: dict[int, dict[int, int]] = {}
         self._views: dict[int, list[weakref.ref]] = {}
         self._sentry: _SpanSentry | None = None
+        self._dropped: set[int] = set()
 
     @property
     def _span_stack(self) -> list[_SpanFrame]:
@@ -273,7 +285,23 @@ class SanitizingBufferPool(BufferPool):
             f"put(); announce the full read footprint before reading "
             f"it so misses coalesce")
 
+    def _check_live(self, block_ids: Sequence[int], what: str) -> None:
+        """No access may reach a block freed by dropping its array."""
+        dead = self._dropped.intersection(block_ids)
+        if dead:
+            raise UseAfterDropError(
+                f"{what} on block(s) {sorted(dead)} after their array "
+                f"was dropped; a dropped array's blocks are freed, and "
+                f"nothing may read or write them again")
+
+    def discard(self, block_ids: Sequence[int]) -> None:
+        block_ids = list(block_ids)
+        super().discard(block_ids)
+        with self.lock:
+            self._dropped.update(block_ids)
+
     def prefetch(self, block_ids: list[int]) -> int:
+        self._check_live(block_ids, "prefetch()")
         frames = self._kernel_frames()
         if frames:
             frames[-1].announcements += 1
@@ -281,6 +309,7 @@ class SanitizingBufferPool(BufferPool):
         return super().prefetch(block_ids)
 
     def put(self, block_id: int, data: np.ndarray) -> None:
+        self._check_live((block_id,), "put()")
         frames = self._kernel_frames()
         if frames:
             frames[-1].wrote.add(block_id)
@@ -288,6 +317,7 @@ class SanitizingBufferPool(BufferPool):
 
     def put_many(self, block_ids: Sequence[int],
                  pages: np.ndarray) -> None:
+        self._check_live(block_ids, "put_many()")
         frames = self._kernel_frames()
         if frames:
             frames[-1].wrote.update(block_ids)
@@ -295,11 +325,13 @@ class SanitizingBufferPool(BufferPool):
 
     def get(self, block_id: int, *, for_write: bool = False
             ) -> np.ndarray:
+        self._check_live((block_id,), "get()")
         if block_id not in self._frames:
             self._check_covered(block_id)
         return super().get(block_id, for_write=for_write)
 
     def get_many(self, block_ids: list[int]) -> list[np.ndarray]:
+        self._check_live(block_ids, "get_many()")
         for bid in block_ids:
             if bid not in self._frames:
                 self._check_covered(bid)
@@ -334,6 +366,7 @@ class SanitizingBufferPool(BufferPool):
             return view
 
     def pin(self, block_id: int) -> None:
+        self._check_live((block_id,), "pin()")
         with self.lock:
             super().pin(block_id)
             mine = self._my_pins()

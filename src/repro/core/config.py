@@ -7,7 +7,9 @@ so ``explain`` and ``explain(analyze=True)`` work at each of them.  The
 
 - **level 0** — nothing.  No logical pass runs and the planner lowers
   each node as written to its default operator (program order,
-  type-driven kernel, no fusion).  The ablation baseline of every
+  type-driven kernel, no fusion, every LU on a copy of its operand).
+  Dead intermediates are still dropped: that is the executor's, not
+  an optimizer choice.  The ablation baseline of every
   benchmark: same executor, no optimizer.
 - **level 1** — logical rewriting only: constant folding, CSE,
   subscript pushdown, transpose absorption and the inv-to-solve

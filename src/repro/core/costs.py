@@ -651,8 +651,21 @@ def lu_tile_side(n: float, memory: float, block: float,
     return side
 
 
+def lu_in_place(n: int, tile_shape: tuple[int, int], memory: float,
+                block: float, pool_blocks: int | None = None) -> bool:
+    """Can the pivoted LU factor an n x n operand on ``tile_shape``
+    tiles in place, shared by kernel and planner?  Exactly when those
+    tiles are the working factor's own: square, of side
+    :func:`lu_tile_side` clamped to n.  Whether the operand may be
+    overwritten at all — it dies at the factorization — is the plan's
+    to prove (:class:`repro.core.planner.Planner`)."""
+    side = min(n, lu_tile_side(n, memory, block, pool_blocks))
+    return tuple(tile_shape) == (side, side)
+
+
 def lu_io(n: float, memory: float, block: float,
-          tile_side: float | None = None, ratio: float = 1.0) -> float:
+          tile_side: float | None = None, ratio: float = 1.0,
+          in_place: bool = False) -> float:
     """I/O (blocks) of the blocked partial-pivoting LU of an n x n matrix.
 
     Mirrors the schedule of :func:`repro.linalg.lu.lu_decompose` term by
@@ -666,14 +679,20 @@ def lu_io(n: float, memory: float, block: float,
       U/target blocks per (i, j) pair, exactly as the kernel loops.
 
     Plus the initial copy of the input into the working factor
-    (RIOT's pure-operator discipline: read once, write once).
+    (RIOT's pure-operator discipline: read once, write once) — unless
+    the factorization runs ``in_place`` on a dying operand.  Such an
+    operand was computed by the plan, so the pool still holds what its
+    producer wrote last — up to the whole budget — and the first
+    panel's pass finds that much of it resident.
     ``ratio`` scales all of it by the storage codec's stored-page
     ratio, as in the product models: input, factor and strips are
     codec tiles like any other.
     """
     tile = tile_side or lu_tile_side(n, memory, block)
     p = lu_panel_width(n, memory, tile)
-    total = 2.0 * n * n / block          # copy input -> working factor
+    # Copy input -> working factor; in place, no copy, and the first
+    # panel's pass finds the operand's pool-held part resident.
+    total = (-min(n * n, memory) if in_place else 2.0 * n * n) / block
     k0 = 0.0
     while k0 < n:
         k1 = min(k0 + p, n)
@@ -715,7 +734,7 @@ def solve_io(n: float, nrhs: float, memory: float, block: float,
 
 def inverse_io(n: float, memory: float, block: float,
                tile_side: float | None = None,
-               ratio: float = 1.0) -> float:
+               ratio: float = 1.0, in_place: bool = False) -> float:
     """I/O of materializing ``inv(A)``: one pivoted factorization, one
     substitution sweep per resident column panel of the identity RHS,
     and one write of the n x n result; ``ratio`` scales it by the
@@ -723,26 +742,26 @@ def inverse_io(n: float, memory: float, block: float,
     out_tile = tile_side or _default_tile_side(memory, block, (n, n))
     pw = lu_panel_width(n, memory, min(out_tile, n))
     panels = math.ceil(n / pw)
-    return ratio * (lu_io(n, memory, block, tile_side)
+    return ratio * (lu_io(n, memory, block, tile_side, in_place=in_place)
                     + panels * solve_io(n, pw, memory, block, tile_side)
                     + n * n / block)
 
 
 def solve_op_io(n: float, nrhs: float, memory: float, block: float,
                 tile_side: float | None = None,
-                ratio: float = 1.0) -> float:
+                ratio: float = 1.0, in_place: bool = False) -> float:
     """I/O of the full ``solve(A, B)`` operator: one pivoted
     factorization, one substitution sweep per memory-sized column
     panel of the RHS, plus reading B and writing X once; ``ratio``
     scales it by the storage codec's stored-page ratio."""
+    factor = lu_io(n, memory, block, tile_side, in_place=in_place)
     if nrhs <= 1:
-        return ratio * (lu_io(n, memory, block, tile_side)
-                        + solve_io(n, 1, memory, block, tile_side)
+        return ratio * (factor + solve_io(n, 1, memory, block, tile_side)
                         + 2.0 * n / block)
     out_tile = tile_side or _default_tile_side(memory, block, (n, nrhs))
     pw = lu_panel_width(n, memory, min(out_tile, nrhs))
     panels = math.ceil(nrhs / pw)
-    return ratio * (lu_io(n, memory, block, tile_side)
+    return ratio * (factor
                     + panels * solve_io(n, pw, memory, block, tile_side)
                     + 2.0 * n * nrhs / block)
 

@@ -114,6 +114,10 @@ class Evaluator:
         # by several dense-only contexts is converted (read fully +
         # written as dense tiles) once, not once per consumer.
         self._densified_cache: dict[int, tuple[object, object]] = {}
+        # Matrices stored only to hand an operand to a dense kernel —
+        # dense twins and coerced NumPy values — dropped when the
+        # execution that made them ends.
+        self._transients: list[TiledMatrix] = []
 
     # ------------------------------------------------------------------
     # Parallelism plumbing
@@ -201,24 +205,41 @@ class Evaluator:
             op.measured = None
             op.pool_measured = None
             op.wall_ns = None
-        # The densified-twin cache de-duplicates conversions *within*
-        # one execution, so a long session never pins the sparse
-        # operands it densified — not even the last evaluation's.
-        self._densified_cache.clear()
         if cold:
             self.store.pool.clear()
         memo: dict[int, object] = {}
-        try:
-            with self.store.tracer.span(
-                    f"execute:level{plan.level}", cat="session"):
+        with self.store.tracer.span(
+                f"execute:level{plan.level}", cat="session"):
+            try:
                 for op in plan.ops():
                     self._keep(op, self._measured_op(op, memo), memo)
-                if cold:
-                    self._flush_into_root(plan.root)
-        finally:
-            self._densified_cache.clear()
+                    self._release(op, memo)
+            finally:
+                self._drop_transients()
+            if cold:
+                self._flush_into_root(plan.root)
         plan.executed = True
         return memo[id(plan.root.node)]
+
+    @staticmethod
+    def _release(op: PhysOp, memo: dict[int, object]) -> None:
+        """Drop the stored values of the nodes ``op`` is the last
+        reader of (``op.releases``, set by the planner).  A dropped
+        matrix discards its dirty frames unwritten."""
+        for node in op.releases:
+            drop = getattr(memo.pop(id(node)), "drop", None)
+            if drop is not None:
+                drop()
+
+    def _drop_transients(self) -> None:
+        """End of an execution: drop its dense twins and coerced
+        operands.  The twin cache de-duplicates conversions *within*
+        one execution only, so a long session never pins the sparse
+        operands it densified — not even the last evaluation's."""
+        for mat in self._transients:
+            mat.drop()
+        self._transients.clear()
+        self._densified_cache.clear()
 
     def _flush_into_root(self, root: PhysOp) -> None:
         """Flush dirty frames, charging the write-back to the root op.
@@ -388,6 +409,7 @@ class Evaluator:
             return cached[1]
         dense = data.to_dense()
         self._densified_cache[id(data)] = (data, dense)
+        self._transients.append(dense)
         return dense
 
     # ------------------------------------------------------------------
@@ -398,8 +420,10 @@ class Evaluator:
         data = self._densified(data)
         if isinstance(data, TiledMatrix):
             return data
-        return self.store.matrix_from_numpy(
+        coerced = self.store.matrix_from_numpy(
             np.asarray(data, dtype=np.float64), layout="square")
+        self._transients.append(coerced)
+        return coerced
 
     def _run_solve(self, op: LUSolveOp, memo: dict[int, object]):
         """``solve(A, B)``: pivoted out-of-core LU + blocked substitution.
@@ -419,9 +443,11 @@ class Evaluator:
             b_mat = self._as_tiled_matrix(b)
             return lu_solve_panels(
                 self.store, a, node.shape[1], self.memory_scalars,
-                lambda j0, j1: b_mat.read_submatrix(0, n, j0, j1))
+                lambda j0, j1: b_mat.read_submatrix(0, n, j0, j1),
+                overwrite_a=op.in_place)
         # A vector RHS is read after the factorization, as one piece.
-        factors = lu_decompose(self.store, a, self.memory_scalars)
+        factors = lu_decompose(self.store, a, self.memory_scalars,
+                               overwrite_a=op.in_place)
         try:
             rhs = (b.to_numpy() if hasattr(b, "to_numpy")
                    else np.asarray(b, dtype=np.float64))
@@ -443,7 +469,8 @@ class Evaluator:
         a = self._as_tiled_matrix(self._input(op.node.children[0], memo))
         return lu_solve_panels(
             self.store, a, n, self.memory_scalars,
-            lambda j0, j1: np.eye(n, j1 - j0, k=-j0))
+            lambda j0, j1: np.eye(n, j1 - j0, k=-j0),
+            overwrite_a=op.in_place)
 
     # ------------------------------------------------------------------
     # Elementwise regions: one tape, three drivers

@@ -97,6 +97,12 @@ class PhysOp:
     ``alternatives`` lists ``(label, predicted_io)`` pairs for the
     candidate strategies the planner enumerated and rejected.
 
+    ``releases`` are the nodes this operator is the last reader of —
+    its release point, set by the planner: once it has run, the
+    evaluator drops their stored values.  An operator computing
+    several nodes (a crossprod with side products) is released as a
+    whole, at the last reader of any of them.
+
     ``cost_model`` names the :mod:`repro.core.costs` model that priced
     this operator (``None`` for leaves/constants) — the grouping key of
     :class:`repro.obs.CalibrationReport`.  ``cost_inputs`` carries the
@@ -128,6 +134,7 @@ class PhysOp:
         self.predicted_io = float(predicted_io)
         self.detail = detail
         self.alternatives = list(alternatives or [])
+        self.releases: tuple[Node, ...] = ()
         self.cost_inputs: dict[str, object] = {}
         self.measured_io: int | None = None
         self.measured = None       # IOStats delta once executed
@@ -251,15 +258,22 @@ class SparseSpGEMMOp(PhysOp):
 
 
 class LUSolveOp(PhysOp):
-    """Pivoted out-of-core LU factorization + blocked substitution."""
+    """Pivoted out-of-core LU factorization + blocked substitution.
+
+    ``in_place``: the operand dies here and is laid out as the working
+    factor, so the factorization overwrites its tiles instead of a
+    copy (:func:`repro.core.costs.lu_in_place`, proved by the
+    planner)."""
 
     kind = "solve.lu"
     cost_model = "solve_io"
+    in_place = False
 
 
 class InverseOp(PhysOp):
     kind = "inverse.lu"
     cost_model = "inverse_io"
+    in_place = False
 
 
 class TransposeOp(PhysOp):
@@ -370,6 +384,9 @@ class PhysicalPlan:
                                   in sorted(op.cost_inputs.items()))
                 model = op.cost_model or "?"
                 lines.append(f"{pad}  (cost: {model} {inputs})")
+            if getattr(op, "in_place", False):
+                lines.append(f"{pad}  (in place: factors its dying "
+                             f"operand)")
             if analyze and op.measured_io is not None:
                 self._render_measurement(lines, pad, op, band)
             for alt, io in op.alternatives:

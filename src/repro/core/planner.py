@@ -22,6 +22,14 @@ the whole upper triangle of X'X that is one scan of X for both.
 elementwise pass computes, for streams, maps, reductions and product
 epilogues alike.
 
+Every plan also carries lifetimes.  Each operator's result is released
+at its last reader in execution order (``PhysOp.releases``), and the
+evaluator drops it there: an intermediate that never left the pool
+never reaches the device.  A factorization whose operand dies at it —
+computed by another operator, read by nothing else, laid out as the
+working factor (:func:`~repro.core.costs.lu_in_place`) — overwrites
+that operand instead of copying it (``in_place``).
+
 Every optimizer level lowers here; the level decides which choices are
 open.  At level 2 every choice is costed.  At level 1 the same lowering
 runs with the heuristic choices (program order, type-driven kernels,
@@ -37,11 +45,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 
+from repro.storage.tile_store import tile_shape_for_layout
+
 from .config import OptimizerConfig
 from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
                     crossprod_io, crossprod_side_fits, gather_io,
-                    inverse_io, matmul_epilogue_io, scatter_io,
-                    solve_op_io, stream_io, transpose_materialize_io)
+                    inverse_io, lu_in_place, matmul_epilogue_io,
+                    scatter_io, solve_op_io, stream_io,
+                    transpose_materialize_io)
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
@@ -60,6 +71,11 @@ from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
 #: rounding — a coin-flip switch to a different accumulation order
 #: would buy nothing and cost reproducibility.
 BNLJ_MARGIN = 0.9
+
+#: Operators whose matrix result the store lays out in its default
+#: square tiles, so its tile shape is known at plan time.
+SQUARE_RESULTS = (CrossprodOp, FusedEpilogueOp, InverseOp, LUSolveOp,
+                  TileMatMulOp)
 
 
 def is_elementwise(node: Node) -> bool:
@@ -188,7 +204,43 @@ class Planner:
                 self._edges[id(c)] = self._edges.get(id(c), 0) + 1
         if self.config.rewrites and self.config.fusion_enabled:
             self._pair_side_products(root)
-        return PhysicalPlan(root, self._lower(root), self.config.level)
+        plan = PhysicalPlan(root, self._lower(root), self.config.level)
+        self._set_releases(plan)
+        return plan
+
+    @staticmethod
+    def _set_releases(plan: PhysicalPlan) -> None:
+        """Give every operator that stores a result its release point:
+        the last operator, in execution order, that reads it — or
+        itself, when nothing does.  Stored inputs, constants and the
+        plan's result are never released."""
+        ops = list(plan.ops())
+        last = {id(c): op for op in ops for c in op.children}
+        for op in ops:
+            if op is not plan.root and not isinstance(op,
+                                                      (LeafOp, ScalarOp)):
+                reader = last.get(id(op), op)
+                reader.releases += op.nodes
+
+    def _factors_in_place(self, operand: Node) -> bool:
+        """May the LU of a ``solve`` / ``inv`` overwrite its ``operand``?
+        Only when the operand dies there — computed by another operator
+        that lays its result out on the store's default square tiles
+        (not a stored input, not a sparse result a kernel would densify
+        into a twin), read through one operand slot in the whole DAG (so
+        it is neither also the right-hand side nor the plan's result) —
+        and those tiles are the working factor's
+        (:func:`~repro.core.costs.lu_in_place`).  Level 0, the
+        no-optimizer baseline, factors a copy like a per-call library."""
+        if not (self.config.rewrites
+                and isinstance(self._lower(operand), SQUARE_RESULTS)
+                and self._edges.get(id(operand)) == 1):
+            return False
+        blk = self.block_scalars
+        pool = self.memory_scalars // blk
+        tiles = tile_shape_for_layout("square", operand.shape, blk, pool)
+        return lu_in_place(operand.shape[0], tiles, self.memory_scalars,
+                           blk, pool)
 
     def _pair_side_products(self, root: Node) -> None:
         """Decide, for the whole DAG at once, which ``t(A) %*% B``
@@ -278,10 +330,13 @@ class Planner:
             return self._lower_solve(node)
         if isinstance(node, Inverse):
             n = node.shape[0]
+            in_place = self._factors_in_place(node.children[0])
             op = InverseOp(
                 node, (self._lower(node.children[0]),),
                 predicted_io=inverse_io(n, self.memory_scalars, blk,
-                                        ratio=self.io_ratio))
+                                        ratio=self.io_ratio,
+                                        in_place=in_place))
+            op.in_place = in_place
             op.cost_inputs = self._ratio_inputs({"n": n})
             return op
         if isinstance(node, Transpose):
@@ -546,12 +601,15 @@ class Planner:
         a, b = node.children
         n = a.shape[0]
         nrhs = 1 if node.ndim == 1 else node.shape[1]
+        in_place = self._factors_in_place(a)
         op = LUSolveOp(
             node, (self._lower(a), self._lower(b)),
             predicted_io=solve_op_io(n, nrhs, self.memory_scalars,
                                      self.block_scalars,
-                                     ratio=self.io_ratio),
+                                     ratio=self.io_ratio,
+                                     in_place=in_place),
             detail=f"nrhs={nrhs}")
+        op.in_place = in_place
         op.cost_inputs = self._ratio_inputs({"n": n, "nrhs": nrhs})
         return op
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.costs import lu_panel_width, lu_tile_side
+from repro.core.costs import lu_in_place, lu_panel_width, lu_tile_side
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 
@@ -107,14 +107,20 @@ def _apply_swaps(strip: np.ndarray, piv: np.ndarray) -> None:
 
 def lu_decompose(store: ArrayStore, a: TiledMatrix,
                  memory_scalars: int | None = None,
-                 name: str | None = None) -> PackedLU:
+                 name: str | None = None,
+                 overwrite_a: bool = False) -> PackedLU:
     """Factor a square matrix into packed L\\U with partial pivoting.
 
     The input is copied (RIOT's pure-operator discipline: the old state
     of the array remains valid) into a working factor whose tile side
     is :func:`repro.core.costs.lu_tile_side` — the store's default when
     three tall panels of that width fit the budget, smaller when not —
-    and the permutation is stored alongside the factor.  Raises
+    and the permutation is stored alongside the factor.  A is copied
+    unless the plan proves it dead: ``overwrite_a`` says nothing reads
+    A after this call, and then A's own tiles are factored, with no
+    copy, whenever they are laid out as the working factor would be
+    (:func:`repro.core.costs.lu_in_place`); the packed factor is then
+    A itself, and A's old values are gone.  Raises
     :class:`ValueError` when the memory budget cannot hold even the
     minimum tall panel (one one-page tile column of full height,
     ``3 * n * tile_side`` scalars) — the budget is honored, never
@@ -127,29 +133,32 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
     n = n1
     memory = memory_scalars or (store.pool.capacity
                                 * store.scalars_per_block)
-    side = min(n, lu_tile_side(
-        n, memory, store.device.block_size // a.dtype.itemsize,
-        store.pool.capacity))
+    block = store.device.block_size // a.dtype.itemsize
+    side = min(n, lu_tile_side(n, memory, block, store.pool.capacity))
     if memory < 3 * n * side:
         raise ValueError(
             f"memory budget of {memory} scalars cannot hold a tall "
             f"pivot panel for n={n}: partial pivoting needs at least "
             f"3 * n * tile_side = {3 * n * side} scalars "
             f"(panel + strip + working frames)")
-    out = store.create_matrix((n, n), tile_shape=(side, side),
-                              name=name, dtype=a.dtype)
+    if overwrite_a and lu_in_place(n, a.tile_shape, memory, block,
+                                   store.pool.capacity):
+        out = a
+    else:
+        out = store.create_matrix((n, n), tile_shape=(side, side),
+                                  name=name, dtype=a.dtype)
+        # Copy in rectangles that are whole tiles of both matrices
+        # when one side divides the other (any two default sides do).
+        step_r = max(a.tile_shape[0], side)
+        step_c = max(a.tile_shape[1], side)
+        for r0 in range(0, n, step_r):
+            r1 = min(r0 + step_r, n)
+            for c0 in range(0, n, step_c):
+                out.write_submatrix(r0, c0, a.read_submatrix(
+                    r0, r1, c0, min(c0 + step_c, n)))
     # Panels are cut in multiples of the factor's own tile width, so
     # every panel and strip covers whole tiles.
     p = lu_panel_width(n, memory, out.tile_shape[1])
-    # Copy in rectangles that are whole tiles of both matrices when
-    # one side divides the other (any two default sides do).
-    step_r = max(a.tile_shape[0], side)
-    step_c = max(a.tile_shape[1], side)
-    for r0 in range(0, n, step_r):
-        r1 = min(r0 + step_r, n)
-        for c0 in range(0, n, step_c):
-            out.write_submatrix(r0, c0, a.read_submatrix(
-                r0, r1, c0, min(c0 + step_c, n)))
     perm = np.arange(n, dtype=np.int64)
     try:
         for k0 in range(0, n, p):

@@ -105,7 +105,8 @@ def lu_solve_factored(factors: PackedLU, b: np.ndarray,
 
 
 def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
-                    memory_scalars: int, rhs_panel) -> TiledMatrix:
+                    memory_scalars: int, rhs_panel,
+                    overwrite_a: bool = False) -> TiledMatrix:
     """Solve ``A X = B`` for an ``n x k`` right-hand side that is never
     whole in memory: factor ``a`` once, then substitute one
     memory-sized column panel at a time into a stored result.
@@ -115,11 +116,16 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
     ``solve(A, B)``, a slice of the identity for ``inv(A)``.  The
     panel width is :func:`repro.core.costs.lu_panel_width` on the
     result's tile width, the same budget the factorization honours.
+    ``overwrite_a`` says nothing reads A afterwards, so the
+    factorization may overwrite it
+    (:func:`repro.linalg.lu.lu_decompose`); factored in place, A is
+    dropped with the factor on return.
     """
     from .lu import lu_decompose
 
     n = a.shape[0]
-    factors = lu_decompose(store, a, memory_scalars)
+    factors = lu_decompose(store, a, memory_scalars,
+                           overwrite_a=overwrite_a)
     try:
         out = store.create_matrix((n, k), layout="square")
         pw = lu_panel_width(n, memory_scalars, out.tile_shape[1])
@@ -132,16 +138,19 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
 
 
 def lu_solve(store: ArrayStore, a: TiledMatrix, b: np.ndarray,
-             memory_scalars: int | None = None) -> np.ndarray:
+             memory_scalars: int | None = None,
+             overwrite_a: bool = False) -> np.ndarray:
     """Solve ``A x = b`` by pivoted out-of-core LU + blocked substitution.
 
     Partial pivoting makes this correct for every nonsingular system —
     no diagonal-dominance assumption; an exactly singular ``a`` raises
-    :class:`repro.linalg.lu.SingularMatrixError`.
+    :class:`repro.linalg.lu.SingularMatrixError`.  ``overwrite_a`` as
+    in :func:`lu_solve_panels`.
     """
     from .lu import lu_decompose
 
-    factors = lu_decompose(store, a, memory_scalars)
+    factors = lu_decompose(store, a, memory_scalars,
+                           overwrite_a=overwrite_a)
     try:
         return lu_solve_factored(factors, b, memory_scalars)
     finally:

@@ -409,8 +409,7 @@ class SparseTiledMatrix:
         return out
 
     def drop(self) -> None:
-        for page in range(self.file.num_pages):
-            self.store.pool.invalidate(self.file.block_of(page))
+        self.store.pool.discard(self.file.page_map)
         self.file.drop()
         self.directory.clear()
         self._blocks.clear()

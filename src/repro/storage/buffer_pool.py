@@ -598,6 +598,13 @@ class BufferPool:
             self._latches.pop(block_id, None)
             self.policy.on_remove(block_id)
 
+    def discard(self, block_ids: Sequence[int]) -> None:
+        """Invalidate every frame of an array being dropped: its file
+        frees these blocks next, so nothing may touch them again."""
+        with self.lock:
+            for bid in block_ids:
+                self.invalidate(bid)
+
     def clear(self) -> None:
         """Flush everything and empty the pool."""
         with self.lock:

@@ -360,8 +360,7 @@ class TiledVector:
         return self
 
     def drop(self) -> None:
-        for ci in range(self.num_chunks):
-            self.store.pool.invalidate(self.file.block_of(ci))
+        self.store.pool.discard(self.file.page_map)
         self.file.drop()
 
     def _check_chunk(self, ci: int) -> None:
@@ -863,8 +862,7 @@ class TiledMatrix:
         return self
 
     def drop(self) -> None:
-        for bid in self._blocks.ravel().tolist():
-            self.store.pool.invalidate(bid)
+        self.store.pool.discard(self._blocks.ravel().tolist())
         self.store.tile_cache.invalidate_matrix(self.name)
         with self.store.pool.lock:
             self.tile_dir.clear()

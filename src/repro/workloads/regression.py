@@ -105,6 +105,8 @@ def ols_out_of_core(problem: RegressionProblem,
         xtx = crossprod_matmul(store, x, memory_scalars, name="XtX")
         xty = square_tile_matmul(store, x, y, memory_scalars,
                                  name="Xty", trans_a=True)
-    beta = lu_solve(store, xtx, xty.to_numpy().ravel(), memory_scalars)
+    # X'X dies at the solve, so the LU factors it in place.
+    beta = lu_solve(store, xtx, xty.to_numpy().ravel(), memory_scalars,
+                    overwrite_a=True)
     store.flush()
     return beta, store.device.stats

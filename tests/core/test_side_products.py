@@ -9,7 +9,10 @@ pin what that may and may not change:
 - results are bitwise those of the unshared plan (``fuse_epilogues=
   False``) and of level 0, at parallelism 1 and 2 — inputs are
   integer-valued, so every path that computes the same products gets
-  the same bits — and a cold run writes the same blocks;
+  the same bits — and a cold run writes at most the side products'
+  pages more: every intermediate is dropped after its last reader,
+  so a write is a dirty frame evicted while its value is alive, and
+  sharing computes the side products earlier;
 - with X far larger than the pool the shared operator reads exactly
   the crossprod's blocks plus B once per diagonal region, and the run
   saves at least the X scan of the separate flagged multiply.  Not
@@ -141,10 +144,11 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
     products, budgets on both sides of the fit threshold; levels
     0 / 1 / 2 at parallelism 1 and 2 against the unshared plan.
 
-    The unfused plan also stores each inner sum of a nested ``Map(+)``
-    chain, which the fused region never writes: the writes compared
-    are net of those ``cols x cols`` matrices (one page per 32x32
-    tile)."""
+    Writes depend on which values are alive when the pool evicts, so
+    the shared plan may write fewer blocks (the separate multiply's
+    scan of X no longer evicts X'X) or more, but never more than the
+    side products' own pages (one per 32 x 32 tile) beyond the
+    unshared plan's."""
     rows = cols + extra
     g = np.random.default_rng(seed)
     x_np = integers(g, (rows, cols))
@@ -180,7 +184,9 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
                    for w in left)
     inner_sums = map_ops(unshared) - map_ops(plan)
     assert inner_sums == (max(len(widths) - 2, 0) if nested else 0)
-    assert s_writes == writes - inner_sums * math.ceil(cols / 32) ** 2
+    side_pages = sum(math.ceil(cols / 32) * math.ceil(n.shape[1] / 32)
+                     for n in shared_sides(plan))
+    assert s_writes <= writes + side_pages
     if not left:
         assert s_x == 0  # no flagged multiply left to scan X
     if not taken and not inner_sums:
@@ -199,10 +205,13 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     crossprod alone reads plus B once per diagonal region of the
     schedule — one on these geometries, where the packed triangle of
     X'X fits beside a slab.  The whole run saves at least the X scan
-    and writes the same (4 676 -> 2 580 on the ``ols_pread``
+    and writes no more: the separate multiply's scan of X evicts X'X's
+    dirty frames, which the solve then reads back, while the shared
+    scan leaves them in the pool for the LU to factor in place
+    (4 484 / 333 -> 2 148 / 77 read / written on the ``ols_pread``
     geometry: X's 2 048 pages, B's 32 read once instead of twice, and
-    16 the solve finds still in the pool).  The solve's reads move by
-    a few blocks either way, because it sees another residue."""
+    X'X's 256 neither written nor read back).  The solve's reads move
+    by a few blocks either way, because it sees another residue."""
     g = np.random.default_rng(0)
     x_np = integers(g, (rows, cols))
     b_nps = [integers(g, (rows, 1))]
@@ -229,10 +238,10 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     assert op_reads(s_plan, CrossprodOp) == (
         op_reads(plan, CrossprodOp)
         + schedule.diagonal_regions() * b_pages)
-    assert s_reads <= reads - x_reads and s_writes == writes
+    assert s_reads <= reads - x_reads and s_writes <= writes
     assert np.array_equal(values, ref)
     if rows == 4096:
-        assert (reads, s_reads, writes) == (4676, 2580, 525)
+        assert (reads, s_reads, writes, s_writes) == (4484, 2148, 333, 77)
 
 
 class TestNeverShared:

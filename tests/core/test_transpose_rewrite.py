@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import (Crossprod, Map, MatMul, RiotSession, Transpose,
                         walk)
+from repro.core.plan import TileMatMulOp
 from repro.storage import StorageConfig
 
 
@@ -183,6 +184,10 @@ class TestEpilogueFusion:
         assert np.allclose(values, 2.5 * (a_np @ b_np) + c_np)
 
     def test_unfused_session_materializes_product(self, rng):
+        """Unfused, the product is stored and the map reads it back —
+        from the pool, which holds it: the product dies at the map and
+        is dropped with its frames still dirty, so only the result is
+        written (2 * 15 blocks before intermediates had lifetimes)."""
         a_np = rng.standard_normal((160, 64))
         b_np = rng.standard_normal((64, 96))
         c_np = rng.standard_normal((160, 96))
@@ -192,7 +197,11 @@ class TestEpilogueFusion:
         s.reset_stats()
         values = plan.values()
         s.store.flush()
-        assert s.io_stats.writes == 2 * 5 * 3  # product + result
+        [product] = [op for op in s.plan(plan).ops()
+                     if isinstance(op, TileMatMulOp)]
+        assert any(n is product.node
+                   for n in s.plan(plan).root.releases)
+        assert s.io_stats.writes == 5 * 3  # the result only
         assert np.allclose(values, a_np @ b_np + c_np)
 
     def test_fused_crossprod_epilogue(self, rng):
