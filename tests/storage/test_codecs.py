@@ -11,6 +11,7 @@ its guards hold.
 from __future__ import annotations
 
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,82 @@ def _store(codec="raw", dtype="float64", backend="memory", **kw):
     return ArrayStore(storage=StorageConfig(
         backend=backend, memory_bytes=16 * 8192, codec=codec,
         dtype=dtype, **kw))
+
+
+def _one_stream_payload(tile: np.ndarray) -> bytes:
+    """The tag-2 encoder earlier versions shipped: all byte planes in
+    one zlib stream at level 1, a sync flush after each plane."""
+    flat = np.ascontiguousarray(tile).reshape(-1)
+    planes = np.ascontiguousarray(
+        flat.view(np.uint8).reshape(-1, flat.dtype.itemsize).T)
+    deflate = zlib.compressobj(1)
+    parts = [b"\x02"]
+    for plane in planes:
+        parts += (deflate.compress(plane),
+                  deflate.flush(zlib.Z_SYNC_FLUSH))
+    parts.append(deflate.flush())
+    return b"".join(parts)
+
+
+def _raw_deflate(data: bytes) -> bytes:
+    """A raw-deflate (``wbits=-15``) stream at level 1, through the
+    API every supported Python has."""
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return deflate.compress(data) + deflate.flush()
+
+
+def _lu_factor(a: np.ndarray) -> np.ndarray:
+    """Packed L \\ U of ``a`` by partial pivoting: the factor tiles an
+    in-place LU writes, full mantissas in every off-diagonal entry."""
+    a = a.copy()
+    for k in range(len(a) - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]] = a[[p, k]]
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    return a
+
+
+def _gaussian(shape=(128, 128), seed=7) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _padded(rows=128, cols=128) -> np.ndarray:
+    """A 128 x 128 edge tile: ``rows`` x ``cols`` of data, zeros to
+    the tile's edge."""
+    tile = np.zeros((128, 128))
+    tile[:rows, :cols] = _gaussian((rows, cols))
+    return tile
+
+
+def _specials() -> np.ndarray:
+    nan_payload = (np.array(np.nan).view(np.uint64) | 0xBEEF) \
+        .view(np.float64)
+    values = np.array([np.nan, nan_payload, -0.0, 0.0, 5e-324, -5e-324,
+                       np.finfo(np.float64).tiny, np.inf, -np.inf])
+    return np.random.default_rng(8).choice(values, (128, 128))
+
+
+def _ols_tile(gram: bool) -> np.ndarray:
+    x = np.random.default_rng(9).integers(
+        -8, 9, size=(4096, 128)).astype(np.float64)
+    return x.T @ x if gram else x[:128]
+
+
+#: Tiles whose records must never cost a page more than tag 2 did.
+_PAGE_CORPUS = {
+    "ols_x": lambda: _ols_tile(gram=False),
+    "ols_gram": lambda: _ols_tile(gram=True),
+    "gaussian": _gaussian,
+    "bottom_edge_20_rows": lambda: _padded(rows=20),
+    "right_edge_20_cols": lambda: _padded(cols=20),
+    "repeated_rows": lambda: np.repeat(_gaussian((1, 128)), 128, axis=0),
+    "ramp": lambda: np.arange(128 * 128, dtype=np.float64)
+    .reshape(128, 128),
+    "zeros": lambda: np.zeros((128, 128)),
+    "specials": _specials,
+    "float32": lambda: _gaussian((180, 180)).astype(np.float32),
+}
 
 
 # ----------------------------------------------------------------------
@@ -66,44 +143,65 @@ class TestCodecRoundtrip:
                               sample.view(np.uint32))
 
     def test_delta_zstd_wire_format_is_pinned(self, monkeypatch):
-        """Tag byte, then the compressed byte planes of the scalars'
-        little-endian bit patterns, no delta taken.  Plane ``k`` is
-        byte ``k`` of every scalar in element order; planes go least
-        significant first.  Tag bits: 1 = zstandard (clear: zlib),
-        2 = byte planes (clear: the interleaved wrapping deltas older
-        versions wrote).  The body is spelled out so the format cannot
-        drift unnoticed; the deflate bytes are whatever this zlib makes
-        of it at level 1 with one deflate block per plane (a sync
-        flush after each), which any inflate reads as one stream."""
+        """Tag byte 6, a u32 LE scalar count, then one record per byte
+        plane of the scalars' little-endian bit patterns, no delta
+        taken.  Plane ``k`` is byte ``k`` of every scalar in element
+        order; planes go least significant first.  A record is mode 0
+        and the plane verbatim, or mode 1, a u32 LE length and the
+        plane's own raw-deflate stream.  Tag bits: 1 = zstandard
+        (clear: zlib), 2 = byte planes (clear: the interleaved
+        wrapping deltas older versions wrote), 4 = records (clear: one
+        stream for the whole body).  Four bytes never deflate smaller,
+        so the samples store every plane and are spelled out byte by
+        byte; the deflate bytes of a mode-1 record are whatever this
+        zlib makes of the plane at level 1."""
         from repro.storage import codecs as codecs_mod
         monkeypatch.setattr(codecs_mod, "_zstd", None)
         codec = get_codec("delta+zstd")
         # Bit patterns 3FF0.., 4000.., 8000.., 3FE0..
         tile = np.array([[1.0, 2.0], [-0.0, 0.5]])
-        planes = bytes(6 * 4) + bytes(
-            [0xF0, 0x00, 0x00, 0xE0,      # plane 6
-             0x3F, 0x40, 0x80, 0x3F])     # plane 7
         payload = codec.encode_tile(tile)
-        assert isinstance(payload, bytes) and payload[0] == 2
-        assert zlib.decompress(payload[1:]) == planes
-        deflate = zlib.compressobj(1)
-        assert payload == b"\x02" + b"".join(
-            deflate.compress(planes[k:k + 4])
-            + deflate.flush(zlib.Z_SYNC_FLUSH)
-            for k in range(0, len(planes), 4)) + deflate.flush()
+        assert isinstance(payload, bytes)
+        assert payload == bytes(
+            [0x06, 0x04, 0x00, 0x00, 0x00,      # tag 6, 4 scalars
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 0, stored
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 1
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 2
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 3
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 4
+             0x00, 0x00, 0x00, 0x00, 0x00,      # plane 5
+             0x00, 0xF0, 0x00, 0x00, 0xE0,      # plane 6
+             0x00, 0x3F, 0x40, 0x80, 0x3F])     # plane 7
         for form in (payload, memoryview(payload), memoryview(
                 np.frombuffer(payload, dtype=np.uint8))):
             back = codec.decode_tile(form, tile.dtype, tile.size)
             assert back.tobytes() == tile.tobytes()
         # float32: four planes, same rule (3FC0 8000 7F80 0000).
         tile32 = np.array([1.5, -0.0, np.inf, 1e-45], dtype=np.float32)
-        payload = codec.encode_tile(tile32)
-        assert payload[0] == 2
-        assert zlib.decompress(payload[1:]) == bytes(
-            [0x00, 0x00, 0x00, 0x01,
-             0x00, 0x00, 0x00, 0x00,
-             0xC0, 0x00, 0x80, 0x00,
-             0x3F, 0x80, 0x7F, 0x00])
+        assert codec.encode_tile(tile32) == bytes(
+            [0x06, 0x04, 0x00, 0x00, 0x00,
+             0x00, 0x00, 0x00, 0x00, 0x01,
+             0x00, 0x00, 0x00, 0x00, 0x00,
+             0x00, 0xC0, 0x00, 0x80, 0x00,
+             0x00, 0x3F, 0x80, 0x7F, 0x00])
+        # Both modes in one tile: 4096 scalars in [1, 2) whose low
+        # plane is noise (stored), planes 1-5 zero and planes 6-7
+        # constant (each deflated on its own).
+        planes = np.zeros((8, 4096), dtype=np.uint8)
+        planes[0] = np.random.default_rng(0).integers(0, 256, 4096)
+        planes[6], planes[7] = 0xF0, 0x3F
+        tile = np.ascontiguousarray(planes.T).view(np.float64) \
+            .reshape(64, 64)
+        records = [b"\x00" + planes[0].tobytes()]
+        for plane in planes[1:]:
+            stream = _raw_deflate(plane.tobytes())
+            records.append(b"\x01" + len(stream).to_bytes(4, "little")
+                           + stream)
+        payload = codec.encode_tile(tile)
+        assert payload == b"\x06" + (4096).to_bytes(4, "little") \
+            + b"".join(records)
+        assert codec.decode_tile(payload, tile.dtype, tile.size) \
+            .tobytes() == tile.tobytes()
 
     #: What the interleaved-delta encoder of earlier versions wrote
     #: (tag 0: zlib level 6 over little-endian wrapping deltas) for the
@@ -129,19 +227,49 @@ class TestCodecRoundtrip:
             payload, dt, len(scalars) // dt.itemsize)
         assert back.dtype == dt and back.tobytes() == scalars
 
+    #: What the single-stream plane encoder of earlier versions wrote
+    #: (tag 2: one zlib stream at level 1, a sync flush after each
+    #: byte plane) for the same scalars as ``LEGACY_PAYLOADS``.
+    STREAM_PAYLOADS = [
+        ("float64",
+         "0278016260606078cf08000000ffff02120cfb1800000000ffff0281b50c"
+         "00000000ffff02817b0c00000000ffff820000000000ffff820000000000"
+         "fffffac0c0f0e00703000000ffffb27768b0af6700000000ffff03009324"
+         "07bf",
+         LEGACY_PAYLOADS[0][2]),
+        ("float32",
+         "0278016260606004000000ffff62000200000000ffff3ac0d0c000000000"
+         "ffffb26fa86700000000ffff03000c970280",
+         LEGACY_PAYLOADS[1][2]),
+    ]
+
+    @pytest.mark.parametrize("dtype,payload,scalars", STREAM_PAYLOADS,
+                             ids=["float64", "float32"])
+    def test_payloads_written_as_one_plane_stream_still_decode(
+            self, dtype, payload, scalars):
+        """Page files written before planes became records hold tag 2;
+        they read back bit for bit."""
+        payload, scalars = bytes.fromhex(payload), bytes.fromhex(scalars)
+        assert payload[0] == 2
+        dt = np.dtype(dtype)
+        back = get_codec("delta+zstd").decode_tile(
+            payload, dt, len(scalars) // dt.itemsize)
+        assert back.dtype == dt and back.tobytes() == scalars
+
     def test_unknown_tag_rejected(self):
         payload = bytearray(get_codec("delta+zstd").encode_tile(
             np.arange(8.0)))
-        for tag in (4, 8, 255):
+        for tag in (4, 5, 7, 8, 255):
             payload[0] = tag
             with pytest.raises(ValueError, match="unknown delta\\+zstd"):
                 get_codec("delta+zstd").decode_tile(
                     bytes(payload), np.dtype(np.float64), 8)
 
-    def test_zstandard_backend(self):
+    def test_zstandard_backend(self, monkeypatch):
         """With ``zstandard`` importable the codec writes tag 3 (same
         planes, zstd frame) and still reads every zlib tag."""
         zstd = pytest.importorskip("zstandard")
+        from repro.storage import codecs as codecs_mod
         codec = get_codec("delta+zstd")
         tile = np.array([[1.0, 2.0], [-0.0, 0.5]])
         payload = codec.encode_tile(tile)
@@ -149,11 +277,19 @@ class TestCodecRoundtrip:
         planes = zstd.ZstdDecompressor().decompress(payload[1:])
         assert codec.decode_tile(payload, tile.dtype, tile.size) \
             .tobytes() == tile.tobytes()
-        # The same planes under the zlib tag, and the interleaved
+        # The same planes as one zlib stream (tag 2) and as records
+        # (tag 6, what the zlib backend writes), and the interleaved
         # deltas of earlier versions under tag 1.
         twin = b"\x02" + zlib.compress(planes, 1)
         assert codec.decode_tile(twin, tile.dtype, tile.size) \
             .tobytes() == tile.tobytes()
+        ramp = np.arange(4096.0).reshape(64, 64)
+        with monkeypatch.context() as patch:
+            patch.setattr(codecs_mod, "_zstd", None)
+            records = codec.encode_tile(ramp)
+        assert records[0] == 6 and codecs_mod._zstd is zstd
+        assert codec.decode_tile(records, ramp.dtype, ramp.size) \
+            .tobytes() == ramp.tobytes()
         deltas = np.diff(tile.reshape(-1).view("<i8"), prepend=0)
         legacy = b"\x01" + zstd.ZstdCompressor(level=3).compress(
             deltas.tobytes())
@@ -167,7 +303,8 @@ class TestCodecRoundtrip:
     def test_delta_zstd_roundtrip_property(self, data, dtype, shape):
         """Any bit patterns, any tile shape, every payload form the
         tile store hands over: bytes, a memoryview of them, and a
-        view of a zero-padded pool frame cut to the payload length."""
+        view of a zero-padded pool frame cut to the payload length.
+        The zlib backend writes tag 6, zstandard tag 3."""
         dt = np.dtype(dtype)
         uint = np.dtype(f"<u{dt.itemsize}")
         special = [np.array(v, dtype=dt).view(uint).item() for v in (
@@ -187,9 +324,10 @@ class TestCodecRoundtrip:
         else:
             tile = data.draw(hnp.arrays(uint, shape, elements=bits)) \
                 .view(dt)
+        from repro.storage import codecs as codecs_mod
         codec = get_codec("delta+zstd")
         payload = codec.encode_tile(tile)
-        assert payload[0] in (2, 3)
+        assert payload[0] == (6 if codecs_mod._zstd is None else 3)
         frame = np.zeros(-(-len(payload) // 512) * 512, dtype=np.uint8)
         frame[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
         for form in (payload, memoryview(payload),
@@ -209,21 +347,123 @@ class TestCodecRoundtrip:
         """Payloads land on whole pages, so a block count is a step
         function of payload length and a tile that deflates to just
         about k pages makes counts depend on the data.  The macro
-        ``ols_zstd`` workload's tiles — integers in [-8, 8] and their
-        cross product over 4096 rows — must sit well inside a step
-        (one Huffman table for the whole tile put the cross product
-        at 3.95-4.004 pages; a table per plane, 3.74-3.80)."""
+        ``ols_zstd`` workload's tiles — integers in [-8, 8], their
+        cross product over 4096 rows and its LU factor, whose low
+        mantissa planes are noise — must sit well inside a step (one
+        Huffman table for the whole tile put the cross product at
+        3.95-4.004 pages; a table per plane, 3.74-3.80)."""
         from repro.storage import codecs as codecs_mod
         monkeypatch.setattr(codecs_mod, "_zstd", None)
         codec = get_codec("delta+zstd")
         x = np.random.default_rng(seed).integers(
             -8, 9, size=(4096, 256)).astype(np.float64)
         gram = x.T @ x
+        factor = _lu_factor(gram)
         for tile, lo, hi in ((x[:128, :128], 1.5, 1.85),
                              (gram[:128, :128], 3.5, 3.9),
-                             (gram[:128, 128:], 3.5, 3.9)):
+                             (gram[:128, 128:], 3.5, 3.9),
+                             (factor[:128, :128], 14.0, 14.3),
+                             (factor[128:, :128], 14.0, 14.3),
+                             (factor[128:, 128:], 14.0, 14.3)):
             pages = len(codec.encode_tile(tile)) / 8192
             assert lo < pages < hi
+
+    @pytest.mark.parametrize("name", sorted(_PAGE_CORPUS))
+    def test_records_never_need_more_pages_than_tag_2(
+            self, name, monkeypatch):
+        """Records change how planes are framed, never which bytes
+        they hold, so every tile lands on at most the pages the
+        single-stream encoder (tag 2, kept here as the reference)
+        needed — the block counts of a codec matrix cannot grow."""
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        codec = get_codec("delta+zstd")
+        tile = _PAGE_CORPUS[name]()
+        payload = codec.encode_tile(tile)
+        assert payload[0] == 6
+        assert -(-len(payload) // 8192) \
+            <= -(-len(_one_stream_payload(tile)) // 8192)
+        assert codec.decode_tile(payload, tile.dtype, tile.size) \
+            .tobytes() == tile.tobytes()
+
+    def test_zlib_backend_needs_no_wbits_from_zlib_compress(
+            self, monkeypatch):
+        """``zlib.compress`` takes ``(data, level)`` only before Python
+        3.11; the encoder must run on that signature."""
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        real = zlib.compress
+
+        def compress(data, level=-1):
+            return real(data, level)
+
+        monkeypatch.setattr(zlib, "compress", compress)
+        codec = get_codec("delta+zstd")
+        for name in ("ols_x", "specials", "float32"):
+            tile = _PAGE_CORPUS[name]()
+            payload = codec.encode_tile(tile)
+            assert codec.decode_tile(payload, tile.dtype, tile.size) \
+                .tobytes() == tile.tobytes()
+
+    def test_plane_deflate_cannot_shrink_is_stored(self, monkeypatch):
+        """A strided sample can compress where its plane does not: a
+        noise plane whose every 8th byte counts 0, 1, 2, ... deflates
+        as a sample (the count repeats every 256 bytes) but not whole.
+        The plane is then stored, never a stream longer than it."""
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        planes = np.zeros((8, 16384), dtype=np.uint8)
+        planes[0] = np.random.default_rng(3).integers(0, 256, 16384)
+        planes[0, ::8] = np.arange(2048) % 256
+        assert len(_raw_deflate(planes[0, ::8].tobytes())) < 2048
+        assert len(_raw_deflate(planes[0].tobytes())) >= 16384
+        tile = np.ascontiguousarray(planes.T).view(np.float64) \
+            .reshape(128, 128)
+        payload = get_codec("delta+zstd").encode_tile(tile)
+        assert payload[5:6 + 16384] == b"\x00" + planes[0].tobytes()
+        assert get_codec("delta+zstd").decode_tile(
+            payload, tile.dtype, tile.size).tobytes() == tile.tobytes()
+
+    def test_small_tiles_deflate_each_plane_once(self, monkeypatch):
+        """Below 4 096 scalars the strided sample is the whole plane,
+        so its stream is reused as the record, not deflated again."""
+        from repro.storage import codecs as codecs_mod
+        monkeypatch.setattr(codecs_mod, "_zstd", None)
+        sizes = []
+        real = DeltaZstdCodec._deflate
+
+        def deflate(self, data):
+            sizes.append(len(data))
+            return real(self, data)
+
+        monkeypatch.setattr(DeltaZstdCodec, "_deflate", deflate)
+        tile = np.arange(1024, dtype=np.float64).reshape(32, 32)
+        payload = get_codec("delta+zstd").encode_tile(tile)
+        assert sizes == [1024] * 8
+        assert get_codec("delta+zstd").decode_tile(
+            payload, tile.dtype, tile.size).tobytes() == tile.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           dtype=st.sampled_from(["float64", "float32"]),
+           shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=40))
+    def test_truncated_payloads_fail_loudly(self, data, dtype, shape):
+        """Every proper prefix of a records payload raises the codec's
+        ``ValueError`` — never a reshape error or a short tile."""
+        from repro.storage import codecs as codecs_mod
+        dt = np.dtype(dtype)
+        uint = np.dtype(f"<u{dt.itemsize}")
+        bits = data.draw(hnp.arrays(
+            uint, shape, elements=st.integers(0, np.iinfo(uint).max)))
+        if data.draw(st.booleans(), label="zero high planes"):
+            bits &= 0xFF    # upper planes deflate: mode-1 records
+        tile = bits.view(dt)
+        with mock.patch.object(codecs_mod, "_zstd", None):
+            payload = get_codec("delta+zstd").encode_tile(tile)
+        cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
+        with pytest.raises(ValueError, match="delta\\+zstd"):
+            get_codec("delta+zstd").decode_tile(payload[:cut], dt,
+                                                tile.size)
 
     def test_float32_downcast_lossy_tolerance(self):
         codec = get_codec("float32-downcast")
@@ -237,6 +477,80 @@ class TestCodecRoundtrip:
         assert np.array_equal(back,
                               sample.astype(np.float32)
                               .astype(np.float64))
+
+
+def _stored(plane: bytes) -> bytes:
+    return b"\x00" + plane
+
+
+def _deflated(plane: bytes) -> bytes:
+    stream = _raw_deflate(plane)
+    return b"\x01" + len(stream).to_bytes(4, "little") + stream
+
+
+def _records(count: int, *records: bytes) -> bytes:
+    return b"\x06" + count.to_bytes(4, "little") + b"".join(records)
+
+
+#: The planes of [1.0, 2.0, -0.0, 0.5] as eight well-formed records.
+_GOOD = (_stored(bytes(4)),) * 5 + (_deflated(bytes(4)),
+                                     _deflated(b"\xf0\x00\x00\xe0"),
+                                     _stored(b"\x3f\x40\x80\x3f"))
+
+
+class TestMalformedRecords:
+    """A tag-6 payload that does not hold ``itemsize`` complete plane
+    records of at least ``count`` bytes each is refused with a
+    ``ValueError`` naming the codec, before NumPy sees it."""
+
+    def test_well_formed_records_decode(self):
+        back = get_codec("delta+zstd").decode_tile(
+            _records(4, *_GOOD), np.dtype(np.float64), 4)
+        assert back.tolist() == [1.0, 2.0, -0.0, 0.5]
+
+    @pytest.mark.parametrize("payload,count,match", [
+        (b"", 4, "empty"),
+        (_records(4, *_GOOD)[:3], 4, "inside the scalar count"),
+        (_records(4, *_GOOD)[:-1], 4, "stored plane 7 holds 3 bytes"),
+        (_records(4, *_GOOD[:7])[:-1], 4, "runs 1 bytes past the end"),
+        (_records(4, *_GOOD[:6], _GOOD[6][:3]), 4,
+         "inside plane 6's length"),
+        (_records(4, *_GOOD[:6], b"\x01\xff\x00\x00\x00\x00",
+                  _GOOD[7]), 4, "runs .* past the end"),
+        (_records(4, *_GOOD[:7]), 4, "holds 7 plane records, not 8"),
+        (_records(4, *_GOOD, _stored(bytes(4))), 4,
+         "5 bytes follow its 8 plane records"),
+        (_records(4, *_GOOD[:7], _stored(b"\x3f\x40\x80")), 4,
+         "stored plane 7 holds 3 bytes, not 4"),
+        (_records(4, *_GOOD), 5, "holds 4 scalars, 5 were asked for"),
+        (_records(4, *_GOOD[:7], b"\x02" + bytes(4)), 4,
+         "record mode 2"),
+        (_records(4, *_GOOD[:7], _deflated(bytes(5))), 4,
+         "plane 7 inflates to 5 bytes, not 4"),
+        (_records(4, *_GOOD[:7], b"\x01\x02\x00\x00\x00\xff\xff"), 4,
+         "plane 7: Error"),
+    ], ids=["empty", "truncated_count", "truncated_stored",
+            "truncated_stream", "truncated_length", "length_past_end",
+            "fewer_records", "more_records", "short_stored_plane",
+            "count_below_request", "unknown_mode", "wrong_inflated_size",
+            "bad_stream"])
+    def test_malformed_records_rejected(self, payload, count, match):
+        with pytest.raises(ValueError, match="corrupt delta\\+zstd") \
+                as err:
+            get_codec("delta+zstd").decode_tile(
+                payload, np.dtype(np.float64), count)
+        assert err.match(match)
+
+    def test_short_one_stream_payloads_rejected(self):
+        """Tags 0 and 2 check their inflated length the same way."""
+        codec = get_codec("delta+zstd")
+        planes = zlib.compress(bytes(8 * 4), 1)
+        for tag in (b"\x00", b"\x02"):
+            with pytest.raises(ValueError, match="corrupt delta\\+zstd"):
+                codec.decode_tile(tag + planes, np.dtype(np.float64), 5)
+            with pytest.raises(ValueError, match="corrupt delta\\+zstd"):
+                codec.decode_tile(tag + planes[:-3],
+                                  np.dtype(np.float64), 4)
 
 
 class TestRegistry:
