@@ -24,7 +24,7 @@ import numpy as np
 from conftest import record_io_stats
 
 from repro.core import RiotSession
-from repro.core.costs import inverse_io, lu_io, solve_io
+from repro.core.costs import inverse_io, lu_io, solve_io, solve_op_io
 from repro.linalg import lu_decompose, lu_solve_factored
 from repro.storage import ArrayStore, StorageConfig
 
@@ -107,8 +107,7 @@ def test_inv_rewrite_beats_materialized_inverse(benchmark):
     benchmark.extra_info["io_materialized_inverse"] = \
         inverse_stats.as_dict()
 
-    model_solve = (lu_io(n, MEMORY_SCALARS, BLOCK_SCALARS, 32)
-                   + solve_io(n, 1, MEMORY_SCALARS, BLOCK_SCALARS, 32))
+    model_solve = solve_op_io(n, 1, MEMORY_SCALARS, BLOCK_SCALARS, 32)
     model_inverse = inverse_io(n, MEMORY_SCALARS, BLOCK_SCALARS, 32)
     print(f"\ninv(A) %*% b, n={n}: "
           f"solve-rewrite={solve_stats.total} blocks, "

@@ -13,6 +13,7 @@ a validation the paper itself did not show.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.storage.tile_store import default_tile_side
@@ -663,87 +664,145 @@ def lu_in_place(n: int, tile_shape: tuple[int, int], memory: float,
     return tuple(tile_shape) == (side, side)
 
 
+@dataclass(frozen=True)
+class LUStep:
+    """One pass of the out-of-core pivoted LU over the factor: rows
+    ``k0..n`` of columns ``j0..j1`` are read, updated in memory while
+    the tall panel of columns ``k0..k1`` is resident, and written back
+    once.  The panel's own step (``j0 == k0``) factors it; a strip left
+    of it only takes its row interchanges; a trailing strip takes the
+    interchanges, ``inv(L_kk)`` for U's new rows and the update of the
+    rows below by ``L_below @ U_top``."""
+
+    k0: int
+    k1: int
+    j0: int
+    j1: int
+
+    @property
+    def factors_panel(self) -> bool:
+        return self.j0 == self.k0
+
+    @property
+    def trailing(self) -> bool:
+        return self.j0 >= self.k1
+
+
+@dataclass(frozen=True)
+class LUSchedule:
+    """The right-looking schedule of the out-of-core pivoted LU of an
+    n x n matrix, stated once for kernel and cost models.
+
+    The factor is cut into column panels ``width`` wide
+    (:func:`lu_panel_width`, whole tiles).  Each panel makes one pass:
+    its own step first, then one step per other strip of the same
+    width, in column order (:meth:`steps`), so every strip of the
+    trailing rows is read and written once per panel and there is no
+    separate update pass.  The substitution sweeps step through the
+    same panels as block rows.
+    """
+
+    n: int
+    width: int
+
+    def panels(self) -> list[tuple[int, int]]:
+        """The column panels ``(k0, k1)``, which are also the strips
+        and the sweeps' block rows."""
+        return [(k0, min(k0 + self.width, self.n))
+                for k0 in range(0, self.n, self.width)]
+
+    def steps(self) -> Iterator[LUStep]:
+        """Every pass in execution order."""
+        panels = self.panels()
+        for k0, k1 in panels:
+            yield LUStep(k0, k1, k0, k1)
+            for j0, j1 in panels:
+                if j0 != k0:
+                    yield LUStep(k0, k1, j0, j1)
+
+    def factor_scalars(self) -> int:
+        """Scalars the passes read, and again write back: each step
+        covers rows ``k0..n`` of its columns."""
+        return sum((self.n - s.k0) * (s.j1 - s.j0) for s in self.steps())
+
+    def sweep_scalars(self, forward: bool) -> int:
+        """Scalars of the factor one substitution sweep reads: each
+        block row from column 0 to its diagonal block (forward, L) or
+        from its diagonal block to column n (backward, U)."""
+        return sum((i1 - i0) * (i1 if forward else self.n - i0)
+                   for i0, i1 in self.panels())
+
+
+def lu_schedule(n: float, memory: float, tile: float) -> LUSchedule:
+    """The :class:`LUSchedule` of an n x n factor on ``tile``-sided
+    tiles in ``memory`` scalars."""
+    return LUSchedule(int(n), lu_panel_width(n, memory, tile))
+
+
 def lu_io(n: float, memory: float, block: float,
           tile_side: float | None = None, ratio: float = 1.0,
           in_place: bool = False) -> float:
-    """I/O (blocks) of the blocked partial-pivoting LU of an n x n matrix.
-
-    Mirrors the schedule of :func:`repro.linalg.lu.lu_decompose` term by
-    term.  Per column panel of width p (tall panel resident in memory):
-
-    - the trailing ``h x p`` panel is read, factored, and written back,
-    - one pass over the remaining ``h x (n - p)`` rows applies the
-      panel's row interchanges (and, for trailing strips, the
-      triangular solve producing U's row panel) — read + write,
-    - the trailing update streams L blocks once per block row and the
-      U/target blocks per (i, j) pair, exactly as the kernel loops.
+    """I/O (blocks) of the blocked partial-pivoting LU of an n x n matrix:
+    a count over :func:`lu_schedule`, each step's rectangle read and
+    written back once.
 
     Plus the initial copy of the input into the working factor
     (RIOT's pure-operator discipline: read once, write once) — unless
     the factorization runs ``in_place`` on a dying operand.  Such an
     operand was computed by the plan, so the pool still holds what its
     producer wrote last — up to the whole budget — and the first
-    panel's pass finds that much of it resident.
+    panel's pass finds that much of it resident.  A right-hand side
+    carried through the passes is in memory and costs nothing here.
     ``ratio`` scales all of it by the storage codec's stored-page
     ratio, as in the product models: input, factor and strips are
     codec tiles like any other.
     """
-    tile = tile_side or lu_tile_side(n, memory, block)
-    p = lu_panel_width(n, memory, tile)
-    # Copy input -> working factor; in place, no copy, and the first
-    # panel's pass finds the operand's pool-held part resident.
-    total = (-min(n * n, memory) if in_place else 2.0 * n * n) / block
-    k0 = 0.0
-    while k0 < n:
-        k1 = min(k0 + p, n)
-        w = k1 - k0                      # panel width
-        h = n - k0                       # trailing height
-        total += 2.0 * h * w / block     # panel read + factored write-back
-        total += 2.0 * h * (n - w) / block   # swap (+U) pass, read + write
-        t = n - k1                       # trailing square side
-        if t > 0:
-            nb = math.ceil(t / p)        # trailing blocks per side
-            total += t * w / block       # L blocks, once per block row
-            total += nb * t * w / block  # U row panel, re-read per block row
-            total += 2.0 * t * t / block  # trailing blocks read + written
-        k0 = k1
-    return ratio * total
+    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
+        n, memory, block))
+    copy = -min(n * n, memory) if in_place else 2.0 * n * n
+    return ratio * (copy + 2.0 * schedule.factor_scalars()) / block
 
 
 def solve_io(n: float, nrhs: float, memory: float, block: float,
              tile_side: float | None = None, ratio: float = 1.0) -> float:
     """I/O (blocks) of the two blocked substitution sweeps of ``A x = b``
-    given a packed L\\U factor (the RHS rides along in memory).
-
-    The forward sweep reads each block row of the strictly-lower
-    triangle plus the diagonal block; the backward sweep mirrors it on
-    the upper triangle — together one pass over the packed factor with
-    the diagonal blocks touched twice.
+    given a packed L\\U factor (the RHS rides along in memory): a count
+    over :func:`lu_schedule`'s block rows — together one pass over the
+    packed factor with the diagonal blocks touched twice.
     """
-    tile = tile_side or lu_tile_side(n, memory, block)
-    b = lu_panel_width(n, memory, tile)
-    total = 0.0
-    i0 = 0.0
-    while i0 < n:
-        i1 = min(i0 + b, n)
-        total += (i1 - i0) * i1 / block        # forward: row strip to diag
-        total += (i1 - i0) * (n - i0) / block  # backward: diag to row end
-        i0 = i1
-    return ratio * total
+    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
+        n, memory, block))
+    return ratio * (schedule.sweep_scalars(True)
+                    + schedule.sweep_scalars(False)) / block
+
+
+def _solve_panels_io(n: float, nrhs: float, memory: float, block: float,
+                     tile_side: float | None, out_tile: float) -> float:
+    """Factor plus sweeps of a solve whose RHS has ``nrhs`` columns in
+    panels of :func:`lu_panel_width` on the result's tile width: the
+    first panel rides through the factorization and pays the backward
+    sweep alone, every later one both sweeps."""
+    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
+        n, memory, block))
+    panels = math.ceil(nrhs / lu_panel_width(n, memory,
+                                             min(out_tile, nrhs)))
+    sweeps = (schedule.sweep_scalars(False) + (panels - 1)
+              * (schedule.sweep_scalars(True)
+                 + schedule.sweep_scalars(False)))
+    return sweeps / block
 
 
 def inverse_io(n: float, memory: float, block: float,
                tile_side: float | None = None,
                ratio: float = 1.0, in_place: bool = False) -> float:
-    """I/O of materializing ``inv(A)``: one pivoted factorization, one
-    substitution sweep per resident column panel of the identity RHS,
-    and one write of the n x n result; ``ratio`` scales it by the
-    storage codec's stored-page ratio."""
+    """I/O of materializing ``inv(A)``: one pivoted factorization that
+    carries the identity's first column panel, substitution sweeps for
+    the rest, and one write of the n x n result; ``ratio`` scales it by
+    the storage codec's stored-page ratio."""
     out_tile = tile_side or _default_tile_side(memory, block, (n, n))
-    pw = lu_panel_width(n, memory, min(out_tile, n))
-    panels = math.ceil(n / pw)
     return ratio * (lu_io(n, memory, block, tile_side, in_place=in_place)
-                    + panels * solve_io(n, pw, memory, block, tile_side)
+                    + _solve_panels_io(n, n, memory, block, tile_side,
+                                       out_tile)
                     + n * n / block)
 
 
@@ -751,18 +810,14 @@ def solve_op_io(n: float, nrhs: float, memory: float, block: float,
                 tile_side: float | None = None,
                 ratio: float = 1.0, in_place: bool = False) -> float:
     """I/O of the full ``solve(A, B)`` operator: one pivoted
-    factorization, one substitution sweep per memory-sized column
-    panel of the RHS, plus reading B and writing X once; ``ratio``
-    scales it by the storage codec's stored-page ratio."""
-    factor = lu_io(n, memory, block, tile_side, in_place=in_place)
-    if nrhs <= 1:
-        return ratio * (factor + solve_io(n, 1, memory, block, tile_side)
-                        + 2.0 * n / block)
+    factorization that carries B's first memory-sized column panel,
+    substitution sweeps for the rest, plus reading B and writing X
+    once; ``ratio`` scales it by the storage codec's stored-page
+    ratio."""
     out_tile = tile_side or _default_tile_side(memory, block, (n, nrhs))
-    pw = lu_panel_width(n, memory, min(out_tile, nrhs))
-    panels = math.ceil(nrhs / pw)
-    return ratio * (factor
-                    + panels * solve_io(n, pw, memory, block, tile_side)
+    return ratio * (lu_io(n, memory, block, tile_side, in_place=in_place)
+                    + _solve_panels_io(n, nrhs, memory, block, tile_side,
+                                       out_tile)
                     + 2.0 * n * nrhs / block)
 
 

@@ -225,9 +225,11 @@ class Evaluator:
     def _release(op: PhysOp, memo: dict[int, object]) -> None:
         """Drop the stored values of the nodes ``op`` is the last
         reader of (``op.releases``, set by the planner).  A dropped
-        matrix discards its dirty frames unwritten."""
+        matrix discards its dirty frames unwritten; one the kernel
+        already dropped at its read (:meth:`_drop_at_read`) is gone
+        from the memo."""
         for node in op.releases:
-            drop = getattr(memo.pop(id(node)), "drop", None)
+            drop = getattr(memo.pop(id(node), None), "drop", None)
             if drop is not None:
                 drop()
 
@@ -426,35 +428,55 @@ class Evaluator:
         return coerced
 
     def _run_solve(self, op: LUSolveOp, memo: dict[int, object]):
-        """``solve(A, B)``: pivoted out-of-core LU + blocked substitution.
+        """``solve(A, B)``: pivoted out-of-core LU with B's first column
+        panel riding along, then blocked substitution.
 
-        The factor streams from the tile store; the right-hand side is
-        factored once and substituted one memory-sized column panel at
-        a time, so a wide B (e.g. a rewritten ``inv(A) %*% B`` with
-        matrix B) respects the same budget the factorization does.
+        A vector B rides whole; a matrix B is read one memory-sized
+        column panel at a time, so a wide B (e.g. a rewritten
+        ``inv(A) %*% B`` with matrix B) respects the same budget the
+        factorization does.  A B that dies here is dropped as soon as
+        its last column is in memory, not after the operator: its
+        frames then never compete with the factor's.
         """
-        from repro.linalg.lu import lu_decompose
-        from repro.linalg.solve import lu_solve_factored, lu_solve_panels
+        from repro.linalg.solve import lu_solve, lu_solve_panels
         node = op.node
-        a = self._as_tiled_matrix(self._input(node.children[0], memo))
-        b = self._densified(self._input(node.children[1], memo))
+        a_node, b_node = node.children
+        a = self._as_tiled_matrix(self._input(a_node, memo))
+        b = self._densified(self._input(b_node, memo))
+        n = node.shape[0]
         if node.ndim == 2:
-            n = node.shape[0]
+            k = node.shape[1]
             b_mat = self._as_tiled_matrix(b)
+
+            def rhs_panel(j0: int, j1: int) -> np.ndarray:
+                cols = b_mat.read_submatrix(0, n, j0, j1)
+                if j1 == k:
+                    self._drop_at_read(op, b_node, memo)
+                return cols
+
             return lu_solve_panels(
-                self.store, a, node.shape[1], self.memory_scalars,
-                lambda j0, j1: b_mat.read_submatrix(0, n, j0, j1),
+                self.store, a, k, self.memory_scalars, rhs_panel,
                 overwrite_a=op.in_place)
-        # A vector RHS is read after the factorization, as one piece.
-        factors = lu_decompose(self.store, a, self.memory_scalars,
-                               overwrite_a=op.in_place)
-        try:
-            rhs = (b.to_numpy() if hasattr(b, "to_numpy")
-                   else np.asarray(b, dtype=np.float64))
-            return self.store.vector_from_numpy(lu_solve_factored(
-                factors, rhs.ravel(), self.memory_scalars))
-        finally:
-            factors.drop()
+        rhs = (b.to_numpy() if hasattr(b, "to_numpy")
+               else np.asarray(b, dtype=np.float64))
+        self._drop_at_read(op, b_node, memo)
+        return self.store.vector_from_numpy(lu_solve(
+            self.store, a, rhs.ravel(), self.memory_scalars,
+            overwrite_a=op.in_place))
+
+    @staticmethod
+    def _drop_at_read(op: PhysOp, node: Node,
+                      memo: dict[int, object]) -> None:
+        """Drop an operand ``op`` releases as soon as its kernel holds
+        it in memory, before the operator ends.  The release point the
+        plan states does not move; the value just leaves the memo
+        early, so :meth:`_release` finds it gone and drops it once.  An
+        operand that is also another input of ``op`` stays."""
+        if (any(node is r for r in op.releases)
+                and sum(c is node for c in op.node.children) == 1):
+            drop = getattr(memo.pop(id(node)), "drop", None)
+            if drop is not None:
+                drop()
 
     def _run_inverse(self, op: InverseOp,
                      memo: dict[int, object]) -> TiledMatrix:

@@ -12,7 +12,7 @@ class SolveRewritePass(Pass):
     Algebraically equal, but the solve plan factors A once and
     substitutes, while the inverse plan additionally materializes the
     n x n inverse and runs a full out-of-core multiply — strictly more
-    I/O (:func:`repro.core.costs.inverse_io` vs ``lu_io + solve_io``).
+    I/O (:func:`repro.core.costs.inverse_io` vs ``solve_op_io``).
     The classic array-algebra rewrite a SQL host cannot express.
     """
 

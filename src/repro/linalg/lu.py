@@ -6,39 +6,53 @@ linear algebra operations, such as matrix multiplication and LU
 decomposition"); this module supplies the out-of-core implementation.
 
 Right-looking blocked LU *with partial pivoting* (the LAPACK ``getrf``
-schedule, out of core):
+schedule, out of core), run as :func:`repro.core.costs.lu_schedule`
+states it — two steps per column panel, and each strip of the trailing
+rows is read and written once per panel:
 
 1. **Tall-panel factorization.**  The trailing column panel — all rows
    ``k0..n`` of the ``p`` panel columns — is read into memory and
-   factored with row interchanges, choosing each pivot as the
+   factored left-looking (Crout: per column one matrix-vector product
+   brings it up to date, then the pivot search and swap, one more for
+   U's row, then the scale), choosing each pivot as the
    largest-magnitude candidate across the full trailing panel.  The
    panel must be resident because pivot choice is data-dependent; panel
    width comes from :func:`repro.core.costs.lu_panel_width` so one tall
    panel takes at most a third of the memory budget.
-2. **Out-of-core row swaps.**  The panel's interchanges are then applied
-   to every other column — the already-factored blocks on the left *and*
-   the trailing submatrix on the right — one ``p``-wide strip at a time.
-   For trailing strips the pass is fused with the triangular solve that
-   produces U's row panel (``U[k, j] = inv(L_kk) @ A[k, j]``).
-3. **Trailing update.**  ``A[i, j] -= L[i, k] @ U[k, j]`` one block pair
-   at a time, announcing each step's footprint via ``pool.prefetch()``
-   like every other kernel.
+2. **One pass over the other strips.**  While the panel stays resident,
+   every other ``p``-wide strip of rows ``k0..n`` is read once: the
+   panel's interchanges are applied as one row gather, and a trailing
+   strip also gets U's row panel (``U[k, j] = inv(L_kk) @ A[k, j]``,
+   one inverse per panel) and the update of the rows below
+   (``A[i, j] -= L[i, k] @ U[k, j]``) before it is written back.  Each
+   strip's tile footprint is announced via ``pool.prefetch()`` like
+   every other kernel's.
 
-The result is a :class:`PackedLU`: the packed L\\U factor (unit-diagonal
-L strictly below, U on and above the diagonal) plus the row permutation
-stored alongside it in the tile store, satisfying ``P A = L U`` with
-``(P A)[i] = A[perm[i]]``.  An exactly singular input (a pivot column
-with no nonzero candidate) raises :class:`SingularMatrixError` instead
-of the silent garbage or ``ZeroDivisionError`` of unpivoted Doolittle.
+A right-hand side may ride along (the solves of
+:mod:`repro.linalg.solve`): each panel applies its gather, its
+``inv(L_kk)`` and its update to the RHS rows in memory, as to a strip,
+so what leaves the factorization is ``L^-1 P b`` and only the backward
+sweep reads the factor afterwards.
+
+:func:`lu_decompose` returns a :class:`PackedLU`: the packed L\\U factor
+(unit-diagonal L strictly below, U on and above the diagonal) plus the
+row permutation stored alongside it in the tile store, satisfying
+``P A = L U`` with ``(P A)[i] = A[perm[i]]``.  The solves keep the
+permutation in memory and store none.  An exactly singular input (a
+pivot column with no nonzero candidate) raises
+:class:`SingularMatrixError` instead of the silent garbage or
+``ZeroDivisionError`` of unpivoted Doolittle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
-from repro.core.costs import lu_in_place, lu_panel_width, lu_tile_side
+from repro.core.costs import lu_in_place, lu_schedule, lu_tile_side
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 
@@ -76,13 +90,19 @@ class PackedLU:
 def _panel_lu(panel: np.ndarray, global_row0: int) -> np.ndarray:
     """In-memory partial-pivot LU of a tall panel, packed in place.
 
-    Returns the pivot rows chosen per column, as *local* row offsets
-    into the panel (LAPACK ``ipiv`` convention: column ``k`` swapped
-    rows ``k`` and ``piv[k]``).  ``global_row0`` only labels the error.
+    Left-looking (Crout): column ``k`` is brought up to date by one
+    matrix-vector product with the columns already factored, its pivot
+    is chosen and swapped in, U's row ``k`` is finished by a second
+    product and the multipliers are scaled.  Returns the pivot rows
+    chosen per column, as *local* row offsets into the panel (LAPACK
+    ``ipiv`` convention: column ``k`` swapped rows ``k`` and
+    ``piv[k]``).  ``global_row0`` only labels the error.
     """
-    rows, cols = panel.shape
+    cols = panel.shape[1]
     piv = np.empty(cols, dtype=np.int64)
     for k in range(cols):
+        if k:
+            panel[k:, k] -= panel[k:, :k] @ panel[:k, k]
         r = k + int(np.argmax(np.abs(panel[k:, k])))
         if panel[r, k] == 0.0:
             raise SingularMatrixError(
@@ -91,41 +111,43 @@ def _panel_lu(panel: np.ndarray, global_row0: int) -> np.ndarray:
         piv[k] = r
         if r != k:
             panel[[k, r]] = panel[[r, k]]
+        if k and k + 1 < cols:
+            panel[k, k + 1:] -= panel[k, :k] @ panel[:k, k + 1:]
         panel[k + 1:, k] /= panel[k, k]
-        if k + 1 < cols:
-            panel[k + 1:, k + 1:] -= np.outer(panel[k + 1:, k],
-                                              panel[k, k + 1:])
     return piv
 
 
-def _apply_swaps(strip: np.ndarray, piv: np.ndarray) -> None:
-    """Apply a panel's interchanges (in order) to a row-aligned strip."""
+def _row_order(piv: np.ndarray, rows: int) -> np.ndarray:
+    """The row order a panel's interchanges compose to: swapping rows
+    ``k`` and ``piv[k]`` in turn leaves row ``i`` of a ``rows``-high
+    strip holding what ``strip[order][i]`` reads."""
+    order = np.arange(rows)
     for k, r in enumerate(piv):
-        if r != k:
-            strip[[k, r]] = strip[[r, k]]
+        order[k], order[r] = order[r], order[k]
+    return order
 
 
-def lu_decompose(store: ArrayStore, a: TiledMatrix,
-                 memory_scalars: int | None = None,
-                 name: str | None = None,
-                 overwrite_a: bool = False) -> PackedLU:
-    """Factor a square matrix into packed L\\U with partial pivoting.
+def _carry(rows: np.ndarray, order: np.ndarray, l_inv: np.ndarray,
+           below: np.ndarray) -> np.ndarray:
+    """A trailing strip's (or a riding RHS's) rows ``k0..n`` after one
+    panel: the interchanges, U's rows ``inv(L_kk) @ A[k]`` and the
+    update of the rows below by ``L_below @ U_top``."""
+    rows = rows[order]
+    w = l_inv.shape[0]
+    rows[:w] = l_inv @ rows[:w]
+    rows[w:] -= below @ rows[:w]
+    return rows
 
-    The input is copied (RIOT's pure-operator discipline: the old state
-    of the array remains valid) into a working factor whose tile side
-    is :func:`repro.core.costs.lu_tile_side` — the store's default when
-    three tall panels of that width fit the budget, smaller when not —
-    and the permutation is stored alongside the factor.  A is copied
-    unless the plan proves it dead: ``overwrite_a`` says nothing reads
-    A after this call, and then A's own tiles are factored, with no
-    copy, whenever they are laid out as the working factor would be
-    (:func:`repro.core.costs.lu_in_place`); the packed factor is then
-    A itself, and A's old values are gone.  Raises
-    :class:`ValueError` when the memory budget cannot hold even the
-    minimum tall panel (one one-page tile column of full height,
-    ``3 * n * tile_side`` scalars) — the budget is honored, never
-    silently exceeded — and :class:`SingularMatrixError` on an exactly
-    singular input.
+
+def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
+            name: str | None = None, overwrite_a: bool = False,
+            rhs: np.ndarray | None = None
+            ) -> tuple[TiledMatrix, np.ndarray]:
+    """Factor ``a`` into a packed L\\U working factor; returns it with
+    the row permutation as an in-memory array.  The one factor routine
+    behind :func:`lu_decompose` and the solves: ``rhs`` (``(n,)`` or
+    ``(n, k)``, float64) rides along and leaves as ``L^-1 P rhs``,
+    updated in place.  Arguments and errors as in :func:`lu_decompose`.
     """
     n1, n2 = a.shape
     if n1 != n2:
@@ -158,53 +180,65 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
                     r0, r1, c0, min(c0 + step_c, n)))
     # Panels are cut in multiples of the factor's own tile width, so
     # every panel and strip covers whole tiles.
-    p = lu_panel_width(n, memory, out.tile_shape[1])
+    schedule = lu_schedule(n, memory, out.tile_shape[1])
     perm = np.arange(n, dtype=np.int64)
     try:
-        for k0 in range(0, n, p):
-            k1 = min(k0 + p, n)
-            with store.tracer.span("lu:panel", cat="kernel", k0=k0, p=p):
-                # 1. Tall-panel factorization with row interchanges.
-                store.pool.prefetch(out.submatrix_blocks(k0, n, k0, k1))
-                panel = out.read_submatrix(k0, n, k0, k1)
-                piv = _panel_lu(panel, k0)
-                out.write_submatrix(k0, k0, panel)
-                _apply_swaps(perm[k0:n], piv)
-                l_kk = np.tril(panel[: k1 - k0], -1) + np.eye(k1 - k0)
-                # 2. Apply the interchanges out-of-core: the already-
-                # factored left blocks get the swaps alone, trailing
-                # strips fuse the swaps with the triangular solve for
-                # U's row panel.
-                strips = [(j0, min(j0 + p, k0), False)
-                          for j0 in range(0, k0, p)]
-                strips += [(j0, min(j0 + p, n), True)
-                           for j0 in range(k1, n, p)]
-                for j0, j1, trailing in strips:
+        for k0, steps in groupby(schedule.steps(), key=attrgetter("k0")):
+            with store.tracer.span("lu:panel", cat="kernel", k0=k0,
+                                   p=schedule.width):
+                for step in steps:
+                    j0, j1 = step.j0, step.j1
                     store.pool.prefetch(
                         out.submatrix_blocks(k0, n, j0, j1))
                     strip = out.read_submatrix(k0, n, j0, j1)
-                    _apply_swaps(strip, piv)
-                    if trailing:
-                        strip[: k1 - k0] = np.linalg.solve(
-                            l_kk, strip[: k1 - k0])
+                    if step.factors_panel:
+                        # The panel's other steps reuse it, its row
+                        # order and inv(L_kk).
+                        panel, w = strip, j1 - j0
+                        order = _row_order(_panel_lu(panel, k0), n - k0)
+                        perm[k0:] = perm[k0:][order]
+                        l_inv = np.linalg.inv(
+                            np.tril(panel[:w], -1)
+                            + np.eye(w, dtype=panel.dtype))
+                        if rhs is not None:
+                            rhs[k0:] = _carry(rhs[k0:], order, l_inv,
+                                              panel[w:])
+                    elif step.trailing:
+                        strip = _carry(strip, order, l_inv, panel[w:])
+                    else:
+                        strip = strip[order]
                     out.write_submatrix(k0, j0, strip)
-                # 3. Trailing update: A[i, j] -= L[i, k] @ U[k, j].
-                for i0 in range(k1, n, p):
-                    i1 = min(i0 + p, n)
-                    l_ik = out.read_submatrix(i0, i1, k0, k1)
-                    for j0 in range(k1, n, p):
-                        j1 = min(j0 + p, n)
-                        store.pool.prefetch(
-                            out.submatrix_blocks(k0, k1, j0, j1)
-                            + out.submatrix_blocks(i0, i1, j0, j1))
-                        u_kj = out.read_submatrix(k0, k1, j0, j1)
-                        block = out.read_submatrix(i0, i1, j0, j1)
-                        out.write_submatrix(i0, j0, block - l_ik @ u_kj)
     except SingularMatrixError:
         # A singular input is a catchable, retryable condition: free
         # the half-built working factor instead of leaking its pages.
         out.drop()
         raise
+    return out, perm
+
+
+def lu_decompose(store: ArrayStore, a: TiledMatrix,
+                 memory_scalars: int | None = None,
+                 name: str | None = None,
+                 overwrite_a: bool = False) -> PackedLU:
+    """Factor a square matrix into packed L\\U with partial pivoting.
+
+    The input is copied (RIOT's pure-operator discipline: the old state
+    of the array remains valid) into a working factor whose tile side
+    is :func:`repro.core.costs.lu_tile_side` — the store's default when
+    three tall panels of that width fit the budget, smaller when not —
+    and the permutation is stored alongside the factor.  A is copied
+    unless the plan proves it dead: ``overwrite_a`` says nothing reads
+    A after this call, and then A's own tiles are factored, with no
+    copy, whenever they are laid out as the working factor would be
+    (:func:`repro.core.costs.lu_in_place`); the packed factor is then
+    A itself, and A's old values are gone.  Raises
+    :class:`ValueError` when the memory budget cannot hold even the
+    minimum tall panel (one one-page tile column of full height,
+    ``3 * n * tile_side`` scalars) — the budget is honored, never
+    silently exceeded — and :class:`SingularMatrixError` on an exactly
+    singular input.
+    """
+    out, perm = _factor(store, a, memory_scalars, name, overwrite_a)
     perm_vec = store.vector_from_numpy(perm.astype(np.float64),
                                        name=f"{out.name}_perm")
     return PackedLU(packed=out, perm=perm_vec)

@@ -1,14 +1,19 @@
 """Blocked triangular solves and a full pivoted linear solver.
 
-Completes the LU story of §5: with :func:`repro.linalg.lu.lu_decompose`
-producing a pivoted packed factor out of core, :func:`lu_solve` answers
-``A x = b`` by permuting the right-hand side (``P b``) and running two
-blocked substitution sweeps that stream one block row of the factor at
-a time.  The right-hand side may be a vector or a (narrow) matrix of
-columns; it rides along in memory while the factor streams from disk.
-A right-hand side too wide for that — a stored matrix B, or the
-identity behind ``inv(A)`` — goes through :func:`lu_solve_panels`, one
-memory-sized column panel at a time against one factorization.
+Completes the LU story of §5.  :func:`lu_solve` answers ``A x = b`` in
+two steps: the right-hand side rides through the out-of-core pivoted
+factorization (:mod:`repro.linalg.lu`), where each panel applies its
+row interchanges, ``inv(L_kk)`` and update to the RHS rows in memory as
+it does to a strip of the factor — so the forward substitution is done
+when the factor is — and then one blocked backward sweep streams U one
+block row at a time.  The row permutation never leaves memory.  The
+right-hand side may be a vector or a (narrow) matrix of columns.  One
+too wide for that — a stored matrix B, or the identity behind
+``inv(A)`` — goes through :func:`lu_solve_panels`: its first
+memory-sized column panel rides along the same way, and each later one
+is permuted and substituted with both sweeps against the one
+factorization.  :func:`lu_solve_factored` runs both sweeps against a
+stored :class:`~repro.linalg.lu.PackedLU`.
 
 Block-row size is derived from the store's pool budget through the same
 :func:`repro.core.costs.lu_panel_width` formula the factorization uses
@@ -24,9 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.costs import lu_panel_width
-from repro.storage import ArrayStore, TiledMatrix
+from repro.storage import ArrayStore, TiledMatrix, tile_shape_for_layout
 
-from .lu import PackedLU
+from .lu import PackedLU, _factor
 
 
 def _block_rows(packed: TiledMatrix, memory_scalars: int | None) -> int:
@@ -96,62 +101,87 @@ def lu_solve_factored(factors: PackedLU, b: np.ndarray,
     Applies the stored row permutation (``L U x = P b``), then the two
     substitution sweeps.  ``b`` may be ``(n,)`` or ``(n, k)``.
     """
-    perm = factors.perm_array()
+    return _substitute(factors.packed, factors.perm_array(), b,
+                       memory_scalars)
+
+
+def _substitute(packed: TiledMatrix, perm: np.ndarray, b: np.ndarray,
+                memory_scalars: int | None) -> np.ndarray:
+    """Both sweeps for ``L U x = P b``, ``(P b)[i] = b[perm[i]]``."""
     pb = np.asarray(b, dtype=np.float64)[perm]
-    y = forward_substitute(factors.packed, pb,
-                           memory_scalars=memory_scalars)
-    return backward_substitute(factors.packed, y,
-                               memory_scalars=memory_scalars)
+    y = forward_substitute(packed, pb, memory_scalars=memory_scalars)
+    return backward_substitute(packed, y, memory_scalars=memory_scalars)
+
+
+def _factor_carrying(store: ArrayStore, a: TiledMatrix, rhs: np.ndarray,
+                     memory_scalars: int | None, overwrite_a: bool
+                     ) -> tuple[TiledMatrix, np.ndarray, np.ndarray]:
+    """Factor ``a`` with ``rhs`` riding along, then run the backward
+    sweep: returns the working factor, the permutation and the
+    solution for ``rhs``.  The caller drops the factor."""
+    y = np.array(rhs, dtype=np.float64)
+    factor, perm = _factor(store, a, memory_scalars,
+                           overwrite_a=overwrite_a, rhs=y)
+    try:
+        return factor, perm, backward_substitute(
+            factor, y, memory_scalars=memory_scalars)
+    except BaseException:
+        factor.drop()
+        raise
 
 
 def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
                     memory_scalars: int, rhs_panel,
                     overwrite_a: bool = False) -> TiledMatrix:
     """Solve ``A X = B`` for an ``n x k`` right-hand side that is never
-    whole in memory: factor ``a`` once, then substitute one
-    memory-sized column panel at a time into a stored result.
+    whole in memory, into a stored result.
 
     ``rhs_panel(j0, j1)`` supplies columns ``[j0, j1)`` of B as an
     ``(n, j1 - j0)`` array — a rectangle read off a stored B for
     ``solve(A, B)``, a slice of the identity for ``inv(A)``.  The
     panel width is :func:`repro.core.costs.lu_panel_width` on the
     result's tile width, the same budget the factorization honours.
-    ``overwrite_a`` says nothing reads A afterwards, so the
-    factorization may overwrite it
+    The first panel is read before ``a`` is factored and rides through
+    the factorization (:func:`lu_solve`); each later one is permuted
+    and substituted against the one factor.  ``overwrite_a`` says
+    nothing reads A afterwards, so the factorization may overwrite it
     (:func:`repro.linalg.lu.lu_decompose`); factored in place, A is
     dropped with the factor on return.
     """
-    from .lu import lu_decompose
-
     n = a.shape[0]
-    factors = lu_decompose(store, a, memory_scalars,
-                           overwrite_a=overwrite_a)
+    _, tile_w = tile_shape_for_layout("square", (n, k),
+                                      store.matrix_scalars_per_block,
+                                      store.pool.capacity)
+    pw = lu_panel_width(n, memory_scalars, tile_w)
+    factor, perm, x = _factor_carrying(
+        store, a, rhs_panel(0, min(pw, k)), memory_scalars, overwrite_a)
+    out = store.create_matrix((n, k), layout="square")
+    starts = range(0, k, pw)
     try:
-        out = store.create_matrix((n, k), layout="square")
-        pw = lu_panel_width(n, memory_scalars, out.tile_shape[1])
-        for j0 in range(0, k, pw):
-            out.write_submatrix(0, j0, lu_solve_factored(
-                factors, rhs_panel(j0, min(j0 + pw, k)), memory_scalars))
-        return out
+        for done, j0 in zip(starts, starts[1:]):
+            out.write_submatrix(0, done, x)
+            x = _substitute(factor, perm, rhs_panel(j0, min(j0 + pw, k)),
+                            memory_scalars)
     finally:
-        factors.drop()
+        factor.drop()
+    # The last panel is written once the factor's frames are free.
+    out.write_submatrix(0, starts[-1], x)
+    return out
 
 
 def lu_solve(store: ArrayStore, a: TiledMatrix, b: np.ndarray,
              memory_scalars: int | None = None,
              overwrite_a: bool = False) -> np.ndarray:
-    """Solve ``A x = b`` by pivoted out-of-core LU + blocked substitution.
+    """Solve ``A x = b`` by pivoted out-of-core LU with ``b`` riding
+    along, then one blocked backward sweep.
 
     Partial pivoting makes this correct for every nonsingular system —
     no diagonal-dominance assumption; an exactly singular ``a`` raises
-    :class:`repro.linalg.lu.SingularMatrixError`.  ``overwrite_a`` as
-    in :func:`lu_solve_panels`.
+    :class:`repro.linalg.lu.SingularMatrixError`.  ``b`` may be
+    ``(n,)`` or ``(n, k)``.  ``overwrite_a`` as in
+    :func:`lu_solve_panels`.
     """
-    from .lu import lu_decompose
-
-    factors = lu_decompose(store, a, memory_scalars,
-                           overwrite_a=overwrite_a)
-    try:
-        return lu_solve_factored(factors, b, memory_scalars)
-    finally:
-        factors.drop()
+    factor, _, x = _factor_carrying(store, a, b, memory_scalars,
+                                    overwrite_a)
+    factor.drop()
+    return x

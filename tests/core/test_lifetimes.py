@@ -21,7 +21,10 @@ what that may and may not do:
 - ``planlint`` rejects a plan that reads past a release point, and the
   sanitizer rejects any pool access to a dropped array's blocks;
 - dense twins of sparse operands and coerced NumPy operands live for
-  one execution only.
+  one execution only;
+- a right-hand side that dies at its solve is dropped as soon as the
+  kernel holds it in memory — before the LU starts, for one that rides
+  along — exactly once, and nothing touches it afterwards.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from repro.core.evaluator import Evaluator
 from repro.core.plan import (InverseOp, LeafOp, LUSolveOp,
                              SparseSpGEMMOp)
 from repro.core.planner import Planner
+from repro.linalg import solve as solve_module
 from repro.sparse import SparseTiledMatrix
-from repro.storage import StorageConfig
+from repro.storage import StorageConfig, TiledMatrix, TiledVector
 
 BLOCK = 8192
 
@@ -390,6 +394,120 @@ class TestSanitizer:
             ref = session(2, mem_blocks=16)
             ref_out = ref.values(STATEMENTS[name](ref))
         assert np.array_equal(s.values(STATEMENTS[name](s)), ref_out)
+
+
+class TestDropAtRead:
+    """``solve`` drops a dying right-hand side at its read, not after
+    the operator: its frames then never compete with the factor's.
+    The plan's release point stays where the planner put it."""
+
+    def run(self, s, root):
+        """Execute ``root``'s plan; returns ``(plan, solve op, RHS value,
+        result, log)`` with ``log`` every factorization start and every
+        drop of a stored value, in order."""
+        plan = s.plan(root)
+        ev = s.evaluator
+        dispatch, factor = ev._dispatch_op, solve_module._factor
+        values, log = {}, []
+
+        def run_op(op, memo):
+            value = dispatch(op, memo)
+            for node, v in zip(op.nodes, value if len(op.nodes) > 1
+                               else (value,)):
+                values[id(node)] = v
+            return value
+
+        def factoring(*args, **kwargs):
+            log.append(("factor", args[1]))
+            return factor(*args, **kwargs)
+
+        def logged(original):
+            def drop(self):
+                log.append(("drop", self))
+                original(self)
+            return drop
+
+        ev._dispatch_op = run_op
+        try:
+            with mock.patch.object(solve_module, "_factor", factoring), \
+                    mock.patch.object(TiledMatrix, "drop",
+                                      logged(TiledMatrix.drop)), \
+                    mock.patch.object(TiledVector, "drop",
+                                      logged(TiledVector.drop)):
+                out = ev.execute(plan)
+        finally:
+            del ev._dispatch_op
+        verify_plan(plan, s.storage)
+        [lu] = lu_ops(plan)
+        return plan, lu, values[id(lu.node.children[1])], out, log
+
+    @staticmethod
+    def drops_of(value, log):
+        return [i for i, (kind, v) in enumerate(log)
+                if kind == "drop" and v is value]
+
+    @pytest.mark.parametrize("rhs", ["matrix", "vector"])
+    def test_a_riding_rhs_is_dropped_before_the_factorization(self, rhs):
+        s = session(2, mem_blocks=32)
+        x_np = integers(1, (300, 96))
+        x = s.matrix(x_np, name="X")
+        if rhs == "matrix":
+            b = x.T @ s.matrix(integers(2, (300, 1)), name="y")
+            b_np = x_np.T @ integers(2, (300, 1))
+        else:
+            b = s.vector(integers(2, (96,)), name="v") * 2.0
+            b_np = integers(2, (96,)) * 2.0
+        plan, lu, value, out, log = self.run(s, (x.T @ x).solve(b).node)
+        assert any(n is lu.node.children[1] for n in lu.releases)
+        [dropped] = self.drops_of(value, log)
+        [factored] = [i for i, (kind, _) in enumerate(log)
+                      if kind == "factor"]
+        assert dropped < factored
+        assert np.allclose(out.to_numpy(),
+                           np.linalg.solve(x_np.T @ x_np, b_np))
+
+    def test_a_wide_rhs_is_dropped_after_its_last_panel(self):
+        """Three 96-wide panels: the first rides, the last read drops
+        B, once, before the operator ends."""
+        s = session(2, mem_blocks=32)
+        x_np, y_np = integers(1, (300, 96)), integers(2, (300, 200))
+        x, y = s.matrix(x_np, name="X"), s.matrix(y_np, name="Y")
+        plan, lu, value, out, log = self.run(
+            s, (x.T @ x).solve(x.T @ y).node)
+        [dropped] = self.drops_of(value, log)
+        assert dropped > next(i for i, (kind, _) in enumerate(log)
+                              if kind == "factor")
+        assert np.allclose(out.to_numpy(), np.linalg.solve(
+            x_np.T @ x_np, x_np.T @ y_np))
+
+    def test_an_operand_in_both_slots_waits_for_its_release(self):
+        """``solve(A, A)``: the RHS read must not drop the A the LU is
+        about to copy."""
+        s = session(2, mem_blocks=32)
+        x = s.matrix(integers(1, (300, 96)), name="X")
+        a = x.T @ x
+        plan, lu, value, out, log = self.run(s, a.solve(a).node)
+        assert not lu.in_place
+        [dropped] = self.drops_of(value, log)
+        assert dropped > next(i for i, (kind, _) in enumerate(log)
+                              if kind == "factor")
+        assert np.allclose(out.to_numpy(), np.eye(96), atol=1e-9)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_nothing_touches_the_dropped_rhs(self, wide):
+        """Under the sanitizer any pool access to a dropped array's
+        blocks raises ``UseAfterDropError``."""
+        def statement(s):
+            x = s.matrix(integers(1, (300, 96)), name="X")
+            y = s.matrix(integers(2, (300, 200 if wide else 1)))
+            return (x.T @ x).solve(x.T @ y).node
+
+        ref = session(2, mem_blocks=16)
+        for parallelism in (1, 2):
+            s = session(2, mem_blocks=16, sanitize=True,
+                        parallelism=parallelism)
+            assert np.array_equal(s.values(statement(s)),
+                                  ref.values(statement(ref)))
 
 
 class TestTransients:

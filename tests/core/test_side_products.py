@@ -25,6 +25,7 @@ pin what that may and may not change:
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ from repro.analysis import verify_plan
 from repro.core import (Crossprod, Map, MatMul, OptimizerConfig,
                         RiotSession, Scalar, Solve)
 from repro.core.costs import crossprod_schedule, crossprod_side_fits
-from repro.core.plan import (CrossprodOp, FusedEpilogueOp, MapOp,
-                             TileMatMulOp)
+from repro.core.plan import (CrossprodOp, FusedEpilogueOp, LUSolveOp,
+                             MapOp, TileMatMulOp)
 from repro.storage import StorageConfig
 
 BLOCK = 1024  # scalars per 8 KiB block; pools below 256 blocks -> 32
@@ -208,10 +209,13 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     and writes no more: the separate multiply's scan of X evicts X'X's
     dirty frames, which the solve then reads back, while the shared
     scan leaves them in the pool for the LU to factor in place
-    (4 484 / 333 -> 2 148 / 77 read / written on the ``ols_pread``
+    (4 418 / 262 -> 2 088 / 12 read / written on the ``ols_pread``
     geometry: X's 2 048 pages, B's 32 read once instead of twice, and
-    X'X's 256 neither written nor read back).  The solve's reads move
-    by a few blocks either way, because it sees another residue."""
+    X'X's 256 neither written nor read back).  The shared run's solve
+    does almost no I/O of its own
+    (:func:`test_the_ols_solve_does_no_io_of_its_own`).  The solve's
+    reads move by a few blocks either way, because it sees another
+    residue."""
     g = np.random.default_rng(0)
     x_np = integers(g, (rows, cols))
     b_nps = [integers(g, (rows, 1))]
@@ -241,7 +245,55 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     assert s_reads <= reads - x_reads and s_writes <= writes
     assert np.array_equal(values, ref)
     if rows == 4096:
-        assert (reads, s_reads, writes, s_writes) == (4484, 2148, 333, 77)
+        assert (reads, s_reads, writes, s_writes) == (4418, 2088, 262, 12)
+
+
+def test_the_ols_solve_does_no_io_of_its_own():
+    """On the ``ols_pread`` geometry the 512 x 512 factor of X'X fills
+    the 256-frame pool exactly.  X'y is dropped as the LU reads it, no
+    permutation is stored and the right-hand side rides through the
+    factorization, so the LU and the backward sweep write nothing and
+    read only the 4 X'X pages that reading X'y displaced.  Reading X'y
+    is the operator's only other I/O: the crossprod's pass left 260
+    pages for 256 frames, so X'y's 4 come back from the device and
+    evict 4 dirty X'X pages.  (The operator read 68 blocks and wrote 69
+    when the sweeps spilled the factor.)"""
+    from repro.linalg import solve as solve_module
+
+    g = np.random.default_rng(0)
+    x_np = integers(g, (4096, 512))
+    b_nps = [integers(g, (4096, 1))]
+    s = session(256)
+    _, root = normal_equations(s, x_np, b_nps)
+    plan = s.plan(root)
+    s.store.flush()
+    s.store.pool.clear()
+    s.reset_stats()
+    stats = s.store.device.stats
+    factor, sweep = solve_module._factor, solve_module.backward_substitute
+    kernel = []
+
+    def factoring(*args, **kwargs):
+        kernel.append(stats.snapshot())
+        return factor(*args, **kwargs)
+
+    def sweeping(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        kernel.append(stats.delta(kernel.pop()))
+        return out
+
+    with mock.patch.object(solve_module, "_factor", factoring), \
+            mock.patch.object(solve_module, "backward_substitute",
+                              sweeping), \
+            mock.patch.object(s.store, "vector_from_numpy",
+                              side_effect=AssertionError("stored a vector")):
+        out = s.evaluator.execute(plan)
+    [lu] = [op for op in plan.ops() if isinstance(op, LUSolveOp)]
+    [own] = kernel
+    assert lu.in_place
+    assert (own.reads, own.writes) == (4, 0)
+    assert (lu.measured.reads, lu.measured.writes) == (8, 4)
+    assert np.allclose(out.to_numpy(), oracle(x_np, b_nps), rtol=1e-9)
 
 
 class TestNeverShared:

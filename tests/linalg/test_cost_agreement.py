@@ -13,10 +13,11 @@ from repro.core.costs import (bnlj_matmul_io, crossprod_io,
                               crossprod_schedule, lu_io,
                               lu_panel_width, matmul_epilogue_io,
                               matmul_io_lower_bound, solve_io,
-                              square_tile_matmul_io,
+                              solve_op_io, square_tile_matmul_io,
                               transposed_matmul_io)
 from repro.linalg import (bnlj_matmul, crossprod_matmul, lu_decompose,
-                          lu_solve_factored, square_tile_matmul)
+                          lu_solve, lu_solve_factored,
+                          square_tile_matmul)
 from repro.storage import ArrayStore, StorageConfig
 
 BLOCK_SCALARS = 1024
@@ -105,6 +106,22 @@ class TestLUAgreement:
         store.flush()
         measured = store.device.stats.total
         model = solve_io(n, 1, mem, BLOCK_SCALARS, tile_side=32)
+        assert 0.5 * model <= measured <= 2.0 * model
+
+    def test_riding_solve_measured_within_model(self, rng, n, mem):
+        """``lu_solve``: the factorization carries b, then one backward
+        sweep — ``solve_op_io`` less reading b and writing x, which
+        stay in memory here."""
+        a = rng.standard_normal((n, n))
+        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        mat = store.matrix_from_numpy(a, layout="square")
+        store.pool.clear()
+        store.reset_stats()
+        lu_solve(store, mat, rng.standard_normal(n), mem)
+        store.flush()
+        measured = store.device.stats.total
+        model = (solve_op_io(n, 1, mem, BLOCK_SCALARS, tile_side=32)
+                 - 2.0 * n / BLOCK_SCALARS)
         assert 0.5 * model <= measured <= 2.0 * model
 
 

@@ -10,14 +10,14 @@ row/col linearizations.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import (crossprod_io, crossprod_schedule,
                               crossprod_side_fits, square_panel)
 from repro.linalg import (bnlj_matmul, crossprod_matmul,
                           square_tile_matmul)
-from repro.storage import ArrayStore
+from repro.storage import ArrayStore, tile_shape_for_layout
 
 MEM = 96 * 1024  # scalars
 
@@ -438,15 +438,19 @@ class TestSchedule:
     @given(m=st.integers(1, 90), k=st.integers(1, 70),
            widths=st.lists(st.integers(1, 9), max_size=2),
            mem=st.integers(3, 12_000), seed=st.integers(0, 2 ** 16))
+    @example(m=1, k=13, widths=[1], mem=338, seed=0)
     @settings(max_examples=8, deadline=None)
     def test_bits_across_workers_and_backends(self, m, k, widths, mem,
                                               seed):
         """Integer-valued data on 16-wide tiles: X'X and the sides are
         bitwise NumPy's, at parallelism 1 / 2 / 4 on the memory, mmap
-        and pread backends."""
+        and pread backends.  The sides are priced on A's stored tile
+        side, as the kernel prices them: the store clamps a 16-wide
+        tile to a smaller A (1 x 13 is one 1 x 13 tile, side 13)."""
         from repro.core.parallel import TileParallelism
         from repro.storage import StorageConfig
-        assume(crossprod_side_fits(mem, k, 16, sum(widths)))
+        tile = max(tile_shape_for_layout("square", (m, k), 256, 64))
+        assume(crossprod_side_fits(mem, k, tile, sum(widths)))
         rng = np.random.default_rng(seed)
         a_np = integer_valued(rng, (m, k))
         b_nps = [integer_valued(rng, (m, w)) for w in widths]

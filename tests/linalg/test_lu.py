@@ -4,18 +4,27 @@ The failure modes this suite locks in (vs the old unpivoted Doolittle):
 matrices needing row interchanges factor correctly, random
 non-diagonally-dominant systems are stable, exactly singular inputs
 raise a dedicated error, and the memory budget is honored, not silently
-exceeded.
+exceeded.  The left-looking panel, the one gather per strip and the
+right-hand side riding through the factorization are pinned against
+the right-looking panel, sequential swaps and factor-then-two-sweeps
+they replaced, and the kernel's cold I/O against
+``costs.lu_schedule``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.costs import lu_tile_side
+from repro.core import OptimizerConfig, RiotSession
+from repro.core.costs import lu_io, lu_schedule, lu_tile_side
 from repro.linalg import (PackedLU, SingularMatrixError,
                           backward_substitute, forward_substitute,
                           lu_decompose, lu_solve, lu_solve_factored,
                           split_lu)
-from repro.storage import ArrayStore
+from repro.linalg.lu import _panel_lu, _row_order
+from repro.linalg.solve import lu_solve_panels
+from repro.storage import ArrayStore, StorageConfig
 
 MEM = 48 * 1024
 
@@ -320,3 +329,216 @@ class TestSolves:
         x = lu_solve(store, store.matrix_from_numpy(a, layout="square"),
                      b, MEM)
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-7)
+
+
+def right_looking_panel_lu(panel: np.ndarray, global_row0: int
+                           ) -> np.ndarray:
+    """The panel factorization the kernel ran before the left-looking
+    one: after each pivot, a rank-1 update of the whole trailing
+    block."""
+    rows, cols = panel.shape
+    piv = np.empty(cols, dtype=np.int64)
+    for k in range(cols):
+        r = k + int(np.argmax(np.abs(panel[k:, k])))
+        if panel[r, k] == 0.0:
+            raise SingularMatrixError(
+                f"matrix is exactly singular: column {global_row0 + k} "
+                f"has no nonzero pivot candidate")
+        piv[k] = r
+        if r != k:
+            panel[[k, r]] = panel[[r, k]]
+        panel[k + 1:, k] /= panel[k, k]
+        if k + 1 < cols:
+            panel[k + 1:, k + 1:] -= np.outer(panel[k + 1:, k],
+                                              panel[k, k + 1:])
+    return piv
+
+
+def sequential_swaps(strip: np.ndarray, piv: np.ndarray) -> None:
+    """The interchanges applied one pair at a time, in order."""
+    for k, r in enumerate(piv):
+        if r != k:
+            strip[[k, r]] = strip[[r, k]]
+
+
+def panel_corpus():
+    """Named tall panels: Gaussian, integer-valued with ties, column
+    panels of an X'X (the OLS coefficient matrix), widths 1 and p (the
+    128-wide panel of the ``ols_pread`` factor) and float32."""
+    g = np.random.default_rng(7)
+    x = g.integers(-8, 9, size=(1024, 256)).astype(np.float64)
+    xtx = x.T @ x
+    yield "gaussian", g.standard_normal((200, 48))
+    yield "gaussian-square", g.standard_normal((64, 64))
+    yield "integer-ties", g.integers(-2, 3, size=(150, 24)) \
+        .astype(np.float64)
+    yield "integer-ties-wide", g.integers(-1, 2, size=(96, 32)) \
+        .astype(np.float64)
+    for k0 in (0, 64, 128):
+        yield f"xtx-{k0}", xtx[k0:, k0:k0 + 64].copy()
+    yield "width-1", g.standard_normal((100, 1))
+    yield "width-1-ties", np.array([[1.0], [-3.0], [3.0], [2.0]])
+    yield "width-p", (lambda a: a.T @ a)(
+        g.integers(-8, 9, size=(2048, 512)).astype(np.float64))[:, :128]
+    yield "float32", g.standard_normal((160, 32)).astype(np.float32)
+
+
+class TestLeftLookingPanel:
+    @pytest.mark.parametrize("name,panel", list(panel_corpus()),
+                             ids=[name for name, _ in panel_corpus()])
+    def test_pivots_are_the_right_looking_ones(self, name, panel):
+        ref, got = panel.copy(), panel.copy()
+        ref_piv = right_looking_panel_lu(ref, 0)
+        piv = _panel_lu(got, 0)
+        assert np.array_equal(piv, ref_piv), name
+        tol = 1e-4 if panel.dtype == np.float32 else 1e-9
+        assert np.allclose(got, ref, rtol=tol,
+                           atol=tol * np.abs(ref).max())
+        assert got.dtype == panel.dtype
+
+    @pytest.mark.parametrize("name,matrix,column", [
+        ("zero-column", np.array([[2.0, 0.0, 1.0], [4.0, 0.0, 3.0],
+                                  [1.0, 0.0, 5.0]]), 1),
+        ("zero-row", np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+                               [1.0, 3.0, 5.0]]), 2),
+        ("dependent-rows", np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+                                     [1.0, 1.0, 1.0]]), 2),
+        ("all-zero", np.zeros((4, 3)), 0),
+    ])
+    def test_singular_at_the_same_column(self, name, matrix, column):
+        """Exactly singular panels — every elimination step exact —
+        fail on the same column in both orders; the message carries
+        the global column."""
+        for factor in (right_looking_panel_lu, _panel_lu):
+            with pytest.raises(SingularMatrixError,
+                               match=f"column {10 + column} "):
+                factor(matrix.copy(), 10)
+
+    @pytest.mark.parametrize("column", [0, 31, 32, 70, 99])
+    def test_singular_factor_names_the_global_column(self, rng, column):
+        """A zero column stays exactly zero through every update, so
+        the blocked kernel refuses at that column, on whichever panel
+        holds it."""
+        a = rng.standard_normal((100, 100))
+        a[:, column] = 0.0
+        store = make_store()
+        with pytest.raises(SingularMatrixError,
+                           match=f"column {column} "):
+            lu_decompose(store, store.matrix_from_numpy(
+                a, layout="square"), 3 * 100 * 32)
+
+    @given(data=st.data(), rows=st.integers(1, 40),
+           width=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_gather_is_the_sequential_swaps(self, data, rows, width):
+        cols = data.draw(st.integers(1, rows))
+        piv = np.array([data.draw(st.integers(k, rows - 1))
+                        for k in range(cols)], dtype=np.int64)
+        strip = np.arange(rows * width, dtype=np.float64) \
+            .reshape(rows, width)
+        expected = strip.copy()
+        sequential_swaps(expected, piv)
+        assert np.array_equal(strip[_row_order(piv, rows)], expected)
+
+
+class TestRidingRHS:
+    @pytest.mark.parametrize("n,k", [(96, 0), (150, 0), (257, 0),
+                                     (150, 3), (257, 9)])
+    def test_agrees_with_factor_then_two_sweeps(self, rng, n, k):
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, k) if k else n)
+        store = make_store()
+        mat = store.matrix_from_numpy(a, layout="square")
+        factors = lu_decompose(store, mat, MEM)
+        swept = lu_solve_factored(factors, b, MEM)
+        factors.drop()
+        rode = lu_solve(store, mat, b, MEM)
+        assert rode.shape == b.shape
+        assert np.max(np.abs(rode - swept)) <= 1e-12 * np.abs(swept).max()
+
+    def test_wide_rhs_rides_its_first_panel(self, rng):
+        """Panels after the first are permuted and swept; all agree
+        with the panel that rode."""
+        n, k = 200, 100
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, k))
+        store = make_store()
+        mat = store.matrix_from_numpy(a, layout="square")
+        out = lu_solve_panels(store, mat, k, MEM,
+                              lambda j0, j1: b[:, j0:j1])
+        x = out.to_numpy()
+        assert np.allclose(a @ x, b, atol=1e-8)
+        # Column j solved the same way whichever panel it fell in.
+        first = lu_solve(store, mat, b[:, :1], MEM)
+        assert np.max(np.abs(x[:, :1] - first)) <= 1e-12 * np.abs(
+            first).max()
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap", "pread"])
+    def test_bits_across_levels_workers_and_backends(self, backend):
+        """Integer-valued normal equations, so X'X and X'y are exact on
+        every plan: the solve's bits are then the same at levels 0 / 1
+        / 2 and parallelism 1 / 2 / 4, whether the LU copies X'X
+        (level 0) or factors it in place, and whether X'y is a side
+        product or its own multiply."""
+        g = np.random.default_rng(3)
+        x_np = g.integers(-8, 9, size=(400, 96)).astype(np.float64)
+        y_np = g.integers(-8, 9, size=(400, 2)).astype(np.float64)
+        results = []
+        for level in (0, 1, 2):
+            for workers in (1, 2, 4):
+                with RiotSession(
+                        storage=StorageConfig(backend=backend,
+                                              memory_bytes=24 * 8192),
+                        config=OptimizerConfig(
+                            level=level, parallelism=workers)) as s:
+                    x = s.matrix(x_np, name="X")
+                    y = s.matrix(y_np, name="y")
+                    results.append(s.values((x.T @ x).solve(x.T @ y)))
+        ref = np.linalg.solve(x_np.T @ x_np, x_np.T @ y_np)
+        assert np.allclose(results[0], ref, rtol=1e-9)
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("n,width", [(96, 32), (100, 32), (256, 64),
+                                         (64, 64), (1, 1)])
+    def test_steps_visit_every_strip_once_per_panel(self, n, width):
+        schedule = lu_schedule(n, 3 * n * width, min(width, n))
+        panels = schedule.panels()
+        assert panels[0][0] == 0 and panels[-1][1] == n
+        steps = list(schedule.steps())
+        assert len(steps) == len(panels) ** 2
+        for k0, k1 in panels:
+            mine = [s for s in steps if (s.k0, s.k1) == (k0, k1)]
+            assert mine[0].factors_panel
+            assert [(s.j0, s.j1) for s in mine[1:]] == [
+                p for p in panels if p != (k0, k1)]
+            assert all(s.trailing == (s.j0 >= k1) for s in mine)
+        assert schedule.factor_scalars() == sum(
+            (n - k0) * n for k0, _ in panels)
+
+    @pytest.mark.parametrize("n,mem_blocks", [(128, 12), (256, 24),
+                                              (256, 48), (320, 30)])
+    def test_cold_counts_are_the_model(self, rng, n, mem_blocks):
+        """A pool of 4 frames, far below every step's rectangle: the
+        factorization writes back every page it reads once, plus the
+        stored permutation's one page, and moves what ``lu_io`` counts
+        over the schedule — less only the pages a step still finds in
+        the pool from the step before (the last panel's own tiles, the
+        copy's last ones), at most the 4 frames per panel."""
+        mem = mem_blocks * 1024
+        store = ArrayStore(memory_bytes=4 * 8192, block_size=8192)
+        mat = store.create_matrix((n, n), tile_shape=(32, 32)) \
+            .from_numpy(rng.standard_normal((n, n)))
+        store.flush()
+        store.pool.clear()
+        store.reset_stats()
+        factors = lu_decompose(store, mat, mem)
+        store.flush()
+        stats = store.device.stats
+        assert factors.packed.tile_shape == (32, 32)
+        assert stats.writes == stats.reads + 1
+        model = lu_io(n, mem, 1024, tile_side=32)
+        panels = len(lu_schedule(n, mem, 32).panels())
+        assert model - 2 * 4 * panels <= 2 * stats.reads <= model

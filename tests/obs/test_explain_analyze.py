@@ -130,12 +130,14 @@ class TestExplainAnalyzeSharedScan:
     own — 0.79 here, 0.67 for the crossprod alone in the unshared
     plan: X'X is written when the one pass ends and is still dirty in
     the pool then, so the solve that evicts it is charged the writes.
-    (``solve_io`` reads 0.11 at this pool, 0.39 before X'X was factored
-    in place: the 256 x 256 factor fits the pool, and the LU now
-    overwrites the X'X the crossprod left there instead of copying it
-    — the known gap of the dense band, which a pool-aware LU model
-    closes.  At the 48-block pool above it reads 0.62, 0.68 with the
-    copy.)"""
+    (``solve_io`` reads 0.11 at this pool — 32 of 297 blocks, 57 of
+    529 before the LU carried its right-hand side in one pass per
+    strip — and 0.39 before X'X was factored in place: the 256 x 256
+    factor fits the pool, and the LU now overwrites the X'X the
+    crossprod left there instead of copying it — the known gap of the
+    dense band, which a pool-aware LU model closes.  At the 48-block
+    pool above it reads 0.60, 188 of 313 blocks: 0.62 before the
+    one-pass LU, 0.68 with the copy.)"""
 
     def test_shared_operator_in_band(self):
         s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192),
