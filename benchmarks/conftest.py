@@ -37,8 +37,8 @@ def record_io_stats(benchmark, stats: IOStats | None = None, *,
     analytic entries omit the section rather than faking zeros.
 
     ``codec`` (when the store ran with tile compression) annotates the
-    io section with the codec name, the same optional-key pattern the
-    parallel benchmarks use for ``workers``.
+    io section with the codec name, the same optional-key pattern
+    ``check_schema.py`` accepts for ``workers``.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r} "

@@ -49,9 +49,9 @@ class IOStats:
     - ``coalesced_ios``: blocks that rode along in a preceding adjacent
       block's call instead of costing their own (``reads + writes -
       read_calls - write_calls``).
-    - ``prefetched``: blocks transferred ahead of demand (readahead or an
-      explicit ``BufferPool.prefetch`` hint).  They still count in
-      ``reads`` — prefetching changes call shape, never block totals.
+    - ``prefetched``: blocks transferred ahead of demand by an announced
+      ``BufferPool.prefetch`` hint.  They still count in ``reads`` —
+      prefetching changes call shape, never block totals.
     - ``readahead_hits``: buffer-pool hits served from a frame that a
       prefetch brought in.
 

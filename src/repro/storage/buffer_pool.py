@@ -12,6 +12,12 @@ a pool so that:
 Two classic policies are provided — LRU and CLOCK — and ablated in
 ``benchmarks/bench_ablation_buffer.py``.
 
+Reads come in two ways.  A demand miss (``get``, ``get_many``) reads
+exactly the blocks asked for, the misses of one call coalesced.  The
+only way to read ahead is an announced footprint: an operator that
+knows what it will read next calls :meth:`BufferPool.prefetch`, and the
+pool installs those blocks as clean frames.  The pool never guesses.
+
 Deferred write-back
 -------------------
 
@@ -34,12 +40,13 @@ shrinks.
 Concurrency contract (worker threads)
 ------------------------------------
 
-The pool is safe to share between worker threads.  One re-entrant lock (``pool.lock``) serializes every public
-method — lookups, the CLOCK/LRU sweep, eviction, the drain of deferred
-write-backs, pin accounting, and all ``PoolStats``/``IOStats``/
-scheduler-state increments happen inside it, so counter updates are
-atomic, the replacement policy's internal structures are never
-observed mid-sweep, and no other thread ever sees a parked victim.
+The pool is safe to share between worker threads.  One re-entrant
+lock (``pool.lock``) serializes every public method — lookups, the
+CLOCK/LRU sweep, eviction, the drain of deferred write-backs, pin
+accounting, and all ``PoolStats``/``IOStats``/scheduler-state
+increments happen inside it, so counter updates are atomic, the
+replacement policy's internal structures are never observed
+mid-sweep, and no other thread ever sees a parked victim.
 The :class:`~repro.storage.io_scheduler.IOScheduler` and the device
 transfer paths are only ever invoked from within these locked methods,
 which is what keeps *simulated block counts deterministic*: for any
@@ -209,7 +216,7 @@ class PoolStats:
         ``extra_info["pool"]`` and ``benchmarks/check_schema.py``
         validates it against :data:`POOL_SCHEMA_KEYS`, so prefetch
         efficacy (readahead_hits vs prefetch_wasted) is visible in
-        every artifact, not just the prefetch benchmark.
+        every artifact.
         """
         out: dict[str, int | float] = {
             f: int(getattr(self, f)) for f in _POOL_FIELDS}
@@ -248,8 +255,7 @@ class BufferPool:
 
     def __init__(self, device: BlockDevice, capacity_blocks: int,
                  policy: str | ReplacementPolicy = "lru",
-                 scheduler: IOScheduler | None = None,
-                 readahead_window: int = 0) -> None:
+                 scheduler: IOScheduler | None = None) -> None:
         if capacity_blocks <= 0:
             raise ValueError(
                 f"capacity must be positive, got {capacity_blocks}")
@@ -257,8 +263,7 @@ class BufferPool:
         self.capacity = capacity_blocks
         self.policy = (policy if isinstance(policy, ReplacementPolicy)
                        else make_policy(policy))
-        self.scheduler = scheduler or IOScheduler(
-            device, readahead_window=readahead_window)
+        self.scheduler = scheduler or IOScheduler(device)
         self.stats = PoolStats()
         # Re-entrant so subclass overrides (the sanitizer) and nested
         # internal calls (get -> pin -> ...) can re-acquire freely.
@@ -314,38 +319,16 @@ class BufferPool:
                 self.stats.hits += 1
                 self.policy.on_access(block_id)
                 self._note_prefetch_hit(block_id)
-                ahead = self.scheduler.on_demand(block_id, miss=False)
-                if ahead:
-                    # Pin the demanded frame so speculation can never
-                    # evict the very block the caller is about to use.
-                    self.pin(block_id)
-                    try:
-                        self._speculate(ahead)
-                    finally:
-                        self.unpin(block_id)
-                        self._drain_pending()
             else:
                 self.stats.misses += 1
-                ahead = self.scheduler.on_demand(block_id, miss=True)
-                extras = self._clip_speculation(ahead)
                 try:
                     self._ensure_room()
-                    # The victim goes out before the read comes in, as
-                    # it always has.
-                    self._drain_pending()
-                    fetched = self.scheduler.fetch(
-                        [block_id] + extras, n_speculative=len(extras))
-                    frame = fetched.pop(block_id)
-                    self._frames[block_id] = frame
-                    self.policy.on_insert(block_id)
-                    if fetched:
-                        self.pin(block_id)
-                        try:
-                            self._install_prefetched(fetched)
-                        finally:
-                            self.unpin(block_id)
                 finally:
+                    # The victim goes out before the read comes in.
                     self._drain_pending()
+                frame = self.scheduler.fetch([block_id])[block_id]
+                self._frames[block_id] = frame
+                self.policy.on_insert(block_id)
             if for_write:
                 self._dirty.add(block_id)
             return frame
@@ -353,10 +336,10 @@ class BufferPool:
     def get_many(self, block_ids: list[int]) -> list[np.ndarray]:
         """Return frames for several blocks, coalescing the misses.
 
-        Semantically equivalent to ``[pool.get(b) for b in block_ids]``
-        minus speculation: hit/miss accounting, eviction order, every
-        ``PoolStats`` field and the device's block and byte totals are
-        exactly those of the loop.  What may only shrink is the number
+        Semantically equivalent to ``[pool.get(b) for b in block_ids]``:
+        hit/miss accounting, eviction order, every ``PoolStats`` field
+        and the device's block and byte totals are exactly those of the
+        loop.  What may only shrink is the number
         of device *calls*: all missing blocks are faulted in with one
         scheduler fetch so adjacent ids share reads, and the dirty
         victims their installs evict go out in one sorted write-back
@@ -399,63 +382,39 @@ class BufferPool:
 
         Non-resident keys are fetched in coalesced device calls and
         installed as clean frames, so the announced reads become hits.
-        Returns the number of blocks actually fetched.  The hint is
-        clipped so prefetch never competes with pinned frames or with
-        earlier prefetched-but-unread frames, and always leaves one
-        frame of room for the next demand fault — an oversized footprint
-        is truncated, not an error.  A disabled scheduler turns this
-        into a no-op.
+        Returns the number of blocks actually fetched.  A disabled
+        scheduler turns this into a no-op.
+
+        The hint is clipped to what the pool can usefully hold, so an
+        oversized footprint is truncated, not an error.  Pinned frames
+        are untouchable and one frame stays reserved for the next
+        demand fault.  Frames already prefetched but not yet used are
+        excluded from the budget too: evicting them for a new hint would
+        waste their reads and re-read them later, inflating the block
+        totals the accounting contract protects (e.g. nested hints —
+        matmul announcing a submatrix whose tiles then announce
+        themselves — in an undersized pool).
         """
         with self.lock:
             if not self.scheduler.enabled:
                 return 0
-            want = self._clip_speculation(list(dict.fromkeys(block_ids)))
+            room = (self.capacity - len(self._pinned)
+                    - len(self._prefetched) - 1)
+            want = [bid for bid in dict.fromkeys(block_ids)
+                    if bid not in self._frames][:max(room, 0)]
             if not want:
                 return 0
-            fetched = self.scheduler.fetch(want, n_speculative=len(want))
+            fetched = self.scheduler.fetch(want, hinted=True)
             try:
-                self._install_prefetched(fetched)
+                for bid, frame in fetched.items():
+                    self._ensure_room()
+                    self._frames[bid] = frame
+                    self.policy.on_insert(bid)
+                    self._prefetched.add(bid)
+                    self.stats.prefetched += 1
             finally:
                 self._drain_pending()
             return len(fetched)
-
-    # ------------------------------------------------------------------
-    # Prefetch internals
-    # ------------------------------------------------------------------
-    def _clip_speculation(self, candidates: list[int]) -> list[int]:
-        """Bound a speculative batch to what the pool can usefully hold.
-
-        Pinned frames are untouchable and one frame stays reserved for
-        the next demand fault.  Frames already prefetched but not yet
-        used are excluded from the budget too: evicting them for new
-        speculation would waste their reads and re-read them later,
-        inflating the block totals the accounting contract protects
-        (e.g. nested hints — matmul announcing a submatrix whose tiles
-        then announce themselves — in an undersized pool).
-        """
-        room = (self.capacity - len(self._pinned)
-                - len(self._prefetched) - 1)
-        if room <= 0:
-            return []
-        return [bid for bid in candidates
-                if bid not in self._frames][:room]
-
-    def _speculate(self, candidates: list[int]) -> None:
-        """Fetch readahead candidates raised on a demand hit."""
-        want = self._clip_speculation(candidates)
-        if want:
-            fetched = self.scheduler.fetch(want, n_speculative=len(want))
-            self._install_prefetched(fetched)
-
-    def _install_prefetched(self, fetched: dict[int, np.ndarray]) -> None:
-        for bid, frame in fetched.items():
-            if bid in self._frames:
-                continue
-            self._ensure_room()
-            self._frames[bid] = frame
-            self.policy.on_insert(bid)
-            self._prefetched.add(bid)
-            self.stats.prefetched += 1
 
     def _note_prefetch_hit(self, block_id: int) -> None:
         if block_id in self._prefetched:
@@ -611,7 +570,6 @@ class BufferPool:
             self.flush_all()
             for bid in list(self._frames):
                 self.invalidate(bid)
-            self.scheduler.reset()
 
     # ------------------------------------------------------------------
     def _ensure_room(self) -> None:

@@ -8,8 +8,8 @@ virtual-memory pager, the relational engine, and
 :func:`create_device`.  One dataclass names the whole storage contract:
 which backend serves the blocks (``memory`` simulator, ``mmap`` page
 file, or ``pread`` page file), where the page file lives, the
-buffer-pool budget, block size, replacement policy, scheduler knobs,
-and durability flags.
+buffer-pool budget, block size, replacement policy, whether hints are
+honoured, and durability flags.
 
 URL form (``repro.open_session``)::
 
@@ -83,6 +83,19 @@ class StorageConfig:
     ``memory_bytes``
         Buffer-pool budget (the paper's physical-memory cap).  Accepts
         ``"64MiB"``-style strings.
+    ``block_size``
+        Bytes per device block (one buffer-pool frame, one page of a
+        tile).
+    ``policy``
+        Buffer-pool replacement policy: ``"lru"`` or ``"clock"``.
+    ``scheduler``
+        ``True`` honours every operator's announced footprint
+        (:meth:`~repro.storage.buffer_pool.BufferPool.prefetch`) and
+        coalesces adjacent blocks into multi-block device calls.
+        ``False`` is the hint-free reference path: hints are ignored
+        and each block moves in its own device call.  Block totals and
+        result bits are the same either way, which is what tests that
+        compare the two assert.
     ``fsync``
         Make every flush a durability barrier (file backends).
     ``direct``
@@ -117,7 +130,6 @@ class StorageConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     policy: str = "lru"
     scheduler: bool = True
-    readahead_window: int = 0
     fsync: bool = False
     direct: bool = False
     sanitize: bool = field(default_factory=_env_sanitize)
@@ -137,10 +149,6 @@ class StorageConfig:
         if self.block_size <= 0:
             raise ValueError(
                 f"block_size must be positive, got {self.block_size}")
-        if self.readahead_window < 0:
-            raise ValueError(
-                f"readahead_window must be >= 0, "
-                f"got {self.readahead_window}")
         if self.dtype not in _DTYPE_SIZES:
             raise ValueError(
                 f"unknown storage dtype {self.dtype!r}; use one of "
@@ -170,9 +178,9 @@ class StorageConfig:
         in-memory simulator; ``file:///path`` (or a bare path) selects
         a page file, ``mmap`` by default.  Query parameters map to
         fields: ``mode=pread|mmap``, ``block_size=...``,
-        ``fsync=1``, ``direct=1``, ``policy=clock``,
-        ``readahead=<blocks>``, ``codec=zstd``, ``dtype=float32``,
-        ``zero_copy=1``.
+        ``fsync=1``, ``direct=1``, ``policy=clock``, ``codec=zstd``,
+        ``dtype=float32``, ``zero_copy=1``.  Any other key is a
+        ``ValueError``.
         """
         kwargs: dict = {}
         if url is None:
@@ -200,15 +208,11 @@ class StorageConfig:
                             f"file URL must be local, got host "
                             f"{parts.netloc!r}")
                 for key, cast in (("block_size", int),
-                                  ("readahead_window", int),
-                                  ("readahead", int),
                                   ("policy", str),
                                   ("codec", str),
                                   ("dtype", str)):
                     if key in query:
-                        field_name = ("readahead_window"
-                                      if key == "readahead" else key)
-                        kwargs[field_name] = cast(query.pop(key))
+                        kwargs[key] = cast(query.pop(key))
                 for key in ("fsync", "direct", "zero_copy"):
                     if key in query:
                         kwargs[key] = query.pop(key).lower() in _TRUE

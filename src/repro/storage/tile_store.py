@@ -206,12 +206,8 @@ class TiledVector:
     def read_chunk(self, ci: int, count: int = 1) -> np.ndarray:
         """Read chunks ``[ci, ci + count)`` as one fresh float64 array."""
         lo, hi = self._run_bounds(ci, count)
-        pool = self.store.pool
-        blocks = self.blocks_for_chunks(range(ci, ci + count))
-        # A single chunk goes through get(): that is the call the
-        # scheduler's sequential-run detector watches.
-        frames = ([pool.get(blocks[0])] if count == 1
-                  else pool.get_many(blocks))
+        frames = self.store.pool.get_many(
+            self.blocks_for_chunks(range(ci, ci + count)))
         width = self.chunk * _FLOAT_BYTES
         parts = [frame[:width] for frame in frames]
         parts[-1] = parts[-1][:(hi - lo) * _FLOAT_BYTES
@@ -240,11 +236,8 @@ class TiledVector:
         pages[:full, :width] = raw[:full * width].reshape(full, width)
         if full < count:
             pages[full, :raw.size - full * width] = raw[full * width:]
-        blocks = self.blocks_for_chunks(range(ci, ci + count))
-        if count == 1:
-            self.store.pool.put(blocks[0], pages[0])
-        else:
-            self.store.pool.put_many(blocks, pages)
+        self.store.pool.put_many(
+            self.blocks_for_chunks(range(ci, ci + count)), pages)
 
     def read_range(self, lo: int, hi: int) -> np.ndarray:
         """Elements ``[lo, hi)`` as a fresh array, read as one run of
@@ -1000,7 +993,6 @@ class ArrayStore:
                  block_size: int | None = None,
                  policy: str | None = None, name: str = "riot-store",
                  scheduler: bool | None = None,
-                 readahead_window: int | None = None,
                  storage: "StorageConfig | None" = None,
                  device: BlockDevice | None = None) -> None:
         from .config import StorageConfig, create_device
@@ -1008,8 +1000,7 @@ class ArrayStore:
             storage = StorageConfig()
         overrides = {k: v for k, v in (
             ("memory_bytes", memory_bytes), ("block_size", block_size),
-            ("policy", policy), ("scheduler", scheduler),
-            ("readahead_window", readahead_window)) if v is not None}
+            ("policy", policy), ("scheduler", scheduler)) if v is not None}
         if overrides:
             storage = storage.with_options(**overrides)
         self.storage = storage
@@ -1031,9 +1022,7 @@ class ArrayStore:
             # not the other way around.
             from repro.analysis.sanitizers import SanitizingBufferPool
             pool_cls = SanitizingBufferPool
-        self.pool = pool_cls(self.device, capacity,
-                             policy=storage.policy,
-                             readahead_window=storage.readahead_window)
+        self.pool = pool_cls(self.device, capacity, policy=storage.policy)
         self.pool.scheduler.enabled = storage.scheduler
         # Decoded tiles live beside the pool under the same byte
         # budget; with codec raw everywhere the cache stays empty.

@@ -205,7 +205,7 @@ class TestUnannouncedRead:
 
     def test_clipped_prefetch_does_not_false_positive(self, sess):
         # The announced set records *requested* ids: even when the
-        # pool clips speculation, a re-miss of an announced block must
+        # pool clips a hint, a re-miss of an announced block must
         # not be reported as unannounced.
         pool, tracer = sess.store.pool, sess.store.tracer
         blocks = [fresh_block(pool) for _ in range(4)]

@@ -22,9 +22,11 @@ from repro.sparse import kernels
 from repro.storage import StorageConfig
 
 
-def make_session(workers: int, mem_scalars: int = 96 * 1024):
+def make_session(workers: int, mem_scalars: int = 96 * 1024,
+                 backend: str = "memory"):
     return RiotSession(
-        storage=StorageConfig(memory_bytes=mem_scalars * 8,
+        storage=StorageConfig(backend=backend,
+                              memory_bytes=mem_scalars * 8,
                               block_size=8192),
         config=OptimizerConfig(parallelism=workers))
 
@@ -121,28 +123,32 @@ _COUNT_FIELDS = ("seq_reads", "rand_reads", "seq_writes", "rand_writes",
 
 
 class TestDeterministicCounts:
-    def test_chain_block_counts_identical(self, rng):
-        """Sequentially-dependent plans produce identical simulated
-        block counts at every worker count (ns fields excluded — they
+    @pytest.mark.parametrize("backend", ["memory", "pread"])
+    def test_chain_block_counts_identical(self, rng, backend):
+        """Sequentially-dependent plans produce identical result bits
+        and simulated block counts at every worker count, on the
+        simulator and on a real page file (ns fields excluded — they
         are wall-clock, not simulation)."""
         a = rng.standard_normal((160, 64))
         b = rng.standard_normal((64, 128))
         c = rng.standard_normal((128, 72))
-        counts = {}
+        runs = {}
         for workers in (1, 2, 8):
-            s = make_session(workers, mem_scalars=24 * 1024)
+            s = make_session(workers, mem_scalars=24 * 1024,
+                             backend=backend)
             try:
                 expr = s.matrix(a) @ s.matrix(b) @ s.matrix(c)
                 s.store.flush()
                 s.reset_stats()
-                expr.force()
+                values = expr.force().to_numpy()
                 io = s.io_stats
-                counts[workers] = {f: getattr(io, f)
-                                   for f in _COUNT_FIELDS}
+                runs[workers] = ({f: getattr(io, f)
+                                  for f in _COUNT_FIELDS},
+                                 values.tobytes())
             finally:
                 s.close()
-        assert counts[2] == counts[1]
-        assert counts[8] == counts[1]
+        assert runs[2] == runs[1]
+        assert runs[8] == runs[1]
 
 
 _IO_FIELDS = ("reads", "writes", "read_calls", "write_calls",

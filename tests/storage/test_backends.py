@@ -12,7 +12,6 @@ on top.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -317,18 +316,21 @@ class TestStorageConfig:
     def test_url_file_with_params(self):
         cfg = StorageConfig.from_url(
             "file:///tmp/riot.db?mode=pread&fsync=1&block_size=4096"
-            "&readahead=8&policy=clock")
+            "&policy=clock")
         assert cfg.backend == "pread" and cfg.path == "/tmp/riot.db"
         assert cfg.fsync and cfg.block_size == 4096
-        assert cfg.readahead_window == 8 and cfg.policy == "clock"
+        assert cfg.policy == "clock"
 
     def test_url_memory_override(self):
         cfg = StorageConfig.from_url("file:///tmp/r.db", memory="64MiB")
         assert cfg.memory_bytes == 64 << 20
 
     def test_url_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="parameter"):
-            StorageConfig.from_url("file:///tmp/r.db?compression=zstd")
+        for url in ("file:///tmp/r.db?compression=zstd",
+                    "file:///tmp/r.db?readahead=8",
+                    "memory://?readahead=8"):
+            with pytest.raises(ValueError, match="parameter"):
+                StorageConfig.from_url(url)
 
     def test_url_remote_host_rejected(self):
         with pytest.raises(ValueError, match="local"):

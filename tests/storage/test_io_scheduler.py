@@ -7,6 +7,12 @@ from repro.storage import (ArrayStore, BlockDevice, BufferPool, IOScheduler,
                            coalesce_runs)
 
 
+#: The scheduler's claim on the on/off comparisons below: hints and
+#: coalescing save at least a quarter of the read calls, while blocks
+#: and result bits stay equal.
+MAX_CALL_RATIO = 0.75
+
+
 def _fill(dev: BlockDevice, n: int) -> list[int]:
     first = dev.allocate(n)
     for i in range(n):
@@ -82,90 +88,29 @@ class TestBatchedDeviceIO:
         assert device.stats.coalesced_ios == 0
 
 
-class TestReadaheadDetection:
-    def test_no_speculation_below_min_run(self, device):
-        _fill(device, 32)
-        sched = IOScheduler(device, readahead_window=8, min_run=2)
-        assert sched.on_demand(0, miss=True) == []
-
-    def test_sequential_run_triggers_window(self, device):
-        _fill(device, 32)
-        sched = IOScheduler(device, readahead_window=8, min_run=2)
-        sched.on_demand(0, miss=True)
-        assert sched.on_demand(1, miss=True) == list(range(2, 10))
-
-    def test_random_accesses_reset_run(self, device):
-        _fill(device, 32)
-        sched = IOScheduler(device, readahead_window=8, min_run=2)
-        sched.on_demand(0, miss=True)
-        sched.on_demand(17, miss=True)
-        assert sched.on_demand(18, miss=True) == list(range(19, 27))
-
-    def test_window_clamped_to_allocation(self, device):
-        _fill(device, 4)
-        sched = IOScheduler(device, readahead_window=8, min_run=2)
-        sched.on_demand(0, miss=True)
-        assert sched.on_demand(1, miss=True) == [2, 3]
-
-    def test_hit_at_mark_extends_readahead(self, device):
-        _fill(device, 64)
-        sched = IOScheduler(device, readahead_window=8, min_run=2)
-        sched.on_demand(0, miss=True)
-        ahead = sched.on_demand(1, miss=True)
-        for bid in range(2, ahead[-1]):
-            assert sched.on_demand(bid, miss=False) == []
-        nxt = sched.on_demand(ahead[-1], miss=False)
-        assert nxt and nxt[0] == ahead[-1] + 1
-
-    def test_window_zero_never_speculates(self, device):
-        _fill(device, 32)
-        sched = IOScheduler(device, readahead_window=0)
-        sched.on_demand(0, miss=True)
-        assert sched.on_demand(1, miss=True) == []
-
-    def test_invalid_parameters(self, device):
-        with pytest.raises(ValueError):
-            IOScheduler(device, readahead_window=-1)
-        with pytest.raises(ValueError):
-            IOScheduler(device, min_run=0)
-
-
 class TestPoolReadahead:
-    def test_sequential_scan_coalesces_calls(self, device):
-        blocks = _fill(device, 32)
-        pool = BufferPool(device, 16, readahead_window=8)
-        device.reset_stats()
-        for bid in blocks:
-            pool.get(bid)
-        assert device.stats.reads == 32
-        assert device.stats.read_calls < 32 // 2
-        assert device.stats.readahead_hits > 0
-
-    def test_prefetched_blocks_counted(self, device):
-        blocks = _fill(device, 32)
-        pool = BufferPool(device, 16, readahead_window=8)
-        device.reset_stats()
-        for bid in blocks:
-            pool.get(bid)
-        assert device.stats.prefetched > 0
-        assert pool.stats.prefetched == device.stats.prefetched
-
-    def test_data_identical_with_and_without_readahead(self, device):
-        blocks = _fill(device, 32)
-        plain = BufferPool(device, 8)
-        ra = BufferPool(device, 8, readahead_window=8)
-        for bid in blocks:
-            assert np.array_equal(plain.get(bid), ra.get(bid))
+    """Reading ahead through the pool: announced hints and coalesced
+    misses, never a guess."""
 
     def test_disabled_scheduler_reads_per_block(self, device):
+        """The hint-free reference path: hints are ignored, every block
+        is its own device call, and no batch is reported coalesced."""
         blocks = _fill(device, 16)
-        pool = BufferPool(device, 8, readahead_window=8)
+        pool = BufferPool(device, 8)
         pool.scheduler.enabled = False
         device.reset_stats()
-        for bid in blocks:
-            pool.get(bid)
-        assert device.stats.read_calls == 16
+        for lo in range(0, 16, 4):
+            assert pool.prefetch(blocks[lo:lo + 4]) == 0
+            pool.get_many(blocks[lo:lo + 4])
+        for bid in blocks[:4]:
+            pool.get(bid, for_write=True)
+        pool.flush_all()
+        assert device.stats.reads == device.stats.read_calls == 20
+        assert device.stats.writes == device.stats.write_calls == 4
         assert device.stats.prefetched == 0
+        assert device.stats.coalesced_ios == 0
+        assert pool.scheduler.stats.coalesced_batches == 0
+        assert pool.scheduler.stats.hint_batches == 0
 
     def test_get_many_coalesces_misses(self, device):
         blocks = _fill(device, 8)
@@ -201,32 +146,40 @@ class TestPoolReadahead:
 class TestStatsContract:
     def test_snapshot_delta_cover_new_counters(self, device):
         blocks = _fill(device, 8)
-        pool = BufferPool(device, 8, readahead_window=4)
+        pool = BufferPool(device, 8)
         snap = device.stats.snapshot()
+        pool.prefetch(blocks[:4])
         for bid in blocks:
             pool.get(bid)
         delta = device.stats.delta(snap)
         assert delta.reads == 8
         assert delta.read_calls == delta.reads - delta.coalesced_ios
-        assert delta.prefetched > 0
+        assert delta.prefetched == 4
+        assert delta.readahead_hits == 4
 
     def test_store_level_totals_invariant(self):
-        """Scheduler on/off must not change block totals on a scan."""
-        totals = {}
+        """Scheduler on/off must not change block totals on a cold
+        scan, only cut its read calls (64 -> 10)."""
+        runs = {}
         for enabled in (False, True):
             store = ArrayStore(memory_bytes=16 * 8192, scheduler=enabled)
             vec = store.create_vector(64 * 1024)
             vec.from_numpy(np.arange(64 * 1024, dtype=np.float64))
             store.pool.clear()
             store.reset_stats()
-            vec.to_numpy()
-            totals[enabled] = store.device.stats.total
-        assert totals[True] == totals[False]
+            values = vec.to_numpy()
+            runs[enabled] = (store.device.stats.total,
+                             store.device.stats.read_calls, values)
+        on, off = runs[True], runs[False]
+        assert on[0] == off[0]
+        assert on[1] <= MAX_CALL_RATIO * off[1]
+        assert np.array_equal(on[2], off[2])
 
     def test_streaming_totals_invariant_under_tight_pool(self):
         """Multi-source fused streaming in a small pool: prefetch must
         not evict its own window before use (no wasted prefetch, no
-        inflated block totals — the bug a fixed-size lookahead had)."""
+        inflated block totals — the bug a fixed-size lookahead had),
+        and must cut the read calls (392 -> 40)."""
         from repro.core.evaluator import Evaluator
         from repro.core.expr import ArrayInput, Map
 
@@ -242,52 +195,50 @@ class TestStatsContract:
                 Map("+", ArrayInput(x), ArrayInput(y)))
             results[enabled] = (store.device.stats.reads,
                                 store.pool.stats.prefetch_wasted,
-                                out.to_numpy())
+                                out.to_numpy(),
+                                store.device.stats.read_calls)
         assert results[True][0] == results[False][0]
         assert results[True][1] == 0
         assert np.array_equal(results[True][2], results[False][2])
+        assert results[True][3] <= MAX_CALL_RATIO * results[False][3]
 
 
 class TestFetchPrefetchAccounting:
-    def test_speculative_charge_dedups_against_demand(self, device):
-        """A block both demanded and speculated must count once: the
-        old code charged ``n_speculative`` from the pre-dedup list, so
-        overlapping ids inflated ``stats.prefetched``."""
+    def test_hinted_duplicate_ids_count_once(self, device):
         blocks = _fill(device, 8)
         sched = IOScheduler(device)
         device.reset_stats()
-        # Demand blocks[0:2]; speculate blocks[1:4] — one id overlaps.
-        sched.fetch(blocks[:2] + blocks[1:4], n_speculative=3)
+        sched.fetch([blocks[0], blocks[3], blocks[3]], hinted=True)
         assert device.stats.prefetched == 2
-        assert device.stats.reads == 4  # dedup'd block totals
+        assert device.stats.reads == 2
+        assert sched.stats.hint_batches == 1
+        assert sched.stats.hinted_blocks == 2
 
-    def test_duplicate_speculative_ids_count_once(self, device):
+    def test_unhinted_fetch_charges_no_prefetch(self, device):
         blocks = _fill(device, 8)
         sched = IOScheduler(device)
         device.reset_stats()
-        sched.fetch([blocks[0], blocks[3], blocks[3]], n_speculative=2)
-        assert device.stats.prefetched == 1
-
-    def test_disjoint_speculation_charged_in_full(self, device):
-        blocks = _fill(device, 8)
-        sched = IOScheduler(device)
-        device.reset_stats()
-        sched.fetch(blocks[:1] + blocks[4:7], n_speculative=3)
-        assert device.stats.prefetched == 3
+        sched.fetch(blocks[:4])
+        assert device.stats.reads == 4
+        assert device.stats.prefetched == 0
+        assert sched.stats.hint_batches == sched.stats.hinted_blocks == 0
 
 
 class TestSchedulerEvictionRaces:
     def test_clock_readahead_never_orphans_dirty_blocks(self, device):
-        """Speculative installs must not evict the just-demanded frame:
-        with CLOCK that used to leave a dirty id with no frame behind,
-        crashing the next flush."""
+        """Prefetch installs evict dirty frames in a tiny CLOCK pool;
+        no dirty id may ever be left without a frame (the next flush
+        would crash on it)."""
         first = device.allocate(32)
         for i in range(32):
             device.write_floats(first + i,
                                 np.full(device.block_size // 8, float(i)))
-        pool = BufferPool(device, 3, policy="clock", readahead_window=3)
+        pool = BufferPool(device, 3, policy="clock")
         rng = np.random.default_rng(0)
         for _ in range(2000):
+            if rng.random() < 0.5:
+                pool.prefetch([first + int(b)
+                               for b in rng.integers(0, 32, size=2)])
             pool.get(first + int(rng.integers(0, 32)), for_write=True)
             assert not (pool._dirty - set(pool._frames))
         pool.flush_all()
@@ -310,10 +261,13 @@ class TestSchedulerEvictionRaces:
             out = square_tile_matmul(store, a, b, 48 * 1024)
             store.flush()
             return (store.device.stats.reads,
-                    store.pool.stats.prefetch_wasted, out.to_numpy())
+                    store.pool.stats.prefetch_wasted, out.to_numpy(),
+                    store.device.stats.read_calls)
 
-        # reads equal, nothing wasted, results bitwise identical
+        # reads equal, nothing wasted, results bitwise identical, and
+        # fewer read calls (144 -> 64)
         on, off = run(True), run(False)
         assert on[0] == off[0]
         assert on[1] == 0
         assert np.array_equal(on[2], off[2])
+        assert on[3] <= MAX_CALL_RATIO * off[3]

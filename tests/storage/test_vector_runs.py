@@ -195,27 +195,3 @@ def test_bad_runs_raise_and_touch_nothing(chunk):
     # the ragged tail is legal exactly at the vector's end
     vec.write_chunk(4, np.full(chunk + 3, 2.0))
     assert _bits(vec.read_chunk(4, 2)) == _bits(np.full(chunk + 3, 2.0))
-
-
-def test_one_chunk_runs_stay_on_get_and_put(monkeypatch):
-    """A run of one chunk must use ``get``/``put``: ``get`` is what the
-    scheduler's sequential-run detector watches, ``get_many`` is not."""
-    store, vec = _make(dict(length=3 * PAGE, chunk=PAGE, capacity=8,
-                            policy="lru", scheduler=True))
-    calls: list[str] = []
-
-    def spy(name):
-        real = getattr(store.pool, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapped
-
-    for name in ("get", "get_many", "put", "put_many"):
-        monkeypatch.setattr(store.pool, name, spy(name))
-    vec.write_chunk(1, np.ones(PAGE))
-    vec.read_chunk(1)
-    vec.write_chunk(0, np.ones(2 * PAGE))
-    vec.read_chunk(0, 2)
-    assert calls == ["put", "get", "put_many", "get_many"]

@@ -49,16 +49,14 @@ class OneWritePerVictimPool(BufferPool):
             self.stats.evictions += 1
 
 
-def _make(cls, capacity, policy="lru", enabled=True, window=0,
-          nblocks=NBLOCKS):
+def _make(cls, capacity, policy="lru", enabled=True, nblocks=NBLOCKS):
     device = BlockDevice(block_size=BLOCK)
     first = device.allocate(nblocks)
     for i in range(nblocks):
         device.write_block(
             first + i, np.full(BLOCK, (100 + i) % 256, dtype=np.uint8))
     device.reset_stats()
-    scheduler = IOScheduler(device, readahead_window=window,
-                            enabled=enabled)
+    scheduler = IOScheduler(device, enabled=enabled)
     return cls(device, capacity, policy=make_policy(policy),
                scheduler=scheduler)
 
@@ -121,12 +119,11 @@ def _apply(pool, op, use_pins):
 @given(ops=st.lists(_op, min_size=1, max_size=40),
        capacity=st.integers(min_value=1, max_value=8),
        policy=st.sampled_from(["lru", "clock"]),
-       enabled=st.booleans(), use_pins=st.booleans(),
-       window=st.sampled_from([0, 3]))
+       enabled=st.booleans(), use_pins=st.booleans())
 def test_property_same_pool_as_one_write_per_victim(
-        ops, capacity, policy, enabled, use_pins, window):
-    new = _make(BufferPool, capacity, policy, enabled, window)
-    ref = _make(OneWritePerVictimPool, capacity, policy, enabled, window)
+        ops, capacity, policy, enabled, use_pins):
+    new = _make(BufferPool, capacity, policy, enabled)
+    ref = _make(OneWritePerVictimPool, capacity, policy, enabled)
     for op in ops:
         assert _apply(new, op, use_pins) == _apply(ref, op, use_pins)
         assert not new._pending
