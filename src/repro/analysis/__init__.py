@@ -18,9 +18,9 @@ heading toward:
   ``OptimizerConfig(strict=True)``.
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
-  ``REPRO_SANITIZE=1``) catching pin leaks, use-after-unpin of
-  zero-copy views, discards of pinned blocks, unannounced reads
-  inside kernel spans and accesses to blocks of dropped arrays.
+  ``REPRO_SANITIZE=1``) catching pin leaks, discards of pinned
+  blocks, unannounced reads inside kernel spans, latch and write-back
+  leaks, cross-thread unpins and accesses to blocks of dropped arrays.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
@@ -28,14 +28,13 @@ from .planlint import PlanVerificationError, verify_plan
 from .sanitizers import (CrossThreadUnpinError, LatchLeakError,
                          PinLeakError, PinnedDiscardError, SanitizerError,
                          SanitizingBufferPool, UnannouncedReadError,
-                         UseAfterDropError, UseAfterUnpinError,
-                         WritebackLeakError)
+                         UseAfterDropError, WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
     "PlanVerificationError", "verify_plan",
     "SanitizerError", "SanitizingBufferPool", "PinLeakError",
-    "UseAfterUnpinError", "PinnedDiscardError", "UnannouncedReadError",
+    "PinnedDiscardError", "UnannouncedReadError",
     "CrossThreadUnpinError", "LatchLeakError", "WritebackLeakError",
     "UseAfterDropError",
 ]

@@ -52,6 +52,12 @@ Rules:
     the kernels' tile-level worker pool.  The evaluator runs operators
     one at a time so that per-op measurements are exclusive; an
     executor anywhere else could overlap operators again.
+``RPR008``
+    No device block transfer (``read_block`` / ``read_blocks`` /
+    ``write_block`` / ``write_blocks`` / ``block_view``) outside
+    ``repro/storage`` and the pager's swap (``vm/pager.py``).  Every
+    other layer moves blocks through the buffer pool, which is what
+    counts them; a direct device call is I/O the pool never sees.
 
 Use :func:`run_lint` programmatically or ``python -m repro.analysis``
 from the command line.
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-             "RPR007")
+             "RPR007", "RPR008")
 
 #: Constructors only ``repro/storage`` may call (RPR001).
 DEVICE_CONSTRUCTORS = frozenset(
@@ -73,6 +79,16 @@ DEVICE_CONSTRUCTORS = frozenset(
 
 #: Codec protocol methods only ``repro/storage`` may call (RPR005).
 CODEC_METHODS = frozenset({"encode_tile", "decode_tile"})
+
+#: Device block-transfer methods only ``repro/storage`` and the pager's
+#: swap may call (RPR008).
+DEVICE_TRANSFER_METHODS = frozenset(
+    {"read_block", "read_blocks", "write_block", "write_blocks",
+     "block_view"})
+
+#: The one file outside ``repro/storage`` that may move device blocks
+#: itself (RPR008): the virtual-memory pager's swap.
+DEVICE_TRANSFER_HOME = ("vm", "pager.py")
 
 #: The files that may index ``ELEMENTWISE_OPS`` (RPR006), as
 #: ``(parent directory, file name)``.
@@ -216,6 +232,22 @@ def _check_executor_home(path: Path, tree: ast.AST) -> list[Finding]:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and _call_name(node.func) == "ThreadPoolExecutor"]
+
+
+# ----------------------------------------------------------------------
+# RPR008 — every block moves through the pool
+# ----------------------------------------------------------------------
+def _check_pool_discipline(path: Path, tree: ast.AST) -> list[Finding]:
+    if (_is_storage_file(path)
+            or (path.parent.name, path.name) == DEVICE_TRANSFER_HOME):
+        return []
+    return [Finding(str(path), node.lineno, node.col_offset, "RPR008",
+                    f"{_call_name(node.func)}() called outside "
+                    f"repro/storage; read and write blocks through "
+                    f"the buffer pool so they are counted")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _call_name(node.func) in DEVICE_TRANSFER_METHODS]
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +445,7 @@ _RULES = {
     "RPR005": _check_codec_discipline,
     "RPR006": _check_elementwise_lookup,
     "RPR007": _check_executor_home,
+    "RPR008": _check_pool_discipline,
 }
 
 

@@ -21,11 +21,6 @@ Detected hazards:
 - **Pin leak** (:class:`PinLeakError`): pin counts at a span's close
   differ from its open — some code path pinned without unpinning (or
   over-released) inside the span.
-- **Use-after-unpin** (:class:`UseAfterUnpinError`): a zero-copy
-  ``block_view()`` tile (mmap backend) is still referenced when its
-  block's pin count drops to zero.  Like ASAN, detection happens at
-  the *release* point: the view would dangle the moment the frame is
-  recycled.
 - **Pinned discard** (:class:`PinnedDiscardError`): ``invalidate()``
   on a block something still holds pinned.
 - **Unannounced read** (:class:`UnannouncedReadError`): a demand miss
@@ -65,7 +60,6 @@ so pin-leak accounting stays exact per worker span.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -79,10 +73,6 @@ class SanitizerError(RuntimeError):
 
 class PinLeakError(SanitizerError):
     """Pin counts at span close differ from span open."""
-
-
-class UseAfterUnpinError(SanitizerError):
-    """A zero-copy block view outlived its block's pin."""
 
 
 class PinnedDiscardError(SanitizerError):
@@ -196,7 +186,6 @@ class SanitizingBufferPool(BufferPool):
         # attributed to the worker span that took them.
         self._tls = _ThreadState()
         self._pins_by_thread: dict[int, dict[int, int]] = {}
-        self._views: dict[int, list[weakref.ref]] = {}
         self._sentry: _SpanSentry | None = None
         self._dropped: set[int] = set()
 
@@ -338,33 +327,8 @@ class SanitizingBufferPool(BufferPool):
         return super().get_many(block_ids)
 
     # ------------------------------------------------------------------
-    # Pin / view hazards
+    # Pin hazards
     # ------------------------------------------------------------------
-    def block_view(self, block_id: int) -> np.ndarray:
-        """Zero-copy device view, tracked against the block's pin.
-
-        Sanitized code must take views through the pool: the view is
-        only valid while the block stays pinned, and releasing the last
-        pin while a view is alive raises :class:`UseAfterUnpinError`.
-        """
-        with self.lock:
-            if self._pinned.get(block_id, 0) <= 0:
-                raise UseAfterUnpinError(
-                    f"block_view({block_id}) taken without a pin; pin "
-                    f"the block first so the view cannot dangle")
-            if hasattr(self.device, "block_view"):
-                view = self.device.block_view(block_id)
-            else:
-                # The memory simulator has no zero-copy mapping; hand
-                # out a read-only view of the cached frame so the
-                # pin/view hazard discipline is enforced identically
-                # on every backend.
-                view = super().get(block_id).view()
-                view.flags.writeable = False
-            self._views.setdefault(block_id, []).append(
-                weakref.ref(view))
-            return view
-
     def pin(self, block_id: int) -> None:
         self._check_live((block_id,), "pin()")
         with self.lock:
@@ -385,17 +349,6 @@ class SanitizingBufferPool(BufferPool):
                     f"{block_id} which it never pinned (held by "
                     f"thread(s) {holders}); pins must be released by "
                     f"the thread that took them")
-            dropping_last = self._pinned.get(block_id, 0) <= 1
-            if dropping_last and block_id in self._views:
-                live = [ref for ref in self._views[block_id]
-                        if ref() is not None]
-                if live:
-                    raise UseAfterUnpinError(
-                        f"unpinning block {block_id} to zero while "
-                        f"{len(live)} zero-copy view(s) of it are "
-                        f"still alive; drop the view(s) before "
-                        f"releasing the pin")
-                del self._views[block_id]
             super().unpin(block_id)
             if mine.get(block_id, 0) > 0:
                 if mine[block_id] == 1:
@@ -410,5 +363,4 @@ class SanitizingBufferPool(BufferPool):
                     f"invalidate({block_id}) would discard a block "
                     f"pinned {self._pinned[block_id]} time(s); unpin "
                     f"before dropping it")
-            self._views.pop(block_id, None)
             super().invalidate(block_id)

@@ -83,7 +83,7 @@ def single_threaded_blas() -> Iterator[None]:
 class TileParallelism:
     """Ordered accumulation of kernel partial products over workers.
 
-    :meth:`accumulate` consumes ``thunks`` — zero-arg callables, each
+    :func:`accumulate` consumes ``thunks`` — zero-arg callables, each
     returning one partial product — *on the calling thread*, so any
     I/O embedded in producing the thunk stream (prefetch hints, block
     reads) happens in serial order.  Thunks run on the worker pool;
@@ -111,22 +111,32 @@ class TileParallelism:
         with single_threaded_blas():
             return fn()
 
-    def accumulate(self, acc, thunks: Iterable[Callable]):
-        """``for fn in thunks: acc += fn()`` — with ``fn()`` offloaded.
 
-        In-order fold: bitwise-identical to the serial loop (numpy
-        evaluates each product to a temporary, then adds in place —
-        exactly what the serial kernel does).
-        """
-        if self._executor is None:
-            for fn in thunks:
-                acc += fn()
-            return acc
-        pending: deque = deque()
+def accumulate(parallel: TileParallelism | None, acc,
+               thunks: Iterable[Callable]):
+    """``for fn in thunks: acc += fn()`` — with ``fn()`` offloaded to
+    ``parallel``'s workers when it has any.
+
+    The one fold every kernel uses (``square_tile_matmul``,
+    ``crossprod_matmul``, ``spmm``); ``parallel`` is ``None`` or a
+    :class:`TileParallelism`.  The thunk stream is consumed lazily on
+    the calling thread either way, so the prefetch hints and block
+    reads embedded in producing each thunk run in exact serial order.
+    In-order fold: bitwise-identical to the serial loop (numpy
+    evaluates each product to a temporary, then adds in place —
+    exactly what the serial kernel does).  Fold targets may override
+    ``+=`` to route each product (the kernels' ``_Fold`` / ``_RowFold``).
+    """
+    executor = parallel._executor if parallel is not None else None
+    if executor is None:
         for fn in thunks:
-            pending.append(self._executor.submit(self._run, fn))
-            while len(pending) >= self.window:
-                acc += pending.popleft().result()
-        while pending:
-            acc += pending.popleft().result()
+            acc += fn()
         return acc
+    pending: deque = deque()
+    for fn in thunks:
+        pending.append(executor.submit(parallel._run, fn))
+        while len(pending) >= parallel.window:
+            acc += pending.popleft().result()
+    while pending:
+        acc += pending.popleft().result()
+    return acc

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.costs import (crossprod_schedule, crossprod_side_fits,
                               square_panel)
+from repro.core.parallel import accumulate
 from repro.storage import ArrayStore, TiledMatrix
 
 
@@ -83,15 +84,10 @@ def _read_operand(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
 
     A flagged operand reads the mirrored rectangle of the stored matrix
     and transposes it in memory — stored tiles are never re-laid out.
-    Dense kernels never mutate operand rectangles, so this goes through
-    ``read_submatrix_view`` when the matrix offers it: on a raw-codec
-    mmap store with ``zero_copy=1`` a tile-aligned rectangle comes back
-    as a read-only view over the page mapping instead of a copy.
     """
-    reader = getattr(m, "read_submatrix_view", m.read_submatrix)
     if trans:
-        return reader(c0, c1, r0, r1).T
-    return reader(r0, r1, c0, c1)
+        return m.read_submatrix(c0, c1, r0, r1).T
+    return m.read_submatrix(r0, r1, c0, c1)
 
 
 def _operand_blocks(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
@@ -100,24 +96,6 @@ def _operand_blocks(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
     if trans:
         return m.submatrix_blocks(c0, c1, r0, r1)
     return m.submatrix_blocks(r0, r1, c0, c1)
-
-
-def _accumulate(parallel, acc, thunks):
-    """``for fn in thunks: acc += fn()``, offloaded when possible.
-
-    ``parallel`` is duck-typed (anything with ``.accumulate(acc,
-    thunks)`` — in practice :class:`repro.core.parallel.TileParallelism`)
-    so this module keeps its storage-only import surface.  The thunk
-    stream is consumed lazily either way: the prefetch hints and block
-    reads embedded in producing each thunk run on the calling thread in
-    exact serial order, which is what keeps simulated block counts
-    identical at every worker count.
-    """
-    if parallel is None:
-        for fn in thunks:
-            acc += fn()
-        return acc
-    return parallel.accumulate(acc, thunks)
 
 
 def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
@@ -141,7 +119,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     p x p operand submatrices the callback will read so the panel
     shrinks to keep the whole working set inside the budget.
 
-    ``parallel`` (a ``TileParallelism``-like accumulator) offloads the
+    ``parallel`` (a ``TileParallelism`` or ``None``) offloads the
     per-step GEMMs to worker threads while this thread keeps issuing
     prefetch hints and block reads in serial order; results are folded
     in increasing-``k`` order, so output bits and block counts match
@@ -190,10 +168,10 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
                                               trans_b)
                         yield lambda a_s=a_sub, b_s=b_sub: a_s @ b_s
 
-                acc = _accumulate(parallel,
-                                  np.zeros((i1 - i0, j1 - j0),
-                                           dtype=out_dtype),
-                                  steps())
+                acc = accumulate(parallel,
+                                 np.zeros((i1 - i0, j1 - j0),
+                                          dtype=out_dtype),
+                                 steps())
                 if epilogue is not None:
                     acc = epilogue(i0, j0, acc)
                 out.write_submatrix(i0, j0, acc)
@@ -203,11 +181,11 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
 class _Fold:
     """Fold target of a crossprod pass.
 
-    :func:`_accumulate` folds ``target += fn()``; ``fn()`` returns one
-    slab's products — the packed tile rows of the region, then one
-    ``t(A) B`` block per side product — and each goes into its own
-    accumulator.  Every accumulator sums its slabs in stream order, so
-    the worker count never changes a bit.
+    :func:`~repro.core.parallel.accumulate` folds ``target += fn()``;
+    ``fn()`` returns one slab's products — the packed tile rows of the
+    region, then one ``t(A) B`` block per side product — and each goes
+    into its own accumulator.  Every accumulator sums its slabs in
+    stream order, so the worker count never changes a bit.
     """
 
     def __init__(self, accs: list[np.ndarray]) -> None:
@@ -296,7 +274,7 @@ def _region_pass(store: ArrayStore, a: TiledMatrix, schedule,
                    _slab_products(l_, r_, s_, layout, o_))
 
     accs = [np.zeros(s, dtype=d) for s, d in shapes]
-    _accumulate(parallel, _Fold(accs), steps())
+    accumulate(parallel, _Fold(accs), steps())
     return layout, accs
 
 

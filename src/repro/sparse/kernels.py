@@ -59,6 +59,7 @@ import itertools
 import numpy as np
 
 from repro.core.costs import spgemm_row_panels, spmm_panels
+from repro.core.parallel import accumulate
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 from .sparse_matrix import (SparseTiledMatrix, csr_matvec, csr_to_dense,
@@ -225,29 +226,13 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
     return out
 
 
-def _accumulate(parallel, acc, thunks):
-    """``for fn in thunks: acc += fn()``, offloaded when possible.
-
-    Same contract as the dense kernels' helper: ``parallel`` is
-    duck-typed (``.accumulate``), the thunk stream is consumed lazily so
-    hint announcements and tile reads stay on the calling thread in
-    exact serial order, and the in-order fold keeps results bitwise
-    identical to the serial loop.
-    """
-    if parallel is None:
-        for fn in thunks:
-            acc += fn()
-        return acc
-    return parallel.accumulate(acc, thunks)
-
-
 class _RowFold:
     """Fold target that hands each step's product to its own block row.
 
-    :func:`_accumulate` folds ``target += fn()``; here ``fn()`` returns
-    ``(rows, product)`` and the product is added into ``acc[rows]``, so
-    one ordered stream feeds every accumulator of a row panel and each
-    still sums its products in stream order.
+    :func:`~repro.core.parallel.accumulate` folds ``target += fn()``;
+    here ``fn()`` returns ``(rows, product)`` and the product is added
+    into ``acc[rows]``, so one ordered stream feeds every accumulator
+    of a row panel and each still sums its products in stream order.
     """
 
     def __init__(self, acc: np.ndarray) -> None:
@@ -343,7 +328,7 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
                                 slice(top, top + a_tile.shape[0]),
                                 a_tile, b_strip)
 
-                _accumulate(parallel, _RowFold(acc), steps())
+                accumulate(parallel, _RowFold(acc), steps())
                 out.write_submatrix(r0, j0, acc)
     return out
 

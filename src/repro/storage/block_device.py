@@ -437,18 +437,6 @@ class BlockDevice:
             buf = padded
         return buf
 
-    # Convenience typed accessors -------------------------------------
-    def read_floats(self, block_id: int,
-                    dtype: np.dtype = np.float64) -> np.ndarray:
-        """Read one block and view it as ``dtype`` values."""
-        return self.read_block(block_id).view(np.dtype(dtype))
-
-    def write_floats(self, block_id: int, values: np.ndarray,
-                     dtype: np.dtype = np.float64) -> None:
-        """Write ``dtype`` values (at most one block's worth) to a block."""
-        arr = np.ascontiguousarray(values, dtype=np.dtype(dtype))
-        self.write_block(block_id, arr.view(np.uint8))
-
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------

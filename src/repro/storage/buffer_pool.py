@@ -495,15 +495,6 @@ class BufferPool:
                 raise KeyError(f"block {block_id} is not resident")
             self._dirty.add(block_id)
 
-    def has_dirty(self, block_ids=None) -> bool:
-        """True when any of ``block_ids`` (or any block at all) holds
-        unwritten changes — the guard zero-copy device reads need
-        before bypassing the pool."""
-        with self.lock:
-            if block_ids is None:
-                return bool(self._dirty)
-            return any(bid in self._dirty for bid in block_ids)
-
     # ------------------------------------------------------------------
     def pin(self, block_id: int) -> None:
         """Prevent a resident block from being evicted (refcounted)."""

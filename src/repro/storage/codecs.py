@@ -19,8 +19,7 @@ rule — ``encode_tile``/``decode_tile`` may only be called under
 Built-in codecs:
 
 ``raw``
-    Identity.  Tiles occupy their full page span; the zero-copy
-    ``block_view`` path requires it.
+    Identity.  Tiles occupy their full page span.
 ``delta+zstd``
     Bitwise-lossless: split the scalars' bit patterns into byte planes
     and compress the planes at the fast level of ``zstandard`` when

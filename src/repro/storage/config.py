@@ -98,15 +98,12 @@ class StorageConfig:
         compare the two assert.
     ``fsync``
         Make every flush a durability barrier (file backends).
-    ``direct``
-        Try ``O_DIRECT`` for the ``pread`` backend (falls back quietly
-        where unsupported).
     ``sanitize``
         Build the buffer pool as a
         :class:`~repro.analysis.sanitizers.SanitizingBufferPool`,
-        turning storage-protocol violations (pin leaks, use-after-
-        unpin views, pinned discards, unannounced kernel reads) into
-        loud errors.  Defaults to the ``REPRO_SANITIZE`` environment
+        turning storage-protocol violations (pin leaks, pinned
+        discards, unannounced kernel reads, use after drop) into loud
+        errors.  Defaults to the ``REPRO_SANITIZE`` environment
         variable.
     ``codec``
         Default per-tile compression codec applied at array-store
@@ -117,11 +114,6 @@ class StorageConfig:
         Storage scalar type of newly created arrays: ``"float64"``
         (the paper's setting) or ``"float32"`` (halves bytes per
         scalar — the budgets and tile layouts scale accordingly).
-    ``zero_copy``
-        Let dense kernels read whole raw-codec tiles as read-only
-        ``block_view`` mmap slices instead of buffer-pool frame
-        copies.  Opt-in: the views bypass pool accounting (mmap
-        backend only; ignored elsewhere).
     """
 
     backend: str = "memory"
@@ -131,11 +123,9 @@ class StorageConfig:
     policy: str = "lru"
     scheduler: bool = True
     fsync: bool = False
-    direct: bool = False
     sanitize: bool = field(default_factory=_env_sanitize)
     codec: str = "raw"
     dtype: str = "float64"
-    zero_copy: bool = False
 
     def __post_init__(self) -> None:
         self.memory_bytes = parse_memory(self.memory_bytes)
@@ -178,9 +168,8 @@ class StorageConfig:
         in-memory simulator; ``file:///path`` (or a bare path) selects
         a page file, ``mmap`` by default.  Query parameters map to
         fields: ``mode=pread|mmap``, ``block_size=...``,
-        ``fsync=1``, ``direct=1``, ``policy=clock``, ``codec=zstd``,
-        ``dtype=float32``, ``zero_copy=1``.  Any other key is a
-        ``ValueError``.
+        ``fsync=1``, ``policy=clock``, ``codec=zstd``,
+        ``dtype=float32``.  Any other key is a ``ValueError``.
         """
         kwargs: dict = {}
         if url is None:
@@ -213,9 +202,8 @@ class StorageConfig:
                                   ("dtype", str)):
                     if key in query:
                         kwargs[key] = cast(query.pop(key))
-                for key in ("fsync", "direct", "zero_copy"):
-                    if key in query:
-                        kwargs[key] = query.pop(key).lower() in _TRUE
+                if "fsync" in query:
+                    kwargs["fsync"] = query.pop("fsync").lower() in _TRUE
                 if query:
                     raise ValueError(
                         f"unknown storage URL parameter(s) "
@@ -241,4 +229,4 @@ def create_device(config: StorageConfig | None = None,
         return BlockDevice(block_size=config.block_size, name=name)
     return FileBlockDevice(path=config.path, mode=config.backend,
                            block_size=config.block_size, name=name,
-                           fsync=config.fsync, direct=config.direct)
+                           fsync=config.fsync)

@@ -17,16 +17,13 @@ Two transfer modes:
     The page file is memory-mapped; reads and writes are memcpys
     against the mapping (zero syscalls on the hot path — the kernel
     faults pages in and writes them back).  Fastest when the file fits
-    the page cache.  :meth:`block_view` additionally exposes zero-copy
-    read-only views straight into the mapping.
+    the page cache.  Every transfer copies out of (or into) the
+    mapping: a frame never aliases the file.
 ``pread``
     Positional vectored ``os.preadv``/``os.pwritev`` per coalesced run
     — one syscall moves a whole run of adjacent blocks, which is
     exactly the shape the scheduler optimizes for, scattering into (or
-    gathering from) the per-block frames with no staging copy.  With
-    ``direct=True`` the file is opened ``O_DIRECT`` where available
-    (transfers staged through a page-aligned buffer, bypassing the OS
-    page cache).
+    gathering from) the per-block frames with no staging copy.
 
 Durability: ``sync()`` issues ``msync``/``fsync``; the ``fsync``
 constructor flag makes every :meth:`sync` a real fsync barrier.
@@ -52,14 +49,11 @@ import numpy as np
 from .block_device import DEFAULT_BLOCK_SIZE, BlockDevice
 
 #: File growth granularity in blocks: the file is extended in extents so
-#: mmap remaps stay rare and O_DIRECT sees an aligned file size.
+#: mmap remaps stay rare.
 EXTENT_BLOCKS = 256
 
 #: Sidecar suffix for device metadata (allocation cursor + manifest).
 META_SUFFIX = ".meta"
-
-#: Alignment O_DIRECT transfers are staged at.
-_DIRECT_ALIGN = 4096
 
 #: Most buffers one ``preadv``/``pwritev`` accepts; longer runs split.
 #: ``sysconf`` answers -1 when the system sets no limit.
@@ -75,8 +69,7 @@ class FileBlockDevice(BlockDevice):
                  mode: str = "mmap",
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  name: str = "disk",
-                 fsync: bool = False,
-                 direct: bool = False) -> None:
+                 fsync: bool = False) -> None:
         if mode not in ("mmap", "pread"):
             raise ValueError(
                 f"unknown file-device mode {mode!r}; use mmap|pread")
@@ -87,7 +80,6 @@ class FileBlockDevice(BlockDevice):
         self.manifest: dict = {}
         self._closed = False
         self._mm: mmap.mmap | None = None
-        self._dbuf: mmap.mmap | None = None
         if path is None:
             fd, tmp = tempfile.mkstemp(prefix=f"riot-{name}-",
                                        suffix=".pages")
@@ -97,23 +89,12 @@ class FileBlockDevice(BlockDevice):
         else:
             self.path = os.fspath(path)
             self.owns_path = False
-        self.direct = bool(direct and mode == "pread"
-                           and block_size % _DIRECT_ALIGN == 0)
-        self._fd = self._open_fd()
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         self._load_meta()
 
     # ------------------------------------------------------------------
     # Setup / teardown
     # ------------------------------------------------------------------
-    def _open_fd(self) -> int:
-        flags = os.O_RDWR | os.O_CREAT
-        if self.direct and hasattr(os, "O_DIRECT"):
-            # The filesystem may refuse O_DIRECT — fall back buffered.
-            with contextlib.suppress(OSError):
-                return os.open(self.path, flags | os.O_DIRECT, 0o644)
-        self.direct = False
-        return os.open(self.path, flags, 0o644)
-
     @property
     def meta_path(self) -> str:
         return self.path + META_SUFFIX
@@ -156,15 +137,13 @@ class FileBlockDevice(BlockDevice):
         self._closed = True
         if self._mm is not None:
             self._mm.flush()
-            # A BufferError means a block_view() is still alive; the
-            # mapping then stays open until its last view dies, which
+            # A BufferError means some array still exports the mapping
+            # (a transient np.frombuffer view held by a traceback
+            # frame); it then stays open until that view dies, which
             # is safe — the flush above already pushed the bytes.
             with contextlib.suppress(BufferError):
                 self._mm.close()
             self._mm = None
-        if self._dbuf is not None:
-            self._dbuf.close()
-            self._dbuf = None
         if self.owns_path:
             os.close(self._fd)
             for p in (self.path, self.meta_path):
@@ -202,41 +181,20 @@ class FileBlockDevice(BlockDevice):
             self._mm = mmap.mmap(self._fd, 0)
         return self._mm
 
-    def _staging(self, nbytes: int) -> mmap.mmap:
-        """Page-aligned scratch buffer for O_DIRECT transfers."""
-        if self._dbuf is None or len(self._dbuf) < nbytes:
-            if self._dbuf is not None:
-                self._dbuf.close()
-            size = -(-nbytes // _DIRECT_ALIGN) * _DIRECT_ALIGN
-            self._dbuf = mmap.mmap(-1, size)
-        return self._dbuf
-
     # ------------------------------------------------------------------
     # Physical primitives (the only thing overridden vs the simulator)
     # ------------------------------------------------------------------
     def _read_run(self, first: int, length: int) -> list[np.ndarray]:
-        bs = self.block_size
-        nbytes = length * bs
-        if self.mode == "mmap":
-            mm = self._mapping(first + length)
-            raw = np.frombuffer(mm, dtype=np.uint8, count=nbytes,
-                                offset=first * bs)
-        elif self.direct:
-            self._ensure_capacity(first + length)
-            buf = self._staging(nbytes)
-            view = memoryview(buf)[:nbytes]
-            got = os.preadv(self._fd, [view], first * bs)
-            self.stats.syscalls += 1
-            raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes)
-            if got < nbytes:
-                raw = raw.copy()
-                raw[got:] = 0
-        else:
+        if self.mode == "pread":
             return self._preadv_run(first, length)
+        bs = self.block_size
+        mm = self._mapping(first + length)
+        raw = np.frombuffer(mm, dtype=np.uint8, count=length * bs,
+                            offset=first * bs)
         # Each block becomes a fresh writable array: buffer-pool frames
         # are mutated in place and written back explicitly, so handing
         # out live views of the backing store would leak unaccounted
-        # writes.  block_view() is the deliberate zero-copy escape hatch.
+        # writes.
         return [raw[k * bs:(k + 1) * bs].copy() for k in range(length)]
 
     def _write_run(self, first: int, bufs: list[np.ndarray]) -> None:
@@ -249,16 +207,6 @@ class FileBlockDevice(BlockDevice):
                                 offset=first * bs)
             for k, buf in enumerate(bufs):
                 out[k * bs:(k + 1) * bs] = buf
-        elif self.direct:
-            nbytes = length * bs
-            staging = self._staging(nbytes)
-            scratch = np.frombuffer(staging, dtype=np.uint8,
-                                    count=nbytes)
-            for k, buf in enumerate(bufs):
-                scratch[k * bs:(k + 1) * bs] = buf
-            os.pwritev(self._fd, [memoryview(staging)[:nbytes]],
-                       first * bs)
-            self.stats.syscalls += 1
         else:
             self._pwritev_run(first, bufs)
         if self.fsync:
@@ -310,29 +258,6 @@ class FileBlockDevice(BlockDevice):
     # ------------------------------------------------------------------
     # Extras over the simulated device
     # ------------------------------------------------------------------
-    def block_view(self, block_id: int, count: int = 1) -> np.ndarray:
-        """Zero-copy **read-only** view of ``count`` consecutive blocks
-        (mmap mode only).
-
-        Bypasses the buffer pool and all I/O accounting — this is the
-        raw tile-view primitive for consumers that stream straight off
-        the mapping and can tolerate the page cache's timing.  A
-        multi-block view requires the ids to be physically consecutive,
-        which the tile store guarantees for whole raw-codec tiles.
-        """
-        if self.mode != "mmap":
-            raise ValueError("block_view requires the mmap backend")
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        self._check_id(block_id)
-        self._check_id(block_id + count - 1)
-        bs = self.block_size
-        mm = self._mapping(block_id + count)
-        view = np.frombuffer(mm, dtype=np.uint8, count=bs * count,
-                             offset=block_id * bs)
-        view.flags.writeable = False
-        return view
-
     @property
     def resident_blocks(self) -> int:
         """Blocks backed by real file bytes (the file is zero-filled by
@@ -341,5 +266,5 @@ class FileBlockDevice(BlockDevice):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FileBlockDevice(path={self.path!r}, mode={self.mode!r}"
-                f"{', direct' if self.direct else ''}, block_size="
+                f", block_size="
                 f"{self.block_size}, allocated={self.allocated_blocks})")

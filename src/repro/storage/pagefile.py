@@ -10,8 +10,6 @@ way a real filesystem tries to lay files out contiguously.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .block_device import BlockDevice
 
 #: Number of device blocks reserved at a time when a file grows.
@@ -81,14 +79,6 @@ class PageFile:
         self._freed_pages.append(page_no)
 
     # ------------------------------------------------------------------
-    def read_page(self, page_no: int) -> np.ndarray:
-        self._check(page_no)
-        return self.device.read_block(self._page_to_block[page_no])
-
-    def write_page(self, page_no: int, data: np.ndarray) -> None:
-        self._check(page_no)
-        self.device.write_block(self._page_to_block[page_no], data)
-
     def block_of(self, page_no: int) -> int:
         """Device block backing ``page_no`` (used by the buffer pool key)."""
         self._check(page_no)

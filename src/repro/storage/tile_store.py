@@ -445,8 +445,8 @@ class TiledMatrix:
     def _block_table(self) -> np.ndarray:
         """Device block ids of every tile: a read-only int64 table of
         shape ``grid + (pages_per_tile,)``, from the linearization
-        arithmetic and the page map.  A tile's blocks, a rectangle's
-        blocks and the zero-copy adjacency guard are slices of it."""
+        arithmetic and the page map.  A tile's blocks and a
+        rectangle's blocks are slices of it."""
         g0, g1 = self.grid
         pos = np.fromiter(
             (self.linearization.index(ti, tj)
@@ -739,41 +739,9 @@ class TiledMatrix:
             full[r0 - ti0 * th: r1 - ti0 * th,
                  c0 - tj0 * tw: c1 - tj0 * tw])
 
-    def read_submatrix_view(self, r0: int, r1: int, c0: int, c1: int
-                            ) -> np.ndarray:
-        """Read a rectangle, zero-copy off the mmap when legal.
-
-        The fast path returns a **read-only** slice of the device's
-        mapping, bypassing buffer-pool frames and I/O accounting (the
-        documented trade of the ``zero_copy`` opt-in).  It engages only
-        when every guard holds: the config opted in and is not
-        sanitizing, the codec is ``raw``, the backend is mmap, the
-        rectangle is exactly one tile, the tile's blocks are physically
-        consecutive, and the pool holds no dirty frames for them.
-        Everything else falls back to :meth:`read_submatrix` (a fresh
-        writable copy), so callers may use this wherever they do not
-        mutate the result.
-        """
-        store = self.store
-        if (store.storage.zero_copy and not store.storage.sanitize
-                and self.codec.name == "raw"
-                and getattr(store.device, "mode", None) == "mmap"):
-            th, tw = self.tile_shape
-            if (r0 % th == 0 and c0 % tw == 0
-                    and r0 // th < self.grid[0]
-                    and c0 // tw < self.grid[1]):
-                ti, tj = r0 // th, c0 // tw
-                if (r0, r1, c0, c1) == self.tile_bounds(ti, tj):
-                    blocks = self._blocks[ti, tj]
-                    consecutive = bool((np.diff(blocks) == 1).all())
-                    if consecutive and not store.pool.has_dirty(
-                            blocks.tolist()):
-                        raw = store.device.block_view(int(blocks[0]),
-                                                      len(blocks))
-                        flat = raw.view(self.dtype)[: th * tw]
-                        return flat.reshape(th, tw)[: r1 - r0,
-                                                    : c1 - c0]
-        return self.read_submatrix(r0, r1, c0, c1)
+    # Kept only as a name: benchmarks/macro/macro_layers.py wraps this
+    # method by name when it traces, so removing it breaks that pass.
+    read_submatrix_view = read_submatrix
 
     def write_submatrix(self, r0: int, c0: int, values: np.ndarray) -> None:
         vals = np.ascontiguousarray(values, dtype=self.dtype)

@@ -289,6 +289,43 @@ class TestRPR007ExecutorHome:
         assert found == []
 
 
+class TestRPR008PoolDiscipline:
+    def test_device_read_outside_storage_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "page = store.device.read_block(bid)\n",
+            name="core/evaluator.py")
+        assert codes(found) == ["RPR008"]
+        assert "buffer pool" in found[0].message
+
+    def test_every_transfer_method_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "dev.read_blocks(ids)\n"
+            "dev.write_block(0, page)\n"
+            "dev.write_blocks(ids, pages)\n"
+            "view = dev.block_view(0)\n",
+            name="linalg/matmul.py")
+        assert [f.code for f in found] == ["RPR008"] * 4
+
+    def test_storage_and_pager_swap_exempt_by_place(self, tmp_path):
+        source = "page = self.device.read_block(bid)\n"
+        assert lint_source(tmp_path, source,
+                           name="storage/buffer_pool.py") == []
+        assert lint_source(tmp_path, source, name="vm/pager.py") == []
+        found = lint_source(tmp_path, source, name="vm/swap.py")
+        assert codes(found) == ["RPR008"]
+
+    def test_pool_calls_are_clean(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "page = store.pool.get(bid)\n"
+            "pages = store.pool.get_many(ids)\n"
+            "store.pool.put(bid, page)\n",
+            name="core/evaluator.py")
+        assert found == []
+
+
 class TestSelectAndErrors:
     def test_select_filters_rules(self, tmp_path):
         source = ("dev = BlockDevice()\n"
@@ -317,7 +354,7 @@ class TestSelfHosting:
 
     def test_all_rules_constant_matches_docs(self):
         assert ALL_RULES == ("RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005", "RPR006", "RPR007")
+                             "RPR005", "RPR006", "RPR007", "RPR008")
 
 
 class TestCLI:

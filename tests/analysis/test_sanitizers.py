@@ -2,11 +2,11 @@
 
 The :class:`SanitizingBufferPool` is a drop-in BufferPool that turns
 protocol violations into loud errors: pins left unbalanced at span
-close, zero-copy views outliving their pin, discarding pinned blocks,
-and kernel-span reads whose blocks were never announced to the
-prefetcher.  The suite seeds each violation deliberately, then proves
-clean workloads run silently and that ``StorageConfig(sanitize=True)``
-/ ``REPRO_SANITIZE=1`` wire the pool in.
+close, discarding pinned blocks, and kernel-span reads whose blocks
+were never announced to the prefetcher.  The suite seeds each
+violation deliberately, then proves clean workloads run silently and
+that ``StorageConfig(sanitize=True)`` / ``REPRO_SANITIZE=1`` wire the
+pool in.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import (LatchLeakError, PinLeakError,
-                            PinnedDiscardError, SanitizerError,
-                            SanitizingBufferPool, UnannouncedReadError,
-                            UseAfterUnpinError, WritebackLeakError)
+from repro.analysis import (CrossThreadUnpinError, LatchLeakError,
+                            PinLeakError, PinnedDiscardError,
+                            SanitizerError, SanitizingBufferPool,
+                            UnannouncedReadError, UseAfterDropError,
+                            WritebackLeakError)
 from repro.core import RiotSession
 from repro.storage import StorageConfig
 
@@ -73,9 +74,10 @@ class TestWiring:
                               env=env).returncode == 1
 
     def test_errors_are_one_family(self):
-        for err in (PinLeakError, UseAfterUnpinError,
-                    PinnedDiscardError, UnannouncedReadError,
-                    LatchLeakError, WritebackLeakError):
+        for err in (PinLeakError, PinnedDiscardError,
+                    UnannouncedReadError, LatchLeakError,
+                    WritebackLeakError, CrossThreadUnpinError,
+                    UseAfterDropError):
             assert issubclass(err, SanitizerError)
             assert issubclass(err, RuntimeError)
 
@@ -217,49 +219,6 @@ class TestUnannouncedRead:
                 pool.get(b)
 
 
-class TestViewHazards:
-    def test_view_requires_pin(self, sess):
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        with pytest.raises(UseAfterUnpinError, match="without a pin"):
-            pool.block_view(block)
-
-    def test_live_view_blocks_final_unpin(self, sess):
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.pin(block)
-        view = pool.block_view(block)
-        with pytest.raises(UseAfterUnpinError, match="still"):
-            pool.unpin(block)
-        del view
-        pool.unpin(block)
-
-    def test_dropped_view_allows_unpin(self, sess):
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.pin(block)
-        view = pool.block_view(block)
-        assert not view.flags.writeable
-        del view
-        pool.unpin(block)
-
-    def test_nested_pins_keep_view_alive(self, sess):
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.pin(block)
-        pool.pin(block)
-        view = pool.block_view(block)
-        pool.unpin(block)  # still pinned once: fine
-        with pytest.raises(UseAfterUnpinError):
-            pool.unpin(block)
-        del view
-        pool.unpin(block)
-
-
 class TestPinnedDiscard:
     def test_invalidate_of_pinned_block_detected(self, sess):
         pool = sess.store.pool
@@ -324,7 +283,6 @@ class TestCrossThreadUnpin:
     def test_unpin_from_other_thread_detected(self, sess):
         import threading
 
-        from repro.analysis import CrossThreadUnpinError
 
         pool = sess.store.pool
         block = fresh_block(pool)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import spmm_panels
 from repro.core.parallel import (MAX_WORKERS, PARALLELISM_ENV,
-                                 TileParallelism, resolve_parallelism)
+                                 TileParallelism, accumulate,
+                                 resolve_parallelism)
 from repro.sparse import kernels
 from repro.storage import StorageConfig
 
@@ -233,8 +234,8 @@ class TestTileParallelism:
             serial += p
         tp = TileParallelism(4)
         try:
-            got = tp.accumulate(np.zeros((24, 24)),
-                                (lambda p=p: p for p in parts))
+            got = accumulate(tp, np.zeros((24, 24)),
+                             (lambda p=p: p for p in parts))
         finally:
             tp.shutdown()
         assert got.tobytes() == serial.tobytes()
@@ -242,9 +243,10 @@ class TestTileParallelism:
     def test_single_worker_needs_no_pool(self):
         tp = TileParallelism(1)
         assert tp._executor is None
-        acc = tp.accumulate(np.zeros(4), (lambda: np.ones(4)
-                                          for _ in range(3)))
-        assert acc.tolist() == [3.0] * 4
+        for parallel in (tp, None):
+            acc = accumulate(parallel, np.zeros(4),
+                             (lambda: np.ones(4) for _ in range(3)))
+            assert acc.tolist() == [3.0] * 4
         tp.shutdown()
 
     def test_reads_stay_on_calling_thread(self):
@@ -261,7 +263,7 @@ class TestTileParallelism:
 
         tp = TileParallelism(3)
         try:
-            acc = tp.accumulate(np.zeros(2), thunks())
+            acc = accumulate(tp, np.zeros(2), thunks())
         finally:
             tp.shutdown()
         assert [i for i, _ in seen] == list(range(6))

@@ -374,6 +374,10 @@ class TestSchedule:
     """``costs.crossprod_schedule``, the one statement of the kernel's
     schedule, against what it promises and what the kernel does."""
 
+    #: Most region x slab steps one draw of the nine-store bits test
+    #: may run (about 2 ms each over the nine stores).
+    MAX_STEPS = 1_000
+
     @given(m=st.integers(1, 5000), k=st.integers(1, 260),
            tile=st.sampled_from([1, 7, 16, 32, 128]),
            memory=st.integers(3, 300_000), extra=st.integers(0, 3),
@@ -439,6 +443,7 @@ class TestSchedule:
            widths=st.lists(st.integers(1, 9), max_size=2),
            mem=st.integers(3, 12_000), seed=st.integers(0, 2 ** 16))
     @example(m=1, k=13, widths=[1], mem=338, seed=0)
+    @example(m=5, k=5, widths=[], mem=3, seed=0)
     @settings(max_examples=8, deadline=None)
     def test_bits_across_workers_and_backends(self, m, k, widths, mem,
                                               seed):
@@ -446,11 +451,19 @@ class TestSchedule:
         bitwise NumPy's, at parallelism 1 / 2 / 4 on the memory, mmap
         and pread backends.  The sides are priced on A's stored tile
         side, as the kernel prices them: the store clamps a 16-wide
-        tile to a smaller A (1 x 13 is one 1 x 13 tile, side 13)."""
+        tile to a smaller A (1 x 13 is one 1 x 13 tile, side 13).
+
+        Ragged budgets stay in the draw space, but the work is bounded:
+        a draw's region x slab steps, each run on nine stores, are
+        capped at ``MAX_STEPS`` (a 3-scalar budget on a 90 x 70 A is
+        223 650 one-scalar steps)."""
         from repro.core.parallel import TileParallelism
         from repro.storage import StorageConfig
         tile = max(tile_shape_for_layout("square", (m, k), 256, 64))
         assume(crossprod_side_fits(mem, k, tile, sum(widths)))
+        schedule = crossprod_schedule(m, k, tile, mem)
+        assume(len(schedule.regions) * -(-m // schedule.slab)
+               <= self.MAX_STEPS)
         rng = np.random.default_rng(seed)
         a_np = integer_valued(rng, (m, k))
         b_nps = [integer_valued(rng, (m, w)) for w in widths]

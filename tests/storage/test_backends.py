@@ -138,26 +138,6 @@ class TestFileBlockDevice:
 
 
 class TestFileDeviceExtras:
-    def test_block_view_zero_copy(self, tmp_path):
-        dev = FileBlockDevice(tmp_path / "pages.db", mode="mmap")
-        bid = dev.allocate(1)
-        data = _payload(1)[0]
-        dev.write_block(bid, data)
-        before = dev.stats.snapshot()
-        view = dev.block_view(bid)
-        assert np.array_equal(view, data)
-        assert not view.flags.writeable
-        # outside the accounting contract by design
-        assert dev.stats.snapshot().as_dict() == before.as_dict()
-        dev.close()
-
-    def test_block_view_requires_mmap(self, tmp_path):
-        dev = FileBlockDevice(tmp_path / "pages.db", mode="pread")
-        dev.allocate(1)
-        with pytest.raises(ValueError, match="mmap"):
-            dev.block_view(0)
-        dev.close()
-
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mmap|pread"):
             FileBlockDevice(tmp_path / "x.db", mode="sync")
@@ -177,19 +157,6 @@ class TestFileDeviceExtras:
         bid = dev.allocate(1)
         dev.write_block(bid, _payload(1)[0])
         assert dev.stats.syscalls >= 2  # pwrite + fsync barrier
-        dev.close()
-
-    def test_direct_mode_roundtrip_or_fallback(self, tmp_path):
-        """O_DIRECT is best-effort: where the filesystem refuses it the
-        device falls back to buffered pread with identical results."""
-        dev = FileBlockDevice(tmp_path / "pages.db", mode="pread",
-                              direct=True)
-        first = dev.allocate(3)
-        data = _payload(3)
-        dev.write_blocks((first + i, data[i]) for i in range(3))
-        out = dev.read_blocks(range(first, first + 3))
-        for got, want in zip(out, data):
-            assert np.array_equal(got, want)
         dev.close()
 
 
@@ -328,9 +295,16 @@ class TestStorageConfig:
     def test_url_unknown_param_rejected(self):
         for url in ("file:///tmp/r.db?compression=zstd",
                     "file:///tmp/r.db?readahead=8",
-                    "memory://?readahead=8"):
+                    "memory://?readahead=8",
+                    "file:///tmp/r.db?zero_copy=1",
+                    "file:///tmp/r.db?mode=pread&direct=1"):
             with pytest.raises(ValueError, match="parameter"):
                 StorageConfig.from_url(url)
+
+    @pytest.mark.parametrize("field", ["zero_copy", "direct"])
+    def test_deleted_fields_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            StorageConfig(**{field: True})
 
     def test_url_remote_host_rejected(self):
         with pytest.raises(ValueError, match="local"):

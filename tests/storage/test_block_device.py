@@ -66,8 +66,8 @@ class TestReadWrite:
         dev = BlockDevice()
         bid = dev.allocate()
         values = np.linspace(0.0, 1.0, dev.block_size // 8)
-        dev.write_floats(bid, values)
-        assert np.allclose(dev.read_floats(bid), values)
+        dev.write_block(bid, values.view(np.uint8))
+        assert np.allclose(dev.read_block(bid).view(np.float64), values)
 
     def test_write_copies_input(self):
         dev = BlockDevice()

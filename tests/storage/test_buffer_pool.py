@@ -12,7 +12,8 @@ from repro.storage import BlockDevice, BufferPool, make_policy
 def _fill_device(dev: BlockDevice, n: int) -> list[int]:
     first = dev.allocate(n)
     for i in range(n):
-        dev.write_floats(first + i, np.full(dev.block_size // 8, float(i)))
+        dev.write_block(first + i,
+                        np.full(dev.block_size // 8, float(i)).view(np.uint8))
     return list(range(first, first + n))
 
 

@@ -1,11 +1,10 @@
-"""Tile codecs: wire-format round-trips, store integration, zero-copy.
+"""Tile codecs: wire-format round-trips, store integration, config.
 
 The compression layer's contracts, from the bottom up: every codec
 round-trips its own payloads (bitwise for the lossless ones, within
 float32 tolerance for the downcast), the tile store charges logical vs
 compressed bytes and survives reopen with per-matrix dtype/codec, and
-the ``zero_copy`` opt-in hands out read-only mmap views exactly when
-its guards hold.
+the storage config carries the codec and dtype through URLs.
 """
 
 from __future__ import annotations
@@ -873,86 +872,14 @@ class TestCompressedPersistence:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy views
-# ----------------------------------------------------------------------
-class TestZeroCopy:
-    def _zc_store(self, tmp_path, **kw):
-        return ArrayStore(storage=StorageConfig(
-            backend="mmap", path=tmp_path / "zc.db",
-            memory_bytes=16 * 8192, zero_copy=True, **kw))
-
-    def test_view_is_read_only_and_non_owning(self, tmp_path):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        with self._zc_store(tmp_path) as store:
-            if store.storage.sanitize:
-                pytest.skip("zero-copy views are disabled under the "
-                            "storage sanitizers (documented trade)")
-            mat = store.matrix_from_numpy(data)
-            store.flush()
-            th, tw = mat.tile_shape
-            view = mat.read_submatrix_view(0, min(th, 64),
-                                           0, min(tw, 64))
-            assert not view.flags.writeable
-            assert not view.flags.owndata
-            assert np.array_equal(
-                view, data[:min(th, 64), :min(tw, 64)])
-
-    def test_dirty_frames_fall_back_to_copy(self, tmp_path):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        with self._zc_store(tmp_path) as store:
-            mat = store.matrix_from_numpy(data)
-            # No flush: the tile's frames are dirty in the pool, so
-            # the mmap pages are stale and the guard must refuse.
-            th, tw = mat.tile_shape
-            r1, c1 = min(th, 64), min(tw, 64)
-            view = mat.read_submatrix_view(0, r1, 0, c1)
-            assert view.flags.writeable  # fresh copy, not the mapping
-            assert np.array_equal(view, data[:r1, :c1])
-
-    def test_compressed_matrix_falls_back(self, tmp_path):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        with self._zc_store(tmp_path, codec="delta+zstd") as store:
-            mat = store.matrix_from_numpy(data)
-            store.flush()
-            th, tw = mat.tile_shape
-            r1, c1 = min(th, 64), min(tw, 64)
-            view = mat.read_submatrix_view(0, r1, 0, c1)
-            assert view.flags.writeable
-            assert np.array_equal(view, data[:r1, :c1])
-
-    def test_unaligned_rectangle_falls_back(self, tmp_path):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        with self._zc_store(tmp_path) as store:
-            mat = store.matrix_from_numpy(data)
-            store.flush()
-            view = mat.read_submatrix_view(1, 9, 1, 9)
-            assert view.flags.writeable
-            assert np.array_equal(view, data[1:9, 1:9])
-
-    def test_opt_out_by_default(self, tmp_path):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        cfg = StorageConfig(backend="mmap", path=tmp_path / "off.db",
-                            memory_bytes=16 * 8192)
-        with ArrayStore(storage=cfg) as store:
-            mat = store.matrix_from_numpy(data)
-            store.flush()
-            th, tw = mat.tile_shape
-            view = mat.read_submatrix_view(0, min(th, 64),
-                                           0, min(tw, 64))
-            assert view.flags.writeable
-
-
-# ----------------------------------------------------------------------
 # StorageConfig plumbing
 # ----------------------------------------------------------------------
 class TestConfigPlumbing:
     def test_url_params(self, tmp_path):
         cfg = StorageConfig.from_url(
-            f"file://{tmp_path}/u.db?codec=zstd&dtype=float32"
-            f"&zero_copy=1")
+            f"file://{tmp_path}/u.db?codec=zstd&dtype=float32")
         assert cfg.codec == "delta+zstd"  # canonicalized
         assert cfg.dtype == "float32" and cfg.itemsize == 4
-        assert cfg.zero_copy is True
 
     def test_bad_codec_and_dtype_rejected(self):
         with pytest.raises(ValueError, match="unknown tile codec"):

@@ -16,7 +16,8 @@ MAX_CALL_RATIO = 0.75
 def _fill(dev: BlockDevice, n: int) -> list[int]:
     first = dev.allocate(n)
     for i in range(n):
-        dev.write_floats(first + i, np.full(dev.block_size // 8, float(i)))
+        dev.write_block(first + i,
+                        np.full(dev.block_size // 8, float(i)).view(np.uint8))
     return list(range(first, first + n))
 
 
@@ -231,8 +232,9 @@ class TestSchedulerEvictionRaces:
         would crash on it)."""
         first = device.allocate(32)
         for i in range(32):
-            device.write_floats(first + i,
-                                np.full(device.block_size // 8, float(i)))
+            device.write_block(
+                first + i,
+                np.full(device.block_size // 8, float(i)).view(np.uint8))
         pool = BufferPool(device, 3, policy="clock")
         rng = np.random.default_rng(0)
         for _ in range(2000):

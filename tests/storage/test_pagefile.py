@@ -38,33 +38,26 @@ class TestAllocation:
 
 
 class TestIO:
-    def test_roundtrip(self, device):
-        pf = PageFile(device)
-        page = pf.allocate_page()
-        data = np.arange(device.block_size, dtype=np.uint8) % 199
-        pf.write_page(page, data)
-        assert np.array_equal(pf.read_page(page), data)
-
     def test_out_of_range(self, device):
         pf = PageFile(device)
         with pytest.raises(IndexError):
-            pf.read_page(0)
+            pf.block_of(0)
 
     def test_sequential_scan_is_sequential_io(self, device):
         pf = PageFile(device)
         pages = pf.allocate_pages(16)
         for p in pages:
-            pf.write_page(p, np.zeros(8, dtype=np.uint8))
+            device.write_block(pf.block_of(p), np.zeros(8, dtype=np.uint8))
         device.reset_stats()
         for p in pages:
-            pf.read_page(p)
+            device.read_block(pf.block_of(p))
         assert device.stats.seq_reads >= 15
 
     def test_drop_frees_device_blocks(self, device):
         pf = PageFile(device)
         pages = pf.allocate_pages(4)
         for p in pages:
-            pf.write_page(p, np.ones(8, dtype=np.uint8))
+            device.write_block(pf.block_of(p), np.ones(8, dtype=np.uint8))
         resident = device.resident_blocks
         pf.drop()
         assert device.resident_blocks == resident - 4

@@ -21,8 +21,8 @@ from repro.storage import BlockDevice, BufferPool
 def _fill_device(dev: BlockDevice, n: int) -> list[int]:
     first = dev.allocate(n)
     for i in range(n):
-        dev.write_floats(first + i,
-                         np.full(dev.block_size // 8, float(i)))
+        dev.write_block(first + i,
+                        np.full(dev.block_size // 8, float(i)).view(np.uint8))
     return list(range(first, first + n))
 
 
@@ -149,7 +149,7 @@ class TestConcurrentWrites:
         with pool.latched(blocks[0]):
             buf.view(np.float64)[:] = 7.0
         pool.flush(blocks[0])
-        assert device.read_floats(blocks[0])[0] == 7.0
+        assert device.read_block(blocks[0]).view(np.float64)[0] == 7.0
 
 
 @settings(max_examples=15, deadline=None)
