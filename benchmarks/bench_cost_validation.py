@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from conftest import record_io_stats
 
-from repro.core.chain import in_order
+from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import bnlj_matmul_io, square_tile_matmul_io
-from repro.linalg import bnlj_matmul, multiply_chain, square_tile_matmul
-from repro.storage import ArrayStore
+from repro.linalg import bnlj_matmul, square_tile_matmul
+from repro.storage import ArrayStore, StorageConfig
 
 CASES = [
     ("square", (512, 512, 512), 96 * 1024),
@@ -70,19 +70,21 @@ def test_chain_reorder_measured(benchmark):
     b = rng.standard_normal((n // s, n))
     c = rng.standard_normal((n, n))
 
-    def run(order):
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
-        mats = [store.matrix_from_numpy(m, layout="square")
-                for m in (a, b, c)]
-        store.pool.clear()
-        store.reset_stats()
-        out = multiply_chain(store, mats, mem, order=order)
-        store.flush()
-        return store.device.stats.snapshot(), out.to_numpy()
+    def run(chain_reorder):
+        with RiotSession(
+                storage=StorageConfig(memory_bytes=mem * 8,
+                                      block_size=8192),
+                config=OptimizerConfig(chain_reorder=chain_reorder)) as s:
+            ma, mb, mc = (s.matrix(m) for m in (a, b, c))
+            s.store.pool.clear()
+            s.reset_stats()
+            out = s.force(ma @ mb @ mc)
+            s.store.flush()
+            return s.io_stats.snapshot(), out.to_numpy()
 
     stats_opt, r_opt = benchmark.pedantic(
         run, args=(None,), rounds=1, iterations=1)
-    stats_inorder, r_inorder = run(in_order(3))
+    stats_inorder, r_inorder = run(False)
     record_io_stats(benchmark, stats_opt)
     benchmark.extra_info["io_in_order"] = stats_inorder.as_dict()
     io_opt, io_inorder = stats_opt.total, stats_inorder.total

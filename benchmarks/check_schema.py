@@ -48,26 +48,6 @@ def check_entry(where: str, bench: dict) -> list[str]:
         problems.append(
             f"{where}: io schema_version {io['schema_version']!r}, "
             f"expected {IO_SCHEMA_VERSION}")
-    # Optional: parallel benchmarks annotate the io section with the
-    # worker count behind the numbers.  When present it must be a
-    # positive integer (bool is an int subclass — reject it).
-    for key in ("parallelism", "workers"):
-        if isinstance(io, dict) and key in io:
-            value = io[key]
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                problems.append(
-                    f"{where}: io[{key!r}] is {value!r}; when present "
-                    f"it must be a positive integer worker count")
-    # Optional: compression benchmarks annotate the io section with
-    # the tile codec behind the numbers.  When present it must be a
-    # non-empty string (a registered codec name like "delta+zstd").
-    if isinstance(io, dict) and "codec" in io:
-        value = io["codec"]
-        if not isinstance(value, str) or not value:
-            problems.append(
-                f"{where}: io['codec'] is {value!r}; when present it "
-                f"must be a non-empty codec name string")
     backend = extra.get("backend")
     if backend not in BACKENDS:
         problems.append(

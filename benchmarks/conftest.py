@@ -17,8 +17,7 @@ from repro.storage import BACKENDS, IOStats, PoolStats
 def record_io_stats(benchmark, stats: IOStats | None = None, *,
                     backend: str = "memory",
                     seconds: float | None = None,
-                    pool: PoolStats | None = None,
-                    codec: str | None = None) -> None:
+                    pool: PoolStats | None = None) -> None:
     """Attach I/O counters to ``extra_info`` under the shared schema.
 
     Every benchmark emits ``extra_info["io"] = IOStats.as_dict()`` —
@@ -35,18 +34,12 @@ def record_io_stats(benchmark, stats: IOStats | None = None, *,
     pool) adds ``extra_info["pool"] = PoolStats.as_dict()`` so results
     answer "how many of those block requests even reached the device";
     analytic entries omit the section rather than faking zeros.
-
-    ``codec`` (when the store ran with tile compression) annotates the
-    io section with the codec name, the same optional-key pattern
-    ``check_schema.py`` accepts for ``workers``.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r} "
                          f"(use one of {'|'.join(BACKENDS)})")
     stats = stats or IOStats()
     benchmark.extra_info["io"] = stats.as_dict()
-    if codec is not None:
-        benchmark.extra_info["io"]["codec"] = str(codec)
     benchmark.extra_info["backend"] = backend
     benchmark.extra_info["seconds"] = (
         stats.seconds if seconds is None else float(seconds))

@@ -3,20 +3,21 @@
 Part 1 recomputes the paper's Figure 3 cost tables (n = 100000 matrices
 are 80 GB objects — the paper costed them analytically, and so do we).
 
-Part 2 runs the *real* out-of-core algorithms at laptop scale on the
-counted tile store and shows the same ordering holds in measured blocks,
-including the win from DP reordering under skew.
+Part 2 writes the chain as one session statement at laptop scale and
+measures it on the counted tile store twice: with the planner's chain
+reordering switched off (R's left-to-right order) and on (the DP
+order), so the win from reordering under skew shows in measured blocks.
 
 Run:  python examples/matrix_chain.py
 """
 
 import numpy as np
 
-from repro.core.chain import in_order, optimal_order, order_to_string
+from repro.core import OptimizerConfig, RiotSession
+from repro.core.chain import optimal_order, order_to_string
 from repro.core.costs import (GB_IN_SCALARS, fig3_dims,
                               fig3_strategy_costs)
-from repro.linalg import multiply_chain
-from repro.storage import ArrayStore
+from repro.storage import StorageConfig
 
 
 def analytic_part() -> None:
@@ -48,18 +49,20 @@ def measured_part() -> None:
     b = rng.standard_normal((n // s, n))
     c = rng.standard_normal((n, n))
 
-    for label, order in (("in-order  (AB)C", in_order(3)),
-                         ("opt-order A(BC)", None)):
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
-        mats = [store.matrix_from_numpy(m, layout="square")
-                for m in (a, b, c)]
-        store.pool.clear()
-        store.reset_stats()
-        out = multiply_chain(store, mats, mem, order=order)
-        store.flush()
-        io = store.device.stats.total
+    for label, reorder in (("in-order  (AB)C", False),
+                           ("opt-order A(BC)", True)):
+        sess = RiotSession(
+            storage=StorageConfig(memory_bytes=mem * 8, block_size=8192),
+            config=OptimizerConfig(chain_reorder=reorder))
+        ma, mb, mc = (sess.matrix(m) for m in (a, b, c))
+        sess.store.pool.clear()
+        sess.reset_stats()
+        out = sess.force(ma @ mb @ mc)
+        sess.store.flush()
+        io = sess.io_stats.total
         ok = np.allclose(out.to_numpy(), a @ b @ c)
         print(f"  {label}: {io:6d} blocks  (correct: {ok})")
+        assert ok
 
 
 if __name__ == "__main__":

@@ -1,21 +1,23 @@
 """Out-of-core ordinary least squares — a realistic statistical workload.
 
 The kind of computation the paper's introduction motivates: a regression
-over a design matrix far larger than memory.  Solves
+over a design matrix far larger than memory.  The program is the
+statement a statistician writes,
 
-    beta = (X'X)^{-1} X'y
+    beta <- solve(t(X) %*% X, t(X) %*% y)
 
-entirely on the tile store: X'X via the out-of-core square-tile multiply
-(Appendix A), and the solve via blocked out-of-core LU (§5's expression
-algebra includes LU as a first-class operation).
+and the session plans its I/O: X'X and X'y come from one shared scan of
+X in its stored layout (no transposed copy is ever stored), and the
+blocked out-of-core LU factors X'X in place, since nothing reads it
+after the solve.
 
 Run:  python examples/regression_outofcore.py
 """
 
 import numpy as np
 
-from repro.linalg import lu_solve, square_tile_matmul
-from repro.storage import ArrayStore
+from repro.core import RiotSession
+from repro.storage import StorageConfig
 
 
 def main() -> None:
@@ -32,27 +34,23 @@ def main() -> None:
     print(f"design matrix: {n_obs:,} x {n_feat} ({data_mb:.1f} MB), "
           f"memory budget: {mem_mb:.2f} MB")
 
-    store = ArrayStore(memory_bytes=memory_scalars * 8, block_size=8192)
-    x = store.matrix_from_numpy(x_np, layout="square", name="X")
-    xt = store.matrix_from_numpy(x_np.T.copy(), layout="square",
-                                 name="Xt")
-    y_mat = store.matrix_from_numpy(y_np.reshape(-1, 1), layout="square",
-                                    name="y")
+    s = RiotSession(storage=StorageConfig(
+        memory_bytes=memory_scalars * 8, block_size=8192))
+    x = s.matrix(x_np, name="X")
+    y = s.matrix(y_np.reshape(-1, 1), name="y")
 
-    store.pool.clear()
-    store.reset_stats()
+    s.store.pool.clear()
+    s.reset_stats()
 
     # Normal equations, all out of core.
-    xtx = square_tile_matmul(store, xt, x, memory_scalars, name="XtX")
-    xty = square_tile_matmul(store, xt, y_mat, memory_scalars,
-                             name="Xty")
-    beta = lu_solve(store, xtx, xty.to_numpy().ravel(), memory_scalars)
+    result = s.force(s.solve(x.T @ x, x.T @ y))
 
-    store.flush()
-    io = store.device.stats
+    s.store.flush()
+    io = s.io_stats
     print(f"I/O: {io.total} blocks ({io.mb_total():.1f} MB), "
-          f"buffer hit rate {store.pool.stats.hit_rate:.0%}")
+          f"buffer hit rate {s.store.pool.stats.hit_rate:.0%}")
 
+    beta = result.to_numpy().ravel()
     err = np.max(np.abs(beta - np.linalg.lstsq(x_np, y_np,
                                                rcond=None)[0]))
     print(f"max |beta - lstsq| = {err:.2e}")

@@ -23,7 +23,7 @@ Subpackages
 ``repro.linalg``
     Out-of-core linear algebra over tiles (matrix multiply variants, LU).
 ``repro.workloads``
-    Paper workloads (Example 1, the Figure-3 chains) and extras.
+    Paper workloads (Example 1) and the OLS problem generator.
 """
 
 __version__ = "1.0.0"

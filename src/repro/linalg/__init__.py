@@ -1,16 +1,14 @@
 """Out-of-core linear algebra over the tile store (measured algorithms)."""
 
 from .lu import PackedLU, SingularMatrixError, lu_decompose, split_lu
-from .matmul import (ALGORITHMS, bnlj_matmul, crossprod_matmul,
-                     multiply_chain, naive_tile_matmul,
-                     square_tile_matmul)
+from .matmul import bnlj_matmul, crossprod_matmul, square_tile_matmul
 from .solve import (backward_substitute, forward_substitute, lu_solve,
                     lu_solve_factored)
 
 __all__ = [
-    "ALGORITHMS", "PackedLU", "SingularMatrixError",
+    "PackedLU", "SingularMatrixError",
     "backward_substitute", "bnlj_matmul", "crossprod_matmul",
     "forward_substitute",
-    "lu_decompose", "lu_solve", "lu_solve_factored", "multiply_chain",
-    "naive_tile_matmul", "split_lu", "square_tile_matmul",
+    "lu_decompose", "lu_solve", "lu_solve_factored",
+    "split_lu", "square_tile_matmul",
 ]

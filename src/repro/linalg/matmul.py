@@ -105,9 +105,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
                        trans_b: bool = False,
                        epilogue=None,
                        epilogue_inputs: int = 0,
-                       parallel=None,
-                       out_tile_shape: tuple[int, int] | None = None
-                       ) -> TiledMatrix:
+                       parallel=None) -> TiledMatrix:
     """Appendix-A schedule: three p x p submatrices resident at a time.
 
     ``p`` is sized so one submatrix of A, one of B and one of the result
@@ -124,11 +122,6 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     prefetch hints and block reads in serial order; results are folded
     in increasing-``k`` order, so output bits and block counts match
     the serial kernel exactly.
-
-    ``out_tile_shape`` overrides the result's tile layout (e.g. to give
-    chain intermediates larger tiles so the storage codec sees frames
-    worth compressing); ``None`` keeps the store's default square
-    layout.
     """
     _check_conformable(a, b, trans_a, trans_b)
     m, l = _effective_shape(a, trans_a)
@@ -139,8 +132,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     p = _square_panel(memory_scalars, tile_side, "square_tile_matmul",
                       panels)
     out = store.create_matrix((m, n), layout="square", name=name,
-                              dtype=out_dtype,
-                              tile_shape=out_tile_shape)
+                              dtype=out_dtype)
     hinting = a.store is store and b.store is store
     for i0 in range(0, m, p):
         i1 = min(i0 + p, m)
@@ -456,91 +448,3 @@ def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
                 t_rows[:, c0:c1] = a_rows @ b_cols
             out.write_submatrix(r0, 0, t_rows)
     return out
-
-
-def naive_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
-                      name: str | None = None) -> TiledMatrix:
-    """The unblocked triple loop at tile granularity (baseline).
-
-    Iterates output tiles in row-major order and re-reads the A tile row
-    and B tile column for every output tile with no submatrix blocking —
-    the access pattern of Example 2's straightforward algorithm, at tile
-    rather than element granularity.  I/O grows as
-    ``Theta(n1*n2*n3 / (B * t))`` for tile side t, which a small buffer
-    pool cannot hide.  Deliberately unhinted: this is the baseline the
-    prefetching benchmarks compare against.
-    """
-    _check_conformable(a, b)
-    m, l = a.shape
-    n = b.shape[1]
-    out_dtype = np.result_type(a.dtype, b.dtype)
-    out = store.create_matrix((m, n), layout="square", name=name,
-                              dtype=out_dtype)
-    th_a, tw_a = a.tile_shape
-    th_b, tw_b = b.tile_shape
-    th_o, tw_o = out.tile_shape
-    for ti in range(out.grid[0]):
-        for tj in range(out.grid[1]):
-            r0, r1, c0, c1 = out.tile_bounds(ti, tj)
-            acc = np.zeros((r1 - r0, c1 - c0), dtype=out_dtype)
-            for k0 in range(0, l, tw_a):
-                k1 = min(k0 + tw_a, l)
-                a_sub = a.read_submatrix(r0, r1, k0, k1)
-                b_sub = b.read_submatrix(k0, k1, c0, c1)
-                acc += a_sub @ b_sub
-            out.write_tile(ti, tj, acc)
-    return out
-
-
-ALGORITHMS = {
-    "square": square_tile_matmul,
-    "bnlj": bnlj_matmul,
-}
-
-
-def multiply_chain(store: ArrayStore, mats: list[TiledMatrix],
-                   memory_scalars: int, order=None,
-                   algorithm: str = "square",
-                   out_tile_shape: tuple[int, int] | None = None
-                   ) -> TiledMatrix:
-    """Appendix-B schedule: one multiplication at a time, optimal order.
-
-    ``order`` defaults to the DP-optimal parenthesization; pass
-    ``repro.core.chain.in_order(len(mats))`` to reproduce R's left-deep
-    evaluation for comparison.  ``out_tile_shape`` (square algorithm
-    only) fixes the tile layout of every intermediate, so compressed
-    stores keep multi-page tiles through the whole chain.
-    """
-    from repro.core.chain import optimal_order
-
-    if len(mats) == 1:
-        return mats[0]
-    dims = [mats[0].shape[0]] + [m.shape[1] for m in mats]
-    if order is None:
-        order = optimal_order(dims)
-    if algorithm == "square":
-        multiply = lambda x, y: square_tile_matmul(  # noqa: E731
-            store, x, y, memory_scalars,
-            out_tile_shape=out_tile_shape)
-    elif algorithm == "bnlj":
-        multiply = lambda x, y: bnlj_matmul(  # noqa: E731
-            store, x, y, memory_scalars)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    temps: list[TiledMatrix] = []
-
-    def build(o) -> TiledMatrix:
-        if isinstance(o, int):
-            return mats[o]
-        left = build(o[0])
-        right = build(o[1])
-        result = multiply(left, right)
-        for t in (left, right):
-            if t in temps:
-                temps.remove(t)
-                t.drop()
-        temps.append(result)
-        return result
-
-    return build(order)

@@ -9,8 +9,7 @@ a pool so that:
 - the total memory footprint is capped, which is the whole point of the
   paper's experimental setup (84 MB cap via ``shmat`` memory locking).
 
-Two classic policies are provided — LRU and CLOCK — and ablated in
-``benchmarks/bench_ablation_buffer.py``.
+Two classic policies are provided — LRU and CLOCK.
 
 Reads come in two ways.  A demand miss (``get``, ``get_many``) reads
 exactly the blocks asked for, the misses of one call coalesced.  The

@@ -1,13 +1,8 @@
 """Workloads from the paper plus realistic extras."""
 
-from .chains import (ChainConfig, MEASURED_SCALE, PAPER_FIG3A, PAPER_FIG3B,
-                     generate_chain, load_chain)
 from .example1 import (ENDPOINTS, SOURCE, expected_z, generate_points,
                        run_example1)
-from .regression import (RegressionProblem, generate_problem,
-                         ols_out_of_core)
+from .regression import RegressionProblem, generate_problem
 
-__all__ = ["ChainConfig", "ENDPOINTS", "MEASURED_SCALE", "PAPER_FIG3A",
-           "PAPER_FIG3B", "RegressionProblem", "SOURCE", "expected_z",
-           "generate_chain", "generate_points", "generate_problem",
-           "load_chain", "ols_out_of_core", "run_example1"]
+__all__ = ["ENDPOINTS", "RegressionProblem", "SOURCE", "expected_z",
+           "generate_points", "generate_problem", "run_example1"]

@@ -1,10 +1,9 @@
 """The cost-based physical planner: lowering, enumeration, execution.
 
-Includes the PR's acceptance scenarios: with *no* hand-set kernel
-hints, the planner's chosen plans for the OLS and sparse-chain
-workloads move block totals within 10% of the hand-tuned paths the
-earlier benchmarks established (crossprod + flagged multiply + pivoted
-LU for OLS; right-deep SpGEMM/SpMM for the sparse chain).
+Includes two acceptance scenarios with *no* hand-set kernel hints: the
+OLS plan (one crossprod carrying X'y, then the pivoted LU) is pinned
+at its exact block count, and the sparse chain's right-deep
+SpGEMM/SpMM plan lands within 10% of the hand-ordered statement.
 """
 
 import numpy as np
@@ -274,17 +273,13 @@ class TestExecution:
 
 
 class TestAcceptanceOLS:
-    def test_planner_matches_hand_tuned_ols_within_10pct(self):
+    def test_hint_free_ols_shares_one_scan_in_84_blocks(self):
         """solve(t(X) X, t(X) y) with no kernel hints: the planner must
-        pick crossprod carrying X'y on the same scan of X + LU and land
-        within 10% of the hand-coded ``ols_out_of_core`` block total
-        (PR 4), which makes the same shared call."""
-        from repro.workloads.regression import (generate_problem,
-                                                ols_out_of_core)
+        pick crossprod carrying X'y on the same scan of X + LU, and the
+        cold run moves exactly 84 blocks — X (64) and y (16) read once,
+        the 4-block result written once."""
+        from repro.workloads.regression import generate_problem
         prob = generate_problem(512, 128, seed=3)
-        beta_ref, stats = ols_out_of_core(prob,
-                                          memory_scalars=96 * 1024)
-        hand = stats.total
 
         s = session(mem=96 * 1024 * 8)
         X = s.matrix(prob.x, name="X")
@@ -302,11 +297,10 @@ class TestAcceptanceOLS:
         s.reset_stats()
         out = s.force(node)
         s.store.flush()
-        assert np.allclose(out.to_numpy().ravel(), beta_ref,
-                           atol=1e-8)
-        measured = s.io_stats.total
-        assert abs(measured - hand) <= 0.10 * hand, \
-            f"planner {measured} vs hand-coded {hand} blocks"
+        expect = np.linalg.solve(prob.x.T @ prob.x, prob.x.T @ prob.y)
+        assert np.allclose(out.to_numpy().ravel(), expect, atol=1e-8)
+        stats = s.io_stats
+        assert (stats.total, stats.reads, stats.writes) == (84, 80, 4)
 
 
 class TestAcceptanceSparseChain:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chain import in_order
-from repro.linalg import (bnlj_matmul, multiply_chain, naive_tile_matmul,
-                          square_tile_matmul)
-from repro.storage import ArrayStore
+from repro.core import OptimizerConfig, RiotSession
+from repro.linalg import bnlj_matmul, square_tile_matmul
+from repro.storage import ArrayStore, StorageConfig
 
 MEM = 96 * 1024  # scalars
 
@@ -41,15 +40,6 @@ class TestCorrectness:
         out = bnlj_matmul(
             store, store.matrix_from_numpy(a, layout="row"),
             store.matrix_from_numpy(b, layout="col"), MEM)
-        assert np.allclose(out.to_numpy(), a @ b)
-
-    def test_naive(self, rng):
-        a = rng.standard_normal((70, 40))
-        b = rng.standard_normal((40, 90))
-        store = make_store()
-        out = naive_tile_matmul(
-            store, store.matrix_from_numpy(a, layout="square"),
-            store.matrix_from_numpy(b, layout="square"))
         assert np.allclose(out.to_numpy(), a @ b)
 
     def test_nonconformable_rejected(self, rng):
@@ -117,8 +107,6 @@ class TestRaggedPanelBudget:
     def test_session_chain_48_33_63(self, rng):
         """The fused epilogue chain at the exact hypothesis shape runs
         under a budget one tile short of its 5-panel working set."""
-        from repro.core import OptimizerConfig, RiotSession
-        from repro.storage import StorageConfig
         m, k, n = self.SHAPE
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
@@ -136,31 +124,31 @@ class TestRaggedPanelBudget:
         assert np.allclose(got, a @ b + c * 2.0 + d)
 
 
+def chain_session(mem=MEM, **cfg):
+    return RiotSession(
+        storage=StorageConfig(memory_bytes=mem * 8, block_size=8192),
+        config=OptimizerConfig(**cfg))
+
+
 class TestChain:
+    """``A %*% B %*% C`` as a session statement: the planner orders the
+    chain (Appendix B) and drops each intermediate after its reader."""
+
     def test_chain_matches_numpy(self, rng):
         dims = [(96, 24), (24, 96), (96, 64)]
         mats_np = [rng.standard_normal(d) for d in dims]
-        store = make_store()
-        mats = [store.matrix_from_numpy(m, layout="square")
-                for m in mats_np]
-        out = multiply_chain(store, mats, MEM)
-        assert np.allclose(out.to_numpy(),
-                           mats_np[0] @ mats_np[1] @ mats_np[2])
-
-    def test_chain_single_matrix(self, rng):
-        store = make_store()
-        m = store.matrix_from_numpy(rng.standard_normal((10, 10)))
-        assert multiply_chain(store, [m], MEM) is m
+        with chain_session() as s:
+            a, b, c = (s.matrix(m) for m in mats_np)
+            out = s.values(a @ b @ c)
+        assert np.allclose(out, mats_np[0] @ mats_np[1] @ mats_np[2])
 
     def test_chain_in_order_option(self, rng):
         dims = [(48, 16), (16, 48), (48, 32)]
         mats_np = [rng.standard_normal(d) for d in dims]
-        store = make_store()
-        mats = [store.matrix_from_numpy(m, layout="square")
-                for m in mats_np]
-        out = multiply_chain(store, mats, MEM, order=in_order(3))
-        assert np.allclose(out.to_numpy(),
-                           mats_np[0] @ mats_np[1] @ mats_np[2])
+        with chain_session(chain_reorder=False) as s:
+            a, b, c = (s.matrix(m) for m in mats_np)
+            out = s.values(a @ b @ c)
+        assert np.allclose(out, mats_np[0] @ mats_np[1] @ mats_np[2])
 
     def test_optimal_order_saves_io_on_skewed_chain(self, rng):
         """The Appendix-B claim, measured: DP order uses less I/O."""
@@ -170,48 +158,16 @@ class TestChain:
         c = rng.standard_normal((n, n))
         mem = 48 * 1024
 
-        def run(order):
-            store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
-            mats = [store.matrix_from_numpy(m, layout="square")
-                    for m in (a, b, c)]
-            store.pool.clear()
-            store.reset_stats()
-            out = multiply_chain(store, mats, mem, order=order)
-            store.flush()
-            return store.device.stats.total, out.to_numpy()
+        def run(reorder):
+            with chain_session(mem, chain_reorder=reorder) as sess:
+                ma, mb, mc = (sess.matrix(m) for m in (a, b, c))
+                sess.store.pool.clear()
+                sess.reset_stats()
+                out = sess.force(ma @ mb @ mc)
+                sess.store.flush()
+                return sess.io_stats.total, out.to_numpy()
 
-        io_inorder, r1 = run(in_order(3))
-        io_optimal, r2 = run(None)
+        io_inorder, r1 = run(False)
+        io_optimal, r2 = run(None)  # the default: reorder at level 2
         assert np.allclose(r1, r2)
         assert io_optimal < io_inorder
-
-    def test_unknown_algorithm(self, rng):
-        store = make_store()
-        mats = [store.matrix_from_numpy(rng.standard_normal((8, 8)))
-                for _ in range(2)]
-        with pytest.raises(ValueError):
-            multiply_chain(store, mats, MEM, algorithm="strassen")
-
-
-class TestMeasuredIO:
-    def test_square_cheaper_than_naive_small_pool(self, rng):
-        """With a tiny buffer pool the blocked algorithm wins clearly."""
-        n = 256
-        mem = 24 * 1024  # small memory budget
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-
-        def measure(fn):
-            store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
-            ma = store.matrix_from_numpy(a, layout="square")
-            mb = store.matrix_from_numpy(b, layout="square")
-            store.pool.clear()
-            store.reset_stats()
-            if fn is naive_tile_matmul:
-                fn(store, ma, mb)
-            else:
-                fn(store, ma, mb, mem)
-            store.flush()
-            return store.device.stats.total
-
-        assert measure(square_tile_matmul) < measure(naive_tile_matmul)

@@ -350,7 +350,8 @@ class TestArrayStoreBudget:
 # ----------------------------------------------------------------------
 SIM_KEYS = ("seq_reads", "rand_reads", "seq_writes", "rand_writes",
             "read_calls", "write_calls", "coalesced_ios",
-            "prefetched", "readahead_hits")
+            "prefetched", "readahead_hits", "bytes_logical",
+            "bytes_compressed")
 
 
 def _sim_counts(stats):
@@ -358,11 +359,11 @@ def _sim_counts(stats):
     return {k: d[k] for k in SIM_KEYS}
 
 
-def _run_workload(backend, pattern, m, k, n, seed):
+def _run_workload(backend, codec, pattern, m, k, n, seed):
     """Force one DAG on a 6-block pool; return (values, sim counts)."""
     from repro.core import RiotSession
     cfg = StorageConfig(backend=backend, memory_bytes=6 * 8192,
-                        block_size=8192)
+                        block_size=8192, codec=codec)
     with RiotSession(storage=cfg) as s:
         g = np.random.default_rng(seed)
         a = s.matrix(g.standard_normal((m, k)))
@@ -383,19 +384,22 @@ def _run_workload(backend, pattern, m, k, n, seed):
 
 @given(pattern=st.sampled_from(["mm", "epilogue", "crossprod",
                                 "chain"]),
+       codec=st.sampled_from(["raw", "delta+zstd"]),
        m=st.integers(33, 150), k=st.integers(33, 150),
        n=st.integers(33, 150), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=10, deadline=None)
 def test_backends_bitwise_identical_and_same_block_counts(
-        pattern, m, k, n, seed):
-    """Same DAG, same pool budget, three backends: the answers are
-    bitwise identical and the *simulated* block counters agree exactly
-    — the file devices only override the physical primitives, never
-    the accounting."""
-    ref_vals, ref_counts = _run_workload("memory", pattern, m, k, n,
-                                         seed)
+        pattern, codec, m, k, n, seed):
+    """Same DAG, same pool budget, same codec, three backends: the
+    answers are bitwise identical and the *simulated* counters —
+    blocks, calls and logical / stored bytes — agree exactly: the
+    file devices only override the physical primitives, never the
+    accounting."""
+    ref_vals, ref_counts = _run_workload("memory", codec, pattern, m, k,
+                                         n, seed)
     for backend in FILE_MODES:
-        vals, counts = _run_workload(backend, pattern, m, k, n, seed)
+        vals, counts = _run_workload(backend, codec, pattern, m, k, n,
+                                     seed)
         assert np.array_equal(ref_vals, vals), backend
         assert counts == ref_counts, backend
 

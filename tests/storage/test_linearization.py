@@ -145,8 +145,10 @@ class TestLocality:
         canonical order — the §5 motivation for advanced linearization."""
         rows = cols = 16
         hilbert = _locality_score(Hilbert(rows, cols), rows, cols)
+        zorder = _locality_score(ZOrder(rows, cols), rows, cols)
         col = _locality_score(ColMajor(rows, cols), rows, cols)
         assert hilbert < col
+        assert zorder < col
 
     def test_names_listed(self):
         assert set(linearization_names()) == {

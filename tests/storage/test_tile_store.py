@@ -140,6 +140,25 @@ class TestTiledMatrix:
         order = list(mat.tiles())
         assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+    def test_column_walk_cost_follows_tile_aspect(self):
+        """The §3 layout claim: read a 256 x 256 matrix one column at a
+        time through the minimum 4-frame pool (64 one-page tiles).
+        Column tiles cost one read per page, square tiles re-read each
+        tile once per column it spans (64 x 32), and row tiles re-read
+        the whole matrix once per column (64 x 256)."""
+        n = 256
+        reads = {}
+        for layout in ("row", "col", "square"):
+            store = ArrayStore(memory_bytes=4 * 8192, block_size=8192)
+            mat = store.create_matrix((n, n), layout=layout)
+            mat.from_numpy(np.zeros((n, n)))
+            store.pool.clear()
+            store.reset_stats()
+            for c in range(n):
+                mat.read_submatrix(0, n, c, c + 1)
+            reads[layout] = store.device.stats.reads
+        assert reads == {"col": 64, "square": 2048, "row": 16384}
+
     def test_multi_page_tiles(self, store, rng):
         """64x64 tiles of float64 are 4 pages each."""
         data = rng.standard_normal((128, 128))

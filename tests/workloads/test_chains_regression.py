@@ -1,52 +1,24 @@
-"""Tests for the chain and regression workload modules."""
+"""Tests for the regression workload, solved as a session statement."""
 
 import numpy as np
-import pytest
 
-from repro.core.chain import optimal_order
-from repro.linalg import multiply_chain
-from repro.storage import ArrayStore
-from repro.workloads import (ChainConfig, MEASURED_SCALE, PAPER_FIG3B,
-                             generate_chain, generate_problem, load_chain,
-                             ols_out_of_core)
+from repro.core import RiotSession
+from repro.storage import StorageConfig
+from repro.workloads import generate_problem
 
 
-class TestChains:
-    def test_shapes_follow_fig3(self):
-        config = ChainConfig(1000, 4.0)
-        assert config.shapes == [(1000, 250), (250, 1000), (1000, 1000)]
-
-    def test_paper_configs_cover_figure(self):
-        assert [c.skew for c in PAPER_FIG3B] == [2.0, 4.0, 6.0, 8.0]
-
-    def test_paper_scale_generation_refused(self):
-        with pytest.raises(ValueError):
-            generate_chain(ChainConfig(100_000, 2.0))
-
-    def test_generated_chain_multiplies(self):
-        config = ChainConfig(128, 4.0, seed=5)
-        a, b, c = generate_chain(config)
-        assert (a @ b @ c).shape == (128, 128)
-
-    def test_load_chain_roundtrip(self):
-        config = ChainConfig(96, 2.0, seed=5)
-        store = ArrayStore(memory_bytes=2 << 20)
-        mats = load_chain(store, config)
-        gen = generate_chain(config)
-        for stored, expect in zip(mats, gen):
-            assert np.allclose(stored.to_numpy(), expect)
-
-    def test_measured_configs_run_end_to_end(self):
-        config = MEASURED_SCALE[0]
-        store = ArrayStore(memory_bytes=2 << 20)
-        mats = load_chain(store, config)
-        mem = 64 * 1024
-        out = multiply_chain(store, mats, mem)
-        a, b, c = generate_chain(config)
-        assert np.allclose(out.to_numpy(), a @ b @ c)
-
-    def test_skew_flips_optimal_order(self):
-        assert optimal_order(ChainConfig(512, 8.0).dims) == (0, (1, 2))
+def ols(problem, memory_scalars=32 * 1024):
+    """``solve(t(X) %*% X, t(X) %*% y)`` on a memory-capped session;
+    returns ``(beta_hat, io_stats)`` of a cold run."""
+    with RiotSession(storage=StorageConfig(
+            memory_bytes=memory_scalars * 8, block_size=8192)) as s:
+        x = s.matrix(problem.x, name="X")
+        y = s.matrix(problem.y.reshape(-1, 1), name="y")
+        s.store.pool.clear()
+        s.reset_stats()
+        beta = s.force(s.solve(x.T @ x, x.T @ y))
+        s.store.flush()
+        return beta.to_numpy().ravel(), s.io_stats.snapshot()
 
 
 class TestRegression:
@@ -58,18 +30,18 @@ class TestRegression:
 
     def test_ols_recovers_beta(self):
         problem = generate_problem(5000, 16, noise=0.0, seed=1)
-        beta, _ = ols_out_of_core(problem, memory_scalars=32 * 1024)
+        beta, _ = ols(problem)
         assert np.allclose(beta, problem.beta_true, atol=1e-8)
 
     def test_ols_matches_lstsq_with_noise(self):
         problem = generate_problem(4000, 24, noise=0.5, seed=2)
-        beta, _ = ols_out_of_core(problem, memory_scalars=32 * 1024)
+        beta, _ = ols(problem)
         expect = np.linalg.lstsq(problem.x, problem.y, rcond=None)[0]
         assert np.allclose(beta, expect, atol=1e-7)
 
     def test_io_reported(self):
         problem = generate_problem(3000, 16, seed=4)
-        _, io = ols_out_of_core(problem, memory_scalars=32 * 1024)
+        _, io = ols(problem)
         assert io.total > 0
 
     def test_ols_on_nearly_collinear_design(self):
@@ -77,6 +49,6 @@ class TestRegression:
         exactly the regime the pivoted solver buys the workload."""
         problem = generate_problem(4000, 24, noise=0.1, seed=6,
                                    collinearity=0.9)
-        beta, _ = ols_out_of_core(problem, memory_scalars=32 * 1024)
+        beta, _ = ols(problem)
         expect = np.linalg.lstsq(problem.x, problem.y, rcond=None)[0]
         assert np.allclose(beta, expect, atol=1e-6)
