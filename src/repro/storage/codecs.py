@@ -4,8 +4,9 @@ RIOT's thesis is that I/O cost dominates out-of-core numerical
 computing, and the biggest remaining lever after scheduling is
 shrinking the bytes that cross the device boundary.  A
 :class:`TileCodec` transforms one tile's scalars into a compressed
-payload at :class:`~repro.storage.tile_store.TiledMatrix` write time
-and back at read time; the tile store records each tile's codec and
+payload when a written :class:`~repro.storage.tile_store.TiledMatrix`
+tile leaves memory (its decoded form stays cached until then) and back
+at read time; the tile store records each tile's codec and
 compressed length in its tile directory (persisted through the
 ``.meta`` sidecar manifest), charges the *compressed* bytes to
 ``IOStats.bytes_compressed`` (schema v3), and keeps decompressed tiles

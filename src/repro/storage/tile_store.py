@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Iterator
 
 import numpy as np
@@ -46,6 +46,10 @@ from .pagefile import PageFile
 
 _FLOAT = np.float64
 _FLOAT_BYTES = 8
+
+#: ``_assemble``'s payload length for a pending codec tile: written,
+#: not yet encoded, held only in the decoded-tile cache.
+_PENDING = -1
 
 #: Chunks hinted ahead of a sequential scan (see ``TiledVector.scan``).
 SCAN_PREFETCH_CHUNKS = 16
@@ -377,6 +381,15 @@ class TiledMatrix:
     the tile's pre-allocated pages, ``0`` is the raw-fallback sentinel
     for incompressible tiles, and an absent entry means the tile was
     never written (reads return zeros without touching the device).
+
+    A codec tile is encoded when it leaves memory, not when it is
+    written: ``write_*`` leaves it *pending* — dirty in the store's
+    :class:`DecodedTileCache` — and
+    :meth:`_spill` encodes it when the cache evicts it, when the store
+    is flushed or closed, or when :meth:`stored_pages` is asked what
+    the matrix costs on disk.  A pending tile is read from the cache
+    and has no pages (:meth:`tile_blocks`); :meth:`drop` discards it
+    unencoded.
     """
 
     def __init__(self, store: "ArrayStore", name: str,
@@ -486,18 +499,18 @@ class TiledMatrix:
         """Device block keys backing tile (ti, tj) — the prefetch unit.
 
         Codec-aware: a compressed tile reports only the pages its
-        payload occupies, and a never-written compressed tile reports
-        none (its read is pure zeros, no I/O).
+        payload occupies, and a never-written or pending compressed
+        tile reports none (its read is pure zeros or served from the
+        decoded-tile cache, no I/O).
         """
         self._check_tile(ti, tj)
-        blocks = self._blocks[ti, tj]
-        if self.codec.name != "raw":
-            comp = self.tile_dir.get(self.linearization.index(ti, tj))
-            if comp is None:
-                return []
-            if comp > 0:
-                blocks = blocks[: -(-comp // self.store.device.block_size)]
-        return blocks.tolist()
+        if self.codec.name == "raw":
+            return self._blocks[ti, tj].tolist()
+        comp = self.tile_dir.get(self.linearization.index(ti, tj))
+        if comp is None or self.store.tile_cache.is_dirty(
+                (self.name, ti, tj)):
+            return []
+        return self._payload_blocks(ti, tj, comp)
 
     def submatrix_blocks(self, r0: int, r1: int, c0: int, c1: int
                          ) -> list[int]:
@@ -515,19 +528,26 @@ class TiledMatrix:
         return -(-comp // self.store.device.block_size) \
             or self.pages_per_tile
 
+    def _payload_blocks(self, ti: int, tj: int, comp: int) -> list[int]:
+        """The blocks a stored codec tile of payload length ``comp``
+        keeps data in: the first :meth:`_pages_of` of its span."""
+        return self._blocks[ti, tj, : self._pages_of(comp)].tolist()
+
     def stored_pages(self) -> tuple[int, int]:
         """``(pages holding data, pages spanned)`` over the codec
-        tiles written so far — both 0 for a ``raw`` matrix.  Running
-        counts, kept by :meth:`_record_tile`."""
+        tiles written so far — both 0 for a ``raw`` matrix.  Pending
+        tiles are encoded first, so a freshly written matrix prices at
+        what it will cost on disk; then the running counts kept by
+        :meth:`_record_tile`."""
+        self.store.tile_cache.settle(self)
         with self.store.pool.lock:
             return (self._pages_stored,
                     len(self.tile_dir) * self.pages_per_tile)
 
     def _record_tile(self, pos: int, comp: int, logical: int) -> None:
-        """Enter a written codec tile in the directory (``comp`` 0: it
-        was stored raw) and record the traffic on the v3 byte axis —
-        under the pool lock, the serializer of every other stats
-        mutation."""
+        """Enter a spilled codec tile in the directory (``comp`` 0: it
+        was stored raw) and record the traffic on the v3 byte axis — under the pool lock, the
+        serializer of every other stats mutation."""
         with self.store.pool.lock:
             old = self.tile_dir.get(pos)
             if old is not None:
@@ -557,10 +577,13 @@ class TiledMatrix:
         rectangle's blocks in row-major tile order and are gathered a
         tile row at a time, so the staging copy is one band, never a
         second rectangle.  Codec tiles are looked up in the decoded-
-        tile cache, decoded straight into their cell and inserted one
-        by one in that order, as a tile-by-tile walk would; only the
-        payload pages of those the cache does not hold come ahead of
-        the walk, through one ``get_many``.
+        tile cache (a pending tile is always there), decoded straight
+        into their cell and inserted one by one in that order, as a
+        tile-by-tile walk would.  The payload pages of those the cache
+        does not hold come ahead of the walk, through one ``get_many``
+        — unless an insert of the walk will spill a dirty tile, whose
+        pages then reach the pool between two of the walk's reads: such
+        a walk fetches each tile's pages as it comes to it.
         """
         th, tw = self.tile_shape
         nti, ntj = ti1 - ti0, tj1 - tj0
@@ -577,50 +600,61 @@ class TiledMatrix:
                 ).reshape(ntj, th, tw).transpose(1, 0, 2)
             return out
         cache = self.store.tile_cache
-        bs = self.store.device.block_size
         # Written tiles in walk order: cell and payload length (0:
-        # stored raw, never cached, every page holds data).
+        # stored raw, never cached, every page holds data; _PENDING:
+        # not encoded yet, in the cache).
         tiles: list[tuple[int, int, int]] = []
-        for i in range(nti):
-            for j in range(ntj):
-                comp = self.tile_dir.get(
-                    self.linearization.index(ti0 + i, tj0 + j))
-                if comp is None:
-                    # Never written: sparse-file semantics, no I/O.
-                    cells[i, :, j] = 0
-                else:
-                    tiles.append((i, j, comp))
+        with pool.lock:
+            for i in range(nti):
+                for j in range(ntj):
+                    ti, tj = ti0 + i, tj0 + j
+                    comp = (_PENDING if cache.is_dirty((self.name, ti, tj))
+                            else self.tile_dir.get(
+                                self.linearization.index(ti, tj)))
+                    if comp is None:
+                        # Never written: sparse-file semantics, no I/O.
+                        cells[i, :, j] = 0
+                    else:
+                        tiles.append((i, j, comp))
         logical = th * tw * self.dtype.itemsize
-        missing = iter(cache.would_miss(
+        foreseen = iter(cache.foresee(
             [(self.name, ti0 + i, tj0 + j) for i, j, comp in tiles
              if comp], logical))
+        ahead = [next(foreseen) if comp else (True, False)
+                 for i, j, comp in tiles]
+        batched = not any(spills for _, spills in ahead)
         # Where each tile's pages are in ``blocks`` — nowhere for a
-        # tile the walk will find in the cache.
+        # tile the walk will find in the cache or fetch on its own.
         where: list[slice | None] = []
         blocks: list[int] = []
-        for i, j, comp in tiles:
-            if comp and not next(missing):
+        for (i, j, comp), (miss, _) in zip(tiles, ahead):
+            if not (batched and miss) or comp == _PENDING:
                 where.append(None)
                 continue
-            pages = -(-comp // bs) or self.pages_per_tile
-            where.append(slice(len(blocks), len(blocks) + pages))
-            blocks += self._blocks[ti0 + i, tj0 + j, :pages].tolist()
+            pages = self._payload_blocks(ti0 + i, tj0 + j, comp)
+            where.append(slice(len(blocks), len(blocks) + len(pages)))
+            blocks += pages
         frames = pool.get_many(blocks) if blocks else []
         for (i, j, comp), span in zip(tiles, where):
             ti, tj = ti0 + i, tj0 + j
+            if comp:
+                cached = cache.get((self.name, ti, tj))
+                if cached is not None:
+                    cells[i, :, j] = cached.reshape(th, tw)
+                    continue
+            if span is None:
+                # Fetched on its own, as stored now: a walk that
+                # spills, a pending tile it spilled, or a foreseen hit
+                # that another thread's inserts evicted.
+                with pool.lock:
+                    comp = self.tile_dir[self.linearization.index(ti, tj)]
+                held = pool.get_many(self._payload_blocks(ti, tj, comp))
+            else:
+                held = frames[span]
             if comp == 0:
-                cells[i, :, j] = self._tiles_of(
-                    frames[span])[0].reshape(th, tw)
+                cells[i, :, j] = self._tiles_of(held)[0].reshape(th, tw)
                 self._charge_codec(logical, logical)
                 continue
-            cached = cache.get((self.name, ti, tj))
-            if cached is not None:
-                cells[i, :, j] = cached.reshape(th, tw)
-                continue
-            # Foreseen in the cache, gone now: another thread's
-            # inserts evicted it.  Fetched on its own.
-            held = (frames[span] if span is not None
-                    else pool.get_many(self.tile_blocks(ti, tj)))
             # A one-page payload decodes straight out of its frame.
             staged = held[0] if len(held) == 1 else np.concatenate(held)
             tile = self.codec.decode_tile(memoryview(staged)[:comp],
@@ -646,7 +680,7 @@ class TiledMatrix:
         """Write zero-padded tiles — row ``k`` of the C-contiguous
         ``(n, th * tw)`` array goes to grid cell ``(tis[k], tjs[k])``
         — in the given order: raw tiles as one tile-major page batch,
-        codec tiles encoded one by one."""
+        codec tiles into the decoded-tile cache one by one."""
         if self.codec.name == "raw":
             # One tile (write_tile, so every from_numpy) is a plain
             # index: the fancy one costs more than the copy it feeds.
@@ -654,7 +688,7 @@ class TiledMatrix:
                           else self._blocks[tis, tjs], tiles)
         else:
             for ti, tj, tile in zip(tis, tjs, tiles):
-                self._write_encoded_tile(ti, tj, tile)
+                self._write_codec_tile(ti, tj, tile)
 
     def _put_raw(self, blocks: np.ndarray, tiles: np.ndarray) -> None:
         bs = self.store.device.block_size
@@ -668,31 +702,50 @@ class TiledMatrix:
         self.store.pool.put_many(blocks.ravel().tolist(),
                                  pages.reshape(-1, bs))
 
-    def _write_encoded_tile(self, ti: int, tj: int,
-                            tile: np.ndarray) -> None:
+    def _write_codec_tile(self, ti: int, tj: int,
+                          tile: np.ndarray) -> None:
+        """Leave a written codec tile pending: dirty in the decoded-tile
+        cache, encoded only when it leaves memory (:meth:`_spill`).
+        The pages of the payload it supersedes are dropped now, so
+        they are neither flushed nor read back.  One pool-lock hold, so
+        no spill of the tile's previous version lands in between."""
+        pool, cache = self.store.pool, self.store.tile_cache
+        key = (self.name, ti, tj)
+        with pool.lock:
+            comp = self.tile_dir.get(self.linearization.index(ti, tj))
+            if comp is not None and not cache.is_dirty(key):
+                for bid in self._payload_blocks(ti, tj, comp):
+                    pool.invalidate(bid)
+            cache.put(key, tile, owner=self)
+
+    def _spill(self, ti: int, tj: int, tile: np.ndarray,
+               through: bool = False) -> int:
+        """Encode a pending tile into the first pages of its span in
+        the pool and enter it in ``tile_dir``: the one place a codec
+        tile is encoded.  A payload that outgrows the span is stored
+        raw (length 0, the fallback sentinel).  ``through`` writes the
+        pages on to the device and leaves none of them in the pool.
+        Returns the length entered."""
         bs = self.store.device.block_size
-        logical = tile.nbytes
-        pos = self.linearization.index(ti, tj)
-        payload = self.codec.encode_tile(tile.reshape(self.tile_shape))
+        pool = self.store.pool
         blocks = self._blocks[ti, tj]
+        payload = self.codec.encode_tile(tile.reshape(self.tile_shape))
         if len(payload) > len(blocks) * bs:
-            # The payload outgrew the tile's page span: store raw
-            # (tile_dir length 0 is the fallback sentinel).
-            self.store.tile_cache.invalidate((self.name, ti, tj))
-            self._put_raw(blocks, tile[None])
-            self._record_tile(pos, 0, logical)
-            return
-        nb = -(-len(payload) // bs)
-        buf = np.zeros(nb * bs, dtype=np.uint8)
-        buf[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-        self.store.pool.put_many(blocks[:nb].tolist(),
-                                 buf.reshape(nb, bs))
-        # A shrinking payload strands stale higher pages in the pool;
-        # drop them so they are neither flushed nor read back.
-        for bid in blocks[nb:].tolist():
-            self.store.pool.invalidate(bid)
-        self.store.tile_cache.put((self.name, ti, tj), tile)
-        self._record_tile(pos, len(payload), logical)
+            comp = 0
+            self._put_raw(blocks, tile.reshape(1, -1))
+        else:
+            comp = len(payload)
+            nb = -(-comp // bs)
+            buf = np.zeros(nb * bs, dtype=np.uint8)
+            buf[:comp] = np.frombuffer(payload, dtype=np.uint8)
+            pool.put_many(blocks[:nb].tolist(), buf.reshape(nb, bs))
+        if through:
+            for bid in self._payload_blocks(ti, tj, comp):
+                pool.flush(bid)
+                pool.invalidate(bid)
+        self._record_tile(self.linearization.index(ti, tj), comp,
+                          tile.nbytes)
+        return comp
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
@@ -823,8 +876,10 @@ class TiledMatrix:
         return self
 
     def drop(self) -> None:
-        self.store.pool.discard(self._blocks.ravel().tolist())
+        # Pending tiles go first, unencoded: none may spill into the
+        # blocks the pool is about to forget.
         self.store.tile_cache.invalidate_matrix(self.name)
+        self.store.pool.discard(self._blocks.ravel().tolist())
         with self.store.pool.lock:
             self.tile_dir.clear()
             self._pages_stored = 0
@@ -849,54 +904,94 @@ MIN_POOL_BLOCKS = 4
 
 
 class DecodedTileCache:
-    """LRU cache of decoded (decompressed) full tiles.
+    """LRU cache of decoded full tiles, clean and dirty.
 
-    For codec-compressed matrices the buffer pool holds *compressed*
+    For codec-compressed matrices the buffer pool holds *encoded*
     frames — the unit the device serves and IOStats v3 charges — so a
-    re-read of a cached tile would still pay the decode CPU.  This
+    re-read of a pooled tile would still pay the decode CPU.  This
     cache keeps the decoded ``(th, tw)`` arrays under its own byte
-    budget and lock; entries are read-only, and ``raw`` tiles never
+    budget: *clean* tiles, decoded from their pages, and *dirty* ones a
+    write left here unencoded (the matrix's pending tiles).  A dirty
+    tile is spilled — encoded into its pages by its owner's ``_spill``
+    — only when it leaves memory: evicted by any :meth:`put`, or by
+    :meth:`settle` and :meth:`clear`; one larger than the whole budget
+    is spilled at once.  Entries are read-only, and ``raw`` tiles never
     enter (their pool frame already is the decoded form).
+
+    The store hands the cache its pool's lock: a spill puts pages in
+    the pool and enters the tile in its matrix's directory, and under
+    that one lock no reader sees a tile that has left the cache before
+    its pages are there, and no write of a tile interleaves with the
+    spill of its previous version.  A clean insert never replaces a
+    dirty entry, so a read that decoded a tile's old pages while the
+    tile was rewritten does not hide the write while it is pending;
+    reads and writes of one tile from two threads are otherwise not
+    ordered (nothing in the engine issues both at once).
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(self, capacity_bytes: int,
+                 lock: threading.RLock) -> None:
         self.capacity_bytes = max(0, int(capacity_bytes))
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        # Key -> owning matrix, for the entries not encoded yet.
+        self._dirty: dict[tuple, TiledMatrix] = {}
         self._bytes = 0
-        self._lock = threading.Lock()
+        self._lock = lock
         self.hits = 0
         self.misses = 0
 
-    def would_miss(self, keys: list[tuple], nbytes: int) -> list[bool]:
-        """For each key in turn: would :meth:`get` miss it, were every
-        miss followed by a :meth:`put` of ``nbytes``?  The walk a
-        rectangle read is about to make, foreseen — inserts evict from
-        the old end, hits move out of their way — so that it can fetch
-        what it will decode in one pool call.  Counts nothing, moves
-        nothing."""
+    def foresee(self, keys: list[tuple], nbytes: int
+                ) -> list[tuple[bool, bool]]:
+        """For each key in turn: would :meth:`get` miss it, and would
+        the :meth:`put` of ``nbytes`` that follows a miss spill a dirty
+        tile?  The walk a rectangle read is about to make, foreseen —
+        inserts evict from the old end, hits move out of their way,
+        and once the older entries are gone the walk's own tiles go in
+        the order it touched them — so that it can fetch what it will
+        decode in one pool call.  ``keys`` are distinct.  Counts
+        nothing, moves nothing."""
         with self._lock:
             fits = nbytes <= self.capacity_bytes
             used = self._bytes
             oldest = iter(self._entries.items())
             evicted: set[tuple] = set()
             hit: set[tuple] = set()
+            # What the walk moved to the new end, in that order: size
+            # and dirtiness (a tile it inserts is clean).
+            touched: deque[tuple[int, bool]] = deque()
             out = []
             for key in keys:
-                held = key in self._entries and key not in evicted
-                out.append(not held)
-                if held:
+                if key in self._entries and key not in evicted:
                     hit.add(key)
-                elif fits:
+                    touched.append((self._entries[key].nbytes,
+                                    key in self._dirty))
+                    out.append((False, False))
+                    continue
+                spills = False
+                if fits:
                     used += nbytes
                     while used > self.capacity_bytes:
-                        victim = next(oldest, None)
-                        if victim is None:
-                            # Only this walk's own tiles are left.
-                            break
-                        if victim[0] not in hit:
-                            evicted.add(victim[0])
-                            used -= victim[1].nbytes
+                        entry = next(oldest, None)
+                        if entry is None:
+                            if not touched:
+                                break
+                            size, dirty = touched.popleft()
+                        elif entry[0] in hit:
+                            continue    # it moved to the new end
+                        else:
+                            evicted.add(entry[0])
+                            size = entry[1].nbytes
+                            dirty = entry[0] in self._dirty
+                        used -= size
+                        spills |= dirty
+                    touched.append((nbytes, False))
+                out.append((True, spills))
             return out
+
+    def is_dirty(self, key: tuple) -> bool:
+        """Is ``key`` a pending tile — written, not yet encoded?"""
+        with self._lock:
+            return key in self._dirty
 
     def get(self, key: tuple) -> np.ndarray | None:
         with self._lock:
@@ -908,34 +1003,68 @@ class DecodedTileCache:
             self.hits += 1
             return tile
 
-    def put(self, key: tuple, tile: np.ndarray) -> None:
-        if tile.nbytes > self.capacity_bytes:
-            return
+    def put(self, key: tuple, tile: np.ndarray,
+            owner: TiledMatrix | None = None) -> None:
+        """Insert a tile: clean, or dirty for ``owner`` to encode when
+        it leaves.  A clean tile never replaces a dirty one (it was
+        decoded from the pages the dirty one supersedes)."""
         tile = tile if not tile.flags.writeable else tile.copy()
         tile.flags.writeable = False
         with self._lock:
+            if tile.nbytes > self.capacity_bytes:
+                if owner is not None:
+                    owner._spill(key[1], key[2], tile)
+                return
+            if owner is None and key in self._dirty:
+                return
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old.nbytes
             self._entries[key] = tile
             self._bytes += tile.nbytes
+            if owner is not None:
+                self._dirty[key] = owner
             while self._bytes > self.capacity_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
+                vkey, vtile = self._entries.popitem(last=False)
+                self._bytes -= vtile.nbytes
+                vowner = self._dirty.pop(vkey, None)
+                if vowner is not None:
+                    vowner._spill(vkey[1], vkey[2], vtile)
 
-    def invalidate(self, key: tuple) -> None:
+    def _spill_dirty(self, owner: TiledMatrix | None,
+                     through: bool = False) -> None:
+        """Encode the dirty tiles (of ``owner``, or of every matrix),
+        oldest first.  Each stays cached, clean — but one stored raw
+        leaves (raw tiles are read from their pages).  Caller holds
+        the lock."""
+        for key in [k for k, o in self._dirty.items()
+                    if owner in (None, o)]:
+            tile = self._entries[key]
+            if self._dirty.pop(key)._spill(key[1], key[2], tile,
+                                           through) == 0:
+                del self._entries[key]
+                self._bytes -= tile.nbytes
+
+    def settle(self, owner: TiledMatrix | None = None) -> None:
+        """Encode every dirty tile (of ``owner``, or of every matrix)
+        into the pool, oldest first; each stays cached, clean."""
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
+            self._spill_dirty(owner)
 
     def invalidate_matrix(self, name: str) -> None:
+        """Forget a dropped matrix's tiles; pending ones are never
+        encoded."""
         with self._lock:
             for key in [k for k in self._entries if k[0] == name]:
                 self._bytes -= self._entries.pop(key).nbytes
+                self._dirty.pop(key, None)
 
     def clear(self) -> None:
+        """Empty the cache, leaving nothing behind in memory: a dirty
+        tile is encoded and written through to the device, not parked
+        in the pool, so the next read of it is cold."""
         with self._lock:
+            self._spill_dirty(None, through=True)
             self._entries.clear()
             self._bytes = 0
 
@@ -994,7 +1123,8 @@ class ArrayStore:
         self.pool.scheduler.enabled = storage.scheduler
         # Decoded tiles live beside the pool under the same byte
         # budget; with codec raw everywhere the cache stays empty.
-        self.tile_cache = DecodedTileCache(storage.memory_bytes)
+        self.tile_cache = DecodedTileCache(storage.memory_bytes,
+                                           self.pool.lock)
         # Observability: one tracer per store, off by default.  Kernels
         # and the evaluator bracket their work in store.tracer.span();
         # spans close with IOStats/PoolStats deltas from this device
@@ -1185,16 +1315,21 @@ class ArrayStore:
         self.tile_cache.reset_stats()
 
     def flush(self) -> None:
+        """Encode every pending codec tile into the pool, then write
+        every dirty frame to the device."""
+        self.tile_cache.settle()
         self.pool.flush_all()
         if self.storage.fsync:
             self.device.sync()
 
     def close(self) -> None:
-        """Flush dirty frames, persist the array directory, release the
-        device.  Idempotent; after close the store must not be used."""
+        """Encode pending tiles, flush dirty frames, persist the array
+        directory, release the device.  Idempotent; after close the
+        store must not be used."""
         if self._closed:
             return
         self._closed = True
+        self.tile_cache.settle()
         self.pool.flush_all()
         if hasattr(self.device, "manifest"):
             manifest = dict(self.device.manifest)

@@ -9,6 +9,9 @@ the storage config carries the codec and dtype through URLs.
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
 import zlib
 from unittest import mock
 
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
+from repro.core.plan import LUSolveOp
 from repro.storage import (ArrayStore, CODECS, DeltaZstdCodec,
                            Float32Codec, IOSTATS_SCHEMA_KEYS, RawCodec,
-                           StorageConfig, TileCodec, get_codec,
-                           register_codec)
+                           StorageConfig, TileCodec, TiledMatrix,
+                           get_codec, register_codec)
 
 FILE_MODES = ("mmap", "pread")
 
@@ -730,6 +734,8 @@ class TestCompressedStore:
         with _store(codec="delta+zstd") as store:
             mat = store.create_matrix(data.shape, tile_shape=(64, 64)) \
                 .from_numpy(data)
+            # Written tiles are encoded when they leave memory.
+            store.flush()
             assert mat.tile_dir == {0: 0} and mat.pages_per_tile == 4
             assert mat.tile_blocks(0, 0) == mat._blocks[0, 0].tolist()
             store.pool.clear()
@@ -869,6 +875,314 @@ class TestCompressedPersistence:
             expect[:3, :3] = -1.0
             assert np.array_equal(
                 store.open_matrix("W").to_numpy(), expect)
+
+
+# ----------------------------------------------------------------------
+# Write-back: a codec tile is encoded when it leaves memory
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _recording_spills():
+    """Record every tile spilled, as ``(matrix name, ti, tj)``, and
+    every ``encode_tile`` call of the ``delta+zstd`` codec."""
+    spilled: list[tuple[str, int, int]] = []
+    encoded: list[tuple[int, int]] = []
+    spill, encode = TiledMatrix._spill, DeltaZstdCodec.encode_tile
+
+    def spy_spill(self, ti, tj, tile, through=False):
+        spilled.append((self.name, ti, tj))
+        return spill(self, ti, tj, tile, through)
+
+    def spy_encode(self, tile):
+        encoded.append(tile.shape)
+        return encode(self, tile)
+
+    with mock.patch.object(TiledMatrix, "_spill", spy_spill), \
+            mock.patch.object(DeltaZstdCodec, "encode_tile", spy_encode):
+        yield spilled, encoded
+
+
+def _pending(mat):
+    """The tiles of ``mat`` written and not yet encoded."""
+    return [t for t in mat.tiles()
+            if mat.store.tile_cache.is_dirty((mat.name, *t))]
+
+
+def _integers(seed, shape):
+    g = np.random.default_rng(seed)
+    return g.integers(-8, 9, size=shape).astype(np.float64)
+
+
+def _ols(s):
+    x = s.matrix(_integers(1, (300, 96)), name="X")
+    y = s.matrix(_integers(2, (300, 1)), name="y")
+    return (x.T @ x).solve(x.T @ y).node
+
+
+class TestWriteBack:
+    """Writes leave codec tiles pending in the decoded-tile cache; a
+    tile is encoded when it leaves memory — evicted, flushed, closed,
+    cleared, or priced — and never when its matrix is dropped."""
+
+    @pytest.mark.parametrize("cache_tiles", [None, 9])
+    def test_ols_encodes_what_leaves_memory(self, cache_tiles):
+        """A shrunk OLS: the LU factors X'X in place and releases the
+        factor and X'y.  Every encode is a tile spilled by an eviction
+        or by the closing flush — only the result's at the flush.  In
+        the default cache, which holds the whole factor, no released
+        tile is encoded; cut to X'X's nine tiles, X'y and factor tiles
+        are spilled as the run evicts them.  Either way far fewer tiles
+        are encoded than written, and the result is the raw store's,
+        bit for bit."""
+        s = RiotSession(storage=StorageConfig(
+            memory_bytes=24 * 8192, codec="zstd"),
+            config=OptimizerConfig(level=2, parallelism=1))
+        store = s.store
+        if cache_tiles:
+            store.tile_cache.capacity_bytes = cache_tiles * 8192 + 700
+        plan = s.plan(_ols(s))
+        # Pricing the plan encoded what ingest left pending.
+        assert not store.tile_cache._dirty
+        assert [op.in_place for op in plan.ops()
+                if isinstance(op, LUSolveOp)] == [True]
+        dropped, drop = [], TiledMatrix.drop
+        written, write = [], TiledMatrix._write_codec_tile
+
+        def spy_drop(self):
+            dropped.append(self.name)
+            drop(self)
+
+        def spy_write(self, ti, tj, tile):
+            written.append((self.name, ti, tj))
+            write(self, ti, tj, tile)
+
+        with _recording_spills() as (spilled, encoded), \
+                mock.patch.object(TiledMatrix, "drop", spy_drop), \
+                mock.patch.object(TiledMatrix, "_write_codec_tile",
+                                  spy_write):
+            out = s.evaluator.execute(plan)
+            evicted = spilled[:]
+            pending = set(store.tile_cache._dirty)
+            store.flush()
+        assert len(encoded) == len(spilled) == len(evicted) + len(pending)
+        assert set(spilled[len(evicted):]) == pending
+        assert {name for name, _, _ in pending} == {out.name}
+        assert len(set(dropped)) == 2 and out.name not in dropped
+        released = [t for t in spilled if t[0] in dropped]
+        if cache_tiles is None:
+            assert evicted == released == []
+        else:
+            assert released == evicted
+            assert {name for name, _, _ in evicted} == set(dropped)
+        assert len(encoded) < len(written) // 2
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=24 * 8192)) as raw:
+            ref = raw.force(_ols(raw))
+        assert out.to_numpy().tobytes() == ref.to_numpy().tobytes()
+        s.close()
+
+    @pytest.mark.parametrize("mode", FILE_MODES)
+    def test_close_encodes_pending_tiles(self, tmp_path, mode):
+        cfg = StorageConfig(backend=mode, path=tmp_path / "riot.db",
+                            memory_bytes=16 * 8192, codec="delta+zstd")
+        data = np.arange(96 * 96, dtype=np.float64).reshape(96, 96)
+        with _recording_spills() as (spilled, encoded):
+            with ArrayStore(storage=cfg) as store:
+                mat = store.matrix_from_numpy(data, name="P")
+                assert len(_pending(mat)) == 9 and not mat.tile_dir
+                assert not encoded and not store.device.stats.writes
+            assert len(spilled) == len(encoded) == 9
+        with ArrayStore(storage=cfg) as store:
+            again = store.open_matrix("P")
+            assert len(again.tile_dir) == 9
+            assert again.to_numpy().tobytes() == data.tobytes()
+
+    def test_dropping_pending_tiles_encodes_and_writes_nothing(self):
+        data = np.arange(96 * 96, dtype=np.float64).reshape(96, 96)
+        with _store(codec="delta+zstd") as store, \
+                _recording_spills() as (spilled, encoded):
+            mat = store.matrix_from_numpy(data)
+            assert len(_pending(mat)) == 9
+            mat.drop()
+            store.flush()
+            store.tile_cache.clear()
+            assert spilled == encoded == []
+            assert store.device.stats.writes == 0
+            assert store.pool.resident == 0
+            assert not store.tile_cache._entries
+
+    def test_a_tile_larger_than_the_cache_is_never_lost(self):
+        """It is encoded at once, on every write, and read back from
+        its pages."""
+        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+        with _store(codec="delta+zstd") as store, \
+                _recording_spills() as (spilled, _):
+            store.tile_cache.capacity_bytes = 32 * 32 * 8 - 1
+            mat = store.create_matrix(data.shape, tile_shape=(32, 32))
+            mat.from_numpy(data)
+            assert len(spilled) == 4 and not _pending(mat)
+            assert sorted(mat.tile_dir) == [0, 1, 2, 3]
+            patch = -np.ones((3, 40))
+            mat.write_submatrix(30, 10, patch)
+            data[30:33, 10:50] = patch
+            assert len(spilled) == 4 + 4 and not _pending(mat)
+            assert not store.tile_cache._entries
+            assert mat.to_numpy().tobytes() == data.tobytes()
+            store.flush()
+            store.pool.clear()
+            assert mat.to_numpy().tobytes() == data.tobytes()
+
+    def test_clearing_the_cache_writes_dirty_tiles_through(self):
+        """``tile_cache.clear()`` drops no dirty tile: it encodes it
+        and writes its pages to the device, leaving nothing in memory,
+        so the next read is cold."""
+        data = np.arange(96 * 96, dtype=np.float64).reshape(96, 96)
+        with _store(codec="delta+zstd") as store, \
+                _recording_spills() as (spilled, _):
+            mat = store.matrix_from_numpy(data)
+            assert len(_pending(mat)) == 9
+            store.tile_cache.clear()
+            assert len(spilled) == 9 and not _pending(mat)
+            pages = sum(len(mat.tile_blocks(ti, tj))
+                        for ti, tj in mat.tiles())
+            assert store.device.stats.writes == pages
+            assert store.pool.resident == 0
+            store.reset_stats()
+            assert mat.to_numpy().tobytes() == data.tobytes()
+            assert store.device.stats.reads == pages
+            assert len(spilled) == 9
+
+    def test_a_pending_tile_reads_from_the_cache_and_has_no_pages(self):
+        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+        with _store(codec="delta+zstd") as store:
+            mat = store.create_matrix(data.shape, tile_shape=(32, 32))
+            mat.from_numpy(data)
+            store.flush()
+            mat.write_tile(0, 1, -data[:32, 32:])
+            assert mat.tile_blocks(0, 1) == []
+            assert len(mat.tile_blocks(0, 0)) == 1
+            store.reset_stats()
+            assert mat.read_tile(0, 1).tobytes() \
+                == (-data[:32, 32:]).tobytes()
+            assert store.device.stats.reads == 0
+            assert store.pool.stats.accesses == 0
+
+
+    def test_a_rewrite_drops_the_pages_it_supersedes(self):
+        """A stored tile rewritten smaller: the flush writes the new
+        payload's page and none of the old span's."""
+        rng = np.random.default_rng(7)
+        noise = rng.integers(0, 1 << 64, (64, 64), dtype=np.uint64) \
+            .view(np.float64)
+        with _store(codec="delta+zstd") as store:
+            mat = store.create_matrix((64, 64), tile_shape=(64, 64))
+            mat.write_tile(0, 0, noise)
+            assert mat.stored_pages() == (4, 4)   # stored raw, in the pool
+            mat.write_tile(0, 0, np.zeros((64, 64)))
+            store.flush()
+            assert mat.stored_pages() == (1, 4)
+            assert store.device.stats.writes == 1
+
+    def test_a_read_racing_a_write_keeps_the_write(self):
+        """A write that lands between a read's decode of a tile's
+        stored pages and its insert of the decoded tile: the read
+        returns what it decoded, and the write, still pending, is what
+        stays — a clean insert never replaces a dirty entry."""
+        data = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
+        with _store(codec="delta+zstd") as store:
+            mat = store.create_matrix((32, 32), tile_shape=(32, 32))
+            mat.write_tile(0, 0, data)
+            store.tile_cache.clear()
+            decode = DeltaZstdCodec.decode_tile
+
+            def racing(self, payload, dtype, count):
+                tile = decode(self, payload, dtype, count)
+                mat.write_tile(0, 0, -data)
+                return tile
+
+            with mock.patch.object(DeltaZstdCodec, "decode_tile", racing):
+                assert mat.read_tile(0, 0).tobytes() == data.tobytes()
+            assert mat.read_tile(0, 0).tobytes() == (-data).tobytes()
+            store.tile_cache.clear()
+            store.pool.clear()
+            assert mat.read_tile(0, 0).tobytes() == (-data).tobytes()
+
+
+class TestWriteBackConcurrency:
+    """Tile workers with a decoded-tile cache of a few tiles: every
+    read may race a spill.  Results and block counts are those of the
+    serial run, under the sanitizing pool."""
+
+    @staticmethod
+    def _run(parallelism):
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=24 * 8192, codec="zstd", sanitize=True),
+                config=OptimizerConfig(level=2,
+                                       parallelism=parallelism)) as s:
+            s.store.tile_cache.capacity_bytes = 3 * 32 * 32 * 8
+            a = s.matrix(_integers(3, (160, 96)), name="A")
+            b = s.matrix(_integers(4, (96, 128)), name="B")
+            chain = s.force((a @ b) @ b.T).to_numpy()
+            beta = s.force(_ols(s)).to_numpy()
+            stats = s.io_stats
+            return chain, beta, (stats.reads, stats.writes)
+
+    def test_parallel_equals_serial(self):
+        serial, parallel = self._run(1), self._run(2)
+        assert serial[0].tobytes() == parallel[0].tobytes()
+        assert serial[1].tobytes() == parallel[1].tobytes()
+        assert serial[2] == parallel[2]
+
+    def test_threads_sharing_a_tiny_cache_lose_no_write(self):
+        """More threads than cores each write and read back their own
+        tiles of one matrix through a cache of two tiles, so nearly
+        every insert spills another thread's pending tile — racing
+        that thread's read of it, or its next write.  Every read sees
+        its thread's last write, and so does the device at the end."""
+        workers, rounds, side = 4, 30, 32
+        with _store(codec="delta+zstd", sanitize=True) as store:
+            store.tile_cache.capacity_bytes = 2 * side * side * 8
+            mat = store.create_matrix((2 * side, workers * side),
+                                      tile_shape=(side, side))
+            final = np.zeros(mat.shape)
+            failures: list = []
+
+            def work(w):
+                rng = np.random.default_rng(w)
+                cols = slice(w * side, (w + 1) * side)
+                try:
+                    for r in range(rounds):
+                        for ti in range(2):
+                            # Integers compress; noise is stored raw.
+                            tile = (rng.integers(-8, 9, (side, side))
+                                    .astype(np.float64) if r % 3
+                                    else rng.standard_normal((side, side)))
+                            mat.write_tile(ti, w, tile)
+                            final[ti * side:(ti + 1) * side, cols] = tile
+                        for ti in range(2):
+                            want = final[ti * side:(ti + 1) * side, cols]
+                            if (mat.read_tile(ti, w).tobytes()
+                                    != want.tobytes()):
+                                failures.append((w, r, ti))
+                except Exception as exc:   # reported by the assert
+                    failures.append((w, exc))
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(w,))
+                           for w in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            store.flush()
+            store.tile_cache.clear()
+            store.pool.clear()
+            assert mat.to_numpy().tobytes() == final.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ so the equivalence stays checked.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,8 @@ def test_a_compressed_rectangle_is_one_pool_read():
         store, mat = _make(layout)
         store.tile_cache.capacity_bytes = 4 * 640
         mat.write_submatrix(0, 0, data)
+        # Written tiles are encoded when they leave memory.
+        store.flush()
         store.reset_stats()
         calls = _count_get_many(store.pool)
         assert _bits(read(mat, 0, 11, 0, 17)) == _bits(data)
@@ -224,28 +228,45 @@ def test_a_compressed_rectangle_is_one_pool_read():
     assert seen["rect"][1] == 6
 
 
+class _Owner:
+    """Stands in for a matrix: records the tiles it is asked to
+    spill."""
+
+    def __init__(self) -> None:
+        self.spilled: list[int] = []
+
+    def _spill(self, ti, tj, tile, through=False) -> int:
+        self.spilled.append(ti)
+        return 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(0, 12),
-       held=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)),
+       held=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4),
+                               st.booleans()),
                      max_size=10),
        keys=st.lists(st.integers(0, 9), unique=True),
        size=st.integers(1, 4))
 def test_the_cache_foresees_its_own_walk(capacity, held, keys, size):
-    """``would_miss`` answers for a whole walk what ``get`` — each miss
-    followed by ``put`` — then answers key by key, and disturbs
-    nothing on the way."""
-    cache = DecodedTileCache(capacity * 8)
-    for key, n in held:
-        cache.put((key,), np.zeros(n))
-    order = list(cache._entries)
-    foreseen = cache.would_miss([(k,) for k in keys], size * 8)
-    assert list(cache._entries) == order
+    """``foresee`` answers for a whole walk what ``get`` — each miss
+    followed by ``put`` — then answers key by key: whether it misses,
+    and whether that ``put`` spills a dirty tile.  It disturbs nothing
+    on the way."""
+    owner = _Owner()
+    cache = DecodedTileCache(capacity * 8, threading.RLock())
+    for key, n, dirty in held:
+        cache.put(("m", key, 0), np.zeros(n), owner if dirty else None)
+    order, spilled = list(cache._entries), list(owner.spilled)
+    foreseen = cache.foresee([("m", k, 0) for k in keys], size * 8)
+    assert list(cache._entries) == order and owner.spilled == spilled
     assert (cache.hits, cache.misses) == (0, 0)
     actual = []
     for k in keys:
-        actual.append(cache.get((k,)) is None)
-        if actual[-1]:
-            cache.put((k,), np.zeros(size))
+        miss = cache.get(("m", k, 0)) is None
+        before = len(owner.spilled)
+        if miss:
+            cache.put(("m", k, 0), np.zeros(size))
+        actual.append((miss, len(owner.spilled) > before))
     assert foreseen == actual
 
 
