@@ -33,8 +33,8 @@ import numpy as np
 from conftest import record_io_stats
 
 from repro.core import OptimizerConfig, RiotSession
-from repro.core.costs import (crossprod_io, transpose_materialize_io,
-                              transposed_matmul_io)
+from repro.core.costs import (crossprod_io, square_tile_matmul_io,
+                              transpose_materialize_io)
 from repro.linalg import crossprod_matmul, square_tile_matmul
 from repro.storage import ArrayStore, StorageConfig
 
@@ -98,8 +98,8 @@ def test_crossprod_beats_materialized_transpose(benchmark):
     assert np.allclose(mat_vals, flag_vals)
     assert np.allclose(mat_vals, cp_vals)
 
-    model_flag = transposed_matmul_io(N_FEAT, N_OBS, N_FEAT,
-                                      MEMORY_SCALARS, BLOCK_SCALARS)
+    model_flag = square_tile_matmul_io(N_FEAT, N_OBS, N_FEAT,
+                                       MEMORY_SCALARS, BLOCK_SCALARS)
     model_mat = model_flag + transpose_materialize_io(
         N_OBS, N_FEAT, BLOCK_SCALARS)
     model_cp = crossprod_io(N_OBS, N_FEAT, MEMORY_SCALARS,

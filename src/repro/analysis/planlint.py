@@ -1,17 +1,17 @@
 """Static plan verification: reject infeasible plans before they run.
 
 The kernels each defend their own preconditions deep inside execution
-(``square_tile_matmul`` raises when the budget cannot hold three panel
-submatrices, ``lu_decompose`` when a tall panel does not fit, ``spgemm``
-when k-grids misalign...).  Those guards fire mid-plan, after earlier
-operators have already burned I/O.  :func:`verify_plan` lifts them —
-plus shape conformability, kernel-pin legality, epilogue-fusion
-legality, shared-scan legality (a crossprod's side products), the
-tape of every elementwise region, release points and in-place
-operands (lifetimes) and prediction sanity — into one
-pre-execution walk over the
-:class:`~repro.core.plan.PhysicalPlan`, with every error naming the
-offending operator.
+(each dense kernel's schedule in :mod:`repro.core.costs` refuses a
+budget it cannot run in, ``spgemm`` k-grids that misalign...).  Those
+guards fire mid-plan, after earlier operators have already burned I/O.
+:func:`verify_plan` lifts them — by calling the schedule of each dense
+operator's own kernel, so both refuse the same budgets in the same
+words — plus shape conformability, kernel-pin legality,
+epilogue-fusion legality, shared-scan legality (a crossprod's side
+products), the tape of every elementwise region, release points and
+in-place operands (lifetimes) and prediction sanity into one
+pre-execution walk over the :class:`~repro.core.plan.PhysicalPlan`,
+with every error naming the offending operator.
 
 Wired into :meth:`repro.core.evaluator.Evaluator.execute` and
 ``session.explain()`` under ``OptimizerConfig(strict=True)``; the
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 
-from repro.core.costs import COST_MODELS, crossprod_schedule
+from repro.core.costs import (COST_MODELS, bnlj_schedule,
+                              crossprod_schedule, lu_schedule,
+                              lu_tile_side, square_schedule)
 from repro.core.expr import (ArrayInput, Crossprod, MatMul, Node, Range,
                              Scalar, Solve, walk)
 from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
@@ -49,47 +51,48 @@ def _effective_shapes(node: MatMul) -> tuple[tuple[int, int],
     return sa, sb
 
 
-def _check_square_budget(op: PhysOp, operand: Node, panels: int,
-                         memory_scalars: int, block_scalars: int,
-                         what: str) -> None:
-    """The Appendix-A feasibility check of ``_square_panel``, lifted.
-
-    Mirrors the kernel's ragged fallback: below ``panels`` whole tiles
-    the panel shrinks (unaligned) instead of failing, so the only
-    infeasible budget is one that cannot hold ``panels`` scalars.
-    """
-    if memory_scalars < panels:
-        _fail(op, f"memory budget of {memory_scalars} scalars cannot "
-                  f"hold {panels} 1 x 1 submatrices for {what} "
-                  f"(needs >= {panels} scalars)")
-
-
-def _check_crossprod(op: CrossprodOp, memory_scalars: int,
-                     block_scalars: int) -> None:
-    """A crossprod's schedule exists in the budget and its largest pass
-    — side products included — fits it
-    (:func:`repro.core.costs.crossprod_schedule`).  Side products need
-    an operand whose tiles are known at plan time, and the fit is the
-    rule the planner shared them by and the kernel would refuse them
-    on (:func:`repro.core.costs.crossprod_side_fits`)."""
-    from repro.core.planner import operand_tile_side
-    a = op.node.children[0]
-    inner, k = a.shape if op.node.t_first else a.shape[::-1]
-    tile = operand_tile_side(a)
-    if op.side_nodes:
-        _check_side_products(op)
-        if tile is None:
-            _fail(op, "side products ride on a stored operand only: "
-                      "the schedule needs its tiles at plan time")
-    elif tile is None:
-        tile = default_tile_side(max(1, block_scalars),
-                                 memory_scalars // max(1, block_scalars),
-                                 a.shape)
+def _schedule(op: PhysOp, build, *args):
+    """The schedule ``build(*args)``, its refusal raised as ``op``'s."""
     try:
-        schedule = crossprod_schedule(inner, k, tile, memory_scalars)
+        return build(*args)
     except ValueError as exc:
         _fail(op, str(exc))
-    cols = sum(side.shape[1] for side in op.side_nodes)
+
+
+def _check_schedule(op: PhysOp, node: Node, memory_scalars: int,
+                    block_scalars: int, extra: int = 0) -> None:
+    """The schedule of the kernel ``op`` runs ``node`` on — BNLJ,
+    square tile or crossprod, with ``extra`` fused-epilogue inputs —
+    exists in the budget, and a crossprod's largest pass fits it with
+    its side products, which need an operand whose tiles are known at
+    plan time (:func:`repro.core.costs.crossprod_side_fits`)."""
+    from repro.core.planner import operand_tile_side
+    block = max(1, block_scalars)
+
+    def tile(c: Node) -> int:  # a stored operand's own, else the default
+        return operand_tile_side(c) or default_tile_side(
+            block, memory_scalars // block, c.shape)
+
+    a = node.children[0]
+    if isinstance(node, MatMul):
+        (m, l), (_, n) = _effective_shapes(node)
+        if isinstance(op, BnljOp):
+            _schedule(op, bnlj_schedule, m, l, n, tile(node.children[1]),
+                      memory_scalars)
+        else:
+            _schedule(op, square_schedule, m, l, n, tile(a),
+                      memory_scalars, extra)
+        return
+    inner, k = a.shape if node.t_first else a.shape[::-1]
+    sides = getattr(op, "side_nodes", ())
+    if sides:
+        _check_side_products(op)
+        if operand_tile_side(a) is None:
+            _fail(op, "side products ride on a stored operand only: "
+                      "the schedule needs its tiles at plan time")
+    schedule = _schedule(op, crossprod_schedule, inner, k, tile(a),
+                         memory_scalars, extra)
+    cols = sum(side.shape[1] for side in sides)
     peak = schedule.peak(cols)
     if peak > memory_scalars:
         _fail(op, f"side products of {cols} columns do not fit beside "
@@ -152,17 +155,7 @@ def _verify_op(op: PhysOp, memory_scalars: int,
             _fail(op, "node is pinned kernel='sparse' with a "
                       "sparse-stored operand but lowered to a dense "
                       "kernel")
-        if isinstance(op, BnljOp):
-            need = sa[1] + sb[1]
-            if memory_scalars < need:
-                _fail(op, f"memory budget of {memory_scalars} scalars "
-                          f"cannot hold one A row plus one result row "
-                          f"(n2 + n3 = {need} scalars); the BNLJ "
-                          f"schedule would overrun the pool")
-        else:
-            _check_square_budget(op, node.children[0], 3,
-                                 memory_scalars, block_scalars,
-                                 "square_tile_matmul")
+        _check_schedule(op, node, memory_scalars, block_scalars)
         return
 
     if isinstance(op, CrossprodOp):
@@ -174,7 +167,7 @@ def _verify_op(op: PhysOp, memory_scalars: int,
         if node.shape != (k, k):
             _fail(op, f"output shape {node.shape} != {(k, k)} implied "
                       f"by its operand")
-        _check_crossprod(op, memory_scalars, block_scalars)
+        _check_schedule(op, node, memory_scalars, block_scalars)
         return
 
     # -- sparse products (kernel-pin legality) -------------------------
@@ -214,14 +207,8 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                 _fail(op, f"right-hand side has {b.shape[0]} rows for "
                           f"a {a.shape[0]} x {a.shape[1]} system")
         n = a.shape[0]
-        # The kernel's refusal: its working factor steps down to the
-        # one-page tile before it gives up (costs.lu_tile_side).
-        tile_w = min(n, default_tile_side(max(1, block_scalars)))
-        need = 3 * n * tile_w
-        if memory_scalars < need:
-            _fail(op, f"memory budget of {memory_scalars} scalars "
-                      f"cannot hold a tall LU panel of {n} x {tile_w} "
-                      f"(needs >= {need} scalars)")
+        _schedule(op, lu_schedule, n, memory_scalars,
+                  lu_tile_side(n, memory_scalars, max(1, block_scalars)))
         return
 
     # -- transpose materialization -------------------------------------
@@ -240,10 +227,8 @@ def _verify_op(op: PhysOp, memory_scalars: int,
         if not _barrier_fusable(op.barrier):
             _fail(op, "barrier is not fusable with a dense epilogue "
                       "(sparse-pinned or sparse-dispatched product)")
-        panels = 2 + len(op.region.sources)
-        _check_square_budget(op, op.barrier.children[0], panels,
-                             memory_scalars, block_scalars,
-                             "the fused epilogue")
+        _check_schedule(op, op.barrier, memory_scalars, block_scalars,
+                        len(op.region.sources) - 1)
 
 
 def _check_region(op: PhysOp) -> None:

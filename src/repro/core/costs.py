@@ -7,7 +7,10 @@ exactly as we do here.  Units: ``memory`` and ``block`` are in scalars
 
 The measured out-of-core implementations in :mod:`repro.linalg` are checked
 against these models at small n by ``tests/linalg/test_cost_agreement.py`` —
-a validation the paper itself did not show.
+a validation the paper itself did not show.  Each dense kernel runs a
+schedule stated here once, for it, its verifier and its model:
+:func:`square_schedule` (with its fused epilogue), :func:`bnlj_schedule`,
+:func:`crossprod_schedule` and :func:`lu_schedule`.
 """
 
 from __future__ import annotations
@@ -51,21 +54,6 @@ def square_tile_matmul_io(m: float, l: float, n: float,
                      / (block * math.sqrt(memory))) + (m * n) / block)
 
 
-def transposed_matmul_io(m: float, l: float, n: float,
-                         memory: float, block: float) -> float:
-    """Appendix-A schedule with a *flagged* (transposed) operand.
-
-    The flag is free: a flagged operand's submatrices are read in
-    stored layout (the mirrored rectangle covers the same number of
-    whole tiles) and transposed in memory, so the model is exactly the
-    unflagged :func:`square_tile_matmul_io`.  Stated as its own symbol
-    so plans can be costed against the *materialized-transpose*
-    alternative, which additionally pays
-    :func:`transpose_materialize_io`.
-    """
-    return square_tile_matmul_io(m, l, n, memory, block)
-
-
 def transpose_materialize_io(rows: float, cols: float,
                              block: float) -> float:
     """One full disk pass to store an explicit transpose: read every
@@ -76,14 +64,12 @@ def transpose_materialize_io(rows: float, cols: float,
 
 def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
     """The Appendix-A submatrix side ``p = sqrt(M / panels)``,
-    tile-aligned — the panel of ``square_tile_matmul`` and the
-    Appendix-A candidate of :func:`crossprod_schedule`, stated once for
-    kernels, planner and verifier.
+    tile-aligned — the p of :func:`square_schedule` and the Appendix-A
+    candidate of :func:`crossprod_schedule`.
 
     ``panels`` is the number of p x p submatrices resident at once.
     When the budget cannot hold ``panels`` whole storage tiles the
-    panel goes *ragged*: p drops below the tile side (never below 1;
-    the kernels refuse a budget under ``panels`` scalars themselves).
+    panel goes *ragged*: p drops below the tile side, never below 1.
     ``tile_side = 1`` gives ``floor(sqrt(M / panels))``, the largest
     panel any tile side can give.
     """
@@ -91,6 +77,83 @@ def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
     if p < tile_side:
         return max(1, p)
     return max(tile_side, (p // tile_side) * tile_side)
+
+
+def held_submatrices(extra: float = 0) -> float:
+    """Submatrices an Appendix-A step holds: A's, B's and C's, and one
+    per fused-epilogue input."""
+    return 3 + extra
+
+
+def _panels_fit(memory: float, extra: int, kernel: str) -> int:
+    """``held_submatrices(extra)``; ``kernel`` refuses fewer scalars."""
+    panels = held_submatrices(extra)
+    if memory < panels:
+        fused = f" with a fused epilogue reading {extra} more" if extra else ""
+        raise ValueError(
+            f"memory budget of {memory} scalars cannot hold {panels} "
+            f"1 x 1 submatrices for {kernel}{fused}: the schedule "
+            f"needs at least {panels} scalars")
+    return panels
+
+
+#: A rectangle ``(r0, r1, c0, c1)`` of a matrix.
+Rect = tuple[int, int, int, int]
+
+
+def cuts(n: int, step: int) -> list[tuple[int, int]]:
+    """``[0, n)`` in ranges ``step`` long, the last one ragged — the
+    loop arithmetic of every schedule and kernel."""
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+@dataclass(frozen=True)
+class ProductSchedule:
+    """The blocked schedule of an m x l by l x n product: the result in
+    ``rows`` x ``cols`` blocks, row-major, each summed over inner steps
+    ``depth`` wide.  Appendix A's is p x p blocks of depth p; §3's BNLJ
+    is chunks of q rows at full depth, B scanned ``cols`` columns at a
+    time while the chunk's rows of A and of the result stay resident."""
+
+    m: int
+    l: int
+    n: int
+    rows: int
+    cols: int
+    depth: int
+
+    def steps(self) -> Iterator[tuple[Rect, Rect, Rect]]:
+        """``(out, a, b)`` per step, in execution order: A's rectangle
+        ``a`` times B's ``b`` folds into the output block ``out``."""
+        for i0, i1 in cuts(self.m, self.rows):
+            for j0, j1 in cuts(self.n, self.cols):
+                for k0, k1 in cuts(self.l, self.depth):
+                    yield ((i0, i1, j0, j1), (i0, i1, k0, k1),
+                           (k0, k1, j0, j1))
+
+
+def square_schedule(m: int, l: int, n: int, tile_side: int,
+                    memory: float, extra: int = 0) -> ProductSchedule:
+    """Appendix A's schedule, p = :func:`square_panel` for an A on
+    ``tile_side``-sided tiles and ``extra`` fused-epilogue inputs."""
+    panels = _panels_fit(memory, extra, "square_tile_matmul")
+    p = square_panel(memory, tile_side, panels)
+    return ProductSchedule(int(m), int(l), int(n), p, p, p)
+
+
+def bnlj_schedule(n1: int, n2: int, n3: int, col_step: int,
+                  memory: float) -> ProductSchedule:
+    """§3's BNLJ with q = floor(M / (n2 + n3)), B scanned ``col_step``
+    columns at a time (on column tiles a block of columns costs what
+    one does); a budget under one row of A and one of C is refused."""
+    need = n2 + n3
+    if memory < need:
+        raise ValueError(
+            f"memory budget of {memory} scalars cannot hold one A row "
+            f"plus one result row (n2 + n3 = {need} scalars); the BNLJ "
+            f"schedule would overrun the pool")
+    return ProductSchedule(int(n1), int(n2), int(n3), int(memory // need),
+                           max(1, int(col_step)), int(n2))
 
 
 def _packed_triangle(w: int, rows: int) -> int:
@@ -200,13 +263,9 @@ def crossprod_schedule(m: int, k: int, tile_side: int, memory: float,
     :class:`ValueError` when ``memory`` cannot hold ``3 + e`` scalars.
     """
     k, extra = int(k), int(epilogue_inputs)
-    if memory < 3 + extra:
-        raise ValueError(
-            f"memory budget of {memory} scalars cannot hold {3 + extra} "
-            f"1 x 1 submatrices for crossprod_matmul: the crossprod "
-            f"schedule needs at least {3 + extra} scalars")
+    panels = _panels_fit(memory, extra, "crossprod_matmul")
     t = max(int(tile_side), 1)
-    p = square_panel(memory, t, 3 + extra)
+    p = square_panel(memory, t, panels)
     # (passes over each column of A, -slab, side, slab)
     best = (-(-k // p), -p, min(p, k), p)
     for a in range(t, k + t, t):
@@ -216,7 +275,7 @@ def crossprod_schedule(m: int, k: int, tile_side: int, memory: float,
         if h >= t:
             best = min(best, (-(-k // a), -h, a, h))
     _, _, a, h = best
-    bounds = [(lo, min(lo + a, k)) for lo in range(0, k, a)]
+    bounds = cuts(k, a)
     regions = tuple((i0, i1, j0, j1)
                     for n, (i0, i1) in enumerate(bounds)
                     for j0, j1 in bounds[n:])
@@ -293,7 +352,8 @@ def matmul_epilogue_io(m: float, l: float, n: float,
     compression.
     """
     if fused:
-        return ratio * (2.0 * math.sqrt(3.0 + extra_inputs) * l * m * n
+        return ratio * (2.0 * math.sqrt(held_submatrices(extra_inputs))
+                        * l * m * n
                         / (block * math.sqrt(memory))
                         + (1.0 + extra_inputs) * m * n / block)
     return (square_tile_matmul_io(m, l, n, memory, block, ratio)
@@ -606,8 +666,8 @@ def matmul_result_density(d_a: float, d_b: float, inner: float) -> float:
 # Dense LU factorization and triangular solves (§5 first-class operators)
 # ----------------------------------------------------------------------
 def lu_panel_width(n: float, memory: float, tile_side: float) -> int:
-    """Column-panel width of the out-of-core pivoted LU, shared by
-    kernel and model.
+    """Column-panel width of the out-of-core pivoted LU
+    (:class:`LUSchedule`).
 
     Partial pivoting needs the full trailing column panel resident to
     choose pivot rows, so the panel is *tall*: ``n x p`` scalars.  One
@@ -691,25 +751,26 @@ class LUStep:
 @dataclass(frozen=True)
 class LUSchedule:
     """The right-looking schedule of the out-of-core pivoted LU of an
-    n x n matrix, stated once for kernel and cost models.
+    n x n matrix, stated once for kernel, cost models and verifier.
 
-    The factor is cut into column panels ``width`` wide
-    (:func:`lu_panel_width`, whole tiles).  Each panel makes one pass:
-    its own step first, then one step per other strip of the same
-    width, in column order (:meth:`steps`), so every strip of the
-    trailing rows is read and written once per panel and there is no
-    separate update pass.  The substitution sweeps step through the
-    same panels as block rows.
+    The factor, on ``tile``-sided tiles, is cut into column panels
+    ``width`` wide (:func:`lu_panel_width` in ``memory`` scalars, whole
+    tiles).  Each panel makes one pass: its own step first, then one
+    step per other strip of the same width, in column order
+    (:meth:`steps`), so every strip of the trailing rows is read and
+    written once per panel and there is no separate update pass.  The
+    substitution sweeps step through the same panels as block rows.
     """
 
     n: int
+    tile: int
+    memory: float
     width: int
 
     def panels(self) -> list[tuple[int, int]]:
         """The column panels ``(k0, k1)``, which are also the strips
         and the sweeps' block rows."""
-        return [(k0, min(k0 + self.width, self.n))
-                for k0 in range(0, self.n, self.width)]
+        return cuts(self.n, self.width)
 
     def steps(self) -> Iterator[LUStep]:
         """Every pass in execution order."""
@@ -725,18 +786,47 @@ class LUSchedule:
         covers rows ``k0..n`` of its columns."""
         return sum((self.n - s.k0) * (s.j1 - s.j0) for s in self.steps())
 
+    def sweep(self, forward: bool
+              ) -> Iterator[tuple[Rect, list[tuple[int, int]]]]:
+        """``(footprint, off)`` per block row of a sweep, top down over L
+        (forward) or bottom up over U: the factor rectangle it reads and
+        the column ranges of its off-diagonal blocks, read in order."""
+        panels = self.panels()
+        for i0, i1 in (panels if forward else panels[::-1]):
+            yield ((i0, i1, 0, i1) if forward else (i0, i1, i0, self.n),
+                   [p for p in panels if (p[1] <= i0 if forward
+                                          else p[0] > i0)])
+
     def sweep_scalars(self, forward: bool) -> int:
-        """Scalars of the factor one substitution sweep reads: each
-        block row from column 0 to its diagonal block (forward, L) or
-        from its diagonal block to column n (backward, U)."""
-        return sum((i1 - i0) * (i1 if forward else self.n - i0)
-                   for i0, i1 in self.panels())
+        """Scalars of the factor one substitution sweep reads."""
+        return sum((i1 - i0) * (c1 - c0)
+                   for (i0, i1, c0, c1), _ in self.sweep(forward))
+
+    def rhs_panels(self, k: int, tile: int) -> list[tuple[int, int]]:
+        """The column panels of a k-column right-hand side solved one at
+        a time: :func:`lu_panel_width` on its ``tile``-wide tiles."""
+        return cuts(int(k), lu_panel_width(self.n, self.memory,
+                                            min(tile, int(k))))
+
+
+def _lu(n: float, memory: float, tile: float) -> LUSchedule:
+    n, tile = int(n), min(int(n), int(tile))
+    return LUSchedule(n, tile, memory, lu_panel_width(n, memory, tile))
 
 
 def lu_schedule(n: float, memory: float, tile: float) -> LUSchedule:
     """The :class:`LUSchedule` of an n x n factor on ``tile``-sided
-    tiles in ``memory`` scalars."""
-    return LUSchedule(int(n), lu_panel_width(n, memory, tile))
+    tiles in ``memory`` scalars; a budget that cannot hold three tall
+    panels one tile wide is refused.  The models price such a plan
+    all the same (``_lu``) and leave it to the verifier to reject."""
+    schedule = _lu(n, memory, tile)
+    if memory < 3 * schedule.n * schedule.tile:
+        raise ValueError(
+            f"memory budget of {memory} scalars cannot hold a tall LU "
+            f"panel of {schedule.n} x {schedule.tile}: partial pivoting "
+            f"holds a tall pivot panel, a strip and working frames, "
+            f"3 * n * tile_side = {3 * schedule.n * schedule.tile} scalars")
+    return schedule
 
 
 def lu_io(n: float, memory: float, block: float,
@@ -757,8 +847,7 @@ def lu_io(n: float, memory: float, block: float,
     ratio, as in the product models: input, factor and strips are
     codec tiles like any other.
     """
-    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
-        n, memory, block))
+    schedule = _lu(n, memory, tile_side or lu_tile_side(n, memory, block))
     copy = -min(n * n, memory) if in_place else 2.0 * n * n
     return ratio * (copy + 2.0 * schedule.factor_scalars()) / block
 
@@ -770,8 +859,7 @@ def solve_io(n: float, nrhs: float, memory: float, block: float,
     over :func:`lu_schedule`'s block rows — together one pass over the
     packed factor with the diagonal blocks touched twice.
     """
-    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
-        n, memory, block))
+    schedule = _lu(n, memory, tile_side or lu_tile_side(n, memory, block))
     return ratio * (schedule.sweep_scalars(True)
                     + schedule.sweep_scalars(False)) / block
 
@@ -779,13 +867,11 @@ def solve_io(n: float, nrhs: float, memory: float, block: float,
 def _solve_panels_io(n: float, nrhs: float, memory: float, block: float,
                      tile_side: float | None, out_tile: float) -> float:
     """Factor plus sweeps of a solve whose RHS has ``nrhs`` columns in
-    panels of :func:`lu_panel_width` on the result's tile width: the
-    first panel rides through the factorization and pays the backward
-    sweep alone, every later one both sweeps."""
-    schedule = lu_schedule(n, memory, tile_side or lu_tile_side(
-        n, memory, block))
-    panels = math.ceil(nrhs / lu_panel_width(n, memory,
-                                             min(out_tile, nrhs)))
+    :meth:`LUSchedule.rhs_panels` on the result's tile width: the first
+    panel rides through the factorization and pays the backward sweep
+    alone, every later one both sweeps."""
+    schedule = _lu(n, memory, tile_side or lu_tile_side(n, memory, block))
+    panels = len(schedule.rhs_panels(nrhs, out_tile))
     sweeps = (schedule.sweep_scalars(False) + (panels - 1)
               * (schedule.sweep_scalars(True)
                  + schedule.sweep_scalars(False)))

@@ -52,7 +52,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.core.costs import lu_in_place, lu_schedule, lu_tile_side
+from repro.core.costs import (LUSchedule, cuts, lu_in_place,
+                              lu_schedule, lu_tile_side)
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 
@@ -139,6 +140,20 @@ def _carry(rows: np.ndarray, order: np.ndarray, l_inv: np.ndarray,
     return rows
 
 
+def _schedule(store: ArrayStore, a: TiledMatrix,
+              memory_scalars: int | None,
+              tile: int | None = None) -> LUSchedule:
+    """The LU schedule of ``a`` in ``memory_scalars`` (else the
+    pool's) on ``tile``-sided tiles, by default the working factor's,
+    so every panel and strip covers whole tiles."""
+    n = a.shape[0]
+    memory = memory_scalars or (store.pool.capacity
+                                * store.scalars_per_block)
+    return lu_schedule(n, memory, tile or lu_tile_side(
+        n, memory, store.device.block_size // a.dtype.itemsize,
+        store.pool.capacity))
+
+
 def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
             name: str | None = None, overwrite_a: bool = False,
             rhs: np.ndarray | None = None
@@ -153,39 +168,27 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
     if n1 != n2:
         raise ValueError(f"LU requires a square matrix, got {a.shape}")
     n = n1
-    memory = memory_scalars or (store.pool.capacity
-                                * store.scalars_per_block)
-    block = store.device.block_size // a.dtype.itemsize
-    side = min(n, lu_tile_side(n, memory, block, store.pool.capacity))
-    if memory < 3 * n * side:
-        raise ValueError(
-            f"memory budget of {memory} scalars cannot hold a tall "
-            f"pivot panel for n={n}: partial pivoting needs at least "
-            f"3 * n * tile_side = {3 * n * side} scalars "
-            f"(panel + strip + working frames)")
-    if overwrite_a and lu_in_place(n, a.tile_shape, memory, block,
-                                   store.pool.capacity):
+    plan = _schedule(store, a, memory_scalars)
+    side = plan.tile
+    if overwrite_a and lu_in_place(
+            n, a.tile_shape, plan.memory,
+            store.device.block_size // a.dtype.itemsize,
+            store.pool.capacity):
         out = a
     else:
         out = store.create_matrix((n, n), tile_shape=(side, side),
                                   name=name, dtype=a.dtype)
         # Copy in rectangles that are whole tiles of both matrices
         # when one side divides the other (any two default sides do).
-        step_r = max(a.tile_shape[0], side)
-        step_c = max(a.tile_shape[1], side)
-        for r0 in range(0, n, step_r):
-            r1 = min(r0 + step_r, n)
-            for c0 in range(0, n, step_c):
-                out.write_submatrix(r0, c0, a.read_submatrix(
-                    r0, r1, c0, min(c0 + step_c, n)))
-    # Panels are cut in multiples of the factor's own tile width, so
-    # every panel and strip covers whole tiles.
-    schedule = lu_schedule(n, memory, out.tile_shape[1])
+        for r0, r1 in cuts(n, max(a.tile_shape[0], side)):
+            for c0, c1 in cuts(n, max(a.tile_shape[1], side)):
+                out.write_submatrix(r0, c0,
+                                    a.read_submatrix(r0, r1, c0, c1))
     perm = np.arange(n, dtype=np.int64)
     try:
-        for k0, steps in groupby(schedule.steps(), key=attrgetter("k0")):
+        for k0, steps in groupby(plan.steps(), key=attrgetter("k0")):
             with store.tracer.span("lu:panel", cat="kernel", k0=k0,
-                                   p=schedule.width):
+                                   p=plan.width):
                 for step in steps:
                     j0, j1 = step.j0, step.j1
                     store.pool.prefetch(

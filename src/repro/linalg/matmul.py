@@ -19,6 +19,10 @@ Real algorithms from the paper, all running against
   ``t(A) %*% B_i`` on its diagonal regions from the A slab already in
   memory — the normal equations' X'X and X'y from one scan of X.
 
+Each runs its schedule from :mod:`repro.core.costs` (``bnlj_schedule``,
+``square_schedule``, ``crossprod_schedule``), which refuses a budget
+the kernel cannot run in.
+
 The dense kernels take ``trans_a``/``trans_b`` *operand flags*: a flagged
 operand is multiplied as its transpose but **read in its stored layout**,
 each submatrix transposed in memory as it streams through — the transposed
@@ -34,48 +38,27 @@ for I/O agreement with the analytic models of :mod:`repro.core.costs`.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 
-from repro.core.costs import (crossprod_schedule, crossprod_side_fits,
-                              square_panel)
+from repro.core.costs import (bnlj_schedule, crossprod_schedule,
+                              crossprod_side_fits, cuts, square_schedule)
 from repro.core.parallel import accumulate
 from repro.storage import ArrayStore, TiledMatrix
 
 
-def _effective_shape(m: TiledMatrix, trans: bool) -> tuple[int, int]:
-    return m.shape[::-1] if trans else m.shape
-
-
-def _check_conformable(a: TiledMatrix, b: TiledMatrix,
-                       trans_a: bool = False,
-                       trans_b: bool = False) -> None:
-    sa = _effective_shape(a, trans_a)
-    sb = _effective_shape(b, trans_b)
+def _dims(a: TiledMatrix, b: TiledMatrix, trans_a: bool,
+          trans_b: bool) -> tuple[int, int, int]:
+    """``(m, l, n)`` of the effective product; non-conformable operands
+    raise :class:`ValueError`."""
+    sa = a.shape[::-1] if trans_a else a.shape
+    sb = b.shape[::-1] if trans_b else b.shape
     if sa[1] != sb[0]:
         raise ValueError(
             f"non-conformable matrices: {sa} x {sb}")
-
-
-def _square_panel(memory_scalars: int, tile_side: int, what: str,
-                  panels: int = 3) -> int:
-    """The Appendix-A submatrix side p = sqrt(M/panels), tile-aligned
-    (:func:`repro.core.costs.square_panel`).
-
-    ``panels`` is the number of p x p submatrices resident at once —
-    3 for the plain schedule (A, B and C blocks), plus one more per
-    fused-epilogue matrix input, which reads its own p x p submatrix
-    while the accumulator is still live.  When the budget cannot hold
-    ``panels`` whole storage tiles, the panel goes *ragged*: p drops
-    below the tile side (submatrix reads then cross tile boundaries,
-    costing extra partial-tile I/O but never overrunning the budget).
-    Raises :class:`ValueError` only when even 1 x 1 panels do not fit.
-    """
-    if memory_scalars < panels:
-        raise ValueError(
-            f"memory budget of {memory_scalars} scalars cannot hold "
-            f"{panels} 1 x 1 submatrices for {what}: the square-tile "
-            f"schedule needs at least {panels} scalars")
-    return square_panel(memory_scalars, tile_side, panels)
+    return sa[0], sa[1], sb[1]
 
 
 def _read_operand(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
@@ -123,50 +106,40 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     in increasing-``k`` order, so output bits and block counts match
     the serial kernel exactly.
     """
-    _check_conformable(a, b, trans_a, trans_b)
-    m, l = _effective_shape(a, trans_a)
-    n = _effective_shape(b, trans_b)[1]
+    m, l, n = _dims(a, b, trans_a, trans_b)
     out_dtype = np.result_type(a.dtype, b.dtype)
-    tile_side = max(a.tile_shape[0], a.tile_shape[1])
-    panels = 3 + (epilogue_inputs if epilogue is not None else 0)
-    p = _square_panel(memory_scalars, tile_side, "square_tile_matmul",
-                      panels)
+    schedule = square_schedule(
+        m, l, n, max(a.tile_shape), memory_scalars,
+        epilogue_inputs if epilogue is not None else 0)
     out = store.create_matrix((m, n), layout="square", name=name,
                               dtype=out_dtype)
     hinting = a.store is store and b.store is store
-    for i0 in range(0, m, p):
-        i1 = min(i0 + p, m)
-        for j0 in range(0, n, p):
-            j1 = min(j0 + p, n)
-            with store.tracer.span("matmul:panel", cat="kernel",
-                                   i0=i0, j0=j0, p=p):
+    for (i0, i1, j0, j1), steps in groupby(schedule.steps(),
+                                           key=itemgetter(0)):
+        with store.tracer.span("matmul:panel", cat="kernel",
+                               i0=i0, j0=j0, p=schedule.rows):
 
-                def steps(i0=i0, i1=i1, j0=j0, j1=j1):
-                    for k0 in range(0, l, p):
-                        k1 = min(k0 + p, l)
-                        if hinting:
-                            # Announce the step's full footprint — both
-                            # operand submatrices at once — so the
-                            # scheduler turns the tile misses into a
-                            # handful of coalesced reads.
-                            store.pool.prefetch(
-                                _operand_blocks(a, i0, i1, k0, k1,
-                                                trans_a)
-                                + _operand_blocks(b, k0, k1, j0, j1,
-                                                  trans_b))
-                        a_sub = _read_operand(a, i0, i1, k0, k1,
-                                              trans_a)
-                        b_sub = _read_operand(b, k0, k1, j0, j1,
-                                              trans_b)
-                        yield lambda a_s=a_sub, b_s=b_sub: a_s @ b_s
+            def products(steps=steps):
+                for _, rect_a, rect_b in steps:
+                    if hinting:
+                        # Announce the step's full footprint — both
+                        # operand submatrices at once — so the
+                        # scheduler turns the tile misses into a
+                        # handful of coalesced reads.
+                        store.pool.prefetch(
+                            _operand_blocks(a, *rect_a, trans_a)
+                            + _operand_blocks(b, *rect_b, trans_b))
+                    a_sub = _read_operand(a, *rect_a, trans_a)
+                    b_sub = _read_operand(b, *rect_b, trans_b)
+                    yield lambda a_s=a_sub, b_s=b_sub: a_s @ b_s
 
-                acc = accumulate(parallel,
-                                 np.zeros((i1 - i0, j1 - j0),
-                                          dtype=out_dtype),
-                                 steps())
-                if epilogue is not None:
-                    acc = epilogue(i0, j0, acc)
-                out.write_submatrix(i0, j0, acc)
+            acc = accumulate(parallel,
+                             np.zeros((i1 - i0, j1 - j0),
+                                      dtype=out_dtype),
+                             products())
+            if epilogue is not None:
+                acc = epilogue(i0, j0, acc)
+            out.write_submatrix(i0, j0, acc)
     return out
 
 
@@ -197,8 +170,7 @@ def _packed_rows(region: tuple[int, int, int, int],
     the packed size."""
     i0, i1, j0, j1 = region
     layout, size = [], 0
-    for r0 in range(0, i1 - i0, rows):
-        r1 = min(r0 + rows, i1 - i0)
+    for r0, r1 in cuts(i1 - i0, rows):
         c0 = r0 if i0 == j0 else 0
         layout.append((size, r0, r1, c0))
         size += (r1 - r0) * (j1 - j0 - c0)
@@ -244,8 +216,7 @@ def _region_pass(store: ArrayStore, a: TiledMatrix, schedule,
     hinting = a.store is store
 
     def steps():
-        for n, r0 in enumerate(range(0, inner, schedule.slab)):
-            r1 = min(r0 + schedule.slab, inner)
+        for n, (r0, r1) in enumerate(cuts(inner, schedule.slab)):
             if hinting:
                 blocks = _operand_blocks(a, r0, r1, i0, i1, not t_first)
                 if not diag:
@@ -419,32 +390,27 @@ def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     few percent in block totals — the same bounded exception the sparse
     kernels document.  Prefer :func:`crossprod_matmul` there anyway.
     """
-    _check_conformable(a, b, trans_a, trans_b)
-    n1, n2 = _effective_shape(a, trans_a)
-    n3 = _effective_shape(b, trans_b)[1]
-    q = max(1, int(memory_scalars / (n2 + n3)))
+    n1, n2, n3 = _dims(a, b, trans_a, trans_b)
+    schedule = bnlj_schedule(
+        n1, n2, n3, b.tile_shape[0] if trans_b else b.tile_shape[1],
+        memory_scalars)
     out_dtype = np.result_type(a.dtype, b.dtype)
     out = store.create_matrix((n1, n3), layout="row", name=name,
                               dtype=out_dtype)
     hinting = a.store is store and b.store is store
-    for r0 in range(0, n1, q):
-        r1 = min(r0 + q, n1)
-        with store.tracer.span("bnlj:chunk", cat="kernel", r0=r0, q=q):
+    for rows, steps in groupby(schedule.steps(), key=itemgetter(1)):
+        r0, r1 = rows[:2]
+        with store.tracer.span("bnlj:chunk", cat="kernel", r0=r0,
+                               q=schedule.rows):
             if hinting:
-                store.pool.prefetch(
-                    _operand_blocks(a, r0, r1, 0, n2, trans_a))
-            a_rows = _read_operand(a, r0, r1, 0, n2, trans_a)
+                store.pool.prefetch(_operand_blocks(a, *rows, trans_a))
+            a_rows = _read_operand(a, *rows, trans_a)
             t_rows = np.zeros((r1 - r0, n3), dtype=out_dtype)
-            # Scan B one column-block at a time (a block of columns costs
-            # the same I/O as one column when B uses column tiles).
-            col_step = max(1,
-                           b.tile_shape[0] if trans_b else b.tile_shape[1])
-            for c0 in range(0, n3, col_step):
-                c1 = min(c0 + col_step, n3)
+            for _, _, cols in steps:
                 if hinting:
                     store.pool.prefetch(
-                        _operand_blocks(b, 0, n2, c0, c1, trans_b))
-                b_cols = _read_operand(b, 0, n2, c0, c1, trans_b)
-                t_rows[:, c0:c1] = a_rows @ b_cols
+                        _operand_blocks(b, *cols, trans_b))
+                t_rows[:, cols[2]:cols[3]] = \
+                    a_rows @ _read_operand(b, *cols, trans_b)
             out.write_submatrix(r0, 0, t_rows)
     return out

@@ -15,83 +15,55 @@ is permuted and substituted with both sweeps against the one
 factorization.  :func:`lu_solve_factored` runs both sweeps against a
 stored :class:`~repro.linalg.lu.PackedLU`.
 
-Block-row size is derived from the store's pool budget through the same
-:func:`repro.core.costs.lu_panel_width` formula the factorization uses
-(clamped to the tile side instead of raising — a substitution step only
-ever holds one factor block plus the RHS), and every block row's tile
-footprint is announced through ``pool.prefetch()`` before it is read,
-per the storage stack's accounting contract: hints change the number
-and size of device calls, never the block totals.
+The sweeps and a wide right-hand side's column panels are the LU
+schedule's (:meth:`repro.core.costs.LUSchedule.sweep` and
+``rhs_panels``), and every block row's tile footprint is announced
+through ``pool.prefetch()`` before it is read, per the storage stack's
+accounting contract: hints change the number and size of device calls,
+never the block totals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costs import lu_panel_width
 from repro.storage import ArrayStore, TiledMatrix, tile_shape_for_layout
 
-from .lu import PackedLU, _factor
+from .lu import PackedLU, _factor, _schedule
 
 
-def _block_rows(packed: TiledMatrix, memory_scalars: int | None) -> int:
-    """Block-row size for a substitution sweep, from the pool budget."""
-    n = packed.shape[0]
-    memory = memory_scalars or (packed.store.pool.capacity
-                                * packed.store.scalars_per_block)
-    return lu_panel_width(n, memory, packed.tile_shape[0])
+def _sweep(packed: TiledMatrix, v: np.ndarray,
+           memory_scalars: int | None, forward: bool,
+           diagonal) -> np.ndarray:
+    """One substitution sweep over ``packed``, block row by block row
+    of the LU schedule: announce the row's exact tile footprint so the
+    misses coalesce, subtract its off-diagonal blocks' products, then
+    solve against ``diagonal(its diagonal block)``."""
+    x = np.array(v, dtype=np.float64, copy=True)
+    for rect, off in _schedule(packed.store, packed, memory_scalars,
+                               packed.tile_shape[0]).sweep(forward):
+        i0, i1 = rect[:2]
+        packed.store.pool.prefetch(packed.submatrix_blocks(*rect))
+        for j0, j1 in off:
+            x[i0:i1] -= packed.read_submatrix(i0, i1, j0, j1) @ x[j0:j1]
+        x[i0:i1] = np.linalg.solve(
+            diagonal(packed.read_submatrix(i0, i1, i0, i1)), x[i0:i1])
+    return x
 
 
 def forward_substitute(packed: TiledMatrix, b: np.ndarray,
-                       block: int | None = None,
                        unit_diagonal: bool = True,
                        memory_scalars: int | None = None) -> np.ndarray:
-    """Solve L y = b with L the (unit-)lower triangle of ``packed``.
-
-    ``block`` defaults to the pool-budget-derived block-row size; pass
-    an explicit value only to pin the schedule (tests, ablations).
-    """
-    n = packed.shape[0]
-    block = block or _block_rows(packed, memory_scalars)
-    y = np.array(b, dtype=np.float64, copy=True)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        # This block row touches the factor's columns [0, i1): announce
-        # the exact tile footprint so the misses coalesce.
-        packed.store.pool.prefetch(
-            packed.submatrix_blocks(i0, i1, 0, i1))
-        for j0 in range(0, i0, block):
-            j1 = min(j0 + block, i0)
-            l_ij = packed.read_submatrix(i0, i1, j0, j1)
-            y[i0:i1] -= l_ij @ y[j0:j1]
-        diag = packed.read_submatrix(i0, i1, i0, i1)
-        l_ii = np.tril(diag, -1) + (np.eye(i1 - i0) if unit_diagonal
-                                    else np.diag(np.diag(diag)))
-        y[i0:i1] = np.linalg.solve(l_ii, y[i0:i1])
-    return y
+    """Solve L y = b with L the (unit-)lower triangle of ``packed``."""
+    return _sweep(packed, b, memory_scalars, True,
+                  lambda d: np.tril(d, -1) + (np.eye(len(d)) if unit_diagonal
+                                              else np.diag(np.diag(d))))
 
 
 def backward_substitute(packed: TiledMatrix, y: np.ndarray,
-                        block: int | None = None,
                         memory_scalars: int | None = None) -> np.ndarray:
     """Solve U x = y with U the upper triangle of ``packed``."""
-    n = packed.shape[0]
-    block = block or _block_rows(packed, memory_scalars)
-    x = np.array(y, dtype=np.float64, copy=True)
-    starts = list(range(0, n, block))
-    for i0 in reversed(starts):
-        i1 = min(i0 + block, n)
-        packed.store.pool.prefetch(
-            packed.submatrix_blocks(i0, i1, i0, n))
-        for j0 in starts:
-            if j0 <= i0:
-                continue
-            j1 = min(j0 + block, n)
-            u_ij = packed.read_submatrix(i0, i1, j0, j1)
-            x[i0:i1] -= u_ij @ x[j0:j1]
-        u_ii = np.triu(packed.read_submatrix(i0, i1, i0, i1))
-        x[i0:i1] = np.linalg.solve(u_ii, x[i0:i1])
-    return x
+    return _sweep(packed, y, memory_scalars, False, np.triu)
 
 
 def lu_solve_factored(factors: PackedLU, b: np.ndarray,
@@ -138,9 +110,8 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
 
     ``rhs_panel(j0, j1)`` supplies columns ``[j0, j1)`` of B as an
     ``(n, j1 - j0)`` array — a rectangle read off a stored B for
-    ``solve(A, B)``, a slice of the identity for ``inv(A)``.  The
-    panel width is :func:`repro.core.costs.lu_panel_width` on the
-    result's tile width, the same budget the factorization honours.
+    ``solve(A, B)``, a slice of the identity for ``inv(A)``, in the
+    schedule's ``rhs_panels`` on the result's tile width.
     The first panel is read before ``a`` is factored and rides through
     the factorization (:func:`lu_solve`); each later one is permuted
     and substituted against the one factor.  ``overwrite_a`` says
@@ -152,20 +123,21 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
     _, tile_w = tile_shape_for_layout("square", (n, k),
                                       store.matrix_scalars_per_block,
                                       store.pool.capacity)
-    pw = lu_panel_width(n, memory_scalars, tile_w)
+    first, *rest = _schedule(store, a, memory_scalars).rhs_panels(k, tile_w)
     factor, perm, x = _factor_carrying(
-        store, a, rhs_panel(0, min(pw, k)), memory_scalars, overwrite_a)
+        store, a, rhs_panel(*first), memory_scalars, overwrite_a)
     out = store.create_matrix((n, k), layout="square")
-    starts = range(0, k, pw)
+    done = first[0]
     try:
-        for done, j0 in zip(starts, starts[1:]):
+        for j0, j1 in rest:
             out.write_submatrix(0, done, x)
-            x = _substitute(factor, perm, rhs_panel(j0, min(j0 + pw, k)),
+            x = _substitute(factor, perm, rhs_panel(j0, j1),
                             memory_scalars)
+            done = j0
     finally:
         factor.drop()
     # The last panel is written once the factor's frames are free.
-    out.write_submatrix(0, starts[-1], x)
+    out.write_submatrix(0, done, x)
     return out
 
 

@@ -295,10 +295,6 @@ class Tracer:
         if observer not in self.observers:
             self.observers.append(observer)
 
-    def remove_observer(self, observer) -> None:
-        if observer in self.observers:
-            self.observers.remove(observer)
-
     def _append(self, span: Span) -> None:
         with self._lock:
             if len(self._spans) < self.capacity:
@@ -310,9 +306,6 @@ class Tracer:
 
     def enable(self) -> None:
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     @contextmanager
     def recording(self):

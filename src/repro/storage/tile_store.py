@@ -189,11 +189,6 @@ class TiledVector:
         lo = ci * self.chunk
         return lo, min(lo + self.chunk, self.length)
 
-    def chunk_of(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise IndexError(f"index {index} outside [0, {self.length})")
-        return index // self.chunk
-
     # ------------------------------------------------------------------
     def _run_bounds(self, ci: int, count: int) -> tuple[int, int]:
         """Element range ``[lo, hi)`` of chunks ``[ci, ci + count)``."""

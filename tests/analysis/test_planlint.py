@@ -18,6 +18,8 @@ from repro.analysis import PlanVerificationError, verify_plan
 from repro.core import (Crossprod, MatMul, OptimizerConfig, RiotSession,
                         Solve)
 from repro.core.plan import CrossprodOp
+from repro.linalg import (bnlj_matmul, crossprod_matmul, lu_decompose,
+                          square_tile_matmul)
 from repro.storage import StorageConfig
 
 
@@ -257,6 +259,71 @@ class TestFusedEpilogue:
                            match="fused epilogue"):
             verify_plan(plan, memory_scalars=panels - 1,
                         block_scalars=1024)
+
+
+class TestRefusalBoundary:
+    """Kernel and verifier refuse the same budgets in the same words:
+    at the schedule's need both run, one scalar under it both refuse
+    with the schedule's message, the verifier's prefixed by the
+    operator's label."""
+
+    def check(self, plan, need, kernel):
+        verify_plan(plan, memory_scalars=need, block_scalars=1024)
+        kernel(need)
+        with pytest.raises(ValueError) as refused:
+            kernel(need - 1)
+        with pytest.raises(PlanVerificationError) as rejected:
+            verify_plan(plan, memory_scalars=need - 1, block_scalars=1024)
+        assert str(rejected.value) == f"{plan.root.label()}: " \
+                                      f"{refused.value}"
+
+    def test_square(self):
+        s = session()
+        a = s.matrix(rng().standard_normal((4, 3)), name="a")
+        b = s.matrix(rng().standard_normal((3, 5)), name="b")
+        plan = s.plan((a @ b).node)
+        assert plan.signature().startswith("matmul.square")
+        self.check(plan, 3, lambda mem: square_tile_matmul(
+            s.store, s.force(a), s.force(b), mem))
+
+    def test_fused_over_a_product(self):
+        s = session()
+        a = s.matrix(rng().standard_normal((4, 3)), name="a")
+        b = s.matrix(rng().standard_normal((3, 5)), name="b")
+        c = s.matrix(rng().standard_normal((4, 5)), name="c")
+        plan = s.plan((a @ b + c).node)
+        assert plan.signature().startswith("matmul+epilogue")
+        assert isinstance(plan.root.barrier, MatMul)
+        self.check(plan, 4, lambda mem: square_tile_matmul(
+            s.store, s.force(a), s.force(b), mem,
+            epilogue=lambda r0, c0, block: block, epilogue_inputs=1))
+
+    def test_fused_over_a_crossprod(self):
+        s = session()
+        x = s.matrix(rng().standard_normal((6, 4)), name="x")
+        lam = s.matrix(0.1 * np.eye(4), name="lamI")
+        plan = s.plan((x.crossprod() + lam).node)
+        assert plan.signature().startswith("matmul+epilogue")
+        assert isinstance(plan.root.barrier, Crossprod)
+        self.check(plan, 4, lambda mem: crossprod_matmul(
+            s.store, s.force(x), mem,
+            epilogue=lambda r0, c0, block: block, epilogue_inputs=1))
+
+    def test_bnlj(self):
+        s, plan = TestBnlj().make()
+        a, bc = plan.root.node.children
+        self.check(plan, 64 + 256, lambda mem: bnlj_matmul(
+            s.store, s.force(a), s.force(bc), mem))
+
+    def test_lu(self):
+        s = session()
+        n = 96
+        A = s.matrix(rng().standard_normal((n, n)), name="A")
+        y = s.matrix(rng().standard_normal((n, 1)), name="y")
+        plan = s.plan(Solve(A.node, y.node))
+        assert plan.signature().startswith("solve.lu")
+        self.check(plan, 3 * n * 32, lambda mem: lu_decompose(
+            s.store, s.force(A), mem).drop())
 
 
 class TestRegion:

@@ -1,17 +1,23 @@
 """Tests for the analytic I/O cost models and the Figure-3 tables."""
 
 import math
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.costs import (GB_IN_SCALARS, bnlj_matmul_io,
-                              chain_io, chain_io_lower_bound, fig3_dims,
+                              bnlj_schedule, chain_io,
+                              chain_io_lower_bound, fig3_dims,
                               fig3_strategy_costs, fig3a_rows, fig3b_rows,
-                              matmul_io_lower_bound,
+                              matmul_epilogue_io, matmul_io_lower_bound,
                               naive_colmajor_matmul_io, riotdb_matmul_io,
-                              rowmajor_scan_matmul_io,
-                              square_tile_matmul_io)
+                              rowmajor_scan_matmul_io, square_panel,
+                              square_schedule, square_tile_matmul_io)
 from repro.core.chain import in_order
+from repro.core.passes import clamped_dense_io
 
 
 M2GB = 2 * GB_IN_SCALARS
@@ -130,3 +136,59 @@ class TestFigure3:
     def test_dims_shape(self):
         assert fig3_dims(100_000, 2.0) == [100_000, 50_000, 100_000,
                                            100_000]
+
+
+BLOCK = 1024
+
+
+def area(rect):
+    r0, r1, c0, c1 = rect
+    return (r1 - r0) * (c1 - c0)
+
+
+class TestClosedFormsAgainstSchedules:
+    """The paper's closed forms stay within the bands
+    ``tests/linalg/test_cost_agreement.py`` holds the kernels to, now
+    against a count over the schedule each kernel runs, on whole-tile
+    geometries.
+
+    Both domains stop where a closed form stops describing its
+    schedule.  Every dimension of a square product is at least one
+    panel p: with m or n below it the fused ``matmul_epilogue_io``,
+    not clamped at the one-pass floor as ``clamped_dense_io`` is, falls
+    to a fifth of the count.  BNLJ holds at least two rows per chunk:
+    at one, the kernel's ``q = floor(M / (n2 + n3))`` can be half the
+    closed form's ``M / (n2 + n3)``, and the count nearly twice it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tile=st.sampled_from([8, 16, 32]), extra=st.integers(0, 3),
+           panel=st.floats(1, 4.999), tiles=st.tuples(
+               *[st.integers(0, 8)] * 3))
+    def test_square_and_fused(self, tile, extra, panel, tiles):
+        memory = int((3 + extra) * (panel * tile) ** 2)
+        p = square_panel(memory, tile, 3 + extra)
+        m, l, n = (p + t * tile for t in tiles)
+        schedule = square_schedule(m, l, n, tile, memory, extra)
+        assert schedule.rows == schedule.cols == schedule.depth == p >= tile
+        reads = sum(area(a) + area(b) for _, a, b in schedule.steps())
+        count = (reads + (1 + extra) * m * n) / BLOCK
+        model = (matmul_epilogue_io(m, l, n, extra, memory, BLOCK)
+                 if extra else clamped_dense_io(m, l, n, memory, BLOCK))
+        assert 0.5 * model <= count <= 2.0 * model
+
+    @settings(max_examples=150, deadline=None)
+    @given(tile=st.sampled_from([8, 16, 32]),
+           dims=st.tuples(*[st.integers(1, 12)] * 3),
+           rows=st.integers(2, 40), slack=st.floats(0, 0.999))
+    def test_bnlj(self, tile, dims, rows, slack):
+        n1, n2, n3 = (d * tile for d in dims)
+        memory = int((rows + slack) * (n2 + n3))
+        schedule = bnlj_schedule(n1, n2, n3, tile, memory)
+        assert schedule.rows == rows
+        # A chunk's rows of A are read once, at its first step.
+        reads = sum(area(a) + sum(area(b) for _, _, b in chunk)
+                    for a, chunk in groupby(schedule.steps(),
+                                            key=itemgetter(1)))
+        count = (reads + n1 * n3) / BLOCK
+        model = bnlj_matmul_io(n1, n2, n3, memory, BLOCK)
+        assert 0.7 * model <= count <= 1.5 * model

@@ -13,8 +13,7 @@ from repro.core.costs import (bnlj_matmul_io, crossprod_io,
                               crossprod_schedule, lu_io,
                               lu_panel_width, matmul_epilogue_io,
                               matmul_io_lower_bound, solve_io,
-                              solve_op_io, square_tile_matmul_io,
-                              transposed_matmul_io)
+                              solve_op_io, square_tile_matmul_io)
 from repro.linalg import (bnlj_matmul, crossprod_matmul, lu_decompose,
                           lu_solve, lu_solve_factored,
                           square_tile_matmul)
@@ -259,7 +258,7 @@ class TestFlaggedMatmulAgreement:
         store.flush()
         assert np.allclose(out.to_numpy(), a_np.T @ b_np)
         measured = store.device.stats.total
-        model = transposed_matmul_io(m, l, n, mem, BLOCK_SCALARS)
+        model = square_tile_matmul_io(m, l, n, mem, BLOCK_SCALARS)
         assert 0.5 * model <= measured <= 2.0 * model
 
 

@@ -255,8 +255,11 @@ class TestSolves:
         factors = lu_decompose(
             store, store.matrix_from_numpy(a, layout="square"), MEM)
         pb = b[factors.perm_array()]
-        y = forward_substitute(factors.packed, pb, block=48)
-        x = backward_substitute(factors.packed, y, block=48)
+        # Three 32-wide tall panels' budget: four block rows per sweep.
+        mem = 3 * n * factors.packed.tile_shape[0]
+        assert len(lu_schedule(n, mem, 32).panels()) == 4
+        y = forward_substitute(factors.packed, pb, memory_scalars=mem)
+        x = backward_substitute(factors.packed, y, memory_scalars=mem)
         assert np.allclose(a @ x, b, atol=1e-7)
 
     def test_block_size_derived_from_pool_budget(self, rng):
@@ -517,6 +520,28 @@ class TestSchedule:
             assert all(s.trailing == (s.j0 >= k1) for s in mine)
         assert schedule.factor_scalars() == sum(
             (n - k0) * n for k0, _ in panels)
+
+    def test_sweeps_and_rhs_panels(self):
+        """The sweeps take the factor's panels as block rows, L left of
+        the diagonal top down and U right of it bottom up; a wide
+        right-hand side goes in panels ``lu_panel_width`` wide on its
+        own tiles, the last one ragged."""
+        schedule = lu_schedule(100, 3 * 100 * 32, 32)
+        assert schedule.panels() == [(0, 32), (32, 64), (64, 96),
+                                     (96, 100)]
+        forward = list(schedule.sweep(forward=True))
+        assert forward[2] == ((64, 96, 0, 96), [(0, 32), (32, 64)])
+        backward = list(schedule.sweep(forward=False))
+        assert backward[0] == ((96, 100, 96, 100), [])
+        assert backward[2] == ((32, 64, 32, 100), [(64, 96), (96, 100)])
+        assert schedule.sweep_scalars(True) == sum(
+            (i1 - i0) * i1 for i0, i1 in schedule.panels())
+        wide = lu_schedule(100, 3 * 100 * 96, 32)
+        assert wide.rhs_panels(200, 32) == [(0, 96), (96, 192),
+                                            (192, 200)]
+        assert wide.rhs_panels(200, 64) == [(0, 64), (64, 128),
+                                            (128, 192), (192, 200)]
+        assert wide.rhs_panels(5, 32) == [(0, 5)]
 
     @pytest.mark.parametrize("n,mem_blocks", [(128, 12), (256, 24),
                                               (256, 48), (320, 30)])

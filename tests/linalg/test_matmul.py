@@ -104,6 +104,20 @@ class TestRaggedPanelBudget:
         with pytest.raises(ValueError, match="at least 3 scalars"):
             square_tile_matmul(store, a, a, 2)
 
+    def test_bnlj_refuses_a_budget_under_one_row_of_each(self, rng):
+        """Below n2 + n3 scalars the BNLJ cannot hold one row of A and
+        one of the result: its schedule refuses, as the verifier does,
+        rather than run one-row chunks over budget."""
+        a_np = rng.standard_normal((8, 24))
+        b_np = rng.standard_normal((24, 40))
+        store = make_store()
+        a = store.matrix_from_numpy(a_np, layout="row")
+        b = store.matrix_from_numpy(b_np, layout="col")
+        out = bnlj_matmul(store, a, b, 24 + 40)
+        assert np.allclose(out.to_numpy(), a_np @ b_np)
+        with pytest.raises(ValueError, match="A row plus one result row"):
+            bnlj_matmul(store, a, b, 24 + 40 - 1)
+
     def test_session_chain_48_33_63(self, rng):
         """The fused epilogue chain at the exact hypothesis shape runs
         under a budget one tile short of its 5-panel working set."""
