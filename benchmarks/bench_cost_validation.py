@@ -30,7 +30,7 @@ def _measure(kind, dims, mem):
     rng = np.random.default_rng(7)
     a_np = rng.standard_normal((m, l))
     b_np = rng.standard_normal((l, n))
-    store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+    store = ArrayStore(StorageConfig(memory_bytes=mem * 8, block_size=8192))
     if kind == "square":
         a = store.matrix_from_numpy(a_np, layout="square")
         b = store.matrix_from_numpy(b_np, layout="square")

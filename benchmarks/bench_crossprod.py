@@ -48,7 +48,8 @@ BLOCK_SCALARS = 1024
 
 
 def _fresh_store():
-    store = ArrayStore(memory_bytes=MEMORY_SCALARS * 8, block_size=8192)
+    store = ArrayStore(StorageConfig(
+        memory_bytes=MEMORY_SCALARS * 8, block_size=8192))
     rng = np.random.default_rng(29)
     x = store.matrix_from_numpy(rng.standard_normal((N_OBS, N_FEAT)),
                                 layout="square", name="X")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import record_io_stats
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
 from repro.storage import StorageConfig
 
 N = 2_000_000
@@ -34,7 +34,7 @@ def _measure(optimize: bool):
     rng = np.random.default_rng(42)
     values = rng.uniform(0.0, 20.0, N)
     session = RiotSession(storage=StorageConfig(memory_bytes=MEMORY),
-                          optimize=optimize)
+                          config=OptimizerConfig(level=2 if optimize else 0))
     first10 = _build(session, values)
     explain = first10.explain()
     session.store.flush()

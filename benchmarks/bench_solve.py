@@ -23,7 +23,7 @@ import os
 import numpy as np
 from conftest import record_io_stats
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import inverse_io, lu_io, solve_io, solve_op_io
 from repro.linalg import lu_decompose, lu_solve_factored
 from repro.storage import ArrayStore, StorageConfig
@@ -43,8 +43,8 @@ def test_lu_io_tracks_model(benchmark):
     def measure():
         rng = np.random.default_rng(11)
         a_np = rng.standard_normal((SIDE, SIDE))
-        store = ArrayStore(memory_bytes=MEMORY_SCALARS * 8,
-                           block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=MEMORY_SCALARS * 8, block_size=8192))
         a = store.matrix_from_numpy(a_np, layout="square")
         store.pool.clear()
         store.reset_stats()
@@ -90,7 +90,7 @@ def test_inv_rewrite_beats_materialized_inverse(benchmark):
         session = RiotSession(
             storage=StorageConfig(memory_bytes=MEMORY_SCALARS * 8,
                                   block_size=8192),
-            optimize=optimize)
+            config=OptimizerConfig(level=2 if optimize else 0))
         rng = np.random.default_rng(23)
         a = session.matrix(rng.standard_normal((n, n)))
         b = session.matrix(rng.standard_normal((n, 1)))

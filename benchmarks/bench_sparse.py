@@ -33,7 +33,7 @@ from unittest import mock
 import numpy as np
 from conftest import record_io_stats
 
-from repro.core import RiotSession
+from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import spmv_io
 from repro.linalg import square_tile_matmul
 from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmv
@@ -62,7 +62,7 @@ def _spmv_pair(density: float):
     i, j, x = _random_coo(SIDE, density)
     xv = np.random.default_rng(7).standard_normal(SIDE)
 
-    store = ArrayStore(memory_bytes=POOL_BLOCKS * 8192)
+    store = ArrayStore(StorageConfig(memory_bytes=POOL_BLOCKS * 8192))
     a_sparse = SparseTiledMatrix.from_coo(store, i, j, x, (SIDE, SIDE))
     vec = store.vector_from_numpy(xv)
     store.pool.clear()
@@ -74,7 +74,7 @@ def _spmv_pair(density: float):
 
     dense_np = np.zeros((SIDE, SIDE))
     dense_np[i, j] = x
-    store2 = ArrayStore(memory_bytes=POOL_BLOCKS * 8192)
+    store2 = ArrayStore(StorageConfig(memory_bytes=POOL_BLOCKS * 8192))
     a_dense = store2.matrix_from_numpy(dense_np, layout="square")
     v_mat = store2.matrix_from_numpy(xv.reshape(-1, 1), layout="col")
     store2.pool.clear()
@@ -130,7 +130,7 @@ def test_sparse_io_tracks_model(benchmark):
 
     def measure():
         i, j, x = _random_coo(SIDE, density)
-        store = ArrayStore(memory_bytes=POOL_BLOCKS * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=POOL_BLOCKS * 8192))
         a = SparseTiledMatrix.from_coo(store, i, j, x, (SIDE, SIDE))
         vec = store.vector_from_numpy(
             np.random.default_rng(7).standard_normal(SIDE))
@@ -162,7 +162,7 @@ def test_sparse_chain_order(benchmark):
     def run(optimize: bool):
         session = RiotSession(
             storage=StorageConfig(memory_bytes=POOL_BLOCKS * 8192),
-            optimize=optimize)
+            config=OptimizerConfig(level=2 if optimize else 0))
         A = session.random_sparse_matrix(n, n, density, seed=1)
         B = session.random_sparse_matrix(n, n, density, seed=2)
         v = session.matrix(

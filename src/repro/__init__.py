@@ -30,7 +30,7 @@ __version__ = "1.0.0"
 
 
 def open_session(url: str | None = None, memory: str | int | None = None,
-                 **kwargs):
+                 config=None):
     """Open a :class:`~repro.core.RiotSession` from a storage URL.
 
     ``url`` selects the backend: ``None``/``"memory://"`` for the
@@ -38,8 +38,8 @@ def open_session(url: str | None = None, memory: str | int | None = None,
     for an mmap-backed page file, with query parameters such as
     ``?mode=pread&fsync=1&block_size=8192`` for the other file knobs.
     ``memory`` caps the buffer pool, as bytes or a string like
-    ``"64MiB"``.  Remaining keyword arguments go to ``RiotSession``
-    (``optimize=``, ``config=``)::
+    ``"64MiB"``.  ``config`` (an
+    :class:`~repro.core.config.OptimizerConfig`) goes to the session::
 
         with repro.open_session("file:///tmp/riot.db",
                                 memory="64MiB") as s:
@@ -50,4 +50,4 @@ def open_session(url: str | None = None, memory: str | int | None = None,
     from repro.storage import StorageConfig
 
     storage = StorageConfig.from_url(url, memory=memory)
-    return RiotSession(storage=storage, **kwargs)
+    return RiotSession(config=config, storage=storage)

@@ -31,7 +31,7 @@ from repro.core.plan import (BnljOp, CrossprodOp, FusedEpilogueOp,
                              InverseOp, LUSolveOp, PhysOp, PhysicalPlan,
                              SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
                              TransposeOp)
-from repro.storage import default_tile_side
+from repro.storage import StorageConfig, default_tile_side
 
 
 class PlanVerificationError(ValueError):
@@ -258,28 +258,15 @@ def _check_region(op: PhysOp) -> None:
                           f"region shape {region.root.shape}")
 
 
-def verify_plan(plan: PhysicalPlan, config=None, *,
-                memory_scalars: int | None = None,
-                block_scalars: int | None = None) -> None:
-    """Statically verify a physical plan against a storage budget.
-
-    ``config`` is a :class:`~repro.storage.config.StorageConfig` (the
-    budget source); alternatively pass ``memory_scalars`` /
-    ``block_scalars`` directly.  Raises
+def verify_plan(plan: PhysicalPlan, storage: StorageConfig) -> None:
+    """Statically verify a physical plan against the budget of a
+    :class:`~repro.storage.config.StorageConfig` (its
+    ``memory_scalars`` and ``block_scalars``).  Raises
     :class:`PlanVerificationError` naming the first offending operator;
     returns ``None`` on a verified plan.
     """
-    if memory_scalars is None:
-        if config is None:
-            raise TypeError(
-                "verify_plan needs a StorageConfig or explicit "
-                "memory_scalars/block_scalars")
-        memory_scalars = config.memory_bytes // config.itemsize
-    if block_scalars is None:
-        block_scalars = (config.block_size // config.itemsize
-                         if config is not None else 1024)
     for op in plan.ops():
-        _verify_op(op, memory_scalars, block_scalars)
+        _verify_op(op, storage.memory_scalars, storage.block_scalars)
     _check_lifetimes(plan)
 
 

@@ -945,24 +945,6 @@ def stream_io(input_scalars: float, output_scalars: float,
     return (input_scalars + output_scalars) / block
 
 
-#: Chunks of lookahead a streamed window announces at most.
-STREAM_PREFETCH_CHUNKS = 16
-
-
-def stream_window(pool_blocks: float, sources: int) -> int:
-    """Chunks per streamed window that a pool of ``pool_blocks`` holds.
-
-    Each chunk of the window touches ``sources`` input blocks and one
-    output block; a full window of prefetched inputs plus the outputs
-    written after consuming it must fit beside two spare frames.  An
-    oversized window would evict its own prefetched frames before they
-    are read — re-reading them later and silently inflating the block
-    totals the cost models rely on.
-    """
-    fits = max(1, (int(pool_blocks) - 2) // (sources + 1))
-    return min(STREAM_PREFETCH_CHUNKS, fits)
-
-
 def gather_io(n_src: float, k: float, block: float) -> float:
     """Selective evaluation of ``x[s]`` with k selected elements: at
     most one read per selected element, never more than a full scan,

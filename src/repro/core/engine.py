@@ -74,22 +74,17 @@ class RiotNGEngine(Engine):
     name = "RIOT (next-gen)"
 
     def __init__(self, memory_bytes: int = 68 * 1024 * 1024,
-                 block_size: int = 8192, optimize: bool = True,
                  config=None, storage=None) -> None:
         """``config`` (an :class:`~repro.core.config.OptimizerConfig`)
-        overrides the boolean ``optimize`` switch: pass
-        ``OptimizerConfig(level=1)`` for logical rewriting without
-        cost-based planning, or per-pass overrides for ablations.
-        ``storage`` (a :class:`~repro.storage.StorageConfig`) selects
-        the backend/page file; ``memory_bytes``/``block_size`` are
-        ignored when it is given."""
+        and ``storage`` (a :class:`~repro.storage.StorageConfig`) go to
+        the session as they are.  ``memory_bytes`` is the pool budget
+        every Figure-1 engine takes, so ``make_engine`` can build any of
+        them alike; it makes the default ``StorageConfig`` and is
+        ignored when ``storage`` is given."""
         Engine.__init__(self)
         if storage is None:
-            storage = StorageConfig(memory_bytes=memory_bytes,
-                                    block_size=block_size)
-        self.session = RiotSession(storage=storage,
-                                   optimize=optimize,
-                                   config=config)
+            storage = StorageConfig(memory_bytes=memory_bytes)
+        self.session = RiotSession(config=config, storage=storage)
         self.generics = Generics()
         self._register_all()
 

@@ -49,9 +49,9 @@ import numpy as np
 from repro.linalg.matmul import (bnlj_matmul, crossprod_matmul,
                                  square_tile_matmul)
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
+from repro.storage.tile_store import stream_window
 
 from .config import OptimizerConfig
-from .costs import stream_window
 from .expr import Crossprod, Node, Range, Scalar
 from .parallel import TileParallelism, resolve_parallelism
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
@@ -91,22 +91,27 @@ class MissingInputError(RuntimeError):
 
 
 class Evaluator:
-    """Evaluates DAG nodes to tiled arrays / scalars over an ArrayStore."""
+    """Evaluates DAG nodes to tiled arrays / scalars over an ArrayStore.
+
+    Its settings come from the store's
+    :class:`~repro.storage.StorageConfig` — the kernels' budget is its
+    ``memory_scalars`` — and from ``config``
+    (:class:`~repro.core.config.OptimizerConfig`, default when
+    ``None``): ``strict`` runs
+    :func:`repro.analysis.planlint.verify_plan` before every
+    :meth:`execute`, ``parallelism`` sets the worker count inside the
+    tile kernels (``None`` defers to ``$REPRO_PARALLELISM``, default 1
+    = serial, so a CI run can parallelize every evaluator without code
+    changes).
+    """
 
     def __init__(self, store: ArrayStore,
-                 memory_scalars: int | None = None,
-                 strict: bool = False,
-                 parallelism: int | None = None) -> None:
+                 config: OptimizerConfig | None = None) -> None:
+        config = config if config is not None else OptimizerConfig()
         self.store = store
-        self.memory_scalars = memory_scalars or (
-            store.pool.capacity * store.scalars_per_block)
-        #: Run repro.analysis.planlint.verify_plan before every
-        #: execute() (OptimizerConfig(strict=True) sets this).
-        self.strict = strict
-        #: Worker count inside the tile kernels.  ``None`` defers to
-        #: $REPRO_PARALLELISM (default 1 = serial), so a CI run can
-        #: parallelize every evaluator without code changes.
-        self.parallelism = resolve_parallelism(parallelism)
+        self.memory_scalars = store.storage.memory_scalars
+        self.strict = config.strict
+        self.parallelism = resolve_parallelism(config.parallelism)
         # The worker pool is created lazily (first parallel kernel) and
         # lives for the evaluator's lifetime; see shutdown().
         self._tile_parallel: TileParallelism | None = None
@@ -152,9 +157,7 @@ class Evaluator:
         type-driven kernels, no fusion, nothing rewritten — and the
         plan executed like any other.
         """
-        planner = Planner(OptimizerConfig(level=0),
-                          memory_scalars=self.memory_scalars,
-                          block_scalars=self.store.matrix_scalars_per_block)
+        planner = Planner(OptimizerConfig(level=0), self.store.storage)
         return self.execute(planner.plan(node))
 
     # ------------------------------------------------------------------
@@ -198,8 +201,7 @@ class Evaluator:
             # Imported lazily: repro.analysis depends on repro.core,
             # not the other way around.
             from repro.analysis.planlint import verify_plan
-            verify_plan(plan, memory_scalars=self.memory_scalars,
-                        block_scalars=self.store.matrix_scalars_per_block)
+            verify_plan(plan, self.store.storage)
         for op in plan.ops():
             op.measured_io = None
             op.measured = None

@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 
+from repro.storage import StorageConfig
 from repro.storage.tile_store import tile_shape_for_layout
 
 from .config import OptimizerConfig
@@ -160,17 +161,15 @@ class Planner:
     """Lowers a (logically rewritten) DAG to a :class:`PhysicalPlan`."""
 
     def __init__(self, config: OptimizerConfig,
-                 memory_scalars: int = 8 * 1024 * 1024,
-                 block_scalars: int = 1024,
-                 io_ratio: float = 1.0) -> None:
+                 storage: StorageConfig | None = None) -> None:
+        """Plans for ``config`` against the M and B of ``storage``
+        (the default :class:`~repro.storage.StorageConfig` when
+        ``None``)."""
+        storage = storage if storage is not None else StorageConfig()
         self.config = config
-        self.memory_scalars = memory_scalars
-        self.block_scalars = block_scalars
-        #: Compressed/logical device-byte ratio of the storage codec
-        #: (``ArrayStore.io_ratio_estimate``); scales every dense cost
-        #: model so fuse-vs-materialize, BNLJ-vs-square and chain-order
-        #: decisions price compressed tiles correctly.  1.0 = raw.
-        self.io_ratio = io_ratio
+        self.memory_scalars = storage.memory_scalars
+        self.block_scalars = storage.block_scalars
+        self.io_ratio = 1.0
         self._memo: dict[int, PhysOp] = {}
         self._edges: dict[int, int] = {}
         #: id(chain head) -> {"order", "cur", "dims"} for every chain
@@ -184,8 +183,16 @@ class Planner:
         self._side_of: dict[int, Crossprod] = {}
 
     # ------------------------------------------------------------------
-    def plan(self, root: Node) -> PhysicalPlan:
-        """Lower ``root``; choices are final once the plan is built."""
+    def plan(self, root: Node, io_ratio: float = 1.0) -> PhysicalPlan:
+        """Lower ``root``; choices are final once the plan is built.
+
+        ``io_ratio`` is the stored/logical page ratio of the codec
+        tiles (``ArrayStore.io_ratio_estimate``); it scales every dense
+        cost model so fuse-vs-materialize, BNLJ-vs-square and
+        chain-order decisions price compressed tiles correctly.  1.0 =
+        raw.
+        """
+        self.io_ratio = io_ratio
         self._memo = {}
         self._edges = {}
         self._reordered = {}

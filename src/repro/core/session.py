@@ -41,14 +41,20 @@ from .planner import Planner
 class RiotSession:
     """Deferred, I/O-efficient array computing over a memory-capped store.
 
+    A session takes its settings from two configs and nowhere else.
     The storage contract — backend (in-memory simulator, ``mmap`` page
     file, or ``pread`` page file), page-file path, buffer-pool budget,
-    block size, replacement policy, durability — is injected as one
-    :class:`~repro.storage.StorageConfig`::
+    block size, replacement policy, durability — is one
+    :class:`~repro.storage.StorageConfig`, whose ``memory_scalars`` and
+    ``block_scalars`` are the M and B the planner, the evaluator and
+    the plan verifier all read; the optimizer level and its overrides,
+    ``strict`` and ``parallelism`` are one
+    :class:`~repro.core.config.OptimizerConfig`::
 
         RiotSession(storage=StorageConfig(backend="mmap",
                                           path="/tmp/riot.db",
-                                          memory_bytes=64 << 20))
+                                          memory_bytes=64 << 20),
+                    config=OptimizerConfig(level=0))
 
     or through the URL convenience ``repro.open_session(...)``.
     Sessions on a file backend should be closed (or used as a context
@@ -56,28 +62,16 @@ class RiotSession:
     are removed.
     """
 
-    def __init__(self, optimize: bool = True,
-                 config: OptimizerConfig | None = None,
+    def __init__(self, config: OptimizerConfig | None = None,
                  storage: StorageConfig | None = None) -> None:
         if storage is None:
             storage = StorageConfig()
         self.storage = storage
-        self.store = ArrayStore(storage=storage)
-        self.config = config if config is not None else \
-            OptimizerConfig(level=2 if optimize else 0)
-        # Budgets in *stored scalars*: a float32 store fits twice as
-        # many per block, and every cost model counts blocks.
-        self._memory_scalars = storage.memory_bytes // storage.itemsize
-        self._block_scalars = storage.block_size // storage.itemsize
+        self.store = ArrayStore(storage)
+        self.config = config if config is not None else OptimizerConfig()
         self.pipeline = build_pipeline(self.config)
-        self.planner = Planner(self.config,
-                               memory_scalars=self._memory_scalars,
-                               block_scalars=self._block_scalars)
-        self.evaluator = Evaluator(
-            self.store,
-            memory_scalars=self._memory_scalars,
-            strict=self.config.strict,
-            parallelism=self.config.parallelism)
+        self.planner = Planner(self.config, storage)
+        self.evaluator = Evaluator(self.store, self.config)
         # Observability: the store's tracer plus a registry of live
         # counter sources, all exported by session.metrics.snapshot().
         # Sources are lambdas so they track the *current* stats objects
@@ -197,8 +191,8 @@ class RiotSession:
         with self.tracer.span("planner", cat="optimizer"):
             # Price what is stored now, not what the codec promised
             # before anything was ingested.
-            self.planner.io_ratio = self.store.io_ratio_estimate()
-            plan = self.planner.plan(logical)
+            plan = self.planner.plan(
+                logical, io_ratio=self.store.io_ratio_estimate())
         self._plans[id(node)] = (node, plan)
         return plan
 

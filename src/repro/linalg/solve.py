@@ -121,7 +121,7 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
     """
     n = a.shape[0]
     _, tile_w = tile_shape_for_layout("square", (n, k),
-                                      store.matrix_scalars_per_block,
+                                      store.storage.block_scalars,
                                       store.pool.capacity)
     first, *rest = _schedule(store, a, memory_scalars).rhs_panels(k, tile_w)
     factor, perm, x = _factor_carrying(

@@ -153,6 +153,19 @@ class StorageConfig:
         """Bytes per stored scalar for this config's ``dtype``."""
         return _DTYPE_SIZES[self.dtype]
 
+    @property
+    def memory_scalars(self) -> int:
+        """The memory budget M in stored scalars — the one statement of
+        M that the planner, the evaluator, its kernels and the plan
+        verifier read (a float32 store fits twice as many)."""
+        return self.memory_bytes // self.itemsize
+
+    @property
+    def block_scalars(self) -> int:
+        """The block size B in stored scalars, as every cost model
+        counts it."""
+        return self.block_size // self.itemsize
+
     def with_options(self, **overrides) -> "StorageConfig":
         """A copy with the given fields replaced (config is immutable
         by convention once handed to a subsystem)."""

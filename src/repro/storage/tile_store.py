@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Iterator
 
 import numpy as np
 
 from ..obs.tracer import Tracer
-from .block_device import BlockDevice, DEFAULT_BLOCK_SIZE, IOStats
+from .block_device import BlockDevice, IOStats
 from .buffer_pool import BufferPool
 from .codecs import TileCodec, get_codec
-from .io_scheduler import SchedulerStats
+from .io_scheduler import IOScheduler, SchedulerStats
 from .linearization import Linearization, make_linearization
 from .pagefile import PageFile
 
@@ -51,9 +51,8 @@ _FLOAT_BYTES = 8
 #: not yet encoded, held only in the decoded-tile cache.
 _PENDING = -1
 
-#: Chunks hinted ahead of a sequential scan (see ``TiledVector.scan``).
-SCAN_PREFETCH_CHUNKS = 16
-
+#: Chunks of lookahead a streamed window announces at most.
+STREAM_PREFETCH_CHUNKS = 16
 
 #: The default square tile is the one-page side or ``LARGE_TILE_SCALE``
 #: times it (16 pages; 128 at B = 1024) — where the committed sweep
@@ -108,6 +107,20 @@ def default_tile_side(scalars_per_block: int,
             * _pages_spanned(shape, one_page, scalars_per_block)):
         return one_page
     return side
+
+
+def stream_window(pool_blocks: float, sources: int) -> int:
+    """Chunks per streamed window that a pool of ``pool_blocks`` holds.
+
+    Each chunk of the window touches ``sources`` input blocks and one
+    output block; a full window of prefetched inputs plus the outputs
+    written after consuming it must fit beside two spare frames.  An
+    oversized window would evict its own prefetched frames before they
+    are read — re-reading them later and silently inflating the block
+    totals the cost models rely on.
+    """
+    fits = max(1, (int(pool_blocks) - 2) // (sources + 1))
+    return min(STREAM_PREFETCH_CHUNKS, fits)
 
 
 def tile_shape_for_layout(layout: str, shape: tuple[int, int],
@@ -255,25 +268,15 @@ class TiledVector:
         """Device block keys backing the given chunks (prefetch hints)."""
         return [self.file.block_of(ci) for ci in chunk_ids]
 
-    def _scan_window(self) -> int:
-        """Chunks per run of a whole-vector pass (``scan``, ``from_numpy``).
-
-        Halved against pool capacity so a consumer that interleaves
-        writes (copy loops) cannot evict prefetched chunks before they
-        are read, which would inflate block totals.
-        """
-        return min(SCAN_PREFETCH_CHUNKS,
-                   max(1, (self.store.pool.capacity - 2) // 2))
-
     def scan(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start_index, values)`` runs covering the vector in order.
 
-        The scan announces its own footprint: each run of up to
-        ``SCAN_PREFETCH_CHUNKS`` chunks is hinted to the buffer pool and
+        The scan announces its own footprint: each run of one
+        :func:`stream_window` of chunks is hinted to the buffer pool and
         then read as one run, so a cold scan issues a few large
         coalesced reads instead of one device call per chunk.
         """
-        window = self._scan_window()
+        window = stream_window(self.store.pool.capacity, 1)
         for ci in range(0, self.num_chunks, window):
             count = min(window, self.num_chunks - ci)
             self.store.pool.prefetch(
@@ -346,7 +349,7 @@ class TiledVector:
         if vals.size != self.length:
             raise ValueError(
                 f"expected {self.length} values, got {vals.size}")
-        step = self._scan_window() * self.chunk
+        step = stream_window(self.store.pool.capacity, 1) * self.chunk
         for lo in range(0, self.length, step):
             self.write_chunk(lo // self.chunk, vals[lo: lo + step])
         return self
@@ -571,14 +574,13 @@ class TiledMatrix:
         Raw tiles come through a single ``get_many`` over the
         rectangle's blocks in row-major tile order and are gathered a
         tile row at a time, so the staging copy is one band, never a
-        second rectangle.  Codec tiles are looked up in the decoded-
-        tile cache (a pending tile is always there), decoded straight
-        into their cell and inserted one by one in that order, as a
-        tile-by-tile walk would.  The payload pages of those the cache
-        does not hold come ahead of the walk, through one ``get_many``
-        — unless an insert of the walk will spill a dirty tile, whose
-        pages then reach the pool between two of the walk's reads: such
-        a walk fetches each tile's pages as it comes to it.
+        second rectangle.  Codec tiles are walked one by one in that
+        order, as a tile-by-tile read would: each is looked up in the
+        decoded-tile cache (a pending tile is always there), and one
+        the cache does not hold fetches its payload pages, is decoded
+        straight into its cell and inserted.  ``read_submatrix`` has
+        already announced the rectangle's pages, so a tile's own fetch
+        costs a Python call, not a device call.
         """
         th, tw = self.tile_shape
         nti, ntj = ti1 - ti0, tj1 - tj0
@@ -612,40 +614,18 @@ class TiledMatrix:
                     else:
                         tiles.append((i, j, comp))
         logical = th * tw * self.dtype.itemsize
-        foreseen = iter(cache.foresee(
-            [(self.name, ti0 + i, tj0 + j) for i, j, comp in tiles
-             if comp], logical))
-        ahead = [next(foreseen) if comp else (True, False)
-                 for i, j, comp in tiles]
-        batched = not any(spills for _, spills in ahead)
-        # Where each tile's pages are in ``blocks`` — nowhere for a
-        # tile the walk will find in the cache or fetch on its own.
-        where: list[slice | None] = []
-        blocks: list[int] = []
-        for (i, j, comp), (miss, _) in zip(tiles, ahead):
-            if not (batched and miss) or comp == _PENDING:
-                where.append(None)
-                continue
-            pages = self._payload_blocks(ti0 + i, tj0 + j, comp)
-            where.append(slice(len(blocks), len(blocks) + len(pages)))
-            blocks += pages
-        frames = pool.get_many(blocks) if blocks else []
-        for (i, j, comp), span in zip(tiles, where):
+        for i, j, comp in tiles:
             ti, tj = ti0 + i, tj0 + j
             if comp:
                 cached = cache.get((self.name, ti, tj))
                 if cached is not None:
                     cells[i, :, j] = cached.reshape(th, tw)
                     continue
-            if span is None:
-                # Fetched on its own, as stored now: a walk that
-                # spills, a pending tile it spilled, or a foreseen hit
-                # that another thread's inserts evicted.
+                # Fetched as stored now: an insert earlier in the walk
+                # may have spilled a pending tile.
                 with pool.lock:
                     comp = self.tile_dir[self.linearization.index(ti, tj)]
-                held = pool.get_many(self._payload_blocks(ti, tj, comp))
-            else:
-                held = frames[span]
+            held = pool.get_many(self._payload_blocks(ti, tj, comp))
             if comp == 0:
                 cells[i, :, j] = self._tiles_of(held)[0].reshape(th, tw)
                 self._charge_codec(logical, logical)
@@ -935,54 +915,6 @@ class DecodedTileCache:
         self.hits = 0
         self.misses = 0
 
-    def foresee(self, keys: list[tuple], nbytes: int
-                ) -> list[tuple[bool, bool]]:
-        """For each key in turn: would :meth:`get` miss it, and would
-        the :meth:`put` of ``nbytes`` that follows a miss spill a dirty
-        tile?  The walk a rectangle read is about to make, foreseen —
-        inserts evict from the old end, hits move out of their way,
-        and once the older entries are gone the walk's own tiles go in
-        the order it touched them — so that it can fetch what it will
-        decode in one pool call.  ``keys`` are distinct.  Counts
-        nothing, moves nothing."""
-        with self._lock:
-            fits = nbytes <= self.capacity_bytes
-            used = self._bytes
-            oldest = iter(self._entries.items())
-            evicted: set[tuple] = set()
-            hit: set[tuple] = set()
-            # What the walk moved to the new end, in that order: size
-            # and dirtiness (a tile it inserts is clean).
-            touched: deque[tuple[int, bool]] = deque()
-            out = []
-            for key in keys:
-                if key in self._entries and key not in evicted:
-                    hit.add(key)
-                    touched.append((self._entries[key].nbytes,
-                                    key in self._dirty))
-                    out.append((False, False))
-                    continue
-                spills = False
-                if fits:
-                    used += nbytes
-                    while used > self.capacity_bytes:
-                        entry = next(oldest, None)
-                        if entry is None:
-                            if not touched:
-                                break
-                            size, dirty = touched.popleft()
-                        elif entry[0] in hit:
-                            continue    # it moved to the new end
-                        else:
-                            evicted.add(entry[0])
-                            size = entry[1].nbytes
-                            dirty = entry[0] in self._dirty
-                        used -= size
-                        spills |= dirty
-                    touched.append((nbytes, False))
-                out.append((True, spills))
-            return out
-
     def is_dirty(self, key: tuple) -> bool:
         """Is ``key`` a pending tile — written, not yet encoded?"""
         with self._lock:
@@ -1072,29 +1004,22 @@ class DecodedTileCache:
 class ArrayStore:
     """Factory and shared context (device + buffer pool) for tiled arrays.
 
-    Construct either from a :class:`~repro.storage.config.StorageConfig`
-    (``ArrayStore(storage=StorageConfig(backend="mmap", ...))``) or from
-    the classic keyword arguments, which describe the in-memory backend.
-    The device always comes from
+    Every setting comes from one
+    :class:`~repro.storage.config.StorageConfig`
+    (``ArrayStore(StorageConfig(backend="mmap", memory_bytes=...))``;
+    ``None`` is the default config).  The device always comes from
     :func:`~repro.storage.config.create_device` — the store never
     hard-codes a device class, so the same code runs against the
-    simulator or a real page file.
+    simulator or a real page file — unless a test hands in its own
+    ``device``.
     """
 
-    def __init__(self, memory_bytes: int | None = None,
-                 block_size: int | None = None,
-                 policy: str | None = None, name: str = "riot-store",
-                 scheduler: bool | None = None,
-                 storage: "StorageConfig | None" = None,
+    def __init__(self, storage: "StorageConfig | None" = None,
+                 name: str = "riot-store",
                  device: BlockDevice | None = None) -> None:
         from .config import StorageConfig, create_device
         if storage is None:
             storage = StorageConfig()
-        overrides = {k: v for k, v in (
-            ("memory_bytes", memory_bytes), ("block_size", block_size),
-            ("policy", policy), ("scheduler", scheduler)) if v is not None}
-        if overrides:
-            storage = storage.with_options(**overrides)
         self.storage = storage
         self.dtype = np.dtype(storage.dtype)
         self.codec = get_codec(storage.codec)
@@ -1114,8 +1039,9 @@ class ArrayStore:
             # not the other way around.
             from repro.analysis.sanitizers import SanitizingBufferPool
             pool_cls = SanitizingBufferPool
-        self.pool = pool_cls(self.device, capacity, policy=storage.policy)
-        self.pool.scheduler.enabled = storage.scheduler
+        self.pool = pool_cls(
+            self.device, capacity, policy=storage.policy,
+            scheduler=IOScheduler(self.device, enabled=storage.scheduler))
         # Decoded tiles live beside the pool under the same byte
         # budget; with codec raw everywhere the cache stays empty.
         self.tile_cache = DecodedTileCache(storage.memory_bytes,
@@ -1139,15 +1065,10 @@ class ArrayStore:
 
     @property
     def scalars_per_block(self) -> int:
-        """Float64 scalars per block — the cost models' fixed B.
-        Vectors always store float64; matrices use
-        :meth:`matrix_scalars_per_block`."""
+        """Float64 scalars per block: a vector's default chunk (vectors
+        always store float64).  The cost models' B is
+        ``storage.block_scalars``, in the store's matrix dtype."""
         return self.device.block_size // _FLOAT_BYTES
-
-    @property
-    def matrix_scalars_per_block(self) -> int:
-        """Scalars of the store's matrix dtype that fit one block."""
-        return self.device.block_size // self.dtype.itemsize
 
     def io_ratio_estimate(self) -> float:
         """Stored/logical *page* ratio of codec tiles, for planner

@@ -30,6 +30,13 @@ def session(mem_scalars=96 * 1024, **cfg):
         config=OptimizerConfig(**cfg))
 
 
+def budget(memory_scalars, block_scalars=1024):
+    """The float64 StorageConfig whose M and B are these scalar
+    counts."""
+    return StorageConfig(memory_bytes=memory_scalars * 8,
+                         block_size=block_scalars * 8)
+
+
 def rng():
     return np.random.default_rng(3)
 
@@ -108,10 +115,10 @@ class TestDenseMatMul:
         plan = s.plan((a @ b).node)
         # Sub-tile budgets are legal now (the kernel goes ragged); only
         # a budget that cannot hold three 1 x 1 panels is infeasible.
-        verify_plan(plan, memory_scalars=16, block_scalars=1024)
+        verify_plan(plan, budget(16))
         with pytest.raises(PlanVerificationError,
                            match="square_tile_matmul"):
-            verify_plan(plan, memory_scalars=2, block_scalars=1024)
+            verify_plan(plan, budget(2))
 
     def test_dense_lowering_of_sparse_pinned_node_rejected(self):
         s = session()
@@ -203,7 +210,7 @@ class TestLU:
         s, plan = self.make()
         with pytest.raises(PlanVerificationError,
                            match="solve.*tall LU panel"):
-            verify_plan(plan, memory_scalars=128, block_scalars=8 * 8)
+            verify_plan(plan, budget(128, 8 * 8))
 
     @pytest.mark.parametrize("dtype,width", [("float64", 32),
                                              ("float32", 45)])
@@ -221,14 +228,16 @@ class TestLU:
             y = s.matrix(rng().standard_normal((n, 1)), name="y")
             assert s.force(A).tile_shape[1] == 4 * width
             plan = s.plan(Solve(A.node, y.node))
-            block = s.store.matrix_scalars_per_block
             edge = 3 * n * width
-            verify_plan(plan, memory_scalars=edge, block_scalars=block)
+
+            def budget_of(mem):
+                return s.storage.with_options(
+                    memory_bytes=mem * s.storage.itemsize)
+            verify_plan(plan, budget_of(edge))
             lu_decompose(s.store, s.force(A), edge).drop()
             with pytest.raises(PlanVerificationError,
                                match="tall LU panel"):
-                verify_plan(plan, memory_scalars=edge - 1,
-                            block_scalars=block)
+                verify_plan(plan, budget_of(edge - 1))
             with pytest.raises(ValueError, match="tall pivot panel"):
                 lu_decompose(s.store, s.force(A), edge - 1)
 
@@ -254,11 +263,10 @@ class TestFusedEpilogue:
         # The region's sources are the product plus those inputs.
         panels = 2 + len(plan.root.region.sources)
         assert panels == 4
-        verify_plan(plan, memory_scalars=panels, block_scalars=1024)
+        verify_plan(plan, budget(panels))
         with pytest.raises(PlanVerificationError,
                            match="fused epilogue"):
-            verify_plan(plan, memory_scalars=panels - 1,
-                        block_scalars=1024)
+            verify_plan(plan, budget(panels - 1))
 
 
 class TestRefusalBoundary:
@@ -268,12 +276,12 @@ class TestRefusalBoundary:
     operator's label."""
 
     def check(self, plan, need, kernel):
-        verify_plan(plan, memory_scalars=need, block_scalars=1024)
+        verify_plan(plan, budget(need))
         kernel(need)
         with pytest.raises(ValueError) as refused:
             kernel(need - 1)
         with pytest.raises(PlanVerificationError) as rejected:
-            verify_plan(plan, memory_scalars=need - 1, block_scalars=1024)
+            verify_plan(plan, budget(need - 1))
         assert str(rejected.value) == f"{plan.root.label()}: " \
                                       f"{refused.value}"
 
@@ -429,11 +437,9 @@ class TestSharedCrossprod:
         # scalars) and 32-row slab (4 096) fill the budget — the same
         # line crossprod_matmul refuses at; (a + h) = 160 more scalars
         # hold y's column.
-        verify_plan(plan, memory_scalars=14 * 1024 + 160,
-                    block_scalars=1024)
+        verify_plan(plan, budget(14 * 1024 + 160))
         with pytest.raises(PlanVerificationError, match="do not fit"):
-            verify_plan(plan, memory_scalars=14 * 1024,
-                        block_scalars=1024)
+            verify_plan(plan, budget(14 * 1024))
 
     def test_the_fit_is_the_schedules_not_appendix_as(self):
         """Seeded both ways: at 14 blocks Appendix A's p = 64 panels
@@ -450,10 +456,9 @@ class TestSharedCrossprod:
         assert appendix_a_fits(14 * 1024)
         with pytest.raises(PlanVerificationError,
                            match="crossprod.*do not fit.*largest pass"):
-            verify_plan(plan, memory_scalars=14 * 1024,
-                        block_scalars=1024)
+            verify_plan(plan, budget(14 * 1024))
         assert not appendix_a_fits(48 * 1024)
-        verify_plan(plan, memory_scalars=48 * 1024, block_scalars=1024)
+        verify_plan(plan, budget(48 * 1024))
 
     def test_sides_need_an_operand_with_known_tiles(self):
         s, plan, op, _ = self.make()

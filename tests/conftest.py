@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.storage import ArrayStore, BlockDevice, BufferPool
+from repro.storage import (ArrayStore, BlockDevice, BufferPool,
+                           StorageConfig)
 
 
 @pytest.fixture
@@ -26,10 +27,10 @@ def small_pool(device: BlockDevice) -> BufferPool:
 
 @pytest.fixture
 def store() -> ArrayStore:
-    return ArrayStore(memory_bytes=4 * 1024 * 1024)
+    return ArrayStore(StorageConfig(memory_bytes=4 * 1024 * 1024))
 
 
 @pytest.fixture
 def tiny_store() -> ArrayStore:
     """A store whose pool holds only 16 blocks — forces real I/O."""
-    return ArrayStore(memory_bytes=16 * 8192)
+    return ArrayStore(StorageConfig(memory_bytes=16 * 8192))

@@ -226,8 +226,3 @@ class TestOptimizerConfigWiring:
         interp.run("z <- sqrt((x - 1)^2)")
         got = engine.session.values(interp.env["z"].node)
         assert got.shape == (100,)
-
-    def test_optimize_false_maps_to_level0(self):
-        engine = RiotNGEngine(memory_bytes=4 * 1024 * 1024,
-                              optimize=False)
-        assert engine.session.config.level == 0

@@ -105,7 +105,7 @@ class TestSubscripts:
     def test_no_rewrite_forces_full_vector(self, rng):
         """With optimization off, d[s] costs a full materialization."""
         session = RiotSession(storage=StorageConfig(
-            memory_bytes=32 * 8192), optimize=False)
+            memory_bytes=32 * 8192), config=OptimizerConfig(level=0))
         n = 500_000
         x = rng.standard_normal(n)
         v = session.vector(x)

@@ -1,9 +1,10 @@
 """The injected storage API: sessions and URL opening.
 
-``RiotSession(storage=StorageConfig(...))`` is the one way to configure
-storage (the pre-PR-6 ``RiotSession(memory_bytes=...)`` keywords are
-gone); ``repro.open_session(url)`` covers the URL form; no module
-outside ``repro.storage`` constructs a ``BlockDevice`` directly.
+``RiotSession(storage=StorageConfig(...), config=OptimizerConfig(...))``
+is the one way to configure a session — no keyword restates a field of
+either config, and every layer reads M and B from the
+``StorageConfig``; ``repro.open_session(url)`` covers the URL form; no
+module outside ``repro.storage`` constructs a ``BlockDevice`` directly.
 """
 
 from __future__ import annotations
@@ -13,14 +14,19 @@ import pathlib
 import subprocess
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import repro
-from repro.core import RiotSession
+from repro.analysis import planlint, verify_plan
+from repro.core import ArrayInput, MatMul, OptimizerConfig, RiotSession
 from repro.core.engine import RiotNGEngine
+from repro.core.evaluator import Evaluator
+from repro.core.planner import Planner
 from repro.db import Database
-from repro.storage import FileBlockDevice, StorageConfig
+from repro.storage import ArrayStore, FileBlockDevice, StorageConfig
 from repro.vm import Pager
 
 
@@ -48,18 +54,74 @@ class TestSessionConfigInjection:
 
     def test_storage_plus_legacy_kwargs_rejected(self):
         for legacy in ({"memory_bytes": 1 << 20}, {"block_size": 4096},
-                       {"policy": "clock"},
+                       {"policy": "clock"}, {"optimize": False},
                        {"memory_bytes": 1 << 20,
                         "storage": StorageConfig()}):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 RiotSession(**legacy)
 
 
+class TestOneBudget:
+    """M and B are stated once, by ``StorageConfig``: the planner, the
+    evaluator (its kernels and its level-0 planner) and the plan
+    verifier all read its ``memory_scalars`` and ``block_scalars``,
+    however they were built."""
+
+    def test_every_layer_sees_the_storage_budget(self):
+        cfg = StorageConfig(memory_bytes=1 << 20, dtype="float32")
+        budget = ((1 << 20) // 4, 8192 // 4)      # float32 scalars
+        # Not the pool's float64 count (131 072 here).
+        assert Evaluator(ArrayStore(storage=cfg)).memory_scalars \
+            == budget[0]
+        assert (cfg.memory_scalars, cfg.block_scalars) == budget
+        seen = []
+
+        def spy_plan(planner, root, io_ratio=1.0):
+            seen.append(("plan", planner.memory_scalars,
+                         planner.block_scalars))
+            return plan(planner, root, io_ratio)
+
+        def spy_verify(op, memory_scalars, block_scalars):
+            seen.append(("verify", memory_scalars, block_scalars))
+            return verify(op, memory_scalars, block_scalars)
+
+        plan, verify = Planner.plan, planlint._verify_op
+        with mock.patch.object(Planner, "plan", spy_plan), \
+                mock.patch.object(planlint, "_verify_op", spy_verify):
+            store = ArrayStore(cfg)
+            ev = Evaluator(store, OptimizerConfig(strict=True))
+            a = store.matrix_from_numpy(np.eye(4, dtype=np.float32))
+            ev.force(MatMul(ArrayInput(a), ArrayInput(a)))
+            with RiotSession(storage=cfg,
+                             config=OptimizerConfig(strict=True)) as s:
+                assert s.evaluator.memory_scalars == budget[0]
+                m = s.matrix(np.eye(4))
+                s.values(m @ m)
+                verify_plan(s.plan(m @ m), cfg)
+        assert {kind for kind, *_ in seen} == {"plan", "verify"}
+        assert {tuple(rest) for _, *rest in seen} == {budget}
+
+    @pytest.mark.parametrize("build", [
+        lambda: repro.open_session(None, optimize=False),
+        lambda: RiotNGEngine(optimize=False),
+        lambda: RiotNGEngine(block_size=4096),
+        lambda: ArrayStore(memory_bytes=1 << 20),
+        lambda: ArrayStore(scheduler=False),
+        lambda: Evaluator(ArrayStore(), memory_scalars=1 << 10),
+        lambda: Evaluator(ArrayStore(), parallelism=2),
+        lambda: Planner(OptimizerConfig(), memory_scalars=1 << 10),
+    ])
+    def test_a_setting_enters_one_way(self, build):
+        """The keywords that restated a config field are gone."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build()
+
+
 class TestOpenSession:
     def test_memory_url(self):
         with repro.open_session("memory://", memory="1MiB") as s:
             assert s.store.device.backend == "memory"
-            assert s._memory_scalars == (1 << 20) // 8
+            assert s.planner.memory_scalars == (1 << 20) // 8
 
     def test_file_url_roundtrip(self, tmp_path):
         url = (tmp_path / "riot.db").as_uri()
@@ -77,7 +139,8 @@ class TestOpenSession:
             assert s.store.device.backend == "pread"
 
     def test_kwargs_forwarded(self):
-        with repro.open_session(None, optimize=False) as s:
+        with repro.open_session(
+                None, config=OptimizerConfig(level=0)) as s:
             assert s.config.level == 0
 
     def test_temp_file_cleanup_on_close(self):

@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 from repro.core import OptimizerConfig, RiotSession
 from repro.core import evaluator as evaluator_module
-from repro.core.costs import STREAM_PREFETCH_CHUNKS, stream_window
 from repro.core.expr import (ArrayInput, ELEMENTWISE_OPS, Map, MatMul,
                              Range, Reduce, Scalar, Subscript,
                              SubscriptAssign)
 from repro.core.session import RiotVector
 from repro.storage import StorageConfig
+from repro.storage.tile_store import STREAM_PREFETCH_CHUNKS, stream_window
 
 BLOCK = 512
 CHUNK = BLOCK // 8           # the store's standard chunk: 64 scalars

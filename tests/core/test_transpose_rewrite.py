@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (Crossprod, Map, MatMul, RiotSession, Transpose,
-                        walk)
+from repro.core import (Crossprod, Map, MatMul, OptimizerConfig, RiotSession,
+                        Transpose, walk)
 from repro.core.plan import TileMatMulOp
 from repro.storage import StorageConfig
 
@@ -19,7 +19,7 @@ from repro.storage import StorageConfig
 def make_session(optimize=True, mem=4 * 1024 * 1024):
     return RiotSession(
         storage=StorageConfig(memory_bytes=mem, block_size=8192),
-        optimize=optimize)
+        config=OptimizerConfig(level=2 if optimize else 0))
 
 
 def no_transpose(node):

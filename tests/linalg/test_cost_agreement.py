@@ -23,7 +23,7 @@ BLOCK_SCALARS = 1024
 
 
 def measure(algorithm, a_np, b_np, mem, layouts):
-    store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+    store = ArrayStore(StorageConfig(memory_bytes=mem * 8, block_size=8192))
     a = store.matrix_from_numpy(a_np, layout=layouts[0])
     b = store.matrix_from_numpy(b_np, layout=layouts[1])
     store.pool.clear()
@@ -83,7 +83,8 @@ class TestLUAgreement:
 
     def _factor(self, rng, n, mem):
         a = rng.standard_normal((n, n))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         mat = store.matrix_from_numpy(a, layout="square")
         store.pool.clear()
         store.reset_stats()
@@ -112,7 +113,8 @@ class TestLUAgreement:
         sweep — ``solve_op_io`` less reading b and writing x, which
         stay in memory here."""
         a = rng.standard_normal((n, n))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         mat = store.matrix_from_numpy(a, layout="square")
         store.pool.clear()
         store.reset_stats()
@@ -188,7 +190,8 @@ class TestCrossprodAgreement:
     def test_measured_within_model(self, rng, dims, mem):
         m, k = dims
         a_np = rng.standard_normal((m, k))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         a = store.matrix_from_numpy(a_np, layout="square")
         store.pool.clear()
         store.reset_stats()
@@ -216,7 +219,8 @@ class TestSharedCrossprodAgreement:
         m, k = dims
         a_np = rng.standard_normal((m, k))
         b_np = rng.standard_normal((m, width))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         a = store.matrix_from_numpy(a_np, layout="square")
         b = store.matrix_from_numpy(b_np, layout="square")
         out_b = store.create_matrix((k, width), layout="square")
@@ -249,7 +253,8 @@ class TestFlaggedMatmulAgreement:
         l, m, n = dims  # effective product: (m x l) x (l x n)
         a_np = rng.standard_normal((l, m))  # stored un-transposed
         b_np = rng.standard_normal((l, n))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         a = store.matrix_from_numpy(a_np, layout="square")
         b = store.matrix_from_numpy(b_np, layout="square")
         store.pool.clear()
@@ -294,7 +299,8 @@ class TestEpilogueAgreement:
         a_np = rng.standard_normal((m, l))
         b_np = rng.standard_normal((l, n))
         c_np = rng.standard_normal((m, n))
-        store = ArrayStore(memory_bytes=mem * 8, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=mem * 8, block_size=8192))
         a = store.matrix_from_numpy(a_np, layout="square")
         b = store.matrix_from_numpy(b_np, layout="square")
         c = store.matrix_from_numpy(c_np, layout="square")

@@ -17,13 +17,15 @@ from repro.core.costs import (crossprod_io, crossprod_schedule,
                               crossprod_side_fits, square_panel)
 from repro.linalg import (bnlj_matmul, crossprod_matmul,
                           square_tile_matmul)
-from repro.storage import ArrayStore, tile_shape_for_layout
+from repro.storage import (ArrayStore, StorageConfig,
+                           tile_shape_for_layout)
 
 MEM = 96 * 1024  # scalars
 
 
 def make_store(block_size=8192, mem=MEM):
-    return ArrayStore(memory_bytes=mem * 8, block_size=block_size)
+    return ArrayStore(StorageConfig(
+        memory_bytes=mem * 8, block_size=block_size))
 
 
 class TestFlaggedSquareTile:

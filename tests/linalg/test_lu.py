@@ -30,7 +30,7 @@ MEM = 48 * 1024
 
 
 def make_store():
-    return ArrayStore(memory_bytes=MEM * 8, block_size=8192)
+    return ArrayStore(StorageConfig(memory_bytes=MEM * 8, block_size=8192))
 
 
 def reconstruction_error(store, a, factors: PackedLU) -> float:
@@ -168,8 +168,8 @@ class TestLUDecompose:
         panels fit, so the refusal threshold stays where the one-page
         tile put it: ``3 * n * min(n, 32)`` scalars."""
         a = rng.standard_normal((n, n))
-        store = ArrayStore(memory_bytes=pool_blocks * 8192,
-                           block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=pool_blocks * 8192, block_size=8192))
         mat = store.matrix_from_numpy(a, layout="square")
         floor = 3 * n * min(n, 32)
         budgets = {floor, floor + 1, 3 * n * 64 - 1, 3 * n * 64,
@@ -203,7 +203,8 @@ class TestLUDecompose:
         assert lu_tile_side(682, mem, 1024, 256) == 32
         assert lu_tile_side(540, 2 * mem, 2048, 256) == 180  # float32
         a = rng.standard_normal((768, 768))
-        store = ArrayStore(memory_bytes=256 * 8192, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=256 * 8192, block_size=8192))
         mat = store.matrix_from_numpy(a)
         factors = lu_decompose(store, mat, mem)
         assert mat.tile_shape == (128, 128)
@@ -216,7 +217,8 @@ class TestLUDecompose:
         in whole tiles of both: no read-modify-write."""
         n = 256
         a = rng.standard_normal((n, n))
-        store = ArrayStore(memory_bytes=256 * 8192, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=256 * 8192, block_size=8192))
         mat = store.create_matrix((n, n), tile_shape=(32, 32)) \
             .from_numpy(a)
         store.flush()
@@ -553,7 +555,8 @@ class TestSchedule:
         the pool from the step before (the last panel's own tiles, the
         copy's last ones), at most the 4 frames per panel."""
         mem = mem_blocks * 1024
-        store = ArrayStore(memory_bytes=4 * 8192, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=4 * 8192, block_size=8192))
         mat = store.create_matrix((n, n), tile_shape=(32, 32)) \
             .from_numpy(rng.standard_normal((n, n)))
         store.flush()

@@ -13,7 +13,7 @@ MEM = 96 * 1024  # scalars
 
 
 def make_store():
-    return ArrayStore(memory_bytes=MEM * 8, block_size=8192)
+    return ArrayStore(StorageConfig(memory_bytes=MEM * 8, block_size=8192))
 
 
 class TestCorrectness:

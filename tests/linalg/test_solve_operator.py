@@ -121,7 +121,8 @@ class TestEvaluation:
         results = {}
         for optimize in (True, False):
             s = RiotSession(storage=StorageConfig(
-                memory_bytes=64 * 8192 * 8), optimize=optimize)
+                memory_bytes=64 * 8192 * 8),
+                config=OptimizerConfig(level=2 if optimize else 0))
             plan = s.matrix(a_np).inv() @ s.matrix(b_np)
             results[optimize] = plan.values()
         assert np.allclose(results[True], results[False], atol=1e-8)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from repro.obs import Tracer
-from repro.storage import ArrayStore
+from repro.storage import ArrayStore, StorageConfig
 
 #: The pinned event shape.  Perfetto and ``chrome://tracing`` consume
 #: exactly these keys; changing them breaks every downstream consumer
@@ -15,7 +15,7 @@ TOP_KEYS = {"traceEvents", "displayTimeUnit", "otherData"}
 
 
 def _traced_workload(tmp_path):
-    store = ArrayStore(memory_bytes=16 * 8192)
+    store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
     vec = store.vector_from_numpy(
         np.arange(32 * 1024, dtype=np.float64))
     store.pool.clear()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.obs import NULL_TRACER, Tracer
 from repro.obs.tracer import _NULL_SPAN
-from repro.storage import ArrayStore
+from repro.storage import ArrayStore, StorageConfig
 
 
 class CountingStats:
@@ -146,7 +146,7 @@ class TestDisabledOverhead:
         """Block totals of a real workload are identical traced and
         untraced — spans observe I/O, they never cause it."""
         def run(record: bool):
-            store = ArrayStore(memory_bytes=16 * 8192)
+            store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
             data = np.arange(32 * 1024, dtype=np.float64)
             vec = store.vector_from_numpy(data)
             store.pool.clear()
@@ -191,7 +191,7 @@ class TestRecordingAndDeltas:
     def test_span_captures_io_and_pool_deltas(self):
         """Against the real storage stack: a span around a cold scan
         sees exactly that scan's reads and pool misses."""
-        store = ArrayStore(memory_bytes=16 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
         data = np.arange(64 * 1024, dtype=np.float64)
         vec = store.vector_from_numpy(data)
         store.pool.clear()
@@ -207,7 +207,7 @@ class TestRecordingAndDeltas:
         assert span.wall_ns > 0
 
     def test_sibling_spans_partition_the_io(self):
-        store = ArrayStore(memory_bytes=16 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
         data = np.arange(64 * 1024, dtype=np.float64)
         vec = store.vector_from_numpy(data)
         store.pool.clear()

@@ -207,7 +207,8 @@ class TestEndToEnd:
 
         def run(optimize):
             s = RiotSession(storage=StorageConfig(
-                memory_bytes=24 * 8192), optimize=optimize)
+                memory_bytes=24 * 8192),
+                config=OptimizerConfig(level=2 if optimize else 0))
             A = s.random_sparse_matrix(n, n, density, seed=1)
             B = s.random_sparse_matrix(n, n, density, seed=2)
             v = s.matrix(np.random.default_rng(3)

@@ -118,7 +118,7 @@ class TestIOAgreement:
         # x (32 blocks) exceeds the 16-frame pool, so the per-block-row
         # re-reads of x that the model charges actually happen.
         m, l, density = 1024, 32768, 0.003
-        store = ArrayStore(memory_bytes=16 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
         dense = _random_sparse(m, l, density, seed=7)
         a = SparseTiledMatrix.from_dense(store, dense)
         x = store.vector_from_numpy(np.ones(l))
@@ -135,7 +135,7 @@ class TestIOAgreement:
         # two column panels of one-row panels, in an 8-frame pool.
         m, l, n = 512, 512, 256
         mem = 24 * 1024
-        store = ArrayStore(memory_bytes=8 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=8 * 8192))
         dense = _random_sparse(m, l, 0.02, seed=8)
         a = SparseTiledMatrix.from_dense(store, dense)
         b = store.matrix_from_numpy(
@@ -156,7 +156,7 @@ class TestIOAgreement:
         kernel cuts its panels from, not a ``th x th`` one."""
         m, l, n = 512, 1024, 256
         mem = 24 * 1024
-        store = ArrayStore(memory_bytes=8 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=8 * 8192))
         dense = _random_sparse(m, l, 0.02, seed=12)
         a = SparseTiledMatrix.from_dense(store, dense,
                                          tile_shape=(64, 256))
@@ -179,7 +179,7 @@ class TestIOAgreement:
         # four panels over a 16-frame pool that holds neither operand.
         m = l = n = 1024
         mem = 48 * 1024
-        store = ArrayStore(memory_bytes=16 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
         ad = _random_sparse(m, l, 0.005, seed=10)
         bd = _random_sparse(l, n, 0.005, seed=11)
         a = SparseTiledMatrix.from_dense(store, ad)
@@ -205,8 +205,8 @@ class TestIOAgreement:
         m, l = 1024, 4096
         results = {}
         for enabled in (True, False):
-            store = ArrayStore(memory_bytes=32 * 8192,
-                               scheduler=enabled)
+            store = ArrayStore(StorageConfig(memory_bytes=32 * 8192,
+                               scheduler=enabled))
             dense = _random_sparse(m, l, 0.01, seed=12)
             a = SparseTiledMatrix.from_dense(store, dense)
             x = store.vector_from_numpy(np.ones(l))

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.sparse import (SparseTiledMatrix, csr_from_dense, csr_to_dense,
                           tile_words)
 from repro.sparse.sparse_matrix import default_sparse_tile_shape
-from repro.storage import ArrayStore
+from repro.storage import ArrayStore, StorageConfig
 from repro.storage.linearization import linearization_names
 
 
@@ -150,11 +150,12 @@ class TestFromCooGrouping:
     def test_same_directory_and_pages_as_the_old_loop(
             self, rng, linearization, shape, tile, density):
         dense = _random_sparse(rng, *shape, density)
-        new_store = ArrayStore(memory_bytes=4 * 1024 * 1024)
+        new_store = ArrayStore(StorageConfig(memory_bytes=4 * 1024 * 1024))
         new = SparseTiledMatrix.from_dense(
             new_store, dense, tile_shape=tile, linearization=linearization)
-        old = SparseTiledMatrix(ArrayStore(memory_bytes=4 * 1024 * 1024),
-                                new.name, shape, tile, linearization)
+        old = SparseTiledMatrix(
+            ArrayStore(StorageConfig(memory_bytes=4 * 1024 * 1024)),
+            new.name, shape, tile, linearization)
         rows, cols = np.nonzero(dense)
         _append_tiles_old_loop(old, rows, cols, dense[rows, cols])
         assert new.directory == old.directory
@@ -297,7 +298,7 @@ class TestTileDirectory:
 
 class TestIOAccounting:
     def test_cold_read_costs_directory_pages(self, rng):
-        store = ArrayStore(memory_bytes=16 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=16 * 8192))
         dense = _random_sparse(rng, 512, 512, 0.02)
         sp = SparseTiledMatrix.from_dense(store, dense)
         store.pool.clear()

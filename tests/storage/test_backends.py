@@ -330,18 +330,20 @@ class TestStorageConfig:
 class TestArrayStoreBudget:
     def test_below_minimum_raises_with_actual_minimum(self):
         with pytest.raises(ValueError) as err:
-            ArrayStore(memory_bytes=3 * 8192, block_size=8192)
+            ArrayStore(StorageConfig(memory_bytes=3 * 8192, block_size=8192))
         assert "4 blocks" in str(err.value)
         assert str(4 * 8192) in str(err.value)
 
     def test_exact_minimum_accepted(self):
-        store = ArrayStore(memory_bytes=4 * 8192, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=4 * 8192, block_size=8192))
         assert store.pool.capacity == 4
 
     def test_no_silent_flooring(self):
         """The old max(4, ...) floor is gone: a budget that fits is
         honoured exactly."""
-        store = ArrayStore(memory_bytes=7 * 8192, block_size=8192)
+        store = ArrayStore(StorageConfig(
+            memory_bytes=7 * 8192, block_size=8192))
         assert store.pool.capacity == 7
 
 

@@ -669,8 +669,8 @@ class TestCompressedStore:
             # budget they were cut from, not the exact tile area.
             assert (a32.tile_shape[0] * a32.tile_shape[1]
                     > a64.tile_shape[0] * a64.tile_shape[1])
-            assert f32.matrix_scalars_per_block \
-                == 2 * f64.matrix_scalars_per_block
+            assert f32.storage.block_scalars \
+                == 2 * f64.storage.block_scalars
 
     def test_float32_roundtrip_exact_for_representable(self):
         data = np.arange(80 * 80, dtype=np.float64).reshape(80, 80)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.storage import (ArrayStore, BlockDevice, BufferPool, IOScheduler,
-                           coalesce_runs)
+                           StorageConfig, coalesce_runs)
 
 
 #: The scheduler's claim on the on/off comparisons below: hints and
@@ -163,7 +163,8 @@ class TestStatsContract:
         scan, only cut its read calls (64 -> 10)."""
         runs = {}
         for enabled in (False, True):
-            store = ArrayStore(memory_bytes=16 * 8192, scheduler=enabled)
+            store = ArrayStore(StorageConfig(
+                memory_bytes=16 * 8192, scheduler=enabled))
             vec = store.create_vector(64 * 1024)
             vec.from_numpy(np.arange(64 * 1024, dtype=np.float64))
             store.pool.clear()
@@ -186,7 +187,8 @@ class TestStatsContract:
 
         results = {}
         for enabled in (False, True):
-            store = ArrayStore(memory_bytes=32 * 8192, scheduler=enabled)
+            store = ArrayStore(StorageConfig(
+                memory_bytes=32 * 8192, scheduler=enabled))
             n = 200_000
             x = store.vector_from_numpy(np.arange(n, dtype=np.float64))
             y = store.vector_from_numpy(np.ones(n))
@@ -255,7 +257,8 @@ class TestSchedulerEvictionRaces:
             rng = np.random.default_rng(1)
             a_np = rng.standard_normal((192, 192))
             b_np = rng.standard_normal((192, 192))
-            store = ArrayStore(memory_bytes=4 * 8192, scheduler=enabled)
+            store = ArrayStore(StorageConfig(
+                memory_bytes=4 * 8192, scheduler=enabled))
             a = store.matrix_from_numpy(a_np, layout="square")
             b = store.matrix_from_numpy(b_np, layout="square")
             store.pool.clear()

@@ -1,6 +1,6 @@
 """Rectangle I/O against a per-tile reference.
 
-``TiledMatrix.read_submatrix`` / ``write_submatrix`` move a whole
+``TiledMatrix.read_submatrix`` / ``write_submatrix`` move a whole raw
 rectangle with one block-table slice, one pool call and one bulk copy.
 The contract is that nobody can tell: contents are bitwise those of a
 NumPy mirror, and the device sees exactly the blocks it would have
@@ -12,14 +12,12 @@ so the equivalence stays checked.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import ArrayStore, StorageConfig, linearization_names
-from repro.storage.tile_store import DecodedTileCache, TiledMatrix
+from repro.storage.tile_store import TiledMatrix
 
 BLOCK = 512          # 64 float64 / 128 float32 scalars per page
 POOL_BLOCKS = 6      # small enough that most rectangles evict
@@ -184,26 +182,11 @@ def test_rectangles_match_the_per_tile_walk(data, layout, seed):
     assert _bits(again.to_numpy()) == _bits(mirror)
 
 
-def _count_get_many(pool) -> list[int]:
-    """Wrap ``pool.get_many``; the returned list grows by the number
-    of blocks each call asks for."""
-    calls: list[int] = []
-    get_many = pool.get_many
-
-    def counted(blocks):
-        calls.append(len(blocks))
-        return get_many(blocks)
-
-    pool.get_many = counted
-    return calls
-
-
-def test_a_compressed_rectangle_is_one_pool_read():
+def test_a_compressed_rectangle_reads_what_its_walk_reads():
     """Six compressed tiles through a decoded-tile cache that holds
-    four: the rectangle read fetches the pages of every tile the walk
-    will decode in one ``get_many`` — all six, the walk evicts each
-    tile just before it asks for it again — where the walk makes one
-    call per tile; blocks, bytes and decodes are the walk's."""
+    four (the walk evicts each tile just before it asks for it again):
+    the rectangle read moves the walk's blocks and bytes, decodes as
+    often, and leaves the pool counters where the walk leaves them."""
     layout = dict(shape=(11, 17), tile_shape=(5, 16),
                   linearization="col", dtype="float64",
                   codec="delta+zstd")
@@ -217,57 +200,13 @@ def test_a_compressed_rectangle_is_one_pool_read():
         # Written tiles are encoded when they leave memory.
         store.flush()
         store.reset_stats()
-        calls = _count_get_many(store.pool)
         assert _bits(read(mat, 0, 11, 0, 17)) == _bits(data)
         stats = store.device.stats
-        seen[name] = (calls, stats.bytes_logical // 640, stats.reads,
+        seen[name] = (stats.bytes_logical // 640, stats.reads,
                       stats.bytes_read, stats.bytes_compressed,
                       store.pool.stats)
-    assert seen["rect"][0] == [6] and seen["walk"][0] == [1] * 6
-    assert seen["rect"][1:] == seen["walk"][1:]
-    assert seen["rect"][1] == 6
-
-
-class _Owner:
-    """Stands in for a matrix: records the tiles it is asked to
-    spill."""
-
-    def __init__(self) -> None:
-        self.spilled: list[int] = []
-
-    def _spill(self, ti, tj, tile, through=False) -> int:
-        self.spilled.append(ti)
-        return 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(0, 12),
-       held=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4),
-                               st.booleans()),
-                     max_size=10),
-       keys=st.lists(st.integers(0, 9), unique=True),
-       size=st.integers(1, 4))
-def test_the_cache_foresees_its_own_walk(capacity, held, keys, size):
-    """``foresee`` answers for a whole walk what ``get`` — each miss
-    followed by ``put`` — then answers key by key: whether it misses,
-    and whether that ``put`` spills a dirty tile.  It disturbs nothing
-    on the way."""
-    owner = _Owner()
-    cache = DecodedTileCache(capacity * 8, threading.RLock())
-    for key, n, dirty in held:
-        cache.put(("m", key, 0), np.zeros(n), owner if dirty else None)
-    order, spilled = list(cache._entries), list(owner.spilled)
-    foreseen = cache.foresee([("m", k, 0) for k in keys], size * 8)
-    assert list(cache._entries) == order and owner.spilled == spilled
-    assert (cache.hits, cache.misses) == (0, 0)
-    actual = []
-    for k in keys:
-        miss = cache.get(("m", k, 0)) is None
-        before = len(owner.spilled)
-        if miss:
-            cache.put(("m", k, 0), np.zeros(size))
-        actual.append((miss, len(owner.spilled) > before))
-    assert foreseen == actual
+    assert seen["rect"] == seen["walk"]
+    assert seen["rect"][0] == 6
 
 
 def test_dropped_matrix_has_no_blocks():

@@ -82,7 +82,7 @@ class TestTiledVector:
     @given(n=st.integers(1, 4000), chunk=st.integers(1, 1024))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, n, chunk):
-        store = ArrayStore(memory_bytes=1 << 20)
+        store = ArrayStore(StorageConfig(memory_bytes=1 << 20))
         data = np.arange(n, dtype=np.float64) * 0.5
         vec = store.create_vector(n, chunk=chunk)
         vec.from_numpy(data)
@@ -149,7 +149,8 @@ class TestTiledMatrix:
         n = 256
         reads = {}
         for layout in ("row", "col", "square"):
-            store = ArrayStore(memory_bytes=4 * 8192, block_size=8192)
+            store = ArrayStore(StorageConfig(
+                memory_bytes=4 * 8192, block_size=8192))
             mat = store.create_matrix((n, n), layout=layout)
             mat.from_numpy(np.zeros((n, n)))
             store.pool.clear()
@@ -180,7 +181,7 @@ class TestTiledMatrix:
            th=st.integers(1, 32), tw=st.integers(1, 32))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, rows, cols, th, tw):
-        store = ArrayStore(memory_bytes=1 << 21)
+        store = ArrayStore(StorageConfig(memory_bytes=1 << 21))
         data = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
         mat = store.create_matrix((rows, cols), tile_shape=(th, tw))
         mat.from_numpy(data)
@@ -226,10 +227,11 @@ class TestTileShapeForLayout:
         """A raw tile moves whole, padding included, so a shape the
         16-page tile would pad by more than an eighth (in pages, against
         the one-page layout) keeps the one-page tile."""
-        store = ArrayStore(memory_bytes=256 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=256 * 8192))
         mat = store.create_matrix(shape)
         assert mat.grid[0] * mat.grid[1] * mat.pages_per_tile == pages
-        one_page = ArrayStore(memory_bytes=255 * 8192).create_matrix(shape)
+        one_page = ArrayStore(StorageConfig(
+            memory_bytes=255 * 8192)).create_matrix(shape)
         assert one_page.tile_shape == (min(shape[0], 32),
                                        min(shape[1], 32))
         assert 8 * pages <= 9 * (one_page.grid[0] * one_page.grid[1])
@@ -254,7 +256,7 @@ class TestTileShapeForLayout:
         """The ArrayStore path reaches tile_shape_for_layout before the
         TiledMatrix constructor; it must fail just as clearly."""
         from repro.storage import ArrayStore
-        store = ArrayStore(memory_bytes=8 * 8192)
+        store = ArrayStore(StorageConfig(memory_bytes=8 * 8192))
         with pytest.raises(ValueError):
             store.create_matrix((0, 5))
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.sanitizers import SanitizingBufferPool
 from repro.storage import ArrayStore, StorageConfig
-from repro.storage.tile_store import SCAN_PREFETCH_CHUNKS, TiledVector
+from repro.storage.tile_store import STREAM_PREFETCH_CHUNKS, TiledVector
 
 BLOCK = 512                  # 64 float64 scalars per page
 PAGE = BLOCK // 8
@@ -139,7 +139,7 @@ def test_runs_match_the_one_chunk_walk(data, layout, seed):
     assert _bits(vec.to_numpy()) == _bits(mirror)
     got = np.concatenate([np.empty(0)] + [run for _, run in vec.scan()])
     assert _bits(got) == _bits(mirror)
-    window = min(SCAN_PREFETCH_CHUNKS,
+    window = min(STREAM_PREFETCH_CHUNKS,
                  max(1, (layout["capacity"] - 2) // 2))
     for _ in range(2):       # to_numpy and scan above, as hinted walks
         for ci in range(0, ref.num_chunks, window):
