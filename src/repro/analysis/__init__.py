@@ -20,15 +20,17 @@ heading toward:
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
   ``REPRO_SANITIZE=1``) catching pin leaks, discards of pinned
   blocks, unannounced reads inside kernel spans, latch and write-back
-  leaks, cross-thread unpins and accesses to blocks of dropped arrays.
+  leaks, cross-thread unpins, accesses to blocks of dropped arrays and
+  frames that keep too much memory alive.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
 from .planlint import PlanVerificationError, verify_plan
 from .sanitizers import (CrossThreadUnpinError, LatchLeakError,
-                         PinLeakError, PinnedDiscardError, SanitizerError,
-                         SanitizingBufferPool, UnannouncedReadError,
-                         UseAfterDropError, WritebackLeakError)
+                         PinLeakError, PinnedDiscardError, RetentionError,
+                         SanitizerError, SanitizingBufferPool,
+                         UnannouncedReadError, UseAfterDropError,
+                         WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
@@ -36,5 +38,5 @@ __all__ = [
     "SanitizerError", "SanitizingBufferPool", "PinLeakError",
     "PinnedDiscardError", "UnannouncedReadError",
     "CrossThreadUnpinError", "LatchLeakError", "WritebackLeakError",
-    "UseAfterDropError",
+    "UseAfterDropError", "RetentionError",
 ]

@@ -50,6 +50,12 @@ Detected hazards:
   such an access can only be a stale reference: the evaluator dropping
   an intermediate before its last reader, or a kernel reading an
   operand it factored in place and freed.
+- **Over-retention** (:class:`RetentionError`): a pool call ends with
+  its frames keeping more than ``pool.retention_limit`` bytes alive.
+  A frame is a row of the buffer a device read filled or a
+  ``put_many`` batch, and keeps all of it alive; the bytes are
+  recounted from the frames themselves after every call, not taken
+  from the pool's own running count.
 
 The sanitizer is thread-aware like the pool it wraps: span stacks and
 pin ownership are tracked per thread (worker threads each get their
@@ -64,7 +70,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.storage.buffer_pool import BufferPool
+from repro.storage.buffer_pool import BufferPool, retained_bytes
 
 
 class SanitizerError(RuntimeError):
@@ -97,6 +103,10 @@ class WritebackLeakError(SanitizerError):
 
 class UseAfterDropError(SanitizerError):
     """A pool access to a block freed by dropping its array."""
+
+
+class RetentionError(SanitizerError):
+    """Frames keep more memory alive than the pool's bound allows."""
 
 
 class _ThreadState(threading.local):
@@ -325,6 +335,16 @@ class SanitizingBufferPool(BufferPool):
             if bid not in self._frames:
                 self._check_covered(bid)
         return super().get_many(block_ids)
+
+    def _end_call(self) -> None:
+        super()._end_call()
+        held = retained_bytes(self._frames.values())
+        if held > self.retention_limit:
+            raise RetentionError(
+                f"the pool's {len(self._frames)} frames keep {held} "
+                f"bytes alive, over its bound of {self.retention_limit} "
+                f"(twice {self.capacity} blocks); the rows left of a "
+                f"buffer less than half resident must be copied out")
 
     # ------------------------------------------------------------------
     # Pin hazards

@@ -65,12 +65,14 @@ from .planner import Planner
 def _cut(value, window: tuple[int, ...]):
     """``value`` over ``window`` — an element range ``(lo, hi)`` of a
     vector or a rectangle ``(r0, r1, c0, c1)`` of a matrix, read from
-    storage or sliced; a number passes through."""
+    storage or sliced; a number passes through.  A stored vector's
+    range is a read-only view of the pool's run buffer where it can be
+    (:meth:`TiledVector.view_range`): the tape only reads its inputs."""
     if isinstance(value, Range):
         lo, hi = window
         return np.arange(value.lo + lo, value.lo + hi, dtype=np.float64)
     if isinstance(value, TiledVector):
-        return value.read_range(*window)
+        return value.view_range(*window)
     if isinstance(value, TiledMatrix):
         return value.read_submatrix(*window)
     if hasattr(value, "read_tile_csr"):    # sparse, on the region's grid
@@ -334,7 +336,8 @@ class Evaluator:
         if region.root.ndim == 1:
             out = self.store.create_vector(region.root.shape[0])
             for c0, window in self._windows(region, values):
-                out.write_chunk(c0, window)
+                # The tape's result is this window's own array.
+                out.write_chunk(c0, window, hand_over=True)
             return out
         grid = self._grid(region, values)
         out = self.store.create_matrix(

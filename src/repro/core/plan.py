@@ -35,6 +35,51 @@ def _as_double(fn: Callable) -> Callable:
     return lambda *args: fn(*args).astype(np.float64)
 
 
+#: Ufuncs whose every result is correctly rounded: computed into a
+#: reused buffer (``out=``) by whichever loop, it has the same bits.
+_EXACT_UFUNCS = frozenset([np.add, np.subtract, np.multiply, np.divide,
+                           np.negative, np.absolute, np.floor, np.ceil,
+                           np.sqrt, np.square])
+
+
+def _step(node: Node, slot: dict[int, int]
+          ) -> tuple[Callable, tuple[int, ...]]:
+    """The tape step computing ``node``: its function and argument
+    slots.  ``x ^ 2`` squares (R's ``R_POW`` rule, and what NumPy's
+    ``**`` does): the same bits as ``np.power(x, 2.0)``, a third of the
+    time."""
+    args = tuple(slot[id(c)] for c in node.children)
+    if not isinstance(node, Map):
+        return _masked_assign, args
+    if (node.op == "pow" and isinstance(node.children[1], Scalar)
+            and node.children[1].value == 2.0):
+        return np.square, args[:1]
+    fn = ELEMENTWISE_OPS[node.op]
+    return (_as_double(fn) if node.op in COMPARISON_OPS else fn), args
+
+
+def _reusable(buffers: list[np.ndarray], operands: list
+              ) -> np.ndarray | None:
+    """A buffer from ``buffers`` that a float ufunc over ``operands``
+    can write its result into, taken from the list; else None.  Only
+    operands whose result type is plain: float arrays of one shape and
+    dtype, beside Python numbers or scalars of that dtype."""
+    arrays = [op for op in operands if type(op) is np.ndarray]
+    if not arrays:
+        return None
+    shape, dtype = arrays[0].shape, arrays[0].dtype
+    if dtype.kind != "f" or any(
+            a.shape != shape or a.dtype != dtype for a in arrays[1:]):
+        return None
+    if any(type(op) is not np.ndarray and type(op) not in (float, int)
+           and getattr(op, "dtype", None) != dtype for op in operands):
+        return None
+    for k, buf in enumerate(buffers):
+        if buf.shape == shape and buf.dtype == dtype:
+            return buffers.pop(k)
+    return None
+
+
 class Region:
     """An elementwise region compiled to a tape, built once by
     :func:`repro.core.planner.build_region`.
@@ -44,7 +89,11 @@ class Region:
     ``len(inputs) + i``, so an interior node is computed once per run
     however often it is used, and the last slot is the root's value.
     A run drops each slot after its last use, as a recursive walk
-    would: a product epilogue's blocks are large.
+    would: a product epilogue's blocks are large.  An interior slot's
+    array, once dead, is where a later step of the same run writes
+    (``out=``), so a run allocates a few buffers, not one per step;
+    an input's array is never written (a window of a stored vector is
+    a read-only view of the buffer pool's pages).
     A comparison or logical step yields R's 0/1 doubles, as a stored
     logical would, so arithmetic may read it (``-(A > B)``).
     The inputs are barriers (computed by another operator — or, in a
@@ -61,25 +110,30 @@ class Region:
         self.nodes = self.inputs + tuple(interior)   # one per slot
         slot = {id(n): i for i, n in enumerate(self.nodes)}
         self.tape: tuple[tuple[Callable, tuple[int, ...]], ...] = tuple(
-            (_masked_assign if not isinstance(n, Map)
-             else _as_double(ELEMENTWISE_OPS[n.op])
-             if n.op in COMPARISON_OPS else ELEMENTWISE_OPS[n.op],
-             tuple(slot[id(c)] for c in n.children))
-            for n in interior)
+            _step(n, slot) for n in interior)
         last = {a: i for i, (_, args) in enumerate(self.tape)
                 for a in args}
         self._dead = [[a for a, i in last.items() if i == step]
                       for step in range(len(self.tape))]
+        self._exact = [fn in _EXACT_UFUNCS for fn, _ in self.tape]
         self.sources = tuple(n for n in inputs if n.ndim
                              and not isinstance(n, (Range, Scalar)))
 
     def run(self, read: Callable[[Node], object]):
         """The root's value, ``read(node)`` supplying each input's."""
         values = [read(n) for n in self.inputs]
-        for (fn, args), dead in zip(self.tape, self._dead):
-            values.append(fn(*[values[a] for a in args]))
+        first_interior = len(values)
+        free: list[np.ndarray] = []     # dead interior slots' arrays
+        for (fn, args), dead, exact in zip(self.tape, self._dead,
+                                           self._exact):
+            operands = [values[a] for a in args]
             for a in dead:
+                if a >= first_interior and type(values[a]) is np.ndarray:
+                    free.append(values[a])
                 values[a] = None
+            out = _reusable(free, operands) if exact and free else None
+            values.append(fn(*operands) if out is None
+                          else fn(*operands, out=out))
         return values[-1]
 
 

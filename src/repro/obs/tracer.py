@@ -1,8 +1,8 @@
 """Zero-dependency tracing: nestable spans with exact I/O attribution.
 
 RIOT's planner is only as good as the feedback loop validating its cost
-models, and ROADMAP items 2–3 (concurrent sessions, intra-query
-parallelism) will need their schedulers to be debuggable.  This module
+models, and the kernels' worker threads need their schedules to be
+debuggable.  This module
 is the substrate: a :class:`Tracer` whose spans bracket any unit of
 work — a physical-plan operator, an optimizer pass, one panel of an
 out-of-core kernel — and close with the *delta* of the device's

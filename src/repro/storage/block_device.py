@@ -210,13 +210,17 @@ def coalesce_runs(block_ids: list[int]) -> list[tuple[int, int]]:
     form across adjacent ids in the given sequence — callers wanting
     maximal coalescing should sort first.
     """
-    runs: list[tuple[int, int]] = []
+    n = len(block_ids)
+    if n and block_ids[-1] - block_ids[0] == n - 1 and \
+            list(range(block_ids[0], block_ids[0] + n)) == block_ids:
+        return [(block_ids[0], n)]       # already one run
+    runs: list[list[int]] = []           # [first, length]
     for bid in block_ids:
         if runs and bid == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            runs[-1][1] += 1
         else:
-            runs.append((bid, 1))
-    return runs
+            runs.append([bid, 1])
+    return [(first, length) for first, length in runs]
 
 
 class BlockDevice:
@@ -290,9 +294,14 @@ class BlockDevice:
     # ------------------------------------------------------------------
     # Physical storage primitives (overridden by file backends)
     # ------------------------------------------------------------------
-    def _read_run(self, first: int, length: int) -> list[np.ndarray]:
-        """Materialize ``length`` consecutive blocks as writable arrays."""
-        return [self._fetch(first + k) for k in range(length)]
+    def _read_run(self, first: int, length: int) -> np.ndarray:
+        """Materialize ``length`` consecutive blocks as one writable
+        ``(length, block_size)`` buffer that owns its memory; row ``k``
+        is block ``first + k``."""
+        out = np.empty((length, self.block_size), dtype=np.uint8)
+        for k in range(length):
+            out[k] = self._fetch(first + k)
+        return out
 
     def _write_run(self, first: int, bufs: list[np.ndarray]) -> None:
         """Persist consecutive blocks (each buffer is one full block)."""
@@ -311,7 +320,7 @@ class BlockDevice:
     # so the wall-clock/byte counters mean the same thing on every
     # backend.
     # ------------------------------------------------------------------
-    def _timed_read(self, first: int, length: int) -> list[np.ndarray]:
+    def _timed_read(self, first: int, length: int) -> np.ndarray:
         t0 = time.perf_counter_ns()
         out = self._read_run(first, length)
         self.stats.read_ns += time.perf_counter_ns() - t0
@@ -368,6 +377,8 @@ class BlockDevice:
         against the previous access, the rest are sequential by
         construction.  Block *totals* are identical to calling
         :meth:`read_block` once per id — only the call count shrinks.
+        A run arrives in one buffer: the blocks it returns are the rows
+        of that ``(run_length, block_size)`` array (``row.base``).
         """
         out: list[np.ndarray] = []
         for first, length in coalesce_runs(list(block_ids)):
@@ -402,7 +413,8 @@ class BlockDevice:
         mirrors :meth:`read_blocks`.
         """
         items = list(items)
-        bufs = {bid: self._coerce(data) for bid, data in items}
+        bufs = [self._coerce(data) for _, data in items]
+        at = 0
         for first, length in coalesce_runs([bid for bid, _ in items]):
             self._check_id(first)
             self._check_id(first + length - 1)
@@ -414,18 +426,24 @@ class BlockDevice:
             self.stats.write_calls += 1
             self.stats.coalesced_ios += length - 1
             self._last_accessed = first + length - 1
-            self._timed_write(first,
-                              [bufs[first + k] for k in range(length)])
+            self._timed_write(first, bufs[at:at + length])
+            at += length
 
     def _fetch(self, block_id: int) -> np.ndarray:
+        """The stored bytes of a block (zeros if never written), not a
+        copy: callers copy them out."""
         block = self._blocks.get(block_id)
         if block is None:
             return np.zeros(self.block_size, dtype=np.uint8)
-        return block.copy()
+        return block
 
     def _coerce(self, data: np.ndarray) -> np.ndarray:
         """Validate and zero-pad write payloads to one full,
         contiguous block (what a vectored write can gather from)."""
+        if (type(data) is np.ndarray and data.dtype == np.uint8
+                and data.shape == (self.block_size,)
+                and data.flags.c_contiguous):
+            return data                  # a frame: already one block
         buf = np.ascontiguousarray(data, dtype=np.uint8)
         if buf.size > self.block_size:
             raise ValueError(

@@ -17,6 +17,29 @@ only way to read ahead is an announced footprint: an operator that
 knows what it will read next calls :meth:`BufferPool.prefetch`, and the
 pool installs those blocks as clean frames.  The pool never guesses.
 
+Frames as runs
+--------------
+
+A frame is one row of a buffer: the ``(length, block_size)`` array one
+coalesced device read filled, or the page batch :meth:`put_many` was
+handed (the pool adopts it rather than copying each page).  A frame
+therefore keeps its whole buffer alive, and a buffer only some of whose
+rows are still resident holds memory the pool no longer uses.  The pool
+bounds that: at the end of every public call, frames keep at most
+:meth:`BufferPool.retention_limit` bytes alive — twice the capacity —
+and when they keep more, the surviving rows of every buffer less than
+half resident are copied out (:meth:`BufferPool._bound_retention`).  A
+frame handed out by :meth:`get`, or pinned, is copied out first, so the
+pool never moves memory a caller may be writing through.
+
+Batches evict and install in one pass: ``prefetch``, and ``get_many`` /
+``put_many`` on blocks none of which is resident, make room for the
+whole batch and install it at once when the policy's victims do not
+depend on the batch's own inserts (LRU) — the same victims, in the same
+order, as one install at a time.  Otherwise (CLOCK, whose hand sweeps
+the new frames too, hits mixed into the batch, or a subclass with its
+own :meth:`_ensure_room`) they walk block by block.
+
 Deferred write-back
 -------------------
 
@@ -72,11 +95,13 @@ perspective — the latch is the innermost lock.
 
 from __future__ import annotations
 
+import operator
 import threading
-from collections import OrderedDict
-from collections.abc import Container, Iterator, Sequence
+from collections import OrderedDict, deque
+from collections.abc import Container, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -94,11 +119,24 @@ MAX_PENDING_WRITEBACKS = 64
 class ReplacementPolicy:
     """Interface for choosing a victim frame."""
 
+    #: Whether inserting keys can change which existing key is the next
+    #: victim.  When it cannot, a batch's victims may all be chosen
+    #: before any of its keys is inserted.
+    inserts_move_victims = True
+
     def on_access(self, key: int) -> None:
         raise NotImplementedError
 
+    def on_access_many(self, keys: Iterable[int]) -> None:
+        for key in keys:
+            self.on_access(key)
+
     def on_insert(self, key: int) -> None:
         raise NotImplementedError
+
+    def on_insert_many(self, keys: Iterable[int]) -> None:
+        for key in keys:
+            self.on_insert(key)
 
     def on_remove(self, key: int) -> None:
         raise NotImplementedError
@@ -107,9 +145,22 @@ class ReplacementPolicy:
         """Return the key of the frame to evict (never a pinned one)."""
         raise NotImplementedError
 
+    def choose_victims(self, n: int, pinned: Container[int]
+                       ) -> Iterable[int]:
+        """The next ``n`` victims in order, each removed as it is
+        chosen: what ``n`` rounds of :meth:`choose_victim` and
+        :meth:`on_remove` pick."""
+        for _ in range(n):
+            key = self.choose_victim(pinned)
+            self.on_remove(key)
+            yield key
+
 
 class LRUPolicy(ReplacementPolicy):
     """Least-recently-used eviction via an ordered dict."""
+
+    # A new key goes to the most-recent end, behind every victim.
+    inserts_move_victims = False
 
     def __init__(self) -> None:
         self._order: OrderedDict[int, None] = OrderedDict()
@@ -117,8 +168,14 @@ class LRUPolicy(ReplacementPolicy):
     def on_access(self, key: int) -> None:
         self._order.move_to_end(key)
 
+    def on_access_many(self, keys: Iterable[int]) -> None:
+        deque(map(self._order.move_to_end, keys), maxlen=0)
+
     def on_insert(self, key: int) -> None:
         self._order[key] = None
+
+    def on_insert_many(self, keys: Iterable[int]) -> None:
+        self._order.update(dict.fromkeys(keys))
 
     def on_remove(self, key: int) -> None:
         self._order.pop(key, None)
@@ -128,6 +185,19 @@ class LRUPolicy(ReplacementPolicy):
             if key not in pinned:
                 return key
         raise RuntimeError("buffer pool exhausted: all frames pinned")
+
+    def choose_victims(self, n: int, pinned: Container[int]
+                       ) -> Iterable[int]:
+        victims = list(islice(filterfalse(pinned.__contains__,
+                                          self._order) if pinned
+                              else self._order, n))
+        if (len(victims) < n
+                or type(self).choose_victim is not LRUPolicy.choose_victim):
+            # Running out part-way, or a subclass choosing its own way:
+            # one choice at a time, so it fails where that would.
+            return super().choose_victims(n, pinned)
+        deque(map(self._order.pop, victims), maxlen=0)
+        return victims
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -244,6 +314,49 @@ _POOL_FIELDS = ("hits", "misses", "evictions", "dirty_writebacks",
 POOL_SCHEMA_KEYS = frozenset(_POOL_FIELDS) | {"accesses", "hit_rate"}
 
 
+class _Run:
+    """A buffer whose rows are frames: what one device read filled, or a
+    page batch :meth:`BufferPool.put_many` adopted.  ``rows[k]`` is the
+    frame it offers block ``ids[k]``; ``live`` counts the rows resident
+    as frames; ``nbytes`` is the memory any one of them keeps alive."""
+
+    __slots__ = ("ids", "buf", "rows", "nbytes", "live")
+
+    def __init__(self, ids: list[int], buf: np.ndarray) -> None:
+        self.ids = ids
+        self.buf = buf
+        self.rows = list(buf)
+        self.nbytes = _holds(buf)
+        self.live = 0
+
+
+def _holds(array: np.ndarray) -> int:
+    """Bytes ``array`` keeps alive: its buffer's, whole."""
+    return array.nbytes if array.base is None else array.base.nbytes
+
+
+def retained_bytes(frames: Iterable[np.ndarray]) -> int:
+    """Bytes a set of frames keeps alive, each buffer counted once."""
+    owned = 0
+    shared: dict[int, int] = {}          # buffer id -> its bytes
+    for frame in frames:
+        if frame.base is None:
+            owned += frame.nbytes
+        else:
+            shared[id(frame.base)] = frame.base.nbytes
+    return owned + sum(shared.values())
+
+
+def _adoptable(pages: np.ndarray) -> np.ndarray:
+    """``pages`` as rows the pool can keep as frames: C-contiguous,
+    writable, and backed by an ndarray whose size the retention bound
+    can count — else a copy."""
+    if (pages.flags.c_contiguous and pages.flags.writeable
+            and (pages.base is None or isinstance(pages.base, np.ndarray))):
+        return pages
+    return pages.copy()
+
+
 class BufferPool:
     """A bounded cache of device blocks with write-back semantics.
 
@@ -277,11 +390,21 @@ class BufferPool:
         # whenever no public call is running.
         self._pending: dict[
             int, tuple[np.ndarray, threading.RLock | None]] = {}
+        # Frames that are rows of a shared buffer -> that buffer's run;
+        # a frame absent here owns its one block of memory.
+        self._owner: dict[int, _Run] = {}
+        # Bytes the resident frames keep alive (their buffers, whole).
+        self._held = 0
 
     # ------------------------------------------------------------------
     @property
     def resident(self) -> int:
         return len(self._frames)
+
+    @property
+    def retention_limit(self) -> int:
+        """Most bytes the frames keep alive between public calls."""
+        return 2 * self.capacity * self.device.block_size
 
     def _latch(self, block_id: int) -> threading.RLock:
         with self.lock:
@@ -308,29 +431,33 @@ class BufferPool:
     def get(self, block_id: int, *, for_write: bool = False) -> np.ndarray:
         """Return the cached buffer for a block, faulting it in if needed.
 
-        The returned array aliases the frame: callers who mutate it must pass
-        ``for_write=True`` (or call :meth:`mark_dirty`) so the change is
-        written back on eviction.
+        The returned array is the frame, and owns its memory: callers
+        who mutate it must pass ``for_write=True`` (or call
+        :meth:`mark_dirty`) so the change is written back on eviction.
         """
         with self.lock:
-            frame = self._frames.get(block_id)
-            if frame is not None:
-                self.stats.hits += 1
-                self.policy.on_access(block_id)
-                self._note_prefetch_hit(block_id)
-            else:
-                self.stats.misses += 1
-                try:
-                    self._ensure_room()
-                finally:
-                    # The victim goes out before the read comes in.
-                    self._drain_pending()
-                frame = self.scheduler.fetch([block_id])[block_id]
-                self._frames[block_id] = frame
-                self.policy.on_insert(block_id)
-            if for_write:
-                self._dirty.add(block_id)
-            return frame
+            try:
+                if block_id in self._frames:
+                    self.stats.hits += 1
+                    self.policy.on_access(block_id)
+                    self._note_prefetch_hit(block_id)
+                else:
+                    self.stats.misses += 1
+                    try:
+                        self._ensure_room()
+                    finally:
+                        # The victim goes out before the read comes in.
+                        self._drain_pending()
+                    (_, buf), = self.scheduler.fetch([block_id])
+                    run = _Run([block_id], buf)
+                    self._install(block_id, run.rows[0], run)
+                    self.policy.on_insert(block_id)
+                frame = self._own(block_id)
+                if for_write:
+                    self._dirty.add(block_id)
+                return frame
+            finally:
+                self._end_call()
 
     def get_many(self, block_ids: list[int]) -> list[np.ndarray]:
         """Return frames for several blocks, coalescing the misses.
@@ -342,39 +469,87 @@ class BufferPool:
         of device *calls*: all missing blocks are faulted in with one
         scheduler fetch so adjacent ids share reads, and the dirty
         victims their installs evict go out in one sorted write-back
-        instead of one write each.  Returned arrays alias frames where
-        the block stayed resident; callers treat them as read-only.
+        instead of one write each.  The returned arrays are the frames
+        as they stand (rows of shared buffers): callers treat them as
+        read-only and do not keep them across pool calls.
         """
         with self.lock:
+            frames = self._frames
+            if frames.keys() >= set(block_ids):
+                self.stats.hits += len(block_ids)
+                self.policy.on_access_many(block_ids)
+                self._note_prefetch_hits(block_ids)
+                return list(map(frames.__getitem__, block_ids))
             missing = list(dict.fromkeys(
-                bid for bid in block_ids if bid not in self._frames))
-            fetched = self.scheduler.fetch(missing) if missing else {}
-            out: list[np.ndarray] = []
+                bid for bid in block_ids if bid not in frames))
+            runs = self.scheduler.fetch(missing)
             try:
-                for bid in block_ids:
-                    frame = self._frames.get(bid)
-                    if frame is not None:
-                        self.stats.hits += 1
-                        self.policy.on_access(bid)
-                        self._note_prefetch_hit(bid)
-                        out.append(frame)
-                        continue
-                    self.stats.misses += 1
-                    frame = fetched.get(bid)
-                    if frame is None:
-                        # The block was resident when the misses were
-                        # collected but got evicted while installing
-                        # them — fault it in, after its parked copy (if
-                        # it left dirty) has reached the device.
-                        self._drain_pending()
-                        frame = self.scheduler.fetch([bid])[bid]
-                    self._ensure_room()
-                    self._frames[bid] = frame
-                    self.policy.on_insert(bid)
-                    out.append(frame)
+                if (len(missing) == len(block_ids)
+                        and missing == sorted(missing)
+                        and self._make_room(len(missing))):
+                    self.stats.misses += len(missing)
+                    for first, buf in runs:
+                        self._adopt(list(range(first, first + len(buf))),
+                                    buf)
+                    return list(map(frames.__getitem__, block_ids))
+                return self._walk_get_many(block_ids, runs)
             finally:
+                self._end_call()
+
+    def _walk_get_many(self, block_ids: list[int],
+                       runs: list[tuple[int, np.ndarray]]
+                       ) -> list[np.ndarray]:
+        """``get_many`` one block at a time (caller holds the lock and
+        ends the call)."""
+        fetched: dict[int, tuple[np.ndarray, _Run]] = {}
+        for first, buf in runs:
+            run = _Run(list(range(first, first + len(buf))), buf)
+            fetched.update((bid, (row, run))
+                           for bid, row in zip(run.ids, run.rows))
+        out: list[np.ndarray] = []
+        for bid in block_ids:
+            frame = self._frames.get(bid)
+            if frame is not None:
+                self.stats.hits += 1
+                self.policy.on_access(bid)
+                self._note_prefetch_hit(bid)
+                out.append(frame)
+                continue
+            self.stats.misses += 1
+            got = fetched.get(bid)
+            if got is None:
+                # The block was resident when the misses were collected
+                # but got evicted while installing them — fault it in,
+                # after its parked copy (if it left dirty) has reached
+                # the device.
                 self._drain_pending()
-            return out
+                (_, buf), = self.scheduler.fetch([bid])
+                run = _Run([bid], buf)
+                got = run.rows[0], run
+            self._ensure_room()
+            self._install(bid, *got)
+            self.policy.on_insert(bid)
+            out.append(got[0])
+        return out
+
+    def get_run(self, block_ids: list[int]) -> np.ndarray:
+        """:meth:`get_many`, returned as one read-only ``(n, block_size)``
+        array: a view of the buffer whose consecutive rows the blocks'
+        frames are, else one gather copy of the frames."""
+        with self.lock:
+            frames = self.get_many(block_ids)
+            run = self._owner.get(block_ids[0])
+            if run is not None:
+                n = len(block_ids)
+                r0 = run.ids.index(block_ids[0])
+                if (r0 + n <= len(run.rows) and all(
+                        map(operator.is_, frames, run.rows[r0:r0 + n]))):
+                    view = run.buf[r0:r0 + n]
+                    view.flags.writeable = False
+                    return view
+        out = np.stack(frames)
+        out.flags.writeable = False
+        return out
 
     def prefetch(self, block_ids: list[int]) -> int:
         """Hint: the given blocks are about to be read.
@@ -403,23 +578,39 @@ class BufferPool:
                     if bid not in self._frames][:max(room, 0)]
             if not want:
                 return 0
-            fetched = self.scheduler.fetch(want, hinted=True)
+            runs = self.scheduler.fetch(want, hinted=True)
             try:
-                for bid, frame in fetched.items():
-                    self._ensure_room()
-                    self._frames[bid] = frame
-                    self.policy.on_insert(bid)
-                    self._prefetched.add(bid)
-                    self.stats.prefetched += 1
+                batch = self._make_room(len(want))
+                for first, buf in runs:
+                    ids = list(range(first, first + len(buf)))
+                    if batch:
+                        self._adopt(ids, buf)
+                        self._prefetched.update(ids)
+                        self.stats.prefetched += len(ids)
+                        continue
+                    run = _Run(ids, buf)
+                    for bid, row in zip(ids, run.rows):
+                        self._ensure_room()
+                        self._install(bid, row, run)
+                        self.policy.on_insert(bid)
+                        self._prefetched.add(bid)
+                        self.stats.prefetched += 1
             finally:
-                self._drain_pending()
-            return len(fetched)
+                self._end_call()
+            return len(want)
 
     def _note_prefetch_hit(self, block_id: int) -> None:
         if block_id in self._prefetched:
             self._prefetched.discard(block_id)
             self.stats.readahead_hits += 1
             self.device.stats.readahead_hits += 1
+
+    def _note_prefetch_hits(self, block_ids: Iterable[int]) -> None:
+        used = self._prefetched.intersection(block_ids)
+        if used:
+            self._prefetched -= used
+            self.stats.readahead_hits += len(used)
+            self.device.stats.readahead_hits += len(used)
 
     def put(self, block_id: int, data: np.ndarray) -> None:
         """Install new contents for a block without reading it first.
@@ -436,24 +627,26 @@ class BufferPool:
             buf = padded
         with self.lock:
             try:
-                self._put_locked(block_id, buf)
+                self._put_locked(block_id, buf, None)
             finally:
-                self._drain_pending()
+                self._end_call()
 
     def put_many(self, block_ids: Sequence[int],
                  pages: np.ndarray) -> None:
         """Install whole pages for several blocks under one lock hold.
 
         ``pages`` is a ``(len(block_ids), block_size)`` uint8 array, one
-        row per block.  Per block this is exactly :meth:`put` — same
-        hit/miss accounting, same in-place overwrite under the frame's
-        latch, same eviction order — so a batch and the same blocks sent
-        one by one leave the pool, every ``PoolStats`` field, the
-        device's block and byte totals and its contents in the same
-        state.  Only the device's ``write_calls`` may differ, and only
-        downwards: the dirty victims of the whole batch are written
-        back together, sorted by block id, so adjacent ones share a
-        call.
+        row per block, and the pool takes it over: a block that was not
+        resident keeps its row as its frame, uncopied, so the caller
+        must not write to ``pages`` after the call.  Per block this is
+        exactly :meth:`put` — same hit/miss accounting, same in-place
+        overwrite under the frame's latch, same eviction order — so a
+        batch and the same blocks sent one by one leave the pool, every
+        ``PoolStats`` field, the device's block and byte totals and its
+        contents in the same state.  Only the device's ``write_calls``
+        may differ, and only downwards: the dirty victims of the whole
+        batch are written back together, sorted by block id, so
+        adjacent ones share a call.
         """
         buf = np.asarray(pages, dtype=np.uint8)
         if buf.shape != (len(block_ids), self.device.block_size):
@@ -461,15 +654,28 @@ class BufferPool:
                 f"put_many expects {len(block_ids)} page(s) of "
                 f"{self.device.block_size} bytes, got an array of shape "
                 f"{buf.shape}")
+        buf = _adoptable(buf)
+        ids = list(block_ids)
         with self.lock:
             try:
-                for block_id, page in zip(block_ids, buf):
-                    self._put_locked(block_id, page)
+                if (len(set(ids)) == len(ids)
+                        and self._frames.keys().isdisjoint(ids)
+                        and self._make_room(len(ids))):
+                    self.stats.misses += len(ids)
+                    self._adopt(ids, buf)
+                    self._dirty.update(ids)
+                    return
+                run = _Run(ids, buf)
+                for block_id, page in zip(ids, run.rows):
+                    self._put_locked(block_id, page, run)
             finally:
-                self._drain_pending()
+                self._end_call()
 
-    def _put_locked(self, block_id: int, buf: np.ndarray) -> None:
-        # Caller holds self.lock; ``buf`` is exactly one block wide.
+    def _put_locked(self, block_id: int, buf: np.ndarray,
+                    run: _Run | None) -> None:
+        # Caller holds self.lock; ``buf`` is exactly one block wide: a
+        # row of ``run`` the frame may keep, or (no run) the caller's
+        # page, which is copied.
         if block_id in self._frames:
             with self.latched(block_id):
                 self._frames[block_id][:] = buf
@@ -481,10 +687,8 @@ class BufferPool:
         else:
             self.stats.misses += 1
             self._ensure_room()
-            # A copy, so each frame owns its memory: a view of the
-            # caller's batch would keep the whole batch alive for as
-            # long as any one of its frames stays resident.
-            self._frames[block_id] = buf.copy()
+            self._install(block_id,
+                          buf.copy() if run is None else buf, run)
             self.policy.on_insert(block_id)
         self._dirty.add(block_id)
 
@@ -496,12 +700,17 @@ class BufferPool:
 
     # ------------------------------------------------------------------
     def pin(self, block_id: int) -> None:
-        """Prevent a resident block from being evicted (refcounted)."""
+        """Prevent a resident block from being evicted (refcounted).
+
+        A pinned frame owns its memory (it is copied out of a shared
+        buffer first), so the pool never moves it."""
         with self.lock:
             if block_id not in self._frames:
                 raise KeyError(
                     f"cannot pin non-resident block {block_id}")
             self._pinned[block_id] = self._pinned.get(block_id, 0) + 1
+            self._own(block_id)
+            self._end_call()
 
     def unpin(self, block_id: int) -> None:
         with self.lock:
@@ -540,7 +749,8 @@ class BufferPool:
     def invalidate(self, block_id: int) -> None:
         """Drop a frame without writing it back (e.g. file dropped)."""
         with self.lock:
-            self._frames.pop(block_id, None)
+            if self._frames.pop(block_id, None) is not None:
+                self._release((block_id,))
             self._dirty.discard(block_id)
             self._pinned.pop(block_id, None)
             self._prefetched.discard(block_id)
@@ -562,6 +772,114 @@ class BufferPool:
                 self.invalidate(bid)
 
     # ------------------------------------------------------------------
+    # Frames and the memory they keep alive (caller holds self.lock)
+    # ------------------------------------------------------------------
+    def _install(self, block_id: int, frame: np.ndarray,
+                 run: _Run | None) -> None:
+        """Make ``frame`` — a row of ``run``, or (no run) an array of
+        its own — the frame of ``block_id``."""
+        self._frames[block_id] = frame
+        if run is None:
+            self._owner.pop(block_id, None)
+            self._held += frame.nbytes
+            return
+        if not run.live:
+            self._held += run.nbytes
+        run.live += 1
+        self._owner[block_id] = run
+
+    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
+        """Install every row of ``buf`` as the frame of the matching id
+        (none resident, room made), in order."""
+        run = _Run(ids, buf)
+        run.live = len(ids)
+        self._held += run.nbytes
+        self._frames.update(zip(ids, run.rows))
+        self._owner.update(dict.fromkeys(ids, run))
+        self.policy.on_insert_many(ids)
+
+    def _release(self, block_ids: Sequence[int]) -> None:
+        """The frames of ``block_ids`` have left: stop counting their
+        memory."""
+        owner = self._owner
+        for bid in block_ids:
+            run = owner.pop(bid, None)
+            if run is None:
+                self._held -= self.device.block_size
+                continue
+            run.live -= 1
+            if not run.live:
+                self._held -= run.nbytes
+
+    def _own(self, block_id: int) -> np.ndarray:
+        """The frame of ``block_id``, copied out of its shared buffer
+        first when it is a row of one."""
+        frame = self._frames[block_id]
+        if _holds(frame) > frame.nbytes:
+            frame = self._copy_out(block_id)
+        return frame
+
+    def _copy_out(self, block_id: int) -> np.ndarray:
+        """Replace ``block_id``'s frame with a copy that owns its
+        memory."""
+        frame = self._frames[block_id].copy()
+        self._release((block_id,))
+        self._install(block_id, frame, None)
+        return frame
+
+    def _bound_retention(self) -> None:
+        """Bring what frames hold alive back within
+        :attr:`retention_limit`, which ``_held`` — the running count of
+        installs and evictions — has passed.
+
+        The frames are recounted by the buffer each is a row of, and
+        the resident rows of every buffer less than half resident are
+        copied out of it.  Every buffer left is then at least half
+        resident, so the frames hold at most twice the resident pages.
+        """
+        by_buffer: dict[int, list[int]] = {}
+        for bid, frame in self._frames.items():
+            if frame.base is not None:
+                by_buffer.setdefault(id(frame.base), []).append(bid)
+        for bids in by_buffer.values():
+            base = self._frames[bids[0]].base
+            if 2 * len(bids) * self.device.block_size < base.nbytes:
+                for bid in bids:
+                    self._copy_out(bid)
+        for bid in [b for b in self._owner if b not in self._frames]:
+            del self._owner[bid]   # a frame dropped behind our back
+        self._held = retained_bytes(self._frames.values())
+
+    def _end_call(self) -> None:
+        """End of a public call: write back what it evicted, then bound
+        what its frames keep alive (:meth:`_bound_retention`)."""
+        if self._pending:
+            self._drain_pending()
+        if self._held > self.retention_limit:
+            self._bound_retention()
+
+    # ------------------------------------------------------------------
+    def _make_room(self, n: int) -> bool:
+        """Evict, up front, what ``n`` installs one at a time would —
+        the same victims in the same order.  ``False`` (nothing done)
+        when that cannot be known before the installs: the policy's
+        victims move with inserts, there are not enough unpinned
+        frames, or a subclass evicts its own way.  The caller then
+        walks block by block."""
+        need = len(self._frames) + n - self.capacity
+        if need <= 0:
+            return True
+        if (self.policy.inserts_move_victims
+                or type(self)._ensure_room is not BufferPool._ensure_room
+                or need > len(self._frames) - len(self._pinned)):
+            return False
+        victims: list[int] = []
+        try:
+            victims.extend(self.policy.choose_victims(need, self._pinned))
+        finally:
+            self._evict(victims)
+        return True
+
     def _ensure_room(self) -> None:
         # Caller holds self.lock and drains before it returns.  The
         # CLOCK/LRU sweep picks and accounts each victim here, one at a
@@ -569,22 +887,33 @@ class BufferPool:
         # drain, which is where the device write happens.
         while len(self._frames) >= self.capacity:
             victim = self.policy.choose_victim(self._pinned)
-            frame = self._frames.pop(victim)
+            self.policy.on_remove(victim)
+            self._evict((victim,))
+
+    def _evict(self, victims: Sequence[int]) -> None:
+        """Evict ``victims``, already out of the policy, in order: a
+        dirty one is parked for the drain, which runs every
+        :data:`MAX_PENDING_WRITEBACKS` parked and before a block would
+        be parked twice."""
+        frames, dirty, pending = self._frames, self._dirty, self._pending
+        for victim in victims:
+            frame = frames.pop(victim)
             latch = self._latches.pop(victim, None)
-            if victim in self._dirty:
-                if victim in self._pending:
+            if victim in dirty:
+                if victim in pending:
                     # Two writes of one block keep their order.
                     self._drain_pending()
-                self._pending[victim] = (frame, latch)
-                self.stats.dirty_writebacks += 1
-                self._dirty.discard(victim)
-                if len(self._pending) >= MAX_PENDING_WRITEBACKS:
+                pending[victim] = (frame, latch)
+                dirty.discard(victim)
+                if len(pending) >= MAX_PENDING_WRITEBACKS:
                     self._drain_pending()
-            if victim in self._prefetched:
-                self._prefetched.discard(victim)
-                self.stats.prefetch_wasted += 1
-            self.policy.on_remove(victim)
-            self.stats.evictions += 1
+                self.stats.dirty_writebacks += 1
+        wasted = self._prefetched.intersection(victims)
+        if wasted:
+            self._prefetched -= wasted
+            self.stats.prefetch_wasted += len(wasted)
+        self.stats.evictions += len(victims)
+        self._release(victims)
 
     def _drain_pending(self) -> None:
         """Write every parked victim to the device (caller holds

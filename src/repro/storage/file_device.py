@@ -6,10 +6,10 @@ only overrides the four physical primitives, so any access sequence
 produces **identical simulated block counts** on both.  What changes is
 that the bytes live in a real file, and the backend-era counters
 (``read_ns``/``write_ns``/``bytes_*``/``syscalls``) report what the
-blocks cost on actual hardware.  This is ROADMAP item 1: the
-IOScheduler's coalescing and ``pool.prefetch()`` footprints, measured
-so far only as fewer simulated device calls, cash out here as fewer
-``pread`` system calls and lower wall-clock time.
+blocks cost on actual hardware: the IOScheduler's coalescing and
+``pool.prefetch()`` footprints, which the simulated device counts as
+fewer device calls, cash out here as fewer ``pread`` system calls and
+lower wall-clock time.
 
 Two transfer modes:
 
@@ -18,12 +18,13 @@ Two transfer modes:
     against the mapping (zero syscalls on the hot path — the kernel
     faults pages in and writes them back).  Fastest when the file fits
     the page cache.  Every transfer copies out of (or into) the
-    mapping: a frame never aliases the file.
+    mapping, a read run as one slice: a frame never aliases the file.
 ``pread``
-    Positional vectored ``os.preadv``/``os.pwritev`` per coalesced run
-    — one syscall moves a whole run of adjacent blocks, which is
-    exactly the shape the scheduler optimizes for, scattering into (or
-    gathering from) the per-block frames with no staging copy.
+    Positional ``os.preadv``/``os.pwritev`` per coalesced run — one
+    syscall moves a whole run of adjacent blocks, which is exactly the
+    shape the scheduler optimizes for.  A read fills the run's one
+    buffer through a single iovec; a write gathers from the frames in
+    place, one iovec per block (no staging copy).
 
 Durability: ``sync()`` issues ``msync``/``fsync``; the ``fsync``
 constructor flag makes every :meth:`sync` a real fsync barrier.
@@ -55,11 +56,15 @@ EXTENT_BLOCKS = 256
 #: Sidecar suffix for device metadata (allocation cursor + manifest).
 META_SUFFIX = ".meta"
 
-#: Most buffers one ``preadv``/``pwritev`` accepts; longer runs split.
-#: ``sysconf`` answers -1 when the system sets no limit.
+#: Most buffers one ``pwritev`` accepts; longer runs split.  ``sysconf``
+#: answers -1 when the system sets no limit.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 if _IOV_MAX <= 0:
     _IOV_MAX = 1024
+
+#: Most bytes Linux moves in one read call (``MAX_RW_COUNT``); a longer
+#: read run is split so that a short count always means end of file.
+_MAX_READ_BYTES = 0x7FFFF000
 
 
 class FileBlockDevice(BlockDevice):
@@ -184,18 +189,16 @@ class FileBlockDevice(BlockDevice):
     # ------------------------------------------------------------------
     # Physical primitives (the only thing overridden vs the simulator)
     # ------------------------------------------------------------------
-    def _read_run(self, first: int, length: int) -> list[np.ndarray]:
+    def _read_run(self, first: int, length: int) -> np.ndarray:
         if self.mode == "pread":
             return self._preadv_run(first, length)
         bs = self.block_size
         mm = self._mapping(first + length)
-        raw = np.frombuffer(mm, dtype=np.uint8, count=length * bs,
-                            offset=first * bs)
-        # Each block becomes a fresh writable array: buffer-pool frames
-        # are mutated in place and written back explicitly, so handing
-        # out live views of the backing store would leak unaccounted
-        # writes.
-        return [raw[k * bs:(k + 1) * bs].copy() for k in range(length)]
+        # One copy of the run out of the mapping: buffer-pool frames are
+        # mutated in place and written back explicitly, so handing out
+        # live views of the backing store would leak unaccounted writes.
+        return np.frombuffer(mm, dtype=np.uint8, count=length * bs,
+                             offset=first * bs).reshape(length, bs).copy()
 
     def _write_run(self, first: int, bufs: list[np.ndarray]) -> None:
         bs = self.block_size
@@ -212,26 +215,26 @@ class FileBlockDevice(BlockDevice):
         if self.fsync:
             self._sync_backend()
 
-    def _preadv_run(self, first: int, length: int) -> list[np.ndarray]:
-        """Scatter one run straight into fresh frames, one per block.
+    def _preadv_run(self, first: int, length: int) -> np.ndarray:
+        """Read one run into one fresh ``(length, block_size)`` buffer,
+        one iovec per call.
 
-        Each frame owns its memory, so a single frame staying resident
-        in the pool never keeps a whole run's buffer alive.  Bytes the
-        file does not have (a block allocated but never written, a run
-        reaching past EOF) read as zeros, like a sparse file.
+        Bytes the file does not have (a block allocated but never
+        written, a run reaching past EOF) read as zeros, like a sparse
+        file: a short count is the end of the file.
         """
         bs = self.block_size
-        frames = [np.empty(bs, dtype=np.uint8) for _ in range(length)]
-        for k in range(0, length, _IOV_MAX):
-            chunk = frames[k:k + _IOV_MAX]
-            got = os.preadv(self._fd, chunk, (first + k) * bs)
+        buf = np.empty((length, bs), dtype=np.uint8)
+        flat = buf.reshape(-1)
+        step = max(1, _MAX_READ_BYTES // bs) * bs
+        for at in range(0, flat.size, step):
+            part = flat[at:at + step]
+            got = os.preadv(self._fd, [part], first * bs + at)
             self.stats.syscalls += 1
-            if got < len(chunk) * bs:
-                full, part = divmod(got, bs)
-                chunk[full][part:] = 0
-                for frame in chunk[full + 1:]:
-                    frame[:] = 0
-        return frames
+            if got < part.size:
+                flat[at + got:] = 0
+                break
+        return buf
 
     def _pwritev_run(self, first: int, bufs: list[np.ndarray]) -> None:
         """Gather one run from its frames in place (no staging copy)."""

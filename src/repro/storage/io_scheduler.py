@@ -45,10 +45,22 @@ directly from worker threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .block_device import BlockDevice
+from .block_device import BlockDevice, coalesce_runs
+
+
+def _run_buffer(rows: list[np.ndarray]) -> np.ndarray:
+    """The ``(len(rows), block_size)`` buffer a device run filled —
+    the rows' common base — or, for a device that hands out blocks
+    some other way, the rows stacked into one."""
+    buf = rows[0].base
+    if (isinstance(buf, np.ndarray)
+            and buf.shape == (len(rows), rows[0].size)):
+        return buf
+    return np.stack(rows)
 
 
 @dataclass
@@ -110,34 +122,41 @@ class IOScheduler:
     # ------------------------------------------------------------------
     # Batched transfers
     # ------------------------------------------------------------------
-    def fetch(self, block_ids: list[int],
-              hinted: bool = False) -> dict[int, np.ndarray]:
+    def fetch(self, block_ids: list[int], hinted: bool = False
+              ) -> list[tuple[int, np.ndarray]]:
         """Read blocks, coalescing adjacent ids into single device calls.
 
-        ``hinted`` marks a prefetch batch: each distinct id is charged
-        once to the ``prefetched`` counter.  All ids count as ordinary
-        block reads either way.
+        Returns one ``(first id, (length, block_size) buffer)`` per
+        run, in id order: the buffer the device filled, whose rows the
+        pool installs as frames.  ``hinted`` marks a prefetch batch:
+        each distinct id is charged once to the ``prefetched`` counter.
+        All ids count as ordinary block reads either way.
         """
         ids = sorted(set(block_ids))
         if not ids:
-            return {}
+            return []
         if self.enabled:
             if len(ids) > 1:
                 self.stats.coalesced_batches += 1
-            arrays = self.device.read_blocks(ids)
+            rows = self.device.read_blocks(ids)
+            runs: list[tuple[int, np.ndarray]] = []
+            at = 0
+            for first, length in coalesce_runs(ids):
+                runs.append((first, _run_buffer(rows[at:at + length])))
+                at += length
         else:
-            arrays = [self.device.read_block(b) for b in ids]
+            runs = [(b, self.device.read_block(b)[None]) for b in ids]
         if hinted:
             self.device.stats.prefetched += len(ids)
             self.stats.hint_batches += 1
             self.stats.hinted_blocks += len(ids)
-        return dict(zip(ids, arrays))
+        return runs
 
     def write_back(self, items: list[tuple[int, np.ndarray]]) -> None:
         """Write blocks, coalescing adjacent ids into single device calls."""
         if not items:
             return
-        items = sorted(items, key=lambda kv: kv[0])
+        items = sorted(items, key=itemgetter(0))
         if len(items) > 1 and self.enabled:
             self.stats.coalesced_batches += 1
             self.device.write_blocks(items)

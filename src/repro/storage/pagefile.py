@@ -23,7 +23,7 @@ class PageFile:
         self.device = device
         self.name = name
         self._page_to_block: list[int] = []
-        self._extent_free: list[int] = []
+        self._extent_free: range = range(0)
         self._freed_pages: list[int] = []
 
     @classmethod
@@ -60,18 +60,27 @@ class PageFile:
         Freed pages are recycled first; otherwise a new extent of consecutive
         device blocks is claimed so sequential scans stay sequential.
         """
-        if self._freed_pages:
-            page_no = self._freed_pages.pop()
-            return page_no
-        if not self._extent_free:
-            first = self.device.allocate(EXTENT_PAGES)
-            self._extent_free = list(range(first, first + EXTENT_PAGES))
-        block = self._extent_free.pop(0)
-        self._page_to_block.append(block)
-        return len(self._page_to_block) - 1
+        return self.allocate_pages(1)[0]
 
     def allocate_pages(self, count: int) -> list[int]:
-        return [self.allocate_page() for _ in range(count)]
+        """Append ``count`` pages and return their page numbers, in one
+        pass: freed pages first (the last freed first), then the rest of
+        the current extent, then as many fresh extents as the remainder
+        needs, claimed from the device in one call."""
+        reused = [self._freed_pages.pop()
+                  for _ in range(min(count, len(self._freed_pages)))]
+        fresh = count - len(reused)
+        start = len(self._page_to_block)
+        blocks = self._extent_free[:fresh]
+        self._extent_free = self._extent_free[fresh:]
+        self._page_to_block.extend(blocks)
+        short = fresh - len(blocks)
+        if short > 0:
+            claimed = -(-short // EXTENT_PAGES) * EXTENT_PAGES
+            first = self.device.allocate(claimed)
+            self._page_to_block.extend(range(first, first + short))
+            self._extent_free = range(first + short, first + claimed)
+        return reused + list(range(start, start + fresh))
 
     def free_page(self, page_no: int) -> None:
         """Mark a page reusable.  Its device block is retained by the file."""
@@ -85,7 +94,13 @@ class PageFile:
         return self._page_to_block[page_no]
 
     def blocks_of(self, page_nos) -> list[int]:
-        """Device blocks backing the given pages, in the given order."""
+        """Device blocks backing the given pages, in the given order (a
+        ``range`` of pages is one slice of the page map)."""
+        if isinstance(page_nos, range) and page_nos.step == 1:
+            if page_nos:
+                self._check(page_nos.start)
+                self._check(page_nos.stop - 1)
+            return self._page_to_block[page_nos.start:page_nos.stop]
         return [self.block_of(p) for p in page_nos]
 
     def drop(self) -> None:
@@ -93,7 +108,7 @@ class PageFile:
         for block in self._page_to_block:
             self.device.free(block)
         self._page_to_block = []
-        self._extent_free = []
+        self._extent_free = range(0)
         self._freed_pages = []
 
     # ------------------------------------------------------------------

@@ -52,7 +52,7 @@ _FLOAT_BYTES = 8
 _PENDING = -1
 
 #: Chunks of lookahead a streamed window announces at most.
-STREAM_PREFETCH_CHUNKS = 16
+STREAM_PREFETCH_CHUNKS = 64
 
 #: The default square tile is the one-page side or ``LARGE_TILE_SCALE``
 #: times it (16 pages; 128 at B = 1024) — where the committed sweep
@@ -216,7 +216,8 @@ class TiledVector:
         return lo, min(lo + count * self.chunk, self.length)
 
     def read_chunk(self, ci: int, count: int = 1) -> np.ndarray:
-        """Read chunks ``[ci, ci + count)`` as one fresh float64 array."""
+        """Read chunks ``[ci, ci + count)`` as one fresh float64 array
+        (:meth:`view_range` reads without the copy)."""
         lo, hi = self._run_bounds(ci, count)
         frames = self.store.pool.get_many(
             self.blocks_for_chunks(range(ci, ci + count)))
@@ -228,11 +229,17 @@ class TiledVector:
         np.concatenate(parts, out=out.view(np.uint8))
         return out
 
-    def write_chunk(self, ci: int, values: np.ndarray) -> None:
+    def write_chunk(self, ci: int, values: np.ndarray, *,
+                    hand_over: bool = False) -> None:
         """Write a run of whole chunks starting at chunk ``ci``.
 
         ``values`` covers one or more whole chunks; only a run that
         ends at the vector's end may stop short of a chunk boundary.
+        The values are copied once, into the pages the pool then keeps
+        as the run's frames; only page slack is zero-filled.
+        ``hand_over``: the caller gives ``values`` away and never
+        touches it again, so when it is whole pages of float64 the pool
+        keeps its memory as the frames, uncopied.
         """
         vals = np.ascontiguousarray(values, dtype=_FLOAT)
         count = max(1, -(-vals.size // self.chunk))
@@ -241,32 +248,56 @@ class TiledVector:
             raise ValueError(
                 f"chunk {ci} expects {hi - lo} values, got {vals.size}")
         raw = vals.view(np.uint8)
+        bs = self.store.device.block_size
         width = self.chunk * _FLOAT_BYTES
         full = vals.size // self.chunk
-        pages = np.zeros((count, self.store.device.block_size),
-                         dtype=np.uint8)
+        if hand_over and width == bs and full == count:
+            self.store.pool.put_many(
+                self.blocks_for_chunks(range(ci, ci + count)),
+                raw.reshape(count, bs))
+            return
+        pages = np.empty((count, bs), dtype=np.uint8)
+        pages[:, width:] = 0                       # page slack
         pages[:full, :width] = raw[:full * width].reshape(full, width)
-        if full < count:
-            pages[full, :raw.size - full * width] = raw[full * width:]
+        if full < count:                           # a ragged last chunk
+            tail = raw.size - full * width
+            pages[full, :tail] = raw[full * width:]
+            pages[full, tail:width] = 0
         self.store.pool.put_many(
             self.blocks_for_chunks(range(ci, ci + count)), pages)
 
     def read_range(self, lo: int, hi: int) -> np.ndarray:
         """Elements ``[lo, hi)`` as a fresh array, read as one run of
         the covering chunks."""
-        if not 0 <= lo <= hi <= self.length:
-            raise IndexError(
-                f"range [{lo}, {hi}) outside [0, {self.length}) of "
-                f"{self.name}")
+        self._check_range(lo, hi)
         if lo == hi:
             return np.empty(0, dtype=_FLOAT)
         c0 = lo // self.chunk
         run = self.read_chunk(c0, -(-hi // self.chunk) - c0)
         return run[lo - c0 * self.chunk: hi - c0 * self.chunk]
 
+    def view_range(self, lo: int, hi: int) -> np.ndarray:
+        """Elements ``[lo, hi)`` as a read-only array: a view of the
+        buffer the covering chunks' pages are consecutive rows of
+        (:meth:`BufferPool.get_run`), else one gather copy.  Valid
+        until the next pool call; for a fresh array use
+        :meth:`read_range`."""
+        self._check_range(lo, hi)
+        if (lo == hi
+                or self.chunk * _FLOAT_BYTES != self.store.device.block_size):
+            out = self.read_range(lo, hi)   # nothing, or pages with slack
+        else:
+            c0 = lo // self.chunk
+            run = self.store.pool.get_run(
+                self.blocks_for_chunks(range(c0, -(-hi // self.chunk))))
+            out = run.reshape(-1).view(_FLOAT)[lo - c0 * self.chunk:
+                                               hi - c0 * self.chunk]
+        out.flags.writeable = False
+        return out
+
     def blocks_for_chunks(self, chunk_ids) -> list[int]:
         """Device block keys backing the given chunks (prefetch hints)."""
-        return [self.file.block_of(ci) for ci in chunk_ids]
+        return self.file.blocks_of(chunk_ids)
 
     def scan(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start_index, values)`` runs covering the vector in order.
@@ -357,6 +388,12 @@ class TiledVector:
     def drop(self) -> None:
         self.store.pool.discard(self.file.page_map)
         self.file.drop()
+
+    def _check_range(self, lo: int, hi: int) -> None:
+        if not 0 <= lo <= hi <= self.length:
+            raise IndexError(
+                f"range [{lo}, {hi}) outside [0, {self.length}) of "
+                f"{self.name}")
 
     def _check_chunk(self, ci: int) -> None:
         if not 0 <= ci < self.num_chunks:
@@ -651,28 +688,33 @@ class TiledMatrix:
             :, : th * tw]
 
     def _scatter(self, tis: list[int], tjs: list[int],
-                 tiles: np.ndarray) -> None:
+                 tiles: np.ndarray, owned: bool) -> None:
         """Write zero-padded tiles — row ``k`` of the C-contiguous
         ``(n, th * tw)`` array goes to grid cell ``(tis[k], tjs[k])``
         — in the given order: raw tiles as one tile-major page batch,
-        codec tiles into the decoded-tile cache one by one."""
+        codec tiles into the decoded-tile cache one by one.  ``owned``:
+        nobody else holds ``tiles``, so its pages may become frames."""
         if self.codec.name == "raw":
             # One tile (write_tile, so every from_numpy) is a plain
             # index: the fancy one costs more than the copy it feeds.
             self._put_raw(self._blocks[tis[0], tjs[0]] if len(tis) == 1
-                          else self._blocks[tis, tjs], tiles)
+                          else self._blocks[tis, tjs], tiles, owned)
         else:
             for ti, tj, tile in zip(tis, tjs, tiles):
                 self._write_codec_tile(ti, tj, tile)
 
-    def _put_raw(self, blocks: np.ndarray, tiles: np.ndarray) -> None:
+    def _put_raw(self, blocks: np.ndarray, tiles: np.ndarray,
+                 owned: bool) -> None:
+        """Hand raw tiles to the pool as pages, which it keeps as
+        frames: ``tiles`` itself when ``owned`` and page-filling, else
+        a copy (zero slack where a tile does not fill its last page)."""
         bs = self.store.device.block_size
         pages = tiles.view(np.uint8)
         span = self.pages_per_tile * bs
-        if pages.shape[1] != span:
-            # Tiles that do not fill their last page: zero the slack.
-            padded = np.zeros((len(tiles), span), dtype=np.uint8)
+        if pages.shape[1] != span or not owned:
+            padded = np.empty((len(tiles), span), dtype=np.uint8)
             padded[:, : pages.shape[1]] = pages
+            padded[:, pages.shape[1]:] = 0
             pages = padded
         self.store.pool.put_many(blocks.ravel().tolist(),
                                  pages.reshape(-1, bs))
@@ -707,7 +749,7 @@ class TiledMatrix:
         payload = self.codec.encode_tile(tile.reshape(self.tile_shape))
         if len(payload) > len(blocks) * bs:
             comp = 0
-            self._put_raw(blocks, tile.reshape(1, -1))
+            self._put_raw(blocks, tile.reshape(1, -1), owned=False)
         else:
             comp = len(payload)
             nb = -(-comp // bs)
@@ -737,7 +779,7 @@ class TiledMatrix:
                 f"got {vals.shape}")
         full = np.zeros(self.tile_shape, dtype=self.dtype)
         full[: r1 - r0, : c1 - c0] = vals
-        self._scatter([ti], [tj], full.reshape(1, -1))
+        self._scatter([ti], [tj], full.reshape(1, -1), owned=True)
 
     def tiles(self) -> Iterator[tuple[int, int]]:
         """Yield tile coordinates in on-disk (linearized) order."""
@@ -816,10 +858,12 @@ class TiledMatrix:
         tiles = np.ascontiguousarray(
             padded.reshape(nti, th, ntj, tw).transpose(0, 2, 1, 3)
             .reshape(nti * ntj, th * tw))
+        owned = not np.may_share_memory(tiles, values)
         start = 0
         for k in partial + [whole.size]:
             if start < k:
-                self._scatter(tis[start:k], tjs[start:k], tiles[start:k])
+                self._scatter(tis[start:k], tjs[start:k], tiles[start:k],
+                              owned)
             if k < whole.size:
                 tr0, tc0 = tis[k] * th, tjs[k] * tw
                 tile = self._assemble(tis[k], tis[k] + 1,
@@ -829,7 +873,7 @@ class TiledMatrix:
                 tile[ir0 - tr0: ir1 - tr0, ic0 - tc0: ic1 - tc0] = \
                     vals[ir0 - r0: ir1 - r0, ic0 - c0: ic1 - c0]
                 self._scatter(tis[k: k + 1], tjs[k: k + 1],
-                              tile.reshape(1, -1))
+                              tile.reshape(1, -1), owned=True)
             start = k + 1
 
     # ------------------------------------------------------------------

@@ -21,9 +21,9 @@ import pytest
 
 from repro.analysis import (CrossThreadUnpinError, LatchLeakError,
                             PinLeakError, PinnedDiscardError,
-                            SanitizerError, SanitizingBufferPool,
-                            UnannouncedReadError, UseAfterDropError,
-                            WritebackLeakError)
+                            RetentionError, SanitizerError,
+                            SanitizingBufferPool, UnannouncedReadError,
+                            UseAfterDropError, WritebackLeakError)
 from repro.core import RiotSession
 from repro.storage import StorageConfig
 
@@ -338,3 +338,46 @@ class TestCrossThreadUnpin:
         block = fresh_block(pool)
         pool.get(block)
         pool.unpin(block)
+
+
+# ----------------------------------------------------------------------
+# Over-retention
+# ----------------------------------------------------------------------
+class _SkipsTheCopyOut(SanitizingBufferPool):
+    """A pool that never copies rows out of thinned buffers."""
+
+    def _bound_retention(self) -> None:
+        pass
+
+
+class TestRetention:
+    """Every pool call ends with the frames keeping at most
+    ``pool.retention_limit`` bytes alive, recounted from the frames."""
+
+    @staticmethod
+    def _touch_one_row_per_run(pool_cls, seed=2026):
+        """Seeded: read runs of eight blocks, then touch one random row
+        of each run kept so far, so LRU evicts the siblings and every
+        buffer keeps one row alive."""
+        from repro.storage import BlockDevice
+        rng = np.random.default_rng(seed)
+        device = BlockDevice(block_size=512)
+        first = device.allocate(50 * 8)
+        pool = pool_cls(device, 16)
+        survivors: list[int] = []
+        for start in rng.permutation(50)[:30]:
+            run = list(range(first + 8 * int(start),
+                             first + 8 * int(start) + 8))
+            pool.get_many(run)
+            survivors = (survivors + [int(rng.choice(run))])[-8:]
+            pool.get_many(survivors)
+        return pool
+
+    def test_an_over_retaining_pool_fails(self):
+        assert issubclass(RetentionError, SanitizerError)
+        with pytest.raises(RetentionError, match="bound of 16384"):
+            self._touch_one_row_per_run(_SkipsTheCopyOut)
+
+    def test_the_pool_keeps_the_bound_on_the_same_pattern(self):
+        pool = self._touch_one_row_per_run(SanitizingBufferPool)
+        assert len({id(f.base) for f in pool._frames.values()}) > 1

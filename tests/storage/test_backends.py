@@ -12,6 +12,8 @@ on top.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,9 +162,26 @@ class TestFileDeviceExtras:
         dev.close()
 
 
+@contextmanager
+def _iovecs():
+    """Record ``(call, iovec count)`` of every ``preadv``/``pwritev``."""
+    calls: list[tuple[str, int]] = []
+    real = {name: getattr(os, name) for name in ("preadv", "pwritev")}
+
+    def spy(name):
+        def call(fd, buffers, offset):
+            calls.append((name, len(buffers)))
+            return real[name](fd, buffers, offset)
+        return call
+
+    with mock.patch.multiple(os, **{n: spy(n) for n in real}):
+        yield calls
+
+
 class TestVectoredPread:
-    """The buffered ``pread`` backend moves a run with one
-    ``preadv``/``pwritev`` over the per-block frames themselves."""
+    """The buffered ``pread`` backend moves a run with one syscall: a
+    read fills the run's one buffer through a single iovec, a write
+    gathers the frames in place, one iovec per block."""
 
     BS = 512  # small blocks keep a run longer than IOV_MAX cheap
 
@@ -176,10 +195,14 @@ class TestVectoredPread:
         dev = self._device(tmp_path)
         first = dev.allocate(n)
         data = _payload(n, block_size=self.BS)
-        dev.write_blocks((first + i, data[i]) for i in range(n))
-        assert dev.stats.write_calls == 1 and dev.stats.syscalls == 3
-        out = dev.read_blocks(range(first, first + n))
-        assert dev.stats.read_calls == 1 and dev.stats.syscalls == 6
+        with _iovecs() as calls:
+            dev.write_blocks((first + i, data[i]) for i in range(n))
+            out = dev.read_blocks(range(first, first + n))
+        # The write splits at IOV_MAX buffers; the read is one iovec.
+        assert calls == [("pwritev", iov_max), ("pwritev", iov_max),
+                         ("pwritev", 7), ("preadv", 1)]
+        assert dev.stats.write_calls == dev.stats.read_calls == 1
+        assert dev.stats.syscalls == len(calls)
         assert np.array_equal(np.stack(out), data)
         dev.close()
 
@@ -212,16 +235,43 @@ class TestVectoredPread:
         assert dev.stats.syscalls == 2  # one write, one read
         dev.close()
 
-    def test_frames_own_their_memory(self, tmp_path):
-        """A view into one run-sized buffer would keep the whole run
-        alive for as long as any one frame stays resident."""
+    @pytest.mark.parametrize("mode", FILE_MODES)
+    def test_a_run_is_read_into_one_buffer(self, tmp_path, mode):
+        """The blocks of a run are the rows of one writable buffer the
+        read filled; the pool keeps them as frames (and bounds what
+        they keep alive, ``test_buffer_pool.TestRetention``)."""
+        dev = FileBlockDevice(tmp_path / "pages.db", mode=mode,
+                              block_size=self.BS)
+        first = dev.allocate(8)
+        data = _payload(8, self.BS)
+        dev.write_blocks((first + i, data[i]) for i in range(8))
+        with _iovecs() as calls:
+            out = dev.read_blocks([first + i for i in (0, 1, 2, 5, 6)])
+        assert calls == ([("preadv", 1)] * 2 if mode == "pread" else [])
+        for rows in (out[:3], out[3:]):
+            run = rows[0].base
+            assert run.shape == (len(rows), self.BS) and run.flags.writeable
+            assert all(row.base is run for row in rows)
+        assert np.array_equal(np.stack(out), data[[0, 1, 2, 5, 6]])
+        dev.close()
+
+    def test_short_and_past_eof_reads_zero_fill(self, tmp_path):
+        """A run the file ends inside reads its tail as zeros, and one
+        wholly past the end reads all zeros — one syscall each, whatever
+        the buffer held before."""
         dev = self._device(tmp_path)
         first = dev.allocate(8)
-        dev.write_blocks((first + i, _payload(1, self.BS)[0])
-                         for i in range(8))
-        for frame in dev.read_blocks(range(first, first + 8)):
-            assert frame.base is None and frame.flags.writeable
-            assert frame.nbytes == self.BS
+        dev.write_blocks((first + i, np.full(self.BS, 9, dtype=np.uint8))
+                         for i in range(3))
+        os.truncate(dev.path, 2 * self.BS + 100)
+        with mock.patch.object(np, "empty", lambda shape, dtype: np.full(
+                shape, 0xAB, dtype=dtype)):
+            short = dev.read_blocks(range(first, first + 4))
+            past = dev.read_blocks(range(first + 5, first + 8))
+        assert (np.stack(short[:2]) == 9).all()
+        assert (short[2][:100] == 9).all() and not short[2][100:].any()
+        assert not short[3].any() and not np.stack(past).any()
+        assert dev.stats.syscalls == 1 + 2
         dev.close()
 
     def test_non_contiguous_payload_is_written_whole(self, tmp_path):

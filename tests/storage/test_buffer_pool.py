@@ -396,6 +396,7 @@ class TestPutMany:
         pool = SanitizingBufferPool(device, 4)
         frame = pool.get(blocks[0])
         pool.pin(blocks[0])
+        pages = self._pages(device, 2, 9)
         held, release, done = (threading.Event() for _ in range(3))
 
         def mutator():
@@ -404,7 +405,7 @@ class TestPutMany:
                 release.wait(timeout=10)
 
         def writer():
-            pool.put_many(blocks, self._pages(device, 2, 9))
+            pool.put_many(blocks, pages)
             done.set()
 
         threads = [threading.Thread(target=mutator)]
@@ -421,7 +422,9 @@ class TestPutMany:
             assert not t.is_alive()
         assert done.is_set()
         assert pool._frames[blocks[0]] is frame and (frame == 9).all()
-        assert pool._frames[blocks[1]].base is None  # owns its memory
+        # The block that was not resident keeps its row of the batch,
+        # uncopied: the pool adopted the pages it was handed.
+        assert pool._frames[blocks[1]].base is pages
         pool.unpin(blocks[0])
 
     def test_full_overwrite_clears_prefetched_mark(self, device):
@@ -442,3 +445,70 @@ class TestPutMany:
         with pytest.raises(ValueError, match="put_many expects 2"):
             pool.put_many(blocks, self._pages(device, 1, 0))
         assert pool.resident == 0 and pool.stats.accesses == 0
+
+
+class TestRetention:
+    """A frame is a row of the buffer a device read filled or a
+    ``put_many`` batch, so it keeps that whole buffer alive.  After
+    every call the frames keep at most ``2 * capacity * B`` bytes
+    alive, however the pool's replacement policy scatters a buffer's
+    rows."""
+
+    CAPACITY, RUN = 16, 8
+
+    @staticmethod
+    def _held(pool) -> int:
+        owners = {}
+        for frame in pool._frames.values():
+            owner = frame if frame.base is None else frame.base
+            owners[id(owner)] = owner.nbytes
+        return sum(owners.values())
+
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    @pytest.mark.parametrize("source", ["read", "write"])
+    def test_touching_one_block_per_run_keeps_the_bound(self, policy,
+                                                        source):
+        """Each round brings in one run, then touches one block of it
+        and every survivor kept so far: the policy evicts the siblings
+        and leaves one row alive per buffer — eight times the memory
+        of the frames, were the rows not copied out."""
+        device = BlockDevice(block_size=512)
+        blocks = _fill_device(device, 40 * self.RUN)
+        pool = BufferPool(device, self.CAPACITY, policy=policy)
+        bound = 2 * self.CAPACITY * device.block_size
+        survivors: list[int] = []
+        for k in range(40):
+            run = blocks[k * self.RUN: (k + 1) * self.RUN]
+            if source == "read":
+                pool.get_many(run)
+            else:
+                pool.put_many(run, np.stack(
+                    [np.full(device.block_size // 8,
+                             float(b - blocks[0])).view(np.uint8)
+                     for b in run]))
+            survivors = (survivors + [run[0]])[-(self.CAPACITY // 2):]
+            pool.get_many(survivors)
+            assert self._held(pool) <= bound
+            assert pool._held == self._held(pool) or pool._held > bound
+        assert len({id(f.base) for f in pool._frames.values()}) > 1
+        # Copying rows out changed no contents.
+        for bid, frame in pool._frames.items():
+            assert (frame.view(np.float64) == float(bid - blocks[0])).all()
+
+    def test_frames_handed_out_for_writing_own_their_memory(self, device):
+        blocks = _fill_device(device, 4)
+        pool = BufferPool(device, 8)
+        pool.get_many(blocks)              # one buffer, four rows
+        assert pool._frames[blocks[0]].base is not None
+        frame = pool.get(blocks[0], for_write=True)
+        assert frame.base is None and pool._frames[blocks[0]] is frame
+        pool.pin(blocks[1])
+        pinned = pool._frames[blocks[1]]
+        assert pinned.base is None
+        frame[:] = 7
+        pool.get_many(blocks)
+        assert pool._frames[blocks[0]] is frame
+        assert pool._frames[blocks[1]] is pinned
+        pool.unpin(blocks[1])
+        pool.flush_all()
+        assert (device._fetch(blocks[0]) == 7).all()
