@@ -13,6 +13,11 @@ Shape assertions encode the paper's findings:
 - MatNamed "nets significant gains over R" at the larger sizes,
 - full RIOT-DB "outperforms plain R by orders of magnitude",
 - strawman degrades ~linearly while plain R blows up past the cap.
+
+The frozen MatNamed engine's sequential / random split follows the hash
+seed (122.4 or 122.7 simulated seconds at n = 2^21), so CI runs this
+with ``PYTHONHASHSEED=0`` to make two runs diffable; block totals never
+move.
 """
 
 from __future__ import annotations

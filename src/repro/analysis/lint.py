@@ -58,6 +58,12 @@ Rules:
     ``repro/storage`` and the pager's swap (``vm/pager.py``).  Every
     other layer moves blocks through the buffer pool, which is what
     counts them; a direct device call is I/O the pool never sees.
+``RPR009``
+    Outside ``repro/storage``, ``pool.prefetch()`` is called only by
+    the schedule runner (``core/parallel.py``), the evaluator's window
+    loop and the sparse kernels, whose CSR tiles and vector chunks,
+    announced in pool-sized batches across steps, are no runner steps.
+    A dense kernel announcing for itself is one more data mover.
 
 Use :func:`run_lint` programmatically or ``python -m repro.analysis``
 from the command line.
@@ -71,20 +77,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-             "RPR007", "RPR008")
-
-#: Constructors only ``repro/storage`` may call (RPR001).
-DEVICE_CONSTRUCTORS = frozenset(
-    {"BlockDevice", "FileBlockDevice", "PageFile"})
-
-#: Codec protocol methods only ``repro/storage`` may call (RPR005).
-CODEC_METHODS = frozenset({"encode_tile", "decode_tile"})
-
-#: Device block-transfer methods only ``repro/storage`` and the pager's
-#: swap may call (RPR008).
-DEVICE_TRANSFER_METHODS = frozenset(
-    {"read_block", "read_blocks", "write_block", "write_blocks",
-     "block_view"})
+             "RPR007", "RPR008", "RPR009")
 
 #: The one file outside ``repro/storage`` that may move device blocks
 #: itself (RPR008): the virtual-memory pager's swap.
@@ -97,6 +90,11 @@ ELEMENTWISE_INDEXERS = frozenset({("core", "plan.py"),
 
 #: The one file that may build a ``ThreadPoolExecutor`` (RPR007).
 EXECUTOR_HOME = ("core", "parallel.py")
+
+#: The files outside ``repro/storage`` that may call ``pool.prefetch``
+#: (RPR009), as ``(parent directory, file name)``.
+PREFETCH_CALLERS = frozenset({EXECUTOR_HOME, ("core", "evaluator.py"),
+                              ("sparse", "kernels.py")})
 
 #: Modules whose call results depend on wall clock or RNG state
 #: (RPR004).  Matched against the root name of attribute chains.
@@ -153,43 +151,9 @@ def _is_storage_file(path: Path) -> bool:
     return "storage" in path.parts
 
 
-# ----------------------------------------------------------------------
-# RPR001 — device constructors stay inside repro/storage
-# ----------------------------------------------------------------------
-def _check_device_construction(path: Path, tree: ast.AST
-                               ) -> list[Finding]:
-    if _is_storage_file(path):
-        return []
-    findings = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name in DEVICE_CONSTRUCTORS:
-                findings.append(Finding(
-                    str(path), node.lineno, node.col_offset, "RPR001",
-                    f"{name}() constructed outside repro/storage; "
-                    f"use storage.config.create_device() / the "
-                    f"ArrayStore factories"))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RPR005 — codec encode/decode stays inside repro/storage
-# ----------------------------------------------------------------------
-def _check_codec_discipline(path: Path, tree: ast.AST) -> list[Finding]:
-    if _is_storage_file(path):
-        return []
-    findings = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name in CODEC_METHODS:
-                findings.append(Finding(
-                    str(path), node.lineno, node.col_offset, "RPR005",
-                    f"{name}() called outside repro/storage; tile "
-                    f"codecs are applied by the tile store so the "
-                    f"compressed bytes are charged to IOStats"))
-    return findings
+def _place(path: Path) -> tuple[str, str]:
+    """``(parent directory, file name)``."""
+    return path.parent.name, path.name
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +161,7 @@ def _check_codec_discipline(path: Path, tree: ast.AST) -> list[Finding]:
 # ----------------------------------------------------------------------
 def _check_elementwise_lookup(path: Path, tree: ast.AST
                               ) -> list[Finding]:
-    if (path.parent.name, path.name) in ELEMENTWISE_INDEXERS:
+    if _place(path) in ELEMENTWISE_INDEXERS:
         return []
 
     def is_table(node: ast.expr) -> bool:   # name or module.name
@@ -220,34 +184,60 @@ def _check_elementwise_lookup(path: Path, tree: ast.AST
 
 
 # ----------------------------------------------------------------------
-# RPR007 — one thread pool, in core/parallel.py
+# RPR001, RPR005, RPR007, RPR008, RPR009 — calls kept to their place
 # ----------------------------------------------------------------------
-def _check_executor_home(path: Path, tree: ast.AST) -> list[Finding]:
-    if (path.parent.name, path.name) == EXECUTOR_HOME:
-        return []
-    return [Finding(str(path), node.lineno, node.col_offset, "RPR007",
-                    "ThreadPoolExecutor constructed outside "
-                    "core/parallel.py; hand kernel work to "
-                    "TileParallelism instead")
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and _call_name(node.func) == "ThreadPoolExecutor"]
+def _callees(func: ast.expr) -> set[str]:
+    """``{"f"}`` for ``f(...)``; ``{"f", "x.f"}`` for ``...x.f(...)``."""
+    name = _call_name(func)
+    if not isinstance(func, ast.Attribute):
+        return {name}
+    owner = getattr(func.value, "id", getattr(func.value, "attr", None))
+    return {name, f"{owner}.{name}"}
 
 
-# ----------------------------------------------------------------------
-# RPR008 — every block moves through the pool
-# ----------------------------------------------------------------------
-def _check_pool_discipline(path: Path, tree: ast.AST) -> list[Finding]:
-    if (_is_storage_file(path)
-            or (path.parent.name, path.name) == DEVICE_TRANSFER_HOME):
-        return []
-    return [Finding(str(path), node.lineno, node.col_offset, "RPR008",
-                    f"{_call_name(node.func)}() called outside "
-                    f"repro/storage; read and write blocks through "
-                    f"the buffer pool so they are counted")
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and _call_name(node.func) in DEVICE_TRANSFER_METHODS]
+#: ``code -> (callees, exempt(path), message)``: calls a rule keeps to
+#: their place; ``{name}`` in the message is the callee's name.
+PLACED_CALLS = {
+    "RPR001": ({"BlockDevice", "FileBlockDevice", "PageFile"},
+               _is_storage_file,
+               "{name}() constructed outside repro/storage; use "
+               "storage.config.create_device() / the ArrayStore "
+               "factories"),
+    "RPR005": ({"encode_tile", "decode_tile"}, _is_storage_file,
+               "{name}() called outside repro/storage; tile codecs are "
+               "applied by the tile store so the compressed bytes are "
+               "charged to IOStats"),
+    "RPR007": ({"ThreadPoolExecutor"},
+               lambda path: _place(path) == EXECUTOR_HOME,
+               "ThreadPoolExecutor constructed outside core/parallel.py; "
+               "hand kernel work to TileParallelism instead"),
+    "RPR008": ({"read_block", "read_blocks", "write_block",
+                "write_blocks", "block_view"},
+               lambda path: (_is_storage_file(path)
+                             or _place(path) == DEVICE_TRANSFER_HOME),
+               "{name}() called outside repro/storage; read and write "
+               "blocks through the buffer pool so they are counted"),
+    "RPR009": ({"pool.prefetch"},
+               lambda path: (_is_storage_file(path)
+                             or _place(path) in PREFETCH_CALLERS),
+               "pool.prefetch() called outside the schedule runner "
+               "(core/parallel.py); state the kernel's steps and let "
+               "run_steps announce them"),
+}
+
+
+def _placed_calls(code: str):
+    callees, is_exempt, message = PLACED_CALLS[code]
+
+    def check(path: Path, tree: ast.AST) -> list[Finding]:
+        if is_exempt(path):
+            return []
+        return [Finding(str(path), node.lineno, node.col_offset, code,
+                        message.format(name=_call_name(node.func)))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and _callees(node.func) & callees]
+    return check
 
 
 # ----------------------------------------------------------------------
@@ -438,14 +428,15 @@ def _check_determinism(path: Path, tree: ast.AST) -> list[Finding]:
 
 
 _RULES = {
-    "RPR001": _check_device_construction,
+    "RPR001": _placed_calls("RPR001"),
     "RPR002": _check_cost_model_registry,
     "RPR003": _check_span_discipline,
     "RPR004": _check_determinism,
-    "RPR005": _check_codec_discipline,
+    "RPR005": _placed_calls("RPR005"),
     "RPR006": _check_elementwise_lookup,
-    "RPR007": _check_executor_home,
-    "RPR008": _check_pool_discipline,
+    "RPR007": _placed_calls("RPR007"),
+    "RPR008": _placed_calls("RPR008"),
+    "RPR009": _placed_calls("RPR009"),
 }
 
 

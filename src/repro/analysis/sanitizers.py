@@ -26,9 +26,9 @@ Detected hazards:
 - **Unannounced read** (:class:`UnannouncedReadError`): a demand miss
   inside a ``cat="kernel"`` span on a block the kernel neither
   announced via ``prefetch()`` nor wrote via ``put()``.  Only enforced
-  for kernels that participate in the hint protocol (made at least one
-  announcement in the span): kernels reading operands from a foreign
-  store legitimately skip hinting altogether.
+  for spans that made at least one announcement: the schedule runner
+  announces no step whose footprint reaches into another store, so a
+  kernel streaming foreign operands legitimately announces nothing.
 - **Latch leak** (:class:`LatchLeakError`): a span closes with frame
   latches held that were not held when it opened.  Every latch the
   sanitizing pool hands out is tracked per thread, so the check sees

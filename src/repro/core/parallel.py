@@ -1,13 +1,16 @@
-"""Intra-query parallelism: tile-level kernel workers.
+"""The schedule runner and its tile-level kernel workers.
 
-The evaluator runs a plan's operators one at a time, on the calling
-thread.  :class:`TileParallelism` parallelizes the *inside* of one
-kernel — ``square_tile_matmul``, ``crossprod_matmul`` and ``spmm``
-hand it an ordered stream of pure GEMM thunks while the calling thread
-keeps issuing the kernel's ``pool.prefetch()`` footprints and block
-reads untouched, overlapping one panel's BLAS (which releases the GIL)
-with the next panel's I/O.  This module is the only place a
-``ThreadPoolExecutor`` is built (lint rule ``RPR007``).
+A dense kernel states its schedule as *steps* (the rectangles each
+reads) in *panels* (one span, closing writes) plus one ``compute``;
+:func:`run_steps` announces each step's footprint in one
+``pool.prefetch()``, reads it, computes and writes for all of them.
+:class:`TileParallelism` runs a folding panel's GEMMs on workers while
+the calling thread keeps announcing and reading in serial order, so
+one step's BLAS (which releases the GIL) overlaps the next step's I/O.
+This module alone builds a ``ThreadPoolExecutor`` (lint rule
+``RPR007``) and, beside the evaluator's window loop and the sparse
+kernels, calls ``pool.prefetch()`` outside the storage layer
+(``RPR009``).
 
 Determinism contract
 --------------------
@@ -33,7 +36,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 #: Environment variable consulted when OptimizerConfig.parallelism is
 #: None (the default): the worker count inside the kernels.
@@ -81,16 +85,9 @@ def single_threaded_blas() -> Iterator[None]:
 
 
 class TileParallelism:
-    """Ordered accumulation of kernel partial products over workers.
-
-    :func:`accumulate` consumes ``thunks`` — zero-arg callables, each
-    returning one partial product — *on the calling thread*, so any
-    I/O embedded in producing the thunk stream (prefetch hints, block
-    reads) happens in serial order.  Thunks run on the worker pool;
-    results are folded into ``acc`` strictly in submission order with a
-    bounded in-flight window (workers + 1), which bounds the extra
-    memory to a couple of panels while keeping every worker busy.
-    """
+    """Kernel workers with a bounded in-flight window (workers + 1):
+    at most that many steps' operands and products are alive while
+    :func:`accumulate` folds their results in submission order."""
 
     def __init__(self, workers: int) -> None:
         self.workers = resolve_parallelism(workers)
@@ -115,22 +112,19 @@ class TileParallelism:
 def accumulate(parallel: TileParallelism | None, acc,
                thunks: Iterable[Callable]):
     """``for fn in thunks: acc += fn()`` — with ``fn()`` offloaded to
-    ``parallel``'s workers when it has any.
-
-    The one fold every kernel uses (``square_tile_matmul``,
-    ``crossprod_matmul``, ``spmm``); ``parallel`` is ``None`` or a
-    :class:`TileParallelism`.  The thunk stream is consumed lazily on
-    the calling thread either way, so the prefetch hints and block
-    reads embedded in producing each thunk run in exact serial order.
-    In-order fold: bitwise-identical to the serial loop (numpy
-    evaluates each product to a temporary, then adds in place —
-    exactly what the serial kernel does).  Fold targets may override
-    ``+=`` to route each product (the kernels' ``_Fold`` / ``_RowFold``).
+    ``parallel``'s workers when it has any (``parallel`` is ``None`` or
+    a :class:`TileParallelism`).  The thunks are produced lazily on the
+    calling thread either way, so the I/O that produces them keeps its
+    serial order, and the fold keeps submission order: numpy evaluates
+    each product to a temporary and adds it in place, bitwise as the
+    serial loop does.  Fold targets may override ``+=`` to route each
+    product (the kernels' ``_Fold`` / ``_RowFold``).
     """
     executor = parallel._executor if parallel is not None else None
     if executor is None:
         for fn in thunks:
             acc += fn()
+            del fn      # free the step's operands before the next read
         return acc
     pending: deque = deque()
     for fn in thunks:
@@ -140,3 +134,87 @@ def accumulate(parallel: TileParallelism | None, acc,
     while pending:
         acc += pending.popleft().result()
     return acc
+
+
+class Step(NamedTuple):
+    """The rectangles a step reads, in order, as ``(matrix, (r0, r1,
+    c0, c1), trans)`` (``trans``: the stored mirror, transposed in
+    memory); the ``tag`` its compute gets; the ``footprint`` it
+    announces, in the same form, by default its reads."""
+
+    reads: tuple
+    tag: Any = None
+    footprint: tuple | None = None
+
+
+def _no_writes(_target) -> tuple:
+    return ()
+
+
+class Panel(NamedTuple):
+    """Steps under one span (none if ``label`` is ``None``).  Each
+    step's compute result is folded into a target ``fold()`` makes, or
+    without ``fold`` is the step's writes; ``finish(target)`` yields the
+    panel's, each ``(matrix, r0, c0, values)`` and written as made."""
+
+    label: str | None
+    args: dict
+    steps: Iterable[Step]
+    finish: Callable[[Any], Iterable] = _no_writes
+    fold: Callable[[], Any] | None = None
+
+
+def _stored(rect: tuple, trans: bool) -> tuple:
+    r0, r1, c0, c1 = rect
+    return (c0, c1, r0, r1) if trans else rect
+
+
+def _operands(store, step: Step) -> list:
+    """Announce ``step``'s footprint, unless part of it lives in
+    another store (whose blocks are not this pool's), then read its
+    rectangles.  ``read_submatrix`` announces each again: in a pool too
+    small for the footprint, that fetches what the pool clipped."""
+    footprint = step.reads if step.footprint is None else step.footprint
+    if all(m.store is store for m, _, _ in footprint):
+        store.pool.prefetch([bid for m, rect, trans in footprint
+                             for bid in m.submatrix_blocks(
+                                 *_stored(rect, trans))])
+    return [m.read_submatrix(*_stored(rect, trans)).T if trans
+            else m.read_submatrix(*rect)
+            for m, rect, trans in step.reads]
+
+
+def _write(writes: Iterable | None) -> None:
+    for m, r0, c0, values in writes or ():
+        m.write_submatrix(r0, c0, values)
+
+
+def _run_panel(store, panel: Panel, compute: Callable,
+               parallel: TileParallelism | None) -> None:
+    thunks = (partial(compute, step.tag, *_operands(store, step))
+              for step in panel.steps)
+    if panel.fold is None:
+        for thunk in thunks:
+            _write(thunk())
+            del thunk   # free the step's operands before the next read
+        _write(panel.finish(None))
+    else:
+        _write(panel.finish(accumulate(parallel, panel.fold(), thunks)))
+
+
+def run_steps(store, panels: Iterable[Panel], compute: Callable,
+              parallel: TileParallelism | None = None) -> None:
+    """Run a kernel's whole step stream against ``store``, lazily: a
+    step is announced and read on this thread in its turn, then
+    ``compute(step.tag, *operands)`` runs (on ``parallel``'s workers
+    when its panel folds) and the operands are dropped — with workers,
+    at most ``parallel.window`` steps later.  Each panel's writes close
+    it, in its span."""
+    for panel in panels:
+        if panel.label is None:
+            _run_panel(store, panel, compute, parallel)
+        else:
+            with store.tracer.span(panel.label, cat="kernel",
+                                   **panel.args):
+                _run_panel(store, panel, compute, parallel)
+        del panel   # free its buffers before the next one is made

@@ -25,8 +25,8 @@ rows is read and written once per panel:
    strip also gets U's row panel (``U[k, j] = inv(L_kk) @ A[k, j]``,
    one inverse per panel) and the update of the rows below
    (``A[i, j] -= L[i, k] @ U[k, j]``) before it is written back.  Each
-   strip's tile footprint is announced via ``pool.prefetch()`` like
-   every other kernel's.
+   strip is one step of :func:`repro.core.parallel.run_steps`, which
+   announces, reads and writes it as it does every dense kernel's.
 
 A right-hand side may ride along (the solves of
 :mod:`repro.linalg.solve`): each panel applies its gather, its
@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.costs import (LUSchedule, cuts, lu_in_place,
                               lu_schedule, lu_tile_side)
+from repro.core.parallel import Panel, Step, run_steps
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 
@@ -185,32 +186,33 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
                 out.write_submatrix(r0, c0,
                                     a.read_submatrix(r0, r1, c0, c1))
     perm = np.arange(n, dtype=np.int64)
+    # The panel's other steps reuse its factored columns, its row order
+    # and inv(L_kk).
+    panel = order = l_inv = None
+
+    def compute(step, strip):
+        nonlocal panel, order, l_inv
+        k0, w = step.k0, step.k1 - step.k0
+        if step.factors_panel:
+            panel = strip
+            order = _row_order(_panel_lu(panel, k0), n - k0)
+            perm[k0:] = perm[k0:][order]
+            l_inv = np.linalg.inv(np.tril(panel[:w], -1)
+                                  + np.eye(w, dtype=panel.dtype))
+            if rhs is not None:
+                rhs[k0:] = _carry(rhs[k0:], order, l_inv, panel[w:])
+        elif step.trailing:
+            strip = _carry(strip, order, l_inv, panel[w:])
+        else:
+            strip = strip[order]
+        return [(out, k0, step.j0, strip)]
+
+    panels = (Panel("lu:panel", {"k0": k0, "p": plan.width},
+                    (Step(((out, (s.k0, n, s.j0, s.j1), False),), s)
+                     for s in steps))
+              for k0, steps in groupby(plan.steps(), key=attrgetter("k0")))
     try:
-        for k0, steps in groupby(plan.steps(), key=attrgetter("k0")):
-            with store.tracer.span("lu:panel", cat="kernel", k0=k0,
-                                   p=plan.width):
-                for step in steps:
-                    j0, j1 = step.j0, step.j1
-                    store.pool.prefetch(
-                        out.submatrix_blocks(k0, n, j0, j1))
-                    strip = out.read_submatrix(k0, n, j0, j1)
-                    if step.factors_panel:
-                        # The panel's other steps reuse it, its row
-                        # order and inv(L_kk).
-                        panel, w = strip, j1 - j0
-                        order = _row_order(_panel_lu(panel, k0), n - k0)
-                        perm[k0:] = perm[k0:][order]
-                        l_inv = np.linalg.inv(
-                            np.tril(panel[:w], -1)
-                            + np.eye(w, dtype=panel.dtype))
-                        if rhs is not None:
-                            rhs[k0:] = _carry(rhs[k0:], order, l_inv,
-                                              panel[w:])
-                    elif step.trailing:
-                        strip = _carry(strip, order, l_inv, panel[w:])
-                    else:
-                        strip = strip[order]
-                    out.write_submatrix(k0, j0, strip)
+        run_steps(store, panels, compute)
     except SingularMatrixError:
         # A singular input is a catchable, retryable condition: free
         # the half-built working factor instead of leaking its pages.

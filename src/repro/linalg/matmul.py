@@ -19,9 +19,11 @@ Real algorithms from the paper, all running against
   ``t(A) %*% B_i`` on its diagonal regions from the A slab already in
   memory — the normal equations' X'X and X'y from one scan of X.
 
-Each runs its schedule from :mod:`repro.core.costs` (``bnlj_schedule``,
-``square_schedule``, ``crossprod_schedule``), which refuses a budget
-the kernel cannot run in.
+Each states its schedule from :mod:`repro.core.costs`
+(``bnlj_schedule``, ``square_schedule``, ``crossprod_schedule``, which
+refuse a budget the kernel cannot run in) as steps and panels and
+computes; :func:`repro.core.parallel.run_steps` announces, reads and
+writes for all of them.
 
 The dense kernels take ``trans_a``/``trans_b`` *operand flags*: a flagged
 operand is multiplied as its transpose but **read in its stored layout**,
@@ -38,14 +40,15 @@ for I/O agreement with the analytic models of :mod:`repro.core.costs`.
 
 from __future__ import annotations
 
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby
 from operator import itemgetter
 
 import numpy as np
 
 from repro.core.costs import (bnlj_schedule, crossprod_schedule,
                               crossprod_side_fits, cuts, square_schedule)
-from repro.core.parallel import accumulate
+from repro.core.parallel import Panel, Step, run_steps
 from repro.storage import ArrayStore, TiledMatrix
 
 
@@ -61,26 +64,6 @@ def _dims(a: TiledMatrix, b: TiledMatrix, trans_a: bool,
     return sa[0], sa[1], sb[1]
 
 
-def _read_operand(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
-                  trans: bool) -> np.ndarray:
-    """Rectangle (r0:r1, c0:c1) of the *effective* operand.
-
-    A flagged operand reads the mirrored rectangle of the stored matrix
-    and transposes it in memory — stored tiles are never re-laid out.
-    """
-    if trans:
-        return m.read_submatrix(c0, c1, r0, r1).T
-    return m.read_submatrix(r0, r1, c0, c1)
-
-
-def _operand_blocks(m: TiledMatrix, r0: int, r1: int, c0: int, c1: int,
-                    trans: bool) -> list[int]:
-    """Device blocks backing the effective rectangle (prefetch hints)."""
-    if trans:
-        return m.submatrix_blocks(c0, c1, r0, r1)
-    return m.submatrix_blocks(r0, r1, c0, c1)
-
-
 def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
                        memory_scalars: int,
                        name: str | None = None,
@@ -93,18 +76,14 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
 
     ``p`` is sized so one submatrix of A, one of B and one of the result
     fill the memory budget, then rounded down to a whole number of storage
-    tiles so submatrix reads map to whole-tile I/O.  Flagged operands are
-    read in stored layout and transposed per submatrix in memory;
+    tiles so submatrix reads map to whole-tile I/O.
     ``epilogue`` (if given) maps each finished output submatrix before
     its single write, and ``epilogue_inputs`` declares how many extra
     p x p operand submatrices the callback will read so the panel
     shrinks to keep the whole working set inside the budget.
 
-    ``parallel`` (a ``TileParallelism`` or ``None``) offloads the
-    per-step GEMMs to worker threads while this thread keeps issuing
-    prefetch hints and block reads in serial order; results are folded
-    in increasing-``k`` order, so output bits and block counts match
-    the serial kernel exactly.
+    ``parallel`` (a ``TileParallelism`` or ``None``) runs the per-step
+    GEMMs on workers; bits and block counts match the serial kernel.
     """
     m, l, n = _dims(a, b, trans_a, trans_b)
     out_dtype = np.result_type(a.dtype, b.dtype)
@@ -113,48 +92,33 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
         epilogue_inputs if epilogue is not None else 0)
     out = store.create_matrix((m, n), layout="square", name=name,
                               dtype=out_dtype)
-    hinting = a.store is store and b.store is store
-    for (i0, i1, j0, j1), steps in groupby(schedule.steps(),
-                                           key=itemgetter(0)):
-        with store.tracer.span("matmul:panel", cat="kernel",
-                               i0=i0, j0=j0, p=schedule.rows):
 
-            def products(steps=steps):
-                for _, rect_a, rect_b in steps:
-                    if hinting:
-                        # Announce the step's full footprint — both
-                        # operand submatrices at once — so the
-                        # scheduler turns the tile misses into a
-                        # handful of coalesced reads.
-                        store.pool.prefetch(
-                            _operand_blocks(a, *rect_a, trans_a)
-                            + _operand_blocks(b, *rect_b, trans_b))
-                    a_sub = _read_operand(a, *rect_a, trans_a)
-                    b_sub = _read_operand(b, *rect_b, trans_b)
-                    yield lambda a_s=a_sub, b_s=b_sub: a_s @ b_s
+    def panel(rect, steps) -> Panel:
+        i0, i1, j0, j1 = rect
+        # Each step announces both operand submatrices at once, so the
+        # scheduler turns its tile misses into a few coalesced reads.
+        return Panel("matmul:panel", {"i0": i0, "j0": j0,
+                                      "p": schedule.rows},
+                     (Step(((a, rect_a, trans_a), (b, rect_b, trans_b)))
+                      for _, rect_a, rect_b in steps),
+                     lambda acc: [(out, i0, j0, acc if epilogue is None
+                                   else epilogue(i0, j0, acc))],
+                     lambda: np.zeros((i1 - i0, j1 - j0), dtype=out_dtype))
 
-            acc = accumulate(parallel,
-                             np.zeros((i1 - i0, j1 - j0),
-                                      dtype=out_dtype),
-                             products())
-            if epilogue is not None:
-                acc = epilogue(i0, j0, acc)
-            out.write_submatrix(i0, j0, acc)
+    run_steps(store, (panel(*group) for group in groupby(
+        schedule.steps(), key=itemgetter(0))),
+        lambda _, a_sub, b_sub: a_sub @ b_sub, parallel)
     return out
 
 
 class _Fold:
-    """Fold target of a crossprod pass.
+    """Fold target of a crossprod pass: each slab's products (the
+    packed region, then one ``t(A) B`` block per side product) go into
+    their own zeroed accumulators of ``shapes``, each summing its slabs
+    in stream order."""
 
-    :func:`~repro.core.parallel.accumulate` folds ``target += fn()``;
-    ``fn()`` returns one slab's products — the packed tile rows of the
-    region, then one ``t(A) B`` block per side product — and each goes
-    into its own accumulator.  Every accumulator sums its slabs in
-    stream order, so the worker count never changes a bit.
-    """
-
-    def __init__(self, accs: list[np.ndarray]) -> None:
-        self.accs = accs
+    def __init__(self, shapes: list) -> None:
+        self.accs = [np.zeros(s, dtype=d) for s, d in shapes]
 
     def __iadd__(self, parts: list[np.ndarray]) -> "_Fold":
         for acc, part in zip(self.accs, parts):
@@ -177,13 +141,15 @@ def _packed_rows(region: tuple[int, int, int, int],
     return layout, size
 
 
-def _slab_products(left: np.ndarray, right: np.ndarray,
-                   subs: list[np.ndarray], layout: list, out: list
+def _slab_products(tag, left: np.ndarray, *rest: np.ndarray
                    ) -> list[np.ndarray]:
-    """One slab's products into the reused buffers ``out``: a GEMM per
-    packed tile row of the region (its rows of ``left`` against
-    ``right`` from the row's first column on), then ``t(left) %*% b``
-    per side slab."""
+    """One slab's products into the buffers of ``tag = (layout,
+    buffers, diagonal)``: a GEMM per packed tile row of the region (its
+    rows of ``left`` against the right range — ``left`` itself on a
+    diagonal region — from the row's first column on), then
+    ``t(left) %*% b`` per side slab."""
+    layout, out, diag = tag
+    right, subs = (left, rest) if diag else (rest[0], rest[1:])
     packed, *sides = out
     width = right.shape[1]
     for off, r0, r1, c0 in layout:
@@ -195,13 +161,13 @@ def _slab_products(left: np.ndarray, right: np.ndarray,
     return out
 
 
-def _region_pass(store: ArrayStore, a: TiledMatrix, schedule,
-                 region: tuple[int, int, int, int], t_first: bool,
-                 riders: list, parallel
-                 ) -> tuple[list, list[np.ndarray]]:
-    """Stream every slab of A through one region: returns the packed
-    layout, then the packed region and the region's rows of each side
-    product."""
+def _region_panel(out: TiledMatrix, a: TiledMatrix, schedule,
+                  region: tuple[int, int, int, int], t_first: bool,
+                  riders: list, epilogue, window: int) -> Panel:
+    """One region's pass: every slab of A streams through it (with
+    each rider's slab on a diagonal region), folding into the packed
+    region and the region's rows of each side product; the pass ends
+    by writing those rows, the region and its mirror."""
     i0, i1, j0, j1 = region
     diag = i0 == j0
     inner = a.shape[0] if t_first else a.shape[1]
@@ -212,33 +178,30 @@ def _region_pass(store: ArrayStore, a: TiledMatrix, schedule,
     # TileParallelism keeps at most ``window`` slabs in flight, so
     # that many buffers are never overwritten before their fold.
     ring = [[np.empty(s, dtype=d) for s, d in shapes]
-            for _ in range(getattr(parallel, "window", 1))]
-    hinting = a.store is store
+            for _ in range(window)]
+    ranges = [(i0, i1)] if diag else [(i0, i1), (j0, j1)]
 
-    def steps():
-        for n, (r0, r1) in enumerate(cuts(inner, schedule.slab)):
-            if hinting:
-                blocks = _operand_blocks(a, r0, r1, i0, i1, not t_first)
-                if not diag:
-                    blocks = blocks + _operand_blocks(a, r0, r1, j0, j1,
-                                                      not t_first)
-                for b, _ in riders:
-                    if b.store is store:
-                        blocks = blocks + _operand_blocks(
-                            b, r0, r1, 0, b.shape[1], False)
-                store.pool.prefetch(blocks)
-            left = _read_operand(a, r0, r1, i0, i1, not t_first)
-            right = (left if diag else
-                     _read_operand(a, r0, r1, j0, j1, not t_first))
-            subs = [_read_operand(b, r0, r1, 0, b.shape[1], False)
-                    for b, _ in riders]
-            yield (lambda l_=left, r_=right, s_=subs,
-                   o_=ring[n % len(ring)]:
-                   _slab_products(l_, r_, s_, layout, o_))
+    def finish(fold):
+        packed, *sums = fold.accs
+        for (_, out_b), total in zip(riders, sums):
+            yield out_b, i0, 0, total
+        block = _region_block(region, layout, packed)
+        yield out, i0, j0, _finished(epilogue, i0, j0, block,
+                                     schedule.rows)
+        if not diag:
+            yield out, j0, i0, _finished(epilogue, j0, i0, block.T,
+                                         schedule.rows)
 
-    accs = [np.zeros(s, dtype=d) for s, d in shapes]
-    accumulate(parallel, _Fold(accs), steps())
-    return layout, accs
+    steps = (Step(tuple((a, (r0, r1, c0, c1), not t_first)
+                        for c0, c1 in ranges)
+                  + tuple((b, (r0, r1, 0, b.shape[1]), False)
+                          for b, _ in riders),
+                  (layout, ring[n % window], diag))
+             for n, (r0, r1) in enumerate(cuts(inner, schedule.slab)))
+    return Panel("crossprod:panel",
+                 {"i0": i0, "j0": j0, "a": schedule.side,
+                  "h": schedule.slab},
+                 steps, finish, partial(_Fold, shapes))
 
 
 def _region_block(region: tuple[int, int, int, int], layout: list,
@@ -288,26 +251,24 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
 
     Runs :func:`repro.core.costs.crossprod_schedule`: each region of
     the upper triangle is held in memory for one pass while A streams
-    through it in slabs of h rows, each slab announced in one prefetch
-    hint.  Per slab, one GEMM per packed tile row of the region folds
-    into it through reused buffers.  When the packed triangle and one
+    through it in slabs of h rows, one runner step per slab.  Per
+    slab, one GEMM per packed tile row of the region folds into it
+    through reused buffers.  When the packed triangle and one
     slab fit, there is one region and A is read once.  Only the upper
     triangle is computed; each finished region is written once, with
     its mirror, and the diagonal regions are made exactly symmetric.
-    The transpose never exists on disk.
 
     ``epilogue`` is applied when a region finishes, to each of its
     tiles *and* to each mirrored tile (with the mirrored coordinates),
     so fused elementwise consumers need not be symmetric;
     ``epilogue_inputs`` reserves one tile per extra operand in the
-    schedule's budget.  ``parallel`` offloads each slab's GEMMs (reads
-    stay serial on this thread; the in-order fold keeps results
-    bitwise).
+    schedule's budget.  ``parallel`` runs each slab's GEMMs on workers,
+    bitwise as the serial kernel.
 
     ``side`` lists ``(b, out_b)`` pairs: products ``t(A) %*% b`` that
     ride along on the scan of A (``t_first`` only, no epilogue).  On
-    each diagonal region's pass the kernel announces b's slab in the
-    same hint as A's, multiplies the resident A slab into it and, when
+    each diagonal region's pass b's slab joins A's in each step,
+    the resident A slab is multiplied into it and, when
     the pass ends, writes the region's rows of the result into
     ``out_b`` (created by the caller, ``k x n``).  A is never read for
     them, and the schedule is the one without them, so the bits of
@@ -327,22 +288,13 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                     epilogue)
     out = store.create_matrix((k, k), layout="square", name=name,
                               dtype=a.dtype)
-    for region in schedule.regions:
-        i0, i1, j0, j1 = region
-        riders = side if i0 == j0 else []
-        with store.tracer.span("crossprod:panel", cat="kernel",
-                               i0=i0, j0=j0, a=schedule.side,
-                               h=schedule.slab):
-            layout, (packed, *sums) = _region_pass(
-                store, a, schedule, region, t_first, riders, parallel)
-            for (_, out_b), total in zip(riders, sums):
-                out_b.write_submatrix(i0, 0, total)
-            block = _region_block(region, layout, packed)
-            out.write_submatrix(i0, j0, _finished(epilogue, i0, j0, block,
-                                                  schedule.rows))
-            if j0 != i0:
-                out.write_submatrix(j0, i0, _finished(
-                    epilogue, j0, i0, block.T, schedule.rows))
+    window = getattr(parallel, "window", 1)
+    run_steps(store,
+              (_region_panel(out, a, schedule, region, t_first,
+                             side if region[0] == region[2] else [],
+                             epilogue, window)
+               for region in schedule.regions),
+              _slab_products, parallel)
     return out
 
 
@@ -378,9 +330,8 @@ def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     the result (q = M/(n2+n3)); each chunk of A rows scans B in full.  Works
     best when A is stored with row tiles and B with column tiles, exactly
     as the paper's BNLJ-Inspired strategy assumes.  Each A-row chunk and
-    each B column-block announces its footprint to the buffer pool before
-    reading it, so cold tile misses coalesce into large device reads.
-    Flagged operands stream in stored layout, transposed in memory.
+    each B column-block is one step of the runner, announced before it
+    is read, so cold tile misses coalesce into large device reads.
 
     Accounting note: with *distinct* operands block totals are exactly
     equal hinted or unhinted (the dense streaming contract).  When the
@@ -397,20 +348,25 @@ def bnlj_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     out_dtype = np.result_type(a.dtype, b.dtype)
     out = store.create_matrix((n1, n3), layout="row", name=name,
                               dtype=out_dtype)
-    hinting = a.store is store and b.store is store
-    for rows, steps in groupby(schedule.steps(), key=itemgetter(1)):
+    a_rows = None   # the chunk's rows of A, resident for its scan of B
+
+    def panel(rows, steps) -> Panel:
         r0, r1 = rows[:2]
-        with store.tracer.span("bnlj:chunk", cat="kernel", r0=r0,
-                               q=schedule.rows):
-            if hinting:
-                store.pool.prefetch(_operand_blocks(a, *rows, trans_a))
-            a_rows = _read_operand(a, *rows, trans_a)
-            t_rows = np.zeros((r1 - r0, n3), dtype=out_dtype)
-            for _, _, cols in steps:
-                if hinting:
-                    store.pool.prefetch(
-                        _operand_blocks(b, *cols, trans_b))
-                t_rows[:, cols[2]:cols[3]] = \
-                    a_rows @ _read_operand(b, *cols, trans_b)
-            out.write_submatrix(r0, 0, t_rows)
+        t_rows = np.zeros((r1 - r0, n3), dtype=out_dtype)
+        return Panel("bnlj:chunk", {"r0": r0, "q": schedule.rows},
+                     chain([Step(((a, rows, trans_a),))],
+                           (Step(((b, cols, trans_b),), (t_rows, *cols[2:]))
+                            for _, _, cols in steps)),
+                     lambda _: [(out, r0, 0, t_rows)])
+
+    def compute(tag, operand):
+        nonlocal a_rows
+        if tag is None:
+            a_rows = operand
+        else:
+            t_rows, c0, c1 = tag
+            t_rows[:, c0:c1] = a_rows @ operand
+
+    run_steps(store, (panel(*group) for group in groupby(
+        schedule.steps(), key=itemgetter(1))), compute)
     return out

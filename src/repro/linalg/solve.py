@@ -17,16 +17,15 @@ stored :class:`~repro.linalg.lu.PackedLU`.
 
 The sweeps and a wide right-hand side's column panels are the LU
 schedule's (:meth:`repro.core.costs.LUSchedule.sweep` and
-``rhs_panels``), and every block row's tile footprint is announced
-through ``pool.prefetch()`` before it is read, per the storage stack's
-accounting contract: hints change the number and size of device calls,
-never the block totals.
+``rhs_panels``); each block row of a sweep is one step of
+:func:`repro.core.parallel.run_steps`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.parallel import Panel, Step, run_steps
 from repro.storage import ArrayStore, TiledMatrix, tile_shape_for_layout
 
 from .lu import PackedLU, _factor, _schedule
@@ -36,18 +35,25 @@ def _sweep(packed: TiledMatrix, v: np.ndarray,
            memory_scalars: int | None, forward: bool,
            diagonal) -> np.ndarray:
     """One substitution sweep over ``packed``, block row by block row
-    of the LU schedule: announce the row's exact tile footprint so the
-    misses coalesce, subtract its off-diagonal blocks' products, then
-    solve against ``diagonal(its diagonal block)``."""
+    of the LU schedule.  A row is one step: it announces the row's
+    exact tile footprint, reads its off-diagonal blocks and then its
+    diagonal block, subtracts the products and solves against
+    ``diagonal(the diagonal block)``."""
     x = np.array(v, dtype=np.float64, copy=True)
-    for rect, off in _schedule(packed.store, packed, memory_scalars,
-                               packed.tile_shape[0]).sweep(forward):
-        i0, i1 = rect[:2]
-        packed.store.pool.prefetch(packed.submatrix_blocks(*rect))
-        for j0, j1 in off:
-            x[i0:i1] -= packed.read_submatrix(i0, i1, j0, j1) @ x[j0:j1]
-        x[i0:i1] = np.linalg.solve(
-            diagonal(packed.read_submatrix(i0, i1, i0, i1)), x[i0:i1])
+
+    def compute(tag, *blocks):
+        (i0, i1, _, _), off = tag
+        for (j0, j1), block in zip(off, blocks):
+            x[i0:i1] -= block @ x[j0:j1]
+        x[i0:i1] = np.linalg.solve(diagonal(blocks[-1]), x[i0:i1])
+
+    sweep = _schedule(packed.store, packed, memory_scalars,
+                      packed.tile_shape[0]).sweep(forward)
+    run_steps(packed.store, [Panel(None, {}, (
+        Step(tuple((packed, (*rect[:2], *cols), False)
+                   for cols in [*off, rect[:2]]),
+             (rect, off), ((packed, rect, False),))
+        for rect, off in sweep))], compute)
     return x
 
 

@@ -1,9 +1,12 @@
 """I/O-measured sparse kernels: SpMV, SpMM, SpGEMM.
 
 Each kernel runs against the counted storage stack and announces its tile
-footprint through ``pool.prefetch()`` before reading it, exactly like the
-dense ``square_tile_matmul`` — so the PR-1 scheduler turns the misses into
-a few coalesced device calls without changing block totals.
+footprint through ``pool.prefetch()`` before reading it, as the dense
+kernels' schedule runner (:func:`repro.core.parallel.run_steps`) does — so
+the scheduler turns the misses into a few coalesced device calls without
+changing block totals.  They announce for themselves because what they
+read is CSR tiles and vector chunks, not rectangles, in pool-sized batches
+that run ahead across steps (:class:`_BatchedHints`).
 
 ``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
 memory convention: what a schedule holds between uses — accumulators,

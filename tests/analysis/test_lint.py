@@ -326,6 +326,33 @@ class TestRPR008PoolDiscipline:
         assert found == []
 
 
+class TestRPR009PrefetchCallers:
+    def test_kernel_prefetch_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "store.pool.prefetch(blocks)\n"
+            "pool.prefetch(blocks)\n",
+            name="linalg/matmul.py")
+        assert [f.code for f in found] == ["RPR009"] * 2
+        assert "run_steps" in found[0].message
+
+    def test_runner_window_loop_sparse_and_storage_exempt(self, tmp_path):
+        source = "self.store.pool.prefetch(keys)\n"
+        for name in ("core/parallel.py", "core/evaluator.py",
+                     "sparse/kernels.py", "storage/tile_store.py"):
+            assert lint_source(tmp_path, source, name=name) == []
+        found = lint_source(tmp_path, source, name="core/planner.py")
+        assert codes(found) == ["RPR009"]
+
+    def test_other_prefetch_calls_are_clean(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            "wasted = store.pool.prefetch_wasted\n"
+            "loader.prefetch(items)\n",
+            name="linalg/lu.py")
+        assert found == []
+
+
 class TestSelectAndErrors:
     def test_select_filters_rules(self, tmp_path):
         source = ("dev = BlockDevice()\n"
@@ -354,7 +381,8 @@ class TestSelfHosting:
 
     def test_all_rules_constant_matches_docs(self):
         assert ALL_RULES == ("RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005", "RPR006", "RPR007", "RPR008")
+                             "RPR005", "RPR006", "RPR007", "RPR008",
+                             "RPR009")
 
 
 class TestCLI:

@@ -193,9 +193,10 @@ class TestUnannouncedRead:
                 pool.get(block)  # re-miss of a block this span wrote
 
     def test_unhinted_kernels_are_exempt(self, sess):
-        # Kernels that stream foreign stores skip hinting entirely
-        # (hinting=False); a span with zero announcements makes no
-        # footprint claim, so its misses are legal.
+        # The schedule runner announces no step whose footprint
+        # reaches into another store, so a kernel streaming foreign
+        # operands announces nothing; a span with zero announcements
+        # makes no footprint claim, so its misses are legal.
         pool, tracer = sess.store.pool, sess.store.tracer
         block = fresh_block(pool)
         with tracer.span("naive", cat="kernel"):
