@@ -1,8 +1,7 @@
 """Static analysis and runtime sanitizers for the RIOT storage protocol.
 
-Three layers, one goal — make protocol violations fail loudly before
-they become heisenbugs under the concurrent buffer pool the roadmap is
-heading toward:
+Three layers, one goal — make protocol violations fail loudly where
+they happen, not as wrong counts or wrong numbers later:
 
 - :mod:`repro.analysis.lint` — repo-specific AST lint rules
   (``python -m repro.analysis src/``): device construction stays in
@@ -19,15 +18,15 @@ heading toward:
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
   ``REPRO_SANITIZE=1``) catching pin leaks, discards of pinned
-  blocks, unannounced reads inside kernel spans, latch and write-back
-  leaks, cross-thread unpins, accesses to blocks of dropped arrays and
+  blocks, unannounced reads inside kernel spans, write-back leaks,
+  cross-thread unpins, accesses to blocks of dropped arrays and
   frames that keep too much memory alive.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
 from .planlint import PlanVerificationError, verify_plan
-from .sanitizers import (CrossThreadUnpinError, LatchLeakError,
-                         PinLeakError, PinnedDiscardError, RetentionError,
+from .sanitizers import (CrossThreadUnpinError, PinLeakError,
+                         PinnedDiscardError, RetentionError,
                          SanitizerError, SanitizingBufferPool,
                          UnannouncedReadError, UseAfterDropError,
                          WritebackLeakError)
@@ -37,6 +36,6 @@ __all__ = [
     "PlanVerificationError", "verify_plan",
     "SanitizerError", "SanitizingBufferPool", "PinLeakError",
     "PinnedDiscardError", "UnannouncedReadError",
-    "CrossThreadUnpinError", "LatchLeakError", "WritebackLeakError",
+    "CrossThreadUnpinError", "WritebackLeakError",
     "UseAfterDropError", "RetentionError",
 ]

@@ -1,10 +1,11 @@
 """Runtime storage-protocol sanitizers (ASAN for the buffer pool).
 
-The storage protocol every kernel must follow — announce the footprint
-it is about to read, pin blocks for exactly as long as it uses them,
-never discard what is pinned — is what makes the I/O accounting exact
-and what the coming concurrent buffer pool will depend on for
-correctness.  Violations today are silent: ``unpin`` tolerates
+The storage protocol every kernel follows — announce the footprint it
+is about to read, pin blocks for exactly as long as it uses them and
+release them on the thread that pinned them, never discard what is
+pinned, never touch a dropped array's blocks, and touch frames only
+under ``pool.lock`` — is what makes the I/O accounting exact.  The
+plain :class:`BufferPool` does not check it: ``unpin`` tolerates
 over-release, ``invalidate`` quietly drops pinned frames, and an
 unannounced read just costs an uncoalesced miss.
 
@@ -29,12 +30,6 @@ Detected hazards:
   for spans that made at least one announcement: the schedule runner
   announces no step whose footprint reaches into another store, so a
   kernel streaming foreign operands legitimately announces nothing.
-- **Latch leak** (:class:`LatchLeakError`): a span closes with frame
-  latches held that were not held when it opened.  Every latch the
-  sanitizing pool hands out is tracked per thread, so the check sees
-  external ``pool.latched()`` holds and the pool's own — ``put``'s
-  in-place overwrite, ``flush``, and the batched write-back of evicted
-  victims, whose latches are parked at eviction and taken at the drain.
 - **Write-back leak** (:class:`WritebackLeakError`): a span closes
   while the pool still parks an evicted dirty frame that never reached
   the device — some pool entry point made room without draining.
@@ -93,10 +88,6 @@ class CrossThreadUnpinError(SanitizerError):
     """A thread released a pin that a different thread took."""
 
 
-class LatchLeakError(SanitizerError):
-    """Frame latches held at span close differ from span open."""
-
-
 class WritebackLeakError(SanitizerError):
     """An evicted dirty frame was left parked, never written back."""
 
@@ -115,38 +106,6 @@ class _ThreadState(threading.local):
 
     def __init__(self) -> None:
         self.stack: list[_SpanFrame] = []
-        self.latches: dict[int, int] = {}  # block id -> hold depth
-
-
-class _TrackedLatch:
-    """A frame latch that records in its holder's thread state that it
-    is held."""
-
-    __slots__ = ("_block_id", "_tls", "_lock")
-
-    def __init__(self, block_id: int, tls: _ThreadState) -> None:
-        self._block_id = block_id
-        self._tls = tls
-        self._lock = threading.RLock()
-
-    def acquire(self) -> None:
-        self._lock.acquire()
-        held = self._tls.latches
-        held[self._block_id] = held.get(self._block_id, 0) + 1
-
-    def release(self) -> None:
-        held = self._tls.latches
-        if held[self._block_id] == 1:
-            del held[self._block_id]
-        else:
-            held[self._block_id] -= 1
-        self._lock.release()
-
-    def __enter__(self) -> None:
-        self.acquire()
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 class _SpanSentry:
@@ -167,15 +126,14 @@ class _SpanSentry:
 class _SpanFrame:
     """Per-open-span sanitizer state."""
 
-    __slots__ = ("name", "cat", "pins_before", "latches_before",
-                 "announced", "wrote", "announcements")
+    __slots__ = ("name", "cat", "pins_before", "announced", "wrote",
+                 "announcements")
 
-    def __init__(self, name: str, cat: str, pins_before: dict[int, int],
-                 latches_before: dict[int, int]) -> None:
+    def __init__(self, name: str, cat: str,
+                 pins_before: dict[int, int]) -> None:
         self.name = name
         self.cat = cat
         self.pins_before = pins_before
-        self.latches_before = latches_before
         self.announced: set[int] = set()
         self.wrote: set[int] = set()
         self.announcements = 0
@@ -211,9 +169,6 @@ class SanitizingBufferPool(BufferPool):
             table = self._pins_by_thread[tid] = {}
         return table
 
-    def _new_latch(self, block_id: int) -> _TrackedLatch:
-        return _TrackedLatch(block_id, self._tls)
-
     # ------------------------------------------------------------------
     # Tracer wiring
     # ------------------------------------------------------------------
@@ -226,8 +181,7 @@ class SanitizingBufferPool(BufferPool):
     def _on_span_open(self, name: str, cat: str) -> None:
         with self.lock:
             self._span_stack.append(
-                _SpanFrame(name, cat, dict(self._my_pins()),
-                           dict(self._tls.latches)))
+                _SpanFrame(name, cat, dict(self._my_pins())))
 
     def _on_span_close(self, name: str, cat: str, exc_type) -> None:
         if not self._span_stack:
@@ -235,13 +189,6 @@ class SanitizingBufferPool(BufferPool):
         frame = self._span_stack.pop()
         if exc_type is not None:
             return  # don't mask the in-flight failure
-        held = self._tls.latches
-        if frame.latches_before != held:
-            raise LatchLeakError(
-                f"span {cat}:{name} closed holding frame latches "
-                f"(block: depth) {held}, opened with "
-                f"{frame.latches_before}; every latch taken inside a "
-                f"span must be released before it closes")
         with self.lock:
             if self._pending:
                 raise WritebackLeakError(
@@ -322,12 +269,11 @@ class SanitizingBufferPool(BufferPool):
             frames[-1].wrote.update(block_ids)
         super().put_many(block_ids, pages)
 
-    def get(self, block_id: int, *, for_write: bool = False
-            ) -> np.ndarray:
+    def get(self, block_id: int) -> np.ndarray:
         self._check_live((block_id,), "get()")
         if block_id not in self._frames:
             self._check_covered(block_id)
-        return super().get(block_id, for_write=for_write)
+        return super().get(block_id)
 
     def get_many(self, block_ids: list[int]) -> list[np.ndarray]:
         self._check_live(block_ids, "get_many()")

@@ -44,7 +44,7 @@ class RiotSession:
     A session takes its settings from two configs and nowhere else.
     The storage contract — backend (in-memory simulator, ``mmap`` page
     file, or ``pread`` page file), page-file path, buffer-pool budget,
-    block size, replacement policy, durability — is one
+    block size, durability, codec and dtype — is one
     :class:`~repro.storage.StorageConfig`, whose ``memory_scalars`` and
     ``block_scalars`` are the M and B the planner, the evaluator and
     the plan verifier all read; the optimizer level and its overrides,

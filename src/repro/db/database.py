@@ -13,8 +13,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.storage import (BufferPool, DEFAULT_BLOCK_SIZE, IOStats,
-                           StorageConfig, create_device, new_pagefile)
+from repro.storage import (BufferPool, IOStats, StorageConfig,
+                           create_device, new_pagefile)
 
 from .btree import BPlusTree, KeyCodec
 from .catalog import Catalog, TableIndex
@@ -30,8 +30,7 @@ class Database:
 
     def __init__(self, memory_bytes: int | None = None,
                  block_size: int | None = None,
-                 work_mem_bytes: int | None = None,
-                 policy: str | None = None, name: str = "riotdb",
+                 work_mem_bytes: int | None = None, name: str = "riotdb",
                  storage: StorageConfig | None = None) -> None:
         """``storage`` injects the full storage contract (backend, page
         file path, budget); the classic keyword arguments override its
@@ -39,8 +38,8 @@ class Database:
         if storage is None:
             storage = StorageConfig()
         overrides = {k: v for k, v in (
-            ("memory_bytes", memory_bytes), ("block_size", block_size),
-            ("policy", policy)) if v is not None}
+            ("memory_bytes", memory_bytes), ("block_size", block_size))
+            if v is not None}
         if overrides:
             storage = storage.with_options(**overrides)
         self.storage = storage
@@ -48,8 +47,7 @@ class Database:
         block_size = storage.block_size
         self.device = create_device(storage, name=name)
         capacity = max(8, memory_bytes // block_size)
-        self.pool = BufferPool(self.device, capacity,
-                               policy=storage.policy)
+        self.pool = BufferPool(self.device, capacity)
         self.catalog = Catalog()
         # Operators get a quarter of memory as working space by default,
         # mirroring a sort/join buffer configuration.

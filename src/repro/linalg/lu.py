@@ -145,11 +145,10 @@ def _schedule(store: ArrayStore, a: TiledMatrix,
               memory_scalars: int | None,
               tile: int | None = None) -> LUSchedule:
     """The LU schedule of ``a`` in ``memory_scalars`` (else the
-    pool's) on ``tile``-sided tiles, by default the working factor's,
-    so every panel and strip covers whole tiles."""
+    store's M) on ``tile``-sided tiles, by default the working
+    factor's, so every panel and strip covers whole tiles."""
     n = a.shape[0]
-    memory = memory_scalars or (store.pool.capacity
-                                * store.scalars_per_block)
+    memory = memory_scalars or store.storage.memory_scalars
     return lu_schedule(n, memory, tile or lu_tile_side(
         n, memory, store.device.block_size // a.dtype.itemsize,
         store.pool.capacity))

@@ -11,8 +11,8 @@ I/O comparisons (Figure 1(a), Figure 3) exact here.
 from .block_device import (BlockDevice, DEFAULT_BLOCK_SIZE,
                            IO_SCHEMA_VERSION, IOSTATS_SCHEMA_KEYS, IOStats,
                            SCALARS_PER_BLOCK, SimClock, coalesce_runs)
-from .buffer_pool import (POOL_SCHEMA_KEYS, BufferPool, ClockPolicy,
-                          LRUPolicy, PoolStats, make_policy)
+from .buffer_pool import (POOL_SCHEMA_KEYS, BufferPool, LRUPolicy,
+                          PoolStats)
 from .codecs import (CODECS, DeltaZstdCodec, Float32Codec, RawCodec,
                      TileCodec, get_codec, register_codec)
 from .config import (BACKENDS, StorageConfig, create_device, parse_memory)
@@ -31,7 +31,6 @@ __all__ = [
     "BlockDevice",
     "BufferPool",
     "CODECS",
-    "ClockPolicy",
     "ColMajor",
     "DEFAULT_BLOCK_SIZE",
     "DecodedTileCache",
@@ -64,7 +63,6 @@ __all__ = [
     "get_codec",
     "linearization_names",
     "make_linearization",
-    "make_policy",
     "new_pagefile",
     "parse_memory",
     "register_codec",

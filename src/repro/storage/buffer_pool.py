@@ -1,4 +1,4 @@
-"""Buffer manager with pluggable replacement policies.
+"""Buffer manager with least-recently-used replacement.
 
 The buffer pool caches device blocks in a bounded number of frames.  All
 higher layers (heap tables, B+trees, tile store) read and write pages through
@@ -9,7 +9,7 @@ a pool so that:
 - the total memory footprint is capped, which is the whole point of the
   paper's experimental setup (84 MB cap via ``shmat`` memory locking).
 
-Two classic policies are provided — LRU and CLOCK.
+The victim is always the least recently used unpinned frame.
 
 Reads come in two ways.  A demand miss (``get``, ``get_many``) reads
 exactly the blocks asked for, the misses of one call coalesced.  The
@@ -34,16 +34,16 @@ pool never moves memory a caller may be writing through.
 
 Batches evict and install in one pass: ``prefetch``, and ``get_many`` /
 ``put_many`` on blocks none of which is resident, make room for the
-whole batch and install it at once when the policy's victims do not
-depend on the batch's own inserts (LRU) — the same victims, in the same
-order, as one install at a time.  Otherwise (CLOCK, whose hand sweeps
-the new frames too, hits mixed into the batch, or a subclass with its
-own :meth:`_ensure_room`) they walk block by block.
+whole batch and install it at once: a new frame goes to the
+most-recent end of the LRU order, behind every victim, so these are
+the same victims, in the same order, as one install at a time.  A
+batch with hits mixed in, or one that needs more victims than there
+are unpinned frames, walks block by block.
 
 Deferred write-back
 -------------------
 
-Eviction *decides* one victim at a time, in policy order, and charges
+Eviction *decides* one victim at a time, in LRU order, and charges
 ``evictions`` / ``dirty_writebacks`` as it goes; what it defers is the
 dirty victim's *device write*.  The evicted frame is parked in a
 per-call pending set that the pool drains with one
@@ -59,38 +59,22 @@ what they always were, so every ``PoolStats`` field and every device
 block total is independent of the batching; only ``write_calls``
 shrinks.
 
-Concurrency contract (worker threads)
-------------------------------------
+Concurrency contract
+--------------------
 
-The pool is safe to share between worker threads.  One re-entrant
-lock (``pool.lock``) serializes every public method — lookups, the
-CLOCK/LRU sweep, eviction, the drain of deferred write-backs, pin
-accounting, and all ``PoolStats``/``IOStats``/scheduler-state
-increments happen inside it, so counter updates are atomic, the
-replacement policy's internal structures are never observed
-mid-sweep, and no other thread ever sees a parked victim.
-The :class:`~repro.storage.io_scheduler.IOScheduler` and the device
-transfer paths are only ever invoked from within these locked methods,
-which is what keeps *simulated block counts deterministic*: for any
-fixed sequence of pool calls, the counts are identical at every
-parallelism level, and the tile kernels additionally keep their pool
-calls on one thread in serial order so the sequence itself never
-changes.
-
-Per-frame **latches** (:meth:`BufferPool.latched`) layer on top of the
-pin counts for the one hazard the big lock cannot see: a caller
-mutating a frame's *contents* in place while an eviction or flush is
-writing that frame back.  Internal writers (``put``'s in-place
-overwrite, dirty writeback in ``flush`` and the drain) take the
-frame's latch; external mutators should wrap their writes in
-``with pool.latched(bid): ...``.  An evicted victim's latch is parked
-with its frame and taken at drain time, not at eviction time: every
-batch of write-backs acquires its latches in ascending block-id order,
-holds them across the one device transfer and releases them, so a
-thread inside ``pool.latched(bid)`` delays the drain of ``bid`` rather
-than racing it.  Lock ordering is strictly ``pool.lock → latch``;
-latch holders must not call pool methods from other threads'
-perspective — the latch is the innermost lock.
+One re-entrant lock, ``pool.lock``, serializes every public method:
+lookups, the LRU order, eviction, the drain of deferred write-backs,
+pin accounting and every ``PoolStats`` / ``IOStats`` / scheduler
+increment happen inside it, so no thread sees a counter, the LRU
+order or a parked victim mid-update.  Every frame read, write and
+write-back happens under that lock.  A caller that mutates a frame in
+place holds ``pool.lock`` across the mutation and calls
+:meth:`BufferPool.mark_dirty`; an eviction or flush can then never
+copy the frame out half-written.  The scheduler and the device are
+only ever called from inside the locked methods, and the tile kernels
+keep their pool calls on one thread in serial order (their worker
+threads only compute), so the sequence of pool calls, and with it
+every simulated block count, is the same at every parallelism level.
 """
 
 from __future__ import annotations
@@ -98,8 +82,7 @@ from __future__ import annotations
 import operator
 import threading
 from collections import OrderedDict, deque
-from collections.abc import Container, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 
@@ -116,51 +99,10 @@ from .io_scheduler import IOScheduler
 MAX_PENDING_WRITEBACKS = 64
 
 
-class ReplacementPolicy:
-    """Interface for choosing a victim frame."""
-
-    #: Whether inserting keys can change which existing key is the next
-    #: victim.  When it cannot, a batch's victims may all be chosen
-    #: before any of its keys is inserted.
-    inserts_move_victims = True
-
-    def on_access(self, key: int) -> None:
-        raise NotImplementedError
-
-    def on_access_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.on_access(key)
-
-    def on_insert(self, key: int) -> None:
-        raise NotImplementedError
-
-    def on_insert_many(self, keys: Iterable[int]) -> None:
-        for key in keys:
-            self.on_insert(key)
-
-    def on_remove(self, key: int) -> None:
-        raise NotImplementedError
-
-    def choose_victim(self, pinned: Container[int]) -> int:
-        """Return the key of the frame to evict (never a pinned one)."""
-        raise NotImplementedError
-
-    def choose_victims(self, n: int, pinned: Container[int]
-                       ) -> Iterable[int]:
-        """The next ``n`` victims in order, each removed as it is
-        chosen: what ``n`` rounds of :meth:`choose_victim` and
-        :meth:`on_remove` pick."""
-        for _ in range(n):
-            key = self.choose_victim(pinned)
-            self.on_remove(key)
-            yield key
-
-
-class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used eviction via an ordered dict."""
-
-    # A new key goes to the most-recent end, behind every victim.
-    inserts_move_victims = False
+class LRUPolicy:
+    """Least-recently-used victim choice over an ordered dict.  A new
+    key goes to the most-recent end, behind every victim, so a batch's
+    victims can all be chosen before any of its keys is inserted."""
 
     def __init__(self) -> None:
         self._order: OrderedDict[int, None] = OrderedDict()
@@ -181,6 +123,7 @@ class LRUPolicy(ReplacementPolicy):
         self._order.pop(key, None)
 
     def choose_victim(self, pinned: Container[int]) -> int:
+        """Return the key of the frame to evict (never a pinned one)."""
         for key in self._order:
             if key not in pinned:
                 return key
@@ -188,76 +131,16 @@ class LRUPolicy(ReplacementPolicy):
 
     def choose_victims(self, n: int, pinned: Container[int]
                        ) -> Iterable[int]:
+        """The next ``n`` victims in order, each removed as it is
+        chosen: what ``n`` rounds of :meth:`choose_victim` and
+        :meth:`on_remove` pick."""
         victims = list(islice(filterfalse(pinned.__contains__,
                                           self._order) if pinned
                               else self._order, n))
-        if (len(victims) < n
-                or type(self).choose_victim is not LRUPolicy.choose_victim):
-            # Running out part-way, or a subclass choosing its own way:
-            # one choice at a time, so it fails where that would.
-            return super().choose_victims(n, pinned)
+        if len(victims) < n:
+            raise RuntimeError("buffer pool exhausted: all frames pinned")
         deque(map(self._order.pop, victims), maxlen=0)
         return victims
-
-
-class ClockPolicy(ReplacementPolicy):
-    """Second-chance (CLOCK) eviction."""
-
-    def __init__(self) -> None:
-        self._keys: list[int] = []
-        self._ref: dict[int, bool] = {}
-        self._hand = 0
-
-    def on_access(self, key: int) -> None:
-        self._ref[key] = True
-
-    def on_insert(self, key: int) -> None:
-        self._keys.append(key)
-        self._ref[key] = True
-
-    def on_remove(self, key: int) -> None:
-        if key in self._ref:
-            del self._ref[key]
-            idx = self._keys.index(key)
-            self._keys.pop(idx)
-            if idx < self._hand:
-                self._hand -= 1
-            if self._keys:
-                self._hand %= len(self._keys)
-            else:
-                self._hand = 0
-
-    def choose_victim(self, pinned: Container[int]) -> int:
-        if not self._keys:
-            raise RuntimeError("buffer pool exhausted: no frames")
-        spins = 0
-        limit = 2 * len(self._keys) + 1
-        while spins < limit:
-            key = self._keys[self._hand]
-            self._hand = (self._hand + 1) % len(self._keys)
-            spins += 1
-            if key in pinned:
-                continue
-            if self._ref.get(key, False):
-                self._ref[key] = False
-                continue
-            return key
-        # Every unpinned frame had its reference bit set twice in a row;
-        # fall back to the first unpinned frame.
-        for key in self._keys:
-            if key not in pinned:
-                return key
-        raise RuntimeError("buffer pool exhausted: all frames pinned")
-
-
-def make_policy(name: str) -> ReplacementPolicy:
-    """Construct a replacement policy by name ('lru' or 'clock')."""
-    name = name.lower()
-    if name == "lru":
-        return LRUPolicy()
-    if name == "clock":
-        return ClockPolicy()
-    raise ValueError(f"unknown replacement policy: {name!r}")
 
 
 @dataclass
@@ -361,20 +244,19 @@ class BufferPool:
     """A bounded cache of device blocks with write-back semantics.
 
     Thread-safe: every public method runs under ``self.lock`` (see the
-    module docstring for the full concurrency contract and the
-    ``pool.lock → latch`` ordering rule).
+    module docstring for the concurrency contract).  ``policy`` is a
+    fresh :class:`LRUPolicy` unless a test hands in a subclass.
     """
 
     def __init__(self, device: BlockDevice, capacity_blocks: int,
-                 policy: str | ReplacementPolicy = "lru",
+                 policy: LRUPolicy | None = None,
                  scheduler: IOScheduler | None = None) -> None:
         if capacity_blocks <= 0:
             raise ValueError(
                 f"capacity must be positive, got {capacity_blocks}")
         self.device = device
         self.capacity = capacity_blocks
-        self.policy = (policy if isinstance(policy, ReplacementPolicy)
-                       else make_policy(policy))
+        self.policy = policy or LRUPolicy()
         self.scheduler = scheduler or IOScheduler(device)
         self.stats = PoolStats()
         # Re-entrant so subclass overrides (the sanitizer) and nested
@@ -384,12 +266,10 @@ class BufferPool:
         self._dirty: set[int] = set()
         self._pinned: dict[int, int] = {}
         self._prefetched: set[int] = set()
-        self._latches: dict[int, threading.RLock] = {}
         # Dirty victims evicted by the public call in progress, not yet
-        # on the device: block id -> (frame, latch or None).  Empty
-        # whenever no public call is running.
-        self._pending: dict[
-            int, tuple[np.ndarray, threading.RLock | None]] = {}
+        # on the device: block id -> frame.  Empty whenever no public
+        # call is running.
+        self._pending: dict[int, np.ndarray] = {}
         # Frames that are rows of a shared buffer -> that buffer's run;
         # a frame absent here owns its one block of memory.
         self._owner: dict[int, _Run] = {}
@@ -406,34 +286,12 @@ class BufferPool:
         """Most bytes the frames keep alive between public calls."""
         return 2 * self.capacity * self.device.block_size
 
-    def _latch(self, block_id: int) -> threading.RLock:
-        with self.lock:
-            latch = self._latches.get(block_id)
-            if latch is None:
-                latch = self._latches[block_id] = self._new_latch(block_id)
-            return latch
-
-    def _new_latch(self, block_id: int) -> threading.RLock:
-        return threading.RLock()
-
-    @contextmanager
-    def latched(self, block_id: int) -> Iterator[None]:
-        """Hold ``block_id``'s frame latch for an in-place mutation.
-
-        Excludes concurrent writeback of the same frame (eviction or
-        flush copying the contents out) without holding the whole pool
-        lock across the caller's compute.  Innermost lock: do not call
-        pool methods while holding a latch.
-        """
-        with self._latch(block_id):
-            yield
-
-    def get(self, block_id: int, *, for_write: bool = False) -> np.ndarray:
+    def get(self, block_id: int) -> np.ndarray:
         """Return the cached buffer for a block, faulting it in if needed.
 
-        The returned array is the frame, and owns its memory: callers
-        who mutate it must pass ``for_write=True`` (or call
-        :meth:`mark_dirty`) so the change is written back on eviction.
+        The returned array is the frame, and owns its memory: a caller
+        who mutates it does so under ``self.lock`` and calls
+        :meth:`mark_dirty`, so the change is written back on eviction.
         """
         with self.lock:
             try:
@@ -452,10 +310,7 @@ class BufferPool:
                     run = _Run([block_id], buf)
                     self._install(block_id, run.rows[0], run)
                     self.policy.on_insert(block_id)
-                frame = self._own(block_id)
-                if for_write:
-                    self._dirty.add(block_id)
-                return frame
+                return self._own(block_id)
             finally:
                 self._end_call()
 
@@ -640,7 +495,7 @@ class BufferPool:
         resident keeps its row as its frame, uncopied, so the caller
         must not write to ``pages`` after the call.  Per block this is
         exactly :meth:`put` — same hit/miss accounting, same in-place
-        overwrite under the frame's latch, same eviction order — so a
+        overwrite of a resident frame, same eviction order — so a
         batch and the same blocks sent one by one leave the pool, every
         ``PoolStats`` field, the device's block and byte totals and its
         contents in the same state.  Only the device's ``write_calls``
@@ -677,8 +532,7 @@ class BufferPool:
         # row of ``run`` the frame may keep, or (no run) the caller's
         # page, which is copied.
         if block_id in self._frames:
-            with self.latched(block_id):
-                self._frames[block_id][:] = buf
+            self._frames[block_id][:] = buf
             self.policy.on_access(block_id)
             self.stats.hits += 1
             # A full overwrite is not a use of the prefetched
@@ -730,16 +584,14 @@ class BufferPool:
         with self.lock:
             if block_id is not None:
                 if block_id in self._dirty:
-                    with self.latched(block_id):
-                        self.device.write_block(block_id,
-                                                self._frames[block_id])
+                    self.device.write_block(block_id,
+                                            self._frames[block_id])
                     self.stats.dirty_writebacks += 1
                     self._dirty.discard(block_id)
                 return
             if self._dirty:
-                self._write_back(
-                    {bid: (self._frames[bid], self._latches.get(bid))
-                     for bid in self._dirty})
+                self.scheduler.write_back(
+                    [(bid, self._frames[bid]) for bid in sorted(self._dirty)])
                 self.stats.dirty_writebacks += len(self._dirty)
                 self._dirty.clear()
 
@@ -754,7 +606,6 @@ class BufferPool:
             self._dirty.discard(block_id)
             self._pinned.pop(block_id, None)
             self._prefetched.discard(block_id)
-            self._latches.pop(block_id, None)
             self.policy.on_remove(block_id)
 
     def discard(self, block_ids: Sequence[int]) -> None:
@@ -862,16 +713,12 @@ class BufferPool:
     def _make_room(self, n: int) -> bool:
         """Evict, up front, what ``n`` installs one at a time would —
         the same victims in the same order.  ``False`` (nothing done)
-        when that cannot be known before the installs: the policy's
-        victims move with inserts, there are not enough unpinned
-        frames, or a subclass evicts its own way.  The caller then
-        walks block by block."""
+        when there are not enough unpinned frames: the caller then
+        walks block by block, and fails where that walk would."""
         need = len(self._frames) + n - self.capacity
         if need <= 0:
             return True
-        if (self.policy.inserts_move_victims
-                or type(self)._ensure_room is not BufferPool._ensure_room
-                or need > len(self._frames) - len(self._pinned)):
+        if need > len(self._frames) - len(self._pinned):
             return False
         victims: list[int] = []
         try:
@@ -881,10 +728,10 @@ class BufferPool:
         return True
 
     def _ensure_room(self) -> None:
-        # Caller holds self.lock and drains before it returns.  The
-        # CLOCK/LRU sweep picks and accounts each victim here, one at a
-        # time; a dirty victim's frame and latch are parked for the
-        # drain, which is where the device write happens.
+        # Caller holds self.lock and drains before it returns.  Each
+        # victim is picked and accounted here, one at a time; a dirty
+        # victim's frame is parked for the drain, which is where the
+        # device write happens.
         while len(self._frames) >= self.capacity:
             victim = self.policy.choose_victim(self._pinned)
             self.policy.on_remove(victim)
@@ -898,12 +745,11 @@ class BufferPool:
         frames, dirty, pending = self._frames, self._dirty, self._pending
         for victim in victims:
             frame = frames.pop(victim)
-            latch = self._latches.pop(victim, None)
             if victim in dirty:
                 if victim in pending:
                     # Two writes of one block keep their order.
                     self._drain_pending()
-                pending[victim] = (frame, latch)
+                pending[victim] = frame
                 dirty.discard(victim)
                 if len(pending) >= MAX_PENDING_WRITEBACKS:
                     self._drain_pending()
@@ -916,34 +762,13 @@ class BufferPool:
         self._release(victims)
 
     def _drain_pending(self) -> None:
-        """Write every parked victim to the device (caller holds
-        ``self.lock``)."""
-        if self._pending:
-            self._write_back(self._pending)
-            self._pending.clear()
-
-    def _write_back(self, victims: dict[
-            int, tuple[np.ndarray, threading.RLock | None]]) -> None:
-        """One coalesced device write of ``victims`` (block id ->
-        frame and latch), in block-id order, under their latches.
-
-        A block without a latch has had no in-place mutator since it
-        was last installed, and none can appear while the caller holds
-        ``self.lock`` (:meth:`latched` looks the latch up under it), so
-        there is nothing to exclude.  Latches are always taken in
-        ascending block-id order.
-        """
-        order = sorted(victims)
-        held = [latch for bid in order
-                if (latch := victims[bid][1]) is not None]
-        for latch in held:
-            latch.acquire()
-        try:
+        """Write every parked victim to the device in one sorted,
+        coalesced write-back (caller holds ``self.lock``)."""
+        pending = self._pending
+        if pending:
             self.scheduler.write_back(
-                [(bid, victims[bid][0]) for bid in order])
-        finally:
-            for latch in held:
-                latch.release()
+                [(bid, pending[bid]) for bid in sorted(pending)])
+            pending.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BufferPool(capacity={self.capacity}, "

@@ -8,8 +8,8 @@ virtual-memory pager, the relational engine, and
 :func:`create_device`.  One dataclass names the whole storage contract:
 which backend serves the blocks (``memory`` simulator, ``mmap`` page
 file, or ``pread`` page file), where the page file lives, the
-buffer-pool budget, block size, replacement policy, whether hints are
-honoured, and durability flags.
+buffer-pool budget, block size, whether hints are honoured, durability,
+the protocol sanitizer, and the default codec and storage dtype.
 
 URL form (``repro.open_session``)::
 
@@ -86,8 +86,6 @@ class StorageConfig:
     ``block_size``
         Bytes per device block (one buffer-pool frame, one page of a
         tile).
-    ``policy``
-        Buffer-pool replacement policy: ``"lru"`` or ``"clock"``.
     ``scheduler``
         ``True`` honours every operator's announced footprint
         (:meth:`~repro.storage.buffer_pool.BufferPool.prefetch`) and
@@ -120,7 +118,6 @@ class StorageConfig:
     path: str | os.PathLike | None = None
     memory_bytes: int = 64 * 1024 * 1024
     block_size: int = DEFAULT_BLOCK_SIZE
-    policy: str = "lru"
     scheduler: bool = True
     fsync: bool = False
     sanitize: bool = field(default_factory=_env_sanitize)
@@ -181,8 +178,8 @@ class StorageConfig:
         in-memory simulator; ``file:///path`` (or a bare path) selects
         a page file, ``mmap`` by default.  Query parameters map to
         fields: ``mode=pread|mmap``, ``block_size=...``,
-        ``fsync=1``, ``policy=clock``, ``codec=zstd``,
-        ``dtype=float32``.  Any other key is a ``ValueError``.
+        ``fsync=1``, ``codec=zstd``, ``dtype=float32``.  Any other key
+        is a ``ValueError``.
         """
         kwargs: dict = {}
         if url is None:
@@ -210,7 +207,6 @@ class StorageConfig:
                             f"file URL must be local, got host "
                             f"{parts.netloc!r}")
                 for key, cast in (("block_size", int),
-                                  ("policy", str),
                                   ("codec", str),
                                   ("dtype", str)):
                     if key in query:

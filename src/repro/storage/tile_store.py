@@ -581,8 +581,9 @@ class TiledMatrix:
 
     def _record_tile(self, pos: int, comp: int, logical: int) -> None:
         """Enter a spilled codec tile in the directory (``comp`` 0: it
-        was stored raw) and record the traffic on the v3 byte axis — under the pool lock, the
-        serializer of every other stats mutation."""
+        was stored raw) and record the traffic on the v3 byte axis —
+        under the pool lock, the serializer of every other stats
+        mutation."""
         with self.store.pool.lock:
             old = self.tile_dir.get(pos)
             if old is not None:
@@ -1084,7 +1085,7 @@ class ArrayStore:
             from repro.analysis.sanitizers import SanitizingBufferPool
             pool_cls = SanitizingBufferPool
         self.pool = pool_cls(
-            self.device, capacity, policy=storage.policy,
+            self.device, capacity,
             scheduler=IOScheduler(self.device, enabled=storage.scheduler))
         # Decoded tiles live beside the pool under the same byte
         # budget; with codec raw everywhere the cache stays empty.

@@ -19,9 +19,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import (CrossThreadUnpinError, LatchLeakError,
-                            PinLeakError, PinnedDiscardError,
-                            RetentionError, SanitizerError,
+from repro.analysis import (CrossThreadUnpinError, PinLeakError,
+                            PinnedDiscardError, RetentionError,
+                            SanitizerError,
                             SanitizingBufferPool, UnannouncedReadError,
                             UseAfterDropError, WritebackLeakError)
 from repro.core import RiotSession
@@ -75,9 +75,8 @@ class TestWiring:
 
     def test_errors_are_one_family(self):
         for err in (PinLeakError, PinnedDiscardError,
-                    UnannouncedReadError, LatchLeakError,
-                    WritebackLeakError, CrossThreadUnpinError,
-                    UseAfterDropError):
+                    UnannouncedReadError, WritebackLeakError,
+                    CrossThreadUnpinError, UseAfterDropError):
             assert issubclass(err, SanitizerError)
             assert issubclass(err, RuntimeError)
 
@@ -116,27 +115,7 @@ class TestPinLeak:
         pool.unpin(block)
 
 
-class TestLatchAndWritebackLeaks:
-    def test_latch_held_at_span_close_detected(self, sess):
-        pool, tracer = sess.store.pool, sess.store.tracer
-        block = fresh_block(pool)
-        pool.put(block, np.zeros(8, dtype=np.uint8))
-        latch = pool._latch(block)
-        with pytest.raises(LatchLeakError, match=f"{{{block}: 1}}"):
-            with tracer.span("leaky", cat="kernel"):
-                latch.acquire()
-        latch.release()
-
-    def test_latches_released_inside_the_span_are_silent(self, sess):
-        pool, tracer = sess.store.pool, sess.store.tracer
-        block = fresh_block(pool)
-        with pool.latched(block):  # held across the span, not leaked by it
-            with tracer.span("balanced", cat="kernel"):
-                pool.put(block, np.zeros(8, dtype=np.uint8))
-                with pool.latched(block):
-                    pool.get(block, for_write=True)[:] = 1
-                pool.flush()
-
+class TestWritebackLeaks:
     def test_room_made_without_a_drain_detected(self, sess):
         # A pool entry point that evicts must drain before it returns;
         # calling the eviction loop bare is exactly that bug.

@@ -26,14 +26,14 @@ from repro.core.engine import RiotNGEngine
 from repro.core.evaluator import Evaluator
 from repro.core.planner import Planner
 from repro.db import Database
+from repro.linalg import lu
 from repro.storage import ArrayStore, FileBlockDevice, StorageConfig
 from repro.vm import Pager
 
 
 class TestSessionConfigInjection:
     def test_storage_config_drives_the_store(self):
-        cfg = StorageConfig(memory_bytes=1 << 20, block_size=4096,
-                            policy="clock")
+        cfg = StorageConfig(memory_bytes=1 << 20, block_size=4096)
         s = RiotSession(storage=cfg)
         assert s.store.device.block_size == 4096
         assert s.store.pool.capacity == (1 << 20) // 4096
@@ -59,13 +59,16 @@ class TestSessionConfigInjection:
                         "storage": StorageConfig()}):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 RiotSession(**legacy)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            StorageConfig(policy="clock")
 
 
 class TestOneBudget:
     """M and B are stated once, by ``StorageConfig``: the planner, the
-    evaluator (its kernels and its level-0 planner) and the plan
-    verifier all read its ``memory_scalars`` and ``block_scalars``,
-    however they were built."""
+    evaluator (its kernels and its level-0 planner), the plan verifier
+    and a kernel called without a budget all read its
+    ``memory_scalars`` and ``block_scalars``, however they were
+    built."""
 
     def test_every_layer_sees_the_storage_budget(self):
         cfg = StorageConfig(memory_bytes=1 << 20, dtype="float32")
@@ -74,6 +77,9 @@ class TestOneBudget:
         assert Evaluator(ArrayStore(storage=cfg)).memory_scalars \
             == budget[0]
         assert (cfg.memory_scalars, cfg.block_scalars) == budget
+        bare = ArrayStore(cfg)
+        square = bare.matrix_from_numpy(np.eye(64, dtype=np.float32))
+        assert lu._schedule(bare, square, None).memory == budget[0]
         seen = []
 
         def spy_plan(planner, root, io_ratio=1.0):

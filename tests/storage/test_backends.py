@@ -332,11 +332,9 @@ class TestStorageConfig:
 
     def test_url_file_with_params(self):
         cfg = StorageConfig.from_url(
-            "file:///tmp/riot.db?mode=pread&fsync=1&block_size=4096"
-            "&policy=clock")
+            "file:///tmp/riot.db?mode=pread&fsync=1&block_size=4096")
         assert cfg.backend == "pread" and cfg.path == "/tmp/riot.db"
         assert cfg.fsync and cfg.block_size == 4096
-        assert cfg.policy == "clock"
 
     def test_url_memory_override(self):
         cfg = StorageConfig.from_url("file:///tmp/r.db", memory="64MiB")
@@ -347,6 +345,7 @@ class TestStorageConfig:
                     "file:///tmp/r.db?readahead=8",
                     "memory://?readahead=8",
                     "file:///tmp/r.db?zero_copy=1",
+                    "file:///tmp/r.db?policy=clock",
                     "file:///tmp/r.db?mode=pread&direct=1"):
             with pytest.raises(ValueError, match="parameter"):
                 StorageConfig.from_url(url)

@@ -1,12 +1,10 @@
-"""Unit tests for the buffer pool and replacement policies."""
-
-import threading
+"""Unit tests for the buffer pool and its LRU replacement."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import SanitizingBufferPool
-from repro.storage import BlockDevice, BufferPool, make_policy
+from repro.storage import BlockDevice, BufferPool
 
 
 def _fill_device(dev: BlockDevice, n: int) -> list[int]:
@@ -57,7 +55,8 @@ class TestDirtyWriteback:
     def test_dirty_page_written_on_eviction(self, device):
         blocks = _fill_device(device, 3)
         pool = BufferPool(device, 2)
-        pool.get(blocks[0], for_write=True)
+        pool.get(blocks[0])
+        pool.mark_dirty(blocks[0])
         writes_before = device.stats.writes
         pool.get(blocks[1])
         pool.get(blocks[2])  # evicts block 0, which is dirty
@@ -75,8 +74,9 @@ class TestDirtyWriteback:
     def test_flush_persists_changes(self, device):
         blocks = _fill_device(device, 1)
         pool = BufferPool(device, 2)
-        frame = pool.get(blocks[0], for_write=True)
+        frame = pool.get(blocks[0])
         frame[:8] = 255
+        pool.mark_dirty(blocks[0])
         pool.flush_all()
         pool.invalidate(blocks[0])
         assert pool.get(blocks[0])[0] == 255
@@ -122,7 +122,7 @@ class TestPinning:
 class TestPolicies:
     def test_lru_evicts_least_recent(self, device):
         blocks = _fill_device(device, 3)
-        pool = BufferPool(device, 2, policy="lru")
+        pool = BufferPool(device, 2)
         pool.get(blocks[0])
         pool.get(blocks[1])
         pool.get(blocks[0])       # 1 is now least recent
@@ -133,22 +133,10 @@ class TestPolicies:
         pool.get(blocks[1])       # miss
         assert device.stats.reads == reads_before + 1
 
-    def test_clock_gives_second_chance(self, device):
-        blocks = _fill_device(device, 4)
-        pool = BufferPool(device, 2, policy="clock")
-        for bid in blocks:
-            pool.get(bid)
-        assert pool.resident == 2
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("mru")
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_scan_workload_correctness(self, device, policy):
-        """Any policy must return correct data under heavy churn."""
+    def test_scan_workload_correctness(self, device):
+        """Data read back is correct under heavy churn."""
         blocks = _fill_device(device, 64)
-        pool = BufferPool(device, 4, policy=policy)
+        pool = BufferPool(device, 4)
         for _rep in range(2):
             for i, bid in enumerate(blocks):
                 frame = pool.get(bid)
@@ -157,8 +145,9 @@ class TestPolicies:
     def test_clear_flushes_and_empties(self, device):
         blocks = _fill_device(device, 2)
         pool = BufferPool(device, 4)
-        frame = pool.get(blocks[0], for_write=True)
+        frame = pool.get(blocks[0])
         frame[:8] = 7
+        pool.mark_dirty(blocks[0])
         pool.clear()
         assert pool.resident == 0
         assert device.read_block(blocks[0])[0] == 7
@@ -290,48 +279,6 @@ class TestPrefetchEdgeCases:
         assert pool.stats.prefetch_wasted == 0
 
 
-class TestClockPinnedVictims:
-    def test_victim_when_all_but_one_pinned(self, device):
-        """CLOCK must find the single unpinned frame, however many spins
-        of the hand that takes, and never evict a pinned one."""
-        blocks = _fill_device(device, 6)
-        pool = BufferPool(device, 4, policy="clock")
-        for bid in blocks[:4]:
-            pool.get(bid)
-        for bid in blocks[:3]:
-            pool.pin(bid)
-        pool.get(blocks[4])  # must evict blocks[3], the only unpinned
-        reads_before = device.stats.reads
-        for bid in blocks[:3]:
-            pool.get(bid)  # pinned frames: all hits
-        assert device.stats.reads == reads_before
-        pool.get(blocks[3])  # was evicted: a miss
-        assert device.stats.reads == reads_before + 1
-
-    def test_repeated_eviction_through_one_unpinned_slot(self, device):
-        blocks = _fill_device(device, 16)
-        pool = BufferPool(device, 4, policy="clock")
-        for bid in blocks[:4]:
-            pool.get(bid)
-        for bid in blocks[:3]:
-            pool.pin(bid)
-        for bid in blocks[4:]:
-            pool.get(bid)
-            assert pool.resident <= 4
-        for bid in blocks[:3]:
-            pool.pin(bid)   # still resident, pin again (refcount)
-            pool.unpin(bid)
-
-    def test_clock_all_pinned_raises_on_prefetchless_get(self, device):
-        blocks = _fill_device(device, 5)
-        pool = BufferPool(device, 4, policy="clock")
-        for bid in blocks[:4]:
-            pool.get(bid)
-            pool.pin(bid)
-        with pytest.raises(RuntimeError):
-            pool.get(blocks[4])
-
-
 class TestGetManyEvictionRace:
     def test_resident_block_evicted_by_installs_is_refetched(self, device):
         """A block resident when the misses were collected can be evicted
@@ -353,17 +300,17 @@ class TestPutMany:
     def _pages(device, n, fill):
         return np.full((n, device.block_size), fill, dtype=np.uint8)
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_counts_equal_put_one_by_one(self, policy):
+    def test_counts_equal_put_one_by_one(self):
         pools = []
         for batched in (True, False):
             device = BlockDevice(block_size=8192)
             blocks = _fill_device(device, 12)
-            pool = SanitizingBufferPool(device, 5, policy=policy)
+            pool = SanitizingBufferPool(device, 5)
             # Residents to hit, a dirty frame to write back, a
             # prefetched frame to overwrite, then more than a poolful.
             pool.get(blocks[0])
-            pool.get(blocks[1], for_write=True)
+            pool.get(blocks[1])
+            pool.mark_dirty(blocks[1])
             pool.prefetch([blocks[2]])
             batch = blocks[1:3] + blocks[4:12] + blocks[:1]
             pages = np.arange(len(batch), dtype=np.uint8)[:, None] \
@@ -390,37 +337,13 @@ class TestPutMany:
         for bid, frame in one._frames.items():
             assert np.array_equal(frame, other._frames[bid])
 
-    def test_pinned_frame_overwritten_in_place_under_its_latch(
-            self, device):
+    def test_pinned_frame_overwritten_in_place(self, device):
         blocks = _fill_device(device, 2)
         pool = SanitizingBufferPool(device, 4)
         frame = pool.get(blocks[0])
         pool.pin(blocks[0])
         pages = self._pages(device, 2, 9)
-        held, release, done = (threading.Event() for _ in range(3))
-
-        def mutator():
-            with pool.latched(blocks[0]):
-                held.set()
-                release.wait(timeout=10)
-
-        def writer():
-            pool.put_many(blocks, pages)
-            done.set()
-
-        threads = [threading.Thread(target=mutator)]
-        threads[0].start()
-        assert held.wait(timeout=10)
-        threads.append(threading.Thread(target=writer))
-        threads[1].start()
-        # The overwrite waits for the latch, it does not race it.
-        assert not done.wait(timeout=0.2)
-        assert frame[0] != 9
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert done.is_set()
+        pool.put_many(blocks, pages)
         assert pool._frames[blocks[0]] is frame and (frame == 9).all()
         # The block that was not resident keeps its row of the batch,
         # uncopied: the pool adopted the pages it was handed.
@@ -451,8 +374,7 @@ class TestRetention:
     """A frame is a row of the buffer a device read filled or a
     ``put_many`` batch, so it keeps that whole buffer alive.  After
     every call the frames keep at most ``2 * capacity * B`` bytes
-    alive, however the pool's replacement policy scatters a buffer's
-    rows."""
+    alive, however LRU eviction scatters a buffer's rows."""
 
     CAPACITY, RUN = 16, 8
 
@@ -464,17 +386,15 @@ class TestRetention:
             owners[id(owner)] = owner.nbytes
         return sum(owners.values())
 
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
     @pytest.mark.parametrize("source", ["read", "write"])
-    def test_touching_one_block_per_run_keeps_the_bound(self, policy,
-                                                        source):
+    def test_touching_one_block_per_run_keeps_the_bound(self, source):
         """Each round brings in one run, then touches one block of it
-        and every survivor kept so far: the policy evicts the siblings
+        and every survivor kept so far: LRU evicts the siblings
         and leaves one row alive per buffer — eight times the memory
         of the frames, were the rows not copied out."""
         device = BlockDevice(block_size=512)
         blocks = _fill_device(device, 40 * self.RUN)
-        pool = BufferPool(device, self.CAPACITY, policy=policy)
+        pool = BufferPool(device, self.CAPACITY)
         bound = 2 * self.CAPACITY * device.block_size
         survivors: list[int] = []
         for k in range(40):
@@ -500,7 +420,8 @@ class TestRetention:
         pool = BufferPool(device, 8)
         pool.get_many(blocks)              # one buffer, four rows
         assert pool._frames[blocks[0]].base is not None
-        frame = pool.get(blocks[0], for_write=True)
+        frame = pool.get(blocks[0])
+        pool.mark_dirty(blocks[0])
         assert frame.base is None and pool._frames[blocks[0]] is frame
         pool.pin(blocks[1])
         pinned = pool._frames[blocks[1]]

@@ -104,7 +104,8 @@ class TestPoolReadahead:
             assert pool.prefetch(blocks[lo:lo + 4]) == 0
             pool.get_many(blocks[lo:lo + 4])
         for bid in blocks[:4]:
-            pool.get(bid, for_write=True)
+            pool.get(bid)
+            pool.mark_dirty(bid)
         pool.flush_all()
         assert device.stats.reads == device.stats.read_calls == 20
         assert device.stats.writes == device.stats.write_calls == 4
@@ -137,7 +138,8 @@ class TestPoolReadahead:
         blocks = _fill(device, 8)
         pool = BufferPool(device, 16)
         for bid in blocks:
-            pool.get(bid, for_write=True)
+            pool.get(bid)
+            pool.mark_dirty(bid)
         device.reset_stats()
         pool.flush_all()
         assert device.stats.writes == 8
@@ -228,22 +230,24 @@ class TestFetchPrefetchAccounting:
 
 
 class TestSchedulerEvictionRaces:
-    def test_clock_readahead_never_orphans_dirty_blocks(self, device):
-        """Prefetch installs evict dirty frames in a tiny CLOCK pool;
-        no dirty id may ever be left without a frame (the next flush
+    def test_readahead_never_orphans_dirty_blocks(self, device):
+        """Prefetch installs evict dirty frames in a tiny pool; no
+        dirty id may ever be left without a frame (the next flush
         would crash on it)."""
         first = device.allocate(32)
         for i in range(32):
             device.write_block(
                 first + i,
                 np.full(device.block_size // 8, float(i)).view(np.uint8))
-        pool = BufferPool(device, 3, policy="clock")
+        pool = BufferPool(device, 3)
         rng = np.random.default_rng(0)
         for _ in range(2000):
             if rng.random() < 0.5:
                 pool.prefetch([first + int(b)
                                for b in rng.integers(0, 32, size=2)])
-            pool.get(first + int(rng.integers(0, 32)), for_write=True)
+            bid = first + int(rng.integers(0, 32))
+            pool.get(bid)
+            pool.mark_dirty(bid)
             assert not (pool._dirty - set(pool._frames))
         pool.flush_all()
 

@@ -7,8 +7,8 @@ same pool forced to make room install by install, as every batch call
 did before — every ``PoolStats`` field, every ``IOStats`` counter but
 the physical ones (syscalls and nanoseconds), the resident frames in
 their order, the dirty, pinned and prefetched sets and the device's
-bytes stay equal, under LRU and CLOCK, with pins, dirty victims and
-batches that fill the pending write-back set.
+bytes stay equal, with pins, dirty victims and batches that fill the
+pending write-back set.
 
 The rest pins the one-pass helpers the run path leans on: page
 allocation and a range's block ids are what the one-at-a-time code
@@ -41,7 +41,7 @@ class PerBlockPool(BufferPool):
         return False
 
 
-def _make(cls, capacity, policy, backend):
+def _make(cls, capacity, backend):
     device = (BlockDevice(block_size=BLOCK) if backend == "memory"
               else FileBlockDevice(mode=backend, block_size=BLOCK))
     first = device.allocate(NBLOCKS)
@@ -49,8 +49,7 @@ def _make(cls, capacity, policy, backend):
         (first + i, np.full(BLOCK, i % 251, dtype=np.uint8))
         for i in range(NBLOCKS))
     device.reset_stats()
-    return cls(device, capacity, policy=policy,
-               scheduler=IOScheduler(device))
+    return cls(device, capacity, scheduler=IOScheduler(device))
 
 
 _start = st.integers(0, NBLOCKS - 1)
@@ -88,9 +87,10 @@ def _apply(pool, op, seed):
                      + np.full(BLOCK, op[2], dtype=np.uint8))
             return pool.put_many(ids, pages)
         if kind == "get":
-            frame = pool.get(op[1], for_write=op[2])
+            frame = pool.get(op[1])
             if op[2]:
                 frame[:] = 7
+                pool.mark_dirty(op[1])
             return frame.tobytes()
         if kind == "pin":
             return op[1] in pool._frames and pool.pin(op[1])
@@ -113,13 +113,11 @@ def _state(pool):
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_op, min_size=1, max_size=25),
        capacity=st.integers(2, 2 * MAX_PENDING_WRITEBACKS),
-       policy=st.sampled_from(["lru", "clock"]),
        backend=st.sampled_from(["memory", "pread"]),
        seed=st.integers(0, 2 ** 16))
-def test_batches_match_the_per_block_walk(ops, capacity, policy,
-                                          backend, seed):
-    new = _make(BufferPool, capacity, policy, backend)
-    ref = _make(PerBlockPool, capacity, policy, backend)
+def test_batches_match_the_per_block_walk(ops, capacity, backend, seed):
+    new = _make(BufferPool, capacity, backend)
+    ref = _make(PerBlockPool, capacity, backend)
     try:
         for op in ops:
             assert _apply(new, op, seed) == _apply(ref, op, seed)
@@ -141,7 +139,7 @@ def test_a_batch_fills_the_pending_set_as_the_walk_does():
     the walk drains."""
     calls = {}
     for cls in (BufferPool, PerBlockPool):
-        pool = _make(cls, 2 * MAX_PENDING_WRITEBACKS + 8, "lru", "memory")
+        pool = _make(cls, 2 * MAX_PENDING_WRITEBACKS + 8, "memory")
         n = pool.capacity
         pool.put_many(list(range(n)), np.zeros((n, BLOCK), np.uint8))
         batches = []

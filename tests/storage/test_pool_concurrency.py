@@ -143,13 +143,36 @@ class TestConcurrentWrites:
                 assert device.read_block(bid)[0] == t * 16 + i
 
     def test_latched_mutation_then_flush(self, device):
-        blocks = _fill_device(device, 4)
-        pool = BufferPool(device, 8)
-        buf = pool.get(blocks[0], for_write=True)
-        with pool.latched(blocks[0]):
-            buf.view(np.float64)[:] = 7.0
-        pool.flush(blocks[0])
-        assert device.read_block(blocks[0]).view(np.float64)[0] == 7.0
+        """In-place mutators hold ``pool.lock`` across the write and
+        call ``mark_dirty``, while other threads' faults evict and write
+        back the very frames being mutated; every mutation survives the
+        flush."""
+        nblocks, rounds = 12, 20
+        blocks = _fill_device(device, nblocks)
+        pool = BufferPool(device, 4)
+        mutated = blocks[:nblocks // 2]
+
+        def mutator(offset: int):
+            def run():
+                for r in range(rounds):
+                    for bid in mutated[offset::2]:
+                        with pool.lock:
+                            frame = pool.get(bid)
+                            frame.view(np.float64)[:] = 1000.0 * r + bid
+                            pool.mark_dirty(bid)
+            return run
+
+        def evictor():
+            for _ in range(rounds):
+                for bid in blocks[nblocks // 2:]:
+                    pool.get(bid)
+
+        _run_threads([mutator(0), mutator(1), evictor, evictor])
+        assert pool.stats.dirty_writebacks > 0
+        pool.flush_all()
+        for bid in mutated:
+            page = device.read_block(bid).view(np.float64)
+            assert (page == 1000.0 * (rounds - 1) + bid).all()
 
 
 @settings(max_examples=15, deadline=None)

@@ -58,15 +58,13 @@ def layouts(draw):
         st.integers(0, 12 * chunk)))
     return dict(length=length, chunk=chunk,
                 capacity=draw(st.integers(4, 64)),   # 4: the store's floor
-                policy=draw(st.sampled_from(["lru", "clock"])),
                 scheduler=draw(st.booleans()))
 
 
 def _make(layout: dict) -> tuple[ArrayStore, TiledVector]:
     store = ArrayStore(storage=StorageConfig(
         block_size=BLOCK, memory_bytes=layout["capacity"] * BLOCK,
-        policy=layout["policy"], scheduler=layout["scheduler"],
-        sanitize=True))
+        scheduler=layout["scheduler"], sanitize=True))
     assert isinstance(store.pool, SanitizingBufferPool)
     return store, store.create_vector(layout["length"],
                                       chunk=layout["chunk"], name="v")
@@ -166,7 +164,7 @@ def test_runs_match_the_one_chunk_walk(data, layout, seed):
 @pytest.mark.parametrize("chunk", [17, PAGE])
 def test_bad_runs_raise_and_touch_nothing(chunk):
     layout = dict(length=5 * chunk + 3, chunk=chunk, capacity=4,
-                  policy="lru", scheduler=True)
+                  scheduler=True)
     store, vec = _make(layout)
     data = np.arange(vec.length, dtype=np.float64)
     vec.from_numpy(data)

@@ -6,13 +6,11 @@ but the call count: the victims and their order, every ``PoolStats``
 field, the device's block and byte totals and its contents.  The
 property test runs random call sequences against the pool and against
 :class:`OneWritePerVictimPool` — the eviction loop as it was before,
-one ``write_block`` per dirty victim under its latch — and the hazard
-tests pin the four places where deferring a write could go wrong.
+one ``write_block`` per dirty victim — and the hazard tests pin the
+four places where deferring a write could go wrong.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -22,22 +20,24 @@ from hypothesis import strategies as st
 from repro.analysis import SanitizingBufferPool
 from repro.obs import Tracer
 from repro.storage import BlockDevice, BufferPool, IOScheduler
-from repro.storage.buffer_pool import (MAX_PENDING_WRITEBACKS, LRUPolicy,
-                                       make_policy)
+from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS, LRUPolicy
 
 BLOCK = 64
 NBLOCKS = 12
 
 
 class OneWritePerVictimPool(BufferPool):
-    """The reference: evict one victim, write it, repeat."""
+    """The reference: evict one victim, write it, repeat — batches
+    included, which walk block by block."""
+
+    def _make_room(self, n: int) -> bool:
+        return False
 
     def _ensure_room(self) -> None:
         while len(self._frames) >= self.capacity:
             victim = self.policy.choose_victim(self._pinned)
             if victim in self._dirty:
-                with self.latched(victim):
-                    self.device.write_block(victim, self._frames[victim])
+                self.device.write_block(victim, self._frames[victim])
                 self.stats.dirty_writebacks += 1
                 self._dirty.discard(victim)
             if victim in self._prefetched:
@@ -45,11 +45,10 @@ class OneWritePerVictimPool(BufferPool):
                 self.stats.prefetch_wasted += 1
             del self._frames[victim]
             self.policy.on_remove(victim)
-            self._latches.pop(victim, None)
             self.stats.evictions += 1
 
 
-def _make(cls, capacity, policy="lru", enabled=True, nblocks=NBLOCKS):
+def _make(cls, capacity, enabled=True, nblocks=NBLOCKS):
     device = BlockDevice(block_size=BLOCK)
     first = device.allocate(nblocks)
     for i in range(nblocks):
@@ -57,8 +56,7 @@ def _make(cls, capacity, policy="lru", enabled=True, nblocks=NBLOCKS):
             first + i, np.full(BLOCK, (100 + i) % 256, dtype=np.uint8))
     device.reset_stats()
     scheduler = IOScheduler(device, enabled=enabled)
-    return cls(device, capacity, policy=make_policy(policy),
-               scheduler=scheduler)
+    return cls(device, capacity, scheduler=scheduler)
 
 
 def _contents(device) -> list[bytes]:
@@ -90,9 +88,10 @@ def _apply(pool, op, use_pins):
     kind = op[0]
     try:
         if kind == "get":
-            frame = pool.get(op[1], for_write=op[2] is not None)
+            frame = pool.get(op[1])
             if op[2] is not None:
                 frame[:] = op[2]
+                pool.mark_dirty(op[1])
             return frame.tobytes()
         if kind == "get_many":
             return [f.tobytes() for f in pool.get_many(op[1])]
@@ -118,12 +117,11 @@ def _apply(pool, op, use_pins):
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(_op, min_size=1, max_size=40),
        capacity=st.integers(min_value=1, max_value=8),
-       policy=st.sampled_from(["lru", "clock"]),
        enabled=st.booleans(), use_pins=st.booleans())
 def test_property_same_pool_as_one_write_per_victim(
-        ops, capacity, policy, enabled, use_pins):
-    new = _make(BufferPool, capacity, policy, enabled)
-    ref = _make(OneWritePerVictimPool, capacity, policy, enabled)
+        ops, capacity, enabled, use_pins):
+    new = _make(BufferPool, capacity, enabled)
+    ref = _make(OneWritePerVictimPool, capacity, enabled)
     for op in ops:
         assert _apply(new, op, use_pins) == _apply(ref, op, use_pins)
         assert not new._pending
@@ -201,7 +199,8 @@ def test_get_many_refetch_of_own_dirty_victim_sees_new_bytes(enabled):
     in the same call: the re-fault must read what was evicted, not what
     the device held before."""
     pool = _make(BufferPool, 4, enabled=enabled)
-    pool.get(0, for_write=True)[:] = 7
+    pool.get(0)[:] = 7
+    pool.mark_dirty(0)
     frames = pool.get_many([1, 2, 3, 4, 5, 0])
     assert [int(f[0]) for f in frames] == [101, 102, 103, 104, 105, 7]
     assert int(pool.device._fetch(0)[0]) == 7
@@ -226,7 +225,8 @@ def test_block_evicted_twice_in_one_call_is_written_twice_in_order():
 
 
 class _ExhaustedAfter(LRUPolicy):
-    """LRU that runs out of victims after ``n`` choices."""
+    """LRU that runs out of victims after ``n`` choices, made one at a
+    time in a batch too, so a batch fails part-way."""
 
     def __init__(self, n: int) -> None:
         super().__init__()
@@ -237,6 +237,12 @@ class _ExhaustedAfter(LRUPolicy):
             raise RuntimeError("buffer pool exhausted: all frames pinned")
         self.left -= 1
         return super().choose_victim(pinned)
+
+    def choose_victims(self, n, pinned):
+        for _ in range(n):
+            key = self.choose_victim(pinned)
+            self.on_remove(key)
+            yield key
 
 
 @pytest.mark.parametrize("call, evicted", [
@@ -265,8 +271,9 @@ def test_error_midway_still_persists_what_was_evicted(call, evicted):
 
 
 class TestDeferredWriteUnderSanitizer:
-    """(d) The deferred write holds the victim's latch, and leaks
-    neither latches nor pins."""
+    """(d) A deferred write leaves nothing parked and no pin leaked
+    when a kernel span closes, and writes what an in-place mutator
+    left in the frame."""
 
     @staticmethod
     def _pool(capacity=3):
@@ -277,56 +284,17 @@ class TestDeferredWriteUnderSanitizer:
         pool.attach_tracer(tracer)
         return pool, tracer
 
-    def test_no_latch_or_pin_leak_across_a_deferred_write(self):
+    def test_no_pin_leak_across_a_deferred_write(self):
         pool, tracer = self._pool()
         with tracer.span("writer", cat="kernel"):
             pool.put_many([0, 1, 2], np.stack([_page(1)] * 3))
-            for bid in (0, 1, 2):  # give every victim a latch to park
-                with pool.latched(bid):
-                    pool._frames[bid][:] = 20 + bid
-            latches = [pool._latches[bid] for bid in (0, 1, 2)]
+            with pool.lock:        # an in-place mutation, as contracted
+                for bid in (0, 1, 2):
+                    pool.get(bid)[:] = 20 + bid
+                    pool.mark_dirty(bid)
             pool.pin(2)
             pool.put_many([3, 4], np.stack([_page(2)] * 2))
             pool.unpin(2)
         assert not pool._pending and pool._pinned == {}
         assert pool.device.stats.write_calls == 1
         assert [int(pool.device._fetch(b)[0]) for b in (0, 1)] == [20, 21]
-        # The drain released what it took, and the evicted blocks'
-        # latches left the table with their frames.
-        for latch in latches:
-            assert latch._lock.acquire(blocking=False)
-            latch._lock.release()
-        assert set(pool._latches) == {2}
-
-    def test_latch_holder_blocks_the_drain(self):
-        pool, _ = self._pool(capacity=2)
-        pool.put_many([0, 1], np.stack([_page(1)] * 2))
-        frame = pool._frames[0]
-        held, release, done = (threading.Event() for _ in range(3))
-
-        def mutator():
-            with pool.latched(0):
-                held.set()
-                release.wait(timeout=10)
-                frame[:] = 77  # still under the latch
-
-        def writer():
-            pool.put_many([2, 3], np.stack([_page(2)] * 2))
-            done.set()
-
-        threads = [threading.Thread(target=mutator)]
-        threads[0].start()
-        assert held.wait(timeout=10)
-        threads.append(threading.Thread(target=writer))
-        threads[1].start()
-        # Both victims wait for block 0's latch — one coalesced write,
-        # which does not race the mutation.
-        assert not done.wait(timeout=0.2)
-        assert pool.device.stats.writes == 0
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert done.is_set() and not pool._pending
-        assert [int(pool.device._fetch(b)[0]) for b in (0, 1)] == [77, 1]
-        assert pool.device.stats.write_calls == 1
