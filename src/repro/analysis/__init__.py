@@ -17,25 +17,20 @@ they happen, not as wrong counts or wrong numbers later:
   ``OptimizerConfig(strict=True)``.
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
-  ``REPRO_SANITIZE=1``) catching pin leaks, discards of pinned
-  blocks, unannounced reads inside kernel spans, write-back leaks,
-  cross-thread unpins, accesses to blocks of dropped arrays and
+  ``REPRO_SANITIZE=1``) catching unannounced reads inside kernel
+  spans, write-back leaks, accesses to blocks of dropped arrays and
   frames that keep too much memory alive.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
 from .planlint import PlanVerificationError, verify_plan
-from .sanitizers import (CrossThreadUnpinError, PinLeakError,
-                         PinnedDiscardError, RetentionError,
-                         SanitizerError, SanitizingBufferPool,
-                         UnannouncedReadError, UseAfterDropError,
-                         WritebackLeakError)
+from .sanitizers import (RetentionError, SanitizerError,
+                         SanitizingBufferPool, UnannouncedReadError,
+                         UseAfterDropError, WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
     "PlanVerificationError", "verify_plan",
-    "SanitizerError", "SanitizingBufferPool", "PinLeakError",
-    "PinnedDiscardError", "UnannouncedReadError",
-    "CrossThreadUnpinError", "WritebackLeakError",
-    "UseAfterDropError", "RetentionError",
+    "SanitizerError", "SanitizingBufferPool", "UnannouncedReadError",
+    "WritebackLeakError", "UseAfterDropError", "RetentionError",
 ]

@@ -1,13 +1,11 @@
 """Runtime storage-protocol sanitizers (ASAN for the buffer pool).
 
 The storage protocol every kernel follows — announce the footprint it
-is about to read, pin blocks for exactly as long as it uses them and
-release them on the thread that pinned them, never discard what is
-pinned, never touch a dropped array's blocks, and touch frames only
-under ``pool.lock`` — is what makes the I/O accounting exact.  The
-plain :class:`BufferPool` does not check it: ``unpin`` tolerates
-over-release, ``invalidate`` quietly drops pinned frames, and an
-unannounced read just costs an uncoalesced miss.
+is about to read, never touch a dropped array's blocks, and touch
+frames only under ``pool.lock`` — is what makes the I/O accounting
+exact.  The plain :class:`BufferPool` does not check it: an
+unannounced read just costs an uncoalesced miss, and a dropped
+array's block reads back whatever the device holds.
 
 :class:`SanitizingBufferPool` is a drop-in :class:`BufferPool`
 subclass that turns each hazard into a loud, typed error at the point
@@ -19,11 +17,6 @@ itself is off.
 
 Detected hazards:
 
-- **Pin leak** (:class:`PinLeakError`): pin counts at a span's close
-  differ from its open — some code path pinned without unpinning (or
-  over-released) inside the span.
-- **Pinned discard** (:class:`PinnedDiscardError`): ``invalidate()``
-  on a block something still holds pinned.
 - **Unannounced read** (:class:`UnannouncedReadError`): a demand miss
   inside a ``cat="kernel"`` span on a block the kernel neither
   announced via ``prefetch()`` nor wrote via ``put()``.  Only enforced
@@ -33,14 +26,9 @@ Detected hazards:
 - **Write-back leak** (:class:`WritebackLeakError`): a span closes
   while the pool still parks an evicted dirty frame that never reached
   the device — some pool entry point made room without draining.
-- **Cross-thread unpin** (:class:`CrossThreadUnpinError`): a worker
-  releases a pin some *other* thread took.  Pins are ownership — the
-  pinning thread is the one relying on the frame staying resident, so
-  another thread releasing it re-creates exactly the dangling-frame
-  hazard pinning exists to prevent.
 - **Use after drop** (:class:`UseAfterDropError`): any access —
-  ``get``, ``get_many``, ``put``, ``put_many``, ``prefetch``, ``pin``
-  — to a block whose array was dropped (``pool.discard``, then
+  ``get``, ``get_many``, ``put``, ``put_many``, ``prefetch`` — to a
+  block whose array was dropped (``pool.discard``, then
   ``PageFile.drop`` frees it).  Device block ids are never reused, so
   such an access can only be a stale reference: the evaluator dropping
   an intermediate before its last reader, or a kernel reading an
@@ -52,10 +40,10 @@ Detected hazards:
   recounted from the frames themselves after every call, not taken
   from the pool's own running count.
 
-The sanitizer is thread-aware like the pool it wraps: span stacks and
-pin ownership are tracked per thread (worker threads each get their
-own), and all bookkeeping runs under the pool's re-entrant lock,
-so pin-leak accounting stays exact per worker span.
+The sanitizer is thread-aware like the pool it wraps: span stacks are
+tracked per thread (worker threads each get their own, so they need no
+lock), and the set of dropped blocks changes only under the pool's
+re-entrant lock.
 """
 
 from __future__ import annotations
@@ -72,20 +60,8 @@ class SanitizerError(RuntimeError):
     """Base class for storage-protocol violations."""
 
 
-class PinLeakError(SanitizerError):
-    """Pin counts at span close differ from span open."""
-
-
-class PinnedDiscardError(SanitizerError):
-    """``invalidate()`` called on a block that is still pinned."""
-
-
 class UnannouncedReadError(SanitizerError):
     """A kernel-span demand miss outside the announced footprint."""
-
-
-class CrossThreadUnpinError(SanitizerError):
-    """A thread released a pin that a different thread took."""
 
 
 class WritebackLeakError(SanitizerError):
@@ -126,14 +102,11 @@ class _SpanSentry:
 class _SpanFrame:
     """Per-open-span sanitizer state."""
 
-    __slots__ = ("name", "cat", "pins_before", "announced", "wrote",
-                 "announcements")
+    __slots__ = ("name", "cat", "announced", "wrote", "announcements")
 
-    def __init__(self, name: str, cat: str,
-                 pins_before: dict[int, int]) -> None:
+    def __init__(self, name: str, cat: str) -> None:
         self.name = name
         self.cat = cat
-        self.pins_before = pins_before
         self.announced: set[int] = set()
         self.wrote: set[int] = set()
         self.announcements = 0
@@ -149,25 +122,14 @@ class SanitizingBufferPool(BufferPool):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Span stacks are per thread (a worker's spans nest on its own
-        # stack); pin ownership is tracked per thread so leaks are
-        # attributed to the worker span that took them.
+        # Span stacks are per thread: a worker's spans nest on its own.
         self._tls = _ThreadState()
-        self._pins_by_thread: dict[int, dict[int, int]] = {}
         self._sentry: _SpanSentry | None = None
         self._dropped: set[int] = set()
 
     @property
     def _span_stack(self) -> list[_SpanFrame]:
         return self._tls.stack
-
-    def _my_pins(self) -> dict[int, int]:
-        """The calling thread's pin table (caller holds self.lock)."""
-        tid = threading.get_ident()
-        table = self._pins_by_thread.get(tid)
-        if table is None:
-            table = self._pins_by_thread[tid] = {}
-        return table
 
     # ------------------------------------------------------------------
     # Tracer wiring
@@ -179,14 +141,12 @@ class SanitizingBufferPool(BufferPool):
             tracer.add_observer(self._sentry)
 
     def _on_span_open(self, name: str, cat: str) -> None:
-        with self.lock:
-            self._span_stack.append(
-                _SpanFrame(name, cat, dict(self._my_pins())))
+        self._span_stack.append(_SpanFrame(name, cat))
 
     def _on_span_close(self, name: str, cat: str, exc_type) -> None:
         if not self._span_stack:
             return
-        frame = self._span_stack.pop()
+        self._span_stack.pop()
         if exc_type is not None:
             return  # don't mask the in-flight failure
         with self.lock:
@@ -196,19 +156,6 @@ class SanitizingBufferPool(BufferPool):
                     f"block(s) {sorted(self._pending)} still parked; "
                     f"every pool call that makes room must drain its "
                     f"write-backs before it returns")
-            pins = self._my_pins()
-            if frame.pins_before != pins:
-                leaked = {bid: pins.get(bid, 0)
-                          - frame.pins_before.get(bid, 0)
-                          for bid in (set(pins)
-                                      | set(frame.pins_before))
-                          if pins.get(bid, 0)
-                          != frame.pins_before.get(bid, 0)}
-                raise PinLeakError(
-                    f"span {cat}:{name} closed with unbalanced pins "
-                    f"(block: delta) {leaked} on this thread; every "
-                    f"pin taken inside a span must be released before "
-                    f"it closes")
 
     # ------------------------------------------------------------------
     # Footprint bookkeeping
@@ -292,41 +239,3 @@ class SanitizingBufferPool(BufferPool):
                 f"(twice {self.capacity} blocks); the rows left of a "
                 f"buffer less than half resident must be copied out")
 
-    # ------------------------------------------------------------------
-    # Pin hazards
-    # ------------------------------------------------------------------
-    def pin(self, block_id: int) -> None:
-        self._check_live((block_id,), "pin()")
-        with self.lock:
-            super().pin(block_id)
-            mine = self._my_pins()
-            mine[block_id] = mine.get(block_id, 0) + 1
-
-    def unpin(self, block_id: int) -> None:
-        with self.lock:
-            mine = self._my_pins()
-            if (mine.get(block_id, 0) <= 0
-                    and self._pinned.get(block_id, 0) > 0):
-                holders = sorted(
-                    tid for tid, table in self._pins_by_thread.items()
-                    if table.get(block_id, 0) > 0)
-                raise CrossThreadUnpinError(
-                    f"thread {threading.get_ident()} unpinned block "
-                    f"{block_id} which it never pinned (held by "
-                    f"thread(s) {holders}); pins must be released by "
-                    f"the thread that took them")
-            super().unpin(block_id)
-            if mine.get(block_id, 0) > 0:
-                if mine[block_id] == 1:
-                    del mine[block_id]
-                else:
-                    mine[block_id] -= 1
-
-    def invalidate(self, block_id: int) -> None:
-        with self.lock:
-            if self._pinned.get(block_id, 0) > 0:
-                raise PinnedDiscardError(
-                    f"invalidate({block_id}) would discard a block "
-                    f"pinned {self._pinned[block_id]} time(s); unpin "
-                    f"before dropping it")
-            super().invalidate(block_id)

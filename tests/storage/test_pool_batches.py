@@ -6,9 +6,9 @@ once.  Nobody may be able to tell: against :class:`PerBlockPool` — the
 same pool forced to make room install by install, as every batch call
 did before — every ``PoolStats`` field, every ``IOStats`` counter but
 the physical ones (syscalls and nanoseconds), the resident frames in
-their order, the dirty, pinned and prefetched sets and the device's
-bytes stay equal, with pins, dirty victims and batches that fill the
-pending write-back set.
+their order, the dirty and prefetched sets and the device's bytes stay
+equal, with dirty victims and batches that fill the pending write-back
+set.
 
 The rest pins the one-pass helpers the run path leans on: page
 allocation and a range's block ids are what the one-at-a-time code
@@ -26,7 +26,7 @@ from repro.storage import (ArrayStore, BlockDevice, BufferPool,
                            FileBlockDevice, IOScheduler, StorageConfig,
                            coalesce_runs)
 from repro.storage.block_device import _IOSTAT_FIELDS
-from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS
+from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS, _Run
 from repro.storage.pagefile import EXTENT_PAGES, PageFile
 
 BLOCK = 64
@@ -39,6 +39,15 @@ class PerBlockPool(BufferPool):
 
     def _make_room(self, n: int) -> bool:
         return False
+
+    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
+        # Reached from prefetch only, which installs without asking
+        # whether room was made.
+        run = _Run(ids, buf)
+        for bid, row in zip(ids, run.rows):
+            self._ensure_room()
+            self._install(bid, row, run)
+            self.policy.on_insert(bid)
 
 
 def _make(cls, capacity, backend):
@@ -60,8 +69,6 @@ _op = st.one_of(
     st.tuples(st.just("get_many"), _batch),
     st.tuples(st.just("put_many"), _batch, st.integers(0, 255)),
     st.tuples(st.just("get"), _start, st.booleans()),
-    st.tuples(st.just("pin"), _start),
-    st.tuples(st.just("unpin"), _start),
     st.tuples(st.just("flush"), st.none() | _start),
 )
 
@@ -76,35 +83,27 @@ def _ids(batch, rng_seed):
 
 def _apply(pool, op, seed):
     kind = op[0]
-    try:
-        if kind == "prefetch":
-            return pool.prefetch(_ids(op[1], seed))
-        if kind == "get_many":
-            return [f.tobytes() for f in pool.get_many(_ids(op[1], seed))]
-        if kind == "put_many":
-            ids = _ids(op[1], seed)
-            pages = (np.arange(len(ids), dtype=np.uint8)[:, None]
-                     + np.full(BLOCK, op[2], dtype=np.uint8))
-            return pool.put_many(ids, pages)
-        if kind == "get":
-            frame = pool.get(op[1])
-            if op[2]:
-                frame[:] = 7
-                pool.mark_dirty(op[1])
-            return frame.tobytes()
-        if kind == "pin":
-            return op[1] in pool._frames and pool.pin(op[1])
-        if kind == "unpin":
-            return pool.unpin(op[1])
-        return pool.flush(op[1])
-    except RuntimeError as exc:        # "all frames pinned"
-        return f"RuntimeError: {exc}"
+    if kind == "prefetch":
+        return pool.prefetch(_ids(op[1], seed))
+    if kind == "get_many":
+        return [f.tobytes() for f in pool.get_many(_ids(op[1], seed))]
+    if kind == "put_many":
+        ids = _ids(op[1], seed)
+        pages = (np.arange(len(ids), dtype=np.uint8)[:, None]
+                 + np.full(BLOCK, op[2], dtype=np.uint8))
+        return pool.put_many(ids, pages)
+    if kind == "get":
+        frame = pool.get(op[1])
+        if op[2]:
+            frame[:] = 7
+            pool.mark_dirty(op[1])
+        return frame.tobytes()
+    return pool.flush(op[1])
 
 
 def _state(pool):
     io = pool.device.stats
-    return (pool.stats, list(pool._frames), pool._dirty, pool._pinned,
-            pool._prefetched,
+    return (pool.stats, list(pool._frames), pool._dirty, pool._prefetched,
             {f: getattr(io, f) for f in _IOSTAT_FIELDS
              if f not in ("syscalls", "read_ns", "write_ns")},
             [pool._frames[b].tobytes() for b in pool._frames])

@@ -1,14 +1,16 @@
 """Concurrency stress tests for the thread-safe buffer pool.
 
-N threads hammer pin/unpin/prefetch/get/eviction on one pool and the
-invariants that concurrent pool users depend on must hold: pin
-counts drain to zero, residency never exceeds capacity, no IOStats or
-PoolStats increment is lost, and data read back is what was written.
+N threads hammer get/get_many/get_run/prefetch/put_many/eviction on one
+pool and the invariants that concurrent pool users depend on must
+hold: no evicted dirty frame is left parked, residency never exceeds
+capacity, no IOStats or PoolStats increment is lost, and data read back
+is what was written.
 The suite also runs under ``REPRO_SANITIZE=1`` in the CI parallel job.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -26,8 +28,14 @@ def _fill_device(dev: BlockDevice, n: int) -> list[int]:
     return list(range(first, first + n))
 
 
+def _pages(dev: BlockDevice, n: int, value: float) -> np.ndarray:
+    """``n`` fresh pages of float64 ``value`` (``put_many`` adopts
+    them, so each call gets its own)."""
+    return np.full((n, dev.block_size // 8), float(value)).view(np.uint8)
+
+
 def _run_threads(workers) -> None:
-    """Start, join, and re-raise the first worker failure."""
+    """Start, join (bounded), and re-raise the first worker failure."""
     errors: list[BaseException] = []
 
     def wrap(fn):
@@ -42,7 +50,8 @@ def _run_threads(workers) -> None:
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive(), "a pool worker hung"
     if errors:
         raise errors[0]
 
@@ -83,20 +92,41 @@ class TestConcurrentReads:
         _run_threads([reader(s) for s in (1, 3, 5, 7)])
         assert pool.resident <= 6
 
-    def test_pins_drain_to_zero(self, device):
-        nblocks = 16
-        blocks = _fill_device(device, nblocks)
-        pool = BufferPool(device, nblocks + 2)
+    def test_batch_calls_leave_nothing_parked(self, device):
+        """Threads read shared blocks in batches and write their own,
+        in a pool too small for either, so every call evicts and the
+        writes leave dirty victims to park and drain."""
+        nthreads, rounds = 6, 10
+        shared = _fill_device(device, 16)
+        pool = BufferPool(device, 10)
+        owned = [list(range(first, first + 4)) for first in
+                 (device.allocate(4) for _ in range(nthreads))]
 
-        def pinner():
-            for _ in range(50):
-                for bid in blocks:
-                    pool.get(bid)
-                    pool.pin(bid)
-                    pool.unpin(bid)
+        def worker(t: int):
+            def run():
+                for r in range(rounds):
+                    window = shared[(3 * t + r) % 12:][:4]
+                    pool.prefetch(window)
+                    pool.get_many(window)
+                    pool.get_run(window[::-1])
+                    pool.put_many(owned[t], _pages(device, 4, 100 * t + r))
+            return run
 
-        _run_threads([pinner] * 6)
-        assert pool._pinned == {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)        # switch threads mid-call
+        try:
+            _run_threads([worker(t) for t in range(nthreads)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pool._pending
+        assert pool.resident <= pool.capacity
+        assert pool.stats.accesses == nthreads * rounds * 12
+        assert pool.stats.dirty_writebacks > 0
+        pool.flush_all()
+        for t, bids in enumerate(owned):
+            for bid in bids:
+                assert device.read_block(bid).view(np.float64)[0] \
+                    == 100 * t + rounds - 1
 
     def test_concurrent_prefetch_and_demand(self, device):
         nblocks = 32
@@ -181,47 +211,53 @@ class TestConcurrentWrites:
        seed=st.integers(min_value=0, max_value=2**16))
 def test_property_invariants_under_random_interleaving(
         capacity, nthreads, seed):
+    """Random batches over shared blocks (``get_many``, ``get_run``,
+    ``prefetch``) and over blocks each thread owns (``put_many``)."""
     device = BlockDevice(block_size=8192)
     nblocks = 40
-    blocks = _fill_device(device, nblocks)
+    shared = _fill_device(device, nblocks)
+    owned = [list(range(first, first + 4)) for first in
+             (device.allocate(4) for _ in range(nthreads))]
     pool = BufferPool(device, capacity)
     rng = np.random.default_rng(seed)
-    plans = [rng.integers(0, nblocks, size=60).tolist()
-             for _ in range(nthreads)]
-    # Bound simultaneous pins so the pool can never be fully pinned
-    # (an exhausted pool is a caller bug, not an interleaving one).
-    max_held = max(0, (capacity - 2) // nthreads)
-    gets_done = [0] * nthreads
+    plans = [[(int(kind), int(lo), int(n)) for kind, lo, n in zip(
+        rng.integers(0, 4, 30), rng.integers(0, nblocks, 30),
+        rng.integers(1, 9, 30))] for _ in range(nthreads)]
+    requested = [0] * nthreads
+    last = [dict.fromkeys(bids, 0.0) for bids in owned]   # unwritten
 
-    def worker(w: int, plan: list[int]):
+    def worker(w: int, plan: list[tuple[int, int, int]]):
         def run():
-            held: list[int] = []
-            for j, pick in enumerate(plan):
-                bid = blocks[pick]
-                if j % 7 == 3 and len(held) < max_held:
-                    # get+pin must be atomic under eviction pressure:
-                    # compose them under the pool's public lock.
-                    with pool.lock:
-                        pool.get(bid)
-                        pool.pin(bid)
-                    gets_done[w] += 1
-                    held.append(bid)
-                elif j % 7 == 6 and held:
-                    pool.unpin(held.pop())
+            for j, (kind, lo, n) in enumerate(plan):
+                picks = [(lo + k) % nblocks for k in range(n)]
+                bids = [shared[p] for p in picks]
+                if kind == 0:
+                    pool.prefetch(bids)
+                elif kind == 3:
+                    mine = owned[w][:n % 4 + 1]
+                    pool.put_many(mine, _pages(device, len(mine), j + 1))
+                    last[w].update(dict.fromkeys(mine, float(j + 1)))
+                    requested[w] += len(mine)
                 else:
-                    frame = pool.get(bid)
-                    gets_done[w] += 1
-                    assert frame.view(np.float64)[0] == float(pick)
-            for bid in held:
-                pool.unpin(bid)
+                    with pool.lock:
+                        got = (pool.get_many(bids) if kind == 1
+                               else pool.get_run(bids))
+                        values = [f.view(np.float64)[0] for f in got]
+                    assert values == [float(p) for p in picks]
+                    requested[w] += n
         return run
 
     _run_threads([worker(w, p) for w, p in enumerate(plans)])
-    assert pool._pinned == {}
+    assert not pool._pending
     assert pool.resident <= capacity
-    # Conservation: every get is exactly one hit or one miss — none
-    # lost, none double-counted, even with eviction in the mix.
-    assert pool.stats.accesses == sum(gets_done)
+    # Conservation: every requested block is exactly one hit or one
+    # miss — none lost, none double-counted, even with eviction in the
+    # mix.
+    assert pool.stats.accesses == sum(requested)
+    pool.flush_all()
+    for mine in last:
+        for bid, value in mine.items():
+            assert device.read_block(bid).view(np.float64)[0] == value
 
 
 def test_pool_lock_is_reentrant(device):

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.analysis import SanitizingBufferPool
 from repro.obs import Tracer
 from repro.storage import BlockDevice, BufferPool, IOScheduler
-from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS, LRUPolicy
+from repro.storage.buffer_pool import (MAX_PENDING_WRITEBACKS, LRUPolicy,
+                                       _Run)
 
 BLOCK = 64
 NBLOCKS = 12
@@ -33,9 +34,18 @@ class OneWritePerVictimPool(BufferPool):
     def _make_room(self, n: int) -> bool:
         return False
 
+    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
+        # Reached from prefetch only, which installs without asking
+        # whether room was made.
+        run = _Run(ids, buf)
+        for bid, row in zip(ids, run.rows):
+            self._ensure_room()
+            self._install(bid, row, run)
+            self.policy.on_insert(bid)
+
     def _ensure_room(self) -> None:
         while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim(self._pinned)
+            victim = self.policy.choose_victim()
             if victim in self._dirty:
                 self.device.write_block(victim, self._frames[victim])
                 self.stats.dirty_writebacks += 1
@@ -77,57 +87,45 @@ _op = st.one_of(
     st.tuples(st.just("put"), _bid, _fill),
     st.tuples(st.just("put_many"), _bids, _fill),
     st.tuples(st.just("prefetch"), _bids),
-    st.tuples(st.just("pin"), _bid),
-    st.tuples(st.just("unpin"), _bid),
     st.tuples(st.just("flush"), st.none() | _bid),
 )
 
 
-def _apply(pool, op, use_pins):
-    """Run one op; returns what the caller saw (bytes or an error)."""
+def _apply(pool, op):
+    """Run one op; returns what the caller saw."""
     kind = op[0]
-    try:
-        if kind == "get":
-            frame = pool.get(op[1])
-            if op[2] is not None:
-                frame[:] = op[2]
-                pool.mark_dirty(op[1])
-            return frame.tobytes()
-        if kind == "get_many":
-            return [f.tobytes() for f in pool.get_many(op[1])]
-        if kind == "put":
-            return pool.put(op[1], np.full(BLOCK, op[2], dtype=np.uint8))
-        if kind == "put_many":
-            pages = (np.arange(len(op[1]), dtype=np.uint8)[:, None]
-                     + np.full(BLOCK, op[2], dtype=np.uint8))
-            return pool.put_many(op[1], pages)
-        if kind == "prefetch":
-            return pool.prefetch(op[1])
-        if kind == "pin":
-            if use_pins and op[1] in pool._frames:
-                pool.pin(op[1])
-            return None
-        if kind == "unpin":
-            return pool.unpin(op[1])
-        return pool.flush(op[1])
-    except RuntimeError as exc:  # "all frames pinned"
-        return f"RuntimeError: {exc}"
+    if kind == "get":
+        frame = pool.get(op[1])
+        if op[2] is not None:
+            frame[:] = op[2]
+            pool.mark_dirty(op[1])
+        return frame.tobytes()
+    if kind == "get_many":
+        return [f.tobytes() for f in pool.get_many(op[1])]
+    if kind == "put":
+        return pool.put(op[1], np.full(BLOCK, op[2], dtype=np.uint8))
+    if kind == "put_many":
+        pages = (np.arange(len(op[1]), dtype=np.uint8)[:, None]
+                 + np.full(BLOCK, op[2], dtype=np.uint8))
+        return pool.put_many(op[1], pages)
+    if kind == "prefetch":
+        return pool.prefetch(op[1])
+    return pool.flush(op[1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(_op, min_size=1, max_size=40),
        capacity=st.integers(min_value=1, max_value=8),
-       enabled=st.booleans(), use_pins=st.booleans())
-def test_property_same_pool_as_one_write_per_victim(
-        ops, capacity, enabled, use_pins):
+       enabled=st.booleans())
+def test_property_same_pool_as_one_write_per_victim(ops, capacity, enabled):
     new = _make(BufferPool, capacity, enabled)
     ref = _make(OneWritePerVictimPool, capacity, enabled)
     for op in ops:
-        assert _apply(new, op, use_pins) == _apply(ref, op, use_pins)
+        assert _apply(new, op) == _apply(ref, op)
         assert not new._pending
         assert new.stats == ref.stats
         assert list(new._frames) == list(ref._frames)
-        assert new._dirty == ref._dirty and new._pinned == ref._pinned
+        assert new._dirty == ref._dirty
         a, b = new.device.stats, ref.device.stats
         for field in ("reads", "writes", "read_calls", "bytes_read",
                       "bytes_written", "prefetched"):
@@ -232,15 +230,15 @@ class _ExhaustedAfter(LRUPolicy):
         super().__init__()
         self.left = n
 
-    def choose_victim(self, pinned):
+    def choose_victim(self):
         if self.left == 0:
-            raise RuntimeError("buffer pool exhausted: all frames pinned")
+            raise RuntimeError("policy double ran out of victims")
         self.left -= 1
-        return super().choose_victim(pinned)
+        return super().choose_victim()
 
-    def choose_victims(self, n, pinned):
+    def choose_victims(self, n):
         for _ in range(n):
-            key = self.choose_victim(pinned)
+            key = self.choose_victim()
             self.on_remove(key)
             yield key
 
@@ -256,7 +254,7 @@ def test_error_midway_still_persists_what_was_evicted(call, evicted):
     pool = BufferPool(device, 3, policy=_ExhaustedAfter(evicted))
     pool.put_many([0, 1, 2], np.stack([_page(f) for f in (50, 51, 52)]))
     assert device.stats.writes == 0
-    with pytest.raises(RuntimeError, match="all frames pinned"):
+    with pytest.raises(RuntimeError, match="ran out of victims"):
         if call == "put_many":
             pool.put_many([5, 6, 7], np.stack([_page(9)] * 3))
         elif call == "get_many":
@@ -271,9 +269,8 @@ def test_error_midway_still_persists_what_was_evicted(call, evicted):
 
 
 class TestDeferredWriteUnderSanitizer:
-    """(d) A deferred write leaves nothing parked and no pin leaked
-    when a kernel span closes, and writes what an in-place mutator
-    left in the frame."""
+    """(d) A deferred write leaves nothing parked when a kernel span
+    closes, and writes what an in-place mutator left in the frame."""
 
     @staticmethod
     def _pool(capacity=3):
@@ -284,7 +281,7 @@ class TestDeferredWriteUnderSanitizer:
         pool.attach_tracer(tracer)
         return pool, tracer
 
-    def test_no_pin_leak_across_a_deferred_write(self):
+    def test_nothing_parked_across_a_deferred_write(self):
         pool, tracer = self._pool()
         with tracer.span("writer", cat="kernel"):
             pool.put_many([0, 1, 2], np.stack([_page(1)] * 3))
@@ -292,9 +289,7 @@ class TestDeferredWriteUnderSanitizer:
                 for bid in (0, 1, 2):
                     pool.get(bid)[:] = 20 + bid
                     pool.mark_dirty(bid)
-            pool.pin(2)
             pool.put_many([3, 4], np.stack([_page(2)] * 2))
-            pool.unpin(2)
-        assert not pool._pending and pool._pinned == {}
+        assert not pool._pending
         assert pool.device.stats.write_calls == 1
         assert [int(pool.device._fetch(b)[0]) for b in (0, 1)] == [20, 21]
