@@ -268,7 +268,8 @@ class RiotMatrix(_Deferred):
 
         Storage is CSR tiles with a per-tile nnz directory (empty tiles
         occupy zero pages); the handle's density drives chain ordering
-        and sparse/dense kernel selection in the rewriter.
+        in the rewriter and sparse/dense kernel selection in the
+        planner.
         """
         return session.sparse_matrix(rows, cols, values, shape,
                                      name=name)

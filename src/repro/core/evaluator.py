@@ -180,13 +180,13 @@ class Evaluator:
         bracketed in a span.
 
         ``cold=True`` measures under the cost models' own assumptions
-        (EXPLAIN ANALYZE semantics): the pool is flushed and emptied
-        first so inputs are read from the device rather than served
-        from residue of earlier work, and the trailing write-back of
-        dirty output frames is flushed and charged to the root
-        operator — the same protocol the cost-agreement tests use, so
-        measured/predicted ratios are comparable to the validated
-        0.5–2.0x band.  (Writes
+        (EXPLAIN ANALYZE semantics): the decoded-tile cache and the
+        pool are flushed and emptied first so inputs are read from the
+        device rather than served from residue of earlier work, and the
+        trailing write-back of pending codec tiles and dirty output
+        frames is flushed and charged to the root operator — the same
+        protocol the cost-agreement tests use, so measured/predicted
+        ratios are comparable to the validated 0.5–2.0x band.  (Writes
         are charged to the operator that triggered the device transfer:
         a dirty block evicted during a later operator counts there.
         Totals are exact, per-op splits approximate.)
@@ -210,6 +210,7 @@ class Evaluator:
             op.pool_measured = None
             op.wall_ns = None
         if cold:
+            self.store.tile_cache.clear()
             self.store.pool.clear()
         memo: dict[int, object] = {}
         with self.store.tracer.span(
@@ -248,15 +249,17 @@ class Evaluator:
         self._densified_cache.clear()
 
     def _flush_into_root(self, root: PhysOp) -> None:
-        """Flush dirty frames, charging the write-back to the root op.
+        """Flush the store, charging the write-back to the root op.
 
         The cost models price an operator's output *writes*; under
         write-back caching those blocks may still sit dirty in the pool
-        when execution ends.  Folding the final flush into the root's
-        delta keeps per-op sums equal to the session totals over the
-        whole (cold) execution window.
+        when execution ends, and a codec result's tiles may still be
+        pending, not yet encoded.  The store's flush encodes those,
+        then writes every dirty frame; folding it into the root's delta
+        keeps per-op sums equal to the session totals over the whole
+        (cold) execution window.
         """
-        _, io, pool, wall_ns = self._measured(self.store.pool.flush_all)
+        _, io, pool, wall_ns = self._measured(self.store.flush)
         if root.measured is not None:
             root.measured = root.measured.merged(io)
             root.measured_io = root.measured.total

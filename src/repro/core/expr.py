@@ -95,8 +95,8 @@ class Node:
     ``shape`` is ``()`` for scalars, ``(n,)`` for vectors, ``(r, c)`` for
     matrices.  ``children`` is a tuple of child nodes.  ``density`` is
     the estimated fraction of nonzero elements (1.0 when unknown); the
-    rewriter uses it to order matrix chains and pick sparse vs. dense
-    kernels through the nnz-parameterized cost models.
+    rewriter uses it to order matrix chains and the planner to pick
+    sparse vs. dense kernels through the nnz-parameterized cost models.
     """
 
     shape: tuple[int, ...] = ()
@@ -317,11 +317,11 @@ class MatMul(Node):
     """Matrix multiplication — a first-class operator (§5: *"This approach
     departs from those that are more minimalist in design"*).
 
-    ``kernel`` is an execution hint the rewriter sets from the
-    nnz-parameterized cost models: ``"auto"`` (default, evaluator
-    decides from the forced operand types), ``"sparse"`` (keep sparse
-    operands sparse), or ``"dense"`` (densify sparse operands and run
-    the Appendix-A square-tile multiply).
+    ``kernel`` is a caller's pin — no pass sets it; the planner chooses
+    the kernel in ``_lower_product`` from the nnz-parameterized cost
+    models: ``"auto"`` (default, the planner decides), ``"sparse"``
+    (keep sparse operands sparse), or ``"dense"`` (densify sparse
+    operands and run the Appendix-A square-tile multiply).
 
     ``trans_a``/``trans_b`` are *operand flags*: the product uses the
     transpose of the corresponding operand, but the operand itself is

@@ -115,7 +115,8 @@ class RiotSession:
         """Store 0-based COO triplets as CSR tiles; deferred handle.
 
         The handle's DAG node carries the exact density, so the
-        rewriter's chain ordering and kernel selection see it.
+        rewriter's chain ordering and the planner's kernel selection
+        see it.
         """
         from repro.sparse import SparseTiledMatrix
         stored = SparseTiledMatrix.from_coo(self.store, rows, cols,

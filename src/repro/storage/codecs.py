@@ -5,12 +5,13 @@ computing, and the biggest remaining lever after scheduling is
 shrinking the bytes that cross the device boundary.  A
 :class:`TileCodec` transforms one tile's scalars into a compressed
 payload when a written :class:`~repro.storage.tile_store.TiledMatrix`
-tile leaves memory (its decoded form stays cached until then) and back
-at read time; the tile store records each tile's codec and
-compressed length in its tile directory (persisted through the
-``.meta`` sidecar manifest), charges the *compressed* bytes to
-``IOStats.bytes_compressed`` (schema v3), and keeps decompressed tiles
-in a decoded-frame cache so repeated reads pay the decode CPU once.
+tile leaves memory (it waits decoded in the store's write buffer, the
+``DecodedTileCache``, until then) and back on every read of its
+pages; the tile store records each tile's codec and compressed length
+in its tile directory (persisted through the ``.meta`` sidecar
+manifest) and charges the *compressed* bytes to
+``IOStats.bytes_compressed`` (schema v3).  No decoded copy of a tile
+read from its pages is kept: the buffer pool caches the encoded pages.
 
 Codecs never leak outside the storage layer: kernels and the planner
 only ever see decoded ``numpy`` tiles (enforced by the ``RPR005`` lint

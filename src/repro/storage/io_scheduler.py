@@ -10,11 +10,14 @@ the pool routes both directions through it — misses and hints through
 the call drains them, through :meth:`write_back`:
 
 1. **Hint-driven prefetch.**  Operators know their footprint from the
-   expression (the streaming evaluator, ``square_tile_matmul``, tile
-   scans), so they announce upcoming block keys through
-   :meth:`BufferPool.prefetch` before reading them, and their misses
-   become warm hits.  Nothing is read on a guess: a demand miss fetches
-   exactly the block asked for.
+   expression, so it is announced through :meth:`BufferPool.prefetch`
+   before it is read, and the misses become warm hits.  The announcers
+   are the callers lint rule ``RPR009`` allows — the schedule runner
+   (``run_steps``) for every dense kernel's steps, the evaluator's
+   window loop and the sparse kernels — plus the tile store's own
+   reads and scans (``read_submatrix``, a partial tile's
+   read-modify-write, vector scans and gathers).  Nothing is read on
+   a guess: a demand miss fetches exactly the block asked for.
 2. **Coalesced multi-block I/O.**  Every batch of block ids is sorted
    and split into maximal runs of adjacent ids; each run moves in a
    single device call via

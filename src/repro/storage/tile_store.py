@@ -47,10 +47,6 @@ from .pagefile import PageFile
 _FLOAT = np.float64
 _FLOAT_BYTES = 8
 
-#: ``_assemble``'s payload length for a pending codec tile: written,
-#: not yet encoded, held only in the decoded-tile cache.
-_PENDING = -1
-
 #: Chunks of lookahead a streamed window announces at most.
 STREAM_PREFETCH_CHUNKS = 64
 
@@ -418,13 +414,14 @@ class TiledMatrix:
     never written (reads return zeros without touching the device).
 
     A codec tile is encoded when it leaves memory, not when it is
-    written: ``write_*`` leaves it *pending* — dirty in the store's
-    :class:`DecodedTileCache` — and
+    written: ``write_*`` leaves it *pending* in the store's
+    :class:`DecodedTileCache`, the codec write buffer, and
     :meth:`_spill` encodes it when the cache evicts it, when the store
     is flushed or closed, or when :meth:`stored_pages` is asked what
     the matrix costs on disk.  A pending tile is read from the cache
-    and has no pages (:meth:`tile_blocks`); :meth:`drop` discards it
-    unencoded.
+    and has no pages (:meth:`tile_blocks`); every other written tile
+    is decoded from its pages on each read, and none is kept decoded
+    after it.  :meth:`drop` discards pending tiles unencoded.
     """
 
     def __init__(self, store: "ArrayStore", name: str,
@@ -541,21 +538,33 @@ class TiledMatrix:
         self._check_tile(ti, tj)
         if self.codec.name == "raw":
             return self._blocks[ti, tj].tolist()
-        comp = self.tile_dir.get(self.linearization.index(ti, tj))
-        if comp is None or self.store.tile_cache.is_dirty(
-                (self.name, ti, tj)):
-            return []
-        return self._payload_blocks(ti, tj, comp)
+        return self.submatrix_blocks(*self.tile_bounds(ti, tj))
 
     def submatrix_blocks(self, r0: int, r1: int, c0: int, c1: int
                          ) -> list[int]:
         """Device block keys for every tile covering the rectangle, in
-        row-major tile order (the order the rectangle is read in)."""
+        row-major tile order: exactly the pages a read of it fetches."""
         ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
         if self.codec.name == "raw":
             return self._blocks[ti0:ti1, tj0:tj1].ravel().tolist()
-        return [bid for ti in range(ti0, ti1) for tj in range(tj0, tj1)
-                for bid in self.tile_blocks(ti, tj)]
+        return [bid for ti, tj, comp in self._stored_tiles(ti0, ti1,
+                                                           tj0, tj1)
+                for bid in self._payload_blocks(ti, tj, comp)]
+
+    def _stored_tiles(self, ti0: int, ti1: int, tj0: int, tj1: int
+                      ) -> list[tuple[int, int, int]]:
+        """The codec tiles of ``[ti0, ti1) x [tj0, tj1)`` a read fetches
+        from their pages — written and encoded, not pending — as
+        ``(ti, tj, payload length)`` in row-major order: what
+        :meth:`submatrix_blocks` announces and :meth:`_assemble`
+        decodes."""
+        pending = self.store.tile_cache.is_dirty
+        with self.store.pool.lock:
+            return [(ti, tj, comp)
+                    for ti in range(ti0, ti1) for tj in range(tj0, tj1)
+                    if (comp := self.tile_dir.get(
+                        self.linearization.index(ti, tj))) is not None
+                    and not pending((self.name, ti, tj))]
 
     def _pages_of(self, comp: int) -> int:
         """Pages of its span a written codec tile keeps data in: its
@@ -612,13 +621,13 @@ class TiledMatrix:
         Raw tiles come through a single ``get_many`` over the
         rectangle's blocks in row-major tile order and are gathered a
         tile row at a time, so the staging copy is one band, never a
-        second rectangle.  Codec tiles are walked one by one in that
-        order, as a tile-by-tile read would: each is looked up in the
-        decoded-tile cache (a pending tile is always there), and one
-        the cache does not hold fetches its payload pages, is decoded
-        straight into its cell and inserted.  ``read_submatrix`` has
-        already announced the rectangle's pages, so a tile's own fetch
-        costs a Python call, not a device call.
+        second rectangle.  Codec tiles take the same shape: a pending
+        tile is copied from the decoded-tile cache, the payload pages
+        of every stored one (:meth:`_stored_tiles`) come through one
+        ``get_many`` in that order and are decoded straight into their
+        cells, and a never-written tile reads as zeros.  The read
+        inserts nothing into the cache, so it spills nothing, and
+        ``read_submatrix`` has already announced those pages.
         """
         th, tw = self.tile_shape
         nti, ntj = ti1 - ti0, tj1 - tj0
@@ -635,48 +644,38 @@ class TiledMatrix:
                 ).reshape(ntj, th, tw).transpose(1, 0, 2)
             return out
         cache = self.store.tile_cache
-        # Written tiles in walk order: cell and payload length (0:
-        # stored raw, never cached, every page holds data; _PENDING:
-        # not encoded yet, in the cache).
-        tiles: list[tuple[int, int, int]] = []
         with pool.lock:
+            stored = self._stored_tiles(ti0, ti1, tj0, tj1)
+            frames = pool.get_many(
+                [bid for ti, tj, comp in stored
+                 for bid in self._payload_blocks(ti, tj, comp)])
+            decoded = {(ti, tj) for ti, tj, _ in stored}
             for i in range(nti):
                 for j in range(ntj):
                     ti, tj = ti0 + i, tj0 + j
-                    comp = (_PENDING if cache.is_dirty((self.name, ti, tj))
-                            else self.tile_dir.get(
-                                self.linearization.index(ti, tj)))
-                    if comp is None:
-                        # Never written: sparse-file semantics, no I/O.
-                        cells[i, :, j] = 0
-                    else:
-                        tiles.append((i, j, comp))
+                    if (ti, tj) not in decoded:
+                        # Pending, else never written: zeros, no I/O
+                        # (sparse-file semantics).
+                        tile = cache.get((self.name, ti, tj))
+                        cells[i, :, j] = (0 if tile is None
+                                          else tile.reshape(th, tw))
+            cache.misses += sum(1 for *_, comp in stored if comp)
         logical = th * tw * self.dtype.itemsize
-        for i, j, comp in tiles:
-            ti, tj = ti0 + i, tj0 + j
-            if comp:
-                cached = cache.get((self.name, ti, tj))
-                if cached is not None:
-                    cells[i, :, j] = cached.reshape(th, tw)
-                    continue
-                # Fetched as stored now: an insert earlier in the walk
-                # may have spilled a pending tile.
-                with pool.lock:
-                    comp = self.tile_dir[self.linearization.index(ti, tj)]
-            held = pool.get_many(self._payload_blocks(ti, tj, comp))
+        k = 0
+        for ti, tj, comp in stored:
+            held = frames[k: k + self._pages_of(comp)]
+            k += len(held)
+            cell = cells[ti - ti0, :, tj - tj0]
             if comp == 0:
-                cells[i, :, j] = self._tiles_of(held)[0].reshape(th, tw)
+                cell[...] = self._tiles_of(held)[0].reshape(th, tw)
                 self._charge_codec(logical, logical)
                 continue
             # A one-page payload decodes straight out of its frame.
             staged = held[0] if len(held) == 1 else np.concatenate(held)
-            tile = self.codec.decode_tile(memoryview(staged)[:comp],
-                                          self.dtype, th * tw)
-            cells[i, :, j] = tile.reshape(th, tw)
+            cell[...] = self.codec.decode_tile(
+                memoryview(staged)[:comp], self.dtype, th * tw
+            ).reshape(th, tw)
             self._charge_codec(logical, comp)
-            # Frozen, so the cache keeps this array instead of a copy.
-            tile.flags.writeable = False
-            cache.put((self.name, ti, tj), tile)
         return out
 
     def _tiles_of(self, frames: list[np.ndarray]) -> np.ndarray:
@@ -722,28 +721,24 @@ class TiledMatrix:
 
     def _write_codec_tile(self, ti: int, tj: int,
                           tile: np.ndarray) -> None:
-        """Leave a written codec tile pending: dirty in the decoded-tile
+        """Leave a written codec tile pending in the decoded-tile
         cache, encoded only when it leaves memory (:meth:`_spill`).
         The pages of the payload it supersedes are dropped now, so
         they are neither flushed nor read back.  One pool-lock hold, so
         no spill of the tile's previous version lands in between."""
-        pool, cache = self.store.pool, self.store.tile_cache
-        key = (self.name, ti, tj)
+        pool = self.store.pool
         with pool.lock:
-            comp = self.tile_dir.get(self.linearization.index(ti, tj))
-            if comp is not None and not cache.is_dirty(key):
-                for bid in self._payload_blocks(ti, tj, comp):
-                    pool.invalidate(bid)
-            cache.put(key, tile, owner=self)
+            for bid in self.tile_blocks(ti, tj):
+                pool.invalidate(bid)
+            self.store.tile_cache.put((self.name, ti, tj), tile, self)
 
     def _spill(self, ti: int, tj: int, tile: np.ndarray,
-               through: bool = False) -> int:
+               through: bool = False) -> None:
         """Encode a pending tile into the first pages of its span in
         the pool and enter it in ``tile_dir``: the one place a codec
         tile is encoded.  A payload that outgrows the span is stored
         raw (length 0, the fallback sentinel).  ``through`` writes the
-        pages on to the device and leaves none of them in the pool.
-        Returns the length entered."""
+        pages on to the device and leaves none of them in the pool."""
         bs = self.store.device.block_size
         pool = self.store.pool
         blocks = self._blocks[ti, tj]
@@ -763,7 +758,6 @@ class TiledMatrix:
                 pool.invalidate(bid)
         self._record_tile(self.linearization.index(ti, tj), comp,
                           tile.nbytes)
-        return comp
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
@@ -924,37 +918,35 @@ MIN_POOL_BLOCKS = 4
 
 
 class DecodedTileCache:
-    """LRU cache of decoded full tiles, clean and dirty.
+    """The codec write buffer: tiles written and not yet encoded.
 
-    For codec-compressed matrices the buffer pool holds *encoded*
-    frames — the unit the device serves and IOStats v3 charges — so a
-    re-read of a pooled tile would still pay the decode CPU.  This
-    cache keeps the decoded ``(th, tw)`` arrays under its own byte
-    budget: *clean* tiles, decoded from their pages, and *dirty* ones a
-    write left here unencoded (the matrix's pending tiles).  A dirty
-    tile is spilled — encoded into its pages by its owner's ``_spill``
-    — only when it leaves memory: evicted by any :meth:`put`, or by
-    :meth:`settle` and :meth:`clear`; one larger than the whole budget
-    is spilled at once.  Entries are read-only, and ``raw`` tiles never
-    enter (their pool frame already is the decoded form).
+    A write to a codec matrix leaves its ``(th, tw)`` tile here,
+    decoded, with the matrix that owns it (the matrix's *pending*
+    tiles), under a byte budget of its own.  A tile is spilled —
+    encoded into its pages by its owner's ``_spill`` — only when it
+    leaves memory: evicted, least recently used first, by a later
+    :meth:`put`, or released by :meth:`settle` and :meth:`clear`; one
+    larger than the whole budget is spilled at once.  Nothing else
+    enters: a tile read from its pages is decoded into the reader's
+    array and not kept, and ``raw`` tiles never enter (their pool
+    frame already is the decoded form).  ``hits`` counts reads served
+    by a pending tile and ``misses`` codec tile reads decoded from
+    pages (``TiledMatrix._assemble`` counts those).
 
     The store hands the cache its pool's lock: a spill puts pages in
     the pool and enters the tile in its matrix's directory, and under
     that one lock no reader sees a tile that has left the cache before
     its pages are there, and no write of a tile interleaves with the
-    spill of its previous version.  A clean insert never replaces a
-    dirty entry, so a read that decoded a tile's old pages while the
-    tile was rewritten does not hide the write while it is pending;
-    reads and writes of one tile from two threads are otherwise not
-    ordered (nothing in the engine issues both at once).
+    spill of its previous version.  Reads and writes of one tile from
+    two threads are otherwise not ordered (nothing in the engine
+    issues both at once).
     """
 
     def __init__(self, capacity_bytes: int,
                  lock: threading.RLock) -> None:
         self.capacity_bytes = max(0, int(capacity_bytes))
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        # Key -> owning matrix, for the entries not encoded yet.
-        self._dirty: dict[tuple, TiledMatrix] = {}
+        self._entries: OrderedDict[
+            tuple, tuple[np.ndarray, TiledMatrix]] = OrderedDict()
         self._bytes = 0
         self._lock = lock
         self.hits = 0
@@ -963,82 +955,64 @@ class DecodedTileCache:
     def is_dirty(self, key: tuple) -> bool:
         """Is ``key`` a pending tile — written, not yet encoded?"""
         with self._lock:
-            return key in self._dirty
+            return key in self._entries
 
     def get(self, key: tuple) -> np.ndarray | None:
+        """The pending tile under ``key`` (a hit), or ``None``."""
         with self._lock:
-            tile = self._entries.get(key)
-            if tile is None:
-                self.misses += 1
+            entry = self._entries.get(key)
+            if entry is None:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return tile
+            return entry[0]
 
     def put(self, key: tuple, tile: np.ndarray,
-            owner: TiledMatrix | None = None) -> None:
-        """Insert a tile: clean, or dirty for ``owner`` to encode when
-        it leaves.  A clean tile never replaces a dirty one (it was
-        decoded from the pages the dirty one supersedes)."""
+            owner: TiledMatrix) -> None:
+        """Hold a written tile pending, for ``owner`` to encode when
+        it leaves."""
         tile = tile if not tile.flags.writeable else tile.copy()
         tile.flags.writeable = False
         with self._lock:
             if tile.nbytes > self.capacity_bytes:
-                if owner is not None:
-                    owner._spill(key[1], key[2], tile)
-                return
-            if owner is None and key in self._dirty:
+                owner._spill(key[1], key[2], tile)
                 return
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = tile
+                self._bytes -= old[0].nbytes
+            self._entries[key] = (tile, owner)
             self._bytes += tile.nbytes
-            if owner is not None:
-                self._dirty[key] = owner
-            while self._bytes > self.capacity_bytes and self._entries:
-                vkey, vtile = self._entries.popitem(last=False)
+            while self._bytes > self.capacity_bytes:
+                vkey, (vtile, vowner) = self._entries.popitem(last=False)
                 self._bytes -= vtile.nbytes
-                vowner = self._dirty.pop(vkey, None)
-                if vowner is not None:
-                    vowner._spill(vkey[1], vkey[2], vtile)
+                vowner._spill(vkey[1], vkey[2], vtile)
 
-    def _spill_dirty(self, owner: TiledMatrix | None,
-                     through: bool = False) -> None:
-        """Encode the dirty tiles (of ``owner``, or of every matrix),
-        oldest first.  Each stays cached, clean — but one stored raw
-        leaves (raw tiles are read from their pages).  Caller holds
-        the lock."""
-        for key in [k for k, o in self._dirty.items()
-                    if owner in (None, o)]:
-            tile = self._entries[key]
-            if self._dirty.pop(key)._spill(key[1], key[2], tile,
-                                           through) == 0:
-                del self._entries[key]
+    def _release(self, owner: TiledMatrix | None, through: bool) -> None:
+        """Encode the pending tiles (of ``owner``, or of every matrix),
+        oldest first, and let them go."""
+        with self._lock:
+            for key in [k for k, (_, o) in self._entries.items()
+                        if owner in (None, o)]:
+                tile, towner = self._entries.pop(key)
                 self._bytes -= tile.nbytes
+                towner._spill(key[1], key[2], tile, through)
 
     def settle(self, owner: TiledMatrix | None = None) -> None:
-        """Encode every dirty tile (of ``owner``, or of every matrix)
-        into the pool, oldest first; each stays cached, clean."""
-        with self._lock:
-            self._spill_dirty(owner)
+        """Encode every pending tile (of ``owner``, or of every matrix)
+        into the pool, oldest first, and release it."""
+        self._release(owner, through=False)
 
     def invalidate_matrix(self, name: str) -> None:
-        """Forget a dropped matrix's tiles; pending ones are never
-        encoded."""
+        """Forget a dropped matrix's pending tiles, unencoded."""
         with self._lock:
             for key in [k for k in self._entries if k[0] == name]:
-                self._bytes -= self._entries.pop(key).nbytes
-                self._dirty.pop(key, None)
+                self._bytes -= self._entries.pop(key)[0].nbytes
 
     def clear(self) -> None:
-        """Empty the cache, leaving nothing behind in memory: a dirty
-        tile is encoded and written through to the device, not parked
-        in the pool, so the next read of it is cold."""
-        with self._lock:
-            self._spill_dirty(None, through=True)
-            self._entries.clear()
-            self._bytes = 0
+        """Empty the cache, leaving nothing behind in memory: each
+        pending tile is encoded and written through to the device, not
+        parked in the pool, so the next read of it is cold."""
+        self._release(None, through=True)
 
     def reset_stats(self) -> None:
         with self._lock:
@@ -1087,7 +1061,7 @@ class ArrayStore:
         self.pool = pool_cls(
             self.device, capacity,
             scheduler=IOScheduler(self.device, enabled=storage.scheduler))
-        # Decoded tiles live beside the pool under the same byte
+        # Pending codec tiles wait beside the pool under the same byte
         # budget; with codec raw everywhere the cache stays empty.
         self.tile_cache = DecodedTileCache(storage.memory_bytes,
                                            self.pool.lock)

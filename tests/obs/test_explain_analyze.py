@@ -165,6 +165,27 @@ class TestExplainAnalyzePread:
         assert syscalls > 0
 
 
+class TestExplainAnalyzeCodec:
+    """A codec result's tiles are still pending, not yet encoded, when
+    its plan ends: the cold window's trailing flush encodes them and
+    charges their pages to the root, as it charges a raw result's
+    dirty frames."""
+
+    @pytest.mark.parametrize("codec", ["raw", "zstd"])
+    def test_root_is_charged_the_results_writes(self, codec):
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=4 << 20, codec=codec)) as s:
+            x = s.matrix(np.random.default_rng(23)
+                         .standard_normal((1024, 256)))
+            plan = s.plan(x.crossprod().node)
+            out = s.evaluator.execute(plan, cold=True)
+            # X'X: four 128-side tiles of 16 pages each; a codec tile
+            # keeps data in the first pages of its span.
+            written = 64 if codec == "raw" else out.stored_pages()[0]
+            assert 0 < written <= 64
+            assert plan.root.measured.writes == written
+
+
 class TestAnalyzeSurfaces:
     def test_handle_explain_passes_analyze_through(self):
         s = make_session()

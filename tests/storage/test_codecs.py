@@ -745,16 +745,30 @@ class TestCompressedStore:
             assert store.device.stats.reads == 4
 
     def test_tile_cache_counts_hits(self):
-        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        with _store(codec="delta+zstd") as store:
+        """A read of a pending tile is a hit and fetches no page; a
+        read of an encoded tile is a miss, decoded from the pages its
+        read announced — every prefetched page is used."""
+        data = np.arange(256 * 256, dtype=np.float64).reshape(256, 256)
+        with ArrayStore(storage=StorageConfig(
+                memory_bytes=64 * 8192, codec="delta+zstd")) as store:
             mat = store.matrix_from_numpy(data)
-            store.tile_cache.clear()
-            mat.to_numpy()
-            misses = store.tile_cache.misses
-            assert misses > 0
-            mat.to_numpy()
-            assert store.tile_cache.hits >= misses
-            assert store.tile_cache.misses == misses
+            assert mat.grid == (8, 8) and mat.pages_per_tile == 1
+            store.reset_stats()
+            assert mat.read_tile(0, 0).tobytes() == data[:32, :32].tobytes()
+            assert (store.tile_cache.hits, store.tile_cache.misses) == (1, 0)
+            assert store.pool.stats.accesses == 0
+            assert store.device.stats.reads == 0
+            # Encoded and released: no tile stays decoded.
+            store.flush()
+            store.pool.clear()
+            store.reset_stats()
+            assert mat.read_submatrix(0, 256, 0, 256).tobytes() \
+                == data.tobytes()
+            assert (store.tile_cache.hits, store.tile_cache.misses) \
+                == (0, 64)
+            pool = store.pool.stats
+            assert pool.prefetched == 63     # one frame stays free
+            assert pool.readahead_hits == pool.prefetched
 
     def test_schema_v3_keys(self):
         assert "compression_ratio" in IOSTATS_SCHEMA_KEYS
@@ -929,10 +943,11 @@ class TestWriteBack:
         factor and X'y.  Every encode is a tile spilled by an eviction
         or by the closing flush — only the result's at the flush.  In
         the default cache, which holds the whole factor, no released
-        tile is encoded; cut to X'X's nine tiles, X'y and factor tiles
-        are spilled as the run evicts them.  Either way far fewer tiles
-        are encoded than written, and the result is the raw store's,
-        bit for bit."""
+        tile is encoded; cut to X'X's nine tiles, exactly one is
+        spilled as the run evicts it, X'y's first: a tile read is not
+        kept decoded, so only the run's own writes push pending tiles
+        out.  Either way far fewer tiles are encoded than written, and
+        the result is the raw store's, bit for bit."""
         s = RiotSession(storage=StorageConfig(
             memory_bytes=24 * 8192, codec="zstd"),
             config=OptimizerConfig(level=2, parallelism=1))
@@ -941,14 +956,16 @@ class TestWriteBack:
             store.tile_cache.capacity_bytes = cache_tiles * 8192 + 700
         plan = s.plan(_ols(s))
         # Pricing the plan encoded what ingest left pending.
-        assert not store.tile_cache._dirty
+        assert not store.tile_cache._entries
         assert [op.in_place for op in plan.ops()
                 if isinstance(op, LUSolveOp)] == [True]
         dropped, drop = [], TiledMatrix.drop
         written, write = [], TiledMatrix._write_codec_tile
+        shapes = {}
 
         def spy_drop(self):
             dropped.append(self.name)
+            shapes[self.name] = self.shape
             drop(self)
 
         def spy_write(self, ti, tj, tile):
@@ -961,7 +978,7 @@ class TestWriteBack:
                                   spy_write):
             out = s.evaluator.execute(plan)
             evicted = spilled[:]
-            pending = set(store.tile_cache._dirty)
+            pending = set(store.tile_cache._entries)
             store.flush()
         assert len(encoded) == len(spilled) == len(evicted) + len(pending)
         assert set(spilled[len(evicted):]) == pending
@@ -971,8 +988,8 @@ class TestWriteBack:
         if cache_tiles is None:
             assert evicted == released == []
         else:
-            assert released == evicted
-            assert {name for name, _, _ in evicted} == set(dropped)
+            [xty] = [name for name in shapes if shapes[name] == (96, 1)]
+            assert released == evicted == [(xty, 0, 0)]
         assert len(encoded) < len(written) // 2
         with RiotSession(storage=StorageConfig(
                 memory_bytes=24 * 8192)) as raw:
@@ -1083,10 +1100,10 @@ class TestWriteBack:
             assert store.device.stats.writes == 1
 
     def test_a_read_racing_a_write_keeps_the_write(self):
-        """A write that lands between a read's decode of a tile's
-        stored pages and its insert of the decoded tile: the read
-        returns what it decoded, and the write, still pending, is what
-        stays — a clean insert never replaces a dirty entry."""
+        """A write that lands while a read decodes the tile's stored
+        pages: the read returns what it decoded, and the write, still
+        pending, is what the next read sees — a read keeps nothing
+        decoded that could hide it."""
         data = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
         with _store(codec="delta+zstd") as store:
             mat = store.create_matrix((32, 32), tile_shape=(32, 32))
