@@ -109,7 +109,7 @@ def one_rep(workload: Workload, inputs: dict, traced: bool) -> dict:
     t0 = time.perf_counter()
     session = RiotSession(
         storage=StorageConfig(sanitize=False, **workload.storage),
-        config=OptimizerConfig(level=2, parallelism=1))
+        config=OptimizerConfig(level=2))
     try:
         store = session.store
         handles = workload.load(session, inputs)

@@ -49,9 +49,11 @@ Rules:
     walker, free to drift from the one tape every driver runs.
 ``RPR007``
     ``ThreadPoolExecutor`` is constructed only in ``core/parallel.py``,
-    the kernels' tile-level worker pool.  The evaluator runs operators
-    one at a time so that per-op measurements are exclusive; an
-    executor anywhere else could overlap operators again.
+    the one home of a thread pool, reserved for an I/O stage that
+    overlaps device reads with compute (none exists yet).  Kernels run
+    on the calling thread and the evaluator runs operators one at a
+    time so that per-op measurements are exclusive; an executor
+    anywhere else could overlap them.
 ``RPR008``
     No device block transfer (``read_block`` / ``read_blocks`` /
     ``write_block`` / ``write_blocks`` / ``block_view``) outside
@@ -209,8 +211,9 @@ PLACED_CALLS = {
                "charged to IOStats"),
     "RPR007": ({"ThreadPoolExecutor"},
                lambda path: _place(path) == EXECUTOR_HOME,
-               "ThreadPoolExecutor constructed outside core/parallel.py; "
-               "hand kernel work to TileParallelism instead"),
+               "ThreadPoolExecutor constructed outside core/parallel.py, "
+               "the one home of a thread pool (reserved for an I/O "
+               "stage); kernels run on the calling thread"),
     "RPR008": ({"read_block", "read_blocks", "write_block",
                 "write_blocks", "block_view"},
                lambda path: (_is_storage_file(path)

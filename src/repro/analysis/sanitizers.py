@@ -41,8 +41,8 @@ Detected hazards:
   from the pool's own running count.
 
 The sanitizer is thread-aware like the pool it wraps: span stacks are
-tracked per thread (worker threads each get their own, so they need no
-lock), and the set of dropped blocks changes only under the pool's
+tracked per thread (each thread gets its own, so they need no lock),
+and the set of dropped blocks changes only under the pool's
 re-entrant lock.
 """
 
@@ -122,7 +122,8 @@ class SanitizingBufferPool(BufferPool):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Span stacks are per thread: a worker's spans nest on its own.
+        # Span stacks are per thread: each thread's spans nest on its
+        # own.
         self._tls = _ThreadState()
         self._sentry: _SpanSentry | None = None
         self._dropped: set[int] = set()

@@ -56,13 +56,12 @@ class OptimizerConfig:
     prediction sanity are checked up front, with errors naming the
     offending operator instead of a kernel failing mid-plan.
 
-    ``parallelism`` sets the worker count inside the tile kernels
-    (``square_tile_matmul``, ``crossprod_matmul`` and ``spmm`` hand
-    their GEMMs to a thread pool); operators themselves always run one
-    at a time.  ``None`` defers to the ``REPRO_PARALLELISM`` environment
-    variable, defaulting to 1 (serial).  Results are bitwise-identical
-    at every parallelism level; see :mod:`repro.core.parallel` for the
-    determinism contract.
+    ``parallelism`` has one legal value, 1: every kernel runs on the
+    calling thread, and the engine's only parallelism is the BLAS
+    library's threads (``OPENBLAS_NUM_THREADS``); see
+    :mod:`repro.core.parallel` for the determinism contract.  The
+    field stays only because the macro benchmark harness still passes
+    ``parallelism=1``.
     """
 
     level: int = 2
@@ -70,15 +69,17 @@ class OptimizerConfig:
     chain_reorder: bool | None = None
     fuse_epilogues: bool | None = None
     strict: bool = False
-    parallelism: int | None = None
+    parallelism: int = 1
 
     def __post_init__(self) -> None:
         if self.level not in (0, 1, 2):
             raise ValueError(
                 f"optimizer level must be 0, 1 or 2, got {self.level}")
-        if self.parallelism is not None and self.parallelism < 1:
+        if self.parallelism != 1:
             raise ValueError(
-                f"parallelism must be >= 1, got {self.parallelism}")
+                f"parallelism must be 1, got {self.parallelism!r}: the "
+                "engine has no tile workers; set OPENBLAS_NUM_THREADS "
+                "for BLAS threads")
 
     # -- resolution ----------------------------------------------------
     @property

@@ -53,7 +53,6 @@ from repro.storage.tile_store import stream_window
 
 from .config import OptimizerConfig
 from .expr import Crossprod, Node, Range, Scalar
-from .parallel import TileParallelism, resolve_parallelism
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
                    PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
@@ -101,10 +100,7 @@ class Evaluator:
     (:class:`~repro.core.config.OptimizerConfig`, default when
     ``None``): ``strict`` runs
     :func:`repro.analysis.planlint.verify_plan` before every
-    :meth:`execute`, ``parallelism`` sets the worker count inside the
-    tile kernels (``None`` defers to ``$REPRO_PARALLELISM``, default 1
-    = serial, so a CI run can parallelize every evaluator without code
-    changes).
+    :meth:`execute`.  Every kernel runs on the calling thread.
     """
 
     def __init__(self, store: ArrayStore,
@@ -113,10 +109,6 @@ class Evaluator:
         self.store = store
         self.memory_scalars = store.storage.memory_scalars
         self.strict = config.strict
-        self.parallelism = resolve_parallelism(config.parallelism)
-        # The worker pool is created lazily (first parallel kernel) and
-        # lives for the evaluator's lifetime; see shutdown().
-        self._tile_parallel: TileParallelism | None = None
         # Sparse matrix -> its dense twin, so a sparse object consumed
         # by several dense-only contexts is converted (read fully +
         # written as dense tiles) once, not once per consumer.
@@ -125,28 +117,6 @@ class Evaluator:
         # dense twins and coerced NumPy values — dropped when the
         # execution that made them ends.
         self._transients: list[TiledMatrix] = []
-
-    # ------------------------------------------------------------------
-    # Parallelism plumbing
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Join this evaluator's kernel worker pool (idempotent)."""
-        if self._tile_parallel is not None:
-            self._tile_parallel.shutdown()
-            self._tile_parallel = None
-
-    def _kernel_parallel(self):
-        """The shared TileParallelism, or None when running serial.
-
-        Tile-level parallelism is measurement-safe (all pool/device
-        traffic stays on the calling thread in serial order), so it is
-        active on cold measured runs too.
-        """
-        if self.parallelism <= 1:
-            return None
-        if self._tile_parallel is None:
-            self._tile_parallel = TileParallelism(self.parallelism)
-        return self._tile_parallel
 
     # ------------------------------------------------------------------
     # Entry point
@@ -191,13 +161,9 @@ class Evaluator:
         a dirty block evicted during a later operator counts there.
         Totals are exact, per-op splits approximate.)
 
-        Operators run one at a time at every worker count, warm or
-        cold, so the per-op deltas are exclusive and sum field for
-        field to the session totals.  ``parallelism > 1`` only hands
-        the GEMMs inside the tile kernels to worker threads
-        (:class:`repro.core.parallel.TileParallelism`), which keeps all
-        I/O on this thread in serial order: results and block counts,
-        in total and per op, are the same at any worker count.
+        Operators run one at a time, warm or cold, so the per-op
+        deltas are exclusive and sum field for field to the session
+        totals.
         """
         if self.strict:
             # Imported lazily: repro.analysis depends on repro.core,
@@ -368,16 +334,14 @@ class Evaluator:
                                trans_b=node.trans_b)
         return square_tile_matmul(self.store, a, b, self.memory_scalars,
                                   trans_a=node.trans_a,
-                                  trans_b=node.trans_b,
-                                  parallel=self._kernel_parallel())
+                                  trans_b=node.trans_b)
 
     def _run_spmm(self, op: SparseSpMMOp, memo: dict[int, object]):
         from repro.sparse import spmm
         a, b = op.node.children
         return spmm(self.store, self._input(a, memo),
                     self._densified(self._input(b, memo)),
-                    self.memory_scalars,
-                    parallel=self._kernel_parallel())
+                    self.memory_scalars)
 
     def _run_spgemm(self, op: SparseSpGEMMOp, memo: dict[int, object]):
         from repro.sparse import spgemm
@@ -398,9 +362,7 @@ class Evaluator:
                 s.shape, layout="square",
                 dtype=np.result_type(a.dtype, b.dtype))))
         out = crossprod_matmul(self.store, a, self.memory_scalars,
-                               t_first=node.t_first,
-                               parallel=self._kernel_parallel(),
-                               side=side)
+                               t_first=node.t_first, side=side)
         if not side:
             return out
         return (out, *(out_b for _, out_b in side))
@@ -670,8 +632,7 @@ class Evaluator:
                 dtype=np.float64)
 
         kernel = dict(epilogue=epilogue,
-                      epilogue_inputs=len(region.sources) - 1,
-                      parallel=self._kernel_parallel())
+                      epilogue_inputs=len(region.sources) - 1)
         if isinstance(barrier, Crossprod):
             return crossprod_matmul(self.store, operands[0],
                                     self.memory_scalars,

@@ -166,9 +166,8 @@ class PhysOp:
     trio: ``measured`` (an ``IOStats`` delta: blocks split seq/rand,
     bytes, syscalls, read/write ns), ``pool_measured`` (a ``PoolStats``
     delta) and ``wall_ns``; ``measured_io`` stays the plain block total
-    for backward compatibility.  Operators run one at a time at every
-    worker count, so each measurement is exclusive of every other
-    operator's and the same at any ``parallelism``.
+    for backward compatibility.  Operators run one at a time, so each
+    measurement is exclusive of every other operator's.
     """
 
     kind = "op"

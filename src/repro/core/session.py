@@ -47,9 +47,8 @@ class RiotSession:
     block size, durability, codec and dtype — is one
     :class:`~repro.storage.StorageConfig`, whose ``memory_scalars`` and
     ``block_scalars`` are the M and B the planner, the evaluator and
-    the plan verifier all read; the optimizer level and its overrides,
-    ``strict`` and ``parallelism`` are one
-    :class:`~repro.core.config.OptimizerConfig`::
+    the plan verifier all read; the optimizer level, its overrides and
+    ``strict`` are one :class:`~repro.core.config.OptimizerConfig`::
 
         RiotSession(storage=StorageConfig(backend="mmap",
                                           path="/tmp/riot.db",
@@ -245,7 +244,6 @@ class RiotSession:
         array manifest for a later ``open_session``; unnamed temporary
         page files are deleted.  Idempotent.
         """
-        self.evaluator.shutdown()
         self.store.close()
 
     def __enter__(self) -> "RiotSession":
@@ -290,9 +288,8 @@ class RiotSession:
         behavior, wall-clock, and the measured/predicted ratio —
         flagged when it leaves the validated 0.5–2.0x band — followed
         by a per-cost-model calibration summary.  The plan runs once,
-        cold, at any ``parallelism``: operators run one at a time and
-        kernel workers keep all I/O on the calling thread, so the
-        per-op measurements are exclusive whatever the worker count.
+        cold, one operator at a time, so the per-op measurements are
+        exclusive.
         """
         node = _scalarize(obj)
         if analyze:

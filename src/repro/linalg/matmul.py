@@ -70,8 +70,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
                        trans_a: bool = False,
                        trans_b: bool = False,
                        epilogue=None,
-                       epilogue_inputs: int = 0,
-                       parallel=None) -> TiledMatrix:
+                       epilogue_inputs: int = 0) -> TiledMatrix:
     """Appendix-A schedule: three p x p submatrices resident at a time.
 
     ``p`` is sized so one submatrix of A, one of B and one of the result
@@ -81,9 +80,6 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     its single write, and ``epilogue_inputs`` declares how many extra
     p x p operand submatrices the callback will read so the panel
     shrinks to keep the whole working set inside the budget.
-
-    ``parallel`` (a ``TileParallelism`` or ``None``) runs the per-step
-    GEMMs on workers; bits and block counts match the serial kernel.
     """
     m, l, n = _dims(a, b, trans_a, trans_b)
     out_dtype = np.result_type(a.dtype, b.dtype)
@@ -107,7 +103,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
 
     run_steps(store, (panel(*group) for group in groupby(
         schedule.steps(), key=itemgetter(0))),
-        lambda _, a_sub, b_sub: a_sub @ b_sub, parallel)
+        lambda _, a_sub, b_sub: a_sub @ b_sub)
     return out
 
 
@@ -163,7 +159,7 @@ def _slab_products(tag, left: np.ndarray, *rest: np.ndarray
 
 def _region_panel(out: TiledMatrix, a: TiledMatrix, schedule,
                   region: tuple[int, int, int, int], t_first: bool,
-                  riders: list, epilogue, window: int) -> Panel:
+                  riders: list, epilogue) -> Panel:
     """One region's pass: every slab of A streams through it (with
     each rider's slab on a diagonal region), folding into the packed
     region and the region's rows of each side product; the pass ends
@@ -175,10 +171,9 @@ def _region_panel(out: TiledMatrix, a: TiledMatrix, schedule,
     shapes = [((size,), a.dtype)] + [
         ((i1 - i0, b.shape[1]), np.result_type(a.dtype, b.dtype))
         for b, _ in riders]
-    # TileParallelism keeps at most ``window`` slabs in flight, so
-    # that many buffers are never overwritten before their fold.
-    ring = [[np.empty(s, dtype=d) for s, d in shapes]
-            for _ in range(window)]
+    # Every slab's products go into the same buffers, each folded
+    # before the next slab overwrites it.
+    buffers = [np.empty(s, dtype=d) for s, d in shapes]
     ranges = [(i0, i1)] if diag else [(i0, i1), (j0, j1)]
 
     def finish(fold):
@@ -196,8 +191,8 @@ def _region_panel(out: TiledMatrix, a: TiledMatrix, schedule,
                         for c0, c1 in ranges)
                   + tuple((b, (r0, r1, 0, b.shape[1]), False)
                           for b, _ in riders),
-                  (layout, ring[n % window], diag))
-             for n, (r0, r1) in enumerate(cuts(inner, schedule.slab)))
+                  (layout, buffers, diag))
+             for r0, r1 in cuts(inner, schedule.slab))
     return Panel("crossprod:panel",
                  {"i0": i0, "j0": j0, "a": schedule.side,
                   "h": schedule.slab},
@@ -244,7 +239,6 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                      t_first: bool = True,
                      epilogue=None,
                      epilogue_inputs: int = 0,
-                     parallel=None,
                      side=()) -> TiledMatrix:
     """Symmetric product ``t(A) %*% A`` (or ``A %*% t(A)``), output-
     stationary.
@@ -262,8 +256,7 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
     tiles *and* to each mirrored tile (with the mirrored coordinates),
     so fused elementwise consumers need not be symmetric;
     ``epilogue_inputs`` reserves one tile per extra operand in the
-    schedule's budget.  ``parallel`` runs each slab's GEMMs on workers,
-    bitwise as the serial kernel.
+    schedule's budget.
 
     ``side`` lists ``(b, out_b)`` pairs: products ``t(A) %*% b`` that
     ride along on the scan of A (``t_first`` only, no epilogue).  On
@@ -288,13 +281,12 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
                     epilogue)
     out = store.create_matrix((k, k), layout="square", name=name,
                               dtype=a.dtype)
-    window = getattr(parallel, "window", 1)
     run_steps(store,
               (_region_panel(out, a, schedule, region, t_first,
                              side if region[0] == region[2] else [],
-                             epilogue, window)
+                             epilogue)
                for region in schedule.regions),
-              _slab_products, parallel)
+              _slab_products)
     return out
 
 

@@ -19,8 +19,8 @@ import threading
 class Counter:
     """A monotonically increasing named value.
 
-    Increments are atomic (lock-protected), so worker threads can
-    share one counter without losing updates.
+    Increments are atomic (lock-protected), so threads can share
+    one counter without losing updates.
     """
 
     __slots__ = ("name", "value", "_lock")

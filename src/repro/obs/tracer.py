@@ -1,8 +1,7 @@
 """Zero-dependency tracing: nestable spans with exact I/O attribution.
 
 RIOT's planner is only as good as the feedback loop validating its cost
-models, and the kernels' worker threads need their schedules to be
-debuggable.  This module
+models, and the kernels' schedules need to be debuggable.  This module
 is the substrate: a :class:`Tracer` whose spans bracket any unit of
 work — a physical-plan operator, an optimizer pass, one panel of an
 out-of-core kernel — and close with the *delta* of the device's
@@ -59,7 +58,7 @@ class Span:
     the *same thread*, or ``-1`` at top level.  ``args`` carries caller
     annotations (panel coordinates, op labels, ...).  ``tid`` is the
     tracer's compact thread index (1 = the first thread that opened a
-    span; worker threads get 2, 3, ...), so the Chrome exporter lays
+    span; any other thread gets 2, 3, ...), so the Chrome exporter lays
     concurrent spans on separate tracks.
     """
 
@@ -224,14 +223,14 @@ class Tracer:
 
     ``device``/``pool`` are optional stat sources snapshotted at span
     boundaries (duck-typed: ``.stats.snapshot()``/``.stats.delta()``).
-    One tracer belongs to one store/session, and it is thread-aware
-    for worker threads: each thread nests spans on its own stack
-    (``threading.local``), the sequence counter and the ring buffer are
-    lock-protected, and every span records a compact thread id for the
-    Chrome exporter.  Note that a span's io/pool deltas are taken from
-    the *shared* store counters — exclusive attribution therefore holds
-    as long as one thread at a time does I/O, as the evaluator's
-    operator loop and tile kernels do; concurrent spans that do I/O see
+    One tracer belongs to one store/session, and it is thread-aware:
+    each thread nests spans on its own stack (``threading.local``), the
+    sequence counter and the ring buffer are lock-protected, and every
+    span records a compact thread id for the Chrome exporter.  Note
+    that a span's io/pool deltas are taken from the *shared* store
+    counters — exclusive attribution therefore holds as long as one
+    thread at a time does I/O, as the evaluator and its kernels (which
+    run on the calling thread) do; concurrent spans that do I/O see
     overlapping deltas.
     """
 
@@ -358,8 +357,8 @@ class Tracer:
         events with microsecond ``ts``/``dur``, one process with one
         track per recorded thread (the span's ``tid``), and the span's
         I/O + pool deltas under ``args`` so block counts are visible in
-        the trace viewer's detail pane — worker threads show up as
-        overlapping tracks in Perfetto.
+        the trace viewer's detail pane — spans of other threads show
+        up as overlapping tracks in Perfetto.
         """
         spans = self.spans()
         origin = min((s.start_ns for s in spans), default=0)

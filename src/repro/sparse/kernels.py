@@ -62,7 +62,6 @@ import itertools
 import numpy as np
 
 from repro.core.costs import spgemm_row_panels, spmm_panels
-from repro.core.parallel import accumulate
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 from .sparse_matrix import (SparseTiledMatrix, csr_matvec, csr_to_dense,
@@ -229,30 +228,6 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
     return out
 
 
-class _RowFold:
-    """Fold target that hands each step's product to its own block row.
-
-    :func:`~repro.core.parallel.accumulate` folds ``target += fn()``;
-    here ``fn()`` returns ``(rows, product)`` and the product is added
-    into ``acc[rows]``, so one ordered stream feeds every accumulator
-    of a row panel and each still sums its products in stream order.
-    """
-
-    def __init__(self, acc: np.ndarray) -> None:
-        self.acc = acc
-
-    def __iadd__(self, step) -> "_RowFold":
-        rows, product = step
-        self.acc[rows] += product
-        return self
-
-
-def _row_product(rows: slice, a_tile: np.ndarray, b_strip: np.ndarray):
-    """One :class:`_RowFold` step: ``A(ti, tj) @ strip`` for the block
-    row at ``rows`` of the panel's accumulator."""
-    return lambda: (rows, a_tile @ b_strip)
-
-
 def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
                   memory_scalars: int) -> tuple[int, int]:
     """``(pw, r)`` of :func:`spmm` on these operands:
@@ -263,8 +238,7 @@ def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
 
 
 def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
-         memory_scalars: int, name: str | None = None,
-         parallel=None) -> TiledMatrix:
+         memory_scalars: int, name: str | None = None) -> TiledMatrix:
     """``C = A B`` with sparse A and dense tiled B, by row panels inside
     column panels.
 
@@ -278,9 +252,6 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
     Each accumulator sums its products in ascending ``tj`` whatever
     ``r`` is.  Block columns where no held row has a tile read nothing,
     and a row panel with no nonzeros writes its zeros without reading.
-    ``parallel`` offloads the per-tile multiplies to worker threads
-    exactly as in the dense kernels (reads stay serial; in-order
-    accumulation).
     """
     _check_conformable(a, b)
     m = a.shape[0]
@@ -316,22 +287,15 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
                     groups.extend(a.tile_blocks(ti, tj)
                                   for ti in rows_at[tj])
                 hints = _BatchedHints(store.pool, groups, hinting)
-
-                def steps(lo=lo, rows_at=rows_at, strips=strips,
-                          hints=hints):
-                    read = itertools.count()
-                    for tj, *strip in strips:
+                read = itertools.count()
+                for tj, *strip in strips:
+                    hints.before(next(read))
+                    b_strip = b.read_submatrix(*strip)
+                    for ti in rows_at[tj]:
                         hints.before(next(read))
-                        b_strip = b.read_submatrix(*strip)
-                        for ti in rows_at[tj]:
-                            hints.before(next(read))
-                            a_tile = a.read_tile(ti, tj)
-                            top = (ti - lo) * th
-                            yield _row_product(
-                                slice(top, top + a_tile.shape[0]),
-                                a_tile, b_strip)
-
-                accumulate(parallel, _RowFold(acc), steps())
+                        a_tile = a.read_tile(ti, tj)
+                        top = (ti - lo) * th
+                        acc[top: top + a_tile.shape[0]] += a_tile @ b_strip
                 out.write_submatrix(r0, j0, acc)
     return out
 

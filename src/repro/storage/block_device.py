@@ -256,8 +256,8 @@ class BlockDevice:
         self._next_block_id = 0
         self._last_accessed: int | None = None
         # Allocation is the one device entry point not serialized by the
-        # buffer pool's lock (array stores allocate straight from worker
-        # threads), so the cursor gets its own lock.  All transfer paths
+        # buffer pool's lock (array stores may allocate from any
+        # thread), so the cursor gets its own lock.  All transfer paths
         # stay single-threaded: they are only reached from inside
         # BufferPool methods, which hold the pool lock.
         self._alloc_lock = threading.Lock()

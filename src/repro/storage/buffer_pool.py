@@ -73,10 +73,10 @@ write-back happens under that lock.  A caller that mutates a frame in
 place holds ``pool.lock`` across the mutation and calls
 :meth:`BufferPool.mark_dirty`; an eviction or flush can then never
 copy the frame out half-written.  The scheduler and the device are
-only ever called from inside the locked methods, and the tile kernels
-keep their pool calls on one thread in serial order (their worker
-threads only compute), so the sequence of pool calls, and with it
-every simulated block count, is the same at every parallelism level.
+only ever called from inside the locked methods, and the kernels run
+on the calling thread, so the sequence of pool calls, and with it
+every simulated block count, does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ Concurrency contract: the scheduler has no lock of its own — every
 entry point (``fetch``, ``write_back``) is invoked only from
 :class:`~repro.storage.buffer_pool.BufferPool` methods that hold the
 pool's lock, so its stats are serialized by that lock.  Do not call it
-directly from worker threads.
+directly from another thread.
 """
 
 from __future__ import annotations

@@ -1075,7 +1075,7 @@ class ArrayStore:
             # write-backs at span boundaries; observers fire even with tracing off.
             self.pool.attach_tracer(self.tracer)
         self._counter = 0
-        # Worker threads may create temporaries concurrently; the name
+        # Threads may create temporaries concurrently; the name
         # counter and registry are the store's only mutable state not
         # already serialized by the pool's lock.
         self._names_lock = threading.Lock()

@@ -17,7 +17,7 @@ what that may and may not do:
   is not laid out as the working factor, and at level 0;
 - results are bitwise those of the same plans run without lifetimes
   (no release, every LU copying — the engine before it had them) at
-  levels 1 and 2, one and two workers, on the mmap and pread backends;
+  levels 1 and 2, on the mmap and pread backends;
 - ``planlint`` rejects a plan that reads past a release point, and the
   sanitizer rejects any pool access to a dropped array's blocks;
 - dense twins of sparse operands and coerced NumPy operands live for
@@ -52,11 +52,11 @@ from repro.storage import StorageConfig, TiledMatrix, TiledVector
 BLOCK = 8192
 
 
-def session(level=2, mem_blocks=32, parallelism=1, **storage):
+def session(level=2, mem_blocks=32, **storage):
     return RiotSession(
         storage=StorageConfig(memory_bytes=mem_blocks * BLOCK,
                               block_size=BLOCK, **storage),
-        config=OptimizerConfig(level=level, parallelism=parallelism))
+        config=OptimizerConfig(level=level))
 
 
 def integers(seed, shape):
@@ -304,12 +304,10 @@ class TestInPlaceProof:
 
 class TestBitsWithoutLifetimes:
     @pytest.mark.parametrize("backend", ["mmap", "pread"])
-    @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("level", [1, 2])
-    def test_bitwise_equal(self, level, parallelism, backend):
+    def test_bitwise_equal(self, level, backend):
         def run(name):
-            with session(level, mem_blocks=16, parallelism=parallelism,
-                         backend=backend) as s:
+            with session(level, mem_blocks=16, backend=backend) as s:
                 plan, out, _ = run_recording(s, STATEMENTS[name](s))
                 writes = s.io_stats.writes
                 return out.to_numpy(), plan, writes
@@ -388,7 +386,7 @@ class TestSanitizer:
 
     @pytest.mark.parametrize("name", sorted(STATEMENTS))
     def test_lifetimes_run_clean_sanitized(self, name):
-        s = session(2, mem_blocks=16, sanitize=True, parallelism=2)
+        s = session(2, mem_blocks=16, sanitize=True)
         with without_lifetimes():
             ref = session(2, mem_blocks=16)
             ref_out = ref.values(STATEMENTS[name](ref))
@@ -502,11 +500,9 @@ class TestDropAtRead:
             return (x.T @ x).solve(x.T @ y).node
 
         ref = session(2, mem_blocks=16)
-        for parallelism in (1, 2):
-            s = session(2, mem_blocks=16, sanitize=True,
-                        parallelism=parallelism)
-            assert np.array_equal(s.values(statement(s)),
-                                  ref.values(statement(ref)))
+        s = session(2, mem_blocks=16, sanitize=True)
+        assert np.array_equal(s.values(statement(s)),
+                              ref.values(statement(ref)))
 
 
 class TestTransients:

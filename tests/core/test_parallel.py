@@ -23,14 +23,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.core import OptimizerConfig, RiotSession
-from repro.core.parallel import (MAX_WORKERS, PARALLELISM_ENV,
-                                 TileParallelism, accumulate,
-                                 resolve_parallelism)
 from repro.storage import StorageConfig
 
 #: Runs every case at levels 0 and 2 and prints, per case, the result
@@ -249,109 +244,19 @@ class TestScheduleAndExplain:
         assert explained == executed
 
 
-def _values_at(workers: int, build, mem_scalars: int = 96 * 1024):
-    session = RiotSession(
-        storage=StorageConfig(memory_bytes=mem_scalars * 8,
-                              block_size=8192),
-        config=OptimizerConfig(parallelism=workers))
-    try:
-        return build(session).values()
-    finally:
-        session.close()
-
-
-@settings(max_examples=10, deadline=None)
-@given(m=st.integers(min_value=8, max_value=96),
-       k=st.integers(min_value=8, max_value=96),
-       n=st.integers(min_value=8, max_value=96),
-       seed=st.integers(min_value=0, max_value=2**16))
-def test_property_ragged_dags_bitwise_identical(m, k, n, seed):
-    """Random ragged-grid DAGs evaluate bitwise-identically at
-    parallelism 1, 2 and 8 — the determinism contract, end to end."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, k))
-    b = rng.standard_normal((k, n))
-    c = rng.standard_normal((m, n))
-
-    def build(s):
-        return s.matrix(a) @ s.matrix(b) + s.matrix(c) * 2.0
-
-    ref = _values_at(1, build, mem_scalars=48 * 1024)
-    for workers in (2, 8):
-        got = _values_at(workers, build, mem_scalars=48 * 1024)
-        assert got.tobytes() == ref.tobytes()
-
-
-class TestTileParallelism:
-    def test_accumulate_bitwise_matches_serial(self, rng):
-        parts = [rng.standard_normal((24, 24)) for _ in range(9)]
-        serial = np.zeros((24, 24))
-        for p in parts:
-            serial += p
-        tp = TileParallelism(4)
-        try:
-            got = accumulate(tp, np.zeros((24, 24)),
-                             (lambda p=p: p for p in parts))
-        finally:
-            tp.shutdown()
-        assert got.tobytes() == serial.tobytes()
-
-    def test_single_worker_needs_no_pool(self):
-        tp = TileParallelism(1)
-        assert tp._executor is None
-        for parallel in (tp, None):
-            acc = accumulate(parallel, np.zeros(4),
-                             (lambda: np.ones(4) for _ in range(3)))
-            assert acc.tolist() == [3.0] * 4
-        tp.shutdown()
-
-    def test_reads_stay_on_calling_thread(self):
-        """The thunk *stream* is consumed on the caller: any I/O done
-        while producing a thunk happens serially, in order."""
-        import threading
-        caller = threading.get_ident()
-        seen = []
-
-        def thunks():
-            for i in range(6):
-                seen.append((i, threading.get_ident()))
-                yield lambda i=i: np.full(2, float(i))
-
-        tp = TileParallelism(3)
-        try:
-            acc = accumulate(tp, np.zeros(2), thunks())
-        finally:
-            tp.shutdown()
-        assert [i for i, _ in seen] == list(range(6))
-        assert all(tid == caller for _, tid in seen)
-        assert acc[0] == sum(range(6))
-
-
 class TestResolveParallelism:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(PARALLELISM_ENV, raising=False)
-        assert resolve_parallelism(None) == 1
+    """``OptimizerConfig.parallelism`` resolves to one value, 1: BLAS
+    threads are set outside the engine."""
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "3")
-        assert resolve_parallelism(None) == 3
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "3")
-        assert resolve_parallelism(5) == 5
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "lots")
-        with pytest.raises(ValueError, match="integer"):
-            resolve_parallelism(None)
+    def test_default_is_serial(self):
+        assert OptimizerConfig().parallelism == 1
 
     def test_zero_raises(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_parallelism(0)
-
-    def test_clamped_to_max(self):
-        assert resolve_parallelism(10_000) == MAX_WORKERS
+        with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
+            OptimizerConfig(parallelism=0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(parallelism=0)
+        assert OptimizerConfig(level=2, parallelism=1).parallelism == 1
+        for value in (2, None):
+            with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
+                OptimizerConfig(parallelism=value)

@@ -7,9 +7,8 @@ scanned once for both (``Planner._pair_side_products``).  These tests
 pin what that may and may not change:
 
 - results are bitwise those of the unshared plan (``fuse_epilogues=
-  False``) and of level 0, at parallelism 1 and 2 — inputs are
-  integer-valued, so every path that computes the same products gets
-  the same bits — and a cold run writes at most the side products'
+  False``) and of level 0 — inputs are integer-valued, so every path
+  that computes the same products gets the same bits — and a cold run writes at most the side products'
   pages more: every intermediate is dropped after its last reader,
   so a write is a dirty frame evicted while its value is alive, and
   sharing computes the side products earlier;
@@ -43,12 +42,11 @@ from repro.storage import StorageConfig
 BLOCK = 1024  # scalars per 8 KiB block; pools below 256 blocks -> 32
 
 
-def session(mem_blocks, level=2, fuse=None, parallelism=1):
+def session(mem_blocks, level=2, fuse=None):
     return RiotSession(
         storage=StorageConfig(memory_bytes=mem_blocks * 8192,
                               block_size=8192),
-        config=OptimizerConfig(level=level, fuse_epilogues=fuse,
-                               parallelism=parallelism))
+        config=OptimizerConfig(level=level, fuse_epilogues=fuse))
 
 
 def integers(rng, shape):
@@ -143,7 +141,7 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
                                              mem_blocks, seed, nested):
     """Tall X ragged against the 32-wide tile, one to three side
     products, budgets on both sides of the fit threshold; levels
-    0 / 1 / 2 at parallelism 1 and 2 against the unshared plan.
+    0 / 1 / 2 against the unshared plan.
 
     Writes depend on which values are alive when the pool evicts, so
     the shared plan may write fewer blocks (the separate multiply's
@@ -157,15 +155,13 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
     mem = mem_blocks * BLOCK
 
     runs = {}
-    for level, fuse, par in ((1, False, 1), (1, None, 1),
-                             (0, None, 1), (0, None, 2),
-                             (1, None, 2), (2, None, 1), (2, None, 2)):
-        s = session(mem_blocks, level, fuse, par)
+    for level, fuse in ((1, False), (1, None), (0, None), (2, None)):
+        s = session(mem_blocks, level, fuse)
         x, root = normal_equations(s, x_np, b_nps, nested)
-        runs[level, fuse, par] = run_cold(s, root, s.force(x))
-        verify_plan(runs[level, fuse, par][1], s.storage)
+        runs[level, fuse] = run_cold(s, root, s.force(x))
+        verify_plan(runs[level, fuse][1], s.storage)
 
-    ref, unshared, reads, writes, _ = runs[1, False, 1]
+    ref, unshared, reads, writes, _ = runs[1, False]
     assert not shared_sides(unshared)
     assert np.allclose(ref, oracle(x_np, b_nps, nested))
     for key, (values, plan, *_) in runs.items():
@@ -174,7 +170,7 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
             assert not shared_sides(plan)
     # Level 1 makes every other choice by heuristic, so the two plans
     # differ by the shared scan alone.
-    _, plan, s_reads, s_writes, s_x = runs[1, None, 1]
+    _, plan, s_reads, s_writes, s_x = runs[1, None]
     taken = sum(n.shape[1] for n in shared_sides(plan))
     assert crossprod_side_fits(mem, cols, 32, taken)
     # Greedy in walk order: whatever was left out does not fit on top.
@@ -191,7 +187,7 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
     if not left:
         assert s_x == 0  # no flagged multiply left to scan X
     if not taken and not inner_sums:
-        assert (s_reads, s_x) == (reads, runs[1, False, 1][4])
+        assert (s_reads, s_x) == (reads, runs[1, False][4])
 
 
 @pytest.mark.parametrize("rows,cols,mem_blocks", [
@@ -410,18 +406,14 @@ class TestNeverShared:
         assert any(isinstance(op, FusedEpilogueOp) for op in plan.ops())
 
 
-def test_every_side_value_under_repro_parallelism_4(monkeypatch):
-    """The parallel executor stores each side product a shared
-    operator computes (three sides, all consumed), flat or nested."""
-    monkeypatch.setenv("REPRO_PARALLELISM", "4")
+def test_every_side_value_is_stored():
+    """The evaluator stores each side product a shared operator
+    computes (three sides, all consumed), flat or nested."""
     g = np.random.default_rng(9)
     x_np = integers(g, (200, 48))
     b_nps = [integers(g, (200, w)) for w in (1, 5, 3)]
     for nested in (False, True):
-        s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192,
-                                              block_size=8192),
-                        config=OptimizerConfig(parallelism=None))
-        assert s.evaluator.parallelism == 4
+        s = session(64)
         _, root = normal_equations(s, x_np, b_nps, nested)
         assert len(shared_sides(s.plan(root))) == 3
         got = s.values(root)

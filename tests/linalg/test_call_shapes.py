@@ -30,7 +30,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.parallel import TileParallelism
 from repro.linalg import (backward_substitute, bnlj_matmul,
                           crossprod_matmul, forward_substitute,
                           lu_decompose, lu_solve, square_tile_matmul)
@@ -72,15 +71,6 @@ def _budget(store: ArrayStore, kernel: str, n: int) -> int:
     return max(pool, 3 * n * 32)
 
 
-def _parallel(kernel, *args, **kwargs):
-    """``kernel`` with the workers ``REPRO_PARALLELISM`` asks for."""
-    par = TileParallelism(None)
-    try:
-        return kernel(*args, parallel=par, **kwargs)
-    finally:
-        par.shutdown()
-
-
 def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
             rng: np.random.Generator):
     """Build ``kernel``'s operands in ``home``, then return a thunk
@@ -90,15 +80,15 @@ def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
         a = home.matrix_from_numpy(_ints(rng, (n, n)), layout="square")
         b = home.matrix_from_numpy(_ints(rng, (n, n)), layout="square")
         if kernel == "square":
-            return lambda: [_parallel(square_tile_matmul, store, a, b, mem)]
+            return lambda: [square_tile_matmul(store, a, b, mem)]
         c = home.matrix_from_numpy(_ints(rng, (n, n)), layout="square")
 
         def plus_c(r0, c0, block):
             return block + c.read_submatrix(
                 r0, r0 + block.shape[0], c0, c0 + block.shape[1])
-        return lambda: [_parallel(square_tile_matmul, store, a, b, mem,
-                                  trans_a=True, epilogue=plus_c,
-                                  epilogue_inputs=1)]
+        return lambda: [square_tile_matmul(store, a, b, mem,
+                                           trans_a=True, epilogue=plus_c,
+                                           epilogue_inputs=1)]
     if kernel in ("crossprod", "crossprod_side"):
         # The plain case is A %*% t(A), so its operand streams
         # transposed; the side product rides on t(X) %*% X.
@@ -109,8 +99,8 @@ def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
 
         def go():
             side = [(y, store.create_matrix((n, 1)))] if t_first else []
-            out = _parallel(crossprod_matmul, store, x, mem,
-                            t_first=t_first, side=side)
+            out = crossprod_matmul(store, x, mem, t_first=t_first,
+                                   side=side)
             return [out] + [o for _, o in side]
         return go
     if kernel == "bnlj":

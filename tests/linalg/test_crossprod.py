@@ -183,7 +183,7 @@ class TestSideProducts:
     of A, and A is read once for all of them.  The schedule is the one
     without sides, so ``t(A) %*% A`` keeps its bits either way."""
 
-    def _run(self, a_np, b_nps, mem, block_size=8192, parallel=None):
+    def _run(self, a_np, b_nps, mem, block_size=8192):
         store = make_store(block_size=block_size, mem=max(mem, 4096))
         a = store.matrix_from_numpy(a_np)
         side = [(store.matrix_from_numpy(b_np),
@@ -192,8 +192,7 @@ class TestSideProducts:
                 for b_np in b_nps]
         store.pool.clear()
         store.reset_stats()
-        out = crossprod_matmul(store, a, mem, side=side,
-                               parallel=parallel)
+        out = crossprod_matmul(store, a, mem, side=side)
         store.flush()
         return (store.device.stats.snapshot(), out.to_numpy(),
                 [o.to_numpy() for _, o in side])
@@ -215,8 +214,7 @@ class TestSideProducts:
         order is exact.  Floats: within ``rtol = 1e-12`` — the schedule
         sums slabs of h rows where the square kernel sums its own
         panels, so the bits differ — with X'X bitwise the same with and
-        without sides, and everything bitwise across workers."""
-        from repro.core.parallel import TileParallelism
+        without sides."""
         ints = rng.integers(-8, 9, size=shape).astype(np.float64)
         b_ints = [rng.integers(-8, 9, size=(shape[0], w))
                   .astype(np.float64) for w in widths]
@@ -239,15 +237,6 @@ class TestSideProducts:
                 (got, a_np.T @ b_np) for b_np, got in zip(b_nps, sides)]:
             assert np.allclose(got, ref, rtol=1e-12,
                                atol=1e-12 * np.abs(ref).max())
-        for workers in (2, 4):
-            pool = TileParallelism(workers)
-            try:
-                _, px, ps = self._run(a_np, b_nps, mem, block_size,
-                                      parallel=pool)
-            finally:
-                pool.shutdown()
-            assert np.array_equal(px, xtx)
-            assert all(np.array_equal(p, s) for p, s in zip(ps, sides))
 
     def test_no_side_moves_the_parents_blocks(self, rng):
         """``side=[]`` is the plain schedule.  X (68 one-page tiles)
@@ -287,45 +276,6 @@ class TestSideProducts:
         assert shared.reads - alone.reads == b_pages
         assert separate.reads - a_pages == 2 * b_pages
         assert shared.writes == alone.writes + separate.writes
-
-    def test_parallel_fold_is_bitwise_serial(self, rng):
-        from repro.core.parallel import TileParallelism
-        a_np = rng.standard_normal((300, 70))
-        b_nps = [rng.standard_normal((300, w)) for w in (1, 40, 9)]
-        _, xtx, sides = self._run(a_np, b_nps, 24 * 1024)
-        for workers in (2, 4):
-            pool = TileParallelism(workers)
-            try:
-                _, px, ps = self._run(a_np, b_nps, 24 * 1024,
-                                      parallel=pool)
-            finally:
-                pool.shutdown()
-            assert np.array_equal(px, xtx)
-            assert all(np.array_equal(p, s) for p, s in zip(ps, sides))
-
-    def test_reused_buffers_survive_more_workers_than_cores(self, rng):
-        """Each slab's products go into one of ``window`` reused
-        buffers; a buffer overwritten before its fold would move a bit.
-        Eight workers with a short switch interval, on six regions of
-        24 slabs each (16-wide tiles, a = 48, h = 32)."""
-        import sys
-
-        from repro.core.parallel import TileParallelism
-        a_np = rng.standard_normal((768, 137))
-        b_nps = [rng.standard_normal((768, 3))]
-        mem = 3 * 47 * 47
-        _, xtx, sides = self._run(a_np, b_nps, mem, block_size=2048)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        pool = TileParallelism(8)
-        try:
-            _, px, ps = self._run(a_np, b_nps, mem, block_size=2048,
-                                  parallel=pool)
-        finally:
-            pool.shutdown()
-            sys.setswitchinterval(interval)
-        assert np.array_equal(px, xtx)
-        assert np.array_equal(ps[0], sides[0])
 
     def test_refuses_what_does_not_fit(self, rng):
         """At 48 blocks a 256-wide A holds one region: its packed
@@ -376,8 +326,8 @@ class TestSchedule:
     """``costs.crossprod_schedule``, the one statement of the kernel's
     schedule, against what it promises and what the kernel does."""
 
-    #: Most region x slab steps one draw of the nine-store bits test
-    #: may run (about 2 ms each over the nine stores).
+    #: Most region x slab steps one draw of the three-store bits test
+    #: may run.
     MAX_STEPS = 1_000
 
     @given(m=st.integers(1, 5000), k=st.integers(1, 260),
@@ -447,19 +397,17 @@ class TestSchedule:
     @example(m=1, k=13, widths=[1], mem=338, seed=0)
     @example(m=5, k=5, widths=[], mem=3, seed=0)
     @settings(max_examples=8, deadline=None)
-    def test_bits_across_workers_and_backends(self, m, k, widths, mem,
-                                              seed):
+    def test_bits_across_backends(self, m, k, widths, mem, seed):
         """Integer-valued data on 16-wide tiles: X'X and the sides are
-        bitwise NumPy's, at parallelism 1 / 2 / 4 on the memory, mmap
-        and pread backends.  The sides are priced on A's stored tile
-        side, as the kernel prices them: the store clamps a 16-wide
-        tile to a smaller A (1 x 13 is one 1 x 13 tile, side 13).
+        bitwise NumPy's on the memory, mmap and pread backends.  The
+        sides are priced on A's stored tile side, as the kernel prices
+        them: the store clamps a 16-wide tile to a smaller A (1 x 13 is
+        one 1 x 13 tile, side 13).
 
         Ragged budgets stay in the draw space, but the work is bounded:
-        a draw's region x slab steps, each run on nine stores, are
+        a draw's region x slab steps, each run on three stores, are
         capped at ``MAX_STEPS`` (a 3-scalar budget on a 90 x 70 A is
         223 650 one-scalar steps)."""
-        from repro.core.parallel import TileParallelism
         from repro.storage import StorageConfig
         tile = max(tile_shape_for_layout("square", (m, k), 256, 64))
         assume(crossprod_side_fits(mem, k, tile, sum(widths)))
@@ -470,25 +418,17 @@ class TestSchedule:
         a_np = integer_valued(rng, (m, k))
         b_nps = [integer_valued(rng, (m, w)) for w in widths]
         for backend in ("memory", "mmap", "pread"):
-            for workers in (1, 2, 4):
-                pool = TileParallelism(workers)
-                cfg = StorageConfig(backend=backend, block_size=2048,
-                                    memory_bytes=64 * 2048)
-                try:
-                    with ArrayStore(storage=cfg) as store:
-                        a = store.matrix_from_numpy(a_np)
-                        side = [(store.matrix_from_numpy(b),
-                                 store.create_matrix((k, b.shape[1])))
-                                for b in b_nps]
-                        out = crossprod_matmul(store, a, mem, side=side,
-                                               parallel=pool)
-                        assert np.array_equal(out.to_numpy(),
-                                              a_np.T @ a_np)
-                        for b, (_, got) in zip(b_nps, side):
-                            assert np.array_equal(got.to_numpy(),
-                                                  a_np.T @ b)
-                finally:
-                    pool.shutdown()
+            cfg = StorageConfig(backend=backend, block_size=2048,
+                                memory_bytes=64 * 2048)
+            with ArrayStore(storage=cfg) as store:
+                a = store.matrix_from_numpy(a_np)
+                side = [(store.matrix_from_numpy(b),
+                         store.create_matrix((k, b.shape[1])))
+                        for b in b_nps]
+                out = crossprod_matmul(store, a, mem, side=side)
+                assert np.array_equal(out.to_numpy(), a_np.T @ a_np)
+                for b, (_, got) in zip(b_nps, side):
+                    assert np.array_equal(got.to_numpy(), a_np.T @ b)
 
 
 class TestBudgetGuard:

@@ -479,26 +479,24 @@ class TestRidingRHS:
             first).max()
 
     @pytest.mark.parametrize("backend", ["memory", "mmap", "pread"])
-    def test_bits_across_levels_workers_and_backends(self, backend):
+    def test_bits_across_levels_and_backends(self, backend):
         """Integer-valued normal equations, so X'X and X'y are exact on
         every plan: the solve's bits are then the same at levels 0 / 1
-        / 2 and parallelism 1 / 2 / 4, whether the LU copies X'X
-        (level 0) or factors it in place, and whether X'y is a side
-        product or its own multiply."""
+        / 2, whether the LU copies X'X (level 0) or factors it in
+        place, and whether X'y is a side product or its own
+        multiply."""
         g = np.random.default_rng(3)
         x_np = g.integers(-8, 9, size=(400, 96)).astype(np.float64)
         y_np = g.integers(-8, 9, size=(400, 2)).astype(np.float64)
         results = []
         for level in (0, 1, 2):
-            for workers in (1, 2, 4):
-                with RiotSession(
-                        storage=StorageConfig(backend=backend,
-                                              memory_bytes=24 * 8192),
-                        config=OptimizerConfig(
-                            level=level, parallelism=workers)) as s:
-                    x = s.matrix(x_np, name="X")
-                    y = s.matrix(y_np, name="y")
-                    results.append(s.values((x.T @ x).solve(x.T @ y)))
+            with RiotSession(
+                    storage=StorageConfig(backend=backend,
+                                          memory_bytes=24 * 8192),
+                    config=OptimizerConfig(level=level)) as s:
+                x = s.matrix(x_np, name="X")
+                y = s.matrix(y_np, name="y")
+                results.append(s.values((x.T @ x).solve(x.T @ y)))
         ref = np.linalg.solve(x_np.T @ x_np, x_np.T @ y_np)
         assert np.allclose(results[0], ref, rtol=1e-9)
         for got in results[1:]:

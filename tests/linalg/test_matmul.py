@@ -128,8 +128,7 @@ class TestRaggedPanelBudget:
         d = rng.standard_normal((m, n))
         s = RiotSession(
             storage=StorageConfig(memory_bytes=4 * 1024 * 8,
-                                  block_size=8192),
-            config=OptimizerConfig(parallelism=1))
+                                  block_size=8192))
         try:
             got = (s.matrix(a) @ s.matrix(b) + s.matrix(c) * 2.0
                    + s.matrix(d)).values()

@@ -5,8 +5,8 @@ children have run, so every op's measurement is exclusive — each block
 and each pool access is attributed to exactly one operator.  On random
 DAGs, merging all per-op deltas must reproduce the device's own totals
 for the run, field for field (including bytes and call counts), with
-the trailing cold-mode flush charged to the root — warm or cold, at
-every worker count, since operators run one at a time at all of them.
+the trailing cold-mode flush charged to the root — warm or cold, since
+operators run one at a time.
 """
 
 import numpy as np
@@ -19,14 +19,9 @@ from repro.storage import IOStats, PoolStats, StorageConfig
 MEM = 48 * 1024 * 8  # bytes: a 48-block pool keeps the DAGs out of core
 
 
-#: Drawn by every property: kernel worker count, warm or cold run.
-runs = st.tuples(st.sampled_from([1, 2, 4]), st.booleans())
-
-
-def make_session(workers=1):
+def make_session():
     return RiotSession(storage=StorageConfig(memory_bytes=MEM),
-                       config=OptimizerConfig(level=2,
-                                              parallelism=workers))
+                       config=OptimizerConfig(level=2))
 
 
 def assert_deltas_sum_to_totals(session, node, cold=True):
@@ -90,16 +85,16 @@ def build_vector(spec, leaves):
 @given(spec=vector_spec(depth=3),
        n=st.integers(2_000, 120_000),
        seed=st.integers(0, 2**16),
-       subscript=st.booleans(), run=runs)
+       subscript=st.booleans(), cold=st.booleans())
 @settings(max_examples=12, deadline=None)
-def test_vector_dag_deltas_sum(spec, n, seed, subscript, run):
-    s = make_session(run[0])
+def test_vector_dag_deltas_sum(spec, n, seed, subscript, cold):
+    s = make_session()
     leaves = [s.vector(np.random.default_rng(seed + i)
                        .standard_normal(n)) for i in range(3)]
     out = build_vector(spec, leaves)
     if subscript:
         out = out[1:max(2, n // 3)]
-    assert_deltas_sum_to_totals(s, out.node, cold=run[1])
+    assert_deltas_sum_to_totals(s, out.node, cold=cold)
 
 
 # ----------------------------------------------------------------------
@@ -108,11 +103,11 @@ def test_vector_dag_deltas_sum(spec, n, seed, subscript, run):
 @given(pattern=st.sampled_from(
            ["mm", "crossprod", "tmm", "epilogue", "ols", "chain"]),
        m=st.integers(64, 320), k=st.integers(64, 256),
-       seed=st.integers(0, 2**16), run=runs)
+       seed=st.integers(0, 2**16), cold=st.booleans())
 @settings(max_examples=10, deadline=None)
-def test_matrix_dag_deltas_sum(pattern, m, k, seed, run):
+def test_matrix_dag_deltas_sum(pattern, m, k, seed, cold):
     g = np.random.default_rng(seed)
-    s = make_session(run[0])
+    s = make_session()
     a = s.matrix(g.standard_normal((m, k)), name="A")
     if pattern == "mm":
         b = s.matrix(g.standard_normal((k, m)))
@@ -133,16 +128,16 @@ def test_matrix_dag_deltas_sum(pattern, m, k, seed, run):
         b = s.matrix(g.standard_normal((k, m)))
         c = s.matrix(g.standard_normal((m, 1)))
         node = ((a @ b) @ c).node
-    assert_deltas_sum_to_totals(s, node, cold=run[1])
+    assert_deltas_sum_to_totals(s, node, cold=cold)
 
 
 @given(density=st.floats(0.002, 0.03),
        n=st.integers(128, 512),
-       seed=st.integers(0, 2**16), run=runs)
+       seed=st.integers(0, 2**16), cold=st.booleans())
 @settings(max_examples=8, deadline=None)
-def test_sparse_dag_deltas_sum(density, n, seed, run):
-    s = make_session(run[0])
+def test_sparse_dag_deltas_sum(density, n, seed, cold):
+    s = make_session()
     a = s.random_sparse_matrix(n, n, density, seed=seed)
     v = s.matrix(np.random.default_rng(seed + 1)
                  .standard_normal((n, 1)))
-    assert_deltas_sum_to_totals(s, (a @ v).node, cold=run[1])
+    assert_deltas_sum_to_totals(s, (a @ v).node, cold=cold)

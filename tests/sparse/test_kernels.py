@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizers import SanitizingBufferPool
 from repro.core.costs import (spgemm_io, spgemm_panel_rows,
                               spgemm_row_panels, spmm_io, spmv_io)
-from repro.core.parallel import TileParallelism
 from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmm, spmv
 from repro.sparse.sparse_matrix import tile_words
 from repro.storage import ArrayStore, StorageConfig
@@ -274,11 +273,7 @@ class TestSanitizedChain:
                          for ti in range(lo, hi) for k in needed[ti])
             for words, (lo, hi) in zip(held_words, panels))
         assert kernels.spmm_schedule(g, v, mem)[1] == 3
-        workers = TileParallelism(4)
-        try:
-            c = spmm(store, g, v, mem, parallel=workers)
-        finally:
-            workers.shutdown()
+        c = spmm(store, g, v, mem)
         assert not pool._pending
         assert np.allclose(c.to_numpy(), a_np @ b_np @ v_np)
 

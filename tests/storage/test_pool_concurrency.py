@@ -5,7 +5,7 @@ pool and the invariants that concurrent pool users depend on must
 hold: no evicted dirty frame is left parked, residency never exceeds
 capacity, no IOStats or PoolStats increment is lost, and data read back
 is what was written.
-The suite also runs under ``REPRO_SANITIZE=1`` in the CI parallel job.
+The suite also runs under ``REPRO_SANITIZE=1`` in the CI sanitize job.
 """
 
 from __future__ import annotations
