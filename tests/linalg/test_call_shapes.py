@@ -1,4 +1,4 @@
-"""Call shapes of the dense kernels in undersized pools.
+"""Call shapes of the kernels and vector regions in undersized pools.
 
 Block totals are pinned all over the suite, but how those blocks move
 is not: a kernel announces each step's footprint before it reads it,
@@ -9,7 +9,10 @@ and block totals and results stay put while device calls, prefetched
 blocks and pool hits move.  This test pins those counters for every
 dense kernel over a grid of pool sizes, shapes and backends, so a
 change to how the kernels move data has to keep the exact sequence of
-announcements, reads and writes.
+announcements, reads and writes.  The sparse kernels (which announce
+their CSR tiles and vector chunks in pool-sized batches) and the
+evaluator's vector regions (one announcement per window of their
+sources) are pinned the same way.
 
 Each case builds its operands, flushes and clears the pool, zeroes the
 counters, runs one kernel cold, flushes, and compares the device's
@@ -30,10 +33,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core import OptimizerConfig
+from repro.core.evaluator import Evaluator
+from repro.core.expr import ArrayInput, Map, Reduce, Scalar
+from repro.core.planner import Planner
 from repro.linalg import (backward_substitute, bnlj_matmul,
                           crossprod_matmul, forward_substitute,
                           lu_decompose, lu_solve, square_tile_matmul)
 from repro.linalg.solve import lu_solve_panels
+from repro.sparse import SparseTiledMatrix, spgemm, spmm, spmv
 from repro.storage import ArrayStore, StorageConfig
 
 BLOCK = 8192
@@ -46,6 +54,14 @@ def _ints(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(-3, 4, size=shape).astype(np.float64)
 
 
+def _sparse(rng: np.random.Generator, shape) -> np.ndarray:
+    """Small integers at 5 % density, with a quarter of the 128-wide
+    tile columns left empty, so some tiles are skipped."""
+    values = _ints(rng, shape) * (rng.random(shape) < 0.05)
+    values[:, 128:256] = 0.0
+    return values
+
+
 def _spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """A well-conditioned square matrix, so pivots stay tame."""
     return rng.standard_normal((n, n)) + n * np.eye(n)
@@ -56,7 +72,8 @@ def _digest(outputs: list) -> str:
     rounded to six decimals — exact on the products' integers."""
     h = hashlib.sha256()
     for out in outputs:
-        values = out if isinstance(out, np.ndarray) else out.to_numpy()
+        values = (np.asarray(out) if isinstance(out, (np.ndarray, float))
+              else out.to_numpy())
         h.update((np.round(values.astype(np.float64), 6) + 0.0).tobytes())
     return h.hexdigest()[:16]
 
@@ -66,15 +83,16 @@ def _budget(store: ArrayStore, kernel: str, n: int) -> int:
     LU's minimum tall panel where the pool is smaller than that."""
     pool = store.storage.memory_scalars
     if kernel in ("square", "square_fused", "crossprod", "crossprod_side",
-                  "bnlj"):
+                  "bnlj", "spmv", "spmm", "spgemm"):
         return pool
     return max(pool, 3 * n * 32)
 
 
 def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
-            rng: np.random.Generator):
+            rng: np.random.Generator, sources: int = 0):
     """Build ``kernel``'s operands in ``home``, then return a thunk
-    that runs it into ``store`` and returns its outputs."""
+    that runs it into ``store`` and returns its outputs (a vector
+    region reads ``sources`` stored vectors)."""
     mem = _budget(store, kernel, n)
     if kernel in ("square", "square_fused"):
         a = home.matrix_from_numpy(_ints(rng, (n, n)), layout="square")
@@ -107,6 +125,32 @@ def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
         a = home.matrix_from_numpy(_ints(rng, (n, n)), layout="row")
         b = home.matrix_from_numpy(_ints(rng, (n, n)), layout="col")
         return lambda: [bnlj_matmul(store, a, b, mem)]
+    if kernel == "spmv":
+        a = SparseTiledMatrix.from_dense(home, _sparse(rng, (n, 4 * n)))
+        x = home.vector_from_numpy(_ints(rng, 4 * n))
+        return lambda: [spmv(store, a, x)]
+    if kernel == "spmm":
+        a = SparseTiledMatrix.from_dense(home, _sparse(rng, (n, n)))
+        b = home.matrix_from_numpy(_ints(rng, (n, n // 2)))
+        return lambda: [spmm(store, a, b, mem)]
+    if kernel == "spgemm":
+        a = SparseTiledMatrix.from_dense(home, _sparse(rng, (n, n)))
+        b = SparseTiledMatrix.from_dense(home, _sparse(rng, (n, n)))
+        return lambda: [spgemm(store, a, b, mem)]
+    if kernel in ("vector_map", "vector_reduce"):
+        # One fused region over ``sources`` stored vectors (the last
+        # one on its own chunk grid when there are three), 20 chunks.
+        node = None
+        for i in range(sources):
+            v = home.create_vector(20 * 1024 - 7,
+                                   chunk=500 if i == 2 else None)
+            leaf = ArrayInput(v.from_numpy(_ints(rng, v.length)))
+            node = Map("*", leaf, Scalar(2.0)) if node is None \
+                else Map("+" if i == 1 else "-", node, leaf)
+        if kernel == "vector_reduce":
+            node = Reduce("sum", node)
+        plan = Planner(OptimizerConfig(level=1), store.storage).plan(node)
+        return lambda: [Evaluator(store).execute(plan)]
     a = home.matrix_from_numpy(_spd(rng, n))
     rhs = rng.standard_normal((n, 2))
     if kernel == "lu_decompose":
@@ -128,7 +172,7 @@ def _kernel(kernel: str, store: ArrayStore, home: ArrayStore, n: int,
 
 
 def measure(kernel: str, pool_kib: int, n: int, backend: str,
-            foreign: bool = False) -> tuple:
+            foreign: bool = False, sources: int = 0) -> tuple:
     """One cold run of ``kernel``: the counters of the store it runs
     in (and, with ``foreign``, of the store holding its operands), then
     the digest of its outputs, read after the counters are taken."""
@@ -137,7 +181,7 @@ def measure(kernel: str, pool_kib: int, n: int, backend: str,
         backend=backend, memory_bytes=pool_kib * 1024, block_size=BLOCK))
         for _ in range(2 if foreign else 1)]
     try:
-        go = _kernel(kernel, stores[0], stores[-1], n, rng)
+        go = _kernel(kernel, stores[0], stores[-1], n, rng, sources)
         for s in stores:
             s.flush()
             s.pool.clear()
@@ -430,6 +474,91 @@ EXPECTED_FOREIGN: dict = {
 }
 
 
+#: The sparse kernels, as ``(kernel, pool KiB, n, backend, foreign)``.
+SPARSE = [(k, p, n, "memory", False) for k in ("spmv", "spmm", "spgemm")
+          for p in (96, 256) for n in SIZES] + [
+    (k, 256, 384, "memory", True) for k in ("spmv", "spmm", "spgemm")]
+
+#: Vector regions, as ``(kernel, pool KiB, sources, backend, foreign)``.
+VECTOR = [(k, p, s, "memory", False)
+          for k in ("vector_map", "vector_reduce") for p in (96, 256)
+          for s in (1, 2, 3)] + [
+    (k, 96, 2, "memory", True) for k in ("vector_map", "vector_reduce")]
+
+#: ``case -> (counters of the running store[, of the operands' store],
+#: digest)`` for the sparse kernels and the vector regions.
+EXPECTED_STREAMS: dict = {
+    ('spmv', 96, 200, 'memory', False):
+        ((18, 1, 7, 1, 18, 29, 1, 0), '3e1a280f53ff6d4f'),
+    ('spmv', 96, 384, 'memory', False):
+        ((70, 1, 25, 1, 70, 99, 1, 0), '17c0ece1372f6513'),
+    ('spmv', 256, 200, 'memory', False):
+        ((18, 1, 3, 1, 18, 29, 1, 0), '3e1a280f53ff6d4f'),
+    ('spmv', 256, 384, 'memory', False):
+        ((68, 1, 8, 1, 68, 99, 1, 0), '17c0ece1372f6513'),
+    ('spmm', 96, 200, 'memory', False):
+        ((35, 26, 6, 5, 25, 25, 36, 0), 'd1772c7ef7573a37'),
+    ('spmm', 96, 384, 'memory', False):
+        ((168, 96, 66, 20, 138, 138, 126, 0), 'e9c615c9ceae4061'),
+    ('spmm', 256, 200, 'memory', False):
+        ((19, 26, 3, 2, 19, 35, 26, 0), 'd1772c7ef7573a37'),
+    ('spmm', 256, 384, 'memory', False):
+        ((168, 96, 60, 11, 168, 168, 96, 0), 'e9c615c9ceae4061'),
+    ('spgemm', 96, 200, 'memory', False):
+        ((5, 11, 3, 2, 5, 7, 11, 0), 'd0b460f87def8246'),
+    ('spgemm', 96, 384, 'memory', False):
+        ((36, 76, 15, 14, 36, 36, 76, 0), 'e992c6b039f34484'),
+    ('spgemm', 256, 200, 'memory', False):
+        ((5, 11, 3, 1, 5, 7, 11, 0), 'd0b460f87def8246'),
+    ('spgemm', 256, 384, 'memory', False):
+        ((36, 76, 15, 11, 36, 36, 76, 0), 'e992c6b039f34484'),
+    ('spmv', 256, 384, 'memory', True):
+        ((0, 1, 0, 1, 0, 0, 1, 0),
+         (68, 0, 35, 0, 0, 31, 68, 0),
+         '17c0ece1372f6513'),
+    ('spmm', 256, 384, 'memory', True):
+        ((0, 96, 0, 6, 0, 0, 96, 0),
+         (134, 0, 67, 0, 64, 98, 70, 0),
+         'e9c615c9ceae4061'),
+    ('spgemm', 256, 384, 'memory', True):
+        ((0, 76, 0, 5, 0, 0, 76, 0),
+         (20, 0, 10, 0, 0, 16, 20, 0),
+         'e992c6b039f34484'),
+    ('vector_map', 96, 1, 'memory', False):
+        ((20, 20, 4, 6, 20, 20, 20, 0), '5b5a2b4e39973310'),
+    ('vector_map', 96, 2, 'memory', False):
+        ((40, 20, 14, 6, 40, 40, 20, 0), '4c660628a4ea4216'),
+    ('vector_map', 96, 3, 'memory', False):
+        ((81, 20, 21, 7, 40, 46, 61, 0), 'e74cc14f176c984a'),
+    ('vector_map', 256, 1, 'memory', False):
+        ((20, 20, 2, 1, 20, 20, 20, 0), '5b5a2b4e39973310'),
+    ('vector_map', 256, 2, 'memory', False):
+        ((40, 20, 4, 2, 40, 40, 20, 0), '4c660628a4ea4216'),
+    ('vector_map', 256, 3, 'memory', False):
+        ((81, 20, 6, 2, 40, 41, 61, 0), 'e74cc14f176c984a'),
+    ('vector_reduce', 96, 1, 'memory', False):
+        ((20, 0, 4, 0, 20, 20, 0, 0), 'fee2a3a5f9662467'),
+    ('vector_reduce', 96, 2, 'memory', False):
+        ((40, 0, 14, 0, 40, 40, 0, 0), '34e59bb05147daa2'),
+    ('vector_reduce', 96, 3, 'memory', False):
+        ((81, 0, 21, 0, 40, 46, 41, 0), '495df9102e8a95cc'),
+    ('vector_reduce', 256, 1, 'memory', False):
+        ((20, 0, 2, 0, 20, 20, 0, 0), 'fee2a3a5f9662467'),
+    ('vector_reduce', 256, 2, 'memory', False):
+        ((40, 0, 4, 0, 40, 40, 0, 0), '34e59bb05147daa2'),
+    ('vector_reduce', 256, 3, 'memory', False):
+        ((81, 0, 6, 0, 40, 41, 41, 0), '495df9102e8a95cc'),
+    ('vector_map', 96, 2, 'memory', True):
+        ((0, 20, 0, 2, 0, 0, 20, 0),
+         (40, 0, 4, 0, 0, 0, 40, 0),
+         '4c660628a4ea4216'),
+    ('vector_reduce', 96, 2, 'memory', True):
+        ((0, 0, 0, 0, 0, 0, 0, 0),
+         (40, 0, 4, 0, 0, 0, 40, 0),
+         '34e59bb05147daa2'),
+}
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_call_shape(case):
     assert measure(*case) == EXPECTED[case]
@@ -439,3 +568,17 @@ def test_call_shape(case):
                          ids=lambda c: "-".join(map(str, c)))
 def test_call_shape_with_foreign_operands(case):
     assert measure(*case, foreign=True) == EXPECTED_FOREIGN[case]
+
+
+@pytest.mark.parametrize("case", SPARSE, ids=lambda c: "-".join(map(str, c)))
+def test_sparse_call_shape(case):
+    kernel, pool_kib, n, backend, foreign = case
+    assert measure(kernel, pool_kib, n, backend,
+                   foreign=foreign) == EXPECTED_STREAMS[case]
+
+
+@pytest.mark.parametrize("case", VECTOR, ids=lambda c: "-".join(map(str, c)))
+def test_vector_region_call_shape(case):
+    kernel, pool_kib, sources, backend, foreign = case
+    assert measure(kernel, pool_kib, 0, backend, foreign=foreign,
+                   sources=sources) == EXPECTED_STREAMS[case]
