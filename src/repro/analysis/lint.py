@@ -62,10 +62,10 @@ Rules:
     counts them; a direct device call is I/O the pool never sees.
 ``RPR009``
     Outside ``repro/storage``, ``pool.prefetch()`` is called only by
-    the schedule runner (``core/parallel.py``), the evaluator's window
-    loop and the sparse kernels, whose CSR tiles and vector chunks,
-    announced in pool-sized batches across steps, are no runner steps.
-    A dense kernel announcing for itself is one more data mover.
+    the schedule runner (``core/parallel.py``), the one data mover of
+    the dense kernels, the sparse kernels and the evaluator's vector
+    windows.  Any other caller announcing for itself is one more data
+    mover, with its own lookahead rule to keep consistent.
 
 Use :func:`run_lint` programmatically or ``python -m repro.analysis``
 from the command line.
@@ -90,13 +90,9 @@ DEVICE_TRANSFER_HOME = ("vm", "pager.py")
 ELEMENTWISE_INDEXERS = frozenset({("core", "plan.py"),
                                   ("passes", "fold.py")})
 
-#: The one file that may build a ``ThreadPoolExecutor`` (RPR007).
+#: The one file that may build a ``ThreadPoolExecutor`` (RPR007) and,
+#: outside ``repro/storage``, call ``pool.prefetch`` (RPR009).
 EXECUTOR_HOME = ("core", "parallel.py")
-
-#: The files outside ``repro/storage`` that may call ``pool.prefetch``
-#: (RPR009), as ``(parent directory, file name)``.
-PREFETCH_CALLERS = frozenset({EXECUTOR_HOME, ("core", "evaluator.py"),
-                              ("sparse", "kernels.py")})
 
 #: Modules whose call results depend on wall clock or RNG state
 #: (RPR004).  Matched against the root name of attribute chains.
@@ -222,7 +218,7 @@ PLACED_CALLS = {
                "blocks through the buffer pool so they are counted"),
     "RPR009": ({"pool.prefetch"},
                lambda path: (_is_storage_file(path)
-                             or _place(path) in PREFETCH_CALLERS),
+                             or _place(path) == EXECUTOR_HOME),
                "pool.prefetch() called outside the schedule runner "
                "(core/parallel.py); state the kernel's steps and let "
                "run_steps announce them"),

@@ -53,6 +53,7 @@ from repro.storage.tile_store import stream_window
 
 from .config import OptimizerConfig
 from .expr import Crossprod, Node, Range, Scalar
+from .parallel import Panel, Step, read, run_steps
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
                    PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
@@ -61,30 +62,9 @@ from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
 from .planner import Planner
 
 
-def _cut(value, window: tuple[int, ...]):
-    """``value`` over ``window`` — an element range ``(lo, hi)`` of a
-    vector or a rectangle ``(r0, r1, c0, c1)`` of a matrix, read from
-    storage or sliced; a number passes through.  A stored vector's
-    range is a read-only view of the pool's run buffer where it can be
-    (:meth:`TiledVector.view_range`): the tape only reads its inputs."""
-    if isinstance(value, Range):
-        lo, hi = window
-        return np.arange(value.lo + lo, value.lo + hi, dtype=np.float64)
-    if isinstance(value, TiledVector):
-        return value.view_range(*window)
-    if isinstance(value, TiledMatrix):
-        return value.read_submatrix(*window)
-    if hasattr(value, "read_tile_csr"):    # sparse, on the region's grid
-        th, tw = value.tile_shape
-        return value.read_tile(window[0] // th, window[2] // tw)
-    if isinstance(value, np.ndarray) and value.ndim:
-        return value[tuple(map(slice, window[::2], window[1::2]))]
-    return value
-
-
 def _reader(values: dict[int, object], window: tuple[int, ...]):
     """``read`` for :meth:`Region.run`: every input over ``window``."""
-    return lambda n: _cut(values[id(n)], window)
+    return lambda n: read(values[id(n)], window)
 
 
 class MissingInputError(RuntimeError):
@@ -304,9 +284,9 @@ class Evaluator:
             return float(region.run(lambda n: values[id(n)]))
         if region.root.ndim == 1:
             out = self.store.create_vector(region.root.shape[0])
-            for c0, window in self._windows(region, values):
-                # The tape's result is this window's own array.
-                out.write_chunk(c0, window, hand_over=True)
+            # The tape's result is this window's own array.
+            self._stream(region, values,
+                         lambda lo, window: [(out, lo, 0, window)])
             return out
         grid = self._grid(region, values)
         out = self.store.create_matrix(
@@ -411,7 +391,7 @@ class Evaluator:
         from repro.linalg.solve import lu_solve, lu_solve_panels
         node = op.node
         a_node, b_node = node.children
-        a = self._as_tiled_matrix(self._input(a_node, memo))
+        a = self._factored_operand(op, memo)
         b = self._densified(self._input(b_node, memo))
         n = node.shape[0]
         if node.ndim == 2:
@@ -433,6 +413,18 @@ class Evaluator:
         return self.store.vector_from_numpy(lu_solve(
             self.store, a, rhs.ravel(), self.memory_scalars,
             overwrite_a=op.in_place))
+
+    def _factored_operand(self, op: LUSolveOp | InverseOp,
+                          memo: dict[int, object]) -> TiledMatrix:
+        """The matrix an LU operator factors.  Factored in place
+        (``overwrite_a``), it is the kernel's to drop: it leaves the
+        memo before the kernel runs, so :meth:`_release` does not drop
+        it again."""
+        node = op.node.children[0]
+        a = self._as_tiled_matrix(self._input(node, memo))
+        if op.in_place:
+            del memo[id(node)]
+        return a
 
     @staticmethod
     def _drop_at_read(op: PhysOp, node: Node,
@@ -458,7 +450,7 @@ class Evaluator:
         """
         from repro.linalg.solve import lu_solve_panels
         n = op.node.shape[0]
-        a = self._as_tiled_matrix(self._input(op.node.children[0], memo))
+        a = self._factored_operand(op, memo)
         return lu_solve_panels(
             self.store, a, n, self.memory_scalars,
             lambda j0, j1: np.eye(n, j1 - j0, k=-j0),
@@ -476,31 +468,37 @@ class Evaluator:
                 else n if isinstance(n, Range) else self._input(n, memo)
                 for n in region.inputs if n is not computed}
 
-    def _windows(self, region: Region, values: dict[int, object]
-                 ) -> Iterator[tuple[int, np.ndarray]]:
-        """The 1-D driver: yield ``(first_chunk, values)`` of a vector
-        region one prefetch window of the store's chunk grid at a time:
-        announce the window's chunks of every source on that grid, run
-        the tape once over the window's element range."""
+    def _stream(self, region: Region, values: dict[int, object],
+                emit) -> None:
+        """The 1-D driver: run a vector region as one panel of window
+        steps over the store's chunk grid, each step's compute the tape
+        over the window's element range.  A window step reads every
+        input and announces the window's chunks of each source on that
+        grid; ``emit(lo, values)`` gets the window's values and returns
+        its writes."""
         n = region.root.shape[0]
         chunk = self.store.scalars_per_block
-        num_chunks = -(-n // chunk)
-        sources = [v for v in values.values()
+        inputs = [values[id(node)] for node in region.inputs]
+        sources = [v for v in inputs
                    if isinstance(v, TiledVector)
                    and v.store is self.store and v.chunk == chunk]
         window = stream_window(self.store.pool.capacity, len(sources))
-        for c0 in range(0, num_chunks, window):
-            c1 = min(c0 + window, num_chunks)
-            keys = [key for vec in sources for key in
-                    vec.blocks_for_chunks(range(c0, min(c1,
-                                                        vec.num_chunks)))]
-            if keys:
-                self.store.pool.prefetch(keys)
-            lo, hi = c0 * chunk, min(c1 * chunk, n)
-            out = region.run(_reader(values, (lo, hi)))
+
+        def step(lo: int) -> Step:
+            span = (lo, min(lo + window * chunk, n))
+            return Step(tuple((v, span, False) for v in inputs), span,
+                        tuple((v, span, False) for v in sources))
+
+        def compute(span, *operands):
+            lo, hi = span
+            by_id = dict(zip(map(id, region.inputs), operands))
+            out = region.run(lambda node: by_id[id(node)])
             if np.ndim(out) == 0:
                 out = np.full(hi - lo, float(out))
-            yield c0, np.asarray(out)
+            return emit(lo, np.asarray(out))
+
+        run_steps(self.store, [Panel(None, {}, map(
+            step, range(0, n, window * chunk)))], compute)
 
     def _grid(self, region: Region, values: dict[int, object]):
         """The tile grid a matrix region runs on — its first matrix
@@ -589,20 +587,27 @@ class Evaluator:
         if region.root.ndim == 0:
             # sum / mean / min / max of one value is that value.
             return float(region.run(lambda n: values[id(n)]))
-        if region.root.ndim == 2:
-            parts = (tile for _, _, tile in self._tiles(
-                region, values, self._grid(region, values)))
-        else:
-            chunk = self.store.scalars_per_block
-            parts = (window[at: at + chunk]
-                     for _, window in self._windows(region, values)
-                     for at in range(0, window.size, chunk))
         acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
-        for part in parts:
+
+        def fold(part: np.ndarray) -> None:
+            nonlocal acc_sum, acc_min, acc_max, count
             acc_sum += float(part.sum())
             acc_min = min(acc_min, float(part.min()))
             acc_max = max(acc_max, float(part.max()))
             count += part.size
+
+        if region.root.ndim == 2:
+            for _, _, tile in self._tiles(
+                    region, values, self._grid(region, values)):
+                fold(tile)
+        else:
+            chunk = self.store.scalars_per_block
+
+            def fold_window(lo: int, window: np.ndarray) -> None:
+                for at in range(0, window.size, chunk):
+                    fold(window[at: at + chunk])
+
+            self._stream(region, values, fold_window)
         return {"sum": acc_sum, "mean": acc_sum / max(count, 1),
                 "min": acc_min, "max": acc_max}[op.node.op]
 

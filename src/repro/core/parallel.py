@@ -1,14 +1,32 @@
-"""The schedule runner.
+"""The schedule runner: the one data mover outside the storage layer.
 
-A dense kernel states its schedule as *steps* (the rectangles each
-reads) in *panels* (one span, closing writes) plus one ``compute``;
+A kernel states its schedule as *steps* (the operands each reads) in
+*panels* (one span, closing writes) plus one ``compute``;
 :func:`run_steps` announces each step's footprint in one
 ``pool.prefetch()``, reads it, computes and writes for all of them, on
-the calling thread.  Beside the evaluator's window loop and the sparse
-kernels, this module alone calls ``pool.prefetch()`` outside the
-storage layer (``RPR009``), and it is the one place a thread pool
-may be built (``RPR007``).  None is: the engine's only parallelism is
-the BLAS library's own threads (``OPENBLAS_NUM_THREADS``).
+the calling thread.  The dense kernels, the sparse kernels and the
+evaluator's vector windows all run on it, so this module alone calls
+``pool.prefetch()`` outside the storage layer (``RPR009``), and it is
+the one place a thread pool may be built (``RPR007``).  None is: the
+engine's only parallelism is the BLAS library's own threads
+(``OPENBLAS_NUM_THREADS``).
+
+An operand is ``(value, region, trans)``; :func:`blocks` and
+:func:`read` answer for every kind of value:
+
+- a :class:`~repro.storage.TiledMatrix` over a rectangle ``(r0, r1,
+  c0, c1)`` (``trans``: the stored mirror, transposed in memory);
+- a :class:`~repro.storage.TiledVector` over an element range ``(lo,
+  hi)``, read as a read-only view (``view_range``);
+- a sparse matrix's tile ``(ti, tj)``, read as its CSR triple, or a
+  rectangle on its tile grid, read as dense values;
+- a NumPy array, sliced; a ``Range`` node, generated; a number, as is.
+
+Two lookahead rules announce footprints.  A step announces its own
+reads by default, one step at a time: the dense kernels' steps are
+pool-sized.  A run of small steps (CSR tiles and vector chunks) gets
+:func:`batched` footprints instead: each batch's first step announces
+the whole batch, up to half the pool.
 
 Determinism contract
 --------------------
@@ -24,11 +42,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, NamedTuple
 
+import numpy as np
+
+from repro.storage import TiledMatrix, TiledVector
+
+from .expr import Range
+
 
 class Step(NamedTuple):
-    """The rectangles a step reads, in order, as ``(matrix, (r0, r1,
-    c0, c1), trans)`` (``trans``: the stored mirror, transposed in
-    memory); the ``tag`` its compute gets; the ``footprint`` it
+    """The operands a step reads, in order, as ``(value, region,
+    trans)``; the ``tag`` its compute gets; the ``footprint`` it
     announces, in the same form, by default its reads."""
 
     reads: tuple
@@ -41,10 +64,12 @@ def _no_writes(_target) -> tuple:
 
 
 class Panel(NamedTuple):
-    """Steps under one span (none if ``label`` is ``None``).  Each
-    step's compute result is folded into a target ``fold()`` makes, or
-    without ``fold`` is the step's writes; ``finish(target)`` yields the
-    panel's, each ``(matrix, r0, c0, values)`` and written as made."""
+    """Steps under one span (none if ``label`` is ``None``), whose
+    args are read again as it closes, so a compute may add counts to
+    them.  Each step's compute result is folded into a target
+    ``fold()`` makes, or without ``fold`` is the step's writes;
+    ``finish(target)`` yields the panel's, each ``(array, r0, c0,
+    values)`` and written as made (:func:`_write`)."""
 
     label: str | None
     args: dict
@@ -58,24 +83,101 @@ def _stored(rect: tuple, trans: bool) -> tuple:
     return (c0, c1, r0, r1) if trans else rect
 
 
+def _tile(sparse, region: tuple) -> tuple[int, int]:
+    """The tile ``(ti, tj)`` a sparse operand's region names."""
+    if len(region) == 2:
+        return region
+    th, tw = sparse.tile_shape
+    return region[0] // th, region[2] // tw
+
+
+def blocks(value, region: tuple, trans: bool = False) -> list[int]:
+    """The device blocks :func:`read` of ``value`` over ``region``
+    touches; none for a value that is not stored."""
+    if isinstance(value, TiledMatrix):
+        return value.submatrix_blocks(*_stored(region, trans))
+    if isinstance(value, TiledVector):
+        lo, hi = region
+        return value.blocks_for_chunks(
+            range(lo // value.chunk, -(-hi // value.chunk)))
+    if hasattr(value, "read_tile_csr"):
+        return value.tile_blocks(*_tile(value, region))
+    return []
+
+
+def read(value, region: tuple, trans: bool = False):
+    """``value`` over ``region`` (see the module docstring): read from
+    storage, sliced or generated; a number passes through.  A stored
+    vector's range is a read-only view of the pool's run buffer where
+    it can be (:meth:`TiledVector.view_range`): callers only read it."""
+    if isinstance(value, TiledMatrix):
+        if trans:
+            return value.read_submatrix(*_stored(region, trans)).T
+        return value.read_submatrix(*region)
+    if isinstance(value, TiledVector):
+        return value.view_range(*region)
+    if hasattr(value, "read_tile_csr"):
+        if len(region) == 2:
+            return value.read_tile_csr(*region)
+        return value.read_tile(*_tile(value, region))
+    if isinstance(value, Range):
+        lo, hi = region
+        return np.arange(value.lo + lo, value.lo + hi, dtype=np.float64)
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value[tuple(map(slice, region[::2], region[1::2]))]
+    return value
+
+
+def batched(store, steps: Iterable[Step]) -> list[Step]:
+    """``steps``, one run of small reads, with footprints: greedy
+    batches of consecutive steps whose new blocks (not read earlier in
+    the run) fit in half the pool less two frames, a first step always,
+    each announced whole — the union of its reads — by its first step
+    and nothing by the rest.  Frames prefetched beyond what the pool
+    holds would be evicted before their demand read, and the re-reads
+    would inflate the block totals the cost models charge."""
+    limit = max(1, store.pool.capacity // 2 - 2)
+    seen: set[int] = set()
+    batches: list[list[Step]] = []
+    size = 0
+    for step in steps:
+        new = {b for op in step.reads for b in blocks(*op)} - seen
+        seen |= new
+        if not batches or size and size + len(new) > limit:
+            batches.append([])
+            size = 0
+        batches[-1].append(step)
+        size += len(new)
+    return [step._replace(footprint=() if i else tuple(
+                op for s in batch for op in s.reads))
+            for batch in batches for i, step in enumerate(batch)]
+
+
 def _operands(store, step: Step) -> list:
     """Announce ``step``'s footprint, unless part of it lives in
     another store (whose blocks are not this pool's), then read its
-    rectangles.  ``read_submatrix`` announces each again: in a pool too
+    operands.  ``read_submatrix`` announces each again: in a pool too
     small for the footprint, that fetches what the pool clipped."""
     footprint = step.reads if step.footprint is None else step.footprint
-    if all(m.store is store for m, _, _ in footprint):
-        store.pool.prefetch([bid for m, rect, trans in footprint
-                             for bid in m.submatrix_blocks(
-                                 *_stored(rect, trans))])
-    return [m.read_submatrix(*_stored(rect, trans)).T if trans
-            else m.read_submatrix(*rect)
-            for m, rect, trans in step.reads]
+    if all(getattr(v, "store", store) is store for v, _, _ in footprint):
+        keys = [b for op in footprint for b in blocks(*op)]
+        if keys:
+            store.pool.prefetch(keys)
+    return [read(*op) for op in step.reads]
 
 
 def _write(writes: Iterable | None) -> None:
-    for m, r0, c0, values in writes or ():
-        m.write_submatrix(r0, c0, values)
+    """Write each ``(array, r0, c0, values)``: a rectangle of a dense
+    matrix; a sparse matrix's next tile, appended; a vector's run of
+    chunks from element ``r0``, its values handed over."""
+    for target, r0, c0, values in writes or ():
+        if isinstance(target, TiledMatrix):
+            target.write_submatrix(r0, c0, values)
+        elif isinstance(target, TiledVector):
+            target.write_chunk(r0 // target.chunk, values, hand_over=True)
+        else:
+            th, tw = target.tile_shape
+            target.append_tile_dense(r0 // th, c0 // tw, values)
 
 
 def _folded(store, panel: Panel, compute: Callable):
@@ -108,6 +210,8 @@ def run_steps(store, panels: Iterable[Panel], compute: Callable) -> None:
             _run_panel(store, panel, compute)
         else:
             with store.tracer.span(panel.label, cat="kernel",
-                                   **panel.args):
+                                   **panel.args) as span:
                 _run_panel(store, panel, compute)
+                if span is not None:
+                    span.args.update(panel.args)
         del panel   # free its buffers before the next one is made

@@ -184,6 +184,8 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
             for c0, c1 in cuts(n, max(a.tile_shape[1], side)):
                 out.write_submatrix(r0, c0,
                                     a.read_submatrix(r0, r1, c0, c1))
+        if overwrite_a:     # handed over, so dropped either way
+            a.drop()
     perm = np.arange(n, dtype=np.int64)
     # The panel's other steps reuse its factored columns, its row order
     # and inv(L_kk).
@@ -235,7 +237,9 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
     A after this call, and then A's own tiles are factored, with no
     copy, whenever they are laid out as the working factor would be
     (:func:`repro.core.costs.lu_in_place`); the packed factor is then
-    A itself, and A's old values are gone.  Raises
+    A itself, and A's old values are gone.  Either way ``overwrite_a``
+    hands A over: where its tiles are not laid out so, A is dropped
+    once copied, so the caller never drops it.  Raises
     :class:`ValueError` when the memory budget cannot hold even the
     minimum tall panel (one one-page tile column of full height,
     ``3 * n * tile_side`` scalars) — the budget is honored, never

@@ -122,8 +122,9 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
     the factorization (:func:`lu_solve`); each later one is permuted
     and substituted against the one factor.  ``overwrite_a`` says
     nothing reads A afterwards, so the factorization may overwrite it
-    (:func:`repro.linalg.lu.lu_decompose`); factored in place, A is
-    dropped with the factor on return.
+    (:func:`repro.linalg.lu.lu_decompose`) and A is the kernel's to
+    drop: factored in place, with the factor on return, else once
+    copied.
     """
     n = a.shape[0]
     _, tile_w = tile_shape_for_layout("square", (n, k),

@@ -1,12 +1,14 @@
 """I/O-measured sparse kernels: SpMV, SpMM, SpGEMM.
 
-Each kernel runs against the counted storage stack and announces its tile
-footprint through ``pool.prefetch()`` before reading it, as the dense
-kernels' schedule runner (:func:`repro.core.parallel.run_steps`) does — so
-the scheduler turns the misses into a few coalesced device calls without
-changing block totals.  They announce for themselves because what they
-read is CSR tiles and vector chunks, not rectangles, in pool-sized batches
-that run ahead across steps (:class:`_BatchedHints`).
+Each kernel states its schedule as panels of steps and runs on the
+dense kernels' schedule runner (:func:`repro.core.parallel.run_steps`),
+which announces each step's footprint through ``pool.prefetch()``
+before reading it — so the scheduler turns the misses into a few
+coalesced device calls without changing block totals.  A step reads one
+CSR tile (or a dense strip of B, or an x range): too small to announce
+alone, so each run of them gets
+:func:`~repro.core.parallel.batched` footprints, pool-sized batches
+that run ahead across steps.
 
 ``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
 memory convention: what a schedule holds between uses — accumulators,
@@ -46,12 +48,13 @@ step allocates and drops: per held nonzero three words (row offset,
 B-row start, count — the size of the held column), per product some 70
 bytes, at most about ``JOIN_PRODUCTS`` products at a time.
 
-Accounting note: hints are announced in pool-sized batches (see
-:class:`_BatchedHints`), which keeps hinted block totals within a few
-percent of the unhinted run.  Unlike the chunk-aligned dense streams,
-exact equality is not guaranteed — batching shifts eviction *timing*,
-so a vector chunk that happened to stay cached across block rows in the
-unhinted run may be re-read in the hinted one.  Results are always
+Accounting note: hints are announced in batches of at most half the
+pool (:func:`~repro.core.parallel.batched`), which keeps hinted block
+totals within a few percent of the unhinted run.  Unlike the
+chunk-aligned dense streams, exact equality is not guaranteed —
+batching shifts eviction *timing*, so a vector chunk that happened to
+stay cached across block rows in the unhinted run may be re-read in
+the hinted one.  Results are always
 bitwise identical and call counts strictly drop.
 """
 
@@ -62,6 +65,7 @@ import itertools
 import numpy as np
 
 from repro.core.costs import spgemm_row_panels, spmm_panels
+from repro.core.parallel import Panel, Step, batched, run_steps
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
 from .sparse_matrix import (SparseTiledMatrix, csr_matvec, csr_to_dense,
@@ -118,113 +122,45 @@ def _check_conformable(a: SparseTiledMatrix, b) -> None:
             f"non-conformable operands: {a.shape} x {(b_rows,)}")
 
 
-class _BatchedHints:
-    """Announce per-tile footprints in batches the pool can hold.
-
-    An oversized hint is clipped by the pool, and frames prefetched
-    beyond what fits can be evicted before their demand read — the
-    re-reads would badly inflate the block totals the cost models
-    charge.  Capping each announcement at half the pool keeps every
-    hinted block resident until it is consumed, mirroring the
-    windowing of ``TiledVector.scan``.
-    """
-
-    def __init__(self, pool, groups: list[list[int]],
-                 enabled: bool) -> None:
-        self.pool = pool
-        self.groups = groups
-        self.enabled = enabled
-        self.limit = max(1, pool.capacity // 2 - 2)
-        self._next = 0
-
-    def before(self, idx: int) -> None:
-        """Ensure group ``idx`` has been announced (greedy lookahead)."""
-        if not self.enabled or idx < self._next:
-            return
-        batch: list[int] = []
-        t = idx
-        while t < len(self.groups) and (
-                not batch
-                or len(batch) + len(self.groups[t]) <= self.limit):
-            batch.extend(self.groups[t])
-            t += 1
-        if batch:
-            self.pool.prefetch(batch)
-        self._next = max(t, idx + 1)
-
-
-class _StreamingVectorWriter:
-    """Write a vector front to back in arbitrary-sized pieces.
-
-    Block rows of SpMV produce ``tile_rows`` results at a time, which
-    rarely align with the output's chunk grid; this buffers exactly one
-    chunk so every chunk is still written once, in order.
-    """
-
-    def __init__(self, out: TiledVector) -> None:
-        self.out = out
-        self._buf = np.zeros(out.chunk, dtype=_FLOAT)
-        self._filled = 0
-        self._ci = 0
-
-    def emit(self, piece: np.ndarray) -> None:
-        pos = 0
-        while pos < piece.size:
-            lo, hi = self.out.chunk_bounds(self._ci)
-            room = (hi - lo) - self._filled
-            take = min(room, piece.size - pos)
-            self._buf[self._filled: self._filled + take] = \
-                piece[pos: pos + take]
-            self._filled += take
-            pos += take
-            if self._filled == hi - lo:
-                self.out.write_chunk(self._ci, self._buf[: hi - lo])
-                self._ci += 1
-                self._filled = 0
-
-    def close(self) -> None:
-        if self._filled:
-            raise RuntimeError("vector writer closed mid-chunk")
-
-
 def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
          name: str | None = None) -> TiledVector:
     """``y = A x`` one block row at a time, skipping empty tiles.
 
-    Per block row the footprint — every nonempty CSR tile plus the x
-    chunks their column ranges cover — is announced up front; empty
-    tiles cost nothing, which is where the win over dense tiling
+    A block row is a panel with one step per nonempty CSR tile, which
+    reads the tile and the x range its columns cover; the row's steps
+    are announced in :func:`~repro.core.parallel.batched` footprints.
+    Empty tiles cost nothing, which is where the win over dense tiling
     comes from.
     """
     _check_conformable(a, x)
     out = store.create_vector(a.shape[0], name=name)
-    writer = _StreamingVectorWriter(out)
-    hinting = a.store is store and x.store is store
-    for ti in range(a.grid[0]):
-        with store.tracer.span("spmv:block_row", cat="kernel", ti=ti):
-            r0 = ti * a.tile_shape[0]
-            r1 = min(r0 + a.tile_shape[0], a.shape[0])
-            acc = np.zeros(r1 - r0, dtype=_FLOAT)
-            tjs = a.nonempty_in_row(ti)
-            groups: list[list[int]] = []
-            seen_chunks: set[int] = set()
-            for tj in tjs:
-                keys = a.tile_blocks(ti, tj)
-                _, _, c0, c1 = a.tile_bounds(ti, tj)
-                fresh = [ci
-                         for ci in range(c0 // x.chunk, -(-c1 // x.chunk))
-                         if ci not in seen_chunks]
-                seen_chunks.update(fresh)
-                groups.append(keys + x.blocks_for_chunks(fresh))
-            hints = _BatchedHints(store.pool, groups, hinting)
-            for idx, tj in enumerate(tjs):
-                hints.before(idx)
-                indptr, indices, data = a.read_tile_csr(ti, tj)
-                _, _, c0, c1 = a.tile_bounds(ti, tj)
-                csr_matvec(indptr, indices, data,
-                           x.read_range(c0, c1), acc)
-            writer.emit(acc)
-    writer.close()
+    done, tail = 0, np.empty(0)     # y's elements written; the rest
+
+    def chunks(acc: np.ndarray):
+        """The writes of the chunks of y ``acc`` completes (block rows
+        rarely align with y's chunks): each chunk is written once, in
+        order, the last one short."""
+        nonlocal done, tail
+        tail = np.concatenate([tail, acc])
+        while tail.size >= out.chunk or (
+                tail.size and done + tail.size == out.length):
+            yield out, done, 0, tail[:out.chunk].copy()
+            done += min(out.chunk, tail.size)
+            tail = tail[out.chunk:]
+
+    def block_row(ti: int) -> Panel:
+        r0 = ti * a.tile_shape[0]
+        acc = np.zeros(min(r0 + a.tile_shape[0], a.shape[0]) - r0,
+                       dtype=_FLOAT)
+        return Panel("spmv:block_row", {"ti": ti}, batched(store, [
+            Step(((a, (ti, tj), False),
+                  (x, a.tile_bounds(ti, tj)[2:], False)), acc)
+            for tj in a.nonempty_in_row(ti)]), lambda _: chunks(acc))
+
+    def compute(acc, csr, x_range) -> None:
+        csr_matvec(*csr, x_range, acc)
+
+    run_steps(store, map(block_row, range(a.grid[0])), compute)
     return out
 
 
@@ -261,42 +197,40 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
     out = store.create_matrix((m, n), tile_shape=a.tile_shape,
                               linearization=a.linearization.name,
                               name=name)
-    hinting = a.store is store and b.store is store
-    for j0 in range(0, n, pw):
+    b_strip = None      # the B strip the held rows' tiles multiply
+
+    def row_panel(j0: int, lo: int) -> Panel:
         j1 = min(j0 + pw, n)
-        for lo in range(0, a.grid[0], r):
-            hi = min(lo + r, a.grid[0])
-            with store.tracer.span("spmm:row_panel", cat="kernel",
-                                   j0=j0, lo=lo, hi=hi):
-                r0 = lo * th
-                acc = np.zeros((min(hi * th, m) - r0, j1 - j0),
-                               dtype=_FLOAT)
-                # Block column -> the held rows with a tile in it.
-                rows_at: dict[int, list[int]] = {}
-                for ti in range(lo, hi):
-                    for tj in a.nonempty_in_row(ti):
-                        rows_at.setdefault(tj, []).append(ti)
-                # The B strip under each of those columns, tj ascending.
-                strips = [(tj, *a.tile_bounds(lo, tj)[2:], j0, j1)
-                          for tj in sorted(rows_at)]
-                # One hint group per read, in read order: a strip of
-                # B, then the held rows' A tiles it multiplies.
-                groups = []
-                for tj, *strip in strips:
-                    groups.append(b.submatrix_blocks(*strip))
-                    groups.extend(a.tile_blocks(ti, tj)
-                                  for ti in rows_at[tj])
-                hints = _BatchedHints(store.pool, groups, hinting)
-                read = itertools.count()
-                for tj, *strip in strips:
-                    hints.before(next(read))
-                    b_strip = b.read_submatrix(*strip)
-                    for ti in rows_at[tj]:
-                        hints.before(next(read))
-                        a_tile = a.read_tile(ti, tj)
-                        top = (ti - lo) * th
-                        acc[top: top + a_tile.shape[0]] += a_tile @ b_strip
-                out.write_submatrix(r0, j0, acc)
+        hi = min(lo + r, a.grid[0])
+        r0 = lo * th
+        acc = np.zeros((min(hi * th, m) - r0, j1 - j0), dtype=_FLOAT)
+        # Block column -> the held rows with a tile in it.
+        rows_at: dict[int, list[int]] = {}
+        for ti in range(lo, hi):
+            for tj in a.nonempty_in_row(ti):
+                rows_at.setdefault(tj, []).append(ti)
+        # One step per read, tj ascending: the strip of B under the
+        # block column, then the held rows' A tiles it multiplies.
+        steps = []
+        for tj in sorted(rows_at):
+            steps.append(Step(((b, (*a.tile_bounds(lo, tj)[2:], j0, j1),
+                                False),)))
+            steps.extend(Step(((a, a.tile_bounds(ti, tj), False),),
+                              (acc, (ti - lo) * th))
+                         for ti in rows_at[tj])
+        return Panel("spmm:row_panel", {"j0": j0, "lo": lo, "hi": hi},
+                     batched(store, steps), lambda _: [(out, r0, j0, acc)])
+
+    def compute(tag, operand) -> None:
+        nonlocal b_strip
+        if tag is None:
+            b_strip = operand
+        else:
+            acc, top = tag
+            acc[top: top + operand.shape[0]] += operand @ b_strip
+
+    run_steps(store, (row_panel(j0, lo) for j0 in range(0, n, pw)
+                      for lo in range(0, a.grid[0], r)), compute)
     return out
 
 
@@ -369,27 +303,22 @@ class _HeldColumn:
                                for top, rows in self.spans])
 
 
-def _hold_panel(pool, a: SparseTiledMatrix, lo: int, hi: int,
-                needed: list[list[int]], hinting: bool
-                ) -> dict[int, _HeldColumn]:
-    """Read the needed A tiles of block rows ``[lo, hi)`` once, in
-    ``(ti, k)`` order, into one :class:`_HeldColumn` per inner index."""
+def _hold_panel(a: SparseTiledMatrix, lo: int, hi: int,
+                needed: list[list[int]]) -> dict[int, _HeldColumn]:
+    """The needed A tiles of block rows ``[lo, hi)``, one
+    :class:`_HeldColumn` per inner index, sized from the directory; a
+    panel's first steps read the tiles into them once, in ``(ti, k)``
+    order."""
     th = a.tile_shape[0]
-    coords = [(ti, k) for ti in range(lo, hi) for k in needed[ti]]
     # Inner tile -> the held rows with a tile in it.
     rows_at: dict[int, list[int]] = {}
-    for ti, k in coords:
-        rows_at.setdefault(k, []).append(ti)
-    held = {k: _HeldColumn(tis, [(ti - lo) * th for ti in tis],
+    for ti in range(lo, hi):
+        for k in needed[ti]:
+            rows_at.setdefault(k, []).append(ti)
+    return {k: _HeldColumn(tis, [(ti - lo) * th for ti in tis],
                            [min(th, a.shape[0] - ti * th) for ti in tis],
                            [a.tile_nnz(ti, k) for ti in tis])
             for k, tis in rows_at.items()}
-    hints = _BatchedHints(
-        pool, [a.tile_blocks(ti, k) for ti, k in coords], hinting)
-    for idx, (ti, k) in enumerate(coords):
-        hints.before(idx)
-        held[k].append(*a.read_tile_csr(ti, k))
-    return held
 
 
 def _multiply_step(acc: np.ndarray, ramp: np.ndarray, col: _HeldColumn,
@@ -538,35 +467,48 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
     out = SparseTiledMatrix(
         store, name or store._fresh_name("spgemm"), (m, n),
         (th, b.tile_shape[1]), a.linearization.name)
-    hinting = a.store is store and b.store is store
     needed, panels = spgemm_schedule(a, b, memory_scalars)
-    for lo, hi in panels:
-        with store.tracer.span("spgemm:row_panel", cat="kernel",
-                               lo=lo, hi=hi) as span:
-            held = _hold_panel(store.pool, a, lo, hi, needed, hinting)
-            panel_rows = min(hi * th, m) - lo * th
-            csr_pairs = dense_pairs = steps = 0
+
+    def row_panel(lo: int, hi: int) -> Panel:
+        held = _hold_panel(a, lo, hi, needed)
+        args = {"lo": lo, "hi": hi, "csr_pairs": 0, "dense_pairs": 0,
+                "steps": 0}
+        panel_rows = min(hi * th, m) - lo * th
+
+        def steps():
+            yield from batched(store, [
+                Step(((a, (ti, k), False),), held[k])
+                for ti in range(lo, hi) for k in needed[ti]])
             for tj in range(out.grid[1]):
                 ks = [k for k in b.nonempty_in_col(tj) if k in held]
                 if not ks:
                     continue
-                hints = _BatchedHints(
-                    store.pool, [b.tile_blocks(k, tj) for k in ks],
-                    hinting)
                 tw = min(out.tile_shape[1], n - tj * out.tile_shape[1])
                 acc = np.zeros((panel_rows, tw), dtype=_FLOAT)
                 ramp = np.arange(0, acc.size, tw, dtype=_INT)
-                for idx, k in enumerate(ks):
-                    hints.before(idx)
-                    csr, dense = _multiply_step(acc, ramp, held[k],
-                                                b.read_tile_csr(k, tj))
-                    csr_pairs += csr
-                    dense_pairs += dense
-                    steps += bool(csr or dense)
-                for ti in sorted({ti for k in ks for ti in held[k].tis}):
-                    top = (ti - lo) * th
-                    out.append_tile_dense(ti, tj, acc[top: top + th])
-            if span is not None:
-                span.args.update(csr_pairs=csr_pairs,
-                                 dense_pairs=dense_pairs, steps=steps)
+                # The column's finished tiles, written after its last k.
+                tiles = [(out, ti * th, tj * out.tile_shape[1],
+                          acc[(ti - lo) * th: (ti - lo + 1) * th])
+                         for ti in sorted({ti for k in ks
+                                           for ti in held[k].tis})]
+                yield from batched(store, [
+                    Step(((b, (k, tj), False),),
+                         (held[k], acc, ramp, args,
+                          tiles if k == ks[-1] else ()))
+                    for k in ks])
+
+        return Panel("spgemm:row_panel", args, steps())
+
+    def compute(tag, csr):
+        if isinstance(tag, _HeldColumn):
+            tag.append(*csr)
+            return ()
+        col, acc, ramp, args, tiles = tag
+        csr_pairs, dense_pairs = _multiply_step(acc, ramp, col, csr)
+        args["csr_pairs"] += csr_pairs
+        args["dense_pairs"] += dense_pairs
+        args["steps"] += bool(csr_pairs or dense_pairs)
+        return tiles
+
+    run_steps(store, (row_panel(lo, hi) for lo, hi in panels), compute)
     return out

@@ -12,10 +12,10 @@ the call drains them, through :meth:`write_back`:
 1. **Hint-driven prefetch.**  Operators know their footprint from the
    expression, so it is announced through :meth:`BufferPool.prefetch`
    before it is read, and the misses become warm hits.  The announcers
-   are the callers lint rule ``RPR009`` allows — the schedule runner
-   (``run_steps``) for every dense kernel's steps, the evaluator's
-   window loop and the sparse kernels — plus the tile store's own
-   reads and scans (``read_submatrix``, a partial tile's
+   are the one caller lint rule ``RPR009`` allows — the schedule
+   runner (``run_steps``), for the steps of every dense and sparse
+   kernel and of the evaluator's vector windows — plus the tile
+   store's own reads and scans (``read_submatrix``, a partial tile's
    read-modify-write, vector scans and gathers).  Nothing is read on
    a guess: a demand miss fetches exactly the block asked for.
 2. **Coalesced multi-block I/O.**  Every batch of block ids is sorted

@@ -1072,7 +1072,8 @@ class ArrayStore:
         self.tracer = Tracer(device=self.device, pool=self.pool)
         if storage.sanitize:
             # The sanitizer checks footprint coverage and parked
-            # write-backs at span boundaries; observers fire even with tracing off.
+            # write-backs at span boundaries; observers fire even
+            # with tracing off.
             self.pool.attach_tracer(self.tracer)
         self._counter = 0
         # Threads may create temporaries concurrently; the name

@@ -184,6 +184,36 @@ class TestReleasePoints:
             assert grown == out.file.num_pages
 
 
+class TestDroppedExactlyOnce:
+    @pytest.mark.parametrize("name", ["ols", "inverse"])
+    def test_each_intermediate_is_dropped_once(self, name):
+        """A ``TiledMatrix.drop`` spy over a statement whose LU factors
+        X'X in place: every stored intermediate is dropped exactly once
+        (the kernel owns the one it factors, the evaluator releases
+        the rest), and no input, result or kernel temporary twice."""
+        s = session(2, mem_blocks=32)
+        root = STATEMENTS[name](s)
+        assert [op.in_place for op in lu_ops(s.plan(root))] == [True]
+        inputs = [op.node.data for op in s.plan(root).ops()
+                  if isinstance(op, LeafOp)]
+        dropped = []
+        drop = TiledMatrix.drop
+
+        def spy(mat):
+            dropped.append(mat)
+            drop(mat)
+
+        with mock.patch.object(TiledMatrix, "drop", spy):
+            _, out, made = run_recording(s, root)
+
+        def drops(value):
+            return sum(d is value for d in dropped)
+
+        assert made and all(drops(v) == (v is not out) for v, _ in made)
+        assert [drops(v) for v in inputs] == [0] * len(inputs)
+        assert all(drops(d) == 1 for d in dropped)
+
+
 class TestNeverDropped:
     def test_materialized_root_and_inputs_survive_an_in_place_solve(self):
         """``force(xtx)`` caches X'X as a result; a later plan on the

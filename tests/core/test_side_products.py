@@ -8,8 +8,9 @@ pin what that may and may not change:
 
 - results are bitwise those of the unshared plan (``fuse_epilogues=
   False``) and of level 0 — inputs are integer-valued, so every path
-  that computes the same products gets the same bits — and a cold run writes at most the side products'
-  pages more: every intermediate is dropped after its last reader,
+  that computes the same products gets the same bits — and a cold
+  run writes at most the side products' pages more: every
+  intermediate is dropped after its last reader,
   so a write is a dirty frame evicted while its value is alive, and
   sharing computes the side products earlier;
 - with X far larger than the pool the shared operator reads exactly

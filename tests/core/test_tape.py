@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import RiotSession
-from repro.core import evaluator as evaluator_module
+from repro.core import parallel as parallel_module
 from repro.core.expr import ArrayInput, Map, Scalar
 from repro.storage import ArrayStore, StorageConfig
 
@@ -116,10 +116,10 @@ def test_a_window_view_handed_to_the_tape_raises_on_write():
         np.negative(view, out=view)
     # The streaming driver hands the tape exactly such views.
     seen = []
-    cut = evaluator_module._cut
-    with mock.patch.object(evaluator_module, "_cut",
-                           lambda value, window: seen.append(
-                               cut(value, window)) or seen[-1]):
+    read = parallel_module.read
+    with mock.patch.object(parallel_module, "read",
+                           lambda *operand: seen.append(
+                               read(*operand)) or seen[-1]):
         out = s.force(Map("neg", ArrayInput(v)))
     assert _bits(out.to_numpy()) == _bits(-np.arange(1000.0))
     assert seen and not any(a.flags.writeable for a in seen)

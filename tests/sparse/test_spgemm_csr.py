@@ -47,6 +47,35 @@ MEMORY = 4096                # the fixed cases' budget: a few default tiles
 # ----------------------------------------------------------------------
 # References
 # ----------------------------------------------------------------------
+class _BatchedHints:
+    """The sparse kernels' lookahead as the old loop ran it: before a
+    read, announce it and the reads after it while their blocks fit in
+    half the pool (``repro.core.parallel.batched`` states the rule for
+    the kernels now)."""
+
+    def __init__(self, pool, groups: list[list[int]],
+                 enabled: bool) -> None:
+        self.pool = pool
+        self.groups = groups
+        self.enabled = enabled
+        self.limit = max(1, pool.capacity // 2 - 2)
+        self._next = 0
+
+    def before(self, idx: int) -> None:
+        if not self.enabled or idx < self._next:
+            return
+        batch: list[int] = []
+        t = idx
+        while t < len(self.groups) and (
+                not batch
+                or len(batch) + len(self.groups[t]) <= self.limit):
+            batch.extend(self.groups[t])
+            t += 1
+        if batch:
+            self.pool.prefetch(batch)
+        self._next = max(t, idx + 1)
+
+
 def ref_spgemm(store, a, b):
     """The loop ``spgemm`` ran before: one output tile at a time, both
     tiles of every pair read and densified."""
@@ -60,7 +89,7 @@ def ref_spgemm(store, a, b):
         if not ks:
             continue
         groups = [a.tile_blocks(ti, k) + b.tile_blocks(k, tj) for k in ks]
-        hints = kernels._BatchedHints(store.pool, groups, hinting)
+        hints = _BatchedHints(store.pool, groups, hinting)
         r0, r1, c0, c1 = out.tile_bounds(ti, tj)
         acc = np.zeros((r1 - r0, c1 - c0))
         for idx, k in enumerate(ks):
@@ -517,13 +546,20 @@ def test_empty_rows_and_unmatched_tiles_in_a_stack():
     a, b = _load(store, a_np, b_np, tiles)
     needed, panels = kernels.spgemm_schedule(a, b, MEMORY)
     assert panels == [(0, 4)]
-    held = kernels._hold_panel(store.pool, a, 0, 4, needed, False)
+    hold_panel, held_panels = kernels._hold_panel, []
+
+    def spy(*args):
+        held_panels.append(hold_panel(*args))
+        return held_panels[-1]
+
+    with counted_paths(store) as paths, \
+            mock.patch.object(kernels, "_hold_panel", spy):
+        c = spgemm(store, a, b, MEMORY)
+    (held,) = held_panels        # as the panel's steps filled it
     assert [col.tis for col in held.values()] == [[0, 1, 2, 3]]
     for col in held.values():
         assert np.all(np.diff(col.seg, append=col.indices.size) > 0)
         assert col.lens[[0, 15, 32, 47]].tolist() == [0, 0, 0, 0]
-    with counted_paths(store) as paths:
-        c = spgemm(store, a, b, MEMORY)
     assert paths == {"csr": 2, "dense": 0, "steps": 1} \
         == expected_paths(a_np, b_np, tiles, panels)
     assert set(c.directory) == {(0, 0), (2, 0)}
