@@ -42,7 +42,6 @@ What the operators do, following §5:
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -60,11 +59,6 @@ from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    ScatterOp, SparseSpGEMMOp, SparseSpMMOp, TileMatMulOp,
                    TransposeOp)
 from .planner import Planner
-
-
-def _reader(values: dict[int, object], window: tuple[int, ...]):
-    """``read`` for :meth:`Region.run`: every input over ``window``."""
-    return lambda n: read(values[id(n)], window)
 
 
 class MissingInputError(RuntimeError):
@@ -283,17 +277,17 @@ class Evaluator:
         if region.root.ndim == 0:
             return float(region.run(lambda n: values[id(n)]))
         if region.root.ndim == 1:
+            grid = None
             out = self.store.create_vector(region.root.shape[0])
-            # The tape's result is this window's own array.
-            self._stream(region, values,
-                         lambda lo, window: [(out, lo, 0, window)])
-            return out
-        grid = self._grid(region, values)
-        out = self.store.create_matrix(
-            region.root.shape, tile_shape=grid.tile_shape,
-            linearization=grid.linearization.name)
-        for ti, tj, tile in self._tiles(region, values, grid):
-            out.write_tile(ti, tj, np.asarray(tile, dtype=np.float64))
+        else:
+            grid = self._grid(region, values)
+            out = self.store.create_matrix(
+                region.root.shape, tile_shape=grid.tile_shape,
+                linearization=grid.linearization.name)
+        # The tape's result is this window's or tile's own array.
+        self._stream(region, values, lambda part, result: [
+            (out, part[0], part[2] if grid is not None else 0, result)],
+            grid)
         return out
 
     # ------------------------------------------------------------------
@@ -416,10 +410,8 @@ class Evaluator:
 
     def _factored_operand(self, op: LUSolveOp | InverseOp,
                           memo: dict[int, object]) -> TiledMatrix:
-        """The matrix an LU operator factors.  Factored in place
-        (``overwrite_a``), it is the kernel's to drop: it leaves the
-        memo before the kernel runs, so :meth:`_release` does not drop
-        it again."""
+        """An LU's A.  Factored in place it is the kernel's to drop, so
+        it leaves the memo now and :meth:`_release` skips it."""
         node = op.node.children[0]
         a = self._as_tiled_matrix(self._input(node, memo))
         if op.in_place:
@@ -468,37 +460,40 @@ class Evaluator:
                 else n if isinstance(n, Range) else self._input(n, memo)
                 for n in region.inputs if n is not computed}
 
-    def _stream(self, region: Region, values: dict[int, object],
-                emit) -> None:
-        """The 1-D driver: run a vector region as one panel of window
-        steps over the store's chunk grid, each step's compute the tape
-        over the window's element range.  A window step reads every
-        input and announces the window's chunks of each source on that
-        grid; ``emit(lo, values)`` gets the window's values and returns
-        its writes."""
-        n = region.root.shape[0]
-        chunk = self.store.scalars_per_block
+    def _stream(self, region: Region, values: dict[int, object], emit,
+                grid=None) -> None:
+        """Run a region on the schedule runner, a step per part — a
+        window of the store's chunk grid (vector) or a tile of ``grid``
+        in on-disk order (matrix) — that reads every input over the part
+        and runs the tape; ``emit(part, result)`` returns its writes.  A
+        window announces its chunks of each source on that grid; a
+        tile's ``read_submatrix`` announces itself."""
         inputs = [values[id(node)] for node in region.inputs]
-        sources = [v for v in inputs
-                   if isinstance(v, TiledVector)
-                   and v.store is self.store and v.chunk == chunk]
-        window = stream_window(self.store.pool.capacity, len(sources))
+        if grid is None:
+            n = region.root.shape[0]
+            chunk = self.store.scalars_per_block
+            sources = [v for v in inputs
+                       if isinstance(v, TiledVector)
+                       and v.store is self.store and v.chunk == chunk]
+            width = stream_window(self.store.pool.capacity,
+                                  len(sources)) * chunk
+            parts = [((lo, min(lo + width, n)), sources)
+                     for lo in range(0, n, width)]
+        else:
+            parts = [(grid.tile_bounds(ti, tj), ())
+                     for ti, tj in grid.tiles()]
 
-        def step(lo: int) -> Step:
-            span = (lo, min(lo + window * chunk, n))
-            return Step(tuple((v, span, False) for v in inputs), span,
-                        tuple((v, span, False) for v in sources))
-
-        def compute(span, *operands):
-            lo, hi = span
+        def compute(part, *operands):
             by_id = dict(zip(map(id, region.inputs), operands))
             out = region.run(lambda node: by_id[id(node)])
-            if np.ndim(out) == 0:
-                out = np.full(hi - lo, float(out))
-            return emit(lo, np.asarray(out))
+            if np.ndim(out) == 0:       # a window of a constant region
+                out = np.full(part[1] - part[0], float(out))
+            return emit(part, np.asarray(out))
 
-        run_steps(self.store, [Panel(None, {}, map(
-            step, range(0, n, window * chunk)))], compute)
+        run_steps(self.store, [Panel(None, {}, (
+            Step(tuple((v, part, False) for v in inputs), part,
+                 tuple((v, part, False) for v in announced))
+            for part, announced in parts))], compute)
 
     def _grid(self, region: Region, values: dict[int, object]):
         """The tile grid a matrix region runs on — its first matrix
@@ -514,14 +509,6 @@ class Evaluator:
             if grid is None:
                 grid = value
         return grid
-
-    def _tiles(self, region: Region, values: dict[int, object], grid
-               ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The 2-D driver: yield ``(ti, tj, values)`` of a matrix region
-        tile by tile over ``grid``, in its on-disk order."""
-        for ti, tj in grid.tiles():
-            yield ti, tj, region.run(
-                _reader(values, grid.tile_bounds(ti, tj)))
 
     # ------------------------------------------------------------------
     # Subscript (gather) — selective evaluation
@@ -587,27 +574,21 @@ class Evaluator:
         if region.root.ndim == 0:
             # sum / mean / min / max of one value is that value.
             return float(region.run(lambda n: values[id(n)]))
+        chunk = self.store.scalars_per_block
         acc_sum, acc_min, acc_max, count = 0.0, np.inf, -np.inf, 0
 
-        def fold(part: np.ndarray) -> None:
+        def fold(_, part: np.ndarray) -> None:
             nonlocal acc_sum, acc_min, acc_max, count
-            acc_sum += float(part.sum())
-            acc_min = min(acc_min, float(part.min()))
-            acc_max = max(acc_max, float(part.max()))
-            count += part.size
+            for piece in ([part] if part.ndim == 2 else
+                          [part[at: at + chunk]
+                           for at in range(0, part.size, chunk)]):
+                acc_sum += float(piece.sum())
+                acc_min = min(acc_min, float(piece.min()))
+                acc_max = max(acc_max, float(piece.max()))
+                count += piece.size
 
-        if region.root.ndim == 2:
-            for _, _, tile in self._tiles(
-                    region, values, self._grid(region, values)):
-                fold(tile)
-        else:
-            chunk = self.store.scalars_per_block
-
-            def fold_window(lo: int, window: np.ndarray) -> None:
-                for at in range(0, window.size, chunk):
-                    fold(window[at: at + chunk])
-
-            self._stream(region, values, fold_window)
+        self._stream(region, values, fold, self._grid(region, values)
+                     if region.root.ndim == 2 else None)
         return {"sum": acc_sum, "mean": acc_sum / max(count, 1),
                 "min": acc_min, "max": acc_max}[op.node.op]
 
@@ -630,11 +611,10 @@ class Evaluator:
                 values[id(n)] = self._as_tiled_matrix(values[id(n)])
 
         def epilogue(r0: int, c0: int, block: np.ndarray) -> np.ndarray:
-            read = _reader(values, (r0, r0 + block.shape[0],
-                                    c0, c0 + block.shape[1]))
+            rect = (r0, r0 + block.shape[0], c0, c0 + block.shape[1])
             return np.asarray(region.run(
-                lambda n: block if n is barrier else read(n)),
-                dtype=np.float64)
+                lambda n: block if n is barrier
+                else read(values[id(n)], rect)), dtype=np.float64)
 
         kernel = dict(epilogue=epilogue,
                       epilogue_inputs=len(region.sources) - 1)

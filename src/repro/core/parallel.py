@@ -5,28 +5,17 @@ A kernel states its schedule as *steps* (the operands each reads) in
 :func:`run_steps` announces each step's footprint in one
 ``pool.prefetch()``, reads it, computes and writes for all of them, on
 the calling thread.  The dense kernels, the sparse kernels and the
-evaluator's vector windows all run on it, so this module alone calls
+evaluator's elementwise regions run on it, so this module alone calls
 ``pool.prefetch()`` outside the storage layer (``RPR009``), and it is
 the one place a thread pool may be built (``RPR007``).  None is: the
 engine's only parallelism is the BLAS library's own threads
 (``OPENBLAS_NUM_THREADS``).
 
-An operand is ``(value, region, trans)``; :func:`blocks` and
-:func:`read` answer for every kind of value:
-
-- a :class:`~repro.storage.TiledMatrix` over a rectangle ``(r0, r1,
-  c0, c1)`` (``trans``: the stored mirror, transposed in memory);
-- a :class:`~repro.storage.TiledVector` over an element range ``(lo,
-  hi)``, read as a read-only view (``view_range``);
-- a sparse matrix's tile ``(ti, tj)``, read as its CSR triple, or a
-  rectangle on its tile grid, read as dense values;
-- a NumPy array, sliced; a ``Range`` node, generated; a number, as is.
-
-Two lookahead rules announce footprints.  A step announces its own
-reads by default, one step at a time: the dense kernels' steps are
-pool-sized.  A run of small steps (CSR tiles and vector chunks) gets
-:func:`batched` footprints instead: each batch's first step announces
-the whole batch, up to half the pool.
+A step's operands are ``(value, region, trans)``: :func:`blocks` and
+:func:`read` answer for every kind of value.  Two lookahead rules
+announce footprints: a dense step announces its own pool-sized reads;
+a run of small steps (CSR tiles, vector chunks) gets :func:`batched`
+footprints, each batch announced whole by its first step.
 
 Determinism contract
 --------------------
@@ -59,10 +48,6 @@ class Step(NamedTuple):
     footprint: tuple | None = None
 
 
-def _no_writes(_target) -> tuple:
-    return ()
-
-
 class Panel(NamedTuple):
     """Steps under one span (none if ``label`` is ``None``), whose
     args are read again as it closes, so a compute may add counts to
@@ -74,7 +59,7 @@ class Panel(NamedTuple):
     label: str | None
     args: dict
     steps: Iterable[Step]
-    finish: Callable[[Any], Iterable] = _no_writes
+    finish: Callable[[Any], Iterable] = lambda _target: ()
     fold: Callable[[], Any] | None = None
 
 
@@ -83,17 +68,10 @@ def _stored(rect: tuple, trans: bool) -> tuple:
     return (c0, c1, r0, r1) if trans else rect
 
 
-def _tile(sparse, region: tuple) -> tuple[int, int]:
-    """The tile ``(ti, tj)`` a sparse operand's region names."""
-    if len(region) == 2:
-        return region
-    th, tw = sparse.tile_shape
-    return region[0] // th, region[2] // tw
-
-
 def blocks(value, region: tuple, trans: bool = False) -> list[int]:
     """The device blocks :func:`read` of ``value`` over ``region``
-    touches; none for a value that is not stored."""
+    touches (a sparse matrix's by tile); none for a value not
+    stored."""
     if isinstance(value, TiledMatrix):
         return value.submatrix_blocks(*_stored(region, trans))
     if isinstance(value, TiledVector):
@@ -101,15 +79,19 @@ def blocks(value, region: tuple, trans: bool = False) -> list[int]:
         return value.blocks_for_chunks(
             range(lo // value.chunk, -(-hi // value.chunk)))
     if hasattr(value, "read_tile_csr"):
-        return value.tile_blocks(*_tile(value, region))
+        return value.tile_blocks(*region)
     return []
 
 
 def read(value, region: tuple, trans: bool = False):
-    """``value`` over ``region`` (see the module docstring): read from
-    storage, sliced or generated; a number passes through.  A stored
-    vector's range is a read-only view of the pool's run buffer where
-    it can be (:meth:`TiledVector.view_range`): callers only read it."""
+    """``value`` over ``region``: a :class:`TiledMatrix` rectangle
+    ``(r0, r1, c0, c1)`` (``trans``: its stored mirror, transposed in
+    memory); a :class:`TiledVector` element range ``(lo, hi)``, as a
+    read-only view of the pool's run buffer where it can be
+    (:meth:`TiledVector.view_range`); a sparse matrix's tile ``(ti,
+    tj)`` as its CSR triple, or a rectangle on its tile grid as dense
+    values; a NumPy array sliced, a ``Range`` generated, a number as
+    is."""
     if isinstance(value, TiledMatrix):
         if trans:
             return value.read_submatrix(*_stored(region, trans)).T
@@ -119,7 +101,8 @@ def read(value, region: tuple, trans: bool = False):
     if hasattr(value, "read_tile_csr"):
         if len(region) == 2:
             return value.read_tile_csr(*region)
-        return value.read_tile(*_tile(value, region))
+        th, tw = value.tile_shape
+        return value.read_tile(region[0] // th, region[2] // tw)
     if isinstance(value, Range):
         lo, hi = region
         return np.arange(value.lo + lo, value.lo + hi, dtype=np.float64)
@@ -129,13 +112,12 @@ def read(value, region: tuple, trans: bool = False):
 
 
 def batched(store, steps: Iterable[Step]) -> list[Step]:
-    """``steps``, one run of small reads, with footprints: greedy
-    batches of consecutive steps whose new blocks (not read earlier in
-    the run) fit in half the pool less two frames, a first step always,
-    each announced whole — the union of its reads — by its first step
-    and nothing by the rest.  Frames prefetched beyond what the pool
-    holds would be evicted before their demand read, and the re-reads
-    would inflate the block totals the cost models charge."""
+    """``steps``, one run of small reads, in greedy batches whose new
+    blocks (not read earlier in the run) fit in half the pool less two
+    frames, a first step always: a batch's first step announces the
+    union of its reads, the rest nothing.  A larger hint would evict
+    frames before their demand read, and the re-reads would inflate
+    the block totals the cost models charge."""
     limit = max(1, store.pool.capacity // 2 - 2)
     seen: set[int] = set()
     batches: list[list[Step]] = []

@@ -4,9 +4,10 @@
 the shared :class:`~repro.storage.pagefile.PageFile` /
 :class:`~repro.storage.buffer_pool.BufferPool` /
 :class:`~repro.storage.io_scheduler.IOScheduler` stack; empty tiles occupy
-zero pages.  The kernels (``spmv``, ``spmm``, ``spgemm``) announce their
-tile footprints via ``pool.prefetch()`` and are validated against the
-nnz-parameterized cost models in :mod:`repro.core.costs`.
+zero pages.  The kernels (``spmv``, ``spmm``, ``spgemm``) run on the
+schedule runner, which announces their tile footprints, and are
+validated against the nnz-parameterized cost models in
+:mod:`repro.core.costs`.
 """
 
 from .kernels import spgemm, spmm, spmv

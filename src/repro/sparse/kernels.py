@@ -1,14 +1,15 @@
 """I/O-measured sparse kernels: SpMV, SpMM, SpGEMM.
 
-Each kernel states its schedule as panels of steps and runs on the
-dense kernels' schedule runner (:func:`repro.core.parallel.run_steps`),
-which announces each step's footprint through ``pool.prefetch()``
-before reading it — so the scheduler turns the misses into a few
-coalesced device calls without changing block totals.  A step reads one
-CSR tile (or a dense strip of B, or an x range): too small to announce
-alone, so each run of them gets
-:func:`~repro.core.parallel.batched` footprints, pool-sized batches
-that run ahead across steps.
+Each kernel states its schedule as panels of steps on the dense
+kernels' schedule runner (:func:`repro.core.parallel.run_steps`), one
+step per CSR tile, strip of B or x range read.  Each run of steps is
+announced in :func:`~repro.core.parallel.batched` footprints, batches
+of at most half the pool that run ahead across steps, so the scheduler
+turns the misses into a few coalesced device calls.  Block totals stay
+within a few percent of the unhinted run — batching shifts eviction
+*timing*, so a chunk that stayed cached across block rows unhinted may
+be re-read — while results are bitwise identical and call counts
+strictly drop.
 
 ``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
 memory convention: what a schedule holds between uses — accumulators,
@@ -47,15 +48,6 @@ pair-at-a-time loop (``model_spgemm`` in ``tests/sparse``).  What a
 step allocates and drops: per held nonzero three words (row offset,
 B-row start, count — the size of the held column), per product some 70
 bytes, at most about ``JOIN_PRODUCTS`` products at a time.
-
-Accounting note: hints are announced in batches of at most half the
-pool (:func:`~repro.core.parallel.batched`), which keeps hinted block
-totals within a few percent of the unhinted run.  Unlike the
-chunk-aligned dense streams, exact equality is not guaranteed —
-batching shifts eviction *timing*, so a vector chunk that happened to
-stay cached across block rows in the unhinted run may be re-read in
-the hinted one.  Results are always
-bitwise identical and call counts strictly drop.
 """
 
 from __future__ import annotations
@@ -124,14 +116,9 @@ def _check_conformable(a: SparseTiledMatrix, b) -> None:
 
 def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
          name: str | None = None) -> TiledVector:
-    """``y = A x`` one block row at a time, skipping empty tiles.
-
-    A block row is a panel with one step per nonempty CSR tile, which
-    reads the tile and the x range its columns cover; the row's steps
-    are announced in :func:`~repro.core.parallel.batched` footprints.
-    Empty tiles cost nothing, which is where the win over dense tiling
-    comes from.
-    """
+    """``y = A x`` one block row (a panel) at a time, a step per
+    nonempty CSR tile reading it and the x range its columns cover:
+    empty tiles cost nothing, which is the win over dense tiling."""
     _check_conformable(a, x)
     out = store.create_vector(a.shape[0], name=name)
     done, tail = 0, np.empty(0)     # y's elements written; the rest
@@ -215,8 +202,8 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
         for tj in sorted(rows_at):
             steps.append(Step(((b, (*a.tile_bounds(lo, tj)[2:], j0, j1),
                                 False),)))
-            steps.extend(Step(((a, a.tile_bounds(ti, tj), False),),
-                              (acc, (ti - lo) * th))
+            steps.extend(Step(((a, (ti, tj), False),),
+                              (acc, (ti - lo) * th, a.tile_bounds(ti, tj)))
                          for ti in rows_at[tj])
         return Panel("spmm:row_panel", {"j0": j0, "lo": lo, "hi": hi},
                      batched(store, steps), lambda _: [(out, r0, j0, acc)])
@@ -226,8 +213,9 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
         if tag is None:
             b_strip = operand
         else:
-            acc, top = tag
-            acc[top: top + operand.shape[0]] += operand @ b_strip
+            acc, top, (r0, r1, c0, c1) = tag
+            acc[top: top + r1 - r0] += csr_to_dense(
+                *operand, (r1 - r0, c1 - c0)) @ b_strip
 
     run_steps(store, (row_panel(j0, lo) for j0 in range(0, n, pw)
                       for lo in range(0, a.grid[0], r)), compute)
@@ -305,10 +293,9 @@ class _HeldColumn:
 
 def _hold_panel(a: SparseTiledMatrix, lo: int, hi: int,
                 needed: list[list[int]]) -> dict[int, _HeldColumn]:
-    """The needed A tiles of block rows ``[lo, hi)``, one
-    :class:`_HeldColumn` per inner index, sized from the directory; a
-    panel's first steps read the tiles into them once, in ``(ti, k)``
-    order."""
+    """Block rows ``[lo, hi)``'s needed A tiles, one empty
+    :class:`_HeldColumn` per inner index, sized from the directory: a
+    panel's first steps read the tiles into them, ``(ti, k)`` order."""
     th = a.tile_shape[0]
     # Inner tile -> the held rows with a tile in it.
     rows_at: dict[int, list[int]] = {}
@@ -435,18 +422,14 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
     height).  :func:`repro.core.costs.spgemm_row_panels` cuts A's block
     rows into panels that fit ``memory_scalars``: per held row one
     dense output-tile accumulator and the row's A tiles in compressed
-    form, beside the B tile being multiplied.  A panel reads its A
-    tiles once and keeps them stacked by inner index — one
-    :class:`_HeldColumn` per ``k``, built once per panel; then, one
-    output column ``tj`` at a time, it reads each needed ``B(k, tj)``
-    once (k ascending) and multiplies it into the panel's stacked
-    ``(panel rows x tw)`` accumulator in one step for every held row
-    that has ``A(ti, k)`` — see :func:`_multiply_step`, which still
-    picks the compressed or the dense path per tile pair — and appends
-    the column's finished tiles, each cut from the accumulator with one
-    mask pass.  So A is read once and B once per panel, and every output
-    tile sums its pairs in ascending k whatever the panel height.  The
-    tile directories decide what is needed without I/O: ``A(ti, k)`` is
+    form, beside the B tile being multiplied.  A panel's first steps
+    read its A tiles once into one :class:`_HeldColumn` per ``k``;
+    then, one output column ``tj`` at a time, a step reads each needed
+    ``B(k, tj)`` (k ascending) and multiplies it into the panel's
+    stacked accumulator for every held row that has ``A(ti, k)``
+    (:func:`_multiply_step`), and the column's last step writes its
+    finished tiles.  So A is read once and B once per panel.  The tile
+    directories decide what is needed without I/O: ``A(ti, k)`` is
     skipped when B's block row ``k`` is empty, ``B(k, tj)`` when no
     held row has a tile in block column ``k``, and an all-zero result
     tile is never written.  Output tiles are appended panel by panel,

@@ -21,8 +21,8 @@ compressed sparse row (CSR) form:
 All reads and writes go through the shared
 :class:`~repro.storage.buffer_pool.BufferPool`, so every block is counted
 by the same :class:`~repro.storage.block_device.IOStats` contract the dense
-stack uses, and kernels can announce tile footprints via
-``pool.prefetch()``.
+stack uses, and the schedule runner can announce tile footprints
+(:meth:`SparseTiledMatrix.tile_blocks`).
 """
 
 from __future__ import annotations
