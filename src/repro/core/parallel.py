@@ -69,18 +69,15 @@ def _stored(rect: tuple, trans: bool) -> tuple:
 
 
 def blocks(value, region: tuple, trans: bool = False) -> list[int]:
-    """The device blocks :func:`read` of ``value`` over ``region``
-    touches (a sparse matrix's by tile); none for a value not
-    stored."""
+    """The device blocks :func:`read` of a stored ``value`` over
+    ``region`` touches (a sparse matrix's by tile)."""
     if isinstance(value, TiledMatrix):
         return value.submatrix_blocks(*_stored(region, trans))
     if isinstance(value, TiledVector):
         lo, hi = region
         return value.blocks_for_chunks(
             range(lo // value.chunk, -(-hi // value.chunk)))
-    if hasattr(value, "read_tile_csr"):
-        return value.tile_blocks(*region)
-    return []
+    return value.tile_blocks(*region)
 
 
 def read(value, region: tuple, trans: bool = False):
@@ -141,7 +138,7 @@ def _operands(store, step: Step) -> list:
     operands.  ``read_submatrix`` announces each again: in a pool too
     small for the footprint, that fetches what the pool clipped."""
     footprint = step.reads if step.footprint is None else step.footprint
-    if all(getattr(v, "store", store) is store for v, _, _ in footprint):
+    if all(v.store is store for v, _, _ in footprint):
         keys = [b for op in footprint for b in blocks(*op)]
         if keys:
             store.pool.prefetch(keys)

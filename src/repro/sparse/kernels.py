@@ -121,7 +121,7 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
     empty tiles cost nothing, which is the win over dense tiling."""
     _check_conformable(a, x)
     out = store.create_vector(a.shape[0], name=name)
-    done, tail = 0, np.empty(0)     # y's elements written; the rest
+    done, tail = 0, np.empty(0)     # y written so far; results after
 
     def chunks(acc: np.ndarray):
         """The writes of the chunks of y ``acc`` completes (block rows

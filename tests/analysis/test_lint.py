@@ -337,6 +337,9 @@ class TestRPR009PrefetchCallers:
         assert "run_steps" in found[0].message
 
     def test_runner_window_loop_sparse_and_storage_exempt(self, tmp_path):
+        """Only the runner and the storage layer are exempt; the
+        evaluator's window loop and the sparse kernels, once exempt,
+        now run on the runner and are flagged like any caller."""
         source = "self.store.pool.prefetch(keys)\n"
         for name in ("core/parallel.py", "storage/tile_store.py"):
             assert lint_source(tmp_path, source, name=name) == []
