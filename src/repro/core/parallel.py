@@ -120,14 +120,16 @@ def batched(store, steps: Iterable[Step]) -> list[Step]:
     batches: list[list[Step]] = []
     size = 0
     for step in steps:
-        new = {b for op in step.reads for b in blocks(*op)} - seen
-        seen |= new
-        if not batches or size and size + len(new) > limit:
+        new = -len(seen)
+        for op in step.reads:
+            seen.update(blocks(*op))
+        new += len(seen)
+        if not batches or size and size + new > limit:
             batches.append([])
             size = 0
         batches[-1].append(step)
-        size += len(new)
-    return [step._replace(footprint=() if i else tuple(
+        size += new
+    return [Step(step.reads, step.tag, () if i else tuple(
                 op for s in batch for op in s.reads))
             for batch in batches for i, step in enumerate(batch)]
 
@@ -138,10 +140,8 @@ def _operands(store, step: Step) -> list:
     operands.  ``read_submatrix`` announces each again: in a pool too
     small for the footprint, that fetches what the pool clipped."""
     footprint = step.reads if step.footprint is None else step.footprint
-    if all(v.store is store for v, _, _ in footprint):
-        keys = [b for op in footprint for b in blocks(*op)]
-        if keys:
-            store.pool.prefetch(keys)
+    if footprint and all(v.store is store for v, _, _ in footprint):
+        store.pool.prefetch([b for op in footprint for b in blocks(*op)])
     return [read(*op) for op in step.reads]
 
 
