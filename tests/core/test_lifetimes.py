@@ -184,33 +184,122 @@ class TestReleasePoints:
             assert grown == out.file.num_pages
 
 
+def drop_spy():
+    """Patch the drop of every stored array kind to record the array
+    before dropping it; returns the patch and the record."""
+    dropped = []
+    patches = contextlib.ExitStack()
+    for cls in (TiledMatrix, TiledVector, SparseTiledMatrix):
+        def spy(value, drop=cls.drop):
+            dropped.append(value)
+            drop(value)
+        patches.enter_context(mock.patch.object(cls, "drop", spy))
+    return patches, dropped
+
+
+def pattern(s, g, n, nnz):
+    flat = g.choice(n * n, size=nnz, replace=False)
+    return s.sparse_matrix(flat // n, flat % n, g.standard_normal(nnz),
+                           (n, n))
+
+
+# The macro workloads' statements at small sizes, each on its
+# workload's storage, plus the LU at a geometry that factors a copy:
+# ``(storage settings, pool blocks, in_place of the LUs, statements)``
+# where ``statements(s)`` yields each statement's root and receives its
+# result back.
+def ols_statements(s):
+    yield ols(s)
+
+
+def inverse_statements(s):
+    yield inverse(s)
+
+
+def chain_statements(s):
+    g = np.random.default_rng(11)
+    a, b, c = (s.matrix(g.standard_normal(shape)) for shape in
+               ((96, 40), (40, 96), (96, 96)))
+    yield (((a @ b) @ c).abs().sqrt() + 1.0).node
+
+
+def sparse_statements(s):
+    """``spgemm`` forced to a stored G, then ``spmm`` over G; and a
+    chain of two ``spgemm``, whose first product is a sparse
+    intermediate."""
+    g = np.random.default_rng(12)
+    a, b = pattern(s, g, 256, 600), pattern(s, g, 256, 600)
+    v = s.matrix(g.standard_normal((256, 16)))
+    stored = yield (a @ b).node
+    yield MatMul(ArrayInput(stored, name="G"), v.node)
+    yield ((a @ b) @ a).node
+
+
+def vector_statements(s):
+    """Example 1, one fused pass that stores nothing; and subscripts,
+    whose gathered vectors are intermediates."""
+    g = np.random.default_rng(13)
+    x = s.vector(g.uniform(0.0, 100.0, 20_000))
+    y = s.vector(g.uniform(0.0, 100.0, 20_000))
+    yield (((x - 10.0) ** 2 + (y - 20.0) ** 2).sqrt()
+           + ((x - 90.0) ** 2 + (y - 80.0) ** 2).sqrt()).node
+    yield vectors(s)
+
+
+def copied_lu_statements(s):
+    """A dying X'X that the LU must copy: in a 256-block pool a
+    736 x 736 X'X is stored on 128-wide tiles, the factor's are 64."""
+    g = np.random.default_rng(14)
+    x = s.matrix(g.standard_normal((800, 736)), name="X")
+    y = s.vector(g.standard_normal(736), name="v")
+    yield Solve(Crossprod(x.node), y.node)
+
+
+WORKLOADS = {
+    "ols": ({}, 32, [True], ols_statements),
+    "inverse": ({}, 32, [True], inverse_statements),
+    "ols_pread": ({"backend": "pread"}, 32, [True], ols_statements),
+    "ols_zstd": ({"backend": "pread", "codec": "zstd"}, 32, [True],
+                 ols_statements),
+    "chain_mmap": ({"backend": "mmap"}, 64, [], chain_statements),
+    "sparse_chain": ({"backend": "pread"}, 16, [], sparse_statements),
+    "vector_stream": ({}, 32, [], vector_statements),
+    "lu_copied": ({}, 256, [False], copied_lu_statements),
+}
+
+
 class TestDroppedExactlyOnce:
-    @pytest.mark.parametrize("name", ["ols", "inverse"])
+    @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_each_intermediate_is_dropped_once(self, name):
-        """A ``TiledMatrix.drop`` spy over a statement whose LU factors
-        X'X in place: every stored intermediate is dropped exactly once
-        (the kernel owns the one it factors, the evaluator releases
-        the rest), and no input, result or kernel temporary twice."""
-        s = session(2, mem_blocks=32)
-        root = STATEMENTS[name](s)
-        assert [op.in_place for op in lu_ops(s.plan(root))] == [True]
-        inputs = [op.node.data for op in s.plan(root).ops()
-                  if isinstance(op, LeafOp)]
-        dropped = []
-        drop = TiledMatrix.drop
-
-        def spy(mat):
-            dropped.append(mat)
-            drop(mat)
-
-        with mock.patch.object(TiledMatrix, "drop", spy):
-            _, out, made = run_recording(s, root)
+        """A drop spy on every stored array kind: every stored
+        intermediate is dropped exactly once, no input or result ever,
+        and nothing (a kernel temporary, a dense twin) twice."""
+        storage, mem_blocks, in_place, statements = WORKLOADS[name]
+        patches, dropped = drop_spy()
+        made, kept, inputs, factored = [], [], [], []
+        with session(2, mem_blocks, **storage) as s, patches:
+            steps = statements(s)
+            root = next(steps)
+            while True:
+                plan, out, values = run_recording(s, root)
+                made += values
+                kept.append(out)
+                inputs += [op.node.data for op in plan.ops()
+                           if isinstance(op, LeafOp)]
+                factored += [op.in_place for op in lu_ops(plan)]
+                try:
+                    root = steps.send(out)
+                except StopIteration:
+                    break
+        assert factored == in_place
 
         def drops(value):
             return sum(d is value for d in dropped)
 
-        assert made and all(drops(v) == (v is not out) for v, _ in made)
-        assert [drops(v) for v in inputs] == [0] * len(inputs)
+        assert made and all(
+            drops(v) == (not any(v is k for k in kept)) for v, _ in made)
+        assert [drops(v) for v in inputs + kept] == [0] * len(
+            inputs + kept)
         assert all(drops(d) == 1 for d in dropped)
 
 
