@@ -18,19 +18,21 @@ they happen, not as wrong counts or wrong numbers later:
 - :mod:`repro.analysis.sanitizers` — :class:`SanitizingBufferPool`,
   an ASAN-style pool wrapper (``StorageConfig(sanitize=True)`` or
   ``REPRO_SANITIZE=1``) catching unannounced reads inside kernel
-  spans, write-back leaks, accesses to blocks of dropped arrays and
-  frames that keep too much memory alive.
+  spans, write-back leaks, accesses to blocks of dropped arrays,
+  arrays dropped twice and frames that keep too much memory alive.
 """
 
 from .lint import ALL_RULES, Finding, lint_file, run_lint
 from .planlint import PlanVerificationError, verify_plan
-from .sanitizers import (RetentionError, SanitizerError,
-                         SanitizingBufferPool, UnannouncedReadError,
-                         UseAfterDropError, WritebackLeakError)
+from .sanitizers import (DoubleDropError, RetentionError,
+                         SanitizerError, SanitizingBufferPool,
+                         UnannouncedReadError, UseAfterDropError,
+                         WritebackLeakError)
 
 __all__ = [
     "ALL_RULES", "Finding", "lint_file", "run_lint",
     "PlanVerificationError", "verify_plan",
     "SanitizerError", "SanitizingBufferPool", "UnannouncedReadError",
-    "WritebackLeakError", "UseAfterDropError", "RetentionError",
+    "WritebackLeakError", "UseAfterDropError", "DoubleDropError",
+    "RetentionError",
 ]

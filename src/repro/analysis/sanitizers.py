@@ -32,7 +32,13 @@ Detected hazards:
   ``PageFile.drop`` frees it).  Device block ids are never reused, so
   such an access can only be a stale reference: the evaluator dropping
   an intermediate before its last reader, or a kernel reading an
-  operand it factored in place and freed.
+  operand it factored in place after releasing it.
+- **Double drop** (:class:`DoubleDropError`): a second ``drop`` of a
+  ``TiledMatrix``, ``TiledVector`` or ``SparseTiledMatrix``.  Only the
+  evaluator drops a value a plan computes, once, at its release point
+  (kernels drop only what they created), so a second drop is a second
+  owner.  Unsanitized it is a no-op that touches neither the pool nor
+  the device.
 - **Over-retention** (:class:`RetentionError`): a pool call ends with
   its frames keeping more than ``pool.retention_limit`` bytes alive.
   A frame is a row of the buffer a device read filled or a
@@ -74,6 +80,10 @@ class UseAfterDropError(SanitizerError):
 
 class RetentionError(SanitizerError):
     """Frames keep more memory alive than the pool's bound allows."""
+
+
+class DoubleDropError(SanitizerError):
+    """An array was dropped a second time."""
 
 
 class _ThreadState(threading.local):
@@ -193,6 +203,13 @@ class SanitizingBufferPool(BufferPool):
         super().discard(block_ids)
         with self.lock:
             self._dropped.update(block_ids)
+
+    def dropped_twice(self, name: str) -> None:
+        """A dropped array's ``drop`` ran again (the store calls this
+        in place of freeing anything)."""
+        raise DoubleDropError(
+            f"array {name!r} dropped twice; every stored value has "
+            f"one owner, which drops it exactly once")
 
     def prefetch(self, block_ids: list[int]) -> int:
         self._check_live(block_ids, "prefetch()")

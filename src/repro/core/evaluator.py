@@ -42,6 +42,7 @@ What the operators do, following §5:
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -158,7 +159,15 @@ class Evaluator:
             try:
                 for op in plan.ops():
                     self._keep(op, self._measured_op(op, memo), memo)
-                    self._release(op, memo)
+                    for node in op.releases:
+                        self._drop(node, memo)
+            except BaseException:
+                # A failed execution keeps nothing it computed.
+                for op in plan.ops():
+                    if not isinstance(op, (LeafOp, ScalarOp)):
+                        for node in op.nodes:
+                            self._drop(node, memo)
+                raise
             finally:
                 self._drop_transients()
             if cold:
@@ -167,16 +176,18 @@ class Evaluator:
         return memo[id(plan.root.node)]
 
     @staticmethod
-    def _release(op: PhysOp, memo: dict[int, object]) -> None:
-        """Drop the stored values of the nodes ``op`` is the last
-        reader of (``op.releases``, set by the planner).  A dropped
-        matrix discards its dirty frames unwritten; one the kernel
-        already dropped at its read (:meth:`_drop_at_read`) is gone
-        from the memo."""
-        for node in op.releases:
-            drop = getattr(memo.pop(id(node), None), "drop", None)
-            if drop is not None:
-                drop()
+    def _drop(node: Node, memo: dict[int, object]) -> None:
+        """The one place a value the plan computed is dropped: it
+        leaves the memo, and a stored one is dropped, discarding its
+        dirty frames unwritten.  A second call for the same node finds
+        nothing, so each value is dropped once: after the operator
+        that releases it (``op.releases``, set by the planner), or
+        inside that operator once its kernel holds the last of it in
+        memory — a dying right-hand side at its read, an LU's operand
+        through ``release`` — or when the execution fails."""
+        drop = getattr(memo.pop(id(node), None), "drop", None)
+        if drop is not None:
+            drop()
 
     def _drop_transients(self) -> None:
         """End of an execution: drop its dense twins and coerced
@@ -378,15 +389,19 @@ class Evaluator:
         A vector B rides whole; a matrix B is read one memory-sized
         column panel at a time, so a wide B (e.g. a rewritten
         ``inv(A) %*% B`` with matrix B) respects the same budget the
-        factorization does.  A B that dies here is dropped as soon as
-        its last column is in memory, not after the operator: its
-        frames then never compete with the factor's.
+        factorization does.  A B that dies here (released here, and
+        not also A) is dropped as soon as its last column is in
+        memory, not after the operator: its frames then never compete
+        with the factor's.  An A factored in place is dropped where the
+        kernel calls ``release``.
         """
         from repro.linalg.solve import lu_solve, lu_solve_panels
         node = op.node
         a_node, b_node = node.children
-        a = self._factored_operand(op, memo)
+        a, release = self._lu_operand(op, memo)
         b = self._densified(self._input(b_node, memo))
+        b_dies = (b_node is not a_node
+                  and any(b_node is r for r in op.releases))
         n = node.shape[0]
         if node.ndim == 2:
             k = node.shape[1]
@@ -394,43 +409,29 @@ class Evaluator:
 
             def rhs_panel(j0: int, j1: int) -> np.ndarray:
                 cols = b_mat.read_submatrix(0, n, j0, j1)
-                if j1 == k:
-                    self._drop_at_read(op, b_node, memo)
+                if j1 == k and b_dies:
+                    self._drop(b_node, memo)
                 return cols
 
             return lu_solve_panels(
                 self.store, a, k, self.memory_scalars, rhs_panel,
-                overwrite_a=op.in_place)
+                release=release)
         rhs = (b.to_numpy() if hasattr(b, "to_numpy")
                else np.asarray(b, dtype=np.float64))
-        self._drop_at_read(op, b_node, memo)
+        if b_dies:
+            self._drop(b_node, memo)
         return self.store.vector_from_numpy(lu_solve(
             self.store, a, rhs.ravel(), self.memory_scalars,
-            overwrite_a=op.in_place))
+            release=release))
 
-    def _factored_operand(self, op: LUSolveOp | InverseOp,
-                          memo: dict[int, object]) -> TiledMatrix:
-        """An LU's A.  Factored in place it is the kernel's to drop, so
-        it leaves the memo now and :meth:`_release` skips it."""
+    def _lu_operand(self, op: LUSolveOp | InverseOp,
+                    memo: dict[int, object]):
+        """An LU's A, with the ``release`` that drops it (through
+        :meth:`_drop`) when it dies in the factorization
+        (``op.in_place``), else ``None``."""
         node = op.node.children[0]
-        a = self._as_tiled_matrix(self._input(node, memo))
-        if op.in_place:
-            del memo[id(node)]
-        return a
-
-    @staticmethod
-    def _drop_at_read(op: PhysOp, node: Node,
-                      memo: dict[int, object]) -> None:
-        """Drop an operand ``op`` releases as soon as its kernel holds
-        it in memory, before the operator ends.  The release point the
-        plan states does not move; the value just leaves the memo
-        early, so :meth:`_release` finds it gone and drops it once.  An
-        operand that is also another input of ``op`` stays."""
-        if (any(node is r for r in op.releases)
-                and sum(c is node for c in op.node.children) == 1):
-            drop = getattr(memo.pop(id(node)), "drop", None)
-            if drop is not None:
-                drop()
+        return (self._as_tiled_matrix(self._input(node, memo)),
+                partial(self._drop, node, memo) if op.in_place else None)
 
     def _run_inverse(self, op: InverseOp,
                      memo: dict[int, object]) -> TiledMatrix:
@@ -442,11 +443,10 @@ class Evaluator:
         """
         from repro.linalg.solve import lu_solve_panels
         n = op.node.shape[0]
-        a = self._factored_operand(op, memo)
+        a, release = self._lu_operand(op, memo)
         return lu_solve_panels(
             self.store, a, n, self.memory_scalars,
-            lambda j0, j1: np.eye(n, j1 - j0, k=-j0),
-            overwrite_a=op.in_place)
+            lambda j0, j1: np.eye(n, j1 - j0, k=-j0), release=release)
 
     # ------------------------------------------------------------------
     # Elementwise regions: one tape, three drivers

@@ -234,7 +234,7 @@ class RiotSession:
         return RiotMatrix(self, ArrayInput(stored, name=stored.name))
 
     def stored_names(self) -> list[str]:
-        """Names of arrays reachable in the store (live + persisted)."""
+        """Names of the store's live arrays (a dropped one is gone)."""
         return self.store.stored_names()
 
     def close(self) -> None:

@@ -155,14 +155,15 @@ def _schedule(store: ArrayStore, a: TiledMatrix,
 
 
 def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
-            name: str | None = None, overwrite_a: bool = False,
-            rhs: np.ndarray | None = None
-            ) -> tuple[TiledMatrix, np.ndarray]:
-    """Factor ``a`` into a packed L\\U working factor; returns it with
-    the row permutation as an in-memory array.  The one factor routine
-    behind :func:`lu_decompose` and the solves: ``rhs`` (``(n,)`` or
-    ``(n, k)``, float64) rides along and leaves as ``L^-1 P rhs``,
-    updated in place.  Arguments and errors as in :func:`lu_decompose`.
+            name: str | None = None, release=None,
+            rhs: np.ndarray | None = None):
+    """Factor ``a`` into a packed L\\U working factor; returns it, the
+    row permutation as an in-memory array, and the callable that lets
+    the factor go — its drop for a copy, ``release`` for ``a`` factored
+    in place.  The one factor routine behind :func:`lu_decompose` and
+    the solves: ``rhs`` (``(n,)`` or ``(n, k)``, float64) rides along
+    and leaves as ``L^-1 P rhs``, updated in place.  Arguments and
+    errors as in :func:`lu_decompose`.
     """
     n1, n2 = a.shape
     if n1 != n2:
@@ -170,11 +171,11 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
     n = n1
     plan = _schedule(store, a, memory_scalars)
     side = plan.tile
-    if overwrite_a and lu_in_place(
+    if release is not None and lu_in_place(
             n, a.tile_shape, plan.memory,
             store.device.block_size // a.dtype.itemsize,
             store.pool.capacity):
-        out = a
+        out, free = a, release
     else:
         out = store.create_matrix((n, n), tile_shape=(side, side),
                                   name=name, dtype=a.dtype)
@@ -184,8 +185,9 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
             for c0, c1 in cuts(n, max(a.tile_shape[1], side)):
                 out.write_submatrix(r0, c0,
                                     a.read_submatrix(r0, r1, c0, c1))
-        if overwrite_a:     # handed over, so dropped either way
-            a.drop()
+        free = out.drop
+        if release is not None:     # A dies here, and is copied
+            release()
     perm = np.arange(n, dtype=np.int64)
     # The panel's other steps reuse its factored columns, its row order
     # and inv(L_kk).
@@ -217,15 +219,14 @@ def _factor(store: ArrayStore, a: TiledMatrix, memory_scalars: int | None,
     except SingularMatrixError:
         # A singular input is a catchable, retryable condition: free
         # the half-built working factor instead of leaking its pages.
-        out.drop()
+        free()
         raise
-    return out, perm
+    return out, perm, free
 
 
 def lu_decompose(store: ArrayStore, a: TiledMatrix,
                  memory_scalars: int | None = None,
-                 name: str | None = None,
-                 overwrite_a: bool = False) -> PackedLU:
+                 name: str | None = None, release=None) -> PackedLU:
     """Factor a square matrix into packed L\\U with partial pivoting.
 
     The input is copied (RIOT's pure-operator discipline: the old state
@@ -233,20 +234,21 @@ def lu_decompose(store: ArrayStore, a: TiledMatrix,
     is :func:`repro.core.costs.lu_tile_side` — the store's default when
     three tall panels of that width fit the budget, smaller when not —
     and the permutation is stored alongside the factor.  A is copied
-    unless the plan proves it dead: ``overwrite_a`` says nothing reads
-    A after this call, and then A's own tiles are factored, with no
-    copy, whenever they are laid out as the working factor would be
+    unless the plan proves it dead: passing ``release`` says A dies in
+    this call, and then A's own tiles are factored, with no copy,
+    whenever they are laid out as the working factor would be
     (:func:`repro.core.costs.lu_in_place`); the packed factor is then
-    A itself, and A's old values are gone.  Either way ``overwrite_a``
-    hands A over: where its tiles are not laid out so, A is dropped
-    once copied, so the caller never drops it.  Raises
+    A itself, and A's old values are gone.  The kernel never drops A:
+    it calls ``release()`` — which drops A for its owner — once A is
+    copied, or, factored in place, only if the factorization fails
+    (else the factor it returns is A).  Raises
     :class:`ValueError` when the memory budget cannot hold even the
     minimum tall panel (one one-page tile column of full height,
     ``3 * n * tile_side`` scalars) — the budget is honored, never
     silently exceeded — and :class:`SingularMatrixError` on an exactly
     singular input.
     """
-    out, perm = _factor(store, a, memory_scalars, name, overwrite_a)
+    out, perm, _ = _factor(store, a, memory_scalars, name, release)
     perm_vec = store.vector_from_numpy(perm.astype(np.float64),
                                        name=f"{out.name}_perm")
     return PackedLU(packed=out, perm=perm_vec)

@@ -92,25 +92,25 @@ def _substitute(packed: TiledMatrix, perm: np.ndarray, b: np.ndarray,
 
 
 def _factor_carrying(store: ArrayStore, a: TiledMatrix, rhs: np.ndarray,
-                     memory_scalars: int | None, overwrite_a: bool
-                     ) -> tuple[TiledMatrix, np.ndarray, np.ndarray]:
+                     memory_scalars: int | None, release):
     """Factor ``a`` with ``rhs`` riding along, then run the backward
-    sweep: returns the working factor, the permutation and the
-    solution for ``rhs``.  The caller drops the factor."""
+    sweep: returns the working factor, the permutation, the solution
+    for ``rhs`` and the callable that lets the factor go, which the
+    caller calls once."""
     y = np.array(rhs, dtype=np.float64)
-    factor, perm = _factor(store, a, memory_scalars,
-                           overwrite_a=overwrite_a, rhs=y)
+    factor, perm, free = _factor(store, a, memory_scalars,
+                                 release=release, rhs=y)
     try:
         return factor, perm, backward_substitute(
-            factor, y, memory_scalars=memory_scalars)
+            factor, y, memory_scalars=memory_scalars), free
     except BaseException:
-        factor.drop()
+        free()
         raise
 
 
 def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
                     memory_scalars: int, rhs_panel,
-                    overwrite_a: bool = False) -> TiledMatrix:
+                    release=None) -> TiledMatrix:
     """Solve ``A X = B`` for an ``n x k`` right-hand side that is never
     whole in memory, into a stored result.
 
@@ -120,19 +120,19 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
     schedule's ``rhs_panels`` on the result's tile width.
     The first panel is read before ``a`` is factored and rides through
     the factorization (:func:`lu_solve`); each later one is permuted
-    and substituted against the one factor.  ``overwrite_a`` says
-    nothing reads A afterwards, so the factorization may overwrite it
-    (:func:`repro.linalg.lu.lu_decompose`) and A is the kernel's to
-    drop: factored in place, with the factor on return, else once
-    copied.
+    and substituted against the one factor.  Passing ``release`` says A
+    dies in this call, so the factorization may overwrite it
+    (:func:`repro.linalg.lu.lu_decompose`).  The kernel calls it once:
+    after the copy, for a copied factor; where it lets the factor go,
+    for A factored in place; or when the factorization fails.
     """
     n = a.shape[0]
     _, tile_w = tile_shape_for_layout("square", (n, k),
                                       store.storage.block_scalars,
                                       store.pool.capacity)
     first, *rest = _schedule(store, a, memory_scalars).rhs_panels(k, tile_w)
-    factor, perm, x = _factor_carrying(
-        store, a, rhs_panel(*first), memory_scalars, overwrite_a)
+    factor, perm, x, free = _factor_carrying(
+        store, a, rhs_panel(*first), memory_scalars, release)
     out = store.create_matrix((n, k), layout="square")
     done = first[0]
     try:
@@ -142,7 +142,7 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
                             memory_scalars)
             done = j0
     finally:
-        factor.drop()
+        free()
     # The last panel is written once the factor's frames are free.
     out.write_submatrix(0, done, x)
     return out
@@ -150,17 +150,17 @@ def lu_solve_panels(store: ArrayStore, a: TiledMatrix, k: int,
 
 def lu_solve(store: ArrayStore, a: TiledMatrix, b: np.ndarray,
              memory_scalars: int | None = None,
-             overwrite_a: bool = False) -> np.ndarray:
+             release=None) -> np.ndarray:
     """Solve ``A x = b`` by pivoted out-of-core LU with ``b`` riding
     along, then one blocked backward sweep.
 
     Partial pivoting makes this correct for every nonsingular system —
     no diagonal-dominance assumption; an exactly singular ``a`` raises
     :class:`repro.linalg.lu.SingularMatrixError`.  ``b`` may be
-    ``(n,)`` or ``(n, k)``.  ``overwrite_a`` as in
+    ``(n,)`` or ``(n, k)``.  ``release`` as in
     :func:`lu_solve_panels`.
     """
-    factor, _, x = _factor_carrying(store, a, b, memory_scalars,
-                                    overwrite_a)
-    factor.drop()
+    _, _, x, free = _factor_carrying(store, a, b, memory_scalars,
+                                     release)
+    free()
     return x

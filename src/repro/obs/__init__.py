@@ -9,7 +9,7 @@ for the design notes.
 from .calibration import (CALIBRATION_BAND, CALIBRATION_SCHEMA_VERSION,
                           MIN_PREDICTED_BLOCKS, CalibrationReport,
                           ModelCalibration)
-from .metrics import Counter, Gauge, MetricsRegistry
+from .metrics import MetricsRegistry
 from .tracer import (DEFAULT_CAPACITY, NULL_TRACER, SPAN_CATEGORIES,
                      Span, Tracer)
 
@@ -19,8 +19,6 @@ __all__ = [
     "MIN_PREDICTED_BLOCKS",
     "CalibrationReport",
     "ModelCalibration",
-    "Counter",
-    "Gauge",
     "MetricsRegistry",
     "DEFAULT_CAPACITY",
     "NULL_TRACER",

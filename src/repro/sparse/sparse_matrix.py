@@ -119,6 +119,9 @@ class SparseTiledMatrix:
     reader finds a tile through the directory, never by position.
     """
 
+    #: Set by the first :meth:`drop`.
+    dropped = False
+
     def __init__(self, store: ArrayStore, name: str,
                  shape: tuple[int, int], tile_shape: tuple[int, int],
                  linearization: str | Linearization = "row") -> None:
@@ -409,6 +412,10 @@ class SparseTiledMatrix:
         return out
 
     def drop(self) -> None:
+        """Free the matrix's blocks; a second drop frees nothing
+        (:meth:`~repro.storage.tile_store.ArrayStore._forget`)."""
+        if not self.store._forget(self):
+            return
         self.store.pool.discard(self.file.page_map)
         self.file.drop()
         self.directory.clear()

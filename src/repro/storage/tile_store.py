@@ -159,6 +159,9 @@ def tile_shape_for_layout(layout: str, shape: tuple[int, int],
 class TiledVector:
     """A 1-D array stored as fixed-size chunks of float64 values."""
 
+    #: Set by the first :meth:`drop`.
+    dropped = False
+
     def __init__(self, store: "ArrayStore", name: str, length: int,
                  chunk: int) -> None:
         if length < 0:
@@ -382,8 +385,11 @@ class TiledVector:
         return self
 
     def drop(self) -> None:
-        self.store.pool.discard(self.file.page_map)
-        self.file.drop()
+        """Free the vector's blocks and leave the store; a second drop
+        frees nothing (:meth:`ArrayStore._forget`)."""
+        if self.store._forget(self):
+            self.store.pool.discard(self.file.page_map)
+            self.file.drop()
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi <= self.length:
@@ -423,6 +429,9 @@ class TiledMatrix:
     is decoded from its pages on each read, and none is kept decoded
     after it.  :meth:`drop` discards pending tiles unencoded.
     """
+
+    #: Set by the first :meth:`drop`.
+    dropped = False
 
     def __init__(self, store: "ArrayStore", name: str,
                  shape: tuple[int, int], tile_shape: tuple[int, int],
@@ -890,6 +899,10 @@ class TiledMatrix:
         return self
 
     def drop(self) -> None:
+        """Free the matrix's blocks and leave the store; a second drop
+        frees nothing (:meth:`ArrayStore._forget`)."""
+        if not self.store._forget(self):
+            return
         # Pending tiles go first, unencoded: none may spill into the
         # blocks the pool is about to forget.
         self.store.tile_cache.invalidate_matrix(self.name)
@@ -1125,6 +1138,23 @@ class ArrayStore:
             self._arrays[array.name] = array
         return array
 
+    def _forget(self, array) -> bool:
+        """Mark ``array`` dropped and take it out of the store — its
+        name and, if it was persisted, its manifest entry — before its
+        blocks are freed.  False when it was dropped already: a second
+        drop frees nothing, and under the sanitizer raises
+        :class:`~repro.analysis.sanitizers.DoubleDropError`."""
+        if array.dropped:
+            if self.storage.sanitize:
+                self.pool.dropped_twice(array.name)
+            return False
+        array.dropped = True
+        with self._names_lock:
+            if self._arrays.get(array.name) is array:
+                del self._arrays[array.name]
+                getattr(self.device, "manifest", {}).pop(array.name, None)
+        return True
+
     # ------------------------------------------------------------------
     def create_vector(self, length: int, chunk: int | None = None,
                       name: str | None = None) -> TiledVector:
@@ -1181,8 +1211,6 @@ class ArrayStore:
     def _build_manifest(self) -> dict:
         entries: dict[str, dict] = {}
         for name, arr in self._arrays.items():
-            if not arr.file.num_pages:
-                continue  # dropped
             if isinstance(arr, TiledVector):
                 entries[name] = {
                     "kind": "vector", "length": arr.length,
@@ -1200,7 +1228,9 @@ class ArrayStore:
         return entries
 
     def stored_names(self) -> list[str]:
-        """Array names reachable in this store (live + persisted)."""
+        """Names of the live arrays in this store: those made or
+        opened here and not dropped, and those persisted by an earlier
+        session.  A dropped array leaves both."""
         names = set(self._arrays)
         names.update(getattr(self.device, "manifest", {}))
         return sorted(names)

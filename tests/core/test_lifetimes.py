@@ -47,7 +47,8 @@ from repro.core.plan import (InverseOp, LeafOp, LUSolveOp,
 from repro.core.planner import Planner
 from repro.linalg import solve as solve_module
 from repro.sparse import SparseTiledMatrix
-from repro.storage import StorageConfig, TiledMatrix, TiledVector
+from repro.storage import (ArrayStore, StorageConfig, TiledMatrix,
+                           TiledVector)
 
 BLOCK = 8192
 
@@ -93,14 +94,15 @@ STATEMENTS = {"ols": ols, "chain": chain, "inverse": inverse,
               "vectors": vectors}
 
 
-def run_recording(s, root):
+def run_recording(s, root, made=None):
     """Execute ``root``'s plan; returns ``(plan, result, made)`` with
     ``made`` every stored value an operator other than a leaf
-    returned, and the device blocks it held when it was returned."""
+    returned, and the device blocks it held when it was returned.
+    A ``made`` list handed in is filled even if the execution raises."""
     plan = s.plan(root)
     ev = s.evaluator
     dispatch = ev._dispatch_op
-    made = []
+    made = [] if made is None else made
 
     def run_op(op, memo):
         value = dispatch(op, memo)
@@ -301,6 +303,83 @@ class TestDroppedExactlyOnce:
         assert [drops(v) for v in inputs + kept] == [0] * len(
             inputs + kept)
         assert all(drops(d) == 1 for d in dropped)
+
+    def test_a_failed_execution_drops_what_it_computed(self):
+        """``(t(Z) %*% V) %*% solve(crossprod(X), t(X) %*% y)`` with a
+        zero column in X: the LU raises, after ``t(Z) %*% V`` is
+        stored.  Every value an operator computed is dropped once all
+        the same, and only the inputs are left in the store."""
+        from repro.linalg import SingularMatrixError
+        s = session(2, mem_blocks=32)
+        x_np = integers(1, (300, 96))
+        x_np[:, 5] = 0.0
+        x, y = s.matrix(x_np, name="X"), s.matrix(integers(2, (300, 1)),
+                                                   name="y")
+        z, v = (s.matrix(integers(seed, (300, cols)), name=name)
+                for seed, cols, name in ((3, 40, "Z"), (4, 96, "V")))
+        root = (z.T @ v) @ s.solve(x.T @ x, x.T @ y)
+        [lu] = lu_ops(s.plan(root.node))
+        assert lu.in_place
+        patches, dropped = drop_spy()
+        made = []
+        with patches, pytest.raises(SingularMatrixError):
+            run_recording(s, root.node, made)
+        assert len(made) == 3  # t(Z) %*% V, X'X and X'y
+        assert [sum(d is v for d in dropped) for v, _ in made] == [1] * 3
+        assert all(sum(d is v for d in dropped) == 1 for v in dropped)
+        assert s.stored_names() == ["V", "X", "Z", "y"]
+
+    def test_dropped_arrays_leave_the_store(self, tmp_path):
+        """A chain's dropped intermediate is no longer a stored name,
+        cannot be opened, and no longer weighs in the codec estimate;
+        a persisted array dropped after reopening leaves the
+        manifest."""
+        s = session(2, mem_blocks=24, codec="zstd")
+        _, out, made = run_recording(s, chain(s))
+        [(mid, _)] = [(v, p) for v, p in made if v is not out]
+        assert s.stored_names() == sorted(["A", "B", "C", out.name])
+        with pytest.raises(KeyError):
+            s.store.open_matrix(mid.name)
+        assert all(a is not mid for a in s.store._arrays.values())
+        cfg = StorageConfig(backend="mmap", path=tmp_path / "r.db",
+                            memory_bytes=16 * BLOCK, block_size=BLOCK)
+        with ArrayStore(cfg) as store:
+            store.matrix_from_numpy(np.ones((40, 40)), name="M")
+            store.vector_from_numpy(np.ones(100), name="v")
+        with ArrayStore(cfg) as store:
+            store.open_matrix("M").drop()
+            assert store.stored_names() == ["v"]
+            with pytest.raises(KeyError):
+                store.open_matrix("M")
+        with ArrayStore(cfg) as store:
+            assert store.stored_names() == ["v"]
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector", "sparse"])
+    def test_a_second_drop(self, kind):
+        """Plain, a second drop frees nothing: neither the pool nor the
+        device is called.  Sanitized, it raises ``DoubleDropError``
+        naming the array."""
+        from repro.analysis.sanitizers import DoubleDropError
+
+        def dropped_once(sanitize):
+            s = session(2, mem_blocks=16, sanitize=sanitize)
+            value = {"matrix": lambda: s.store.matrix_from_numpy(
+                         np.ones((40, 40)), name="twice"),
+                     "vector": lambda: s.store.vector_from_numpy(
+                         np.ones(3000), name="twice"),
+                     "sparse": lambda: SparseTiledMatrix.from_dense(
+                         s.store, np.eye(40), name="twice")}[kind]()
+            value.drop()
+            return s, value
+
+        s, value = dropped_once(False)
+        with mock.patch.object(s.store.pool, "discard") as discard, \
+                mock.patch.object(s.store.device, "free") as free:
+            value.drop()
+        assert not discard.called and not free.called
+        s, value = dropped_once(True)
+        with pytest.raises(DoubleDropError, match="twice"):
+            value.drop()
 
 
 class TestNeverDropped:

@@ -6,13 +6,14 @@ computed by the crossprod's operator on its diagonal passes, so X is
 scanned once for both (``Planner._pair_side_products``).  These tests
 pin what that may and may not change:
 
-- results are bitwise those of the unshared plan (``fuse_epilogues=
-  False``) and of level 0 — inputs are integer-valued, so every path
-  that computes the same products gets the same bits — and a cold
-  run writes at most the side products' pages more: every
-  intermediate is dropped after its last reader,
-  so a write is a dirty frame evicted while its value is alive, and
-  sharing computes the side products earlier;
+- results are bitwise those of the unfused plan (``fuse_epilogues=
+  False``), of level 0 and of the same plan with sharing turned off —
+  inputs are integer-valued, so every path that computes the same
+  products gets the same bits — and a cold run writes at most the
+  side products' pages more than the plan with sharing turned off:
+  every intermediate is dropped after its last reader, so a write is
+  a dirty frame evicted while its value is alive, and sharing
+  computes the side products earlier;
 - with X far larger than the pool the shared operator reads exactly
   the crossprod's blocks plus B once per diagonal region, and the run
   saves at least the X scan of the separate flagged multiply.  Not
@@ -29,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_plan
@@ -38,6 +39,7 @@ from repro.core import (Crossprod, Map, MatMul, OptimizerConfig,
 from repro.core.costs import crossprod_schedule, crossprod_side_fits
 from repro.core.plan import (CrossprodOp, FusedEpilogueOp, LUSolveOp,
                              MapOp, TileMatMulOp)
+from repro.core.planner import Planner
 from repro.storage import StorageConfig
 
 BLOCK = 1024  # scalars per 8 KiB block; pools below 256 blocks -> 32
@@ -137,40 +139,53 @@ def oracle(x_np, b_nps, nested=False):
        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
        mem_blocks=st.integers(10, 60),
        seed=st.integers(0, 2 ** 16), nested=st.booleans())
+@example(cols=50, extra=30, widths=[1, 22, 40], mem_blocks=12, seed=0,
+         nested=True)
 @settings(max_examples=15, deadline=None)
 def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
                                              mem_blocks, seed, nested):
     """Tall X ragged against the 32-wide tile, one to three side
     products, budgets on both sides of the fit threshold; levels
-    0 / 1 / 2 against the unshared plan.
+    0 / 1 / 2 against the unfused plan, and level 1 against itself
+    with sharing alone turned off.
 
     Writes depend on which values are alive when the pool evicts, so
     the shared plan may write fewer blocks (the separate multiply's
     scan of X no longer evicts X'X) or more, but never more than the
     side products' own pages (one per 32 x 32 tile) beyond the
-    unshared plan's."""
+    unshared plan's.  The unfused plan is no reference for writes:
+    it also stores each inner sum of a nested ``+`` chain (the
+    example draw: shared 22 blocks, sharing off 16, unfused 14, six
+    side pages)."""
     rows = cols + extra
     g = np.random.default_rng(seed)
     x_np = integers(g, (rows, cols))
     b_nps = [integers(g, (rows, w)) for w in widths]
     mem = mem_blocks * BLOCK
 
-    runs = {}
-    for level, fuse in ((1, False), (1, None), (0, None), (2, None)):
+    def run(level, fuse=None):
         s = session(mem_blocks, level, fuse)
         x, root = normal_equations(s, x_np, b_nps, nested)
-        runs[level, fuse] = run_cold(s, root, s.force(x))
-        verify_plan(runs[level, fuse][1], s.storage)
+        result = run_cold(s, root, s.force(x))
+        verify_plan(result[1], s.storage)
+        return result
 
-    ref, unshared, reads, writes, _ = runs[1, False]
-    assert not shared_sides(unshared)
+    runs = {(level, fuse): run(level, fuse) for level, fuse in
+            ((1, False), (1, None), (0, None), (2, None))}
+    with mock.patch.object(Planner, "_pair_side_products",
+                           lambda planner, root: None):
+        runs[1, "unshared"] = run(1)
+
+    ref, unfused, *_ = runs[1, False]
+    _, unshared, reads, writes, x_reads = runs[1, "unshared"]
+    assert not shared_sides(unfused) and not shared_sides(unshared)
     assert np.allclose(ref, oracle(x_np, b_nps, nested))
     for key, (values, plan, *_) in runs.items():
         assert np.array_equal(values, ref), key
         if key[0] == 0:
             assert not shared_sides(plan)
-    # Level 1 makes every other choice by heuristic, so the two plans
-    # differ by the shared scan alone.
+    # The same level-1 plan without sharing differs by the shared scan
+    # alone.
     _, plan, s_reads, s_writes, s_x = runs[1, None]
     taken = sum(n.shape[1] for n in shared_sides(plan))
     assert crossprod_side_fits(mem, cols, 32, taken)
@@ -180,15 +195,16 @@ def test_sharing_changes_no_bit_and_no_write(cols, extra, widths,
         left.remove(n.shape[1])
     assert not any(crossprod_side_fits(mem, cols, 32, taken + w)
                    for w in left)
-    inner_sums = map_ops(unshared) - map_ops(plan)
-    assert inner_sums == (max(len(widths) - 2, 0) if nested else 0)
+    assert map_ops(unfused) - map_ops(plan) == (
+        max(len(widths) - 2, 0) if nested else 0)
+    assert map_ops(unshared) == map_ops(plan)
     side_pages = sum(math.ceil(cols / 32) * math.ceil(n.shape[1] / 32)
                      for n in shared_sides(plan))
     assert s_writes <= writes + side_pages
     if not left:
         assert s_x == 0  # no flagged multiply left to scan X
-    if not taken and not inner_sums:
-        assert (s_reads, s_x) == (reads, runs[1, False][4])
+    if not taken:
+        assert (s_reads, s_writes, s_x) == (reads, writes, x_reads)
 
 
 @pytest.mark.parametrize("rows,cols,mem_blocks", [

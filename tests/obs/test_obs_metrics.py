@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges, sources, session wiring."""
+"""MetricsRegistry: sources and session wiring."""
 
 import json
 
@@ -12,23 +12,6 @@ from repro.storage import IOSTATS_SCHEMA_KEYS, POOL_SCHEMA_KEYS, \
 
 
 class TestRegistry:
-    def test_counter_monotonic(self):
-        reg = MetricsRegistry()
-        c = reg.counter("ops")
-        c.inc()
-        c.inc(4)
-        assert reg.snapshot()["ops"] == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-        assert reg.counter("ops") is c
-
-    def test_gauge_moves_both_ways(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(3.5)
-        g.set(1.0)
-        assert reg.snapshot()["depth"] == 1.0
-
     def test_sources_evaluated_at_snapshot_time(self):
         reg = MetricsRegistry()
         state = {"n": 1}
@@ -39,25 +22,19 @@ class TestRegistry:
 
     def test_name_collisions_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-        with pytest.raises(ValueError):
-            reg.register_source("x", dict)
         reg.register_source("src", dict)
         with pytest.raises(ValueError):
-            reg.counter("src")
+            reg.register_source("src", dict)
 
     def test_to_json_round_trips(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("hits").inc(7)
-        reg.gauge("ratio").set(0.5)
+        reg.register_source("hits", lambda: {"n": 7})
         reg.register_source("io", lambda: {"reads": 3})
         path = tmp_path / "metrics.json"
         text = reg.to_json(path)
         assert json.loads(text) == json.loads(path.read_text())
         assert json.loads(text) == {
-            "hits": 7, "ratio": 0.5, "io": {"reads": 3}}
+            "hits": {"n": 7}, "io": {"reads": 3}}
 
 
 class TestSessionMetrics:
