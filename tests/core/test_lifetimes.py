@@ -24,7 +24,11 @@ what that may and may not do:
   one execution only;
 - a right-hand side that dies at its solve is dropped as soon as the
   kernel holds it in memory — before the LU starts, for one that rides
-  along — exactly once, and nothing touches it afterwards.
+  along — exactly once, and nothing touches it afterwards;
+- over the macro workloads' statements, every stored intermediate of
+  every array kind is dropped exactly once, also when an operator
+  raises, and a dropped array leaves the store; a second drop frees
+  nothing, and the sanitizer names it (``DoubleDropError``).
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.analysis import (PlanVerificationError, UseAfterDropError,
-                            verify_plan)
+from repro.analysis import (DoubleDropError, PlanVerificationError,
+                            UseAfterDropError, verify_plan)
 from repro.core import (ArrayInput, Crossprod, Inverse, MatMul,
                         OptimizerConfig, RiotSession, Solve)
 from repro.core import planner as planner_module
@@ -45,6 +49,7 @@ from repro.core.evaluator import Evaluator
 from repro.core.plan import (InverseOp, LeafOp, LUSolveOp,
                              SparseSpGEMMOp)
 from repro.core.planner import Planner
+from repro.linalg import SingularMatrixError
 from repro.linalg import solve as solve_module
 from repro.sparse import SparseTiledMatrix
 from repro.storage import (ArrayStore, StorageConfig, TiledMatrix,
@@ -309,7 +314,6 @@ class TestDroppedExactlyOnce:
         zero column in X: the LU raises, after ``t(Z) %*% V`` is
         stored.  Every value an operator computed is dropped once all
         the same, and only the inputs are left in the store."""
-        from repro.linalg import SingularMatrixError
         s = session(2, mem_blocks=32)
         x_np = integers(1, (300, 96))
         x_np[:, 5] = 0.0
@@ -359,8 +363,6 @@ class TestDroppedExactlyOnce:
         """Plain, a second drop frees nothing: neither the pool nor the
         device is called.  Sanitized, it raises ``DoubleDropError``
         naming the array."""
-        from repro.analysis.sanitizers import DoubleDropError
-
         def dropped_once(sanitize):
             s = session(2, mem_blocks=16, sanitize=sanitize)
             value = {"matrix": lambda: s.store.matrix_from_numpy(
