@@ -42,9 +42,10 @@ Detected hazards:
 - **Over-retention** (:class:`RetentionError`): a pool call ends with
   its frames keeping more than ``pool.retention_limit`` bytes alive.
   A frame is a row of the buffer a device read filled or a
-  ``put_many`` batch, and keeps all of it alive; the bytes are
-  recounted from the frames themselves after every call, not taken
-  from the pool's own running count.
+  ``put_many`` batch, and keeps all of it alive.  The pool's own
+  count (``_held``, kept by its ledger of buffers) is exact; the
+  sanitizer still recounts the bytes from the frames themselves after
+  every call, independently of that ledger.
 
 The sanitizer is thread-aware like the pool it wraps: span stacks are
 tracked per thread (each thread gets its own, so they need no lock),

@@ -119,10 +119,10 @@ class Evaluator:
         operator's own work the device and pool counters are sampled
         and the full deltas recorded — ``op.measured`` (IOStats:
         blocks, bytes, syscalls, read/write ns), ``op.pool_measured``
-        (PoolStats) and ``op.wall_ns``, with ``op.measured_io`` keeping
-        the plain block total ``session.explain()`` prints next to the
-        prediction.  When the store's tracer is enabled each op is also
-        bracketed in a span.
+        (PoolStats) and ``op.wall_ns``; ``op.measured_io``, the plain
+        block total ``session.explain()`` prints next to the
+        prediction, reads off ``op.measured``.  When the store's
+        tracer is enabled each op is also bracketed in a span.
 
         ``cold=True`` measures under the cost models' own assumptions
         (EXPLAIN ANALYZE semantics): the decoded-tile cache and the
@@ -146,7 +146,6 @@ class Evaluator:
             from repro.analysis.planlint import verify_plan
             verify_plan(plan, self.store.storage)
         for op in plan.ops():
-            op.measured_io = None
             op.measured = None
             op.pool_measured = None
             op.wall_ns = None
@@ -213,7 +212,6 @@ class Evaluator:
         _, io, pool, wall_ns = self._measured(self.store.flush)
         if root.measured is not None:
             root.measured = root.measured.merged(io)
-            root.measured_io = root.measured.total
         if root.pool_measured is not None:
             root.pool_measured = root.pool_measured.merged(pool)
         if root.wall_ns is not None:
@@ -246,7 +244,6 @@ class Evaluator:
 
         result, op.measured, op.pool_measured, op.wall_ns = \
             self._measured(work)
-        op.measured_io = op.measured.total
         return result
 
     def _dispatch_op(self, op: PhysOp, memo: dict[int, object]):

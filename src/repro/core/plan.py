@@ -142,8 +142,8 @@ class PhysOp:
 
     ``predicted_io`` covers this operator's *own* work in device
     blocks (reading its inputs, writing its output) — children are
-    costed by their own ops.  ``measured_io`` is filled in by the
-    evaluator: the device-block delta while this op ran.  Writes are
+    costed by their own ops.  ``measured_io`` is the device-block
+    delta the evaluator measured while this op ran.  Writes are
     attributed to the operator that triggered the device transfer, so
     a dirty block flushed during a later operator counts there; totals
     are exact, per-op splits are approximate.
@@ -165,8 +165,8 @@ class PhysOp:
     alone.  After execution the evaluator fills the full measurement
     trio: ``measured`` (an ``IOStats`` delta: blocks split seq/rand,
     bytes, syscalls, read/write ns), ``pool_measured`` (a ``PoolStats``
-    delta) and ``wall_ns``; ``measured_io`` stays the plain block total
-    for backward compatibility.  Operators run one at a time, so each
+    delta) and ``wall_ns``; ``measured_io`` reads the plain block total
+    off ``measured``.  Operators run one at a time, so each
     measurement is exclusive of every other operator's.
     """
 
@@ -189,10 +189,14 @@ class PhysOp:
         self.alternatives = list(alternatives or [])
         self.releases: tuple[Node, ...] = ()
         self.cost_inputs: dict[str, object] = {}
-        self.measured_io: int | None = None
         self.measured = None       # IOStats delta once executed
         self.pool_measured = None  # PoolStats delta once executed
         self.wall_ns: int | None = None
+
+    @property
+    def measured_io(self) -> int | None:
+        """Device blocks moved while this op ran, once executed."""
+        return None if self.measured is None else self.measured.total
 
     @property
     def nodes(self) -> tuple[Node, ...]:

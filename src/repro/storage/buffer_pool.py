@@ -17,20 +17,26 @@ only way to read ahead is an announced footprint: an operator that
 knows what it will read next calls :meth:`BufferPool.prefetch`, and the
 pool installs those blocks as clean frames.  The pool never guesses.
 
-Frames as runs
---------------
+Frames and the buffers they share
+---------------------------------
 
 A frame is one row of a buffer: the ``(length, block_size)`` array one
 coalesced device read filled, or the page batch :meth:`put_many` was
-handed (the pool adopts it rather than copying each page).  A frame
-therefore keeps its whole buffer alive, and a buffer only some of whose
-rows are still resident holds memory the pool no longer uses.  The pool
-bounds that: at the end of every public call, frames keep at most
+handed (the pool adopts it rather than copying each page), whole or as
+a slice of a larger array.  A frame therefore keeps its whole buffer
+(``frame.base``) alive, and a buffer only some of whose rows are still
+resident holds memory the pool no longer uses.  The pool keeps one
+ledger, from each buffer its frames are rows of to the resident blocks
+it holds and where each one's row sits in it.  Every install and every
+frame that leaves goes through the ledger, so ``_held`` — the bytes
+the frames keep alive, each buffer counted once — is exact by
+construction.  At the end of every public call frames keep at most
 :meth:`BufferPool.retention_limit` bytes alive — twice the capacity —
-and when they keep more, the surviving rows of every buffer less than
-half resident are copied out (:meth:`BufferPool._bound_retention`).  A
-frame handed out by :meth:`get` is copied out first, so the pool never
-moves memory a caller may be writing through.
+and when they keep more, the resident rows of every buffer the ledger
+shows less than half resident are copied out
+(:meth:`BufferPool._bound_retention`).  A frame handed out by
+:meth:`get` is copied out first, so the pool never moves memory a
+caller may be writing through.
 
 Batches evict and install in one pass: ``prefetch``, and ``get_many`` /
 ``put_many`` on blocks none of which is resident, make room for the
@@ -81,7 +87,6 @@ count.
 
 from __future__ import annotations
 
-import operator
 import threading
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
@@ -109,14 +114,8 @@ class LRUPolicy:
     def __init__(self) -> None:
         self._order: OrderedDict[int, None] = OrderedDict()
 
-    def on_access(self, key: int) -> None:
-        self._order.move_to_end(key)
-
     def on_access_many(self, keys: Iterable[int]) -> None:
         deque(map(self._order.move_to_end, keys), maxlen=0)
-
-    def on_insert(self, key: int) -> None:
-        self._order[key] = None
 
     def on_insert_many(self, keys: Iterable[int]) -> None:
         self._order.update(dict.fromkeys(keys))
@@ -124,14 +123,9 @@ class LRUPolicy:
     def on_remove(self, key: int) -> None:
         self._order.pop(key, None)
 
-    def choose_victim(self) -> int:
-        """Return the key of the frame to evict."""
-        return next(iter(self._order))
-
     def choose_victims(self, n: int) -> Iterable[int]:
-        """The next ``n`` victims in order, each removed as it is
-        chosen: what ``n`` rounds of :meth:`choose_victim` and
-        :meth:`on_remove` pick."""
+        """The next ``n`` victims, least recently used first, each
+        removed from the order as it is chosen."""
         victims = list(islice(self._order, n))
         deque(map(self._order.pop, victims), maxlen=0)
         return victims
@@ -191,27 +185,6 @@ _POOL_FIELDS = ("hits", "misses", "evictions", "dirty_writebacks",
 POOL_SCHEMA_KEYS = frozenset(_POOL_FIELDS) | {"accesses", "hit_rate"}
 
 
-class _Run:
-    """A buffer whose rows are frames: what one device read filled, or a
-    page batch :meth:`BufferPool.put_many` adopted.  ``rows[k]`` is the
-    frame it offers block ``ids[k]``; ``live`` counts the rows resident
-    as frames; ``nbytes`` is the memory any one of them keeps alive."""
-
-    __slots__ = ("ids", "buf", "rows", "nbytes", "live")
-
-    def __init__(self, ids: list[int], buf: np.ndarray) -> None:
-        self.ids = ids
-        self.buf = buf
-        self.rows = list(buf)
-        self.nbytes = _holds(buf)
-        self.live = 0
-
-
-def _holds(array: np.ndarray) -> int:
-    """Bytes ``array`` keeps alive: its buffer's, whole."""
-    return array.nbytes if array.base is None else array.base.nbytes
-
-
 def retained_bytes(frames: Iterable[np.ndarray]) -> int:
     """Bytes a set of frames keeps alive, each buffer counted once."""
     owned = 0
@@ -224,14 +197,30 @@ def retained_bytes(frames: Iterable[np.ndarray]) -> int:
     return owned + sum(shared.values())
 
 
+def _buffer_of(frame: np.ndarray) -> np.ndarray:
+    """The buffer ``frame`` keeps alive: its base, else itself."""
+    return frame if frame.base is None else frame.base
+
+
 def _adoptable(pages: np.ndarray) -> np.ndarray:
     """``pages`` as rows the pool can keep as frames: C-contiguous,
-    writable, and backed by an ndarray whose size the retention bound
-    can count — else a copy."""
+    writable, and backed by a contiguous ndarray whose size the
+    retention bound can count — else a copy."""
     if (pages.flags.c_contiguous and pages.flags.writeable
-            and (pages.base is None or isinstance(pages.base, np.ndarray))):
+            and (pages.base is None
+                 or (isinstance(pages.base, np.ndarray)
+                     and pages.base.flags.forc))):
         return pages
     return pages.copy()
+
+
+def _offset(rows: np.ndarray, base: np.ndarray) -> int:
+    """Where C-contiguous ``rows`` starts in ``base``, the contiguous
+    buffer its rows keep alive, in bytes."""
+    if rows.nbytes == base.nbytes:      # all of it
+        return 0
+    return (rows.__array_interface__["data"][0]
+            - base.__array_interface__["data"][0])
 
 
 class BufferPool:
@@ -254,8 +243,8 @@ class BufferPool:
         self.scheduler = scheduler or IOScheduler(device)
         self.stats = PoolStats()
         # Re-entrant so subclass overrides (the sanitizer) and nested
-        # internal calls (get_run -> get_many, discard -> invalidate)
-        # can re-acquire freely.
+        # internal calls (get_run -> get_many, put -> put_many,
+        # discard -> invalidate) can re-acquire freely.
         self.lock = threading.RLock()
         self._frames: dict[int, np.ndarray] = {}
         self._dirty: set[int] = set()
@@ -264,10 +253,11 @@ class BufferPool:
         # on the device: block id -> frame.  Empty whenever no public
         # call is running.
         self._pending: dict[int, np.ndarray] = {}
-        # Frames that are rows of a shared buffer -> that buffer's run;
-        # a frame absent here owns its one block of memory.
-        self._owner: dict[int, _Run] = {}
-        # Bytes the resident frames keep alive (their buffers, whole).
+        # The ledger: id of a buffer resident frames are rows of ->
+        # {block id: byte offset of its frame in the buffer}.  A frame
+        # that owns its memory (base None) is not in it.
+        self._buffers: dict[int, dict[int, int]] = {}
+        # Bytes the resident frames keep alive, each buffer counted once.
         self._held = 0
 
     # ------------------------------------------------------------------
@@ -291,19 +281,17 @@ class BufferPool:
             try:
                 if block_id in self._frames:
                     self.stats.hits += 1
-                    self.policy.on_access(block_id)
-                    self._note_prefetch_hit(block_id)
+                    self.policy.on_access_many((block_id,))
+                    self._note_prefetch_hits((block_id,))
                 else:
                     self.stats.misses += 1
                     try:
-                        self._ensure_room()
+                        self._make_room(1)
                     finally:
                         # The victim goes out before the read comes in.
                         self._drain_pending()
                     (_, buf), = self.scheduler.fetch([block_id])
-                    run = _Run([block_id], buf)
-                    self._install(block_id, run.rows[0], run)
-                    self.policy.on_insert(block_id)
+                    self._install([block_id], buf)
                 return self._own(block_id)
             finally:
                 self._end_call()
@@ -338,8 +326,8 @@ class BufferPool:
                         and self._make_room(len(missing))):
                     self.stats.misses += len(missing)
                     for first, buf in runs:
-                        self._adopt(list(range(first, first + len(buf))),
-                                    buf)
+                        self._install(
+                            list(range(first, first + len(buf))), buf)
                     return list(map(frames.__getitem__, block_ids))
                 return self._walk_get_many(block_ids, runs)
             finally:
@@ -350,53 +338,48 @@ class BufferPool:
                        ) -> list[np.ndarray]:
         """``get_many`` one block at a time (caller holds the lock and
         ends the call)."""
-        fetched: dict[int, tuple[np.ndarray, _Run]] = {}
-        for first, buf in runs:
-            run = _Run(list(range(first, first + len(buf))), buf)
-            fetched.update((bid, (row, run))
-                           for bid, row in zip(run.ids, run.rows))
+        fetched = {first + k: buf[k:k + 1]
+                   for first, buf in runs for k in range(len(buf))}
         out: list[np.ndarray] = []
         for bid in block_ids:
             frame = self._frames.get(bid)
             if frame is not None:
                 self.stats.hits += 1
-                self.policy.on_access(bid)
-                self._note_prefetch_hit(bid)
+                self.policy.on_access_many((bid,))
+                self._note_prefetch_hits((bid,))
                 out.append(frame)
                 continue
             self.stats.misses += 1
-            got = fetched.get(bid)
-            if got is None:
+            rows = fetched.get(bid)
+            if rows is None:
                 # The block was resident when the misses were collected
                 # but got evicted while installing them — fault it in,
                 # after its parked copy (if it left dirty) has reached
                 # the device.
                 self._drain_pending()
-                (_, buf), = self.scheduler.fetch([bid])
-                run = _Run([bid], buf)
-                got = run.rows[0], run
-            self._ensure_room()
-            self._install(bid, *got)
-            self.policy.on_insert(bid)
-            out.append(got[0])
+                (_, rows), = self.scheduler.fetch([bid])
+            self._make_room(1)
+            self._install([bid], rows)
+            out.append(self._frames[bid])
         return out
 
     def get_run(self, block_ids: list[int]) -> np.ndarray:
         """:meth:`get_many`, returned as one read-only ``(n, block_size)``
-        array: a view of the buffer whose consecutive rows the blocks'
-        frames are, else one gather copy of the frames."""
+        array: a view of the buffer the blocks' frames are consecutive
+        rows of (the ledger says where each row sits), else one gather
+        copy of the frames."""
         with self.lock:
             frames = self.get_many(block_ids)
-            run = self._owner.get(block_ids[0])
-            if run is not None:
-                n = len(block_ids)
-                r0 = run.ids.index(block_ids[0])
-                if (r0 + n <= len(run.rows) and all(
-                        map(operator.is_, frames, run.rows[r0:r0 + n]))):
-                    view = run.buf[r0:r0 + n]
-                    view.flags.writeable = False
-                    return view
-            out = np.stack(frames)
+            bs, base = self.device.block_size, _buffer_of(frames[0])
+            at = self._buffers.get(id(base), {})
+            start = at.get(block_ids[0])
+            n = len(block_ids)
+            if start is not None and list(map(at.get, block_ids)) == list(
+                    range(start, start + n * bs, bs)):
+                out = np.ndarray((n, bs), np.uint8, buffer=base,
+                                 offset=start)
+            else:
+                out = np.stack(frames)
         out.flags.writeable = False
         return out
 
@@ -431,18 +414,12 @@ class BufferPool:
                 self._make_room(len(want))    # fits: want < capacity
                 for first, buf in runs:
                     ids = list(range(first, first + len(buf)))
-                    self._adopt(ids, buf)
+                    self._install(ids, buf)
                     self._prefetched.update(ids)
                     self.stats.prefetched += len(ids)
             finally:
                 self._end_call()
             return len(want)
-
-    def _note_prefetch_hit(self, block_id: int) -> None:
-        if block_id in self._prefetched:
-            self._prefetched.discard(block_id)
-            self.stats.readahead_hits += 1
-            self.device.stats.readahead_hits += 1
 
     def _note_prefetch_hits(self, block_ids: Iterable[int]) -> None:
         used = self._prefetched.intersection(block_ids)
@@ -456,19 +433,15 @@ class BufferPool:
 
         Used when a page is fully overwritten (e.g. appending a fresh tile):
         no read I/O should be charged for data that will be clobbered.
+        ``data`` is copied, zero-padded to a page, and handed to
+        :meth:`put_many`.
         """
-        buf = np.asarray(data, dtype=np.uint8)
+        buf = np.asarray(data, dtype=np.uint8).reshape(-1)
         if buf.size > self.device.block_size:
             raise ValueError("data exceeds block size")
-        if buf.size < self.device.block_size:
-            padded = np.zeros(self.device.block_size, dtype=np.uint8)
-            padded[:buf.size] = buf
-            buf = padded
-        with self.lock:
-            try:
-                self._put_locked(block_id, buf, None)
-            finally:
-                self._end_call()
+        page = np.zeros((1, self.device.block_size), dtype=np.uint8)
+        page[0, :buf.size] = buf
+        self.put_many((block_id,), page)
 
     def put_many(self, block_ids: Sequence[int],
                  pages: np.ndarray) -> None:
@@ -501,34 +474,24 @@ class BufferPool:
                         and self._frames.keys().isdisjoint(ids)
                         and self._make_room(len(ids))):
                     self.stats.misses += len(ids)
-                    self._adopt(ids, buf)
+                    self._install(ids, buf)
                     self._dirty.update(ids)
                     return
-                run = _Run(ids, buf)
-                for block_id, page in zip(ids, run.rows):
-                    self._put_locked(block_id, page, run)
+                for k, block_id in enumerate(ids):
+                    if block_id in self._frames:
+                        self._frames[block_id][:] = buf[k]
+                        self.policy.on_access_many((block_id,))
+                        self.stats.hits += 1
+                        # A full overwrite is not a use of the
+                        # prefetched contents.
+                        self._prefetched.discard(block_id)
+                    else:
+                        self.stats.misses += 1
+                        self._make_room(1)
+                        self._install([block_id], buf[k:k + 1])
+                    self._dirty.add(block_id)
             finally:
                 self._end_call()
-
-    def _put_locked(self, block_id: int, buf: np.ndarray,
-                    run: _Run | None) -> None:
-        # Caller holds self.lock; ``buf`` is exactly one block wide: a
-        # row of ``run`` the frame may keep, or (no run) the caller's
-        # page, which is copied.
-        if block_id in self._frames:
-            self._frames[block_id][:] = buf
-            self.policy.on_access(block_id)
-            self.stats.hits += 1
-            # A full overwrite is not a use of the prefetched
-            # contents.
-            self._prefetched.discard(block_id)
-        else:
-            self.stats.misses += 1
-            self._ensure_room()
-            self._install(block_id,
-                          buf.copy() if run is None else buf, run)
-            self.policy.on_insert(block_id)
-        self._dirty.add(block_id)
 
     def mark_dirty(self, block_id: int) -> None:
         with self.lock:
@@ -572,8 +535,9 @@ class BufferPool:
     def invalidate(self, block_id: int) -> None:
         """Drop a frame without writing it back (e.g. file dropped)."""
         with self.lock:
-            if self._frames.pop(block_id, None) is not None:
-                self._release((block_id,))
+            frame = self._frames.pop(block_id, None)
+            if frame is not None:
+                self._release(((block_id, frame),))
             self._dirty.discard(block_id)
             self._prefetched.discard(block_id)
             self.policy.on_remove(block_id)
@@ -595,81 +559,71 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Frames and the memory they keep alive (caller holds self.lock)
     # ------------------------------------------------------------------
-    def _install(self, block_id: int, frame: np.ndarray,
-                 run: _Run | None) -> None:
-        """Make ``frame`` — a row of ``run``, or (no run) an array of
-        its own — the frame of ``block_id``."""
-        self._frames[block_id] = frame
-        if run is None:
-            self._owner.pop(block_id, None)
-            self._held += frame.nbytes
+    def _install(self, ids: list[int], rows: np.ndarray) -> None:
+        """Make row ``k`` of ``rows`` the frame of ``ids[k]`` (none
+        resident, room made), at the most-recent end of the LRU order,
+        and enter the rows in the ledger."""
+        frames = list(rows)
+        if not frames:
             return
-        if not run.live:
-            self._held += run.nbytes
-        run.live += 1
-        self._owner[block_id] = run
-
-    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
-        """Install every row of ``buf`` as the frame of the matching id
-        (none resident, room made), in order."""
-        run = _Run(ids, buf)
-        run.live = len(ids)
-        self._held += run.nbytes
-        self._frames.update(zip(ids, run.rows))
-        self._owner.update(dict.fromkeys(ids, run))
+        self._frames.update(zip(ids, frames))
         self.policy.on_insert_many(ids)
+        base = _buffer_of(frames[0])
+        at = self._buffers.get(id(base))
+        if at is None:
+            at = self._buffers[id(base)] = {}
+            self._held += base.nbytes
+        bs = self.device.block_size
+        start = _offset(rows, base)
+        at.update(zip(ids, range(start, start + len(ids) * bs, bs)))
 
-    def _release(self, block_ids: Sequence[int]) -> None:
-        """The frames of ``block_ids`` have left: stop counting their
-        memory."""
-        owner = self._owner
-        for bid in block_ids:
-            run = owner.pop(bid, None)
-            if run is None:
-                self._held -= self.device.block_size
+    def _release(self, gone: Iterable[tuple[int, np.ndarray]]) -> None:
+        """The ``(block id, frame)`` pairs ``gone`` have left the
+        frames: take them out of the ledger, and a buffer's bytes out
+        of ``_held`` with its last resident row."""
+        buffers = self._buffers
+        for bid, frame in gone:
+            base = frame.base
+            if base is None:
+                self._held -= frame.nbytes
                 continue
-            run.live -= 1
-            if not run.live:
-                self._held -= run.nbytes
+            at = buffers[id(base)]
+            del at[bid]
+            if not at:
+                del buffers[id(base)]
+                self._held -= base.nbytes
 
     def _own(self, block_id: int) -> np.ndarray:
         """The frame of ``block_id``, copied out of its shared buffer
         first when it is a row of one."""
         frame = self._frames[block_id]
-        if _holds(frame) > frame.nbytes:
+        if _buffer_of(frame).nbytes > frame.nbytes:
             frame = self._copy_out(block_id)
         return frame
 
     def _copy_out(self, block_id: int) -> np.ndarray:
         """Replace ``block_id``'s frame with a copy that owns its
         memory."""
-        frame = self._frames[block_id].copy()
-        self._release((block_id,))
-        self._install(block_id, frame, None)
+        frame = self._frames[block_id]
+        self._release(((block_id, frame),))
+        frame = self._frames[block_id] = frame.copy()
+        self._held += frame.nbytes
         return frame
 
     def _bound_retention(self) -> None:
-        """Bring what frames hold alive back within
-        :attr:`retention_limit`, which ``_held`` — the running count of
-        installs and evictions — has passed.
-
-        The frames are recounted by the buffer each is a row of, and
-        the resident rows of every buffer less than half resident are
-        copied out of it.  Every buffer left is then at least half
-        resident, so the frames hold at most twice the resident pages.
-        """
-        by_buffer: dict[int, list[int]] = {}
-        for bid, frame in self._frames.items():
-            if frame.base is not None:
-                by_buffer.setdefault(id(frame.base), []).append(bid)
-        for bids in by_buffer.values():
-            base = self._frames[bids[0]].base
-            if 2 * len(bids) * self.device.block_size < base.nbytes:
-                for bid in bids:
-                    self._copy_out(bid)
-        for bid in [b for b in self._owner if b not in self._frames]:
-            del self._owner[bid]   # a frame dropped behind our back
-        self._held = retained_bytes(self._frames.values())
+        """Bring what frames keep alive back within
+        :attr:`retention_limit`, which ``_held`` has passed: copy the
+        resident rows of every buffer the ledger shows less than half
+        resident out of it.  Every buffer left is then at least half
+        resident, so the frames keep at most twice the resident pages
+        alive."""
+        bs = self.device.block_size
+        thin = [at for at in self._buffers.values()
+                if 2 * len(at) * bs
+                < _buffer_of(self._frames[next(iter(at))]).nbytes]
+        for at in thin:
+            for bid in list(at):
+                self._copy_out(bid)
 
     def _end_call(self) -> None:
         """End of a public call: write back what it evicted, then bound
@@ -684,7 +638,8 @@ class BufferPool:
         """Evict, up front, what ``n`` installs one at a time would —
         the same victims in the same order.  ``False`` (nothing done)
         for a batch larger than the pool, whose own installs would
-        become victims: the caller then walks block by block."""
+        become victims: the caller then walks block by block.  The
+        caller drains what it parks before it returns."""
         need = len(self._frames) + n - self.capacity
         if need <= 0:
             return True
@@ -697,24 +652,20 @@ class BufferPool:
             self._evict(victims)
         return True
 
-    def _ensure_room(self) -> None:
-        # Caller holds self.lock and drains before it returns.  Each
-        # victim is picked and accounted here, one at a time; a dirty
-        # victim's frame is parked for the drain, which is where the
-        # device write happens.
-        while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim()
-            self.policy.on_remove(victim)
-            self._evict((victim,))
-
     def _evict(self, victims: Sequence[int]) -> None:
         """Evict ``victims``, already out of the policy, in order: a
         dirty one is parked for the drain, which runs every
         :data:`MAX_PENDING_WRITEBACKS` parked and before a block would
         be parked twice."""
         frames, dirty, pending = self._frames, self._dirty, self._pending
-        for victim in victims:
-            frame = frames.pop(victim)
+        gone = [(victim, frames.pop(victim)) for victim in victims]
+        self._release(gone)
+        self.stats.evictions += len(gone)
+        wasted = self._prefetched.intersection(victims)
+        if wasted:
+            self._prefetched -= wasted
+            self.stats.prefetch_wasted += len(wasted)
+        for victim, frame in gone:
             if victim in dirty:
                 if victim in pending:
                     # Two writes of one block keep their order.
@@ -724,12 +675,6 @@ class BufferPool:
                 if len(pending) >= MAX_PENDING_WRITEBACKS:
                     self._drain_pending()
                 self.stats.dirty_writebacks += 1
-        wasted = self._prefetched.intersection(victims)
-        if wasted:
-            self._prefetched -= wasted
-            self.stats.prefetch_wasted += len(wasted)
-        self.stats.evictions += len(victims)
-        self._release(victims)
 
     def _drain_pending(self) -> None:
         """Write every parked victim to the device in one sorted,

@@ -573,7 +573,7 @@ class TiledMatrix:
                     for ti in range(ti0, ti1) for tj in range(tj0, tj1)
                     if (comp := self.tile_dir.get(
                         self.linearization.index(ti, tj))) is not None
-                    and not pending((self.name, ti, tj))]
+                    and not pending((self, ti, tj))]
 
     def _pages_of(self, comp: int) -> int:
         """Pages of its span a written codec tile keeps data in: its
@@ -665,7 +665,7 @@ class TiledMatrix:
                     if (ti, tj) not in decoded:
                         # Pending, else never written: zeros, no I/O
                         # (sparse-file semantics).
-                        tile = cache.get((self.name, ti, tj))
+                        tile = cache.get((self, ti, tj))
                         cells[i, :, j] = (0 if tile is None
                                           else tile.reshape(th, tw))
             cache.misses += sum(1 for *_, comp in stored if comp)
@@ -739,7 +739,7 @@ class TiledMatrix:
         with pool.lock:
             for bid in self.tile_blocks(ti, tj):
                 pool.invalidate(bid)
-            self.store.tile_cache.put((self.name, ti, tj), tile, self)
+            self.store.tile_cache.put((self, ti, tj), tile)
 
     def _spill(self, ti: int, tj: int, tile: np.ndarray,
                through: bool = False) -> None:
@@ -905,7 +905,7 @@ class TiledMatrix:
             return
         # Pending tiles go first, unencoded: none may spill into the
         # blocks the pool is about to forget.
-        self.store.tile_cache.invalidate_matrix(self.name)
+        self.store.tile_cache.invalidate_matrix(self)
         self.store.pool.discard(self._blocks.ravel().tolist())
         with self.store.pool.lock:
             self.tile_dir.clear()
@@ -934,9 +934,11 @@ class DecodedTileCache:
     """The codec write buffer: tiles written and not yet encoded.
 
     A write to a codec matrix leaves its ``(th, tw)`` tile here,
-    decoded, with the matrix that owns it (the matrix's *pending*
-    tiles), under a byte budget of its own.  A tile is spilled —
-    encoded into its pages by its owner's ``_spill`` — only when it
+    decoded, under ``(matrix, ti, tj)`` (the matrix's *pending*
+    tiles), under a byte budget of its own.  The key holds the matrix
+    itself, not its name, so two live matrices that share a name keep
+    their own pending tiles.  A tile is spilled —
+    encoded into its pages by its matrix's ``_spill`` — only when it
     leaves memory: evicted, least recently used first, by a later
     :meth:`put`, or released by :meth:`settle` and :meth:`clear`; one
     larger than the whole budget is spilled at once.  Nothing else
@@ -958,68 +960,70 @@ class DecodedTileCache:
     def __init__(self, capacity_bytes: int,
                  lock: threading.RLock) -> None:
         self.capacity_bytes = max(0, int(capacity_bytes))
+        # (matrix, ti, tj) -> its pending tile.
         self._entries: OrderedDict[
-            tuple, tuple[np.ndarray, TiledMatrix]] = OrderedDict()
+            tuple[TiledMatrix, int, int], np.ndarray] = OrderedDict()
         self._bytes = 0
         self._lock = lock
         self.hits = 0
         self.misses = 0
 
-    def is_dirty(self, key: tuple) -> bool:
+    def is_dirty(self, key: tuple[TiledMatrix, int, int]) -> bool:
         """Is ``key`` a pending tile — written, not yet encoded?"""
         with self._lock:
             return key in self._entries
 
-    def get(self, key: tuple) -> np.ndarray | None:
+    def get(self, key: tuple[TiledMatrix, int, int]) -> np.ndarray | None:
         """The pending tile under ``key`` (a hit), or ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            tile = self._entries.get(key)
+            if tile is None:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry[0]
+            return tile
 
-    def put(self, key: tuple, tile: np.ndarray,
-            owner: TiledMatrix) -> None:
-        """Hold a written tile pending, for ``owner`` to encode when
-        it leaves."""
+    def put(self, key: tuple[TiledMatrix, int, int],
+            tile: np.ndarray) -> None:
+        """Hold a written tile pending, for its matrix (``key[0]``) to
+        encode when it leaves."""
         tile = tile if not tile.flags.writeable else tile.copy()
         tile.flags.writeable = False
         with self._lock:
+            mat, ti, tj = key
             if tile.nbytes > self.capacity_bytes:
-                owner._spill(key[1], key[2], tile)
+                mat._spill(ti, tj, tile)
                 return
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old[0].nbytes
-            self._entries[key] = (tile, owner)
+                self._bytes -= old.nbytes
+            self._entries[key] = tile
             self._bytes += tile.nbytes
             while self._bytes > self.capacity_bytes:
-                vkey, (vtile, vowner) = self._entries.popitem(last=False)
-                self._bytes -= vtile.nbytes
-                vowner._spill(vkey[1], vkey[2], vtile)
+                (mat, ti, tj), old = self._entries.popitem(last=False)
+                self._bytes -= old.nbytes
+                mat._spill(ti, tj, old)
 
     def _release(self, owner: TiledMatrix | None, through: bool) -> None:
         """Encode the pending tiles (of ``owner``, or of every matrix),
         oldest first, and let them go."""
         with self._lock:
-            for key in [k for k, (_, o) in self._entries.items()
-                        if owner in (None, o)]:
-                tile, towner = self._entries.pop(key)
+            for mat, ti, tj in [k for k in self._entries
+                                if owner is None or k[0] is owner]:
+                tile = self._entries.pop((mat, ti, tj))
                 self._bytes -= tile.nbytes
-                towner._spill(key[1], key[2], tile, through)
+                mat._spill(ti, tj, tile, through)
 
     def settle(self, owner: TiledMatrix | None = None) -> None:
         """Encode every pending tile (of ``owner``, or of every matrix)
         into the pool, oldest first, and release it."""
         self._release(owner, through=False)
 
-    def invalidate_matrix(self, name: str) -> None:
+    def invalidate_matrix(self, mat: TiledMatrix) -> None:
         """Forget a dropped matrix's pending tiles, unencoded."""
         with self._lock:
-            for key in [k for k in self._entries if k[0] == name]:
-                self._bytes -= self._entries.pop(key)[0].nbytes
+            for key in [k for k in self._entries if k[0] is mat]:
+                self._bytes -= self._entries.pop(key).nbytes
 
     def clear(self) -> None:
         """Empty the cache, leaving nothing behind in memory: each

@@ -89,7 +89,7 @@ class TestWritebackLeaks:
         written = pool.device.stats.writes
         with pytest.raises(WritebackLeakError, match="still parked"):
             with tracer.span("leaky", cat="kernel"):
-                pool._ensure_room()
+                pool._make_room(1)
         assert pool.device.stats.writes == written
         pool._drain_pending()
         assert pool.device.stats.writes == written + 1

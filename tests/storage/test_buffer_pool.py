@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import SanitizingBufferPool
 from repro.storage import BlockDevice, BufferPool
+from repro.storage.buffer_pool import retained_bytes
 
 
 def _fill_device(dev: BlockDevice, n: int) -> list[int]:
@@ -254,6 +255,20 @@ class TestGetRun:
         assert not run.flags.writeable
 
 
+    def test_a_view_only_of_consecutive_rows_in_order(self, device):
+        """Rows of one buffer, consecutive and in order, are a view of
+        it; the same rows out of order are gathered."""
+        blocks = _fill_device(device, 4)
+        pool = BufferPool(device, 8)
+        pool.get_many(blocks)              # one buffer, four rows
+        run = pool.get_run(blocks[1:3])
+        assert np.shares_memory(run, pool._frames[blocks[1]])
+        assert not run.flags.writeable
+        shuffled = [blocks[0], blocks[2], blocks[1], blocks[3]]
+        run = pool.get_run(shuffled)
+        assert not np.shares_memory(run, pool._frames[blocks[0]])
+        assert [row.view(np.float64)[0] for row in run] == [0, 2, 1, 3]
+
 class TestPutMany:
     """``put_many`` is ``put`` per block under one lock hold, with the
     victims' write-backs batched — checked on the sanitizing pool,
@@ -339,14 +354,6 @@ class TestRetention:
 
     CAPACITY, RUN = 16, 8
 
-    @staticmethod
-    def _held(pool) -> int:
-        owners = {}
-        for frame in pool._frames.values():
-            owner = frame if frame.base is None else frame.base
-            owners[id(owner)] = owner.nbytes
-        return sum(owners.values())
-
     @pytest.mark.parametrize("source", ["read", "write"])
     def test_touching_one_block_per_run_keeps_the_bound(self, source):
         """Each round brings in one run, then touches one block of it
@@ -369,12 +376,36 @@ class TestRetention:
                      for b in run]))
             survivors = (survivors + [run[0]])[-(self.CAPACITY // 2):]
             pool.get_many(survivors)
-            assert self._held(pool) <= bound
-            assert pool._held == self._held(pool) or pool._held > bound
+            held = retained_bytes(pool._frames.values())
+            assert pool._held == held <= bound
         assert len({id(f.base) for f in pool._frames.values()}) > 1
         # Copying rows out changed no contents.
         for bid, frame in pool._frames.items():
             assert (frame.view(np.float64) == float(bid - blocks[0])).all()
+
+    def test_one_buffer_in_two_batches_is_counted_once(self, device):
+        """``write_submatrix`` hands ``put_many`` slices of one tiles
+        array: the buffer is kept alive, and counted, once, until the
+        last row of either batch leaves."""
+        blocks = _fill_device(device, 16)
+        pool = BufferPool(device, 8)
+        tiles = np.zeros((6, device.block_size), dtype=np.uint8)
+
+        def exact():
+            assert pool._held == retained_bytes(pool._frames.values())
+
+        pool.put_many(blocks[:2], tiles[:2])
+        exact()
+        pool.put_many(blocks[2:6], tiles[2:])
+        exact()
+        assert pool._held == tiles.nbytes
+        for k in range(6, 16):
+            # Each read evicts the least recently used frame: the first
+            # batch's rows, then the second's.
+            pool.get_many([blocks[k]])
+            exact()
+        assert id(tiles) not in pool._buffers
+        assert pool._held == 8 * device.block_size
 
     def test_frames_handed_out_for_writing_own_their_memory(self, device):
         blocks = _fill_device(device, 4)

@@ -918,7 +918,7 @@ def _recording_spills():
 def _pending(mat):
     """The tiles of ``mat`` written and not yet encoded."""
     return [t for t in mat.tiles()
-            if mat.store.tile_cache.is_dirty((mat.name, *t))]
+            if mat.store.tile_cache.is_dirty((mat, *t))]
 
 
 def _integers(seed, shape):
@@ -978,7 +978,8 @@ class TestWriteBack:
                                   spy_write):
             out = s.evaluator.execute(plan)
             evicted = spilled[:]
-            pending = set(store.tile_cache._entries)
+            pending = {(mat.name, ti, tj)
+                       for mat, ti, tj in store.tile_cache._entries}
             store.flush()
         assert len(encoded) == len(spilled) == len(evicted) + len(pending)
         assert set(spilled[len(evicted):]) == pending
@@ -1122,6 +1123,34 @@ class TestWriteBack:
             store.tile_cache.clear()
             store.pool.clear()
             assert mat.read_tile(0, 0).tobytes() == (-data).tobytes()
+
+
+    def test_matrices_sharing_a_name_keep_their_own_pending_tiles(self):
+        """Pending tiles belong to the matrix object, not its name: a
+        second live matrix named ``X`` neither shows its tiles through
+        the first nor takes the first's with it when dropped."""
+        ones = np.ones((64, 64))
+        with _store(codec="zstd") as store:
+            first = store.matrix_from_numpy(ones, name="X")
+            second = store.matrix_from_numpy(2 * ones, name="X")
+            assert (first.to_numpy() == 1).all()
+            assert (second.to_numpy() == 2).all()
+            second.drop()
+            assert (first.to_numpy() == 1).all()
+            store.tile_cache.clear()
+            store.pool.clear()
+            assert (first.to_numpy() == 1).all()
+
+    def test_two_stored_transposes_of_one_matrix(self):
+        """Every stored transpose of ``X`` is named ``t(X)``; two live
+        at once must not share their pending tiles."""
+        x = _integers(3, (300, 200))
+        with RiotSession(storage=StorageConfig(codec="zstd"),
+                         config=OptimizerConfig(level=0)) as s:
+            xm = s.matrix(x, name="X")
+            a, b = xm.T, xm.T
+            got = s.values(a @ b.T)
+        np.testing.assert_allclose(got, x.T @ x, rtol=1e-12)
 
 
 class TestWriteBackConcurrency:

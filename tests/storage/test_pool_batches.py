@@ -26,7 +26,7 @@ from repro.storage import (ArrayStore, BlockDevice, BufferPool,
                            FileBlockDevice, IOScheduler, StorageConfig,
                            coalesce_runs)
 from repro.storage.block_device import _IOSTAT_FIELDS
-from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS, _Run
+from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS
 from repro.storage.pagefile import EXTENT_PAGES, PageFile
 
 BLOCK = 64
@@ -38,16 +38,15 @@ class PerBlockPool(BufferPool):
     time, whatever the batch."""
 
     def _make_room(self, n: int) -> bool:
-        return False
+        # Room for one install only: a larger batch walks.
+        return n == 1 and super()._make_room(1)
 
-    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
-        # Reached from prefetch only, which installs without asking
+    def _install(self, ids: list[int], rows: np.ndarray) -> None:
+        # Reached from prefetch too, which installs without asking
         # whether room was made.
-        run = _Run(ids, buf)
-        for bid, row in zip(ids, run.rows):
-            self._ensure_room()
-            self._install(bid, row, run)
-            self.policy.on_insert(bid)
+        for k, bid in enumerate(ids):
+            super()._make_room(1)
+            super()._install([bid], rows[k:k + 1])
 
 
 def _make(cls, capacity, backend):

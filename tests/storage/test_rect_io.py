@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import ArrayStore, StorageConfig, linearization_names
+from repro.storage.buffer_pool import retained_bytes
 from repro.storage.tile_store import TiledMatrix
 
 BLOCK = 512          # 64 float64 / 128 float32 scalars per page
@@ -217,3 +218,26 @@ def test_dropped_matrix_has_no_blocks():
     mat.drop()
     assert mat._blocks.size == 0
     assert store.pool.resident == 0
+
+
+def test_a_rectangle_written_in_slices_reads_back_within_the_bound():
+    """A sanitized draw of the property above: the write hands
+    ``put_many`` two slices of one tiles array, so one buffer backs
+    the frames of two batches, and the full read's ``prefetch`` evicts
+    the rows of one of them.  The pool counts that buffer once, and
+    until its last row leaves, so the read ends within its retention
+    limit (7 168 bytes were kept alive against 6 144 while each batch
+    charged the buffer on its own)."""
+    store = ArrayStore(storage=StorageConfig(
+        block_size=BLOCK, memory_bytes=POOL_BLOCKS * BLOCK,
+        dtype="float32", codec="raw", sanitize=True))
+    mat = store.create_matrix((17, 17), tile_shape=(16, 16),
+                              linearization="col", name="m")
+    vals = np.arange(17 * 16, dtype=np.float32).reshape(17, 16) % 7 - 3
+    mat.write_submatrix(0, 1, vals)
+    mirror = np.zeros((17, 17), dtype=np.float32)
+    mirror[:, 1:] = vals
+    assert _bits(mat.read_submatrix(0, 17, 0, 17)) == _bits(mirror)
+    pool = store.pool
+    assert pool._held == retained_bytes(pool._frames.values())
+    store.close()

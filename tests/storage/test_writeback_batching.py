@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from repro.analysis import SanitizingBufferPool
 from repro.obs import Tracer
 from repro.storage import BlockDevice, BufferPool, IOScheduler
-from repro.storage.buffer_pool import (MAX_PENDING_WRITEBACKS, LRUPolicy,
-                                       _Run)
+from repro.storage.buffer_pool import MAX_PENDING_WRITEBACKS, LRUPolicy
 
 BLOCK = 64
 NBLOCKS = 12
@@ -32,20 +31,10 @@ class OneWritePerVictimPool(BufferPool):
     included, which walk block by block."""
 
     def _make_room(self, n: int) -> bool:
-        return False
-
-    def _adopt(self, ids: list[int], buf: np.ndarray) -> None:
-        # Reached from prefetch only, which installs without asking
-        # whether room was made.
-        run = _Run(ids, buf)
-        for bid, row in zip(ids, run.rows):
-            self._ensure_room()
-            self._install(bid, row, run)
-            self.policy.on_insert(bid)
-
-    def _ensure_room(self) -> None:
-        while len(self._frames) >= self.capacity:
-            victim = self.policy.choose_victim()
+        if n > 1:
+            return False
+        while len(self._frames) + n > self.capacity:
+            [victim] = self.policy.choose_victims(1)
             if victim in self._dirty:
                 self.device.write_block(victim, self._frames[victim])
                 self.stats.dirty_writebacks += 1
@@ -53,9 +42,16 @@ class OneWritePerVictimPool(BufferPool):
             if victim in self._prefetched:
                 self._prefetched.discard(victim)
                 self.stats.prefetch_wasted += 1
-            del self._frames[victim]
-            self.policy.on_remove(victim)
+            self._release(((victim, self._frames.pop(victim)),))
             self.stats.evictions += 1
+        return True
+
+    def _install(self, ids: list[int], rows: np.ndarray) -> None:
+        # Reached from prefetch too, which installs without asking
+        # whether room was made.
+        for k, bid in enumerate(ids):
+            self._make_room(1)
+            super()._install([bid], rows[k:k + 1])
 
 
 def _make(cls, capacity, enabled=True, nblocks=NBLOCKS):
@@ -230,17 +226,12 @@ class _ExhaustedAfter(LRUPolicy):
         super().__init__()
         self.left = n
 
-    def choose_victim(self):
-        if self.left == 0:
-            raise RuntimeError("policy double ran out of victims")
-        self.left -= 1
-        return super().choose_victim()
-
     def choose_victims(self, n):
         for _ in range(n):
-            key = self.choose_victim()
-            self.on_remove(key)
-            yield key
+            if self.left == 0:
+                raise RuntimeError("policy double ran out of victims")
+            self.left -= 1
+            yield from super().choose_victims(1)
 
 
 @pytest.mark.parametrize("call, evicted", [
