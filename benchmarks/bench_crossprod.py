@@ -33,7 +33,8 @@ import numpy as np
 from conftest import record_io_stats
 
 from repro.core import OptimizerConfig, RiotSession
-from repro.core.costs import (crossprod_io, square_tile_matmul_io,
+from repro.core.costs import (crossprod_io, square_schedule,
+                              square_tile_matmul_io,
                               transpose_materialize_io)
 from repro.linalg import crossprod_matmul, square_tile_matmul
 from repro.storage import ArrayStore, StorageConfig
@@ -125,9 +126,12 @@ def test_normal_equations_in_one_scan(benchmark):
     ``crossprod_matmul(..., side=[(y, Xty)])`` holds X'X's packed
     triangle beside one slab of X and y, so it reads X and y once each,
     where the separate plan also pays the flagged ``t(X) %*% y`` scan
-    of X (and y once per panel row of it).  Writes are the same, X'X
-    keeps its bits, and X'y agrees to ``rtol = 1e-12`` (the two
-    kernels sum over different row blocks)."""
+    of X.  X'y is one page-filling N_FEAT x 1 tile: the separate
+    product's two output panels each cover half of it and write it,
+    the second scan of X evicting it in between, so the separate plan
+    writes that page once more than the shared one.  X'X keeps its
+    bits, and X'y agrees to ``rtol = 1e-12`` (the two kernels sum over
+    different row blocks)."""
     mem = MEMORY_SCALARS
     y_np = np.random.default_rng(37).standard_normal((N_OBS, 1))
 
@@ -143,12 +147,13 @@ def test_normal_equations_in_one_scan(benchmark):
             xtx = crossprod_matmul(store, x, mem)
             xty = square_tile_matmul(store, x, y, mem, trans_a=True)
         store.flush()
-        pages = [m.grid[0] * m.grid[1] * m.pages_per_tile for m in (x, y)]
+        pages = [m.grid[0] * m.grid[1] * m.pages_per_tile
+                 for m in (x, y, xty)]
         return (store.device.stats.snapshot(), pages,
                 xtx.to_numpy(), xty.to_numpy())
 
-    shared, (x_pages, y_pages), s_xtx, s_xty = benchmark.pedantic(
-        run, args=(True,), rounds=1, iterations=1)
+    shared, (x_pages, y_pages, xty_pages), s_xtx, s_xty = \
+        benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
     separate, _, p_xtx, p_xty = run(False)
     record_io_stats(benchmark, shared)
     benchmark.extra_info["io_separate"] = separate.as_dict()
@@ -162,9 +167,11 @@ def test_normal_equations_in_one_scan(benchmark):
     assert np.array_equal(s_xtx, p_xtx)
     assert np.allclose(s_xty, p_xty, rtol=1e-12,
                        atol=1e-12 * np.abs(p_xty).max())
+    panels = -(-N_FEAT // square_schedule(N_FEAT, N_OBS, 1, 32, mem).rows)
     assert shared.reads == x_pages + y_pages
     assert separate.reads - shared.reads >= x_pages
-    assert shared.writes == separate.writes
+    assert (xty_pages, panels) == (1, 2)
+    assert separate.writes == shared.writes + (panels - 1) * xty_pages
 
 
 def test_fused_epilogue_writes_no_intermediate(benchmark):

@@ -49,7 +49,7 @@ import numpy as np
 from repro.linalg.matmul import (bnlj_matmul, crossprod_matmul,
                                  square_tile_matmul)
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
-from repro.storage.tile_store import stream_window
+from repro.storage.tile_store import MAX_PADDING_SHARE, stream_window
 
 from .config import OptimizerConfig
 from .expr import Crossprod, Node, Range, Scalar
@@ -149,6 +149,7 @@ class Evaluator:
             op.measured = None
             op.pool_measured = None
             op.wall_ns = None
+            op.padded = ()
         if cold:
             self.store.tile_cache.clear()
             self.store.pool.clear()
@@ -158,6 +159,7 @@ class Evaluator:
             try:
                 for op in plan.ops():
                     self._keep(op, self._measured_op(op, memo), memo)
+                    op.padded = self._padded(op, memo)
                     for node in op.releases:
                         self._drop(node, memo)
             except BaseException:
@@ -259,6 +261,21 @@ class Evaluator:
         for node, value in zip(nodes,
                                result if len(nodes) > 1 else (result,)):
             memo[id(node)] = value
+
+    @staticmethod
+    def _padded(op: PhysOp, memo: dict[int, object]
+                ) -> tuple[tuple[str, int, int], ...]:
+        """``(name, pages spanned, data pages)`` of each stored dense
+        matrix the operator holds (a leaf) or computes whose tiles span
+        more than ``MAX_PADDING_SHARE`` beyond its data pages."""
+        padded = []
+        for node in op.nodes:
+            mat = memo.get(id(node))
+            if isinstance(mat, TiledMatrix) and not mat.dropped:
+                pages = mat.grid[0] * mat.grid[1] * mat.pages_per_tile
+                if pages > (1 + MAX_PADDING_SHARE) * mat.data_pages:
+                    padded.append((mat.name, pages, mat.data_pages))
+        return tuple(padded)
 
     @staticmethod
     def _input(node: Node, memo: dict[int, object]):
@@ -630,16 +647,17 @@ class Evaluator:
 
         The transpose pass absorbs transposes that feed products, so
         above level 0 this only runs for a bare ``t(A)``.  The output
-        keeps the source's linearization and carries its name, so a
-        stored transpose is as recognizable — and its scans as
-        sequential — as the array it came from.
+        keeps the source's linearization and carries its name
+        (``t(X)``, or ``t(X)_<n>`` while another transpose of ``X``
+        lives), so a stored transpose is as recognizable — and its
+        scans as sequential — as the array it came from.
         """
         node = op.node
         src = self._densified(self._input(node.children[0], memo))
         out = self.store.create_matrix(
             node.shape, tile_shape=src.tile_shape[::-1],
             linearization=src.linearization.name,
-            name=f"t({src.name})")
+            name=self.store._fresh_name(f"t({src.name})", bare=True))
         for ti, tj in src.tiles():
             r0, r1, c0, c1 = src.tile_bounds(ti, tj)
             out.write_submatrix(c0, r0,

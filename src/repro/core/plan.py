@@ -192,6 +192,10 @@ class PhysOp:
         self.measured = None       # IOStats delta once executed
         self.pool_measured = None  # PoolStats delta once executed
         self.wall_ns: int | None = None
+        #: ``(name, pages spanned, data pages)`` of each stored dense
+        #: result (a leaf: its stored input) whose tiles pad it by more
+        #: than an eighth, once executed.
+        self.padded: tuple[tuple[str, int, int], ...] = ()
 
     @property
     def measured_io(self) -> int | None:
@@ -488,3 +492,7 @@ class PhysicalPlan:
                     wall += (f" !! outside [{band[0]}, {band[1]}] "
                              f"validated band")
             lines.append(wall)
+        if op.padded:
+            lines.append(f"{pad}  layout: " + ", ".join(
+                f"{name} spans {pages} pages for {data} of data"
+                for name, pages, data in op.padded))

@@ -120,12 +120,14 @@ def build_region(root: Node,
 
 def operand_tile_side(node: Node) -> int | None:
     """Tile side the dense kernels will cut ``node``'s schedule from,
-    when it is known at plan time: a stored dense matrix knows its own;
-    anything computed answers ``None`` (the cost models then take the
-    store's default tile for its shape)."""
-    tiles = getattr(getattr(node, "data", None), "tile_shape", None)
+    when it is known at plan time: a stored matrix knows its own (a
+    dense one its ``square_side``); anything computed answers ``None``
+    (the cost models then take the store's default tile for its
+    shape)."""
+    data = getattr(node, "data", None)
+    tiles = getattr(data, "tile_shape", None)
     if isinstance(node, ArrayInput) and tiles:
-        return max(tiles)
+        return getattr(data, "square_side", max(tiles))
     return None
 
 

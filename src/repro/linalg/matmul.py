@@ -84,7 +84,7 @@ def square_tile_matmul(store: ArrayStore, a: TiledMatrix, b: TiledMatrix,
     m, l, n = _dims(a, b, trans_a, trans_b)
     out_dtype = np.result_type(a.dtype, b.dtype)
     schedule = square_schedule(
-        m, l, n, max(a.tile_shape), memory_scalars,
+        m, l, n, a.square_side, memory_scalars,
         epilogue_inputs if epilogue is not None else 0)
     out = store.create_matrix((m, n), layout="square", name=name,
                               dtype=out_dtype)
@@ -271,7 +271,7 @@ def crossprod_matmul(store: ArrayStore, a: TiledMatrix,
     either way.
     """
     inner, k = a.shape if t_first else a.shape[::-1]
-    tile_side = max(a.tile_shape[0], a.tile_shape[1])
+    tile_side = a.square_side
     schedule = crossprod_schedule(
         inner, k, tile_side, memory_scalars,
         epilogue_inputs if epilogue is not None else 0)

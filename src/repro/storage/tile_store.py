@@ -4,7 +4,10 @@ Arrays are partitioned into rectangular tiles; each tile occupies whole pages
 of a :class:`~repro.storage.pagefile.PageFile` — one page for the row and
 column layouts, and for the default square layout one or sixteen, as
 :func:`default_tile_side` decides from the store's buffer pool and the
-matrix shape — and the order of tiles on disk is controlled by a
+matrix shape (a thin matrix's tiles, squares that would fill less than
+a page, grow along the long side to one full page instead: see
+:func:`tile_shape_for_layout`) — and the order of tiles on disk is
+controlled by a
 :class:`~repro.storage.linearization.Linearization`.  Array indexes are never
 stored explicitly (unlike the relational representation the paper
 criticizes): a tile's grid coordinate determines its disk position
@@ -129,7 +132,13 @@ def tile_shape_for_layout(layout: str, shape: tuple[int, int],
     ``col``    long skinny vertical tiles (B x 1) — R's default column order.
     ``square`` square tiles of side :func:`default_tile_side` (the
                Appendix-A layout): area <= B without ``pool_blocks``,
-               16 pages in a pool that can afford them.
+               16 pages in a pool that can afford them.  A thin matrix
+               whose clipped square would hold less than one page grows
+               its tiles' long side in whole squares until they fill
+               the page, ``side * (B // (side * short side))``, clipped
+               to the matrix: a 4096 x 1 column takes four one-page
+               tiles, not 32 (or 128), and each still covers whole
+               tiles of its partners' square grids.
     """
     n1, n2 = shape
     if n1 <= 0 or n2 <= 0:
@@ -152,7 +161,14 @@ def tile_shape_for_layout(layout: str, shape: tuple[int, int],
         return (n1, min(n2, max(1, scalars_per_block // n1)))
     if layout == "square":
         side = default_tile_side(scalars_per_block, pool_blocks, shape)
-        return (min(n1, side), min(n2, side))
+        th, tw = min(n1, side), min(n2, side)
+        if th * tw < scalars_per_block:
+            grow = side * max(1, scalars_per_block // (side * min(th, tw)))
+            if th < tw:
+                tw = min(n2, grow)
+            else:
+                th = min(n1, grow)
+        return (th, tw)
     raise ValueError(f"unknown layout {layout!r}; use row|col|square")
 
 
@@ -494,6 +510,28 @@ class TiledMatrix:
         mat._pages_stored = sum(mat._pages_of(comp)
                                 for comp in mat.tile_dir.values())
         return mat
+
+    @property
+    def square_side(self) -> int:
+        """Side of the squares a kernel's schedule over this matrix
+        aligns to: ``max(tile_shape)``, but for a thin tile of the
+        square layout the square it grew from, so a thin operand cuts
+        the schedule its clipped squares did and its partners' square
+        tiles stay whole."""
+        block = self.store.device.block_size // self.dtype.itemsize
+        pool = self.store.pool.capacity
+        side = default_tile_side(block, pool, self.shape)
+        if max(self.tile_shape) > side and self.tile_shape == \
+                tile_shape_for_layout("square", self.shape, block, pool):
+            return side
+        return max(self.tile_shape)
+
+    @property
+    def data_pages(self) -> int:
+        """Pages the values fill packed end to end, the floor for the
+        ``grid x pages_per_tile`` pages its tiles span."""
+        return -(-self.shape[0] * self.shape[1] * self.dtype.itemsize
+                 // self.store.device.block_size)
 
     # ------------------------------------------------------------------
     def _block_table(self) -> np.ndarray:
@@ -1131,15 +1169,32 @@ class ArrayStore:
             return stored / span
         return min(1.0, self.codec.ratio_estimate)
 
-    def _fresh_name(self, prefix: str) -> str:
+    def _fresh_name(self, prefix: str, bare: bool = False) -> str:
+        """``prefix_<n>``, with ``n`` past every name a live array of
+        this store has taken; ``bare``: ``prefix`` itself while no
+        live array has it."""
         with self._names_lock:
-            self._counter += 1
-            return f"{prefix}_{self._counter}"
+            if bare and prefix not in self._arrays:
+                return prefix
+            while True:
+                self._counter += 1
+                name = f"{prefix}_{self._counter}"
+                if name not in self._arrays:
+                    return name
 
     def _register(self, array: "TiledVector | TiledMatrix"
                   ) -> "TiledVector | TiledMatrix":
+        """Enter ``array`` under its name.  A name belongs to one live
+        array: taking it again would hide the first array from the
+        store and, once the second is dropped, from the manifest, so
+        the new array's blocks are freed and the call raises."""
         with self._names_lock:
-            self._arrays[array.name] = array
+            live = self._arrays.setdefault(array.name, array)
+        if live is not array:
+            array.drop()
+            raise ValueError(
+                f"an array named {array.name!r} is already live in this "
+                f"store; drop it or choose another name")
         return array
 
     def _forget(self, array) -> bool:

@@ -710,8 +710,8 @@ class TestTransients:
     matrices, are stored only to hand an operand to a dense kernel;
     they are dropped when the execution ends.  No macro workload
     densifies; here a 128 x 128 sparse system in a 48-block pool wrote
-    its twin's 16 pages at the final flush (20 blocks written in all)
-    and now writes 4."""
+    its twin's 16 pages at the final flush (17 blocks written in all)
+    and now writes its one-page 128 x 1 result alone."""
 
     def system(self, s):
         n = 128
@@ -749,7 +749,7 @@ class TestTransients:
                                lambda ev: ev._transients.clear()):
             kept.force(root)
         kept.store.flush()
-        assert (dropped_writes, kept.io_stats.writes) == (4, 20)
+        assert (dropped_writes, kept.io_stats.writes) == (1, 17)
 
     def test_coerced_operands_are_dropped(self):
         s = session(0, mem_blocks=16)

@@ -273,11 +273,12 @@ class TestExecution:
 
 
 class TestAcceptanceOLS:
-    def test_hint_free_ols_shares_one_scan_in_84_blocks(self):
+    def test_hint_free_ols_shares_one_scan_in_66_blocks(self):
         """solve(t(X) X, t(X) y) with no kernel hints: the planner must
         pick crossprod carrying X'y on the same scan of X + LU, and the
-        cold run moves exactly 84 blocks — X (64) and y (16) read once,
-        the 4-block result written once."""
+        cold run moves exactly 66 blocks — X (64) and y (one page-
+        filling 512 x 1 tile) read once, the one-page result written
+        once."""
         from repro.workloads.regression import generate_problem
         prob = generate_problem(512, 128, seed=3)
 
@@ -300,7 +301,7 @@ class TestAcceptanceOLS:
         expect = np.linalg.solve(prob.x.T @ prob.x, prob.x.T @ prob.y)
         assert np.allclose(out.to_numpy().ravel(), expect, atol=1e-8)
         stats = s.io_stats
-        assert (stats.total, stats.reads, stats.writes) == (84, 80, 4)
+        assert (stats.total, stats.reads, stats.writes) == (66, 65, 1)
 
 
 class TestAcceptanceSparseChain:

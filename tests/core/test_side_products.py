@@ -222,8 +222,8 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     and writes no more: the separate multiply's scan of X evicts X'X's
     dirty frames, which the solve then reads back, while the shared
     scan leaves them in the pool for the LU to factor in place
-    (4 418 / 262 -> 2 088 / 12 read / written on the ``ols_pread``
-    geometry: X's 2 048 pages, B's 32 read once instead of twice, and
+    (4 362 / 258 -> 2 054 / 3 read / written on the ``ols_pread``
+    geometry: X's 2 048 pages, B's 4 read once instead of twice, and
     X'X's 256 neither written nor read back).  The shared run's solve
     does almost no I/O of its own
     (:func:`test_the_ols_solve_does_no_io_of_its_own`).  The solve's
@@ -258,7 +258,7 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     assert s_reads <= reads - x_reads and s_writes <= writes
     assert np.array_equal(values, ref)
     if rows == 4096:
-        assert (reads, s_reads, writes, s_writes) == (4418, 2088, 262, 12)
+        assert (reads, s_reads, writes, s_writes) == (4362, 2054, 258, 3)
 
 
 def test_the_ols_solve_does_no_io_of_its_own():
@@ -266,11 +266,13 @@ def test_the_ols_solve_does_no_io_of_its_own():
     the 256-frame pool exactly.  X'y is dropped as the LU reads it, no
     permutation is stored and the right-hand side rides through the
     factorization, so the LU and the backward sweep write nothing and
-    read only the 4 X'X pages that reading X'y displaced.  Reading X'y
-    is the operator's only other I/O: the crossprod's pass left 260
-    pages for 256 frames, so X'y's 4 come back from the device and
-    evict 4 dirty X'X pages.  (The operator read 68 blocks and wrote 69
-    when the sweeps spilled the factor.)"""
+    read only the X'X page that reading X'y displaced.  Reading X'y
+    is the operator's only other I/O: the crossprod's pass left 257
+    pages for 256 frames, so X'y's one page-filling 512 x 1 tile comes
+    back from the device and evicts one dirty X'X page.  (The operator
+    read 8 blocks and wrote 4 while X'y was four 128 x 1 tiles of a
+    page each, and read 68 and wrote 69 when the sweeps spilled the
+    factor.)"""
     from repro.linalg import solve as solve_module
 
     g = np.random.default_rng(0)
@@ -304,8 +306,8 @@ def test_the_ols_solve_does_no_io_of_its_own():
     [lu] = [op for op in plan.ops() if isinstance(op, LUSolveOp)]
     [own] = kernel
     assert lu.in_place
-    assert (own.reads, own.writes) == (4, 0)
-    assert (lu.measured.reads, lu.measured.writes) == (8, 4)
+    assert (own.reads, own.writes) == (1, 0)
+    assert (lu.measured.reads, lu.measured.writes) == (2, 1)
     assert np.allclose(out.to_numpy(), oracle(x_np, b_nps), rtol=1e-9)
 
 

@@ -287,29 +287,29 @@ EXPECTED: dict = {
     ('crossprod', 1024, 384, 'pread'):
         ((288, 144, 72, 2, 288, 288, 144, 0), '237cfc412aa8c712'),
     ('crossprod_side', 96, 200, 'memory'):
-        ((416, 56, 191, 32, 416, 416, 56, 0), 'fd3c818744724723'),
+        ((372, 53, 171, 33, 372, 400, 49, 0), 'fd3c818744724723'),
     ('crossprod_side', 96, 200, 'pread'):
-        ((416, 56, 191, 32, 416, 416, 56, 0), 'fd3c818744724723'),
+        ((372, 53, 171, 33, 372, 400, 49, 0), 'fd3c818744724723'),
     ('crossprod_side', 96, 384, 'memory'):
-        ((1872, 156, 804, 78, 1872, 1872, 156, 0), '55de7cb0d945c9d3'),
+        ((1740, 150, 744, 88, 1740, 1812, 144, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 96, 384, 'pread'):
-        ((1872, 156, 804, 78, 1872, 1872, 156, 0), '55de7cb0d945c9d3'),
+        ((1740, 150, 744, 88, 1740, 1812, 144, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 256, 200, 'memory'):
-        ((104, 56, 26, 3, 104, 104, 56, 0), 'fd3c818744724723'),
+        ((92, 50, 14, 3, 92, 104, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 256, 200, 'pread'):
-        ((104, 56, 26, 3, 104, 104, 56, 0), 'fd3c818744724723'),
+        ((92, 50, 14, 3, 92, 104, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 256, 384, 'memory'):
-        ((936, 156, 192, 43, 936, 936, 156, 0), '55de7cb0d945c9d3'),
+        ((870, 147, 162, 45, 870, 906, 144, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 256, 384, 'pread'):
-        ((936, 156, 192, 43, 936, 936, 156, 0), '55de7cb0d945c9d3'),
+        ((870, 147, 162, 45, 870, 906, 144, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 1024, 200, 'memory'):
-        ((104, 56, 6, 2, 104, 104, 56, 0), 'fd3c818744724723'),
+        ((92, 50, 4, 2, 92, 94, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 1024, 200, 'pread'):
-        ((104, 56, 6, 2, 104, 104, 56, 0), 'fd3c818744724723'),
+        ((92, 50, 4, 2, 92, 94, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 1024, 384, 'memory'):
-        ((312, 156, 12, 3, 312, 312, 156, 0), '55de7cb0d945c9d3'),
+        ((289, 145, 7, 3, 289, 294, 145, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 1024, 384, 'pread'):
-        ((312, 156, 12, 3, 312, 312, 156, 0), '55de7cb0d945c9d3'),
+        ((289, 145, 7, 3, 289, 294, 145, 0), '55de7cb0d945c9d3'),
     ('bnlj', 96, 200, 'memory'):
         ((320, 40, 287, 37, 320, 320, 40, 0), '301d0986ad403a2e'),
     ('bnlj', 96, 200, 'pread'):
@@ -464,8 +464,8 @@ EXPECTED_FOREIGN: dict = {
          (274, 0, 118, 0, 264, 284, 10, 0),
          '301d0986ad403a2e'),
     ('crossprod_side', 256, 200, 'memory'):
-        ((0, 56, 0, 3, 0, 0, 56, 0),
-         (104, 0, 26, 0, 104, 104, 0, 0),
+        ((0, 50, 0, 3, 0, 0, 50, 0),
+         (92, 0, 14, 0, 92, 104, 0, 0),
          'fd3c818744724723'),
     ('bnlj', 256, 200, 'memory'):
         ((2, 40, 2, 3, 2, 8, 38, 0),

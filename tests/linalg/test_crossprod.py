@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import (crossprod_io, crossprod_schedule,
-                              crossprod_side_fits, square_panel)
+                              crossprod_side_fits, square_panel,
+                              square_schedule)
 from repro.linalg import (bnlj_matmul, crossprod_matmul,
                           square_tile_matmul)
 from repro.storage import (ArrayStore, StorageConfig,
@@ -254,7 +255,12 @@ class TestSideProducts:
     def test_x_is_read_once_for_both_products(self, rng):
         """Shared: the crossprod's reads plus B once per diagonal
         region — one here.  Separate: the flagged multiply re-reads all
-        of A, and B once per panel row of its own."""
+        of A and reads B's one page-filling 512 x 1 tile once, and each
+        of its two 64-row output panels covers half of the result's one
+        128 x 1 tile, so it reads that page back and writes it again:
+        unwritten the first time, evicted by the second panel's scan of
+        A the second (one read of B per panel row, 2 x 16 pages, while
+        both were columns of 32 x 1 one-page tiles)."""
         a_np = rng.standard_normal((512, 128))
         b_np = rng.standard_normal((512, 1))
         mem = 24 * 1024
@@ -265,17 +271,21 @@ class TestSideProducts:
         b = store.matrix_from_numpy(b_np)
         store.pool.clear()
         store.reset_stats()
-        square_tile_matmul(store, a, b, mem, trans_a=True)
+        c = square_tile_matmul(store, a, b, mem, trans_a=True)
         store.flush()
         separate = store.device.stats
         a_pages = a.grid[0] * a.grid[1] * a.pages_per_tile
         b_pages = b.grid[0] * b.grid[1] * b.pages_per_tile
+        c_pages = c.grid[0] * c.grid[1] * c.pages_per_tile
+        panels = -(-128 // square_schedule(128, 512, 1, 32, mem).rows)
         assert crossprod_schedule(512, 128, 32, mem).regions == (
             (0, 128, 0, 128),)
+        assert (b_pages, c_pages, panels) == (1, 1, 2)
         assert alone.reads == a_pages
         assert shared.reads - alone.reads == b_pages
-        assert separate.reads - a_pages == 2 * b_pages
-        assert shared.writes == alone.writes + separate.writes
+        assert separate.reads - a_pages - b_pages == panels * c_pages
+        assert separate.writes == panels * c_pages
+        assert shared.writes == alone.writes + c_pages
 
     def test_refuses_what_does_not_fit(self, rng):
         """At 48 blocks a 256-wide A holds one region: its packed

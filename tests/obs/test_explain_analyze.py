@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import OptimizerConfig, RiotSession
 from repro.core.costs import crossprod_schedule, crossprod_side_fits
-from repro.core.expr import MatMul, Solve, Transpose
+from repro.core.expr import ArrayInput, MatMul, Solve, Transpose
 from repro.core.plan import CrossprodOp
 from repro.rlang import Interpreter
 from repro.storage import StorageConfig
@@ -123,21 +123,54 @@ class TestExplainAnalyzeMemory:
         assert s.calibration_report(node).models == {}
 
 
+class TestLayoutLine:
+    """``explain(analyze=True)`` names each stored dense array whose
+    tiles span more than ``MAX_PADDING_SHARE`` (an eighth) beyond the
+    pages its data fills, under the operator that holds or computes
+    it: the floor a layout gain is measured against."""
+
+    def explain(self, y_tile=None):
+        s = RiotSession(storage=StorageConfig(memory_bytes=256 * 8192))
+        rng = np.random.default_rng(5)
+        x = s.matrix(rng.standard_normal((4096, 16)), name="X")
+        y_np = rng.standard_normal((4096, 1))
+        y = s.store.create_matrix(y_np.shape, tile_shape=y_tile,
+                                  name="y").from_numpy(y_np)
+        text = s.explain(Solve(MatMul(Transpose(x.node), x.node),
+                               MatMul(Transpose(x.node),
+                                      ArrayInput(y, name="y"))),
+                         analyze=True)
+        return y, [line.strip() for line in text.splitlines()
+                   if line.strip().startswith("layout:")]
+
+    def test_square_tiles_of_a_thin_column_are_named(self):
+        y, lines = self.explain(y_tile=(128, 1))
+        assert (y.grid, y.pages_per_tile, y.data_pages) == ((32, 1), 1, 4)
+        assert lines == ["layout: y spans 32 pages for 4 of data"]
+
+    def test_the_default_layout_pads_no_operand(self):
+        y, lines = self.explain()
+        assert (y.tile_shape, y.data_pages) == ((1024, 1), 4)
+        assert lines == []
+
+
 class TestExplainAnalyzeSharedScan:
     """A 64-block pool: X'y rides on the crossprod's one scan of X, so
     ``matmul_io`` leaves the plan and the shared operator's
     ``crossprod_io`` (with its side term) must sit in the band on its
-    own — 0.79 here, 0.67 for the crossprod alone in the unshared
-    plan: X'X is written when the one pass ends and is still dirty in
-    the pool then, so the solve that evicts it is charged the writes.
-    (``solve_io`` reads 0.11 at this pool — 32 of 297 blocks, 57 of
-    529 before the LU carried its right-hand side in one pass per
-    strip — and 0.39 before X'X was factored in place: the 256 x 256
-    factor fits the pool, and the LU now overwrites the X'X the
-    crossprod left there instead of copying it — the known gap of the
-    dense band, which a pool-aware LU model closes.  At the 48-block
-    pool above it reads 0.60, 188 of 313 blocks: 0.62 before the
-    one-pass LU, 0.68 with the copy.)"""
+    own — 0.67 here (0.79 while y was sixteen 32 x 1 tiles of a page
+    each, not one page-filling 512 x 1 tile), 0.67 for the crossprod
+    alone in the unshared plan: X'X is written when the one pass ends
+    and is still dirty in the pool then, so the solve that evicts it
+    is charged the writes.  (``solve_io`` reads 0.013 at this pool —
+    4 of 297 blocks; 32 with y and X'y in 32 x 1 tiles, 57 of 529
+    before the LU carried its right-hand side in one pass per strip —
+    and 0.39 before X'X was factored in place: the 256 x 256 factor
+    fits the pool, and the LU now overwrites the X'X the crossprod
+    left there instead of copying it — the known gap of the dense
+    band, which a pool-aware LU model closes.  At the 48-block pool
+    above it reads 0.56, 174 of 313 blocks: 0.60 in 32 x 1 tiles,
+    0.62 before the one-pass LU, 0.68 with the copy.)"""
 
     def test_shared_operator_in_band(self):
         s = RiotSession(storage=StorageConfig(memory_bytes=64 * 8192),

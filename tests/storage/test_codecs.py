@@ -1127,23 +1127,26 @@ class TestWriteBack:
 
     def test_matrices_sharing_a_name_keep_their_own_pending_tiles(self):
         """Pending tiles belong to the matrix object, not its name: a
-        second live matrix named ``X`` neither shows its tiles through
-        the first nor takes the first's with it when dropped."""
+        second matrix named ``X`` is refused while the first lives and
+        takes none of its tiles, and one made under the name after the
+        first is dropped sees none of the first's."""
         ones = np.ones((64, 64))
         with _store(codec="zstd") as store:
             first = store.matrix_from_numpy(ones, name="X")
+            with pytest.raises(ValueError, match="already live"):
+                store.matrix_from_numpy(2 * ones, name="X")
+            assert (first.to_numpy() == 1).all()
+            first.drop()
             second = store.matrix_from_numpy(2 * ones, name="X")
-            assert (first.to_numpy() == 1).all()
             assert (second.to_numpy() == 2).all()
-            second.drop()
-            assert (first.to_numpy() == 1).all()
             store.tile_cache.clear()
             store.pool.clear()
-            assert (first.to_numpy() == 1).all()
+            assert (second.to_numpy() == 2).all()
 
     def test_two_stored_transposes_of_one_matrix(self):
-        """Every stored transpose of ``X`` is named ``t(X)``; two live
-        at once must not share their pending tiles."""
+        """A stored transpose of ``X`` is named ``t(X)``, a second one
+        live beside it ``t(X)_<n>``: two arrays with their own pending
+        tiles."""
         x = _integers(3, (300, 200))
         with RiotSession(storage=StorageConfig(codec="zstd"),
                          config=OptimizerConfig(level=0)) as s:

@@ -215,15 +215,17 @@ class TestTileShapeForLayout:
         assert tile_shape_for_layout("row", shape, 1024, 8192) == \
             (1, 1024)
 
-    @pytest.mark.parametrize("shape,pages", [
-        ((129, 129), 25),      # 64 in 128-side tiles
-        ((160, 96), 15),       # 24
-        ((200, 200), 49),      # 64
-        ((333, 500), 192),     # 3 x 4 x 16, against 11 x 16 = 176
-        ((512, 1), 4),         # 16 one-page tiles of 32 scalars each
+    @pytest.mark.parametrize("shape,pages,small", [
+        ((129, 129), 25, (32, 32)),    # 64 in 128-side tiles
+        ((160, 96), 15, (32, 32)),     # 24
+        ((200, 200), 49, (32, 32)),    # 64
+        ((333, 500), 192, (32, 32)),   # 3 x 4 x 16, against 11 x 16
+        # One page-filling thin tile in either pool (4 pages of
+        # 128 x 1 squares, 16 of 32 x 1, before thin tiles grew).
+        ((512, 1), 1, (512, 1)),
     ])
     def test_large_tiles_only_where_the_shape_fits_them(self, shape,
-                                                        pages):
+                                                        pages, small):
         """A raw tile moves whole, padding included, so a shape the
         16-page tile would pad by more than an eighth (in pages, against
         the one-page layout) keeps the one-page tile."""
@@ -232,9 +234,44 @@ class TestTileShapeForLayout:
         assert mat.grid[0] * mat.grid[1] * mat.pages_per_tile == pages
         one_page = ArrayStore(StorageConfig(
             memory_bytes=255 * 8192)).create_matrix(shape)
-        assert one_page.tile_shape == (min(shape[0], 32),
-                                       min(shape[1], 32))
+        assert one_page.tile_shape == small
         assert 8 * pages <= 9 * (one_page.grid[0] * one_page.grid[1])
+
+    @pytest.mark.parametrize("shape,pool,tile", [
+        ((4096, 1), 256, (1024, 1)),   # 32 one-page 128 x 1 squares
+        ((4096, 1), 255, (1024, 1)),   # 128 one-page 32 x 1 squares
+        ((1, 4096), 256, (1, 1024)),
+        ((512, 1), None, (512, 1)),    # clipped to the matrix
+        ((4096, 4), 256, (256, 4)),    # two 128-row squares a page
+        ((4096, 3), 255, (320, 3)),    # ten 32-row squares a page
+        ((4096, 7), 256, (128, 7)),    # a second square overflows
+        ((4096, 9), 256, (128, 9)),    # the square holds a page
+        ((100, 5), 255, (100, 5)),     # grown to the whole matrix
+    ])
+    def test_thin_tiles_fill_their_page(self, shape, pool, tile):
+        """A square that, clipped to a thin matrix, holds less than a
+        page grows its long side in whole squares until it fills the
+        page."""
+        assert tile_shape_for_layout("square", shape, 1024, pool) == tile
+
+    @given(block=st.integers(1, 1 << 12), pool=st.integers(1, 1 << 12),
+           shape=st.tuples(st.integers(1, 3000), st.integers(1, 3000)))
+    @settings(max_examples=300, deadline=None)
+    def test_thin_tiles_stay_one_page_and_aligned(self, block, pool,
+                                                  shape):
+        """A thin tile holds at most one page, covers whole squares of
+        the default side (or the whole matrix), and never fewer
+        scalars than the clipped square it replaces."""
+        side = default_tile_side(block, pool, shape)
+        square = (min(shape[0], side), min(shape[1], side))
+        th, tw = tile_shape_for_layout("square", shape, block, pool)
+        if square[0] * square[1] >= block:
+            assert (th, tw) == square
+            return
+        assert square[0] * square[1] <= th * tw <= block
+        for got, dim, sq in ((th, shape[0], square[0]),
+                             (tw, shape[1], square[1])):
+            assert got in (sq, dim) or got % side == 0
 
     def test_unknown_layout(self):
         with pytest.raises(ValueError):
@@ -343,6 +380,34 @@ class TestArrayStore:
         a = store.create_vector(10)
         b = store.create_vector(10)
         assert a.name != b.name
+
+    def test_fresh_names_skip_names_taken_by_hand(self, store):
+        taken = store.create_vector(10, name="vec_1")
+        assert store.create_vector(10).name != taken.name
+
+    @pytest.mark.parametrize("backend", ["memory", "pread"])
+    def test_a_live_name_cannot_be_taken_again(self, tmp_path, backend):
+        """A second live array under a name would hide the first from
+        the store and, once dropped, take the first's manifest entry
+        with it: the second is refused, and the store still lists,
+        reads and reopens the first."""
+        config = StorageConfig(backend=backend, memory_bytes=16 * 8192,
+                               path=tmp_path / "riot.db"
+                               if backend != "memory" else None)
+        ones = np.ones((64, 64))
+        with ArrayStore(config) as store:
+            first = store.matrix_from_numpy(ones, name="X")
+            with pytest.raises(ValueError, match="'X' is already live"):
+                store.matrix_from_numpy(2 * ones, name="X")
+            with pytest.raises(ValueError, match="'X' is already live"):
+                store.create_vector(10, name="X")
+            assert store.stored_names() == ["X"]
+            assert store._arrays["X"] is first
+            assert np.array_equal(first.to_numpy(), ones)
+        if backend == "memory":
+            return
+        with ArrayStore(config) as store:
+            assert np.array_equal(store.open_matrix("X").to_numpy(), ones)
 
     def test_io_stats_counts_cold_reads(self, tiny_store, rng):
         data = rng.standard_normal(50_000)
