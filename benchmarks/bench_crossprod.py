@@ -129,9 +129,10 @@ def test_normal_equations_in_one_scan(benchmark):
     of X.  X'y is one page-filling N_FEAT x 1 tile: the separate
     product's two output panels each cover half of it and write it,
     the second scan of X evicting it in between, so the separate plan
-    writes that page once more than the shared one.  X'X keeps its
-    bits, and X'y agrees to ``rtol = 1e-12`` (the two kernels sum over
-    different row blocks)."""
+    writes that page once more than the shared one, and reads it back
+    once (the first panel finds it never written and reads nothing).
+    X'X keeps its bits, and X'y agrees to ``rtol = 1e-12`` (the two
+    kernels sum over different row blocks)."""
     mem = MEMORY_SCALARS
     y_np = np.random.default_rng(37).standard_normal((N_OBS, 1))
 
@@ -169,7 +170,10 @@ def test_normal_equations_in_one_scan(benchmark):
                        atol=1e-12 * np.abs(p_xty).max())
     panels = -(-N_FEAT // square_schedule(N_FEAT, N_OBS, 1, 32, mem).rows)
     assert shared.reads == x_pages + y_pages
-    assert separate.reads - shared.reads >= x_pages
+    # The separate plan's second scan of X, X'y's page read back once,
+    # and at full size y once more (evicted between the two panels).
+    assert separate.reads - shared.reads == (
+        x_pages + (panels - 1) * xty_pages + (0 if FAST else y_pages))
     assert (xty_pages, panels) == (1, 2)
     assert separate.writes == shared.writes + (panels - 1) * xty_pages
 

@@ -75,10 +75,11 @@ class IOStats:
     :mod:`repro.storage.codecs`):
 
     - ``bytes_logical``: uncompressed scalar bytes moved through
-      codec-aware tile reads/writes (what the kernels consumed).
+      dense tile reads/writes (what the kernels consumed).
     - ``bytes_compressed``: the bytes those same transfers actually
-      put on the device after encoding.  With codec ``raw`` both stay
-      zero; :attr:`compression_ratio` is their quotient.
+      put on the device after encoding; a tile stored raw counts its
+      logical bytes, so with codec ``raw`` the two are equal.
+      :attr:`compression_ratio` is their quotient.
     """
 
     seq_reads: int = 0
@@ -122,10 +123,11 @@ class IOStats:
 
     @property
     def compression_ratio(self) -> float:
-        """Measured compressed/logical byte ratio for codec traffic.
+        """Measured compressed/logical byte ratio of dense tile traffic.
 
-        1.0 when no codec traffic happened (codec ``raw`` everywhere),
-        so multiplying a block-count cost by this ratio is always safe.
+        1.0 when none was compressed (codec ``raw`` everywhere, or no
+        tile traffic), so multiplying a block-count cost by this ratio
+        is always safe.
         """
         if self.bytes_logical <= 0:
             return 1.0

@@ -72,6 +72,12 @@ MIN_RESIDENT_TILES = 16
 #: pages in 128-side tiles, 25 in 32-side ones).
 MAX_PADDING_SHARE = 1 / 8
 
+#: States of a tile in its matrix's directory (``TiledMatrix.tile_dir``)
+#: besides a positive payload length in bytes.
+UNWRITTEN = -1   # never written: reads as zeros and costs no I/O
+PENDING = -2     # written, held unencoded in the codec write buffer
+STORED_RAW = 0   # its native bytes on every page of its span
+
 
 def _pages_spanned(shape: tuple[int, int], side: int,
                    scalars_per_block: int) -> int:
@@ -423,27 +429,46 @@ class TiledVector:
                 f"chunk={self.chunk})")
 
 
+def _directory(entry: dict, grid: tuple[int, int],
+               linearization: Linearization) -> np.ndarray:
+    """The tile directory of a persisted matrix: ``tiles``, shaped
+    like the grid, or in an entry written before raw matrices kept one,
+    ``tile_dir``: a codec matrix's ``{position: payload length}`` (an
+    absent tile was never written) and a raw matrix's, always empty,
+    read as every tile stored raw."""
+    if "tiles" in entry:
+        return np.array(entry["tiles"], dtype=np.int64).reshape(grid)
+    if entry.get("codec", "raw") == "raw":
+        return np.full(grid, STORED_RAW, dtype=np.int64)
+    tiles = np.full(grid, UNWRITTEN, dtype=np.int64)
+    for pos, comp in entry.get("tile_dir", {}).items():
+        tiles[linearization.coords(int(pos))] = int(comp)
+    return tiles
+
+
 class TiledMatrix:
     """A 2-D array stored as rectangular tiles over whole pages.
 
     Each matrix carries its own storage ``dtype`` (float64 or float32)
-    and per-tile :class:`~repro.storage.codecs.TileCodec`.  With a
-    non-``raw`` codec the ``tile_dir`` maps a tile's linearized
-    position to its compressed payload length: a positive length means
-    the payload occupies the first ``ceil(length / block_size)`` of
-    the tile's pre-allocated pages, ``0`` is the raw-fallback sentinel
-    for incompressible tiles, and an absent entry means the tile was
-    never written (reads return zeros without touching the device).
+    and per-tile :class:`~repro.storage.codecs.TileCodec`.  Its tile
+    directory ``tile_dir``, an int64 array shaped like the grid beside
+    the block table ``_blocks`` (read and written under the pool lock,
+    persisted in the manifest), holds each tile's state: ``UNWRITTEN``
+    (reads as zeros, no I/O), ``PENDING``, ``STORED_RAW`` (0: every
+    page of its span) or a payload length, whose payload fills the
+    first ``ceil(length / block_size)`` pages of the span.  The pages
+    a read fetches come from the directory alone, for every codec;
+    only the write path asks the codec whether to encode.
 
-    A codec tile is encoded when it leaves memory, not when it is
-    written: ``write_*`` leaves it *pending* in the store's
-    :class:`DecodedTileCache`, the codec write buffer, and
-    :meth:`_spill` encodes it when the cache evicts it, when the store
-    is flushed or closed, or when :meth:`stored_pages` is asked what
-    the matrix costs on disk.  A pending tile is read from the cache
-    and has no pages (:meth:`tile_blocks`); every other written tile
-    is decoded from its pages on each read, and none is kept decoded
-    after it.  :meth:`drop` discards pending tiles unencoded.
+    A ``raw`` tile is stored raw when it is written.  A codec tile is
+    encoded when it leaves memory: ``write_*`` leaves it *pending* in
+    the store's :class:`DecodedTileCache`, and :meth:`_spill` encodes
+    it when the cache evicts it, when the store is flushed or closed,
+    or when :meth:`stored_pages` is asked what the matrix costs on
+    disk; a payload that would outgrow its span is stored raw.  A
+    pending tile is read from the cache; every other written tile is
+    read from its pages on each read, and none is kept decoded after
+    it.  :meth:`drop` discards pending tiles unencoded.
     """
 
     #: Set by the first :meth:`drop`.
@@ -467,11 +492,10 @@ class TiledMatrix:
                       else store.dtype)
         self.codec = (get_codec(codec) if codec is not None
                       else store.codec)
-        self.tile_dir: dict[int, int] = {}
-        self._pages_stored = 0
         self.tile_shape = (min(th, n1), min(tw, n2))
         self.grid = (-(-n1 // self.tile_shape[0]),
                      -(-n2 // self.tile_shape[1]))
+        self.tile_dir = np.full(self.grid, UNWRITTEN, dtype=np.int64)
         if isinstance(linearization, Linearization):
             self.linearization = linearization
         else:
@@ -495,20 +519,17 @@ class TiledMatrix:
         mat.shape = tuple(int(d) for d in entry["shape"])
         mat.dtype = np.dtype(entry.get("dtype", "float64"))
         mat.codec = get_codec(entry.get("codec", "raw"))
-        mat.tile_dir = {int(k): int(v)
-                        for k, v in entry.get("tile_dir", {}).items()}
         mat.tile_shape = tuple(int(d) for d in entry["tile_shape"])
         mat.grid = (-(-mat.shape[0] // mat.tile_shape[0]),
                     -(-mat.shape[1] // mat.tile_shape[1]))
         mat.linearization = make_linearization(
             entry["linearization"], mat.grid[0], mat.grid[1])
+        mat.tile_dir = _directory(entry, mat.grid, mat.linearization)
         th, tw = mat.tile_shape
         mat.pages_per_tile = -(-th * tw * mat.dtype.itemsize
                                // store.device.block_size)
         mat.file = PageFile.attach(store.device, name, entry["pages"])
         mat._blocks = mat._block_table()
-        mat._pages_stored = sum(mat._pages_of(comp)
-                                for comp in mat.tile_dir.values())
         return mat
 
     @property
@@ -575,82 +596,47 @@ class TiledMatrix:
         return ti0, ti1, tj0, tj1
 
     def tile_blocks(self, ti: int, tj: int) -> list[int]:
-        """Device block keys backing tile (ti, tj) — the prefetch unit.
-
-        Codec-aware: a compressed tile reports only the pages its
-        payload occupies, and a never-written or pending compressed
-        tile reports none (its read is pure zeros or served from the
-        decoded-tile cache, no I/O).
-        """
+        """Device block keys of tile (ti, tj) that hold data — the
+        prefetch unit; none for a tile never written or pending."""
         self._check_tile(ti, tj)
-        if self.codec.name == "raw":
-            return self._blocks[ti, tj].tolist()
-        return self.submatrix_blocks(*self.tile_bounds(ti, tj))
+        return self._stored(ti, ti + 1, tj, tj + 1)[1]
 
     def submatrix_blocks(self, r0: int, r1: int, c0: int, c1: int
                          ) -> list[int]:
-        """Device block keys for every tile covering the rectangle, in
-        row-major tile order: exactly the pages a read of it fetches."""
-        ti0, ti1, tj0, tj1 = self._tile_span(r0, r1, c0, c1)
-        if self.codec.name == "raw":
-            return self._blocks[ti0:ti1, tj0:tj1].ravel().tolist()
-        return [bid for ti, tj, comp in self._stored_tiles(ti0, ti1,
-                                                           tj0, tj1)
-                for bid in self._payload_blocks(ti, tj, comp)]
+        """Device block keys holding data of the tiles covering the
+        rectangle, in row-major tile order: exactly the pages a read
+        of it fetches."""
+        return self._stored(*self._tile_span(r0, r1, c0, c1))[1]
 
-    def _stored_tiles(self, ti0: int, ti1: int, tj0: int, tj1: int
-                      ) -> list[tuple[int, int, int]]:
-        """The codec tiles of ``[ti0, ti1) x [tj0, tj1)`` a read fetches
-        from their pages — written and encoded, not pending — as
-        ``(ti, tj, payload length)`` in row-major order: what
-        :meth:`submatrix_blocks` announces and :meth:`_assemble`
-        decodes."""
-        pending = self.store.tile_cache.is_dirty
+    def _stored(self, ti0: int, ti1: int, tj0: int, tj1: int
+                ) -> tuple[np.ndarray, list[int]]:
+        """The directory entries of tiles ``[ti0, ti1) x [tj0, tj1)``
+        and, in row-major tile order, the blocks holding their data: a
+        slice of ``_blocks`` masked to every page of a tile stored
+        raw, the first ``ceil(length / block_size)`` of a payload and
+        none of a tile never written or pending."""
+        blocks = self._blocks[ti0:ti1, tj0:tj1]
         with self.store.pool.lock:
-            return [(ti, tj, comp)
-                    for ti in range(ti0, ti1) for tj in range(tj0, tj1)
-                    if (comp := self.tile_dir.get(
-                        self.linearization.index(ti, tj))) is not None
-                    and not pending((self, ti, tj))]
-
-    def _pages_of(self, comp: int) -> int:
-        """Pages of its span a written codec tile keeps data in: its
-        payload's, or all of them for a raw-fallback tile (0)."""
-        return -(-comp // self.store.device.block_size) \
-            or self.pages_per_tile
-
-    def _payload_blocks(self, ti: int, tj: int, comp: int) -> list[int]:
-        """The blocks a stored codec tile of payload length ``comp``
-        keeps data in: the first :meth:`_pages_of` of its span."""
-        return self._blocks[ti, tj, : self._pages_of(comp)].tolist()
+            d = self.tile_dir[ti0:ti1, tj0:tj1].copy()
+        if not np.count_nonzero(d):   # every tile stored raw
+            return d, blocks.ravel().tolist()
+        pages = np.where(d == STORED_RAW, self.pages_per_tile,
+                         -(-np.maximum(d, 0) // self.store.device.block_size))
+        held = np.arange(self.pages_per_tile) < pages[..., None]
+        return d, blocks[held].tolist()
 
     def stored_pages(self) -> tuple[int, int]:
-        """``(pages holding data, pages spanned)`` over the codec
-        tiles written so far — both 0 for a ``raw`` matrix.  Pending
-        tiles are encoded first, so a freshly written matrix prices at
-        what it will cost on disk; then the running counts kept by
-        :meth:`_record_tile`."""
+        """``(pages holding data, pages spanned)`` over the tiles
+        written so far.  Pending tiles are encoded first, so a freshly
+        written codec matrix prices at what it will cost on disk."""
         self.store.tile_cache.settle(self)
-        with self.store.pool.lock:
-            return (self._pages_stored,
-                    len(self.tile_dir) * self.pages_per_tile)
+        d, held = self._stored(0, self.grid[0], 0, self.grid[1])
+        return len(held), int((d >= STORED_RAW).sum()) * self.pages_per_tile
 
-    def _record_tile(self, pos: int, comp: int, logical: int) -> None:
-        """Enter a spilled codec tile in the directory (``comp`` 0: it
-        was stored raw) and record the traffic on the v3 byte axis —
-        under the pool lock, the serializer of every other stats
-        mutation."""
-        with self.store.pool.lock:
-            old = self.tile_dir.get(pos)
-            if old is not None:
-                self._pages_stored -= self._pages_of(old)
-            self.tile_dir[pos] = comp
-            self._pages_stored += self._pages_of(comp)
-        self._charge_codec(logical, comp or logical)
-
-    def _charge_codec(self, logical: int, compressed: int) -> None:
-        """Record codec traffic on the v3 byte axis (under the pool
-        lock, as above)."""
+    def _charge_bytes(self, logical: int, compressed: int) -> None:
+        """Record tile traffic on the v3 byte axis (a tile stored raw
+        moves its logical bytes), under the pool lock, the serializer
+        of every other stats mutation."""
         with self.store.pool.lock:
             stats = self.store.device.stats
             stats.bytes_logical += logical
@@ -665,64 +651,60 @@ class TiledMatrix:
         """Tiles ``[ti0, ti1) x [tj0, tj1)`` as one fresh, writable,
         zero-padded ``((ti1 - ti0) * th, (tj1 - tj0) * tw)`` array.
 
-        Raw tiles come through a single ``get_many`` over the
-        rectangle's blocks in row-major tile order and are gathered a
-        tile row at a time, so the staging copy is one band, never a
-        second rectangle.  Codec tiles take the same shape: a pending
-        tile is copied from the decoded-tile cache, the payload pages
-        of every stored one (:meth:`_stored_tiles`) come through one
-        ``get_many`` in that order and are decoded straight into their
-        cells, and a never-written tile reads as zeros.  The read
-        inserts nothing into the cache, so it spills nothing, and
-        ``read_submatrix`` has already announced those pages.
+        The pages holding data (:meth:`_stored`, what ``read_submatrix``
+        announced) come through one ``get_many`` in row-major tile
+        order.  When every tile is stored raw they are gathered a tile
+        row at a time, so the staging copy is one band, never a second
+        rectangle.  Otherwise a tile stored raw is copied from its
+        pages, a payload decoded straight into its cell, a pending tile
+        copied from the decoded-tile cache, and a tile never written
+        reads as zeros.  The read inserts nothing into the cache, so
+        it spills nothing.
         """
         th, tw = self.tile_shape
         nti, ntj = ti1 - ti0, tj1 - tj0
+        ppt = self.pages_per_tile
+        logical = th * tw * self.dtype.itemsize
         out = np.empty((nti * th, ntj * tw), dtype=self.dtype)
         cells = out.reshape(nti, th, ntj, tw)  # cells[i, :, j]: a tile
-        pool = self.store.pool
-        if self.codec.name == "raw":
-            frames = pool.get_many(
-                self._blocks[ti0:ti1, tj0:tj1].ravel().tolist())
-            band = ntj * self.pages_per_tile
+        pool, cache = self.store.pool, self.store.tile_cache
+        with pool.lock:
+            d, blocks = self._stored(ti0, ti1, tj0, tj1)
+            frames = pool.get_many(blocks)
+            dirs = d.tolist() if np.count_nonzero(d) else None
+            for i, row in enumerate(dirs or ()):
+                for j, comp in enumerate(row):
+                    if comp < STORED_RAW:
+                        tile = cache.get((self, ti0 + i, tj0 + j))
+                        cells[i, :, j] = 0 if tile is None \
+                            else tile.reshape(th, tw)
+                    cache.misses += comp > 0
+        if dirs is None:   # every tile stored raw
+            self._charge_bytes(d.size * logical, d.size * logical)
+            band = ntj * ppt
             for i in range(nti):
                 cells[i] = self._tiles_of(
                     frames[i * band: (i + 1) * band]
                 ).reshape(ntj, th, tw).transpose(1, 0, 2)
             return out
-        cache = self.store.tile_cache
-        with pool.lock:
-            stored = self._stored_tiles(ti0, ti1, tj0, tj1)
-            frames = pool.get_many(
-                [bid for ti, tj, comp in stored
-                 for bid in self._payload_blocks(ti, tj, comp)])
-            decoded = {(ti, tj) for ti, tj, _ in stored}
-            for i in range(nti):
-                for j in range(ntj):
-                    ti, tj = ti0 + i, tj0 + j
-                    if (ti, tj) not in decoded:
-                        # Pending, else never written: zeros, no I/O
-                        # (sparse-file semantics).
-                        tile = cache.get((self, ti, tj))
-                        cells[i, :, j] = (0 if tile is None
-                                          else tile.reshape(th, tw))
-            cache.misses += sum(1 for *_, comp in stored if comp)
-        logical = th * tw * self.dtype.itemsize
-        k = 0
-        for ti, tj, comp in stored:
-            held = frames[k: k + self._pages_of(comp)]
-            k += len(held)
-            cell = cells[ti - ti0, :, tj - tj0]
-            if comp == 0:
-                cell[...] = self._tiles_of(held)[0].reshape(th, tw)
-                self._charge_codec(logical, logical)
-                continue
-            # A one-page payload decodes straight out of its frame.
-            staged = held[0] if len(held) == 1 else np.concatenate(held)
-            cell[...] = self.codec.decode_tile(
-                memoryview(staged)[:comp], self.dtype, th * tw
-            ).reshape(th, tw)
-            self._charge_codec(logical, comp)
+        bs = self.store.device.block_size
+        k = stored = compressed = 0
+        for i, row in enumerate(dirs):
+            for j, comp in enumerate(row):
+                if comp < STORED_RAW:
+                    continue
+                n = -(-comp // bs) or ppt
+                held, k = frames[k: k + n], k + n
+                stored, compressed = stored + 1, compressed + (comp or logical)
+                if comp == STORED_RAW:
+                    cells[i, :, j] = self._tiles_of(held)[0].reshape(th, tw)
+                    continue
+                # A one-page payload decodes straight out of its frame.
+                staged = held[0] if n == 1 else np.concatenate(held)
+                cells[i, :, j] = self.codec.decode_tile(
+                    memoryview(staged)[:comp], self.dtype, th * tw
+                ).reshape(th, tw)
+        self._charge_bytes(stored * logical, compressed)
         return out
 
     def _tiles_of(self, frames: list[np.ndarray]) -> np.ndarray:
@@ -744,8 +726,11 @@ class TiledMatrix:
         if self.codec.name == "raw":
             # One tile (write_tile, so every from_numpy) is a plain
             # index: the fancy one costs more than the copy it feeds.
-            self._put_raw(self._blocks[tis[0], tjs[0]] if len(tis) == 1
-                          else self._blocks[tis, tjs], tiles, owned)
+            at = (tis[0], tjs[0]) if len(tis) == 1 else (tis, tjs)
+            self._put_raw(self._blocks[at], tiles, owned)
+            with self.store.pool.lock:
+                self.tile_dir[at] = STORED_RAW
+            self._charge_bytes(tiles.nbytes, tiles.nbytes)
         else:
             for ti, tj, tile in zip(tis, tjs, tiles):
                 self._write_codec_tile(ti, tj, tile)
@@ -777,6 +762,7 @@ class TiledMatrix:
         with pool.lock:
             for bid in self.tile_blocks(ti, tj):
                 pool.invalidate(bid)
+            self.tile_dir[ti, tj] = PENDING
             self.store.tile_cache.put((self, ti, tj), tile)
 
     def _spill(self, ti: int, tj: int, tile: np.ndarray,
@@ -784,27 +770,28 @@ class TiledMatrix:
         """Encode a pending tile into the first pages of its span in
         the pool and enter it in ``tile_dir``: the one place a codec
         tile is encoded.  A payload that outgrows the span is stored
-        raw (length 0, the fallback sentinel).  ``through`` writes the
-        pages on to the device and leaves none of them in the pool."""
+        raw.  ``through`` writes the pages on to the device and leaves
+        none of them in the pool.  Called by the decoded-tile cache,
+        under the pool lock."""
         bs = self.store.device.block_size
         pool = self.store.pool
         blocks = self._blocks[ti, tj]
         payload = self.codec.encode_tile(tile.reshape(self.tile_shape))
         if len(payload) > len(blocks) * bs:
-            comp = 0
+            comp = STORED_RAW
             self._put_raw(blocks, tile.reshape(1, -1), owned=False)
         else:
             comp = len(payload)
-            nb = -(-comp // bs)
-            buf = np.zeros(nb * bs, dtype=np.uint8)
+            blocks = blocks[: -(-comp // bs)]
+            buf = np.zeros(len(blocks) * bs, dtype=np.uint8)
             buf[:comp] = np.frombuffer(payload, dtype=np.uint8)
-            pool.put_many(blocks[:nb].tolist(), buf.reshape(nb, bs))
+            pool.put_many(blocks.tolist(), buf.reshape(-1, bs))
         if through:
-            for bid in self._payload_blocks(ti, tj, comp):
+            for bid in blocks.tolist():
                 pool.flush(bid)
                 pool.invalidate(bid)
-        self._record_tile(self.linearization.index(ti, tj), comp,
-                          tile.nbytes)
+        self.tile_dir[ti, tj] = comp
+        self._charge_bytes(tile.nbytes, comp or tile.nbytes)
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) as a 2-D array (clipped at edges)."""
@@ -946,8 +933,7 @@ class TiledMatrix:
         self.store.tile_cache.invalidate_matrix(self)
         self.store.pool.discard(self._blocks.ravel().tolist())
         with self.store.pool.lock:
-            self.tile_dir.clear()
-            self._pages_stored = 0
+            self.tile_dir = self.tile_dir[:0]
         self.file.drop()
         self._blocks = self._blocks[:0]
 
@@ -972,19 +958,20 @@ class DecodedTileCache:
     """The codec write buffer: tiles written and not yet encoded.
 
     A write to a codec matrix leaves its ``(th, tw)`` tile here,
-    decoded, under ``(matrix, ti, tj)`` (the matrix's *pending*
-    tiles), under a byte budget of its own.  The key holds the matrix
-    itself, not its name, so two live matrices that share a name keep
-    their own pending tiles.  A tile is spilled —
-    encoded into its pages by its matrix's ``_spill`` — only when it
-    leaves memory: evicted, least recently used first, by a later
-    :meth:`put`, or released by :meth:`settle` and :meth:`clear`; one
-    larger than the whole budget is spilled at once.  Nothing else
-    enters: a tile read from its pages is decoded into the reader's
-    array and not kept, and ``raw`` tiles never enter (their pool
-    frame already is the decoded form).  ``hits`` counts reads served
-    by a pending tile and ``misses`` codec tile reads decoded from
-    pages (``TiledMatrix._assemble`` counts those).
+    decoded, under ``(matrix, ti, tj)``, within a byte budget of its
+    own, and marks it ``PENDING`` in the matrix's directory, which is
+    the record of what is here.  The key holds the matrix itself, not
+    its name, so two live matrices that share a name keep their own
+    pending tiles.  A tile is spilled — encoded into its pages by its
+    matrix's ``_spill``, which enters its stored state in the
+    directory — only when it leaves memory: evicted, least recently
+    used first, by a later :meth:`put`, or released by :meth:`settle`
+    and :meth:`clear`; one larger than the whole budget is spilled at
+    once.  Nothing else enters: a tile read from its pages is decoded
+    into the reader's array and not kept, and ``raw`` tiles never
+    enter (their pool frame already is the decoded form).  ``hits``
+    counts reads served by a pending tile and ``misses`` tile reads
+    decoded from a payload (``TiledMatrix._assemble`` counts those).
 
     The store hands the cache its pool's lock: a spill puts pages in
     the pool and enters the tile in its matrix's directory, and under
@@ -1005,11 +992,6 @@ class DecodedTileCache:
         self._lock = lock
         self.hits = 0
         self.misses = 0
-
-    def is_dirty(self, key: tuple[TiledMatrix, int, int]) -> bool:
-        """Is ``key`` a pending tile — written, not yet encoded?"""
-        with self._lock:
-            return key in self._entries
 
     def get(self, key: tuple[TiledMatrix, int, int]) -> np.ndarray | None:
         """The pending tile under ``key`` (a hit), or ``None``."""
@@ -1162,7 +1144,7 @@ class ArrayStore:
             arrays = list(self._arrays.values())
         stored = span = 0
         for arr in arrays:
-            if isinstance(arr, TiledMatrix):
+            if isinstance(arr, TiledMatrix) and arr.codec.name != "raw":
                 used, pages = arr.stored_pages()
                 stored, span = stored + used, span + pages
         if span:
@@ -1171,30 +1153,40 @@ class ArrayStore:
 
     def _fresh_name(self, prefix: str, bare: bool = False) -> str:
         """``prefix_<n>``, with ``n`` past every name a live array of
-        this store has taken; ``bare``: ``prefix`` itself while no
-        live array has it."""
+        this store has taken, here or in an earlier session (the
+        manifest); ``bare``: ``prefix`` itself while no array has it."""
         with self._names_lock:
-            if bare and prefix not in self._arrays:
+            taken = (self._arrays.keys()
+                     | getattr(self.device, "manifest", {}).keys())
+            if bare and prefix not in taken:
                 return prefix
             while True:
                 self._counter += 1
                 name = f"{prefix}_{self._counter}"
-                if name not in self._arrays:
+                if name not in taken:
                     return name
 
-    def _register(self, array: "TiledVector | TiledMatrix"
-                  ) -> "TiledVector | TiledMatrix":
+    def _register(self, array: "TiledVector | TiledMatrix",
+                  opened: bool = False) -> "TiledVector | TiledMatrix":
         """Enter ``array`` under its name.  A name belongs to one live
-        array: taking it again would hide the first array from the
-        store and, once the second is dropped, from the manifest, so
-        the new array's blocks are freed and the call raises."""
+        array, made or opened in this session or persisted by an
+        earlier one, and only :meth:`open_matrix` / :meth:`open_vector`
+        (``opened``) attach a persisted name.  Taking a name again
+        would hide the first array from the store and, once the second
+        is dropped, from the manifest, so the new array's blocks are
+        freed and the call raises."""
+        manifest = getattr(self.device, "manifest", {})
         with self._names_lock:
-            live = self._arrays.setdefault(array.name, array)
+            live = self._arrays.get(array.name)
+            if live is None and (opened or array.name not in manifest):
+                live = self._arrays[array.name] = array
         if live is not array:
             array.drop()
+            where = ("persisted in this page file" if live is None
+                     else "live in this store")
             raise ValueError(
-                f"an array named {array.name!r} is already live in this "
-                f"store; drop it or choose another name")
+                f"an array named {array.name!r} is already {where}; "
+                f"drop it or choose another name")
         return array
 
     def _forget(self, array) -> bool:
@@ -1281,8 +1273,7 @@ class ArrayStore:
                     "linearization": arr.linearization.name,
                     "dtype": arr.dtype.name,
                     "codec": arr.codec.name,
-                    "tile_dir": {str(k): int(v)
-                                 for k, v in arr.tile_dir.items()},
+                    "tiles": arr.tile_dir.tolist(),
                     "pages": arr.file.page_map}
         return entries
 
@@ -1314,7 +1305,8 @@ class ArrayStore:
                 raise KeyError(f"{name!r} is not a vector")
             return arr
         entry = self._manifest_entry(name, "vector")
-        return self._register(TiledVector._attach(self, name, entry))
+        return self._register(
+            TiledVector._attach(self, name, entry), opened=True)
 
     def open_matrix(self, name: str) -> TiledMatrix:
         """Reattach a matrix persisted by an earlier session."""
@@ -1324,7 +1316,8 @@ class ArrayStore:
                 raise KeyError(f"{name!r} is not a matrix")
             return arr
         entry = self._manifest_entry(name, "matrix")
-        return self._register(TiledMatrix._attach(self, name, entry))
+        return self._register(
+            TiledMatrix._attach(self, name, entry), opened=True)
 
     # ------------------------------------------------------------------
     def io_stats(self) -> IOStats:

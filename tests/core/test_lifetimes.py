@@ -154,7 +154,7 @@ class TestReleasePoints:
         assert dropped, "the statement has intermediates"
         for value, pages in dropped:
             assert value.file.num_pages == 0
-            assert not getattr(value, "tile_dir", None)
+            assert np.size(getattr(value, "tile_dir", ())) == 0
             assert frames.isdisjoint(pages)
         assert out.file.num_pages > 0
         with without_lifetimes():

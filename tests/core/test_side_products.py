@@ -222,9 +222,9 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     and writes no more: the separate multiply's scan of X evicts X'X's
     dirty frames, which the solve then reads back, while the shared
     scan leaves them in the pool for the LU to factor in place
-    (4 362 / 258 -> 2 054 / 3 read / written on the ``ols_pread``
-    geometry: X's 2 048 pages, B's 4 read once instead of twice, and
-    X'X's 256 neither written nor read back).  The shared run's solve
+    (4 361 / 258 -> 2 054 / 3 read / written on the ``ols_pread``
+    geometry; 4 362 while the separate multiply read a never-written
+    tile of X'y from the device).  The shared run's solve
     does almost no I/O of its own
     (:func:`test_the_ols_solve_does_no_io_of_its_own`).  The solve's
     reads move by a few blocks either way, because it sees another
@@ -258,7 +258,7 @@ def test_out_of_core_sharing_saves_exactly_the_x_scan(rows, cols,
     assert s_reads <= reads - x_reads and s_writes <= writes
     assert np.array_equal(values, ref)
     if rows == 4096:
-        assert (reads, s_reads, writes, s_writes) == (4362, 2054, 258, 3)
+        assert (reads, s_reads, writes, s_writes) == (4361, 2054, 258, 3)
 
 
 def test_the_ols_solve_does_no_io_of_its_own():

@@ -287,21 +287,21 @@ EXPECTED: dict = {
     ('crossprod', 1024, 384, 'pread'):
         ((288, 144, 72, 2, 288, 288, 144, 0), '237cfc412aa8c712'),
     ('crossprod_side', 96, 200, 'memory'):
-        ((372, 53, 171, 33, 372, 400, 49, 0), 'fd3c818744724723'),
+        ((371, 53, 170, 33, 371, 398, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 96, 200, 'pread'):
-        ((372, 53, 171, 33, 372, 400, 49, 0), 'fd3c818744724723'),
+        ((371, 53, 170, 33, 371, 398, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 96, 384, 'memory'):
-        ((1740, 150, 744, 88, 1740, 1812, 144, 0), '55de7cb0d945c9d3'),
+        ((1739, 150, 743, 88, 1739, 1810, 145, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 96, 384, 'pread'):
-        ((1740, 150, 744, 88, 1740, 1812, 144, 0), '55de7cb0d945c9d3'),
+        ((1739, 150, 743, 88, 1739, 1810, 145, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 256, 200, 'memory'):
         ((92, 50, 14, 3, 92, 104, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 256, 200, 'pread'):
         ((92, 50, 14, 3, 92, 104, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 256, 384, 'memory'):
-        ((870, 147, 162, 45, 870, 906, 144, 0), '55de7cb0d945c9d3'),
+        ((869, 147, 161, 45, 869, 904, 145, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 256, 384, 'pread'):
-        ((870, 147, 162, 45, 870, 906, 144, 0), '55de7cb0d945c9d3'),
+        ((869, 147, 161, 45, 869, 904, 145, 0), '55de7cb0d945c9d3'),
     ('crossprod_side', 1024, 200, 'memory'):
         ((92, 50, 4, 2, 92, 94, 50, 0), 'fd3c818744724723'),
     ('crossprod_side', 1024, 200, 'pread'):
@@ -319,9 +319,9 @@ EXPECTED: dict = {
     ('bnlj', 96, 384, 'pread'):
         ((4800, 192, 4632, 116, 4800, 4800, 192, 0), '38ee4a1d7bec3f18'),
     ('bnlj', 256, 200, 'memory'):
-        ((166, 42, 127, 34, 166, 170, 38, 0), '301d0986ad403a2e'),
+        ((164, 42, 125, 34, 164, 166, 40, 0), '301d0986ad403a2e'),
     ('bnlj', 256, 200, 'pread'):
-        ((166, 42, 127, 34, 166, 170, 38, 0), '301d0986ad403a2e'),
+        ((164, 42, 125, 34, 164, 166, 40, 0), '301d0986ad403a2e'),
     ('bnlj', 256, 384, 'memory'):
         ((2112, 192, 1930, 118, 2112, 2112, 192, 0), '38ee4a1d7bec3f18'),
     ('bnlj', 256, 384, 'pread'):
@@ -468,7 +468,7 @@ EXPECTED_FOREIGN: dict = {
          (92, 0, 14, 0, 92, 104, 0, 0),
          'fd3c818744724723'),
     ('bnlj', 256, 200, 'memory'):
-        ((2, 40, 2, 3, 2, 8, 38, 0),
+        ((0, 40, 0, 3, 0, 4, 40, 0),
          (162, 0, 123, 0, 162, 162, 0, 0),
          '301d0986ad403a2e'),
 }

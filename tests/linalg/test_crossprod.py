@@ -257,10 +257,12 @@ class TestSideProducts:
         region — one here.  Separate: the flagged multiply re-reads all
         of A and reads B's one page-filling 512 x 1 tile once, and each
         of its two 64-row output panels covers half of the result's one
-        128 x 1 tile, so it reads that page back and writes it again:
-        unwritten the first time, evicted by the second panel's scan of
-        A the second (one read of B per panel row, 2 x 16 pages, while
-        both were columns of 32 x 1 one-page tiles)."""
+        128 x 1 tile and writes it.  The first panel finds the tile
+        never written and reads nothing; the second reads the page
+        back, evicted by its scan of A (two reads while a never-written
+        tile was still read from the device; one read of B per panel
+        row, 2 x 16 pages, while both were columns of 32 x 1 one-page
+        tiles)."""
         a_np = rng.standard_normal((512, 128))
         b_np = rng.standard_normal((512, 1))
         mem = 24 * 1024
@@ -283,7 +285,7 @@ class TestSideProducts:
         assert (b_pages, c_pages, panels) == (1, 1, 2)
         assert alone.reads == a_pages
         assert shared.reads - alone.reads == b_pages
-        assert separate.reads - a_pages - b_pages == panels * c_pages
+        assert separate.reads - a_pages - b_pages == (panels - 1) * c_pages
         assert separate.writes == panels * c_pages
         assert shared.writes == alone.writes + c_pages
 

@@ -11,6 +11,7 @@ on top.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from unittest import mock
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.storage import (ArrayStore, BACKENDS, BlockDevice,
                            FileBlockDevice, IO_SCHEMA_VERSION,
                            StorageConfig, create_device, parse_memory)
+from repro.storage.tile_store import STORED_RAW, UNWRITTEN
 
 FILE_MODES = ("mmap", "pread")
 
@@ -483,25 +485,88 @@ def test_vector_pipeline_identical_across_backends(n, seed):
 @pytest.mark.parametrize("mode", FILE_MODES)
 class TestPersistence:
     def test_arrays_survive_reopen(self, tmp_path, mode):
+        """``P``, a raw matrix whose 32 x 32 tiles (grid 3 x 2) were
+        written whole, written in part or never written, keeps its
+        tile directory across reopen: a read fetches the pages of its
+        written tiles only, and a never-written tile reads as zeros
+        with no device read."""
         path = tmp_path / "riot.db"
         cfg = StorageConfig(backend=mode, path=path,
                             memory_bytes=16 * 8192)
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((70, 40))
         vec = rng.standard_normal(2500)
+        part = np.zeros_like(mat)
+        part[:32] = mat[:32]
+        part[40:50, 5:10] = mat[40:50, 5:10]
         with ArrayStore(storage=cfg) as store:
             store.matrix_from_numpy(mat, name="M",
                                     linearization="col")
             store.vector_from_numpy(vec, name="v")
+            p = store.create_matrix(mat.shape, name="P",
+                                    linearization="col")
+            p.write_submatrix(0, 0, mat[:32])
+            p.write_submatrix(40, 5, mat[40:50, 5:10])
+            assert p.tile_dir.tolist() == [
+                [STORED_RAW, STORED_RAW], [STORED_RAW, UNWRITTEN],
+                [UNWRITTEN, UNWRITTEN]]
         assert path.exists()
 
         with ArrayStore(storage=cfg) as store:
-            assert sorted(store.stored_names()) == ["M", "v"]
+            assert sorted(store.stored_names()) == ["M", "P", "v"]
             m2 = store.open_matrix("M")
             assert m2.linearization.name == "col"
             assert np.array_equal(m2.to_numpy(), mat)
             assert np.array_equal(store.open_vector("v").to_numpy(),
                                   vec)
+            p2 = store.open_matrix("P")
+            assert np.array_equal(p2.tile_dir, p.tile_dir)
+            store.pool.clear()
+            store.reset_stats()
+            assert p2.to_numpy().tobytes() == part.tobytes()
+            assert store.device.stats.reads == 3 * p2.pages_per_tile
+            store.pool.clear()
+            store.reset_stats()
+            assert not p2.read_tile(2, 1).any()
+            assert store.device.stats.reads == 0
+
+    @pytest.mark.parametrize("codec", ["raw", "delta+zstd"])
+    def test_an_older_manifest_entry_reattaches(self, tmp_path, mode,
+                                                codec):
+        """A manifest written before every matrix kept a tile directory
+        held a matrix's as ``tile_dir``: a codec matrix's ``{position:
+        payload length}`` over its written tiles, a raw matrix's always
+        empty.  Such an entry reattaches with the same values — a raw
+        matrix's tiles read as stored raw, a codec matrix's keep their
+        states — and is written back in the current format."""
+        path = tmp_path / "riot.db"
+        cfg = StorageConfig(backend=mode, path=path,
+                            memory_bytes=16 * 8192, codec=codec)
+        data = np.arange(70 * 40, dtype=np.float64).reshape(70, 40)
+        expect = np.zeros_like(data)
+        expect[:32] = data[:32]
+        with ArrayStore(storage=cfg) as store:
+            m = store.create_matrix(data.shape, name="M",
+                                    linearization="col")
+            m.write_submatrix(0, 0, data[:32])
+        directory = m.tile_dir
+        meta_path = tmp_path / "riot.db.meta"
+        meta = json.loads(meta_path.read_text())
+        entry = meta["manifest"]["M"]
+        del entry["tiles"]
+        entry["tile_dir"] = {} if codec == "raw" else {
+            str(m.linearization.index(ti, tj)): int(directory[ti, tj])
+            for ti, tj in np.argwhere(directory >= STORED_RAW).tolist()}
+        meta_path.write_text(json.dumps(meta))
+        expected_dir = (np.full_like(directory, STORED_RAW)
+                        if codec == "raw" else directory)
+        for _ in range(2):
+            with ArrayStore(storage=cfg) as store:
+                again = store.open_matrix("M")
+                assert np.array_equal(again.tile_dir, expected_dir)
+                assert again.to_numpy().tobytes() == expect.tobytes()
+            assert "tiles" in json.loads(
+                meta_path.read_text())["manifest"]["M"]
 
     def test_wrong_kind_and_missing_names(self, tmp_path, mode):
         cfg = StorageConfig(backend=mode, path=tmp_path / "r.db",

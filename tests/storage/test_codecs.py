@@ -27,6 +27,7 @@ from repro.storage import (ArrayStore, CODECS, DeltaZstdCodec,
                            Float32Codec, IOSTATS_SCHEMA_KEYS, RawCodec,
                            StorageConfig, TileCodec, TiledMatrix,
                            get_codec, register_codec)
+from repro.storage.tile_store import PENDING, STORED_RAW
 
 FILE_MODES = ("mmap", "pread")
 
@@ -655,11 +656,44 @@ class TestCompressedStore:
             assert np.array_equal(mat.to_numpy(), expect)
 
     def test_unwritten_tiles_read_as_zeros_without_io(self):
-        with _store(codec="delta+zstd") as store:
-            mat = store.create_matrix((96, 96))
-            store.reset_stats()
-            assert np.array_equal(mat.to_numpy(), np.zeros((96, 96)))
-            assert store.device.stats.reads == 0
+        """Raw and codec matrices keep one directory: under one write
+        sequence — whole tiles, a partly covered tile, tiles never
+        written — both report the same tiles written and read the same
+        bytes, and neither reads a page for a tile never written,
+        whether it is read or partly written, on any backend."""
+        data = _integers(6, (96, 96))
+        seen = {}
+        for codec, backend in [(c, b) for c in ("raw", "delta+zstd")
+                               for b in ("memory", "mmap", "pread")]:
+            with _store(codec=codec, backend=backend) as store:
+                mat = store.create_matrix((96, 96))
+                assert mat.grid == (3, 3)
+                store.reset_stats()
+                assert np.array_equal(mat.to_numpy(), np.zeros((96, 96)))
+                assert store.device.stats.reads == 0
+                mat.write_tile(0, 0, data[:32, :32])
+                mat.write_submatrix(0, 32, data[:64, 32:])
+                store.flush()
+                store.pool.clear()
+                store.reset_stats()
+                mat.write_submatrix(70, 5, data[70:80, 5:15])
+                assert store.device.stats.reads == 0
+                store.flush()
+                store.pool.clear()
+                store.tile_cache.clear()
+                store.reset_stats()
+                assert not mat.read_tile(1, 0).any()
+                assert not mat.read_submatrix(64, 96, 40, 96).any()
+                assert store.device.stats.reads == 0
+                seen[codec, backend] = (
+                    (mat.tile_dir >= STORED_RAW).tolist(),
+                    mat.to_numpy().tobytes())
+        expect = np.zeros((96, 96))
+        expect[:32, :32] = data[:32, :32]
+        expect[:64, 32:] = data[:64, 32:]
+        expect[70:80, 5:15] = data[70:80, 5:15]
+        written = [[True] * 3, [False, True, True], [True, False, False]]
+        assert list(seen.values()) == [(written, expect.tobytes())] * 6
 
     def test_float32_store_packs_twice_the_scalars(self):
         with _store(dtype="float32") as f32, _store() as f64:
@@ -695,8 +729,8 @@ class TestCompressedStore:
             # Four-page tiles whose payloads fit one page each.
             big = store.create_matrix(data.shape, tile_shape=(64, 64)) \
                 .from_numpy(data)
-            assert set(big.tile_dir.values()) <= set(range(1, 8193))
             assert big.stored_pages() == (4, 16)
+            assert ((big.tile_dir > 0) & (big.tile_dir <= 8192)).all()
             assert store.io_ratio_estimate() == (16 + 4) / (16 + 16)
             # A tile that took the raw fallback counts its whole span,
             # and what is dropped no longer counts.
@@ -736,7 +770,8 @@ class TestCompressedStore:
                 .from_numpy(data)
             # Written tiles are encoded when they leave memory.
             store.flush()
-            assert mat.tile_dir == {0: 0} and mat.pages_per_tile == 4
+            assert mat.tile_dir.tolist() == [[STORED_RAW]]
+            assert mat.pages_per_tile == 4
             assert mat.tile_blocks(0, 0) == mat._blocks[0, 0].tolist()
             store.pool.clear()
             store.tile_cache.clear()
@@ -916,9 +951,13 @@ def _recording_spills():
 
 
 def _pending(mat):
-    """The tiles of ``mat`` written and not yet encoded."""
-    return [t for t in mat.tiles()
-            if mat.store.tile_cache.is_dirty((mat, *t))]
+    """The tiles of ``mat`` written and not yet encoded: ``PENDING`` in
+    its directory, which must name exactly the tiles the decoded-tile
+    cache holds for it."""
+    pending = [t for t in mat.tiles() if mat.tile_dir[t] == PENDING]
+    assert pending == [t for t in mat.tiles()
+                       if (mat, *t) in mat.store.tile_cache._entries]
+    return pending
 
 
 def _integers(seed, shape):
@@ -1006,12 +1045,14 @@ class TestWriteBack:
         with _recording_spills() as (spilled, encoded):
             with ArrayStore(storage=cfg) as store:
                 mat = store.matrix_from_numpy(data, name="P")
-                assert len(_pending(mat)) == 9 and not mat.tile_dir
+                assert len(_pending(mat)) == 9
+                assert (mat.tile_dir == PENDING).all()
                 assert not encoded and not store.device.stats.writes
             assert len(spilled) == len(encoded) == 9
         with ArrayStore(storage=cfg) as store:
             again = store.open_matrix("P")
-            assert len(again.tile_dir) == 9
+            assert again.tile_dir.shape == (3, 3)
+            assert (again.tile_dir >= STORED_RAW).all()
             assert again.to_numpy().tobytes() == data.tobytes()
 
     def test_dropping_pending_tiles_encodes_and_writes_nothing(self):
@@ -1038,7 +1079,8 @@ class TestWriteBack:
             mat = store.create_matrix(data.shape, tile_shape=(32, 32))
             mat.from_numpy(data)
             assert len(spilled) == 4 and not _pending(mat)
-            assert sorted(mat.tile_dir) == [0, 1, 2, 3]
+            assert (mat.tile_dir >= STORED_RAW).all()
+            assert mat.tile_dir.shape == (2, 2)
             patch = -np.ones((3, 40))
             mat.write_submatrix(30, 10, patch)
             data[30:33, 10:50] = patch

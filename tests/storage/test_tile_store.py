@@ -409,6 +409,51 @@ class TestArrayStore:
         with ArrayStore(config) as store:
             assert np.array_equal(store.open_matrix("X").to_numpy(), ones)
 
+    @pytest.mark.parametrize("backend", ["mmap", "pread"])
+    def test_a_persisted_name_cannot_be_taken(self, tmp_path, backend):
+        """A name an earlier session persisted is taken even while no
+        session has opened it: a new array under it is refused, where
+        it used to replace the manifest entry and, once dropped, take
+        it away.  The persisted array survives a third reopen."""
+        config = StorageConfig(backend=backend, memory_bytes=16 * 8192,
+                               path=tmp_path / "riot.db")
+        ones = np.ones((64, 64))
+        with ArrayStore(config) as store:
+            store.matrix_from_numpy(ones, name="X")
+        with ArrayStore(config) as store:
+            with pytest.raises(ValueError,
+                               match="'X' is already persisted"):
+                store.matrix_from_numpy(2 * ones, name="X")
+            with pytest.raises(ValueError,
+                               match="'X' is already persisted"):
+                store.create_vector(10, name="X")
+            assert store.stored_names() == ["X"]
+        with ArrayStore(config) as store:
+            assert store.stored_names() == ["X"]
+            assert store.open_matrix("X").to_numpy().tobytes() \
+                == ones.tobytes()
+
+    @pytest.mark.parametrize("backend", ["mmap", "pread"])
+    def test_fresh_names_skip_persisted_names(self, tmp_path, backend):
+        """An unnamed array of a later session takes a name no earlier
+        session persisted, so dropping it — what every temporary of a
+        computation on a reopened store does — leaves the persisted
+        array alone."""
+        config = StorageConfig(backend=backend, memory_bytes=16 * 8192,
+                               path=tmp_path / "riot.db")
+        ones = np.ones((64, 64))
+        with ArrayStore(config) as store:
+            assert store.matrix_from_numpy(ones).name == "mat_1"
+        with ArrayStore(config) as store:
+            temp = store.matrix_from_numpy(2 * ones)
+            assert temp.name != "mat_1"
+            temp.drop()
+            assert store.stored_names() == ["mat_1"]
+        with ArrayStore(config) as store:
+            assert store.stored_names() == ["mat_1"]
+            assert store.open_matrix("mat_1").to_numpy().tobytes() \
+                == ones.tobytes()
+
     def test_io_stats_counts_cold_reads(self, tiny_store, rng):
         data = rng.standard_normal(50_000)
         vec = tiny_store.vector_from_numpy(data)
