@@ -427,18 +427,57 @@ def riotdb_matmul_io(n1: float, n2: float, n3: float,
 # ----------------------------------------------------------------------
 #: Default side of a *sparse* tile at B = 1024 scalars per block: 4x the
 #: dense square-tile side (see ``SPARSE_TILE_FACTOR`` in
-#: :mod:`repro.sparse.sparse_matrix` — a CSR tile's pages scale with its
+#: :mod:`repro.sparse.sparse_matrix` — a CSR tile's bytes scale with its
 #: nnz, so the grid can use geometrically larger tiles than dense
 #: storage, making empty tiles common at low density).
 DEFAULT_TILE_SIDE = 128
 
 
+def packed_tile_offset(end: int, size: int, page: int) -> int:
+    """Where a CSR tile of ``size`` goes in a page file whose last tile
+    ends at ``end`` (all three in one unit: the writer's bytes, the
+    models' words).
+
+    Right at ``end``, unless that would make the tile span more pages
+    than it would alone (``ceil(size / page)``); then at the next page
+    boundary.  So a tile read alone never costs a page more than on
+    pages of its own, and every page of the one-tile-per-page layout
+    lands in exactly one packed page.  The writer
+    (:meth:`repro.sparse.SparseTiledMatrix.append_tile`) places every
+    tile by it and :func:`packed_page_share` prices it.
+    """
+    if -(-(end + size) // page) - end // page <= -(-size // page):
+        return end
+    return -(-end // page) * page
+
+
+def packed_page_share(tile_words: float, block: float) -> float:
+    """Pages per tile when tiles of ``tile_words`` words follow each
+    other by :func:`packed_tile_offset`: the pages of one cycle (from a
+    page boundary to the next tile that starts on one) over its tiles.
+
+    Tiles under a page go ``floor(block / words)`` to a page; one just
+    over whole pages (the ~14 KB ``G`` tiles of ``sparse_chain``: 1.75
+    pages) shares none.
+    """
+    size, page = max(1, math.ceil(tile_words)), int(block)
+    end = tiles = 0
+    while True:
+        start = packed_tile_offset(end, size, page)
+        if tiles and start % page == 0:
+            return start / page / tiles
+        end, tiles = start + size, tiles + 1
+
+
 def sparse_tile_pages(tile_rows: float, tile_nnz: float,
                       block: float) -> float:
-    """Pages one CSR tile occupies: header + indptr + indices + data.
+    """Pages one CSR tile spans: header + indptr + indices + data.
 
     ``tile_words`` in :mod:`repro.sparse.sparse_matrix` is the exact
     integer version; here the ceiling is taken on the expectation.
+    Under :func:`packed_tile_offset` a tile spans exactly this many
+    pages wherever it starts: what a read of the tile alone costs and
+    what ``spgemm`` budgets for the B tile it streams.
     """
     words = tile_rows + 2.0 + 2.0 * tile_nnz
     return max(1.0, math.ceil(words / block))
@@ -452,9 +491,11 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
     (square when ``tile_cols`` is omitted).
 
     Returns grid dimensions, the probability that a tile is nonempty,
-    the expected nonempty-tile count, the expected nnz, words and pages
-    of a nonempty tile and the expected total pages — the quantities
-    every sparse cost model below is built from.
+    the expected nonempty-tile count, the expected nnz and words of a
+    nonempty tile, the pages it spans (``tile_pages``) and its share of
+    a packed page (``page_share``, :func:`packed_page_share`), and the
+    expected total pages of the packed page file — the quantities every
+    sparse cost model below is built from.
     """
     if tile_cols is None:
         tile_cols = tile_rows
@@ -465,22 +506,36 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
     p_nonempty = 1.0 - (1.0 - density) ** area
     n_nonempty = grid_rows * grid_cols * p_nonempty
     avg_nnz = (density * area / p_nonempty) if p_nonempty > 0 else 0.0
-    tile_pages = sparse_tile_pages(tile_rows, avg_nnz, block)
+    tile_words = tile_rows + 2.0 + 2.0 * avg_nnz
+    share = packed_page_share(tile_words, block)
     return {"grid_rows": grid_rows, "grid_cols": grid_cols,
             "p_nonempty": p_nonempty, "n_nonempty": n_nonempty,
-            "avg_nnz": avg_nnz,
-            "tile_words": tile_rows + 2.0 + 2.0 * avg_nnz,
-            "tile_pages": tile_pages, "pages": n_nonempty * tile_pages}
+            "avg_nnz": avg_nnz, "tile_words": tile_words,
+            "tile_pages": sparse_tile_pages(tile_rows, avg_nnz, block),
+            "page_share": share, "pages": n_nonempty * share}
+
+
+def packed_run_pages(prof: dict, runs: float, tiles: float) -> float:
+    """Expected distinct pages of ``tiles`` nonempty tiles that lie in
+    ``runs`` runs of consecutive tiles of a packed page file with
+    profile ``prof``: a run's first tile spans its own ``tile_pages``,
+    each further one adds its ``page_share``.  A panel that reads such
+    a run reads a page the run shares with a neighbour outside it
+    again, which is how the models below count a shared page once per
+    panel that touches it."""
+    return (runs * (prof["tile_pages"] - prof["page_share"])
+            + tiles * prof["page_share"])
 
 
 def spmv_io(m: float, l: float, nnz: float, block: float,
             tile_side: float = DEFAULT_TILE_SIDE) -> float:
     """I/O of ``y = A x`` with sparse tiled A and a chunked dense x.
 
-    Per block row: every nonempty tile is read once, and an x chunk is
-    read iff any of the tiles it spans is nonempty (the kernel's slice
-    reads within one block row coalesce to one read per touched chunk
-    via the buffer pool).  y is written once, streaming.
+    Per block row: its nonempty tiles, one run of the packed page file,
+    are read once, and an x chunk is read iff any of the tiles it spans
+    is nonempty (the kernel's slice reads within one block row coalesce
+    to one read per touched chunk via the buffer pool).  y is written
+    once, streaming.
     """
     prof = sparse_matrix_profile(m, l, nnz, block, tile_side)
     x_blocks = math.ceil(l / block)
@@ -488,7 +543,10 @@ def spmv_io(m: float, l: float, nnz: float, block: float,
     p_chunk = 1.0 - (1.0 - prof["p_nonempty"]) ** tiles_per_chunk
     x_reads = prof["grid_rows"] * x_blocks * p_chunk
     y_writes = math.ceil(m / block)
-    return prof["pages"] + x_reads + y_writes
+    p_row = 1.0 - (1.0 - prof["p_nonempty"]) ** prof["grid_cols"]
+    a_reads = packed_run_pages(prof, prof["grid_rows"] * p_row,
+                               prof["n_nonempty"])
+    return a_reads + x_reads + y_writes
 
 
 def _panels_touching(p_nonempty: float, grid_rows: int, r: int) -> float:
@@ -546,17 +604,21 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
     kernel cuts its panels from, square or not.
 
     A count over :func:`spmm_panels` on the expected tile directory:
-    every nonempty A tile is read once per column panel; per row panel
-    the strip of B under block column ``tj`` (one A tile column high)
-    is read once iff some held block row has a tile there; C is
-    written once, tile-aligned.
+    per column panel every row panel reads its nonempty A tiles, one
+    run of the packed page file (a page two row panels share is read
+    by both); per row panel the strip of B under block column ``tj``
+    (one A tile column high) is read once iff some held block row has
+    a tile there; C is written once, tile-aligned.
     """
     th, tk = tiles
     prof = sparse_matrix_profile(m, l, nnz, block, th, tk)
     b_blocks = l * n / block
     pw, r = spmm_panels(memory, n, th, tk, prof["grid_rows"],
                         prof["pages"], b_blocks, th * tk)
-    a_reads = math.ceil(n / pw) * prof["pages"]
+    p_row = 1.0 - (1.0 - prof["p_nonempty"]) ** prof["grid_cols"]
+    a_reads = math.ceil(n / pw) * packed_run_pages(
+        prof, _panels_touching(p_row, prof["grid_rows"], r),
+        prof["n_nonempty"])
     b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
                                           prof["grid_rows"], r)
     c_writes = m * n / block
@@ -623,8 +685,12 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
     panels): ``A(i, k)`` is read once iff B's block row ``k`` has a
     tile at all, ``B(k, j)`` once per row panel in which some held row
     has a tile in block column ``k``, and C's nonempty tiles are
-    written once.  Result density follows the standard independence
-    estimate ``1 - (1 - dA dB)^l`` per element.
+    written once.  Each is counted in pages of the packed page files
+    (:func:`packed_run_pages`): a panel's A tiles are one run, and the
+    B block rows it needs are runs that merge where needed rows follow
+    each other, so a page two panels share is read by both.  Result
+    density follows the standard independence estimate ``1 - (1 - dA
+    dB)^l`` per element.
     """
     th, tk, tw = tiles
     prof_a = sparse_matrix_profile(m, l, nnz_a, block, th, tk)
@@ -634,10 +700,20 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
         memory, th * tw,
         prof_a["grid_cols"] * prof_a["p_nonempty"] * prof_a["tile_words"],
         prof_b["tile_pages"] * block, grid_rows)
-    a_reads = prof_a["pages"] * (
-        1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"])
-    b_reads = prof_b["pages"] * _panels_touching(prof_a["p_nonempty"],
-                                                 grid_rows, r)
+    panels = math.ceil(grid_rows / r)
+    # A: the tiles whose B block row is nonempty, one run a panel.
+    b_row = 1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"]
+    a_row = 1.0 - (1.0 - prof_a["p_nonempty"] * b_row) ** prof_a["grid_cols"]
+    a_reads = packed_run_pages(prof_a, _panels_touching(a_row, grid_rows, r),
+                               prof_a["n_nonempty"] * b_row)
+    # B: per panel, the nonempty block rows some held row needs (a
+    # held tile in column k), in runs of needed rows next on disk.
+    touched = _panels_touching(prof_a["p_nonempty"], grid_rows, r)
+    need = touched / panels
+    rows = prof_b["grid_rows"] * b_row
+    runs = need + max(0.0, rows - 1.0) * need * (1.0 - need)
+    b_reads = panels * packed_run_pages(prof_b, runs,
+                                        prof_b["n_nonempty"] * need)
     d_a = min(1.0, nnz_a / (m * l))
     d_b = min(1.0, nnz_b / (l * n))
     d_c = 1.0 - (1.0 - d_a * d_b) ** l

@@ -109,26 +109,24 @@ def read(value, region: tuple, trans: bool = False):
 
 
 def batched(store, steps: Iterable[Step]) -> list[Step]:
-    """``steps``, one run of small reads, in greedy batches whose new
-    blocks (not read earlier in the run) fit in half the pool less two
-    frames, a first step always: a batch's first step announces the
-    union of its reads, the rest nothing.  A larger hint would evict
-    frames before their demand read, and the re-reads would inflate
-    the block totals the cost models charge."""
+    """``steps``, one run of small reads, in greedy batches whose
+    blocks fit in half the pool less two frames, a first step always: a
+    batch's first step announces the union of its reads, the rest
+    nothing.  A larger hint would evict frames before their demand
+    read, and the re-reads would inflate the block totals the cost
+    models charge.  A block an earlier batch announced counts again: a
+    run can come back to it after the pool dropped it (CSR tiles that
+    share a page, read column by column)."""
     limit = max(1, store.pool.capacity // 2 - 2)
-    seen: set[int] = set()
     batches: list[list[Step]] = []
-    size = 0
+    union: set[int] = set()
     for step in steps:
-        new = -len(seen)
-        for op in step.reads:
-            seen.update(blocks(*op))
-        new += len(seen)
-        if not batches or size and size + new > limit:
+        reads = {b for op in step.reads for b in blocks(*op)}
+        if not batches or union and len(union | reads) > limit:
             batches.append([])
-            size = 0
+            union = set()
         batches[-1].append(step)
-        size += new
+        union |= reads
     return [Step(step.reads, step.tag, () if i else tuple(
                 op for s in batch for op in s.reads))
             for batch in batches for i, step in enumerate(batch)]

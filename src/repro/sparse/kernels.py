@@ -408,7 +408,7 @@ def spgemm_schedule(a: SparseTiledMatrix, b: SparseTiledMatrix,
         memory_scalars, th * tw,
         [sum(tile_words(th, a.tile_nnz(ti, k)) for k in ks)
          for ti, ks in enumerate(needed)],
-        max((pages for _, pages, _ in b.directory.values()), default=0)
+        max((len(b.tile_pages(*t)) for t in b.directory), default=0)
         * b.store.scalars_per_block)
     return needed, panels
 
@@ -494,4 +494,5 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
         return tiles
 
     run_steps(store, (row_panel(lo, hi) for lo, hi in panels), compute)
+    out.put_tail()
     return out

@@ -8,12 +8,18 @@ then spends nearly all of its I/O moving zeros.  A
 :class:`SparseTiledMatrix` keeps the same tile grid but stores each tile in
 compressed sparse row (CSR) form:
 
-- a **tile directory** maps grid coordinates of *nonempty* tiles to their
-  page range and nonzero count; **empty tiles occupy zero pages** and cost
-  zero I/O,
+- a **tile directory** maps grid coordinates of *nonempty* tiles to
+  their byte offset and length in the matrix's
+  :class:`~repro.storage.pagefile.PageFile` and their nonzero count, so
+  it describes the data completely; **empty tiles occupy zero bytes**
+  and cost zero I/O,
 - each nonempty tile is serialized as ``[nnz][indptr][indices][data]``
-  (all 8-byte words) into whole pages of the matrix's
-  :class:`~repro.storage.pagefile.PageFile`,
+  (all 8-byte words) and *packed*: it starts where the last tile ended,
+  unless that would make it span more pages than it would alone
+  (:func:`repro.core.costs.packed_tile_offset`, the rule the cost
+  models price too) — then on the next page.  Tiles far below a page
+  share pages; a read of one tile still costs no page more than on
+  pages of its own,
 - :meth:`~SparseTiledMatrix.from_coo` / ``from_dense`` append tiles in
   linearization order, so a scan of the nonempty tiles in grid order
   produces sequential device I/O exactly like the dense store.
@@ -32,6 +38,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.costs import packed_tile_offset
 from repro.storage import (Linearization, make_linearization,
                            new_pagefile)
 from repro.storage.tile_store import ArrayStore, TiledMatrix
@@ -43,10 +50,11 @@ _WORD_BYTES = 8
 
 #: Sparse tiles default to this multiple of the dense square-tile side.
 #: Dense tiles must fit one block, so their area is pinned to B scalars;
-#: a CSR tile's page count scales with its nnz instead, so the grid can
-#: use geometrically larger tiles — low-density regions then collapse
-#: into *empty* tiles (zero pages) while a nonempty tile still spans
-#: only ``O(nnz)`` pages.
+#: a CSR tile's bytes scale with its nnz instead, so the grid can use
+#: geometrically larger tiles — low-density regions then collapse into
+#: *empty* tiles (zero bytes) while a nonempty tile still takes only
+#: ``O(nnz)`` bytes, packed beside its neighbours (a 0.5 %-dense
+#: 128 x 128 tile is ~2.3 KB: three to an 8 KiB page).
 SPARSE_TILE_FACTOR = 4
 
 
@@ -107,7 +115,7 @@ def tile_words(rows: int, nnz: int) -> int:
 
 
 class SparseTiledMatrix:
-    """A 2-D sparse array stored as a grid of CSR tiles on whole pages.
+    """A 2-D sparse array stored as a grid of CSR tiles packed into pages.
 
     The tile grid mirrors :class:`TiledMatrix` (same ``tile_shape`` /
     ``grid`` / ``tile_bounds`` geometry), but only nonempty tiles are
@@ -143,11 +151,17 @@ class SparseTiledMatrix:
             self.linearization = make_linearization(
                 linearization, self.grid[0], self.grid[1])
         self.file = new_pagefile(store.device, name=name)
-        #: (ti, tj) -> (first_page, n_pages, nnz) for nonempty tiles only.
+        #: (ti, tj) -> (byte offset, byte length, nnz) in ``file``, for
+        #: nonempty tiles only; :meth:`tile_pages` gives the pages.
         self.directory: dict[tuple[int, int], tuple[int, int, int]] = {}
-        #: (ti, tj) -> device blocks of the tile's pages, fixed at append
-        #: (tiles are write-once), so reads and hints never re-derive it.
-        self._blocks: dict[tuple[int, int], list[int]] = {}
+        #: Where the last tile ends, and the image of its page while
+        #: that page is only partly filled (``None`` on a boundary): a
+        #: tile placed there rebuilds the page from it, so an append
+        #: never reads the device.  ``_tail_due``: the pool has not seen
+        #: the image yet (:meth:`put_tail`).
+        self._end = 0
+        self._tail: np.ndarray | None = None
+        self._tail_due = False
         self._row_index: dict[int, list[int]] = {}
         self._col_index: dict[int, list[int]] = {}
         self.nnz = 0
@@ -222,6 +236,7 @@ class SparseTiledMatrix:
             li, lj, lx = li[sub], lj[sub], x[pos:end][sub]
             mat.append_tile(ti, tj, _indptr_of(li, r1 - r0),
                             lj.astype(_INT), lx)
+        mat.put_tail()
         return mat
 
     @classmethod
@@ -238,10 +253,13 @@ class SparseTiledMatrix:
 
     def append_tile(self, ti: int, tj: int, indptr: np.ndarray,
                     indices: np.ndarray, data: np.ndarray) -> None:
-        """Serialize one CSR tile onto fresh pages and index it.
+        """Serialize one CSR tile into the page file and index it.
 
-        Empty tiles (``data.size == 0``) are skipped entirely — no
-        directory entry, no pages, no I/O.  A triple that is not the CSR
+        The tile starts where the last one ended, or on the next page
+        where that would make it span more pages than it would alone
+        (:func:`~repro.core.costs.packed_tile_offset`).  Empty tiles
+        (``data.size == 0``) are skipped entirely — no directory entry,
+        no bytes, no I/O.  A triple that is not the CSR
         form of a tile of this shape is rejected before any page is
         allocated: read back, it would densify into wrong numbers.
         """
@@ -268,24 +286,40 @@ class SparseTiledMatrix:
             raise ValueError(
                 f"{self.name} tile ({ti},{tj}) has a column index "
                 f"outside [0, {c1 - c0})")
-        # The page image, built once: ``[nnz][indptr][indices][data]``
-        # as 8-byte words, zero-padded to whole pages.
+        # The image of the pages the tile spans, built once: the tail
+        # page's bytes so far, then ``[nnz][indptr][indices][data]`` as
+        # 8-byte words, zero-padded to whole pages.
         body = 2 + r1 - r0                          # header + indptr
         n_bytes = tile_words(r1 - r0, nnz) * _WORD_BYTES
         page_size = self.store.device.block_size
-        n_pages = -(-n_bytes // page_size)
-        image = np.zeros(n_pages * page_size, dtype=np.uint8)
-        words = image[:n_bytes].view(_INT)
+        offset = packed_tile_offset(self._end, n_bytes, page_size)
+        pages = self._span(offset, n_bytes)
+        # From the tail page if the tile starts in it or the pool has
+        # yet to see it, to the tile's last page.
+        first = self.file.num_pages - 1 if self._tail_due else pages.start
+        image = np.zeros((pages.stop - first, page_size), dtype=np.uint8)
+        if first < self.file.num_pages:
+            image[0] = self._tail
+        self.file.allocate_pages(pages.stop - self.file.num_pages)
+        at = offset - first * page_size
+        words = image.reshape(-1)[at: at + n_bytes].view(_INT)
         words[0] = nnz
         words[1:body] = indptr
         words[body: body + nnz] = indices
         words[body + nnz:].view(_FLOAT)[:] = data
-        first_page = self.file.allocate_pages(n_pages)[0]
-        blocks = self.file.blocks_of(range(first_page,
-                                           first_page + n_pages))
-        self.store.pool.put_many(blocks, image.reshape(n_pages, page_size))
-        self.directory[(ti, tj)] = (first_page, n_pages, nnz)
-        self._blocks[(ti, tj)] = blocks
+        # The filled pages go to the pool in one call; a partly filled
+        # last page waits as the tail until a later tile fills it or
+        # moves past it or a read needs it, so a build puts and writes
+        # each page once.
+        self._end = offset + n_bytes
+        whole = len(image) - bool(self._end % page_size)
+        self._tail = image[-1].copy() if whole < len(image) else None
+        self._tail_due = self._tail is not None
+        if whole:
+            self.store.pool.put_many(
+                self.file.blocks_of(range(first, first + whole)),
+                image[:whole])
+        self.directory[(ti, tj)] = (offset, n_bytes, nnz)
         self._row_index.setdefault(ti, []).append(tj)
         self._col_index.setdefault(tj, []).append(ti)
         self.nnz += nnz
@@ -320,7 +354,8 @@ class SparseTiledMatrix:
             yield self.linearization.coords(pos)
 
     def nonempty_tiles(self) -> list[tuple[int, int]]:
-        """Nonempty tile coordinates in on-disk (appended) order."""
+        """Nonempty tile coordinates in on-disk (appended) order: by
+        byte offset, since tiles share first pages."""
         return sorted(self.directory,
                       key=lambda t: self.directory[t][0])
 
@@ -337,13 +372,40 @@ class SparseTiledMatrix:
         entry = self.directory.get((ti, tj))
         return entry[2] if entry else 0
 
-    def tile_blocks(self, ti: int, tj: int) -> list[int]:
-        """Device blocks backing tile (ti, tj) — empty list if empty."""
-        blocks = self._blocks.get((ti, tj))
-        if blocks is None:
+    def _span(self, offset: int, length: int) -> range:
+        """The pages a directory entry's bytes span."""
+        page_size = self.store.device.block_size
+        return range(offset // page_size,
+                     -(-(offset + length) // page_size))
+
+    def tile_pages(self, ti: int, tj: int) -> range:
+        """Pages of ``file`` tile (ti, tj) spans — empty if it is empty."""
+        entry = self.directory.get((ti, tj))
+        if entry is None:
             self._check_tile(ti, tj)
+            return range(0)
+        return self._span(*entry[:2])
+
+    def tile_blocks(self, ti: int, tj: int) -> list[int]:
+        """Device blocks backing tile (ti, tj) — empty list if empty.
+
+        Asked before a read (the schedule runner's hint), so the tail
+        page is put first: a block it names is in the pool or on the
+        device."""
+        pages = self.tile_pages(ti, tj)
+        if not pages:
             return []
-        return list(blocks)
+        self.put_tail()
+        return self.file.blocks_of(pages)
+
+    def put_tail(self) -> None:
+        """Hand the pool the tail page's image if it has not seen it:
+        before any read, and when a build ends (``from_coo``, the
+        kernels that append)."""
+        if self._tail_due:
+            self.store.pool.put(self.file.block_of(self.file.num_pages - 1),
+                                self._tail)
+            self._tail_due = False
 
     @property
     def density(self) -> float:
@@ -351,7 +413,8 @@ class SparseTiledMatrix:
 
     @property
     def data_pages(self) -> int:
-        """Pages actually occupied (empty tiles contribute nothing)."""
+        """Pages actually occupied (empty tiles contribute nothing,
+        packed tiles share)."""
         return self.file.num_pages
 
     # ------------------------------------------------------------------
@@ -364,9 +427,12 @@ class SparseTiledMatrix:
         if entry is None:
             self._check_tile(ti, tj)
             return None
-        frames = self.store.pool.get_many(self._blocks[(ti, tj)])
+        offset, n_bytes = entry[:2]
+        frames = self.store.pool.get_many(self.tile_blocks(ti, tj))
         # The one private copy; the triple is three views of it.
-        words = np.concatenate(frames).view(_INT)
+        at = offset % self.store.device.block_size
+        words = (frames[0][at: at + n_bytes].copy() if len(frames) == 1
+                 else np.concatenate(frames)[at: at + n_bytes]).view(_INT)
         nnz = int(words[0])
         if nnz != entry[2]:
             raise ValueError(
@@ -419,7 +485,7 @@ class SparseTiledMatrix:
         self.store.pool.discard(self.file.page_map)
         self.file.drop()
         self.directory.clear()
-        self._blocks.clear()
+        self._end, self._tail, self._tail_due = 0, None, False
         self._row_index.clear()
         self._col_index.clear()
         self.nnz = 0

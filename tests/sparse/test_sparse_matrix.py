@@ -128,6 +128,7 @@ def _append_tiles_old_loop(mat, i, j, x):
         np.cumsum(indptr, out=indptr)
         mat.append_tile(ti, tj, indptr, lj.astype(np.int64), lx)
         pos = end
+    mat.put_tail()                   # as ``from_coo`` ends a build
 
 
 def _raw_pages(mat) -> list[bytes]:
@@ -242,8 +243,10 @@ class TestTileDirectory:
         assert sp.tile_blocks(0, 0) == [] and sp.nonempty_in_row(0) == []
 
     def test_append_installs_one_page_image(self, store, rng):
-        """A tile goes to the pool as one ``put_many`` of its whole
-        zero-padded page image ``[nnz][indptr][indices][data]``."""
+        """A tile goes to the pool as one ``put_many`` of the pages it
+        fills, and its partly filled last page when a read asks for it
+        (``tile_blocks`` here): the whole zero-padded page image
+        ``[nnz][indptr][indices][data]``."""
         dense = _random_sparse(rng, 128, 128, 0.2)   # 7 pages
         indptr, indices, data = csr_from_dense(dense)
         sp = SparseTiledMatrix(store, "img", (128, 128), (128, 128))
@@ -253,8 +256,9 @@ class TestTileDirectory:
                                   wraps=store.pool.put) as put:
             sp.append_tile(0, 0, indptr, indices, data)
         assert put_many.call_count == 1 and put.call_count == 0
+        assert len(put_many.call_args.args[0]) == 6
         blocks = sp.tile_blocks(0, 0)
-        assert len(blocks) == sp.directory[0, 0][1] == 7
+        assert len(blocks) == len(sp.tile_pages(0, 0)) == 7
         image = np.concatenate(store.pool.get_many(blocks))
         payload = np.concatenate([
             np.array([data.size]).view(np.uint8), indptr.view(np.uint8),
@@ -266,11 +270,12 @@ class TestTileDirectory:
     def test_tile_blocks_are_the_pages_blocks(self, store, rng):
         dense = _random_sparse(rng, 300, 200, 0.2)   # multi-page tiles
         sp = SparseTiledMatrix.from_dense(store, dense)
-        assert max(e[1] for e in sp.directory.values()) > 1
-        for (ti, tj), (first, n_pages, _) in sp.directory.items():
+        page = store.device.block_size
+        assert max(len(sp.tile_pages(*t)) for t in sp.directory) > 1
+        for (ti, tj), (offset, length, _) in sp.directory.items():
             blocks = sp.tile_blocks(ti, tj)
-            assert blocks == sp.file.blocks_of(range(first,
-                                                     first + n_pages))
+            assert blocks == sp.file.blocks_of(
+                range(offset // page, -(-(offset + length) // page)))
             blocks.append(-1)            # the caller's list, not ours
             assert sp.tile_blocks(ti, tj) == blocks[:-1]
 
