@@ -572,7 +572,13 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
     pair minimising ``ceil(n / pw) * a_pages + ceil(grid_rows / r) *
     b_blocks`` wins (the wider panel on a tie); a budget too small for
     one tile-wide strip per operand still gets ``r = 1`` at one tile.
-    The height is then evened out over the row panels it implies,
+    ``a_pages`` is the pages A's tiles span each on its own, not the
+    fewer pages they share packed, so the choice is the same for every
+    layout of the tiles: packing lowers what a schedule reads and never
+    changes which one runs.  (Priced on shared pages, a geometry that
+    is cheap on paper — the count forgets the pool — could win over
+    one that reads less, say one whose B the pool keeps across row
+    panels.)  The height is then evened out over the row panels it implies,
     which costs no I/O and holds less.  The search stops at the first
     width no accumulator strip fits beside, so its length is set by
     ``memory / (tile area)``, not by ``n``.
@@ -614,7 +620,8 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
     prof = sparse_matrix_profile(m, l, nnz, block, th, tk)
     b_blocks = l * n / block
     pw, r = spmm_panels(memory, n, th, tk, prof["grid_rows"],
-                        prof["pages"], b_blocks, th * tk)
+                        prof["n_nonempty"] * prof["tile_pages"], b_blocks,
+                        th * tk)
     p_row = 1.0 - (1.0 - prof["p_nonempty"]) ** prof["grid_cols"]
     a_reads = math.ceil(n / pw) * packed_run_pages(
         prof, _panels_touching(p_row, prof["grid_rows"], r),

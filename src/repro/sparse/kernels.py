@@ -154,10 +154,12 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
 def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
                   memory_scalars: int) -> tuple[int, int]:
     """``(pw, r)`` of :func:`spmm` on these operands:
-    :func:`repro.core.costs.spmm_panels` on the exact directory."""
+    :func:`repro.core.costs.spmm_panels` on the exact directory, A
+    priced by the pages each tile spans alone."""
     th, tk = a.tile_shape
     return spmm_panels(memory_scalars, b.shape[1], th, tk, a.grid[0],
-                       a.data_pages, b.file.num_pages, th * tk)
+                       sum(len(a.tile_pages(*t)) for t in a.directory),
+                       b.file.num_pages, th * tk)
 
 
 def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
