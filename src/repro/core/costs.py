@@ -578,8 +578,8 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
     changes which one runs.  (Priced on shared pages, a geometry that
     is cheap on paper — the count forgets the pool — could win over
     one that reads less, say one whose B the pool keeps across row
-    panels.)  The height is then evened out over the row panels it implies,
-    which costs no I/O and holds less.  The search stops at the first
+    panels.)  The height is then evened out over the row panels it
+    implies, which costs no I/O and holds less.  The search stops at the first
     width no accumulator strip fits beside, so its length is set by
     ``memory / (tile area)``, not by ``n``.
     """
