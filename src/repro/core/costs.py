@@ -492,10 +492,13 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
 
     Returns grid dimensions, the probability that a tile is nonempty,
     the expected nonempty-tile count, the expected nnz and words of a
-    nonempty tile, the pages it spans (``tile_pages``) and its share of
-    a packed page (``page_share``, :func:`packed_page_share`), and the
-    expected total pages of the packed page file — the quantities every
-    sparse cost model below is built from.
+    nonempty tile, the pages it spans (``tile_pages``) and the expected
+    total pages of the packed page file (:func:`packed_page_share` a
+    tile) — the quantities every sparse cost model below is built from.
+    The kernels read a sparse operand through tile scans
+    (:class:`repro.sparse.sparse_matrix.TileScan`) that fetch each page
+    once a pass, so the models count a pass over some tiles as their
+    share of ``pages``.
     """
     if tile_cols is None:
         tile_cols = tile_rows
@@ -507,33 +510,20 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
     n_nonempty = grid_rows * grid_cols * p_nonempty
     avg_nnz = (density * area / p_nonempty) if p_nonempty > 0 else 0.0
     tile_words = tile_rows + 2.0 + 2.0 * avg_nnz
-    share = packed_page_share(tile_words, block)
     return {"grid_rows": grid_rows, "grid_cols": grid_cols,
             "p_nonempty": p_nonempty, "n_nonempty": n_nonempty,
             "avg_nnz": avg_nnz, "tile_words": tile_words,
             "tile_pages": sparse_tile_pages(tile_rows, avg_nnz, block),
-            "page_share": share, "pages": n_nonempty * share}
-
-
-def packed_run_pages(prof: dict, runs: float, tiles: float) -> float:
-    """Expected distinct pages of ``tiles`` nonempty tiles that lie in
-    ``runs`` runs of consecutive tiles of a packed page file with
-    profile ``prof``: a run's first tile spans its own ``tile_pages``,
-    each further one adds its ``page_share``.  A panel that reads such
-    a run reads a page the run shares with a neighbour outside it
-    again, which is how the models below count a shared page once per
-    panel that touches it."""
-    return (runs * (prof["tile_pages"] - prof["page_share"])
-            + tiles * prof["page_share"])
+            "pages": n_nonempty * packed_page_share(tile_words, block)}
 
 
 def spmv_io(m: float, l: float, nnz: float, block: float,
             tile_side: float = DEFAULT_TILE_SIDE) -> float:
     """I/O of ``y = A x`` with sparse tiled A and a chunked dense x.
 
-    Per block row: its nonempty tiles, one run of the packed page file,
-    are read once, and an x chunk is read iff any of the tiles it spans
-    is nonempty (the kernel's slice reads within one block row coalesce
+    Every page of A is read once (one tile scan over all of A), and
+    per block row an x chunk is read iff any of the tiles it spans is
+    nonempty (the kernel's slice reads within one block row coalesce
     to one read per touched chunk via the buffer pool).  y is written
     once, streaming.
     """
@@ -543,10 +533,7 @@ def spmv_io(m: float, l: float, nnz: float, block: float,
     p_chunk = 1.0 - (1.0 - prof["p_nonempty"]) ** tiles_per_chunk
     x_reads = prof["grid_rows"] * x_blocks * p_chunk
     y_writes = math.ceil(m / block)
-    p_row = 1.0 - (1.0 - prof["p_nonempty"]) ** prof["grid_cols"]
-    a_reads = packed_run_pages(prof, prof["grid_rows"] * p_row,
-                               prof["n_nonempty"])
-    return a_reads + x_reads + y_writes
+    return prof["pages"] + x_reads + y_writes
 
 
 def _panels_touching(p_nonempty: float, grid_rows: int, r: int) -> float:
@@ -572,14 +559,8 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
     pair minimising ``ceil(n / pw) * a_pages + ceil(grid_rows / r) *
     b_blocks`` wins (the wider panel on a tie); a budget too small for
     one tile-wide strip per operand still gets ``r = 1`` at one tile.
-    ``a_pages`` is the pages A's tiles span each on its own, not the
-    fewer pages they share packed, so the choice is the same for every
-    layout of the tiles: packing lowers what a schedule reads and never
-    changes which one runs.  (Priced on shared pages, a geometry that
-    is cheap on paper — the count forgets the pool — could win over
-    one that reads less, say one whose B the pool keeps across row
-    panels.)  The height is then evened out over the row panels it
-    implies, which costs no I/O and holds less.  The search stops at the first
+    The height is then evened out over the row panels it implies,
+    which costs no I/O and holds less.  The search stops at the first
     width no accumulator strip fits beside, so its length is set by
     ``memory / (tile area)``, not by ``n``.
     """
@@ -610,22 +591,17 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
     kernel cuts its panels from, square or not.
 
     A count over :func:`spmm_panels` on the expected tile directory:
-    per column panel every row panel reads its nonempty A tiles, one
-    run of the packed page file (a page two row panels share is read
-    by both); per row panel the strip of B under block column ``tj``
-    (one A tile column high) is read once iff some held block row has
-    a tile there; C is written once, tile-aligned.
+    every page of A is read once per column panel (one tile scan); per
+    row panel the strip of B under block column ``tj`` (one A tile
+    column high) is read once iff some held block row has a tile
+    there; C is written once, tile-aligned.
     """
     th, tk = tiles
     prof = sparse_matrix_profile(m, l, nnz, block, th, tk)
     b_blocks = l * n / block
     pw, r = spmm_panels(memory, n, th, tk, prof["grid_rows"],
-                        prof["n_nonempty"] * prof["tile_pages"], b_blocks,
-                        th * tk)
-    p_row = 1.0 - (1.0 - prof["p_nonempty"]) ** prof["grid_cols"]
-    a_reads = math.ceil(n / pw) * packed_run_pages(
-        prof, _panels_touching(p_row, prof["grid_rows"], r),
-        prof["n_nonempty"])
+                        prof["pages"], b_blocks, th * tk)
+    a_reads = math.ceil(n / pw) * prof["pages"]
     b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
                                           prof["grid_rows"], r)
     c_writes = m * n / block
@@ -692,12 +668,10 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
     panels): ``A(i, k)`` is read once iff B's block row ``k`` has a
     tile at all, ``B(k, j)`` once per row panel in which some held row
     has a tile in block column ``k``, and C's nonempty tiles are
-    written once.  Each is counted in pages of the packed page files
-    (:func:`packed_run_pages`): a panel's A tiles are one run, and the
-    B block rows it needs are runs that merge where needed rows follow
-    each other, so a page two panels share is read by both.  Result
-    density follows the standard independence estimate ``1 - (1 - dA
-    dB)^l`` per element.
+    written once — each in its share of the packed pages, as the
+    kernel's tile scans read them (A's in one scan, B's in one a
+    panel).  Result density follows the standard independence estimate
+    ``1 - (1 - dA dB)^l`` per element.
     """
     th, tk, tw = tiles
     prof_a = sparse_matrix_profile(m, l, nnz_a, block, th, tk)
@@ -707,20 +681,10 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
         memory, th * tw,
         prof_a["grid_cols"] * prof_a["p_nonempty"] * prof_a["tile_words"],
         prof_b["tile_pages"] * block, grid_rows)
-    panels = math.ceil(grid_rows / r)
-    # A: the tiles whose B block row is nonempty, one run a panel.
-    b_row = 1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"]
-    a_row = 1.0 - (1.0 - prof_a["p_nonempty"] * b_row) ** prof_a["grid_cols"]
-    a_reads = packed_run_pages(prof_a, _panels_touching(a_row, grid_rows, r),
-                               prof_a["n_nonempty"] * b_row)
-    # B: per panel, the nonempty block rows some held row needs (a
-    # held tile in column k), in runs of needed rows next on disk.
-    touched = _panels_touching(prof_a["p_nonempty"], grid_rows, r)
-    need = touched / panels
-    rows = prof_b["grid_rows"] * b_row
-    runs = need + max(0.0, rows - 1.0) * need * (1.0 - need)
-    b_reads = panels * packed_run_pages(prof_b, runs,
-                                        prof_b["n_nonempty"] * need)
+    a_reads = prof_a["pages"] * (
+        1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"])
+    b_reads = prof_b["pages"] * _panels_touching(prof_a["p_nonempty"],
+                                                 grid_rows, r)
     d_a = min(1.0, nnz_a / (m * l))
     d_b = min(1.0, nnz_b / (l * n))
     d_c = 1.0 - (1.0 - d_a * d_b) ** l

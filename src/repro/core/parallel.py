@@ -109,24 +109,26 @@ def read(value, region: tuple, trans: bool = False):
 
 
 def batched(store, steps: Iterable[Step]) -> list[Step]:
-    """``steps``, one run of small reads, in greedy batches whose
-    blocks fit in half the pool less two frames, a first step always: a
-    batch's first step announces the union of its reads, the rest
-    nothing.  A larger hint would evict frames before their demand
-    read, and the re-reads would inflate the block totals the cost
-    models charge.  A block an earlier batch announced counts again: a
-    run can come back to it after the pool dropped it (CSR tiles that
-    share a page, read column by column)."""
+    """``steps``, one run of small reads, in greedy batches whose new
+    blocks (not read earlier in the run) fit in half the pool less two
+    frames, a first step always: a batch's first step announces the
+    union of its reads, the rest nothing.  A larger hint would evict
+    frames before their demand read, and the re-reads would inflate
+    the block totals the cost models charge."""
     limit = max(1, store.pool.capacity // 2 - 2)
+    seen: set[int] = set()
     batches: list[list[Step]] = []
-    union: set[int] = set()
+    size = 0
     for step in steps:
-        reads = {b for op in step.reads for b in blocks(*op)}
-        if not batches or union and len(union | reads) > limit:
+        new = -len(seen)
+        for op in step.reads:
+            seen.update(blocks(*op))
+        new += len(seen)
+        if not batches or size and size + new > limit:
             batches.append([])
-            union = set()
+            size = 0
         batches[-1].append(step)
-        union |= reads
+        size += new
     return [Step(step.reads, step.tag, () if i else tuple(
                 op for s in batch for op in s.reads))
             for batch in batches for i, step in enumerate(batch)]

@@ -9,7 +9,11 @@ turns the misses into a few coalesced device calls.  Block totals stay
 within a few percent of the unhinted run — batching shifts eviction
 *timing*, so a chunk that stayed cached across block rows unhinted may
 be re-read — while results are bitwise identical and call counts
-strictly drop.
+strictly drop.  A sparse operand is read through one
+:class:`~repro.sparse.sparse_matrix.TileScan` a pass — all of A for
+``spmv``, A once a column panel for ``spmm``, A once and B once a
+panel for ``spgemm`` — so a page that packed tiles share is fetched
+once a pass, whatever order the schedule visits its tiles in.
 
 ``spmm`` and ``spgemm`` follow the dense kernels' panel idea and their
 memory convention: what a schedule holds between uses — accumulators,
@@ -60,8 +64,8 @@ from repro.core.costs import spgemm_row_panels, spmm_panels
 from repro.core.parallel import Panel, Step, batched, run_steps
 from repro.storage import ArrayStore, TiledMatrix, TiledVector
 
-from .sparse_matrix import (SparseTiledMatrix, csr_matvec, csr_to_dense,
-                            tile_words)
+from .sparse_matrix import (SparseTiledMatrix, TileScan, csr_matvec,
+                            csr_to_dense, tile_words)
 
 _FLOAT = np.float64
 _INT = np.int64
@@ -122,6 +126,7 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
     _check_conformable(a, x)
     out = store.create_vector(a.shape[0], name=name)
     done, tail = 0, np.empty(0)     # y written so far; results after
+    scan = TileScan(a, a.directory)
 
     def chunks(acc: np.ndarray):
         """The writes of the chunks of y ``acc`` completes (block rows
@@ -140,7 +145,7 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
         acc = np.zeros(min(r0 + a.tile_shape[0], a.shape[0]) - r0,
                        dtype=_FLOAT)
         return Panel("spmv:block_row", {"ti": ti}, batched(store, [
-            Step(((a, (ti, tj), False),
+            Step(((scan, (ti, tj), False),
                   (x, a.tile_bounds(ti, tj)[2:], False)), acc)
             for tj in a.nonempty_in_row(ti)]), lambda _: chunks(acc))
 
@@ -154,12 +159,10 @@ def spmv(store: ArrayStore, a: SparseTiledMatrix, x: TiledVector,
 def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
                   memory_scalars: int) -> tuple[int, int]:
     """``(pw, r)`` of :func:`spmm` on these operands:
-    :func:`repro.core.costs.spmm_panels` on the exact directory, A
-    priced by the pages each tile spans alone."""
+    :func:`repro.core.costs.spmm_panels` on the exact directory."""
     th, tk = a.tile_shape
     return spmm_panels(memory_scalars, b.shape[1], th, tk, a.grid[0],
-                       sum(len(a.tile_pages(*t)) for t in a.directory),
-                       b.file.num_pages, th * tk)
+                       a.data_pages, b.file.num_pages, th * tk)
 
 
 def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
@@ -188,7 +191,7 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
                               name=name)
     b_strip = None      # the B strip the held rows' tiles multiply
 
-    def row_panel(j0: int, lo: int) -> Panel:
+    def row_panel(j0: int, lo: int, scan: TileScan) -> Panel:
         j1 = min(j0 + pw, n)
         hi = min(lo + r, a.grid[0])
         r0 = lo * th
@@ -204,7 +207,7 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
         for tj in sorted(rows_at):
             steps.append(Step(((b, (*a.tile_bounds(lo, tj)[2:], j0, j1),
                                 False),)))
-            steps.extend(Step(((a, (ti, tj), False),),
+            steps.extend(Step(((scan, (ti, tj), False),),
                               (acc, (ti - lo) * th, a.tile_bounds(ti, tj)))
                          for ti in rows_at[tj])
         return Panel("spmm:row_panel", {"j0": j0, "lo": lo, "hi": hi},
@@ -219,8 +222,12 @@ def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
             acc[top: top + r1 - r0] += csr_to_dense(
                 *operand, (r1 - r0, c1 - c0)) @ b_strip
 
-    run_steps(store, (row_panel(j0, lo) for j0 in range(0, n, pw)
-                      for lo in range(0, a.grid[0], r)), compute)
+    def column_panel(j0: int):
+        scan = TileScan(a, a.directory)      # A once a column panel
+        return (row_panel(j0, lo, scan) for lo in range(0, a.grid[0], r))
+
+    run_steps(store, (panel for j0 in range(0, n, pw)
+                      for panel in column_panel(j0)), compute)
     return out
 
 
@@ -453,16 +460,19 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
         store, name or store._fresh_name("spgemm"), (m, n),
         (th, b.tile_shape[1]), a.linearization.name)
     needed, panels = spgemm_schedule(a, b, memory_scalars)
+    a_scan = TileScan(a, [(ti, k) for ti, ks in enumerate(needed)
+                          for k in ks])
 
     def row_panel(lo: int, hi: int) -> Panel:
         held = _hold_panel(a, lo, hi, needed)
+        b_scan = TileScan(b, [t for t in b.directory if t[0] in held])
         args = {"lo": lo, "hi": hi, "csr_pairs": 0, "dense_pairs": 0,
                 "steps": 0}
         panel_rows = min(hi * th, m) - lo * th
 
         def steps():
             yield from batched(store, [
-                Step(((a, (ti, k), False),), held[k])
+                Step(((a_scan, (ti, k), False),), held[k])
                 for ti in range(lo, hi) for k in needed[ti]])
             for tj in range(out.grid[1]):
                 ks = [k for k in b.nonempty_in_col(tj) if k in held]
@@ -477,7 +487,7 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
                          for ti in sorted({ti for k in ks
                                            for ti in held[k].tis})]
                 yield from batched(store, [
-                    Step(((b, (k, tj), False),),
+                    Step(((b_scan, (k, tj), False),),
                          (held[k], acc, ramp, args,
                           tiles if k == ks[-1] else ()))
                     for k in ks])
@@ -496,5 +506,4 @@ def spgemm(store: ArrayStore, a: SparseTiledMatrix,
         return tiles
 
     run_steps(store, (row_panel(lo, hi) for lo, hi in panels), compute)
-    out.put_tail()
     return out

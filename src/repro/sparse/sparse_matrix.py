@@ -28,13 +28,16 @@ All reads and writes go through the shared
 :class:`~repro.storage.buffer_pool.BufferPool`, so every block is counted
 by the same :class:`~repro.storage.block_device.IOStats` contract the dense
 stack uses, and the schedule runner can announce tile footprints
-(:meth:`SparseTiledMatrix.tile_blocks`).
+(:meth:`SparseTiledMatrix.tile_blocks`).  A kernel reads an operand's
+tiles through a :class:`TileScan`, one a pass, which fetches a page
+that tiles share once, in whatever order the pass visits them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -158,7 +161,8 @@ class SparseTiledMatrix:
         #: that page is only partly filled (``None`` on a boundary): a
         #: tile placed there rebuilds the page from it, so an append
         #: never reads the device.  ``_tail_due``: the pool has not seen
-        #: the image yet (:meth:`put_tail`).
+        #: the image yet (:meth:`put_tail`, which a read or the store's
+        #: flush calls).
         self._end = 0
         self._tail: np.ndarray | None = None
         self._tail_due = False
@@ -236,7 +240,7 @@ class SparseTiledMatrix:
             li, lj, lx = li[sub], lj[sub], x[pos:end][sub]
             mat.append_tile(ti, tj, _indptr_of(li, r1 - r0),
                             lj.astype(_INT), lx)
-        mat.put_tail()
+        mat.put_tail()                   # the build is complete
         return mat
 
     @classmethod
@@ -315,6 +319,10 @@ class SparseTiledMatrix:
         whole = len(image) - bool(self._end % page_size)
         self._tail = image[-1].copy() if whole < len(image) else None
         self._tail_due = self._tail is not None
+        if self._tail_due:
+            self.store._tails.add(self)
+        else:
+            self.store._tails.discard(self)
         if whole:
             self.store.pool.put_many(
                 self.file.blocks_of(range(first, first + whole)),
@@ -400,12 +408,14 @@ class SparseTiledMatrix:
 
     def put_tail(self) -> None:
         """Hand the pool the tail page's image if it has not seen it:
-        before any read, and when a build ends (``from_coo``, the
-        kernels that append)."""
+        when a read names its block (:meth:`tile_blocks`), when
+        :meth:`from_coo` completes a build, and on the store's flush, so
+        a kernel that appends tiles need not."""
         if self._tail_due:
             self.store.pool.put(self.file.block_of(self.file.num_pages - 1),
                                 self._tail)
             self._tail_due = False
+            self.store._tails.discard(self)
 
     @property
     def density(self) -> float:
@@ -420,24 +430,27 @@ class SparseTiledMatrix:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read_tile_csr(self, ti: int, tj: int
+    def read_tile_csr(self, ti: int, tj: int,
+                      scan: "TileScan | None" = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Read tile (ti, tj) as (indptr, indices, data); None if empty."""
+        """Read tile (ti, tj) as (indptr, indices, data); None if empty.
+        Its pages come from the pool, or through ``scan`` (a kernel's
+        pass, :class:`TileScan`)."""
         entry = self.directory.get((ti, tj))
         if entry is None:
             self._check_tile(ti, tj)
             return None
-        offset, n_bytes = entry[:2]
-        frames = self.store.pool.get_many(self.tile_blocks(ti, tj))
+        offset, n_bytes, nnz = entry
+        frames = (scan.frames(ti, tj) if scan is not None else
+                  self.store.pool.get_many(self.tile_blocks(ti, tj)))
         # The one private copy; the triple is three views of it.
         at = offset % self.store.device.block_size
         words = (frames[0][at: at + n_bytes].copy() if len(frames) == 1
                  else np.concatenate(frames)[at: at + n_bytes]).view(_INT)
-        nnz = int(words[0])
-        if nnz != entry[2]:
+        if int(words[0]) != nnz:
             raise ValueError(
-                f"{self.name} tile ({ti},{tj}): page header says {nnz} "
-                f"nonzeros, directory says {entry[2]}")
+                f"{self.name} tile ({ti},{tj}): page header says "
+                f"{int(words[0])} nonzeros, directory says {nnz}")
         th = self.tile_shape[0]
         body = 2 + min(th, self.shape[0] - ti * th)   # header + indptr
         return (words[1:body], words[body: body + nnz],
@@ -486,6 +499,7 @@ class SparseTiledMatrix:
         self.file.drop()
         self.directory.clear()
         self._end, self._tail, self._tail_due = 0, None, False
+        self.store._tails.discard(self)
         self._row_index.clear()
         self._col_index.clear()
         self.nnz = 0
@@ -500,3 +514,61 @@ class SparseTiledMatrix:
         return (f"SparseTiledMatrix({self.name!r}, shape={self.shape}, "
                 f"tile={self.tile_shape}, nnz={self.nnz}, "
                 f"pages={self.data_pages})")
+
+
+class TileScan:
+    """One pass of a kernel over tiles of a sparse matrix that reads
+    each of their pages once.
+
+    Packed tiles share pages, and a kernel's pass need not follow the
+    page file: ``spgemm`` reads B column by column, ``spmm`` a row
+    panel's tiles column by column, both over a file packed row by
+    row.  A pool too small to keep a shared page between the reads of
+    its tiles would fetch it again for each.  The scan is told the
+    tiles it will read (their order does not matter) and keeps the
+    image of a page while a tile still to come spans it — at most one
+    page per line of the page file the pass interleaves, a block row
+    of a row-linearized matrix read column by column — so a pass
+    reads every page its tiles span exactly once, whatever the pool
+    keeps.  A scan stands in for its matrix as a step operand
+    (:func:`repro.core.parallel.blocks` / ``read``): a step announces,
+    and fetches, only the pages the scan does not hold.
+    """
+
+    def __init__(self, matrix: SparseTiledMatrix,
+                 tiles: Iterable[tuple[int, int]]) -> None:
+        self.matrix = matrix
+        self.store = matrix.store
+        # Page -> reads still to come that span it.
+        self._due = Counter(p for t in tiles for p in matrix.tile_pages(*t))
+        self._kept: dict[int, np.ndarray] = {}
+
+    def tile_blocks(self, ti: int, tj: int) -> list[int]:
+        """Device blocks of tile (ti, tj) the scan does not hold."""
+        pages = [p for p in self.matrix.tile_pages(ti, tj)
+                 if p not in self._kept]
+        if not pages:
+            return []
+        self.matrix.put_tail()
+        return self.matrix.file.blocks_of(pages)
+
+    def read_tile_csr(self, ti: int, tj: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Tile (ti, tj) as (indptr, indices, data); None if empty."""
+        return self.matrix.read_tile_csr(ti, tj, scan=self)
+
+    def frames(self, ti: int, tj: int) -> list[np.ndarray]:
+        """The images of the pages tile (ti, tj) spans, those the scan
+        holds from it and the rest from the pool; a page a later read
+        spans is kept."""
+        pages = self.matrix.tile_pages(ti, tj)
+        fetched = iter(self.store.pool.get_many(self.tile_blocks(ti, tj)))
+        frames = [self._kept[p] if p in self._kept else next(fetched)
+                  for p in pages]
+        for page, frame in zip(pages, frames):
+            self._due[page] -= 1
+            if self._due[page] <= 0:
+                self._kept.pop(page, None)
+            elif page not in self._kept:
+                self._kept[page] = frame.copy()
+        return frames

@@ -1118,6 +1118,10 @@ class ArrayStore:
         # already serialized by the pool's lock.
         self._names_lock = threading.Lock()
         self._arrays: dict[str, TiledVector | TiledMatrix] = {}
+        #: Sparse matrices whose last, partly filled page the pool has
+        #: not seen yet (``SparseTiledMatrix.put_tail``): a flush hands
+        #: it over first.
+        self._tails: set = set()
         self._closed = False
 
     @property
@@ -1333,9 +1337,10 @@ class ArrayStore:
         self.tile_cache.reset_stats()
 
     def flush(self) -> None:
-        """Encode every pending codec tile into the pool, then write
-        every dirty frame to the device."""
-        self.tile_cache.settle()
+        """Encode every pending codec tile and hand every sparse
+        matrix's unseen last page to the pool, then write every dirty
+        frame to the device."""
+        self._settle()
         self.pool.flush_all()
         if self.storage.fsync:
             self.device.sync()
@@ -1347,13 +1352,18 @@ class ArrayStore:
         if self._closed:
             return
         self._closed = True
-        self.tile_cache.settle()
+        self._settle()
         self.pool.flush_all()
         if hasattr(self.device, "manifest"):
             manifest = dict(self.device.manifest)
             manifest.update(self._build_manifest())
             self.device.manifest = manifest
         self.device.close()
+
+    def _settle(self) -> None:
+        self.tile_cache.settle()
+        for mat in list(self._tails):
+            mat.put_tail()
 
     def __enter__(self) -> "ArrayStore":
         return self

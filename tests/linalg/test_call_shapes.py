@@ -489,40 +489,40 @@ VECTOR = [(k, p, s, "memory", False)
 #: digest)`` for the sparse kernels and the vector regions.
 EXPECTED_STREAMS: dict = {
     ('spmv', 96, 200, 'memory', False):
-        ((17, 1, 8, 1, 17, 29, 1, 0), '3e1a280f53ff6d4f'),
+        ((17, 1, 6, 1, 17, 28, 1, 0), '3e1a280f53ff6d4f'),
     ('spmv', 96, 384, 'memory', False):
-        ((59, 1, 30, 1, 59, 99, 1, 0), '17c0ece1372f6513'),
+        ((59, 1, 23, 1, 57, 86, 3, 0), '17c0ece1372f6513'),
     ('spmv', 256, 200, 'memory', False):
-        ((17, 1, 3, 1, 17, 29, 1, 0), '3e1a280f53ff6d4f'),
+        ((17, 1, 3, 1, 17, 28, 1, 0), '3e1a280f53ff6d4f'),
     ('spmv', 256, 384, 'memory', False):
-        ((57, 1, 8, 1, 57, 99, 1, 0), '17c0ece1372f6513'),
+        ((57, 1, 8, 1, 57, 88, 1, 0), '17c0ece1372f6513'),
     ('spmm', 96, 200, 'memory', False):
         ((35, 26, 6, 5, 25, 25, 36, 0), 'd1772c7ef7573a37'),
     ('spmm', 96, 384, 'memory', False):
-        ((166, 96, 66, 20, 136, 138, 126, 0), 'e9c615c9ceae4061'),
+        ((164, 96, 66, 20, 134, 134, 126, 0), 'e9c615c9ceae4061'),
     ('spmm', 256, 200, 'memory', False):
         ((19, 26, 3, 2, 19, 35, 26, 0), 'd1772c7ef7573a37'),
     ('spmm', 256, 384, 'memory', False):
-        ((164, 96, 62, 11, 164, 168, 96, 0), 'e9c615c9ceae4061'),
+        ((164, 96, 65, 12, 163, 163, 97, 0), 'e9c615c9ceae4061'),
     ('spgemm', 96, 200, 'memory', False):
         ((5, 11, 3, 3, 5, 7, 11, 0), 'd0b460f87def8246'),
     ('spgemm', 96, 384, 'memory', False):
-        ((34, 74, 15, 14, 34, 36, 74, 0), 'e992c6b039f34484'),
+        ((34, 74, 15, 14, 34, 34, 74, 0), 'e992c6b039f34484'),
     ('spgemm', 256, 200, 'memory', False):
         ((5, 11, 3, 1, 5, 7, 11, 0), 'd0b460f87def8246'),
     ('spgemm', 256, 384, 'memory', False):
-        ((34, 74, 16, 11, 31, 33, 77, 0), 'e992c6b039f34484'),
+        ((34, 74, 16, 11, 31, 31, 77, 0), 'e992c6b039f34484'),
     ('spmv', 256, 384, 'memory', True):
         ((0, 1, 0, 1, 0, 0, 1, 0),
-         (57, 0, 35, 0, 0, 42, 57, 0),
+         (57, 0, 35, 0, 0, 31, 57, 0),
          '17c0ece1372f6513'),
     ('spmm', 256, 384, 'memory', True):
         ((0, 96, 0, 6, 0, 0, 96, 0),
-         (130, 0, 73, 0, 62, 100, 68, 0),
+         (130, 0, 79, 0, 60, 94, 70, 0),
          'e9c615c9ceae4061'),
     ('spgemm', 256, 384, 'memory', True):
         ((0, 74, 0, 6, 0, 0, 74, 0),
-         (18, 0, 10, 0, 0, 18, 18, 0),
+         (18, 0, 10, 0, 0, 16, 18, 0),
          'e992c6b039f34484'),
     ('vector_map', 96, 1, 'memory', False):
         ((20, 20, 4, 6, 20, 20, 20, 0), '5b5a2b4e39973310'),

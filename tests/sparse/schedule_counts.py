@@ -3,19 +3,11 @@
 The kernels and the cost models share their panel geometry
 (``repro.core.costs.spgemm_row_panels`` / ``spmm_panels``, applied to
 real operands by ``kernels.spgemm_schedule`` / ``spmm_schedule``);
-these helpers take that geometry and count, panel by panel, the
-distinct pages it reads — what a cold pool must read when nothing
-survives from one panel to the next.  Tiles share pages
-(``repro.core.costs.packed_tile_offset``), so a page two ``spgemm``
-panels touch is counted in each.  With ``per_tile`` every tile read
-pays all the pages it spans instead: the count of a layout that gives
-each tile pages of its own, which a pool that keeps nothing from one
-read to the next pays on the packed one.  ``tests/sparse`` holds the
-measured cold-pool reads between the two; a small pool can drop a
-shared page between the reads of its tiles, or keep it from one panel
-to the next, so only operands whose tiles share no page make them one
-number.  The helpers also give the count of the loop the ``spgemm``
-panels replaced, which one-row panels fall back to on the B side.
+these helpers take that geometry and count, tile by tile, what a run
+with no help from the pool must read — the number ``tests/sparse``
+holds the measured cold-pool reads to.  They also give the count of the
+loop the ``spgemm`` panels replaced, which one-row panels fall back to
+on the B side.
 """
 
 from __future__ import annotations
@@ -24,8 +16,9 @@ from repro.sparse.kernels import spgemm_schedule, spmm_schedule
 
 
 def _pages(mat, tiles, per_tile: bool = False) -> int:
-    """Distinct pages of ``mat`` that ``tiles`` span (``per_tile``: the
-    pages each spans, summed)."""
+    """Distinct pages of ``mat`` that ``tiles`` span; ``per_tile``:
+    the pages each spans, summed (what tiles on pages of their own, or
+    reads that share nothing, would take)."""
     if per_tile:
         return sum(len(mat.tile_pages(*t)) for t in tiles)
     return len({p for t in tiles for p in mat.tile_pages(*t)})
@@ -51,14 +44,14 @@ def hints_fit(store, biggest_read: int) -> bool:
 
 def spgemm_schedule_reads(a, b, memory: int,
                           per_tile: bool = False) -> int:
-    """Per panel, the pages of its needed A tiles and of every B tile
-    whose block row some held row of A has a tile for."""
+    """A's needed tiles once; per panel, every B tile whose block row
+    some held row of A has a tile for — in distinct pages, as the
+    kernel's tile scans read them (``per_tile``: tile by tile)."""
     needed, panels = spgemm_schedule(a, b, memory)
-    reads = 0
+    reads = _pages(a, [(ti, k) for ti, ks in enumerate(needed)
+                       for k in ks], per_tile)
     for lo, hi in panels:
         held = {k for ks in needed[lo:hi] for k in ks}
-        reads += _pages(a, [(ti, k) for ti in range(lo, hi)
-                            for k in needed[ti]], per_tile)
         reads += _pages(b, [t for t in b.directory if t[0] in held],
                         per_tile)
     return reads
@@ -76,15 +69,15 @@ def spgemm_pair_reads(a, b) -> tuple[int, int]:
     return a_reads, b_reads
 
 
-def spmm_schedule_reads(a, b, memory: int, per_tile: bool = False) -> int:
-    """Per column panel, A's pages once; per row panel inside it, the B
+def spmm_schedule_reads(a, b, memory: int) -> int:
+    """Per column panel, A's tiles once; per row panel inside it, the B
     strip under every block column where a held row has a tile."""
     pw, r = spmm_schedule(a, b, memory)
     tk = a.tile_shape[1]
     reads = 0
     for j0 in range(0, b.shape[1], pw):
         j1 = min(j0 + pw, b.shape[1])
-        reads += _pages(a, a.directory, per_tile)
+        reads += a.data_pages
         for lo in range(0, a.grid[0], r):
             tjs = {tj for ti in range(lo, min(lo + r, a.grid[0]))
                    for tj in a.nonempty_in_row(ti)}

@@ -351,7 +351,6 @@ class TestScheduleAgreement:
                                              tile_shape=(tk, tw))
             c, reads, writes = _measure(spgemm, store, a, b, memory)
             planned = spgemm_schedule_reads(a, b, memory)
-            most = spgemm_schedule_reads(a, b, memory, per_tile=True)
             _, panels = kernels.spgemm_schedule(a, b, memory)
             assert writes == c.data_pages
             assert np.array_equal(c.to_numpy(), a_np @ b_np)
@@ -363,23 +362,14 @@ class TestScheduleAgreement:
                 or b.data_pages - biggest_tile(b) >= 2 * case["capacity"])
             # A clipped hint (see ``hints_fit``) can cost a page of the
             # tile it announced a second fetch by the read itself.
-            assert reads <= (most if fit else 2 * most)
-            # A page two tiles share is read once a panel at least, and
-            # again when the pool drops it between their reads: one
-            # number where no tile shares a page.
+            assert reads <= (planned if fit else 2 * planned)
             if exact:
-                assert planned <= reads
-            reads_at.append((reads, planned == most, most, exact,
-                             len(panels)))
-        # More memory never plans more tile reads (the distinct pages
-        # can rise by one where a moved cut splits a shared page).
-        (lo_reads, lo_unshared, lo_most, lo_exact, lo_panels), \
-            (hi_reads, hi_unshared, hi_most, hi_exact, hi_panels) = reads_at
-        assert hi_most <= lo_most
-        # Exact, and so never more with more memory, where no tile read
-        # shares a page; a shared one can be dropped and read again
-        # between its tiles' reads in these 4- to 16-page pools.
-        if lo_exact and hi_exact and lo_unshared and hi_unshared:
+                assert reads == planned
+            reads_at.append((reads, planned, exact, len(panels)))
+        (lo_reads, lo_planned, lo_exact, lo_panels), \
+            (hi_reads, hi_planned, hi_exact, hi_panels) = reads_at
+        assert hi_planned <= lo_planned
+        if lo_exact and hi_exact:
             assert hi_reads <= lo_reads
         event(f"panels {min(lo_panels, 3)}->{min(hi_panels, 3)}, "
               f"exact {lo_exact and hi_exact}")
@@ -439,15 +429,11 @@ class TestScheduleAgreement:
                 .from_numpy(b_np)
             c, reads, writes = _measure(spmm, store, a, b, memory)
             planned = spmm_schedule_reads(a, b, memory)
-            most = spmm_schedule_reads(a, b, memory, per_tile=True)
             pw, r = kernels.spmm_schedule(a, b, memory)
             col_panels = -(-n // pw)
             row_panels = -(-a.grid[0] // r)
-            spans = sum(len(a.tile_pages(*t)) for t in a.directory)
             assert planned == (col_panels * a.data_pages
                                + row_panels * b.file.num_pages)
-            assert most == (col_panels * spans
-                            + row_panels * b.file.num_pages)
             assert writes == c.file.num_pages
             assert np.array_equal(c.to_numpy(), a_np @ b_np)
             # An A page must not survive a column panel, nor a B page a
@@ -455,30 +441,21 @@ class TestScheduleAgreement:
             # pages (the margin is a hint batch of half the pool).
             strip = -(-pw // tk)             # one-page tiles a strip
             fit = hints_fit(store, max(biggest_tile(a), strip))
-            # A row panel's A pages (fewer than its tiles where tiles
-            # share pages).
-            fewest = min(len({p for ti in range(lo, min(lo + r, a.grid[0]))
-                              for tj in range(a.grid[1])
-                              for p in a.tile_pages(ti, tj)})
-                         for lo in range(0, a.grid[0], r))
+            shortest = a.grid[0] - (row_panels - 1) * r
             exact = (fit
                      and (col_panels == 1 or a.data_pages - biggest_tile(a)
                           >= 2 * case["capacity"])
-                     and (row_panels == 1
-                          or fewest >= 2 * case["capacity"]))
+                     and (row_panels == 1 or shortest * a.grid[1]
+                          >= 2 * case["capacity"]))
             if fit:
-                assert reads <= most
+                assert reads <= planned
             if exact:
-                assert planned <= reads
-            reads_at.append((reads, planned, most, exact, (pw, r)))
-        (lo_reads, lo_planned, lo_most, lo_exact, lo_geometry), \
-            (hi_reads, hi_planned, hi_most, hi_exact, hi_geometry) = reads_at
+                assert reads == planned
+            reads_at.append((reads, planned, exact, (pw, r)))
+        (lo_reads, lo_planned, lo_exact, lo_geometry), \
+            (hi_reads, hi_planned, hi_exact, hi_geometry) = reads_at
         assert hi_planned <= lo_planned
-        # Exact, and so never more with more memory, where no tile
-        # shares a page; a shared one can be dropped and read again
-        # between its tiles' reads in these 4- to 16-page pools.
-        if lo_exact and hi_exact and lo_planned == lo_most \
-                and hi_planned == hi_most:
+        if lo_exact and hi_exact:
             assert hi_reads <= lo_reads
         event(f"geometry moved {lo_geometry != hi_geometry}, "
               f"exact {lo_exact and hi_exact}")
@@ -499,9 +476,3 @@ class TestScheduleAgreement:
         strip_pages = 1          # an 8x8 strip is one 8x8 tile, one page
         assert reads == spmm_schedule_reads(a, b, 1) \
             == 3 * (a.data_pages + len(a.directory) * strip_pages)
-        # Tiles on pages of their own read 18 A pages a column panel,
-        # packed they share 12.
-        spans = sum(len(a.tile_pages(*t)) for t in a.directory)
-        assert spmm_schedule_reads(a, b, 1, per_tile=True) \
-            == 3 * (spans + len(a.directory) * strip_pages)
-        assert (a.data_pages, spans) == (12, 18)

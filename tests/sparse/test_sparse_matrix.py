@@ -128,10 +128,10 @@ def _append_tiles_old_loop(mat, i, j, x):
         np.cumsum(indptr, out=indptr)
         mat.append_tile(ti, tj, indptr, lj.astype(np.int64), lx)
         pos = end
-    mat.put_tail()                   # as ``from_coo`` ends a build
 
 
 def _raw_pages(mat) -> list[bytes]:
+    mat.store.flush()            # a build's last page is in the pool
     return [bytes(mat.store.pool.get(mat.file.block_of(page)))
             for page in range(mat.file.num_pages)]
 

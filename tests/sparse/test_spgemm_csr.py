@@ -96,7 +96,6 @@ def ref_spgemm(store, a, b):
             hints.before(idx)
             acc += a.read_tile(ti, k) @ b.read_tile(k, tj)
         out.append_tile_dense(ti, tj, acc)
-    out.put_tail()                   # as the kernel ends its build
     return out
 
 
@@ -258,9 +257,9 @@ def _stored(c) -> dict:
 def test_same_numbers_and_same_io_as_the_densify_loop(p):
     """Integer-valued operands make every sum exact, so both loops must
     store the same tiles in as many bytes, each page written once — and
-    the panel schedule's reads are its own count: at most the old
-    loop's one-read-per-pair, and at least the count when nothing can
-    survive in the pool from one panel to the next."""
+    the panel schedule's reads are its own count: at most the old loop's one-read-per-pair,
+    and exactly the count when nothing can survive in the pool from one
+    panel to the next."""
     rng = np.random.default_rng(p["seed"])
     tiles = _tiles(p)
     a_np = _operand(rng, (p["m"], p["l"]), tiles[:2], integers=True)
@@ -291,26 +290,24 @@ def test_same_numbers_and_same_io_as_the_densify_loop(p):
 
     # The old loop read both tiles of every pair; a pool could only
     # save it some.  The panel schedule never plans more than that and
-    # never reads more than it planned tile by tile — so wherever the
-    # pool saved the old loop nothing, the new one reads no more than
-    # it did.  (Where it saved the old loop a lot, see the fixed case
-    # below.)  ``fit`` is always true with the scheduler off; with it
-    # on, a tile over half the pool has its hint clipped, and a page of
-    # it can then be fetched by the hint and again by the read — twice,
-    # never more.  A page tiles share is read at least once a panel.
+    # never reads more than it planned — so wherever the pool saved the
+    # old loop nothing, the new one reads no more than it did.  (Where
+    # it saved the old loop a lot, see the fixed case below.)  ``fit``
+    # is always true with the scheduler off; with it on, a tile over
+    # half the pool has its hint clipped, and a page of it can then be
+    # fetched by the hint and again by the read — twice, never more.
     planned = spgemm_schedule_reads(a, b, p["memory"])
-    most = spgemm_schedule_reads(a, b, p["memory"], per_tile=True)
     pair_reads = sum(spgemm_pair_reads(a, b))
-    assert planned <= most <= pair_reads
+    assert planned <= pair_reads
     needed, panels = kernels.spgemm_schedule(a, b, p["memory"])
     fit = hints_fit(store, max(biggest_tile(a), biggest_tile(b)))
     assert fit or p["scheduler"]
-    assert io.reads <= (most if fit else 2 * most)
+    assert io.reads <= (planned if fit else 2 * planned)
     if fit and ref_io.reads >= pair_reads:
         assert io.reads <= ref_io.reads
     exact = fit and _cold_between_panels(b, needed, panels, p["capacity"])
     if exact:
-        assert planned <= io.reads
+        assert io.reads == planned
     event(f"panels: {min(len(panels), 3)}, exact: {exact}")
 
     assert paths == expected_paths(a_np, b_np, tiles, panels)
@@ -583,13 +580,12 @@ def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
     loop did.  A is tall (8 block rows, 35 packed pages; 48 with every
     tile on pages of its own), B small (9 pages; 12), every tile full,
     and the 32-frame pool holds B beside one block row of A and the
-    output tiles being written: the old loop found B in the pool after
+    output tile being written: the old loop found B in the pool after
     the first block row and read everything once.  A panel's A reads
-    and C writes go through the same pool, so a panel of four rows
-    flushes B and the next panel reads it again: ``pages(A) + panels *
-    pages(B)`` and the page the two panels' A tiles share, the
-    schedule's own count — one page of it still in the pool when the
-    scheduler is off.  At either end of the budget the loss is gone —
+    go through the same pool, so a panel of four rows flushes B and
+    the next panel reads it again:
+    ``pages(A) + panels * pages(B)``, the schedule's own count and the
+    bound in general.  At either end of the budget the loss is gone —
     one-row panels leave B in the pool as the old loop did, one panel
     reads it once by construction."""
     a_np = np.arange(64 * 16, dtype=float).reshape(64, 16) % 7 + 1
@@ -611,10 +607,8 @@ def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
 
     assert reads_of(ref_spgemm) == 35 + 9
     # Room for four rows' accumulators and CSR triples beside a B tile.
-    assert reads_of(spgemm, 1600) == (35 + 2 * 9 + scheduler,
-                                      35 + 1 + 2 * 9, 2)
-    # Eight one-row panels: every block row's A pages and all of B.
-    assert reads_of(spgemm, 1) == (35 + 9, 35 + 7 + 8 * 9 - 2, 8)
+    assert reads_of(spgemm, 1600) == (35 + 2 * 9, 35 + 2 * 9, 2)
+    assert reads_of(spgemm, 1) == (35 + 9, 35 + 8 * 9, 8)
     assert reads_of(spgemm, 1 << 15) == (35 + 9, 35 + 9, 1)
 
 
