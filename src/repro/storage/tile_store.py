@@ -1120,7 +1120,8 @@ class ArrayStore:
         self._arrays: dict[str, TiledVector | TiledMatrix] = {}
         #: Sparse matrices whose last, partly filled page the pool has
         #: not seen yet (``SparseTiledMatrix.put_tail``): a flush hands
-        #: it over first.
+        #: it over first.  Each matrix adds and discards only itself
+        #: (single set operations), and a flush iterates a copy.
         self._tails: set = set()
         self._closed = False
 
