@@ -313,8 +313,8 @@ class SparseTiledMatrix:
         words[body + nnz:].view(_FLOAT)[:] = data
         # The filled pages go to the pool in one call; a partly filled
         # last page waits as the tail until a later tile fills it or
-        # moves past it or a read needs it, so a build puts and writes
-        # each page once.
+        # moves past it, a read needs it or the store flushes, so a
+        # build puts and writes each page once.
         self._end = offset + n_bytes
         whole = len(image) - bool(self._end % page_size)
         self._tail = image[-1].copy() if whole < len(image) else None

@@ -3,9 +3,10 @@
 The kernels and the cost models share their panel geometry
 (``repro.core.costs.spgemm_row_panels`` / ``spmm_panels``, applied to
 real operands by ``kernels.spgemm_schedule`` / ``spmm_schedule``);
-these helpers take that geometry and count, tile by tile, what a run
-with no help from the pool must read — the number ``tests/sparse``
-holds the measured cold-pool reads to.  They also give the count of the
+these helpers take that geometry and count what a run with no help
+from the pool must read — the distinct pages of each pass, which the
+kernels' tile scans read once — the number ``tests/sparse`` holds the
+measured cold-pool reads to.  They also give the count of the
 loop the ``spgemm`` panels replaced, which one-row panels fall back to
 on the B side.
 """
