@@ -433,10 +433,35 @@ def riotdb_matmul_io(n1: float, n2: float, n3: float,
 DEFAULT_TILE_SIDE = 128
 
 
+def csr_index_widths(rows: int, cols: int) -> tuple[int, int]:
+    """Bytes of one stored row pointer and one stored column index of a
+    ``rows x cols`` CSR tile: the narrowest that hold every value the
+    tile can have.  A row pointer runs up to ``rows * cols`` (4 bytes
+    below 2**31, else 8); a column index is tile-local, below ``cols``
+    (2 bytes up to 65 536 columns, else 4)."""
+    return (4 if rows * cols < 1 << 31 else 8,
+            2 if cols <= 1 << 16 else 4)
+
+
+def tile_bytes(rows: float, cols: float, nnz: float) -> float:
+    """Bytes a ``rows x cols`` CSR tile of ``nnz`` nonzeros takes in
+    its matrix's page file: ``[nnz: int64][data: nnz float64][indptr:
+    rows + 1][indices: nnz]`` at :func:`csr_index_widths`, padded to a
+    multiple of 8 so the next tile's values stay 8-aligned.
+
+    The writer (:func:`repro.sparse.sparse_matrix.pack_csr`) lays a
+    tile out by it and :func:`sparse_matrix_profile` prices the
+    expected tile by it (a fractional ``nnz`` there).  What a read
+    tile holds in memory is another quantity, the ``tile_words`` of
+    :mod:`repro.sparse.sparse_matrix`: its indices widen to 8 bytes.
+    """
+    ptr, idx = csr_index_widths(int(rows), int(cols))
+    return -(-(8 + 8 * nnz + ptr * (rows + 1) + idx * nnz) // 8) * 8
+
+
 def packed_tile_offset(end: int, size: int, page: int) -> int:
-    """Where a CSR tile of ``size`` goes in a page file whose last tile
-    ends at ``end`` (all three in one unit: the writer's bytes, the
-    models' words).
+    """Where a CSR tile of ``size`` bytes goes in a page file of
+    ``page``-byte pages whose last tile ends at ``end``.
 
     Right at ``end``, unless that would make the tile span more pages
     than it would alone (``ceil(size / page)``); then at the next page
@@ -451,36 +476,24 @@ def packed_tile_offset(end: int, size: int, page: int) -> int:
     return -(-end // page) * page
 
 
-def packed_page_share(tile_words: float, block: float) -> float:
-    """Pages per tile when tiles of ``tile_words`` words follow each
-    other by :func:`packed_tile_offset`: the pages of one cycle (from a
-    page boundary to the next tile that starts on one) over its tiles.
+def packed_page_share(size: float, page: int) -> float:
+    """Pages per tile when tiles of ``size`` bytes follow each other by
+    :func:`packed_tile_offset` in ``page``-byte pages: the pages of one
+    cycle (from a page boundary to the next tile that starts on one)
+    over its tiles.
 
-    Tiles under a page go ``floor(block / words)`` to a page; one just
-    over whole pages (the ~14 KB ``G`` tiles of ``sparse_chain``: 1.75
-    pages) shares none.
+    Tiles under a page go ``floor(page / size)`` to a page; tiles just
+    over one (the ~8.7 KB ``G`` tiles of ``sparse_chain``, ~800 nonzeros
+    in 8 KiB pages) follow each other across pages, about
+    ``size / page`` pages each.
     """
-    size, page = max(1, math.ceil(tile_words)), int(block)
+    size = max(1, math.ceil(size))
     end = tiles = 0
     while True:
         start = packed_tile_offset(end, size, page)
         if tiles and start % page == 0:
             return start / page / tiles
         end, tiles = start + size, tiles + 1
-
-
-def sparse_tile_pages(tile_rows: float, tile_nnz: float,
-                      block: float) -> float:
-    """Pages one CSR tile spans: header + indptr + indices + data.
-
-    ``tile_words`` in :mod:`repro.sparse.sparse_matrix` is the exact
-    integer version; here the ceiling is taken on the expectation.
-    Under :func:`packed_tile_offset` a tile spans exactly this many
-    pages wherever it starts: what a read of the tile alone costs and
-    what ``spgemm`` budgets for the B tile it streams.
-    """
-    words = tile_rows + 2.0 + 2.0 * tile_nnz
-    return max(1.0, math.ceil(words / block))
 
 
 def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
@@ -491,10 +504,12 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
     (square when ``tile_cols`` is omitted).
 
     Returns grid dimensions, the probability that a tile is nonempty,
-    the expected nonempty-tile count, the expected nnz and words of a
-    nonempty tile, the pages it spans (``tile_pages``) and the expected
-    total pages of the packed page file (:func:`packed_page_share` a
-    tile) — the quantities every sparse cost model below is built from.
+    the expected nonempty-tile count, the expected nnz of a nonempty
+    tile and the words it holds once read (``tile_words``: header,
+    indptr, indices and values at 8 bytes each), and the expected total
+    pages of the packed page file (:func:`packed_page_share` of the
+    tile's :func:`tile_bytes`, in pages of ``block`` 8-byte scalars) —
+    the quantities every sparse cost model below is built from.
     The kernels read a sparse operand through tile scans
     (:class:`repro.sparse.sparse_matrix.TileScan`) that fetch each page
     once a pass, so the models count a pass over some tiles as their
@@ -509,12 +524,12 @@ def sparse_matrix_profile(m: float, l: float, nnz: float, block: float,
     p_nonempty = 1.0 - (1.0 - density) ** area
     n_nonempty = grid_rows * grid_cols * p_nonempty
     avg_nnz = (density * area / p_nonempty) if p_nonempty > 0 else 0.0
-    tile_words = tile_rows + 2.0 + 2.0 * avg_nnz
+    size = tile_bytes(tile_rows, tile_cols, avg_nnz)
     return {"grid_rows": grid_rows, "grid_cols": grid_cols,
             "p_nonempty": p_nonempty, "n_nonempty": n_nonempty,
-            "avg_nnz": avg_nnz, "tile_words": tile_words,
-            "tile_pages": sparse_tile_pages(tile_rows, avg_nnz, block),
-            "pages": n_nonempty * packed_page_share(tile_words, block)}
+            "avg_nnz": avg_nnz,
+            "tile_words": tile_rows + 2.0 + 2.0 * avg_nnz,
+            "pages": n_nonempty * packed_page_share(size, int(8 * block))}
 
 
 def spmv_io(m: float, l: float, nnz: float, block: float,
@@ -546,19 +561,39 @@ def _panels_touching(p_nonempty: float, grid_rows: int, r: int) -> float:
     return full * (1.0 - p_empty ** r) + (1.0 - p_empty ** rest)
 
 
+def spmm_strip_blocks(n: float, pw: int, b_blocks: float,
+                      b_tile_cols: float) -> float:
+    """Blocks of B one row panel of the SpMM schedule reads over the
+    column panels ``pw`` wide: each panel reads the whole B tiles its
+    columns touch, so a panel narrower than B's tiles re-reads the
+    tiles it shares with its neighbours (B 6 x 9 on 6 x 8 tiles in
+    panels of 4: three tile reads where B has two).  ``b_blocks`` are
+    B's blocks, spread evenly over its ``ceil(n / b_tile_cols)`` block
+    columns."""
+    n, bw = int(n), int(min(b_tile_cols, n))
+    if pw % bw == 0 or pw >= n:
+        return b_blocks                  # the panels cover tiles whole
+    touched = sum((min(j0 + pw, n) - 1) // bw - j0 // bw + 1
+                  for j0 in range(0, n, pw))
+    return b_blocks * touched / -(-n // bw)
+
+
 def spmm_panels(memory: float, n: float, tile_rows: float,
                 tile_cols: float, grid_rows: int, a_pages: float,
-                b_blocks: float, a_tile_words: float) -> tuple[int, int]:
+                b_blocks: float, a_tile_words: float,
+                b_tile_cols: float) -> tuple[int, int]:
     """Geometry ``(pw, r)`` of the SpMM schedule, shared by kernel and
     model: column panels ``pw`` wide, row panels of ``r`` block rows.
 
     Memory holds ``r`` accumulator strips (tile_rows x pw each), one
     dense B strip (tile_cols x pw) and the A tile being multiplied
-    (``a_tile_words``).  A is re-read once per column panel and B once
-    per row panel, so among the widths that are whole output tiles the
-    pair minimising ``ceil(n / pw) * a_pages + ceil(grid_rows / r) *
-    b_blocks`` wins (the wider panel on a tie); a budget too small for
-    one tile-wide strip per operand still gets ``r = 1`` at one tile.
+    (``a_tile_words``).  A is re-read once per column panel and B,
+    ``b_tile_cols`` wide a tile, once per row panel
+    (:func:`spmm_strip_blocks`), so among the widths that are whole
+    output tiles the pair minimising ``ceil(n / pw) * a_pages +
+    ceil(grid_rows / r) * spmm_strip_blocks(...)`` wins (the wider
+    panel on a tie); a budget too small for one tile-wide strip per
+    operand still gets ``r = 1`` at one tile.
     The height is then evened out over the row panels it implies,
     which costs no I/O and holds less.  The search stops at the first
     width no accumulator strip fits beside, so its length is set by
@@ -573,8 +608,8 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
         if best is not None and room < tile_rows * pw:
             break               # no row fits, here or any wider
         r = int(max(1, min(grid_rows, room // (tile_rows * pw))))
-        cost = (math.ceil(n / pw) * a_pages
-                + math.ceil(grid_rows / r) * b_blocks)
+        cost = (math.ceil(n / pw) * a_pages + math.ceil(grid_rows / r)
+                * spmm_strip_blocks(n, pw, b_blocks, b_tile_cols))
         if best is None or cost <= best[0]:
             best = (cost, pw, r)
     _, pw, r = best
@@ -594,13 +629,14 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
     every page of A is read once per column panel (one tile scan); per
     row panel the strip of B under block column ``tj`` (one A tile
     column high) is read once iff some held block row has a tile
-    there; C is written once, tile-aligned.
+    there; C is written once, tile-aligned.  B is taken to lie on
+    tiles ``tk`` wide, which every column panel covers whole.
     """
     th, tk = tiles
     prof = sparse_matrix_profile(m, l, nnz, block, th, tk)
     b_blocks = l * n / block
     pw, r = spmm_panels(memory, n, th, tk, prof["grid_rows"],
-                        prof["pages"], b_blocks, th * tk)
+                        prof["pages"], b_blocks, th * tk, tk)
     a_reads = math.ceil(n / pw) * prof["pages"]
     b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
                                           prof["grid_rows"], r)
@@ -670,7 +706,10 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
     has a tile in block column ``k``, and C's nonempty tiles are
     written once — each in its share of the packed pages, as the
     kernel's tile scans read them (A's in one scan, B's in one a
-    panel).  Result density follows the standard independence estimate
+    panel).  The panels budget the streamed B tile at the words it
+    holds once read (``tile_words``), not at its pages: a tile's
+    narrow indices widen on the read, so it can outgrow its pages.
+    Result density follows the standard independence estimate
     ``1 - (1 - dA dB)^l`` per element.
     """
     th, tk, tw = tiles
@@ -680,7 +719,7 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
     r = spgemm_panel_rows(
         memory, th * tw,
         prof_a["grid_cols"] * prof_a["p_nonempty"] * prof_a["tile_words"],
-        prof_b["tile_pages"] * block, grid_rows)
+        prof_b["tile_words"], grid_rows)
     a_reads = prof_a["pages"] * (
         1.0 - (1.0 - prof_b["p_nonempty"]) ** prof_b["grid_cols"])
     b_reads = prof_b["pages"] * _panels_touching(prof_a["p_nonempty"],

@@ -162,7 +162,8 @@ def spmm_schedule(a: SparseTiledMatrix, b: TiledMatrix,
     :func:`repro.core.costs.spmm_panels` on the exact directory."""
     th, tk = a.tile_shape
     return spmm_panels(memory_scalars, b.shape[1], th, tk, a.grid[0],
-                       a.data_pages, b.file.num_pages, th * tk)
+                       a.data_pages, b.file.num_pages, th * tk,
+                       b.tile_shape[1])
 
 
 def spmm(store: ArrayStore, a: SparseTiledMatrix, b: TiledMatrix,
@@ -408,7 +409,8 @@ def spgemm_schedule(a: SparseTiledMatrix, b: SparseTiledMatrix,
     block row of A the inner tiles it reads (those that meet a B tile
     at all), and the row panels ``[lo, hi)``
     :func:`repro.core.costs.spgemm_row_panels` cuts from the exact
-    directories."""
+    directories; the streamed B tile is budgeted at the words its
+    largest tile holds once read."""
     th, tw = a.tile_shape[0], b.tile_shape[1]
     b_rows = {k for k, _ in b.directory}
     needed = [[k for k in a.nonempty_in_row(ti) if k in b_rows]
@@ -417,8 +419,8 @@ def spgemm_schedule(a: SparseTiledMatrix, b: SparseTiledMatrix,
         memory_scalars, th * tw,
         [sum(tile_words(th, a.tile_nnz(ti, k)) for k in ks)
          for ti, ks in enumerate(needed)],
-        max((len(b.tile_pages(*t)) for t in b.directory), default=0)
-        * b.store.scalars_per_block)
+        max((tile_words(b.tile_shape[0], nnz)
+             for _, _, nnz in b.directory.values()), default=0))
     return needed, panels
 
 

@@ -13,9 +13,14 @@ compressed sparse row (CSR) form:
   :class:`~repro.storage.pagefile.PageFile` and their nonzero count, so
   it describes the data completely; **empty tiles occupy zero bytes**
   and cost zero I/O,
-- each nonempty tile is serialized as ``[nnz][indptr][indices][data]``
-  (all 8-byte words) and *packed*: it starts where the last tile ended,
-  unless that would make it span more pages than it would alone
+- each nonempty tile is serialized (:func:`pack_csr`) as
+  ``[nnz: int64][data: float64][indptr][indices]``, the index arrays
+  as narrow as the tile's shape allows — 4-byte row pointers and
+  2-byte tile-local column indices for any tile under 2**31 cells and
+  65 536 columns (:func:`repro.core.costs.tile_bytes`) — and a read
+  widens them back to the int64 triple every kernel takes,
+- tiles are *packed*: each starts where the last tile ended, unless
+  that would make it span more pages than it would alone
   (:func:`repro.core.costs.packed_tile_offset`, the rule the cost
   models price too) — then on the next page.  Tiles far below a page
   share pages; a read of one tile still costs no page more than on
@@ -41,14 +46,16 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.costs import packed_tile_offset
+from repro.core.costs import csr_index_widths, packed_tile_offset, tile_bytes
 from repro.storage import (Linearization, make_linearization,
                            new_pagefile)
 from repro.storage.tile_store import ArrayStore, TiledMatrix
 
 _FLOAT = np.float64
 _INT = np.int64
-_WORD_BYTES = 8
+#: Stored width in bytes -> dtype of a row pointer or column index.
+_NARROW = {2: np.dtype(np.uint16), 4: np.dtype(np.int32),
+           8: np.dtype(np.int64)}
 
 
 #: Sparse tiles default to this multiple of the dense square-tile side.
@@ -57,7 +64,7 @@ _WORD_BYTES = 8
 #: geometrically larger tiles — low-density regions then collapse into
 #: *empty* tiles (zero bytes) while a nonempty tile still takes only
 #: ``O(nnz)`` bytes, packed beside its neighbours (a 0.5 %-dense
-#: 128 x 128 tile is ~2.3 KB: three to an 8 KiB page).
+#: 128 x 128 tile is ~1.3 KB on disk: six to an 8 KiB page).
 SPARSE_TILE_FACTOR = 4
 
 
@@ -109,12 +116,58 @@ def csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
 
 
 def tile_words(rows: int, nnz: int) -> int:
-    """8-byte words a CSR tile occupies on disk.
+    """8-byte words a CSR tile holds in memory once read: what the
+    kernels' schedules budget for it.
 
     One word for the nnz header, ``rows + 1`` for indptr, and ``nnz``
-    each for the column indices and the values.
+    each for the column indices and the values.  On disk the indices
+    are narrower (:func:`repro.core.costs.tile_bytes`).
     """
     return rows + 2 + 2 * nnz
+
+
+def pack_csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+             shape: tuple[int, int]) -> np.ndarray:
+    """The page-file bytes of a CSR tile of ``shape``:
+    ``[nnz: int64][data: nnz float64][indptr: rows + 1][indices: nnz]``
+    at :func:`repro.core.costs.csr_index_widths`, zero-padded to
+    :func:`repro.core.costs.tile_bytes`.  The values come first, so they
+    stay 8-aligned wherever the tile starts."""
+    rows, cols = shape
+    nnz = int(data.size)
+    ptr, idx = csr_index_widths(rows, cols)
+    out = np.zeros(int(tile_bytes(rows, cols, nnz)), dtype=np.uint8)
+    out[:8].view(_INT)[0] = nnz
+    at = 8 + 8 * nnz
+    out[8:at].view(_FLOAT)[:] = data
+    end = at + ptr * (rows + 1)
+    out[at:end].view(_NARROW[ptr])[:] = indptr
+    out[end: end + idx * nnz].view(_NARROW[idx])[:] = indices
+    return out
+
+
+def unpack_csr(raw: np.ndarray, shape: tuple[int, int], nnz: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triple :func:`pack_csr` laid out in ``raw``: indptr and
+    indices widened to fresh int64 arrays, the values a view of
+    ``raw``.  Raises ``ValueError`` on bytes that are no CSR tile of
+    ``shape`` with ``nnz`` nonzeros: an indptr that does not rise from
+    0 to ``nnz``, or a column index outside the tile.  (The checks
+    shun ``ndarray.any`` / ``max``: on arrays this small their dispatch
+    costs more than the work, and every kernel read pays it.)"""
+    rows, cols = shape
+    ptr, idx = csr_index_widths(rows, cols)
+    at = 8 + 8 * nnz
+    indptr = np.frombuffer(raw, _NARROW[ptr], rows + 1, at).astype(_INT)
+    indices = np.frombuffer(raw, _NARROW[idx], nnz,
+                            at + ptr * (rows + 1)).astype(_INT)
+    if (indptr[0] or indptr[-1] != nnz
+            or np.count_nonzero(np.less(indptr[1:], indptr[:-1]))):
+        raise ValueError(f"stored indptr does not rise from 0 to {nnz}")
+    if (np.maximum.reduce(indices) >= cols
+            or (idx == 4 and np.minimum.reduce(indices) < 0)):
+        raise ValueError(f"stored column index outside [0, {cols})")
+    return indptr, indices, np.frombuffer(raw, _FLOAT, nnz, 8)
 
 
 class SparseTiledMatrix:
@@ -291,10 +344,10 @@ class SparseTiledMatrix:
                 f"{self.name} tile ({ti},{tj}) has a column index "
                 f"outside [0, {c1 - c0})")
         # The image of the pages the tile spans, built once: the tail
-        # page's bytes so far, then ``[nnz][indptr][indices][data]`` as
-        # 8-byte words, zero-padded to whole pages.
-        body = 2 + r1 - r0                          # header + indptr
-        n_bytes = tile_words(r1 - r0, nnz) * _WORD_BYTES
+        # page's bytes so far, then the tile's, zero-padded to whole
+        # pages.
+        tile = pack_csr(indptr, indices, data, (r1 - r0, c1 - c0))
+        n_bytes = tile.size
         page_size = self.store.device.block_size
         offset = packed_tile_offset(self._end, n_bytes, page_size)
         pages = self._span(offset, n_bytes)
@@ -306,11 +359,7 @@ class SparseTiledMatrix:
             image[0] = self._tail
         self.file.allocate_pages(pages.stop - self.file.num_pages)
         at = offset - first * page_size
-        words = image.reshape(-1)[at: at + n_bytes].view(_INT)
-        words[0] = nnz
-        words[1:body] = indptr
-        words[body: body + nnz] = indices
-        words[body + nnz:].view(_FLOAT)[:] = data
+        image.reshape(-1)[at: at + n_bytes] = tile
         # The filled pages go to the pool in one call; a partly filled
         # last page waits as the tail until a later tile fills it or
         # moves past it, a read needs it or the store flushes, so a
@@ -435,7 +484,12 @@ class SparseTiledMatrix:
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Read tile (ti, tj) as (indptr, indices, data); None if empty.
         Its pages come from the pool, or through ``scan`` (a kernel's
-        pass, :class:`TileScan`)."""
+        pass, :class:`TileScan`).  The arrays are private: the values
+        are copied once and the narrow indices widened to int64.  Bytes
+        that are not a tile of this shape — a header that disagrees
+        with the directory, an indptr that does not rise from 0 to nnz,
+        a column index outside the tile — raise ``ValueError`` naming
+        the matrix and the tile."""
         entry = self.directory.get((ti, tj))
         if entry is None:
             self._check_tile(ti, tj)
@@ -443,18 +497,24 @@ class SparseTiledMatrix:
         offset, n_bytes, nnz = entry
         frames = (scan.frames(ti, tj) if scan is not None else
                   self.store.pool.get_many(self.tile_blocks(ti, tj)))
-        # The one private copy; the triple is three views of it.
         at = offset % self.store.device.block_size
-        words = (frames[0][at: at + n_bytes].copy() if len(frames) == 1
-                 else np.concatenate(frames)[at: at + n_bytes]).view(_INT)
-        if int(words[0]) != nnz:
-            raise ValueError(
-                f"{self.name} tile ({ti},{tj}): page header says "
-                f"{int(words[0])} nonzeros, directory says {nnz}")
-        th = self.tile_shape[0]
-        body = 2 + min(th, self.shape[0] - ti * th)   # header + indptr
-        return (words[1:body], words[body: body + nnz],
-                words[body + nnz: body + 2 * nnz].view(_FLOAT))
+        one = len(frames) == 1           # else the concatenation is ours
+        raw = (frames[0] if one else np.concatenate(frames))[at: at + n_bytes]
+        header = int(raw[:8].view(_INT)[0])
+        if header != nnz:
+            raise self._bad_tile(ti, tj, f"page header says {header} "
+                                 f"nonzeros, directory says {nnz}")
+        th, tw = self.tile_shape
+        shape = (min(th, self.shape[0] - ti * th),
+                 min(tw, self.shape[1] - tj * tw))
+        try:
+            indptr, indices, data = unpack_csr(raw, shape, nnz)
+        except ValueError as err:
+            raise self._bad_tile(ti, tj, str(err)) from None
+        return indptr, indices, data.copy() if one else data
+
+    def _bad_tile(self, ti: int, tj: int, why: str) -> ValueError:
+        return ValueError(f"{self.name} tile ({ti},{tj}): {why}")
 
     def read_tile(self, ti: int, tj: int) -> np.ndarray:
         """Read tile (ti, tj) densified (zeros for an empty tile)."""
@@ -545,8 +605,11 @@ class TileScan:
 
     def tile_blocks(self, ti: int, tj: int) -> list[int]:
         """Device blocks of tile (ti, tj) the scan does not hold."""
-        pages = [p for p in self.matrix.tile_pages(ti, tj)
-                 if p not in self._kept]
+        return self._blocks(self.matrix.tile_pages(ti, tj))
+
+    def _blocks(self, pages: range) -> list[int]:
+        if self._kept:
+            pages = [p for p in pages if p not in self._kept]
         if not pages:
             return []
         self.matrix.put_tail()
@@ -562,7 +625,7 @@ class TileScan:
         holds from it and the rest from the pool; a page a later read
         spans is kept."""
         pages = self.matrix.tile_pages(ti, tj)
-        fetched = iter(self.store.pool.get_many(self.tile_blocks(ti, tj)))
+        fetched = iter(self.store.pool.get_many(self._blocks(pages)))
         frames = [self._kept[p] if p in self._kept else next(fetched)
                   for p in pages]
         for page, frame in zip(pages, frames):

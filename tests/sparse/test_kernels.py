@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.sanitizers import SanitizingBufferPool
 from repro.core.costs import (spgemm_io, spgemm_panel_rows,
-                              spgemm_row_panels, spmm_io, spmv_io)
+                              spgemm_row_panels, spmm_io, spmm_strip_blocks,
+                              spmv_io)
 from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmm, spmv
 from repro.sparse.sparse_matrix import tile_words
 from repro.storage import ArrayStore, StorageConfig
@@ -476,3 +477,29 @@ class TestScheduleAgreement:
         strip_pages = 1          # an 8x8 strip is one 8x8 tile, one page
         assert reads == spmm_schedule_reads(a, b, 1) \
             == 3 * (a.data_pages + len(a.directory) * strip_pages)
+
+    def test_panels_narrower_than_b_tiles_pay_for_whole_tiles(self):
+        """B 6 x 9 on 6 x 8 tiles (its default grid in 64-word pages)
+        under A's 4-wide tiles: column panels 4 wide read B's first tile
+        in two panels, so a row panel reads 3 B blocks where B has 2
+        (``spmm_strip_blocks``).  With one row panel the kernel reads
+        exactly that; priced so, a budget of 80 takes 8-wide panels,
+        which read 6 blocks in a 4-page pool where the 4-wide ones the
+        old price chose read 8."""
+        store = ArrayStore(storage=StorageConfig(
+            block_size=BLOCK, memory_bytes=4 * BLOCK, scheduler=False))
+        a_np = _full_operand(np.random.default_rng(3), (16, 6), (4, 4))
+        a = SparseTiledMatrix.from_dense(store, a_np, tile_shape=(4, 4))
+        b_np = np.arange(54.0).reshape(6, 9) % 5 - 2
+        b = store.matrix_from_numpy(b_np)
+        assert (b.tile_shape, b.file.num_pages, a.data_pages) \
+            == ((6, 8), 2, 2)
+        assert spmm_strip_blocks(9, 4, 2, 8) == 3
+        assert spmm_strip_blocks(9, 8, 2, 8) == 2
+        assert kernels.spmm_schedule(a, b, 96) == (4, 4)
+        c, reads, _ = _measure(spmm, store, a, b, 96)
+        assert reads == 3 * a.data_pages + 3
+        assert np.array_equal(c.to_numpy(), a_np @ b_np)
+        assert kernels.spmm_schedule(a, b, 80) == (8, 1)
+        _, reads, _ = _measure(spmm, store, a, b, 80)
+        assert reads == 6

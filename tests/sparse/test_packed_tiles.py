@@ -33,33 +33,28 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import SparseTiledMatrix, kernels, spgemm, spmm, spmv
-from repro.sparse.sparse_matrix import csr_from_dense, tile_words
+from repro.sparse.sparse_matrix import csr_from_dense, pack_csr
 from repro.storage import ArrayStore, StorageConfig
 
 BLOCK = 512                  # 64 words a page: tiles span pages
 
 
 def one_tile_per_page(self, ti, tj, indptr, indices, data):
-    """``append_tile`` before packing: the tile's page image on fresh
-    pages, all of them put at once."""
+    """``append_tile`` before packing: the tile's bytes (the shared
+    ``pack_csr``) on fresh pages, all of them put at once."""
     nnz = int(data.size)
     if nnz == 0:
         return
-    r0, r1, _, _ = self.tile_bounds(ti, tj)
-    body = 2 + r1 - r0
-    n_bytes = tile_words(r1 - r0, nnz) * 8
+    r0, r1, c0, c1 = self.tile_bounds(ti, tj)
+    tile = pack_csr(indptr, indices, data, (r1 - r0, c1 - c0))
     page = self.store.device.block_size
-    n_pages = -(-n_bytes // page)
+    n_pages = -(-tile.size // page)
     image = np.zeros((n_pages, page), dtype=np.uint8)
-    words = image.reshape(-1)[:n_bytes].view(np.int64)
-    words[0] = nnz
-    words[1:body] = indptr
-    words[body: body + nnz] = indices
-    words[body + nnz:].view(np.float64)[:] = data
+    image.reshape(-1)[:tile.size] = tile
     first = self.file.allocate_pages(n_pages)[0]
     self.store.pool.put_many(
         self.file.blocks_of(range(first, first + n_pages)), image)
-    self.directory[(ti, tj)] = (first * page, n_bytes, nnz)
+    self.directory[(ti, tj)] = (first * page, tile.size, nnz)
     self._row_index.setdefault(ti, []).append(tj)
     self._col_index.setdefault(tj, []).append(ti)
     self.nnz += nnz

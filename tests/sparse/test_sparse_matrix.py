@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.costs import csr_index_widths, tile_bytes
 from repro.sparse import (SparseTiledMatrix, csr_from_dense, csr_to_dense,
-                          tile_words)
+                          spmv, tile_words)
 from repro.sparse.sparse_matrix import default_sparse_tile_shape
 from repro.storage import ArrayStore, StorageConfig
 from repro.storage.linearization import linearization_names
@@ -246,8 +247,8 @@ class TestTileDirectory:
         """A tile goes to the pool as one ``put_many`` of the pages it
         fills, and its partly filled last page when a read asks for it
         (``tile_blocks`` here): the whole zero-padded page image
-        ``[nnz][indptr][indices][data]``."""
-        dense = _random_sparse(rng, 128, 128, 0.2)   # 7 pages
+        ``[nnz: int64][data: float64][indptr: int32][indices: uint16]``."""
+        dense = _random_sparse(rng, 128, 128, 0.3)   # 7 pages
         indptr, indices, data = csr_from_dense(dense)
         sp = SparseTiledMatrix(store, "img", (128, 128), (128, 128))
         with mock.patch.object(store.pool, "put_many",
@@ -261,9 +262,13 @@ class TestTileDirectory:
         assert len(blocks) == len(sp.tile_pages(0, 0)) == 7
         image = np.concatenate(store.pool.get_many(blocks))
         payload = np.concatenate([
-            np.array([data.size]).view(np.uint8), indptr.view(np.uint8),
-            indices.view(np.uint8), data.view(np.uint8)])
-        assert payload.size == 8 * tile_words(128, data.size)
+            np.array([data.size]).view(np.uint8), data.view(np.uint8),
+            indptr.astype(np.int32).view(np.uint8),
+            indices.astype(np.uint16).view(np.uint8)])
+        assert sp.directory[(0, 0)] == (0, tile_bytes(128, 128, data.size),
+                                         data.size)
+        assert payload.size <= tile_bytes(128, 128, data.size) \
+            < payload.size + 8
         assert image[:payload.size].tobytes() == payload.tobytes()
         assert not image[payload.size:].any()
 
@@ -299,6 +304,90 @@ class TestTileDirectory:
         store.pool.put(sp.tile_blocks(0, 0)[0], page)
         with pytest.raises(ValueError, match=r"torn tile \(0,0\).*5.*2"):
             sp.read_tile_csr(0, 0)
+
+
+    @pytest.mark.parametrize("at,value,complaint", [
+        (1, 3, r"indptr does not rise from 0 to 2"),      # 0 3 2 2 2
+        (0, 1, r"indptr does not rise from 0 to 2"),      # starts at 1
+        (4, 1, r"indptr does not rise from 0 to 2"),      # ends at 1
+        (None, 4, r"column index outside \[0, 4\)"),      # column 4
+    ])
+    def test_corrupt_indices_in_a_frame_are_named(self, store, at, value,
+                                                  complaint):
+        """Bytes that are no CSR tile of this shape stop at the read
+        with the matrix and the tile named, not deep in a kernel (an
+        indptr that falls made ``csr_to_dense`` raise NumPy's "repeats
+        may not contain negative values")."""
+        sp = SparseTiledMatrix.from_coo(store, [0, 1], [0, 1], [1.0, 2.0],
+                                        (4, 4), name="torn")
+        block = sp.tile_blocks(0, 0)[0]
+        offset, _, nnz = sp.directory[(0, 0)]
+        tile = offset % store.device.block_size
+        indptr_at = tile + 8 + 8 * nnz
+        page = store.pool.get(block).copy()
+        if at is None:               # the first column index
+            page[indptr_at + 4 * 5:][:2].view(np.uint16)[0] = value
+        else:
+            page[indptr_at:][:4 * 5].view(np.int32)[at] = value
+        store.pool.put(block, page)
+        for read in (lambda: sp.read_tile_csr(0, 0), sp.to_numpy,
+                     lambda: spmv(store, sp,
+                                  store.vector_from_numpy(np.ones(4)))):
+            with pytest.raises(ValueError,
+                               match=r"torn tile \(0,0\): stored "
+                               + complaint):
+                read()
+
+
+class TestNarrowEncoding:
+    """Row pointers and column indices are stored as narrow as the tile
+    shape allows and widened to int64 on the read."""
+
+    @pytest.mark.parametrize("cols,index_type", [
+        (65536, np.uint16), (65537, np.int32)])
+    def test_index_width_follows_the_tile_width(self, cols, index_type):
+        store = ArrayStore(StorageConfig(memory_bytes=1 << 20))
+        dense = np.zeros((2, cols))
+        dense[0, [0, 1]] = [1.5, -2.0]
+        dense[1, [1, cols - 2, cols - 1]] = [3.25, 5e-324, -np.inf]
+        sp = SparseTiledMatrix.from_dense(store, dense,
+                                          tile_shape=(2, cols))
+        offset, n_bytes, nnz = sp.directory[(0, 0)]
+        size = index_type().itemsize
+        assert n_bytes == tile_bytes(2, cols, nnz) \
+            == -(-(8 + 8 * nnz + 4 * 3 + size * nnz) // 8) * 8
+        raw = np.frombuffer(b"".join(_raw_pages(sp)), dtype=np.uint8)
+        indices_at = offset + 8 + 8 * nnz + 4 * 3
+        stored = raw[indices_at: indices_at + size * nnz].view(index_type)
+        assert stored.tolist() == [0, 1, 1, cols - 2, cols - 1]
+        got = sp.read_tile_csr(0, 0)
+        for part, want in zip(got, csr_from_dense(dense)):
+            assert part.dtype == want.dtype
+            assert part.tobytes() == want.tobytes()
+
+    def test_row_pointers_widen_at_2_31_cells(self):
+        assert csr_index_widths(32768, 65535) == (4, 2)
+        assert csr_index_widths(32768, 65536) == (8, 2)
+        assert csr_index_widths(1, 65537) == (4, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           tile=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           density=st.sampled_from([0.02, 0.2, 1.0]),
+           block=st.sampled_from([64, 512, 8192]),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_directory_length_is_tile_bytes(self, shape, tile,
+                                                  density, block, seed):
+        dense = _random_sparse(np.random.default_rng(seed), *shape,
+                               density)
+        store = ArrayStore(StorageConfig(block_size=block,
+                                         memory_bytes=64 * block))
+        sp = SparseTiledMatrix.from_dense(store, dense, tile_shape=tile)
+        for (ti, tj), (offset, n_bytes, nnz) in sp.directory.items():
+            r0, r1, c0, c1 = sp.tile_bounds(ti, tj)
+            assert n_bytes == tile_bytes(r1 - r0, c1 - c0, nnz)
+            assert offset % 8 == 0
+        assert np.array_equal(sp.to_numpy(), dense)
 
 
 class TestIOAccounting:

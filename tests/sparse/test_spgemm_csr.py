@@ -373,9 +373,11 @@ def _budgets_by_height(a, b) -> tuple[int, int, int]:
     rows, and into one panel."""
     th, tw = a.tile_shape[0], b.tile_shape[1]
     needed, ones = kernels.spgemm_schedule(a, b, 1)
-    # What the schedule holds for two rows: the largest B tile, two
-    # accumulators, the rows' A tiles.
-    two = (biggest_tile(b) * b.store.scalars_per_block + 2 * th * tw
+    # What the schedule holds for two rows: the largest B tile as read,
+    # two accumulators, the rows' A tiles.
+    two = (max((tile_words(b.tile_shape[0], nnz)
+                for _, _, nnz in b.directory.values()), default=0)
+           + 2 * th * tw
            + sum(tile_words(th, a.tile_nnz(ti, k))
                  for ti, ks in enumerate(needed[:2]) for k in ks))
     rows = a.grid[0]
@@ -577,11 +579,13 @@ def test_empty_rows_and_unmatched_tiles_in_a_stack():
 @pytest.mark.parametrize("scheduler", [False, True])
 def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
     """The one regime where row panels read more than the output-tile
-    loop did.  A is tall (8 block rows, 35 packed pages; 48 with every
-    tile on pages of its own), B small (9 pages; 12), every tile full,
-    and the 32-frame pool holds B beside one block row of A and the
-    output tile being written: the old loop found B in the pool after
-    the first block row and read everything once.  A panel's A reads
+    loop did.  A is tall (8 block rows, 24 packed pages; 35 with 8-byte
+    indices, 48 with every tile on pages of its own), B small (6 pages;
+    9, 12), every tile full, and the 16-frame pool holds B beside one
+    block row of A and the output tile being written (32 frames, enough
+    for 8-byte indices, hold B beside a whole panel of narrow ones):
+    the old loop found B in the pool after the first block row and
+    read everything once.  A panel's A reads
     go through the same pool, so a panel of four rows flushes B and
     the next panel reads it again:
     ``pages(A) + panels * pages(B)``, the schedule's own count and the
@@ -593,9 +597,9 @@ def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
     tiles = (8, 8, 8)
 
     def reads_of(product, *budget):
-        store = _store(32, scheduler)
+        store = _store(16, scheduler)
         a, b = _load(store, a_np, b_np, tiles)
-        assert (a.data_pages, b.data_pages) == (35, 9)
+        assert (a.data_pages, b.data_pages) == (24, 6)
         c = product(store, a, b, *budget)
         store.flush()
         reads = store.device.stats.reads
@@ -605,11 +609,11 @@ def test_a_pool_that_holds_b_pays_for_it_once_per_panel(scheduler):
         return (reads, spgemm_schedule_reads(a, b, *budget),
                 len(kernels.spgemm_schedule(a, b, *budget)[1]))
 
-    assert reads_of(ref_spgemm) == 35 + 9
+    assert reads_of(ref_spgemm) == 24 + 6
     # Room for four rows' accumulators and CSR triples beside a B tile.
-    assert reads_of(spgemm, 1600) == (35 + 2 * 9, 35 + 2 * 9, 2)
-    assert reads_of(spgemm, 1) == (35 + 9, 35 + 8 * 9, 8)
-    assert reads_of(spgemm, 1 << 15) == (35 + 9, 35 + 9, 1)
+    assert reads_of(spgemm, 1600) == (24 + 2 * 6, 24 + 2 * 6, 2)
+    assert reads_of(spgemm, 1) == (24 + 6, 24 + 8 * 6, 8)
+    assert reads_of(spgemm, 1 << 15) == (24 + 6, 24 + 6, 1)
 
 
 def test_default_tiles_ragged_shape(store):
