@@ -625,7 +625,8 @@ class TileScan:
         holds from it and the rest from the pool; a page a later read
         spans is kept."""
         pages = self.matrix.tile_pages(ti, tj)
-        fetched = iter(self.store.pool.get_many(self._blocks(pages)))
+        blocks = self._blocks(pages)
+        fetched = iter(self.store.pool.get_many(blocks) if blocks else ())
         frames = [self._kept[p] if p in self._kept else next(fetched)
                   for p in pages]
         for page, frame in zip(pages, frames):
