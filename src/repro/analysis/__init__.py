@@ -5,13 +5,13 @@ they happen, not as wrong counts or wrong numbers later:
 
 - :mod:`repro.analysis.lint` — repo-specific AST lint rules
   (``python -m repro.analysis src/``): device construction stays in
-  the storage factory, planner operators name registered cost models,
-  spans always close, plan costing is deterministic, one module
-  builds thread pools.
+  the storage factory, spans always close, plan costing is
+  deterministic, one module builds thread pools.
 - :mod:`repro.analysis.planlint` — :func:`verify_plan`, a static
   walk of a :class:`~repro.core.plan.PhysicalPlan` before execution:
   shape conformability, kernel budgets and pins, epilogue-fusion
-  legality, release points and in-place operands, sane predictions.
+  legality, release points and in-place operands, and predictions
+  that re-price exactly from their printed cost inputs.
   Wired into
   ``Evaluator.execute`` / ``session.explain`` under
   ``OptimizerConfig(strict=True)``.

@@ -18,7 +18,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description="RIOT repo lint: storage/plan/span/determinism/"
                     "codec/thread-pool conventions checked on the AST "
-                    "(rules RPR001-7).")
+                    "(rules RPR001, RPR003-9).")
     parser.add_argument(
         "paths", nargs="+",
         help="files or directories to lint (directories recurse)")

@@ -2,11 +2,13 @@
 
 RIOT's I/O guarantees only hold when every layer obeys a handful of
 conventions that generic linters cannot see: devices are built in one
-factory, every physical operator names a registered cost model, tracer
-spans always close, and plan costing is deterministic.  This module
-checks those conventions on the Python AST — real parse trees, so a
-mention in a comment or docstring never trips a rule (the failure mode
-of the grep test this replaces).
+factory, tracer spans always close, and plan costing is deterministic.
+This module checks those conventions on the Python AST — real parse
+trees, so a mention in a comment or docstring never trips a rule (the
+failure mode of the grep test this replaces).  That every operator
+names a registered cost model needs no rule: the planner prices each
+one as ``COST_MODELS[name](**inputs)``, so an unregistered name fails
+every plan that uses it.
 
 Rules:
 
@@ -17,12 +19,6 @@ Rules:
     factory; building a device anywhere else bypasses the injected
     :class:`~repro.storage.config.StorageConfig` and breaks backend
     swapping.
-``RPR002``
-    Every ``PhysOp`` subclass the planner constructs must name a cost
-    model registered in ``repro.core.costs.COST_MODELS`` (directly via
-    its class-level ``cost_model`` or via a per-instance override).
-    An unregistered name silently drops the operator from calibration
-    grouping and from the plan verifier's model check.
 ``RPR003``
     Tracer spans must be opened as ``with tracer.span(...)``.  A span
     entered any other way is not guaranteed to close, which corrupts
@@ -78,8 +74,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-             "RPR007", "RPR008", "RPR009")
+ALL_RULES = ("RPR001", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007",
+             "RPR008", "RPR009")
 
 #: The one file outside ``repro/storage`` that may move device blocks
 #: itself (RPR008): the virtual-memory pager's swap.
@@ -240,123 +236,6 @@ def _placed_calls(code: str):
 
 
 # ----------------------------------------------------------------------
-# RPR002 — planner-constructed PhysOps name registered cost models
-# ----------------------------------------------------------------------
-def _registered_cost_models(costs_path: Path) -> set[str] | None:
-    """Keys of the ``COST_MODELS`` dict literal in ``core/costs.py``."""
-    try:
-        tree = ast.parse(costs_path.read_text())
-    except (OSError, SyntaxError):
-        return None
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name)
-                        and t.id == "COST_MODELS"
-                        for t in node.targets)
-                and isinstance(node.value, ast.Dict)):
-            keys = set()
-            for key in node.value.keys:
-                if (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    keys.add(key.value)
-            return keys
-    return None
-
-
-def _physop_cost_models(plan_path: Path) -> dict[str, str | None] | None:
-    """Map class name -> class-level ``cost_model`` in ``plan.py``."""
-    try:
-        tree = ast.parse(plan_path.read_text())
-    except (OSError, SyntaxError):
-        return None
-    models: dict[str, str | None] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        model: str | None = None
-        for stmt in node.body:
-            targets: list[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value:
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            for t in targets:
-                if (isinstance(t, ast.Name) and t.id == "cost_model"
-                        and isinstance(value, ast.Constant)):
-                    model = value.value
-        models[node.name] = model
-    # Subclasses inherit: resolve one level of bases by name.
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and models.get(node.name) is None:
-            for base in node.bases:
-                base_name = (base.id if isinstance(base, ast.Name)
-                             else None)
-                if base_name in models and models[base_name]:
-                    models[node.name] = models[base_name]
-    return models
-
-
-def _check_cost_model_registry(path: Path, tree: ast.AST
-                               ) -> list[Finding]:
-    if path.name != "planner.py":
-        return []
-    registry = _registered_cost_models(path.parent / "costs.py")
-    class_models = _physop_cost_models(path.parent / "plan.py")
-    if registry is None or class_models is None:
-        return []  # context files missing: rule not applicable
-    findings = []
-    for node in ast.walk(tree):
-        # Constructed operator classes: the class attr must be
-        # registered (or None, for leaves/constants).
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name in class_models and name.endswith("Op"):
-                model = class_models[name]
-                if model is not None and model not in registry:
-                    findings.append(Finding(
-                        str(path), node.lineno, node.col_offset,
-                        "RPR002",
-                        f"{name} names cost model {model!r} which is "
-                        f"not registered in core.costs.COST_MODELS"))
-    # Per-instance overrides: ``op.cost_model = "..."`` (directly or
-    # through a string variable assigned in this file).
-    consts: dict[str, str] = {}
-    for sub in ast.walk(tree):
-        if not isinstance(sub, ast.Assign):
-            continue
-        value = sub.value
-        if (isinstance(value, ast.Constant)
-                and isinstance(value.value, str)):
-            for t in sub.targets:
-                if isinstance(t, ast.Name):
-                    consts[t.id] = value.value
-    for sub in ast.walk(tree):
-        if not isinstance(sub, ast.Assign):
-            continue
-        for t in sub.targets:
-            if not (isinstance(t, ast.Attribute)
-                    and t.attr == "cost_model"):
-                continue
-            value = sub.value
-            resolved: str | None = None
-            if (isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)):
-                resolved = value.value
-            elif (isinstance(value, ast.Name)
-                    and value.id in consts):
-                resolved = consts[value.id]
-            if resolved is not None and resolved not in registry:
-                findings.append(Finding(
-                    str(path), sub.lineno, sub.col_offset,
-                    "RPR002",
-                    f"cost_model override {resolved!r} is not "
-                    f"registered in core.costs.COST_MODELS"))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # RPR003 — spans open via ``with tracer.span(...)``
 # ----------------------------------------------------------------------
 def _check_span_discipline(path: Path, tree: ast.AST) -> list[Finding]:
@@ -428,7 +307,6 @@ def _check_determinism(path: Path, tree: ast.AST) -> list[Finding]:
 
 _RULES = {
     "RPR001": _placed_calls("RPR001"),
-    "RPR002": _check_cost_model_registry,
     "RPR003": _check_span_discipline,
     "RPR004": _check_determinism,
     "RPR005": _placed_calls("RPR005"),

@@ -9,9 +9,11 @@ operator's own kernel, so both refuse the same budgets in the same
 words — plus shape conformability, kernel-pin legality,
 epilogue-fusion legality, shared-scan legality (a crossprod's side
 products), the tape of every elementwise region, release points and
-in-place operands (lifetimes) and prediction sanity into one
-pre-execution walk over the :class:`~repro.core.plan.PhysicalPlan`,
-with every error naming the offending operator.
+in-place operands (lifetimes) and prediction sanity (each operator's
+``predicted_io`` is its registered model re-run on its
+``cost_inputs``, exactly) into one pre-execution walk over the
+:class:`~repro.core.plan.PhysicalPlan`, with every error naming the
+offending operator.
 
 Wired into :meth:`repro.core.evaluator.Evaluator.execute` and
 ``session.explain()`` under ``OptimizerConfig(strict=True)``; the
@@ -134,9 +136,7 @@ def _verify_op(op: PhysOp, memory_scalars: int,
         _fail(op, f"predicted_io is not finite ({io!r})")
     if io < 0:
         _fail(op, f"predicted_io is negative ({io!r})")
-    if op.cost_model is not None and op.cost_model not in COST_MODELS:
-        _fail(op, f"cost model {op.cost_model!r} is not registered in "
-                  f"core.costs.COST_MODELS")
+    _check_price(op)
 
     node = op.node
 
@@ -229,6 +229,27 @@ def _verify_op(op: PhysOp, memory_scalars: int,
                       "(sparse-pinned or sparse-dispatched product)")
         _check_schedule(op, op.barrier, memory_scalars, block_scalars,
                         len(op.region.sources) - 1)
+
+
+def _check_price(op: PhysOp) -> None:
+    """The prediction is its registered model called with the inputs
+    ``explain`` prints, exactly; an operator with no model predicts
+    nothing."""
+    if op.cost_model is None:
+        if op.predicted_io:
+            _fail(op, f"predicts {op.predicted_io!r} blocks with no "
+                      f"cost model")
+        return
+    if op.cost_model not in COST_MODELS:
+        _fail(op, f"cost model {op.cost_model!r} is not registered in "
+                  f"core.costs.COST_MODELS")
+    try:
+        io = COST_MODELS[op.cost_model](**op.cost_inputs)
+    except TypeError as exc:
+        _fail(op, f"cost inputs do not fit {op.cost_model}: {exc}")
+    if io != op.predicted_io:
+        _fail(op, f"predicted_io {op.predicted_io!r} is not "
+                  f"{op.cost_model}(**cost_inputs) = {io!r}")
 
 
 def _check_region(op: PhysOp) -> None:

@@ -4,14 +4,13 @@
 the parenthesization minimizing scalar multiplications; Appendix B shows the
 I/O-optimal schedule then performs one multiplication at a time with the
 Appendix-A algorithm, giving ``Theta(N / (B sqrt(M)))`` block I/Os where N is
-the DP's multiplication count.  ``optimal_order_io`` additionally supports
-costing each candidate split directly in I/Os (the two are equivalent up to
-lower-order terms; both are exposed for the ablation bench).
+the DP's multiplication count.  ``optimal_order_sparse`` runs the same DP
+with each factor's density weighting the multiplications.
 """
 
 from __future__ import annotations
 
-from .costs import square_tile_matmul_io
+from .costs import matmul_result_density
 
 #: Parenthesization: either an int (leaf index) or a pair of orders.
 Order = "int | tuple"
@@ -42,17 +41,11 @@ def in_order(n_factors: int):
 
 def optimal_order(dims: list[int]):
     """Minimize scalar multiplications (the paper's DP choice)."""
-    return _dp(dims, lambda m, l, n: float(m) * l * n)[0]
+    return _dp(dims)[0]
 
 
 def optimal_multiplications(dims: list[int]) -> float:
-    return _dp(dims, lambda m, l, n: float(m) * l * n)[1]
-
-
-def optimal_order_io(dims: list[int], memory: float, block: float):
-    """Minimize total block I/O using the Appendix-A per-multiply cost."""
-    return _dp(dims, lambda m, l, n:
-               square_tile_matmul_io(m, l, n, memory, block))[0]
+    return _dp(dims)[1]
 
 
 def optimal_order_sparse(dims: list[int], densities: list[float]):
@@ -70,22 +63,29 @@ def optimal_order_sparse(dims: list[int], densities: list[float]):
     like every chain DP over a non-additive measure this is a
     high-quality heuristic rather than a proven optimum.
     """
-    from .costs import matmul_result_density
+    return _dp(dims, densities)[0]
 
+
+def _dp(dims: list[int], densities: list[float] | None = None):
+    """O(n^3) interval DP returning (order, total pairwise cost): a
+    multiply costs ``dL * dR * m * l * n``, the densities of its
+    operands times its scalar multiplications.  Without ``densities``
+    every factor, and so every product, is dense (1.0)."""
     n = len(dims) - 1
     if n <= 0:
         raise ValueError("need at least one matrix")
-    if len(densities) != n:
+    if densities is not None and len(densities) != n:
         raise ValueError(
             f"need one density per factor: {n} factors, "
             f"{len(densities)} densities")
     if n == 1:
-        return 0
+        return 0, 0.0
     best = [[0.0] * n for _ in range(n)]
-    dens = [[0.0] * n for _ in range(n)]
+    dens = [[1.0] * n for _ in range(n)]
     split = [[0] * n for _ in range(n)]
-    for i in range(n):
-        dens[i][i] = min(1.0, max(0.0, densities[i]))
+    if densities is not None:
+        for i in range(n):
+            dens[i][i] = min(1.0, max(0.0, densities[i]))
     for span in range(1, n):
         for i in range(0, n - span):
             j = i + span
@@ -98,37 +98,9 @@ def optimal_order_sparse(dims: list[int], densities: list[float]):
                 if cost < best[i][j]:
                     best[i][j] = cost
                     split[i][j] = k
-                    dens[i][j] = matmul_result_density(
-                        d_l, d_r, dims[k + 1])
-
-    def build(i: int, j: int):
-        if i == j:
-            return i
-        k = split[i][j]
-        return (build(i, k), build(k + 1, j))
-
-    return build(0, n - 1)
-
-
-def _dp(dims: list[int], cost_fn):
-    """O(n^3) interval DP returning (order, total pairwise cost)."""
-    n = len(dims) - 1
-    if n <= 0:
-        raise ValueError("need at least one matrix")
-    if n == 1:
-        return 0, 0.0
-    best = [[0.0] * n for _ in range(n)]
-    split = [[0] * n for _ in range(n)]
-    for span in range(1, n):
-        for i in range(0, n - span):
-            j = i + span
-            best[i][j] = float("inf")
-            for k in range(i, j):
-                cost = (best[i][k] + best[k + 1][j]
-                        + cost_fn(dims[i], dims[k + 1], dims[j + 1]))
-                if cost < best[i][j]:
-                    best[i][j] = cost
-                    split[i][j] = k
+                    if densities is not None:
+                        dens[i][j] = matmul_result_density(
+                            d_l, d_r, dims[k + 1])
 
     def build(i: int, j: int):
         if i == j:

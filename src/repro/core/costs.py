@@ -8,9 +8,17 @@ exactly as we do here.  Units: ``memory`` and ``block`` are in scalars
 The measured out-of-core implementations in :mod:`repro.linalg` are checked
 against these models at small n by ``tests/linalg/test_cost_agreement.py`` —
 a validation the paper itself did not show.  Each dense kernel runs a
-schedule stated here once, for it, its verifier and its model:
+schedule stated here once, for it and its verifier:
 :func:`square_schedule` (with its fused epilogue), :func:`bnlj_schedule`,
-:func:`crossprod_schedule` and :func:`lu_schedule`.
+:func:`crossprod_schedule` and :func:`lu_schedule`.  The crossprod and
+LU models count over their schedules; the square-tile and BNLJ models
+are the paper's closed forms, which
+``tests/core/test_costs.py::TestClosedFormsAgainstSchedules`` keeps
+within a band of the schedules' counts.
+
+:data:`COST_MODELS` names every model the planner prices an operator
+with; the planner calls each only as ``COST_MODELS[name](**inputs)``,
+with the inputs ``explain`` prints.
 """
 
 from __future__ import annotations
@@ -54,12 +62,28 @@ def square_tile_matmul_io(m: float, l: float, n: float,
                      / (block * math.sqrt(memory))) + (m * n) / block)
 
 
-def transpose_materialize_io(rows: float, cols: float,
-                             block: float) -> float:
+def matmul_io(m: float, l: float, n: float, memory: float, block: float,
+              ratio: float = 1.0) -> float:
+    """The dense product the planner prices: the Appendix-A cost
+    (:func:`square_tile_matmul_io`), clamped at the one-pass floor.
+
+    The formula is asymptotic; at small sizes it drops below the
+    trivial floor of reading both operands and writing the result
+    once, so comparisons clamp it there.  ``ratio`` scales both the
+    formula and the floor — compression shrinks the one-pass traffic
+    too.
+    """
+    return max(square_tile_matmul_io(m, l, n, memory, block, ratio),
+               ratio * (m * l + l * n + m * n) / block)
+
+
+def transpose_materialize_io(rows: float, cols: float, block: float,
+                             ratio: float = 1.0) -> float:
     """One full disk pass to store an explicit transpose: read every
     source tile once, write every output tile once.  This is the pass
-    the ``trans_a``/``trans_b`` operand flags delete."""
-    return 2.0 * rows * cols / block
+    the ``trans_a``/``trans_b`` operand flags delete.  ``ratio`` scales
+    it by the storage codec's compressed-byte ratio."""
+    return ratio * (2.0 * rows * cols / block)
 
 
 def square_panel(memory: float, tile_side: int, panels: int = 3) -> int:
@@ -616,12 +640,11 @@ def spmm_panels(memory: float, n: float, tile_rows: float,
     return pw, math.ceil(grid_rows / math.ceil(grid_rows / r))
 
 
-def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
-               block: float,
-               tiles: tuple[float, float] = (DEFAULT_TILE_SIDE,) * 2
-               ) -> tuple[float, dict]:
-    """``(blocks, geometry)`` of ``C = A B`` with sparse tiled A and
-    dense tiled B: :func:`spmm_io` and the panel shape it counted over;
+def spmm_io(m: float, l: float, n: float, nnz: float, memory: float,
+            block: float,
+            tiles: tuple[float, float] = (DEFAULT_TILE_SIDE,) * 2
+            ) -> float:
+    """I/O of ``C = A B`` with sparse tiled A and dense tiled B;
     ``tiles`` is A's ``(tile rows, tile columns)`` — the grid the
     kernel cuts its panels from, square or not.
 
@@ -641,17 +664,7 @@ def spmm_model(m: float, l: float, n: float, nnz: float, memory: float,
     b_reads = b_blocks * _panels_touching(prof["p_nonempty"],
                                           prof["grid_rows"], r)
     c_writes = m * n / block
-    return (a_reads + b_reads + c_writes,
-            {"panel_width": pw, "panel_rows": r})
-
-
-def spmm_io(m: float, l: float, n: float, nnz: float, memory: float,
-            block: float,
-            tiles: tuple[float, float] = (DEFAULT_TILE_SIDE,) * 2
-            ) -> float:
-    """I/O of ``C = A B`` with sparse tiled A and dense tiled B (the
-    block count of :func:`spmm_model`)."""
-    return spmm_model(m, l, n, nnz, memory, block, tiles)[0]
+    return a_reads + b_reads + c_writes
 
 
 def spgemm_row_panels(memory: float, acc_words: float,
@@ -691,13 +704,12 @@ def spgemm_panel_rows(memory: float, acc_words: float,
     return int(max(1, min(grid_rows, fit)))
 
 
-def spgemm_model(m: float, l: float, n: float, nnz_a: float,
-                 nnz_b: float, memory: float, block: float,
-                 tiles: tuple[float, float, float] = (DEFAULT_TILE_SIDE,) * 3
-                 ) -> tuple[float, dict]:
-    """``(blocks, geometry)`` of ``C = A B`` with both operands sparse
-    tiled: :func:`spgemm_io` and the panel shape it counted over;
-    ``tiles`` is ``(A tile rows, shared inner side, B tile columns)``.
+def spgemm_io(m: float, l: float, n: float, nnz_a: float, nnz_b: float,
+              memory: float, block: float,
+              tiles: tuple[float, float, float] = (DEFAULT_TILE_SIDE,) * 3
+              ) -> float:
+    """I/O of ``C = A B`` with both operands sparse tiled; ``tiles`` is
+    ``(A tile rows, shared inner side, B tile columns)``.
 
     A count over the SpGEMM schedule on the expected tile directories
     (every block row alike, so :func:`spgemm_panel_rows` gives the
@@ -729,17 +741,7 @@ def spgemm_model(m: float, l: float, n: float, nnz_a: float,
     d_c = 1.0 - (1.0 - d_a * d_b) ** l
     writes = sparse_matrix_profile(m, n, d_c * m * n, block,
                                    th, tw)["pages"]
-    return (a_reads + b_reads + writes,
-            {"row_panels": math.ceil(grid_rows / r)})
-
-
-def spgemm_io(m: float, l: float, n: float, nnz_a: float, nnz_b: float,
-              memory: float, block: float,
-              tiles: tuple[float, float, float] = (DEFAULT_TILE_SIDE,) * 3
-              ) -> float:
-    """I/O of ``C = A B`` with both operands sparse tiled (the block
-    count of :func:`spgemm_model`)."""
-    return spgemm_model(m, l, n, nnz_a, nnz_b, memory, block, tiles)[0]
+    return a_reads + b_reads + writes
 
 
 def matmul_result_density(d_a: float, d_b: float, inner: float) -> float:
@@ -1025,17 +1027,23 @@ def crossprod_epilogue_io(m: float, k: float, extra_inputs: float,
 # Streaming / access-path operators (physical-plan models)
 # ----------------------------------------------------------------------
 def stream_io(input_scalars: float, output_scalars: float,
-              block: float) -> float:
+              block: float, ratio: float = 1.0) -> float:
     """One fused streaming pass: read every stored input once, write
-    the result once (the loop-fusion regime of §3)."""
-    return (input_scalars + output_scalars) / block
+    the result once (the loop-fusion regime of §3).  ``ratio`` scales
+    a matrix pass by the storage codec's compressed-byte ratio; vectors
+    are never codec-stored."""
+    return ratio * ((input_scalars + output_scalars) / block)
 
 
-def gather_io(n_src: float, k: float, block: float) -> float:
+def gather_io(n_src: float, k: float, block: float,
+              index: float = 0) -> float:
     """Selective evaluation of ``x[s]`` with k selected elements: at
     most one read per selected element, never more than a full scan,
-    plus writing the gathered vector."""
-    return min(math.ceil(n_src / block), k) + 2.0 * k / block
+    plus writing the gathered vector.  ``n_src`` is 0 for a generated
+    source (a range, read by nobody); a stored index of ``index``
+    elements is read once."""
+    return (min(math.ceil(n_src / block), k) + 2.0 * k / block
+            + index / block)
 
 
 def scatter_io(n: float, k: float, block: float) -> float:
@@ -1142,16 +1150,16 @@ def fig3b_rows(n: int = 100000, memory_gb: int = 2,
 # Cost-model registry
 # ----------------------------------------------------------------------
 #: Every ``PhysOp.cost_model`` name mapped to the function that prices
-#: it.  The planner may only construct operators whose model is listed
-#: here — enforced statically by the RPR002 lint rule
-#: (:mod:`repro.analysis.lint`) and again at plan time by
-#: :func:`repro.analysis.planlint.verify_plan` — and the calibration
-#: pipeline groups measured/predicted ratios by these keys.
+#: it: the planner prices an operator only as ``COST_MODELS[name](
+#: **inputs)`` (an unregistered name fails every plan that uses it),
+#: :func:`repro.analysis.planlint.verify_plan` re-prices each operator
+#: the same way, and the calibration pipeline groups measured/predicted
+#: ratios by these keys.
 COST_MODELS = {
     "stream_io": stream_io,
     "gather_io": gather_io,
     "scatter_io": scatter_io,
-    "matmul_io": square_tile_matmul_io,
+    "matmul_io": matmul_io,
     "bnlj_io": bnlj_matmul_io,
     "crossprod_io": crossprod_io,
     "spmv_io": spmv_io,

@@ -5,8 +5,8 @@ sequence of independent, ordered, individually-testable rewrites over
 expression DAGs, iterated to fixpoint.  :func:`build_pipeline` derives
 the pass list from an :class:`~repro.core.config.OptimizerConfig` —
 empty at level 0.  Chain order and kernel choice are not passes: the
-planner makes them while lowering, with the helpers in
-:mod:`.chain_reorder` and :mod:`.kernel_select`.
+planner makes them while lowering, chain order with the helpers in
+:mod:`.chain_reorder`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from .chain_reorder import (build_order, chosen_order, collect_chain,
                             current_order)
 from .cse import CSEPass
 from .fold import FoldPass
-from .kernel_select import (clamped_dense_io, matmul_kernel_costs,
-                            sparse_product_cost)
 from .pushdown import PushdownPass
 from .signatures import canon_key, dag_signature, node_attrs
 from .solve import SolveRewritePass
@@ -30,10 +28,8 @@ __all__ = [
     "CSEPass", "DENSE_THRESHOLD", "FoldPass", "Pass", "PassContext",
     "Pipeline", "PushdownPass", "SolveRewritePass", "TransposePass",
     "bottom_up", "build_order", "build_pipeline", "canon_key",
-    "chosen_order", "clamped_dense_io", "collect_chain",
-    "current_order", "dag_signature", "matmul_kernel_costs",
-    "node_attrs", "sparse_product_cost", "sparse_stored",
-    "sparse_tile_shape", "storage_map",
+    "chosen_order", "collect_chain", "current_order", "dag_signature",
+    "node_attrs", "sparse_stored", "sparse_tile_shape", "storage_map",
 ]
 
 

@@ -18,6 +18,7 @@ run once.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +138,15 @@ class Region:
         return values[-1]
 
 
+class Price(NamedTuple):
+    """What the planner's one pricing door returned:
+    ``io == COST_MODELS[model](**inputs)``."""
+
+    model: str
+    inputs: dict
+    io: float
+
+
 class PhysOp:
     """One physical operator.
 
@@ -157,13 +167,16 @@ class PhysOp:
     several nodes (a crossprod with side products) is released as a
     whole, at the last reader of any of them.
 
-    ``cost_model`` names the :mod:`repro.core.costs` model that priced
-    this operator (``None`` for leaves/constants) — the grouping key of
-    :class:`repro.obs.CalibrationReport`.  ``cost_inputs`` carries the
-    model's inputs (dimensions, tile counts, nnz, trans flags) so a
-    drifted prediction is diagnosable from the explain transcript
-    alone.  After execution the evaluator fills the full measurement
-    trio: ``measured`` (an ``IOStats`` delta: blocks split seq/rand,
+    ``price`` sets the prediction: ``cost_model`` names the
+    :data:`repro.core.costs.COST_MODELS` entry that priced this
+    operator (``None`` for leaves/constants) — the grouping key of
+    :class:`repro.obs.CalibrationReport` — and ``cost_inputs`` are
+    the keyword arguments it was called with (dimensions, nnz, tiles,
+    budget, block, codec ratio), so ``predicted_io ==
+    COST_MODELS[cost_model](**cost_inputs)`` and a drifted prediction
+    can be re-priced from the explain transcript alone.  After
+    execution the evaluator fills the full measurement trio:
+    ``measured`` (an ``IOStats`` delta: blocks split seq/rand,
     bytes, syscalls, read/write ns), ``pool_measured`` (a ``PoolStats``
     delta) and ``wall_ns``; ``measured_io`` reads the plain block total
     off ``measured``.  Operators run one at a time, so each
@@ -171,11 +184,9 @@ class PhysOp:
     """
 
     kind = "op"
-    #: Name of the repro.core.costs model behind predicted_io, or None.
-    cost_model: str | None = None
 
     def __init__(self, node: Node, children: tuple["PhysOp", ...] = (),
-                 predicted_io: float = 0.0, detail: str = "",
+                 price: Price | None = None, detail: str = "",
                  alternatives: list[tuple[str, float]] | None = None,
                  region: Region | None = None) -> None:
         self.node = node
@@ -184,11 +195,11 @@ class PhysOp:
         #: reductions, fused epilogues), else None.  Its barriers and
         #: stored leaves are computed or held by ``children``.
         self.region = region
-        self.predicted_io = float(predicted_io)
+        self.cost_model, self.cost_inputs, io = price or (None, {}, 0.0)
+        self.predicted_io = float(io)
         self.detail = detail
         self.alternatives = list(alternatives or [])
         self.releases: tuple[Node, ...] = ()
-        self.cost_inputs: dict[str, object] = {}
         self.measured = None       # IOStats delta once executed
         self.pool_measured = None  # PoolStats delta once executed
         self.wall_ns: int | None = None
@@ -235,7 +246,6 @@ class ScalarOp(PhysOp):
 
 class RangeOp(PhysOp):
     kind = "range"
-    cost_model = "stream_io"
 
 
 class MapOp(PhysOp):
@@ -243,7 +253,6 @@ class MapOp(PhysOp):
     matrix), run once per window, per tile, or once."""
 
     kind = "map"
-    cost_model = "stream_io"
 
     def label(self) -> str:
         return f"map:{self.node.label()}" + (
@@ -252,12 +261,10 @@ class MapOp(PhysOp):
 
 class GatherOp(PhysOp):
     kind = "gather"
-    cost_model = "gather_io"
 
 
 class ScatterOp(PhysOp):
     kind = "scatter"
-    cost_model = "scatter_io"
 
 
 class ReduceOp(PhysOp):
@@ -265,7 +272,6 @@ class ReduceOp(PhysOp):
     the reduced node, which is never stored."""
 
     kind = "reduce"
-    cost_model = "stream_io"
 
     def label(self) -> str:
         return f"reduce:{self.node.op}"
@@ -276,14 +282,12 @@ class TileMatMulOp(PhysOp):
     memory)."""
 
     kind = "matmul.square"
-    cost_model = "matmul_io"
 
 
 class BnljOp(PhysOp):
     """The §3 block-nested-loop-join-inspired multiply."""
 
     kind = "matmul.bnlj"
-    cost_model = "bnlj_io"
 
 
 class CrossprodOp(PhysOp):
@@ -296,11 +300,11 @@ class CrossprodOp(PhysOp):
     """
 
     kind = "crossprod"
-    cost_model = "crossprod_io"
 
     def __init__(self, node: Node, children: tuple[PhysOp, ...] = (),
+                 price: Price | None = None,
                  side_nodes: tuple[Node, ...] = (), **kwargs) -> None:
-        super().__init__(node, children, **kwargs)
+        super().__init__(node, children, price, **kwargs)
         self.side_nodes = tuple(side_nodes)
 
     @property
@@ -310,12 +314,10 @@ class CrossprodOp(PhysOp):
 
 class SparseSpMMOp(PhysOp):
     kind = "matmul.spmm"
-    cost_model = "spmm_io"
 
 
 class SparseSpGEMMOp(PhysOp):
     kind = "matmul.spgemm"
-    cost_model = "spgemm_io"
 
 
 class LUSolveOp(PhysOp):
@@ -327,13 +329,11 @@ class LUSolveOp(PhysOp):
     planner)."""
 
     kind = "solve.lu"
-    cost_model = "solve_io"
     in_place = False
 
 
 class InverseOp(PhysOp):
     kind = "inverse.lu"
-    cost_model = "inverse_io"
     in_place = False
 
 
@@ -342,7 +342,6 @@ class TransposeOp(PhysOp):
     operand flags normally delete."""
 
     kind = "transpose.materialize"
-    cost_model = "transpose_io"
 
 
 class FusedEpilogueOp(PhysOp):
@@ -355,7 +354,6 @@ class FusedEpilogueOp(PhysOp):
     """
 
     kind = "matmul+epilogue"
-    cost_model = "matmul_epilogue_io"  # planner overrides per instance
 
     def __init__(self, node: Node, barrier: Node, **kwargs) -> None:
         super().__init__(node, **kwargs)
@@ -440,11 +438,10 @@ class PhysicalPlan:
             if op.measured_io is not None:
                 cost += f" | measured {op.measured_io} blk"
             lines.append(f"{label:<44} {cost}")
-            if op.cost_inputs:
-                inputs = " ".join(f"{k}={v}" for k, v
-                                  in sorted(op.cost_inputs.items()))
-                model = op.cost_model or "?"
-                lines.append(f"{pad}  (cost: {model} {inputs})")
+            if op.cost_model is not None:
+                inputs = ", ".join(f"{k}={v!r}" for k, v
+                                   in op.cost_inputs.items())
+                lines.append(f"{pad}  (cost: {op.cost_model}({inputs}))")
             if getattr(op, "in_place", False):
                 lines.append(f"{pad}  (in place: factors its dying "
                              f"operand)")

@@ -7,7 +7,9 @@ tiles vs BNLJ vs SpMM/SpGEMM), matrix-chain order (the Appendix-B DP,
 nnz-weighted when any factor is sparse), and fuse-vs-materialize for
 elementwise epilogues — then picks by the I/O models of
 :mod:`repro.core.costs`.  Rejected alternatives stay on the chosen
-operator for ``session.explain()``.
+operator for ``session.explain()``.  Every price, chosen or rejected,
+passes one door, :meth:`Planner._price`: ``COST_MODELS[model](
+**inputs)`` with the inputs the operator keeps and ``explain`` prints.
 
 One choice spans operators: a prepass pairs every product
 ``t(X) %*% B`` with the ``crossprod(X)`` of the same stored X when B
@@ -42,29 +44,28 @@ same executor as the optimized arm.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from collections.abc import Callable
+from functools import cache
 
 from repro.storage import StorageConfig
 from repro.storage.tile_store import tile_shape_for_layout
 
 from .config import OptimizerConfig
-from .costs import (bnlj_matmul_io, crossprod_epilogue_io,
-                    crossprod_io, crossprod_side_fits, gather_io,
-                    inverse_io, lu_in_place, matmul_epilogue_io,
-                    scatter_io, solve_op_io, stream_io,
-                    transpose_materialize_io)
+from .chain import order_to_string, pairwise_shapes
+from .costs import (COST_MODELS, DEFAULT_TILE_SIDE, crossprod_side_fits,
+                    lu_in_place)
 from .expr import (ArrayInput, Crossprod, Inverse, Map, MatMul, Node,
                    Range, Reduce, Scalar, Solve, Subscript,
                    SubscriptAssign, Transpose, walk)
-from .passes import (build_order, chosen_order, clamped_dense_io,
-                     collect_chain, current_order, matmul_kernel_costs,
-                     sparse_product_cost, sparse_stored)
+from .passes import (build_order, chosen_order, collect_chain,
+                     current_order, sparse_stored, sparse_tile_shape)
 from .passes.base import bottom_up
 from .plan import (BnljOp, CrossprodOp, FusedEpilogueOp, GatherOp,
                    InverseOp, LeafOp, LUSolveOp, MapOp, PhysOp,
-                   PhysicalPlan, RangeOp, ReduceOp, Region, ScalarOp,
-                   ScatterOp, SparseSpGEMMOp, SparseSpMMOp,
+                   PhysicalPlan, Price, RangeOp, ReduceOp, Region,
+                   ScalarOp, ScatterOp, SparseSpGEMMOp, SparseSpMMOp,
                    TileMatMulOp, TransposeOp)
 
 #: Prefer the Appendix-A schedule unless BNLJ wins decisively: the
@@ -77,6 +78,12 @@ BNLJ_MARGIN = 0.9
 #: square tiles, so its tile shape is known at plan time.
 SQUARE_RESULTS = (CrossprodOp, FusedEpilogueOp, InverseOp, LUSolveOp,
                   TileMatMulOp)
+
+
+@cache
+def _parameters(model: Callable) -> frozenset[str]:
+    """Names of the parameters a cost model takes."""
+    return frozenset(inspect.signature(model).parameters)
 
 
 def is_elementwise(node: Node) -> bool:
@@ -217,6 +224,25 @@ class Planner:
         self._set_releases(plan)
         return plan
 
+    def _price(self, model: str, codec: bool = True, **inputs) -> Price:
+        """``COST_MODELS[model](**inputs)``: the one door every price
+        the planner computes passes, an operator's or a rejected
+        alternative's.  The plan's block size joins ``inputs``, and
+        its memory budget when the model takes one, and the codec's
+        compressed-byte ratio when the model takes one, it is not 1
+        and ``codec`` holds (vectors are never codec-stored).  The
+        inputs returned are all the call took: an operator keeps them
+        as ``cost_inputs`` for ``explain`` to print and
+        :func:`repro.analysis.planlint.verify_plan` to re-price."""
+        fn = COST_MODELS[model]
+        takes = _parameters(fn)
+        if "memory" in takes:
+            inputs["memory"] = self.memory_scalars
+        inputs["block"] = self.block_scalars
+        if codec and "ratio" in takes and self.io_ratio != 1.0:
+            inputs["ratio"] = self.io_ratio
+        return Price(model, inputs, fn(**inputs))
+
     @staticmethod
     def _set_releases(plan: PhysicalPlan) -> None:
         """Give every operator that stores a result its release point:
@@ -326,7 +352,6 @@ class Planner:
         return op
 
     def _lower_inner(self, node: Node) -> PhysOp:
-        blk = self.block_scalars
         if isinstance(node, ArrayInput):
             return LeafOp(node)
         if isinstance(node, Scalar):
@@ -338,30 +363,24 @@ class Planner:
         if isinstance(node, Solve):
             return self._lower_solve(node)
         if isinstance(node, Inverse):
-            n = node.shape[0]
             in_place = self._factors_in_place(node.children[0])
-            op = InverseOp(
-                node, (self._lower(node.children[0]),),
-                predicted_io=inverse_io(n, self.memory_scalars, blk,
-                                        ratio=self.io_ratio,
-                                        in_place=in_place))
+            op = InverseOp(node, (self._lower(node.children[0]),),
+                           self._price("inverse_io", n=node.shape[0],
+                                       in_place=in_place))
             op.in_place = in_place
-            op.cost_inputs = self._ratio_inputs({"n": n})
             return op
         if isinstance(node, Transpose):
             rows, cols = node.children[0].shape
-            op = TransposeOp(
-                node, (self._lower(node.children[0]),),
-                predicted_io=transpose_materialize_io(rows, cols, blk))
-            op.cost_inputs = {"rows": rows, "cols": cols}
-            return op
+            return TransposeOp(node, (self._lower(node.children[0]),),
+                               self._price("transpose_io", rows=rows,
+                                           cols=cols))
         if isinstance(node, Subscript):
             return self._lower_subscript(node)
         if isinstance(node, SubscriptAssign) and not node.logical_mask:
             return ScatterOp(
                 node, tuple(self._lower(c) for c in node.children),
-                predicted_io=scatter_io(node.size,
-                                        node.index.size, blk))
+                self._price("scatter_io", n=node.size,
+                            k=node.index.size))
         if isinstance(node, Reduce):
             return self._lower_reduce(node)
         if is_elementwise(node) or isinstance(node, Range):
@@ -418,35 +437,36 @@ class Planner:
             if fused is not None:
                 return fused
         region = self._region(node)
-        predicted = stream_io(sum(n.size for n in region.sources),
-                              node.size if node.ndim else 0,
-                              self.block_scalars)
+        price = self._stream_price(region, node.size if node.ndim else 0)
         if isinstance(node, Range):
-            return RangeOp(node, region=region, predicted_io=predicted)
-        return MapOp(node, self._region_children(region), region=region,
-                     predicted_io=predicted,
+            return RangeOp(node, price=price, region=region)
+        return MapOp(node, self._region_children(region), price,
+                     region=region,
                      detail=("scalar", "stream", "tile")[node.ndim])
 
     def _lower_reduce(self, node: Reduce) -> ReduceOp:
         region = self._region(node.children[0], under_reduce=True)
-        read = sum(n.size for n in region.sources)
         return ReduceOp(node, self._region_children(region),
-                        region=region,
-                        predicted_io=stream_io(read, 0, self.block_scalars))
+                        self._stream_price(region, 0), region=region)
+
+    def _stream_price(self, region: Region, output: int) -> Price:
+        """One pass over ``region``: its sources read, ``output``
+        scalars written; a matrix region's pages are codec tiles."""
+        return self._price(
+            "stream_io", codec=region.root.ndim == 2,
+            input_scalars=sum(n.size for n in region.sources),
+            output_scalars=output)
 
     def _lower_subscript(self, node: Subscript) -> GatherOp:
-        children: list[PhysOp] = []
         src, index = node.src, node.index
-        k = node.size
-        if isinstance(src, Range):
-            predicted = 2.0 * k / self.block_scalars
-        else:
-            children.append(self._lower(src))
-            predicted = gather_io(src.size, k, self.block_scalars)
-        if not isinstance(index, Range):
-            children.append(self._lower(index))
-            predicted += index.size / self.block_scalars
-        return GatherOp(node, tuple(children), predicted_io=predicted)
+        stored = [n for n in (src, index) if not isinstance(n, Range)]
+        return GatherOp(
+            node, tuple(self._lower(n) for n in stored),
+            self._price("gather_io",
+                        n_src=0 if isinstance(src, Range) else src.size,
+                        k=node.size,
+                        index=0 if isinstance(index, Range)
+                        else index.size))
 
     # ------------------------------------------------------------------
     # Products: chain order and kernel enumeration
@@ -462,13 +482,9 @@ class Planner:
         info = self._reordered.get(id(head))
         if info is None:
             return
-        from .chain import order_to_string
-        from .costs import chain_io
-        mem, blk = self.memory_scalars, self.block_scalars
-        ratio = self.io_ratio
-        program_io = chain_io(
-            info["dims"], info["cur"],
-            lambda m, l, n: clamped_dense_io(m, l, n, mem, blk, ratio))
+        program_io = sum(
+            self._price("matmul_io", m=m, l=l, n=n).io
+            for m, l, n in pairwise_shapes(info["dims"], info["cur"]))
         op.detail = (op.detail + " " if op.detail else "") + \
             f"order={order_to_string(info['order'])}"
         op.alternatives.append(
@@ -476,37 +492,49 @@ class Planner:
              program_io))
 
     def _lower_product(self, node: MatMul) -> PhysOp:
+        """Kernel choice (§5 rule 8): the sparse kernel its operands
+        select (SpGEMM for sparse x sparse, SpMM for sparse x dense,
+        each priced on the operands' estimated nnz and tile grids)
+        against the dense one (Appendix-A square tiles, or BNLJ when it
+        wins by ``BNLJ_MARGIN``).  A sparse alternative exists only for
+        an unflagged product with a sparse-stored left operand: the
+        sparse kernels take no operand flags, and no dense x sparse
+        kernel exists."""
         a, b = node.children
         a_op, b_op = self._lower(a), self._lower(b)
-        mem, blk = self.memory_scalars, self.block_scalars
         sa = a.shape[::-1] if node.trans_a else a.shape
         sb = b.shape[::-1] if node.trans_b else b.shape
         m, k, n = sa[0], sa[1], sb[1]
         both_sparse = sparse_stored(a) and sparse_stored(b)
 
-        def sparse_op(alternatives=()):
-            # nnz, budget and tile geometry go on the op: sparse
-            # predictions are nnz-driven, so a drifted estimate must be
-            # visible in the explain transcript, not just the final
-            # number.
-            predicted, inputs = sparse_product_cost(a, b, (m, k, n),
-                                                    mem, blk)
-            op = (SparseSpGEMMOp if both_sparse else SparseSpMMOp)(
-                node, (a_op, b_op), predicted_io=predicted,
+        def sparse_price() -> Price:
+            # A's tile shape gives the row and inner sides, and for
+            # sparse x sparse B's own tile width the output column side
+            # (the two need not be stored on the same grid).  Sparse
+            # tiles are not codec-compressed.
+            th, tk = sparse_tile_shape(a) or (DEFAULT_TILE_SIDE,) * 2
+            if not both_sparse:
+                return self._price("spmm_io", m=m, l=k, n=n,
+                                   nnz=a.estimated_nnz, tiles=(th, tk))
+            tw = (sparse_tile_shape(b) or (tk, DEFAULT_TILE_SIDE))[1]
+            return self._price("spgemm_io", m=m, l=k, n=n,
+                               nnz_a=a.estimated_nnz,
+                               nnz_b=b.estimated_nnz, tiles=(th, tk, tw))
+
+        def sparse_op(price: Price, alternatives=()) -> PhysOp:
+            return (SparseSpGEMMOp if both_sparse else SparseSpMMOp)(
+                node, (a_op, b_op), price,
                 alternatives=list(alternatives))
-            op.cost_inputs = inputs
-            return op
 
         if node.kernel == "sparse" and sparse_stored(a):
-            op = sparse_op()
+            op = sparse_op(sparse_price())
             op.detail = "pinned"
             return op
         # A "sparse" pin on operands that will not be sparse-stored
         # falls through to dense lowering (there is no sparse kernel
         # to run without a sparse operand).
 
-        dense_square = clamped_dense_io(m, k, n, mem, blk,
-                                        self.io_ratio)
+        square = self._price("matmul_io", m=m, l=k, n=n)
         flags = []
         if node.trans_a:
             flags.append("t(a)")
@@ -514,30 +542,17 @@ class Planner:
             flags.append("t(b)")
         detail = ",".join(flags)
 
-        dense_inputs = self._ratio_inputs(
-            {"m": m, "k": k, "n": n,
-             "trans_a": node.trans_a,
-             "trans_b": node.trans_b})
-
         def dense_op():
             alternatives = []
             if self.config.costed:
-                bnlj = bnlj_matmul_io(m, k, n, mem, blk,
-                                      self.io_ratio)
-                if bnlj < BNLJ_MARGIN * dense_square:
-                    op = BnljOp(
-                        node, (a_op, b_op), predicted_io=bnlj,
-                        detail=detail,
-                        alternatives=[("square-tile", dense_square)])
-                    op.cost_inputs = dict(dense_inputs)
-                    return op
-                alternatives.append(("bnlj", bnlj))
-            op = TileMatMulOp(node, (a_op, b_op),
-                              predicted_io=dense_square,
-                              detail=detail,
-                              alternatives=alternatives)
-            op.cost_inputs = dict(dense_inputs)
-            return op
+                bnlj = self._price("bnlj_io", n1=m, n2=k, n3=n)
+                if bnlj.io < BNLJ_MARGIN * square.io:
+                    return BnljOp(node, (a_op, b_op), bnlj, detail=detail,
+                                  alternatives=[("square-tile",
+                                                 square.io)])
+                alternatives.append(("bnlj", bnlj.io))
+            return TileMatMulOp(node, (a_op, b_op), square,
+                                detail=detail, alternatives=alternatives)
 
         if node.kernel == "dense":
             op = dense_op()
@@ -546,80 +561,58 @@ class Planner:
             return op
 
         # kernel == "auto"
-        costs = matmul_kernel_costs(node, mem, blk,
-                                    ratio=self.io_ratio)
-        if costs is not None and self.config.costed:
-            if costs["sparse"] < costs["dense"]:
-                return sparse_op(
-                    alternatives=[("dense square-tile",
-                                   costs["dense"])])
-            op = dense_op()
-            op.alternatives.append(
-                ("sparse " + ("spgemm" if both_sparse else "spmm"),
-                 costs["sparse"]))
-            op.detail = (op.detail + "," if op.detail else "") + \
-                "densified"
-            return op
-        if costs is not None:
+        if node.trans_a or node.trans_b or not sparse_stored(a):
+            return dense_op()
+        sparse = sparse_price()
+        if not self.config.costed:
             # Below level 2 the kernel follows the operand types: a
             # sparse-stored left operand runs the sparse kernel.
-            return sparse_op()
-        return dense_op()
-
-    def _ratio_inputs(self, inputs: dict) -> dict:
-        """Record the compression ratio in ``cost_inputs`` only when it
-        actually scaled the prediction — uncompressed plans (the golden
-        snapshots) keep their exact historical shape."""
-        if self.io_ratio != 1.0:
-            inputs["ratio"] = self.io_ratio
-        return inputs
+            return sparse_op(sparse)
+        if sparse.io < square.io:
+            return sparse_op(sparse, alternatives=[("dense square-tile",
+                                                    square.io)])
+        op = dense_op()
+        op.alternatives.append(
+            ("sparse " + ("spgemm" if both_sparse else "spmm"),
+             sparse.io))
+        op.detail = (op.detail + "," if op.detail else "") + "densified"
+        return op
 
     def _lower_crossprod(self, node: Crossprod) -> CrossprodOp:
         a = node.children[0]
         inner, k = a.shape if node.t_first else a.shape[::-1]
-        mem, blk = self.memory_scalars, self.block_scalars
         sides = self._sides.get(id(node), [])
         cols = sum(s.shape[1] for s in sides)
         tile = operand_tile_side(a)
-        detail = "" if node.t_first else "tcrossprod"
         op = CrossprodOp(
             node,
             (self._lower(a),) + tuple(self._lower(s.children[1])
                                       for s in sides),
+            self._price("crossprod_io", m=inner, k=k, side_cols=cols,
+                        tile_side=tile),
             side_nodes=sides,
-            predicted_io=crossprod_io(inner, k, mem, blk, self.io_ratio,
-                                      side_cols=cols, tile_side=tile),
-            detail=f"sides={len(sides)}" if sides else detail)
-        op.cost_inputs = self._ratio_inputs(
-            {"inner": inner, "k": k, "t_first": node.t_first})
-        if tile is not None:
-            op.cost_inputs["tile"] = tile
+            detail=(f"sides={len(sides)}" if sides
+                    else "" if node.t_first else "tcrossprod"))
         if sides:
-            op.cost_inputs["side_cols"] = cols
             # The rejected alternative: the same crossprod plus each
             # product lowered on its own, as it would have been.
             op.alternatives.append((
                 "crossprod + separate t(a) %*% b",
-                crossprod_io(inner, k, mem, blk, self.io_ratio,
-                             tile_side=tile)
+                self._price("crossprod_io", m=inner, k=k,
+                            tile_side=tile).io
                 + sum(self._lower_product(s).predicted_io
                       for s in sides)))
         return op
 
     def _lower_solve(self, node: Solve) -> LUSolveOp:
         a, b = node.children
-        n = a.shape[0]
         nrhs = 1 if node.ndim == 1 else node.shape[1]
         in_place = self._factors_in_place(a)
-        op = LUSolveOp(
-            node, (self._lower(a), self._lower(b)),
-            predicted_io=solve_op_io(n, nrhs, self.memory_scalars,
-                                     self.block_scalars,
-                                     ratio=self.io_ratio,
-                                     in_place=in_place),
-            detail=f"nrhs={nrhs}")
+        op = LUSolveOp(node, (self._lower(a), self._lower(b)),
+                       self._price("solve_io", n=a.shape[0], nrhs=nrhs,
+                                   in_place=in_place),
+                       detail=f"nrhs={nrhs}")
         op.in_place = in_place
-        op.cost_inputs = self._ratio_inputs({"n": n, "nrhs": nrhs})
         return op
 
     # ------------------------------------------------------------------
@@ -654,51 +647,31 @@ class Planner:
         if fusable is None:
             return None
         barrier, region = fusable
-        mem, blk = self.memory_scalars, self.block_scalars
-        ratio = self.io_ratio
         extra = len(region.sources) - 1
         if isinstance(barrier, Crossprod):
             a = barrier.children[0]
             inner, k = (a.shape if barrier.t_first
                         else a.shape[::-1])
-            tile = operand_tile_side(a)
-            fused_io = crossprod_epilogue_io(inner, k, extra, mem,
-                                             blk, fused=True,
-                                             ratio=ratio, tile_side=tile)
-            unfused_io = crossprod_epilogue_io(inner, k, extra, mem,
-                                               blk, fused=False,
-                                               ratio=ratio,
-                                               tile_side=tile)
             operand_ops = (self._lower(a),)
-            model = "crossprod_epilogue_io"
-            cost_inputs = self._ratio_inputs(
-                {"inner": inner, "k": k, "extra": extra})
+            model, shape = "crossprod_epilogue_io", {
+                "m": inner, "k": k, "tile_side": operand_tile_side(a)}
         else:
             a, b = barrier.children
             sa = a.shape[::-1] if barrier.trans_a else a.shape
             sb = b.shape[::-1] if barrier.trans_b else b.shape
-            m, l, n = sa[0], sa[1], sb[1]
-            fused_io = matmul_epilogue_io(m, l, n, extra, mem, blk,
-                                          fused=True, ratio=ratio)
-            unfused_io = matmul_epilogue_io(m, l, n, extra, mem, blk,
-                                            fused=False, ratio=ratio)
             operand_ops = (self._lower(a), self._lower(b))
-            model = "matmul_epilogue_io"
-            cost_inputs = self._ratio_inputs(
-                {"m": m, "k": l, "n": n, "extra": extra,
-                 "trans_a": barrier.trans_a,
-                 "trans_b": barrier.trans_b})
-        if self.config.costed and fused_io >= unfused_io:
+            model, shape = "matmul_epilogue_io", {
+                "m": sa[0], "l": sa[1], "n": sb[1]}
+        fused, unfused = (self._price(model, **shape, extra_inputs=extra,
+                                      fused=f) for f in (True, False))
+        if self.config.costed and fused.io >= unfused.io:
             return None  # enumerated, and materializing won
         op = FusedEpilogueOp(
             node, barrier, region=region,
             children=operand_ops + self._region_children(region,
                                                          barrier),
-            predicted_io=fused_io,
-            detail=barrier.label(),
-            alternatives=[("materialize+map", unfused_io)])
-        op.cost_model = model
-        op.cost_inputs = cost_inputs
+            price=fused, detail=barrier.label(),
+            alternatives=[("materialize+map", unfused.io)])
         # A fused barrier that heads a reordered chain keeps the chain
         # decision visible on the fused operator.
         self._annotate_reordered(op, barrier)

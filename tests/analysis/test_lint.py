@@ -131,56 +131,6 @@ class TestRPR004Determinism:
         assert found == []
 
 
-class TestRPR002CostModelRegistry:
-    PLAN = (
-        "class PhysOp:\n"
-        "    cost_model = None\n"
-        "class GoodOp(PhysOp):\n"
-        "    cost_model = 'stream_io'\n"
-        "class BadOp(PhysOp):\n"
-        "    cost_model = 'unregistered_io'\n"
-    )
-    COSTS = (
-        "def stream_io():\n    return 0\n"
-        "COST_MODELS = {'stream_io': stream_io}\n"
-    )
-
-    def make_pkg(self, tmp_path, planner_body):
-        (tmp_path / "core").mkdir()
-        (tmp_path / "core" / "plan.py").write_text(self.PLAN)
-        (tmp_path / "core" / "costs.py").write_text(self.COSTS)
-        planner = tmp_path / "core" / "planner.py"
-        planner.write_text(planner_body)
-        return planner
-
-    def test_registered_op_clean(self, tmp_path):
-        planner = self.make_pkg(
-            tmp_path, "from .plan import GoodOp\nop = GoodOp()\n")
-        assert lint_file(planner) == []
-
-    def test_unregistered_op_flagged(self, tmp_path):
-        planner = self.make_pkg(
-            tmp_path, "from .plan import BadOp\nop = BadOp()\n")
-        found = lint_file(planner)
-        assert codes(found) == ["RPR002"]
-        assert "unregistered_io" in found[0].message
-
-    def test_unregistered_override_flagged(self, tmp_path):
-        planner = self.make_pkg(
-            tmp_path,
-            "from .plan import GoodOp\n"
-            "op = GoodOp()\n"
-            "op.cost_model = 'not_there_io'\n")
-        found = lint_file(planner)
-        assert codes(found) == ["RPR002"]
-
-    def test_rule_only_runs_in_planner(self, tmp_path):
-        self.make_pkg(tmp_path, "pass\n")
-        other = tmp_path / "core" / "chain.py"
-        other.write_text("op.cost_model = 'not_there_io'\n")
-        assert lint_file(other) == []
-
-
 class TestRPR005CodecDiscipline:
     def test_encode_call_flagged(self, tmp_path):
         found = lint_source(
@@ -384,9 +334,8 @@ class TestSelfHosting:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_all_rules_constant_matches_docs(self):
-        assert ALL_RULES == ("RPR001", "RPR002", "RPR003", "RPR004",
-                             "RPR005", "RPR006", "RPR007", "RPR008",
-                             "RPR009")
+        assert ALL_RULES == ("RPR001", "RPR003", "RPR004", "RPR005",
+                             "RPR006", "RPR007", "RPR008", "RPR009")
 
 
 class TestCLI:

@@ -10,6 +10,8 @@ Mutations are restored because the session shares input PhysOps across
 from __future__ import annotations
 
 import contextlib
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.analysis import PlanVerificationError, verify_plan
 from repro.core import (Crossprod, MatMul, OptimizerConfig, RiotSession,
                         Solve)
+from repro.core.costs import COST_MODELS
 from repro.core.plan import CrossprodOp
 from repro.linalg import (bnlj_matmul, crossprod_matmul, lu_decompose,
                           square_tile_matmul)
@@ -84,6 +87,48 @@ class TestPredictionSanity:
             with pytest.raises(PlanVerificationError,
                                match="made_up_io.*not registered"):
                 verify_plan(plan, s.storage)
+
+    def test_prediction_must_reprice_from_its_cost_inputs(self):
+        """``explain`` prints ``cost_inputs`` as the call that gave the
+        prediction; inputs that no longer give it are caught."""
+        s, plan = self.make()
+        op = plan.root
+        assert op.predicted_io == COST_MODELS[op.cost_model](
+            **op.cost_inputs)
+        drifted = {**op.cost_inputs, "n": op.cost_inputs["n"] + 1}
+        with patched(op, "cost_inputs", drifted):
+            with pytest.raises(PlanVerificationError,
+                               match=rf"^{re.escape(op.label())}: "
+                                     rf"predicted_io .* is not "
+                                     rf"{op.cost_model}\(\*\*cost_inputs"):
+                verify_plan(plan, s.storage)
+        with patched(op, "cost_inputs", {**op.cost_inputs, "q": 1}):
+            with pytest.raises(PlanVerificationError,
+                               match="cost inputs do not fit"):
+                verify_plan(plan, s.storage)
+        verify_plan(plan, s.storage)
+
+    def test_an_operator_without_a_model_predicts_nothing(self):
+        s, plan = self.make()
+        leaf = next(iter(plan.ops()))
+        assert leaf.cost_model is None
+        with patched(leaf, "predicted_io", 1.0):
+            with pytest.raises(PlanVerificationError,
+                               match="with no cost model"):
+                verify_plan(plan, s.storage)
+
+    def test_an_unregistered_model_fails_planning(self):
+        """The planner prices every operator as
+        ``COST_MODELS[name](**inputs)``: a name missing from the
+        registry fails the first plan that needs it."""
+        s = session()
+        a = s.matrix(rng().standard_normal((96, 64)), name="a")
+        b = s.matrix(rng().standard_normal((64, 96)), name="b")
+        with mock.patch.dict(COST_MODELS):
+            del COST_MODELS["matmul_io"]
+            with pytest.raises(KeyError, match="matmul_io"):
+                s.plan((a @ b).node)
+        verify_plan(s.plan((a @ b).node), s.storage)
 
     def test_error_names_the_operator(self):
         s, plan = self.make()

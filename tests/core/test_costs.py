@@ -12,12 +12,12 @@ from repro.core.costs import (GB_IN_SCALARS, bnlj_matmul_io,
                               bnlj_schedule, chain_io,
                               chain_io_lower_bound, fig3_dims,
                               fig3_strategy_costs, fig3a_rows, fig3b_rows,
-                              matmul_epilogue_io, matmul_io_lower_bound,
+                              matmul_epilogue_io, matmul_io,
+                              matmul_io_lower_bound,
                               naive_colmajor_matmul_io, riotdb_matmul_io,
                               rowmajor_scan_matmul_io, square_panel,
                               square_schedule, square_tile_matmul_io)
 from repro.core.chain import in_order
-from repro.core.passes import clamped_dense_io
 
 
 M2GB = 2 * GB_IN_SCALARS
@@ -155,7 +155,7 @@ class TestClosedFormsAgainstSchedules:
     Both domains stop where a closed form stops describing its
     schedule.  Every dimension of a square product is at least one
     panel p: with m or n below it the fused ``matmul_epilogue_io``,
-    not clamped at the one-pass floor as ``clamped_dense_io`` is, falls
+    not clamped at the one-pass floor as ``matmul_io`` is, falls
     to a fifth of the count.  BNLJ holds at least two rows per chunk:
     at one, the kernel's ``q = floor(M / (n2 + n3))`` can be half the
     closed form's ``M / (n2 + n3)``, and the count nearly twice it."""
@@ -173,7 +173,7 @@ class TestClosedFormsAgainstSchedules:
         reads = sum(area(a) + area(b) for _, a, b in schedule.steps())
         count = (reads + (1 + extra) * m * n) / BLOCK
         model = (matmul_epilogue_io(m, l, n, extra, memory, BLOCK)
-                 if extra else clamped_dense_io(m, l, n, memory, BLOCK))
+                 if extra else matmul_io(m, l, n, memory, BLOCK))
         assert 0.5 * model <= count <= 2.0 * model
 
     @settings(max_examples=150, deadline=None)

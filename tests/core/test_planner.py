@@ -117,7 +117,7 @@ class TestKernelChoice:
         assert isinstance(plan.root, SparseSpMMOp)
         assert not plan.root.node.trans_b
         inputs = plan.root.cost_inputs
-        assert (inputs["m"], inputs["k"], inputs["n"]) == (512, 256, 64)
+        assert (inputs["m"], inputs["l"], inputs["n"]) == (512, 256, 64)
         assert np.allclose(s.values(node), A.values() @ D.values().T)
 
     def test_level1_keeps_type_dispatch(self):

@@ -28,9 +28,11 @@ engine contract, pinned here):
   untouched — pushdown, CSE, folding, epilogue fusion, plain products
   — must be exactly identical.
 
-Level 0 is the same executor with the optimizer off: its session runs
-``strict`` (every level-0 plan passes ``verify_plan``) and its plans
-must show that nothing was chosen.
+Level 0 is the same executor with the optimizer off: its plans must
+show that nothing was chosen.  Every session runs ``strict``: each
+plan, at every level, passes ``verify_plan`` before it runs, so every
+operator's prediction re-prices from its printed cost inputs — BNLJ,
+fused epilogues and sparse kernels included.
 """
 
 import numpy as np
@@ -48,7 +50,7 @@ MEM = 4 * 1024 * 1024
 def make_session(level):
     return RiotSession(
         storage=StorageConfig(memory_bytes=MEM, block_size=8192),
-        config=OptimizerConfig(level=level, strict=level == 0))
+        config=OptimizerConfig(level=level, strict=True))
 
 
 def planned(s, root):

@@ -18,7 +18,7 @@ from repro.core.costs import (crossprod_io, crossprod_schedule,
                               square_schedule)
 from repro.linalg import (bnlj_matmul, crossprod_matmul,
                           square_tile_matmul)
-from repro.storage import (ArrayStore, StorageConfig,
+from repro.storage import (ArrayStore, StorageConfig, default_tile_side,
                            tile_shape_for_layout)
 
 MEM = 96 * 1024  # scalars
@@ -407,21 +407,24 @@ class TestSchedule:
            widths=st.lists(st.integers(1, 9), max_size=2),
            mem=st.integers(3, 12_000), seed=st.integers(0, 2 ** 16))
     @example(m=1, k=13, widths=[1], mem=338, seed=0)
+    @example(m=1, k=17, widths=[1], mem=544, seed=0)
     @example(m=5, k=5, widths=[], mem=3, seed=0)
     @settings(max_examples=8, deadline=None)
     def test_bits_across_backends(self, m, k, widths, mem, seed):
         """Integer-valued data on 16-wide tiles: X'X and the sides are
         bitwise NumPy's on the memory, mmap and pread backends.  The
-        sides are priced on A's stored tile side, as the kernel prices
-        them: the store clamps a 16-wide tile to a smaller A (1 x 13 is
-        one 1 x 13 tile, side 13).
+        sides are priced on A's square side, as the kernel prices them:
+        the store clamps a 16-wide tile to a smaller A (1 x 13 is one
+        1 x 13 tile, side 13), and a thin tile grown past 16 (1 x 17)
+        keeps the 16-wide square it grew from.
 
         Ragged budgets stay in the draw space, but the work is bounded:
         a draw's region x slab steps, each run on three stores, are
         capped at ``MAX_STEPS`` (a 3-scalar budget on a 90 x 70 A is
         223 650 one-scalar steps)."""
         from repro.storage import StorageConfig
-        tile = max(tile_shape_for_layout("square", (m, k), 256, 64))
+        tile = min(max(tile_shape_for_layout("square", (m, k), 256, 64)),
+                   default_tile_side(256, 64, (m, k)))
         assume(crossprod_side_fits(mem, k, tile, sum(widths)))
         schedule = crossprod_schedule(m, k, tile, mem)
         assume(len(schedule.regions) * -(-m // schedule.slab)

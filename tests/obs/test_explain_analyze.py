@@ -266,9 +266,10 @@ class TestCostInputsInExplain:
     def test_dense_ops_show_cost_inputs(self):
         s = make_session()
         text = s.explain(ols_node(s))  # plain EXPLAIN, no analyze
-        assert "(cost: crossprod_io inner=512 k=256" in text
-        assert "side_cols=1" in text and "tile=32" in text
-        assert "(cost: solve_io n=256 nrhs=1)" in text
+        assert ("(cost: crossprod_io(m=512, k=256, side_cols=1, "
+                "tile_side=32, memory=49152, block=1024))") in text
+        assert ("(cost: solve_io(n=256, nrhs=1, in_place=True, "
+                "memory=49152, block=1024))") in text
 
     def test_sparse_ops_show_nnz_and_tile_inputs(self):
         """The satellite fix: sparse plans expose the cost inputs the
@@ -278,7 +279,6 @@ class TestCostInputsInExplain:
         b = s.random_sparse_matrix(512, 512, 0.005, seed=2)
         v = s.matrix(np.random.default_rng(3).standard_normal((512, 1)))
         text = s.explain(((a @ b) @ v).node)
-        assert "(cost: spgemm_io" in text or "(cost: spmm_io" in text
-        assert "nnz_a=" in text
-        assert "tiles=" in text
+        assert "(cost: spmm_io(m=512, l=512, n=1, nnz=" in text
+        assert "tiles=(128, 128)" in text
         assert "tile_side=" not in text
