@@ -52,11 +52,12 @@ def square_tile_matmul_io(m: float, l: float, n: float,
     ``(2 p^2/B * l/p + p^2/B) * (mn/p^2) = 2*sqrt(3)*lmn/(B*sqrt(M)) + mn/B``
     — reads of the A/B tile pairs plus one write of each C tile.
 
-    ``ratio`` is the compressed/logical device-byte ratio of the
-    storage codec (1.0 uncompressed; see
-    :meth:`repro.storage.tile_store.ArrayStore.io_ratio_estimate`):
-    every term is device traffic through codec tiles, so the whole
-    cost scales with it.
+    ``ratio`` is the stored-page ratio of the operands: pages holding
+    data over pages spanned, summed over the dense matrices the
+    operator reads (1.0 uncompressed; see
+    :meth:`repro.core.planner.Planner._price`).  Every term is
+    device traffic through codec tiles, so the whole cost scales with
+    it.
     """
     return ratio * ((2.0 * math.sqrt(3.0) * l * m * n
                      / (block * math.sqrt(memory))) + (m * n) / block)

@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import inspect
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from fractions import Fraction
 from functools import cache
 
 from repro.storage import StorageConfig
-from repro.storage.tile_store import tile_shape_for_layout
+from repro.storage.tile_store import TiledMatrix, tile_shape_for_layout
 
 from .config import OptimizerConfig
 from .chain import order_to_string, pairwise_shapes
@@ -178,12 +179,11 @@ class Planner:
         self.config = config
         self.memory_scalars = storage.memory_scalars
         self.block_scalars = storage.block_scalars
-        self.io_ratio = 1.0
         self._memo: dict[int, PhysOp] = {}
         self._edges: dict[int, int] = {}
-        #: id(chain head) -> {"order", "cur", "dims"} for every chain
-        #: the prepass reordered; consulted during lowering to
-        #: annotate the head operator with the decision.
+        #: id(chain head) -> {"order", "cur", "factors", "dims"} for
+        #: every chain the prepass reordered; consulted during lowering
+        #: to annotate the head operator with the decision.
         self._reordered: dict[int, dict] = {}
         #: id(crossprod) -> the side products it computes, and
         #: id(side product) -> its crossprod; decided by the prepass
@@ -192,16 +192,8 @@ class Planner:
         self._side_of: dict[int, Crossprod] = {}
 
     # ------------------------------------------------------------------
-    def plan(self, root: Node, io_ratio: float = 1.0) -> PhysicalPlan:
-        """Lower ``root``; choices are final once the plan is built.
-
-        ``io_ratio`` is the stored/logical page ratio of the codec
-        tiles (``ArrayStore.io_ratio_estimate``); it scales every dense
-        cost model so fuse-vs-materialize, BNLJ-vs-square and
-        chain-order decisions price compressed tiles correctly.  1.0 =
-        raw.
-        """
-        self.io_ratio = io_ratio
+    def plan(self, root: Node) -> PhysicalPlan:
+        """Lower ``root``; choices are final once the plan is built."""
         self._memo = {}
         self._edges = {}
         self._reordered = {}
@@ -224,24 +216,50 @@ class Planner:
         self._set_releases(plan)
         return plan
 
-    def _price(self, model: str, codec: bool = True, **inputs) -> Price:
+    def _price(self, model: str, reads: Iterable[PhysOp],
+               **inputs) -> Price:
         """``COST_MODELS[model](**inputs)``: the one door every price
         the planner computes passes, an operator's or a rejected
         alternative's.  The plan's block size joins ``inputs``, and
-        its memory budget when the model takes one, and the codec's
-        compressed-byte ratio when the model takes one, it is not 1
-        and ``codec`` holds (vectors are never codec-stored).  The
-        inputs returned are all the call took: an operator keeps them
-        as ``cost_inputs`` for ``explain`` to print and
+        its memory budget when the model takes one, and, when the
+        model takes one and it is not 1, the ``ratio`` of the pages
+        the operators ``reads`` hold to the pages they span — each
+        operator priced on its own operands (:meth:`_read_ratio`),
+        never on what else the store holds.  The inputs returned are
+        all the call took: an operator keeps them as ``cost_inputs``
+        for ``explain`` to print and
         :func:`repro.analysis.planlint.verify_plan` to re-price."""
         fn = COST_MODELS[model]
         takes = _parameters(fn)
         if "memory" in takes:
             inputs["memory"] = self.memory_scalars
         inputs["block"] = self.block_scalars
-        if codec and "ratio" in takes and self.io_ratio != 1.0:
-            inputs["ratio"] = self.io_ratio
+        if "ratio" in takes:
+            ratio = self._read_ratio(reads)
+            if ratio != 1.0:
+                inputs["ratio"] = ratio
         return Price(model, inputs, fn(**inputs))
+
+    def _read_ratio(self, reads: Iterable[PhysOp]) -> float:
+        """Pages held over pages spanned, summed over the dense
+        matrices the operators ``reads`` yield.  A stored matrix counts
+        its own :meth:`~repro.storage.tile_store.TiledMatrix.stored_pages`
+        (a ``raw`` one its whole span); a result not stored yet counts
+        its logical pages at the ratio its operator was priced at.
+        Vectors, sparse matrices and scalars hold no codec pages; with
+        none among ``reads`` the ratio is 1.0.  The sums are exact, so
+        operands that share one ratio pass it on bit for bit."""
+        held = span = 0
+        for op in reads:
+            if isinstance(op, LeafOp):
+                if isinstance(op.node.data, TiledMatrix):
+                    used, pages = op.node.data.stored_pages()
+                    held, span = held + used, span + pages
+            elif op.node.ndim == 2 and not isinstance(op, SparseSpGEMMOp):
+                pages = -(-op.node.size // self.block_scalars)
+                held += Fraction(op.cost_inputs.get("ratio", 1.0)) * pages
+                span += pages
+        return float(held / span) if span else 1.0
 
     @staticmethod
     def _set_releases(plan: PhysicalPlan) -> None:
@@ -334,7 +352,7 @@ class Planner:
             return node
         head = build_order(factors, order)
         self._reordered[id(head)] = {
-            "order": order, "cur": cur,
+            "order": order, "cur": cur, "factors": factors,
             "dims": [factors[0].shape[0]]
                     + [f.shape[1] for f in factors]}
         return head
@@ -364,23 +382,25 @@ class Planner:
             return self._lower_solve(node)
         if isinstance(node, Inverse):
             in_place = self._factors_in_place(node.children[0])
-            op = InverseOp(node, (self._lower(node.children[0]),),
-                           self._price("inverse_io", n=node.shape[0],
-                                       in_place=in_place))
+            reads = (self._lower(node.children[0]),)
+            op = InverseOp(node, reads,
+                           self._price("inverse_io", reads,
+                                       n=node.shape[0], in_place=in_place))
             op.in_place = in_place
             return op
         if isinstance(node, Transpose):
             rows, cols = node.children[0].shape
-            return TransposeOp(node, (self._lower(node.children[0]),),
-                               self._price("transpose_io", rows=rows,
-                                           cols=cols))
+            reads = (self._lower(node.children[0]),)
+            return TransposeOp(node, reads,
+                               self._price("transpose_io", reads,
+                                           rows=rows, cols=cols))
         if isinstance(node, Subscript):
             return self._lower_subscript(node)
         if isinstance(node, SubscriptAssign) and not node.logical_mask:
-            return ScatterOp(
-                node, tuple(self._lower(c) for c in node.children),
-                self._price("scatter_io", n=node.size,
-                            k=node.index.size))
+            reads = tuple(self._lower(c) for c in node.children)
+            return ScatterOp(node, reads,
+                             self._price("scatter_io", reads, n=node.size,
+                                         k=node.index.size))
         if isinstance(node, Reduce):
             return self._lower_reduce(node)
         if is_elementwise(node) or isinstance(node, Range):
@@ -437,32 +457,36 @@ class Planner:
             if fused is not None:
                 return fused
         region = self._region(node)
-        price = self._stream_price(region, node.size if node.ndim else 0)
+        reads = self._region_children(region)
+        price = self._stream_price(region, reads,
+                                   node.size if node.ndim else 0)
         if isinstance(node, Range):
             return RangeOp(node, price=price, region=region)
-        return MapOp(node, self._region_children(region), price,
-                     region=region,
+        return MapOp(node, reads, price, region=region,
                      detail=("scalar", "stream", "tile")[node.ndim])
 
     def _lower_reduce(self, node: Reduce) -> ReduceOp:
         region = self._region(node.children[0], under_reduce=True)
-        return ReduceOp(node, self._region_children(region),
-                        self._stream_price(region, 0), region=region)
+        reads = self._region_children(region)
+        return ReduceOp(node, reads, self._stream_price(region, reads, 0),
+                        region=region)
 
-    def _stream_price(self, region: Region, output: int) -> Price:
-        """One pass over ``region``: its sources read, ``output``
-        scalars written; a matrix region's pages are codec tiles."""
+    def _stream_price(self, region: Region, reads: tuple[PhysOp, ...],
+                      output: int) -> Price:
+        """One pass over ``region``: its sources, held by ``reads``,
+        read and ``output`` scalars written."""
         return self._price(
-            "stream_io", codec=region.root.ndim == 2,
+            "stream_io", reads,
             input_scalars=sum(n.size for n in region.sources),
             output_scalars=output)
 
     def _lower_subscript(self, node: Subscript) -> GatherOp:
         src, index = node.src, node.index
-        stored = [n for n in (src, index) if not isinstance(n, Range)]
+        reads = tuple(self._lower(n) for n in (src, index)
+                      if not isinstance(n, Range))
         return GatherOp(
-            node, tuple(self._lower(n) for n in stored),
-            self._price("gather_io",
+            node, reads,
+            self._price("gather_io", reads,
                         n_src=0 if isinstance(src, Range) else src.size,
                         k=node.size,
                         index=0 if isinstance(index, Range)
@@ -482,8 +506,9 @@ class Planner:
         info = self._reordered.get(id(head))
         if info is None:
             return
+        reads = tuple(self._lower(f) for f in info["factors"])
         program_io = sum(
-            self._price("matmul_io", m=m, l=l, n=n).io
+            self._price("matmul_io", reads, m=m, l=l, n=n).io
             for m, l, n in pairwise_shapes(info["dims"], info["cur"]))
         op.detail = (op.detail + " " if op.detail else "") + \
             f"order={order_to_string(info['order'])}"
@@ -501,7 +526,7 @@ class Planner:
         sparse kernels take no operand flags, and no dense x sparse
         kernel exists."""
         a, b = node.children
-        a_op, b_op = self._lower(a), self._lower(b)
+        reads = a_op, b_op = self._lower(a), self._lower(b)
         sa = a.shape[::-1] if node.trans_a else a.shape
         sb = b.shape[::-1] if node.trans_b else b.shape
         m, k, n = sa[0], sa[1], sb[1]
@@ -514,17 +539,16 @@ class Planner:
             # tiles are not codec-compressed.
             th, tk = sparse_tile_shape(a) or (DEFAULT_TILE_SIDE,) * 2
             if not both_sparse:
-                return self._price("spmm_io", m=m, l=k, n=n,
+                return self._price("spmm_io", reads, m=m, l=k, n=n,
                                    nnz=a.estimated_nnz, tiles=(th, tk))
             tw = (sparse_tile_shape(b) or (tk, DEFAULT_TILE_SIDE))[1]
-            return self._price("spgemm_io", m=m, l=k, n=n,
+            return self._price("spgemm_io", reads, m=m, l=k, n=n,
                                nnz_a=a.estimated_nnz,
                                nnz_b=b.estimated_nnz, tiles=(th, tk, tw))
 
         def sparse_op(price: Price, alternatives=()) -> PhysOp:
             return (SparseSpGEMMOp if both_sparse else SparseSpMMOp)(
-                node, (a_op, b_op), price,
-                alternatives=list(alternatives))
+                node, reads, price, alternatives=list(alternatives))
 
         if node.kernel == "sparse" and sparse_stored(a):
             op = sparse_op(sparse_price())
@@ -534,7 +558,7 @@ class Planner:
         # falls through to dense lowering (there is no sparse kernel
         # to run without a sparse operand).
 
-        square = self._price("matmul_io", m=m, l=k, n=n)
+        square = self._price("matmul_io", reads, m=m, l=k, n=n)
         flags = []
         if node.trans_a:
             flags.append("t(a)")
@@ -545,13 +569,13 @@ class Planner:
         def dense_op():
             alternatives = []
             if self.config.costed:
-                bnlj = self._price("bnlj_io", n1=m, n2=k, n3=n)
+                bnlj = self._price("bnlj_io", reads, n1=m, n2=k, n3=n)
                 if bnlj.io < BNLJ_MARGIN * square.io:
-                    return BnljOp(node, (a_op, b_op), bnlj, detail=detail,
+                    return BnljOp(node, reads, bnlj, detail=detail,
                                   alternatives=[("square-tile",
                                                  square.io)])
                 alternatives.append(("bnlj", bnlj.io))
-            return TileMatMulOp(node, (a_op, b_op), square,
+            return TileMatMulOp(node, reads, square,
                                 detail=detail, alternatives=alternatives)
 
         if node.kernel == "dense":
@@ -584,12 +608,12 @@ class Planner:
         sides = self._sides.get(id(node), [])
         cols = sum(s.shape[1] for s in sides)
         tile = operand_tile_side(a)
+        reads = (self._lower(a),) + tuple(self._lower(s.children[1])
+                                          for s in sides)
         op = CrossprodOp(
-            node,
-            (self._lower(a),) + tuple(self._lower(s.children[1])
-                                      for s in sides),
-            self._price("crossprod_io", m=inner, k=k, side_cols=cols,
-                        tile_side=tile),
+            node, reads,
+            self._price("crossprod_io", reads, m=inner, k=k,
+                        side_cols=cols, tile_side=tile),
             side_nodes=sides,
             detail=(f"sides={len(sides)}" if sides
                     else "" if node.t_first else "tcrossprod"))
@@ -598,7 +622,7 @@ class Planner:
             # product lowered on its own, as it would have been.
             op.alternatives.append((
                 "crossprod + separate t(a) %*% b",
-                self._price("crossprod_io", m=inner, k=k,
+                self._price("crossprod_io", reads[:1], m=inner, k=k,
                             tile_side=tile).io
                 + sum(self._lower_product(s).predicted_io
                       for s in sides)))
@@ -608,9 +632,10 @@ class Planner:
         a, b = node.children
         nrhs = 1 if node.ndim == 1 else node.shape[1]
         in_place = self._factors_in_place(a)
-        op = LUSolveOp(node, (self._lower(a), self._lower(b)),
-                       self._price("solve_io", n=a.shape[0], nrhs=nrhs,
-                                   in_place=in_place),
+        reads = (self._lower(a), self._lower(b))
+        op = LUSolveOp(node, reads,
+                       self._price("solve_io", reads, n=a.shape[0],
+                                   nrhs=nrhs, in_place=in_place),
                        detail=f"nrhs={nrhs}")
         op.in_place = in_place
         return op
@@ -662,15 +687,15 @@ class Planner:
             operand_ops = (self._lower(a), self._lower(b))
             model, shape = "matmul_epilogue_io", {
                 "m": sa[0], "l": sa[1], "n": sb[1]}
-        fused, unfused = (self._price(model, **shape, extra_inputs=extra,
-                                      fused=f) for f in (True, False))
+        reads = operand_ops + self._region_children(region, barrier)
+        fused, unfused = (self._price(model, reads, **shape,
+                                      extra_inputs=extra, fused=f)
+                          for f in (True, False))
         if self.config.costed and fused.io >= unfused.io:
             return None  # enumerated, and materializing won
         op = FusedEpilogueOp(
-            node, barrier, region=region,
-            children=operand_ops + self._region_children(region,
-                                                         barrier),
-            price=fused, detail=barrier.label(),
+            node, barrier, region=region, children=reads, price=fused,
+            detail=barrier.label(),
             alternatives=[("materialize+map", unfused.io)])
         # A fused barrier that heads a reordered chain keeps the chain
         # decision visible on the fused operator.

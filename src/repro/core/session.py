@@ -189,10 +189,7 @@ class RiotSession:
             return cached[1]
         logical = self.pipeline.run(node, PassContext(self.tracer))
         with self.tracer.span("planner", cat="optimizer"):
-            # Price what is stored now, not what the codec promised
-            # before anything was ingested.
-            plan = self.planner.plan(
-                logical, io_ratio=self.store.io_ratio_estimate())
+            plan = self.planner.plan(logical)
         self._plans[id(node)] = (node, plan)
         return plan
 

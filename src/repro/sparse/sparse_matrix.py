@@ -542,10 +542,10 @@ class SparseTiledMatrix:
         conversion costs exactly one write per dense tile and one read
         per nonempty sparse tile.
         """
-        out = TiledMatrix(self.store,
-                          name or self.store._fresh_name("densified"),
-                          self.shape, self.tile_shape,
-                          self.linearization.name)
+        out = self.store.create_matrix(
+            self.shape, tile_shape=self.tile_shape,
+            linearization=self.linearization.name,
+            name=name or self.store._fresh_name("densified"))
         for ti, tj in out.tiles():
             out.write_tile(ti, tj, self.read_tile(ti, tj))
         return out

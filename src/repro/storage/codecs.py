@@ -91,14 +91,11 @@ class TileCodec:
     """Transforms one tile's scalars to/from a compressed payload.
 
     ``name`` is the registry key recorded per tile in the manifest;
-    ``ratio_estimate`` is the static compressed/raw byte ratio the
-    planner uses before any measured traffic exists; ``lossless``
-    states whether decode is bitwise (the determinism contract) or
-    within a documented tolerance.
+    ``lossless`` states whether decode is bitwise (the determinism
+    contract) or within a documented tolerance.
     """
 
     name = "codec"
-    ratio_estimate = 1.0
     lossless = True
 
     def encode_tile(self, tile: np.ndarray) -> bytes:
@@ -115,7 +112,6 @@ class RawCodec(TileCodec):
     """Identity codec: tiles are stored as their native bytes."""
 
     name = "raw"
-    ratio_estimate = 1.0
     lossless = True
 
     def encode_tile(self, tile: np.ndarray) -> bytes:
@@ -187,9 +183,6 @@ class DeltaZstdCodec(TileCodec):
     """
 
     name = "delta+zstd"
-    #: Typical ratio on smooth/quantized numeric data; incompressible
-    #: tiles fall back to raw storage per tile, so 1.0 is the ceiling.
-    ratio_estimate = 0.5
     lossless = True
 
     #: Compression level for both backends: the fast one.  On byte
@@ -331,7 +324,6 @@ class Float32Codec(TileCodec):
     """
 
     name = "float32-downcast"
-    ratio_estimate = 0.5
     lossless = False
 
     def encode_tile(self, tile: np.ndarray) -> bytes:

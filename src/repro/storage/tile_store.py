@@ -627,8 +627,11 @@ class TiledMatrix:
 
     def stored_pages(self) -> tuple[int, int]:
         """``(pages holding data, pages spanned)`` over the tiles
-        written so far.  Pending tiles are encoded first, so a freshly
-        written codec matrix prices at what it will cost on disk."""
+        written so far: what the planner prices an operator that reads
+        this matrix at (a tile stored raw holds its whole span, so a
+        ``raw`` matrix gives the two equal).  This matrix's pending
+        tiles are encoded first, so a freshly written codec matrix
+        prices at what it will cost on disk."""
         self.store.tile_cache.settle(self)
         d, held = self._stored(0, self.grid[0], 0, self.grid[1])
         return len(held), int((d >= STORED_RAW).sum()) * self.pages_per_tile
@@ -1131,30 +1134,6 @@ class ArrayStore:
         always store float64).  The cost models' B is
         ``storage.block_scalars``, in the store's matrix dtype."""
         return self.device.block_size // _FLOAT_BYTES
-
-    def io_ratio_estimate(self) -> float:
-        """Stored/logical *page* ratio of codec tiles, for planner
-        costs: what the cost models multiply device traffic by.
-
-        Counted over the tiles the store's codec matrices hold right
-        now, in the unit the device moves: a payload occupies — and a
-        read fetches — ``ceil(length / block_size)`` of its tile's
-        pages, a raw-fallback tile all of them, so a one-page tile
-        prices at 1.0 however well its bytes compress.  Before any
-        codec tile is stored, the configured codec's static estimate.
-        Clamped to 1.0 — compression never makes the plan look worse
-        than the uncompressed cost model.
-        """
-        with self._names_lock:
-            arrays = list(self._arrays.values())
-        stored = span = 0
-        for arr in arrays:
-            if isinstance(arr, TiledMatrix) and arr.codec.name != "raw":
-                used, pages = arr.stored_pages()
-                stored, span = stored + used, span + pages
-        if span:
-            return stored / span
-        return min(1.0, self.codec.ratio_estimate)
 
     def _fresh_name(self, prefix: str, bare: bool = False) -> str:
         """``prefix_<n>``, with ``n`` past every name a live array of

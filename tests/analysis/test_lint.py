@@ -161,11 +161,11 @@ class TestRPR005CodecDiscipline:
 
     def test_other_codec_api_is_clean(self, tmp_path):
         # Only the tile wire protocol is storage-internal; reading a
-        # codec's metadata (name, ratio) anywhere is fine.
+        # codec's metadata (name, lossless) anywhere is fine.
         found = lint_source(
             tmp_path,
             "from repro.storage import get_codec\n"
-            "ratio = get_codec('delta+zstd').ratio_estimate\n")
+            "exact = get_codec('delta+zstd').lossless\n")
         assert found == []
 
 

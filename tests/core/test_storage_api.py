@@ -82,10 +82,10 @@ class TestOneBudget:
         assert lu._schedule(bare, square, None).memory == budget[0]
         seen = []
 
-        def spy_plan(planner, root, io_ratio=1.0):
+        def spy_plan(planner, root):
             seen.append(("plan", planner.memory_scalars,
                          planner.block_scalars))
-            return plan(planner, root, io_ratio)
+            return plan(planner, root)
 
         def spy_verify(op, memory_scalars, block_scalars):
             seen.append(("verify", memory_scalars, block_scalars))

@@ -412,6 +412,22 @@ class TestIOAccounting:
         sp = SparseTiledMatrix.from_dense(store, dense)
         assert np.allclose(sp.to_dense().to_numpy(), dense)
 
+    def test_to_dense_result_is_a_store_array(self, tmp_path, rng):
+        """The dense result takes its name in the store like any matrix
+        made there: the name is listed and refused a second time, and
+        the matrix persists."""
+        dense = _random_sparse(rng, 256, 256, 0.05)
+        cfg = StorageConfig(backend="pread", path=tmp_path / "riot.db",
+                            memory_bytes=16 * 8192)
+        with ArrayStore(storage=cfg) as store:
+            SparseTiledMatrix.from_dense(store, dense).to_dense(name="D")
+            assert "D" in store.stored_names()
+            with pytest.raises(ValueError, match="'D' is already live"):
+                store.create_matrix((4, 4), name="D")
+        with ArrayStore(storage=cfg) as store:
+            assert np.array_equal(store.open_matrix("D").to_numpy(),
+                                  dense)
+
     def test_drop_releases_everything(self, store):
         sp = SparseTiledMatrix.from_coo(store, [0, 100], [0, 100],
                                         [1.0, 2.0], (256, 256))

@@ -10,6 +10,7 @@ the storage config carries the codec and dtype through URLs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 import threading
 import zlib
@@ -36,6 +37,11 @@ def _store(codec="raw", dtype="float64", backend="memory", **kw):
     return ArrayStore(storage=StorageConfig(
         backend=backend, memory_bytes=16 * 8192, codec=codec,
         dtype=dtype, **kw))
+
+
+def _ratio(session, handle) -> float:
+    """The stored-page ratio ``handle``'s operator is priced at."""
+    return session.plan(handle).root.cost_inputs.get("ratio", 1.0)
 
 
 def _one_stream_payload(tile: np.ndarray) -> bytes:
@@ -575,7 +581,6 @@ class TestRegistry:
     def test_register_custom(self):
         class XorCodec(TileCodec):
             name = "xor-test"
-            ratio_estimate = 1.0
             lossless = True
 
             def encode_tile(self, tile):
@@ -715,31 +720,35 @@ class TestCompressedStore:
             assert out.dtype == np.float32
             assert np.array_equal(out.astype(np.float64), data)
 
-    def test_io_ratio_estimate_sources(self):
-        with _store(codec="delta+zstd") as store:
-            # Nothing stored yet: the codec's static estimate.
-            assert store.io_ratio_estimate() \
-                == get_codec("delta+zstd").ratio_estimate
+    def test_operand_ratio_sources(self):
+        """A map's ``ratio`` is the pages its own operands hold over
+        the pages they span; nothing else in the store counts."""
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=16 * 8192, codec="delta+zstd")) as s:
             data = np.arange(128 * 128, dtype=np.float64) \
                 .reshape(128, 128)
             # One-page tiles: however small the payload, a read moves
             # the page.
-            store.matrix_from_numpy(data, name="one_page")
-            assert store.io_ratio_estimate() == 1.0
+            one = s.matrix(data, name="one_page")
+            assert _ratio(s, one + 1) == 1.0
             # Four-page tiles whose payloads fit one page each.
-            big = store.create_matrix(data.shape, tile_shape=(64, 64)) \
-                .from_numpy(data)
+            big = s.store.create_matrix(data.shape, tile_shape=(64, 64),
+                                        name="big").from_numpy(data)
             assert big.stored_pages() == (4, 16)
             assert ((big.tile_dir > 0) & (big.tile_dir <= 8192)).all()
-            assert store.io_ratio_estimate() == (16 + 4) / (16 + 16)
-            # A tile that took the raw fallback counts its whole span,
-            # and what is dropped no longer counts.
+            both = one + s.open_matrix("big")
+            assert _ratio(s, both) == (16 + 4) / (16 + 16)
+            # An array the operator does not read does not count.
+            assert _ratio(s, one * 2) == 1.0
+            # A tile that took the raw fallback counts its whole span.
             rng = np.random.default_rng(5)
             big.write_tile(0, 0, rng.integers(
                 0, 1 << 64, (64, 64), dtype=np.uint64).view(np.float64))
             assert big.stored_pages() == (7, 16)
+            assert _ratio(s, s.open_matrix("big") - 1) == 7 / 16
+            # Nor does one that was dropped.
             big.drop()
-            assert store.io_ratio_estimate() == 1.0
+            assert _ratio(s, one - 2) == 1.0
 
     def test_planner_prices_what_is_stored(self):
         """The ratio is read when a plan is made, after ingest — not
@@ -748,16 +757,16 @@ class TestCompressedStore:
         with RiotSession(storage=StorageConfig(
                 memory_bytes=256 * 8192, codec="zstd")) as s:
             x = s.matrix(data)
-            stored = s.store.io_ratio_estimate()
-            assert stored == 1 / 16    # 128-side tiles, one page each
+            held, span = x.node.data.stored_pages()
+            assert held / span == 1 / 16    # 128-side tiles, one page each
             op = s.plan(x.crossprod()).root
-            assert op.cost_inputs["ratio"] == stored
+            assert op.cost_inputs["ratio"] == 1 / 16
             raw = RiotSession(storage=StorageConfig(
                 memory_bytes=256 * 8192))
             with raw:
                 unscaled = raw.plan(raw.matrix(data).crossprod()).root
             assert op.predicted_io == pytest.approx(
-                stored * unscaled.predicted_io)
+                unscaled.predicted_io / 16)
 
     def test_matrix_maps_and_transposes_are_priced_on_codec_pages(self):
         """A matrix map and a materialized transpose move codec tiles
@@ -769,13 +778,12 @@ class TestCompressedStore:
         with RiotSession(storage=StorageConfig(
                 memory_bytes=2 << 20, codec="zstd")) as s:
             x = s.matrix(data)
-            ratio = s.store.io_ratio_estimate()
-            assert ratio == 0.125
+            assert x.node.data.stored_pages() == (128, 1024)
             for handle in (x.abs() + 1, x.T):
                 text = s.explain(handle, analyze=True)
                 op = s.plan(handle).root
-                assert op.cost_inputs["ratio"] == ratio
-                assert op.predicted_io == ratio * 2 * 1024 * 1024 / 1024
+                assert op.cost_inputs["ratio"] == 0.125
+                assert op.predicted_io == 0.125 * 2 * 1024 * 1024 / 1024
                 assert "!!" not in text, text
                 assert s.calibration_report(handle).ok
 
@@ -836,6 +844,83 @@ class TestCompressedStore:
 # ----------------------------------------------------------------------
 # Multi-page compressed tiles on a real file: device calls per tile
 # ----------------------------------------------------------------------
+@functools.cache
+def _mixed_inputs() -> dict[str, np.ndarray]:
+    """1024 x 1024 inputs that compress to different page shares on a
+    ``zstd`` store: integers in [0, 4) keep 1/8 of their pages,
+    Gaussians 15/16, and ``Z`` is stored raw."""
+    rng = np.random.default_rng(0)
+    return {"X": rng.integers(0, 4, (1024, 1024)).astype(np.float64),
+            "Y": rng.standard_normal((1024, 1024)),
+            "Z": rng.standard_normal((1024, 1024))}
+
+
+class TestOperandRatios:
+    """Each operator is priced on its own operands' stored pages, so a
+    map's prediction does not move with whatever else the store holds.
+    On one store-wide ratio, ``abs(X) + 1`` read 0.24 and ``abs(Y) + 1``
+    2.29 of their predictions once X and Y shared a store, and a raw
+    matrix priced at the codec's static 0.5 read 1.88."""
+
+    @staticmethod
+    def _map(target: str, holds: str, earlier: str | None = None):
+        """``abs(target) + 1``, explained with ``analyze`` from a cold
+        pool on a 2 MiB ``zstd`` store holding the matrices ``holds``
+        (``Z`` stored raw) and the result of ``earlier(holds[0])``
+        when given: each operator's ``(label, cost_inputs,
+        predicted_io)``, and the root's measured / predicted."""
+        data = _mixed_inputs()
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=2 << 20, codec="zstd")) as s:
+            for name in holds:
+                s.store.matrix_from_numpy(
+                    data[name], name=name,
+                    codec="raw" if name == "Z" else None)
+            if earlier is not None:
+                s.force(getattr(s.open_matrix(holds[0]), earlier)() + 1)
+            handle = s.open_matrix(target).abs() + 1
+            s.store.flush()
+            s.store.pool.clear()
+            s.store.tile_cache.clear()
+            s.explain(handle, analyze=True)
+            plan = s.plan(handle)
+            ops = [(op.label(), op.cost_inputs, op.predicted_io)
+                   for op in plan.ops()]
+            return ops, plan.root.measured_io / plan.root.predicted_io
+
+    @pytest.mark.parametrize("target, holds, earlier", [
+        ("X", "XY", None),      # beside a Gaussian
+        ("X", "X", "sqrt"),     # beside an earlier statement's result
+        ("Y", "XY", "abs"),     # after abs(X) + 1, as a session runs it
+        ("Z", "ZX", None),      # a raw matrix beside an integer one
+    ])
+    def test_a_map_is_priced_on_its_own_operand(self, target, holds,
+                                                earlier):
+        alone, alone_ratio = self._map(target, target)
+        mixed, mixed_ratio = self._map(target, holds, earlier)
+        assert mixed == alone
+        assert 0.8 <= alone_ratio <= 1.25
+        assert 0.8 <= mixed_ratio <= 1.25
+        # A raw matrix spans every page it holds.
+        assert ("ratio" in alone[-1][1]) == (target != "Z")
+
+    def test_an_unstored_result_takes_its_operators_ratio(self):
+        """The solve of OLS reads two products no store holds yet; it
+        is priced at the ratio of the crossprod computing both, which
+        sums the pages of X and y."""
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=2 << 20, codec="zstd")) as s:
+            x = s.matrix(_integers(1, (1024, 256)), name="X")
+            y = s.matrix(_integers(2, (1024, 1)), name="y")
+            solve = s.plan((x.T @ x).solve(x.T @ y)).root
+            cross = solve.children[0]
+            assert solve.children == (cross, cross)
+            assert x.node.data.stored_pages() == (32, 256)
+            assert y.node.data.stored_pages() == (1, 1)
+            assert cross.cost_inputs["ratio"] == (32 + 1) / (256 + 1)
+            assert solve.cost_inputs["ratio"] == (32 + 1) / (256 + 1)
+
+
 class TestCompressedTileCalls:
     """A payload sits in the first pages of its tile's span and the
     rest of the span is a gap, so a compressed tile is read in one
