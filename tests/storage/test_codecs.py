@@ -738,6 +738,10 @@ class TestCompressedStore:
             assert ((big.tile_dir > 0) & (big.tile_dir <= 8192)).all()
             both = one + s.open_matrix("big")
             assert _ratio(s, both) == (16 + 4) / (16 + 16)
+            # A raw matrix holds every page it spans.
+            s.store.matrix_from_numpy(data, name="raw", codec="raw")
+            mixed = s.open_matrix("big") + s.open_matrix("raw")
+            assert _ratio(s, mixed) == (4 + 16) / (16 + 16)
             # An array the operator does not read does not count.
             assert _ratio(s, one * 2) == 1.0
             # A tile that took the raw fallback counts its whole span.
@@ -903,6 +907,23 @@ class TestOperandRatios:
         assert 0.8 <= mixed_ratio <= 1.25
         # A raw matrix spans every page it holds.
         assert ("ratio" in alone[-1][1]) == (target != "Z")
+
+    def test_sparse_operands_hold_no_pages(self):
+        """A sparse matrix, stored or a SpGEMM result, adds nothing to
+        the ratio of a map that also reads a codec matrix."""
+        rng = np.random.default_rng(3)
+        with RiotSession(storage=StorageConfig(
+                memory_bytes=2 << 20, codec="zstd")) as s:
+            x = s.matrix(_mixed_inputs()["X"], name="X")
+            a, b = (s.sparse_matrix(rng.integers(0, 1024, 2000),
+                                    rng.integers(0, 1024, 2000),
+                                    np.ones(2000), (1024, 1024))
+                    for _ in range(2))
+            product = (a @ b) + x
+            assert s.plan(product).root.children[0].label() \
+                == "matmul.spgemm"
+            for handle in (x + 1, a + x, product):
+                assert _ratio(s, handle) == 0.125
 
     def test_an_unstored_result_takes_its_operators_ratio(self):
         """The solve of OLS reads two products no store holds yet; it
