@@ -111,12 +111,10 @@ class RiotSession:
 
     def sparse_matrix(self, rows, cols, values, shape: tuple[int, int],
                       name: str | None = None) -> RiotMatrix:
-        """Store 0-based COO triplets as CSR tiles; deferred handle.
-
-        The handle's DAG node carries the exact density, so the
-        rewriter's chain ordering and the planner's kernel selection
-        see it.
-        """
+        """Store 0-based COO triplets as CSR tiles under ``name``, which
+        persists as a dense matrix's does; deferred handle.  Its DAG
+        node carries the exact density, so the rewriter's chain
+        ordering and the planner's kernel selection see it."""
         from repro.sparse import SparseTiledMatrix
         stored = SparseTiledMatrix.from_coo(self.store, rows, cols,
                                             values, shape, name=name)
@@ -226,7 +224,8 @@ class RiotSession:
         return RiotVector(self, ArrayInput(stored, name=stored.name))
 
     def open_matrix(self, name: str) -> RiotMatrix:
-        """Handle for a named matrix already in the session's store."""
+        """Handle for a named matrix, dense or sparse, already in the
+        session's store or persisted in the page file it reopened."""
         stored = self.store.open_matrix(name)
         return RiotMatrix(self, ArrayInput(stored, name=stored.name))
 

@@ -427,7 +427,8 @@ def spgemm_schedule(a: SparseTiledMatrix, b: SparseTiledMatrix,
 def spgemm(store: ArrayStore, a: SparseTiledMatrix,
            b: SparseTiledMatrix, memory_scalars: int,
            name: str | None = None) -> SparseTiledMatrix:
-    """``C = A B`` with both operands sparse; C is built sparse too.
+    """``C = A B`` with both operands sparse; C is built sparse too, a
+    store array under ``name`` (or ``spgemm_<n>``) that persists.
 
     Requires the k-grids to line up (``a`` tile width == ``b`` tile
     height).  :func:`repro.core.costs.spgemm_row_panels` cuts A's block

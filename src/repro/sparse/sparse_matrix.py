@@ -29,6 +29,12 @@ compressed sparse row (CSR) form:
   linearization order, so a scan of the nonempty tiles in grid order
   produces sequential device I/O exactly like the dense store.
 
+A sparse matrix is an array of its store like a dense one: its name is
+listed by ``stored_names()`` and refused to a second array of either
+kind, a named page file persists it at ``close()`` as a manifest entry
+(its geometry, ``(offset, length, nnz)`` directory and page map), and
+``open_matrix`` reattaches it, dense or sparse, without I/O.
+
 All reads and writes go through the shared
 :class:`~repro.storage.buffer_pool.BufferPool`, so every block is counted
 by the same :class:`~repro.storage.block_device.IOStats` contract the dense
@@ -42,14 +48,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.core.costs import csr_index_widths, packed_tile_offset, tile_bytes
-from repro.storage import (Linearization, make_linearization,
-                           new_pagefile)
-from repro.storage.tile_store import ArrayStore, TiledMatrix
+from repro.storage import Linearization, PageFile, new_pagefile
+from repro.storage.tile_store import ArrayStore, TiledMatrix, TileGrid
 
 _FLOAT = np.float64
 _INT = np.int64
@@ -170,12 +175,12 @@ def unpack_csr(raw: np.ndarray, shape: tuple[int, int], nnz: int
     return indptr, indices, np.frombuffer(raw, _FLOAT, nnz, 8)
 
 
-class SparseTiledMatrix:
+class SparseTiledMatrix(TileGrid):
     """A 2-D sparse array stored as a grid of CSR tiles packed into pages.
 
-    The tile grid mirrors :class:`TiledMatrix` (same ``tile_shape`` /
-    ``grid`` / ``tile_bounds`` geometry), but only nonempty tiles are
-    backed by pages.  Instances are write-once: build them with
+    The tile grid is :class:`TiledMatrix`'s (:class:`TileGrid`), but
+    only nonempty tiles are backed by pages.  Instances take their name
+    in the store, persist with it, and are write-once: build them with
     :meth:`from_coo` / :meth:`from_dense`, which append tiles in
     linearization order, or stream tiles through :meth:`append_tile`
     during construction by a kernel — in whatever order its schedule
@@ -183,30 +188,18 @@ class SparseTiledMatrix:
     reader finds a tile through the directory, never by position.
     """
 
-    #: Set by the first :meth:`drop`.
-    dropped = False
+    kind = "sparse matrix"
 
     def __init__(self, store: ArrayStore, name: str,
                  shape: tuple[int, int], tile_shape: tuple[int, int],
                  linearization: str | Linearization = "row") -> None:
-        n1, n2 = shape
-        th, tw = tile_shape
-        if n1 <= 0 or n2 <= 0:
-            raise ValueError(f"shape must be positive, got {shape}")
-        if th <= 0 or tw <= 0:
-            raise ValueError(f"tile shape must be positive, got {tile_shape}")
-        self.store = store
-        self.name = name
-        self.shape = (n1, n2)
-        self.tile_shape = (min(th, n1), min(tw, n2))
-        self.grid = (-(-n1 // self.tile_shape[0]),
-                     -(-n2 // self.tile_shape[1]))
-        if isinstance(linearization, Linearization):
-            self.linearization = linearization
-        else:
-            self.linearization = make_linearization(
-                linearization, self.grid[0], self.grid[1])
+        super().__init__(store, name, shape, tile_shape, linearization)
         self.file = new_pagefile(store.device, name=name)
+        self._reset()
+        store._register(self)
+
+    def _reset(self) -> None:
+        """Hold no tile: the state of a new matrix and a dropped one."""
         #: (ti, tj) -> (byte offset, byte length, nnz) in ``file``, for
         #: nonempty tiles only; :meth:`tile_pages` gives the pages.
         self.directory: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -222,6 +215,38 @@ class SparseTiledMatrix:
         self._row_index: dict[int, list[int]] = {}
         self._col_index: dict[int, list[int]] = {}
         self.nnz = 0
+
+    def _enter(self, ti: int, tj: int, offset: int, n_bytes: int,
+               nnz: int) -> None:
+        """Index a stored tile in the directory and row / column lists."""
+        self.directory[(ti, tj)] = (offset, n_bytes, nnz)
+        self._row_index.setdefault(ti, []).append(tj)
+        self._col_index.setdefault(tj, []).append(ti)
+        self.nnz += nnz
+
+    def _entry(self) -> dict:
+        """The grid's manifest entry, and the directory as ``[ti, tj,
+        offset, length, nnz]`` rows in append order."""
+        return {**super()._entry(), "directory": [
+            [int(v) for v in (*tile, *at)]
+            for tile, at in self.directory.items()]}
+
+    @classmethod
+    def _attach(cls, store: ArrayStore, name: str,
+                entry: dict) -> "SparseTiledMatrix":
+        """Rebind a persisted matrix (manifest entry) without I/O.  It
+        stays write-once: its end sits past its last page, so a tile
+        appended to it starts a page of its own and no page that its
+        stored tiles share is written again."""
+        mat = cls.__new__(cls)
+        TileGrid.__init__(mat, store, name, entry["shape"],
+                          entry["tile_shape"], entry["linearization"])
+        mat.file = PageFile.attach(store.device, name, entry["pages"])
+        mat._reset()
+        for ti, tj, offset, n_bytes, nnz in entry["directory"]:
+            mat._enter(ti, tj, offset, n_bytes, nnz)
+        mat._end = mat.file.num_pages * store.device.block_size
+        return mat
 
     # ------------------------------------------------------------------
     # Construction
@@ -368,18 +393,11 @@ class SparseTiledMatrix:
         whole = len(image) - bool(self._end % page_size)
         self._tail = image[-1].copy() if whole < len(image) else None
         self._tail_due = self._tail is not None
-        if self._tail_due:
-            self.store._tails.add(self)
-        else:
-            self.store._tails.discard(self)
         if whole:
             self.store.pool.put_many(
                 self.file.blocks_of(range(first, first + whole)),
                 image[:whole])
-        self.directory[(ti, tj)] = (offset, n_bytes, nnz)
-        self._row_index.setdefault(ti, []).append(tj)
-        self._col_index.setdefault(tj, []).append(ti)
-        self.nnz += nnz
+        self._enter(ti, tj, offset, n_bytes, nnz)
 
     def append_tile_dense(self, ti: int, tj: int,
                           values: np.ndarray) -> None:
@@ -393,23 +411,8 @@ class SparseTiledMatrix:
         self.append_tile(ti, tj, *csr_from_dense(vals))
 
     # ------------------------------------------------------------------
-    # Geometry (mirrors TiledMatrix)
+    # Geometry
     # ------------------------------------------------------------------
-    def tile_bounds(self, ti: int, tj: int) -> tuple[int, int, int, int]:
-        """Return (row_lo, row_hi, col_lo, col_hi) of tile (ti, tj)."""
-        self._check_tile(ti, tj)
-        th, tw = self.tile_shape
-        r0 = ti * th
-        c0 = tj * tw
-        return (r0, min(r0 + th, self.shape[0]),
-                c0, min(c0 + tw, self.shape[1]))
-
-    def tiles(self) -> Iterator[tuple[int, int]]:
-        """Yield every grid coordinate in linearization order."""
-        total = self.grid[0] * self.grid[1]
-        for pos in range(total):
-            yield self.linearization.coords(pos)
-
     def nonempty_tiles(self) -> list[tuple[int, int]]:
         """Nonempty tile coordinates in on-disk (appended) order: by
         byte offset, since tiles share first pages."""
@@ -464,7 +467,6 @@ class SparseTiledMatrix:
             self.store.pool.put(self.file.block_of(self.file.num_pages - 1),
                                 self._tail)
             self._tail_due = False
-            self.store._tails.discard(self)
 
     @property
     def density(self) -> float:
@@ -557,18 +559,7 @@ class SparseTiledMatrix:
             return
         self.store.pool.discard(self.file.page_map)
         self.file.drop()
-        self.directory.clear()
-        self._end, self._tail, self._tail_due = 0, None, False
-        self.store._tails.discard(self)
-        self._row_index.clear()
-        self._col_index.clear()
-        self.nnz = 0
-
-    # ------------------------------------------------------------------
-    def _check_tile(self, ti: int, tj: int) -> None:
-        if not (0 <= ti < self.grid[0] and 0 <= tj < self.grid[1]):
-            raise IndexError(
-                f"tile ({ti},{tj}) outside grid {self.grid} of {self.name}")
+        self._reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SparseTiledMatrix({self.name!r}, shape={self.shape}, "

@@ -183,6 +183,7 @@ class TiledVector:
 
     #: Set by the first :meth:`drop`.
     dropped = False
+    kind = "vector"
 
     def __init__(self, store: "ArrayStore", name: str, length: int,
                  chunk: int) -> None:
@@ -212,6 +213,11 @@ class TiledVector:
         vec.chunk = int(entry["chunk"])
         vec.file = PageFile.attach(store.device, name, entry["pages"])
         return vec
+
+    def _entry(self) -> dict:
+        """This vector's manifest entry, which :meth:`_attach` reads."""
+        return {"kind": self.kind, "length": self.length,
+                "chunk": self.chunk, "pages": self.file.page_map}
 
     # ------------------------------------------------------------------
     @property
@@ -446,7 +452,62 @@ def _directory(entry: dict, grid: tuple[int, int],
     return tiles
 
 
-class TiledMatrix:
+class TileGrid:
+    """The geometry of a matrix, dense or sparse: ``shape``, clipped
+    ``tile_shape``, the ``grid`` of tiles and the ``linearization``
+    that orders them on disk; subclasses add how tiles are stored."""
+
+    #: Set by the first ``drop``.
+    dropped = False
+
+    def __init__(self, store: "ArrayStore", name: str,
+                 shape: tuple[int, int], tile_shape: tuple[int, int],
+                 linearization: str | Linearization = "row") -> None:
+        n1, n2 = shape
+        th, tw = tile_shape
+        if n1 <= 0 or n2 <= 0:
+            raise ValueError(f"shape must be positive, got {shape}")
+        if th <= 0 or tw <= 0:
+            raise ValueError(f"tile shape must be positive, got {tile_shape}")
+        self.store = store
+        self.name = name
+        self.shape = (n1, n2)
+        self.tile_shape = (min(th, n1), min(tw, n2))
+        self.grid = (-(-n1 // self.tile_shape[0]),
+                     -(-n2 // self.tile_shape[1]))
+        if isinstance(linearization, Linearization):
+            self.linearization = linearization
+        else:
+            self.linearization = make_linearization(
+                linearization, self.grid[0], self.grid[1])
+
+    def _entry(self) -> dict:
+        """The manifest entry ``_attach`` reads back (subclasses add)."""
+        return {"kind": self.kind, "shape": list(self.shape),
+                "tile_shape": list(self.tile_shape),
+                "linearization": self.linearization.name,
+                "pages": self.file.page_map}
+
+    def tile_bounds(self, ti: int, tj: int) -> tuple[int, int, int, int]:
+        """Return (row_lo, row_hi, col_lo, col_hi) of tile (ti, tj)."""
+        self._check_tile(ti, tj)
+        th, tw = self.tile_shape
+        r0, c0 = ti * th, tj * tw
+        return (r0, min(r0 + th, self.shape[0]),
+                c0, min(c0 + tw, self.shape[1]))
+
+    def tiles(self) -> Iterator[tuple[int, int]]:
+        """Yield every tile coordinate in on-disk (linearized) order."""
+        for pos in range(self.grid[0] * self.grid[1]):
+            yield self.linearization.coords(pos)
+
+    def _check_tile(self, ti: int, tj: int) -> None:
+        if not (0 <= ti < self.grid[0] and 0 <= tj < self.grid[1]):
+            raise IndexError(
+                f"tile ({ti},{tj}) outside grid {self.grid} of {self.name}")
+
+
+class TiledMatrix(TileGrid):
     """A 2-D array stored as rectangular tiles over whole pages.
 
     Each matrix carries its own storage ``dtype`` (float64 or float32)
@@ -471,36 +532,19 @@ class TiledMatrix:
     it.  :meth:`drop` discards pending tiles unencoded.
     """
 
-    #: Set by the first :meth:`drop`.
-    dropped = False
+    kind = "matrix"
 
     def __init__(self, store: "ArrayStore", name: str,
                  shape: tuple[int, int], tile_shape: tuple[int, int],
                  linearization: str | Linearization = "row",
                  dtype: np.dtype | str | None = None,
                  codec: TileCodec | str | None = None) -> None:
-        n1, n2 = shape
-        th, tw = tile_shape
-        if n1 <= 0 or n2 <= 0:
-            raise ValueError(f"shape must be positive, got {shape}")
-        if th <= 0 or tw <= 0:
-            raise ValueError(f"tile shape must be positive, got {tile_shape}")
-        self.store = store
-        self.name = name
-        self.shape = (n1, n2)
+        super().__init__(store, name, shape, tile_shape, linearization)
         self.dtype = (np.dtype(dtype) if dtype is not None
                       else store.dtype)
         self.codec = (get_codec(codec) if codec is not None
                       else store.codec)
-        self.tile_shape = (min(th, n1), min(tw, n2))
-        self.grid = (-(-n1 // self.tile_shape[0]),
-                     -(-n2 // self.tile_shape[1]))
         self.tile_dir = np.full(self.grid, UNWRITTEN, dtype=np.int64)
-        if isinstance(linearization, Linearization):
-            self.linearization = linearization
-        else:
-            self.linearization = make_linearization(
-                linearization, self.grid[0], self.grid[1])
         th, tw = self.tile_shape
         self.pages_per_tile = -(-th * tw * self.dtype.itemsize
                                 // store.device.block_size)
@@ -514,16 +558,10 @@ class TiledMatrix:
                 entry: dict) -> "TiledMatrix":
         """Rebind a persisted matrix (manifest entry) without I/O."""
         mat = cls.__new__(cls)
-        mat.store = store
-        mat.name = name
-        mat.shape = tuple(int(d) for d in entry["shape"])
+        TileGrid.__init__(mat, store, name, entry["shape"],
+                          entry["tile_shape"], entry["linearization"])
         mat.dtype = np.dtype(entry.get("dtype", "float64"))
         mat.codec = get_codec(entry.get("codec", "raw"))
-        mat.tile_shape = tuple(int(d) for d in entry["tile_shape"])
-        mat.grid = (-(-mat.shape[0] // mat.tile_shape[0]),
-                    -(-mat.shape[1] // mat.tile_shape[1]))
-        mat.linearization = make_linearization(
-            entry["linearization"], mat.grid[0], mat.grid[1])
         mat.tile_dir = _directory(entry, mat.grid, mat.linearization)
         th, tw = mat.tile_shape
         mat.pages_per_tile = -(-th * tw * mat.dtype.itemsize
@@ -531,6 +569,10 @@ class TiledMatrix:
         mat.file = PageFile.attach(store.device, name, entry["pages"])
         mat._blocks = mat._block_table()
         return mat
+
+    def _entry(self) -> dict:
+        return {**super()._entry(), "dtype": self.dtype.name,
+                "codec": self.codec.name, "tiles": self.tile_dir.tolist()}
 
     @property
     def square_side(self) -> int:
@@ -572,15 +614,6 @@ class TiledMatrix:
         table.flags.writeable = False
         return table
 
-    def tile_bounds(self, ti: int, tj: int) -> tuple[int, int, int, int]:
-        """Return (row_lo, row_hi, col_lo, col_hi) of tile (ti, tj)."""
-        self._check_tile(ti, tj)
-        th, tw = self.tile_shape
-        r0 = ti * th
-        c0 = tj * tw
-        return (r0, min(r0 + th, self.shape[0]),
-                c0, min(c0 + tw, self.shape[1]))
-
     def _tile_span(self, r0: int, r1: int, c0: int, c1: int
                    ) -> tuple[int, int, int, int]:
         """Grid range ``(ti0, ti1, tj0, tj1)`` of the tiles covering a
@@ -620,21 +653,28 @@ class TiledMatrix:
             d = self.tile_dir[ti0:ti1, tj0:tj1].copy()
         if not np.count_nonzero(d):   # every tile stored raw
             return d, blocks.ravel().tolist()
-        pages = np.where(d == STORED_RAW, self.pages_per_tile,
-                         -(-np.maximum(d, 0) // self.store.device.block_size))
-        held = np.arange(self.pages_per_tile) < pages[..., None]
+        held = np.arange(self.pages_per_tile) < self._held(d)[..., None]
         return d, blocks[held].tolist()
+
+    def _held(self, d: np.ndarray) -> np.ndarray:
+        """Pages holding data per directory entry in ``d``: a raw
+        tile's span, a payload's first ``ceil(length / block_size)``."""
+        return np.where(d == STORED_RAW, self.pages_per_tile,
+                        -(-np.maximum(d, 0) // self.store.device.block_size))
 
     def stored_pages(self) -> tuple[int, int]:
         """``(pages holding data, pages spanned)`` over the tiles
         written so far: what the planner prices an operator that reads
         this matrix at (a tile stored raw holds its whole span, so a
-        ``raw`` matrix gives the two equal).  This matrix's pending
-        tiles are encoded first, so a freshly written codec matrix
-        prices at what it will cost on disk."""
+        ``raw`` matrix gives the two equal), counted from ``tile_dir``
+        without listing a block.  This matrix's pending tiles are
+        encoded first, so a freshly written codec matrix prices at what
+        it will cost on disk."""
         self.store.tile_cache.settle(self)
-        d, held = self._stored(0, self.grid[0], 0, self.grid[1])
-        return len(held), int((d >= STORED_RAW).sum()) * self.pages_per_tile
+        with self.store.pool.lock:
+            d = self.tile_dir.copy()
+        return (int(self._held(d).sum()),
+                int(np.count_nonzero(d >= STORED_RAW)) * self.pages_per_tile)
 
     def _charge_bytes(self, logical: int, compressed: int) -> None:
         """Record tile traffic on the v3 byte axis (a tile stored raw
@@ -813,12 +853,6 @@ class TiledMatrix:
         full[: r1 - r0, : c1 - c0] = vals
         self._scatter([ti], [tj], full.reshape(1, -1), owned=True)
 
-    def tiles(self) -> Iterator[tuple[int, int]]:
-        """Yield tile coordinates in on-disk (linearized) order."""
-        total = self.grid[0] * self.grid[1]
-        for pos in range(total):
-            yield self.linearization.coords(pos)
-
     # ------------------------------------------------------------------
     def _check_rect(self, r0: int, r1: int, c0: int, c1: int) -> None:
         if not (0 <= r0 <= r1 <= self.shape[0]
@@ -939,11 +973,6 @@ class TiledMatrix:
             self.tile_dir = self.tile_dir[:0]
         self.file.drop()
         self._blocks = self._blocks[:0]
-
-    def _check_tile(self, ti: int, tj: int) -> None:
-        if not (0 <= ti < self.grid[0] and 0 <= tj < self.grid[1]):
-            raise IndexError(
-                f"tile ({ti},{tj}) outside grid {self.grid} of {self.name}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TiledMatrix({self.name!r}, shape={self.shape}, "
@@ -1120,12 +1149,7 @@ class ArrayStore:
         # counter and registry are the store's only mutable state not
         # already serialized by the pool's lock.
         self._names_lock = threading.Lock()
-        self._arrays: dict[str, TiledVector | TiledMatrix] = {}
-        #: Sparse matrices whose last, partly filled page the pool has
-        #: not seen yet (``SparseTiledMatrix.put_tail``): a flush hands
-        #: it over first.  Each matrix adds and discards only itself
-        #: (single set operations), and a flush iterates a copy.
-        self._tails: set = set()
+        self._arrays: dict[str, TiledVector | TileGrid] = {}
         self._closed = False
 
     @property
@@ -1150,8 +1174,8 @@ class ArrayStore:
                 if name not in taken:
                     return name
 
-    def _register(self, array: "TiledVector | TiledMatrix",
-                  opened: bool = False) -> "TiledVector | TiledMatrix":
+    def _register(self, array: "TiledVector | TileGrid",
+                  opened: bool = False) -> "TiledVector | TileGrid":
         """Enter ``array`` under its name.  A name belongs to one live
         array, made or opened in this session or persisted by an
         earlier one, and only :meth:`open_matrix` / :meth:`open_vector`
@@ -1239,27 +1263,13 @@ class ArrayStore:
         return mat.from_numpy(vals)
 
     # ------------------------------------------------------------------
-    # Persistence: on a file-backed device, the store writes its array
-    # directory (shape, tiling, linearization, page map) into the
-    # device manifest so a later session can reattach every array.
+    # Persistence: on a file-backed device, the store writes each live
+    # array's own manifest entry (``_entry``: geometry, directory, page
+    # map) so a later session can reattach every array by its class's
+    # ``_attach``, whatever its kind.
     # ------------------------------------------------------------------
     def _build_manifest(self) -> dict:
-        entries: dict[str, dict] = {}
-        for name, arr in self._arrays.items():
-            if isinstance(arr, TiledVector):
-                entries[name] = {
-                    "kind": "vector", "length": arr.length,
-                    "chunk": arr.chunk, "pages": arr.file.page_map}
-            else:
-                entries[name] = {
-                    "kind": "matrix", "shape": list(arr.shape),
-                    "tile_shape": list(arr.tile_shape),
-                    "linearization": arr.linearization.name,
-                    "dtype": arr.dtype.name,
-                    "codec": arr.codec.name,
-                    "tiles": arr.tile_dir.tolist(),
-                    "pages": arr.file.page_map}
-        return entries
+        return {name: arr._entry() for name, arr in self._arrays.items()}
 
     def stored_names(self) -> list[str]:
         """Names of the live arrays in this store: those made or
@@ -1269,39 +1279,37 @@ class ArrayStore:
         names.update(getattr(self.device, "manifest", {}))
         return sorted(names)
 
-    def _manifest_entry(self, name: str, kind: str) -> dict:
-        entry = getattr(self.device, "manifest", {}).get(name)
-        if entry is None:
-            raise KeyError(
-                f"no stored array named {name!r} in this page file "
-                f"(have {sorted(getattr(self.device, 'manifest', {}))})")
-        if entry["kind"] != kind:
-            raise KeyError(
-                f"stored array {name!r} is a {entry['kind']}, "
-                f"not a {kind}")
-        return entry
-
     def open_vector(self, name: str) -> TiledVector:
         """Reattach a vector persisted by an earlier session."""
-        if name in self._arrays:
-            arr = self._arrays[name]
-            if not isinstance(arr, TiledVector):
-                raise KeyError(f"{name!r} is not a vector")
-            return arr
-        entry = self._manifest_entry(name, "vector")
-        return self._register(
-            TiledVector._attach(self, name, entry), opened=True)
+        return self._open(name, "vector")
 
-    def open_matrix(self, name: str) -> TiledMatrix:
-        """Reattach a matrix persisted by an earlier session."""
-        if name in self._arrays:
-            arr = self._arrays[name]
-            if not isinstance(arr, TiledMatrix):
-                raise KeyError(f"{name!r} is not a matrix")
-            return arr
-        entry = self._manifest_entry(name, "matrix")
-        return self._register(
-            TiledMatrix._attach(self, name, entry), opened=True)
+    def open_matrix(self, name: str):
+        """Reattach a matrix, dense or sparse, persisted by an earlier
+        session: a :class:`TiledMatrix` or a
+        :class:`~repro.sparse.SparseTiledMatrix`."""
+        return self._open(name, "matrix", "sparse matrix")
+
+    def _open(self, name: str, *kinds: str):
+        """The array named ``name`` if it is one of ``kinds``: the live
+        one, or the one an earlier session persisted, rebound from its
+        manifest entry by its class's ``_attach`` without I/O."""
+        arr = self._arrays.get(name)
+        entry = getattr(self.device, "manifest", {}).get(name)
+        if arr is None and entry is None:
+            raise KeyError(f"no stored array named {name!r} in this "
+                           f"page file (have {self.stored_names()})")
+        kind = entry["kind"] if arr is None else arr.kind
+        if kind not in kinds:
+            raise KeyError(
+                f"stored array {name!r} is a {kind}, not a {kinds[0]}")
+        if arr is None:
+            # Imported lazily: repro.sparse depends on repro.storage,
+            # not the other way around.
+            from repro.sparse import SparseTiledMatrix
+            cls = {c.kind: c for c in (TiledVector, TiledMatrix,
+                                       SparseTiledMatrix)}[kind]
+            arr = self._register(cls._attach(self, name, entry), opened=True)
+        return arr
 
     # ------------------------------------------------------------------
     def io_stats(self) -> IOStats:
@@ -1342,8 +1350,9 @@ class ArrayStore:
 
     def _settle(self) -> None:
         self.tile_cache.settle()
-        for mat in list(self._tails):
-            mat.put_tail()
+        for arr in list(self._arrays.values()):
+            if getattr(arr, "_tail_due", False):   # sparse, last page due
+                arr.put_tail()
 
     def __enter__(self) -> "ArrayStore":
         return self

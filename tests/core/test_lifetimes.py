@@ -336,8 +336,8 @@ class TestDroppedExactlyOnce:
     def test_dropped_arrays_leave_the_store(self, tmp_path):
         """A chain's dropped intermediate is no longer a stored name,
         cannot be opened, and no longer weighs in the codec estimate;
-        a persisted array dropped after reopening leaves the
-        manifest."""
+        a persisted array, dense or sparse, dropped after reopening
+        leaves the manifest."""
         s = session(2, mem_blocks=24, codec="zstd")
         _, out, made = run_recording(s, chain(s))
         [(mid, _)] = [(v, p) for v, p in made if v is not out]
@@ -350,13 +350,20 @@ class TestDroppedExactlyOnce:
         with ArrayStore(cfg) as store:
             store.matrix_from_numpy(np.ones((40, 40)), name="M")
             store.vector_from_numpy(np.ones(100), name="v")
+            SparseTiledMatrix.from_dense(store, np.eye(40), name="S")
         with ArrayStore(cfg) as store:
+            assert store.stored_names() == ["M", "S", "v"]
+            assert np.array_equal(store.open_matrix("S").to_numpy(),
+                                  np.eye(40))
             store.open_matrix("M").drop()
+            store.open_matrix("S").drop()
             assert store.stored_names() == ["v"]
-            with pytest.raises(KeyError):
-                store.open_matrix("M")
+            for name in ("M", "S"):
+                with pytest.raises(KeyError):
+                    store.open_matrix(name)
         with ArrayStore(cfg) as store:
             assert store.stored_names() == ["v"]
+            assert list(store.device.manifest) == ["v"]
 
     @pytest.mark.parametrize("kind", ["matrix", "vector", "sparse"])
     def test_a_second_drop(self, kind):

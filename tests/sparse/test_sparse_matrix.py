@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import RiotSession
 from repro.core.costs import csr_index_widths, tile_bytes
 from repro.sparse import (SparseTiledMatrix, csr_from_dense, csr_to_dense,
                           spmv, tile_words)
@@ -428,6 +429,23 @@ class TestIOAccounting:
             assert np.array_equal(store.open_matrix("D").to_numpy(),
                                   dense)
 
+    def test_sparse_matrix_is_a_store_array(self, tmp_path, rng):
+        """So does the sparse matrix itself: its name is listed and
+        refused a second time, and it persists and reopens sparse."""
+        dense = _random_sparse(rng, 256, 256, 0.05)
+        cfg = StorageConfig(backend="pread", path=tmp_path / "riot.db",
+                            memory_bytes=16 * 8192)
+        with ArrayStore(storage=cfg) as store:
+            SparseTiledMatrix.from_dense(store, dense, name="S")
+            assert store.stored_names() == ["S"]
+            with pytest.raises(ValueError, match="'S' is already live"):
+                SparseTiledMatrix.from_dense(store, dense, name="S")
+        with ArrayStore(storage=cfg) as store:
+            assert store.stored_names() == ["S"]
+            again = store.open_matrix("S")
+            assert isinstance(again, SparseTiledMatrix)
+            assert np.array_equal(again.to_numpy(), dense)
+
     def test_drop_releases_everything(self, store):
         sp = SparseTiledMatrix.from_coo(store, [0, 100], [0, 100],
                                         [1.0, 2.0], (256, 256))
@@ -435,3 +453,124 @@ class TestIOAccounting:
         assert sp.nnz == 0 and not sp.directory
         assert sp.file.num_pages == 0
         assert sp.tile_blocks(0, 0) == [] and sp.read_tile_csr(0, 0) is None
+
+
+@pytest.mark.parametrize("mode", ["pread", "mmap"])
+class TestPersistence:
+    """A sparse matrix is one of its store's arrays on a page file: it
+    takes its name through the store, persists at ``close()``, reopens
+    through ``open_matrix`` and leaves the manifest when dropped."""
+
+    @staticmethod
+    def _config(tmp_path, mode):
+        return StorageConfig(backend=mode, path=tmp_path / "riot.db",
+                             memory_bytes=16 * 8192)
+
+    def test_a_sparse_matrix_survives_reopen(self, tmp_path, mode):
+        """The store-reopen probe: a 512 x 512 ``S`` of 1 297 nonzeros
+        beside a dense ``M``.  ``S`` is listed before and after the
+        reopen, reopens sparse with the same bits and directory, and a
+        session handle over it has the same density and plans the same
+        ``spmm`` and ``spgemm``.  While it is persisted its name is
+        refused to a dense matrix; once dropped, it is gone from the
+        manifest."""
+        cfg = self._config(tmp_path, mode)
+        rng = np.random.default_rng(0)
+        flat = rng.choice(512 * 512, size=1297, replace=False)
+        with RiotSession(storage=cfg) as s:
+            sp = s.sparse_matrix(flat // 512, flat % 512,
+                                 rng.standard_normal(1297), (512, 512),
+                                 name="S")
+            m = s.matrix(rng.standard_normal((512, 64)), name="M")
+            assert s.stored_names() == ["M", "S"]
+            plans = [s.plan(sp @ m).signature(),
+                     s.plan(sp @ sp).signature()]
+            assert "spmm" in plans[0] and "spgemm" in plans[1]
+            density = sp.node.density
+            values = sp.node.data.to_numpy()
+            directory = dict(sp.node.data.directory)
+        with RiotSession(storage=cfg) as s:
+            assert s.stored_names() == ["M", "S"]
+            with pytest.raises(ValueError, match="'S' is already persisted"):
+                s.store.matrix_from_numpy(np.ones((8, 8)), name="S")
+            sp, m = s.open_matrix("S"), s.open_matrix("M")
+            again = sp.node.data
+            assert isinstance(again, SparseTiledMatrix)
+            assert again.to_numpy().tobytes() == values.tobytes()
+            assert again.directory == directory
+            assert sp.node.density == density
+            assert [s.plan(sp @ m).signature(),
+                    s.plan(sp @ sp).signature()] == plans
+            again.drop()
+            assert s.stored_names() == ["M"]
+        with ArrayStore(storage=cfg) as store:
+            assert store.stored_names() == ["M"]
+            assert list(store.device.manifest) == ["M"]
+
+    def test_a_name_is_refused_across_kinds(self, tmp_path, mode):
+        """A live sparse name is refused to a dense matrix, and a live
+        dense name to a sparse one; the first keeps name and values."""
+        with ArrayStore(storage=self._config(tmp_path, mode)) as store:
+            SparseTiledMatrix.from_coo(store, [0], [0], [1.0], (4, 4),
+                                       name="S")
+            store.matrix_from_numpy(np.ones((4, 4)), name="M")
+            with pytest.raises(ValueError, match="'S' is already live"):
+                store.matrix_from_numpy(np.ones((8, 8)), name="S")
+            with pytest.raises(ValueError, match="'M' is already live"):
+                SparseTiledMatrix.from_coo(store, [1], [1], [2.0], (4, 4),
+                                           name="M")
+            assert store.stored_names() == ["M", "S"]
+            assert store.open_matrix("S").to_numpy()[0, 0] == 1.0
+            assert np.array_equal(store.open_matrix("M").to_numpy(),
+                                  np.ones((4, 4)))
+
+    def test_a_forced_spgemm_result_persists(self, tmp_path, mode):
+        """The sparse product a session forces is a store array like
+        its operands: it keeps its name across a reopen and reads back
+        the same exact integer product."""
+        cfg = self._config(tmp_path, mode)
+        rng = np.random.default_rng(1)
+        dense = (rng.random((300, 300)) < 0.02) * rng.integers(
+            1, 9, (300, 300)).astype(float)
+        rows, cols = np.nonzero(dense)
+        with RiotSession(storage=cfg) as s:
+            a = s.sparse_matrix(rows, cols, dense[rows, cols], dense.shape,
+                                name="A")
+            product = s.force(a @ a)
+            assert isinstance(product, SparseTiledMatrix)
+            assert s.stored_names() == sorted(["A", product.name])
+            name, values = product.name, product.to_numpy()
+        assert np.array_equal(values, dense @ dense)
+        with ArrayStore(storage=cfg) as store:
+            assert store.stored_names() == sorted(["A", name])
+            again = store.open_matrix(name)
+            assert again.to_numpy().tobytes() == values.tobytes()
+            assert again.nnz == np.count_nonzero(dense @ dense)
+
+    def test_an_append_after_reopen_rewrites_no_stored_page(
+            self, tmp_path, mode):
+        """A reopened matrix is write-once like a built one: a tile
+        appended to it starts past its last page, so the pages its
+        stored tiles share keep their bytes and every tile reads back
+        the same before and after the next reopen."""
+        cfg = self._config(tmp_path, mode)
+        dense = np.zeros((32, 32))
+        dense[:8, :8] = np.arange(64.0).reshape(8, 8) + 1
+        dense[:8, 8:16] = 2.0                  # packed beside it
+        with ArrayStore(storage=cfg) as store:
+            built = SparseTiledMatrix.from_dense(store, dense,
+                                                 tile_shape=(8, 8),
+                                                 name="S")
+            assert built.data_pages == 1       # both tiles on one page
+        extra = np.full((8, 8), 3.0)
+        with ArrayStore(storage=cfg) as store:
+            sp = store.open_matrix("S")
+            old = store.pool.get(sp.file.block_of(0)).copy()
+            sp.append_tile_dense(3, 3, extra)
+            assert sp.tile_pages(3, 3) == range(1, 2)
+            store.flush()
+            assert np.array_equal(store.pool.get(sp.file.block_of(0)), old)
+            dense[24:, 24:] = extra
+            assert np.array_equal(sp.to_numpy(), dense)
+        with ArrayStore(storage=cfg) as store:
+            assert np.array_equal(store.open_matrix("S").to_numpy(), dense)
